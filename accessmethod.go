@@ -29,8 +29,10 @@ import "context"
 type Querier interface {
 	// Find retrieves the record of a node.
 	Find(ctx context.Context, id NodeID) (*Record, error)
-	// GetASuccessor retrieves the record of succ, a successor of cur;
-	// the buffered page containing cur is searched first.
+	// GetASuccessor retrieves the record of succ, a successor of cur.
+	// A successor on cur's page is a buffer-pool hit; it is read with
+	// no pool request at all only inside GetSuccessors and
+	// EvaluateRoute, which keep their page between hops.
 	GetASuccessor(ctx context.Context, cur *Record, succ NodeID) (*Record, error)
 	// GetSuccessors retrieves the records of all successors of a node.
 	GetSuccessors(ctx context.Context, id NodeID) ([]*Record, error)

@@ -144,19 +144,72 @@ func BenchmarkAblationScale(b *testing.B) {
 // --- micro-benchmarks of the public API ---
 
 func benchStore(b *testing.B) (*Store, *Network) {
-	b.Helper()
+	return paperStore(b, 16)
+}
+
+// paperStore builds the paper-scale map behind a pool of poolPages
+// frames (the file has about 140 data pages).
+func paperStore(tb testing.TB, poolPages int) (*Store, *Network) {
+	tb.Helper()
 	g, err := RoadMap(MinneapolisLikeOpts())
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	s, err := Open(Options{PageSize: 2048, PoolPages: 16, Seed: 1})
+	s, err := Open(Options{PageSize: 2048, PoolPages: poolPages, Seed: 1})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	if err := s.Build(g); err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	return s, g
+}
+
+// TestReadPathAllocs gates the allocations of the search operations
+// with metrics off and the whole file buffered, where the allocator
+// used to be most of the read path. A Find allocates the record it
+// returns; GetSuccessors the result slice and one record per
+// successor; a route evaluation reads every hop in place and allocates
+// nothing, whatever its length.
+func TestReadPathAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates")
+	}
+	s, g := paperStore(t, 1024)
+	defer s.Close()
+	ctx := context.Background()
+	ids := g.NodeIDs()
+	gate := func(name string, max float64, op func(i int) error) {
+		t.Helper()
+		i := 0
+		got := testing.AllocsPerRun(200, func() {
+			if err := op(i); err != nil {
+				t.Fatal(err)
+			}
+			i++
+		})
+		if got > max {
+			t.Errorf("%s: %.1f allocs/op, want <= %.0f", name, got, max)
+		}
+	}
+	gate("Find", 3, func(i int) error {
+		_, err := s.Find(ctx, ids[i%len(ids)])
+		return err
+	})
+	gate("GetSuccessors", 16, func(i int) error {
+		_, err := s.GetSuccessors(ctx, ids[i%len(ids)])
+		return err
+	})
+	for _, hops := range []int{4, 20, 64} {
+		routes, err := RandomWalkRoutes(g, 32, hops, rand.New(rand.NewSource(8)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		gate(fmt.Sprintf("EvaluateRoute/%d-hop", hops), 2, func(i int) error {
+			_, err := s.EvaluateRoute(ctx, routes[i%len(routes)])
+			return err
+		})
+	}
 }
 
 // BenchmarkBuildStatic measures the CCAM-S create over the paper-scale

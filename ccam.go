@@ -390,10 +390,12 @@ type Store struct {
 	// every committed batch applies its op and placement deltas under
 	// catMu, guarded by catLSN (the commit LSN the catalog reflects)
 	// so a batch that committed before the catalog was built is never
-	// applied twice. Build drops it. catMu guards cat and catLSN
-	// independently of mu so a lazy build never blocks, and is never
-	// torn by, a concurrent Apply; lock order is mu before catMu.
-	catMu  sync.Mutex
+	// applied twice. Build drops it. catMu guards cat, catLSN and the
+	// catalog's contents independently of mu — queries plan under its
+	// read side, the build and every fold take the write side — so a
+	// lazy build never blocks, and no plan is torn by, a concurrent
+	// Apply; lock order is mu before catMu.
+	catMu  sync.RWMutex
 	cat    *plan.Catalog
 	catLSN uint64
 }
@@ -732,9 +734,13 @@ func (s *Store) Find(ctx context.Context, id NodeID) (*Record, error) {
 	return v.findCtx(ctx, id)
 }
 
-// GetASuccessor retrieves the record of succ, a successor of cur; the
-// buffered page containing cur is searched first. The context is
-// checked before the fetch.
+// GetASuccessor retrieves the record of succ, a successor of cur. It is
+// handed cur as a record, not as a position in the file, so it is a
+// Find of succ: the paper's "the buffered page containing cur is
+// searched first" holds as a buffer-pool hit when the two are
+// co-located. GetSuccessors and EvaluateRoute hold their position
+// between hops and read a co-located successor in place, with no pool
+// request at all. The context is checked before the fetch.
 func (s *Store) GetASuccessor(ctx context.Context, cur *Record, succ NodeID) (*Record, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err

@@ -202,10 +202,9 @@ type Pool struct {
 	committed   atomic.Uint64
 	snapMu      sync.Mutex
 	snapRefs    map[uint64]int
-	gcFloor     uint64
+	gcFloor     atomic.Uint64 // advanced only under verMu
 	verEntries  atomic.Int64
 	verBytes    atomic.Int64
-	snapBufs    sync.Pool
 }
 
 // PoolInstrumentation carries the optional instrumentation of a pool.
@@ -254,7 +253,6 @@ func NewPoolShards(store storage.Store, capacity, shards int) *Pool {
 		versions: make(map[storage.PageID]*pageVersion),
 		snapRefs: make(map[uint64]int),
 	}
-	p.snapBufs.New = func() any { return make([]byte, store.PageSize()) }
 	base, extra := capacity/shards, capacity%shards
 	for i := range p.shards {
 		c := base
@@ -439,14 +437,24 @@ func (p *Pool) Fetch(id storage.PageID) ([]byte, error) {
 // a storage.read span. A nil trace costs nothing beyond Fetch itself
 // unless the pool is instrumented.
 func (p *Pool) FetchTraced(id storage.PageID, at *metrics.ActiveTrace) ([]byte, error) {
+	f, err := p.fetchFrame(id, at)
+	if err != nil {
+		return nil, err
+	}
+	return f.data, nil
+}
+
+// fetchFrame is FetchTraced returning the pinned frame itself, so a
+// borrower can drop its pin without a second table lookup.
+func (p *Pool) fetchFrame(id storage.PageID, at *metrics.ActiveTrace) (*frame, error) {
 	in := p.inst.Load()
 	if in == nil && at == nil {
-		b, _, err := p.fetch(id, nil)
-		return b, err
+		f, _, err := p.fetch(id, nil)
+		return f, err
 	}
 	tok := at.BeginSpan("buffer.fetch")
 	start := time.Now()
-	b, miss, err := p.fetch(id, at)
+	f, miss, err := p.fetch(id, at)
 	tok.End()
 	if in != nil {
 		if miss {
@@ -455,12 +463,12 @@ func (p *Pool) FetchTraced(id storage.PageID, at *metrics.ActiveTrace) ([]byte, 
 			in.HitNanos.ObserveSince(start)
 		}
 	}
-	return b, err
+	return f, err
 }
 
-// fetch reports, besides the pinned image, whether this call paid for
+// fetch reports, besides the pinned frame, whether this call paid for
 // the physical read (a miss).
-func (p *Pool) fetch(id storage.PageID, at *metrics.ActiveTrace) ([]byte, bool, error) {
+func (p *Pool) fetch(id storage.PageID, at *metrics.ActiveTrace) (*frame, bool, error) {
 	sh := p.shardOf(id)
 	sh.mu.RLock()
 	if sh.closed {
@@ -468,8 +476,8 @@ func (p *Pool) fetch(id storage.PageID, at *metrics.ActiveTrace) ([]byte, bool, 
 		return nil, false, ErrPoolClosed
 	}
 	if fi, ok := sh.table[id]; ok {
-		b, err := sh.pinResident(fi, sh.mu.RUnlock)
-		return b, false, err
+		f, err := sh.pinResident(fi, sh.mu.RUnlock)
+		return f, false, err
 	}
 	sh.mu.RUnlock()
 	return sh.fetchMiss(id, at)

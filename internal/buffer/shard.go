@@ -44,18 +44,17 @@ func newShard(p *Pool, capacity int) *shard {
 	return sh
 }
 
-// pinResident pins the table-resident frame fi and returns its image,
-// waiting out an in-flight read if there is one. Called with the shard
+// pinResident pins the table-resident frame fi and returns it, waiting
+// out an in-flight read if there is one. Called with the shard
 // latch held (shared or exclusive); releases it via unlock. The hit is
 // counted only once the image is known good: a waiter whose loader
 // failed got no page and issued no read, so it counts as neither hit
 // nor miss (see Stats).
-func (sh *shard) pinResident(fi int, unlock func()) ([]byte, error) {
+func (sh *shard) pinResident(fi int, unlock func()) (*frame, error) {
 	f := sh.frames[fi]
 	f.pins.Add(1)
 	f.ref.Store(true) // second chance for the sweep
 	ch := f.loading
-	data := f.data
 	unlock()
 	sh.stats.fetches.Add(1)
 	if ch != nil {
@@ -73,12 +72,12 @@ func (sh *shard) pinResident(fi int, unlock func()) ([]byte, error) {
 	if f.prefetched.Load() && f.prefetched.Swap(false) {
 		sh.pool.prefetchUseful()
 	}
-	return data, nil
+	return f, nil
 }
 
 // fetchMiss claims a frame for the page and performs the physical read
 // with the latch released, so concurrent misses overlap their I/O.
-func (sh *shard) fetchMiss(id storage.PageID, at *metrics.ActiveTrace) ([]byte, bool, error) {
+func (sh *shard) fetchMiss(id storage.PageID, at *metrics.ActiveTrace) (*frame, bool, error) {
 	sh.mu.Lock()
 	if sh.closed {
 		sh.mu.Unlock()
@@ -87,8 +86,8 @@ func (sh *shard) fetchMiss(id storage.PageID, at *metrics.ActiveTrace) ([]byte, 
 	// Another goroutine may have faulted the page in (or begun to)
 	// while we upgraded the latch.
 	if fi, ok := sh.table[id]; ok {
-		b, err := sh.pinResident(fi, sh.mu.Unlock)
-		return b, false, err
+		f, err := sh.pinResident(fi, sh.mu.Unlock)
+		return f, false, err
 	}
 	sh.stats.fetches.Add(1)
 	sh.stats.misses.Add(1)
@@ -110,8 +109,8 @@ func (sh *shard) fetchMiss(id storage.PageID, at *metrics.ActiveTrace) ([]byte, 
 	if fj, ok := sh.table[id]; ok {
 		sh.stats.fetches.Add(-1)
 		sh.stats.misses.Add(-1)
-		b, err := sh.pinResident(fj, sh.mu.Unlock)
-		return b, false, err
+		f, err := sh.pinResident(fj, sh.mu.Unlock)
+		return f, false, err
 	}
 	f := sh.frames[fi]
 	if f.data == nil {
@@ -158,7 +157,7 @@ func (sh *shard) fetchMiss(id storage.PageID, at *metrics.ActiveTrace) ([]byte, 
 	if result != nil {
 		return nil, true, result
 	}
-	return f.data, true, nil
+	return f, true, nil
 }
 
 // unpublishLoadedLocked retracts frame fi after a failed or doomed

@@ -1,6 +1,8 @@
 package buffer
 
 import (
+	"sync"
+
 	"ccam/internal/metrics"
 	"ccam/internal/storage"
 )
@@ -14,6 +16,8 @@ import (
 // AcquireSnapshot and resolves every page through ReadAt, which walks
 // the chain for the entry that was live at that LSN — so readers never
 // observe a writer's in-progress bytes and never block on writer I/O.
+// What ReadAt hands out is a borrow (PageRef), not a copy: the reader
+// decodes in place and releases.
 //
 // Chain semantics: an entry's supersededAt is the commit LSN of the
 // batch that OVERWROTE its bytes (pendingVersionLSN while that batch is
@@ -195,15 +199,20 @@ func (p *Pool) floorLocked() uint64 {
 }
 
 // gcVersions drops every chain entry whose supersededAt is at or below
-// floor. Skipped when the floor has not advanced since the last
-// collection, so snapshot releases stay cheap.
+// floor. The floor moves only when a batch publishes or the oldest
+// snapshot goes, so the common release — a query unpinning the LSN it
+// pinned microseconds ago — learns that from the atomic and leaves the
+// write lock, and every reader borrowing a frame, alone.
 func (p *Pool) gcVersions(floor uint64) {
+	if floor <= p.gcFloor.Load() {
+		return
+	}
 	p.verMu.Lock()
-	if floor <= p.gcFloor {
+	if floor <= p.gcFloor.Load() {
 		p.verMu.Unlock()
 		return
 	}
-	p.gcFloor = floor
+	p.gcFloor.Store(floor)
 	for id, head := range p.versions {
 		// Entries are newest-first by supersededAt (pending on top): cut
 		// the chain at the first entry no pinned reader can need.
@@ -238,16 +247,58 @@ func (p *Pool) DropVersions() {
 	p.verBatch = false
 	p.verEntries.Store(0)
 	p.verBytes.Store(0)
-	p.gcFloor = 0
+	p.gcFloor.Store(0)
 	p.verMu.Unlock()
 	p.snapMu.Lock()
 	p.committed.Store(0)
 	p.snapMu.Unlock()
 }
 
-// ReadAt returns the image of page id as of snapshot lsn, plus a
-// release function the caller must invoke once done with the bytes
-// (before which the slice must not be retained). Resolution order:
+// LiveLSN, passed to ReadAt, selects the live frame bytes whatever the
+// version chain holds. It is the lsn of callers the owner serializes
+// against mutations (or the mutator itself, which must see its own
+// uncommitted bytes); they take no version lock.
+const LiveLSN = ^uint64(0)
+
+// PageRef is a borrowed page image: Data is valid, and must not be
+// written, until Release. A ref to a version-chain entry borrows
+// immutable bytes and holds nothing. A ref to a live frame holds the
+// frame's pin and — for a snapshot lsn — the version read-lock, which
+// keeps SaveVersion, and with it every mutation of the frame, out
+// while the bytes are read in place. Go's RWMutex prefers writers, so
+// a borrower must Release before it calls ReadAt again (a second
+// read-lock behind a waiting SaveVersion would deadlock), and must
+// not keep a ref across storage I/O or hand it to its own caller.
+type PageRef struct {
+	Data  []byte
+	f     *frame        // pinned; nil for a version-chain entry
+	latch *sync.RWMutex // the pool's verMu, read-locked; nil when not held
+}
+
+// Release ends the borrow. The pin goes first: until the read-lock is
+// dropped no writer can reach the Discard that forbids pinned frames.
+func (r *PageRef) Release() {
+	if r.f != nil {
+		r.f.pins.Add(-1)
+		if r.latch != nil {
+			r.latch.RUnlock()
+		}
+	}
+	*r = PageRef{}
+}
+
+// Touch records one more reference to the borrowed page, exactly as a
+// repeated Fetch hit would have: the clock sweep's second-chance bit
+// is set, so replacement — and with it the physical read count — does
+// not depend on whether a reader stayed on the page or came back.
+func (r *PageRef) Touch() {
+	if r.f != nil && !r.f.ref.Load() {
+		r.f.ref.Store(true)
+	}
+}
+
+// ReadAt borrows the image of page id as of snapshot lsn. Resolution
+// order:
 //
 //  1. A chain entry covering lsn wins — no frame pin, no I/O; the
 //     bytes are an immutable committed image. This is also what makes
@@ -255,34 +306,41 @@ func (p *Pool) DropVersions() {
 //     committed image, so old snapshots never touch the store.
 //  2. Otherwise the live frame holds the right image. It is fetched
 //     through the normal pin path (I/O happens without any version
-//     lock held) and copied out under the chain read-lock: a writer
+//     lock held) and borrowed under the chain read-lock: a writer
 //     must insert a pending chain entry — under the write lock —
 //     before its first mutation of a page, so "no chain entry" means
 //     "no in-progress mutation of these bytes".
-func (p *Pool) ReadAt(id storage.PageID, lsn uint64, at *metrics.ActiveTrace) ([]byte, func(), error) {
+func (p *Pool) ReadAt(id storage.PageID, lsn uint64, at *metrics.ActiveTrace) (PageRef, error) {
+	if lsn == LiveLSN {
+		f, err := p.fetchFrame(id, at)
+		if err != nil {
+			return PageRef{}, err
+		}
+		return PageRef{Data: f.data, f: f}, nil
+	}
 	p.verMu.RLock()
-	if v := findVersion(p.versions[id], lsn); v != nil {
-		p.verMu.RUnlock()
-		return v.data, func() {}, nil
-	}
+	v := findVersion(p.versions[id], lsn)
 	p.verMu.RUnlock()
-
-	data, err := p.FetchTraced(id, at)
-	if err != nil {
-		return nil, nil, err
+	if v != nil {
+		return PageRef{Data: v.data}, nil
 	}
+
+	f, err := p.fetchFrame(id, at)
 	// Re-check: the page may have gained a pending entry while the
 	// fetch did I/O, in which case the frame may already hold
-	// uncommitted bytes.
+	// uncommitted bytes — or the page was freed under the fetch, which
+	// then failed, and the entry is the image to read.
 	p.verMu.RLock()
 	if v := findVersion(p.versions[id], lsn); v != nil {
 		p.verMu.RUnlock()
-		p.Unpin(id, false)
-		return v.data, func() {}, nil
+		if err == nil {
+			f.pins.Add(-1)
+		}
+		return PageRef{Data: v.data}, nil
 	}
-	buf := p.snapBufs.Get().([]byte)
-	copy(buf, data)
-	p.verMu.RUnlock()
-	p.Unpin(id, false)
-	return buf, func() { p.snapBufs.Put(buf) }, nil
+	if err != nil {
+		p.verMu.RUnlock()
+		return PageRef{}, err
+	}
+	return PageRef{Data: f.data, f: f, latch: &p.verMu}, nil
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"sync"
 	"testing"
+	"time"
 
 	"ccam/internal/storage"
 )
@@ -28,13 +29,13 @@ func mutatePage(t *testing.T, p *Pool, id storage.PageID, fill byte, commitLSN u
 
 func readAt(t *testing.T, p *Pool, id storage.PageID, lsn uint64) []byte {
 	t.Helper()
-	data, release, err := p.ReadAt(id, lsn, nil)
+	ref, err := p.ReadAt(id, lsn, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer release()
-	cp := make([]byte, len(data))
-	copy(cp, data)
+	defer ref.Release()
+	cp := make([]byte, len(ref.Data))
+	copy(cp, ref.Data)
 	return cp
 }
 
@@ -182,7 +183,7 @@ func TestVersionReadersNeverSeeTornPages(t *testing.T) {
 				default:
 				}
 				lsn := p.AcquireSnapshot()
-				data, release, err := p.ReadAt(id, lsn, nil)
+				ref, err := p.ReadAt(id, lsn, nil)
 				if err != nil {
 					t.Error(err)
 					p.ReleaseSnapshot(lsn)
@@ -190,13 +191,13 @@ func TestVersionReadersNeverSeeTornPages(t *testing.T) {
 				}
 				want := byte(lsn % 251)
 				ok := true
-				for _, b := range data {
+				for _, b := range ref.Data {
 					if b != want {
 						ok = false
 						break
 					}
 				}
-				release()
+				ref.Release()
 				p.ReleaseSnapshot(lsn)
 				if !ok {
 					t.Errorf("reader@%d saw torn or wrong image (want fill %#x)", lsn, want)
@@ -249,4 +250,39 @@ func TestVersionSaveIsIdempotentPerBatch(t *testing.T) {
 		t.Fatalf("pinned reader sees %#x, want first committed image", got[0])
 	}
 	p.ReleaseSnapshot(pin)
+}
+
+// TestSnapshotReleaseTakesNoWriteLock holds the version read-lock — as
+// a reader borrowing a live frame does — while other readers pin and
+// unpin snapshots with no writer around. The floor never moves, so no
+// release may ask for the write lock: one that did would wait on this
+// test's read-lock forever.
+func TestSnapshotReleaseTakesNoWriteLock(t *testing.T) {
+	p, ids := newPoolWithPages(t, 4, 1)
+	defer p.Close()
+	mutatePage(t, p, ids[0], 0x11, 0) // a floor above zero, as after any commit
+
+	p.verMu.RLock()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		var wg sync.WaitGroup
+		for r := 0; r < 8; r++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < 200; i++ {
+					p.ReleaseSnapshot(p.AcquireSnapshot())
+				}
+			}()
+		}
+		wg.Wait()
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Error("ReleaseSnapshot blocked behind a reader: it took the version write lock with the floor unmoved")
+	}
+	p.verMu.RUnlock()
+	<-done
 }

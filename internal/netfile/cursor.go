@@ -1,0 +1,421 @@
+package netfile
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"sort"
+
+	"ccam/internal/buffer"
+	"ccam/internal/geom"
+	"ccam/internal/graph"
+	"ccam/internal/metrics"
+	"ccam/internal/storage"
+)
+
+// This file is the read path: every search operation of File and of
+// View runs on one page cursor. The paper's Get-A-successor "searches
+// the buffered page containing the current node first"; the cursor
+// makes that literal. It resolves a node to its data page, borrows the
+// page from the pool (buffer.PageRef) and reads the record where it
+// lies — and while the next node resolves to the page it already
+// holds, it stays: no pool fetch, no latch, no copy. A hop therefore
+// costs a pool fetch with probability 1-α, the paper's route model,
+// instead of always.
+//
+// Borrow rules (see buffer.PageRef): the cursor holds at most one
+// page, releases it before it fetches another, and never keeps it
+// across a return to its caller or a call into caller-supplied code —
+// operations decode what they hand out into records that own their
+// memory, and release before returning.
+
+// cursor is one operation's position in the file. It lives on the
+// operation's stack and must be released on every path out.
+type cursor struct {
+	v  View
+	st *overlayState // placements as of v.lsn; nil on the live file
+	at *metrics.ActiveTrace
+	// ref borrows page pid; sp is its slotted view, validated once per
+	// visit. ref.Data == nil means no page is held.
+	pid storage.PageID
+	ref buffer.PageRef
+	sp  storage.SlottedPage
+}
+
+func (v View) cursor(at *metrics.ActiveTrace) cursor {
+	c := cursor{v: v, at: at}
+	if v.lsn != buffer.LiveLSN {
+		c.st = v.f.overlay.Load()
+	}
+	return c
+}
+
+func (c *cursor) release() { c.ref.Release() }
+
+// resolve maps a node to its data page: through the overlay as of the
+// pinned LSN (charged as one index visit — the overlay stands in for
+// the B+-tree descent), or through the B+-tree on the live file.
+func (c *cursor) resolve(id graph.NodeID) (storage.PageID, error) {
+	tok := c.at.BeginSpan("index.descent")
+	if c.st == nil {
+		pid, err := c.v.f.PageOf(id)
+		tok.End()
+		return pid, err
+	}
+	pid, ok := c.st.lookup(id, c.v.lsn)
+	c.v.f.idxVisits.Add(1)
+	tok.End()
+	if !ok {
+		return storage.InvalidPageID, fmt.Errorf("%w: %d", ErrNotFound, id)
+	}
+	return pid, nil
+}
+
+// move makes pid the held page, releasing the previous one first.
+func (c *cursor) move(pid storage.PageID) error {
+	c.release()
+	ref, err := c.v.f.pool.ReadAt(pid, c.v.lsn, c.at)
+	if err != nil {
+		return err
+	}
+	sp, err := storage.ViewSlottedPage(ref.Data)
+	if err != nil {
+		ref.Release()
+		return err
+	}
+	c.pid, c.ref, c.sp = pid, ref, sp
+	return nil
+}
+
+// seek positions the cursor on node id's record. The view aliases the
+// held page: it is valid until the next seek, move or release.
+func (c *cursor) seek(id graph.NodeID) (recordView, error) {
+	pid, err := c.resolve(id)
+	if err != nil {
+		return recordView{}, err
+	}
+	if c.ref.Data != nil && pid == c.pid {
+		c.ref.Touch()
+	} else if err := c.move(pid); err != nil {
+		return recordView{}, err
+	}
+	_, raw, err := findOnPage(&c.sp, pid, id)
+	if err != nil {
+		return recordView{}, err
+	}
+	return viewRecord(raw)
+}
+
+// findOnPage walks the slot directory of data page pid for node id's
+// record; the indexes sent the caller here, so its absence is
+// corruption.
+func findOnPage(sp *storage.SlottedPage, pid storage.PageID, id graph.NodeID) (slot int, raw []byte, err error) {
+	for i, n := 0, sp.NumSlots(); i < n; i++ {
+		rec, live, err := sp.Record(i)
+		if err != nil {
+			return 0, nil, err
+		}
+		if !live {
+			continue
+		}
+		rid, err := RecordID(rec)
+		if err != nil {
+			return 0, nil, err
+		}
+		if rid == id {
+			return i, rec, nil
+		}
+	}
+	return 0, nil, fmt.Errorf("netfile: node %d maps to page %d but its record is absent: %w", id, pid, ErrCorruptRecord)
+}
+
+// decodePage appends the decoded records of a data page to out.
+func decodePage(sp *storage.SlottedPage, out []*Record) ([]*Record, error) {
+	for i, n := 0, sp.NumSlots(); i < n; i++ {
+		raw, live, err := sp.Record(i)
+		if err != nil {
+			return nil, err
+		}
+		if !live {
+			continue
+		}
+		rec, err := DecodeRecord(raw)
+		if err != nil {
+			return nil, fmt.Errorf("slot %d: %w", i, err)
+		}
+		out = append(out, rec)
+	}
+	return out, nil
+}
+
+// read fetches one record: resolve, borrow, decode, release.
+func (v View) read(id graph.NodeID, at *metrics.ActiveTrace) (*Record, error) {
+	c := v.cursor(at)
+	defer c.release()
+	rv, err := c.seek(id)
+	if err != nil {
+		return nil, err
+	}
+	return rv.record(), nil
+}
+
+// Find retrieves the record of node id as of the view.
+func (v View) Find(id graph.NodeID) (*Record, error) {
+	return v.FindCtx(context.Background(), id)
+}
+
+// FindCtx is Find with cooperative cancellation.
+func (v View) FindCtx(ctx context.Context, id graph.NodeID) (*Record, error) {
+	at := v.f.tracer.StartCtx(ctx, "find")
+	rec, err := v.findCtx(ctx, id, at)
+	at.Finish(err)
+	return rec, err
+}
+
+func (v View) findCtx(ctx context.Context, id graph.NodeID, at *metrics.ActiveTrace) (*Record, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	return v.read(id, at)
+}
+
+// GetASuccessor retrieves the record of succ, a successor of cur
+// (paper §2.3; cur may be nil to skip the check). The caller holds cur
+// as a record, not as a position, so this is a Find of succ: "the
+// buffered page containing cur is searched first" holds in the sense
+// that a co-located successor is a pool hit. The literal form — stay
+// on the page, fetch nothing — is what GetSuccessors and EvaluateRoute
+// do between their own hops.
+func (v View) GetASuccessor(cur *Record, succ graph.NodeID) (*Record, error) {
+	if cur != nil && !cur.HasSucc(succ) {
+		return nil, fmt.Errorf("%w: %d of %d", ErrNotSuccessor, succ, cur.ID)
+	}
+	at := v.f.tracer.Start("get-a-successor")
+	rec, err := v.read(succ, at)
+	at.Finish(err)
+	return rec, err
+}
+
+// GetSuccessors is GetSuccessorsCtx with context.Background().
+func (v View) GetSuccessors(id graph.NodeID) ([]*Record, error) {
+	return v.GetSuccessorsCtx(context.Background(), id)
+}
+
+// GetSuccessorsCtx retrieves the records of all successors of node id
+// as of the view. The context is checked before the node's own fetch
+// and before each successor's.
+func (v View) GetSuccessorsCtx(ctx context.Context, id graph.NodeID) ([]*Record, error) {
+	at := v.f.tracer.StartCtx(ctx, "get-successors")
+	out, err := v.getSuccessors(ctx, id, at)
+	at.Finish(err)
+	return out, err
+}
+
+func (v View) getSuccessors(ctx context.Context, id graph.NodeID, at *metrics.ActiveTrace) ([]*Record, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	c := v.cursor(at)
+	defer c.release()
+	rv, err := c.seek(id)
+	if err != nil {
+		return nil, err
+	}
+	// The successor ids are copied out: the first seek that leaves the
+	// page invalidates rv.
+	var buf [2 * inlineSuccs]graph.NodeID
+	succs := buf[:0]
+	for i, n := 0, rv.numSuccs(); i < n; i++ {
+		succs = append(succs, rv.succ(i).To)
+	}
+	out := make([]*Record, 0, len(succs))
+	for _, to := range succs {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		sv, err := c.seek(to)
+		if err != nil {
+			return nil, fmt.Errorf("netfile: get-successors of %d: %w", id, err)
+		}
+		out = append(out, sv.record())
+	}
+	return out, nil
+}
+
+// EvaluateRoute is EvaluateRouteCtx with context.Background().
+func (v View) EvaluateRoute(route graph.Route) (RouteAggregate, error) {
+	return v.EvaluateRouteCtx(context.Background(), route)
+}
+
+// EvaluateRouteCtx computes the aggregate property of a route as of
+// the view (paper §2.3, "Route Evaluation"): a Find of the first node,
+// then one Get-A-successor per hop, the cost of each hop read from the
+// successor-list of the record the cursor stands on. The context is
+// checked before each hop's fetch.
+func (v View) EvaluateRouteCtx(ctx context.Context, route graph.Route) (RouteAggregate, error) {
+	at := v.f.tracer.StartCtx(ctx, "evaluate-route")
+	agg, err := v.evaluateRoute(ctx, route, at)
+	at.Finish(err)
+	return agg, err
+}
+
+func (v View) evaluateRoute(ctx context.Context, route graph.Route, at *metrics.ActiveTrace) (RouteAggregate, error) {
+	if len(route) == 0 {
+		return RouteAggregate{}, fmt.Errorf("%w: empty route", graph.ErrInvalidRoute)
+	}
+	if err := ctx.Err(); err != nil {
+		return RouteAggregate{}, err
+	}
+	c := v.cursor(at)
+	defer c.release()
+	rv, err := c.seek(route[0])
+	if err != nil {
+		return RouteAggregate{}, err
+	}
+	agg := RouteAggregate{Nodes: 1}
+	for _, next := range route[1:] {
+		c32, ok := rv.succCost(next)
+		if !ok {
+			return RouteAggregate{}, fmt.Errorf("%w: hop %d->%d is not an edge", graph.ErrInvalidRoute, rv.id(), next)
+		}
+		if err := ctx.Err(); err != nil {
+			return RouteAggregate{}, err
+		}
+		if rv, err = c.seek(next); err != nil {
+			return RouteAggregate{}, err
+		}
+		cost := float64(c32)
+		agg.Nodes++
+		agg.TotalCost += cost
+		if agg.Nodes == 2 || cost < agg.MinCost {
+			agg.MinCost = cost
+		}
+		if cost > agg.MaxCost {
+			agg.MaxCost = cost
+		}
+	}
+	return agg, nil
+}
+
+// RangeQueryCtx returns the records of every node whose position lies
+// in rect as of the view. Candidates come from the live spatial index
+// unioned with the spatial entries removed by batches committed after
+// the view's LSN; each candidate is then resolved at that LSN, so
+// nodes inserted after it drop out and nodes deleted after it
+// reappear. The spatial index hands out neighbors in space together,
+// which a clustered file keeps on one page: the cursor stays there.
+// The context is checked before each candidate's fetch.
+func (v View) RangeQueryCtx(ctx context.Context, rect geom.Rect) ([]*Record, error) {
+	at := v.f.tracer.StartCtx(ctx, "range-query")
+	out, err := v.rangeQuery(ctx, rect, at)
+	at.Finish(err)
+	return out, err
+}
+
+func (v View) rangeQuery(ctx context.Context, rect geom.Rect, at *metrics.ActiveTrace) ([]*Record, error) {
+	c := v.cursor(at)
+	defer c.release()
+	var cand []graph.NodeID
+	v.f.spatMu.RLock()
+	if c.st != nil {
+		// A delete drops its spatial entry and installs its batch's
+		// overlay delta under the write side of this lock: the index and
+		// a delta list loaded under the read side agree.
+		c.st = v.f.overlay.Load()
+	}
+	err := v.f.spatial.search(rect, func(id graph.NodeID) bool {
+		cand = append(cand, id)
+		return true
+	})
+	indexed := len(cand)
+	if err == nil && c.st != nil {
+		for _, d := range c.st.deltas {
+			if d.lsn.Load() <= v.lsn {
+				continue
+			}
+			for _, e := range d.removed {
+				if rect.Contains(e.pos) {
+					cand = append(cand, e.id)
+				}
+			}
+		}
+	}
+	v.f.spatMu.RUnlock()
+	if err != nil {
+		return nil, err
+	}
+	// The index yields each id once; only resurrected entries can
+	// repeat one (deleted, re-inserted and deleted again after the LSN).
+	var seen map[graph.NodeID]bool
+	if len(cand) > indexed {
+		seen = make(map[graph.NodeID]bool, len(cand))
+	}
+	var out []*Record
+	for _, id := range cand {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		if seen != nil {
+			if seen[id] {
+				continue
+			}
+			seen[id] = true
+		}
+		rv, err := c.seek(id)
+		if c.st != nil && errors.Is(err, ErrNotFound) {
+			continue // inserted after the view's LSN
+		}
+		if err != nil {
+			return nil, err
+		}
+		if rect.Contains(rv.pos()) {
+			out = append(out, rv.record())
+		}
+	}
+	return out, nil
+}
+
+// Scan visits every record as of the view, page by page in page-id
+// order (one page read per page). fn returning false stops early; it
+// runs with no page held.
+func (v View) Scan(fn func(rec *Record) bool) error {
+	c := v.cursor(nil)
+	defer c.release()
+	var recs []*Record
+	for _, pid := range v.pageIDs() {
+		if err := c.move(pid); err != nil {
+			return err
+		}
+		var err error
+		recs, err = decodePage(&c.sp, recs[:0])
+		c.release()
+		if err != nil {
+			return fmt.Errorf("netfile: scan page %d: %w", pid, err)
+		}
+		for _, rec := range recs {
+			if !fn(rec) {
+				return nil
+			}
+		}
+	}
+	return nil
+}
+
+// pageIDs lists the data pages of the view in ascending order: the
+// live page set, or the pages the overlay places a node on as of the
+// pinned LSN.
+func (v View) pageIDs() []storage.PageID {
+	if v.lsn == buffer.LiveLSN {
+		return v.f.Pages()
+	}
+	pageSet := make(map[storage.PageID]bool)
+	for _, pid := range v.f.overlay.Load().placements(v.lsn) {
+		pageSet[pid] = true
+	}
+	pids := make([]storage.PageID, 0, len(pageSet))
+	for pid := range pageSet {
+		pids = append(pids, pid)
+	}
+	sort.Slice(pids, func(i, j int) bool { return pids[i] < pids[j] })
+	return pids
+}

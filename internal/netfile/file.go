@@ -380,26 +380,7 @@ func (f *File) Pages() []storage.PageID {
 // withPage runs fn with the slotted view of a pinned page; the page is
 // unpinned afterwards, marked dirty when fn reports it wrote.
 func (f *File) withPage(pid storage.PageID, fn func(sp *storage.SlottedPage) (dirty bool, err error)) error {
-	return f.withPageTraced(pid, nil, fn)
-}
-
-// withPageTraced is withPage under an optional operation trace: the
-// fetch appears as a buffer.fetch span (and storage.read on a miss).
-func (f *File) withPageTraced(pid storage.PageID, at *metrics.ActiveTrace, fn func(sp *storage.SlottedPage) (dirty bool, err error)) error {
-	b, err := f.pool.FetchTraced(pid, at)
-	if err != nil {
-		return err
-	}
-	sp, err := storage.LoadSlottedPage(b)
-	if err != nil {
-		f.pool.Unpin(pid, false)
-		return err
-	}
-	dirty, err := fn(sp)
-	if uerr := f.pool.Unpin(pid, dirty); uerr != nil && err == nil {
-		err = uerr
-	}
-	return err
+	return f.pinPage(pid, false, fn)
 }
 
 // withPageWrite is withPage for mutators: before the slotted view is
@@ -407,11 +388,17 @@ func (f *File) withPageTraced(pid storage.PageID, at *metrics.ActiveTrace, fn fu
 // the pool's version chain when a version batch is open, so pinned
 // snapshot readers keep an LSN-consistent image of the page.
 func (f *File) withPageWrite(pid storage.PageID, fn func(sp *storage.SlottedPage) (dirty bool, err error)) error {
+	return f.pinPage(pid, true, fn)
+}
+
+func (f *File) pinPage(pid storage.PageID, save bool, fn func(sp *storage.SlottedPage) (dirty bool, err error)) error {
 	b, err := f.pool.Fetch(pid)
 	if err != nil {
 		return err
 	}
-	f.pool.SaveVersion(pid, b)
+	if save {
+		f.pool.SaveVersion(pid, b)
+	}
 	sp, err := storage.LoadSlottedPage(b)
 	if err != nil {
 		f.pool.Unpin(pid, false)
@@ -459,62 +446,6 @@ func (f *File) InsertRecordAt(rec *Record, pid storage.PageID) error {
 	return nil
 }
 
-// ReadRecordFromPage scans a data page for node id, returning the
-// decoded record, or ok=false when the node is not on that page.
-func (f *File) ReadRecordFromPage(pid storage.PageID, id graph.NodeID) (rec *Record, ok bool, err error) {
-	return f.readRecordFromPageTraced(pid, id, nil)
-}
-
-func (f *File) readRecordFromPageTraced(pid storage.PageID, id graph.NodeID, at *metrics.ActiveTrace) (rec *Record, ok bool, err error) {
-	err = f.withPageTraced(pid, at, func(sp *storage.SlottedPage) (bool, error) {
-		for _, slot := range sp.Slots() {
-			raw, err := sp.Get(slot)
-			if err != nil {
-				return false, err
-			}
-			rid, err := RecordID(raw)
-			if err != nil {
-				return false, err
-			}
-			if rid == id {
-				r, err := DecodeRecord(raw)
-				if err != nil {
-					return false, err
-				}
-				rec, ok = r, true
-				return false, nil
-			}
-		}
-		return false, nil
-	})
-	return rec, ok, err
-}
-
-// ReadRecord fetches the record of node id (index lookup + one page
-// fetch).
-func (f *File) ReadRecord(id graph.NodeID) (*Record, error) {
-	return f.readRecordTraced(id, nil)
-}
-
-// readRecordTraced is ReadRecord under an optional operation trace: the
-// node-index descent and the data-page fetch each get a span.
-func (f *File) readRecordTraced(id graph.NodeID, at *metrics.ActiveTrace) (*Record, error) {
-	tok := at.BeginSpan("index.descent")
-	pid, err := f.PageOf(id)
-	tok.End()
-	if err != nil {
-		return nil, err
-	}
-	rec, ok, err := f.readRecordFromPageTraced(pid, id, at)
-	if err != nil {
-		return nil, err
-	}
-	if !ok {
-		return nil, fmt.Errorf("netfile: index maps %d to page %d but record is absent: %w", id, pid, ErrCorruptRecord)
-	}
-	return rec, nil
-}
-
 // UpdateRecord rewrites node rec.ID's record in place on its current
 // page. Grows that overflow the page return storage.ErrPageFull with
 // the file unchanged.
@@ -526,25 +457,15 @@ func (f *File) UpdateRecord(rec *Record) error {
 	enc := EncodeRecord(rec)
 	f.invalidatePAGHints(pid)
 	return f.withPageWrite(pid, func(sp *storage.SlottedPage) (bool, error) {
-		for _, slot := range sp.Slots() {
-			raw, err := sp.Get(slot)
-			if err != nil {
-				return false, err
-			}
-			rid, err := RecordID(raw)
-			if err != nil {
-				return false, err
-			}
-			if rid != rec.ID {
-				continue
-			}
-			if err := sp.Update(slot, enc); err != nil {
-				return false, err
-			}
-			f.free[pid] = sp.FreeSpace()
-			return true, nil
+		slot, _, err := findOnPage(sp, pid, rec.ID)
+		if err != nil {
+			return false, err
 		}
-		return false, fmt.Errorf("netfile: record %d missing from page %d: %w", rec.ID, pid, ErrCorruptRecord)
+		if err := sp.Update(slot, enc); err != nil {
+			return false, err
+		}
+		f.free[pid] = sp.FreeSpace()
+		return true, nil
 	})
 }
 
@@ -556,30 +477,18 @@ func (f *File) DeleteRecord(id graph.NodeID) (*Record, error) {
 	}
 	var rec *Record
 	err = f.withPageWrite(pid, func(sp *storage.SlottedPage) (bool, error) {
-		for _, slot := range sp.Slots() {
-			raw, err := sp.Get(slot)
-			if err != nil {
-				return false, err
-			}
-			rid, err := RecordID(raw)
-			if err != nil {
-				return false, err
-			}
-			if rid != id {
-				continue
-			}
-			r, err := DecodeRecord(raw)
-			if err != nil {
-				return false, err
-			}
-			if err := sp.Delete(slot); err != nil {
-				return false, err
-			}
-			f.free[pid] = sp.FreeSpace()
-			rec = r
-			return true, nil
+		slot, raw, err := findOnPage(sp, pid, id)
+		if err != nil {
+			return false, err
 		}
-		return false, fmt.Errorf("netfile: record %d missing from page %d: %w", id, pid, ErrCorruptRecord)
+		if rec, err = DecodeRecord(raw); err != nil {
+			return false, err
+		}
+		if err := sp.Delete(slot); err != nil {
+			return false, err
+		}
+		f.free[pid] = sp.FreeSpace()
+		return true, nil
 	})
 	if err != nil {
 		return nil, err
@@ -621,10 +530,13 @@ func (f *File) MoveRecord(id graph.NodeID, dst storage.PageID) error {
 func (f *File) NodesOnPage(pid storage.PageID) ([]graph.NodeID, error) {
 	var out []graph.NodeID
 	err := f.withPage(pid, func(sp *storage.SlottedPage) (bool, error) {
-		for _, slot := range sp.Slots() {
-			raw, err := sp.Get(slot)
+		for i, n := 0, sp.NumSlots(); i < n; i++ {
+			raw, live, err := sp.Record(i)
 			if err != nil {
 				return false, err
+			}
+			if !live {
+				continue
 			}
 			id, err := RecordID(raw)
 			if err != nil {
@@ -641,18 +553,9 @@ func (f *File) NodesOnPage(pid storage.PageID) ([]graph.NodeID, error) {
 func (f *File) RecordsOnPage(pid storage.PageID) ([]*Record, error) {
 	var out []*Record
 	err := f.withPage(pid, func(sp *storage.SlottedPage) (bool, error) {
-		for _, slot := range sp.Slots() {
-			raw, err := sp.Get(slot)
-			if err != nil {
-				return false, err
-			}
-			r, err := DecodeRecord(raw)
-			if err != nil {
-				return false, err
-			}
-			out = append(out, r)
-		}
-		return false, nil
+		var err error
+		out, err = decodePage(sp, nil)
+		return false, err
 	})
 	return out, err
 }
@@ -940,16 +843,10 @@ func OpenFromStoreOpts(st storage.Store, opts Options) (*File, error) {
 			return nil, fmt.Errorf("netfile: open: page %d: %w", pid, err)
 		}
 		pg := located{pid: pid, free: sp.FreeSpace()}
-		for _, slot := range sp.Slots() {
-			raw, err := sp.Get(slot)
-			if err != nil {
-				return nil, fmt.Errorf("netfile: open: page %d slot %d: %w", pid, slot, err)
-			}
-			rec, err := DecodeRecord(raw)
-			if err != nil {
-				return nil, fmt.Errorf("netfile: open: page %d slot %d: %w", pid, slot, err)
-			}
-			pg.recs = append(pg.recs, rec)
+		if pg.recs, err = decodePage(sp, nil); err != nil {
+			return nil, fmt.Errorf("netfile: open: page %d: %w", pid, err)
+		}
+		for _, rec := range pg.recs {
 			if first {
 				bounds = geom.Rect{Min: rec.Pos, Max: rec.Pos}
 				first = false
@@ -1001,22 +898,4 @@ func OpenFromStoreOpts(st storage.Store, opts Options) (*File, error) {
 	f.rebuildPAGHints(recsByPage)
 	st.ResetStats()
 	return f, nil
-}
-
-// Scan visits every stored record, page by page in page-id order (a
-// sequential scan: one physical read per data page). fn returning false
-// stops the scan early.
-func (f *File) Scan(fn func(rec *Record) bool) error {
-	for _, pid := range f.Pages() {
-		recs, err := f.RecordsOnPage(pid)
-		if err != nil {
-			return err
-		}
-		for _, rec := range recs {
-			if !fn(rec) {
-				return nil
-			}
-		}
-	}
-	return nil
 }

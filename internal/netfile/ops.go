@@ -8,42 +8,54 @@ import (
 
 	"ccam/internal/geom"
 	"ccam/internal/graph"
-	"ccam/internal/metrics"
 	"ccam/internal/storage"
 )
+
+// The search operations of the live file run on the same page cursor
+// as a View's (cursor.go), over File.live().
 
 // Find retrieves the record of the given node id: the secondary index
 // locates the data page, which is fetched through the buffer pool.
 // (Paper §2.3.)
 func (f *File) Find(id graph.NodeID) (*Record, error) {
-	return f.FindCtx(context.Background(), id)
+	return f.live().Find(id)
 }
 
-// GetASuccessor retrieves the record of succ, a successor of cur. The
-// buffered data page containing cur is searched first — when the CRR
-// is high the successor is likely co-located, so no physical I/O
-// occurs; otherwise a Find is needed. cur may be nil, in which case the
-// successor constraint is not checked. (Paper §2.3.)
+// FindCtx is Find with cooperative cancellation.
+func (f *File) FindCtx(ctx context.Context, id graph.NodeID) (*Record, error) {
+	return f.live().FindCtx(ctx, id)
+}
+
+// ReadRecord is Find without a context or an operation trace, for the
+// maintenance operations' own reads.
+func (f *File) ReadRecord(id graph.NodeID) (*Record, error) {
+	return f.live().read(id, nil)
+}
+
+// GetASuccessor retrieves the record of succ, a successor of cur. cur
+// may be nil, in which case the successor constraint is not checked.
+// The index lookup is free (memory resident) and the page fetch costs
+// a physical read only when the page is not buffered — when the CRR is
+// high the successor is likely co-located with cur and is a pool hit.
+// That is as close as a call that is handed cur as a record can come
+// to the paper's "search the buffered page containing cur first";
+// GetSuccessors and EvaluateRoute, which own their position, stay on
+// the page instead. (Paper §2.3.)
 func (f *File) GetASuccessor(cur *Record, succ graph.NodeID) (*Record, error) {
-	if cur != nil && !cur.HasSucc(succ) {
-		return nil, fmt.Errorf("%w: %d of %d", ErrNotSuccessor, succ, cur.ID)
-	}
-	// The index lookup is free (memory-resident); fetching the page
-	// through the pool costs a physical read only when it is not
-	// buffered, which reproduces the paper's "search buffer first, then
-	// Find" protocol exactly.
-	at := f.tracer.Start("get-a-successor")
-	rec, err := f.readRecordTraced(succ, at)
-	at.Finish(err)
-	return rec, err
+	return f.live().GetASuccessor(cur, succ)
 }
 
 // GetSuccessors retrieves the records of all successors of node id.
-// All successors stored on pages already in the buffer pool (including
-// the page of id itself, fetched first) are extracted without further
-// I/O. (Paper §2.3.)
+// Successors stored on the page of id itself, or on the page of the
+// successor before them, are read in place without another fetch.
+// (Paper §2.3.)
 func (f *File) GetSuccessors(id graph.NodeID) ([]*Record, error) {
-	return f.GetSuccessorsCtx(context.Background(), id)
+	return f.live().GetSuccessors(id)
+}
+
+// GetSuccessorsCtx is GetSuccessors with cooperative cancellation.
+func (f *File) GetSuccessorsCtx(ctx context.Context, id graph.NodeID) ([]*Record, error) {
+	return f.live().GetSuccessorsCtx(ctx, id)
 }
 
 // RouteAggregate is the result of a route evaluation query.
@@ -59,50 +71,31 @@ type RouteAggregate struct {
 // (paper §2.3, "Route Evaluation"). The route must follow directed
 // edges.
 func (f *File) EvaluateRoute(route graph.Route) (RouteAggregate, error) {
-	return f.EvaluateRouteCtx(context.Background(), route)
+	return f.live().EvaluateRoute(route)
+}
+
+// EvaluateRouteCtx is EvaluateRoute with cooperative cancellation.
+func (f *File) EvaluateRouteCtx(ctx context.Context, route graph.Route) (RouteAggregate, error) {
+	return f.live().EvaluateRouteCtx(ctx, route)
 }
 
 // RangeQuery returns the records of every node whose position lies in
 // rect, through the secondary spatial index (a Z-order scan with BIGMIN
 // jumps by default, or an R-tree search; paper §2.1).
 func (f *File) RangeQuery(rect geom.Rect) ([]*Record, error) {
-	return f.RangeQueryCtx(context.Background(), rect)
+	return f.live().RangeQueryCtx(context.Background(), rect)
 }
 
-// RangeQueryCtx is RangeQuery with cooperative cancellation: ctx is
-// checked before each candidate record fetch, so a canceled context
-// stops the index scan without paying for the remaining page reads.
+// RangeQueryCtx is RangeQuery with cooperative cancellation.
 func (f *File) RangeQueryCtx(ctx context.Context, rect geom.Rect) ([]*Record, error) {
-	at := f.tracer.StartCtx(ctx, "range-query")
-	out, err := f.rangeQueryCtx(ctx, rect, at)
-	at.Finish(err)
-	return out, err
+	return f.live().RangeQueryCtx(ctx, rect)
 }
 
-func (f *File) rangeQueryCtx(ctx context.Context, rect geom.Rect, at *metrics.ActiveTrace) ([]*Record, error) {
-	var out []*Record
-	var ferr error
-	err := f.spatial.search(rect, func(id graph.NodeID) bool {
-		if ferr = ctx.Err(); ferr != nil {
-			return false
-		}
-		rec, err := f.readRecordTraced(id, at)
-		if err != nil {
-			ferr = err
-			return false
-		}
-		if rect.Contains(rec.Pos) {
-			out = append(out, rec)
-		}
-		return true
-	})
-	if err != nil {
-		return nil, err
-	}
-	if ferr != nil {
-		return nil, ferr
-	}
-	return out, nil
+// Scan visits every stored record, page by page in page-id order (a
+// sequential scan: one physical read per data page). fn returning false
+// stops the scan early.
+func (f *File) Scan(fn func(rec *Record) bool) error {
+	return f.live().Scan(fn)
 }
 
 // Nearest returns the k stored records closest to p by Euclidean

@@ -92,46 +92,124 @@ func EncodeRecord(r *Record) []byte {
 // DecodeRecord parses a record image. The returned record owns its
 // memory (no aliasing of buf).
 func DecodeRecord(buf []byte) (*Record, error) {
+	v, err := viewRecord(buf)
+	if err != nil {
+		return nil, err
+	}
+	return v.record(), nil
+}
+
+// recordView reads a record image in place: the read path's answer to
+// "decode, then look at one field". viewRecord checks once that the
+// header's list lengths account for exactly the bytes of the image;
+// after that every accessor stays inside buf by construction. A view
+// aliases buf — a page borrowed from the buffer pool — and dies with
+// the borrow; record() is the way out.
+type recordView struct {
+	buf   []byte
+	succs int // offset of the successor-list
+	preds int // offset of the predecessor-list
+}
+
+func viewRecord(buf []byte) (recordView, error) {
 	if len(buf) < recordHeaderSize {
-		return nil, fmt.Errorf("%w: %d bytes", ErrCorruptRecord, len(buf))
+		return recordView{}, fmt.Errorf("%w: %d bytes", ErrCorruptRecord, len(buf))
 	}
 	a := int(binary.LittleEndian.Uint16(buf[20:22]))
 	s := int(binary.LittleEndian.Uint16(buf[22:24]))
 	p := int(binary.LittleEndian.Uint16(buf[24:26]))
-	want := recordHeaderSize + a + 8*s + 4*p
-	if len(buf) != want {
-		return nil, fmt.Errorf("%w: have %d bytes, header implies %d", ErrCorruptRecord, len(buf), want)
+	v := recordView{buf: buf, succs: recordHeaderSize + a}
+	v.preds = v.succs + 8*s
+	if want := v.preds + 4*p; len(buf) != want {
+		return recordView{}, fmt.Errorf("%w: have %d bytes, header implies %d", ErrCorruptRecord, len(buf), want)
 	}
-	r := &Record{
-		ID: graph.NodeID(binary.LittleEndian.Uint32(buf[0:4])),
-		Pos: geom.Point{
-			X: math.Float64frombits(binary.LittleEndian.Uint64(buf[4:12])),
-			Y: math.Float64frombits(binary.LittleEndian.Uint64(buf[12:20])),
-		},
+	return v, nil
+}
+
+func (v recordView) id() graph.NodeID {
+	return graph.NodeID(binary.LittleEndian.Uint32(v.buf[0:4]))
+}
+
+func (v recordView) pos() geom.Point {
+	return geom.Point{
+		X: math.Float64frombits(binary.LittleEndian.Uint64(v.buf[4:12])),
+		Y: math.Float64frombits(binary.LittleEndian.Uint64(v.buf[12:20])),
 	}
-	o := recordHeaderSize
-	if a > 0 {
-		r.Attrs = append([]byte(nil), buf[o:o+a]...)
-		o += a
+}
+
+func (v recordView) numSuccs() int { return (v.preds - v.succs) / 8 }
+func (v recordView) numPreds() int { return (len(v.buf) - v.preds) / 4 }
+
+func (v recordView) succ(i int) SuccEntry {
+	e := v.buf[v.succs+8*i : v.succs+8*i+8]
+	return SuccEntry{
+		To:   graph.NodeID(binary.LittleEndian.Uint32(e)),
+		Cost: math.Float32frombits(binary.LittleEndian.Uint32(e[4:])),
 	}
-	if s > 0 {
-		r.Succs = make([]SuccEntry, s)
-		for i := range r.Succs {
-			r.Succs[i] = SuccEntry{
-				To:   graph.NodeID(binary.LittleEndian.Uint32(buf[o:])),
-				Cost: math.Float32frombits(binary.LittleEndian.Uint32(buf[o+4:])),
-			}
-			o += 8
+}
+
+func (v recordView) pred(i int) graph.NodeID {
+	return graph.NodeID(binary.LittleEndian.Uint32(v.buf[v.preds+4*i:]))
+}
+
+// succCost scans the successor-list for to and returns the edge cost.
+func (v recordView) succCost(to graph.NodeID) (float32, bool) {
+	for o := v.succs; o < v.preds; o += 8 {
+		if binary.LittleEndian.Uint32(v.buf[o:]) == uint32(to) {
+			return math.Float32frombits(binary.LittleEndian.Uint32(v.buf[o+4:])), true
 		}
 	}
-	if p > 0 {
-		r.Preds = make([]graph.NodeID, p)
-		for i := range r.Preds {
-			r.Preds[i] = graph.NodeID(binary.LittleEndian.Uint32(buf[o:]))
-			o += 4
-		}
+	return 0, false
+}
+
+// Road networks have bounded degree and carry a few words of node
+// attributes: a record whose parts fit these bounds is materialized in
+// one allocation (176 bytes, one size class above the bare lists).
+const (
+	inlineSuccs = 4
+	inlinePreds = 4
+	inlineAttrs = 32
+)
+
+type inlineRecord struct {
+	rec   Record
+	succs [inlineSuccs]SuccEntry
+	preds [inlinePreds]graph.NodeID
+	attrs [inlineAttrs]byte
+}
+
+// record materializes the view as a Record that owns its memory.
+func (v recordView) record() *Record {
+	a, s, p := v.succs-recordHeaderSize, v.numSuccs(), v.numPreds()
+	var r *Record
+	if a <= inlineAttrs && s <= inlineSuccs && p <= inlinePreds {
+		// Full slice expressions: an append to one part of the result
+		// must reallocate, never grow into the neighboring array.
+		in := new(inlineRecord)
+		r = &in.rec
+		r.Attrs, r.Succs, r.Preds = in.attrs[:a:a], in.succs[:s:s], in.preds[:p:p]
+	} else {
+		r = &Record{Attrs: make([]byte, a), Succs: make([]SuccEntry, s), Preds: make([]graph.NodeID, p)}
 	}
-	return r, nil
+	// An absent part is nil, as a hand-built record's would be.
+	if a == 0 {
+		r.Attrs = nil
+	}
+	if s == 0 {
+		r.Succs = nil
+	}
+	if p == 0 {
+		r.Preds = nil
+	}
+	r.ID, r.Pos = v.id(), v.pos()
+	copy(r.Attrs, v.buf[recordHeaderSize:v.succs])
+	for i := range r.Succs {
+		r.Succs[i] = v.succ(i)
+	}
+	for i := range r.Preds {
+		r.Preds[i] = v.pred(i)
+	}
+	return r
 }
 
 // RecordID extracts just the node id from a record image, for cheap

@@ -1,15 +1,11 @@
 package netfile
 
 import (
-	"context"
-	"errors"
-	"fmt"
-	"sort"
 	"sync/atomic"
 
+	"ccam/internal/buffer"
 	"ccam/internal/geom"
 	"ccam/internal/graph"
-	"ccam/internal/metrics"
 	"ccam/internal/storage"
 )
 
@@ -269,11 +265,17 @@ func (f *File) OverlayDepth() int { return len(f.overlay.Load().deltas) }
 // its view. A View is a borrow: the creator must pair PinView with
 // exactly one Unpin, and the value form exists so a per-query
 // pin/read/unpin cycle allocates nothing (the facade's read path).
-// Long-lived, independently closeable views are Snapshot.
+// Long-lived, independently closeable views are Snapshot. The search
+// operations are in cursor.go.
 type View struct {
 	f   *File
 	lsn uint64
 }
+
+// live is the view File's own search operations run on: placements
+// from the B+-tree, bytes from the live frames, no pin to release. The
+// owner serializes it against mutations, as File's contract demands.
+func (f *File) live() View { return View{f: f, lsn: buffer.LiveLSN} }
 
 // PinView pins the current committed LSN and returns a value view at
 // it. The caller owns the pin and must call Unpin exactly once.
@@ -310,106 +312,10 @@ func (s *Snapshot) Close() {
 	}
 }
 
-// readRecordTraced is the snapshot analogue of File.readRecordTraced:
-// an overlay lookup (charged as one index visit — the overlay replaces
-// the B+-tree descent) followed by a versioned page read.
-func (s View) readRecordTraced(id graph.NodeID, at *metrics.ActiveTrace) (*Record, error) {
-	tok := at.BeginSpan("index.descent")
-	pid, ok := s.f.overlay.Load().lookup(id, s.lsn)
-	s.f.idxVisits.Add(1)
-	tok.End()
-	if !ok {
-		return nil, fmt.Errorf("%w: %d", ErrNotFound, id)
-	}
-	data, release, err := s.f.pool.ReadAt(pid, s.lsn, at)
-	if err != nil {
-		return nil, err
-	}
-	defer release()
-	sp, err := storage.LoadSlottedPage(data)
-	if err != nil {
-		return nil, err
-	}
-	for _, slot := range sp.Slots() {
-		raw, err := sp.Get(slot)
-		if err != nil {
-			return nil, err
-		}
-		rid, err := RecordID(raw)
-		if err != nil {
-			return nil, err
-		}
-		if rid == id {
-			return DecodeRecord(raw)
-		}
-	}
-	return nil, fmt.Errorf("netfile: snapshot@%d maps %d to page %d but record is absent: %w", s.lsn, id, pid, ErrCorruptRecord)
-}
-
-// Find retrieves the record of node id as of the snapshot.
-func (s View) Find(id graph.NodeID) (*Record, error) {
-	return s.FindCtx(context.Background(), id)
-}
-
-// FindCtx is Find with cooperative cancellation.
-func (s View) FindCtx(ctx context.Context, id graph.NodeID) (*Record, error) {
-	at := s.f.tracer.StartCtx(ctx, "find")
-	rec, err := s.findCtx(ctx, id, at)
-	at.Finish(err)
-	return rec, err
-}
-
-func (s View) findCtx(ctx context.Context, id graph.NodeID, at *metrics.ActiveTrace) (*Record, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return s.readRecordTraced(id, at)
-}
-
 // Has reports whether node id exists as of the snapshot.
 func (s View) Has(id graph.NodeID) bool {
 	_, ok := s.f.overlay.Load().lookup(id, s.lsn)
 	return ok
-}
-
-// GetASuccessor retrieves the record of succ, a successor of cur, as
-// of the snapshot (paper §2.3; cur may be nil to skip the check).
-func (s View) GetASuccessor(cur *Record, succ graph.NodeID) (*Record, error) {
-	if cur != nil && !cur.HasSucc(succ) {
-		return nil, fmt.Errorf("%w: %d of %d", ErrNotSuccessor, succ, cur.ID)
-	}
-	at := s.f.tracer.Start("get-a-successor")
-	rec, err := s.readRecordTraced(succ, at)
-	at.Finish(err)
-	return rec, err
-}
-
-// GetSuccessorsCtx retrieves the records of all successors of node id
-// as of the snapshot.
-func (s View) GetSuccessorsCtx(ctx context.Context, id graph.NodeID) ([]*Record, error) {
-	at := s.f.tracer.StartCtx(ctx, "get-successors")
-	out, err := getSuccessorsVia(ctx, id, at, s.findCtx)
-	at.Finish(err)
-	return out, err
-}
-
-// EvaluateRouteCtx computes the aggregate property of a route as of
-// the snapshot (paper §2.3, "Route Evaluation").
-func (s View) EvaluateRouteCtx(ctx context.Context, route graph.Route) (RouteAggregate, error) {
-	at := s.f.tracer.StartCtx(ctx, "evaluate-route")
-	agg, err := evaluateRouteVia(ctx, route, at, s.findCtx)
-	at.Finish(err)
-	return agg, err
-}
-
-// EvaluateRoute is EvaluateRouteCtx with context.Background().
-func (s View) EvaluateRoute(route graph.Route) (RouteAggregate, error) {
-	return s.EvaluateRouteCtx(context.Background(), route)
-}
-
-// GetSuccessors is GetSuccessorsCtx with context.Background().
-func (s View) GetSuccessors(id graph.NodeID) ([]*Record, error) {
-	return s.GetSuccessorsCtx(context.Background(), id)
 }
 
 // Placement materializes the node → data-page assignment as of the
@@ -431,118 +337,4 @@ func (s View) SpatialIndexKind() SpatialKind { return s.f.SpatialIndexKind() }
 // exactly as the planner's statistics are).
 func (s View) SpatialCandidates(rect geom.Rect, fn func(id graph.NodeID) bool) error {
 	return s.f.SpatialCandidates(rect, fn)
-}
-
-// RangeQueryCtx returns the records of every node whose position lies
-// in rect as of the snapshot. Candidates come from the live spatial
-// index unioned with the spatial entries removed by batches committed
-// after the pinned LSN; each candidate is then resolved at the
-// snapshot LSN, so nodes inserted after it drop out and nodes deleted
-// after it reappear.
-func (s View) RangeQueryCtx(ctx context.Context, rect geom.Rect) ([]*Record, error) {
-	at := s.f.tracer.StartCtx(ctx, "range-query")
-	out, err := s.rangeQueryCtx(ctx, rect, at)
-	at.Finish(err)
-	return out, err
-}
-
-func (s View) rangeQueryCtx(ctx context.Context, rect geom.Rect, at *metrics.ActiveTrace) ([]*Record, error) {
-	st := s.f.overlay.Load()
-	var cand []graph.NodeID
-	s.f.spatMu.RLock()
-	err := s.f.spatial.search(rect, func(id graph.NodeID) bool {
-		cand = append(cand, id)
-		return true
-	})
-	if err == nil {
-		for _, d := range st.deltas {
-			if d.lsn.Load() <= s.lsn {
-				continue
-			}
-			for _, e := range d.removed {
-				if rect.Contains(e.pos) {
-					cand = append(cand, e.id)
-				}
-			}
-		}
-	}
-	s.f.spatMu.RUnlock()
-	if err != nil {
-		return nil, err
-	}
-	seen := make(map[graph.NodeID]bool, len(cand))
-	var out []*Record
-	for _, id := range cand {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		if seen[id] {
-			continue
-		}
-		seen[id] = true
-		rec, err := s.readRecordTraced(id, at)
-		if errors.Is(err, ErrNotFound) {
-			continue // inserted after the snapshot
-		}
-		if err != nil {
-			return nil, err
-		}
-		if rect.Contains(rec.Pos) {
-			out = append(out, rec)
-		}
-	}
-	return out, nil
-}
-
-// Scan visits every record as of the snapshot, page by page in page-id
-// order (one versioned page read per page). fn returning false stops
-// early.
-func (s View) Scan(fn func(rec *Record) bool) error {
-	place := s.f.overlay.Load().placements(s.lsn)
-	pageSet := make(map[storage.PageID]bool, len(place))
-	for _, pid := range place {
-		pageSet[pid] = true
-	}
-	pids := make([]storage.PageID, 0, len(pageSet))
-	for pid := range pageSet {
-		pids = append(pids, pid)
-	}
-	sort.Slice(pids, func(i, j int) bool { return pids[i] < pids[j] })
-	for _, pid := range pids {
-		recs, err := s.recordsOnPage(pid)
-		if err != nil {
-			return err
-		}
-		for _, rec := range recs {
-			if !fn(rec) {
-				return nil
-			}
-		}
-	}
-	return nil
-}
-
-func (s View) recordsOnPage(pid storage.PageID) ([]*Record, error) {
-	data, release, err := s.f.pool.ReadAt(pid, s.lsn, nil)
-	if err != nil {
-		return nil, err
-	}
-	defer release()
-	sp, err := storage.LoadSlottedPage(data)
-	if err != nil {
-		return nil, err
-	}
-	var out []*Record
-	for _, slot := range sp.Slots() {
-		raw, err := sp.Get(slot)
-		if err != nil {
-			return nil, err
-		}
-		rec, err := DecodeRecord(raw)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, rec)
-	}
-	return out, nil
 }

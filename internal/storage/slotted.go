@@ -56,20 +56,30 @@ func NewSlottedPage(buf []byte) *SlottedPage {
 // a heap that overlaps the directory would let corrupted slot entries
 // alias directory bytes as record contents.
 func LoadSlottedPage(buf []byte) (*SlottedPage, error) {
-	if len(buf) < slottedHeaderSize {
-		return nil, fmt.Errorf("%w: page image of %d bytes is smaller than the header", ErrCorruptedPage, len(buf))
+	p, err := ViewSlottedPage(buf)
+	if err != nil {
+		return nil, err
 	}
-	p := &SlottedPage{buf: buf}
+	return &p, nil
+}
+
+// ViewSlottedPage is LoadSlottedPage by value, for read paths that wrap
+// a borrowed page image once per page visit and must not allocate.
+func ViewSlottedPage(buf []byte) (SlottedPage, error) {
+	if len(buf) < slottedHeaderSize {
+		return SlottedPage{}, fmt.Errorf("%w: page image of %d bytes is smaller than the header", ErrCorruptedPage, len(buf))
+	}
+	p := SlottedPage{buf: buf}
 	n := int(p.slotCount())
 	if n*slotSize > len(buf)-slottedHeaderSize {
-		return nil, fmt.Errorf("%w: implausible header (slots=%d size=%d)",
+		return SlottedPage{}, fmt.Errorf("%w: implausible header (slots=%d size=%d)",
 			ErrCorruptedPage, n, len(buf))
 	}
 	// heapEnd is an absolute offset: it starts at the header size and
 	// may grow up to the start of the slot directory, never into it.
 	dirStart := len(buf) - n*slotSize
 	if int(p.heapEnd()) < slottedHeaderSize || int(p.heapEnd()) > dirStart {
-		return nil, fmt.Errorf("%w: heap [%d:%d) overlaps slot directory at %d (slots=%d size=%d)",
+		return SlottedPage{}, fmt.Errorf("%w: heap [%d:%d) overlaps slot directory at %d (slots=%d size=%d)",
 			ErrCorruptedPage, slottedHeaderSize, p.heapEnd(), dirStart, n, len(buf))
 	}
 	return p, nil
@@ -246,21 +256,36 @@ func (p *SlottedPage) Insert(rec []byte) (int, error) {
 // page buffer; callers must copy before the page is modified or
 // recycled.
 func (p *SlottedPage) Get(slot int) ([]byte, error) {
+	rec, live, err := p.Record(slot)
+	if err == nil && !live {
+		err = fmt.Errorf("%w: slot %d is deleted", ErrSlotNotFound, slot)
+	}
+	return rec, err
+}
+
+// NumSlots returns the length of the slot directory, tombstones
+// included. Looping slot numbers below it through Record visits every
+// record without materializing the Slots slice.
+func (p *SlottedPage) NumSlots() int { return int(p.slotCount()) }
+
+// Record is Get for directory walks: a tombstoned slot reports
+// live=false instead of an error.
+func (p *SlottedPage) Record(slot int) (rec []byte, live bool, err error) {
 	if slot < 0 || slot >= int(p.slotCount()) {
-		return nil, fmt.Errorf("%w: slot %d of %d", ErrSlotNotFound, slot, p.slotCount())
+		return nil, false, fmt.Errorf("%w: slot %d of %d", ErrSlotNotFound, slot, p.slotCount())
 	}
 	off, length := p.slot(slot)
 	if off == tombstoneOffset {
-		return nil, fmt.Errorf("%w: slot %d is deleted", ErrSlotNotFound, slot)
+		return nil, false, nil
 	}
 	// A live record must lie entirely within the record heap: an
 	// offset below the header or an end past heapEnd would alias
 	// header or slot-directory bytes as record contents.
 	if off < slottedHeaderSize || off+length > int(p.heapEnd()) {
-		return nil, fmt.Errorf("%w: slot %d record [%d:%d) outside heap [%d:%d)",
+		return nil, false, fmt.Errorf("%w: slot %d record [%d:%d) outside heap [%d:%d)",
 			ErrCorruptedPage, slot, off, off+length, slottedHeaderSize, p.heapEnd())
 	}
-	return p.buf[off : off+length], nil
+	return p.buf[off : off+length], true, nil
 }
 
 // Delete tombstones slot. The space is reclaimed lazily by compaction.

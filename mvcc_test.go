@@ -7,13 +7,17 @@ package ccam
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
 	"path/filepath"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
+
+	"ccam/internal/netfile"
 )
 
 type edgeKey struct{ from, to NodeID }
@@ -321,5 +325,242 @@ func TestCatalogIncrementalMatchesRebuild(t *testing.T) {
 		if math.Abs(c.got-c.want) > 1e-9 {
 			t.Fatalf("incremental %s = %v, rebuilt = %v", c.name, c.got, c.want)
 		}
+	}
+}
+
+// TestQueryConcurrentWithApply plans statements in a loop beside an
+// Apply loop. Planning reads the catalog's placement and adjacency
+// maps; every committed batch folds its deltas into the same maps.
+// Under -race (or, with luck, the runtime's own "concurrent map read
+// and map write" check) this fails unless Query plans under the
+// catalog lock.
+func TestQueryConcurrentWithApply(t *testing.T) {
+	s, g := builtStore(t, Options{PageSize: 1024, Seed: 9})
+	ids := g.NodeIDs()
+	ctx := context.Background()
+	if _, err := s.Query(ctx, fmt.Sprintf("FIND %d", ids[0])); err != nil {
+		t.Fatal(err)
+	}
+
+	const batches = 60
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		defer close(done)
+		model := modelFromNetwork(g)
+		rng := rand.New(rand.NewSource(23))
+		nextID := NodeID(600000)
+		for i := 0; i < batches; i++ {
+			b, _ := genBatch(rng, model, &nextID)
+			if b.Len() == 0 {
+				continue
+			}
+			if err := s.Apply(ctx, b); err != nil {
+				t.Errorf("apply %d: %v", i, err)
+				return
+			}
+		}
+	}()
+	// EXPLAIN plans without executing: the loop is all catalog reads.
+	// Nodes come and go under the writer, so a statement may fail to
+	// find its start node; only the race matters here.
+	rng := rand.New(rand.NewSource(29))
+	for n := 0; ; n++ {
+		select {
+		case <-done:
+			wg.Wait()
+			if n == 0 {
+				t.Fatal("no statement was planned beside the writer")
+			}
+			return
+		default:
+		}
+		a, b := ids[rng.Intn(len(ids))], ids[rng.Intn(len(ids))]
+		for _, stmt := range []string{
+			fmt.Sprintf("EXPLAIN NEIGHBORS %d DEPTH 2", a),
+			fmt.Sprintf("EXPLAIN PATH %d TO %d", a, b),
+			fmt.Sprintf("EXPLAIN ROUTE %d, %d", a, b),
+			fmt.Sprintf("NEIGHBORS %d DEPTH 1", a),
+		} {
+			if _, err := s.Query(ctx, stmt); err != nil && !IsQueryError(err) && !errors.Is(err, ErrNotFound) {
+				t.Fatalf("%s: %v", stmt, err)
+			}
+		}
+	}
+}
+
+// TestSnapshotAnswersUnderConcurrentWrites holds one snapshot open
+// while a writer commits batches that grow, split, shrink and re-cost
+// the pages under it and pokes the reorganizer to re-cluster them, at
+// pool sizes of one frame, eight frames and the whole file. Every
+// search operation through the snapshot must keep returning the
+// network as built — read in place from frames the writer is
+// concurrently latching — and the writer must never wait on a reader
+// for good. Run with -race.
+func TestSnapshotAnswersUnderConcurrentWrites(t *testing.T) {
+	g := testMap(t)
+	ids := g.NodeIDs()
+	want := make(map[NodeID]*Record, len(ids))
+	for _, id := range ids {
+		rec, err := netfile.RecordFromNode(g, id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[id] = rec
+	}
+	routes, err := RandomWalkRoutes(g, 48, 16, rand.New(rand.NewSource(3)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	bb := g.Bounds()
+	window := NewRect(
+		Point{X: bb.Min.X + bb.Width()*0.4, Y: bb.Min.Y + bb.Height()*0.4},
+		Point{X: bb.Min.X + bb.Width()*0.6, Y: bb.Min.Y + bb.Height()*0.6},
+	)
+	inWindow := 0
+	for _, rec := range want {
+		if window.Contains(rec.Pos) {
+			inWindow++
+		}
+	}
+
+	for _, pool := range []int{1, 8, 4096} {
+		pool := pool
+		t.Run(fmt.Sprintf("pool%d", pool), func(t *testing.T) {
+			// A WAL makes the pool no-steal: a frame shortage grows the
+			// pool instead of failing the writer with ErrAllPinned.
+			s, err := Open(Options{
+				PageSize: 1024, PoolPages: pool, Seed: 7,
+				Path: filepath.Join(t.TempDir(), "net.ccam"), WAL: true, SyncPolicy: SyncNone,
+				Metrics: true, BackgroundReorg: true,
+				ReorgInterval: time.Hour, ReorgMaxPages: 64, ReorgTriggerDrop: 0.001,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			if err := s.Build(g); err != nil {
+				t.Fatal(err)
+			}
+			s.Poke() // records the high-water CRR
+			snap, err := s.Snapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer snap.Close()
+
+			ctx := context.Background()
+			done := make(chan struct{})
+			go func() {
+				defer close(done)
+				rng := rand.New(rand.NewSource(int64(pool)))
+				foreign := NodeID(1 << 20)
+				for round := 0; round < 12; round++ {
+					// Foreign nodes wired to the map overflow its pages;
+					// deleting them leaves the survivors scattered, which
+					// is what the reorganizer then repairs.
+					start := foreign
+					b := new(Batch)
+					for i := 0; i < 24; i++ {
+						anchor := ids[rng.Intn(len(ids))]
+						b.Insert(&InsertOp{
+							Rec: &Record{
+								ID: foreign, Pos: want[anchor].Pos,
+								Succs: []SuccEntry{{To: anchor, Cost: 1}},
+								Preds: []NodeID{ids[rng.Intn(len(ids))]},
+							},
+							PredCosts: []float32{1},
+						}, FirstOrder)
+						foreign++
+					}
+					for i := 0; i < 8; i++ {
+						if from := want[ids[rng.Intn(len(ids))]]; len(from.Succs) > 0 {
+							b.SetEdgeCost(from.ID, from.Succs[0].To, float32(1000+round))
+						}
+					}
+					if err := s.Apply(ctx, b); err != nil {
+						t.Errorf("apply: %v", err)
+						return
+					}
+					b = new(Batch)
+					for id := start; id < foreign; id++ {
+						b.Delete(id, FirstOrder)
+					}
+					if err := s.Apply(ctx, b); err != nil {
+						t.Errorf("apply: %v", err)
+						return
+					}
+					s.Poke()
+				}
+			}()
+
+			rng := rand.New(rand.NewSource(11))
+			check := func() {
+				id := ids[rng.Intn(len(ids))]
+				if rec, err := snap.Find(id); err != nil || !reflect.DeepEqual(rec, want[id]) {
+					t.Fatalf("snapshot Find(%d) = %+v, %v; want %+v", id, rec, err, want[id])
+				}
+				succs, err := snap.GetSuccessors(id)
+				if err != nil || len(succs) != len(want[id].Succs) {
+					t.Fatalf("snapshot GetSuccessors(%d) = %d records, %v; want %d", id, len(succs), err, len(want[id].Succs))
+				}
+				for i, e := range want[id].Succs {
+					if !reflect.DeepEqual(succs[i], want[e.To]) {
+						t.Fatalf("snapshot GetSuccessors(%d)[%d] = %+v, want %+v", id, i, succs[i], want[e.To])
+					}
+				}
+				route := routes[rng.Intn(len(routes))]
+				var wantCost float64
+				for i, from := range route[:len(route)-1] {
+					for _, e := range want[from].Succs {
+						if e.To == route[i+1] {
+							wantCost += float64(e.Cost)
+							break
+						}
+					}
+				}
+				agg, err := snap.EvaluateRoute(route)
+				if err != nil || agg.Nodes != len(route) || agg.TotalCost != wantCost {
+					t.Fatalf("snapshot EvaluateRoute = %+v, %v; want %d nodes costing %v", agg, err, len(route), wantCost)
+				}
+				recs, err := snap.RangeQueryCtx(ctx, window)
+				if err != nil || len(recs) != inWindow {
+					t.Fatalf("snapshot RangeQuery = %d records, %v; want %d", len(recs), err, inWindow)
+				}
+				for _, rec := range recs {
+					if !reflect.DeepEqual(rec, want[rec.ID]) {
+						t.Fatalf("snapshot RangeQuery returned %+v, want %+v", rec, want[rec.ID])
+					}
+				}
+				// The map's own nodes are never deleted: the store's
+				// per-query snapshots must find them mid-churn too.
+				if _, err := s.EvaluateRoute(ctx, route); err != nil {
+					t.Fatalf("live EvaluateRoute: %v", err)
+				}
+			}
+			for running := true; running; {
+				select {
+				case <-done:
+					running = false
+				default:
+				}
+				check()
+			}
+			scanned := 0
+			if err := snap.Scan(func(rec *Record) bool {
+				scanned++
+				if !reflect.DeepEqual(rec, want[rec.ID]) {
+					t.Errorf("snapshot Scan returned %+v, want %+v", rec, want[rec.ID])
+				}
+				return true
+			}); err != nil || scanned != len(want) {
+				t.Fatalf("snapshot Scan visited %d records, %v; want %d", scanned, err, len(want))
+			}
+			if rounds := s.Metrics().Counter("ccam_reorg_rounds_total").Value(); rounds == 0 {
+				t.Log("the reorganizer never found enough decay to run; re-clustering under the snapshot went unexercised")
+			}
+		})
 	}
 }

@@ -80,11 +80,7 @@ func (s *Store) Query(ctx context.Context, src string) (*Result, error) {
 	}
 	defer v.release()
 	f := v.f
-	cat, err := s.catalog(v)
-	if err != nil {
-		return nil, err
-	}
-	pl, err := plan.Build(cat, q)
+	pl, err := s.plan(v, q)
 	if err != nil {
 		return nil, err
 	}
@@ -127,18 +123,35 @@ func (p Plain) Query(src string) (*Result, error) {
 	return p.q.Query(context.Background(), src)
 }
 
-// catalog returns the store's cached planner catalog, building it on
-// first use with one sequential scan of the given read view — the
-// pinned snapshot when one is open, so the build neither blocks nor is
-// torn by a concurrent Apply. catMu makes concurrent first queries
-// share one build; catLSN records the commit the catalog reflects, so
+// plan costs q against the store's cached planner catalog, building
+// the catalog on first use with one sequential scan of the given read
+// view — the pinned snapshot when one is open, so the build neither
+// blocks nor is torn by a concurrent Apply. The catalog is planned
+// against under catMu's read side: Apply folds each committed batch
+// into the same maps under the write side, and a plan carries only
+// values out. catLSN records the commit the catalog reflects, so
 // Apply's incremental deltas know where to resume (lock order: mu, if
 // held, always before catMu).
-func (s *Store) catalog(v readView) (*plan.Catalog, error) {
+func (s *Store) plan(v readView, q *lang.Query) (*plan.Plan, error) {
+	s.catMu.RLock()
+	for s.cat == nil {
+		s.catMu.RUnlock()
+		if err := s.buildCatalog(v); err != nil {
+			return nil, err
+		}
+		s.catMu.RLock()
+	}
+	defer s.catMu.RUnlock()
+	return plan.Build(s.cat, q)
+}
+
+// buildCatalog installs the catalog unless a concurrent first query
+// already has.
+func (s *Store) buildCatalog(v readView) error {
 	s.catMu.Lock()
 	defer s.catMu.Unlock()
 	if s.cat != nil {
-		return s.cat, nil
+		return nil
 	}
 	var src plan.Source = v.f
 	var lsn uint64
@@ -148,11 +161,11 @@ func (s *Store) catalog(v readView) (*plan.Catalog, error) {
 	}
 	cat, err := plan.NewCatalog(src)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	s.cat = cat
 	s.catLSN = lsn
-	return cat, nil
+	return nil
 }
 
 // invalidateCatalog drops the cached planner catalog; the next Query

@@ -22,8 +22,10 @@ type ReqStats struct {
 	// IndexPages counts B+-tree index node visits (paper §4 charges
 	// these separately from data pages).
 	IndexPages int64 `json:"index_pages"`
-	// BufferHits / BufferMisses split DataReads by whether the buffer
-	// pool absorbed them; only misses reach the disk.
+	// BufferHits / BufferMisses count the buffer pool's answers to this
+	// request's page fetches; only misses reach the disk. An operation
+	// fetches a page once per visit, not once per record: hops that
+	// stay on the page it holds are neither.
 	BufferHits   int64 `json:"buffer_hits"`
 	BufferMisses int64 `json:"buffer_misses"`
 	// Prefetches counts PAG prefetch reads issued while this request's
