@@ -93,7 +93,7 @@ func (s *Store) FindBatch(ctx context.Context, ids []NodeID) ([]*Record, error) 
 	run := func() ([]*Record, error) {
 		out := make([]*Record, len(ids))
 		err := forEachLimit(ctx, len(ids), s.parallelism, func(i int) error {
-			rec, err := v.find(ids[i])
+			rec, err := v.view.Find(ids[i])
 			if err != nil {
 				return err
 			}
@@ -128,7 +128,7 @@ func (s *Store) EvaluateRoutes(ctx context.Context, routes []Route) ([]RouteAggr
 	run := func() ([]RouteAggregate, error) {
 		out := make([]RouteAggregate, len(routes))
 		err := forEachLimit(ctx, len(routes), s.parallelism, func(i int) error {
-			agg, err := v.evaluateRoute(routes[i])
+			agg, err := v.view.EvaluateRoute(routes[i])
 			if err != nil {
 				return err
 			}
@@ -292,7 +292,6 @@ func (s *Store) Apply(ctx context.Context, b *Batch) error {
 	// until the commit publishes.
 	f.BeginVersionBatch()
 	var applyErr error
-	catOps := make([]catDelta, 0, len(b.ops))
 	for i := range b.ops {
 		op := &b.ops[i]
 		if s.applyFaultHook != nil {
@@ -314,14 +313,6 @@ func (s *Store) Apply(ctx context.Context, b *Batch) error {
 			applyErr = fmt.Errorf("ccam: apply op %d: %w", i, err)
 			break
 		}
-		// Drain the op's placement events: the CRR/WCRR gauges update
-		// incrementally here, and the planner-catalog delta is buffered
-		// until the commit LSN is known.
-		evs := f.TakePlacementEvents()
-		if s.obs != nil {
-			s.obs.applyPlaceEvents(evs)
-		}
-		catOps = append(catOps, catDelta{op: op, evs: evs})
 	}
 	if applyErr != nil {
 		if w != nil {
@@ -356,7 +347,7 @@ func (s *Store) Apply(ctx context.Context, b *Batch) error {
 	// Publish before the checkpoint: the checkpoint executes deferred
 	// page frees, which must find the freed pages' committed images
 	// already stamped in the version chains.
-	lsn := f.PublishVersionBatch(commitLSN)
+	f.PublishVersionBatch(commitLSN)
 	if w != nil && s.checkpointBytes > 0 && w.Size() > s.checkpointBytes {
 		if err := f.Checkpoint(); err != nil {
 			s.poison(fmt.Errorf("%w: checkpoint failed, reopen to recover: %v", ErrClosed, err))
@@ -367,12 +358,9 @@ func (s *Store) Apply(ctx context.Context, b *Batch) error {
 			return err
 		}
 	}
-	// Fold the batch into the planner's catalog (if one is built) and
-	// publish the refreshed gauges; both are O(batch), not a rescan.
-	s.applyCatalogDeltas(f, lsn, catOps)
 	if s.obs != nil {
 		applySnap.end(nil)
-		s.obs.setGauges()
+		s.obs.setGauges(f)
 		s.obs.setSnapshotGauges(f)
 	}
 	s.mu.Unlock()
@@ -429,7 +417,7 @@ func (s *Store) applyUnbuilt(b *Batch) error {
 }
 
 // applyOp applies one validated op to the in-memory/file state, with
-// per-operation metric attribution and topology-mirror upkeep.
+// per-operation metric attribution.
 func (s *Store) applyOp(f *netfile.File, op *batchOp) error {
 	var sn opSnap
 	if s.obs != nil {
@@ -452,85 +440,8 @@ func (s *Store) applyOp(f *netfile.File, op *batchOp) error {
 	}
 	if s.obs != nil {
 		sn.end(err)
-		if err == nil {
-			switch op.kind {
-			case netfile.MutInsertNode:
-				s.obs.noteInsert(op.insert)
-			case netfile.MutDeleteNode:
-				s.obs.noteDelete(op.id)
-			case netfile.MutInsertEdge:
-				s.obs.addMirrorEdge(op.from, op.to, 1)
-			case netfile.MutDeleteEdge:
-				s.obs.removeMirrorEdge(op.from, op.to)
-			}
-		}
 	}
 	return err
-}
-
-// catDelta is one applied batch op together with the placement events
-// it produced, buffered so the planner catalog can be updated after
-// the commit LSN is known (the catalog may also not exist yet — it is
-// built lazily by Query — in which case the buffered deltas are simply
-// dropped; a catalog built later, from a snapshot at a newer LSN,
-// already includes them).
-type catDelta struct {
-	op  *batchOp
-	evs []netfile.PlaceEvent
-}
-
-// applyCatalogDeltas folds a committed batch into the planner catalog:
-// placement moves first (so edge sameness recomputes against the new
-// pages), then the op's logical change. The catLSN guard skips batches
-// the catalog's build snapshot already contained.
-func (s *Store) applyCatalogDeltas(f *netfile.File, lsn uint64, ds []catDelta) {
-	s.catMu.Lock()
-	defer s.catMu.Unlock()
-	if s.cat == nil || lsn <= s.catLSN {
-		return
-	}
-	for i := range ds {
-		d := &ds[i]
-		if d.op.kind == netfile.MutDeleteNode {
-			// Delete first, while the node's placement is still mirrored,
-			// so the incident edges unwind exactly; the tombstone event
-			// below is then a no-op.
-			s.cat.DeleteNode(d.op.id)
-		}
-		// A record relocated by the op (page split, shrink compaction)
-		// surfaces as a tombstone followed by a fresh placement, so
-		// only each node's final event is real: acting on the interim
-		// tombstone would drop the node's mirrored adjacency for good.
-		final := make(map[NodeID]storage.PageID, len(d.evs))
-		order := make([]NodeID, 0, len(d.evs))
-		for _, ev := range d.evs {
-			if _, ok := final[ev.ID]; !ok {
-				order = append(order, ev.ID)
-			}
-			final[ev.ID] = ev.Page
-		}
-		for _, id := range order {
-			if pid := final[id]; pid == storage.InvalidPageID {
-				if s.cat.Has(id) {
-					s.cat.DeleteNode(id)
-				}
-			} else {
-				s.cat.MoveNode(id, pid)
-			}
-		}
-		switch d.op.kind {
-		case netfile.MutInsertNode:
-			s.cat.InsertNode(d.op.insert)
-		case netfile.MutInsertEdge:
-			s.cat.AddEdge(d.op.from, d.op.to, d.op.cost)
-		case netfile.MutDeleteEdge:
-			s.cat.RemoveEdge(d.op.from, d.op.to)
-		case netfile.MutSetEdgeCost:
-			s.cat.SetEdgeCost(d.op.from, d.op.to, d.op.cost)
-		}
-	}
-	s.cat.RefreshStats(f.NumPages())
-	s.catLSN = lsn
 }
 
 // batchValidator checks a batch against the stored contents plus the

@@ -54,7 +54,6 @@ import (
 	"ccam/internal/netfile"
 	"ccam/internal/partition"
 	"ccam/internal/query"
-	"ccam/internal/query/plan"
 	"ccam/internal/storage"
 	"ccam/internal/topo"
 )
@@ -255,22 +254,12 @@ type Options struct {
 	// before acknowledging. Zero selects the 4 MiB default; the log
 	// always retains at least its last complete checkpoint.
 	CheckpointBytes int64
-	// ExclusiveReads restores the pre-MVCC concurrency regime: every
-	// query takes the store's reader-writer lock and therefore waits
-	// behind a running Apply (including its in-lock checkpoints). The
-	// default — snapshot reads — serves queries from an LSN-pinned
-	// consistent view that a concurrent Apply never blocks. Exclusive
-	// mode exists for A/B measurement (cmd/ccam-bench -exp mixed) and
-	// as an escape hatch; results are identical either way, only
-	// tail latency under write load differs.
-	ExclusiveReads bool
 	// BackgroundReorg starts the incremental reorganizer: a goroutine
-	// that watches the CRR gauge decay under updates and re-clusters
+	// that watches the file's CRR decay under updates and re-clusters
 	// the worst PAG neighborhoods a few pages at a time, through the
 	// WAL and the version layer, so readers keep their snapshots and
-	// never observe a stop-the-world rebuild. Requires Metrics (the
-	// trigger reads the live CRR gauge); only the CCAM access methods
-	// support it.
+	// never observe a stop-the-world rebuild. Only the CCAM access
+	// methods support it.
 	BackgroundReorg bool
 	// ReorgInterval is the reorganizer's polling period (default 2s).
 	ReorgInterval time.Duration
@@ -336,8 +325,7 @@ const (
 // exclusive among themselves. This departs from the paper's
 // one-query-at-a-time cost model on purpose — route-evaluation
 // workloads are read-dominated — without changing any per-operation
-// page-access count. Options.ExclusiveReads restores the old
-// everything-behind-one-lock regime for comparison runs.
+// page-access count.
 type Store struct {
 	// mu serializes mutators (Build, Apply, Flush, Close, ResetIO) and
 	// the non-snapshot read operations. structMu guards structural
@@ -350,9 +338,6 @@ type Store struct {
 	m           netfile.AccessMethod
 	fs          *storage.FileStore
 	parallelism int
-	// exclusiveReads routes every query through mu instead of a
-	// snapshot (Options.ExclusiveReads).
-	exclusiveReads bool
 	// obs is non-nil only when Options.Metrics was set; every operation
 	// branches on it before paying any instrumentation cost.
 	obs    *observability
@@ -384,20 +369,6 @@ type Store struct {
 	// reorg is the background incremental reorganizer (nil without
 	// Options.BackgroundReorg). Close halts it before locking.
 	reorg *reorganizer
-	// cat caches the CCAM-QL planner's catalog (statistics, placement
-	// and adjacency mirrors); it is built lazily by the first Query
-	// from a pinned snapshot and then kept current incrementally:
-	// every committed batch applies its op and placement deltas under
-	// catMu, guarded by catLSN (the commit LSN the catalog reflects)
-	// so a batch that committed before the catalog was built is never
-	// applied twice. Build drops it. catMu guards cat, catLSN and the
-	// catalog's contents independently of mu — queries plan under its
-	// read side, the build and every fold take the write side — so a
-	// lazy build never blocks, and no plan is torn by, a concurrent
-	// Apply; lock order is mu before catMu.
-	catMu  sync.RWMutex
-	cat    *plan.Catalog
-	catLSN uint64
 }
 
 // failedErr returns the poison error, or nil on a healthy store.
@@ -422,9 +393,6 @@ func Open(opts Options) (*Store, error) {
 	}
 	if opts.WAL && opts.Path == "" {
 		return nil, errors.New("ccam: Options.WAL requires Options.Path")
-	}
-	if opts.BackgroundReorg && !opts.Metrics {
-		return nil, errors.New("ccam: Options.BackgroundReorg requires Options.Metrics (the trigger reads the CRR gauge)")
 	}
 	cfg := iccam.Config{
 		PageSize:        opts.PageSize,
@@ -479,7 +447,6 @@ func Open(opts Options) (*Store, error) {
 	s := &Store{
 		m: m, fs: fs, parallelism: opts.Parallelism, obs: obs, tracer: tracer,
 		checkpointBytes: opts.CheckpointBytes, applyFaultHook: opts.applyFaultHook,
-		exclusiveReads: opts.ExclusiveReads,
 	}
 	if s.checkpointBytes == 0 {
 		s.checkpointBytes = defaultCheckpointBytes
@@ -533,11 +500,7 @@ func (s *Store) Build(g *Network) error {
 		s.reorg.resetLocked()
 	}
 	if s.obs == nil {
-		err := s.buildLocked(g)
-		if err == nil {
-			s.invalidateCatalog()
-		}
-		return err
+		return s.buildLocked(g)
 	}
 	start := time.Now()
 	err := s.buildLocked(g)
@@ -548,9 +511,7 @@ func (s *Store) Build(g *Network) error {
 		return err
 	}
 	om.latency.ObserveSince(start)
-	s.invalidateCatalog()
-	s.obs.mirrorFromNetwork(g)
-	s.obs.refreshGauges(s.m.File())
+	s.obs.setGauges(s.m.File())
 	return nil
 }
 
@@ -591,103 +552,32 @@ func (s *Store) file() (*netfile.File, error) {
 }
 
 // readView is one query's pinned read path: the file (for metrics
-// attribution, counters and the exclusive-reads mode) plus the
-// LSN-pinned view — unpinned under Options.ExclusiveReads, where the
-// query instead holds the store's reader-writer lock. It is a plain
-// value over netfile's value-form View, so opening, dispatching
-// through and releasing a read path allocates nothing.
+// attribution and counters) plus the LSN-pinned view the query reads
+// through. It is a plain value over netfile's value-form View, so
+// opening, using and releasing a read path allocates nothing.
 type readView struct {
-	s      *Store
-	f      *netfile.File
-	view   netfile.View
-	pinned bool
+	s    *Store
+	f    *netfile.File
+	view netfile.View
 }
 
-// readView opens the read path for one query. In the default snapshot
-// mode it pins the newest committed LSN under structMu.RLock — which a
-// running Apply does not hold, so the reader starts immediately. With
-// Options.ExclusiveReads it degenerates to the shared lock and an
-// unpinned view. release must be called exactly once.
+// readView opens the read path for one query: it pins the newest
+// committed LSN under structMu.RLock — which a running Apply does not
+// hold, so the reader starts immediately. release must be called
+// exactly once.
 func (s *Store) readView() (readView, error) {
-	if s.exclusiveReads {
-		s.mu.RLock()
-		f, err := s.file()
-		if err != nil {
-			s.mu.RUnlock()
-			return readView{}, err
-		}
-		return readView{s: s, f: f}, nil
-	}
 	s.structMu.RLock()
 	f, err := s.file()
 	if err != nil {
 		s.structMu.RUnlock()
 		return readView{}, err
 	}
-	return readView{s: s, f: f, view: f.PinView(), pinned: true}, nil
+	return readView{s: s, f: f, view: f.PinView()}, nil
 }
 
 func (v readView) release() {
-	if v.pinned {
-		v.view.Unpin()
-		v.s.structMu.RUnlock()
-		return
-	}
-	v.s.mu.RUnlock()
-}
-
-// The dispatch methods below branch per call instead of binding a
-// method value once: a method value allocates its receiver binding,
-// and the read path is kept allocation-free beyond the underlying
-// operation.
-
-func (v readView) findCtx(ctx context.Context, id NodeID) (*Record, error) {
-	if v.pinned {
-		return v.view.FindCtx(ctx, id)
-	}
-	return v.f.FindCtx(ctx, id)
-}
-
-func (v readView) find(id NodeID) (*Record, error) {
-	if v.pinned {
-		return v.view.Find(id)
-	}
-	return v.f.Find(id)
-}
-
-func (v readView) getASuccessor(cur *Record, succ NodeID) (*Record, error) {
-	if v.pinned {
-		return v.view.GetASuccessor(cur, succ)
-	}
-	return v.f.GetASuccessor(cur, succ)
-}
-
-func (v readView) getSuccessorsCtx(ctx context.Context, id NodeID) ([]*Record, error) {
-	if v.pinned {
-		return v.view.GetSuccessorsCtx(ctx, id)
-	}
-	return v.f.GetSuccessorsCtx(ctx, id)
-}
-
-func (v readView) evaluateRouteCtx(ctx context.Context, route Route) (RouteAggregate, error) {
-	if v.pinned {
-		return v.view.EvaluateRouteCtx(ctx, route)
-	}
-	return v.f.EvaluateRouteCtx(ctx, route)
-}
-
-func (v readView) evaluateRoute(route Route) (RouteAggregate, error) {
-	if v.pinned {
-		return v.view.EvaluateRoute(route)
-	}
-	return v.f.EvaluateRoute(route)
-}
-
-func (v readView) rangeQueryCtx(ctx context.Context, rect Rect) ([]*Record, error) {
-	if v.pinned {
-		return v.view.RangeQueryCtx(ctx, rect)
-	}
-	return v.f.RangeQueryCtx(ctx, rect)
+	v.view.Unpin()
+	v.s.structMu.RUnlock()
 }
 
 // Snapshot pins the newest committed mutation batch and returns a
@@ -697,12 +587,8 @@ func (v readView) rangeQueryCtx(ctx context.Context, rect Rect) ([]*Record, erro
 // called exactly once to release the pinned page versions. The
 // snapshot must be closed before Build, ResetIO or Close; it fails
 // once the store is poisoned, closed or rebuilt. Returns an error on
-// an unbuilt or closed store, or with Options.ExclusiveReads (which
-// disables the version layer's read path).
+// an unbuilt or closed store.
 func (s *Store) Snapshot() (*Snapshot, error) {
-	if s.exclusiveReads {
-		return nil, errors.New("ccam: snapshots are disabled under Options.ExclusiveReads")
-	}
 	s.structMu.RLock()
 	defer s.structMu.RUnlock()
 	f, err := s.file()
@@ -727,11 +613,11 @@ func (s *Store) Find(ctx context.Context, id NodeID) (*Record, error) {
 	defer v.release()
 	if s.obs != nil {
 		sn := s.obs.beginOpCtx(ctx, s.obs.find, v.f)
-		rec, err := v.findCtx(ctx, id)
+		rec, err := v.view.FindCtx(ctx, id)
 		sn.end(err)
 		return rec, err
 	}
-	return v.findCtx(ctx, id)
+	return v.view.FindCtx(ctx, id)
 }
 
 // GetASuccessor retrieves the record of succ, a successor of cur. It is
@@ -752,11 +638,11 @@ func (s *Store) GetASuccessor(ctx context.Context, cur *Record, succ NodeID) (*R
 	defer v.release()
 	if s.obs != nil {
 		sn := s.obs.beginOpCtx(ctx, s.obs.getASuccessor, v.f)
-		rec, err := v.getASuccessor(cur, succ)
+		rec, err := v.view.GetASuccessor(cur, succ)
 		sn.end(err)
 		return rec, err
 	}
-	return v.getASuccessor(cur, succ)
+	return v.view.GetASuccessor(cur, succ)
 }
 
 // GetSuccessors retrieves the records of all successors of a node.
@@ -770,11 +656,11 @@ func (s *Store) GetSuccessors(ctx context.Context, id NodeID) ([]*Record, error)
 	defer v.release()
 	if s.obs != nil {
 		sn := s.obs.beginOpCtx(ctx, s.obs.getSuccessors, v.f)
-		recs, err := v.getSuccessorsCtx(ctx, id)
+		recs, err := v.view.GetSuccessorsCtx(ctx, id)
 		sn.end(err)
 		return recs, err
 	}
-	return v.getSuccessorsCtx(ctx, id)
+	return v.view.GetSuccessorsCtx(ctx, id)
 }
 
 // EvaluateRoute computes the aggregate property of a route as a Find
@@ -789,11 +675,11 @@ func (s *Store) EvaluateRoute(ctx context.Context, route Route) (RouteAggregate,
 	defer v.release()
 	if s.obs != nil {
 		sn := s.obs.beginOpCtx(ctx, s.obs.evaluateRoute, v.f)
-		agg, err := v.evaluateRouteCtx(ctx, route)
+		agg, err := v.view.EvaluateRouteCtx(ctx, route)
 		sn.end(err)
 		return agg, err
 	}
-	return v.evaluateRouteCtx(ctx, route)
+	return v.view.EvaluateRouteCtx(ctx, route)
 }
 
 // RangeQuery returns all records whose positions lie inside rect, via
@@ -808,11 +694,11 @@ func (s *Store) RangeQuery(ctx context.Context, rect Rect) ([]*Record, error) {
 	defer v.release()
 	if s.obs != nil {
 		sn := s.obs.beginOpCtx(ctx, s.obs.rangeQuery, v.f)
-		recs, err := v.rangeQueryCtx(ctx, rect)
+		recs, err := v.view.RangeQueryCtx(ctx, rect)
 		sn.end(err)
 		return recs, err
 	}
-	return v.rangeQueryCtx(ctx, rect)
+	return v.view.RangeQueryCtx(ctx, rect)
 }
 
 // Insert adds a new node with its edges under the given policy. It is
@@ -852,10 +738,7 @@ func (s *Store) Has(ctx context.Context, id NodeID) (bool, error) {
 		return false, err
 	}
 	defer v.release()
-	if v.pinned {
-		return v.view.Has(id), nil
-	}
-	return v.f.HasRecord(id)
+	return v.view.Has(id), nil
 }
 
 // Contains reports whether a node is stored. It is a convenience
@@ -1062,7 +945,7 @@ func NewBaseline(kind BaselineKind, opts Options) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Store{m: m, parallelism: opts.Parallelism, exclusiveReads: opts.ExclusiveReads}, nil
+	return &Store{m: m, parallelism: opts.Parallelism}, nil
 }
 
 // RoadMapOpts configures the synthetic road-network generator.
@@ -1347,17 +1230,11 @@ func OpenPath(path string, opts Options) (*Store, error) {
 		f.EnableMetrics(reg, tracer)
 	}
 	if obs != nil {
-		// Rebuild the topology mirror from the stored records (weights
-		// are not persisted, so edges get weight 1 and WCRR == CRR),
-		// then discard the scan's I/O so counters start clean.
-		var recs []*Record
-		if err := f.Scan(func(rec *Record) bool { recs = append(recs, rec); return true }); err != nil {
-			fs.Close()
-			return nil, err
-		}
-		obs.mirrorFromRecords(recs)
-		obs.refreshGauges(f)
+		// Access weights are not persisted: every edge weighs 1 after a
+		// reopen, so WCRR == CRR until the store is rebuilt.
+		obs.setGauges(f)
 	}
+	// Discard recovery's and replay's I/O so counters start clean.
 	if err := f.ResetIO(); err != nil {
 		fs.Close()
 		return nil, err
@@ -1366,16 +1243,11 @@ func OpenPath(path string, opts Options) (*Store, error) {
 		m: m, fs: fs, parallelism: opts.Parallelism, obs: obs, tracer: tracer,
 		wal: wal, checkpointBytes: opts.CheckpointBytes, applyFaultHook: opts.applyFaultHook,
 		replayedBatches: replayedBatches, replayedMutations: replayedMutations,
-		exclusiveReads: opts.ExclusiveReads,
 	}
 	if s.checkpointBytes == 0 {
 		s.checkpointBytes = defaultCheckpointBytes
 	}
 	if opts.BackgroundReorg {
-		if !opts.Metrics {
-			s.Close()
-			return nil, errors.New("ccam: Options.BackgroundReorg requires Options.Metrics (the trigger reads the CRR gauge)")
-		}
 		if err := s.startReorganizer(opts); err != nil {
 			s.Close()
 			return nil, err

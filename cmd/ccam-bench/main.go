@@ -77,7 +77,7 @@ func main() {
 	minSpeedup := flag.Float64("min-speedup", 2.0, "with -exp pool-scale -check: required sharded-prefetch over single-latch throughput ratio at peak workers")
 	workers := flag.Int("workers", 0, "with -exp build-scale: clustering worker pool for the parallel variants (0 = GOMAXPROCS)")
 	conns := flag.Int("conns", 10000, "with -exp serve: concurrent binary-protocol connections")
-	duration := flag.Duration("duration", 10e9, "with -exp serve: measured load window; with -exp pool-scale: window per (variant, workers) point; with -exp mixed: window per latching mode")
+	duration := flag.Duration("duration", 10e9, "with -exp serve: measured load window; with -exp pool-scale: window per (variant, workers) point; with -exp mixed: the measured window")
 	rate := flag.Int("rate", 0, "with -exp serve: open-loop target req/s across all connections (0 = closed loop)")
 	addr := flag.String("addr", "", "with -exp serve: load an external ccam-serve binary port instead of an in-process server")
 	serveBin := flag.String("serve-bin", "", "with -exp serve: run this ccam-serve binary as a child process instead of serving in-process (doubles the per-process fd budget and exercises the real SIGTERM drain)")
@@ -261,9 +261,9 @@ func run(w io.Writer, exp string, setup bench.Setup, parallel int, httpAddr stri
 		fmt.Fprintln(w)
 		ran = true
 	}
-	// The mixed experiment compares reader latency under the two
-	// latching modes while durable writers churn, then exercises the
-	// background reorganizer; wall-clock, so it runs only by name.
+	// The mixed experiment measures reader latency while durable writers
+	// churn, then exercises the background reorganizer; wall-clock, so it
+	// runs only by name.
 	if exp == "mixed" {
 		mx.Seed = setup.Seed
 		if err := runMixed(w, g, mx); err != nil {

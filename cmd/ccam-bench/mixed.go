@@ -19,10 +19,9 @@ import (
 
 // mixedConfig parameterizes the mixed read/write experiment.
 type mixedConfig struct {
-	// Duration is the measured window per latching-mode cell.
+	// Duration is the measured window.
 	Duration time.Duration
-	// Readers and Writers are the concurrent goroutine counts shared
-	// by both cells.
+	// Readers and Writers are the concurrent goroutine counts.
 	Readers, Writers int
 	// Seed drives the workloads.
 	Seed int64
@@ -32,10 +31,9 @@ type mixedConfig struct {
 	Check bool
 }
 
-// mixedCell is one measured latching mode: reader latency quantiles
-// and throughput alongside the concurrent writers' commit rate.
+// mixedCell is the measured window: reader latency quantiles and
+// throughput alongside the concurrent writers' commit rate.
 type mixedCell struct {
-	Mode           string  `json:"mode"`
 	ReadOps        int64   `json:"read_ops"`
 	ReadOpsPerSec  float64 `json:"read_ops_per_sec"`
 	ReadP50Micros  float64 `json:"read_p50_us"`
@@ -45,8 +43,9 @@ type mixedCell struct {
 	WriteOps       int64   `json:"write_ops"`
 	WriteOpsPerSec float64 `json:"write_ops_per_sec"`
 	// ReadsPerOp is physical data-page reads per read operation — the
-	// (inverse) buffer hit rate, which must match across cells for the
-	// latency comparison to be apples-to-apples.
+	// (inverse) buffer hit rate. The committed BENCH_mixed.json figures
+	// were taken with every read served from the pool; a run is only
+	// comparable with them at the same hit rate.
 	ReadsPerOp float64 `json:"reads_per_op"`
 	// FlushedPages counts physical page writes during the window: the
 	// in-latch checkpoint volume the writers generated.
@@ -68,28 +67,22 @@ type mixedReorg struct {
 
 // mixedResult is the experiment's machine-readable artifact.
 type mixedResult struct {
-	Nodes     int       `json:"nodes"`
-	Edges     int       `json:"edges"`
-	Readers   int       `json:"readers"`
-	Writers   int       `json:"writers"`
-	Duration  string    `json:"duration"`
-	Exclusive mixedCell `json:"exclusive"`
-	MVCC      mixedCell `json:"mvcc"`
-	// P99Ratio and ThroughputRatio compare MVCC snapshot reads to the
-	// exclusive-latch baseline (higher is better for MVCC).
-	P99Ratio        float64    `json:"p99_ratio"`
-	ThroughputRatio float64    `json:"throughput_ratio"`
-	Reorg           mixedReorg `json:"reorg"`
+	Nodes    int        `json:"nodes"`
+	Edges    int        `json:"edges"`
+	Readers  int        `json:"readers"`
+	Writers  int        `json:"writers"`
+	Duration string     `json:"duration"`
+	MVCC     mixedCell  `json:"mvcc"`
+	Reorg    mixedReorg `json:"reorg"`
 }
 
-// runMixed measures the reader-side cost of writer traffic under the
-// two latching modes — ExclusiveReads (readers share the store latch
-// with Apply, so they queue behind in-latch checkpoints) and the
-// default MVCC snapshot reads (readers pin an LSN and never wait on
-// writer I/O) — then drives the decay-and-recover reorganizer phase.
-// The store runs on a simulated disk (Options.SyncLatency) so the
-// writers' in-latch checkpoint I/O costs milliseconds, the paper's
-// disk-resident regime: that I/O is the stall MVCC deletes.
+// runMixed measures the reader-side cost of writer traffic — readers
+// pin an LSN and never wait on writer I/O — then drives the
+// decay-and-recover reorganizer phase. The store runs on a simulated
+// disk (Options.SyncLatency) so the writers' in-latch checkpoint I/O
+// costs milliseconds, the paper's disk-resident regime. The A/B against
+// readers that share the store latch with Apply (557x reader p99, 9.3x
+// read throughput) is committed in BENCH_mixed.json; that mode is gone.
 func runMixed(w io.Writer, g *graph.Network, cfg mixedConfig) error {
 	if cfg.Duration <= 0 {
 		cfg.Duration = 5 * time.Second
@@ -111,32 +104,18 @@ func runMixed(w io.Writer, g *graph.Network, cfg mixedConfig) error {
 		Readers: cfg.Readers, Writers: cfg.Writers,
 		Duration: cfg.Duration.String(),
 	}
-	fmt.Fprintf(w, "Mixed workload: %d paced readers (16-hop walks) vs %d writers (durable 128-op batches + checkpoint, 2ms simulated sync), %s per cell\n",
+	fmt.Fprintf(w, "Mixed workload: %d paced readers (16-hop walks) vs %d writers (durable 128-op batches + checkpoint, 2ms simulated sync), %s\n",
 		cfg.Readers, cfg.Writers, cfg.Duration)
-	fmt.Fprintf(w, "%-10s  %12s  %10s  %10s  %10s  %10s  %12s  %9s\n",
-		"mode", "read ops/s", "p50 us", "p95 us", "p99 us", "max us", "write ops/s", "reads/op")
-	for _, mode := range []bool{true, false} {
-		cell, err := runMixedCell(dir, g, mode, cfg)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "%-10s  %12.0f  %10.1f  %10.1f  %10.1f  %10.1f  %12.0f  %9.4f\n",
-			cell.Mode, cell.ReadOpsPerSec, cell.ReadP50Micros, cell.ReadP95Micros,
-			cell.ReadP99Micros, cell.ReadMaxMicros, cell.WriteOpsPerSec, cell.ReadsPerOp)
-		if mode {
-			res.Exclusive = cell
-		} else {
-			res.MVCC = cell
-		}
+	fmt.Fprintf(w, "%12s  %10s  %10s  %10s  %10s  %12s  %9s\n",
+		"read ops/s", "p50 us", "p95 us", "p99 us", "max us", "write ops/s", "reads/op")
+	cell, err := runMixedCell(dir, g, cfg)
+	if err != nil {
+		return err
 	}
-	if res.MVCC.ReadP99Micros > 0 {
-		res.P99Ratio = res.Exclusive.ReadP99Micros / res.MVCC.ReadP99Micros
-	}
-	if res.Exclusive.ReadOpsPerSec > 0 {
-		res.ThroughputRatio = res.MVCC.ReadOpsPerSec / res.Exclusive.ReadOpsPerSec
-	}
-	fmt.Fprintf(w, "MVCC vs exclusive: reader p99 %.1fx better, read throughput %.1fx\n",
-		res.P99Ratio, res.ThroughputRatio)
+	fmt.Fprintf(w, "%12.0f  %10.1f  %10.1f  %10.1f  %10.1f  %12.0f  %9.4f\n",
+		cell.ReadOpsPerSec, cell.ReadP50Micros, cell.ReadP95Micros,
+		cell.ReadP99Micros, cell.ReadMaxMicros, cell.WriteOpsPerSec, cell.ReadsPerOp)
+	res.MVCC = cell
 
 	reorg, err := runMixedReorg(g, cfg)
 	if err != nil {
@@ -167,24 +146,19 @@ func runMixed(w io.Writer, g *graph.Network, cfg mixedConfig) error {
 		if err := res.Check(); err != nil {
 			return err
 		}
-		fmt.Fprintln(w, "check passed: snapshot reads >= 5x better p99 and >= 3x read throughput at equal hit rate; reorganizer recovered >= half the CRR decay under live readers")
+		fmt.Fprintln(w, "check passed: reads served from the pool beside the writers; reorganizer recovered >= half the CRR decay under live readers")
 	}
 	return nil
 }
 
 // Check enforces the experiment's regression gates.
 func (r *mixedResult) Check() error {
-	if r.P99Ratio < 5 {
-		return fmt.Errorf("mixed: reader p99 under MVCC only %.2fx better than exclusive latching, want >= 5x", r.P99Ratio)
+	if r.MVCC.ReadOps == 0 {
+		return fmt.Errorf("mixed: no read completed beside the writers")
 	}
-	if r.ThroughputRatio < 3 {
-		return fmt.Errorf("mixed: read throughput under MVCC only %.2fx the exclusive baseline, want >= 3x", r.ThroughputRatio)
-	}
-	// The comparison only stands at equal buffer hit rates: both cells
-	// must serve essentially every read from the pool.
-	if r.Exclusive.ReadsPerOp > 0.05 || r.MVCC.ReadsPerOp > 0.05 {
-		return fmt.Errorf("mixed: hit rates differ (%.4f vs %.4f physical reads/op), cells are not comparable",
-			r.Exclusive.ReadsPerOp, r.MVCC.ReadsPerOp)
+	if r.MVCC.ReadsPerOp > 0.05 {
+		return fmt.Errorf("mixed: %.4f physical reads/op, want essentially every read served from the pool",
+			r.MVCC.ReadsPerOp)
 	}
 	decay := r.Reorg.CRRBuild - r.Reorg.CRRDecayed
 	if decay < 0.03 {
@@ -208,31 +182,25 @@ func (r *mixedResult) Check() error {
 }
 
 // runMixedCell builds a fresh WAL-backed store and drives the mixed
-// workload for one latching mode.
-func runMixedCell(dir string, g *graph.Network, exclusive bool, cfg mixedConfig) (mixedCell, error) {
-	mode := "mvcc"
-	if exclusive {
-		mode = "exclusive"
-	}
+// workload.
+func runMixedCell(dir string, g *graph.Network, cfg mixedConfig) (mixedCell, error) {
 	s, err := ccam.Open(ccam.Options{
 		PageSize:  2048,
 		PoolPages: 512,
 		Seed:      1,
-		Path:      filepath.Join(dir, mode+".ccam"),
+		Path:      filepath.Join(dir, "mvcc.ccam"),
 		WAL:       true,
-		// Group commit keeps the commit fsync outside the store latch
-		// in both modes; the in-latch I/O the cells compare is the
-		// checkpoint (WAL sync + data-file sync) behind every batch.
+		// Group commit keeps the commit fsync outside the store latch;
+		// the in-latch I/O is the checkpoint (WAL sync + data-file sync)
+		// behind every batch.
 		SyncPolicy: ccam.SyncGroupCommit,
 		// The paper's regime is disk-resident: an fsync costs
 		// milliseconds, not the tens of microseconds a modern local
 		// ext4 charges. The simulated sync latency restores that
 		// regime (the throughput experiment does the same for reads
-		// via ReadLatency) — without it, both cells' tails drown in
-		// single-core scheduler noise and the comparison measures
-		// nothing.
-		SyncLatency:    2 * time.Millisecond,
-		ExclusiveReads: exclusive,
+		// via ReadLatency) — without it the tails drown in single-core
+		// scheduler noise.
+		SyncLatency: 2 * time.Millisecond,
 	})
 	if err != nil {
 		return mixedCell{}, err
@@ -264,7 +232,7 @@ func runMixedCell(dir string, g *graph.Network, exclusive bool, cfg mixedConfig)
 				// 128 updates per commit: the batch dirties pages across
 				// the whole file and pushes the log over the checkpoint
 				// bound every commit, so every Apply carries an in-latch
-				// pool flush (the stall exclusive-mode readers queue on).
+				// pool flush.
 				b := new(ccam.Batch)
 				for k := 0; k < 128; k++ {
 					e := edges[rng.Intn(len(edges))]
@@ -276,9 +244,8 @@ func runMixedCell(dir string, g *graph.Network, exclusive bool, cfg mixedConfig)
 				}
 				// Checkpoint behind every batch: aggressive
 				// checkpointing keeps the log short (instant recovery)
-				// and its flush+prune runs under the store latch — the
-				// writer I/O that exclusive-mode readers queue behind
-				// and snapshot readers never see.
+				// and its flush+prune runs under the store latch — writer
+				// I/O that snapshot readers never see.
 				if err := s.Checkpoint(); err != nil {
 					errc <- fmt.Errorf("mixed checkpoint: %w", err)
 					return
@@ -350,7 +317,6 @@ func runMixedCell(dir string, g *graph.Network, exclusive bool, cfg mixedConfig)
 		return float64(all[i]) / 1e3
 	}
 	cell := mixedCell{
-		Mode:           mode,
 		ReadOps:        int64(len(all)),
 		ReadOpsPerSec:  float64(len(all)) / elapsed,
 		ReadP50Micros:  q(0.50),
@@ -376,7 +342,7 @@ func runMixedReorg(g *graph.Network, cfg mixedConfig) (mixedReorg, error) {
 	s, err := ccam.Open(ccam.Options{
 		PageSize:        1024,
 		Seed:            7,
-		Metrics:         true,
+		Metrics:         true, // for the round and page counters below
 		BackgroundReorg: true,
 		// The timer must not race the measurement; every round comes
 		// from an explicit Poke below.

@@ -158,9 +158,16 @@ func (m *Method) Build(g *graph.Network) error {
 	}
 	m.f = f
 	if m.cfg.Dynamic {
-		return m.buildDynamic(g)
+		err = m.buildDynamic(g)
+	} else {
+		err = m.buildStatic(g)
 	}
-	return m.buildStatic(g)
+	if err == nil {
+		// Records carry no access weights; the file's PAG summary takes
+		// them from the network, for WCRR.
+		f.SetAccessWeights(g)
+	}
+	return err
 }
 
 // buildStatic is Static-Create: cluster-nodes-into-pages over the whole

@@ -373,7 +373,6 @@ func TestSnapshotReadersDoNotDeadlockWriter(t *testing.T) {
 					t.Errorf("writer: %v", err)
 				}
 			}
-			f.TakePlacementEvents()
 			f.PublishVersionBatch(0)
 		}
 	}()

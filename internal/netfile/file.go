@@ -31,7 +31,7 @@ type Options struct {
 	PoolShards int
 	// Prefetch enables connectivity-aware prefetching: a demand miss on
 	// a data page asynchronously faults in the page's most-connected
-	// PAG neighbors, recorded at build/open time.
+	// PAG neighbors, ranked from the PAG summary.
 	Prefetch bool
 	// PrefetchWorkers sizes the prefetcher's worker pool (0 selects the
 	// buffer package default). Ignored unless Prefetch is set.
@@ -94,10 +94,6 @@ type File struct {
 	// treated as memory resident and consulting it costs no data-page
 	// I/O; every mutation keeps it exact.
 	free map[storage.PageID]int
-	// pagHints records, per data page, its most-connected PAG neighbor
-	// pages — computed by BulkLoad/OpenFromStoreOpts, dropped per page
-	// on mutation. It feeds the pool's prefetch adjacency callback.
-	pagHints map[storage.PageID][]storage.PageID
 	// reg and tracer are nil unless observability is enabled; every hot
 	// path branches on nil before paying anything.
 	reg    *metrics.Registry
@@ -115,17 +111,19 @@ type File struct {
 
 	// Snapshot-read state (see snapshot.go). overlay is the versioned
 	// node→page map snapshot readers resolve placements through without
-	// touching the B+-tree index; curDelta/verActive/events are
-	// writer-side batch bookkeeping. spatMu lets lock-free snapshot
-	// range queries share the live spatial index with the serialized
-	// writer; hintMu does the same for the PAG hint and live-page maps,
-	// which the pool's prefetch callback reads from reader goroutines.
+	// touching the B+-tree index; curDelta/verActive are writer-side
+	// batch bookkeeping. spatMu lets lock-free snapshot range queries
+	// share the live spatial index with the serialized writer.
 	overlay   atomic.Pointer[overlayState]
 	curDelta  *overlayDelta
 	verActive bool
-	events    []PlaceEvent
 	spatMu    sync.RWMutex
-	hintMu    sync.RWMutex
+
+	// pag is the PAG summary (pag.go). pagMu guards it and the live-page
+	// map against the readers that run beside the serialized writer: the
+	// pool's prefetch callback, planners and gauges.
+	pag   pagSummary
+	pagMu sync.RWMutex
 }
 
 // Create opens a fresh, empty data file.
@@ -169,8 +167,8 @@ func Create(opts Options) (*File, error) {
 		quant:     quant,
 		pages:     make(map[storage.PageID]bool),
 		free:      make(map[storage.PageID]int),
-		pagHints:  make(map[storage.PageID][]storage.PageID),
 		idxStore:  idxStore,
+		pag:       newPAGSummary(0, 0),
 	}
 	f.overlay.Store(&overlayState{base: make(map[graph.NodeID]storage.PageID)})
 	if opts.Prefetch {
@@ -254,11 +252,10 @@ func (f *File) Pool() *buffer.Pool { return f.pool }
 func (f *File) NumNodes() int { return f.index.Len() }
 
 // NumPages returns the number of live data pages. Safe for concurrent
-// use (snapshot readers consult it for planner statistics while
-// mutations allocate and free pages).
+// use beside mutations that allocate and free pages.
 func (f *File) NumPages() int {
-	f.hintMu.RLock()
-	defer f.hintMu.RUnlock()
+	f.pagMu.RLock()
+	defer f.pagMu.RUnlock()
 	return len(f.pages)
 }
 
@@ -326,9 +323,9 @@ func (f *File) AllocatePage() (storage.PageID, error) {
 	if err := f.pool.Unpin(pid, true); err != nil {
 		return storage.InvalidPageID, err
 	}
-	f.hintMu.Lock()
+	f.pagMu.Lock()
 	f.pages[pid] = true
-	f.hintMu.Unlock()
+	f.pagMu.Unlock()
 	return pid, nil
 }
 
@@ -349,11 +346,10 @@ func (f *File) FreePage(pid storage.PageID) error {
 			f.pool.Unpin(pid, false)
 		}
 	}
-	f.hintMu.Lock()
+	f.pagMu.Lock()
 	delete(f.pages, pid)
-	f.hintMu.Unlock()
+	f.pagMu.Unlock()
 	delete(f.free, pid)
-	f.invalidatePAGHints(pid)
 	f.pool.Discard(pid)
 	if f.wal != nil {
 		f.pendingFree = append(f.pendingFree, pid)
@@ -367,12 +363,12 @@ func (f *File) FreePage(pid storage.PageID) error {
 
 // Pages returns the live data page ids in ascending order.
 func (f *File) Pages() []storage.PageID {
-	f.hintMu.RLock()
+	f.pagMu.RLock()
 	out := make([]storage.PageID, 0, len(f.pages))
 	for pid := range f.pages {
 		out = append(out, pid)
 	}
-	f.hintMu.RUnlock()
+	f.pagMu.RUnlock()
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
@@ -415,6 +411,16 @@ func (f *File) pinPage(pid storage.PageID, save bool, fn func(sp *storage.Slotte
 // storage.ErrPageFull when the record does not fit, leaving the file
 // unchanged.
 func (f *File) InsertRecordAt(rec *Record, pid storage.PageID) error {
+	if err := f.storeRecord(rec, pid); err != nil {
+		return err
+	}
+	f.notePlacement(rec, pid)
+	return nil
+}
+
+// storeRecord writes rec to page pid and enters it in the node and
+// spatial indexes; the caller notes the placement.
+func (f *File) storeRecord(rec *Record, pid storage.PageID) error {
 	if f.Has(rec.ID) {
 		return fmt.Errorf("%w: %d", ErrDuplicate, rec.ID)
 	}
@@ -432,7 +438,6 @@ func (f *File) InsertRecordAt(rec *Record, pid storage.PageID) error {
 	if err != nil {
 		return err
 	}
-	f.invalidatePAGHints(pid)
 	if err := f.index.Insert(uint64(rec.ID), uint64(pid)); err != nil {
 		return fmt.Errorf("netfile: index insert %d: %w", rec.ID, err)
 	}
@@ -442,7 +447,6 @@ func (f *File) InsertRecordAt(rec *Record, pid storage.PageID) error {
 	if err != nil {
 		return fmt.Errorf("netfile: spatial insert %d: %w", rec.ID, err)
 	}
-	f.notePlacement(rec.ID, pid)
 	return nil
 }
 
@@ -455,8 +459,7 @@ func (f *File) UpdateRecord(rec *Record) error {
 		return err
 	}
 	enc := EncodeRecord(rec)
-	f.invalidatePAGHints(pid)
-	return f.withPageWrite(pid, func(sp *storage.SlottedPage) (bool, error) {
+	err = f.withPageWrite(pid, func(sp *storage.SlottedPage) (bool, error) {
 		slot, _, err := findOnPage(sp, pid, rec.ID)
 		if err != nil {
 			return false, err
@@ -467,10 +470,24 @@ func (f *File) UpdateRecord(rec *Record) error {
 		f.free[pid] = sp.FreeSpace()
 		return true, nil
 	})
+	if err == nil {
+		f.pagPlace(rec, pid, pid)
+	}
+	return err
 }
 
 // DeleteRecord removes node id's record, returning its last value.
 func (f *File) DeleteRecord(id graph.NodeID) (*Record, error) {
+	rec, err := f.removeRecord(id)
+	if err == nil {
+		f.notePlacement(rec, storage.InvalidPageID)
+	}
+	return rec, err
+}
+
+// removeRecord takes node id's record off its page and out of the node
+// and spatial indexes; the caller notes the placement.
+func (f *File) removeRecord(id graph.NodeID) (*Record, error) {
 	pid, err := f.PageOf(id)
 	if err != nil {
 		return nil, err
@@ -493,7 +510,6 @@ func (f *File) DeleteRecord(id graph.NodeID) (*Record, error) {
 	if err != nil {
 		return nil, err
 	}
-	f.invalidatePAGHints(pid)
 	if err := f.index.Delete(uint64(id)); err != nil {
 		return nil, fmt.Errorf("netfile: index delete %d: %w", id, err)
 	}
@@ -509,20 +525,21 @@ func (f *File) DeleteRecord(id graph.NodeID) (*Record, error) {
 	if err != nil {
 		return nil, fmt.Errorf("netfile: spatial delete %d: %w", id, err)
 	}
-	f.notePlacement(id, storage.InvalidPageID)
 	return rec, nil
 }
 
 // MoveRecord relocates a record to page dst, updating the index. It is
-// the reorganization primitive.
+// the reorganization primitive. The move is noted as one placement
+// change, so the record's edges keep their access weights.
 func (f *File) MoveRecord(id graph.NodeID, dst storage.PageID) error {
-	rec, err := f.DeleteRecord(id)
+	rec, err := f.removeRecord(id)
 	if err != nil {
 		return err
 	}
-	if err := f.InsertRecordAt(rec, dst); err != nil {
+	if err := f.storeRecord(rec, dst); err != nil {
 		return fmt.Errorf("netfile: move %d to page %d: %w", id, dst, err)
 	}
+	f.notePlacement(rec, dst)
 	return nil
 }
 
@@ -674,21 +691,13 @@ func (f *File) BulkLoad(g *graph.Network, groups [][]graph.NodeID) error {
 		if err := f.pool.Unpin(pid, true); err != nil {
 			return err
 		}
-		f.hintMu.Lock()
+		f.pagMu.Lock()
 		f.pages[pid] = true
-		f.hintMu.Unlock()
+		f.pagMu.Unlock()
 		f.free[pid] = img.free
 		pids[gi] = pid
 		total += len(img.recs)
 	}
-
-	// Record each page's PAG neighbors for connectivity-aware prefetch
-	// while the build-time placement is at hand.
-	recsByPage := make(map[storage.PageID][]*Record, len(images))
-	for gi, img := range images {
-		recsByPage[pids[gi]] = img.recs
-	}
-	f.rebuildPAGHints(recsByPage)
 
 	// Stage 3: bottom-up index builds from sorted runs.
 	entries := make([]btree.Entry, 0, total)
@@ -716,12 +725,15 @@ func (f *File) BulkLoad(g *graph.Network, groups [][]graph.NodeID) error {
 		return fmt.Errorf("netfile: bulk load spatial index: %w", err)
 	}
 	base := make(map[graph.NodeID]storage.PageID, total)
+	recsByPage := make(map[storage.PageID][]*Record, len(images))
 	for gi, img := range images {
 		for _, rec := range img.recs {
 			base[rec.ID] = pids[gi]
 		}
+		recsByPage[pids[gi]] = img.recs
 	}
 	f.ResetVersions(base)
+	f.pagFill(recsByPage)
 	return f.pool.FlushAll()
 }
 
@@ -784,7 +796,6 @@ func (f *File) ReplacePageContents(pid storage.PageID, recs []*Record) error {
 		}
 	}
 	f.free[pid] = sp.FreeSpace()
-	f.invalidatePAGHints(pid)
 	if err := f.pool.Unpin(pid, true); err != nil {
 		return err
 	}
@@ -798,7 +809,7 @@ func (f *File) ReplacePageContents(pid storage.PageID, recs []*Record) error {
 		if err != nil {
 			return fmt.Errorf("netfile: spatial reindex %d: %w", rec.ID, err)
 		}
-		f.notePlacement(rec.ID, pid)
+		f.notePlacement(rec, pid)
 	}
 	return nil
 }
@@ -806,7 +817,7 @@ func (f *File) ReplacePageContents(pid storage.PageID, recs []*Record) error {
 // OpenFromStore reconstructs a File over an existing page store (e.g. a
 // reopened storage.FileStore). Data pages are scanned once to rebuild
 // the memory-resident structures — node index, spatial index, free-space
-// map and PAG prefetch hints — which matches the paper's assumption that
+// map and PAG summary — which matches the paper's assumption that
 // index structures live in main memory. The scan's I/O is excluded from
 // the returned file's counters.
 func OpenFromStore(st storage.Store, poolPages int) (*File, error) {
@@ -895,7 +906,7 @@ func OpenFromStoreOpts(st storage.Store, opts Options) (*File, error) {
 	for _, pg := range pages {
 		recsByPage[pg.pid] = pg.recs
 	}
-	f.rebuildPAGHints(recsByPage)
+	f.pagFill(recsByPage)
 	st.ResetStats()
 	return f, nil
 }

@@ -23,19 +23,10 @@ import (
 // Writer protocol (serialized by the owner, e.g. the facade's write
 // lock): BeginVersionBatch opens a pool version batch and installs a
 // pending overlay delta; every placement mutation records itself into
-// the delta (and as a PlaceEvent for the owner's incremental gauges and
-// planner catalog); PublishVersionBatch stamps the delta and the page
-// versions with the commit LSN — readers pinned below it keep their
-// view, readers arriving after it see the new one, atomically.
-
-// PlaceEvent records one placement change of a mutation batch: node ID
-// now lives on Page (InvalidPageID = the record was deleted). The owner
-// drains them per operation via TakePlacementEvents to maintain
-// derived structures (CRR gauges, planner catalog) incrementally.
-type PlaceEvent struct {
-	ID   graph.NodeID
-	Page storage.PageID
-}
+// the delta (and into the PAG summary, pag.go); PublishVersionBatch
+// stamps the delta and the page versions with the commit LSN — readers
+// pinned below it keep their view, readers arriving after it see the
+// new one, atomically.
 
 // pendingOverlayLSN tags a delta whose batch has not committed yet; it
 // compares above every real LSN, so readers skip it.
@@ -80,8 +71,8 @@ func (st *overlayState) lookup(id graph.NodeID, lsn uint64) (storage.PageID, boo
 	return pid, ok
 }
 
-// placements materializes the full node→page map as of lsn (the
-// snapshot analogue of File.Placement, used by snapshot scans).
+// placements materializes the full node→page map as of lsn (snapshot
+// scans list their pages from it).
 func (st *overlayState) placements(lsn uint64) map[graph.NodeID]storage.PageID {
 	out := make(map[graph.NodeID]storage.PageID, len(st.base))
 	for id, pid := range st.base {
@@ -103,22 +94,21 @@ func (st *overlayState) placements(lsn uint64) map[graph.NodeID]storage.PageID {
 	return out
 }
 
-// notePlacement records a placement change at the mutation sites.
-// Inside a version batch it goes to the pending delta and the event
-// stream; outside one (direct File use, serialized by the owner) the
-// current base is updated in place.
-func (f *File) notePlacement(id graph.NodeID, pid storage.PageID) {
+// notePlacement records a placement change at the mutation sites: the
+// record rec now lives on pid (InvalidPageID = it was deleted). Inside
+// a version batch the overlay takes it in the pending delta; outside
+// one (direct File use, serialized by the owner) the current base is
+// updated in place. Either way the PAG summary follows.
+func (f *File) notePlacement(rec *Record, pid storage.PageID) {
+	old := f.livePage(rec.ID)
 	if f.verActive {
-		f.batchDelta().entries[id] = pid
-		f.events = append(f.events, PlaceEvent{ID: id, Page: pid})
-		return
-	}
-	st := f.overlay.Load()
-	if pid == storage.InvalidPageID {
-		delete(st.base, id)
+		f.batchDelta().entries[rec.ID] = pid
+	} else if st := f.overlay.Load(); pid == storage.InvalidPageID {
+		delete(st.base, rec.ID)
 	} else {
-		st.base[id] = pid
+		st.base[rec.ID] = pid
 	}
+	f.pagPlace(rec, old, pid)
 }
 
 // batchDelta returns the open batch's pending overlay delta, creating
@@ -151,7 +141,6 @@ func (f *File) BeginVersionBatch() {
 	f.pool.BeginVersionBatch()
 	f.curDelta = nil
 	f.verActive = true
-	f.events = f.events[:0]
 }
 
 // PublishVersionBatch commits the open batch at commitLSN (0 auto-
@@ -184,15 +173,6 @@ func (f *File) AbortVersionBatch() {
 	f.pool.AbortVersionBatch()
 	f.curDelta = nil
 	f.verActive = false
-	f.events = nil
-}
-
-// TakePlacementEvents drains the placement events recorded since the
-// batch began (or since the previous drain), in mutation order.
-func (f *File) TakePlacementEvents() []PlaceEvent {
-	evs := f.events
-	f.events = nil
-	return evs
 }
 
 // ResetVersions discards all version state and installs base as the
@@ -206,7 +186,6 @@ func (f *File) ResetVersions(base map[graph.NodeID]storage.PageID) {
 	f.overlay.Store(&overlayState{base: base})
 	f.curDelta = nil
 	f.verActive = false
-	f.events = nil
 }
 
 // overlayCompactThreshold bounds the delta list a reader must walk per
@@ -317,17 +296,6 @@ func (s View) Has(id graph.NodeID) bool {
 	_, ok := s.f.overlay.Load().lookup(id, s.lsn)
 	return ok
 }
-
-// Placement materializes the node → data-page assignment as of the
-// snapshot (the versioned analogue of File.Placement).
-func (s View) Placement() graph.Placement {
-	return s.f.overlay.Load().placements(s.lsn)
-}
-
-// NumPages reports the live data-page count. It is read from the
-// current file, not the pinned LSN — callers use it for planner
-// statistics, where the live shape is the better estimate.
-func (s View) NumPages() int { return s.f.NumPages() }
 
 // SpatialIndexKind reports the file's spatial index structure.
 func (s View) SpatialIndexKind() SpatialKind { return s.f.SpatialIndexKind() }

@@ -25,7 +25,6 @@ func runBatch(t *testing.T, f *File, fn func()) uint64 {
 	t.Helper()
 	f.BeginVersionBatch()
 	fn()
-	f.TakePlacementEvents()
 	return f.PublishVersionBatch(0)
 }
 

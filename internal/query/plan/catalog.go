@@ -17,21 +17,11 @@
 package plan
 
 import (
-	"fmt"
-
 	"ccam/internal/geom"
 	"ccam/internal/graph"
 	"ccam/internal/netfile"
 	"ccam/internal/storage"
 )
-
-// catalogEdge is one directed edge of the catalog's adjacency mirror.
-// The cost stays float32 — the stored precision — so the planner's
-// Dijkstra mirror accumulates distances exactly like the executor.
-type catalogEdge struct {
-	to   graph.NodeID
-	cost float32
-}
 
 // Stats is the statistics block of a catalog: the paper's cost-model
 // parameters plus the file's shape. It appears verbatim in every plan.
@@ -51,215 +41,63 @@ type Stats struct {
 	Spatial string `json:"spatial"`
 }
 
-// Source is the consistent read view NewCatalog scans: the live
-// *netfile.File (exclusively held at build/open time) or an LSN-pinned
-// *netfile.Snapshot (so a lazy catalog build never blocks, and is
-// never torn by, a concurrent mutation batch).
+// Source is what a catalog is opened on: the file's PAG summary —
+// through the live *netfile.File (exclusively held) or an LSN-pinned
+// netfile.View, which resolves placements as of its LSN and may plan
+// beside a running mutation batch — and a probe into the spatial
+// index.
 type Source interface {
-	Placement() graph.Placement
-	Scan(fn func(rec *netfile.Record) bool) error
-	NumPages() int
+	PAG() netfile.PAGView
 	SpatialIndexKind() netfile.SpatialKind
 	SpatialCandidates(rect geom.Rect, fn func(id graph.NodeID) bool) error
 }
 
 var (
 	_ Source = (*netfile.File)(nil)
-	_ Source = (*netfile.Snapshot)(nil)
+	_ Source = netfile.View{}
 )
 
-// Catalog is the planner's view of a stored file: cost-model
-// statistics plus mirrors of the memory-resident structures (placement
-// and adjacency) and a probe into the spatial index. Building one
-// costs a sequential scan of the data file; after that the facade
-// keeps it current incrementally — every committed batch operation is
-// applied to the mirrors and counters in place (AddEdge, InsertNode,
-// MoveNode, ...), and only Build rebuilds from scratch.
+// Catalog is the planner's view of a stored file: the cost-model
+// statistics as of its creation plus a read-only window on the file's
+// PAG summary (adjacency, placement) and a probe into the spatial
+// index. It mirrors nothing — netfile keeps the summary current under
+// every mutation — so opening one costs a handful of divisions.
 type Catalog struct {
 	Stats Stats
 
-	pageOf map[graph.NodeID]storage.PageID
-	succs  map[graph.NodeID][]catalogEdge
-	preds  map[graph.NodeID][]graph.NodeID
+	pag netfile.PAGView
 	// probe visits the spatial index's candidate ids for a window, with
 	// zero data-page I/O (netfile SpatialCandidates).
 	probe func(rect geom.Rect, fn func(graph.NodeID) bool) error
-
-	// Running counters behind Stats, maintained by the incremental
-	// mutators and re-divided by RefreshStats.
-	edges, samePage, neighborLen int64
 }
 
-// NewCatalog builds a catalog from a read view with one sequential
-// scan (the scan's page reads are the build cost; they happen here,
-// not inside any planned query). The statistics match the store's live
-// gauges: Alpha is the unweighted CRR of the scanned placement.
+// NewCatalog opens a catalog on src. Alpha is the unweighted CRR the
+// store's gauges report; all four parameters come from the summary's
+// running sums, not from a scan. The error is always nil (the
+// signature predates the summary).
 func NewCatalog(src Source) (*Catalog, error) {
-	place := src.Placement()
-	c := &Catalog{
-		pageOf: place,
-		succs:  make(map[graph.NodeID][]catalogEdge, len(place)),
-		preds:  make(map[graph.NodeID][]graph.NodeID, len(place)),
-		probe:  src.SpatialCandidates,
+	c := &Catalog{pag: src.PAG(), probe: src.SpatialCandidates}
+	st := c.pag.Stats()
+	c.Stats = Stats{
+		Alpha:   st.CRR(),
+		Nodes:   st.Nodes,
+		Pages:   st.Pages,
+		Spatial: src.SpatialIndexKind().String(),
 	}
-	err := src.Scan(func(rec *netfile.Record) bool {
-		es := make([]catalogEdge, len(rec.Succs))
-		myPage := place[rec.ID]
-		for i, s := range rec.Succs {
-			es[i] = catalogEdge{to: s.To, cost: s.Cost}
-			c.edges++
-			if pt, ok := place[s.To]; ok && pt == myPage {
-				c.samePage++
-			}
-		}
-		c.succs[rec.ID] = es
-		if len(rec.Preds) > 0 {
-			c.preds[rec.ID] = append([]graph.NodeID(nil), rec.Preds...)
-		}
-		c.neighborLen += int64(len(rec.Succs) + len(rec.Preds))
-		return true
-	})
-	if err != nil {
-		return nil, fmt.Errorf("plan: catalog scan: %w", err)
+	if st.Nodes > 0 {
+		c.Stats.AvgA = float64(st.Edges) / float64(st.Nodes)
+		// Every edge sits in one successor-list and one predecessor-list.
+		c.Stats.Lambda = 2 * c.Stats.AvgA
 	}
-	c.Stats.Spatial = src.SpatialIndexKind().String()
-	c.RefreshStats(src.NumPages())
+	if st.Pages > 0 {
+		c.Stats.Gamma = float64(st.Nodes) / float64(st.Pages)
+	}
 	return c, nil
 }
 
-// SetAlpha overrides the catalog's CRR with a live gauge value (the
-// store's ccam_crr, refreshed after every mutation), so plans quote
-// the same α the operator sees on /metrics.
-func (c *Catalog) SetAlpha(alpha float64) { c.Stats.Alpha = alpha }
-
-// RefreshStats re-derives the Stats block from the running counters
-// and the given live page count. The facade calls it once per applied
-// batch — a handful of divisions, not a scan.
-func (c *Catalog) RefreshStats(pages int) {
-	n := len(c.pageOf)
-	c.Stats.Nodes = n
-	c.Stats.Pages = pages
-	c.Stats.Alpha = 0
-	if c.edges > 0 {
-		c.Stats.Alpha = float64(c.samePage) / float64(c.edges)
-	}
-	c.Stats.AvgA, c.Stats.Lambda, c.Stats.Gamma = 0, 0, 0
-	if n > 0 {
-		c.Stats.AvgA = float64(c.edges) / float64(n)
-		c.Stats.Lambda = float64(c.neighborLen) / float64(n)
-	}
-	if pages > 0 {
-		c.Stats.Gamma = float64(n) / float64(pages)
-	}
-}
-
-// samePageDelta reports 1 if the edge (u, v) lies on one page under
-// the current placement, else 0.
-func (c *Catalog) samePageDelta(u, v graph.NodeID) int64 {
-	pu, okU := c.pageOf[u]
-	pv, okV := c.pageOf[v]
-	if okU && okV && pu == pv {
-		return 1
-	}
-	return 0
-}
-
-// MoveNode applies one placement event: node id now lives on page pid.
-// The same-page tally of every incident edge is recomputed across the
-// move (new nodes, with no mirrored edges yet, just gain a placement).
-func (c *Catalog) MoveNode(id graph.NodeID, pid storage.PageID) {
-	if old, ok := c.pageOf[id]; ok && old == pid {
-		return
-	}
-	for _, e := range c.succs[id] {
-		c.samePage -= c.samePageDelta(id, e.to)
-	}
-	for _, p := range c.preds[id] {
-		c.samePage -= c.samePageDelta(p, id)
-	}
-	c.pageOf[id] = pid
-	for _, e := range c.succs[id] {
-		c.samePage += c.samePageDelta(id, e.to)
-	}
-	for _, p := range c.preds[id] {
-		c.samePage += c.samePageDelta(p, id)
-	}
-}
-
-// AddEdge applies an edge insertion (from → to, cost).
-func (c *Catalog) AddEdge(from, to graph.NodeID, cost float32) {
-	c.succs[from] = append(c.succs[from], catalogEdge{to: to, cost: cost})
-	c.preds[to] = append(c.preds[to], from)
-	c.edges++
-	c.samePage += c.samePageDelta(from, to)
-	c.neighborLen += 2
-}
-
-// RemoveEdge applies an edge deletion.
-func (c *Catalog) RemoveEdge(from, to graph.NodeID) {
-	list := c.succs[from]
-	for i := range list {
-		if list[i].to == to {
-			c.succs[from] = append(list[:i], list[i+1:]...)
-			c.edges--
-			c.samePage -= c.samePageDelta(from, to)
-			c.neighborLen -= 2
-			break
-		}
-	}
-	plist := c.preds[to]
-	for i := range plist {
-		if plist[i] == from {
-			c.preds[to] = append(plist[:i], plist[i+1:]...)
-			break
-		}
-	}
-}
-
-// SetEdgeCost applies an in-place cost update.
-func (c *Catalog) SetEdgeCost(from, to graph.NodeID, cost float32) {
-	list := c.succs[from]
-	for i := range list {
-		if list[i].to == to {
-			list[i].cost = cost
-			return
-		}
-	}
-}
-
-// InsertNode applies a node insertion with its edges. The node's
-// placement arrives separately as a MoveNode event (the facade applies
-// events first), so only the adjacency mirrors change here.
-func (c *Catalog) InsertNode(op *netfile.InsertOp) {
-	if _, ok := c.succs[op.Rec.ID]; !ok {
-		c.succs[op.Rec.ID] = nil
-	}
-	for _, s := range op.Rec.Succs {
-		c.AddEdge(op.Rec.ID, s.To, s.Cost)
-	}
-	for i, p := range op.Rec.Preds {
-		c.AddEdge(p, op.Rec.ID, op.PredCosts[i])
-	}
-}
-
-// DeleteNode applies a node deletion: every incident edge is removed
-// first (while the node's placement is still known, so the same-page
-// tally unwinds exactly), then the node itself.
-func (c *Catalog) DeleteNode(id graph.NodeID) {
-	for _, e := range append([]catalogEdge(nil), c.succs[id]...) {
-		c.RemoveEdge(id, e.to)
-	}
-	for _, p := range append([]graph.NodeID(nil), c.preds[id]...) {
-		c.RemoveEdge(p, id)
-	}
-	delete(c.succs, id)
-	delete(c.preds, id)
-	delete(c.pageOf, id)
-}
-
-// Has reports whether the catalog knows node id.
+// Has reports whether node id is stored.
 func (c *Catalog) Has(id graph.NodeID) bool {
-	_, ok := c.pageOf[id]
+	_, ok := c.pag.PageOf(id)
 	return ok
 }
 
@@ -267,41 +105,9 @@ func (c *Catalog) Has(id graph.NodeID) bool {
 func (c *Catalog) pagesOf(ids map[graph.NodeID]bool) int {
 	pages := make(map[storage.PageID]bool, len(ids))
 	for id := range ids {
-		if pid, ok := c.pageOf[id]; ok {
+		if pid, ok := c.pag.PageOf(id); ok {
 			pages[pid] = true
 		}
 	}
 	return len(pages)
-}
-
-// DebugDiff compares the catalog's mirrors against a fresh scan of
-// src and returns human-readable divergences (test hook).
-func (c *Catalog) DebugDiff(src Source) []string {
-	var out []string
-	seen := map[graph.NodeID]bool{}
-	src.Scan(func(rec *netfile.Record) bool {
-		seen[rec.ID] = true
-		mir := c.succs[rec.ID]
-		if len(mir) != len(rec.Succs) {
-			out = append(out, fmt.Sprintf("node %d: mirror succs %v != file %v", rec.ID, mir, rec.Succs))
-		} else {
-			for i := range mir {
-				if mir[i].to != rec.Succs[i].To || mir[i].cost != rec.Succs[i].Cost {
-					out = append(out, fmt.Sprintf("node %d: mirror succs %v != file %v", rec.ID, mir, rec.Succs))
-					break
-				}
-			}
-		}
-		mp := append([]graph.NodeID(nil), c.preds[rec.ID]...)
-		if len(mp) != len(rec.Preds) {
-			out = append(out, fmt.Sprintf("node %d: mirror preds %v != file %v", rec.ID, mp, rec.Preds))
-		}
-		return true
-	})
-	for id := range c.succs {
-		if !seen[id] {
-			out = append(out, fmt.Sprintf("node %d: in mirror succs but not in file", id))
-		}
-	}
-	return out
 }

@@ -8,8 +8,8 @@ import (
 
 	"ccam/internal/costmodel"
 	"ccam/internal/graph"
+	"ccam/internal/netfile"
 	"ccam/internal/query/lang"
-	"ccam/internal/storage"
 )
 
 // ErrUnsupported reports a statement that parses but that the planner
@@ -252,8 +252,8 @@ func (c *Catalog) planPath(p *Plan, s *lang.ShortestPath, params costmodel.Param
 }
 
 func (c *Catalog) hasEdge(from, to graph.NodeID) bool {
-	for _, e := range c.succs[from] {
-		if e.to == to {
+	for _, e := range c.pag.Succs(from, nil) {
+		if e.To == to {
 			return true
 		}
 	}
@@ -271,14 +271,16 @@ func (c *Catalog) neighborhood(id graph.NodeID, depth int) (ball map[graph.NodeI
 	}
 	ball[id] = true
 	frontier := []graph.NodeID{id}
+	var succs []netfile.PAGEdge
 	for d := 0; d < depth && len(frontier) > 0; d++ {
 		var next []graph.NodeID
 		for _, u := range frontier {
 			interior++
-			for _, e := range c.succs[u] {
-				if !ball[e.to] {
-					ball[e.to] = true
-					next = append(next, e.to)
+			succs = c.pag.Succs(u, succs[:0])
+			for _, e := range succs {
+				if !ball[e.To] {
+					ball[e.To] = true
+					next = append(next, e.To)
 				}
 			}
 		}
@@ -312,7 +314,7 @@ func (q *pqMirror) Pop() interface{} {
 	return x
 }
 
-// dijkstraReads mirrors query.Dijkstra over the catalog's adjacency
+// dijkstraReads mirrors query.Dijkstra over the summary's adjacency
 // and returns the set of node records the executor will read: the
 // source plus every expanded node. The destination's record is not
 // read — Dijkstra returns the moment it settles. Costs accumulate
@@ -330,6 +332,7 @@ func (c *Catalog) dijkstraReads(src, dst graph.NodeID) map[graph.NodeID]bool {
 	done := map[graph.NodeID]bool{}
 	q := &pqMirror{}
 	heap.Push(q, pqItem{id: src, dist: 0})
+	var succs []netfile.PAGEdge
 	for q.Len() > 0 {
 		cur := heap.Pop(q).(pqItem)
 		if done[cur.id] {
@@ -340,14 +343,15 @@ func (c *Catalog) dijkstraReads(src, dst graph.NodeID) map[graph.NodeID]bool {
 			return read
 		}
 		read[cur.id] = true
-		for _, e := range c.succs[cur.id] {
-			if done[e.to] {
+		succs = c.pag.Succs(cur.id, succs[:0])
+		for _, e := range succs {
+			if done[e.To] {
 				continue
 			}
-			nd := cur.dist + float64(e.cost)
-			if old, ok := dist[e.to]; !ok || nd < old {
-				dist[e.to] = nd
-				heap.Push(q, pqItem{id: e.to, dist: nd})
+			nd := cur.dist + float64(e.Cost)
+			if old, ok := dist[e.To]; !ok || nd < old {
+				dist[e.To] = nd
+				heap.Push(q, pqItem{id: e.To, dist: nd})
 			}
 		}
 	}
@@ -370,20 +374,4 @@ func (p *Plan) Describe() string {
 		fmt.Fprintf(&b, "  rejected: %s — %d page(s), model %.2f\n", alt.Path, alt.Pages, alt.ModelPages)
 	}
 	return b.String()
-}
-
-// PagesOfNodes counts the distinct data pages of a node list; the
-// executor uses it when it needs page math for result annotations.
-func (c *Catalog) PagesOfNodes(ids []graph.NodeID) int {
-	set := make(map[graph.NodeID]bool, len(ids))
-	for _, id := range ids {
-		set[id] = true
-	}
-	return c.pagesOf(set)
-}
-
-// PageOf exposes the placement mirror for a single node.
-func (c *Catalog) PageOf(id graph.NodeID) (storage.PageID, bool) {
-	pid, ok := c.pageOf[id]
-	return pid, ok
 }

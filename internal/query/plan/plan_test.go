@@ -9,7 +9,6 @@ import (
 	"ccam/internal/graph"
 	"ccam/internal/netfile"
 	"ccam/internal/query/lang"
-	"ccam/internal/storage"
 )
 
 // buildTestFile builds a real stored file over a synthetic road map,
@@ -32,50 +31,57 @@ func buildTestFile(t *testing.T) *netfile.File {
 	return m.File()
 }
 
-// testCatalog hand-builds a catalog over a small chain network:
-// 8 nodes, nodes 1-4 on page 0 and 5-8 on page 1, node i at (i, 0),
-// edges 1→2, 1→3, 2→3, 3→4, 4→5, ..., 7→8. The spatial probe filters
-// by true position (no false positives), so window candidate sets are
-// easy to reason about. Stats are pinned, not derived.
-func testCatalog() *Catalog {
+// testCatalog opens a catalog on a small chain network bulk-loaded
+// into a real file: 8 nodes, nodes 1-4 on one page and 5-8 on another,
+// node i at (i, 0), edges 1→2, 1→3, 2→3, 3→4, 4→5, ..., 7→8. The
+// spatial probe filters by true position (no false positives), so
+// window candidate sets are easy to reason about. Stats are pinned,
+// not derived.
+func testCatalog(t *testing.T) *Catalog {
+	t.Helper()
+	g := graph.NewNetwork()
 	pos := map[graph.NodeID]geom.Point{}
-	pageOf := map[graph.NodeID]storage.PageID{}
 	for i := graph.NodeID(1); i <= 8; i++ {
 		pos[i] = geom.Point{X: float64(i), Y: 0}
-		if i <= 4 {
-			pageOf[i] = 0
-		} else {
-			pageOf[i] = 1
+		if err := g.AddNode(graph.Node{ID: i, Pos: pos[i]}); err != nil {
+			t.Fatal(err)
 		}
 	}
-	succs := map[graph.NodeID][]catalogEdge{
-		1: {{to: 2, cost: 1}, {to: 3, cost: 2}},
-		2: {{to: 3, cost: 1}},
-		3: {{to: 4, cost: 1}},
-		4: {{to: 5, cost: 1}},
-		5: {{to: 6, cost: 1}},
-		6: {{to: 7, cost: 1}},
-		7: {{to: 8, cost: 1}},
-		8: {},
+	for _, e := range []graph.Edge{
+		{From: 1, To: 2, Cost: 1}, {From: 1, To: 3, Cost: 2}, {From: 2, To: 3, Cost: 1},
+		{From: 3, To: 4, Cost: 1}, {From: 4, To: 5, Cost: 1}, {From: 5, To: 6, Cost: 1},
+		{From: 6, To: 7, Cost: 1}, {From: 7, To: 8, Cost: 1},
+	} {
+		if err := g.AddEdge(e); err != nil {
+			t.Fatal(err)
+		}
 	}
-	return &Catalog{
-		Stats: Stats{
-			Alpha: 0.5, AvgA: 2, Lambda: 4, Gamma: 4,
-			Nodes: 8, Pages: 2, Spatial: "zorder",
-		},
-		pageOf: pageOf,
-		succs:  succs,
-		probe: func(rect geom.Rect, fn func(graph.NodeID) bool) error {
-			for i := graph.NodeID(1); i <= 8; i++ {
-				if rect.Contains(pos[i]) {
-					if !fn(i) {
-						return nil
-					}
+	f, err := netfile.Create(netfile.Options{PageSize: 1024, Bounds: g.Bounds()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := f.BulkLoad(g, [][]graph.NodeID{{1, 2, 3, 4}, {5, 6, 7, 8}}); err != nil {
+		t.Fatal(err)
+	}
+	c, err := NewCatalog(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Stats = Stats{
+		Alpha: 0.5, AvgA: 2, Lambda: 4, Gamma: 4,
+		Nodes: 8, Pages: 2, Spatial: "zorder",
+	}
+	c.probe = func(rect geom.Rect, fn func(graph.NodeID) bool) error {
+		for i := graph.NodeID(1); i <= 8; i++ {
+			if rect.Contains(pos[i]) {
+				if !fn(i) {
+					return nil
 				}
 			}
-			return nil
-		},
+		}
+		return nil
 	}
+	return c
 }
 
 func mustPlan(t *testing.T, c *Catalog, src string) *Plan {
@@ -92,7 +98,7 @@ func mustPlan(t *testing.T, c *Catalog, src string) *Plan {
 }
 
 func TestPlanPicksDistinctPaths(t *testing.T) {
-	c := testCatalog()
+	c := testCatalog(t)
 	cases := []struct {
 		src       string
 		wantPath  AccessPath
@@ -126,7 +132,7 @@ func TestPlanPicksDistinctPaths(t *testing.T) {
 }
 
 func TestPlanRouteStopsAtBrokenHop(t *testing.T) {
-	c := testCatalog()
+	c := testCatalog(t)
 	// 1→3 is an edge, 3→2 is not: the executor reads {1, 3} and then
 	// fails, so the prediction covers only page 0.
 	p := mustPlan(t, c, "ROUTE 1, 3, 2, 5")
@@ -141,7 +147,7 @@ func TestPlanRouteStopsAtBrokenHop(t *testing.T) {
 }
 
 func TestPlanPathMirror(t *testing.T) {
-	c := testCatalog()
+	c := testCatalog(t)
 	// Unreachable destination: Dijkstra settles the whole reachable
 	// component (both pages) before giving up. Make 8 unreachable by
 	// pathing backwards: nothing points at 1 except nothing — use
@@ -164,7 +170,7 @@ func TestPlanPathMirror(t *testing.T) {
 }
 
 func TestPlanAggValidation(t *testing.T) {
-	c := testCatalog()
+	c := testCatalog(t)
 	bad := []string{
 		"NEIGHBORS 1 DEPTH 1 AGG SUM(nodes)",
 		"NEIGHBORS 1 DEPTH 1 AGG MIN(nodes)",
@@ -194,7 +200,7 @@ func TestPlanAggValidation(t *testing.T) {
 // TestDescribeGolden pins EXPLAIN's text output for each access-path
 // choice.
 func TestDescribeGolden(t *testing.T) {
-	c := testCatalog()
+	c := testCatalog(t)
 	stats := "  stats: alpha=0.500 |A|=2.00 lambda=4.00 gamma=4.00 nodes=8 pages=2 spatial=zorder\n"
 	cases := []struct {
 		src  string
@@ -301,14 +307,31 @@ func TestNewCatalogFromFile(t *testing.T) {
 	if seen != f.NumNodes() {
 		t.Errorf("probe saw %d candidates, want %d", seen, f.NumNodes())
 	}
-	// Page placement mirror agrees with the file.
-	for id, pid := range c.pageOf {
-		got, err := f.PageOf(id)
-		if err != nil {
-			t.Fatalf("PageOf(%d): %v", id, err)
+	// The catalog resolves placements like the file's index, and its
+	// statistics are the ones a scan derives.
+	edges, same, lists := 0, 0, 0
+	place := f.Placement()
+	if err := f.Scan(func(rec *netfile.Record) bool {
+		if got, ok := c.pag.PageOf(rec.ID); !ok || got != place[rec.ID] {
+			t.Errorf("catalog places %d on %d (%v), index on %d", rec.ID, got, ok, place[rec.ID])
 		}
-		if got != pid {
-			t.Errorf("placement mirror disagrees for %d: %d vs %d", id, pid, got)
+		lists += len(rec.Succs) + len(rec.Preds)
+		for _, sc := range rec.Succs {
+			edges++
+			if place[sc.To] == place[rec.ID] {
+				same++
+			}
 		}
+		return true
+	}); err != nil {
+		t.Fatal(err)
+	}
+	n := float64(f.NumNodes())
+	want := Stats{
+		Alpha: float64(same) / float64(edges), AvgA: float64(edges) / n, Lambda: float64(lists) / n,
+		Gamma: n / float64(f.NumPages()), Nodes: f.NumNodes(), Pages: f.NumPages(), Spatial: "zorder",
+	}
+	if c.Stats != want {
+		t.Errorf("catalog stats %+v, a scan gives %+v", c.Stats, want)
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"expvar"
 	"net/http"
-	"sort"
 	"strconv"
 	"time"
 
@@ -68,45 +67,16 @@ func newOpMetrics(reg *metrics.Registry, name string) *opMetrics {
 	}
 }
 
-// mirrorEdge is one directed edge of the observability topology mirror.
-type mirrorEdge struct {
-	to     NodeID
-	weight float64
-}
-
 // observability is the per-store instrumentation state. It exists only
 // when metrics are enabled; every facade operation branches on the nil
 // pointer first, so a disabled store pays one predictable branch and
 // nothing else.
-//
-// The topology mirror (succs/preds) duplicates the stored network's
-// adjacency with edge access weights, which the records themselves do
-// not carry; it exists so the CRR/WCRR gauges can be refreshed after
-// every mutation without re-reading the file. It is only accessed under
-// the store's write lock (Build, Insert, Delete and the edge
-// operations), so it needs no locking of its own.
 type observability struct {
 	reg    *metrics.Registry
 	tracer *metrics.Tracer
 
-	succs map[NodeID][]mirrorEdge
-	preds map[NodeID][]NodeID
-
-	// place mirrors the node → data-page assignment, and the counters
-	// below are running sums over the mirror edges under it: total/
-	// wtotal count every edge (weighted), unsplit/wunsplit the edges
-	// whose endpoints share a page. CRR = unsplit/total and WCRR =
-	// wunsplit/wtotal are then O(1) per refresh; mutations adjust the
-	// sums per touched edge (edgeDelta) or per moved node
-	// (samenessDelta) instead of a full pass over the mirror.
-	place            map[NodeID]storage.PageID
-	total, unsplit   int64
-	wtotal, wunsplit float64
-	// pageTally tracks, per data page, its incident mirror edges and how
-	// many of them are split (cross-page). The background reorganizer
-	// reads it to pick the worst-clustered neighborhoods.
-	pageTally map[storage.PageID]*pageCounters
-
+	// crr and wcrr publish the running sums of the file's PAG summary
+	// (netfile/pag.go) after every build, open and committed batch.
 	crr, wcrr *metrics.Gauge
 
 	// snapLag is the distance between the newest committed LSN and the
@@ -135,11 +105,6 @@ func newObservability(reg *metrics.Registry, tr *metrics.Tracer) *observability 
 	return &observability{
 		reg:    reg,
 		tracer: tr,
-		succs:  make(map[NodeID][]mirrorEdge),
-		preds:  make(map[NodeID][]NodeID),
-		place:  make(map[NodeID]storage.PageID),
-
-		pageTally: make(map[storage.PageID]*pageCounters),
 
 		crr:  reg.Gauge("ccam_crr"),
 		wcrr: reg.Gauge("ccam_wcrr"),
@@ -272,219 +237,12 @@ func (sn opSnap) end(err error) {
 	}
 }
 
-// --- topology mirror maintenance (write lock held) ---
-
-// pageCounters is one page's entry in the pageTally: how many mirror
-// edges touch the page and how many of them cross to another page.
-type pageCounters struct {
-	edges, split int64
-}
-
-// mirrorFromNetwork resets the mirror to network g, keeping the real
-// edge access weights. Callers follow up with refreshGauges, which
-// resets the running counters the edge inserts touched.
-func (o *observability) mirrorFromNetwork(g *Network) {
-	o.succs = make(map[NodeID][]mirrorEdge, g.NumNodes())
-	o.preds = make(map[NodeID][]NodeID, g.NumNodes())
-	for _, id := range g.NodeIDs() {
-		o.succs[id] = nil
-	}
-	for _, e := range g.Edges() {
-		o.addMirrorEdge(e.From, e.To, e.Weight)
-	}
-}
-
-// mirrorFromRecords resets the mirror from stored records (used when a
-// file is reopened without its source network). Records carry no access
-// weights, so every edge gets weight 1 and WCRR coincides with CRR
-// until weights are reapplied. Callers follow up with refreshGauges.
-func (o *observability) mirrorFromRecords(recs []*Record) {
-	o.succs = make(map[NodeID][]mirrorEdge, len(recs))
-	o.preds = make(map[NodeID][]NodeID, len(recs))
-	for _, rec := range recs {
-		if _, ok := o.succs[rec.ID]; !ok {
-			o.succs[rec.ID] = nil
-		}
-		for _, s := range rec.Succs {
-			o.addMirrorEdge(rec.ID, s.To, 1)
-		}
-	}
-}
-
-// tallyFor returns pid's pageTally entry, creating it on demand.
-func (o *observability) tallyFor(pid storage.PageID) *pageCounters {
-	t := o.pageTally[pid]
-	if t == nil {
-		t = &pageCounters{}
-		o.pageTally[pid] = t
-	}
-	return t
-}
-
-// edgeDelta charges (sign=+1) or refunds (sign=-1) one mirror edge's
-// full contribution to the running counters under the current place
-// map: the total sums, the same-page sums when both endpoints share a
-// page, and the per-page tallies.
-func (o *observability) edgeDelta(from, to NodeID, weight float64, sign int64) {
-	o.total += sign
-	o.wtotal += float64(sign) * weight
-	pf, okf := o.place[from]
-	pt, okt := o.place[to]
-	same := okf && okt && pf == pt
-	if same {
-		o.unsplit += sign
-		o.wunsplit += float64(sign) * weight
-	}
-	if okf {
-		t := o.tallyFor(pf)
-		t.edges += sign
-		if !same {
-			t.split += sign
-		}
-		if t.edges <= 0 && t.split <= 0 {
-			delete(o.pageTally, pf)
-		}
-	}
-	if okt && (!okf || pt != pf) {
-		t := o.tallyFor(pt)
-		t.edges += sign
-		if !same {
-			t.split += sign
-		}
-		if t.edges <= 0 && t.split <= 0 {
-			delete(o.pageTally, pt)
-		}
-	}
-}
-
-// moveNode applies one placement event: node id now lives on pid. The
-// sameness sums of its incident edges are recomputed across the move.
-func (o *observability) moveNode(id NodeID, pid storage.PageID) {
-	if old, ok := o.place[id]; ok && old == pid {
-		return
-	}
-	o.forIncidentEdges(id, -1)
-	o.place[id] = pid
-	o.forIncidentEdges(id, 1)
-}
-
-// forIncidentEdges refunds (sign=-1) or charges (sign=+1) the full
-// contribution of every mirror edge incident to id.
-func (o *observability) forIncidentEdges(id NodeID, sign int64) {
-	for _, e := range o.succs[id] {
-		o.edgeDelta(id, e.to, e.weight, sign)
-	}
-	for _, p := range o.preds[id] {
-		if w, ok := o.weightOf(p, id); ok {
-			o.edgeDelta(p, id, w, sign)
-		}
-	}
-}
-
-// weightOf finds the mirror weight of edge (from → to).
-func (o *observability) weightOf(from, to NodeID) (float64, bool) {
-	for _, e := range o.succs[from] {
-		if e.to == to {
-			return e.weight, true
-		}
-	}
-	return 0, false
-}
-
-// applyPlaceEvents folds one operation's placement events into the
-// place map and the running counters, in mutation order. A tombstone
-// (record deleted) clears the node's placement; its mirror edges are
-// already gone by then (noteDelete runs inside the operation, before
-// the drain), so no sums move.
-func (o *observability) applyPlaceEvents(evs []netfile.PlaceEvent) {
-	for _, ev := range evs {
-		if ev.Page == storage.InvalidPageID {
-			o.forIncidentEdges(ev.ID, -1)
-			delete(o.place, ev.ID)
-			o.forIncidentEdges(ev.ID, 1)
-			continue
-		}
-		o.moveNode(ev.ID, ev.Page)
-	}
-}
-
-func (o *observability) addMirrorEdge(from, to NodeID, weight float64) {
-	if weight <= 0 {
-		weight = 1
-	}
-	o.succs[from] = append(o.succs[from], mirrorEdge{to: to, weight: weight})
-	o.preds[to] = append(o.preds[to], from)
-	o.edgeDelta(from, to, weight, 1)
-}
-
-func (o *observability) removeMirrorEdge(from, to NodeID) {
-	list := o.succs[from]
-	for i := range list {
-		if list[i].to == to {
-			o.edgeDelta(from, to, list[i].weight, -1)
-			o.succs[from] = append(list[:i], list[i+1:]...)
-			break
-		}
-	}
-	plist := o.preds[to]
-	for i := range plist {
-		if plist[i] == from {
-			o.preds[to] = append(plist[:i], plist[i+1:]...)
-			break
-		}
-	}
-}
-
-func (o *observability) noteInsert(op *InsertOp) {
-	if _, ok := o.succs[op.Rec.ID]; !ok {
-		o.succs[op.Rec.ID] = nil
-	}
-	for _, s := range op.Rec.Succs {
-		o.addMirrorEdge(op.Rec.ID, s.To, float64(s.Cost))
-	}
-	for i, p := range op.Rec.Preds {
-		o.addMirrorEdge(p, op.Rec.ID, float64(op.PredCosts[i]))
-	}
-}
-
-func (o *observability) noteDelete(id NodeID) {
-	for _, e := range o.succs[id] {
-		o.edgeDelta(id, e.to, e.weight, -1)
-		plist := o.preds[e.to]
-		for i := range plist {
-			if plist[i] == id {
-				o.preds[e.to] = append(plist[:i], plist[i+1:]...)
-				break
-			}
-		}
-	}
-	for _, p := range o.preds[id] {
-		list := o.succs[p]
-		for i := range list {
-			if list[i].to == id {
-				o.edgeDelta(p, id, list[i].weight, -1)
-				o.succs[p] = append(list[:i], list[i+1:]...)
-				break
-			}
-		}
-	}
-	delete(o.succs, id)
-	delete(o.preds, id)
-}
-
-// setGauges publishes CRR/WCRR from the running counters — O(1), the
-// amortized replacement for the full refreshGauges pass that used to
-// run after every mutation.
-func (o *observability) setGauges() {
-	crr, wcrr := 0.0, 0.0
-	if o.total > 0 {
-		crr = float64(o.unsplit) / float64(o.total)
-	}
-	if o.wtotal > 0 {
-		wcrr = o.wunsplit / o.wtotal
-	}
-	o.crr.Set(crr)
-	o.wcrr.Set(wcrr)
+// setGauges publishes CRR/WCRR from the PAG summary's running sums —
+// O(1). Caller holds the store's write lock.
+func (o *observability) setGauges(f *netfile.File) {
+	st := f.PAG().Stats()
+	o.crr.Set(st.CRR())
+	o.wcrr.Set(st.WCRR())
 }
 
 // setSnapshotGauges publishes the version layer's health: how far the
@@ -494,64 +252,6 @@ func (o *observability) setSnapshotGauges(f *netfile.File) {
 	p := f.Pool()
 	o.snapLag.Set(float64(p.CommittedLSN() - p.VersionFloor()))
 	o.snapsActive.Set(float64(p.ActiveSnapshots()))
-}
-
-// gaugeCRR returns the current unweighted CRR from the running
-// counters (1 for an edgeless file, matching the gauges' build state).
-func (o *observability) gaugeCRR() float64 {
-	if o.total == 0 {
-		return 1
-	}
-	return float64(o.unsplit) / float64(o.total)
-}
-
-// worstPages returns up to n pages ranked by split (cross-page) edge
-// count, worst first — the background reorganizer's target list. Pages
-// with no split edges are never returned.
-func (o *observability) worstPages(n int) []storage.PageID {
-	type cand struct {
-		pid   storage.PageID
-		split int64
-	}
-	cands := make([]cand, 0, len(o.pageTally))
-	for pid, t := range o.pageTally {
-		if t.split > 0 {
-			cands = append(cands, cand{pid, t.split})
-		}
-	}
-	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].split != cands[j].split {
-			return cands[i].split > cands[j].split
-		}
-		return cands[i].pid < cands[j].pid
-	})
-	if len(cands) > n {
-		cands = cands[:n]
-	}
-	out := make([]storage.PageID, len(cands))
-	for i, c := range cands {
-		out[i] = c.pid
-	}
-	return out
-}
-
-// refreshGauges rebuilds the place map and the running counters from
-// the mirror and the file's current placement, then publishes the
-// gauges. The placement comes from the node index, which the paper
-// treats as memory resident, so this charges no data-page I/O. It runs
-// at build/open time; per-mutation upkeep is incremental (edgeDelta /
-// applyPlaceEvents) and publishes through setGauges.
-func (o *observability) refreshGauges(f *netfile.File) {
-	o.place = f.Placement()
-	o.total, o.unsplit = 0, 0
-	o.wtotal, o.wunsplit = 0, 0
-	o.pageTally = make(map[storage.PageID]*pageCounters)
-	for from, list := range o.succs {
-		for _, e := range list {
-			o.edgeDelta(from, e.to, e.weight, 1)
-		}
-	}
-	o.setGauges()
 }
 
 // --- public accessors ---

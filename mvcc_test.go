@@ -9,7 +9,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"math/rand"
 	"path/filepath"
 	"reflect"
@@ -172,9 +171,16 @@ func TestSnapshotIsolationUnderConcurrentApply(t *testing.T) {
 // recover at least half of the CRR the churn destroyed, through
 // bounded incremental rounds only.
 func TestReorganizerRecoversCRR(t *testing.T) {
+	// The reorganizer reads the file's PAG summary, not a gauge: it must
+	// work the same with the metrics registry off.
+	t.Run("metrics", func(t *testing.T) { testReorganizerRecoversCRR(t, true) })
+	t.Run("no-metrics", func(t *testing.T) { testReorganizerRecoversCRR(t, false) })
+}
+
+func testReorganizerRecoversCRR(t *testing.T, withMetrics bool) {
 	g := testMap(t)
 	s, err := Open(Options{
-		PageSize: 1024, Seed: 7, Metrics: true,
+		PageSize: 1024, Seed: 7, Metrics: withMetrics,
 		BackgroundReorg: true,
 		// The timer must not fire mid-test; every round comes from Poke.
 		ReorgInterval:    time.Hour,
@@ -192,8 +198,8 @@ func TestReorganizerRecoversCRR(t *testing.T) {
 	// The first poke records the post-Build CRR as the high-water mark
 	// (and is otherwise a no-op: nothing has decayed yet).
 	s.Poke()
-	if rounds := s.Metrics().Counter("ccam_reorg_rounds_total").Value(); rounds != 0 {
-		t.Fatalf("reorganizer ran %d rounds on an undamaged placement", rounds)
+	if crr := s.CRR(g); crr != crr0 {
+		t.Fatalf("reorganizer moved an undamaged placement: CRR %.4f -> %.4f", crr0, crr)
 	}
 
 	ids := g.NodeIDs()
@@ -248,12 +254,13 @@ func TestReorganizerRecoversCRR(t *testing.T) {
 	if crr2 < target {
 		t.Fatalf("reorganizer recovered CRR %.4f -> %.4f, want >= %.4f (build %.4f)", crr1, crr2, target, crr0)
 	}
-	reg := s.Metrics()
-	if rounds := reg.Counter("ccam_reorg_rounds_total").Value(); rounds == 0 {
-		t.Fatal("recovery asserted but no reorganization rounds ran")
-	}
-	if pages := reg.Counter("ccam_reorg_pages_total").Value(); pages == 0 {
-		t.Fatal("reorganization rounds ran but touched no pages")
+	if reg := s.Metrics(); reg != nil {
+		if rounds := reg.Counter("ccam_reorg_rounds_total").Value(); rounds == 0 {
+			t.Fatal("recovery asserted but no reorganization rounds ran")
+		}
+		if pages := reg.Counter("ccam_reorg_pages_total").Value(); pages == 0 {
+			t.Fatal("reorganization rounds ran but touched no pages")
+		}
 	}
 	// The store must still hold the exact network after all the churn
 	// and re-clustering.
@@ -262,80 +269,18 @@ func TestReorganizerRecoversCRR(t *testing.T) {
 	}
 }
 
-// TestCatalogIncrementalMatchesRebuild churns the file through Apply —
-// which folds each batch's deltas into the cached planner catalog —
-// and checks the incrementally maintained statistics equal a from-
-// scratch rebuild's.
-func TestCatalogIncrementalMatchesRebuild(t *testing.T) {
-	s, g := builtStore(t, Options{PageSize: 1024, Seed: 9})
-	ids := g.NodeIDs()
-	ctx := context.Background()
-	// Build the catalog (first Query), then churn.
-	if _, err := s.Query(ctx, fmt.Sprintf("FIND %d", ids[0])); err != nil {
-		t.Fatal(err)
-	}
-
-	model := modelFromNetwork(g)
-	rng := rand.New(rand.NewSource(17))
-	nextID := NodeID(500000)
-	for i := 0; i < 40; i++ {
-		b, _ := genBatch(rng, model, &nextID)
-		if b.Len() == 0 {
-			continue
-		}
-		if err := s.Apply(ctx, b); err != nil {
-			t.Fatalf("apply %d: %v", i, err)
-		}
-	}
-
-	s.catMu.Lock()
-	incCat := s.cat
-	s.catMu.Unlock()
-	if incCat == nil {
-		t.Fatal("catalog was dropped by Apply; incremental upkeep should keep it")
-	}
-	inc := incCat.Stats
-	// The mirrors must match the file edge for edge, not just in the
-	// aggregate: a relocation mis-folded as a deletion can leave the
-	// totals right while the adjacency lists rot.
-	if diffs := incCat.DebugDiff(s.m.File()); len(diffs) > 0 {
-		t.Fatalf("incremental mirrors diverged from the file:\n%v", diffs)
-	}
-
-	s.invalidateCatalog()
-	if _, err := s.Query(ctx, fmt.Sprintf("FIND %d", ids[1])); err != nil {
-		t.Fatal(err)
-	}
-	s.catMu.Lock()
-	full := s.cat.Stats
-	s.catMu.Unlock()
-
-	if inc.Nodes != full.Nodes || inc.Pages != full.Pages || inc.Spatial != full.Spatial {
-		t.Fatalf("incremental catalog shape %+v != rebuilt %+v", inc, full)
-	}
-	for _, c := range []struct {
-		name      string
-		got, want float64
-	}{
-		{"alpha", inc.Alpha, full.Alpha},
-		{"avg_a", inc.AvgA, full.AvgA},
-		{"lambda", inc.Lambda, full.Lambda},
-		{"gamma", inc.Gamma, full.Gamma},
-	} {
-		if math.Abs(c.got-c.want) > 1e-9 {
-			t.Fatalf("incremental %s = %v, rebuilt = %v", c.name, c.got, c.want)
-		}
-	}
-}
-
-// TestQueryConcurrentWithApply plans statements in a loop beside an
-// Apply loop. Planning reads the catalog's placement and adjacency
-// maps; every committed batch folds its deltas into the same maps.
-// Under -race (or, with luck, the runtime's own "concurrent map read
-// and map write" check) this fails unless Query plans under the
-// catalog lock.
+// TestQueryConcurrentWithApply plans statements in a loop beside a
+// loop of Apply batches and reorganizer rounds. Planning reads the PAG
+// summary's adjacency and tallies and the placement overlay; every
+// mutation and every re-clustered record writes them. Under -race (or,
+// with luck, the runtime's own "concurrent map read and map write"
+// check) this fails unless both sides go through the summary's lock.
 func TestQueryConcurrentWithApply(t *testing.T) {
-	s, g := builtStore(t, Options{PageSize: 1024, Seed: 9})
+	s, g := builtStore(t, Options{
+		PageSize: 1024, Seed: 9,
+		// Every round comes from Poke; any decay at all triggers one.
+		BackgroundReorg: true, ReorgInterval: time.Hour, ReorgTriggerDrop: 1e-9,
+	})
 	ids := g.NodeIDs()
 	ctx := context.Background()
 	if _, err := s.Query(ctx, fmt.Sprintf("FIND %d", ids[0])); err != nil {
@@ -361,9 +306,10 @@ func TestQueryConcurrentWithApply(t *testing.T) {
 				t.Errorf("apply %d: %v", i, err)
 				return
 			}
+			s.Poke()
 		}
 	}()
-	// EXPLAIN plans without executing: the loop is all catalog reads.
+	// EXPLAIN plans without executing: the loop is all summary reads.
 	// Nodes come and go under the writer, so a statement may fail to
 	// find its start node; only the race matters here.
 	rng := rand.New(rand.NewSource(29))

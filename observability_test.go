@@ -156,7 +156,7 @@ func TestGaugesTrackBuildAndMutations(t *testing.T) {
 	}
 
 	// Delete and re-insert a node: the gauges must stay in [0,1]
-	// throughout, and after the round trip the mirror's edge set again
+	// throughout, and after the round trip the stored edge set again
 	// matches the network, so the CRR gauge must equal the direct
 	// recomputation against the store's new placement.
 	rng := rand.New(rand.NewSource(2))

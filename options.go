@@ -97,17 +97,11 @@ func WithCheckpointBytes(n int64) Option {
 	return func(o *Options) { o.CheckpointBytes = n }
 }
 
-// WithExclusiveReads restores the pre-MVCC concurrency regime: every
-// query waits behind a running Apply on the store's reader-writer lock
-// instead of reading an LSN-pinned snapshot. For A/B measurement
-// (cmd/ccam-bench -exp mixed) and as an escape hatch.
-func WithExclusiveReads() Option { return func(o *Options) { o.ExclusiveReads = true } }
-
 // WithBackgroundReorg starts the background incremental reorganizer:
-// when the CRR gauge decays from its high-water mark, the worst PAG
+// when the file's CRR decays from its high-water mark, the worst PAG
 // neighborhoods are re-clustered a bounded number of pages per round,
 // through the WAL and the version layer, without blocking snapshot
-// readers. interval 0 selects the 2s default. Requires WithMetrics.
+// readers. interval 0 selects the 2s default.
 func WithBackgroundReorg(interval time.Duration) Option {
 	return func(o *Options) {
 		o.BackgroundReorg = true

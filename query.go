@@ -60,15 +60,14 @@ var (
 // Executed statements additionally report the measured I/O deltas in
 // Result.Actual, so predictions can be validated request by request.
 //
-// The planner consults a catalog built lazily from a pinned snapshot
-// on first use and kept current incrementally: every committed batch
-// folds its ops and placement moves into the catalog's mirrors and
-// counters, so the statistics always describe the current placement
-// without a per-mutation rescan (only Build drops the catalog).
+// The planner reads the file's PAG summary (adjacency, α, |A|, λ, γ),
+// which every mutation keeps current, and resolves placements as of
+// the statement's pinned LSN: no statement ever scans the file to
+// plan.
 //
 // Like the other queries, an executed statement runs against an
 // LSN-pinned snapshot: a concurrent Apply never blocks it and never
-// tears its view (Options.ExclusiveReads restores the shared lock).
+// tears its view.
 func (s *Store) Query(ctx context.Context, src string) (*Result, error) {
 	q, err := lang.Parse(src)
 	if err != nil {
@@ -80,16 +79,16 @@ func (s *Store) Query(ctx context.Context, src string) (*Result, error) {
 	}
 	defer v.release()
 	f := v.f
-	pl, err := s.plan(v, q)
+	cat, err := plan.NewCatalog(v.view)
+	if err != nil {
+		return nil, err
+	}
+	pl, err := plan.Build(cat, q)
 	if err != nil {
 		return nil, err
 	}
 	if q.Explain {
 		return exec.Explain(pl), nil
-	}
-	var es exec.Source = f
-	if v.pinned {
-		es = v.view
 	}
 	// Snapshot the physical counters around the execution so the
 	// result carries its measured I/O even on stores without Metrics.
@@ -99,10 +98,10 @@ func (s *Store) Query(ctx context.Context, src string) (*Result, error) {
 	var res *Result
 	if s.obs != nil {
 		sn := s.obs.beginOpCtx(ctx, s.obs.query, f)
-		res, err = exec.Run(ctx, es, pl, q)
+		res, err = exec.Run(ctx, v.view, pl, q)
 		sn.end(err)
 	} else {
-		res, err = exec.Run(ctx, es, pl, q)
+		res, err = exec.Run(ctx, v.view, pl, q)
 	}
 	if err != nil {
 		return nil, err
@@ -121,62 +120,6 @@ func (s *Store) Query(ctx context.Context, src string) (*Result, error) {
 // Query is the ctx-less convenience form of Store.Query.
 func (p Plain) Query(src string) (*Result, error) {
 	return p.q.Query(context.Background(), src)
-}
-
-// plan costs q against the store's cached planner catalog, building
-// the catalog on first use with one sequential scan of the given read
-// view — the pinned snapshot when one is open, so the build neither
-// blocks nor is torn by a concurrent Apply. The catalog is planned
-// against under catMu's read side: Apply folds each committed batch
-// into the same maps under the write side, and a plan carries only
-// values out. catLSN records the commit the catalog reflects, so
-// Apply's incremental deltas know where to resume (lock order: mu, if
-// held, always before catMu).
-func (s *Store) plan(v readView, q *lang.Query) (*plan.Plan, error) {
-	s.catMu.RLock()
-	for s.cat == nil {
-		s.catMu.RUnlock()
-		if err := s.buildCatalog(v); err != nil {
-			return nil, err
-		}
-		s.catMu.RLock()
-	}
-	defer s.catMu.RUnlock()
-	return plan.Build(s.cat, q)
-}
-
-// buildCatalog installs the catalog unless a concurrent first query
-// already has.
-func (s *Store) buildCatalog(v readView) error {
-	s.catMu.Lock()
-	defer s.catMu.Unlock()
-	if s.cat != nil {
-		return nil
-	}
-	var src plan.Source = v.f
-	var lsn uint64
-	if v.pinned {
-		src = v.view
-		lsn = v.view.LSN()
-	}
-	cat, err := plan.NewCatalog(src)
-	if err != nil {
-		return err
-	}
-	s.cat = cat
-	s.catLSN = lsn
-	return nil
-}
-
-// invalidateCatalog drops the cached planner catalog; the next Query
-// rebuilds it from scratch. Only Build calls it now — placement there
-// changes wholesale — while Apply and the background reorganizer keep
-// the catalog current incrementally (applyCatalogDeltas).
-func (s *Store) invalidateCatalog() {
-	s.catMu.Lock()
-	s.cat = nil
-	s.catLSN = 0
-	s.catMu.Unlock()
 }
 
 // IsQueryError reports whether err belongs to the query-language error

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	iccam "ccam/internal/ccam"
+	"ccam/internal/netfile"
 	"ccam/internal/storage"
 )
 
@@ -15,13 +16,14 @@ import (
 // The paper's maintenance policies (§2.4) reorganize around each
 // update; under sustained churn the placement still drifts, and the
 // classical fix — rebuild the file — stops the world. The reorganizer
-// instead watches the live CRR gauge and, when it has decayed from its
-// high-water mark, re-clusters the worst PAG neighborhoods a bounded
-// number of pages at a time. Each round is a tiny write transaction:
-// it runs under the store's write lock, brackets itself in the WAL
-// like an Apply, and publishes through the version layer — so snapshot
-// readers keep their pinned views and queries started mid-round are
-// never torn, exactly as with any mutation batch.
+// instead watches the CRR of the file's PAG summary and, when it has
+// decayed from its high-water mark, re-clusters the worst PAG
+// neighborhoods a bounded number of pages at a time. Each round is a
+// tiny write transaction: it runs under the store's write lock,
+// brackets itself in the WAL like an Apply, and publishes through the
+// version layer — so snapshot readers keep their pinned views and
+// queries started mid-round are never torn, exactly as with any
+// mutation batch.
 
 // Reorganizer defaults (Options.ReorgInterval and friends override).
 const (
@@ -122,7 +124,7 @@ func (s *Store) Poke() {
 func (r *reorganizer) round() {
 	s := r.s
 	s.mu.Lock()
-	if s.closed || s.failedErr() != nil || s.obs == nil {
+	if s.closed || s.failedErr() != nil {
 		s.mu.Unlock()
 		return
 	}
@@ -131,7 +133,7 @@ func (r *reorganizer) round() {
 		s.mu.Unlock()
 		return
 	}
-	crr := s.obs.gaugeCRR()
+	crr := f.PAG().Stats().CRR()
 	if crr > r.highwater {
 		r.highwater = crr
 	}
@@ -139,7 +141,7 @@ func (r *reorganizer) round() {
 		s.mu.Unlock()
 		return
 	}
-	pids := r.targetsLocked()
+	pids := r.targets(f.PAG())
 	if len(pids) < 2 {
 		s.mu.Unlock()
 		return
@@ -175,29 +177,14 @@ func (r *reorganizer) round() {
 		}
 		commitLSN = lsn
 	}
-	lsn := f.PublishVersionBatch(commitLSN)
-	evs := f.TakePlacementEvents()
-	s.obs.applyPlaceEvents(evs)
-	s.catMu.Lock()
-	if s.cat != nil && lsn > s.catLSN {
-		for _, ev := range evs {
-			if ev.Page != storage.InvalidPageID {
-				s.cat.MoveNode(ev.ID, ev.Page)
-			}
-		}
-		s.cat.RefreshStats(f.NumPages())
-		s.catLSN = lsn
+	f.PublishVersionBatch(commitLSN)
+	if s.obs != nil {
+		s.obs.setGauges(f)
+		s.obs.setSnapshotGauges(f)
+		s.obs.reorgRounds.Inc()
+		s.obs.reorgPages.Add(int64(len(pids)))
 	}
-	s.catMu.Unlock()
-	// The re-clustered pages have new contents; refresh their PAG
-	// prefetch digests so connectivity-aware prefetch follows the new
-	// layout.
-	f.RefreshPAGHints(pids)
-	s.obs.setGauges()
-	s.obs.setSnapshotGauges(f)
-	s.obs.reorgRounds.Inc()
-	s.obs.reorgPages.Add(int64(len(pids)))
-	if after := s.obs.gaugeCRR(); after <= crr+1e-9 {
+	if after := f.PAG().Stats().CRR(); after <= crr+1e-9 {
 		// Negligible gain: the decay is not recoverable by local
 		// re-clustering. Lower the high-water mark so rounds stop until
 		// the placement improves or decays further (backoff).
@@ -216,27 +203,21 @@ func (r *reorganizer) round() {
 	}
 }
 
-// targetsLocked picks the round's page set: the pages with the most
-// cross-page edges (from the incremental per-page tallies), each
-// expanded with its PAG neighbors, bounded by maxPages. Caller holds
-// s.mu.
-func (r *reorganizer) targetsLocked() []storage.PageID {
-	seeds := r.s.obs.worstPages(reorgSeeds)
+// targets picks the round's page set from the PAG summary, reading no
+// page: the pages with the most split edges, each expanded with its
+// PAG neighbors (most connected first), bounded by maxPages.
+func (r *reorganizer) targets(pag netfile.PAGView) []storage.PageID {
 	set := make(map[storage.PageID]bool, r.maxPages)
-	for _, pid := range seeds {
+	for _, pid := range pag.WorstPages(reorgSeeds) {
 		if len(set) >= r.maxPages {
 			break
 		}
 		set[pid] = true
-		nbrs, err := r.cm.NbrPages(pid)
-		if err != nil {
-			continue
-		}
-		for _, nb := range nbrs {
+		for _, nb := range pag.Neighbors(pid) {
 			if len(set) >= r.maxPages {
 				break
 			}
-			set[nb] = true
+			set[nb.Page] = true
 		}
 	}
 	pids := make([]storage.PageID, 0, len(set))
