@@ -84,34 +84,23 @@ func forEachLimit(ctx context.Context, n, workers int, fn func(i int) error) err
 // runtime.GOMAXPROCS(0)). Results are positional: out[i] is the record
 // of ids[i]. The first lookup error, or a context cancellation, stops
 // the remaining work and is returned; partial results are discarded.
-func (s *Store) FindBatch(ctx context.Context, ids []NodeID) ([]*Record, error) {
-	v, err := s.readView()
+func (s *Store) FindBatch(ctx context.Context, ids []NodeID) (out []*Record, err error) {
+	var v readView
+	if err = s.beginRead(ctx, opFindBatch, &v); err != nil {
+		return nil, err
+	}
+	defer v.end(&err)
+	view := v.view
+	out = make([]*Record, len(ids))
+	err = forEachLimit(ctx, len(ids), s.parallelism, func(i int) error {
+		rec, err := view.Find(ids[i])
+		out[i] = rec
+		return err
+	})
 	if err != nil {
 		return nil, err
 	}
-	defer v.release()
-	run := func() ([]*Record, error) {
-		out := make([]*Record, len(ids))
-		err := forEachLimit(ctx, len(ids), s.parallelism, func(i int) error {
-			rec, err := v.view.Find(ids[i])
-			if err != nil {
-				return err
-			}
-			out[i] = rec
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		return out, nil
-	}
-	if s.obs != nil {
-		sn := s.obs.beginOpCtx(ctx, s.obs.findBatch, v.f)
-		out, err := run()
-		sn.end(err)
-		return out, err
-	}
-	return run()
+	return out, nil
 }
 
 // EvaluateRoutes evaluates every route, fanning the evaluations across
@@ -119,34 +108,23 @@ func (s *Store) FindBatch(ctx context.Context, ids []NodeID) ([]*Record, error) 
 // runtime.GOMAXPROCS(0)). Results are positional: out[i] is the
 // aggregate of routes[i]. The first evaluation error, or a context
 // cancellation, stops the remaining work and is returned.
-func (s *Store) EvaluateRoutes(ctx context.Context, routes []Route) ([]RouteAggregate, error) {
-	v, err := s.readView()
+func (s *Store) EvaluateRoutes(ctx context.Context, routes []Route) (out []RouteAggregate, err error) {
+	var v readView
+	if err = s.beginRead(ctx, opEvaluateRoutes, &v); err != nil {
+		return nil, err
+	}
+	defer v.end(&err)
+	view := v.view
+	out = make([]RouteAggregate, len(routes))
+	err = forEachLimit(ctx, len(routes), s.parallelism, func(i int) error {
+		agg, err := view.EvaluateRoute(routes[i])
+		out[i] = agg
+		return err
+	})
 	if err != nil {
 		return nil, err
 	}
-	defer v.release()
-	run := func() ([]RouteAggregate, error) {
-		out := make([]RouteAggregate, len(routes))
-		err := forEachLimit(ctx, len(routes), s.parallelism, func(i int) error {
-			agg, err := v.view.EvaluateRoute(routes[i])
-			if err != nil {
-				return err
-			}
-			out[i] = agg
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		return out, nil
-	}
-	if s.obs != nil {
-		sn := s.obs.beginOpCtx(ctx, s.obs.evaluateRoutes, v.f)
-		out, err := run()
-		sn.end(err)
-		return out, err
-	}
-	return run()
+	return out, nil
 }
 
 // defaultCheckpointBytes bounds the WAL between automatic checkpoints
@@ -158,46 +136,47 @@ const defaultCheckpointBytes = 4 << 20
 // new(Batch).Insert(op, policy). A Batch is not safe for concurrent
 // mutation and must not be reused across Apply calls that failed.
 type Batch struct {
-	ops []batchOp
+	ops []queuedOp
 }
 
-// batchOp is one queued mutation; kind selects which fields matter.
-type batchOp struct {
-	kind     netfile.MutKind
-	insert   *InsertOp
-	id       NodeID
-	from, to NodeID
-	cost     float32
-	policy   Policy
+// queuedOp is one queued mutation, in its WAL form, and the
+// reorganization policy it runs under.
+type queuedOp struct {
+	mut    netfile.Mutation
+	policy Policy
 }
 
 // Insert queues a node insertion under the given policy.
 func (b *Batch) Insert(op *InsertOp, policy Policy) *Batch {
-	b.ops = append(b.ops, batchOp{kind: netfile.MutInsertNode, insert: op, policy: policy})
+	m := netfile.Mutation{Kind: netfile.MutInsertNode}
+	if op != nil {
+		m.Rec, m.PredCosts = op.Rec, op.PredCosts
+	}
+	b.ops = append(b.ops, queuedOp{mut: m, policy: policy})
 	return b
 }
 
 // Delete queues a node deletion under the given policy.
 func (b *Batch) Delete(id NodeID, policy Policy) *Batch {
-	b.ops = append(b.ops, batchOp{kind: netfile.MutDeleteNode, id: id, policy: policy})
+	b.ops = append(b.ops, queuedOp{mut: netfile.Mutation{Kind: netfile.MutDeleteNode, ID: id}, policy: policy})
 	return b
 }
 
 // InsertEdge queues a directed-edge insertion under the given policy.
 func (b *Batch) InsertEdge(from, to NodeID, cost float32, policy Policy) *Batch {
-	b.ops = append(b.ops, batchOp{kind: netfile.MutInsertEdge, from: from, to: to, cost: cost, policy: policy})
+	b.ops = append(b.ops, queuedOp{mut: netfile.Mutation{Kind: netfile.MutInsertEdge, From: from, To: to, Cost: cost}, policy: policy})
 	return b
 }
 
 // DeleteEdge queues a directed-edge deletion under the given policy.
 func (b *Batch) DeleteEdge(from, to NodeID, policy Policy) *Batch {
-	b.ops = append(b.ops, batchOp{kind: netfile.MutDeleteEdge, from: from, to: to, policy: policy})
+	b.ops = append(b.ops, queuedOp{mut: netfile.Mutation{Kind: netfile.MutDeleteEdge, From: from, To: to}, policy: policy})
 	return b
 }
 
 // SetEdgeCost queues an in-place edge cost update.
 func (b *Batch) SetEdgeCost(from, to NodeID, cost float32) *Batch {
-	b.ops = append(b.ops, batchOp{kind: netfile.MutSetEdgeCost, from: from, to: to, cost: cost})
+	b.ops = append(b.ops, queuedOp{mut: netfile.Mutation{Kind: netfile.MutSetEdgeCost, From: from, To: to, Cost: cost}})
 	return b
 }
 
@@ -209,14 +188,165 @@ func (b *Batch) Len() int {
 	return len(b.ops)
 }
 
-// mutation returns the WAL form of the op.
-func (op *batchOp) mutation() *netfile.Mutation {
-	m := &netfile.Mutation{Kind: op.kind, ID: op.id, From: op.from, To: op.to, Cost: op.cost}
-	if op.kind == netfile.MutInsertNode {
-		m.Rec = op.insert.Rec
-		m.PredCosts = op.insert.PredCosts
+// applyMutation executes one logical mutation through access method m
+// under the given policy. It is the one dispatch behind a live Apply,
+// an Apply before Build — m has no file yet, so the access method's own
+// "before Build" error surfaces — and WAL replay.
+func applyMutation(m netfile.AccessMethod, mut *netfile.Mutation, policy Policy) error {
+	switch mut.Kind {
+	case netfile.MutInsertNode:
+		return m.Insert(&InsertOp{Rec: mut.Rec, PredCosts: mut.PredCosts}, policy)
+	case netfile.MutDeleteNode:
+		return m.Delete(mut.ID, policy)
+	case netfile.MutInsertEdge:
+		return m.InsertEdge(mut.From, mut.To, mut.Cost, policy)
+	case netfile.MutDeleteEdge:
+		return m.DeleteEdge(mut.From, mut.To, policy)
+	case netfile.MutSetEdgeCost:
+		f := m.File()
+		if f == nil {
+			return errEmpty
+		}
+		return f.SetEdgeCost(mut.From, mut.To, mut.Cost)
+	case netfile.MutSplitPage, netfile.MutMergePages:
+		// Logged for the record only: re-executing the logical mutations
+		// around them re-triggers the reorganization policies.
+		return nil
+	default:
+		return fmt.Errorf("ccam: unknown mutation kind %d", mut.Kind)
 	}
-	return m
+}
+
+// writeTx is one write transaction in flight (see Store.write).
+type writeTx struct {
+	s   *Store
+	ctx context.Context
+	// f is the live file, nil before Build.
+	f *netfile.File
+	// begun is set once the transaction has logged its begin record
+	// and opened its version batch: from then on it commits or poisons.
+	begun bool
+	sn    opSnap
+	// lsn is the commit record's LSN (0 without a WAL).
+	lsn uint64
+}
+
+// write runs body as a write transaction — the one place the protocol
+// is spelled out. Under the writer mutex, which no query takes, it
+// checks that the store is open and healthy and calls body. body
+// inspects and validates against tx.f; once it has decided to change
+// something it calls tx.begin and makes its changes. A body that
+// returns without begin has logged and modified nothing, and its error
+// is simply returned. After begin the transaction either commits —
+// commit record, publication, checkpoint when the log has outgrown its
+// bound, gauges — or, when body, the commit append or the checkpoint
+// fails, poisons the store: every later call fails until a reopen
+// recovers the previously committed state. The commit fsync is awaited
+// after the mutex is released, so concurrent committers coalesce into
+// one fsync (group commit); queries may observe a committed-in-memory
+// batch shortly before its commit record is durable (read uncommitted
+// durability, the standard group-commit trade).
+func (s *Store) write(ctx context.Context, body func(tx *writeTx) error) error {
+	tx := writeTx{s: s, ctx: ctx}
+	s.mu.Lock()
+	err := tx.run(body)
+	s.mu.Unlock()
+	if err != nil || !tx.begun {
+		return err
+	}
+	w := tx.f.WAL()
+	if w == nil {
+		return nil
+	}
+	// The wait is measured from the committing request's perspective —
+	// group formation plus fsync — and charged to the request's ReqStats
+	// and the ccam_wal_commit_wait_ns histogram (see DESIGN.md on why
+	// the request, not the fsync leader, owns this time).
+	if s.obs == nil {
+		err = w.Commit(tx.lsn)
+	} else {
+		start := time.Now()
+		err = w.Commit(tx.lsn)
+		waitNs := time.Since(start).Nanoseconds()
+		s.obs.walCommitWait.Observe(waitNs)
+		if tx.sn.rs != nil {
+			tx.sn.rs.WALWaitNs += waitNs
+		}
+	}
+	if err != nil {
+		s.poison("wal commit", err)
+	}
+	return err
+}
+
+// begin turns the transaction from reading to writing: it starts the
+// counter snapshot of operation op, logs the begin record and opens
+// the version batch that captures pre-images and placement changes, so
+// queries keep the pre-transaction view until the commit publishes.
+func (tx *writeTx) begin(op opKind) error {
+	tx.sn = tx.s.snap(tx.ctx, op, tx.f, false)
+	if w := tx.f.WAL(); w != nil {
+		if _, err := w.Append(storage.WALRecBegin, nil); err != nil {
+			tx.sn.end(err)
+			return err
+		}
+	}
+	tx.f.BeginVersionBatch()
+	tx.begun = true
+	return nil
+}
+
+// run is the part of write under the writer mutex.
+func (tx *writeTx) run(body func(tx *writeTx) error) error {
+	s := tx.s
+	if s.closed {
+		return ErrClosed
+	}
+	if err := s.failedErr(); err != nil {
+		return err
+	}
+	if err := tx.ctx.Err(); err != nil {
+		return err
+	}
+	tx.f = s.m.File()
+	err := body(tx)
+	if !tx.begun {
+		return err
+	}
+	f, w := tx.f, tx.f.WAL()
+	failed := "write transaction"
+	switch {
+	case w == nil:
+	case err != nil:
+		w.Append(storage.WALRecAbort, nil) // best effort; recovery ignores unterminated batches too
+	default:
+		tx.lsn, err = w.Append(storage.WALRecCommit, nil)
+		failed = "wal commit append"
+	}
+	if err != nil {
+		// The pre-images stay pending in the version chains, so a pinned
+		// query keeps a committed view of the half-mutated pages; the
+		// poison below makes the torn live state unreachable until reopen.
+		f.AbortVersionBatch()
+	} else {
+		// Publish before the checkpoint: the checkpoint executes deferred
+		// page frees, which must find the freed pages' committed images
+		// already stamped in the version chains.
+		f.PublishVersionBatch(tx.lsn)
+		if w != nil && s.checkpointBytes > 0 && w.Size() > s.checkpointBytes {
+			err = f.Checkpoint()
+			failed = "checkpoint"
+		}
+	}
+	tx.sn.end(err)
+	if err != nil {
+		s.poison(failed, err)
+		return err
+	}
+	if s.obs != nil {
+		s.obs.setGauges(f)
+	}
+	return nil
 }
 
 // Apply commits every operation of the batch atomically: either all of
@@ -231,216 +361,62 @@ func (op *batchOp) mutation() *netfile.Mutation {
 // A post-validation failure mid-batch (an I/O error, or a fault
 // injected by tests) aborts the batch in the log and poisons the
 // store: every later call fails until the store is reopened, and
-// recovery restores exactly the previously committed state. Readers
-// may observe a committed-in-memory batch shortly before its commit
-// record is durable (read uncommitted durability, the standard group
-// commit trade).
+// recovery restores exactly the previously committed state.
 //
-// Apply takes only the store's writer lock, which snapshot queries do
-// not share: a reader that pinned its snapshot before the commit keeps
-// resolving the pre-batch page versions and placements for as long as
-// it runs, and a reader arriving mid-batch pins the previous commit —
-// neither waits on the batch's page I/O, its in-lock checkpoint or its
-// group-commit fsync. The batch's pre-images are captured into the
-// buffer pool's version chains (BeginVersionBatch) and published
-// atomically at the commit LSN (PublishVersionBatch).
+// Apply is a write transaction (see Store.write): it takes only the
+// writer mutex, which no query shares. A query that pinned its view
+// before the commit keeps resolving the pre-batch page versions and
+// placements for as long as it runs, and a query arriving mid-batch
+// pins the previous commit — neither waits on the batch's page I/O, its
+// in-lock checkpoint or its group-commit fsync.
 func (s *Store) Apply(ctx context.Context, b *Batch) error {
 	if b.Len() == 0 {
 		return ctx.Err()
 	}
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return ErrClosed
-	}
-	if err := s.failedErr(); err != nil {
-		s.mu.Unlock()
-		return err
-	}
-	if err := ctx.Err(); err != nil {
-		s.mu.Unlock()
-		return err
-	}
-	f := s.m.File()
-	if f == nil {
-		// Pre-Build there is no file and no WAL; dispatch directly so
-		// each access method's own "before Build" error surfaces.
-		err := s.applyUnbuilt(b)
-		s.mu.Unlock()
-		return err
-	}
-	if err := s.validateBatch(f, b); err != nil {
-		s.mu.Unlock()
-		return err
-	}
-	var applySnap opSnap
-	if s.obs != nil {
-		applySnap = s.obs.beginOpCtx(ctx, s.obs.apply, f)
-	}
-	w := f.WAL()
-	if w != nil {
-		if _, err := w.Append(storage.WALRecBegin, nil); err != nil {
-			if s.obs != nil {
-				applySnap.end(err)
+	return s.write(ctx, func(tx *writeTx) error {
+		if tx.f == nil {
+			// Before Build there is no file to validate against and no WAL:
+			// dispatch directly, so the first op fails with the access
+			// method's own "before Build" error.
+			for i := range b.ops {
+				if err := applyMutation(s.m, &b.ops[i].mut, b.ops[i].policy); err != nil {
+					return err
+				}
 			}
-			s.mu.Unlock()
+			return nil
+		}
+		if err := validateBatch(tx.f, b); err != nil {
 			return err
 		}
-	}
-	// From here on the batch mutates pages: capture pre-images and
-	// placement changes so snapshot readers keep the pre-batch view
-	// until the commit publishes.
-	f.BeginVersionBatch()
-	var applyErr error
-	for i := range b.ops {
-		op := &b.ops[i]
-		if s.applyFaultHook != nil {
-			if err := s.applyFaultHook(i); err != nil {
-				applyErr = fmt.Errorf("ccam: apply op %d: %w", i, err)
-				break
-			}
-		}
-		if w != nil {
-			// Log the logical mutation before touching any page
-			// (WAL-before-data); reorganizations triggered by the op log
-			// their own split/merge records after it.
-			if err := f.LogMutation(op.mutation()); err != nil {
-				applyErr = err
-				break
-			}
-		}
-		if err := s.applyOp(f, op); err != nil {
-			applyErr = fmt.Errorf("ccam: apply op %d: %w", i, err)
-			break
-		}
-	}
-	if applyErr != nil {
-		if w != nil {
-			w.Append(storage.WALRecAbort, nil) // best effort; recovery ignores unterminated batches too
-		}
-		// The aborted batch's pre-images stay pending in the version
-		// chains, so any still-pinned reader keeps a committed view of
-		// the half-mutated pages; the poison below makes the torn live
-		// state unreachable until reopen.
-		f.AbortVersionBatch()
-		s.poison(fmt.Errorf("%w: mid-batch apply failure, reopen to recover: %v", ErrClosed, applyErr))
-		if s.obs != nil {
-			applySnap.end(applyErr)
-		}
-		s.mu.Unlock()
-		return applyErr
-	}
-	var commitLSN uint64
-	if w != nil {
-		lsn, err := w.Append(storage.WALRecCommit, nil)
-		if err != nil {
-			f.AbortVersionBatch()
-			s.poison(fmt.Errorf("%w: wal commit append failed, reopen to recover: %v", ErrClosed, err))
-			if s.obs != nil {
-				applySnap.end(err)
-			}
-			s.mu.Unlock()
+		if err := tx.begin(opApply); err != nil {
 			return err
 		}
-		commitLSN = lsn
-	}
-	// Publish before the checkpoint: the checkpoint executes deferred
-	// page frees, which must find the freed pages' committed images
-	// already stamped in the version chains.
-	f.PublishVersionBatch(commitLSN)
-	if w != nil && s.checkpointBytes > 0 && w.Size() > s.checkpointBytes {
-		if err := f.Checkpoint(); err != nil {
-			s.poison(fmt.Errorf("%w: checkpoint failed, reopen to recover: %v", ErrClosed, err))
-			if s.obs != nil {
-				applySnap.end(err)
-			}
-			s.mu.Unlock()
-			return err
-		}
-	}
-	if s.obs != nil {
-		applySnap.end(nil)
-		s.obs.setGauges(f)
-		s.obs.setSnapshotGauges(f)
-	}
-	s.mu.Unlock()
-	if w != nil {
-		// The commit fsync runs outside the store lock so concurrent
-		// committers coalesce into one fsync (group commit). The wait is
-		// measured from the committing request's perspective — group
-		// formation plus fsync — and charged to the request's ReqStats
-		// and the ccam_wal_commit_wait_ns histogram (see DESIGN.md on why
-		// the request, not the fsync leader, owns this time).
-		var commitStart time.Time
-		if s.obs != nil {
-			commitStart = time.Now()
-		}
-		err := w.Commit(commitLSN)
-		if s.obs != nil {
-			waitNs := time.Since(commitStart).Nanoseconds()
-			s.obs.walCommitWait.Observe(waitNs)
-			if applySnap.rs != nil {
-				applySnap.rs.WALWaitNs += waitNs
+		for i := range b.ops {
+			if err := s.applyOp(tx.f, i, &b.ops[i]); err != nil {
+				return fmt.Errorf("ccam: apply op %d: %w", i, err)
 			}
 		}
-		if err != nil {
-			s.poison(fmt.Errorf("%w: wal commit failed, reopen to recover: %v", ErrClosed, err))
-			return err
-		}
-	}
-	return nil
+		return nil
+	})
 }
 
-// applyUnbuilt dispatches a batch on a store whose file does not exist
-// yet; the first op returns the access method's pre-Build error.
-func (s *Store) applyUnbuilt(b *Batch) error {
-	for i := range b.ops {
-		op := &b.ops[i]
-		var err error
-		switch op.kind {
-		case netfile.MutInsertNode:
-			err = s.m.Insert(op.insert, op.policy)
-		case netfile.MutDeleteNode:
-			err = s.m.Delete(op.id, op.policy)
-		case netfile.MutInsertEdge:
-			err = s.m.InsertEdge(op.from, op.to, op.cost, op.policy)
-		case netfile.MutDeleteEdge:
-			err = s.m.DeleteEdge(op.from, op.to, op.policy)
-		case netfile.MutSetEdgeCost:
-			err = fmt.Errorf("ccam: store is empty; call Build first")
-		}
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// applyOp applies one validated op to the in-memory/file state, with
+// applyOp logs and applies op i of a validated batch, with
 // per-operation metric attribution.
-func (s *Store) applyOp(f *netfile.File, op *batchOp) error {
-	var sn opSnap
-	if s.obs != nil {
-		sn = s.obs.beginOp(s.obs.opFor(op.kind), f)
+func (s *Store) applyOp(f *netfile.File, i int, op *queuedOp) error {
+	if s.applyFaultHook != nil {
+		if err := s.applyFaultHook(i); err != nil {
+			return err
+		}
 	}
-	var err error
-	switch op.kind {
-	case netfile.MutInsertNode:
-		err = s.m.Insert(op.insert, op.policy)
-	case netfile.MutDeleteNode:
-		err = s.m.Delete(op.id, op.policy)
-	case netfile.MutInsertEdge:
-		err = s.m.InsertEdge(op.from, op.to, op.cost, op.policy)
-	case netfile.MutDeleteEdge:
-		err = s.m.DeleteEdge(op.from, op.to, op.policy)
-	case netfile.MutSetEdgeCost:
-		err = f.SetEdgeCost(op.from, op.to, op.cost)
-	default:
-		err = fmt.Errorf("ccam: unknown batch op kind %d", op.kind)
+	// Log the logical mutation before touching any page (WAL-before-
+	// data; a no-op without a WAL); reorganizations triggered by the op
+	// log their own split/merge records after it.
+	if err := f.LogMutation(&op.mut); err != nil {
+		return err
 	}
-	if s.obs != nil {
-		sn.end(err)
-	}
+	sn := s.snap(context.Background(), mutationOps[op.mut.Kind], f, false)
+	err := applyMutation(s.m, &op.mut, op.policy)
+	sn.end(err)
 	return err
 }
 
@@ -494,7 +470,7 @@ func (v *batchValidator) edgeExists(from, to NodeID) (bool, error) {
 	return ok, nil
 }
 
-func (s *Store) validateBatch(f *netfile.File, b *Batch) error {
+func validateBatch(f *netfile.File, b *Batch) error {
 	v := &batchValidator{
 		f:     f,
 		nodes: make(map[NodeID]bool),
@@ -502,24 +478,20 @@ func (s *Store) validateBatch(f *netfile.File, b *Batch) error {
 		edges: make(map[[2]NodeID]bool),
 	}
 	for i := range b.ops {
-		op := &b.ops[i]
-		if err := v.validateOp(op); err != nil {
+		if err := v.validateOp(&b.ops[i].mut); err != nil {
 			return fmt.Errorf("ccam: batch op %d: %w", i, err)
 		}
 	}
 	return nil
 }
 
-func (v *batchValidator) validateOp(op *batchOp) error {
-	switch op.kind {
+func (v *batchValidator) validateOp(op *netfile.Mutation) error {
+	switch op.Kind {
 	case netfile.MutInsertNode:
-		if op.insert == nil {
-			return fmt.Errorf("nil insert op")
-		}
-		if err := op.insert.Validate(); err != nil {
+		if err := (&InsertOp{Rec: op.Rec, PredCosts: op.PredCosts}).Validate(); err != nil {
 			return err
 		}
-		rec := op.insert.Rec
+		rec := op.Rec
 		if ok, err := v.nodeExists(rec.ID); err != nil {
 			return err
 		} else if ok {
@@ -549,68 +521,68 @@ func (v *batchValidator) validateOp(op *batchOp) error {
 		}
 		return nil
 	case netfile.MutDeleteNode:
-		if ok, err := v.nodeExists(op.id); err != nil {
+		if ok, err := v.nodeExists(op.ID); err != nil {
 			return err
 		} else if !ok {
-			return fmt.Errorf("delete node %d: %w", op.id, ErrNotFound)
+			return fmt.Errorf("delete node %d: %w", op.ID, ErrNotFound)
 		}
 		// Record the incident edges the delete removes, so later edge
 		// ops in the batch see them gone.
-		if !v.fresh[op.id] {
-			rec, err := v.f.Find(op.id)
+		if !v.fresh[op.ID] {
+			rec, err := v.f.Find(op.ID)
 			if err != nil {
 				return err
 			}
 			for _, sc := range rec.Succs {
-				v.edges[[2]NodeID{op.id, sc.To}] = false
+				v.edges[[2]NodeID{op.ID, sc.To}] = false
 			}
 			for _, p := range rec.Preds {
-				v.edges[[2]NodeID{p, op.id}] = false
+				v.edges[[2]NodeID{p, op.ID}] = false
 			}
 		} else {
 			for key := range v.edges {
-				if key[0] == op.id || key[1] == op.id {
+				if key[0] == op.ID || key[1] == op.ID {
 					v.edges[key] = false
 				}
 			}
 		}
-		v.nodes[op.id] = false
-		delete(v.fresh, op.id)
+		v.nodes[op.ID] = false
+		delete(v.fresh, op.ID)
 		return nil
 	case netfile.MutInsertEdge:
-		if err := v.requireNodes(op.from, op.to); err != nil {
+		if err := v.requireNodes(op.From, op.To); err != nil {
 			return err
 		}
-		if ok, err := v.edgeExists(op.from, op.to); err != nil {
+		if ok, err := v.edgeExists(op.From, op.To); err != nil {
 			return err
 		} else if ok {
-			return fmt.Errorf("insert edge %d->%d: %w", op.from, op.to, ErrEdgeExists)
+			return fmt.Errorf("insert edge %d->%d: %w", op.From, op.To, ErrEdgeExists)
 		}
-		v.edges[[2]NodeID{op.from, op.to}] = true
+		v.edges[[2]NodeID{op.From, op.To}] = true
 		return nil
 	case netfile.MutDeleteEdge:
-		if err := v.requireNodes(op.from, op.to); err != nil {
+		if err := v.requireNodes(op.From, op.To); err != nil {
 			return err
 		}
-		if ok, err := v.edgeExists(op.from, op.to); err != nil {
+		if ok, err := v.edgeExists(op.From, op.To); err != nil {
 			return err
 		} else if !ok {
-			return fmt.Errorf("delete edge %d->%d: %w", op.from, op.to, ErrEdgeMissing)
+			return fmt.Errorf("delete edge %d->%d: %w", op.From, op.To, ErrEdgeMissing)
 		}
-		v.edges[[2]NodeID{op.from, op.to}] = false
+		v.edges[[2]NodeID{op.From, op.To}] = false
 		return nil
 	case netfile.MutSetEdgeCost:
-		if err := v.requireNodes(op.from, op.to); err != nil {
+		if err := v.requireNodes(op.From, op.To); err != nil {
 			return err
 		}
-		if ok, err := v.edgeExists(op.from, op.to); err != nil {
+		if ok, err := v.edgeExists(op.From, op.To); err != nil {
 			return err
 		} else if !ok {
-			return fmt.Errorf("set edge cost %d->%d: %w", op.from, op.to, ErrEdgeMissing)
+			return fmt.Errorf("set edge cost %d->%d: %w", op.From, op.To, ErrEdgeMissing)
 		}
 		return nil
 	default:
-		return fmt.Errorf("unknown batch op kind %d", op.kind)
+		return fmt.Errorf("unknown batch op kind %d", op.Kind)
 	}
 }
 

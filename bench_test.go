@@ -19,7 +19,6 @@ import (
 	"time"
 
 	"ccam/internal/bench"
-	iccam "ccam/internal/ccam"
 	"ccam/internal/netfile"
 	"ccam/internal/storage"
 )
@@ -210,6 +209,44 @@ func TestReadPathAllocs(t *testing.T) {
 			return err
 		})
 	}
+	// The operations that moved onto the pinned view keep the allocation
+	// counts they had on the live file (measured there, on these inputs:
+	// 1304, 65, 22): the read bracket adds nothing. A* pays one more, the
+	// 16-byte box that carries the view value into query.Reader.
+	rng := rand.New(rand.NewSource(13))
+	bb := g.Bounds()
+	var pairs [32][2]NodeID
+	var points [32]Point
+	for i := range pairs {
+		pairs[i] = [2]NodeID{ids[rng.Intn(len(ids))], ids[rng.Intn(len(ids))]}
+		points[i] = Point{X: bb.Min.X + rng.Float64()*bb.Width(), Y: bb.Min.Y + rng.Float64()*bb.Height()}
+	}
+	walks, err := RandomWalkRoutes(g, 8, 21, rand.New(rand.NewSource(12)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	units := make([][][2]NodeID, len(walks))
+	for i, r := range walks {
+		for j := 0; j+1 < len(r); j++ {
+			units[i] = append(units[i], [2]NodeID{r[j], r[j+1]})
+		}
+	}
+	gate("ShortestPathAStar", 1305, func(i int) error {
+		p := pairs[i%len(pairs)]
+		_, err := s.ShortestPathAStar(p[0], p[1], 0.8)
+		if errors.Is(err, ErrNoPath) {
+			return nil
+		}
+		return err
+	})
+	gate("Nearest", 65, func(i int) error {
+		_, err := s.Nearest(points[i%len(points)], 5)
+		return err
+	})
+	gate("EvaluateRouteUnit", 22, func(i int) error {
+		_, err := s.EvaluateRouteUnit("u", units[i%len(units)])
+		return err
+	})
 }
 
 // BenchmarkBuildStatic measures the CCAM-S create over the paper-scale
@@ -280,11 +317,18 @@ func BenchmarkFindChecked(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	m, err := iccam.New(iccam.Config{PageSize: cs.PageSize(), PoolPages: 16, Seed: 1, Store: cs})
+	opts := Options{PoolPages: 16, Seed: 1}
+	s, err := newStore(opts, nil, cs, func(s *Store, fo netfile.Options) error {
+		m, err := newMethod(opts, fo)
+		if err != nil {
+			return err
+		}
+		s.m = m
+		return nil
+	})
 	if err != nil {
 		b.Fatal(err)
 	}
-	s := &Store{m: m}
 	defer s.Close()
 	if err := s.Build(g); err != nil {
 		b.Fatal(err)

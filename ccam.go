@@ -264,7 +264,7 @@ type Options struct {
 	// ReorgInterval is the reorganizer's polling period (default 2s).
 	ReorgInterval time.Duration
 	// ReorgMaxPages bounds the pages one reorganization round may
-	// re-cluster (default 16); small rounds keep the write lock short.
+	// re-cluster (default 16); small rounds keep the writer mutex short.
 	ReorgMaxPages int
 	// ReorgTriggerDrop is the CRR decay (from its high-water mark)
 	// that triggers a round (default 0.02).
@@ -310,43 +310,38 @@ const (
 )
 
 // Store is a CCAM file: the paper's access method behind a convenience
-// facade. All methods are safe for concurrent use. Queries (Find,
-// GetASuccessor, GetSuccessors, EvaluateRoute, RangeQuery, Has,
-// FindBatch, EvaluateRoutes and Query) run against an LSN-pinned
-// snapshot: each pins the newest committed mutation batch and reads
-// page versions and placements as of that batch, so a running Apply —
-// including its WAL group-commit fsync and in-lock checkpoints — never
-// blocks them and never leaks a half-applied batch into their view.
-// The remaining operations (Nearest, the graph searches, Scan,
-// EvaluateRouteUnit and the read-only accessors) share a reader-writer
-// lock with the mutators: they run in parallel with each other and
-// with snapshot queries, while Build, Insert, Delete, InsertEdge,
-// DeleteEdge, SetEdgeCost, Apply, ResetIO, Flush and Close are
-// exclusive among themselves. This departs from the paper's
+// facade. All methods are safe for concurrent use. Every query — Find,
+// GetASuccessor, GetSuccessors, EvaluateRoute, RangeQuery, Nearest,
+// Has, the batch forms, the graph searches, EvaluateRouteUnit, Scan and
+// Query — is snapshot-isolated: it pins the newest committed mutation
+// batch and reads page versions and placements as of that batch, so a
+// running Apply — including its WAL group-commit fsync and in-lock
+// checkpoints — never blocks it and never leaks a half-applied batch
+// into its view. Mutations serialize among themselves, and Build,
+// ResetIO and Close exclude everything. This departs from the paper's
 // one-query-at-a-time cost model on purpose — route-evaluation
 // workloads are read-dominated — without changing any per-operation
 // page-access count.
 type Store struct {
-	// mu serializes mutators (Build, Apply, Flush, Close, ResetIO) and
-	// the non-snapshot read operations. structMu guards structural
-	// changes — Build replacing the file wholesale, Close, ResetIO —
-	// against snapshot readers: snapshot reads hold structMu.RLock
-	// only, so Apply (which takes only mu) never blocks them. Lock
-	// order: structMu before mu.
+	// structMu is the lifecycle lock: a query holds it shared from pin
+	// to unpin; Build, ResetIO and Close, which replace or drop the file
+	// and its page versions, hold it exclusively. mu is the writer mutex
+	// of the live end: write transactions (Apply, reorganizer rounds),
+	// Flush and the live accessors. No query takes mu. Lock order:
+	// structMu before mu.
 	structMu    sync.RWMutex
-	mu          sync.RWMutex
+	mu          sync.Mutex
 	m           netfile.AccessMethod
 	fs          *storage.FileStore
 	parallelism int
-	// obs is non-nil only when Options.Metrics was set; every operation
-	// branches on it before paying any instrumentation cost.
+	// obs is non-nil only when Options.Metrics was set.
 	obs    *observability
 	tracer *metrics.Tracer
 	// lastIO preserves the final I/O snapshot across Close, so IO()
 	// keeps answering on a closed store.
 	lastIO IOStats
 	// closed is written under both structMu and mu, so holding either
-	// read lock is enough to observe it.
+	// is enough to observe it.
 	closed bool
 	// wal is the store's write-ahead log (nil without Options.WAL).
 	// It is attached to the data file after Build/OpenPath, switching
@@ -354,12 +349,12 @@ type Store struct {
 	// checkpoint.
 	wal             *storage.WAL
 	checkpointBytes int64
-	// failed poisons the store after a mid-batch apply failure: the
-	// in-memory state no longer matches any committed WAL prefix, so
-	// every subsequent operation fails with this error until the store
-	// is reopened (recovery restores the last committed state). It is
-	// an atomic pointer because snapshot readers check it without
-	// holding mu while Apply sets it under mu.
+	// failed poisons the store after a write transaction fails past its
+	// begin: the in-memory state no longer matches any committed WAL
+	// prefix, so every subsequent operation fails with this error until
+	// the store is reopened (recovery restores the last committed
+	// state). It is an atomic pointer because queries check it without
+	// holding mu while a writer sets it under mu.
 	failed atomic.Pointer[error]
 	// replayedBatches/replayedMutations count what OpenPath recovered
 	// from the WAL tail.
@@ -380,11 +375,100 @@ func (s *Store) failedErr() error {
 }
 
 // poison marks the store failed; the first error wins.
-func (s *Store) poison(err error) { s.failed.CompareAndSwap(nil, &err) }
+func (s *Store) poison(what string, cause error) {
+	err := fmt.Errorf("%w: %s failed, reopen to recover: %v", ErrClosed, what, cause)
+	s.failed.CompareAndSwap(nil, &err)
+}
 
 // Name identifies the underlying access method ("ccam-s", "ccam-d",
 // "dfs-am", "bfs-am", "wdfs-am", "grid-file").
 func (s *Store) Name() string { return s.m.Name() }
+
+// --- assembly: one way to build a Store ---
+
+// newStore assembles a Store: it creates the tracer and the registry,
+// has open supply the access method over the file options they yield
+// (open may also adopt a WAL), and starts the reorganizer. fs and st
+// are the page file of a file-backed store; newStore owns them from
+// here on and closes them — and an adopted WAL — when assembly fails.
+func newStore(opts Options, fs *storage.FileStore, st storage.Store, open func(s *Store, fo netfile.Options) error) (*Store, error) {
+	s := &Store{
+		fs: fs, parallelism: opts.Parallelism,
+		checkpointBytes: opts.CheckpointBytes, applyFaultHook: opts.applyFaultHook,
+	}
+	if s.checkpointBytes == 0 {
+		s.checkpointBytes = defaultCheckpointBytes
+	}
+	if opts.TraceCapacity > 0 {
+		s.tracer = metrics.NewTracer(opts.TraceCapacity)
+	}
+	if opts.Metrics {
+		s.obs = newObservability(metrics.NewRegistry(), s.tracer)
+	}
+	if fs != nil && opts.SyncLatency > 0 {
+		fs.SetSyncLatency(opts.SyncLatency)
+	}
+	err := open(s, s.fileOptions(opts, st))
+	if err == nil && opts.BackgroundReorg {
+		err = s.startReorganizer(opts)
+	}
+	if err != nil {
+		if s.wal != nil {
+			s.wal.Close()
+		}
+		if fs != nil {
+			fs.Close()
+		}
+		return nil, err
+	}
+	return s, nil
+}
+
+// fileOptions is the one translation of Options into the data file's
+// configuration: OpenPath reopens the file with the value a later Build
+// re-creates it with. A page store's own page size wins over
+// Options.PageSize.
+func (s *Store) fileOptions(opts Options, st storage.Store) netfile.Options {
+	fo := netfile.Options{
+		PageSize:        opts.PageSize,
+		PoolPages:       opts.PoolPages,
+		PoolShards:      opts.PoolShards,
+		Prefetch:        opts.Prefetch,
+		PrefetchWorkers: opts.PrefetchWorkers,
+		Spatial:         opts.Spatial,
+		Store:           st,
+		ReadLatency:     opts.ReadLatency,
+		Metrics:         s.Metrics(),
+		Tracer:          s.tracer,
+	}
+	if st != nil {
+		fo.PageSize = st.PageSize()
+	}
+	return fo
+}
+
+// newMethod returns an unbuilt CCAM access method whose Build creates
+// its file from fo.
+func newMethod(opts Options, fo netfile.Options) (*iccam.Method, error) {
+	return iccam.New(iccam.Config{
+		File:         fo,
+		Seed:         opts.Seed,
+		BuildWorkers: opts.BuildWorkers,
+		Dynamic:      opts.Dynamic,
+	})
+}
+
+// adoptWAL makes wal the store's log, with the simulated sync latency
+// and, under Metrics, the instrumentation the options ask for.
+func (s *Store) adoptWAL(wal *storage.WAL, opts Options) {
+	s.wal = wal
+	if opts.SyncLatency > 0 {
+		wal.SetSyncLatency(opts.SyncLatency)
+	}
+	if s.obs != nil {
+		wal.Instrument(s.obs.walInstrumentation())
+	}
+}
 
 // Open creates a new, empty CCAM store.
 func Open(opts Options) (*Store, error) {
@@ -394,19 +478,10 @@ func Open(opts Options) (*Store, error) {
 	if opts.WAL && opts.Path == "" {
 		return nil, errors.New("ccam: Options.WAL requires Options.Path")
 	}
-	cfg := iccam.Config{
-		PageSize:        opts.PageSize,
-		PoolPages:       opts.PoolPages,
-		PoolShards:      opts.PoolShards,
-		Prefetch:        opts.Prefetch,
-		PrefetchWorkers: opts.PrefetchWorkers,
-		Seed:            opts.Seed,
-		BuildWorkers:    opts.BuildWorkers,
-		Dynamic:         opts.Dynamic,
-		Spatial:         opts.Spatial,
-		ReadLatency:     opts.ReadLatency,
-	}
-	var fs *storage.FileStore
+	var (
+		fs *storage.FileStore
+		st storage.Store
+	)
 	if opts.Path != "" {
 		// File-backed pages carry a CRC32 trailer verified on every
 		// physical read, so on-disk corruption surfaces as ErrChecksum
@@ -420,674 +495,23 @@ func Open(opts Options) (*Store, error) {
 		if err != nil {
 			return nil, err
 		}
-		fs = inner
-		if opts.SyncLatency > 0 {
-			fs.SetSyncLatency(opts.SyncLatency)
-		}
-		cfg.Store = cs
-		cfg.PageSize = cs.PageSize()
+		fs, st = inner, cs
 	}
-	var obs *observability
-	var tracer *metrics.Tracer
-	if opts.TraceCapacity > 0 {
-		tracer = metrics.NewTracer(opts.TraceCapacity)
-		cfg.Tracer = tracer
-	}
-	if opts.Metrics {
-		obs = newObservability(metrics.NewRegistry(), tracer)
-		cfg.Metrics = obs.reg
-	}
-	m, err := iccam.New(cfg)
-	if err != nil {
-		if fs != nil {
-			fs.Close()
-		}
-		return nil, err
-	}
-	s := &Store{
-		m: m, fs: fs, parallelism: opts.Parallelism, obs: obs, tracer: tracer,
-		checkpointBytes: opts.CheckpointBytes, applyFaultHook: opts.applyFaultHook,
-	}
-	if s.checkpointBytes == 0 {
-		s.checkpointBytes = defaultCheckpointBytes
-	}
-	if opts.WAL {
-		wal, err := storage.CreateWAL(storage.WALDir(opts.Path), opts.SyncPolicy, 0)
+	return newStore(opts, fs, st, func(s *Store, fo netfile.Options) error {
+		m, err := newMethod(opts, fo)
 		if err != nil {
-			fs.Close()
-			return nil, err
-		}
-		s.wal = wal
-		if opts.SyncLatency > 0 {
-			wal.SetSyncLatency(opts.SyncLatency)
-		}
-		if obs != nil {
-			wal.Instrument(obs.walInstrumentation())
-		}
-	}
-	if opts.BackgroundReorg {
-		if err := s.startReorganizer(opts); err != nil {
-			s.Close()
-			return nil, err
-		}
-	}
-	return s, nil
-}
-
-// Build loads network g into the store (the paper's Create()),
-// replacing any previous contents. With a WAL, the log is reset first
-// and a checkpoint is taken after the load: Build itself is not
-// crash-atomic (a crash mid-Build leaves neither the old nor the new
-// contents recoverable), but once Build returns the loaded network is
-// durable and every later Apply is.
-func (s *Store) Build(g *Network) error {
-	// Build replaces the file wholesale and resets the version layer,
-	// so it excludes snapshot readers too (structMu), not just the
-	// lock-sharing operations (mu). Any Store.Snapshot the caller
-	// still holds must be closed first.
-	s.structMu.Lock()
-	defer s.structMu.Unlock()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return ErrClosed
-	}
-	if err := s.failedErr(); err != nil {
-		return err
-	}
-	if s.reorg != nil {
-		// The new contents start a fresh CRR high-water mark.
-		s.reorg.resetLocked()
-	}
-	if s.obs == nil {
-		return s.buildLocked(g)
-	}
-	start := time.Now()
-	err := s.buildLocked(g)
-	om := s.obs.build
-	om.count.Inc()
-	if err != nil {
-		om.errs.Inc()
-		return err
-	}
-	om.latency.ObserveSince(start)
-	s.obs.setGauges(s.m.File())
-	return nil
-}
-
-func (s *Store) buildLocked(g *Network) error {
-	if s.wal != nil {
-		// Build replaces the file wholesale; stale log records must not
-		// be replayed over the new contents, so the log restarts empty
-		// (at a monotonically advanced LSN) before any page is written.
-		if err := s.wal.Reset(); err != nil {
 			return err
 		}
-	}
-	if err := s.m.Build(g); err != nil {
-		return err
-	}
-	if s.wal != nil {
-		f := s.m.File()
-		f.AttachWAL(s.wal, s.fs)
-		if err := f.Checkpoint(); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func (s *Store) file() (*netfile.File, error) {
-	if s.closed {
-		return nil, ErrClosed
-	}
-	if err := s.failedErr(); err != nil {
-		return nil, err
-	}
-	f := s.m.File()
-	if f == nil {
-		return nil, fmt.Errorf("ccam: store is empty; call Build first")
-	}
-	return f, nil
-}
-
-// readView is one query's pinned read path: the file (for metrics
-// attribution and counters) plus the LSN-pinned view the query reads
-// through. It is a plain value over netfile's value-form View, so
-// opening, using and releasing a read path allocates nothing.
-type readView struct {
-	s    *Store
-	f    *netfile.File
-	view netfile.View
-}
-
-// readView opens the read path for one query: it pins the newest
-// committed LSN under structMu.RLock — which a running Apply does not
-// hold, so the reader starts immediately. release must be called
-// exactly once.
-func (s *Store) readView() (readView, error) {
-	s.structMu.RLock()
-	f, err := s.file()
-	if err != nil {
-		s.structMu.RUnlock()
-		return readView{}, err
-	}
-	return readView{s: s, f: f, view: f.PinView()}, nil
-}
-
-func (v readView) release() {
-	v.view.Unpin()
-	v.s.structMu.RUnlock()
-}
-
-// Snapshot pins the newest committed mutation batch and returns a
-// read-only view of the store as of that batch: a reader holding it
-// sees neither later Apply commits nor background reorganization, no
-// matter how long it lives, and never waits on them. Close must be
-// called exactly once to release the pinned page versions. The
-// snapshot must be closed before Build, ResetIO or Close; it fails
-// once the store is poisoned, closed or rebuilt. Returns an error on
-// an unbuilt or closed store.
-func (s *Store) Snapshot() (*Snapshot, error) {
-	s.structMu.RLock()
-	defer s.structMu.RUnlock()
-	f, err := s.file()
-	if err != nil {
-		return nil, err
-	}
-	return f.Snapshot(), nil
-}
-
-// Snapshot is an LSN-consistent read-only view of a store, pinned by
-// Store.Snapshot. See netfile.Snapshot for the read operations.
-type Snapshot = netfile.Snapshot
-
-// Find retrieves the record of a node. The context is checked before
-// the record fetch, so canceling it (or exceeding its deadline) stops
-// the operation early.
-func (s *Store) Find(ctx context.Context, id NodeID) (*Record, error) {
-	v, err := s.readView()
-	if err != nil {
-		return nil, err
-	}
-	defer v.release()
-	if s.obs != nil {
-		sn := s.obs.beginOpCtx(ctx, s.obs.find, v.f)
-		rec, err := v.view.FindCtx(ctx, id)
-		sn.end(err)
-		return rec, err
-	}
-	return v.view.FindCtx(ctx, id)
-}
-
-// GetASuccessor retrieves the record of succ, a successor of cur. It is
-// handed cur as a record, not as a position in the file, so it is a
-// Find of succ: the paper's "the buffered page containing cur is
-// searched first" holds as a buffer-pool hit when the two are
-// co-located. GetSuccessors and EvaluateRoute hold their position
-// between hops and read a co-located successor in place, with no pool
-// request at all. The context is checked before the fetch.
-func (s *Store) GetASuccessor(ctx context.Context, cur *Record, succ NodeID) (*Record, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	v, err := s.readView()
-	if err != nil {
-		return nil, err
-	}
-	defer v.release()
-	if s.obs != nil {
-		sn := s.obs.beginOpCtx(ctx, s.obs.getASuccessor, v.f)
-		rec, err := v.view.GetASuccessor(cur, succ)
-		sn.end(err)
-		return rec, err
-	}
-	return v.view.GetASuccessor(cur, succ)
-}
-
-// GetSuccessors retrieves the records of all successors of a node.
-// The context is checked before the node's own fetch and before each
-// successor fetch.
-func (s *Store) GetSuccessors(ctx context.Context, id NodeID) ([]*Record, error) {
-	v, err := s.readView()
-	if err != nil {
-		return nil, err
-	}
-	defer v.release()
-	if s.obs != nil {
-		sn := s.obs.beginOpCtx(ctx, s.obs.getSuccessors, v.f)
-		recs, err := v.view.GetSuccessorsCtx(ctx, id)
-		sn.end(err)
-		return recs, err
-	}
-	return v.view.GetSuccessorsCtx(ctx, id)
-}
-
-// EvaluateRoute computes the aggregate property of a route as a Find
-// followed by Get-A-successor operations. The context is checked
-// before each hop's record fetch, so canceling it stops a long route
-// without paying for the remaining page reads.
-func (s *Store) EvaluateRoute(ctx context.Context, route Route) (RouteAggregate, error) {
-	v, err := s.readView()
-	if err != nil {
-		return RouteAggregate{}, err
-	}
-	defer v.release()
-	if s.obs != nil {
-		sn := s.obs.beginOpCtx(ctx, s.obs.evaluateRoute, v.f)
-		agg, err := v.view.EvaluateRouteCtx(ctx, route)
-		sn.end(err)
-		return agg, err
-	}
-	return v.view.EvaluateRouteCtx(ctx, route)
-}
-
-// RangeQuery returns all records whose positions lie inside rect, via
-// the Z-ordered secondary index. The context is checked before each
-// candidate record fetch, so canceling it stops the index scan without
-// paying for the remaining page reads.
-func (s *Store) RangeQuery(ctx context.Context, rect Rect) ([]*Record, error) {
-	v, err := s.readView()
-	if err != nil {
-		return nil, err
-	}
-	defer v.release()
-	if s.obs != nil {
-		sn := s.obs.beginOpCtx(ctx, s.obs.rangeQuery, v.f)
-		recs, err := v.view.RangeQueryCtx(ctx, rect)
-		sn.end(err)
-		return recs, err
-	}
-	return v.view.RangeQueryCtx(ctx, rect)
-}
-
-// Insert adds a new node with its edges under the given policy. It is
-// a one-op batch: with a WAL the insert is logged and group-committed
-// like any Apply.
-func (s *Store) Insert(op *InsertOp, policy Policy) error {
-	return s.Apply(context.Background(), new(Batch).Insert(op, policy))
-}
-
-// Delete removes a node and its incident edges under the given policy
-// (a one-op batch).
-func (s *Store) Delete(id NodeID, policy Policy) error {
-	return s.Apply(context.Background(), new(Batch).Delete(id, policy))
-}
-
-// InsertEdge adds a directed edge between stored nodes (a one-op
-// batch).
-func (s *Store) InsertEdge(from, to NodeID, cost float32, policy Policy) error {
-	return s.Apply(context.Background(), new(Batch).InsertEdge(from, to, cost, policy))
-}
-
-// DeleteEdge removes a directed edge (a one-op batch).
-func (s *Store) DeleteEdge(from, to NodeID, policy Policy) error {
-	return s.Apply(context.Background(), new(Batch).DeleteEdge(from, to, policy))
-}
-
-// Has reports whether a node is stored. Unlike Contains, it surfaces
-// real failures: an unbuilt store or an index error comes back as a
-// non-nil error instead of being conflated with "absent". The context
-// is checked before the index probe.
-func (s *Store) Has(ctx context.Context, id NodeID) (bool, error) {
-	if err := ctx.Err(); err != nil {
-		return false, err
-	}
-	v, err := s.readView()
-	if err != nil {
-		return false, err
-	}
-	defer v.release()
-	return v.view.Has(id), nil
-}
-
-// Contains reports whether a node is stored. It is a convenience
-// wrapper around Has that treats every failure as "not stored".
-func (s *Store) Contains(id NodeID) bool {
-	ok, err := s.Has(context.Background(), id)
-	return err == nil && ok
-}
-
-// Len returns the number of stored node records.
-func (s *Store) Len() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	f, err := s.file()
-	if err != nil {
-		return 0
-	}
-	return f.NumNodes()
-}
-
-// NumPages returns the number of data pages in the file.
-func (s *Store) NumPages() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	f, err := s.file()
-	if err != nil {
-		return 0
-	}
-	return f.NumPages()
-}
-
-// Placement returns the current node → data page assignment.
-func (s *Store) Placement() Placement {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	f, err := s.file()
-	if err != nil {
-		return Placement{}
-	}
-	return f.Placement()
-}
-
-// CRR measures the store's Connectivity Residue Ratio against network
-// g.
-func (s *Store) CRR(g *Network) float64 { return CRR(g, s.Placement()) }
-
-// WCRR measures the store's Weighted Connectivity Residue Ratio
-// against network g.
-func (s *Store) WCRR(g *Network) float64 { return WCRR(g, s.Placement()) }
-
-// IO returns the physical data-page I/O counters. The snapshot is
-// consistent under concurrent readers: every counter is an atomic
-// load, so no field is ever torn mid-increment. On a closed store it
-// returns the last snapshot, taken at Close().
-func (s *Store) IO() IOStats {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if s.closed {
-		return s.lastIO
-	}
-	f, err := s.file()
-	if err != nil {
-		return IOStats{}
-	}
-	return f.DataIO()
-}
-
-// ResetIO empties the buffer pool and zeroes the I/O counters, so the
-// next operation is measured cold.
-func (s *Store) ResetIO() error {
-	// Emptying the pool drops version chains too, so snapshot readers
-	// are excluded for the duration (structMu), like Build.
-	s.structMu.Lock()
-	defer s.structMu.Unlock()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	f, err := s.file()
-	if err != nil {
-		return err
-	}
-	return f.ResetIO()
-}
-
-// Flush writes all buffered dirty pages to the underlying store, and
-// syncs the page file when the store is file-backed. With a WAL this
-// is a checkpoint: dirty pages are imaged into the log, flushed, and
-// the log is pruned to its last complete checkpoint.
-func (s *Store) Flush() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	f, err := s.file()
-	if err != nil {
-		return err
-	}
-	if f.WAL() != nil {
-		return f.Checkpoint()
-	}
-	if err := f.Flush(); err != nil {
-		return err
-	}
-	if s.fs != nil {
-		return s.fs.Sync()
-	}
-	return nil
-}
-
-// Checkpoint forces a WAL checkpoint: dirty pages are imaged into the
-// log, flushed to the data file, deferred page frees are executed and
-// the log is pruned. On a store without a WAL it is Flush.
-func (s *Store) Checkpoint() error { return s.Flush() }
-
-// Close flushes (checkpoints, with a WAL) and releases the store. The
-// I/O counters are snapshotted first, so IO() keeps answering
-// afterwards. A store poisoned by a mid-batch apply failure closes
-// without flushing: its memory state is not trustworthy, and the next
-// OpenPath recovers the last committed state from the log.
-func (s *Store) Close() error {
-	// Halt the background reorganizer before locking: its rounds take
-	// mu, so halting under the lock would deadlock.
-	if s.reorg != nil {
-		s.reorg.halt()
-	}
-	s.structMu.Lock()
-	defer s.structMu.Unlock()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return nil
-	}
-	if f := s.m.File(); f != nil {
-		if s.failedErr() == nil {
-			if f.WAL() != nil {
-				if err := f.Checkpoint(); err != nil {
-					return err
-				}
-			} else if err := f.Flush(); err != nil {
+		s.m = m
+		if opts.WAL {
+			wal, err := storage.CreateWAL(storage.WALDir(opts.Path), opts.SyncPolicy, 0)
+			if err != nil {
 				return err
 			}
+			s.adoptWAL(wal, opts)
 		}
-		s.lastIO = f.DataIO()
-	}
-	s.closed = true
-	var firstErr error
-	if s.wal != nil {
-		if err := s.wal.Close(); err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	if s.fs != nil {
-		if err := s.fs.Close(); err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	return firstErr
-}
-
-// BaselineKind names a comparison access method from the paper's
-// evaluation.
-type BaselineKind string
-
-// Baseline access methods.
-const (
-	// DFSAM orders nodes by depth-first traversal.
-	DFSAM BaselineKind = "dfs-am"
-	// BFSAM orders nodes by breadth-first traversal.
-	BFSAM BaselineKind = "bfs-am"
-	// WDFSAM orders nodes by weight-guided depth-first traversal.
-	WDFSAM BaselineKind = "wdfs-am"
-	// GridFile clusters nodes by spatial proximity.
-	GridFile BaselineKind = "grid-file"
-)
-
-// NewBaseline constructs one of the paper's comparison access methods
-// behind the same Store facade as CCAM itself, so baselines and CCAM
-// share one API surface — queries, batch queries, transactional Apply,
-// IO() — and benchmark code needs no per-method branching. Baselines
-// do not support a WAL.
-func NewBaseline(kind BaselineKind, opts Options) (*Store, error) {
-	if opts.PageSize == 0 {
-		opts.PageSize = 2048
-	}
-	if opts.WAL {
-		return nil, fmt.Errorf("ccam: baseline %q does not support a WAL", kind)
-	}
-	if opts.BackgroundReorg {
-		return nil, fmt.Errorf("ccam: baseline %q does not support background reorganization", kind)
-	}
-	var (
-		m   netfile.AccessMethod
-		err error
-	)
-	switch kind {
-	case DFSAM:
-		m, err = topo.New(topo.Config{Kind: topo.DFS, PageSize: opts.PageSize, PoolPages: opts.PoolPages, Seed: opts.Seed})
-	case BFSAM:
-		m, err = topo.New(topo.Config{Kind: topo.BFS, PageSize: opts.PageSize, PoolPages: opts.PoolPages, Seed: opts.Seed})
-	case WDFSAM:
-		m, err = topo.New(topo.Config{Kind: topo.WDFS, PageSize: opts.PageSize, PoolPages: opts.PoolPages, Seed: opts.Seed})
-	case GridFile:
-		m, err = gridfile.New(gridfile.Config{PageSize: opts.PageSize, PoolPages: opts.PoolPages})
-	default:
-		return nil, fmt.Errorf("ccam: unknown baseline %q", kind)
-	}
-	if err != nil {
-		return nil, err
-	}
-	return &Store{m: m, parallelism: opts.Parallelism}, nil
-}
-
-// RoadMapOpts configures the synthetic road-network generator.
-type RoadMapOpts = graph.RoadMapOpts
-
-// MinneapolisLikeOpts returns generator options matching the scale of
-// the paper's test data (1077 nodes, 3045 directed edges).
-func MinneapolisLikeOpts() RoadMapOpts { return graph.MinneapolisLikeOpts() }
-
-// RoadMap generates a synthetic planar road network.
-func RoadMap(opts RoadMapOpts) (*Network, error) { return graph.RoadMap(opts) }
-
-// ReadNetworkJSON parses a network from the JSON schema written by
-// Network.WriteJSON (and by cmd/netgen).
-func ReadNetworkJSON(r io.Reader) (*Network, error) { return graph.ReadJSON(r) }
-
-// RandomWalkRoutes generates count routes of exactly length nodes each
-// by random walks on g, the workload of the paper's route evaluation
-// experiments.
-func RandomWalkRoutes(g *Network, count, length int, rng *rand.Rand) ([]Route, error) {
-	return graph.RandomWalkRoutes(g, count, length, rng)
-}
-
-// ApplyRouteWeights sets each edge's access weight to the number of
-// times the given routes traverse it (the paper's WCRR workload).
-func ApplyRouteWeights(g *Network, routes []Route) (int, error) {
-	return graph.ApplyRouteWeights(g, routes)
-}
-
-// compile-time interface checks for the facade's building blocks
-var (
-	_ partition.Bipartitioner = (*partition.RatioCut)(nil)
-	_ netfile.AccessMethod    = (*iccam.Method)(nil)
-)
-
-// SetEdgeCost updates the stored cost (e.g. current travel time) of a
-// directed edge in place (a one-op batch).
-func (s *Store) SetEdgeCost(from, to NodeID, cost float32) error {
-	return s.Apply(context.Background(), new(Batch).SetEdgeCost(from, to, cost))
-}
-
-// Nearest returns the k stored records closest to p by Euclidean
-// distance, nearest first, through the spatial index.
-func (s *Store) Nearest(p Point, k int) ([]*Record, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	f, err := s.file()
-	if err != nil {
-		return nil, err
-	}
-	if s.obs != nil {
-		sn := s.obs.beginOp(s.obs.nearest, f)
-		recs, err := f.Nearest(p, k)
-		sn.end(err)
-		return recs, err
-	}
-	return f.Nearest(p, k)
-}
-
-// Query results re-exported from the query layer.
-type (
-	// Path is a shortest-path result.
-	Path = query.Path
-	// TourAggregate is the result of a tour evaluation query.
-	TourAggregate = query.TourAggregate
-	// Allocation assigns one demand node to its nearest facility.
-	Allocation = query.Allocation
-)
-
-// ShortestPath computes a cheapest path between two stored nodes with
-// Dijkstra's algorithm over the file (Get-successors expansions).
-func (s *Store) ShortestPath(src, dst NodeID) (Path, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	f, err := s.file()
-	if err != nil {
-		return Path{}, err
-	}
-	if s.obs != nil {
-		sn := s.obs.beginOp(s.obs.shortestPath, f)
-		p, err := query.Dijkstra(f, src, dst)
-		sn.end(err)
-		return p, err
-	}
-	return query.Dijkstra(f, src, dst)
-}
-
-// ShortestPathAStar computes a cheapest path with A*, using a
-// straight-line-distance heuristic scaled by minCostPerUnit (a lower
-// bound on edge cost per unit of Euclidean distance; 0 falls back to
-// Dijkstra).
-func (s *Store) ShortestPathAStar(src, dst NodeID, minCostPerUnit float64) (Path, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	f, err := s.file()
-	if err != nil {
-		return Path{}, err
-	}
-	if s.obs != nil {
-		sn := s.obs.beginOp(s.obs.shortestPath, f)
-		p, err := query.AStar(f, src, dst, minCostPerUnit)
-		sn.end(err)
-		return p, err
-	}
-	return query.AStar(f, src, dst, minCostPerUnit)
-}
-
-// EvaluateTour evaluates a closed tour (the route plus the edge back to
-// its start).
-func (s *Store) EvaluateTour(tour Route) (TourAggregate, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	f, err := s.file()
-	if err != nil {
-		return TourAggregate{}, err
-	}
-	if s.obs != nil {
-		sn := s.obs.beginOp(s.obs.evaluateTour, f)
-		agg, err := query.EvaluateTour(f, tour)
-		sn.end(err)
-		return agg, err
-	}
-	return query.EvaluateTour(f, tour)
-}
-
-// LocationAllocation allocates every reachable node to its cheapest
-// facility by network distance, returning the allocations plus the
-// total and maximum assignment costs.
-func (s *Store) LocationAllocation(facilities []NodeID) ([]Allocation, float64, float64, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	f, err := s.file()
-	if err != nil {
-		return nil, 0, 0, err
-	}
-	if s.obs != nil {
-		sn := s.obs.beginOp(s.obs.locationAllocation, f)
-		allocs, total, max, err := query.LocationAllocation(f, facilities)
-		sn.end(err)
-		return allocs, total, max, err
-	}
-	return query.LocationAllocation(f, facilities)
+		return nil
+	})
 }
 
 // OpenPath reopens a file-backed CCAM store previously created with
@@ -1137,123 +561,511 @@ func OpenPath(path string, opts Options) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
-	if opts.SyncLatency > 0 {
-		fs.SetSyncLatency(opts.SyncLatency)
-	}
 	wantWAL := opts.WAL || haveWALDir || fs.Flags()&storage.FlagWAL != 0
-	f, err := netfile.OpenFromStoreOpts(st, netfile.Options{
-		PoolPages:       opts.PoolPages,
-		PoolShards:      opts.PoolShards,
-		Prefetch:        opts.Prefetch,
-		PrefetchWorkers: opts.PrefetchWorkers,
-		Spatial:         opts.Spatial,
-	})
-	if err != nil {
-		fs.Close()
-		return nil, err
-	}
-	m, err := iccam.New(iccam.Config{
-		PageSize:        st.PageSize(),
-		PoolPages:       opts.PoolPages,
-		PoolShards:      opts.PoolShards,
-		Prefetch:        opts.Prefetch,
-		PrefetchWorkers: opts.PrefetchWorkers,
-		Seed:            opts.Seed,
-		BuildWorkers:    opts.BuildWorkers,
-		Dynamic:         opts.Dynamic,
-		Store:           st,
-	})
-	if err != nil {
-		fs.Close()
-		return nil, err
-	}
-	if err := m.Attach(f); err != nil {
-		fs.Close()
-		return nil, err
-	}
-	var wal *storage.WAL
-	replayedBatches, replayedMutations := 0, 0
-	if wantWAL {
-		// Replay the committed tail before the WAL is attached, so the
-		// re-executed mutations are not logged again.
-		after := uint64(0)
-		if ck != nil {
-			after = ck.EndLSN
-		}
-		replayedBatches, replayedMutations, err = replayWAL(m, f, walRecs, after)
+	return newStore(opts, fs, st, func(s *Store, fo netfile.Options) error {
+		f, err := netfile.OpenFromStoreOpts(st, fo)
 		if err != nil {
-			fs.Close()
-			return nil, fmt.Errorf("ccam: wal replay: %w", err)
+			return err
 		}
-		wal, err = storage.OpenWAL(walDir, opts.SyncPolicy, 0)
+		m, err := newMethod(opts, fo)
 		if err != nil {
-			fs.Close()
-			return nil, err
+			return err
 		}
-		if opts.SyncLatency > 0 {
-			wal.SetSyncLatency(opts.SyncLatency)
+		if err := m.Attach(f); err != nil {
+			return err
 		}
-		if fs.Flags()&storage.FlagWAL == 0 {
-			if err := fs.SetFlag(storage.FlagWAL); err != nil {
-				wal.Close()
-				fs.Close()
-				return nil, err
+		s.m = m
+		if wantWAL {
+			// Replay the committed tail before the WAL is attached, so the
+			// re-executed mutations are not logged again.
+			after := uint64(0)
+			if ck != nil {
+				after = ck.EndLSN
+			}
+			s.replayedBatches, s.replayedMutations, err = replayWAL(m, walRecs, after)
+			if err != nil {
+				return fmt.Errorf("ccam: wal replay: %w", err)
+			}
+			wal, err := storage.OpenWAL(walDir, opts.SyncPolicy, 0)
+			if err != nil {
+				return err
+			}
+			s.adoptWAL(wal, opts)
+			if fs.Flags()&storage.FlagWAL == 0 {
+				if err := fs.SetFlag(storage.FlagWAL); err != nil {
+					return err
+				}
+			}
+			f.AttachWAL(wal, fs)
+			// Converge: make the replayed state the new checkpoint and prune
+			// the log, so the next crash recovers without re-replaying.
+			if err := f.Checkpoint(); err != nil {
+				return err
 			}
 		}
-		f.AttachWAL(wal, fs)
-		// Converge: make the replayed state the new checkpoint and prune
-		// the log, so the next crash recovers without re-replaying.
-		if err := f.Checkpoint(); err != nil {
-			wal.Close()
-			fs.Close()
-			return nil, err
+		if s.obs != nil {
+			if s.wal != nil {
+				s.obs.reg.Counter("ccam_wal_replayed_batches_total").Add(int64(s.replayedBatches))
+				s.obs.reg.Counter("ccam_wal_replayed_mutations_total").Add(int64(s.replayedMutations))
+			}
+			// Access weights are not persisted: every edge weighs 1 after a
+			// reopen, so WCRR == CRR until the store is rebuilt.
+			s.obs.setGauges(f)
 		}
+		// Discard recovery's and replay's I/O so counters start clean.
+		return f.ResetIO()
+	})
+}
+
+// BaselineKind names a comparison access method from the paper's
+// evaluation.
+type BaselineKind string
+
+// Baseline access methods.
+const (
+	// DFSAM orders nodes by depth-first traversal.
+	DFSAM BaselineKind = "dfs-am"
+	// BFSAM orders nodes by breadth-first traversal.
+	BFSAM BaselineKind = "bfs-am"
+	// WDFSAM orders nodes by weight-guided depth-first traversal.
+	WDFSAM BaselineKind = "wdfs-am"
+	// GridFile clusters nodes by spatial proximity.
+	GridFile BaselineKind = "grid-file"
+)
+
+// NewBaseline constructs one of the paper's comparison access methods
+// behind the same Store facade as CCAM itself, so baselines and CCAM
+// share one API surface — queries, batch queries, transactional Apply,
+// IO() — and benchmark code needs no per-method branching. Baselines
+// do not support a WAL, background reorganization or instrumentation.
+func NewBaseline(kind BaselineKind, opts Options) (*Store, error) {
+	if opts.PageSize == 0 {
+		opts.PageSize = 2048
 	}
-	var obs *observability
-	var tracer *metrics.Tracer
-	if opts.TraceCapacity > 0 {
-		tracer = metrics.NewTracer(opts.TraceCapacity)
-	}
-	if opts.Metrics {
-		obs = newObservability(metrics.NewRegistry(), tracer)
-		if wal != nil {
-			wal.Instrument(obs.walInstrumentation())
-			obs.reg.Counter("ccam_wal_replayed_batches_total").Add(int64(replayedBatches))
-			obs.reg.Counter("ccam_wal_replayed_mutations_total").Add(int64(replayedMutations))
-		}
-	}
-	if obs != nil || tracer != nil {
-		var reg *metrics.Registry
-		if obs != nil {
-			reg = obs.reg
-		}
-		f.EnableMetrics(reg, tracer)
-	}
-	if obs != nil {
-		// Access weights are not persisted: every edge weighs 1 after a
-		// reopen, so WCRR == CRR until the store is rebuilt.
-		obs.setGauges(f)
-	}
-	// Discard recovery's and replay's I/O so counters start clean.
-	if err := f.ResetIO(); err != nil {
-		fs.Close()
-		return nil, err
-	}
-	s := &Store{
-		m: m, fs: fs, parallelism: opts.Parallelism, obs: obs, tracer: tracer,
-		wal: wal, checkpointBytes: opts.CheckpointBytes, applyFaultHook: opts.applyFaultHook,
-		replayedBatches: replayedBatches, replayedMutations: replayedMutations,
-	}
-	if s.checkpointBytes == 0 {
-		s.checkpointBytes = defaultCheckpointBytes
+	if opts.WAL {
+		return nil, fmt.Errorf("ccam: baseline %q does not support a WAL", kind)
 	}
 	if opts.BackgroundReorg {
-		if err := s.startReorganizer(opts); err != nil {
-			s.Close()
-			return nil, err
+		return nil, fmt.Errorf("ccam: baseline %q does not support background reorganization", kind)
+	}
+	// The baselines' files take no registry or tracer.
+	opts.Metrics, opts.TraceCapacity = false, 0
+	return newStore(opts, nil, nil, func(s *Store, fo netfile.Options) (err error) {
+		switch kind {
+		case DFSAM:
+			s.m, err = topo.New(topo.Config{Kind: topo.DFS, PageSize: fo.PageSize, PoolPages: fo.PoolPages, Seed: opts.Seed})
+		case BFSAM:
+			s.m, err = topo.New(topo.Config{Kind: topo.BFS, PageSize: fo.PageSize, PoolPages: fo.PoolPages, Seed: opts.Seed})
+		case WDFSAM:
+			s.m, err = topo.New(topo.Config{Kind: topo.WDFS, PageSize: fo.PageSize, PoolPages: fo.PoolPages, Seed: opts.Seed})
+		case GridFile:
+			s.m, err = gridfile.New(gridfile.Config{PageSize: fo.PageSize, PoolPages: fo.PoolPages})
+		default:
+			err = fmt.Errorf("ccam: unknown baseline %q", kind)
+		}
+		return err
+	})
+}
+
+// --- lifecycle: Build, ResetIO, Flush, Close ---
+
+// lockExclusive takes the lifecycle lock and then the writer mutex: the
+// caller excludes every query and every writer.
+func (s *Store) lockExclusive() {
+	s.structMu.Lock()
+	s.mu.Lock()
+}
+
+func (s *Store) unlockExclusive() {
+	s.mu.Unlock()
+	s.structMu.Unlock()
+}
+
+// Build loads network g into the store (the paper's Create()),
+// replacing any previous contents. With a WAL, the log is reset first
+// and a checkpoint is taken after the load: Build itself is not
+// crash-atomic (a crash mid-Build leaves neither the old nor the new
+// contents recoverable), but once Build returns the loaded network is
+// durable and every later Apply is. Build replaces the file wholesale
+// and resets the version layer: any Store.Snapshot the caller still
+// holds must be closed first.
+func (s *Store) Build(g *Network) error {
+	s.lockExclusive()
+	defer s.unlockExclusive()
+	if s.closed {
+		return ErrClosed
+	}
+	if err := s.failedErr(); err != nil {
+		return err
+	}
+	if s.reorg != nil {
+		// The new contents start a fresh CRR high-water mark.
+		s.reorg.highwater = 0
+	}
+	start := time.Now()
+	err := s.buildLocked(g)
+	if s.obs != nil {
+		om := s.obs.ops[opBuild]
+		om.count.Inc()
+		if err != nil {
+			om.errs.Inc()
+		} else {
+			om.latency.ObserveSince(start)
+			s.obs.setGauges(s.m.File())
 		}
 	}
-	return s, nil
+	return err
+}
+
+func (s *Store) buildLocked(g *Network) error {
+	if s.wal != nil {
+		// Build replaces the file wholesale; stale log records must not
+		// be replayed over the new contents, so the log restarts empty
+		// (at a monotonically advanced LSN) before any page is written.
+		if err := s.wal.Reset(); err != nil {
+			return err
+		}
+	}
+	if err := s.m.Build(g); err != nil {
+		return err
+	}
+	if s.wal != nil {
+		f := s.m.File()
+		f.AttachWAL(s.wal, s.fs)
+		if err := f.Checkpoint(); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+var errEmpty = errors.New("ccam: store is empty; call Build first")
+
+// file returns the data file of an open, healthy, built store. The
+// caller holds structMu or mu.
+func (s *Store) file() (*netfile.File, error) {
+	if s.closed {
+		return nil, ErrClosed
+	}
+	if err := s.failedErr(); err != nil {
+		return nil, err
+	}
+	f := s.m.File()
+	if f == nil {
+		return nil, errEmpty
+	}
+	return f, nil
+}
+
+// ResetIO empties the buffer pool and zeroes the I/O counters, so the
+// next operation is measured cold. Emptying the pool drops the page
+// versions queries read, so it excludes them, like Build.
+func (s *Store) ResetIO() error {
+	s.lockExclusive()
+	defer s.unlockExclusive()
+	f, err := s.file()
+	if err != nil {
+		return err
+	}
+	return f.ResetIO()
+}
+
+// persist makes the buffered state durable: with a WAL a checkpoint
+// (dirty pages imaged into the log, flushed, the log pruned to its last
+// complete checkpoint), else a flush and, file-backed, a sync. Caller
+// holds mu.
+func (s *Store) persist(f *netfile.File) error {
+	if f.WAL() != nil {
+		return f.Checkpoint()
+	}
+	if err := f.Flush(); err != nil {
+		return err
+	}
+	if s.fs != nil {
+		return s.fs.Sync()
+	}
+	return nil
+}
+
+// Flush writes all buffered dirty pages to the underlying store, and
+// syncs the page file when the store is file-backed. With a WAL this
+// is a checkpoint: dirty pages are imaged into the log, flushed, and
+// the log is pruned to its last complete checkpoint.
+func (s *Store) Flush() error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	f, err := s.file()
+	if err != nil {
+		return err
+	}
+	return s.persist(f)
+}
+
+// Checkpoint forces a WAL checkpoint: dirty pages are imaged into the
+// log, flushed to the data file, deferred page frees are executed and
+// the log is pruned. On a store without a WAL it is Flush.
+func (s *Store) Checkpoint() error { return s.Flush() }
+
+// Close flushes (checkpoints, with a WAL) and releases the store. The
+// I/O counters are snapshotted first, so IO() keeps answering
+// afterwards. A poisoned store closes without flushing: its memory
+// state is not trustworthy, and the next OpenPath recovers the last
+// committed state from the log.
+func (s *Store) Close() error {
+	// Halt the background reorganizer before locking: its rounds take
+	// mu, so halting under the lock would deadlock.
+	if s.reorg != nil {
+		s.reorg.halt()
+	}
+	s.lockExclusive()
+	defer s.unlockExclusive()
+	if s.closed {
+		return nil
+	}
+	if f := s.m.File(); f != nil {
+		if s.failedErr() == nil {
+			if err := s.persist(f); err != nil {
+				return err
+			}
+		}
+		s.lastIO = f.DataIO()
+	}
+	s.closed = true
+	var firstErr error
+	if s.wal != nil {
+		firstErr = s.wal.Close()
+	}
+	if s.fs != nil {
+		if err := s.fs.Close(); err != nil && firstErr == nil {
+			firstErr = err
+		}
+	}
+	return firstErr
+}
+
+// --- the read bracket: every query runs on a pinned view ---
+
+// readView is one query's bracket: the lifecycle lock held shared, the
+// newest committed LSN pinned, and — when the operation is measured —
+// one snapshot of the layer counters. It is a plain value over
+// netfile's value-form View, so opening, using and ending it allocates
+// nothing.
+type readView struct {
+	s    *Store
+	f    *netfile.File
+	view netfile.View
+	sn   opSnap
+}
+
+// beginRead opens the bracket *v for operation op (opNone:
+// unmeasured). It takes structMu shared — which no writer holds while
+// it works, so the query starts immediately — and pins the newest
+// committed LSN. On success the caller must call v.end exactly once.
+// A Find is short enough for the bracket's own cost to show: it is
+// filled in place, in the caller's frame, and with Metrics off neither
+// snap nor the snapshot's end is so much as called.
+func (s *Store) beginRead(ctx context.Context, op opKind, v *readView) error {
+	s.structMu.RLock()
+	f, err := s.file()
+	if err != nil {
+		s.structMu.RUnlock()
+		return err
+	}
+	v.s, v.f, v.view = s, f, f.PinView()
+	if s.obs != nil {
+		v.sn = s.snap(ctx, op, f, false)
+	}
+	return nil
+}
+
+// end closes the bracket: it charges the operation's instruments and
+// the request's ReqStats with what the query cost and how it ended
+// (*err, read when end runs so it can be deferred), unpins and unlocks.
+func (v *readView) end(err *error) {
+	if v.sn.f != nil {
+		v.sn.end(*err)
+	}
+	v.view.Unpin()
+	v.s.structMu.RUnlock()
+}
+
+// Snapshot pins the newest committed mutation batch and returns a
+// read-only view of the store as of that batch: a reader holding it
+// sees neither later Apply commits nor background reorganization, no
+// matter how long it lives, and never waits on them. Close must be
+// called exactly once to release the pinned page versions. The
+// snapshot must be closed before Build, ResetIO or Close; it fails
+// once the store is poisoned, closed or rebuilt. Returns an error on
+// an unbuilt or closed store.
+func (s *Store) Snapshot() (*Snapshot, error) {
+	s.structMu.RLock()
+	defer s.structMu.RUnlock()
+	f, err := s.file()
+	if err != nil {
+		return nil, err
+	}
+	return f.Snapshot(), nil
+}
+
+// Snapshot is an LSN-consistent read-only view of a store, pinned by
+// Store.Snapshot. See netfile.Snapshot for the read operations.
+type Snapshot = netfile.Snapshot
+
+// Find retrieves the record of a node. The context is checked before
+// the record fetch, so canceling it (or exceeding its deadline) stops
+// the operation early.
+func (s *Store) Find(ctx context.Context, id NodeID) (rec *Record, err error) {
+	var v readView
+	if err = s.beginRead(ctx, opFind, &v); err != nil {
+		return nil, err
+	}
+	defer v.end(&err)
+	return v.view.FindCtx(ctx, id)
+}
+
+// GetASuccessor retrieves the record of succ, a successor of cur. It is
+// handed cur as a record, not as a position in the file, so it is a
+// Find of succ: the paper's "the buffered page containing cur is
+// searched first" holds as a buffer-pool hit when the two are
+// co-located. GetSuccessors and EvaluateRoute hold their position
+// between hops and read a co-located successor in place, with no pool
+// request at all. The context is checked before the fetch.
+func (s *Store) GetASuccessor(ctx context.Context, cur *Record, succ NodeID) (rec *Record, err error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	var v readView
+	if err = s.beginRead(ctx, opGetASuccessor, &v); err != nil {
+		return nil, err
+	}
+	defer v.end(&err)
+	return v.view.GetASuccessor(cur, succ)
+}
+
+// GetSuccessors retrieves the records of all successors of a node.
+// The context is checked before the node's own fetch and before each
+// successor fetch.
+func (s *Store) GetSuccessors(ctx context.Context, id NodeID) (recs []*Record, err error) {
+	var v readView
+	if err = s.beginRead(ctx, opGetSuccessors, &v); err != nil {
+		return nil, err
+	}
+	defer v.end(&err)
+	return v.view.GetSuccessorsCtx(ctx, id)
+}
+
+// EvaluateRoute computes the aggregate property of a route as a Find
+// followed by Get-A-successor operations. The context is checked
+// before each hop's record fetch, so canceling it stops a long route
+// without paying for the remaining page reads.
+func (s *Store) EvaluateRoute(ctx context.Context, route Route) (agg RouteAggregate, err error) {
+	var v readView
+	if err = s.beginRead(ctx, opEvaluateRoute, &v); err != nil {
+		return RouteAggregate{}, err
+	}
+	defer v.end(&err)
+	return v.view.EvaluateRouteCtx(ctx, route)
+}
+
+// RangeQuery returns all records whose positions lie inside rect, via
+// the secondary spatial index. The context is checked before each
+// candidate record fetch, so canceling it stops the index scan without
+// paying for the remaining page reads.
+func (s *Store) RangeQuery(ctx context.Context, rect Rect) (recs []*Record, err error) {
+	var v readView
+	if err = s.beginRead(ctx, opRangeQuery, &v); err != nil {
+		return nil, err
+	}
+	defer v.end(&err)
+	return v.view.RangeQueryCtx(ctx, rect)
+}
+
+// Nearest returns the k stored records closest to p by Euclidean
+// distance, nearest first: expanding-window searches through the
+// spatial index (Z-order or R-tree alike), the result radius verified
+// so the answer is exact.
+func (s *Store) Nearest(p Point, k int) (recs []*Record, err error) {
+	var v readView
+	if err = s.beginRead(context.Background(), opNearest, &v); err != nil {
+		return nil, err
+	}
+	defer v.end(&err)
+	return v.view.Nearest(p, k)
+}
+
+// Has reports whether a node is stored. Unlike Contains, it surfaces
+// real failures: an unbuilt store or an index error comes back as a
+// non-nil error instead of being conflated with "absent". The context
+// is checked before the index probe.
+func (s *Store) Has(ctx context.Context, id NodeID) (ok bool, err error) {
+	if err := ctx.Err(); err != nil {
+		return false, err
+	}
+	var v readView
+	if err = s.beginRead(ctx, opNone, &v); err != nil {
+		return false, err
+	}
+	defer v.end(&err)
+	return v.view.Has(id), nil
+}
+
+// Contains reports whether a node is stored. It is a convenience
+// wrapper around Has that treats every failure as "not stored".
+func (s *Store) Contains(id NodeID) bool {
+	ok, err := s.Has(context.Background(), id)
+	return err == nil && ok
+}
+
+// Query results re-exported from the query layer.
+type (
+	// Path is a shortest-path result.
+	Path = query.Path
+	// TourAggregate is the result of a tour evaluation query.
+	TourAggregate = query.TourAggregate
+	// Allocation assigns one demand node to its nearest facility.
+	Allocation = query.Allocation
+)
+
+// ShortestPath computes a cheapest path between two stored nodes with
+// Dijkstra's algorithm over the file (Get-successors expansions).
+func (s *Store) ShortestPath(src, dst NodeID) (Path, error) {
+	return s.ShortestPathAStar(src, dst, 0)
+}
+
+// ShortestPathAStar computes a cheapest path with A*, using a
+// straight-line-distance heuristic scaled by minCostPerUnit (a lower
+// bound on edge cost per unit of Euclidean distance; 0 falls back to
+// Dijkstra).
+func (s *Store) ShortestPathAStar(src, dst NodeID, minCostPerUnit float64) (p Path, err error) {
+	var v readView
+	if err = s.beginRead(context.Background(), opShortestPath, &v); err != nil {
+		return Path{}, err
+	}
+	defer v.end(&err)
+	return query.AStar(v.view, src, dst, minCostPerUnit)
+}
+
+// EvaluateTour evaluates a closed tour (the route plus the edge back to
+// its start).
+func (s *Store) EvaluateTour(tour Route) (agg TourAggregate, err error) {
+	var v readView
+	if err = s.beginRead(context.Background(), opEvaluateTour, &v); err != nil {
+		return TourAggregate{}, err
+	}
+	defer v.end(&err)
+	return query.EvaluateTour(v.view, tour)
+}
+
+// LocationAllocation allocates every reachable node to its cheapest
+// facility by network distance, returning the allocations plus the
+// total and maximum assignment costs.
+func (s *Store) LocationAllocation(facilities []NodeID) (allocs []Allocation, total, max float64, err error) {
+	var v readView
+	if err = s.beginRead(context.Background(), opLocationAllocation, &v); err != nil {
+		return nil, 0, 0, err
+	}
+	defer v.end(&err)
+	return query.LocationAllocation(v.view, facilities)
 }
 
 // RouteUnitAggregate is the result of an aggregate query over a
@@ -1264,36 +1076,151 @@ type RouteUnitAggregate = netfile.RouteUnitAggregate
 // aggregates the member edges' costs — the paper's motivating
 // decision-support query (comparing ridership or flow across named
 // routes).
-func (s *Store) EvaluateRouteUnit(name string, members [][2]NodeID) (RouteUnitAggregate, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	f, err := s.file()
-	if err != nil {
+func (s *Store) EvaluateRouteUnit(name string, members [][2]NodeID) (agg RouteUnitAggregate, err error) {
+	var v readView
+	if err = s.beginRead(context.Background(), opEvaluateRouteUnit, &v); err != nil {
 		return RouteUnitAggregate{}, err
 	}
-	if s.obs != nil {
-		sn := s.obs.beginOp(s.obs.evaluateRouteUnit, f)
-		agg, err := f.EvaluateRouteUnit(name, members)
-		sn.end(err)
-		return agg, err
-	}
-	return f.EvaluateRouteUnit(name, members)
+	defer v.end(&err)
+	return v.view.EvaluateRouteUnit(name, members)
 }
 
 // Scan visits every stored record, page by page (a sequential scan). fn
-// returning false stops early.
-func (s *Store) Scan(fn func(rec *Record) bool) error {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	f, err := s.file()
-	if err != nil {
+// returning false stops early. fn runs inside the query's bracket: it
+// may call other queries and Apply, but not Build, ResetIO or Close.
+func (s *Store) Scan(fn func(rec *Record) bool) (err error) {
+	var v readView
+	if err = s.beginRead(context.Background(), opScan, &v); err != nil {
 		return err
 	}
-	if s.obs != nil {
-		sn := s.obs.beginOp(s.obs.scan, f)
-		err := f.Scan(fn)
-		sn.end(err)
-		return err
-	}
-	return f.Scan(fn)
+	defer v.end(&err)
+	return v.view.Scan(fn)
 }
+
+// --- the live end: accessors under the writer mutex ---
+
+// live runs fn under the writer mutex with the live file — nil when
+// the store is closed, poisoned or not built yet.
+func (s *Store) live(fn func(f *netfile.File)) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	f, _ := s.file()
+	fn(f)
+}
+
+// Len returns the number of stored node records.
+func (s *Store) Len() (n int) {
+	s.live(func(f *netfile.File) {
+		if f != nil {
+			n = f.NumNodes()
+		}
+	})
+	return n
+}
+
+// NumPages returns the number of data pages in the file.
+func (s *Store) NumPages() (n int) {
+	s.live(func(f *netfile.File) {
+		if f != nil {
+			n = f.NumPages()
+		}
+	})
+	return n
+}
+
+// Placement returns the current node → data page assignment.
+func (s *Store) Placement() Placement {
+	p := Placement{}
+	s.live(func(f *netfile.File) {
+		if f != nil {
+			p = f.Placement()
+		}
+	})
+	return p
+}
+
+// CRR measures the store's Connectivity Residue Ratio against network
+// g.
+func (s *Store) CRR(g *Network) float64 { return CRR(g, s.Placement()) }
+
+// WCRR measures the store's Weighted Connectivity Residue Ratio
+// against network g.
+func (s *Store) WCRR(g *Network) float64 { return WCRR(g, s.Placement()) }
+
+// IO returns the physical data-page I/O counters. The snapshot is
+// consistent under concurrent readers: every counter is an atomic
+// load, so no field is ever torn mid-increment. On a closed store it
+// returns the last snapshot, taken at Close().
+func (s *Store) IO() (st IOStats) {
+	s.live(func(f *netfile.File) {
+		if f != nil {
+			st = f.DataIO()
+		} else {
+			st = s.lastIO // zero until Close
+		}
+	})
+	return st
+}
+
+// SetEdgeCost updates the stored cost (e.g. current travel time) of a
+// directed edge in place (a one-op batch).
+func (s *Store) SetEdgeCost(from, to NodeID, cost float32) error {
+	return s.Apply(context.Background(), new(Batch).SetEdgeCost(from, to, cost))
+}
+
+// Insert adds a new node with its edges under the given policy. It is
+// a one-op batch: with a WAL the insert is logged and group-committed
+// like any Apply.
+func (s *Store) Insert(op *InsertOp, policy Policy) error {
+	return s.Apply(context.Background(), new(Batch).Insert(op, policy))
+}
+
+// Delete removes a node and its incident edges under the given policy
+// (a one-op batch).
+func (s *Store) Delete(id NodeID, policy Policy) error {
+	return s.Apply(context.Background(), new(Batch).Delete(id, policy))
+}
+
+// InsertEdge adds a directed edge between stored nodes (a one-op
+// batch).
+func (s *Store) InsertEdge(from, to NodeID, cost float32, policy Policy) error {
+	return s.Apply(context.Background(), new(Batch).InsertEdge(from, to, cost, policy))
+}
+
+// DeleteEdge removes a directed edge (a one-op batch).
+func (s *Store) DeleteEdge(from, to NodeID, policy Policy) error {
+	return s.Apply(context.Background(), new(Batch).DeleteEdge(from, to, policy))
+}
+
+// RoadMapOpts configures the synthetic road-network generator.
+type RoadMapOpts = graph.RoadMapOpts
+
+// MinneapolisLikeOpts returns generator options matching the scale of
+// the paper's test data (1077 nodes, 3045 directed edges).
+func MinneapolisLikeOpts() RoadMapOpts { return graph.MinneapolisLikeOpts() }
+
+// RoadMap generates a synthetic planar road network.
+func RoadMap(opts RoadMapOpts) (*Network, error) { return graph.RoadMap(opts) }
+
+// ReadNetworkJSON parses a network from the JSON schema written by
+// Network.WriteJSON (and by cmd/netgen).
+func ReadNetworkJSON(r io.Reader) (*Network, error) { return graph.ReadJSON(r) }
+
+// RandomWalkRoutes generates count routes of exactly length nodes each
+// by random walks on g, the workload of the paper's route evaluation
+// experiments.
+func RandomWalkRoutes(g *Network, count, length int, rng *rand.Rand) ([]Route, error) {
+	return graph.RandomWalkRoutes(g, count, length, rng)
+}
+
+// ApplyRouteWeights sets each edge's access weight to the number of
+// times the given routes traverse it (the paper's WCRR workload).
+func ApplyRouteWeights(g *Network, routes []Route) (int, error) {
+	return graph.ApplyRouteWeights(g, routes)
+}
+
+// compile-time interface checks for the facade's building blocks
+var (
+	_ partition.Bipartitioner = (*partition.RatioCut)(nil)
+	_ netfile.AccessMethod    = (*iccam.Method)(nil)
+)

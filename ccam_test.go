@@ -9,6 +9,7 @@ import (
 	"sync"
 	"testing"
 
+	"ccam/internal/query"
 	"ccam/internal/storage"
 )
 
@@ -444,6 +445,203 @@ func TestOpenPathDetectsCorruption(t *testing.T) {
 		}
 		if rec.ID != id {
 			t.Fatalf("Find(%d) returned %d after repair", id, rec.ID)
+		}
+	}
+}
+
+// TestApplyBeforeBuild applies all five mutation kinds to unbuilt
+// stores of every access method, each kind first in turn: the batch
+// goes through the same dispatch as a live Apply and WAL replay, and
+// the first op must fail with the access method's own pre-Build error.
+func TestApplyBeforeBuild(t *testing.T) {
+	ins := &InsertOp{Rec: &Record{ID: 1, Succs: []SuccEntry{{To: 2, Cost: 1}}}}
+	kinds := []struct {
+		name  string
+		queue func(b *Batch) *Batch
+		// direct is the same mutation issued at the access method.
+		direct func(s *Store) error
+	}{
+		{"insert", func(b *Batch) *Batch { return b.Insert(ins, SecondOrder) },
+			func(s *Store) error { return s.m.Insert(ins, SecondOrder) }},
+		{"delete", func(b *Batch) *Batch { return b.Delete(1, FirstOrder) },
+			func(s *Store) error { return s.m.Delete(1, FirstOrder) }},
+		{"insert-edge", func(b *Batch) *Batch { return b.InsertEdge(1, 2, 3, HigherOrder) },
+			func(s *Store) error { return s.m.InsertEdge(1, 2, 3, HigherOrder) }},
+		{"delete-edge", func(b *Batch) *Batch { return b.DeleteEdge(1, 2, Lazy) },
+			func(s *Store) error { return s.m.DeleteEdge(1, 2, Lazy) }},
+		{"set-edge-cost", func(b *Batch) *Batch { return b.SetEdgeCost(1, 2, 3) },
+			func(*Store) error { return errEmpty }},
+	}
+	open := map[string]func() (*Store, error){
+		"ccam": func() (*Store, error) { return Open(Options{PageSize: 1024}) },
+	}
+	for _, kind := range []BaselineKind{DFSAM, BFSAM, WDFSAM, GridFile} {
+		open[string(kind)] = func() (*Store, error) { return NewBaseline(kind, Options{PageSize: 1024}) }
+	}
+	for name, open := range open {
+		s, err := open()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		defer s.Close()
+		for first := range kinds {
+			b := new(Batch)
+			for i := range kinds {
+				b = kinds[(first+i)%len(kinds)].queue(b)
+			}
+			want := kinds[first].direct(s)
+			if want == nil {
+				t.Fatalf("%s accepts %s before Build", name, kinds[first].name)
+			}
+			if err := s.Apply(context.Background(), b); err == nil || err.Error() != want.Error() {
+				t.Errorf("%s: Apply before Build, %s first: %v, want the method's own %q", name, kinds[first].name, err, want)
+			}
+		}
+		if s.Len() != 0 || s.failedErr() != nil {
+			t.Errorf("%s: a rejected pre-Build batch left state behind", name)
+		}
+	}
+}
+
+// TestMovedQueriesReadTheSamePages: the graph searches, the route-unit
+// aggregate, Scan and Nearest moved from the live file onto the pinned
+// view every query reads through. On a quiescent store that must not
+// change what the paper counts: after ResetIO each reads exactly the
+// data pages the same operation reads on the live file — and, on the
+// paper-scale map behind a 16-page pool, the counts measured before
+// the move.
+func TestMovedQueriesReadTheSamePages(t *testing.T) {
+	s, g := paperStore(t, 16)
+	defer s.Close()
+	f := s.m.File()
+	ids := g.NodeIDs()
+	bb := g.Bounds()
+	rng := rand.New(rand.NewSource(13))
+	var pairs [16][2]NodeID
+	for i := range pairs {
+		pairs[i] = [2]NodeID{ids[rng.Intn(len(ids))], ids[rng.Intn(len(ids))]}
+	}
+	var pts [64]Point
+	for i := range pts {
+		pts[i] = Point{X: bb.Min.X + rng.Float64()*bb.Width(), Y: bb.Min.Y + rng.Float64()*bb.Height()}
+	}
+	walks, err := RandomWalkRoutes(g, 8, 21, rand.New(rand.NewSource(12)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var units [][][2]NodeID
+	for _, r := range walks {
+		var u [][2]NodeID
+		for j := 0; j+1 < len(r); j++ {
+			u = append(u, [2]NodeID{r[j], r[j+1]})
+		}
+		units = append(units, u)
+	}
+	tour := findTour(t, g)
+	facilities := []NodeID{ids[0], ids[len(ids)/2], ids[len(ids)-1]}
+	noPath := func(err error) error {
+		if errors.Is(err, ErrNoPath) {
+			return nil
+		}
+		return err
+	}
+	for _, tc := range []struct {
+		name       string
+		want       int64 // reads measured at the parent of this change
+		view, live func() error
+	}{
+		{"ShortestPath", 1578,
+			func() (err error) {
+				for _, p := range pairs {
+					if _, e := s.ShortestPath(p[0], p[1]); noPath(e) != nil {
+						err = e
+					}
+				}
+				return
+			},
+			func() (err error) {
+				for _, p := range pairs {
+					if _, e := query.Dijkstra(f, p[0], p[1]); noPath(e) != nil {
+						err = e
+					}
+				}
+				return
+			}},
+		{"ShortestPathAStar", 1331,
+			func() (err error) {
+				for _, p := range pairs {
+					if _, e := s.ShortestPathAStar(p[0], p[1], 0.8); noPath(e) != nil {
+						err = e
+					}
+				}
+				return
+			},
+			func() (err error) {
+				for _, p := range pairs {
+					if _, e := query.AStar(f, p[0], p[1], 0.8); noPath(e) != nil {
+						err = e
+					}
+				}
+				return
+			}},
+		{"EvaluateTour", 1,
+			func() error { _, err := s.EvaluateTour(tour); return err },
+			func() error { _, err := query.EvaluateTour(f, tour); return err }},
+		{"LocationAllocation", 335,
+			func() error { _, _, _, err := s.LocationAllocation(facilities); return err },
+			func() error { _, _, _, err := query.LocationAllocation(f, facilities); return err }},
+		{"EvaluateRouteUnit", 24,
+			func() (err error) {
+				for _, u := range units {
+					if _, e := s.EvaluateRouteUnit("u", u); e != nil {
+						err = e
+					}
+				}
+				return
+			},
+			func() (err error) {
+				for _, u := range units {
+					if _, e := f.EvaluateRouteUnit("u", u); e != nil {
+						err = e
+					}
+				}
+				return
+			}},
+		{"Scan", 68,
+			func() error { return s.Scan(func(*Record) bool { return true }) },
+			func() error { return f.Scan(func(*Record) bool { return true }) }},
+		{"Nearest", 150,
+			func() (err error) {
+				for _, p := range pts {
+					if _, e := s.Nearest(p, 5); e != nil {
+						err = e
+					}
+				}
+				return
+			},
+			func() (err error) {
+				for _, p := range pts {
+					if _, e := f.Nearest(p, 5); e != nil {
+						err = e
+					}
+				}
+				return
+			}},
+	} {
+		reads := func(op func() error) int64 {
+			t.Helper()
+			if err := s.ResetIO(); err != nil {
+				t.Fatal(err)
+			}
+			if err := op(); err != nil {
+				t.Fatalf("%s: %v", tc.name, err)
+			}
+			return s.IO().Reads
+		}
+		view, live := reads(tc.view), reads(tc.live)
+		if view != live || view != tc.want {
+			t.Errorf("%s reads %d data pages on the pinned view, %d on the live file, %d before the move",
+				tc.name, view, live, tc.want)
 		}
 	}
 }

@@ -3,10 +3,12 @@ package ccam
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 )
 
 // builtStore opens a store over the small test map and loads it.
@@ -118,12 +120,17 @@ func TestConcurrentReaders(t *testing.T) {
 	}
 }
 
-// TestReadersWithWriter races parallel readers against a writer that
-// churns one node (Delete + Insert under the second-order policy) and
-// refreshes edge costs. Readers avoid the churned node, so every read
-// must succeed even while pages reorganize underneath them.
+// TestReadersWithWriter races parallel readers — every query of the
+// facade — against a writer that churns one node (Delete + Insert
+// under the second-order policy), refreshes edge costs and pokes the
+// reorganizer. Readers avoid the churned node, so every read must
+// succeed even while pages reorganize underneath them.
 func TestReadersWithWriter(t *testing.T) {
-	s, g := builtStore(t, Options{PageSize: 1024, Seed: 6})
+	s, g := builtStore(t, Options{
+		PageSize: 1024, Seed: 6,
+		// Rounds come from the writer's Poke, never from the timer.
+		BackgroundReorg: true, ReorgInterval: time.Hour, ReorgTriggerDrop: 1e-9,
+	})
 	ids := g.NodeIDs()
 	churn := ids[len(ids)/2]
 	stable := make([]NodeID, 0, len(ids)-1)
@@ -169,6 +176,9 @@ func TestReadersWithWriter(t *testing.T) {
 		Point{X: bb.Min.X + bb.Width()*0.5, Y: bb.Min.Y + bb.Height()*0.5},
 	)
 
+	tour := findTour(t, g)
+	unit := [][2]NodeID{{safeEdge.From, safeEdge.To}}
+
 	var wg sync.WaitGroup
 	errCh := make(chan error, 9)
 	// Writer: churn one node and refresh a travel time, 40 rounds.
@@ -193,6 +203,7 @@ func TestReadersWithWriter(t *testing.T) {
 				errCh <- err
 				return
 			}
+			s.Poke()
 		}
 	}()
 	for w := 0; w < 8; w++ {
@@ -201,7 +212,7 @@ func TestReadersWithWriter(t *testing.T) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(int64(200 + w)))
 			for i := 0; i < 120; i++ {
-				switch i % 3 {
+				switch i % 10 {
 				case 0:
 					id := stable[rng.Intn(len(stable))]
 					rec, err := s.Find(context.Background(), id)
@@ -222,6 +233,50 @@ func TestReadersWithWriter(t *testing.T) {
 				case 2:
 					if _, err := s.RangeQuery(context.Background(), window); err != nil {
 						errCh <- err
+						return
+					}
+				case 3:
+					if _, err := s.Nearest(bb.Min, 3); err != nil {
+						errCh <- err
+						return
+					}
+				case 4:
+					src, dst := stable[rng.Intn(len(stable))], stable[rng.Intn(len(stable))]
+					if _, err := s.ShortestPath(src, dst); err != nil && !errors.Is(err, ErrNoPath) {
+						errCh <- err
+						return
+					}
+				case 5:
+					src, dst := stable[rng.Intn(len(stable))], stable[rng.Intn(len(stable))]
+					if _, err := s.ShortestPathAStar(src, dst, 0.5); err != nil && !errors.Is(err, ErrNoPath) {
+						errCh <- err
+						return
+					}
+				case 6:
+					if _, err := s.EvaluateTour(tour); err != nil {
+						errCh <- err
+						return
+					}
+				case 7:
+					if _, _, _, err := s.LocationAllocation(stable[:2]); err != nil {
+						errCh <- err
+						return
+					}
+				case 8:
+					if _, err := s.EvaluateRouteUnit("u", unit); err != nil {
+						errCh <- err
+						return
+					}
+				case 9:
+					// The churned node is between a delete and an insert, or
+					// stored: a scan sees one consistent state or the other.
+					n := 0
+					if err := s.Scan(func(*Record) bool { n++; return true }); err != nil {
+						errCh <- err
+						return
+					}
+					if n != g.NumNodes() && n != g.NumNodes()-1 {
+						errCh <- fmt.Errorf("Scan saw %d records of %d", n, g.NumNodes())
 						return
 					}
 				}

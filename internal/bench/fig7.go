@@ -102,7 +102,7 @@ func RunFig7(cfg Fig7Config) (*Fig7Result, error) {
 }
 
 func runFig7Policy(full, base *graph.Network, late []graph.NodeID, policy netfile.Policy, cfg Fig7Config) (*Fig7Series, error) {
-	m, err := ccam.New(ccam.Config{PageSize: cfg.BlockSize, PoolPages: 64, Seed: cfg.Setup.Seed, LazyEvery: cfg.LazyEvery})
+	m, err := ccam.New(ccam.Config{File: netfile.Options{PageSize: cfg.BlockSize, PoolPages: 64}, Seed: cfg.Setup.Seed, LazyEvery: cfg.LazyEvery})
 	if err != nil {
 		return nil, err
 	}

@@ -36,9 +36,9 @@ var MethodNamesWithWDFS = []string{"ccam-s", "ccam-d", "dfs-am", "wdfs-am", "gri
 func NewMethod(name string, pageSize, poolPages int, seed int64) (netfile.AccessMethod, error) {
 	switch name {
 	case "ccam-s":
-		return ccam.New(ccam.Config{PageSize: pageSize, PoolPages: poolPages, Seed: seed})
+		return ccam.New(ccam.Config{File: netfile.Options{PageSize: pageSize, PoolPages: poolPages}, Seed: seed})
 	case "ccam-d":
-		return ccam.New(ccam.Config{PageSize: pageSize, PoolPages: poolPages, Seed: seed, Dynamic: true})
+		return ccam.New(ccam.Config{File: netfile.Options{PageSize: pageSize, PoolPages: poolPages}, Seed: seed, Dynamic: true})
 	case "dfs-am":
 		return topo.New(topo.Config{Kind: topo.DFS, PageSize: pageSize, PoolPages: poolPages, Seed: seed})
 	case "bfs-am":
@@ -133,8 +133,7 @@ func sampleNodes(g *graph.Network, frac float64, rng *rand.Rand) []graph.NodeID 
 // ratio-cut restarts on large maps.
 func newCCAMWithMultilevel(pageSize int, seed int64) (netfile.AccessMethod, error) {
 	return ccam.New(ccam.Config{
-		PageSize:    pageSize,
-		PoolPages:   64,
+		File:        netfile.Options{PageSize: pageSize, PoolPages: 64},
 		Seed:        seed,
 		Partitioner: &partition.Multilevel{},
 	})

@@ -18,10 +18,8 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"time"
 
 	"ccam/internal/graph"
-	"ccam/internal/metrics"
 	"ccam/internal/netfile"
 	"ccam/internal/partition"
 	"ccam/internal/storage"
@@ -29,18 +27,11 @@ import (
 
 // Config parameterizes a CCAM instance.
 type Config struct {
-	// PageSize is the disk block size in bytes.
-	PageSize int
-	// PoolPages is the data buffer pool capacity (default 32).
-	PoolPages int
-	// PoolShards splits the data buffer pool into independently latched
-	// shards (0 or 1 = single latch; see netfile.Options.PoolShards).
-	PoolShards int
-	// Prefetch enables connectivity-aware PAG prefetch (see
-	// netfile.Options.Prefetch).
-	Prefetch bool
-	// PrefetchWorkers sizes the prefetcher's worker pool (0 = default).
-	PrefetchWorkers int
+	// File configures the data file Build creates: page size, buffer
+	// pool, prefetch, spatial index, page store and instrumentation.
+	// Build fills in Bounds from the network; a file adopted through
+	// Attach should have been opened with the same value.
+	File netfile.Options
 	// Partitioner is the two-way partitioning heuristic used for
 	// clustering and reclustering (default Cheng–Wei ratio cut).
 	Partitioner partition.Bipartitioner
@@ -59,10 +50,6 @@ type Config struct {
 	// a CCAM-D build (default SecondOrder, as in the paper's
 	// experiments).
 	BuildPolicy netfile.Policy
-	// Spatial selects the secondary spatial index structure (default
-	// the paper's Z-ordered B+-tree; netfile.SpatialRTree selects an
-	// R-tree).
-	Spatial netfile.SpatialKind
 	// Coalesce enables a post-clustering pass that merges pairs of
 	// PAG-adjacent pages whose combined contents fit in one page,
 	// raising the blocking factor (and usually the CRR) above what
@@ -72,17 +59,6 @@ type Config struct {
 	// LazyEvery is the update count after which the Lazy policy
 	// reorganizes a touched page and its PAG neighbors (default 8).
 	LazyEvery int
-	// Store optionally supplies the data page store (nil = in-memory).
-	Store storage.Store
-	// ReadLatency charges simulated wall-clock time per physical
-	// data-page read of the in-memory store (see netfile.Options).
-	ReadLatency time.Duration
-	// Metrics, when non-nil, instruments the file built by Build
-	// against this registry (see netfile.Options.Metrics).
-	Metrics *metrics.Registry
-	// Tracer, when non-nil, records per-operation traces (see
-	// netfile.Options.Tracer).
-	Tracer *metrics.Tracer
 }
 
 // Method is a CCAM file. It implements netfile.AccessMethod.
@@ -91,8 +67,8 @@ type Config struct {
 // straight to the File, whose read operations are reentrant. The
 // mutable fields here (rng, updates) are touched only by Build,
 // Insert, Delete and the edge maintenance operations, which the owner
-// must serialize against everything else (the root ccam.Store holds a
-// write lock around them).
+// must serialize among themselves (the root ccam.Store holds its writer
+// mutex around them; its queries read pinned views beside them).
 type Method struct {
 	cfg  Config
 	f    *netfile.File
@@ -140,19 +116,9 @@ func (m *Method) File() *netfile.File { return m.f }
 
 // Build implements netfile.AccessMethod: the paper's Create().
 func (m *Method) Build(g *graph.Network) error {
-	f, err := netfile.Create(netfile.Options{
-		PageSize:        m.cfg.PageSize,
-		PoolPages:       m.cfg.PoolPages,
-		PoolShards:      m.cfg.PoolShards,
-		Prefetch:        m.cfg.Prefetch,
-		PrefetchWorkers: m.cfg.PrefetchWorkers,
-		Bounds:          g.Bounds(),
-		Store:           m.cfg.Store,
-		Spatial:         m.cfg.Spatial,
-		ReadLatency:     m.cfg.ReadLatency,
-		Metrics:         m.cfg.Metrics,
-		Tracer:          m.cfg.Tracer,
-	})
+	opts := m.cfg.File
+	opts.Bounds = g.Bounds()
+	f, err := netfile.Create(opts)
 	if err != nil {
 		return err
 	}
@@ -177,7 +143,7 @@ func (m *Method) Build(g *graph.Network) error {
 // per Config.Seed.
 func (m *Method) buildStatic(g *graph.Network) error {
 	sizeOf := netfile.StoredSizer(g)
-	budget := netfile.PageBudget(m.cfg.PageSize)
+	budget := netfile.PageBudget(m.cfg.File.PageSize)
 	groups, err := partition.ClusterNodesIntoPagesOpts(g, sizeOf, budget, m.part,
 		partition.ClusterOptions{Workers: m.cfg.BuildWorkers, Seed: m.rng.Int63()})
 	if err != nil {
@@ -366,7 +332,7 @@ func (m *Method) mergeIfUnderflow(pid storage.PageID, neighbors []graph.NodeID) 
 		}
 		return m.f.FreePage(pid)
 	}
-	if used >= m.cfg.PageSize/2 {
+	if used >= m.cfg.File.PageSize/2 {
 		return nil
 	}
 	cands, err := m.f.PagesOfNeighbors(neighbors)
@@ -562,7 +528,7 @@ func (m *Method) clusterRecords(recs []*netfile.Record, forceSplit bool) ([][]*n
 	sizeOf := func(id graph.NodeID) int {
 		return byID[id].EncodedSize() + storage.PerRecordOverhead
 	}
-	budget := netfile.PageBudget(m.cfg.PageSize)
+	budget := netfile.PageBudget(m.cfg.File.PageSize)
 	var idGroups [][]graph.NodeID
 	var err error
 	if forceSplit && len(recs) >= 2 {
@@ -695,8 +661,8 @@ func (m *Method) Attach(f *netfile.File) error {
 	if m.f != nil {
 		return errors.New("ccam: method already has a file")
 	}
-	if f.PageSize() != m.cfg.PageSize {
-		return fmt.Errorf("ccam: file page size %d != configured %d", f.PageSize(), m.cfg.PageSize)
+	if f.PageSize() != m.cfg.File.PageSize {
+		return fmt.Errorf("ccam: file page size %d != configured %d", f.PageSize(), m.cfg.File.PageSize)
 	}
 	m.f = f
 	return nil

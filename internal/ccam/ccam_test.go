@@ -22,11 +22,11 @@ func roadMap(t *testing.T) *graph.Network {
 
 func build(t *testing.T, g *graph.Network, cfg Config) *Method {
 	t.Helper()
-	if cfg.PageSize == 0 {
-		cfg.PageSize = 1024
+	if cfg.File.PageSize == 0 {
+		cfg.File.PageSize = 1024
 	}
-	if cfg.PoolPages == 0 {
-		cfg.PoolPages = 64
+	if cfg.File.PoolPages == 0 {
+		cfg.File.PoolPages = 64
 	}
 	m, err := New(cfg)
 	if err != nil {
@@ -199,7 +199,7 @@ func TestDeleteThenReinsertAllPolicies(t *testing.T) {
 }
 
 func TestInsertIntoEmptyFile(t *testing.T) {
-	m, err := New(Config{PageSize: 512, PoolPages: 8})
+	m, err := New(Config{File: netfile.Options{PageSize: 512, PoolPages: 8}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +210,7 @@ func TestInsertIntoEmptyFile(t *testing.T) {
 		// but the file must exist for dynamic.
 		t.Log("static build of empty network succeeded")
 	}
-	m, _ = New(Config{PageSize: 512, PoolPages: 8, Dynamic: true})
+	m, _ = New(Config{File: netfile.Options{PageSize: 512, PoolPages: 8}, Dynamic: true})
 	if err := m.Build(empty); err != nil {
 		t.Fatalf("dynamic build of empty network: %v", err)
 	}
@@ -543,7 +543,7 @@ func TestFigureOneStyleClustering(t *testing.T) {
 	}
 	pageSize := clusterBytes + 64 // room for one cluster, not two
 
-	m := build(t, g, Config{PageSize: pageSize, PoolPages: 16, Seed: 7})
+	m := build(t, g, Config{File: netfile.Options{PageSize: pageSize, PoolPages: 16}, Seed: 7})
 	if m.File().NumPages() != 3 {
 		t.Fatalf("pages = %d, want 3", m.File().NumPages())
 	}
@@ -565,7 +565,7 @@ func TestFigureOneStyleClustering(t *testing.T) {
 func TestAttachValidations(t *testing.T) {
 	g := roadMap(t)
 	m := build(t, g, Config{Seed: 41})
-	other, err := New(Config{PageSize: 2048})
+	other, err := New(Config{File: netfile.Options{PageSize: 2048}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -573,7 +573,7 @@ func TestAttachValidations(t *testing.T) {
 	if err := other.Attach(m.File()); err == nil {
 		t.Fatal("page-size mismatch accepted")
 	}
-	ok, err := New(Config{PageSize: 1024})
+	ok, err := New(Config{File: netfile.Options{PageSize: 1024}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 
 	"ccam/internal/buffer"
@@ -373,6 +374,111 @@ func (v View) rangeQuery(ctx context.Context, rect geom.Rect, at *metrics.Active
 		}
 	}
 	return out, nil
+}
+
+// Nearest returns the k records closest to p by Euclidean distance as
+// of the view, nearest first. It runs expanding-window range queries —
+// exact at the view's LSN for either spatial index — and verifies the
+// result radius: a window of half-side r holds every point within r of
+// p, so k hits whose farthest lies within r are the answer, and
+// otherwise one more query at that farthest distance is.
+func (v View) Nearest(p geom.Point, k int) ([]*Record, error) {
+	if k <= 0 {
+		return nil, nil
+	}
+	at := v.f.tracer.Start("nearest")
+	out, err := v.nearest(p, k, at)
+	at.Finish(err)
+	return out, err
+}
+
+func (v View) nearest(p geom.Point, k int, at *metrics.ActiveTrace) ([]*Record, error) {
+	b := v.f.quant.Bounds()
+	r := (b.Width() + b.Height()) / 128
+	if r <= 0 {
+		r = 1
+	}
+	for {
+		window := geom.NewRect(geom.Point{X: p.X - r, Y: p.Y - r}, geom.Point{X: p.X + r, Y: p.Y + r})
+		recs, err := v.rangeQuery(context.Background(), window, at)
+		if err != nil {
+			return nil, err
+		}
+		// A window spanning the map has seen every record there is.
+		covers := window.Contains(b.Min) && window.Contains(b.Max)
+		if len(recs) < k && !covers {
+			r *= 2
+			continue
+		}
+		sortByDistance(recs, p)
+		if len(recs) > k {
+			recs = recs[:k]
+		}
+		if covers || len(recs) == 0 {
+			return recs, nil
+		}
+		worst := recs[len(recs)-1]
+		if d := math.Hypot(worst.Pos.X-p.X, worst.Pos.Y-p.Y); d > r {
+			r = d // every point within d now lies inside the window
+			continue
+		}
+		return recs, nil
+	}
+}
+
+// EvaluateRouteUnit retrieves every node record of the route-unit as
+// of the view and aggregates its member edges' costs. Members are
+// directed edges (from, to); each must exist. Connectivity clustering
+// makes this cheap because a route-unit's nodes form connected chains.
+func (v View) EvaluateRouteUnit(name string, members [][2]graph.NodeID) (RouteUnitAggregate, error) {
+	if len(members) == 0 {
+		return RouteUnitAggregate{}, fmt.Errorf("%w: route-unit %q has no members", graph.ErrInvalidRoute, name)
+	}
+	agg := RouteUnitAggregate{Name: name}
+	recs := map[graph.NodeID]*Record{}
+	fetch := func(id graph.NodeID) (*Record, error) {
+		if r, ok := recs[id]; ok {
+			return r, nil
+		}
+		r, err := v.read(id, nil)
+		if err != nil {
+			return nil, err
+		}
+		recs[id] = r
+		return r, nil
+	}
+	for _, m := range members {
+		from, err := fetch(m[0])
+		if err != nil {
+			return RouteUnitAggregate{}, fmt.Errorf("netfile: route-unit %q: %w", name, err)
+		}
+		if _, err := fetch(m[1]); err != nil {
+			return RouteUnitAggregate{}, fmt.Errorf("netfile: route-unit %q: %w", name, err)
+		}
+		var cost float64
+		found := false
+		for _, s := range from.Succs {
+			if s.To == m[1] {
+				cost = float64(s.Cost)
+				found = true
+				break
+			}
+		}
+		if !found {
+			return RouteUnitAggregate{}, fmt.Errorf("%w: route-unit %q member %d->%d is not an edge",
+				graph.ErrInvalidRoute, name, m[0], m[1])
+		}
+		agg.Edges++
+		agg.TotalCost += cost
+		if agg.Edges == 1 || cost < agg.MinCost {
+			agg.MinCost = cost
+		}
+		if cost > agg.MaxCost {
+			agg.MaxCost = cost
+		}
+	}
+	agg.Nodes = len(recs)
+	return agg, nil
 }
 
 // Scan visits every record as of the view, page by page in page-id

@@ -79,8 +79,10 @@ type Options struct {
 // stores carry their own latches. Mutating operations (record
 // insert/update/delete, page allocation, reorganization, ResetIO,
 // Flush) touch the pages/free maps and the index trees without
-// internal locking and must be serialized against all other calls by
-// the owner (the root ccam.Store does this with a reader-writer lock).
+// internal locking and must be serialized against all other calls on
+// the live file by the owner. The root ccam.Store serializes them on
+// its writer mutex and runs every query on a pinned View instead, which
+// reads beside a mutation (snapshot.go).
 type File struct {
 	pageSize  int
 	dataStore storage.Store

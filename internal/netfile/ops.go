@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 
 	"ccam/internal/geom"
 	"ccam/internal/graph"
@@ -99,70 +98,9 @@ func (f *File) Scan(fn func(rec *Record) bool) error {
 }
 
 // Nearest returns the k stored records closest to p by Euclidean
-// distance, nearest first. With an R-tree spatial index the search is
-// branch-and-bound; with the Z-order index it runs expanding-window
-// searches, verifying the result radius so the answer is exact.
+// distance, nearest first (see View.Nearest).
 func (f *File) Nearest(p geom.Point, k int) ([]*Record, error) {
-	if k <= 0 || f.NumNodes() == 0 {
-		return nil, nil
-	}
-	if k > f.NumNodes() {
-		k = f.NumNodes()
-	}
-	if rt, ok := f.spatial.(*rtreeIndex); ok {
-		ids := rt.nearestExact(p, k)
-		out := make([]*Record, 0, len(ids))
-		for _, id := range ids {
-			rec, err := f.ReadRecord(id)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, rec)
-		}
-		return out, nil
-	}
-	// Generic expanding-window search over the range interface.
-	b := f.quant.Bounds()
-	r := (b.Width() + b.Height()) / 128
-	if r <= 0 {
-		r = 1
-	}
-	collect := func(radius float64) ([]*Record, error) {
-		window := geom.NewRect(
-			geom.Point{X: p.X - radius, Y: p.Y - radius},
-			geom.Point{X: p.X + radius, Y: p.Y + radius},
-		)
-		return f.RangeQuery(window)
-	}
-	for {
-		recs, err := collect(r)
-		if err != nil {
-			return nil, err
-		}
-		covers := r >= b.Width()+b.Height() // window certainly spans the map
-		if len(recs) >= k || covers {
-			sortByDistance(recs, p)
-			if len(recs) > k {
-				recs = recs[:k]
-			}
-			worst := math.Hypot(recs[len(recs)-1].Pos.X-p.X, recs[len(recs)-1].Pos.Y-p.Y)
-			if covers || worst <= r {
-				return recs, nil
-			}
-			// Re-search with the verified radius: every point within
-			// `worst` now lies inside the window.
-			final, err := collect(worst)
-			if err != nil {
-				return nil, err
-			}
-			sortByDistance(final, p)
-			if len(final) > k {
-				final = final[:k]
-			}
-			return final, nil
-		}
-		r *= 2
-	}
+	return f.live().Nearest(p, k)
 }
 
 // InsertOp describes a node insertion: the new record (whose Preds
@@ -433,56 +371,7 @@ type RouteUnitAggregate struct {
 }
 
 // EvaluateRouteUnit retrieves every node record of the route-unit and
-// aggregates its member edges' costs. Members are directed edges
-// (from, to); each must exist. Connectivity clustering makes this cheap
-// because a route-unit's nodes form connected chains.
+// aggregates its member edges' costs (see View.EvaluateRouteUnit).
 func (f *File) EvaluateRouteUnit(name string, members [][2]graph.NodeID) (RouteUnitAggregate, error) {
-	if len(members) == 0 {
-		return RouteUnitAggregate{}, fmt.Errorf("%w: route-unit %q has no members", graph.ErrInvalidRoute, name)
-	}
-	agg := RouteUnitAggregate{Name: name}
-	recs := map[graph.NodeID]*Record{}
-	fetch := func(id graph.NodeID) (*Record, error) {
-		if r, ok := recs[id]; ok {
-			return r, nil
-		}
-		r, err := f.ReadRecord(id)
-		if err != nil {
-			return nil, err
-		}
-		recs[id] = r
-		return r, nil
-	}
-	for _, m := range members {
-		from, err := fetch(m[0])
-		if err != nil {
-			return RouteUnitAggregate{}, fmt.Errorf("netfile: route-unit %q: %w", name, err)
-		}
-		if _, err := fetch(m[1]); err != nil {
-			return RouteUnitAggregate{}, fmt.Errorf("netfile: route-unit %q: %w", name, err)
-		}
-		var cost float64
-		found := false
-		for _, s := range from.Succs {
-			if s.To == m[1] {
-				cost = float64(s.Cost)
-				found = true
-				break
-			}
-		}
-		if !found {
-			return RouteUnitAggregate{}, fmt.Errorf("%w: route-unit %q member %d->%d is not an edge",
-				graph.ErrInvalidRoute, name, m[0], m[1])
-		}
-		agg.Edges++
-		agg.TotalCost += cost
-		if agg.Edges == 1 || cost < agg.MinCost {
-			agg.MinCost = cost
-		}
-		if cost > agg.MaxCost {
-			agg.MaxCost = cost
-		}
-	}
-	agg.Nodes = len(recs)
-	return agg, nil
+	return f.live().EvaluateRouteUnit(name, members)
 }

@@ -136,7 +136,7 @@ func (f *File) batchDelta() *overlayDelta {
 // pool starts capturing pre-images of mutated pages and a pending
 // overlay delta collects placement changes (installed lazily by the
 // first placement change). Callers must serialize batches (the facade
-// holds its write lock across one).
+// holds its writer mutex across one).
 func (f *File) BeginVersionBatch() {
 	f.pool.BeginVersionBatch()
 	f.curDelta = nil

@@ -210,16 +210,6 @@ func (r *rtreeIndex) search(rect geom.Rect, fn func(graph.NodeID) bool) error {
 	return nil
 }
 
-// nearestExact returns the k nearest node ids via branch-and-bound.
-func (r *rtreeIndex) nearestExact(p geom.Point, k int) []graph.NodeID {
-	nn := r.tree.Nearest(p, k)
-	out := make([]graph.NodeID, len(nn))
-	for i, n := range nn {
-		out[i] = graph.NodeID(n.Ref)
-	}
-	return out
-}
-
 // sortByDistance orders records by true Euclidean distance from p.
 func sortByDistance(recs []*Record, p geom.Point) {
 	sort.Slice(recs, func(i, j int) bool {

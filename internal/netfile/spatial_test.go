@@ -113,6 +113,19 @@ func TestNearestBothIndexesMatchBruteForce(t *testing.T) {
 			}
 		}
 	}
+	// A point far off the map: the window grows until it holds the map.
+	far := geom.Point{X: b.Max.X + 10*b.Width(), Y: b.Max.Y + 10*b.Height()}
+	for name, f := range map[string]*File{"zorder": zf, "rtree": rf} {
+		got, err := f.Nearest(far, 2)
+		if err != nil || len(got) != 2 {
+			t.Fatalf("%s: far point: %d results, %v", name, len(got), err)
+		}
+		for i, want := range bruteforce(far, 2) {
+			if d := math.Hypot(got[i].Pos.X-far.X, got[i].Pos.Y-far.Y); math.Abs(d-want) > 1e-9 {
+				t.Fatalf("%s: far point rank %d dist %f, want %f", name, i, d, want)
+			}
+		}
+	}
 	// Degenerate cases.
 	if out, err := zf.Nearest(geom.Point{}, 0); err != nil || out != nil {
 		t.Fatalf("k=0: %v %v", out, err)

@@ -21,7 +21,7 @@ func buildTestFile(t *testing.T) *netfile.File {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := ccam.New(ccam.Config{PageSize: 1024, PoolPages: 64, Seed: 1})
+	m, err := ccam.New(ccam.Config{File: netfile.Options{PageSize: 1024, PoolPages: 64}, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

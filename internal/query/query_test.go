@@ -14,7 +14,7 @@ import (
 
 func buildFile(t *testing.T, g *graph.Network) *netfile.File {
 	t.Helper()
-	m, err := ccam.New(ccam.Config{PageSize: 1024, PoolPages: 64, Seed: 1})
+	m, err := ccam.New(ccam.Config{File: netfile.Options{PageSize: 1024, PoolPages: 64}, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

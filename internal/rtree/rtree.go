@@ -8,7 +8,6 @@
 package rtree
 
 import (
-	"container/heap"
 	"errors"
 	"fmt"
 	"math"
@@ -330,69 +329,6 @@ func collectLeafEntries(n *node) []entry {
 	var out []entry
 	for _, e := range n.entries {
 		out = append(out, collectLeafEntries(e.child)...)
-	}
-	return out
-}
-
-// nnItem is a branch-and-bound queue element for Nearest.
-type nnItem struct {
-	dist  float64
-	n     *node
-	leafE *entry
-}
-
-type nnQueue []nnItem
-
-func (q nnQueue) Len() int            { return len(q) }
-func (q nnQueue) Less(i, j int) bool  { return q[i].dist < q[j].dist }
-func (q nnQueue) Swap(i, j int)       { q[i], q[j] = q[j], q[i] }
-func (q *nnQueue) Push(x interface{}) { *q = append(*q, x.(nnItem)) }
-func (q *nnQueue) Pop() interface{} {
-	old := *q
-	n := len(old)
-	x := old[n-1]
-	*q = old[:n-1]
-	return x
-}
-
-// minDist returns the minimum distance from p to rect.
-func minDist(p geom.Point, r geom.Rect) float64 {
-	dx := math.Max(0, math.Max(r.Min.X-p.X, p.X-r.Max.X))
-	dy := math.Max(0, math.Max(r.Min.Y-p.Y, p.Y-r.Max.Y))
-	return math.Hypot(dx, dy)
-}
-
-// Neighbor is one Nearest result.
-type Neighbor struct {
-	Pos  geom.Point
-	Ref  uint64
-	Dist float64
-}
-
-// Nearest returns the k entries closest to p (Euclidean), nearest
-// first, using best-first branch-and-bound traversal.
-func (t *Tree) Nearest(p geom.Point, k int) []Neighbor {
-	if k <= 0 || t.size == 0 {
-		return nil
-	}
-	q := &nnQueue{}
-	heap.Push(q, nnItem{dist: 0, n: t.root})
-	var out []Neighbor
-	for q.Len() > 0 && len(out) < k {
-		it := heap.Pop(q).(nnItem)
-		switch {
-		case it.leafE != nil:
-			out = append(out, Neighbor{Pos: it.leafE.mbr.Min, Ref: it.leafE.ref, Dist: it.dist})
-		case it.n.leaf:
-			for i := range it.n.entries {
-				e := &it.n.entries[i]
-				heap.Push(q, nnItem{dist: minDist(p, e.mbr), leafE: e})
-			}
-		default:
-			for _, e := range it.n.entries {
-				heap.Push(q, nnItem{dist: minDist(p, e.mbr), n: e.child})
-			}
-		}
 	}
 	return out
 }

@@ -2,9 +2,7 @@ package rtree
 
 import (
 	"errors"
-	"math"
 	"math/rand"
-	"sort"
 	"testing"
 
 	"ccam/internal/geom"
@@ -23,9 +21,6 @@ func TestEmptyTree(t *testing.T) {
 	}
 	if err := tr.Delete(geom.Point{}, 1); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("delete on empty = %v", err)
-	}
-	if nn := tr.Nearest(geom.Point{}, 3); nn != nil {
-		t.Fatalf("Nearest on empty = %v", nn)
 	}
 	if err := tr.Validate(); err != nil {
 		t.Fatal(err)
@@ -119,48 +114,6 @@ func TestRandomizedAgainstBruteForce(t *testing.T) {
 	}
 }
 
-func TestNearestMatchesBruteForce(t *testing.T) {
-	rng := rand.New(rand.NewSource(33))
-	tr := New(8)
-	type pt struct {
-		p   geom.Point
-		ref uint64
-	}
-	var pts []pt
-	for i := 0; i < 500; i++ {
-		p := geom.Point{X: rng.Float64() * 100, Y: rng.Float64() * 100}
-		tr.Insert(p, uint64(i))
-		pts = append(pts, pt{p, uint64(i)})
-	}
-	for trial := 0; trial < 25; trial++ {
-		q := geom.Point{X: rng.Float64() * 100, Y: rng.Float64() * 100}
-		k := 1 + rng.Intn(10)
-		got := tr.Nearest(q, k)
-		if len(got) != k {
-			t.Fatalf("Nearest returned %d, want %d", len(got), k)
-		}
-		// Brute force.
-		dists := make([]float64, len(pts))
-		for i, e := range pts {
-			dists[i] = math.Hypot(e.p.X-q.X, e.p.Y-q.Y)
-		}
-		sort.Float64s(dists)
-		for i, nb := range got {
-			if math.Abs(nb.Dist-dists[i]) > 1e-9 {
-				t.Fatalf("trial %d: neighbor %d dist %f, want %f", trial, i, nb.Dist, dists[i])
-			}
-			if i > 0 && got[i].Dist < got[i-1].Dist {
-				t.Fatal("results not sorted")
-			}
-		}
-	}
-	// k larger than tree size returns everything.
-	all := tr.Nearest(geom.Point{X: 50, Y: 50}, 10000)
-	if len(all) != 500 {
-		t.Fatalf("Nearest(all) = %d", len(all))
-	}
-}
-
 func TestDuplicatePointsDistinctRefs(t *testing.T) {
 	tr := New(4)
 	p := geom.Point{X: 3, Y: 3}
@@ -207,8 +160,12 @@ func TestDeleteAllThenReuse(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr.Insert(geom.Point{X: 1, Y: 1}, 42)
-	nn := tr.Nearest(geom.Point{X: 0, Y: 0}, 1)
-	if len(nn) != 1 || nn[0].Ref != 42 {
-		t.Fatalf("reuse failed: %v", nn)
+	var refs []uint64
+	tr.Search(geom.NewRect(geom.Point{}, geom.Point{X: 2, Y: 2}), func(_ geom.Point, ref uint64) bool {
+		refs = append(refs, ref)
+		return true
+	})
+	if len(refs) != 1 || refs[0] != 42 {
+		t.Fatalf("reuse failed: %v", refs)
 	}
 }

@@ -67,10 +67,74 @@ func newOpMetrics(reg *metrics.Registry, name string) *opMetrics {
 	}
 }
 
+// opKind names a facade operation that has its own instruments.
+type opKind uint8
+
+const (
+	opNone opKind = iota // no instruments: Has, reorganizer rounds
+	opFind
+	opGetASuccessor
+	opGetSuccessors
+	opEvaluateRoute
+	opRangeQuery
+	opNearest
+	opInsert
+	opDelete
+	opInsertEdge
+	opDeleteEdge
+	opSetEdgeCost
+	opShortestPath
+	opEvaluateTour
+	opLocationAllocation
+	opEvaluateRouteUnit
+	opScan
+	opFindBatch
+	opEvaluateRoutes
+	opBuild
+	opApply
+	opQuery
+	numOps
+)
+
+// opNames are the <name> of each operation's ccam_op_<name>_* series.
+var opNames = [numOps]string{
+	opFind:               "find",
+	opGetASuccessor:      "get_a_successor",
+	opGetSuccessors:      "get_successors",
+	opEvaluateRoute:      "evaluate_route",
+	opRangeQuery:         "range_query",
+	opNearest:            "nearest",
+	opInsert:             "insert",
+	opDelete:             "delete",
+	opInsertEdge:         "insert_edge",
+	opDeleteEdge:         "delete_edge",
+	opSetEdgeCost:        "set_edge_cost",
+	opShortestPath:       "shortest_path",
+	opEvaluateTour:       "evaluate_tour",
+	opLocationAllocation: "location_allocation",
+	opEvaluateRouteUnit:  "evaluate_route_unit",
+	opScan:               "scan",
+	opFindBatch:          "find_batch",
+	opEvaluateRoutes:     "evaluate_routes",
+	opBuild:              "build",
+	opApply:              "apply",
+	opQuery:              "query",
+}
+
+// mutationOps attributes every op applied through Apply exactly like
+// its standalone method.
+var mutationOps = [...]opKind{
+	netfile.MutInsertNode:  opInsert,
+	netfile.MutDeleteNode:  opDelete,
+	netfile.MutInsertEdge:  opInsertEdge,
+	netfile.MutDeleteEdge:  opDeleteEdge,
+	netfile.MutSetEdgeCost: opSetEdgeCost,
+}
+
 // observability is the per-store instrumentation state. It exists only
-// when metrics are enabled; every facade operation branches on the nil
-// pointer first, so a disabled store pays one predictable branch and
-// nothing else.
+// when metrics are enabled; the facade branches on the nil pointer
+// where an operation's counter snapshot starts (Store.snap), so a
+// disabled store pays one predictable branch and nothing else.
 type observability struct {
 	reg    *metrics.Registry
 	tracer *metrics.Tracer
@@ -91,18 +155,12 @@ type observability struct {
 	// durable (group-formation wait included).
 	walCommitWait *metrics.Histogram
 
-	find, getASuccessor, getSuccessors    *opMetrics
-	evaluateRoute, rangeQuery, nearest    *opMetrics
-	insert, delete_, insertEdge           *opMetrics
-	deleteEdge, setEdgeCost               *opMetrics
-	shortestPath, evaluateTour            *opMetrics
-	locationAllocation, evaluateRouteUnit *opMetrics
-	scan, findBatch, evaluateRoutes       *opMetrics
-	build, apply, query                   *opMetrics
+	// ops holds each operation's instruments (nil at opNone).
+	ops [numOps]*opMetrics
 }
 
 func newObservability(reg *metrics.Registry, tr *metrics.Tracer) *observability {
-	return &observability{
+	o := &observability{
 		reg:    reg,
 		tracer: tr,
 
@@ -115,47 +173,11 @@ func newObservability(reg *metrics.Registry, tr *metrics.Tracer) *observability 
 		reorgPages:  reg.Counter("ccam_reorg_pages_total"),
 
 		walCommitWait: reg.Histogram("ccam_wal_commit_wait_ns"),
-
-		find:               newOpMetrics(reg, "find"),
-		getASuccessor:      newOpMetrics(reg, "get_a_successor"),
-		getSuccessors:      newOpMetrics(reg, "get_successors"),
-		evaluateRoute:      newOpMetrics(reg, "evaluate_route"),
-		rangeQuery:         newOpMetrics(reg, "range_query"),
-		nearest:            newOpMetrics(reg, "nearest"),
-		insert:             newOpMetrics(reg, "insert"),
-		delete_:            newOpMetrics(reg, "delete"),
-		insertEdge:         newOpMetrics(reg, "insert_edge"),
-		deleteEdge:         newOpMetrics(reg, "delete_edge"),
-		setEdgeCost:        newOpMetrics(reg, "set_edge_cost"),
-		shortestPath:       newOpMetrics(reg, "shortest_path"),
-		evaluateTour:       newOpMetrics(reg, "evaluate_tour"),
-		locationAllocation: newOpMetrics(reg, "location_allocation"),
-		evaluateRouteUnit:  newOpMetrics(reg, "evaluate_route_unit"),
-		scan:               newOpMetrics(reg, "scan"),
-		findBatch:          newOpMetrics(reg, "find_batch"),
-		evaluateRoutes:     newOpMetrics(reg, "evaluate_routes"),
-		build:              newOpMetrics(reg, "build"),
-		apply:              newOpMetrics(reg, "apply"),
-		query:              newOpMetrics(reg, "query"),
 	}
-}
-
-// opFor maps a batch op to its per-operation instruments, so every op
-// applied through Apply is attributed exactly like its standalone
-// method.
-func (o *observability) opFor(kind netfile.MutKind) *opMetrics {
-	switch kind {
-	case netfile.MutInsertNode:
-		return o.insert
-	case netfile.MutDeleteNode:
-		return o.delete_
-	case netfile.MutInsertEdge:
-		return o.insertEdge
-	case netfile.MutDeleteEdge:
-		return o.deleteEdge
-	default:
-		return o.setEdgeCost
+	for op := opNone + 1; op < numOps; op++ {
+		o.ops[op] = newOpMetrics(reg, opNames[op])
 	}
+	return o
 }
 
 // walInstrumentation builds the metric hooks wired into the store's
@@ -170,15 +192,16 @@ func (o *observability) walInstrumentation() storage.WALInstrumentation {
 	}
 }
 
-// opSnap captures the layer counters at operation start; end() charges
-// the operation with the deltas. The I/O attribution is exact while
-// operations run one at a time (the paper's cost model); under
-// concurrent readers a page fetched — or a prefetch issued — by an
-// overlapping operation may be charged to this one, but the global
-// per-class counters and latency histograms stay exact.
+// opSnap is one operation's counter snapshot: snap captures the layer
+// counters at operation start, end charges the operation with the
+// deltas. The zero value is inactive and its end does nothing. The I/O
+// attribution is exact while operations run one at a time (the paper's
+// cost model); under concurrent readers a page fetched — or a prefetch
+// issued — by an overlapping operation may be charged to this one, but
+// the global per-class counters and latency histograms stay exact.
 type opSnap struct {
-	om    *opMetrics
-	f     *netfile.File
+	f     *netfile.File // nil: inactive (never started, or already charged)
+	om    *opMetrics    // nil: the deltas are only returned
 	rs    *ReqStats
 	start time.Time
 	io    storage.Stats
@@ -187,68 +210,76 @@ type opSnap struct {
 	pf    int64
 }
 
-func (o *observability) beginOp(om *opMetrics, f *netfile.File) opSnap {
-	return opSnap{
-		om:    om,
-		f:     f,
-		start: time.Now(),
-		io:    f.DataIO(),
-		pool:  f.Pool().Stats(),
-		idx:   f.IndexVisits(),
-		pf:    f.Pool().PrefetchStats().Issued,
+// snap starts the counter snapshot of operation op on f. With Metrics
+// on, end charges op's instruments and, when ctx carries a *ReqStats (a
+// request served by ccam-serve), that account too. With Metrics off, or
+// for opNone, nothing is snapshotted and the ctx.Value lookup is not
+// paid — unless the caller needs the deltas themselves (force: Query's
+// Result.Actual).
+func (s *Store) snap(ctx context.Context, op opKind, f *netfile.File, force bool) opSnap {
+	var sn opSnap
+	if s.obs != nil && op != opNone {
+		sn.om = s.obs.ops[op]
+		sn.rs = ReqStatsFrom(ctx)
+	} else if !force {
+		return sn
 	}
-}
-
-// beginOpCtx is beginOp plus per-request attribution: when ctx carries
-// a *ReqStats (a request served by ccam-serve), end() charges the same
-// deltas to it. Only the instrumented path (obs != nil) calls this, so
-// the disabled path never pays the ctx.Value lookup.
-func (o *observability) beginOpCtx(ctx context.Context, om *opMetrics, f *netfile.File) opSnap {
-	sn := o.beginOp(om, f)
-	sn.rs = ReqStatsFrom(ctx)
+	sn.f = f
+	sn.start = time.Now()
+	sn.io = f.DataIO()
+	sn.pool = f.Pool().Stats()
+	sn.idx = f.IndexVisits()
+	sn.pf = f.Pool().PrefetchStats().Issued
 	return sn
 }
 
-func (sn opSnap) end(err error) {
-	om := sn.om
-	om.count.Inc()
-	if err != nil {
-		om.errs.Inc()
+// end charges the operation once — a second call is a no-op — and
+// returns what it cost.
+func (sn *opSnap) end(err error) ReqStats {
+	f := sn.f
+	if f == nil {
+		return ReqStats{}
 	}
-	om.latency.ObserveSince(sn.start)
-	io := sn.f.DataIO().Sub(sn.io)
-	om.dataReads.Add(io.Reads)
-	om.dataWrites.Add(io.Writes)
-	ps := sn.f.Pool().Stats().Sub(sn.pool)
-	om.hits.Add(ps.Hits)
-	om.misses.Add(ps.Misses)
-	idx := sn.f.IndexVisits() - sn.idx
-	om.idxPages.Add(idx)
+	sn.f = nil
+	io := f.DataIO().Sub(sn.io)
+	ps := f.Pool().Stats().Sub(sn.pool)
+	cost := ReqStats{
+		DataReads:    io.Reads,
+		DataWrites:   io.Writes,
+		IndexPages:   f.IndexVisits() - sn.idx,
+		BufferHits:   ps.Hits,
+		BufferMisses: ps.Misses,
+		Ops:          1,
+	}
+	if om := sn.om; om != nil {
+		om.count.Inc()
+		if err != nil {
+			om.errs.Inc()
+		}
+		om.latency.ObserveSince(sn.start)
+		om.dataReads.Add(cost.DataReads)
+		om.dataWrites.Add(cost.DataWrites)
+		om.hits.Add(cost.BufferHits)
+		om.misses.Add(cost.BufferMisses)
+		om.idxPages.Add(cost.IndexPages)
+	}
 	if sn.rs != nil {
-		sn.rs.Add(ReqStats{
-			DataReads:    io.Reads,
-			DataWrites:   io.Writes,
-			IndexPages:   idx,
-			BufferHits:   ps.Hits,
-			BufferMisses: ps.Misses,
-			Prefetches:   sn.f.Pool().PrefetchStats().Issued - sn.pf,
-			Ops:          1,
-		})
+		// Only a request's account reports prefetches.
+		cost.Prefetches = f.Pool().PrefetchStats().Issued - sn.pf
+		sn.rs.Add(cost)
 	}
+	return cost
 }
 
-// setGauges publishes CRR/WCRR from the PAG summary's running sums —
-// O(1). Caller holds the store's write lock.
+// setGauges publishes what a committed change can move: CRR/WCRR from
+// the PAG summary's running sums, and the version layer's health — how
+// far the oldest pinned snapshot lags the newest commit (the
+// page-version retention window) and how many snapshots are pinned.
+// All O(1). Caller holds the writer mutex.
 func (o *observability) setGauges(f *netfile.File) {
 	st := f.PAG().Stats()
 	o.crr.Set(st.CRR())
 	o.wcrr.Set(st.WCRR())
-}
-
-// setSnapshotGauges publishes the version layer's health: how far the
-// oldest pinned snapshot lags the newest commit (the page-version
-// retention window) and how many snapshots are pinned.
-func (o *observability) setSnapshotGauges(f *netfile.File) {
 	p := f.Pool()
 	o.snapLag.Set(float64(p.CommittedLSN() - p.VersionFloor()))
 	o.snapsActive.Set(float64(p.ActiveSnapshots()))

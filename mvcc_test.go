@@ -9,9 +9,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"path/filepath"
 	"reflect"
+	"sort"
 	"sync"
 	"testing"
 	"time"
@@ -508,5 +510,284 @@ func TestSnapshotAnswersUnderConcurrentWrites(t *testing.T) {
 				t.Log("the reorganizer never found enough decay to run; re-clustering under the snapshot went unexercised")
 			}
 		})
+	}
+}
+
+// findTour returns four nodes of g that form a directed cycle.
+func findTour(t *testing.T, g *Network) Route {
+	t.Helper()
+	for _, a := range g.NodeIDs() {
+		for _, b := range g.Successors(a) {
+			for _, c := range g.Successors(b) {
+				if c == a {
+					continue
+				}
+				for _, d := range g.Successors(c) {
+					if d == a || d == b {
+						continue
+					}
+					if _, err := g.Edge(d, a); err == nil {
+						return Route{a, b, c, d}
+					}
+				}
+			}
+		}
+	}
+	t.Fatal("map has no 4-cycle")
+	return nil
+}
+
+// queryAnswers is what every query of the facade returns for one fixed
+// set of arguments around a victim node and a probe edge.
+type queryAnswers struct {
+	Find           *Record
+	Successor      *Record
+	Successors     []*Record
+	Route          RouteAggregate
+	Window         []NodeID
+	Has            bool
+	Batch          []*Record
+	Routes         []RouteAggregate
+	Nearest        []*Record
+	Path, PathStar Path
+	Tour           TourAggregate
+	Allocations    map[NodeID]Allocation
+	AllocTotal     float64
+	RouteUnit      RouteUnitAggregate
+	Scanned        int
+	ScanSawVictim  bool
+	QueryPath      Route
+}
+
+// TestQueriesDoNotWaitForStalledWriter parks an Apply inside the store
+// — under the writer mutex, after it has rewritten an edge cost and
+// deleted a node, before its commit — and runs every query of the
+// facade beside it. There is one reader regime: each query must return
+// within its deadline, and return the pre-batch answer.
+func TestQueriesDoNotWaitForStalledWriter(t *testing.T) {
+	for _, kind := range []SpatialIndexKind{SpatialZOrder, SpatialRTree} {
+		t.Run(kind.String(), func(t *testing.T) { testQueriesBesideStalledWriter(t, kind) })
+	}
+}
+
+func testQueriesBesideStalledWriter(t *testing.T, kind SpatialIndexKind) {
+	parked, release := make(chan struct{}), make(chan struct{})
+	s, g := builtStore(t, Options{
+		PageSize: 1024, Seed: 5, Spatial: kind,
+		applyFaultHook: func(i int) error {
+			if i == 2 {
+				close(parked)
+				<-release
+			}
+			return nil
+		},
+	})
+	ctx := context.Background()
+
+	// The victim has a predecessor and a successor; the probe edge and
+	// the tour stay clear of it.
+	var victim, pred, succ NodeID
+	for _, id := range g.NodeIDs() {
+		if ps, ss := g.Predecessors(id), g.Successors(id); len(ps) > 0 && len(ss) > 0 && ps[0] != ss[0] {
+			victim, pred, succ = id, ps[0], ss[0]
+			break
+		}
+	}
+	vnode, err := g.Node(victim)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tour := findTour(t, g)
+	var probe Edge
+	for _, e := range g.Edges() {
+		if e.From != victim && e.To != victim {
+			probe = e
+			break
+		}
+	}
+	through := Route{pred, victim, succ}
+	window := NewRect(Point{X: vnode.Pos.X - 1, Y: vnode.Pos.Y - 1}, Point{X: vnode.Pos.X + 1, Y: vnode.Pos.Y + 1})
+	unit := [][2]NodeID{{probe.From, probe.To}, {pred, victim}, {victim, succ}}
+
+	// ask runs every query; each must finish within 2 s.
+	ask := func(when string) queryAnswers {
+		t.Helper()
+		var a queryAnswers
+		within := func(name string, op func() error) {
+			t.Helper()
+			done := make(chan error, 1)
+			go func() { done <- op() }()
+			select {
+			case err := <-done:
+				if err != nil {
+					t.Errorf("%s: %s: %v", when, name, err)
+				}
+			case <-time.After(2 * time.Second):
+				t.Errorf("%s: %s waits for the writer", when, name)
+			}
+		}
+		within("Find", func() (err error) { a.Find, err = s.Find(ctx, victim); return })
+		within("GetASuccessor", func() (err error) {
+			cur, err := s.Find(ctx, pred)
+			if err != nil {
+				return err
+			}
+			a.Successor, err = s.GetASuccessor(ctx, cur, victim)
+			return err
+		})
+		within("GetSuccessors", func() (err error) { a.Successors, err = s.GetSuccessors(ctx, probe.From); return })
+		within("EvaluateRoute", func() (err error) { a.Route, err = s.EvaluateRoute(ctx, through); return })
+		within("RangeQuery", func() error {
+			recs, err := s.RangeQuery(ctx, window)
+			for _, r := range recs {
+				a.Window = append(a.Window, r.ID)
+			}
+			sort.Slice(a.Window, func(i, j int) bool { return a.Window[i] < a.Window[j] })
+			return err
+		})
+		within("Has", func() (err error) { a.Has, err = s.Has(ctx, victim); return })
+		within("FindBatch", func() (err error) { a.Batch, err = s.FindBatch(ctx, []NodeID{victim, probe.From}); return })
+		within("EvaluateRoutes", func() (err error) {
+			a.Routes, err = s.EvaluateRoutes(ctx, []Route{through, {probe.From, probe.To}})
+			return
+		})
+		within("Nearest", func() (err error) { a.Nearest, err = s.Nearest(vnode.Pos, 1); return })
+		within("ShortestPath", func() (err error) { a.Path, err = s.ShortestPath(pred, succ); return })
+		within("ShortestPathAStar", func() (err error) { a.PathStar, err = s.ShortestPathAStar(pred, victim, 0.5); return })
+		within("EvaluateTour", func() (err error) { a.Tour, err = s.EvaluateTour(tour); return })
+		within("LocationAllocation", func() error {
+			allocs, total, _, err := s.LocationAllocation([]NodeID{probe.From})
+			a.Allocations = make(map[NodeID]Allocation, len(allocs))
+			for _, al := range allocs {
+				a.Allocations[al.Demand] = al
+			}
+			a.AllocTotal = total
+			return err
+		})
+		within("EvaluateRouteUnit", func() (err error) { a.RouteUnit, err = s.EvaluateRouteUnit("u", unit); return })
+		within("Scan", func() error {
+			return s.Scan(func(rec *Record) bool {
+				a.Scanned++
+				a.ScanSawVictim = a.ScanSawVictim || rec.ID == victim
+				return true
+			})
+		})
+		within("Query", func() error {
+			res, err := s.Query(ctx, fmt.Sprintf("PATH %d TO %d", pred, victim))
+			if err == nil {
+				a.QueryPath = res.Path
+			}
+			return err
+		})
+		return a
+	}
+
+	before := ask("quiescent")
+	if t.Failed() {
+		t.FailNow()
+	}
+	// The quiescent answers agree with the reference network.
+	if before.Find.ID != victim || !before.Has || !before.ScanSawVictim || before.Scanned != g.NumNodes() {
+		t.Fatalf("quiescent store does not hold node %d of %d nodes", victim, g.NumNodes())
+	}
+	if len(before.Nearest) != 1 || before.Nearest[0].Pos != vnode.Pos {
+		t.Fatalf("Nearest(%v) = %v, want the node there", vnode.Pos, before.Nearest)
+	}
+	if n := len(before.PathStar.Nodes); n == 0 || before.PathStar.Nodes[n-1] != victim {
+		t.Fatalf("shortest path to %d = %v", victim, before.PathStar.Nodes)
+	}
+	if n := len(before.QueryPath); n == 0 || before.QueryPath[n-1] != victim {
+		t.Fatalf("PATH to %d = %v", victim, before.QueryPath)
+	}
+	var wantUnit float64
+	for _, m := range unit {
+		e, err := g.Edge(m[0], m[1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantUnit += e.Cost
+	}
+	if math.Abs(before.RouteUnit.TotalCost-wantUnit) > 1e-3 {
+		t.Fatalf("route unit costs %v, the network says %v", before.RouteUnit.TotalCost, wantUnit)
+	}
+
+	applied := make(chan error, 1)
+	go func() {
+		applied <- s.Apply(ctx, new(Batch).
+			SetEdgeCost(probe.From, probe.To, float32(probe.Cost)+1000).
+			Delete(victim, FirstOrder).
+			SetEdgeCost(tour[0], tour[1], 1))
+	}()
+	<-parked
+	during := ask("writer parked")
+	close(release)
+	if err := <-applied; err != nil {
+		t.Fatal(err)
+	}
+	bv, dv := reflect.ValueOf(before), reflect.ValueOf(during)
+	for i := 0; i < bv.NumField(); i++ {
+		if !reflect.DeepEqual(bv.Field(i).Interface(), dv.Field(i).Interface()) {
+			t.Errorf("%s beside the parked writer does not return the pre-batch answer", bv.Type().Field(i).Name)
+		}
+	}
+	// Once the batch commits, the same queries see it.
+	if _, err := s.Find(ctx, victim); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("Find(%d) after the commit: %v", victim, err)
+	}
+	if agg, err := s.EvaluateRoute(ctx, Route{probe.From, probe.To}); err != nil || agg.TotalCost != float64(float32(probe.Cost)+1000) {
+		t.Fatalf("probe edge after the commit: %+v, %v", agg, err)
+	}
+}
+
+// TestReorganizerRoundIsAWriteTransaction: a round runs through the
+// same transaction function as Apply. A healthy round is logged,
+// committed durably and followed by the gauges; a round that cannot
+// log its begin record fails the way an Apply does — the error comes
+// back and the next writer meets it too — instead of returning
+// silently.
+func TestReorganizerRoundIsAWriteTransaction(t *testing.T) {
+	g := smallTestMap(t)
+	s, err := Open(Options{
+		PageSize: 1024, Seed: 3, Metrics: true,
+		Path: filepath.Join(t.TempDir(), "net.ccam"), WAL: true,
+		BackgroundReorg: true, ReorgInterval: time.Hour, // rounds run only when called
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if err := s.Build(g); err != nil {
+		t.Fatal(err)
+	}
+	// A high-water mark of 1 makes any placement look decayed.
+	s.reorg.highwater = 1
+	before := s.WALStats()
+	if err := s.reorg.round(); err != nil {
+		t.Fatal(err)
+	}
+	after := s.WALStats()
+	if after.AppendedLSN == before.AppendedLSN {
+		t.Fatal("the round logged nothing: the trigger did not fire")
+	}
+	if after.DurableLSN != after.AppendedLSN {
+		t.Fatalf("the round returned with LSN %d appended but only %d durable", after.AppendedLSN, after.DurableLSN)
+	}
+	if crr := s.m.File().PAG().Stats().CRR(); s.Metrics().Gauge("ccam_crr").Value() != crr {
+		t.Fatalf("ccam_crr = %v after the round, the file's CRR is %v", s.Metrics().Gauge("ccam_crr").Value(), crr)
+	}
+
+	s.wal.Close() // every append fails from here on
+	s.reorg.highwater = 1
+	roundErr := s.reorg.round()
+	if roundErr == nil {
+		t.Fatal("a round that could not log its begin record returned no error")
+	}
+	e := g.Edges()[0]
+	if err := s.SetEdgeCost(e.From, e.To, 1); err == nil || err.Error() != roundErr.Error() {
+		t.Fatalf("the next writer got %v, the round %v", err, roundErr)
+	}
+	// Nothing was modified, so nothing is poisoned: queries go on.
+	if _, err := s.Find(context.Background(), e.From); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -13,6 +13,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -267,5 +268,62 @@ func TestDisabledMetricsAddNoAllocs(t *testing.T) {
 	})
 	if wrapped > base {
 		t.Fatalf("disabled facade allocates %.1f/op, bare file %.1f/op", wrapped, base)
+	}
+}
+
+// TestBuildKeepsOptionsAfterOpenPath: a store reopened with OpenPath
+// and then rebuilt must honor the same Options as one created with
+// Open and built — one translation of Options into the file's
+// configuration serves both.
+func TestBuildKeepsOptionsAfterOpenPath(t *testing.T) {
+	g := smallTestMap(t)
+	opts := Options{PageSize: 1024, Seed: 2, Metrics: true, TraceCapacity: 16, Spatial: SpatialRTree}
+	for _, tc := range []struct {
+		name string
+		open func(t *testing.T, path string) (*Store, error)
+	}{
+		{"Open+Build", func(t *testing.T, path string) (*Store, error) {
+			o := opts
+			o.Path = path
+			return Open(o)
+		}},
+		{"OpenPath+Build", func(t *testing.T, path string) (*Store, error) {
+			s, err := Open(Options{PageSize: 1024, Seed: 2, Path: path})
+			if err != nil {
+				return nil, err
+			}
+			if err := s.Build(g); err != nil {
+				return nil, err
+			}
+			if err := s.Close(); err != nil {
+				return nil, err
+			}
+			return OpenPath(path, opts)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, err := tc.open(t, filepath.Join(t.TempDir(), "net.ccam"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			if err := s.Build(g); err != nil {
+				t.Fatal(err)
+			}
+			if kind := s.m.File().SpatialIndexKind(); kind != SpatialRTree {
+				t.Errorf("spatial index after Build is %v, want %v", kind, SpatialRTree)
+			}
+			idx := s.Metrics().Counter("ccam_op_find_index_pages_total")
+			before := idx.Value()
+			if _, err := s.Find(context.Background(), g.NodeIDs()[0]); err != nil {
+				t.Fatal(err)
+			}
+			if idx.Value() == before {
+				t.Error("a Find after Build visited no index page: the rebuilt file lost its registry")
+			}
+			if trs := s.Traces(1); len(trs) != 1 || trs[0].Op != "find" {
+				t.Errorf("traces after one Find = %v, want one find trace", trs)
+			}
+		})
 	}
 }

@@ -68,17 +68,16 @@ var (
 // Like the other queries, an executed statement runs against an
 // LSN-pinned snapshot: a concurrent Apply never blocks it and never
 // tears its view.
-func (s *Store) Query(ctx context.Context, src string) (*Result, error) {
+func (s *Store) Query(ctx context.Context, src string) (res *Result, err error) {
 	q, err := lang.Parse(src)
 	if err != nil {
 		return nil, err
 	}
-	v, err := s.readView()
-	if err != nil {
+	var v readView
+	if err = s.beginRead(ctx, opNone, &v); err != nil {
 		return nil, err
 	}
-	defer v.release()
-	f := v.f
+	defer v.end(&err)
 	cat, err := plan.NewCatalog(v.view)
 	if err != nil {
 		return nil, err
@@ -90,29 +89,19 @@ func (s *Store) Query(ctx context.Context, src string) (*Result, error) {
 	if q.Explain {
 		return exec.Explain(pl), nil
 	}
-	// Snapshot the physical counters around the execution so the
-	// result carries its measured I/O even on stores without Metrics.
-	io0 := f.DataIO()
-	pool0 := f.Pool().Stats()
-	idx0 := f.IndexVisits()
-	var res *Result
-	if s.obs != nil {
-		sn := s.obs.beginOpCtx(ctx, s.obs.query, f)
-		res, err = exec.Run(ctx, v.view, pl, q)
-		sn.end(err)
-	} else {
-		res, err = exec.Run(ctx, v.view, pl, q)
-	}
+	// Only the execution is measured, and measured even without Metrics:
+	// the bracket's counter deltas are the result's measured I/O.
+	v.sn = s.snap(ctx, opQuery, v.f, true)
+	res, err = exec.Run(ctx, v.view, pl, q)
+	cost := v.sn.end(err)
 	if err != nil {
 		return nil, err
 	}
-	io := f.DataIO().Sub(io0)
-	ps := f.Pool().Stats().Sub(pool0)
 	res.Actual = &exec.Actuals{
-		DataReads:    io.Reads,
-		IndexPages:   f.IndexVisits() - idx0,
-		BufferHits:   ps.Hits,
-		BufferMisses: ps.Misses,
+		DataReads:    cost.DataReads,
+		IndexPages:   cost.IndexPages,
+		BufferHits:   cost.BufferHits,
+		BufferMisses: cost.BufferMisses,
 	}
 	return res, nil
 }

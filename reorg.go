@@ -1,6 +1,7 @@
 package ccam
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"sync"
@@ -19,11 +20,10 @@ import (
 // instead watches the CRR of the file's PAG summary and, when it has
 // decayed from its high-water mark, re-clusters the worst PAG
 // neighborhoods a bounded number of pages at a time. Each round is a
-// tiny write transaction: it runs under the store's write lock,
-// brackets itself in the WAL like an Apply, and publishes through the
-// version layer — so snapshot readers keep their pinned views and
-// queries started mid-round are never torn, exactly as with any
-// mutation batch.
+// small write transaction through Store.write, the function behind
+// Apply: it runs under the writer mutex, brackets itself in the WAL and
+// publishes through the version layer — so queries keep their pinned
+// views and are never torn, exactly as with any mutation batch.
 
 // Reorganizer defaults (Options.ReorgInterval and friends override).
 const (
@@ -47,8 +47,8 @@ type reorganizer struct {
 	wg   sync.WaitGroup
 	once sync.Once
 
-	// highwater is the best CRR seen since the last Build (guarded by
-	// s.mu: rounds and Build both hold it).
+	// highwater is the best CRR seen since the last Build, which zeroes
+	// it (guarded by s.mu: rounds and Build both hold it).
 	highwater float64
 }
 
@@ -90,10 +90,6 @@ func (r *reorganizer) halt() {
 	r.wg.Wait()
 }
 
-// resetLocked restarts CRR high-water tracking (Build installs a fresh
-// placement). Caller holds s.mu.
-func (r *reorganizer) resetLocked() { r.highwater = 0 }
-
 func (r *reorganizer) loop() {
 	defer r.wg.Done()
 	t := time.NewTicker(r.interval)
@@ -104,7 +100,7 @@ func (r *reorganizer) loop() {
 			return
 		case <-t.C:
 		}
-		r.round()
+		r.round() // its error is dropped: see round
 	}
 }
 
@@ -113,94 +109,54 @@ func (r *reorganizer) loop() {
 // trigger condition does not hold.
 func (s *Store) Poke() {
 	if s.reorg != nil {
-		s.reorg.round()
+		s.reorg.round() // its error is dropped: see round
 	}
 }
 
 // round checks the trigger and, if the clustering has decayed, runs
-// one bounded re-clustering transaction. It takes the write lock like
-// an Apply: snapshot readers are unaffected, only writers queue behind
-// it — for at most maxPages of reorganization work.
-func (r *reorganizer) round() {
-	s := r.s
-	s.mu.Lock()
-	if s.closed || s.failedErr() != nil {
-		s.mu.Unlock()
-		return
-	}
-	f := s.m.File()
-	if f == nil {
-		s.mu.Unlock()
-		return
-	}
-	crr := f.PAG().Stats().CRR()
-	if crr > r.highwater {
-		r.highwater = crr
-	}
-	if crr >= r.highwater-r.drop {
-		s.mu.Unlock()
-		return
-	}
-	pids := r.targets(f.PAG())
-	if len(pids) < 2 {
-		s.mu.Unlock()
-		return
-	}
-	w := f.WAL()
-	if w != nil {
-		if _, err := w.Append(storage.WALRecBegin, nil); err != nil {
-			s.mu.Unlock()
-			return
+// one bounded re-clustering as a write transaction (Store.write), like
+// an Apply: queries are unaffected, only writers queue behind it — for
+// at most maxPages of reorganization work. The timer loop and Poke
+// drop its error, as they may: a round that fails past its begin has
+// poisoned the store, and one that fails before it has changed nothing
+// and leaves the failure (a closed store, a broken log) for the next
+// writer to meet.
+func (r *reorganizer) round() error {
+	return r.s.write(context.Background(), func(tx *writeTx) error {
+		f := tx.f
+		if f == nil {
+			return nil
 		}
-	}
-	f.BeginVersionBatch()
-	if err := r.cm.ReclusterPages(pids); err != nil {
-		// A failed re-clustering may have moved records already; like a
-		// mid-batch Apply failure, the memory state no longer matches
-		// the committed prefix.
-		if w != nil {
-			w.Append(storage.WALRecAbort, nil)
+		crr := f.PAG().Stats().CRR()
+		if crr > r.highwater {
+			r.highwater = crr
 		}
-		f.AbortVersionBatch()
-		s.poison(fmt.Errorf("%w: background reorganization failed, reopen to recover: %v", ErrClosed, err))
-		s.mu.Unlock()
-		return
-	}
-	var commitLSN uint64
-	if w != nil {
-		lsn, err := w.Append(storage.WALRecCommit, nil)
-		if err != nil {
-			f.AbortVersionBatch()
-			s.poison(fmt.Errorf("%w: reorg commit append failed, reopen to recover: %v", ErrClosed, err))
-			s.mu.Unlock()
-			return
+		if crr >= r.highwater-r.drop {
+			return nil
 		}
-		commitLSN = lsn
-	}
-	f.PublishVersionBatch(commitLSN)
-	if s.obs != nil {
-		s.obs.setGauges(f)
-		s.obs.setSnapshotGauges(f)
-		s.obs.reorgRounds.Inc()
-		s.obs.reorgPages.Add(int64(len(pids)))
-	}
-	if after := f.PAG().Stats().CRR(); after <= crr+1e-9 {
-		// Negligible gain: the decay is not recoverable by local
-		// re-clustering. Lower the high-water mark so rounds stop until
-		// the placement improves or decays further (backoff).
-		r.highwater = after
-	}
-	if w != nil && s.checkpointBytes > 0 && w.Size() > s.checkpointBytes {
-		if err := f.Checkpoint(); err != nil {
-			s.poison(fmt.Errorf("%w: checkpoint failed, reopen to recover: %v", ErrClosed, err))
-			s.mu.Unlock()
-			return
+		pids := r.targets(f.PAG())
+		if len(pids) < 2 {
+			return nil
 		}
-	}
-	s.mu.Unlock()
-	if w != nil {
-		w.Commit(commitLSN)
-	}
+		if err := tx.begin(opNone); err != nil {
+			return err
+		}
+		// A failed re-clustering may have moved records already.
+		if err := r.cm.ReclusterPages(pids); err != nil {
+			return fmt.Errorf("ccam: background reorganization: %w", err)
+		}
+		if after := f.PAG().Stats().CRR(); after <= crr+1e-9 {
+			// Negligible gain: the decay is not recoverable by local
+			// re-clustering. Lower the high-water mark so rounds stop until
+			// the placement improves or decays further (backoff).
+			r.highwater = after
+		}
+		if obs := r.s.obs; obs != nil {
+			obs.reorgRounds.Inc()
+			obs.reorgPages.Add(int64(len(pids)))
+		}
+		return nil
+	})
 }
 
 // targets picks the round's page set from the PAG summary, reading no

@@ -38,8 +38,6 @@ type WALStats struct {
 // WALStats returns the current state of the store's write-ahead log;
 // Enabled is false (and everything zero) without one.
 func (s *Store) WALStats() WALStats {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
 	st := WALStats{
 		ReplayedBatches:   s.replayedBatches,
 		ReplayedMutations: s.replayedMutations,
@@ -47,11 +45,14 @@ func (s *Store) WALStats() WALStats {
 	if s.wal == nil {
 		return st
 	}
-	st.Enabled = true
-	st.AppendedLSN = s.wal.AppendedLSN()
-	st.DurableLSN = s.wal.DurableLSN()
-	st.SizeBytes = s.wal.Size()
-	st.Fsyncs, st.GroupedCommits = s.wal.FsyncStats()
+	// Under the writer mutex no transaction appends between the reads.
+	s.live(func(*netfile.File) {
+		st.Enabled = true
+		st.AppendedLSN = s.wal.AppendedLSN()
+		st.DurableLSN = s.wal.DurableLSN()
+		st.SizeBytes = s.wal.Size()
+		st.Fsyncs, st.GroupedCommits = s.wal.FsyncStats()
+	})
 	return st
 }
 
@@ -63,9 +64,9 @@ func (s *Store) WALStats() WALStats {
 // differ from the pre-crash file (reorganization re-runs), which the
 // paper's cost model is indifferent to. Unterminated batches (a torn
 // tail) and aborted batches are discarded; split/merge records are
-// skipped because replaying the surrounding logical mutations
-// re-triggers the reorganization policies.
-func replayWAL(m netfile.AccessMethod, f *netfile.File, recs []storage.WALRecord, after uint64) (batches, mutations int, err error) {
+// no-ops in applyMutation because replaying the surrounding logical
+// mutations re-triggers the reorganization policies.
+func replayWAL(m netfile.AccessMethod, recs []storage.WALRecord, after uint64) (batches, mutations int, err error) {
 	var pending []*netfile.Mutation
 	inBatch := false
 	for _, r := range recs {
@@ -93,7 +94,10 @@ func replayWAL(m netfile.AccessMethod, f *netfile.File, recs []storage.WALRecord
 				continue
 			}
 			for _, mut := range pending {
-				if aerr := replayMutation(m, f, mut); aerr != nil {
+				// Replay runs first-order: the policy affects placement
+				// quality, never logical contents, and the cheapest one
+				// keeps recovery fast.
+				if aerr := applyMutation(m, mut, FirstOrder); aerr != nil {
 					return batches, mutations, fmt.Errorf("commit lsn %d, %s: %w", r.LSN, mut.Kind, aerr)
 				}
 				mutations++
@@ -107,27 +111,4 @@ func replayWAL(m netfile.AccessMethod, f *netfile.File, recs []storage.WALRecord
 		}
 	}
 	return batches, mutations, nil
-}
-
-// replayMutation re-executes one logical mutation. Replay uses the
-// FirstOrder policy: the reorganization policy affects placement
-// quality, never logical contents, and the cheapest policy keeps
-// recovery fast.
-func replayMutation(m netfile.AccessMethod, f *netfile.File, mut *netfile.Mutation) error {
-	switch mut.Kind {
-	case netfile.MutInsertNode:
-		return m.Insert(&netfile.InsertOp{Rec: mut.Rec, PredCosts: mut.PredCosts}, netfile.FirstOrder)
-	case netfile.MutDeleteNode:
-		return m.Delete(mut.ID, netfile.FirstOrder)
-	case netfile.MutInsertEdge:
-		return m.InsertEdge(mut.From, mut.To, mut.Cost, netfile.FirstOrder)
-	case netfile.MutDeleteEdge:
-		return m.DeleteEdge(mut.From, mut.To, netfile.FirstOrder)
-	case netfile.MutSetEdgeCost:
-		return f.SetEdgeCost(mut.From, mut.To, mut.Cost)
-	case netfile.MutSplitPage, netfile.MutMergePages:
-		return nil
-	default:
-		return fmt.Errorf("ccam: unknown mutation kind %d", mut.Kind)
-	}
 }

@@ -48,7 +48,7 @@ func modelFromNetwork(g *Network) walModel {
 }
 
 // applyBatch replays generated ops onto the model.
-func (m walModel) applyBatch(ops []batchOp) {
+func (m walModel) applyBatch(ops []modelOp) {
 	for i := range ops {
 		op := &ops[i]
 		switch op.kind {
@@ -119,6 +119,16 @@ func diffModels(want, got walModel) error {
 	return nil
 }
 
+// modelOp is the generator's own record of one queued op, replayed
+// onto the model; kind selects which fields matter.
+type modelOp struct {
+	kind     int
+	insert   *InsertOp
+	id       NodeID
+	from, to NodeID
+	cost     float32
+}
+
 // mut kinds re-spelled locally to keep the test generator readable.
 const (
 	mutInsertNode  = 1
@@ -130,7 +140,7 @@ const (
 
 // genBatch produces one consistent batch of 1..3 ops against the
 // model, updating the model as it goes.
-func genBatch(rng *rand.Rand, m walModel, nextID *NodeID) (*Batch, []batchOp) {
+func genBatch(rng *rand.Rand, m walModel, nextID *NodeID) (*Batch, []modelOp) {
 	ids := func() []NodeID {
 		out := make([]NodeID, 0, len(m))
 		for id := range m {
@@ -145,14 +155,14 @@ func genBatch(rng *rand.Rand, m walModel, nextID *NodeID) (*Batch, []batchOp) {
 		return out
 	}
 	b := new(Batch)
-	var ops []batchOp
+	var ops []modelOp
 	n := 1 + rng.Intn(3)
 	for len(ops) < n {
 		all := ids()
 		if len(all) < 4 {
 			break
 		}
-		var op batchOp
+		var op modelOp
 		switch k := rng.Intn(10); {
 		case k < 5: // set-edge-cost
 			from := all[rng.Intn(len(all))]
@@ -170,7 +180,7 @@ func genBatch(rng *rand.Rand, m walModel, nextID *NodeID) (*Batch, []batchOp) {
 			}
 			cost := float32(1 + rng.Intn(100))
 			b.SetEdgeCost(from, to, cost)
-			op = batchOp{kind: mutSetEdgeCost, from: from, to: to, cost: cost}
+			op = modelOp{kind: mutSetEdgeCost, from: from, to: to, cost: cost}
 		case k < 7: // insert-edge
 			from := all[rng.Intn(len(all))]
 			to := all[rng.Intn(len(all))]
@@ -182,7 +192,7 @@ func genBatch(rng *rand.Rand, m walModel, nextID *NodeID) (*Batch, []batchOp) {
 			}
 			cost := float32(1 + rng.Intn(100))
 			b.InsertEdge(from, to, cost, FirstOrder)
-			op = batchOp{kind: mutInsertEdge, from: from, to: to, cost: cost}
+			op = modelOp{kind: mutInsertEdge, from: from, to: to, cost: cost}
 		case k < 8: // delete-edge
 			from := all[rng.Intn(len(all))]
 			if len(m[from]) == 0 {
@@ -198,7 +208,7 @@ func genBatch(rng *rand.Rand, m walModel, nextID *NodeID) (*Batch, []batchOp) {
 				i++
 			}
 			b.DeleteEdge(from, to, FirstOrder)
-			op = batchOp{kind: mutDeleteEdge, from: from, to: to}
+			op = modelOp{kind: mutDeleteEdge, from: from, to: to}
 		case k < 9: // insert-node with one succ and one pred
 			succ := all[rng.Intn(len(all))]
 			pred := all[rng.Intn(len(all))]
@@ -212,14 +222,14 @@ func genBatch(rng *rand.Rand, m walModel, nextID *NodeID) (*Batch, []batchOp) {
 			}
 			iop := &InsertOp{Rec: rec, PredCosts: []float32{float32(1 + rng.Intn(50))}}
 			b.Insert(iop, FirstOrder)
-			op = batchOp{kind: mutInsertNode, insert: iop}
+			op = modelOp{kind: mutInsertNode, insert: iop}
 		default: // delete-node
 			id := all[rng.Intn(len(all))]
 			b.Delete(id, FirstOrder)
-			op = batchOp{kind: mutDeleteNode, id: id}
+			op = modelOp{kind: mutDeleteNode, id: id}
 		}
 		ops = append(ops, op)
-		one := []batchOp{op}
+		one := []modelOp{op}
 		m.applyBatch(one)
 	}
 	return b, ops
@@ -370,7 +380,7 @@ func TestWALCrashDrill(t *testing.T) {
 	model := base.clone()
 	rng := rand.New(rand.NewSource(11))
 	nextID := NodeID(100000)
-	var batches [][]batchOp
+	var batches [][]modelOp
 	for len(batches) < nops {
 		b, ops := genBatch(rng, model, &nextID)
 		if b.Len() == 0 {
