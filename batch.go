@@ -438,16 +438,13 @@ type batchValidator struct {
 	edges map[[2]NodeID]bool
 }
 
-func (v *batchValidator) nodeExists(id NodeID) (bool, error) {
+func (v *batchValidator) nodeExists(id NodeID) bool {
 	if e, ok := v.nodes[id]; ok {
-		return e, nil
+		return e
 	}
-	ok, err := v.f.HasRecord(id)
-	if err != nil {
-		return false, err
-	}
+	ok := v.f.Has(id)
 	v.nodes[id] = ok
-	return ok, nil
+	return ok
 }
 
 func (v *batchValidator) edgeExists(from, to NodeID) (bool, error) {
@@ -492,22 +489,16 @@ func (v *batchValidator) validateOp(op *netfile.Mutation) error {
 			return err
 		}
 		rec := op.Rec
-		if ok, err := v.nodeExists(rec.ID); err != nil {
-			return err
-		} else if ok {
+		if v.nodeExists(rec.ID) {
 			return fmt.Errorf("insert node %d: %w", rec.ID, ErrNodeExists)
 		}
 		for _, sc := range rec.Succs {
-			if ok, err := v.nodeExists(sc.To); err != nil {
-				return err
-			} else if !ok {
+			if !v.nodeExists(sc.To) {
 				return fmt.Errorf("insert node %d: successor %d: %w", rec.ID, sc.To, ErrNotFound)
 			}
 		}
 		for _, p := range rec.Preds {
-			if ok, err := v.nodeExists(p); err != nil {
-				return err
-			} else if !ok {
+			if !v.nodeExists(p) {
 				return fmt.Errorf("insert node %d: predecessor %d: %w", rec.ID, p, ErrNotFound)
 			}
 		}
@@ -521,9 +512,7 @@ func (v *batchValidator) validateOp(op *netfile.Mutation) error {
 		}
 		return nil
 	case netfile.MutDeleteNode:
-		if ok, err := v.nodeExists(op.ID); err != nil {
-			return err
-		} else if !ok {
+		if !v.nodeExists(op.ID) {
 			return fmt.Errorf("delete node %d: %w", op.ID, ErrNotFound)
 		}
 		// Record the incident edges the delete removes, so later edge
@@ -587,14 +576,10 @@ func (v *batchValidator) validateOp(op *netfile.Mutation) error {
 }
 
 func (v *batchValidator) requireNodes(from, to NodeID) error {
-	if ok, err := v.nodeExists(from); err != nil {
-		return err
-	} else if !ok {
+	if !v.nodeExists(from) {
 		return fmt.Errorf("node %d: %w", from, ErrNotFound)
 	}
-	if ok, err := v.nodeExists(to); err != nil {
-		return err
-	} else if !ok {
+	if !v.nodeExists(to) {
 		return fmt.Errorf("node %d: %w", to, ErrNotFound)
 	}
 	return nil

@@ -227,7 +227,7 @@ type Options struct {
 	SyncLatency time.Duration
 	// Metrics enables the observability registry: per-operation
 	// counters and latency histograms, per-class page-access counters
-	// (B+-tree index vs CCAM data pages), buffer hit/miss latencies and
+	// (node-index lookups vs CCAM data pages), buffer hit/miss latencies and
 	// CRR/WCRR gauges refreshed after every mutation. Disabled by
 	// default; a disabled store pays one nil check per operation and
 	// allocates nothing for instrumentation.

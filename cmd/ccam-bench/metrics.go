@@ -30,7 +30,7 @@ var metricsOps = []string{
 // runMetrics builds an instrumented store, drives a mixed workload
 // through it and prints the per-operation view of the metrics registry:
 // operation counts, latency quantiles, page accesses per operation by
-// class (B+-tree index vs CCAM data pages) and the buffer hit rate,
+// class (node-index lookups vs CCAM data pages) and the buffer hit rate,
 // plus the CRR/WCRR gauges and a sample of recorded traces.
 func runMetrics(w io.Writer, g *graph.Network, seed int64, httpAddr string) error {
 	st, err := ccam.OpenWith(

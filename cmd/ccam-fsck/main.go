@@ -122,9 +122,9 @@ func run(args []string, out, errw io.Writer) int {
 	}
 
 	// Logical pass: records must decode and each node id must be
-	// stored exactly once (the invariant the rebuilt B+-tree node
-	// index relies on). Only meaningful once the physical layer is
-	// clean.
+	// stored exactly once (the invariant the rebuilt node index
+	// enforces: open fails with netfile.ErrDuplicate otherwise). Only
+	// meaningful once the physical layer is clean.
 	clean := rep.OK() && walProblems == 0
 	if clean {
 		dups, derr := checkRecordAgreement(path, out, *quiet)

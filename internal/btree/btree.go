@@ -1,12 +1,13 @@
 // Package btree implements a page-based B+-tree mapping uint64 keys to
 // uint64 values. CCAM keeps a secondary index above its data file: the
 // key is the Z-order value of the node's (x, y) coordinates combined
-// with the node id, and the value is the data page holding the record.
+// with the node id, and the value is the node id (netfile's zorderIndex,
+// the tree's one user in the store).
 //
 // The tree is built on the same storage/buffer substrate as data files,
-// so index I/O can be metered separately (the paper assumes index pages
-// are memory resident and excludes them from its headline counts; the
-// harness follows suit but the numbers remain observable).
+// so index I/O can be metered separately, from its pool's counters (the
+// paper assumes index pages are memory resident and excludes them from
+// its headline counts; the harness follows suit).
 package btree
 
 import (
@@ -15,7 +16,6 @@ import (
 	"fmt"
 
 	"ccam/internal/buffer"
-	"ccam/internal/metrics"
 	"ccam/internal/storage"
 )
 
@@ -53,17 +53,7 @@ type Tree struct {
 	size    int
 	leafCap int // max entries per leaf
 	intCap  int // max entries per internal node
-	// visits counts index pages touched by descents (nil = disabled).
-	visits *metrics.Counter
 }
-
-// Instrument makes every descent add the pages it touches to visits.
-// Each point descent (Get, Seek, Put, Delete) touches exactly height
-// pages; structural maintenance (splits, merges, borrows) is not
-// charged, matching the paper's convention that the index is memory
-// resident and its upkeep is not part of an operation's page-access
-// count.
-func (t *Tree) Instrument(visits *metrics.Counter) { t.visits = visits }
 
 // New creates an empty tree with its own pages allocated from pool's
 // store.
@@ -193,7 +183,6 @@ func intSearch(b []byte, k uint64) int {
 
 // Get returns the value for key k.
 func (t *Tree) Get(k uint64) (uint64, error) {
-	t.visits.Add(int64(t.height))
 	id := t.root
 	for level := t.height; level > 1; level-- {
 		b, err := t.pool.Fetch(id)
@@ -249,7 +238,6 @@ type splitResult struct {
 }
 
 func (t *Tree) put(k, v uint64, replace bool) (replaced bool, err error) {
-	t.visits.Add(int64(t.height))
 	replaced, split, err := t.insertInto(t.root, t.height, k, v, replace)
 	if err != nil {
 		return false, err
@@ -399,7 +387,6 @@ func (t *Tree) insertInto(id storage.PageID, level int, k, v uint64, replace boo
 
 // Delete removes key k, rebalancing pages that underflow.
 func (t *Tree) Delete(k uint64) error {
-	t.visits.Add(int64(t.height))
 	found, _, err := t.deleteFrom(t.root, t.height, k)
 	if err != nil {
 		return err
@@ -603,7 +590,6 @@ type Iter struct {
 
 // Seek returns an iterator positioned at the smallest key >= k.
 func (t *Tree) Seek(k uint64) *Iter {
-	t.visits.Add(int64(t.height))
 	it := &Iter{t: t}
 	id := t.root
 	for level := t.height; level > 1; level-- {

@@ -34,7 +34,7 @@ import (
 // operation's stack and must be released on every path out.
 type cursor struct {
 	v  View
-	st *overlayState // placements as of v.lsn; nil on the live file
+	st *overlayState // the node index; read as of v.lsn
 	at *metrics.ActiveTrace
 	// ref borrows page pid; sp is its slotted view, validated once per
 	// visit. ref.Data == nil means no page is held.
@@ -44,28 +44,26 @@ type cursor struct {
 }
 
 func (v View) cursor(at *metrics.ActiveTrace) cursor {
-	c := cursor{v: v, at: at}
-	if v.lsn != buffer.LiveLSN {
-		c.st = v.f.overlay.Load()
-	}
-	return c
+	return cursor{v: v, st: v.f.overlay.Load(), at: at}
 }
 
 func (c *cursor) release() { c.ref.Release() }
 
-// resolve maps a node to its data page: through the overlay as of the
-// pinned LSN (charged as one index visit — the overlay stands in for
-// the B+-tree descent), or through the B+-tree on the live file.
+// resolve maps a node to its data page through the node index as of
+// the view's LSN.
 func (c *cursor) resolve(id graph.NodeID) (storage.PageID, error) {
 	tok := c.at.BeginSpan("index.descent")
-	if c.st == nil {
-		pid, err := c.v.f.PageOf(id)
-		tok.End()
-		return pid, err
-	}
-	pid, ok := c.st.lookup(id, c.v.lsn)
-	c.v.f.idxVisits.Add(1)
+	pid, err := c.v.f.pageAt(c.st, id, c.v.lsn)
 	tok.End()
+	return pid, err
+}
+
+// pageAt is the node-index lookup of an operation: node id's page in st
+// as of lsn, charged as one index visit (the paper's index is memory
+// resident, and so is this one: the visit costs no data-page I/O).
+func (f *File) pageAt(st *overlayState, id graph.NodeID, lsn uint64) (storage.PageID, error) {
+	f.idxVisits.Add(1)
+	pid, ok := st.lookup(id, lsn)
 	if !ok {
 		return storage.InvalidPageID, fmt.Errorf("%w: %d", ErrNotFound, id)
 	}
@@ -318,18 +316,17 @@ func (v View) rangeQuery(ctx context.Context, rect geom.Rect, at *metrics.Active
 	defer c.release()
 	var cand []graph.NodeID
 	v.f.spatMu.RLock()
-	if c.st != nil {
-		// A delete drops its spatial entry and installs its batch's
-		// overlay delta under the write side of this lock: the index and
-		// a delta list loaded under the read side agree.
-		c.st = v.f.overlay.Load()
-	}
+	// A delete drops its spatial entry and installs its batch's overlay
+	// delta under the write side of this lock: the index and a delta list
+	// loaded under the read side agree.
+	c.st = v.f.overlay.Load()
 	err := v.f.spatial.search(rect, func(id graph.NodeID) bool {
 		cand = append(cand, id)
 		return true
 	})
 	indexed := len(cand)
-	if err == nil && c.st != nil {
+	if err == nil {
+		// No delta is newer than the live end: the live file adds nothing.
 		for _, d := range c.st.deltas {
 			if d.lsn.Load() <= v.lsn {
 				continue
@@ -363,7 +360,7 @@ func (v View) rangeQuery(ctx context.Context, rect geom.Rect, at *metrics.Active
 			seen[id] = true
 		}
 		rv, err := c.seek(id)
-		if c.st != nil && errors.Is(err, ErrNotFound) {
+		if v.lsn != buffer.LiveLSN && errors.Is(err, ErrNotFound) {
 			continue // inserted after the view's LSN
 		}
 		if err != nil {

@@ -147,6 +147,32 @@ func TestOpenFromStoreFailsCleanly(t *testing.T) {
 	}
 }
 
+// TestOpenFromStoreRejectsDuplicateNode hand-builds a store whose two
+// data pages both carry node 7: open must name the fault instead of
+// keeping whichever page it read last.
+func TestOpenFromStoreRejectsDuplicateNode(t *testing.T) {
+	st := storage.NewMemStore(256)
+	for i := 0; i < 2; i++ {
+		pid, err := st.Allocate()
+		if err != nil {
+			t.Fatal(err)
+		}
+		buf := make([]byte, st.PageSize())
+		sp := storage.NewSlottedPage(buf)
+		for _, id := range []graph.NodeID{7, graph.NodeID(10 + i)} {
+			if _, err := sp.Insert(EncodeRecord(&Record{ID: id})); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := st.WritePage(pid, buf); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := OpenFromStore(st, 4); !errors.Is(err, ErrDuplicate) {
+		t.Fatalf("OpenFromStore over a node stored twice = %v, want wrapped ErrDuplicate", err)
+	}
+}
+
 // packGroups sequentially packs g for tests that do not care about
 // clustering quality.
 func packGroups(t *testing.T, g *graph.Network) [][]graph.NodeID {

@@ -1,7 +1,6 @@
 package netfile
 
 import (
-	"errors"
 	"fmt"
 	"runtime"
 	"sort"
@@ -9,7 +8,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"ccam/internal/btree"
 	"ccam/internal/buffer"
 	"ccam/internal/geom"
 	"ccam/internal/graph"
@@ -54,7 +52,7 @@ type Options struct {
 	ReadLatency time.Duration
 	// Metrics, when non-nil, instruments the file: physical I/O and
 	// buffer fetch latencies are observed into histograms of this
-	// registry, and index descents count pages into a registry counter.
+	// registry, and node→page lookups count into a registry counter.
 	// Nil keeps every hot path on its zero-cost branch.
 	Metrics *metrics.Registry
 	// Tracer, when non-nil, records per-operation traces of the query
@@ -65,11 +63,11 @@ type Options struct {
 }
 
 // File is the shared data file: slotted data pages holding node
-// records, an LRU buffer pool, a B+-tree node index (node id → data
-// page) and a B+-tree spatial index (Z-order key → data page). Index
-// pages live on a separate store so data-page I/O — the paper's metric
-// — is metered in isolation; the paper assumes index pages are memory
-// resident.
+// records, an LRU buffer pool, the node index (node id → data page; the
+// versioned overlay of snapshot.go, read at its live end) and a spatial
+// index (Z-order B+-tree or R-tree, position → node id). Both indexes
+// are memory resident, as the paper assumes, so data-page I/O — the
+// paper's metric — is metered in isolation.
 //
 // Concurrency: the query operations (Find, GetASuccessor,
 // GetSuccessors, EvaluateRoute, RangeQuery, Nearest, Scan and the
@@ -78,7 +76,7 @@ type Options struct {
 // so any number of them may run in parallel; the buffer pool and page
 // stores carry their own latches. Mutating operations (record
 // insert/update/delete, page allocation, reorganization, ResetIO,
-// Flush) touch the pages/free maps and the index trees without
+// Flush) touch the pages/free maps and the indexes without
 // internal locking and must be serialized against all other calls on
 // the live file by the owner. The root ccam.Store serializes them on
 // its writer mutex and runs every query on a pinned View instead, which
@@ -87,7 +85,6 @@ type File struct {
 	pageSize  int
 	dataStore storage.Store
 	pool      *buffer.Pool
-	index     *btree.Tree // uint64(node id) -> uint64(data page)
 	spatial   spatialIndex
 	quant     geom.Quantizer
 	pages     map[storage.PageID]bool
@@ -100,10 +97,9 @@ type File struct {
 	// path branches on nil before paying anything.
 	reg    *metrics.Registry
 	tracer *metrics.Tracer
-	// idxVisits counts index pages touched by node-index descents (nil
-	// when metrics are disabled; reads via Counter.Value are nil-safe).
+	// idxVisits counts node→page lookups (nil when metrics are disabled;
+	// Counter's methods are nil-safe).
 	idxVisits *metrics.Counter
-	idxStore  storage.Store
 	// wal and fstore are set by AttachWAL: mutations log logical
 	// records, the pool runs no-steal, and page frees are deferred to
 	// checkpoints (pendingFree, in free order).
@@ -111,11 +107,12 @@ type File struct {
 	fstore      *storage.FileStore
 	pendingFree []storage.PageID
 
-	// Snapshot-read state (see snapshot.go). overlay is the versioned
-	// node→page map snapshot readers resolve placements through without
-	// touching the B+-tree index; curDelta/verActive are writer-side
-	// batch bookkeeping. spatMu lets lock-free snapshot range queries
-	// share the live spatial index with the serialized writer.
+	// overlay is the node index (see snapshot.go): the versioned
+	// node→page map every reader resolves placements through — a pinned
+	// view at its LSN, the live file at the live end; curDelta/verActive
+	// are writer-side batch bookkeeping. spatMu lets lock-free snapshot
+	// range queries share the live spatial index with the serialized
+	// writer.
 	overlay   atomic.Pointer[overlayState]
 	curDelta  *overlayDelta
 	verActive bool
@@ -147,14 +144,6 @@ func Create(opts Options) (*File, error) {
 	if st.PageSize() != opts.PageSize {
 		return nil, fmt.Errorf("netfile: store page size %d != %d", st.PageSize(), opts.PageSize)
 	}
-	// Index pages use their own in-memory store with a generous pool:
-	// the paper treats the secondary index as memory resident.
-	idxStore := storage.NewMemStore(4096)
-	idxPool := buffer.NewPool(idxStore, 4096)
-	index, err := btree.New(idxPool)
-	if err != nil {
-		return nil, fmt.Errorf("netfile: create node index: %w", err)
-	}
 	quant := geom.NewQuantizer(opts.Bounds)
 	spatial, err := newSpatialIndex(opts.Spatial, quant)
 	if err != nil {
@@ -164,12 +153,10 @@ func Create(opts Options) (*File, error) {
 		pageSize:  opts.PageSize,
 		dataStore: st,
 		pool:      buffer.NewPoolShards(st, opts.PoolPages, opts.PoolShards),
-		index:     index,
 		spatial:   spatial,
 		quant:     quant,
 		pages:     make(map[storage.PageID]bool),
 		free:      make(map[storage.PageID]int),
-		idxStore:  idxStore,
 		pag:       newPAGSummary(0, 0),
 	}
 	f.overlay.Store(&overlayState{base: make(map[graph.NodeID]storage.PageID)})
@@ -183,8 +170,8 @@ func Create(opts Options) (*File, error) {
 
 // EnableMetrics instruments the file against registry reg and attaches
 // tracer tr (either may be nil). Physical data-page I/O and buffer
-// fetches observe latency histograms, and node-index descents count
-// pages into ccam_index_page_visits_total. Call before sharing the file
+// fetches observe latency histograms, and node→page lookups count
+// into ccam_index_page_visits_total. Call before sharing the file
 // across goroutines; a nil registry and tracer leave every hot path on
 // its zero-cost branch.
 func (f *File) EnableMetrics(reg *metrics.Registry, tr *metrics.Tracer) {
@@ -218,7 +205,6 @@ func (f *File) EnableMetrics(reg *metrics.Registry, tr *metrics.Tracer) {
 		PrefetchErrors:  reg.Counter("ccam_buffer_prefetch_errors_total"),
 	})
 	f.idxVisits = reg.Counter("ccam_index_page_visits_total")
-	f.index.Instrument(f.idxVisits)
 }
 
 // Registry returns the metrics registry the file is instrumented
@@ -228,20 +214,10 @@ func (f *File) Registry() *metrics.Registry { return f.reg }
 // Tracer returns the file's operation tracer (nil when disabled).
 func (f *File) Tracer() *metrics.Tracer { return f.tracer }
 
-// IndexVisits returns the cumulative number of index pages touched by
-// node-index descents, or 0 when metrics are disabled.
+// IndexVisits returns the cumulative number of node→page lookups made
+// by operations (PageOf and every cursor resolve), or 0 when metrics
+// are disabled.
 func (f *File) IndexVisits() int64 { return f.idxVisits.Value() }
-
-// IndexIO returns the physical I/O counters of the node-index store.
-// The paper treats index pages as memory resident, so these never
-// contribute to the data-page metric; they are exposed for
-// observability only.
-func (f *File) IndexIO() storage.Stats {
-	if f.idxStore == nil {
-		return storage.Stats{}
-	}
-	return f.idxStore.Stats()
-}
 
 // PageSize returns the data page size.
 func (f *File) PageSize() int { return f.pageSize }
@@ -251,7 +227,11 @@ func (f *File) PageSize() int { return f.pageSize }
 func (f *File) Pool() *buffer.Pool { return f.pool }
 
 // NumNodes returns the number of stored records.
-func (f *File) NumNodes() int { return f.index.Len() }
+func (f *File) NumNodes() int {
+	f.pagMu.RLock()
+	defer f.pagMu.RUnlock()
+	return f.pag.records
+}
 
 // NumPages returns the number of live data pages. Safe for concurrent
 // use beside mutations that allocate and free pages.
@@ -280,38 +260,15 @@ func (f *File) ResetIO() error {
 // DropCaches empties the data buffer pool without touching counters.
 func (f *File) DropCaches() error { return f.pool.Reset() }
 
-// PageOf returns the data page holding node id, via the node index
-// (index I/O is not charged to data-page counters).
+// PageOf returns the data page holding node id, via the node index at
+// its live end (the lookup costs no data-page I/O).
 func (f *File) PageOf(id graph.NodeID) (storage.PageID, error) {
-	v, err := f.index.Get(uint64(id))
-	if err != nil {
-		if errors.Is(err, btree.ErrKeyNotFound) {
-			return storage.InvalidPageID, fmt.Errorf("%w: %d", ErrNotFound, id)
-		}
-		return storage.InvalidPageID, err
-	}
-	return storage.PageID(v), nil
+	return f.pageAt(f.overlay.Load(), id, buffer.LiveLSN)
 }
 
-// Has reports whether node id is stored. It swallows index errors; use
-// HasRecord when they must be surfaced.
+// Has reports whether node id is stored.
 func (f *File) Has(id graph.NodeID) bool {
-	_, err := f.index.Get(uint64(id))
-	return err == nil
-}
-
-// HasRecord reports whether node id is stored, distinguishing a plain
-// miss (false, nil) from an index failure (false, err).
-func (f *File) HasRecord(id graph.NodeID) (bool, error) {
-	_, err := f.index.Get(uint64(id))
-	switch {
-	case err == nil:
-		return true, nil
-	case errors.Is(err, btree.ErrKeyNotFound):
-		return false, nil
-	default:
-		return false, err
-	}
+	return f.live().Has(id)
 }
 
 // AllocatePage adds a fresh, empty data page and returns its id.
@@ -410,9 +367,13 @@ func (f *File) pinPage(pid storage.PageID, save bool, fn func(sp *storage.Slotte
 }
 
 // InsertRecordAt stores rec on page pid and indexes it. It fails with
+// ErrDuplicate when the node is already stored and with
 // storage.ErrPageFull when the record does not fit, leaving the file
 // unchanged.
 func (f *File) InsertRecordAt(rec *Record, pid storage.PageID) error {
+	if f.Has(rec.ID) {
+		return fmt.Errorf("%w: %d", ErrDuplicate, rec.ID)
+	}
 	if err := f.storeRecord(rec, pid); err != nil {
 		return err
 	}
@@ -420,12 +381,9 @@ func (f *File) InsertRecordAt(rec *Record, pid storage.PageID) error {
 	return nil
 }
 
-// storeRecord writes rec to page pid and enters it in the node and
-// spatial indexes; the caller notes the placement.
+// storeRecord writes rec to page pid and enters it in the spatial
+// index; the caller notes the placement, which is what indexes the node.
 func (f *File) storeRecord(rec *Record, pid storage.PageID) error {
-	if f.Has(rec.ID) {
-		return fmt.Errorf("%w: %d", ErrDuplicate, rec.ID)
-	}
 	if !f.pages[pid] {
 		return fmt.Errorf("netfile: insert into unknown page %d", pid)
 	}
@@ -439,9 +397,6 @@ func (f *File) storeRecord(rec *Record, pid storage.PageID) error {
 	})
 	if err != nil {
 		return err
-	}
-	if err := f.index.Insert(uint64(rec.ID), uint64(pid)); err != nil {
-		return fmt.Errorf("netfile: index insert %d: %w", rec.ID, err)
 	}
 	f.spatMu.Lock()
 	err = f.spatial.put(rec.Pos, rec.ID)
@@ -487,8 +442,8 @@ func (f *File) DeleteRecord(id graph.NodeID) (*Record, error) {
 	return rec, err
 }
 
-// removeRecord takes node id's record off its page and out of the node
-// and spatial indexes; the caller notes the placement.
+// removeRecord takes node id's record off its page and out of the
+// spatial index; the caller notes the placement.
 func (f *File) removeRecord(id graph.NodeID) (*Record, error) {
 	pid, err := f.PageOf(id)
 	if err != nil {
@@ -512,9 +467,6 @@ func (f *File) removeRecord(id graph.NodeID) (*Record, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := f.index.Delete(uint64(id)); err != nil {
-		return nil, fmt.Errorf("netfile: index delete %d: %w", id, err)
-	}
 	f.spatMu.Lock()
 	err = f.spatial.remove(rec.Pos, id)
 	if err == nil && f.verActive {
@@ -530,9 +482,10 @@ func (f *File) removeRecord(id graph.NodeID) (*Record, error) {
 	return rec, nil
 }
 
-// MoveRecord relocates a record to page dst, updating the index. It is
-// the reorganization primitive. The move is noted as one placement
-// change, so the record's edges keep their access weights.
+// MoveRecord relocates a record to page dst. It is the reorganization
+// primitive. The move is noted as one placement change — until then the
+// node index still names the old page — so the record's edges keep
+// their access weights.
 func (f *File) MoveRecord(id graph.NodeID, dst storage.PageID) error {
 	rec, err := f.removeRecord(id)
 	if err != nil {
@@ -605,20 +558,16 @@ func (f *File) UsedBytesOn(pid storage.PageID) (int, error) {
 // The load is staged for throughput: page images are encoded in
 // parallel off to the side (graph reads are pure, so workers share g),
 // then written out sequentially in group order — page ids are assigned
-// in that deterministic order — and finally the node index and Z-order
-// spatial index are built bottom-up from sorted runs instead of one
-// descent-and-split insert per record.
+// in that deterministic order — and finally installed: the Z-order
+// spatial index is built bottom-up from a sorted run instead of one
+// descent-and-split insert per record, the node index is one map fill.
 func (f *File) BulkLoad(g *graph.Network, groups [][]graph.NodeID) error {
 	if f.NumNodes() != 0 {
 		return fmt.Errorf("netfile: bulk load into non-empty file")
 	}
 	// Stage 1: encode every group into a detached page image.
-	type pageImage struct {
-		buf  []byte
-		free int
-		recs []*Record
-	}
-	images := make([]*pageImage, len(groups))
+	bufs := make([][]byte, len(groups))
+	pages := make([]loadedPage, len(groups))
 	var firstErr error
 	var errOnce sync.Once
 	// failed flips on the first error; workers must keep draining work
@@ -643,11 +592,9 @@ func (f *File) BulkLoad(g *graph.Network, groups [][]graph.NodeID) error {
 				if failed.Load() {
 					continue
 				}
-				img := &pageImage{
-					buf:  make([]byte, f.pageSize),
-					recs: make([]*Record, 0, len(groups[gi])),
-				}
-				sp := storage.NewSlottedPage(img.buf)
+				buf := make([]byte, f.pageSize)
+				recs := make([]*Record, 0, len(groups[gi]))
+				sp := storage.NewSlottedPage(buf)
 				ok := true
 				for _, id := range groups[gi] {
 					rec, err := RecordFromNode(g, id)
@@ -661,13 +608,13 @@ func (f *File) BulkLoad(g *graph.Network, groups [][]graph.NodeID) error {
 						ok = false
 						break
 					}
-					img.recs = append(img.recs, rec)
+					recs = append(recs, rec)
 				}
 				if !ok {
 					continue
 				}
-				img.free = sp.FreeSpace()
-				images[gi] = img
+				bufs[gi] = buf
+				pages[gi] = loadedPage{recs: recs, free: sp.FreeSpace()}
 			}
 		}()
 	}
@@ -682,72 +629,70 @@ func (f *File) BulkLoad(g *graph.Network, groups [][]graph.NodeID) error {
 
 	// Stage 2: sequential write-out in group order, so group i always
 	// lands on the i-th allocated page id regardless of worker count.
-	total := 0
-	pids := make([]storage.PageID, len(groups))
-	for gi, img := range images {
+	for gi, buf := range bufs {
 		pid, b, err := f.pool.FetchNew()
 		if err != nil {
 			return fmt.Errorf("netfile: bulk load allocate page: %w", err)
 		}
-		copy(b, img.buf)
+		copy(b, buf)
 		if err := f.pool.Unpin(pid, true); err != nil {
 			return err
 		}
-		f.pagMu.Lock()
-		f.pages[pid] = true
-		f.pagMu.Unlock()
-		f.free[pid] = img.free
-		pids[gi] = pid
-		total += len(img.recs)
+		pages[gi].pid = pid
 	}
 
-	// Stage 3: bottom-up index builds from sorted runs.
-	entries := make([]btree.Entry, 0, total)
-	for gi, img := range images {
-		for _, rec := range img.recs {
-			entries = append(entries, btree.Entry{Key: uint64(rec.ID), Val: uint64(pids[gi])})
-		}
+	// Stage 3: the memory-resident structures.
+	if err := f.install(pages); err != nil {
+		return fmt.Errorf("netfile: bulk load: %w", err)
 	}
-	sort.Slice(entries, func(i, j int) bool { return entries[i].Key < entries[j].Key })
-	for i := 1; i < len(entries); i++ {
-		if entries[i].Key == entries[i-1].Key {
-			return fmt.Errorf("%w: %d", ErrDuplicate, graph.NodeID(entries[i].Key))
-		}
+	return f.pool.FlushAll()
+}
+
+// loadedPage is one data page as build and open hold it once its bytes
+// are on the store: its id, its decoded records and its free bytes.
+type loadedPage struct {
+	pid  storage.PageID
+	recs []*Record
+	free int
+}
+
+// install makes pages the contents of an empty file: it fills every
+// memory-resident structure — live page set, free-space map, spatial
+// index, node index (the overlay's base) and PAG summary — in one pass
+// over records the caller holds already. A node id stored twice fails
+// with ErrDuplicate: each node has one page.
+func (f *File) install(pages []loadedPage) error {
+	total := 0
+	f.pagMu.Lock()
+	for _, pg := range pages {
+		f.pages[pg.pid] = true
+		total += len(pg.recs)
 	}
-	if err := f.index.BulkLoad(entries); err != nil {
-		return fmt.Errorf("netfile: bulk load node index: %w", err)
-	}
-	spatialEntries := make([]spatialEntry, 0, total)
-	for _, img := range images {
-		for _, rec := range img.recs {
-			spatialEntries = append(spatialEntries, spatialEntry{pos: rec.Pos, id: rec.ID})
-		}
-	}
-	if err := f.spatial.bulkLoad(spatialEntries); err != nil {
-		return fmt.Errorf("netfile: bulk load spatial index: %w", err)
-	}
+	f.pagMu.Unlock()
 	base := make(map[graph.NodeID]storage.PageID, total)
-	recsByPage := make(map[storage.PageID][]*Record, len(images))
-	for gi, img := range images {
-		for _, rec := range img.recs {
-			base[rec.ID] = pids[gi]
+	spatial := make([]spatialEntry, 0, total)
+	for _, pg := range pages {
+		f.free[pg.pid] = pg.free
+		for _, rec := range pg.recs {
+			if other, dup := base[rec.ID]; dup {
+				return fmt.Errorf("%w: node %d is stored on pages %d and %d", ErrDuplicate, rec.ID, other, pg.pid)
+			}
+			base[rec.ID] = pg.pid
+			spatial = append(spatial, spatialEntry{pos: rec.Pos, id: rec.ID})
 		}
-		recsByPage[pids[gi]] = img.recs
+	}
+	if err := f.spatial.bulkLoad(spatial); err != nil {
+		return fmt.Errorf("spatial index: %w", err)
 	}
 	f.ResetVersions(base)
-	f.pagFill(recsByPage)
-	return f.pool.FlushAll()
+	f.pagFill(pages, total)
+	return nil
 }
 
 // Placement extracts node -> data page from the index, the input to
 // CRR/WCRR.
 func (f *File) Placement() graph.Placement {
-	p := make(graph.Placement, f.index.Len())
-	it := f.index.Min()
-	for it.Next() {
-		p[graph.NodeID(it.Key())] = storage.PageID(it.Value())
-	}
-	return p
+	return f.overlay.Load().placements(buffer.LiveLSN)
 }
 
 // Flush writes all buffered dirty pages to the store.
@@ -776,7 +721,7 @@ func (f *File) FindPageWithSpace(need int) (storage.PageID, bool) {
 }
 
 // ReplacePageContents rewrites page pid to hold exactly recs, updating
-// the node and spatial indexes for every record written. It is the
+// the spatial index and noting the placement of every record written. It is the
 // reorganization primitive: Reorganize() reads a set of pages,
 // re-clusters their records, and replaces each page's contents. Records
 // are assumed to have been removed (or about to be overwritten) from
@@ -802,9 +747,6 @@ func (f *File) ReplacePageContents(pid storage.PageID, recs []*Record) error {
 		return err
 	}
 	for _, rec := range recs {
-		if err := f.index.Put(uint64(rec.ID), uint64(pid)); err != nil {
-			return fmt.Errorf("netfile: reindex %d: %w", rec.ID, err)
-		}
 		f.spatMu.Lock()
 		err = f.spatial.put(rec.Pos, rec.ID)
 		f.spatMu.Unlock()
@@ -820,8 +762,9 @@ func (f *File) ReplacePageContents(pid storage.PageID, recs []*Record) error {
 // reopened storage.FileStore). Data pages are scanned once to rebuild
 // the memory-resident structures — node index, spatial index, free-space
 // map and PAG summary — which matches the paper's assumption that
-// index structures live in main memory. The scan's I/O is excluded from
-// the returned file's counters.
+// index structures live in main memory. A store holding one node id on
+// two pages fails with ErrDuplicate. The scan's I/O is excluded from the
+// returned file's counters.
 func OpenFromStore(st storage.Store, poolPages int) (*File, error) {
 	return OpenFromStoreOpts(st, Options{PoolPages: poolPages})
 }
@@ -837,14 +780,9 @@ func OpenFromStoreOpts(st storage.Store, opts Options) (*File, error) {
 	pageSize := st.PageSize()
 	pids := st.PageIDs()
 
-	// First pass: decode all records to establish the spatial bounds.
+	// Decode all records first: the spatial bounds come from them.
 	buf := make([]byte, pageSize)
-	type located struct {
-		pid  storage.PageID
-		recs []*Record
-		free int
-	}
-	var pages []located
+	var pages []loadedPage
 	var bounds geom.Rect
 	first := true
 	for _, pid := range pids {
@@ -855,7 +793,7 @@ func OpenFromStoreOpts(st storage.Store, opts Options) (*File, error) {
 		if err != nil {
 			return nil, fmt.Errorf("netfile: open: page %d: %w", pid, err)
 		}
-		pg := located{pid: pid, free: sp.FreeSpace()}
+		pg := loadedPage{pid: pid, free: sp.FreeSpace()}
 		if pg.recs, err = decodePage(sp, nil); err != nil {
 			return nil, fmt.Errorf("netfile: open: page %d: %w", pid, err)
 		}
@@ -888,27 +826,9 @@ func OpenFromStoreOpts(st storage.Store, opts Options) (*File, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Second pass: rebuild the memory-resident structures.
-	base := make(map[graph.NodeID]storage.PageID)
-	for _, pg := range pages {
-		f.pages[pg.pid] = true
-		f.free[pg.pid] = pg.free
-		for _, rec := range pg.recs {
-			if err := f.index.Insert(uint64(rec.ID), uint64(pg.pid)); err != nil {
-				return nil, fmt.Errorf("netfile: open: reindex %d: %w", rec.ID, err)
-			}
-			if err := f.spatial.put(rec.Pos, rec.ID); err != nil {
-				return nil, fmt.Errorf("netfile: open: spatial reindex %d: %w", rec.ID, err)
-			}
-			base[rec.ID] = pg.pid
-		}
+	if err := f.install(pages); err != nil {
+		return nil, fmt.Errorf("netfile: open: %w", err)
 	}
-	f.ResetVersions(base)
-	recsByPage := make(map[storage.PageID][]*Record, len(pages))
-	for _, pg := range pages {
-		recsByPage[pg.pid] = pg.recs
-	}
-	f.pagFill(recsByPage)
 	st.ResetStats()
 	return f, nil
 }

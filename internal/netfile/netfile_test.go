@@ -104,7 +104,7 @@ func TestRecordMutators(t *testing.T) {
 	}
 }
 
-func testNetwork(t *testing.T) *graph.Network {
+func testNetwork(t testing.TB) *graph.Network {
 	t.Helper()
 	g, err := graph.RoadMap(graph.MinneapolisLikeOpts())
 	if err != nil {
@@ -114,7 +114,7 @@ func testNetwork(t *testing.T) *graph.Network {
 }
 
 // buildFile bulk-loads g into a file using connectivity clustering.
-func buildFile(t *testing.T, g *graph.Network, pageSize, poolPages int) *File {
+func buildFile(t testing.TB, g *graph.Network, pageSize, poolPages int) *File {
 	t.Helper()
 	f, err := Create(Options{PageSize: pageSize, PoolPages: poolPages, Bounds: g.Bounds()})
 	if err != nil {

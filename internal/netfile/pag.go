@@ -269,13 +269,12 @@ func (f *File) pagPlace(rec *Record, old, pid storage.PageID) {
 }
 
 // pagFill replaces the summary with one built from the records of
-// every data page, resolving placements through the overlay the caller
-// has just installed. BulkLoad and OpenFromStoreOpts hold these records
-// already; nothing is read.
-func (f *File) pagFill(recsByPage map[storage.PageID][]*Record) {
-	s := newPAGSummary(f.index.Len(), len(recsByPage))
-	for pid, recs := range recsByPage {
-		for _, r := range recs {
+// every data page (nodes of them in all), resolving placements through
+// the overlay install has just reset. Nothing is read.
+func (f *File) pagFill(pages []loadedPage, nodes int) {
+	s := newPAGSummary(nodes, len(pages))
+	for _, pg := range pages {
+		for _, r := range pg.recs {
 			n := s.node(r.ID)
 			n.stored = true
 			s.records++
@@ -284,7 +283,7 @@ func (f *File) pagFill(recsByPage map[storage.PageID][]*Record) {
 				n.succs[i] = PAGEdge{To: sc.To, Cost: sc.Cost, Weight: 1}
 				to := s.node(sc.To)
 				to.preds = append(to.preds, r.ID)
-				s.tally(pid, f.livePage(sc.To), 1, +1)
+				s.tally(pg.pid, f.livePage(sc.To), 1, +1)
 			}
 		}
 	}

@@ -9,16 +9,20 @@ import (
 	"ccam/internal/storage"
 )
 
-// This file is the netfile half of snapshot reads. The buffer pool
-// keeps LSN-tagged version chains of page bytes (buffer/version.go);
-// what the pool cannot know is *which page a node lives on* at a given
-// LSN — placements move under inserts, deletes and reorganization. The
-// overlay below is a versioned node→page map maintained alongside the
-// B+-tree index: an immutable base plus one delta per mutation batch,
-// each stamped with its commit LSN. A snapshot reader resolves a node
+// This file is the node index and the netfile half of snapshot reads.
+// The buffer pool keeps LSN-tagged version chains of page bytes
+// (buffer/version.go); what the pool cannot know is *which page a node
+// lives on* at a given LSN — placements move under inserts, deletes and
+// reorganization. The overlay below is the file's one node→page index,
+// versioned: an immutable base plus one delta per mutation batch, each
+// stamped with its commit LSN. A snapshot reader resolves a node
 // through the overlay at its pinned LSN, then reads the page image at
-// that LSN through the pool — never touching the B+-tree, the live
-// frame latches of in-progress writes, or any file-wide lock.
+// that LSN through the pool — never touching the live frame latches of
+// in-progress writes or any file-wide lock. The serialized writer, and
+// every direct use of File, resolves at the live end (buffer.LiveLSN),
+// where the open batch's pending delta counts too. The index has no
+// bytes on disk: build and open fill its base from the data pages
+// (File.install).
 //
 // Writer protocol (serialized by the owner, e.g. the facade's write
 // lock): BeginVersionBatch opens a pool version batch and installs a
@@ -45,12 +49,11 @@ type overlayDelta struct {
 }
 
 // overlayState is an immutable snapshot of the versioned placement
-// map: deltas newest-first over a base that folds every batch at or
-// below baseLSN. Readers load it atomically and never see it change.
+// map: deltas newest-first over a base that folds every older batch.
+// Readers load it atomically and never see it change.
 type overlayState struct {
-	base    map[graph.NodeID]storage.PageID
-	baseLSN uint64
-	deltas  []*overlayDelta
+	base   map[graph.NodeID]storage.PageID
+	deltas []*overlayDelta
 }
 
 // lookup resolves node id at snapshot lsn: the newest delta at or
@@ -94,19 +97,27 @@ func (st *overlayState) placements(lsn uint64) map[graph.NodeID]storage.PageID {
 	return out
 }
 
-// notePlacement records a placement change at the mutation sites: the
-// record rec now lives on pid (InvalidPageID = it was deleted). Inside
-// a version batch the overlay takes it in the pending delta; outside
-// one (direct File use, serialized by the owner) the current base is
-// updated in place. Either way the PAG summary follows.
+// notePlacement is the one writer of the node index: the record rec now
+// lives on pid (InvalidPageID = it was deleted). Inside a version batch
+// the overlay takes it in the pending delta; outside one (direct File
+// use, serialized by the owner, with no pinned reader to keep a view
+// for) the base is updated in place, after folding in whatever deltas
+// earlier batches left above it. Either way the PAG summary follows.
 func (f *File) notePlacement(rec *Record, pid storage.PageID) {
 	old := f.livePage(rec.ID)
 	if f.verActive {
 		f.batchDelta().entries[rec.ID] = pid
-	} else if st := f.overlay.Load(); pid == storage.InvalidPageID {
-		delete(st.base, rec.ID)
 	} else {
-		st.base[rec.ID] = pid
+		st := f.overlay.Load()
+		if len(st.deltas) > 0 {
+			st = &overlayState{base: st.placements(buffer.LiveLSN)}
+			f.overlay.Store(st)
+		}
+		if pid == storage.InvalidPageID {
+			delete(st.base, rec.ID)
+		} else {
+			st.base[rec.ID] = pid
+		}
 	}
 	f.pagPlace(rec, old, pid)
 }
@@ -127,7 +138,7 @@ func (f *File) batchDelta() *overlayDelta {
 	deltas := make([]*overlayDelta, 0, len(old.deltas)+1)
 	deltas = append(deltas, d)
 	deltas = append(deltas, old.deltas...)
-	f.overlay.Store(&overlayState{base: old.base, baseLSN: old.baseLSN, deltas: deltas})
+	f.overlay.Store(&overlayState{base: old.base, deltas: deltas})
 	f.curDelta = d
 	return d
 }
@@ -188,9 +199,10 @@ func (f *File) ResetVersions(base map[graph.NodeID]storage.PageID) {
 	f.verActive = false
 }
 
-// overlayCompactThreshold bounds the delta list a reader must walk per
-// lookup; past it, publish folds every delta below the version floor
-// into a fresh base.
+// overlayCompactThreshold bounds the delta list a lookup must walk —
+// a reader's and the writer's alike; past it, publish folds every delta
+// below the version floor into a fresh base. BenchmarkLiveLookup prices
+// a lookup at depths up to it.
 const overlayCompactThreshold = 64
 
 func (f *File) compactOverlay() {
@@ -226,14 +238,11 @@ func (f *File) compactOverlay() {
 			}
 		}
 	}
-	f.overlay.Store(&overlayState{
-		base:    base,
-		baseLSN: floor,
-		deltas:  append([]*overlayDelta(nil), st.deltas[:idx]...),
-	})
+	f.overlay.Store(&overlayState{base: base, deltas: append([]*overlayDelta(nil), st.deltas[:idx]...)})
 }
 
-// OverlayDepth reports the current overlay delta count (observability).
+// OverlayDepth reports the overlay's delta count: how many maps a
+// lookup may walk before the base (gauge ccam_overlay_depth).
 func (f *File) OverlayDepth() int { return len(f.overlay.Load().deltas) }
 
 // View is an LSN-consistent read-only view of the file, held by
@@ -252,8 +261,9 @@ type View struct {
 }
 
 // live is the view File's own search operations run on: placements
-// from the B+-tree, bytes from the live frames, no pin to release. The
-// owner serializes it against mutations, as File's contract demands.
+// from the overlay's live end, bytes from the live frames, no pin to
+// release. The owner serializes it against mutations, as File's
+// contract demands.
 func (f *File) live() View { return View{f: f, lsn: buffer.LiveLSN} }
 
 // PinView pins the current committed LSN and returns a value view at

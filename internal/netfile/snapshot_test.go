@@ -3,6 +3,7 @@ package netfile
 import (
 	"context"
 	"errors"
+	"fmt"
 	"testing"
 
 	"ccam/internal/geom"
@@ -21,7 +22,7 @@ func succCost(t *testing.T, rec *Record, to graph.NodeID) float32 {
 }
 
 // runBatch brackets fn in a version batch and publishes it (auto LSN).
-func runBatch(t *testing.T, f *File, fn func()) uint64 {
+func runBatch(t testing.TB, f *File, fn func()) uint64 {
 	t.Helper()
 	f.BeginVersionBatch()
 	fn()
@@ -197,33 +198,35 @@ func TestSnapshotAbortedBatchInvisible(t *testing.T) {
 	}
 }
 
+// replaceInBatch deletes and re-inserts node id's record in one batch.
+// That moves a placement, so every call installs one overlay delta.
+func replaceInBatch(t testing.TB, f *File, id graph.NodeID) {
+	t.Helper()
+	runBatch(t, f, func() {
+		rec, err := f.DeleteRecord(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pid, ok := f.FindPageWithSpace(rec.EncodedSize())
+		if !ok {
+			if pid, err = f.AllocatePage(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := f.InsertRecordAt(rec, pid); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
 // TestOverlayCompaction folds committed deltas into the base once the
 // list passes the threshold, so reader lookups stay bounded.
 func TestOverlayCompaction(t *testing.T) {
 	g := testNetwork(t)
 	f := buildFile(t, g, 1024, 16)
 	ids := g.NodeIDs()
-	// Delete-and-reinsert moves a placement, so every batch installs an
-	// overlay delta and the list must eventually fold.
 	for i := 0; i < overlayCompactThreshold+8; i++ {
-		id := ids[i%16]
-		runBatch(t, f, func() {
-			rec, err := f.DeleteRecord(id)
-			if err != nil {
-				t.Fatal(err)
-			}
-			pid, ok := f.FindPageWithSpace(rec.EncodedSize())
-			if !ok {
-				var err error
-				pid, err = f.AllocatePage()
-				if err != nil {
-					t.Fatal(err)
-				}
-			}
-			if err := f.InsertRecordAt(rec, pid); err != nil {
-				t.Fatal(err)
-			}
-		})
+		replaceInBatch(t, f, ids[i%16])
 	}
 	if d := f.OverlayDepth(); d >= overlayCompactThreshold {
 		t.Fatalf("overlay depth %d never compacted (threshold %d)", d, overlayCompactThreshold)
@@ -233,5 +236,60 @@ func TestOverlayCompaction(t *testing.T) {
 		if _, err := f.Find(id); err != nil {
 			t.Fatalf("Find(%d) after compaction: %v", id, err)
 		}
+	}
+}
+
+// TestUnbatchedChangeAfterBatches: a placement change made outside a
+// version batch must win over the deltas earlier batches left in the
+// overlay — the live end has no other index to fall back on.
+func TestUnbatchedChangeAfterBatches(t *testing.T) {
+	g := testNetwork(t)
+	f := buildFile(t, g, 1024, 16)
+	id := g.NodeIDs()[0]
+	replaceInBatch(t, f, id) // a committed delta now names id's page
+	dst, err := f.AllocatePage()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := f.MoveRecord(id, dst); err != nil {
+		t.Fatal(err)
+	}
+	if pid, err := f.PageOf(id); err != nil || pid != dst {
+		t.Fatalf("PageOf after an unbatched move = %d, %v; want page %d", pid, err, dst)
+	}
+	if _, err := f.Find(id); err != nil {
+		t.Fatalf("Find after an unbatched move: %v", err)
+	}
+	if _, err := f.DeleteRecord(id); err != nil {
+		t.Fatal(err)
+	}
+	if f.Has(id) {
+		t.Fatal("node still indexed after an unbatched delete")
+	}
+}
+
+// BenchmarkLiveLookup prices a node-index lookup at the live end — what
+// every writer-side PageOf pays — under a delta list of the given
+// depth: 63 is the deepest overlayCompactThreshold lets it grow without
+// a pinned reader. It keeps the threshold a measured constant.
+func BenchmarkLiveLookup(b *testing.B) {
+	for _, depth := range []int{0, 32, overlayCompactThreshold - 1} {
+		b.Run(fmt.Sprintf("depth=%d", depth), func(b *testing.B) {
+			g := testNetwork(b)
+			f := buildFile(b, g, 1024, 16)
+			ids := g.NodeIDs()
+			for i := 0; i < depth; i++ {
+				replaceInBatch(b, f, ids[i%16])
+			}
+			if d := f.OverlayDepth(); d != depth {
+				b.Fatalf("overlay depth %d, want %d", d, depth)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := f.PageOf(ids[i%len(ids)]); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -387,6 +387,63 @@ func TestSlottedPageLoadValidates(t *testing.T) {
 	}
 }
 
+// FuzzViewSlottedPage feeds arbitrary page images to the decoder the
+// read path trusts on every page visit (ViewSlottedPage; LoadSlottedPage
+// is the same check by pointer). Whatever the bytes, the outcome is a
+// wrapped ErrCorruptedPage — from the decoder, from the slot walk the
+// cursor makes or from Validate — or a page that validates and whose
+// every slot reads back; never a panic or a read past the image.
+func FuzzViewSlottedPage(f *testing.F) {
+	valid := NewSlottedPage(make([]byte, 128))
+	for _, rec := range []string{"alpha", "bravo!", "charlie"} {
+		if _, err := valid.Insert([]byte(rec)); err != nil {
+			f.Fatal(err)
+		}
+	}
+	if err := valid.Delete(1); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(valid.Bytes())
+	f.Add(valid.Bytes()[:64])                  // truncated: the slot directory is gone
+	f.Add(valid.Bytes()[:slottedHeaderSize-1]) // truncated inside the header
+	overlap := NewSlottedPage(append([]byte(nil), valid.Bytes()...))
+	off, _ := overlap.slot(0)
+	overlap.setSlot(2, off+1, 5) // slot 2 now lies inside slot 0's record
+	f.Add(overlap.Bytes())
+
+	f.Fuzz(func(t *testing.T, img []byte) {
+		// An exact-capacity copy: a read past len is a read past cap.
+		img = append(make([]byte, 0, len(img)), img...)
+		v, verr := ViewSlottedPage(img)
+		l, lerr := LoadSlottedPage(img)
+		if (verr == nil) != (lerr == nil) {
+			t.Fatalf("ViewSlottedPage err %v, LoadSlottedPage err %v", verr, lerr)
+		}
+		if verr != nil {
+			if !errors.Is(verr, ErrCorruptedPage) {
+				t.Fatalf("ViewSlottedPage error %v does not wrap ErrCorruptedPage", verr)
+			}
+			return
+		}
+		var walkErr error
+		for i := 0; i < v.NumSlots(); i++ {
+			if _, _, err := v.Record(i); err != nil {
+				if !errors.Is(err, ErrCorruptedPage) {
+					t.Fatalf("Record(%d) error %v does not wrap ErrCorruptedPage", i, err)
+				}
+				walkErr = err
+			}
+		}
+		_, _ = v.FreeSpace(), v.UsedBytes() // open reads both off every page
+		switch err := l.Validate(); {
+		case err == nil && walkErr != nil:
+			t.Fatalf("Validate passes a page whose slot walk fails: %v", walkErr)
+		case err != nil && !errors.Is(err, ErrCorruptedPage):
+			t.Fatalf("Validate error %v does not wrap ErrCorruptedPage", err)
+		}
+	})
+}
+
 func TestSlottedPageFreeSpaceMonotone(t *testing.T) {
 	p := NewSlottedPage(make([]byte, 512))
 	prev := p.FreeSpace()

@@ -145,10 +145,12 @@ type observability struct {
 
 	// snapLag is the distance between the newest committed LSN and the
 	// oldest pinned snapshot (0 with no readers pinned); snapsActive is
-	// the live snapshot count. reorgRounds/reorgPages count background
-	// reorganizer activity.
-	snapLag, snapsActive    *metrics.Gauge
-	reorgRounds, reorgPages *metrics.Counter
+	// the live snapshot count; overlayDepth is the number of batch deltas
+	// a node-index lookup walks before the base, the writer's lookups
+	// included (a pinned snapshot keeps them from folding).
+	// reorgRounds/reorgPages count background reorganizer activity.
+	snapLag, snapsActive, overlayDepth *metrics.Gauge
+	reorgRounds, reorgPages            *metrics.Counter
 
 	// walCommitWait observes, per committed batch, the time the
 	// committing request waited for its WAL commit record to become
@@ -167,10 +169,11 @@ func newObservability(reg *metrics.Registry, tr *metrics.Tracer) *observability 
 		crr:  reg.Gauge("ccam_crr"),
 		wcrr: reg.Gauge("ccam_wcrr"),
 
-		snapLag:     reg.Gauge("ccam_snapshot_lag"),
-		snapsActive: reg.Gauge("ccam_snapshots_active"),
-		reorgRounds: reg.Counter("ccam_reorg_rounds_total"),
-		reorgPages:  reg.Counter("ccam_reorg_pages_total"),
+		snapLag:      reg.Gauge("ccam_snapshot_lag"),
+		snapsActive:  reg.Gauge("ccam_snapshots_active"),
+		overlayDepth: reg.Gauge("ccam_overlay_depth"),
+		reorgRounds:  reg.Counter("ccam_reorg_rounds_total"),
+		reorgPages:   reg.Counter("ccam_reorg_pages_total"),
 
 		walCommitWait: reg.Histogram("ccam_wal_commit_wait_ns"),
 	}
@@ -274,8 +277,9 @@ func (sn *opSnap) end(err error) ReqStats {
 // setGauges publishes what a committed change can move: CRR/WCRR from
 // the PAG summary's running sums, and the version layer's health — how
 // far the oldest pinned snapshot lags the newest commit (the
-// page-version retention window) and how many snapshots are pinned.
-// All O(1). Caller holds the writer mutex.
+// page-version retention window), how many snapshots are pinned and how
+// deep the node index's delta list has grown. All O(1). Caller holds
+// the writer mutex.
 func (o *observability) setGauges(f *netfile.File) {
 	st := f.PAG().Stats()
 	o.crr.Set(st.CRR())
@@ -283,6 +287,7 @@ func (o *observability) setGauges(f *netfile.File) {
 	p := f.Pool()
 	o.snapLag.Set(float64(p.CommittedLSN() - p.VersionFloor()))
 	o.snapsActive.Set(float64(p.ActiveSnapshots()))
+	o.overlayDepth.Set(float64(f.OverlayDepth()))
 }
 
 // --- public accessors ---

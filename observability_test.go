@@ -184,6 +184,50 @@ func TestGaugesTrackBuildAndMutations(t *testing.T) {
 	}
 }
 
+// TestOverlayDepthGauge: ccam_overlay_depth counts the batch deltas a
+// node-index lookup walks. A held snapshot keeps placement batches from
+// folding, so the gauge climbs past netfile's compaction threshold (64);
+// once the snapshot closes, the next commit folds the list away.
+func TestOverlayDepthGauge(t *testing.T) {
+	s, g := obsStore(t)
+	depth := s.Metrics().Gauge("ccam_overlay_depth")
+	if v := depth.Value(); v != 0 {
+		t.Fatalf("overlay depth after Build = %v, want 0", v)
+	}
+	snap, err := s.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer snap.Close()
+	// A delete and a re-insert each commit one batch that moves a
+	// placement.
+	churn := func(id NodeID) {
+		t.Helper()
+		op, err := InsertOpFromNode(g, id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Delete(id, FirstOrder); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Insert(op, FirstOrder); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ids := g.NodeIDs()
+	for i := 0; i < 40; i++ {
+		churn(ids[i])
+	}
+	if v := depth.Value(); v <= 64 {
+		t.Fatalf("overlay depth after 80 placement batches under a held snapshot = %v, want > 64", v)
+	}
+	snap.Close()
+	churn(ids[40])
+	if v := depth.Value(); v >= 64 {
+		t.Fatalf("overlay depth after the snapshot closed and a batch committed = %v, want it folded", v)
+	}
+}
+
 func TestExportersViaStore(t *testing.T) {
 	s, g := obsStore(t)
 	if _, err := s.Find(context.Background(), g.NodeIDs()[0]); err != nil {

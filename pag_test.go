@@ -12,6 +12,7 @@ import (
 	"math"
 	"math/rand"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"testing"
 	"time"
@@ -25,15 +26,91 @@ const prefetchFanout = 5
 
 type edgeID [2]NodeID
 
+// scanPlacement reads node → page off the slot directories of the data
+// pages, asking no index.
+func scanPlacement(t *testing.T, s *Store) Placement {
+	t.Helper()
+	f := s.m.File()
+	place := Placement{}
+	for _, pid := range f.Pages() {
+		ids, err := f.NodesOnPage(pid)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, id := range ids {
+			if other, dup := place[id]; dup {
+				t.Fatalf("node %d is stored on pages %d and %d", id, other, pid)
+			}
+			place[id] = pid
+		}
+	}
+	return place
+}
+
+// nodeIndex is what the node index answers, at the live end or as of a
+// pinned view.
+type nodeIndex struct {
+	pageOf func(NodeID) (storage.PageID, bool)
+	has    func(NodeID) bool
+	len    int
+}
+
+// checkNodeIndex fails unless ix answers exactly like want, a scan of
+// the data pages: every stored node on its page, and none of the nodes
+// only the other side of a step stores.
+func checkNodeIndex(t *testing.T, when string, ix nodeIndex, want, other Placement) {
+	t.Helper()
+	if ix.len != len(want) {
+		t.Fatalf("%s: index counts %d nodes, the pages hold %d", when, ix.len, len(want))
+	}
+	for id, pid := range want {
+		if got, ok := ix.pageOf(id); !ok || got != pid || !ix.has(id) {
+			t.Fatalf("%s: node %d: index resolves page %d (%v, has %v), the pages say %d", when, id, got, ok, ix.has(id), pid)
+		}
+	}
+	for id := range other {
+		if _, stored := want[id]; stored {
+			continue
+		}
+		if pid, ok := ix.pageOf(id); ok || ix.has(id) {
+			t.Fatalf("%s: node %d is on no page, index resolves page %d (%v, has %v)", when, id, pid, ok, ix.has(id))
+		}
+	}
+}
+
+// checkPinnedIndex fails unless snap, pinned when the pages held
+// before, still answers like before now that they hold after.
+func checkPinnedIndex(t *testing.T, snap *Snapshot, before, after Placement) {
+	t.Helper()
+	n := 0
+	if err := snap.Scan(func(*Record) bool { n++; return true }); err != nil {
+		t.Fatal(err)
+	}
+	checkNodeIndex(t, "pinned view", nodeIndex{pageOf: snap.PAG().PageOf, has: snap.Has, len: n}, before, after)
+}
+
 // checkPAG rebuilds the PAG's facts from a scan of s's file and fails
-// unless the summary — and each of its four readers — reports the same.
-// weights holds the access weight of every edge that does not weigh 1.
-// The caller must have the store to itself.
-func checkPAG(t *testing.T, s *Store, weights map[edgeID]float64) {
+// unless the summary — and each of its four readers — reports the same,
+// and the node index answers like the scan, which it returns; before is
+// the scan of the previous step (nil at the first). weights holds the
+// access weight of every edge that does not weigh 1. The caller must
+// have the store to itself.
+func checkPAG(t *testing.T, s *Store, weights map[edgeID]float64, before Placement) Placement {
 	t.Helper()
 	f := s.m.File()
 	pag := f.PAG()
-	place := f.Placement()
+	place := scanPlacement(t, s)
+	checkNodeIndex(t, "live end", nodeIndex{
+		pageOf: func(id NodeID) (storage.PageID, bool) {
+			pid, err := f.PageOf(id)
+			return pid, err == nil
+		},
+		has: f.Has,
+		len: s.Len(),
+	}, place, before)
+	if got := f.Placement(); !reflect.DeepEqual(got, place) {
+		t.Fatalf("Placement() has %d nodes and differs from the pages' %d", len(got), len(place))
+	}
 	ref := NewNetwork()
 	var recs []*Record
 	if err := f.Scan(func(rec *Record) bool {
@@ -148,7 +225,7 @@ func checkPAG(t *testing.T, s *Store, weights map[edgeID]float64) {
 
 	// The planner's statistics.
 	if len(recs) == 0 {
-		return
+		return place
 	}
 	res, err := s.Query(context.Background(), fmt.Sprintf("EXPLAIN FIND %d", recs[0].ID))
 	if err != nil {
@@ -171,6 +248,7 @@ func checkPAG(t *testing.T, s *Store, weights map[edgeID]float64) {
 			t.Fatalf("planner %s = %v, scan gives %v", c.name, c.got, c.want)
 		}
 	}
+	return place
 }
 
 // pagSchedule drives one store through a seeded schedule, tracking the
@@ -303,7 +381,9 @@ func (p *pagSchedule) reopen(pool int) {
 // five op kinds that overflow, shrink, split and merge pages under all
 // four policies, reorganizer rounds, checkpoints, close/reopen at pool
 // sizes 1, 8 and 4096 — and checks the summary against a scan of the
-// file after every step.
+// file after every step, and the node index with it: at the live end,
+// and on a view pinned before the step, which must go on answering like
+// the scan made before it.
 func TestPAGSummaryMatchesScan(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
@@ -340,11 +420,16 @@ func TestPAGSummaryMatchesScan(t *testing.T) {
 			if err := p.s.Build(g); err != nil {
 				t.Fatal(err)
 			}
-			checkPAG(t, p.s, p.weights)
+			place := checkPAG(t, p.s, p.weights, nil)
 
 			minPages, maxPages := p.s.NumPages(), p.s.NumPages()
 			for step := 0; step < 60; step++ {
-				switch k := rng.Intn(12); {
+				snap, err := p.s.Snapshot()
+				if err != nil {
+					t.Fatal(err)
+				}
+				k := rng.Intn(12)
+				switch {
 				case k < 8:
 					// Grow for the first half of the schedule, shrink after.
 					if err := p.s.Apply(context.Background(), p.batch(4+rng.Intn(20), step < 30)); err != nil {
@@ -357,9 +442,15 @@ func TestPAGSummaryMatchesScan(t *testing.T) {
 						t.Fatalf("step %d: checkpoint: %v", step, err)
 					}
 				default:
+					snap.Close() // a view does not outlive its store
 					p.reopen(pools[rng.Intn(len(pools))])
 				}
-				checkPAG(t, p.s, p.weights)
+				before := place
+				place = checkPAG(t, p.s, p.weights, before)
+				if k < 11 {
+					checkPinnedIndex(t, snap, before, place)
+					snap.Close()
+				}
 				if err := diffModels(p.model, storeModel(t, p.s)); err != nil {
 					t.Fatalf("step %d: %v", step, err)
 				}
@@ -463,5 +554,5 @@ func TestPrefetchHintsSurviveSplit(t *testing.T) {
 	if len(f.PrefetchHints(pid)) == 0 {
 		t.Fatalf("page %d split and lost its prefetch hints", pid)
 	}
-	checkPAG(t, s, nil)
+	checkPAG(t, s, nil, nil)
 }

@@ -19,8 +19,10 @@ type ReqStats struct {
 	// the paper's evaluation minimizes by connectivity clustering.
 	DataReads  int64 `json:"data_reads"`
 	DataWrites int64 `json:"data_writes,omitempty"`
-	// IndexPages counts B+-tree index node visits (paper §4 charges
-	// these separately from data pages).
+	// IndexPages counts node-index lookups — one per node an operation
+	// resolves to its data page, reads and mutations alike (paper §4
+	// charges index accesses separately from data pages; the index is
+	// memory resident).
 	IndexPages int64 `json:"index_pages"`
 	// BufferHits / BufferMisses count the buffer pool's answers to this
 	// request's page fetches; only misses reach the disk. An operation
