@@ -16,7 +16,6 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
-	"time"
 
 	"ccam/internal/bench"
 	"ccam/internal/netfile"
@@ -415,87 +414,6 @@ func BenchmarkRangeQuery(b *testing.B) {
 		if _, err := s.RangeQuery(context.Background(), window); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// benchReadLatency is the simulated per-page-read disk time of the
-// throughput benchmarks: enough that I/O dominates (the paper's
-// disk-resident regime) while keeping runs short.
-const benchReadLatency = 100 * time.Microsecond
-
-// ioBoundStore builds a paper-scale store over a simulated disk that
-// charges benchReadLatency per physical page read, with a pool small
-// enough that lookups miss. In this regime concurrency buys
-// throughput by overlapping I/O waits, exactly as on a real disk.
-func ioBoundStore(b *testing.B, parallelism int) (*Store, *Network) {
-	b.Helper()
-	g, err := RoadMap(MinneapolisLikeOpts())
-	if err != nil {
-		b.Fatal(err)
-	}
-	s, err := Open(Options{
-		PageSize:    2048,
-		PoolPages:   32,
-		Seed:        1,
-		Parallelism: parallelism,
-		ReadLatency: benchReadLatency,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := s.Build(g); err != nil {
-		b.Fatal(err)
-	}
-	return s, g
-}
-
-// BenchmarkConcurrentFind measures point-lookup throughput on the
-// simulated disk with the benchmark's goroutines sharing the store's
-// read latch. Run with -cpu 1,2,4,8 to sweep the reader count: misses
-// release the buffer-pool latch during the physical read, so N readers
-// overlap N page waits and throughput scales until the pool or the
-// medium saturates. Compare BenchmarkFind for the in-memory
-// (CPU-bound) baseline.
-func BenchmarkConcurrentFind(b *testing.B) {
-	s, g := ioBoundStore(b, 0)
-	defer s.Close()
-	ids := g.NodeIDs()
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		rng := rand.New(rand.NewSource(int64(b.N)))
-		for pb.Next() {
-			if _, err := s.Find(context.Background(), ids[rng.Intn(len(ids))]); err != nil {
-				b.Error(err)
-				return
-			}
-		}
-	})
-}
-
-// BenchmarkEvaluateRoutesParallel measures the batch route-evaluation
-// API on the simulated disk: each iteration fans 64 20-hop routes
-// across the worker pool, sweeping Options.Parallelism. The
-// workers=1/workers=8 ns-per-op ratio is the concurrency speedup;
-// because the workload is I/O-bound it does not require 8 CPUs.
-func BenchmarkEvaluateRoutesParallel(b *testing.B) {
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			s, g := ioBoundStore(b, workers)
-			defer s.Close()
-			rng := rand.New(rand.NewSource(8))
-			routes, err := RandomWalkRoutes(g, 64, 20, rng)
-			if err != nil {
-				b.Fatal(err)
-			}
-			ctx := context.Background()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := s.EvaluateRoutes(ctx, routes); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(len(routes)), "routes/op")
-		})
 	}
 }
 

@@ -186,9 +186,6 @@ type Options struct {
 	// Speculative reads are metered separately and never alter the
 	// demand hit/miss counters.
 	Prefetch bool
-	// PrefetchWorkers sizes the prefetcher's worker pool (0 selects
-	// the default). Ignored unless Prefetch is set.
-	PrefetchWorkers int
 	// Dynamic selects the incremental create (CCAM-D): Build loads the
 	// network as a sequence of Add-node operations with incremental
 	// reclustering, which handles networks too large to partition in
@@ -206,25 +203,6 @@ type Options struct {
 	// Parallelism bounds the worker pool of the batch queries
 	// (FindBatch, EvaluateRoutes). Zero means runtime.GOMAXPROCS(0).
 	Parallelism int
-	// BuildWorkers bounds the worker pool of the static create's
-	// clustering recursion. Zero means runtime.GOMAXPROCS(0); one runs
-	// serially. The placement depends only on Seed, never on the
-	// worker count.
-	BuildWorkers int
-	// ReadLatency, when positive, charges that much simulated
-	// wall-clock time per physical data-page read of the in-memory
-	// store, reproducing the paper's disk-resident regime for
-	// throughput experiments (page-access counts are unaffected).
-	// Ignored when Path is set.
-	ReadLatency time.Duration
-	// SyncLatency, when positive, charges that much additional
-	// simulated wall-clock time per stable-storage sync — every WAL
-	// fsync and every data-file sync — the durable-path counterpart
-	// of ReadLatency: it reproduces the paper's disk-resident regime
-	// on hardware whose local fsync costs only tens of microseconds.
-	// Fsync counts, group-commit accounting and page-access counts
-	// are unaffected. Ignored without Path.
-	SyncLatency time.Duration
 	// Metrics enables the observability registry: per-operation
 	// counters and latency histograms, per-class page-access counters
 	// (node-index lookups vs CCAM data pages), buffer hit/miss latencies and
@@ -405,9 +383,6 @@ func newStore(opts Options, fs *storage.FileStore, st storage.Store, open func(s
 	if opts.Metrics {
 		s.obs = newObservability(metrics.NewRegistry(), s.tracer)
 	}
-	if fs != nil && opts.SyncLatency > 0 {
-		fs.SetSyncLatency(opts.SyncLatency)
-	}
 	err := open(s, s.fileOptions(opts, st))
 	if err == nil && opts.BackgroundReorg {
 		err = s.startReorganizer(opts)
@@ -430,16 +405,14 @@ func newStore(opts Options, fs *storage.FileStore, st storage.Store, open func(s
 // Options.PageSize.
 func (s *Store) fileOptions(opts Options, st storage.Store) netfile.Options {
 	fo := netfile.Options{
-		PageSize:        opts.PageSize,
-		PoolPages:       opts.PoolPages,
-		PoolShards:      opts.PoolShards,
-		Prefetch:        opts.Prefetch,
-		PrefetchWorkers: opts.PrefetchWorkers,
-		Spatial:         opts.Spatial,
-		Store:           st,
-		ReadLatency:     opts.ReadLatency,
-		Metrics:         s.Metrics(),
-		Tracer:          s.tracer,
+		PageSize:   opts.PageSize,
+		PoolPages:  opts.PoolPages,
+		PoolShards: opts.PoolShards,
+		Prefetch:   opts.Prefetch,
+		Spatial:    opts.Spatial,
+		Store:      st,
+		Metrics:    s.Metrics(),
+		Tracer:     s.tracer,
 	}
 	if st != nil {
 		fo.PageSize = st.PageSize()
@@ -451,20 +424,15 @@ func (s *Store) fileOptions(opts Options, st storage.Store) netfile.Options {
 // its file from fo.
 func newMethod(opts Options, fo netfile.Options) (*iccam.Method, error) {
 	return iccam.New(iccam.Config{
-		File:         fo,
-		Seed:         opts.Seed,
-		BuildWorkers: opts.BuildWorkers,
-		Dynamic:      opts.Dynamic,
+		File:    fo,
+		Seed:    opts.Seed,
+		Dynamic: opts.Dynamic,
 	})
 }
 
-// adoptWAL makes wal the store's log, with the simulated sync latency
-// and, under Metrics, the instrumentation the options ask for.
-func (s *Store) adoptWAL(wal *storage.WAL, opts Options) {
+// adoptWAL makes wal the store's log, instrumented under Metrics.
+func (s *Store) adoptWAL(wal *storage.WAL) {
 	s.wal = wal
-	if opts.SyncLatency > 0 {
-		wal.SetSyncLatency(opts.SyncLatency)
-	}
 	if s.obs != nil {
 		wal.Instrument(s.obs.walInstrumentation())
 	}
@@ -508,7 +476,7 @@ func Open(opts Options) (*Store, error) {
 			if err != nil {
 				return err
 			}
-			s.adoptWAL(wal, opts)
+			s.adoptWAL(wal)
 		}
 		return nil
 	})
@@ -590,7 +558,7 @@ func OpenPath(path string, opts Options) (*Store, error) {
 			if err != nil {
 				return err
 			}
-			s.adoptWAL(wal, opts)
+			s.adoptWAL(wal)
 			if fs.Flags()&storage.FlagWAL == 0 {
 				if err := fs.SetFlag(storage.FlagWAL); err != nil {
 					return err

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"strings"
 	"testing"
-	"time"
 
 	"ccam/internal/bench"
 	"ccam/internal/graph"
@@ -16,25 +15,37 @@ func tinySetup() bench.Setup {
 	return bench.Setup{MapOpts: opts, Seed: 3}
 }
 
+// TestRunEachExperiment iterates the experiment table: every entry
+// that -exp all runs must print its marker, so an experiment added to
+// the table without one fails here.
 func TestRunEachExperiment(t *testing.T) {
-	cases := map[string]string{
+	markers := map[string]string{
 		"fig5":                 "Figure 5",
 		"table5":               "Table 5",
 		"fig6":                 "Figure 6",
 		"fig7":                 "Figure 7",
 		"ablation-partitioner": "Ablation A1",
 		"ablation-buffer":      "Ablation A2",
+		"ablation-scale":       "Ablation A3",
 		"ablation-search":      "Ablation A4",
 		"ablation-lazy":        "Ablation A5",
 		"ablation-topology":    "Ablation A6",
 		"ablation-mixed":       "Ablation A7",
 		"ablation-spatial":     "Ablation A8",
 	}
-	for exp, marker := range cases {
-		t.Run(exp, func(t *testing.T) {
+	cfg := config{setup: tinySetup(), parallel: 2}
+	for _, e := range experiments {
+		if !e.inAll {
+			continue
+		}
+		t.Run(e.name, func(t *testing.T) {
+			marker, ok := markers[e.name]
+			if !ok {
+				t.Fatalf("experiment %q is part of -exp all but has no marker in this test", e.name)
+			}
 			var buf bytes.Buffer
-			if err := run(&buf, exp, tinySetup(), 2, "", buildScaleOpts{}, poolScaleOpts{}, serveConfig{}, mixedConfig{}); err != nil {
-				t.Fatalf("run(%s): %v", exp, err)
+			if err := run(&buf, e.name, cfg); err != nil {
+				t.Fatalf("run(%s): %v", e.name, err)
 			}
 			out := buf.String()
 			if !strings.Contains(out, "road map:") {
@@ -62,27 +73,14 @@ func TestRunScaleExperiment(t *testing.T) {
 
 func TestRunRejectsUnknownExperiment(t *testing.T) {
 	var buf bytes.Buffer
-	if err := run(&buf, "nope", tinySetup(), 2, "", buildScaleOpts{}, poolScaleOpts{}, serveConfig{}, mixedConfig{}); err == nil {
+	err := run(&buf, "nope", config{setup: tinySetup()})
+	if err == nil {
 		t.Fatal("unknown experiment accepted")
 	}
-}
-
-func TestRunMetricsExperiment(t *testing.T) {
-	var buf bytes.Buffer
-	g, err := tinySetup().Network()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := runMetrics(&buf, g, 3, ""); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	for _, want := range []string{
-		"Per-operation metrics", "find", "evaluate_route", "hitrate",
-		"CRR=", "WCRR=", "sample traces",
-	} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("output missing %q:\n%s", want, out)
+	// The error names every valid value, from the same table.
+	for _, e := range experiments {
+		if !strings.Contains(err.Error(), e.name) {
+			t.Fatalf("error %q does not list %q", err, e.name)
 		}
 	}
 }
@@ -104,28 +102,6 @@ func TestRunMutationExperiment(t *testing.T) {
 		t.Fatalf("missing marker:\n%s", out)
 	}
 	if !strings.Contains(out, "writers") || !strings.Contains(out, "fsyncs") {
-		t.Fatalf("missing sweep table:\n%s", out)
-	}
-}
-
-func TestRunThroughputExperiment(t *testing.T) {
-	// Tiny batches keep the simulated-disk sleeps short; the point here
-	// is the plumbing, not the speedup numbers.
-	var buf bytes.Buffer
-	g, err := tinySetup().Network()
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := throughputConfig{MaxWorkers: 2, ReadLatency: 20 * time.Microsecond,
-		Finds: 64, Routes: 8, RouteLen: 6, Seed: 3}
-	if err := runThroughput(&buf, g, cfg); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	if !strings.Contains(out, "Concurrent throughput") {
-		t.Fatalf("missing marker:\n%s", out)
-	}
-	if !strings.Contains(out, "workers") || !strings.Contains(out, "1.00x") {
 		t.Fatalf("missing sweep table:\n%s", out)
 	}
 }

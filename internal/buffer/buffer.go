@@ -386,16 +386,6 @@ func (p *Pool) Stats() Stats {
 	return s
 }
 
-// ShardStats returns one counter snapshot per shard, in shard order —
-// the balance view the pool-scale experiment reports.
-func (p *Pool) ShardStats() []Stats {
-	out := make([]Stats, len(p.shards))
-	for i, sh := range p.shards {
-		out[i] = sh.stats.snapshot()
-	}
-	return out
-}
-
 // ResetStats zeroes the pool counters (not the store's), including the
 // prefetch counters.
 func (p *Pool) ResetStats() {
@@ -567,13 +557,17 @@ func (p *Pool) Unpin(id storage.PageID, dirty bool) error {
 }
 
 // Discard drops the page from the pool without writing it back, even if
-// dirty. Used when a page is freed. The page must not be demand-pinned,
-// but a frame whose physical read is still in flight is tolerated: the
-// prefetcher pins frames asynchronously, outside the access-method
-// lock, so a mutation can free a page the prefetcher just predicted.
-// Such a frame is unpublished immediately and doomed — the loader
-// discards the freed bytes when the read settles. Any queued (not yet
-// started) prefetch of the page is purged too.
+// dirty. Used when a page is freed. The caller must hold no pin on the
+// page itself, but two kinds of pin taken outside the access-method
+// lock are tolerated. A frame whose physical read is still in flight
+// (the prefetcher, or a snapshot reader's miss) is unpublished and
+// doomed — the loader discards the freed bytes when the read settles.
+// A loaded frame still pinned is a snapshot reader inside ReadAt,
+// between its fetch and the version read-lock under which it finds the
+// image this free saved and lets go of the frame: the frame is
+// unpublished here, the reader drops its pin through the frame, and the
+// sweep recycles it after that. Any queued (not yet started) prefetch
+// of the page is purged too.
 func (p *Pool) Discard(id storage.PageID) {
 	if pf := p.pf.Load(); pf != nil {
 		pf.purge(id)
@@ -586,15 +580,11 @@ func (p *Pool) Discard(id storage.PageID) {
 		return
 	}
 	f := sh.frames[fi]
+	delete(sh.table, id)
 	if f.loading != nil {
 		f.doomed = true
-		delete(sh.table, id)
 		return
 	}
-	if f.pins.Load() > 0 {
-		panic(fmt.Sprintf("buffer: discard of pinned page %d", id))
-	}
-	delete(sh.table, id)
 	f.id = storage.InvalidPageID
 	f.dirty.Store(false)
 	f.ref.Store(false)

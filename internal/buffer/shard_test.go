@@ -249,8 +249,9 @@ func TestContainsExcludesLoadingAndFailed(t *testing.T) {
 }
 
 // TestStatsAccounting pins the counter fixes: waiters coalesced onto a
-// failed read count as neither hits nor misses, and overflow-frame
-// shrink counts the pages it unpublishes as evictions.
+// failed read count as neither hits nor misses, overflow-frame shrink
+// counts the pages it unpublishes as evictions, and every cold fetch is
+// one miss whose read holds no shard latch.
 func TestStatsAccounting(t *testing.T) {
 	cases := []struct {
 		name string
@@ -370,6 +371,49 @@ func TestStatsAccounting(t *testing.T) {
 			s := p.Stats()
 			if s.Fetches != 8 || s.Misses != 1 || s.Hits != 7 {
 				t.Fatalf("stats = %+v, want fetches=8 misses=1 hits=7", s)
+			}
+		}},
+		{"a miss releases the shard latch for its read", func(t *testing.T) {
+			// 64 cold pages of ONE shard, fetched by 8 goroutines over a
+			// store that sleeps 2 ms per read: behind a latch held across
+			// the read the sleeps queue up to >= 128 ms (time.Sleep
+			// guarantees that much); released, they overlap eight at a
+			// time. This is the invariant the retired pool-scale
+			// experiment's wall-clock speedup gate stood for.
+			const lat, readers, each = 2 * time.Millisecond, 8, 8
+			st := storage.NewMemStore(128)
+			p := NewPoolShards(st, 4*readers*each, 4)
+			var ids []storage.PageID
+			for _, id := range seedPages(t, st, 16*readers*each) {
+				if p.shardOf(id) == p.shards[0] && len(ids) < readers*each {
+					ids = append(ids, id)
+				}
+			}
+			if len(ids) != readers*each {
+				t.Fatalf("only %d seeded pages hash to shard 0", len(ids))
+			}
+			st.SetReadLatency(lat)
+			start := time.Now()
+			var wg sync.WaitGroup
+			for r := 0; r < readers; r++ {
+				wg.Add(1)
+				go func(mine []storage.PageID) {
+					defer wg.Done()
+					for _, id := range mine {
+						if _, err := p.Fetch(id); err != nil {
+							t.Error(err)
+							return
+						}
+						p.Unpin(id, false)
+					}
+				}(ids[r*each : (r+1)*each])
+			}
+			wg.Wait()
+			if elapsed, serial := time.Since(start), readers*each*lat; elapsed >= serial/2 {
+				t.Fatalf("64 cold fetches took %v, want under half of the serial %v", elapsed, serial)
+			}
+			if s := p.Stats(); s.Misses != readers*each {
+				t.Fatalf("stats = %+v, want %d misses", s, readers*each)
 			}
 		}},
 	}

@@ -276,7 +276,7 @@ type PageRef struct {
 }
 
 // Release ends the borrow. The pin goes first: until the read-lock is
-// dropped no writer can reach the Discard that forbids pinned frames.
+// dropped no writer can reach the Discard that unpublishes the frame.
 func (r *PageRef) Release() {
 	if r.f != nil {
 		r.f.pins.Add(-1)

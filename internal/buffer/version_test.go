@@ -286,3 +286,47 @@ func TestSnapshotReleaseTakesNoWriteLock(t *testing.T) {
 	p.verMu.RUnlock()
 	<-done
 }
+
+// TestDiscardUnderSnapshotReaderPin frees a page inside the window a
+// snapshot reader's ReadAt leaves open: the reader has fetched (pinned)
+// the live frame and not yet taken the version read-lock. The writer
+// saves the committed image and discards the frame; that used to panic
+// ("discard of pinned page"). The frame must be unpublished instead,
+// the reader must still get the pre-free image, and the frame must be
+// reusable once the reader lets go.
+func TestDiscardUnderSnapshotReaderPin(t *testing.T) {
+	p, ids := newPoolWithPages(t, 2, 3)
+	defer p.Close()
+	id := ids[0]
+	lsn0 := p.AcquireSnapshot()
+	defer p.ReleaseSnapshot(lsn0)
+
+	f, err := p.fetchFrame(id, nil) // the reader's pin, taken before its read-lock
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.BeginVersionBatch()
+	data, err := p.Fetch(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.SaveVersion(id, data)
+	p.Unpin(id, false)
+	p.Discard(id)
+	if p.Contains(id) {
+		t.Fatal("discarded page still resident")
+	}
+	// The reader's re-check finds the saved image and drops the frame.
+	if got := readAt(t, p, id, lsn0); got[0] != 1 {
+		t.Fatalf("snapshot reader sees %#x after the free, want the saved image", got[0])
+	}
+	f.pins.Add(-1)
+	p.PublishVersions(0)
+
+	// Both frames of the pool are free again: two more pages fit, pinned.
+	for _, other := range ids[1:] {
+		if _, err := p.Fetch(other); err != nil {
+			t.Fatalf("fetch after the reader unpinned: %v", err)
+		}
+	}
+}

@@ -37,11 +37,6 @@ type Config struct {
 	Partitioner partition.Bipartitioner
 	// Seed drives the partitioner's randomized restarts.
 	Seed int64
-	// BuildWorkers bounds the number of clustering subproblems Build
-	// partitions concurrently during a static create (0 = GOMAXPROCS,
-	// 1 = serial). For a fixed Seed the resulting placement is
-	// identical at every worker count.
-	BuildWorkers int
 	// Dynamic selects CCAM-D: Build runs as a sequence of Add-node
 	// operations with incremental reclustering instead of one static
 	// clustering pass.
@@ -137,15 +132,15 @@ func (m *Method) Build(g *graph.Network) error {
 }
 
 // buildStatic is Static-Create: cluster-nodes-into-pages over the whole
-// network, then bulk load. The recursion runs on a bounded worker pool
-// (Config.BuildWorkers); the subset seed is drawn from m.rng exactly
-// like the serial path draws its stream, so results stay reproducible
-// per Config.Seed.
+// network, then bulk load. The recursion runs on a GOMAXPROCS-sized
+// worker pool; the subset seed is drawn from m.rng exactly like the
+// serial path draws its stream, so the placement depends only on
+// Config.Seed, never on the worker count.
 func (m *Method) buildStatic(g *graph.Network) error {
 	sizeOf := netfile.StoredSizer(g)
 	budget := netfile.PageBudget(m.cfg.File.PageSize)
 	groups, err := partition.ClusterNodesIntoPagesOpts(g, sizeOf, budget, m.part,
-		partition.ClusterOptions{Workers: m.cfg.BuildWorkers, Seed: m.rng.Int63()})
+		partition.ClusterOptions{Seed: m.rng.Int63()})
 	if err != nil {
 		return fmt.Errorf("ccam: static create: %w", err)
 	}

@@ -6,7 +6,6 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"ccam/internal/buffer"
 	"ccam/internal/geom"
@@ -31,9 +30,6 @@ type Options struct {
 	// a data page asynchronously faults in the page's most-connected
 	// PAG neighbors, ranked from the PAG summary.
 	Prefetch bool
-	// PrefetchWorkers sizes the prefetcher's worker pool (0 selects the
-	// buffer package default). Ignored unless Prefetch is set.
-	PrefetchWorkers int
 	// Bounds is the geographic extent used for Z-order keys in the
 	// spatial index. Zero value disables spatial keys (they quantize to
 	// a single cell).
@@ -44,12 +40,6 @@ type Options struct {
 	// Store supplies the data page store; nil selects an in-memory
 	// simulated disk.
 	Store storage.Store
-	// ReadLatency, when positive, charges that much wall-clock time per
-	// physical data-page read of the in-memory simulated disk, so
-	// throughput experiments run in the paper's disk-resident regime.
-	// Ignored when Store is supplied. Index stores stay instantaneous:
-	// the paper assumes index pages are memory resident.
-	ReadLatency time.Duration
 	// Metrics, when non-nil, instruments the file: physical I/O and
 	// buffer fetch latencies are observed into histograms of this
 	// registry, and node→page lookups count into a registry counter.
@@ -63,11 +53,11 @@ type Options struct {
 }
 
 // File is the shared data file: slotted data pages holding node
-// records, an LRU buffer pool, the node index (node id → data page; the
-// versioned overlay of snapshot.go, read at its live end) and a spatial
-// index (Z-order B+-tree or R-tree, position → node id). Both indexes
-// are memory resident, as the paper assumes, so data-page I/O — the
-// paper's metric — is metered in isolation.
+// records, a clock-sweep buffer pool, the node index (node id → data
+// page; the versioned overlay of snapshot.go, read at its live end) and
+// a spatial index (Z-order B+-tree or R-tree, position → node id). Both
+// indexes are memory resident, as the paper assumes, so data-page I/O —
+// the paper's metric — is metered in isolation.
 //
 // Concurrency: the query operations (Find, GetASuccessor,
 // GetSuccessors, EvaluateRoute, RangeQuery, Nearest, Scan and the
@@ -135,11 +125,7 @@ func Create(opts Options) (*File, error) {
 	}
 	st := opts.Store
 	if st == nil {
-		ms := storage.NewMemStore(opts.PageSize)
-		if opts.ReadLatency > 0 {
-			ms.SetReadLatency(opts.ReadLatency)
-		}
-		st = ms
+		st = storage.NewMemStore(opts.PageSize)
 	}
 	if st.PageSize() != opts.PageSize {
 		return nil, fmt.Errorf("netfile: store page size %d != %d", st.PageSize(), opts.PageSize)
@@ -162,7 +148,7 @@ func Create(opts Options) (*File, error) {
 	f.overlay.Store(&overlayState{base: make(map[graph.NodeID]storage.PageID)})
 	if opts.Prefetch {
 		f.pool.SetAdjacency(f.PrefetchHints)
-		f.pool.EnablePrefetch(opts.PrefetchWorkers, 0)
+		f.pool.EnablePrefetch(0, 0)
 	}
 	f.EnableMetrics(opts.Metrics, opts.Tracer)
 	return f, nil

@@ -198,7 +198,7 @@ func TestPrefetchEndToEnd(t *testing.T) {
 	f, err := Create(Options{
 		PageSize: 1024, PoolPages: 16, PoolShards: 4,
 		Bounds: g.Bounds(), Store: st,
-		Prefetch: true, PrefetchWorkers: 2,
+		Prefetch: true,
 	})
 	if err != nil {
 		t.Fatal(err)

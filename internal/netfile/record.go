@@ -2,9 +2,9 @@
 // repository shares: the binary node-record codec (node data plus
 // successor- and predecessor-lists, as in the paper's adjacency-list
 // representation), the data file built from slotted pages with a
-// memory-resident node index and an LRU buffer pool, and the paper's search
-// operations Find, Get-A-successor, Get-successors and route
-// evaluation. Access methods (CCAM, DFS-AM, BFS-AM, WDFS-AM, Grid
+// memory-resident node index and a clock-sweep buffer pool, and the
+// paper's search operations Find, Get-A-successor, Get-successors and
+// route evaluation. Access methods (CCAM, DFS-AM, BFS-AM, WDFS-AM, Grid
 // File) differ only in how they place records on pages and how they
 // maintain the placement under updates.
 package netfile

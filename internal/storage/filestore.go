@@ -58,10 +58,6 @@ type FileStore struct {
 	// the Store interface documents).
 	closedIDs []PageID
 	inst      atomic.Pointer[IOInstrumentation]
-	// syncLatency is the simulated device latency charged per fsync,
-	// in nanoseconds (atomic; 0 = the real device only). See
-	// SetSyncLatency.
-	syncLatency atomic.Int64
 }
 
 // fileHeader layout within the metadata page (fsHeaderLen bytes):
@@ -341,22 +337,7 @@ func (fs *FileStore) SetAppliedLSN(lsn uint64) error {
 	if err := fs.f.Sync(); err != nil {
 		return fmt.Errorf("storage: sync applied lsn: %w", err)
 	}
-	fs.chargeSyncLatency()
 	return nil
-}
-
-// SetSyncLatency makes every subsequent fsync of the data file cost an
-// additional d of wall-clock time, turning a fast local device into a
-// latency-accurate simulated disk — the durable-path counterpart of
-// MemStore.SetReadLatency. Page-access counts are unaffected.
-func (fs *FileStore) SetSyncLatency(d time.Duration) {
-	fs.syncLatency.Store(int64(d))
-}
-
-func (fs *FileStore) chargeSyncLatency() {
-	if lat := fs.syncLatency.Load(); lat > 0 {
-		time.Sleep(time.Duration(lat))
-	}
 }
 
 // SetFlag ORs a file-format flag into the header and rewrites it.
@@ -568,7 +549,6 @@ func (fs *FileStore) Sync() error {
 	if err := fs.f.Sync(); err != nil {
 		return fmt.Errorf("storage: sync: %w", err)
 	}
-	fs.chargeSyncLatency()
 	return nil
 }
 

@@ -208,11 +208,9 @@ func NewMemStore(pageSize int) *MemStore {
 func (m *MemStore) PageSize() int { return m.pageSize }
 
 // SetReadLatency makes every subsequent physical page read cost d of
-// wall-clock time, turning the instantaneous in-memory simulated disk
-// into a latency-accurate one. The paper reports page-access counts,
-// which d does not change; the throughput experiments use it to
-// reproduce the disk-resident regime, where concurrent readers gain by
-// overlapping I/O waits.
+// wall-clock time. Page-access counts do not change; buffer-pool tests
+// use it to hold a read in flight, so they can observe what the pool
+// does while one is.
 func (m *MemStore) SetReadLatency(d time.Duration) { m.readLatency.Store(int64(d)) }
 
 // Instrument implements Instrumentable: subsequent physical reads and

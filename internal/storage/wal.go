@@ -212,10 +212,6 @@ type WAL struct {
 
 	syncNanos atomic.Int64 // EWMA of fsync duration, for group formation
 	prevGroup atomic.Int64 // size of the last acknowledged commit group
-	// syncLatency is the simulated device latency charged per fsync,
-	// in nanoseconds (atomic; 0 = the real device only). See
-	// SetSyncLatency.
-	syncLatency atomic.Int64
 
 	syncMu sync.Mutex
 	err    atomic.Pointer[error]
@@ -326,16 +322,6 @@ func (w *WAL) DurableLSN() uint64 { return w.durable.Load() }
 
 // AppendedLSN returns the highest LSN handed to the OS.
 func (w *WAL) AppendedLSN() uint64 { return w.appended.Load() }
-
-// SetSyncLatency makes every subsequent fsync of the log cost an
-// additional d of wall-clock time, turning a fast local device into a
-// latency-accurate simulated disk — the durable-path counterpart of
-// MemStore.SetReadLatency. Fsync counts and group-commit accounting
-// are unaffected; the delay folds into the EWMA that sizes commit
-// groups, exactly as a slower real device would.
-func (w *WAL) SetSyncLatency(d time.Duration) {
-	w.syncLatency.Store(int64(d))
-}
 
 // FsyncStats returns the number of fsyncs the log has issued and the
 // number of commits those fsyncs acknowledged (their ratio is the mean
@@ -528,9 +514,6 @@ func (w *WAL) leaderSync(group int64) error {
 	start := time.Now()
 	if err := f.Sync(); err != nil {
 		return w.fail(fmt.Errorf("commit sync: %w", err))
-	}
-	if lat := w.syncLatency.Load(); lat > 0 {
-		time.Sleep(time.Duration(lat))
 	}
 	// Fold the sync duration into the EWMA that sizes the group
 	// formation delay.

@@ -15,6 +15,7 @@ import (
 	"reflect"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -248,10 +249,48 @@ func testReorganizerRecoversCRR(t *testing.T, withMetrics bool) {
 		t.Skipf("churn decayed CRR only %.4f -> %.4f; recovery margin too thin to assert", crr0, crr1)
 	}
 
+	// A reader traverses the map's own nodes while the rounds run (the
+	// retired `ccam-bench -exp mixed -check` gate): every Find and every
+	// 16-hop route must answer, and answer as before the first round —
+	// re-clustering moves records, never changes them.
+	ctx := context.Background()
+	routes, err := RandomWalkRoutes(g, 32, 16, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make([]RouteAggregate, len(routes))
+	for i, r := range routes {
+		if want[i], err = s.EvaluateRoute(ctx, r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var stop atomic.Bool
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; ; i++ {
+			r, w := routes[i%len(routes)], want[i%len(routes)]
+			if _, err := s.Find(ctx, r[0]); err != nil {
+				t.Errorf("read %d beside the reorganizer: Find(%d): %v", i, r[0], err)
+				return
+			}
+			if got, err := s.EvaluateRoute(ctx, r); err != nil || got != w {
+				t.Errorf("read %d beside the reorganizer: EvaluateRoute = %+v, %v; want %+v", i, got, err, w)
+				return
+			}
+			if stop.Load() {
+				return
+			}
+		}
+	}()
+
 	target := crr1 + 0.5*(crr0-crr1)
 	for i := 0; i < 80 && s.CRR(g) < target; i++ {
 		s.Poke()
 	}
+	stop.Store(true)
+	wg.Wait()
 	crr2 := s.CRR(g)
 	if crr2 < target {
 		t.Fatalf("reorganizer recovered CRR %.4f -> %.4f, want >= %.4f (build %.4f)", crr1, crr2, target, crr0)
@@ -488,6 +527,7 @@ func TestSnapshotAnswersUnderConcurrentWrites(t *testing.T) {
 					t.Fatalf("live EvaluateRoute: %v", err)
 				}
 			}
+			ioBefore, checks := s.IO().Reads, 0
 			for running := true; running; {
 				select {
 				case <-done:
@@ -495,6 +535,14 @@ func TestSnapshotAnswersUnderConcurrentWrites(t *testing.T) {
 				default:
 				}
 				check()
+				checks++
+			}
+			// When the pool holds the file, reads beside a durable writer
+			// are served from it: pre-images come from the version store
+			// and no batch evicts a page a reader needs (the retired
+			// `ccam-bench -exp mixed -check` gate, at its threshold).
+			if perRead := float64(s.IO().Reads-ioBefore) / float64(checks); pool == 4096 && perRead > 0.05 {
+				t.Fatalf("%.4f physical reads per snapshot read over %d reads, want <= 0.05 with the file resident", perRead, checks)
 			}
 			scanned := 0
 			if err := snap.Scan(func(rec *Record) bool {

@@ -9,6 +9,7 @@ package ccam
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"math"
 	"math/rand"
 	"net/http"
@@ -369,5 +370,124 @@ func TestBuildKeepsOptionsAfterOpenPath(t *testing.T) {
 				t.Errorf("traces after one Find = %v, want one find trace", trs)
 			}
 		})
+	}
+}
+
+// TestPerOpPageCountsGolden pins the page counts the registry charges to
+// each operation — the idx/op and data/op columns of the retired
+// `ccam-bench -exp metrics`, which PRs 13–16 each cited as "unchanged
+// where the paper counts". It drives that experiment's fixed workload
+// (paper map, seed 42, pool of 4 pages, one goroutine, so the counts are
+// deterministic) and compares the raw counters with constants read off
+// the output at commit 7181172. find_batch is left out: its data reads
+// wander with worker timing.
+func TestPerOpPageCountsGolden(t *testing.T) {
+	const seed = 42
+	g, err := RoadMap(MinneapolisLikeOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := OpenWith(WithPageSize(2048), WithPoolPages(4), WithSeed(seed), WithMetrics(), WithTracing(128))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if err := s.Build(g); err != nil {
+		t.Fatal(err)
+	}
+
+	ctx := context.Background()
+	rng := rand.New(rand.NewSource(seed))
+	ids := g.NodeIDs()
+	pick := func() NodeID { return ids[rng.Intn(len(ids))] }
+	for i := 0; i < 400; i++ {
+		if _, err := s.Find(ctx, pick()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 200; i++ {
+		if _, err := s.GetSuccessors(ctx, pick()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	routes, err := RandomWalkRoutes(g, 64, 20, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range routes {
+		if _, err := s.EvaluateRoute(ctx, r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	b := g.Bounds()
+	for i := 0; i < 32; i++ {
+		cx := b.Min.X + rng.Float64()*b.Width()
+		cy := b.Min.Y + rng.Float64()*b.Height()
+		win := NewRect(
+			Point{X: cx - b.Width()/8, Y: cy - b.Height()/8},
+			Point{X: cx + b.Width()/8, Y: cy + b.Height()/8},
+		)
+		if _, err := s.RangeQuery(ctx, win); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 16; i++ {
+		id := pick()
+		op, err := InsertOpFromNode(g, id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Delete(id, SecondOrder); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Insert(op, SecondOrder); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 32; i++ {
+		es := g.SuccessorEdges(pick())
+		if len(es) == 0 {
+			continue
+		}
+		e := es[rng.Intn(len(es))]
+		if err := s.SetEdgeCost(e.From, e.To, float32(e.Cost)*1.1); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// ccam_op_<op>_{total,data_reads_total,data_writes_total,index_pages_total}
+	type counts struct{ ops, dataReads, dataWrites, indexPages int64 }
+	golden := []struct {
+		op   string
+		want counts
+	}{
+		{"find", counts{400, 373, 0, 400}},
+		{"get_successors", counts{200, 290, 0, 789}},
+		{"evaluate_route", counts{64, 219, 0, 1280}},
+		{"range_query", counts{32, 302, 0, 1899}},
+		{"insert", counts{16, 0, 0, 300}},
+		{"delete", counts{16, 5, 0, 281}},
+		{"set_edge_cost", counts{32, 0, 0, 64}},
+	}
+	reg := s.Metrics()
+	var table strings.Builder
+	mismatch := false
+	fmt.Fprintf(&table, "%-15s %-24s %s\n", "op", "got", "want {ops data_reads data_writes index_pages}")
+	for _, row := range golden {
+		p := "ccam_op_" + row.op + "_"
+		got := counts{
+			ops:        reg.Counter(p + "total").Value(),
+			dataReads:  reg.Counter(p + "data_reads_total").Value(),
+			dataWrites: reg.Counter(p + "data_writes_total").Value(),
+			indexPages: reg.Counter(p + "index_pages_total").Value(),
+		}
+		mark := ""
+		if got != row.want {
+			mismatch, mark = true, "  <-- differs"
+		}
+		fmt.Fprintf(&table, "%-15s %-24s %v%s\n", row.op, fmt.Sprint(got), row.want, mark)
+	}
+	if mismatch {
+		t.Fatalf("per-operation page counts moved:\n%s", table.String())
 	}
 }

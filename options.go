@@ -21,13 +21,8 @@ func WithPoolPages(n int) Option { return func(o *Options) { o.PoolPages = n } }
 func WithPoolShards(n int) Option { return func(o *Options) { o.PoolShards = n } }
 
 // WithPrefetch enables connectivity-aware prefetching of PAG-adjacent
-// data pages with the given worker count (0 selects the default).
-func WithPrefetch(workers int) Option {
-	return func(o *Options) {
-		o.Prefetch = true
-		o.PrefetchWorkers = workers
-	}
-}
+// data pages.
+func WithPrefetch() Option { return func(o *Options) { o.Prefetch = true } }
 
 // WithDynamic selects the incremental create (CCAM-D).
 func WithDynamic() Option { return func(o *Options) { o.Dynamic = true } }
@@ -47,19 +42,6 @@ func WithSpatial(kind SpatialIndexKind) Option {
 // WithParallelism bounds the worker pool of the batch queries
 // (FindBatch, EvaluateRoutes). Zero means runtime.GOMAXPROCS(0).
 func WithParallelism(n int) Option { return func(o *Options) { o.Parallelism = n } }
-
-// WithBuildWorkers bounds the worker pool of the static create's
-// clustering recursion. Zero means runtime.GOMAXPROCS(0); one runs
-// serially. For a fixed seed the built file is identical at any worker
-// count.
-func WithBuildWorkers(n int) Option { return func(o *Options) { o.BuildWorkers = n } }
-
-// WithReadLatency charges d of simulated wall-clock time per physical
-// data-page read of the in-memory store (the paper's disk-resident
-// regime for throughput experiments). Ignored with WithPath.
-func WithReadLatency(d time.Duration) Option {
-	return func(o *Options) { o.ReadLatency = d }
-}
 
 // WithMetrics enables the observability registry: per-operation
 // counters and latency histograms, per-class page-access counters and

@@ -15,7 +15,6 @@ import (
 	"runtime"
 	"sync"
 	"testing"
-	"time"
 
 	"ccam/internal/storage"
 )
@@ -748,64 +747,5 @@ func TestErrClosedAndCtxCancel(t *testing.T) {
 	}
 	if err := s.Build(g); !errors.Is(err, ErrClosed) {
 		t.Fatalf("Build after Close = %v", err)
-	}
-}
-
-// TestSyncLatencySimulatedDevice checks the simulated-disk option on
-// the durable path: with Options.SyncLatency set, a checkpoint (one
-// WAL fsync plus one data-file fsync) must cost at least twice the
-// configured latency of wall-clock time, and snapshot readers must
-// keep answering from the pinned view while a writer sleeps in it.
-// Only lower bounds are asserted — time.Sleep guarantees them — so the
-// test cannot flake on a slow machine.
-func TestSyncLatencySimulatedDevice(t *testing.T) {
-	g := smallTestMap(t)
-	const lat = 5 * time.Millisecond
-	s, err := Open(Options{
-		PageSize: 1024, Path: filepath.Join(t.TempDir(), "net.ccam"),
-		WAL: true, SyncPolicy: SyncGroupCommit, SyncLatency: lat, Seed: 5,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	if err := s.Build(g); err != nil {
-		t.Fatal(err)
-	}
-	e := g.Edges()[0]
-	if err := s.Apply(context.Background(), new(Batch).SetEdgeCost(e.From, e.To, 9)); err != nil {
-		t.Fatal(err)
-	}
-
-	done := make(chan time.Duration, 1)
-	started := make(chan struct{})
-	go func() {
-		close(started)
-		t0 := time.Now()
-		if err := s.Checkpoint(); err != nil {
-			t.Error(err)
-		}
-		done <- time.Since(t0)
-	}()
-	<-started
-	// Snapshot reads proceed while the checkpoint sleeps in its
-	// simulated device syncs under the store latch.
-	reads := 0
-	for {
-		select {
-		case d := <-done:
-			if d < 2*lat {
-				t.Fatalf("checkpoint took %v, want >= %v (two simulated syncs)", d, 2*lat)
-			}
-			if reads == 0 {
-				t.Fatal("no snapshot reads completed during the checkpoint")
-			}
-			return
-		default:
-			if _, err := s.Find(context.Background(), e.From); err != nil {
-				t.Fatal(err)
-			}
-			reads++
-		}
 	}
 }
