@@ -248,9 +248,7 @@ type writeTx struct {
 // durability, the standard group-commit trade).
 func (s *Store) write(ctx context.Context, body func(tx *writeTx) error) error {
 	tx := writeTx{s: s, ctx: ctx}
-	s.mu.Lock()
-	err := tx.run(body)
-	s.mu.Unlock()
+	err := tx.runLocked(body)
 	if err != nil || !tx.begun {
 		return err
 	}
@@ -294,6 +292,28 @@ func (tx *writeTx) begin(op opKind) error {
 	tx.f.BeginVersionBatch()
 	tx.begun = true
 	return nil
+}
+
+// runLocked takes the writer mutex around run and releases it however
+// run ends. A panic in a write transaction is a bug, and what it left
+// behind is unknown: the version batch is aborted like a failed body's,
+// so views pinned before it keep answering from committed images, the
+// store is poisoned, and the panic continues — with the mutex free, so
+// the caller's deferred Close returns instead of hanging.
+func (tx *writeTx) runLocked(body func(tx *writeTx) error) error {
+	s := tx.s
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	defer func() {
+		if p := recover(); p != nil {
+			if tx.begun {
+				tx.f.AbortVersionBatch()
+			}
+			s.poison("write transaction", fmt.Errorf("panic: %v", p))
+			panic(p)
+		}
+	}()
+	return tx.run(body)
 }
 
 // run is the part of write under the writer mutex.
@@ -344,7 +364,7 @@ func (tx *writeTx) run(body func(tx *writeTx) error) error {
 		return err
 	}
 	if s.obs != nil {
-		s.obs.setGauges(f)
+		s.obs.setGauges(s.m)
 	}
 	return nil
 }

@@ -15,6 +15,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"path/filepath"
 	"testing"
 
 	"ccam/internal/bench"
@@ -581,4 +582,168 @@ func BenchmarkAblationSpatialOrder(b *testing.B) {
 		b.ReportMetric(res.CRR["hilbert-am"][1024], "hilbert-crr@1k")
 		b.ReportMetric(res.CRR["zcurve-am"][1024], "zcurve-crr@1k")
 	}
+}
+
+// mixedBatcher generates the write mix of benchmark/writer.go against a
+// mirror of the store's network: 60% SetEdgeCost, 15% InsertEdge to a
+// node two hops away, 15% DeleteEdge, 5% node Insert beside an edge and
+// 5% node Delete, all under the second-order policy. It deletes only
+// what it inserted, and a delete drawn with nothing left to delete
+// becomes an insert, so every batch is valid.
+type mixedBatcher struct {
+	g     *Network
+	rng   *rand.Rand
+	base  []NodeID
+	own   NodeID // ids from here up are nodes the batcher inserted
+	next  NodeID
+	edges [][2]NodeID
+	nodes []NodeID
+}
+
+func newMixedBatcher(g *Network, seed int64) *mixedBatcher {
+	base := g.NodeIDs()
+	own := base[len(base)-1] + 1
+	return &mixedBatcher{g: g.Clone(), rng: rand.New(rand.NewSource(seed)), base: base, own: own, next: own}
+}
+
+func (w *mixedBatcher) cost() float32 { return float32(1 + w.rng.Float64()*400) }
+
+// succ draws a successor of u among the map's own nodes.
+func (w *mixedBatcher) succ(u NodeID) (NodeID, bool) {
+	ss := w.g.Successors(u)
+	if len(ss) == 0 {
+		return 0, false
+	}
+	v := ss[w.rng.Intn(len(ss))]
+	return v, v < w.own
+}
+
+func (w *mixedBatcher) insertEdge(b *Batch) bool {
+	u := w.base[w.rng.Intn(len(w.base))]
+	mid, ok := w.succ(u)
+	if !ok {
+		return false
+	}
+	v, ok := w.succ(mid)
+	if !ok || v == u {
+		return false
+	}
+	c := w.cost()
+	if w.g.AddEdge(Edge{From: u, To: v, Cost: float64(c), Weight: 1}) != nil {
+		return false // already linked
+	}
+	w.edges = append(w.edges, [2]NodeID{u, v})
+	b.InsertEdge(u, v, c, SecondOrder)
+	return true
+}
+
+func (w *mixedBatcher) insertNode(b *Batch, born map[NodeID]bool) bool {
+	a := w.base[w.rng.Intn(len(w.base))]
+	to, ok := w.succ(a)
+	if !ok {
+		return false
+	}
+	na, _ := w.g.Node(a)
+	nb, _ := w.g.Node(to)
+	attrs := make([]byte, 24)
+	w.rng.Read(attrs)
+	rec := &Record{
+		ID:    w.next,
+		Pos:   Point{X: (na.Pos.X + nb.Pos.X) / 2, Y: (na.Pos.Y + nb.Pos.Y) / 2},
+		Attrs: attrs,
+		Succs: []SuccEntry{{To: to, Cost: w.cost()}},
+		Preds: []NodeID{a},
+	}
+	w.next++
+	w.g.AddNode(Node{ID: rec.ID, Pos: rec.Pos})
+	w.g.AddEdge(Edge{From: rec.ID, To: to, Cost: 1, Weight: 1})
+	w.g.AddEdge(Edge{From: a, To: rec.ID, Cost: 1, Weight: 1})
+	w.nodes = append(w.nodes, rec.ID)
+	born[rec.ID] = true
+	b.Insert(&InsertOp{Rec: rec, PredCosts: []float32{w.cost()}}, SecondOrder)
+	return true
+}
+
+// batch returns the next n-op batch.
+func (w *mixedBatcher) batch(n int) *Batch {
+	b := new(Batch)
+	born := map[NodeID]bool{}
+	for b.Len() < n {
+		switch r := w.rng.Intn(100); {
+		case r < 60:
+			u := w.base[w.rng.Intn(len(w.base))]
+			if ss := w.g.Successors(u); len(ss) > 0 {
+				b.SetEdgeCost(u, ss[w.rng.Intn(len(ss))], w.cost())
+			}
+		case r < 75:
+			w.insertEdge(b)
+		case r < 90:
+			if len(w.edges) == 0 {
+				w.insertEdge(b)
+				break
+			}
+			i := w.rng.Intn(len(w.edges))
+			e := w.edges[i]
+			w.edges[i] = w.edges[len(w.edges)-1]
+			w.edges = w.edges[:len(w.edges)-1]
+			w.g.RemoveEdge(e[0], e[1])
+			b.DeleteEdge(e[0], e[1], SecondOrder)
+		case r < 95:
+			w.insertNode(b, born)
+		default:
+			if len(w.nodes) == 0 {
+				w.insertNode(b, born)
+				break
+			}
+			i := w.rng.Intn(len(w.nodes))
+			id := w.nodes[i]
+			if born[id] {
+				break // as the harness: a node is not born and deleted in one batch
+			}
+			w.nodes[i] = w.nodes[len(w.nodes)-1]
+			w.nodes = w.nodes[:len(w.nodes)-1]
+			w.g.RemoveNode(id)
+			b.Delete(id, SecondOrder)
+		}
+	}
+	return b
+}
+
+// BenchmarkApplyMixedBatch measures one durable 32-op Apply of the
+// benchmark harness's write mix on a file-backed WAL store (a 64x64
+// road map, the whole file buffered, a checkpoint every 256 KiB of log
+// so that dirtied pages reach the store), and reports what the batch's
+// reorganizations did: records that changed page and data pages
+// written, per batch. Generating the batch is about 1% of the time.
+func BenchmarkApplyMixedBatch(b *testing.B) {
+	o := MinneapolisLikeOpts()
+	o.Rows, o.Cols = 64, 64
+	g, err := RoadMap(o)
+	if err != nil {
+		b.Fatal(err)
+	}
+	s, err := Open(Options{
+		PageSize: 2048, PoolPages: 4096, Seed: 1, Metrics: true,
+		Path: filepath.Join(b.TempDir(), "bench.ccam"), WAL: true, CheckpointBytes: 256 << 10,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer s.Close()
+	if err := s.Build(g); err != nil {
+		b.Fatal(err)
+	}
+	w := newMixedBatcher(g, 1)
+	ctx := context.Background()
+	moved := s.Metrics().Counter("ccam_reorg_records_moved_total")
+	moved0, writes0 := moved.Value(), s.IO().Writes
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := s.Apply(ctx, w.batch(32)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(moved.Value()-moved0)/float64(b.N), "records-moved/batch")
+	b.ReportMetric(float64(s.IO().Writes-writes0)/float64(b.N), "pages-written/batch")
 }

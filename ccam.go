@@ -578,7 +578,7 @@ func OpenPath(path string, opts Options) (*Store, error) {
 			}
 			// Access weights are not persisted: every edge weighs 1 after a
 			// reopen, so WCRR == CRR until the store is rebuilt.
-			s.obs.setGauges(f)
+			s.obs.setGauges(s.m)
 		}
 		// Discard recovery's and replay's I/O so counters start clean.
 		return f.ResetIO()
@@ -679,7 +679,7 @@ func (s *Store) Build(g *Network) error {
 			om.errs.Inc()
 		} else {
 			om.latency.ObserveSince(start)
-			s.obs.setGauges(s.m.File())
+			s.obs.setGauges(s.m)
 		}
 	}
 	return err

@@ -135,7 +135,9 @@ func TestFig6ShapeMatchesPaper(t *testing.T) {
 }
 
 func TestFig7ShapeMatchesPaper(t *testing.T) {
-	res, err := RunFig7(Fig7Config{Setup: smallSetup(), Points: 4})
+	// At the paper's scale (215 inserts): on smallSetup's 50 the three
+	// policies end within noise of each other.
+	res, err := RunFig7(Fig7Config{Setup: DefaultSetup(), Points: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,10 +161,22 @@ func TestFig7ShapeMatchesPaper(t *testing.T) {
 		t.Errorf("higher-order I/O %.2f not clearly above second-order %.2f",
 			lastIO(netfile.HigherOrder), lastIO(netfile.SecondOrder))
 	}
-	// First-order ends with the lowest CRR of the three.
-	if lastCRR(netfile.FirstOrder) > lastCRR(netfile.SecondOrder)+0.03 {
-		t.Errorf("first-order CRR %.4f above second-order %.4f",
-			lastCRR(netfile.FirstOrder), lastCRR(netfile.SecondOrder))
+	// The paper's currency: reorganization I/O buys CRR. First-order ends
+	// with the lowest CRR of the three; second-order gets its gain for
+	// about first-order's I/O (it refines the pages the insert touched
+	// anyway and rewrites them only for a lower cut), and higher-order's
+	// extra pages buy more still.
+	if lastCRR(netfile.SecondOrder) < lastCRR(netfile.FirstOrder) {
+		t.Errorf("second-order CRR %.4f below first-order %.4f",
+			lastCRR(netfile.SecondOrder), lastCRR(netfile.FirstOrder))
+	}
+	if lastIO(netfile.SecondOrder) > lastIO(netfile.FirstOrder)*1.05 {
+		t.Errorf("second-order I/O %.2f more than 5%% above first-order %.2f",
+			lastIO(netfile.SecondOrder), lastIO(netfile.FirstOrder))
+	}
+	if lastCRR(netfile.HigherOrder) < lastCRR(netfile.SecondOrder) {
+		t.Errorf("higher-order CRR %.4f below second-order %.4f",
+			lastCRR(netfile.HigherOrder), lastCRR(netfile.SecondOrder))
 	}
 	var buf bytes.Buffer
 	res.Print(&buf)

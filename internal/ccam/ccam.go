@@ -15,9 +15,12 @@
 package ccam
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
+	"sort"
 
 	"ccam/internal/graph"
 	"ccam/internal/netfile"
@@ -60,7 +63,7 @@ type Config struct {
 //
 // Concurrency: Method adds no per-query state of its own — queries go
 // straight to the File, whose read operations are reentrant. The
-// mutable fields here (rng, updates) are touched only by Build,
+// mutable fields here (rng, updates, stats) are touched only by Build,
 // Insert, Delete and the edge maintenance operations, which the owner
 // must serialize among themselves (the root ccam.Store holds its writer
 // mutex around them; its queries read pinned views beside them).
@@ -73,6 +76,7 @@ type Method struct {
 	// driving the Lazy policy; counters reset when a page is
 	// reorganized.
 	updates map[storage.PageID]int
+	stats   ReorgStats
 }
 
 var _ netfile.AccessMethod = (*Method)(nil)
@@ -440,112 +444,341 @@ func (m *Method) NbrPages(pid storage.PageID) ([]storage.PageID, error) {
 	return out, nil
 }
 
-// ReclusterPages re-clusters the records of the given pages with
-// cluster-nodes-into-pages, logging the reorganization to the WAL as a
-// merge record (replay skips it — reorganization is a clustering
-// optimization, not a content change). It is the entry point of the
-// facade's background incremental reorganizer: one bounded
-// neighborhood per call, never the whole file.
-func (m *Method) ReclusterPages(pids []storage.PageID) error {
-	if len(pids) == 0 {
-		return nil
-	}
-	if err := m.f.LogReorg(netfile.MutMergePages, pids); err != nil {
-		return err
-	}
-	return m.reorganizePages(pids, false)
+// PlanRecluster decides the reorganization of the given pages as one
+// set, reading them and writing nothing; a nil plan means the placement
+// stays as it is. With ReclusterPages it is the entry point of the
+// facade's background incremental reorganizer — one bounded
+// neighborhood per call, never the whole file — which opens its write
+// transaction only for a plan that will rewrite a page.
+func (m *Method) PlanRecluster(pids []storage.PageID) (*ReorgPlan, error) {
+	return m.planReorg(pids, false)
 }
 
-// reorganizePages re-clusters the records of the given pages with
-// cluster-nodes-into-pages and rewrites the pages. When forceSplit is
-// set (overflow handling) the target is two pages even if the records
-// would fit in one.
+// ReclusterPages carries out a plan of PlanRecluster and returns how
+// many pages it rewrote. The reorganization is logged to the WAL as a
+// merge record first (replay skips it — reorganization is a clustering
+// optimization, not a content change).
+func (m *Method) ReclusterPages(plan *ReorgPlan) (rewritten int, err error) {
+	if err := m.f.LogReorg(netfile.MutMergePages, plan.pids); err != nil {
+		return 0, err
+	}
+	before := m.stats.PagesRewritten
+	err = m.applyReorg(plan)
+	return int(m.stats.PagesRewritten - before), err
+}
+
+// ReorgStats counts what the reorganizations of this method — the
+// write-path policies, page splits and ReclusterPages alike — have done
+// since it was created.
+type ReorgStats struct {
+	// RecordsMoved is the number of records that changed page.
+	RecordsMoved int64
+	// PagesRewritten is the number of data pages rewritten.
+	PagesRewritten int64
+	// Kept is the number of reorganizations that moved no record: the
+	// placement they were handed was already a local optimum.
+	Kept int64
+}
+
+// ReorgStats returns the counters; like every mutable field of Method
+// they are plain values the owner reads under its writer serialization.
+func (m *Method) ReorgStats() ReorgStats { return m.stats }
+
+// reorganizePages reorganizes the records of the given pages as one
+// set. When forceSplit is set (overflow handling) the result is two
+// pages even if the records would fit in one.
 func (m *Method) reorganizePages(pids []storage.PageID, forceSplit bool) error {
-	var recs []*netfile.Record
-	for _, pid := range pids {
-		rs, err := m.f.RecordsOnPage(pid)
-		if err != nil {
-			return err
-		}
-		recs = append(recs, rs...)
-	}
-	if len(recs) == 0 {
-		return nil
-	}
-	groups, err := m.clusterRecords(recs, forceSplit)
-	if err != nil {
+	plan, err := m.planReorg(pids, forceSplit)
+	if plan == nil || err != nil {
 		return err
 	}
-	// Map groups onto pages: reuse the reorganized pages first, then
-	// allocate; free leftovers.
-	for i, group := range groups {
-		var pid storage.PageID
-		if i < len(pids) {
-			pid = pids[i]
-		} else {
-			pid, err = m.f.AllocatePage()
+	return m.applyReorg(plan)
+}
+
+// ReorgPlan is a reorganization decided but not yet written: the
+// records of pids in ascending id order and, for each, the page it is
+// on (cur) and the page it goes to (next), as indexes into pids.
+// Indexes from len(pids) up name pages still to be allocated.
+type ReorgPlan struct {
+	pids      []storage.PageID
+	recs      []*netfile.Record
+	cur, next []int
+}
+
+// planReorg reads the page set and decides its new placement, writing
+// nothing. It starts from where the records already are: a set whose
+// records sit on two pages — every edge update, most node updates — is
+// refined in place (partition.Refine: raw cut, each side within the page
+// budget), and a set that is already a local optimum yields a nil plan.
+// Clustering from scratch remains where there is no placement to refine
+// (a forced split, a page over the budget), where the page count must
+// change (the bytes fit in fewer pages than they occupy) and for
+// records on more than two pages; its result is laid onto the old pages
+// by greatest overlap, and replaces a usable old placement only with a
+// strictly lower in-set cut, or with fewer pages at no higher a cut.
+// Whichever way, a page of the set that holds no record is freed.
+func (m *Method) planReorg(pids []storage.PageID, forceSplit bool) (*ReorgPlan, error) {
+	plan := &ReorgPlan{pids: pids}
+	var occupied []int // indexes into pids of the pages holding records
+	for i, pid := range pids {
+		rs, err := m.f.RecordsOnPage(pid)
+		if err != nil {
+			return nil, err
+		}
+		if len(rs) > 0 {
+			occupied = append(occupied, i)
+		}
+		for _, r := range rs {
+			plan.recs = append(plan.recs, r)
+			plan.cur = append(plan.cur, i)
+		}
+	}
+	// stay keeps the placement in hand; all that may be left to do is to
+	// free the empty pages.
+	stay := func() (*ReorgPlan, error) {
+		m.stats.Kept++
+		if len(occupied) == len(pids) {
+			return nil, nil
+		}
+		plan.next = plan.cur
+		return plan, nil
+	}
+	if len(plan.recs) == 0 {
+		return stay()
+	}
+	sort.Sort(byRecordID{plan})
+	w := workingSet(plan.recs)
+	budget := netfile.PageBudget(m.cfg.File.PageSize)
+
+	// The placement in hand is usable when no split is forced and every
+	// page respects the budget the clustering works to (an update in
+	// place may have filled a page a slot entry beyond it).
+	usable := !forceSplit
+	used := make([]int, len(pids))
+	for i, p := range plan.cur {
+		if used[p] += w.Size[i]; used[p] > budget {
+			usable = false
+		}
+	}
+	fewer := (w.Total+budget-1)/budget < len(occupied)
+
+	if usable && !fewer && len(occupied) == 2 {
+		a, b := occupied[0], occupied[1]
+		side := make([]bool, len(plan.cur))
+		for i, p := range plan.cur {
+			side[i] = p == b
+		}
+		if !partition.Refine(w, side, budget) {
+			return stay()
+		}
+		plan.next = make([]int, len(side))
+		for i, onB := range side {
+			plan.next[i] = a
+			if onB {
+				plan.next[i] = b
+			}
+		}
+		return plan, nil
+	}
+
+	groups, err := m.cluster(w, budget, forceSplit)
+	if err != nil {
+		return nil, err
+	}
+	plan.next = overlay(w, groups, plan.cur, len(pids))
+	if slices.Equal(plan.next, plan.cur) {
+		return stay()
+	}
+	if usable {
+		was, now := w.PartCut(plan.cur), w.PartCut(plan.next)
+		if now > was || now == was && len(groups) >= len(occupied) {
+			return stay()
+		}
+	}
+	return plan, nil
+}
+
+// byRecordID sorts a plan's records, and cur beside them, by node id:
+// the order partition.Weighted keeps its nodes in.
+type byRecordID struct{ *ReorgPlan }
+
+func (p byRecordID) Len() int           { return len(p.recs) }
+func (p byRecordID) Less(i, j int) bool { return p.recs[i].ID < p.recs[j].ID }
+func (p byRecordID) Swap(i, j int) {
+	p.recs[i], p.recs[j] = p.recs[j], p.recs[i]
+	p.cur[i], p.cur[j] = p.cur[j], p.cur[i]
+}
+
+// workingSet projects records (ascending by id) onto the partitioner's
+// working representation: the subnetwork they induce, read straight off
+// their successor-lists — an entry naming a node outside the set is not
+// an edge of it. Edge weights are uniform, so a pair linked both ways
+// weighs 2; sizes are stored sizes, record plus slot.
+func workingSet(recs []*netfile.Record) *partition.Weighted {
+	n := len(recs)
+	w := &partition.Weighted{
+		IDs:  make([]graph.NodeID, n),
+		Size: make([]int, n),
+		Adj:  make([][]partition.WEdge, n),
+	}
+	links := 0
+	for i, r := range recs {
+		w.IDs[i] = r.ID
+		w.Size[i] = r.EncodedSize() + storage.PerRecordOverhead
+		w.Total += w.Size[i]
+		links += len(r.Succs)
+	}
+	// Every in-set link u->v is one entry at u and one at v; the lists
+	// are carved from one array, each with room for all of them, by
+	// counting first.
+	ends := make([]int32, 0, 2*links)
+	deg := make([]int, n)
+	for u, r := range recs {
+		for _, s := range r.Succs {
+			if v, ok := slices.BinarySearch(w.IDs, s.To); ok && v != u {
+				ends = append(ends, int32(u), int32(v))
+				deg[u]++
+				deg[v]++
+			}
+		}
+	}
+	edges := make([]partition.WEdge, len(ends))
+	for u, d := range deg {
+		w.Adj[u], edges = edges[:0:d], edges[d:]
+	}
+	for i := 0; i < len(ends); i += 2 {
+		u, v := int(ends[i]), int(ends[i+1])
+		w.Adj[u] = append(w.Adj[u], partition.WEdge{To: v, W: 1})
+		w.Adj[v] = append(w.Adj[v], partition.WEdge{To: u, W: 1})
+	}
+	for u, es := range w.Adj {
+		slices.SortFunc(es, func(a, b partition.WEdge) int { return cmp.Compare(a.To, b.To) })
+		out := es[:0]
+		for _, e := range es {
+			if k := len(out) - 1; k >= 0 && out[k].To == e.To {
+				out[k].W += e.W
+			} else {
+				out = append(out, e)
+			}
+		}
+		w.Adj[u] = out
+	}
+	return w
+}
+
+// cluster runs cluster-nodes-into-pages (paper Figure 2) over the
+// working set from scratch, or one bipartition when a split is forced,
+// and returns each node's group.
+func (m *Method) cluster(w *partition.Weighted, budget int, forceSplit bool) ([][]graph.NodeID, error) {
+	if forceSplit && w.N() >= 2 {
+		a, b, err := m.part.Bipartition(w, budget/2, m.rng)
+		if err != nil {
+			return nil, fmt.Errorf("ccam: split: %w", err)
+		}
+		return [][]graph.NodeID{a, b}, nil
+	}
+	groups, err := partition.ClusterWeightedIntoPages(w, budget, m.part,
+		partition.ClusterOptions{Workers: 1, Seed: m.rng.Int63()})
+	if err != nil {
+		return nil, fmt.Errorf("ccam: recluster: %w", err)
+	}
+	return groups, nil
+}
+
+// overlay lays freshly clustered groups onto the pages the records
+// occupy (cur, over pages 0..pages-1): repeatedly the group and the
+// unclaimed page sharing the most records are matched, so a partition
+// that comes back unchanged, in whatever order, maps onto itself.
+// Groups left over once every page is claimed get new page indexes. It
+// returns each node's page index.
+func overlay(w *partition.Weighted, groups [][]graph.NodeID, cur []int, pages int) []int {
+	next := make([]int, w.N()) // each node's group first, its page in the end
+	shared := make([][]int, len(groups))
+	for g, ids := range groups {
+		shared[g] = make([]int, pages)
+		for _, id := range ids {
+			i, _ := slices.BinarySearch(w.IDs, id)
+			next[i] = g
+			shared[g][cur[i]]++
+		}
+	}
+	pageOf := make([]int, len(groups)) // group -> page index
+	for g := range pageOf {
+		pageOf[g] = -1
+	}
+	claimed := make([]bool, pages)
+	for n := min(len(groups), pages); n > 0; n-- {
+		bg, bp := -1, -1
+		for g := range groups {
+			if pageOf[g] >= 0 {
+				continue
+			}
+			for p := 0; p < pages; p++ {
+				if !claimed[p] && (bg < 0 || shared[g][p] > shared[bg][bp]) {
+					bg, bp = g, p
+				}
+			}
+		}
+		pageOf[bg], claimed[bp] = bp, true
+	}
+	fresh := pages
+	for g := range pageOf {
+		if pageOf[g] < 0 {
+			pageOf[g] = fresh
+			fresh++
+		}
+	}
+	for i, g := range next {
+		next[i] = pageOf[g]
+	}
+	return next
+}
+
+// applyReorg writes a plan out: pages whose record set changes are
+// rewritten — new ones allocated first — and pages left empty are
+// freed; a page that keeps its records is not fetched.
+func (m *Method) applyReorg(plan *ReorgPlan) error {
+	pids := slices.Clip(plan.pids) // new pages are appended; the caller's slice stays its own
+	pages := len(pids)
+	for _, p := range plan.next {
+		if p >= pages {
+			pages = p + 1
+		}
+	}
+	groups := make([][]*netfile.Record, pages)
+	changed := make([]bool, pages)
+	for i, r := range plan.recs {
+		from, to := plan.cur[i], plan.next[i]
+		groups[to] = append(groups[to], r)
+		if from != to {
+			changed[from], changed[to] = true, true
+			m.stats.RecordsMoved++
+		}
+	}
+	for p, group := range groups {
+		if len(group) == 0 || !changed[p] {
+			continue
+		}
+		if p >= len(pids) {
+			pid, err := m.f.AllocatePage()
 			if err != nil {
 				return err
 			}
+			pids = append(pids, pid)
 		}
-		if err := m.f.ReplacePageContents(pid, group); err != nil {
+		if err := m.f.ReplacePageContents(pids[p], group); err != nil {
 			return fmt.Errorf("ccam: reorganize: %w", err)
 		}
+		m.stats.PagesRewritten++
 	}
-	for i := len(groups); i < len(pids); i++ {
-		if err := m.f.FreePage(pids[i]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// clusterRecords runs cluster-nodes-into-pages over the subnetwork
-// induced by recs. Edge weights are uniform; record sizes come from the
-// records themselves (their lists may reference nodes outside the
-// subnetwork).
-func (m *Method) clusterRecords(recs []*netfile.Record, forceSplit bool) ([][]*netfile.Record, error) {
-	byID := make(map[graph.NodeID]*netfile.Record, len(recs))
-	sub := graph.NewNetwork()
-	for _, r := range recs {
-		byID[r.ID] = r
-		if err := sub.AddNode(graph.Node{ID: r.ID, Pos: r.Pos}); err != nil {
-			return nil, err
-		}
-	}
-	for _, r := range recs {
-		for _, s := range r.Succs {
-			if _, ok := byID[s.To]; ok {
-				_ = sub.AddEdge(graph.Edge{From: r.ID, To: s.To, Cost: float64(s.Cost), Weight: 1})
+	for p := range plan.pids {
+		if len(groups[p]) == 0 {
+			if err := m.f.FreePage(pids[p]); err != nil {
+				return err
 			}
 		}
 	}
-	sizeOf := func(id graph.NodeID) int {
-		return byID[id].EncodedSize() + storage.PerRecordOverhead
-	}
-	budget := netfile.PageBudget(m.cfg.File.PageSize)
-	var idGroups [][]graph.NodeID
-	var err error
-	if forceSplit && len(recs) >= 2 {
-		w := partition.BuildWeighted(sub, sizeOf)
-		a, b, perr := m.part.Bipartition(w, budget/2, m.rng)
-		if perr != nil {
-			return nil, fmt.Errorf("ccam: split: %w", perr)
-		}
-		idGroups = [][]graph.NodeID{a, b}
-	} else {
-		idGroups, err = partition.ClusterNodesIntoPages(sub, sizeOf, budget, m.part, m.rng)
-		if err != nil {
-			return nil, fmt.Errorf("ccam: recluster: %w", err)
-		}
-	}
-	groups := make([][]*netfile.Record, len(idGroups))
-	for i, ids := range idGroups {
-		for _, id := range ids {
-			groups[i] = append(groups[i], byID[id])
-		}
-	}
-	return groups, nil
+	return nil
 }
 
 func sortPIDs(s []storage.PageID) {

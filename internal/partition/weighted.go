@@ -85,11 +85,17 @@ func (w *Weighted) N() int { return len(w.IDs) }
 
 // CutWeight returns the total weight of edges crossing the partition
 // expressed as side[i] booleans (false = A, true = B).
-func (w *Weighted) CutWeight(side []bool) float64 {
+func (w *Weighted) CutWeight(side []bool) float64 { return cutWeight(w, side) }
+
+// PartCut returns the total weight of the edges whose ends lie in
+// different parts of a k-way assignment (part[i] is node i's part).
+func (w *Weighted) PartCut(part []int) float64 { return cutWeight(w, part) }
+
+func cutWeight[T comparable](w *Weighted, part []T) float64 {
 	var cut float64
 	for u := range w.Adj {
 		for _, e := range w.Adj[u] {
-			if e.To > u && side[u] != side[e.To] {
+			if e.To > u && part[u] != part[e.To] {
 				cut += e.W
 			}
 		}

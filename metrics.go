@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"ccam/internal/buffer"
+	iccam "ccam/internal/ccam"
 	"ccam/internal/metrics"
 	"ccam/internal/netfile"
 	"ccam/internal/storage"
@@ -151,6 +152,11 @@ type observability struct {
 	// reorgRounds/reorgPages count background reorganizer activity.
 	snapLag, snapsActive, overlayDepth *metrics.Gauge
 	reorgRounds, reorgPages            *metrics.Counter
+	// reorgMoved/reorgKept follow the access method's own counts of what
+	// every reorganization — write-path policy or background round —
+	// did: records that changed page, and reorganizations that moved
+	// none.
+	reorgMoved, reorgKept *metrics.Counter
 
 	// walCommitWait observes, per committed batch, the time the
 	// committing request waited for its WAL commit record to become
@@ -174,6 +180,8 @@ func newObservability(reg *metrics.Registry, tr *metrics.Tracer) *observability 
 		overlayDepth: reg.Gauge("ccam_overlay_depth"),
 		reorgRounds:  reg.Counter("ccam_reorg_rounds_total"),
 		reorgPages:   reg.Counter("ccam_reorg_pages_total"),
+		reorgMoved:   reg.Counter("ccam_reorg_records_moved_total"),
+		reorgKept:    reg.Counter("ccam_reorg_kept_total"),
 
 		walCommitWait: reg.Histogram("ccam_wal_commit_wait_ns"),
 	}
@@ -278,9 +286,16 @@ func (sn *opSnap) end(err error) ReqStats {
 // the PAG summary's running sums, and the version layer's health — how
 // far the oldest pinned snapshot lags the newest commit (the
 // page-version retention window), how many snapshots are pinned and how
-// deep the node index's delta list has grown. All O(1). Caller holds
-// the writer mutex.
-func (o *observability) setGauges(f *netfile.File) {
+// deep the node index's delta list has grown — and brings the
+// reorganization counters up to the access method's own. All O(1).
+// Caller holds the writer mutex.
+func (o *observability) setGauges(m netfile.AccessMethod) {
+	f := m.File()
+	if cm, ok := m.(*iccam.Method); ok {
+		rs := cm.ReorgStats()
+		o.reorgMoved.Add(rs.RecordsMoved - o.reorgMoved.Value())
+		o.reorgKept.Add(rs.Kept - o.reorgKept.Value())
+	}
 	st := f.PAG().Stats()
 	o.crr.Set(st.CRR())
 	o.wcrr.Set(st.WCRR())

@@ -14,6 +14,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -787,6 +788,63 @@ func testQueriesBesideStalledWriter(t *testing.T, kind SpatialIndexKind) {
 	}
 }
 
+// TestPanicInWriteTransactionReleasesTheWriterMutex: a panic inside a
+// write transaction — here from the apply hook, after the batch has
+// rewritten an edge cost — must not leave the writer mutex held. The
+// panic reaches the caller, the store is poisoned for later writers, a
+// view pinned before the batch keeps its pre-batch answers, and Close
+// returns instead of hanging on the mutex.
+func TestPanicInWriteTransactionReleasesTheWriterMutex(t *testing.T) {
+	s, g := builtStore(t, Options{
+		PageSize: 1024, Seed: 5,
+		applyFaultHook: func(i int) error {
+			if i == 1 {
+				panic("injected mid-batch")
+			}
+			return nil
+		},
+	})
+	ctx := context.Background()
+	e := g.Edges()[0]
+	snap, err := s.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := snap.EvaluateRoute(Route{e.From, e.To})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	func() {
+		defer func() {
+			if p := recover(); p != "injected mid-batch" {
+				t.Fatalf("Apply recovered %v, want the injected panic", p)
+			}
+		}()
+		b := new(Batch).SetEdgeCost(e.From, e.To, float32(e.Cost)+1000).SetEdgeCost(e.From, e.To, 1)
+		s.Apply(ctx, b)
+		t.Fatal("Apply returned; the hook should have panicked")
+	}()
+
+	if got, err := snap.EvaluateRoute(Route{e.From, e.To}); err != nil || got != want {
+		t.Fatalf("pinned view after the panic: %+v, %v; want %+v", got, err, want)
+	}
+	snap.Close()
+	if err := s.SetEdgeCost(e.From, e.To, 2); !errors.Is(err, ErrClosed) || !strings.Contains(err.Error(), "panic: injected mid-batch") {
+		t.Fatalf("Apply after the panic = %v, want the poison error naming it", err)
+	}
+	closed := make(chan error, 1)
+	go func() { closed <- s.Close() }()
+	select {
+	case err := <-closed:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Close hangs: the panicking transaction left the writer mutex held")
+	}
+}
+
 // TestReorganizerRoundIsAWriteTransaction: a round runs through the
 // same transaction function as Apply. A healthy round is logged,
 // committed durably and followed by the gauges; a round that cannot
@@ -824,6 +882,31 @@ func TestReorganizerRoundIsAWriteTransaction(t *testing.T) {
 		t.Fatalf("ccam_crr = %v after the round, the file's CRR is %v", s.Metrics().Gauge("ccam_crr").Value(), crr)
 	}
 
+	// A round that finds its neighborhood a local optimum logs nothing
+	// and opens no transaction. Misplace a few records by hand, so that
+	// the next one has something to move and must log its begin record.
+	f := s.m.File()
+	misplaced := 0
+	for _, src := range f.Pages() {
+		recs, err := f.RecordsOnPage(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Its first record goes to the first other page with room.
+		for _, dst := range f.Pages() {
+			free, _ := f.FreeSpace(dst)
+			if dst != src && free >= recs[0].EncodedSize() {
+				if err := f.MoveRecord(recs[0].ID, dst); err != nil {
+					t.Fatal(err)
+				}
+				misplaced++
+				break
+			}
+		}
+	}
+	if misplaced == 0 {
+		t.Fatal("no page had room for a misplaced record")
+	}
 	s.wal.Close() // every append fails from here on
 	s.reorg.highwater = 1
 	roundErr := s.reorg.round()

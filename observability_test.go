@@ -465,7 +465,7 @@ func TestPerOpPageCountsGolden(t *testing.T) {
 		{"get_successors", counts{200, 290, 0, 789}},
 		{"evaluate_route", counts{64, 219, 0, 1280}},
 		{"range_query", counts{32, 302, 0, 1899}},
-		{"insert", counts{16, 0, 0, 300}},
+		{"insert", counts{16, 1, 4, 300}},
 		{"delete", counts{16, 5, 0, 281}},
 		{"set_edge_cost", counts{32, 0, 0, 64}},
 	}

@@ -138,22 +138,33 @@ func (r *reorganizer) round() error {
 		if len(pids) < 2 {
 			return nil
 		}
+		plan, err := r.cm.PlanRecluster(pids)
+		if err != nil {
+			return err
+		}
+		if plan == nil {
+			// Nothing would move: the neighborhood is a local optimum of
+			// the clustering, so the decay is not recoverable here. Lower
+			// the high-water mark so rounds stop until the placement
+			// improves or decays further (backoff). Nothing was logged.
+			r.highwater = crr
+			return nil
+		}
 		if err := tx.begin(opNone); err != nil {
 			return err
 		}
 		// A failed re-clustering may have moved records already.
-		if err := r.cm.ReclusterPages(pids); err != nil {
+		rewritten, err := r.cm.ReclusterPages(plan)
+		if err != nil {
 			return fmt.Errorf("ccam: background reorganization: %w", err)
 		}
 		if after := f.PAG().Stats().CRR(); after <= crr+1e-9 {
-			// Negligible gain: the decay is not recoverable by local
-			// re-clustering. Lower the high-water mark so rounds stop until
-			// the placement improves or decays further (backoff).
+			// Negligible gain: back off as above.
 			r.highwater = after
 		}
 		if obs := r.s.obs; obs != nil {
 			obs.reorgRounds.Inc()
-			obs.reorgPages.Add(int64(len(pids)))
+			obs.reorgPages.Add(int64(rewritten))
 		}
 		return nil
 	})
