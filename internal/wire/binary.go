@@ -231,10 +231,16 @@ func EncodeRequestHeader(h ReqHeader, body []byte) []byte {
 }
 
 // DecodeRequestHeader splits a request payload into its header and
-// body, accepting both the v6 and the extended prefix.
+// body, accepting both the v6 and the extended prefix. A payload too
+// short for its header still yields the request id when its four bytes
+// are there, so the refusal can be addressed to the request.
 func DecodeRequestHeader(payload []byte) (ReqHeader, []byte, error) {
 	if len(payload) < reqHeaderSize {
-		return ReqHeader{}, nil, fmt.Errorf("%w: request payload of %d bytes", ErrBadRequest, len(payload))
+		var h ReqHeader
+		if len(payload) >= 4 {
+			h.ID = binary.LittleEndian.Uint32(payload[0:4])
+		}
+		return h, nil, fmt.Errorf("%w: request payload of %d bytes", ErrBadRequest, len(payload))
 	}
 	h := ReqHeader{
 		ID:         binary.LittleEndian.Uint32(payload[0:4]),
@@ -245,7 +251,7 @@ func DecodeRequestHeader(payload []byte) (ReqHeader, []byte, error) {
 		return h, payload[reqHeaderSize:], nil
 	}
 	if len(payload) < extReqHeaderSize {
-		return ReqHeader{}, nil, fmt.Errorf("%w: extended request payload of %d bytes", ErrBadRequest, len(payload))
+		return ReqHeader{ID: h.ID}, nil, fmt.Errorf("%w: extended request payload of %d bytes", ErrBadRequest, len(payload))
 	}
 	fl := payload[9]
 	h.Sampled = fl&reqFlagSampled != 0
@@ -334,7 +340,7 @@ func DecodeStatsBlock(b []byte) (*ccam.ReqStats, error) {
 		IndexPages:   int64(binary.LittleEndian.Uint32(b[8:12])),
 		BufferHits:   int64(binary.LittleEndian.Uint32(b[12:16])),
 		BufferMisses: int64(binary.LittleEndian.Uint32(b[16:20])),
-		WALWaitNs:    int64(binary.LittleEndian.Uint64(b[20:28])),
+		WALWaitNs:    int64(min(binary.LittleEndian.Uint64(b[20:28]), math.MaxInt64)),
 		Ops:          int64(binary.LittleEndian.Uint16(b[28:30])),
 		Shed:         b[30]&statsFlagShed != 0,
 	}
