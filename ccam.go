@@ -179,12 +179,9 @@ type Options struct {
 	// the machine's parallelism. Per-operation page-access counts are
 	// identical at every shard count.
 	PoolShards int
-	// Prefetch enables connectivity-aware prefetching: on a data-page
-	// miss during route or successor evaluation the store
-	// asynchronously faults in the PAG-adjacent pages recorded at
-	// build time, so the traversal's next hop is usually buffered.
-	// Speculative reads are metered separately and never alter the
-	// demand hit/miss counters.
+	// Prefetch is ignored: the store has no prefetcher (DESIGN.md §6,
+	// "The prefetcher is gone"). The field stays only until the
+	// benchmark harness, which still sets it, stops doing so.
 	Prefetch bool
 	// Dynamic selects the incremental create (CCAM-D): Build loads the
 	// network as a sequence of Add-node operations with incremental
@@ -408,7 +405,6 @@ func (s *Store) fileOptions(opts Options, st storage.Store) netfile.Options {
 		PageSize:   opts.PageSize,
 		PoolPages:  opts.PoolPages,
 		PoolShards: opts.PoolShards,
-		Prefetch:   opts.Prefetch,
 		Spatial:    opts.Spatial,
 		Store:      st,
 		Metrics:    s.Metrics(),

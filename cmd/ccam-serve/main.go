@@ -48,7 +48,6 @@ func main() {
 		pageSize    = flag.Int("pagesize", 2048, "with -create: page size in bytes")
 		poolPages   = flag.Int("pool", 256, "buffer pool capacity in pages")
 		poolShards  = flag.Int("pool-shards", 0, "buffer pool shard count (0 = auto-size to the machine, 1 = single latch)")
-		prefetch    = flag.Bool("prefetch", true, "prefetch PAG-adjacent data pages on buffer misses")
 		noWAL       = flag.Bool("no-wal", false, "with -create: disable the write-ahead log")
 		logLevel    = flag.String("log", "info", "structured-log level on stderr: debug, info, warn, error, or off")
 		slowQuery   = flag.Duration("slow-query", 0, "log any request slower than this with its span breakdown and resource account (0 = off)")
@@ -60,7 +59,7 @@ func main() {
 		maxInFlight: *maxInFlight, deadline: *deadline, drain: *drain,
 		create: *create, nodes: *nodes, seed: *seed,
 		pageSize: *pageSize, poolPages: *poolPages,
-		poolShards: *poolShards, prefetch: *prefetch, wal: !*noWAL,
+		poolShards: *poolShards, wal: !*noWAL,
 		logLevel: *logLevel, slowQuery: *slowQuery, traceCap: *traceCap,
 	}); err != nil {
 		fmt.Fprintln(os.Stderr, "ccam-serve:", err)
@@ -77,7 +76,6 @@ type runConfig struct {
 	seed                    int64
 	pageSize, poolPages     int
 	poolShards              int
-	prefetch                bool
 	wal                     bool
 	logLevel                string
 	slowQuery               time.Duration
@@ -198,7 +196,6 @@ func openStore(cfg runConfig) (*ccam.Store, error) {
 	opts := ccam.Options{
 		PoolPages:     cfg.poolPages,
 		PoolShards:    shards,
-		Prefetch:      cfg.prefetch,
 		Seed:          cfg.seed,
 		Metrics:       true,
 		WAL:           cfg.wal,

@@ -125,13 +125,12 @@ func (c *poolCounters) reset() {
 // being written back with the latch released, so the sweep must not
 // recycle it meanwhile.
 type frame struct {
-	id         storage.PageID
-	data       []byte
-	dirty      atomic.Bool
-	pins       atomic.Int64
-	ref        atomic.Bool // clock-sweep second-chance bit: set on hit, cleared by the sweep
-	prefetched atomic.Bool // loaded speculatively; first demand hit counts it useful
-	flushing   bool        // write-back in flight with the latch released
+	id       storage.PageID
+	data     []byte
+	dirty    atomic.Bool
+	pins     atomic.Int64
+	ref      atomic.Bool // clock-sweep second-chance bit: set on hit, cleared by the sweep
+	flushing bool        // write-back in flight with the latch released
 	// doomed (shard latch) marks a loading frame whose page was freed
 	// or re-allocated while its read was in flight: the loader must
 	// drop the bytes instead of publishing a dead page.
@@ -183,11 +182,6 @@ type Pool struct {
 	// gate, when set, runs before any dirty page is written to the
 	// store — the WAL-before-data hook (it syncs the log).
 	gate atomic.Pointer[func() error]
-	// adj, when set, maps a page to the PAG-adjacent pages worth
-	// prefetching on a demand miss (see SetAdjacency).
-	adj atomic.Pointer[func(storage.PageID) []storage.PageID]
-	// pf is the optional asynchronous prefetcher (see EnablePrefetch).
-	pf atomic.Pointer[prefetcher]
 	// inst holds the optional latency instrumentation; an atomic
 	// pointer so enabling it never races with in-flight fetches.
 	inst atomic.Pointer[PoolInstrumentation]
@@ -208,7 +202,7 @@ type Pool struct {
 }
 
 // PoolInstrumentation carries the optional instrumentation of a pool.
-// Nil histograms and counters are skipped.
+// Nil histograms are skipped.
 type PoolInstrumentation struct {
 	// HitNanos observes the duration of fetches served from the pool
 	// (including waits on another goroutine's in-flight read).
@@ -216,12 +210,6 @@ type PoolInstrumentation struct {
 	// MissNanos observes the duration of fetches that performed a
 	// physical read.
 	MissNanos *metrics.Histogram
-	// Prefetch counters mirror PrefetchStats into a metrics registry.
-	PrefetchIssued  *metrics.Counter
-	PrefetchLoaded  *metrics.Counter
-	PrefetchUseful  *metrics.Counter
-	PrefetchDropped *metrics.Counter
-	PrefetchErrors  *metrics.Counter
 }
 
 // NewPool returns a single-shard pool with capacity frames over store.
@@ -321,16 +309,6 @@ func (p *Pool) flushGate() func() error {
 	return nil
 }
 
-// SetAdjacency installs the connectivity hint source for prefetching:
-// fn maps a page to the pages its records' successors and predecessors
-// live on (the page's PAG neighbors), best first. The pool consults it
-// on demand misses; fn runs on the fetching goroutine, so it must be
-// safe under the same locking regime as Fetch itself. Call during
-// setup or from the same exclusive context as mutations.
-func (p *Pool) SetAdjacency(fn func(storage.PageID) []storage.PageID) {
-	p.adj.Store(&fn)
-}
-
 // DirtyPage is a checkpoint copy of one dirty buffered page.
 type DirtyPage struct {
 	ID   storage.PageID
@@ -386,14 +364,10 @@ func (p *Pool) Stats() Stats {
 	return s
 }
 
-// ResetStats zeroes the pool counters (not the store's), including the
-// prefetch counters.
+// ResetStats zeroes the pool counters (not the store's).
 func (p *Pool) ResetStats() {
 	for _, sh := range p.shards {
 		sh.stats.reset()
-	}
-	if pf := p.pf.Load(); pf != nil {
-		pf.resetStats()
 	}
 }
 
@@ -498,10 +472,10 @@ func (p *Pool) FetchNew() (storage.PageID, []byte, error) {
 		return storage.InvalidPageID, nil, ErrPoolClosed
 	}
 	// ... and displace any frame already published under this ID: a
-	// freed-then-reallocated page can still be resident from a stale
-	// prefetch that read it after the free. Leaving it would orphan
-	// one of the two frames, and the orphan's eviction would unpublish
-	// the live page.
+	// freed-then-reallocated page can still be resident from a snapshot
+	// reader's miss that read it after the free. Leaving it would
+	// orphan one of the two frames, and the orphan's eviction would
+	// unpublish the live page.
 	if fj, ok := sh.table[id]; ok && fj != fi {
 		old := sh.frames[fj]
 		switch {
@@ -528,7 +502,6 @@ func (p *Pool) FetchNew() (storage.PageID, []byte, error) {
 	f.dirty.Store(true) // must be written out even if untouched
 	f.pins.Store(1)
 	f.ref.Store(false)
-	f.prefetched.Store(false)
 	sh.table[id] = fi
 	sh.stats.fetches.Add(1)
 	sh.stats.hits.Add(1) // allocation does not cost a read
@@ -559,19 +532,14 @@ func (p *Pool) Unpin(id storage.PageID, dirty bool) error {
 // Discard drops the page from the pool without writing it back, even if
 // dirty. Used when a page is freed. The caller must hold no pin on the
 // page itself, but two kinds of pin taken outside the access-method
-// lock are tolerated. A frame whose physical read is still in flight
-// (the prefetcher, or a snapshot reader's miss) is unpublished and
-// doomed — the loader discards the freed bytes when the read settles.
-// A loaded frame still pinned is a snapshot reader inside ReadAt,
-// between its fetch and the version read-lock under which it finds the
-// image this free saved and lets go of the frame: the frame is
-// unpublished here, the reader drops its pin through the frame, and the
-// sweep recycles it after that. Any queued (not yet started) prefetch
-// of the page is purged too.
+// lock are tolerated. A frame whose physical read is still in flight (a
+// snapshot reader's miss) is unpublished and doomed — the loader
+// discards the freed bytes when the read settles. A loaded frame still
+// pinned is a snapshot reader inside ReadAt, between its fetch and the
+// version read-lock under which it finds the image this free saved and
+// lets go of the frame: the frame is unpublished here, the reader drops
+// its pin through the frame, and the sweep recycles it after that.
 func (p *Pool) Discard(id storage.PageID) {
-	if pf := p.pf.Load(); pf != nil {
-		pf.purge(id)
-	}
 	sh := p.shardOf(id)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
@@ -588,7 +556,6 @@ func (p *Pool) Discard(id storage.PageID) {
 	f.id = storage.InvalidPageID
 	f.dirty.Store(false)
 	f.ref.Store(false)
-	f.prefetched.Store(false)
 }
 
 // FlushAll writes every dirty frame back to the store. Pinned frames
@@ -623,14 +590,8 @@ func (p *Pool) Flush(id storage.PageID) error {
 // Reset flushes every dirty frame and then empties the pool, so the
 // next fetches are cold. Experiments call this between operations to
 // reproduce the paper's per-operation page-access counts. It fails if
-// any frame is still pinned. In-flight prefetches are quiesced first
-// (they transiently pin frames).
+// any frame is still pinned.
 func (p *Pool) Reset() error {
-	pf := p.pf.Load()
-	if pf != nil {
-		pf.quiesce()
-		defer pf.resume()
-	}
 	// Lock every shard (in order) so the pin check covers the whole
 	// pool before any shard is cleared.
 	for _, sh := range p.shards {
@@ -659,19 +620,14 @@ func (p *Pool) Reset() error {
 				f.id = storage.InvalidPageID
 				f.dirty.Store(false)
 				f.ref.Store(false)
-				f.prefetched.Store(false)
 			}
 		}
 	}
 	return nil
 }
 
-// Close flushes all dirty pages and invalidates the pool. The
-// prefetcher, if any, is stopped first.
+// Close flushes all dirty pages and invalidates the pool.
 func (p *Pool) Close() error {
-	if pf := p.pf.Load(); pf != nil {
-		pf.close()
-	}
 	for _, sh := range p.shards {
 		sh.mu.Lock()
 		if sh.closed {

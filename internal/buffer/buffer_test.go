@@ -168,9 +168,9 @@ func TestFetchNewAndDiscard(t *testing.T) {
 }
 
 // TestFetchNewDisplacesStaleResidentPage: a page can still be resident
-// when its ID comes back from the allocator — a speculative prefetch
-// that read it after the free republishes it (the Discard purge cannot
-// close that race completely). FetchNew must displace the stale frame;
+// when its ID comes back from the allocator — a read outside the
+// access-method lock (a snapshot reader's miss) that reached the store
+// after the free republishes it. FetchNew must displace the stale frame;
 // leaving it used to orphan one of the two frames, and the orphan's
 // eviction then unpublished the live page, so later fetches reread
 // stale disk bytes while the real (dirty) frame sat unreachable.
@@ -194,7 +194,7 @@ func TestFetchNewDisplacesStaleResidentPage(t *testing.T) {
 	}
 	p.Unpin(x, false)
 	// Free x behind the pool's back: the frame stays published, exactly
-	// like a stale prefetch that settled after the free.
+	// like a stale read that settled after the free.
 	if err := st.Free(x); err != nil {
 		t.Fatal(err)
 	}

@@ -69,9 +69,6 @@ func (sh *shard) pinResident(fi int, unlock func()) (*frame, error) {
 		}
 	}
 	sh.stats.hits.Add(1)
-	if f.prefetched.Load() && f.prefetched.Swap(false) {
-		sh.pool.prefetchUseful()
-	}
 	return f, nil
 }
 
@@ -120,16 +117,11 @@ func (sh *shard) fetchMiss(id storage.PageID, at *metrics.ActiveTrace) (*frame, 
 	f.dirty.Store(false)
 	f.pins.Store(1)
 	f.ref.Store(false) // scan resistance: first reference earns no second chance
-	f.prefetched.Store(false)
 	ch := make(chan struct{})
 	f.loading = ch
 	f.loadErr = nil
 	sh.table[id] = fi
 	sh.mu.Unlock()
-
-	// Connectivity-aware prefetch: a demand miss predicts its PAG
-	// neighbors are next; queue them while we read this page.
-	sh.pool.suggestPrefetch(id)
 
 	tok := at.BeginSpan("storage.read")
 	readErr := sh.pool.store.ReadPage(id, f.data)
@@ -172,7 +164,6 @@ func (sh *shard) unpublishLoadedLocked(fi int, id storage.PageID) {
 	f := sh.frames[fi]
 	f.id = storage.InvalidPageID
 	f.dirty.Store(false)
-	f.prefetched.Store(false)
 }
 
 // sweepLocked runs the clock hand to the next eviction candidate:
@@ -223,7 +214,6 @@ func (sh *shard) evictLocked(fi int) {
 	}
 	f.dirty.Store(false)
 	f.ref.Store(false)
-	f.prefetched.Store(false)
 }
 
 // frameForNewPage returns a free frame index, evicting a victim when

@@ -248,6 +248,62 @@ func TestContainsExcludesLoadingAndFailed(t *testing.T) {
 	}
 }
 
+// TestDiscardDuringPrefetchLoad is the regression test for the
+// free-during-load crash (named for the prefetcher whose pins first
+// exposed it; a snapshot reader's miss takes the same pin today):
+// Discard of a page whose physical read is still in flight, outside the
+// access-method lock, used to panic ("discard of pinned page"). Discard
+// must instead doom the frame so the loader drops the dead bytes when
+// the read settles.
+func TestDiscardDuringPrefetchLoad(t *testing.T) {
+	inner := storage.NewMemStore(128)
+	bs := newBlockingStore(inner)
+	ids := seedPages(t, inner, 2)
+	p := NewPool(bs, 4)
+	defer p.Close()
+
+	bs.blockReads.Store(true)
+	fetchDone := make(chan error, 1)
+	go func() {
+		_, err := p.Fetch(ids[1])
+		fetchDone <- err
+	}()
+	select {
+	case <-bs.entered:
+	case <-time.After(5 * time.Second):
+		t.Fatal("fetch never reached the store")
+	}
+
+	// The page is freed while its read is in flight.
+	p.Discard(ids[1])
+	if p.Contains(ids[1]) {
+		t.Fatal("discarded page still reported resident")
+	}
+	bs.blockReads.Store(false)
+	close(bs.release)
+	if err := <-fetchDone; err == nil {
+		t.Fatal("fetch of a page freed under its read returned the dead bytes")
+	}
+	if p.Contains(ids[1]) {
+		t.Fatal("doomed load published a freed page")
+	}
+
+	// The pool stays fully usable, and a later fetch of the ID performs
+	// a fresh physical read rather than serving stale bytes.
+	before := inner.Stats().Reads
+	b, err := p.Fetch(ids[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b[0] != 2 {
+		t.Fatalf("refetched page content = %d, want 2", b[0])
+	}
+	p.Unpin(ids[1], false)
+	if inner.Stats().Reads != before+1 {
+		t.Fatal("fetch after discard did not re-read the store")
+	}
+}
+
 // TestStatsAccounting pins the counter fixes: waiters coalesced onto a
 // failed read count as neither hits nor misses, overflow-frame shrink
 // counts the pages it unpublishes as evictions, and every cold fetch is

@@ -31,7 +31,7 @@ import (
 // Config parameterizes a CCAM instance.
 type Config struct {
 	// File configures the data file Build creates: page size, buffer
-	// pool, prefetch, spatial index, page store and instrumentation.
+	// pool, spatial index, page store and instrumentation.
 	// Build fills in Bounds from the network; a file adopted through
 	// Attach should have been opened with the same value.
 	File netfile.Options

@@ -26,10 +26,6 @@ type Options struct {
 	// independently latched shards (0 or 1 keeps the single-latch
 	// pool); buffer.AutoShards picks a value from GOMAXPROCS.
 	PoolShards int
-	// Prefetch enables connectivity-aware prefetching: a demand miss on
-	// a data page asynchronously faults in the page's most-connected
-	// PAG neighbors, ranked from the PAG summary.
-	Prefetch bool
 	// Bounds is the geographic extent used for Z-order keys in the
 	// spatial index. Zero value disables spatial keys (they quantize to
 	// a single cell).
@@ -109,8 +105,8 @@ type File struct {
 	spatMu    sync.RWMutex
 
 	// pag is the PAG summary (pag.go). pagMu guards it and the live-page
-	// map against the readers that run beside the serialized writer: the
-	// pool's prefetch callback, planners and gauges.
+	// map against the readers that run beside the serialized writer:
+	// planners and gauges.
 	pag   pagSummary
 	pagMu sync.RWMutex
 }
@@ -146,10 +142,6 @@ func Create(opts Options) (*File, error) {
 		pag:       newPAGSummary(0, 0),
 	}
 	f.overlay.Store(&overlayState{base: make(map[graph.NodeID]storage.PageID)})
-	if opts.Prefetch {
-		f.pool.SetAdjacency(f.PrefetchHints)
-		f.pool.EnablePrefetch(0, 0)
-	}
 	f.EnableMetrics(opts.Metrics, opts.Tracer)
 	return f, nil
 }
@@ -182,13 +174,8 @@ func (f *File) EnableMetrics(reg *metrics.Registry, tr *metrics.Tracer) {
 		fst.InstrumentFaults(reg.Counter("ccam_storage_faults_injected_total"))
 	}
 	f.pool.Instrument(buffer.PoolInstrumentation{
-		HitNanos:        reg.Histogram("ccam_buffer_hit_ns"),
-		MissNanos:       reg.Histogram("ccam_buffer_miss_ns"),
-		PrefetchIssued:  reg.Counter("ccam_buffer_prefetch_issued_total"),
-		PrefetchLoaded:  reg.Counter("ccam_buffer_prefetch_loaded_total"),
-		PrefetchUseful:  reg.Counter("ccam_buffer_prefetch_useful_total"),
-		PrefetchDropped: reg.Counter("ccam_buffer_prefetch_dropped_total"),
-		PrefetchErrors:  reg.Counter("ccam_buffer_prefetch_errors_total"),
+		HitNanos:  reg.Histogram("ccam_buffer_hit_ns"),
+		MissNanos: reg.Histogram("ccam_buffer_miss_ns"),
 	})
 	f.idxVisits = reg.Counter("ccam_index_page_visits_total")
 }
@@ -756,7 +743,7 @@ func OpenFromStore(st storage.Store, poolPages int) (*File, error) {
 }
 
 // OpenFromStoreOpts is OpenFromStore with the full option set — pool
-// sharding, prefetch, spatial kind, metrics and tracing are honored.
+// sharding, spatial kind, metrics and tracing are honored.
 // PageSize, Store and Bounds are derived from the store's contents; any
 // values supplied for them are ignored.
 func OpenFromStoreOpts(st storage.Store, opts Options) (*File, error) {

@@ -19,22 +19,14 @@ import (
 // (pagFill); after that the record-write primitives keep it exact —
 // notePlacement wherever a record lands on, moves between or leaves a
 // page, UpdateRecord wherever a successor-list is rewritten in place.
-// Who reads it: the CRR/WCRR gauges, the query planner, the prefetcher
-// and the background reorganizer, through PAGView and PrefetchHints
-// under pagMu's read side. It keeps no node→page map of its own: the
+// Who reads it: the CRR/WCRR gauges, the query planner and the
+// background reorganizer, through PAGView under pagMu's read side. It keeps no node→page map of its own: the
 // tallies are taken against the snapshot overlay (the writer at its
 // live end, a planner at its pinned LSN).
 //
 // Access weights are not stored in records. Build takes them from the
 // network (SetAccessWeights); every edge added later, or read back from
 // disk at open, weighs 1.
-
-// pagHintFanout bounds the first ring of PrefetchHints. CCAM's
-// clustering keeps most successors on the same page, so the handful of
-// pages holding the rest of a page's neighborhood covers almost all
-// cross-page traversals; a short list also bounds the speculative I/O
-// a single demand miss can trigger.
-const pagHintFanout = 5
 
 // PAGEdge is one directed edge of the summary. Cost is the stored
 // float32, so a planner that mirrors a search over these edges
@@ -314,60 +306,22 @@ func (f *File) SetAccessWeights(g *graph.Network) {
 	}
 }
 
-// rankedNeighbors appends to dst the PAG neighbors of pid, most
-// crossing edges first and lower page id first among equals, keeping
-// the best k (all of them when k <= 0). Caller holds pagMu.
-func (s *pagSummary) rankedNeighbors(dst []PageCount, pid storage.PageID, k int) []PageCount {
+// rankedNeighbors returns the PAG neighbors of pid, most crossing edges
+// first and lower page id first among equals. Caller holds pagMu.
+func (s *pagSummary) rankedNeighbors(pid storage.PageID) []PageCount {
 	p := s.pages[pid]
 	if p == nil {
-		return dst
-	}
-	base := len(dst)
-	for q, c := range p.nbrs {
-		i := len(dst)
-		dst = append(dst, PageCount{})
-		for i > base && (dst[i-1].Edges < c || dst[i-1].Edges == c && dst[i-1].Page > q) {
-			dst[i] = dst[i-1]
-			i--
-		}
-		dst[i] = PageCount{Page: q, Edges: c}
-		if k > 0 && len(dst)-base > k {
-			dst = dst[:base+k]
-		}
-	}
-	return dst
-}
-
-// PrefetchHints returns a two-level PAG frontier around pid, best
-// first: the pagHintFanout pages sharing the most edges with pid, then
-// each of those pages' own best neighbor. The second level is what
-// lets the prefetcher stay ahead of a route: a traversal crosses one
-// PAG edge per page run, so distance-1 hints issued when a page is
-// first used are always one disk read behind the walker — the
-// distance-2 ring overlaps that read with the next one. It is the
-// pool's adjacency callback and runs on the fetching goroutine —
-// lock-free snapshot readers included — hence under pagMu. The counts
-// are exact, so every hinted page is live and no page is ever without
-// hints because a mutation touched it.
-func (f *File) PrefetchHints(pid storage.PageID) []storage.PageID {
-	f.pagMu.RLock()
-	defer f.pagMu.RUnlock()
-	var ring [pagHintFanout + 1]PageCount
-	first := f.pag.rankedNeighbors(ring[:0], pid, pagHintFanout)
-	if len(first) == 0 {
 		return nil
 	}
-	out := make([]storage.PageID, 0, 2*len(first))
-	for _, q := range first {
-		out = append(out, q.Page)
-	}
-	for _, q := range first {
-		var best [2]PageCount
-		for _, q2 := range f.pag.rankedNeighbors(best[:0], q.Page, 1) {
-			if q2.Page != pid && !slices.Contains(out, q2.Page) {
-				out = append(out, q2.Page)
-			}
+	out := make([]PageCount, 0, len(p.nbrs))
+	for q, c := range p.nbrs {
+		i := len(out)
+		out = append(out, PageCount{})
+		for i > 0 && (out[i-1].Edges < c || out[i-1].Edges == c && out[i-1].Page > q) {
+			out[i] = out[i-1]
+			i--
 		}
+		out[i] = PageCount{Page: q, Edges: c}
 	}
 	return out
 }
@@ -455,7 +409,7 @@ func (p PAGView) PageTally(pid storage.PageID) (incident, split int) {
 func (p PAGView) Neighbors(pid storage.PageID) []PageCount {
 	p.f.pagMu.RLock()
 	defer p.f.pagMu.RUnlock()
-	return p.f.pag.rankedNeighbors(nil, pid, 0)
+	return p.f.pag.rankedNeighbors(pid)
 }
 
 // WorstPages returns up to n pages ranked by split edges, worst first;

@@ -207,9 +207,9 @@ func (o *observability) walInstrumentation() storage.WALInstrumentation {
 // counters at operation start, end charges the operation with the
 // deltas. The zero value is inactive and its end does nothing. The I/O
 // attribution is exact while operations run one at a time (the paper's
-// cost model); under concurrent readers a page fetched — or a prefetch
-// issued — by an overlapping operation may be charged to this one, but
-// the global per-class counters and latency histograms stay exact.
+// cost model); under concurrent readers a page fetched by an
+// overlapping operation may be charged to this one, but the global
+// per-class counters and latency histograms stay exact.
 type opSnap struct {
 	f     *netfile.File // nil: inactive (never started, or already charged)
 	om    *opMetrics    // nil: the deltas are only returned
@@ -218,7 +218,6 @@ type opSnap struct {
 	io    storage.Stats
 	pool  buffer.Stats
 	idx   int64
-	pf    int64
 }
 
 // snap starts the counter snapshot of operation op on f. With Metrics
@@ -240,7 +239,6 @@ func (s *Store) snap(ctx context.Context, op opKind, f *netfile.File, force bool
 	sn.io = f.DataIO()
 	sn.pool = f.Pool().Stats()
 	sn.idx = f.IndexVisits()
-	sn.pf = f.Pool().PrefetchStats().Issued
 	return sn
 }
 
@@ -275,8 +273,6 @@ func (sn *opSnap) end(err error) ReqStats {
 		om.idxPages.Add(cost.IndexPages)
 	}
 	if sn.rs != nil {
-		// Only a request's account reports prefetches.
-		cost.Prefetches = f.Pool().PrefetchStats().Issued - sn.pf
 		sn.rs.Add(cost)
 	}
 	return cost

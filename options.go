@@ -20,10 +20,6 @@ func WithPoolPages(n int) Option { return func(o *Options) { o.PoolPages = n } }
 // value from the machine's parallelism.
 func WithPoolShards(n int) Option { return func(o *Options) { o.PoolShards = n } }
 
-// WithPrefetch enables connectivity-aware prefetching of PAG-adjacent
-// data pages.
-func WithPrefetch() Option { return func(o *Options) { o.Prefetch = true } }
-
 // WithDynamic selects the incremental create (CCAM-D).
 func WithDynamic() Option { return func(o *Options) { o.Dynamic = true } }
 

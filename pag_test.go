@@ -3,7 +3,7 @@ package ccam
 // Tests of the PAG summary as the store's one account of topology: a
 // reference rebuilt from a scan of the file must agree with everything
 // the summary's readers see — adjacency, tallies, CRR/WCRR, planner
-// statistics, prefetch hints — after every step of a randomized
+// statistics — after every step of a randomized
 // schedule, and the gauges must follow one weight rule across restarts.
 
 import (
@@ -20,9 +20,6 @@ import (
 	"ccam/internal/graph"
 	"ccam/internal/storage"
 )
-
-// prefetchFanout mirrors netfile's pagHintFanout.
-const prefetchFanout = 5
 
 type edgeID [2]NodeID
 
@@ -184,26 +181,6 @@ func checkPAG(t *testing.T, s *Store, weights map[edgeID]float64, before Placeme
 			if i > 0 && (nbrs[i-1].Edges < nb.Edges || nbrs[i-1].Edges == nb.Edges && nbrs[i-1].Page > nb.Page) {
 				t.Fatalf("page %d: neighbors not ranked: %v", pid, nbrs)
 			}
-		}
-		// The prefetcher: the best neighbors lead, and nothing dead,
-		// repeated or self follows.
-		hints := f.PrefetchHints(pid)
-		lead := len(nbrs)
-		if lead > prefetchFanout {
-			lead = prefetchFanout
-		}
-		if len(hints) < lead || len(hints) > 2*lead {
-			t.Fatalf("page %d: %d hints for %d neighbors", pid, len(hints), len(nbrs))
-		}
-		seen := map[storage.PageID]bool{pid: true}
-		for i, q := range hints {
-			if i < lead && q != nbrs[i].Page {
-				t.Fatalf("page %d: hints %v do not lead with neighbors %v", pid, hints, nbrs)
-			}
-			if seen[q] || pages[q] == nil {
-				t.Fatalf("page %d: hint %d is dead, repeated or the page itself (%v)", pid, q, hints)
-			}
-			seen[q] = true
 		}
 	}
 
@@ -528,8 +505,9 @@ func TestWCRRGaugeFollowsOneWeightRule(t *testing.T) {
 }
 
 // TestPrefetchHintsSurviveSplit grows one page until it splits and is
-// rewritten: its prefetch hints must still be there, live, and the
-// neighbors a scan ranks first (checkPAG compares them for every page).
+// rewritten: its PAG neighbors (once the prefetcher's hints, hence the
+// name) must still be there, live, and ranked as a scan ranks them
+// (checkPAG compares them for every page).
 func TestPrefetchHintsSurviveSplit(t *testing.T) {
 	s, g := builtStore(t, Options{PageSize: 1024, Seed: 9})
 	f := s.m.File()
@@ -551,8 +529,8 @@ func TestPrefetchHintsSurviveSplit(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if len(f.PrefetchHints(pid)) == 0 {
-		t.Fatalf("page %d split and lost its prefetch hints", pid)
+	if len(f.PAG().Neighbors(pid)) == 0 {
+		t.Fatalf("page %d split and lost its PAG neighbors", pid)
 	}
 	checkPAG(t, s, nil, nil)
 }

@@ -30,15 +30,6 @@ type ReqStats struct {
 	// stay on the page it holds are neither.
 	BufferHits   int64 `json:"buffer_hits"`
 	BufferMisses int64 `json:"buffer_misses"`
-	// Prefetches counts PAG prefetch reads issued while this request's
-	// operations ran. The count is a delta of the pool-global prefetch
-	// counter, so when requests overlap, speculative reads triggered by
-	// an overlapping request's misses are attributed here too — treat
-	// it as an upper bound on this request's own prefetch I/O, exact
-	// only when operations run one at a time. Speculative I/O is
-	// accounted here, never in DataReads or BufferMisses, so the
-	// paper's demand counts stay comparable.
-	Prefetches int64 `json:"prefetches,omitempty"`
 	// WALWaitNs is the time this request spent waiting for its batch's
 	// WAL commit record to become durable, including group-formation
 	// wait (attributed to the request, not the fsync leader — see
@@ -60,7 +51,6 @@ func (s *ReqStats) Add(other ReqStats) {
 	s.IndexPages += other.IndexPages
 	s.BufferHits += other.BufferHits
 	s.BufferMisses += other.BufferMisses
-	s.Prefetches += other.Prefetches
 	s.WALWaitNs += other.WALWaitNs
 	s.Shed = s.Shed || other.Shed
 	s.Ops += other.Ops
