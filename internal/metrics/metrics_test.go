@@ -123,3 +123,35 @@ func TestTracerSpanCap(t *testing.T) {
 		t.Fatalf("spans=%d dropped=%d, want %d and 5", len(got.Spans), got.Dropped, maxSpans)
 	}
 }
+
+// Tracing has a budget: an operation with at most inlineSpans spans
+// costs one allocation, the ActiveTrace itself — its spans live in the
+// trace's own array and are copied into storage the ring slot already
+// owns. A slot recycled later must not disturb a trace handed out
+// before.
+func TestTracedOpAllocatesOnce(t *testing.T) {
+	tr := NewTracer(4)
+	op := func() {
+		at := tr.Start("find")
+		for i := 0; i < inlineSpans; i++ {
+			at.BeginSpan("buffer.fetch").End()
+		}
+		at.Finish(nil)
+	}
+	for i := 0; i < 2*tr.Capacity(); i++ { // every slot has storage now
+		op()
+	}
+	if got := testing.AllocsPerRun(100, op); got != 1 {
+		t.Fatalf("a traced op with %d spans allocates %v times, want 1", inlineSpans, got)
+	}
+
+	kept := tr.Recent(1)
+	at := tr.Start("route")
+	at.BeginSpan("index.descent").End()
+	for i := 0; i < tr.Capacity(); i++ {
+		at.Finish(nil)
+	}
+	if len(kept) != 1 || kept[0].Op != "find" || len(kept[0].Spans) != inlineSpans || kept[0].Spans[0].Name != "buffer.fetch" {
+		t.Fatalf("a returned trace changed when its slot was reused: %+v", kept)
+	}
+}

@@ -33,6 +33,11 @@ func TraceIDFrom(ctx context.Context) uint64 {
 // their first maxSpans spans and count the rest in Trace.Dropped.
 const maxSpans = 64
 
+// inlineSpans is how many spans an ActiveTrace holds in its own
+// allocation: a point read records three, so tracing it costs that one
+// allocation and no more.
+const inlineSpans = 8
+
 // Span is one timed sub-step of a traced operation: the interval
 // [Offset, Offset+Dur) relative to the trace's start.
 type Span struct {
@@ -82,7 +87,13 @@ func (t *Tracer) Start(op string) *ActiveTrace {
 	if t == nil {
 		return nil
 	}
-	return &ActiveTrace{tracer: t, op: op, start: time.Now()}
+	return t.start(op, 0)
+}
+
+func (t *Tracer) start(op string, traceID uint64) *ActiveTrace {
+	a := &ActiveTrace{tracer: t, op: op, traceID: traceID, start: time.Now()}
+	a.spans = a.first[:0]
+	return a
 }
 
 // StartCtx is Start tagging the trace with the trace id carried by ctx
@@ -93,21 +104,24 @@ func (t *Tracer) StartCtx(ctx context.Context, op string) *ActiveTrace {
 	if t == nil {
 		return nil
 	}
-	return &ActiveTrace{tracer: t, op: op, start: time.Now(), traceID: TraceIDFrom(ctx)}
+	return t.start(op, TraceIDFrom(ctx))
 }
 
-// record appends a finished trace to the ring.
+// record puts a finished trace in the ring. tr.Spans is the caller's
+// (an ActiveTrace's own array): the spans are copied into the slot's
+// storage, which is reused from the trace the slot held before.
 func (t *Tracer) record(tr Trace) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.seq++
 	tr.Seq = t.seq
 	if len(t.ring) < cap(t.ring) {
-		t.ring = append(t.ring, tr)
-		t.next = len(t.ring) % cap(t.ring)
-		return
+		t.ring = append(t.ring, Trace{})
+		t.next = len(t.ring) - 1
 	}
-	t.ring[t.next] = tr
+	slot := &t.ring[t.next]
+	tr.Spans = append(slot.Spans[:0], tr.Spans...)
+	*slot = tr
 	t.next = (t.next + 1) % cap(t.ring)
 }
 
@@ -213,7 +227,8 @@ type ActiveTrace struct {
 	op      string
 	traceID uint64
 	start   time.Time
-	spans   []Span
+	spans   []Span // first[:n] until a ninth span moves them out
+	first   [inlineSpans]Span
 	dropped int
 }
 
@@ -243,8 +258,9 @@ func (a *ActiveTrace) BeginSpan(name string) SpanToken {
 		a.dropped++
 		return SpanToken{}
 	}
-	a.spans = append(a.spans, Span{Name: name, Offset: time.Since(a.start)})
-	return SpanToken{at: a, idx: len(a.spans) - 1, start: time.Now()}
+	now := time.Now()
+	a.spans = append(a.spans, Span{Name: name, Offset: now.Sub(a.start)})
+	return SpanToken{at: a, idx: len(a.spans) - 1, start: now}
 }
 
 // End closes the span. No-op on an inert token.

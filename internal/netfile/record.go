@@ -67,26 +67,27 @@ func (r *Record) EncodedSize() int {
 
 // EncodeRecord serializes r.
 func EncodeRecord(r *Record) []byte {
-	buf := make([]byte, r.EncodedSize())
-	binary.LittleEndian.PutUint32(buf[0:4], uint32(r.ID))
-	binary.LittleEndian.PutUint64(buf[4:12], math.Float64bits(r.Pos.X))
-	binary.LittleEndian.PutUint64(buf[12:20], math.Float64bits(r.Pos.Y))
-	binary.LittleEndian.PutUint16(buf[20:22], uint16(len(r.Attrs)))
-	binary.LittleEndian.PutUint16(buf[22:24], uint16(len(r.Succs)))
-	binary.LittleEndian.PutUint16(buf[24:26], uint16(len(r.Preds)))
-	o := recordHeaderSize
-	copy(buf[o:], r.Attrs)
-	o += len(r.Attrs)
+	return AppendRecord(make([]byte, 0, r.EncodedSize()), r)
+}
+
+// AppendRecord appends r's serialized image to dst.
+func AppendRecord(dst []byte, r *Record) []byte {
+	le := binary.LittleEndian
+	dst = le.AppendUint32(dst, uint32(r.ID))
+	dst = le.AppendUint64(dst, math.Float64bits(r.Pos.X))
+	dst = le.AppendUint64(dst, math.Float64bits(r.Pos.Y))
+	dst = le.AppendUint16(dst, uint16(len(r.Attrs)))
+	dst = le.AppendUint16(dst, uint16(len(r.Succs)))
+	dst = le.AppendUint16(dst, uint16(len(r.Preds)))
+	dst = append(dst, r.Attrs...)
 	for _, s := range r.Succs {
-		binary.LittleEndian.PutUint32(buf[o:], uint32(s.To))
-		binary.LittleEndian.PutUint32(buf[o+4:], math.Float32bits(s.Cost))
-		o += 8
+		dst = le.AppendUint32(dst, uint32(s.To))
+		dst = le.AppendUint32(dst, math.Float32bits(s.Cost))
 	}
 	for _, p := range r.Preds {
-		binary.LittleEndian.PutUint32(buf[o:], uint32(p))
-		o += 4
+		dst = le.AppendUint32(dst, uint32(p))
 	}
-	return buf
+	return dst
 }
 
 // DecodeRecord parses a record image. The returned record owns its

@@ -12,11 +12,25 @@ import (
 	"ccam/internal/wire"
 )
 
+const (
+	// inlineRouteMax is the longest route evaluated on the connection
+	// goroutine. Every inline op is bounded by it: a route touches at
+	// most this many records, the others one record or one node's
+	// successor list.
+	inlineRouteMax = 64
+	// maxQueuedReplies bounds the replies (and the admission slots) a
+	// connection holds back for one write while whole frames keep
+	// arriving.
+	maxQueuedReplies = 16
+	// connBufSize is each direction's buffer; a request frame that fits
+	// is served from the read buffer in place.
+	connBufSize = 16 << 10
+)
+
 // ServeBinary accepts binary-protocol connections on l until the
 // listener closes (Shutdown closes it). Each connection gets one
-// reader goroutine; each request runs in its own goroutine so a
-// connection may pipeline, with responses serialized on a write lock
-// and matched by request id.
+// goroutine, which reads requests and runs the cheap ones itself; see
+// serveConn.
 func (s *Server) ServeBinary(l net.Listener) error {
 	s.listenMu.Lock()
 	s.listeners = append(s.listeners, l)
@@ -33,51 +47,159 @@ func (s *Server) ServeBinary(l net.Listener) error {
 	}
 }
 
-// serveConn runs one binary connection. The connection context is
-// canceled the moment the read side fails — a client disconnect
-// aborts every query still running on its behalf.
+// binConn is one binary connection's write side, shared between the
+// connection goroutine and the requests it handed off.
+type binConn struct {
+	s *Server
+
+	mu sync.Mutex
+	bw *bufio.Writer
+	// held counts the admission slots of the requests whose replies sit
+	// in bw: they are given back by the flush that carries the replies
+	// out, so a drain cannot finish — and close the connection — over a
+	// buffered reply.
+	held int
+	// parked is set while the connection goroutine is, or is about to
+	// be, blocked in read with nothing left to flush: whoever queues a
+	// reply then flushes it.
+	parked bool
+}
+
+// countedConn counts the connection's write calls.
+type countedConn struct {
+	net.Conn
+	s *Server
+}
+
+func (c countedConn) Write(p []byte) (int, error) {
+	c.s.writes.Inc()
+	return c.Conn.Write(p)
+}
+
+// send queues one response frame (wire.OpenFrame with the payload
+// behind it); slots is the number of admission slots (0 or 1) the reply
+// takes with it. The frame goes out at once when the connection
+// goroutine is parked or enough replies are waiting; otherwise that
+// goroutine flushes before it next blocks.
+func (c *binConn) send(frame []byte, slots int) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if wire.SealFrame(frame) == nil {
+		// A write error means the peer is gone; the read side fails next.
+		_, _ = c.bw.Write(frame)
+	}
+	c.held += slots
+	if c.parked || c.held >= maxQueuedReplies {
+		c.flushLocked()
+	}
+}
+
+func (c *binConn) flushLocked() {
+	_ = c.bw.Flush() // as in send
+	if c.held > 0 {
+		c.s.release(c.held)
+		c.held = 0
+	}
+}
+
+// park flushes what is queued and leaves later replies to flush
+// themselves: the connection goroutine is about to block.
+func (c *binConn) park() {
+	c.mu.Lock()
+	c.flushLocked()
+	c.parked = true
+	c.mu.Unlock()
+}
+
+func (c *binConn) unpark() {
+	c.mu.Lock()
+	c.parked = false
+	c.mu.Unlock()
+}
+
+// inline reports whether a request runs on the connection goroutine:
+// the point and short-chain reads, chosen by op code and body length
+// alone. Everything that can run long — window and batch queries,
+// longer routes, statements, commits — is handed to a goroutine.
+func inline(op wire.Op, body []byte) bool {
+	switch op {
+	case wire.OpPing, wire.OpFind, wire.OpHas, wire.OpGetSuccessors:
+		return true
+	case wire.OpEvaluateRoute:
+		return len(body) <= 4+4*inlineRouteMax
+	case wire.OpRangeQuery, wire.OpFindBatch, wire.OpEvaluateRoutes, wire.OpApply, wire.OpQuery:
+		return false
+	}
+	return true // an unknown op is refused on the spot
+}
+
+// serveConn runs one binary connection: requests run where they are
+// read. The connection goroutine executes inline requests (see inline)
+// itself, one after the other, and appends their replies to the
+// connection's write buffer; the rest run in goroutines of their own,
+// so a connection may pipeline and a slow request delays nothing queued
+// behind it; replies are matched by request id. Buffered replies go out
+// in one write before the goroutine can block — that is, when the next
+// frame is not wholly buffered — and at the latest after
+// maxQueuedReplies of them.
+//
+// The connection context is canceled the moment the read side fails: a
+// client disconnect aborts every request that can run long. An inline
+// request is not interrupted — nothing reads the connection while it
+// runs — but it is bounded by inlineRouteMax records and finishes.
 func (s *Server) serveConn(conn net.Conn) {
 	if !s.track(conn) { // already draining
 		conn.Close()
 		return
 	}
+	defer s.connWG.Done()
 	if s.log != nil {
 		s.log.Debug("connection open", "remote", conn.RemoteAddr())
 	}
 	ctx, cancel := context.WithCancel(context.Background())
+	c := &binConn{s: s, bw: bufio.NewWriterSize(countedConn{conn, s}, connBufSize)}
+	br := bufio.NewReaderSize(conn, connBufSize)
 	var (
-		writeMu sync.Mutex
 		pending sync.WaitGroup
+		served  int64
+		reply   []byte // the inline requests' reply buffer
 	)
-	bw := bufio.NewWriterSize(conn, 16<<10)
-	respond := func(payload []byte) {
-		writeMu.Lock()
-		defer writeMu.Unlock()
-		if wire.WriteFrame(bw, payload) == nil {
-			bw.Flush()
-		}
-	}
-
-	var served int64
-	br := bufio.NewReaderSize(conn, 16<<10)
 	for {
-		frame, err := wire.ReadFrame(br)
+		parked := !wire.FrameBuffered(br)
+		if parked {
+			c.park()
+		}
+		frame, discard, err := wire.PeekFrame(br)
+		if parked {
+			c.unpark()
+		}
 		if err != nil {
 			break
 		}
 		h, body, err := wire.DecodeRequestHeader(frame)
 		if err != nil {
-			respond(wire.EncodeErrResponse(h.ID, err))
+			c.send(errorFrame(reply[:0], h.ID, err, nil), 0)
 			break
 		}
 		served++
-		pending.Add(1)
-		go func() {
-			defer pending.Done()
-			s.handleBinary(ctx, h, body, respond)
-		}()
+		if inline(h.Op, body) {
+			reply = s.handleBinary(ctx, c, h, body, true, reply[:0])
+		} else {
+			if discard > 0 { // frame aliases the read buffer
+				body = append([]byte(nil), body...)
+			}
+			pending.Add(1)
+			s.handOff(func() {
+				defer pending.Done()
+				s.handleBinary(ctx, c, h, body, false, nil)
+			})
+		}
+		if _, err := br.Discard(discard); err != nil {
+			break
+		}
 	}
 	cancel()
+	c.park() // handed-off requests still running flush their own replies
 	pending.Wait()
 	s.untrack(conn)
 	conn.Close()
@@ -86,160 +208,216 @@ func (s *Server) serveConn(conn net.Conn) {
 	}
 }
 
-// handleBinary dispatches one binary request through the shared
-// admission/deadline path. The response is written while the request
-// still holds its admission slot, so a drain that begins during the
-// request cannot close the connection before the reply is out.
+// workerIdle is how long a hand-off worker waits for its next job
+// before it exits.
+const workerIdle = time.Second
+
+// handOff runs job on a goroutine of its own: an idle worker when there
+// is one — its stack has already grown to what a window query or a
+// statement needs, which a fresh goroutine pays for anew on every
+// request — and otherwise a new worker. It never queues: a job always
+// starts at once.
+func (s *Server) handOff(job func()) {
+	select {
+	case s.work <- job:
+	default:
+		go s.worker(job)
+	}
+}
+
+// worker runs job, then the jobs handed to it while it is idle, and
+// exits once none has come for workerIdle.
+func (s *Server) worker(job func()) {
+	for {
+		job()
+		idle := time.NewTimer(workerIdle)
+		select {
+		case job = <-s.work:
+			idle.Stop()
+		case <-idle.C:
+			return
+		}
+	}
+}
+
+// errorFrame builds the frame of an error response in buf.
+func errorFrame(buf []byte, id uint32, err error, echo *ccam.ReqStats) []byte {
+	buf = wire.AppendResponseHeader(wire.OpenFrame(buf), id, wire.CodeOf(err), echo)
+	return wire.AppendErrBody(buf, err)
+}
+
+// handleBinary runs one binary request through admission, deadline,
+// dispatch and the instruments, and queues its response — built in
+// buf, which it returns for reuse — with the request's admission slot:
+// a drain that begins during the request cannot close the connection
+// before the reply is out.
 //
 // A sampled request (extended header) tags the store-side traces with
 // its trace id; a want-stats request gets its resource account echoed
 // in the response stats block — on errors too, so a shed request
 // reports Shed.
-func (s *Server) handleBinary(connCtx context.Context, h wire.ReqHeader, body []byte, respond func([]byte)) {
+func (s *Server) handleBinary(connCtx context.Context, c *binConn, h wire.ReqHeader, body []byte, inline bool, buf []byte) []byte {
 	var rs *ccam.ReqStats
-	reqCtx := connCtx
+	ctx := connCtx
 	if h.Sampled || h.WantStats {
 		rs = new(ccam.ReqStats)
-		reqCtx = ccam.WithReqStats(reqCtx, rs)
+		ctx = ccam.WithReqStats(ctx, rs)
 	}
 	if h.Sampled && h.TraceID != 0 {
-		reqCtx = ccam.WithTraceID(reqCtx, h.TraceID)
+		ctx = ccam.WithTraceID(ctx, h.TraceID)
 	}
 	var echo *ccam.ReqStats
 	if h.WantStats {
 		echo = rs
 	}
-	meta := reqMeta{op: h.Op.String(), traceID: h.TraceID, rs: rs}
-	responded := false
-	err := s.do(reqCtx, meta, func(ctx context.Context) error {
-		if h.DeadlineMS > 0 {
-			var cancel context.CancelFunc
-			ctx, cancel = context.WithTimeout(ctx, time.Duration(h.DeadlineMS)*time.Millisecond)
-			defer cancel()
-		}
-		out, ferr := s.dispatchBinary(ctx, h.Op, body)
-		responded = true
-		if ferr != nil {
-			respond(wire.EncodeErrResponseStats(h.ID, ferr, echo))
-			return ferr
-		}
-		respond(wire.EncodeOKResponseStats(h.ID, out, echo))
-		return nil
-	})
-	// err without a response means admission refused the request
-	// (shed or draining) before fn ran.
-	if err != nil && !responded {
-		respond(wire.EncodeErrResponseStats(h.ID, err, echo))
+	meta := reqMeta{op: h.Op, traceID: h.TraceID, rs: rs, inline: inline}
+	if err := s.admit(meta); err != nil {
+		buf = errorFrame(buf, h.ID, err, echo)
+		c.send(buf, 0)
+		return buf
 	}
+	if d := s.deadline(h.DeadlineMS); d > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, d)
+		defer cancel()
+	}
+	start := s.begin(ctx, meta)
+	buf, err := s.dispatchBinary(ctx, h, body, echo, buf)
+	if err != nil {
+		buf = errorFrame(buf[:0], h.ID, err, echo)
+	}
+	s.end(meta, start, err)
+	c.send(buf, 1)
+	return buf
 }
 
-func (s *Server) dispatchBinary(ctx context.Context, op wire.Op, body []byte) ([]byte, error) {
-	switch op {
+// deadline is the time budget of a binary request: the shorter of its
+// own and the server's default (0: unbounded).
+func (s *Server) deadline(ms uint32) time.Duration {
+	d := time.Duration(ms) * time.Millisecond
+	if s.defDeadline > 0 && (d == 0 || s.defDeadline < d) {
+		d = s.defDeadline
+	}
+	return d
+}
+
+// dispatchBinary executes one request and builds the frame of its
+// success response in buf: the header — with the stats echo, filled in
+// by then — and the body.
+func (s *Server) dispatchBinary(ctx context.Context, h wire.ReqHeader, body []byte, echo *ccam.ReqStats, buf []byte) ([]byte, error) {
+	ok := func() []byte {
+		return wire.AppendResponseHeader(wire.OpenFrame(buf), h.ID, wire.CodeOK, echo)
+	}
+	switch h.Op {
 	case wire.OpPing:
-		return nil, ctx.Err()
+		return ok(), ctx.Err()
 	case wire.OpFind:
 		id, err := wire.DecodeIDBody(body)
 		if err != nil {
-			return nil, err
+			return buf, err
 		}
 		rec, err := s.st.Find(ctx, id)
 		if err != nil {
-			return nil, err
+			return buf, err
 		}
-		return wire.EncodeRecordBody(rec), nil
+		return wire.AppendRecordBody(ok(), rec), nil
 	case wire.OpHas:
 		id, err := wire.DecodeIDBody(body)
 		if err != nil {
-			return nil, err
+			return buf, err
 		}
-		ok, err := s.st.Has(ctx, id)
+		has, err := s.st.Has(ctx, id)
 		if err != nil {
-			return nil, err
+			return buf, err
 		}
-		return wire.EncodeBoolBody(ok), nil
+		return wire.AppendBoolBody(ok(), has), nil
 	case wire.OpGetSuccessors:
 		id, err := wire.DecodeIDBody(body)
 		if err != nil {
-			return nil, err
+			return buf, err
 		}
 		recs, err := s.st.GetSuccessors(ctx, id)
 		if err != nil {
-			return nil, err
+			return buf, err
 		}
-		return wire.EncodeRecordsBody(recs), nil
+		return wire.AppendRecordsBody(ok(), recs), nil
 	case wire.OpEvaluateRoute:
 		ids, rest, err := wire.DecodeIDsBody(body)
 		if err != nil {
-			return nil, err
+			return buf, err
 		}
 		if len(rest) != 0 {
-			return nil, wire.RemoteError(wire.CodeBadRequest, "trailing bytes after route")
+			return buf, wire.RemoteError(wire.CodeBadRequest, "trailing bytes after route")
 		}
 		agg, err := s.st.EvaluateRoute(ctx, ccam.Route(ids))
 		if err != nil {
-			return nil, err
+			return buf, err
 		}
-		return wire.EncodeAggBody(agg), nil
+		return wire.AppendAggBody(ok(), agg), nil
 	case wire.OpRangeQuery:
 		rect, err := wire.DecodeRectBody(body)
 		if err != nil {
-			return nil, err
+			return buf, err
 		}
 		recs, err := s.st.RangeQuery(ctx, rect)
 		if err != nil {
-			return nil, err
+			return buf, err
 		}
-		return wire.EncodeRecordsBody(recs), nil
+		return wire.AppendRecordsBody(ok(), recs), nil
 	case wire.OpFindBatch:
 		ids, rest, err := wire.DecodeIDsBody(body)
 		if err != nil {
-			return nil, err
+			return buf, err
 		}
 		if len(rest) != 0 {
-			return nil, wire.RemoteError(wire.CodeBadRequest, "trailing bytes after ids")
+			return buf, wire.RemoteError(wire.CodeBadRequest, "trailing bytes after ids")
 		}
 		recs, err := s.st.FindBatch(ctx, ids)
 		if err != nil {
-			return nil, err
+			return buf, err
 		}
-		return wire.EncodeRecordsBody(recs), nil
+		return wire.AppendRecordsBody(ok(), recs), nil
 	case wire.OpEvaluateRoutes:
 		routes, err := wire.DecodeRoutesBody(body)
 		if err != nil {
-			return nil, err
+			return buf, err
 		}
 		aggs, err := s.st.EvaluateRoutes(ctx, routes)
 		if err != nil {
-			return nil, err
+			return buf, err
 		}
-		return wire.EncodeAggsBody(aggs), nil
+		return append(ok(), wire.EncodeAggsBody(aggs)...), nil
 	case wire.OpApply:
 		ops, err := wire.DecodeApplyBody(body)
 		if err != nil {
-			return nil, err
+			return buf, err
 		}
 		req := wire.ApplyRequest{Ops: ops}
 		b, err := req.Batch()
 		if err != nil {
-			return nil, err
+			return buf, err
 		}
 		if err := s.st.Apply(ctx, b); err != nil {
-			return nil, err
+			return buf, err
 		}
-		return wire.EncodeUint32Body(uint32(b.Len())), nil
+		return append(ok(), wire.EncodeUint32Body(uint32(b.Len()))...), nil
 	case wire.OpQuery:
 		src, explain, err := wire.DecodeQueryBody(body)
 		if err != nil {
-			return nil, err
+			return buf, err
 		}
 		if explain {
 			src = ccam.ExplainStatement(src)
 		}
 		res, err := s.st.Query(ctx, src)
 		if err != nil {
-			return nil, err
+			return buf, err
 		}
-		return wire.EncodeResultBody(res)
+		out, err := wire.EncodeResultBody(res)
+		if err != nil {
+			return buf, err
+		}
+		return append(ok(), out...), nil
 	}
-	return nil, wire.RemoteError(wire.CodeBadRequest, "unknown op "+op.String())
+	return buf, wire.RemoteError(wire.CodeBadRequest, "unknown op "+h.Op.String())
 }

@@ -39,7 +39,7 @@ func (s *Server) Handler() http.Handler {
 		})
 	})
 
-	handle := func(path, op string, fn func(ctx context.Context, body []byte) (any, error)) {
+	handle := func(path string, op wire.Op, fn func(ctx context.Context, body []byte) (any, error)) {
 		mux.HandleFunc(path, func(w http.ResponseWriter, r *http.Request) {
 			if r.Method != http.MethodPost {
 				writeError(w, wire.RemoteError(wire.CodeBadRequest, "POST required"))
@@ -104,7 +104,7 @@ func (s *Server) Handler() http.Handler {
 		})
 	}
 
-	handle("/v1/find", "find", func(ctx context.Context, body []byte) (any, error) {
+	handle("/v1/find", wire.OpFind, func(ctx context.Context, body []byte) (any, error) {
 		var req wire.FindRequest
 		if err := decodeJSON(body, &req); err != nil {
 			return nil, err
@@ -115,7 +115,7 @@ func (s *Server) Handler() http.Handler {
 		}
 		return &wire.FindResponse{Record: wire.RecordToJSON(rec)}, nil
 	})
-	handle("/v1/has", "has", func(ctx context.Context, body []byte) (any, error) {
+	handle("/v1/has", wire.OpHas, func(ctx context.Context, body []byte) (any, error) {
 		var req wire.HasRequest
 		if err := decodeJSON(body, &req); err != nil {
 			return nil, err
@@ -126,7 +126,7 @@ func (s *Server) Handler() http.Handler {
 		}
 		return &wire.HasResponse{Has: ok}, nil
 	})
-	handle("/v1/successors", "get-successors", func(ctx context.Context, body []byte) (any, error) {
+	handle("/v1/successors", wire.OpGetSuccessors, func(ctx context.Context, body []byte) (any, error) {
 		var req wire.SuccessorsRequest
 		if err := decodeJSON(body, &req); err != nil {
 			return nil, err
@@ -137,7 +137,7 @@ func (s *Server) Handler() http.Handler {
 		}
 		return &wire.RecordsResponse{Records: wire.RecordsToJSON(recs)}, nil
 	})
-	handle("/v1/route", "evaluate-route", func(ctx context.Context, body []byte) (any, error) {
+	handle("/v1/route", wire.OpEvaluateRoute, func(ctx context.Context, body []byte) (any, error) {
 		var req wire.RouteRequest
 		if err := decodeJSON(body, &req); err != nil {
 			return nil, err
@@ -148,7 +148,7 @@ func (s *Server) Handler() http.Handler {
 		}
 		return &wire.RouteResponse{Aggregate: wire.AggregateToJSON(agg)}, nil
 	})
-	handle("/v1/range", "range-query", func(ctx context.Context, body []byte) (any, error) {
+	handle("/v1/range", wire.OpRangeQuery, func(ctx context.Context, body []byte) (any, error) {
 		var req wire.RangeRequest
 		if err := decodeJSON(body, &req); err != nil {
 			return nil, err
@@ -159,7 +159,7 @@ func (s *Server) Handler() http.Handler {
 		}
 		return &wire.RecordsResponse{Records: wire.RecordsToJSON(recs)}, nil
 	})
-	handle("/v1/find-batch", "find-batch", func(ctx context.Context, body []byte) (any, error) {
+	handle("/v1/find-batch", wire.OpFindBatch, func(ctx context.Context, body []byte) (any, error) {
 		var req wire.FindBatchRequest
 		if err := decodeJSON(body, &req); err != nil {
 			return nil, err
@@ -170,7 +170,7 @@ func (s *Server) Handler() http.Handler {
 		}
 		return &wire.RecordsResponse{Records: wire.RecordsToJSON(recs)}, nil
 	})
-	handle("/v1/routes", "evaluate-routes", func(ctx context.Context, body []byte) (any, error) {
+	handle("/v1/routes", wire.OpEvaluateRoutes, func(ctx context.Context, body []byte) (any, error) {
 		var req wire.RoutesRequest
 		if err := decodeJSON(body, &req); err != nil {
 			return nil, err
@@ -185,7 +185,7 @@ func (s *Server) Handler() http.Handler {
 		}
 		return &wire.RoutesResponse{Aggregates: out}, nil
 	})
-	handle("/v1/query", "query", func(ctx context.Context, body []byte) (any, error) {
+	handle("/v1/query", wire.OpQuery, func(ctx context.Context, body []byte) (any, error) {
 		var req wire.QueryRequest
 		if err := decodeJSON(body, &req); err != nil {
 			return nil, err
@@ -200,7 +200,7 @@ func (s *Server) Handler() http.Handler {
 		}
 		return &wire.QueryResponse{Result: res}, nil
 	})
-	handle("/v1/apply", "apply", func(ctx context.Context, body []byte) (any, error) {
+	handle("/v1/apply", wire.OpApply, func(ctx context.Context, body []byte) (any, error) {
 		var req wire.ApplyRequest
 		if err := decodeJSON(body, &req); err != nil {
 			return nil, err

@@ -15,20 +15,24 @@ import (
 	"net"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"ccam"
 	"ccam/internal/metrics"
+	"ccam/internal/wire"
 )
 
 // Options configures a Server.
 type Options struct {
 	// Store is the served store. Required.
 	Store *ccam.Store
-	// MaxInFlight caps concurrently executing requests across both
-	// protocols; a request arriving with the cap exhausted is shed
-	// immediately with ccam.ErrOverloaded instead of queueing behind
-	// work the server cannot keep up with. Zero selects 1024.
+	// MaxInFlight caps the requests admitted and not yet answered,
+	// across both protocols (a pipelined binary reply holds its slot
+	// until the write that carries it); a request arriving with the cap
+	// exhausted is shed immediately with ccam.ErrOverloaded instead of
+	// queueing behind work the server cannot keep up with. Zero selects
+	// 1024.
 	MaxInFlight int
 	// DefaultDeadline bounds requests that carry no deadline of their
 	// own. Zero means unbounded.
@@ -59,20 +63,23 @@ type Server struct {
 	log         *slog.Logger
 	slowQuery   time.Duration
 
-	// gate is the admission state: inflight running requests, the
-	// draining flag, and a cond broadcast when inflight drops so
-	// Shutdown can wait for the tail.
-	gate struct {
-		sync.Mutex
-		cond     *sync.Cond
-		inflight int
-		draining bool
-	}
+	// The admission state: inflight counts admitted requests whose
+	// reply is not out yet (plus, for an instant, a request being
+	// refused); draining refuses new ones; drained is closed when
+	// inflight reaches zero during a drain, which is final — nothing is
+	// admitted after draining is set.
+	inflight  atomic.Int64
+	draining  atomic.Bool
+	drained   chan struct{}
+	drainOnce sync.Once
 
-	// conns tracks open binary connections so Shutdown can close them
-	// after the drain.
+	// conns tracks open binary connections, and connWG their goroutines,
+	// so Shutdown can end them after the drain.
 	connMu sync.Mutex
 	conns  map[net.Conn]struct{}
+	connWG sync.WaitGroup
+	// work hands a request to an idle hand-off worker (see handOff).
+	work chan func()
 
 	// listenMu guards listeners registered by ServeBinary.
 	listenMu  sync.Mutex
@@ -84,11 +91,15 @@ type Server struct {
 	sheds    *metrics.Counter
 	slow     *metrics.Counter
 	latency  *metrics.Histogram
+	// inlined counts the binary requests run on their connection's
+	// goroutine, writes the write calls on binary connections: with
+	// requests they say how many replies one write carries.
+	inlined *metrics.Counter
+	writes  *metrics.Counter
 
-	// ops holds the per-operation RED instruments, keyed by wire op
-	// name. Built once in New and read-only afterwards, so request
-	// paths look up without locking.
-	ops map[string]*opInstruments
+	// ops holds the per-operation RED instruments, indexed by wire op
+	// (the JSON endpoints map onto the binary ops one-to-one).
+	ops [wire.NumOps]opInstruments
 
 	// slowLim rate-limits slow-query and shed log lines so an overload
 	// storm cannot flood the log.
@@ -102,13 +113,6 @@ type opInstruments struct {
 	reqs    *metrics.Counter
 	errs    *metrics.Counter
 	latency *metrics.Histogram
-}
-
-// opNames are the operations instrumented per-op — the binary protocol
-// ops, which the JSON endpoints map onto one-to-one.
-var opNames = []string{
-	"ping", "find", "has", "get-successors", "evaluate-route",
-	"range-query", "find-batch", "evaluate-routes", "apply", "query",
 }
 
 // logLimiter is a crude token bucket: at most burst events per second,
@@ -159,11 +163,12 @@ func New(opts Options) *Server {
 		log:         opts.Logger,
 		slowQuery:   opts.SlowQuery,
 		conns:       make(map[net.Conn]struct{}),
+		drained:     make(chan struct{}),
+		work:        make(chan func()),
 	}
 	if s.maxInFlight <= 0 {
 		s.maxInFlight = DefaultMaxInFlight
 	}
-	s.gate.cond = sync.NewCond(&s.gate.Mutex)
 	s.reg = opts.Store.Metrics()
 	if s.reg == nil {
 		s.reg = metrics.NewRegistry()
@@ -173,19 +178,18 @@ func New(opts Options) *Server {
 	s.sheds = s.reg.Counter("ccam_server_shed_total")
 	s.slow = s.reg.Counter("ccam_server_slow_total")
 	s.latency = s.reg.Histogram("ccam_server_request_ns")
-	s.ops = make(map[string]*opInstruments, len(opNames))
-	for _, name := range opNames {
-		p := "ccam_server_op_" + strings.ReplaceAll(name, "-", "_") + "_"
-		s.ops[name] = &opInstruments{
+	s.inlined = s.reg.Counter("ccam_server_inline_total")
+	s.writes = s.reg.Counter("ccam_server_writes_total")
+	for op := range s.ops {
+		p := "ccam_server_op_" + strings.ReplaceAll(wire.Op(op).String(), "-", "_") + "_"
+		s.ops[op] = opInstruments{
 			reqs:    s.reg.Counter(p + "total"),
 			errs:    s.reg.Counter(p + "errors_total"),
 			latency: s.reg.Histogram(p + "ns"),
 		}
 	}
 	s.reg.GaugeFunc("ccam_server_inflight", func() float64 {
-		s.gate.Lock()
-		defer s.gate.Unlock()
-		return float64(s.gate.inflight)
+		return float64(s.inflight.Load())
 	})
 	return s
 }
@@ -196,28 +200,39 @@ func (s *Server) Store() *ccam.Store { return s.st }
 // MaxInFlight returns the effective admission cap.
 func (s *Server) MaxInFlight() int { return s.maxInFlight }
 
-// admit claims an admission slot. It never blocks: over the cap it
-// sheds with ccam.ErrOverloaded, during a drain it refuses with
-// ccam.ErrClosed. The returned release must be called exactly once.
-func (s *Server) admit() (release func(), err error) {
-	s.gate.Lock()
-	defer s.gate.Unlock()
-	if s.gate.draining {
-		return nil, ccam.ErrClosed
-	}
-	if s.gate.inflight >= s.maxInFlight {
+// admit claims an admission slot for one request. It never blocks: over
+// the cap it sheds with ccam.ErrOverloaded, during a drain it refuses
+// with ccam.ErrClosed; a refusal is marked in meta.rs (when the client
+// asked for stats) so it explains itself on the wire. The slot is
+// counted in before the checks, so a drain that sets draining and then
+// finds inflight at zero has missed no request. An admitted request's
+// slot is given back with release.
+func (s *Server) admit(meta reqMeta) error {
+	n := s.inflight.Add(1)
+	var err error
+	switch {
+	case s.draining.Load():
+		err = ccam.ErrClosed
+	case n > int64(s.maxInFlight):
 		s.sheds.Inc()
-		return nil, fmt.Errorf("%w: %d requests in flight", ccam.ErrOverloaded, s.gate.inflight)
+		err = fmt.Errorf("%w: %d requests in flight", ccam.ErrOverloaded, n-1)
+	default:
+		return nil
 	}
-	s.gate.inflight++
-	return func() {
-		s.gate.Lock()
-		s.gate.inflight--
-		if s.gate.inflight == 0 {
-			s.gate.cond.Broadcast()
-		}
-		s.gate.Unlock()
-	}, nil
+	s.release(1)
+	if meta.rs != nil {
+		meta.rs.Shed = true
+	}
+	s.logShed(meta, err)
+	return err
+}
+
+// release gives n admission slots back and, when that empties a
+// draining server, lets Shutdown go on.
+func (s *Server) release(n int) {
+	if s.inflight.Add(int64(-n)) == 0 && s.draining.Load() {
+		s.drainOnce.Do(func() { close(s.drained) })
+	}
 }
 
 // requestHook, when non-nil, runs inside every admitted request with
@@ -225,52 +240,45 @@ func (s *Server) admit() (release func(), err error) {
 // hold requests in flight and observe context cancellation.
 var requestHook func(ctx context.Context)
 
-// reqMeta is the per-request observability context threaded through
-// do: which op runs, the wire trace id (0 = untraced) and the resource
-// account being filled for the client (nil = not requested).
+// reqMeta is the per-request observability context: which op runs, the
+// wire trace id (0 = untraced), the resource account being filled for
+// the client (nil = not requested) and whether the request runs on its
+// connection's goroutine.
 type reqMeta struct {
-	op      string
+	op      wire.Op
 	traceID uint64
 	rs      *ccam.ReqStats
+	inline  bool
 }
 
-// do runs one admitted request: claim a slot, bound the context,
-// execute, record global + per-op instruments, and feed the slow-query
-// log. A shed request is marked in meta.rs (when the client asked for
-// stats) so the refusal explains itself on the wire.
-func (s *Server) do(ctx context.Context, meta reqMeta, fn func(ctx context.Context) error) error {
-	release, err := s.admit()
-	if err != nil {
-		if meta.rs != nil {
-			meta.rs.Shed = true
-		}
-		s.logShed(meta, err)
-		return err
+// begin counts an admitted request in and starts its clock.
+func (s *Server) begin(ctx context.Context, meta reqMeta) time.Time {
+	s.requests.Inc()
+	if meta.inline {
+		s.inlined.Inc()
 	}
-	defer release()
-	if _, hasDeadline := ctx.Deadline(); !hasDeadline && s.defDeadline > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, s.defDeadline)
-		defer cancel()
+	if int(meta.op) < len(s.ops) {
+		s.ops[meta.op].reqs.Inc()
 	}
 	start := time.Now()
-	s.requests.Inc()
-	oi := s.ops[meta.op]
-	if oi != nil {
-		oi.reqs.Inc()
-	}
 	if requestHook != nil {
 		requestHook(ctx)
 	}
-	err = fn(ctx)
+	return start
+}
+
+// end records how a request begun at start ended: the global and per-op
+// instruments, and the slow-query log.
+func (s *Server) end(meta reqMeta, start time.Time, err error) {
 	dur := time.Since(start)
 	s.latency.Observe(dur.Nanoseconds())
-	if oi != nil {
-		oi.latency.Observe(dur.Nanoseconds())
-	}
 	if err != nil {
 		s.errs.Inc()
-		if oi != nil {
+	}
+	if int(meta.op) < len(s.ops) {
+		oi := &s.ops[meta.op]
+		oi.latency.Observe(dur.Nanoseconds())
+		if err != nil {
 			oi.errs.Inc()
 		}
 	}
@@ -278,6 +286,23 @@ func (s *Server) do(ctx context.Context, meta reqMeta, fn func(ctx context.Conte
 		s.slow.Inc()
 		s.logSlow(meta, dur, err)
 	}
+}
+
+// do runs one request of the JSON protocol: claim a slot, bound the
+// context, execute, record, give the slot back.
+func (s *Server) do(ctx context.Context, meta reqMeta, fn func(ctx context.Context) error) error {
+	if err := s.admit(meta); err != nil {
+		return err
+	}
+	defer s.release(1)
+	if _, hasDeadline := ctx.Deadline(); !hasDeadline && s.defDeadline > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, s.defDeadline)
+		defer cancel()
+	}
+	start := s.begin(ctx, meta)
+	err := fn(ctx)
+	s.end(meta, start, err)
 	return err
 }
 
@@ -291,7 +316,7 @@ func (s *Server) logShed(meta reqMeta, err error) {
 	if !ok {
 		return
 	}
-	s.log.Warn("request shed", "op", meta.op, "err", err, "suppressed", suppressed)
+	s.log.Warn("request shed", "op", meta.op.String(), "err", err, "suppressed", suppressed)
 }
 
 // logSlow emits one slow-query log line: op, latency, trace id, the
@@ -306,7 +331,7 @@ func (s *Server) logSlow(meta reqMeta, dur time.Duration, err error) {
 	if !ok {
 		return
 	}
-	attrs := []any{"op", meta.op, "dur", dur, "suppressed", suppressed}
+	attrs := []any{"op", meta.op.String(), "dur", dur, "suppressed", suppressed}
 	if meta.traceID != 0 {
 		attrs = append(attrs, "trace", fmt.Sprintf("%016x", meta.traceID))
 	}
@@ -386,6 +411,7 @@ func (s *Server) track(c net.Conn) bool {
 		return false
 	}
 	s.conns[c] = struct{}{}
+	s.connWG.Add(1)
 	return true
 }
 
@@ -396,17 +422,20 @@ func (s *Server) untrack(c net.Conn) {
 }
 
 // Shutdown drains the server: stop accepting connections, refuse new
-// requests (ccam.ErrClosed), wait for in-flight requests to finish —
-// bounded by ctx — then close remaining connections and checkpoint
-// the store so the next OpenPath replays no WAL. The store itself is
-// left open for the caller to Close.
+// requests (ccam.ErrClosed), wait for in-flight requests to finish with
+// their replies out — bounded by ctx — then end the binary connections
+// and checkpoint the store so the next OpenPath replays no WAL. A
+// connection is ended by failing its next blocking read, not by closing
+// it under its goroutine: requests it has already read are still
+// answered (refused) and flushed. The store itself is left open for the
+// caller to Close.
 func (s *Server) Shutdown(ctx context.Context) error {
-	s.gate.Lock()
-	s.gate.draining = true
-	inflight := s.gate.inflight
-	s.gate.Unlock()
+	s.draining.Store(true)
 	if s.log != nil {
-		s.log.Info("drain started", "inflight", inflight)
+		s.log.Info("drain started", "inflight", s.inflight.Load())
+	}
+	if s.inflight.Load() == 0 {
+		s.drainOnce.Do(func() { close(s.drained) })
 	}
 
 	s.listenMu.Lock()
@@ -416,31 +445,17 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	s.listeners = nil
 	s.listenMu.Unlock()
 
-	// Wait for the in-flight tail, but give up when ctx expires (the
-	// cond has no timeout; poke it from a watcher goroutine).
 	drainStart := time.Now()
-	drained := make(chan struct{})
-	go func() {
-		defer close(drained)
-		s.gate.Lock()
-		for s.gate.inflight > 0 {
-			s.gate.cond.Wait()
-		}
-		s.gate.Unlock()
-	}()
 	var drainErr error
 	select {
-	case <-drained:
+	case <-s.drained:
 		if s.log != nil {
 			s.log.Info("drain complete", "dur", time.Since(drainStart))
 		}
 	case <-ctx.Done():
 		drainErr = ctx.Err()
 		if s.log != nil {
-			s.gate.Lock()
-			stuck := s.gate.inflight
-			s.gate.Unlock()
-			s.log.Warn("drain abandoned", "dur", time.Since(drainStart), "inflight", stuck, "err", drainErr)
+			s.log.Warn("drain abandoned", "dur", time.Since(drainStart), "inflight", s.inflight.Load(), "err", drainErr)
 		}
 	}
 
@@ -449,7 +464,20 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	s.conns = nil
 	s.connMu.Unlock()
 	for c := range conns {
-		c.Close()
+		c.SetReadDeadline(time.Now())
+	}
+	closed := make(chan struct{})
+	go func() {
+		s.connWG.Wait()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+	case <-ctx.Done():
+		// Out of time: cut the connections; their goroutines follow.
+		for c := range conns {
+			c.Close()
+		}
 	}
 
 	if err := s.st.Flush(); err != nil && drainErr == nil {

@@ -17,7 +17,7 @@ import (
 	"ccam/internal/wire"
 )
 
-func testNetwork(t *testing.T) *ccam.Network {
+func testNetwork(t testing.TB) *ccam.Network {
 	t.Helper()
 	opts := graph.MinneapolisLikeOpts()
 	opts.Rows, opts.Cols = 12, 12
@@ -28,7 +28,7 @@ func testNetwork(t *testing.T) *ccam.Network {
 	return g
 }
 
-func testStore(t *testing.T) (*ccam.Store, *ccam.Network) {
+func testStore(t testing.TB) (*ccam.Store, *ccam.Network) {
 	t.Helper()
 	g := testNetwork(t)
 	st, err := ccam.Open(ccam.Options{PageSize: 1024, PoolPages: 64, Seed: 1, Metrics: true})
@@ -284,7 +284,9 @@ func TestCancellationPropagation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		go bc.Find(context.Background(), id)
+		// A request that can run long: the cheap ones run on the
+		// connection's reader and are bounded instead (see serveConn).
+		go bc.FindBatch(context.Background(), []ccam.NodeID{id})
 		<-entered
 		bc.Close() // disconnect with the query in flight
 		if err := <-canceled; !errors.Is(err, context.Canceled) {

@@ -1,11 +1,13 @@
 package wire
 
 import (
+	"bufio"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"io"
 	"math"
+	"slices"
 
 	"ccam"
 	"ccam/internal/netfile"
@@ -80,6 +82,10 @@ const (
 	// OpQuery runs one CCAM-QL statement: flags byte + statement ->
 	// JSON-encoded result.
 	OpQuery Op = 9
+
+	// NumOps is one past the highest op code: the size of a table
+	// indexed by Op.
+	NumOps = 10
 )
 
 // String names the op for errors and traces.
@@ -174,6 +180,23 @@ func WriteFrame(w io.Writer, payload []byte) error {
 	return err
 }
 
+// OpenFrame appends the length prefix of a frame under construction to
+// dst. The payload is appended behind it, in place, and SealFrame then
+// completes the frame: one buffer, written with one call, for a server
+// that builds many small replies.
+func OpenFrame(dst []byte) []byte { return append(dst, 0, 0, 0, 0) }
+
+// SealFrame fills in the prefix of frame — OpenFrame's result with the
+// payload behind it.
+func SealFrame(frame []byte) error {
+	n := len(frame) - 4
+	if n > MaxFrame {
+		return fmt.Errorf("%w: frame of %d bytes exceeds %d", ErrBadRequest, n, MaxFrame)
+	}
+	binary.LittleEndian.PutUint32(frame, uint32(n))
+	return nil
+}
+
 // ReadFrame reads one length-prefixed frame. io.EOF before the first
 // prefix byte means a clean close; a short payload is
 // io.ErrUnexpectedEOF.
@@ -194,6 +217,49 @@ func ReadFrame(r io.Reader) ([]byte, error) {
 		return nil, err
 	}
 	return payload, nil
+}
+
+// FrameBuffered reports whether br already holds the whole next frame,
+// so that PeekFrame on it cannot block. (A prefix PeekFrame would refuse
+// counts: the refusal does not block either.)
+func FrameBuffered(br *bufio.Reader) bool {
+	have := br.Buffered()
+	if have < 4 {
+		return false
+	}
+	pfx, _ := br.Peek(4)
+	n := binary.LittleEndian.Uint32(pfx)
+	return n > MaxFrame || uint64(have) >= 4+uint64(n)
+}
+
+// PeekFrame is ReadFrame for a reader that reuses its memory: a frame
+// that fits br's buffer is returned in place, valid until the caller
+// consumes it with br.Discard(discard); a larger one is read into a
+// slice of its own and is already consumed (discard is 0).
+func PeekFrame(br *bufio.Reader) (payload []byte, discard int, err error) {
+	pfx, err := br.Peek(4)
+	if err != nil {
+		if err == io.EOF && len(pfx) > 0 {
+			err = io.ErrUnexpectedEOF
+		}
+		return nil, 0, err
+	}
+	n := binary.LittleEndian.Uint32(pfx)
+	if n > MaxFrame {
+		return nil, 0, fmt.Errorf("%w: frame of %d bytes exceeds %d", ErrBadRequest, n, MaxFrame)
+	}
+	if total := 4 + int(n); total <= br.Size() {
+		buf, err := br.Peek(total)
+		if err != nil {
+			if err == io.EOF {
+				err = io.ErrUnexpectedEOF
+			}
+			return nil, 0, err
+		}
+		return buf[4:], total, nil
+	}
+	payload, err = ReadFrame(br)
+	return payload, 0, err
 }
 
 // EncodeRequest builds a v6 request payload (no trace context). Peers
@@ -270,26 +336,13 @@ func DecodeRequest(payload []byte) (id uint32, op Op, deadlineMS uint32, body []
 
 // EncodeOKResponse builds a success response payload.
 func EncodeOKResponse(id uint32, body []byte) []byte {
-	buf := make([]byte, 5+len(body))
-	binary.LittleEndian.PutUint32(buf[0:4], id)
-	buf[4] = byte(CodeOK)
-	copy(buf[5:], body)
-	return buf
+	return EncodeOKResponseStats(id, body, nil)
 }
 
 // EncodeErrResponse builds an error response payload for err (which
 // must be non-nil).
 func EncodeErrResponse(id uint32, err error) []byte {
-	msg := err.Error()
-	if len(msg) > math.MaxUint16 {
-		msg = msg[:math.MaxUint16]
-	}
-	buf := make([]byte, 5+2+len(msg))
-	binary.LittleEndian.PutUint32(buf[0:4], id)
-	buf[4] = byte(CodeOf(err))
-	binary.LittleEndian.PutUint16(buf[5:7], uint16(len(msg)))
-	copy(buf[7:], msg)
-	return buf
+	return EncodeErrResponseStats(id, err, nil)
 }
 
 // statsBlockSize is the packed ReqStats encoding (v1): five uint32
@@ -314,18 +367,22 @@ func clamp32(v int64) uint32 {
 
 // EncodeStatsBlock packs a per-request resource account.
 func EncodeStatsBlock(rs *ccam.ReqStats) []byte {
-	buf := make([]byte, statsBlockSize)
-	binary.LittleEndian.PutUint32(buf[0:4], clamp32(rs.DataReads))
-	binary.LittleEndian.PutUint32(buf[4:8], clamp32(rs.DataWrites))
-	binary.LittleEndian.PutUint32(buf[8:12], clamp32(rs.IndexPages))
-	binary.LittleEndian.PutUint32(buf[12:16], clamp32(rs.BufferHits))
-	binary.LittleEndian.PutUint32(buf[16:20], clamp32(rs.BufferMisses))
-	binary.LittleEndian.PutUint64(buf[20:28], uint64(max(rs.WALWaitNs, 0)))
-	binary.LittleEndian.PutUint16(buf[28:30], uint16(min(max(rs.Ops, 0), math.MaxUint16)))
+	return appendStatsBlock(make([]byte, 0, statsBlockSize), rs)
+}
+
+func appendStatsBlock(buf []byte, rs *ccam.ReqStats) []byte {
+	buf = appendUint32(buf, clamp32(rs.DataReads))
+	buf = appendUint32(buf, clamp32(rs.DataWrites))
+	buf = appendUint32(buf, clamp32(rs.IndexPages))
+	buf = appendUint32(buf, clamp32(rs.BufferHits))
+	buf = appendUint32(buf, clamp32(rs.BufferMisses))
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(max(rs.WALWaitNs, 0)))
+	buf = binary.LittleEndian.AppendUint16(buf, uint16(min(max(rs.Ops, 0), math.MaxUint16)))
+	var fl byte
 	if rs.Shed {
-		buf[30] |= statsFlagShed
+		fl |= statsFlagShed
 	}
-	return buf
+	return append(buf, fl)
 }
 
 // DecodeStatsBlock unpacks a stats block; longer (newer) blocks decode
@@ -347,50 +404,49 @@ func DecodeStatsBlock(b []byte) (*ccam.ReqStats, error) {
 	return rs, nil
 }
 
-// appendStatsPrefix writes the shared response prefix [id][code] with
-// the stats block inserted when rs is non-nil, returning the buffer to
-// append the normal remainder to.
-func appendStatsPrefix(id uint32, code Code, rs *ccam.ReqStats) []byte {
-	cb := byte(code)
-	sz := 5
-	var block []byte
-	if rs != nil {
-		block = EncodeStatsBlock(rs)
-		cb |= respStatsFlag
-		sz += 2 + len(block)
+// respHeaderMax is the largest response prefix: id, status byte and a
+// stats block behind its length.
+const respHeaderMax = 5 + 2 + statsBlockSize
+
+// AppendResponseHeader appends the response prefix [id][code] — with
+// the stats block inserted when rs is non-nil — for the caller to
+// append the normal remainder to: an op body (AppendRecordBody, ...)
+// behind CodeOK, AppendErrBody behind any other code. A server builds
+// the replies of a pipelined connection this way, into one reused
+// buffer.
+func AppendResponseHeader(dst []byte, id uint32, code Code, rs *ccam.ReqStats) []byte {
+	dst = appendUint32(dst, id)
+	if rs == nil {
+		return append(dst, byte(code))
 	}
-	buf := make([]byte, 5, sz)
-	binary.LittleEndian.PutUint32(buf[0:4], id)
-	buf[4] = cb
-	if rs != nil {
-		buf = binary.LittleEndian.AppendUint16(buf, uint16(len(block)))
-		buf = append(buf, block...)
-	}
-	return buf
+	dst = append(dst, byte(code)|respStatsFlag)
+	dst = binary.LittleEndian.AppendUint16(dst, statsBlockSize)
+	return appendStatsBlock(dst, rs)
 }
 
-// EncodeOKResponseStats builds a success response with the request's
-// resource account attached (rs nil falls back to the plain form).
-func EncodeOKResponseStats(id uint32, body []byte, rs *ccam.ReqStats) []byte {
-	if rs == nil {
-		return EncodeOKResponse(id, body)
-	}
-	return append(appendStatsPrefix(id, CodeOK, rs), body...)
-}
-
-// EncodeErrResponseStats builds an error response with the request's
-// resource account attached — a shed request reports Shed this way.
-func EncodeErrResponseStats(id uint32, err error, rs *ccam.ReqStats) []byte {
-	if rs == nil {
-		return EncodeErrResponse(id, err)
-	}
+// AppendErrBody appends the remainder of an error response: err's
+// message behind its length.
+func AppendErrBody(dst []byte, err error) []byte {
 	msg := err.Error()
 	if len(msg) > math.MaxUint16 {
 		msg = msg[:math.MaxUint16]
 	}
-	buf := appendStatsPrefix(id, CodeOf(err), rs)
-	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(msg)))
-	return append(buf, msg...)
+	dst = binary.LittleEndian.AppendUint16(dst, uint16(len(msg)))
+	return append(dst, msg...)
+}
+
+// EncodeOKResponseStats builds a success response with the request's
+// resource account attached (rs nil gives the plain form).
+func EncodeOKResponseStats(id uint32, body []byte, rs *ccam.ReqStats) []byte {
+	buf := make([]byte, 0, respHeaderMax+len(body))
+	return append(AppendResponseHeader(buf, id, CodeOK, rs), body...)
+}
+
+// EncodeErrResponseStats builds an error response for err (which must
+// be non-nil) with the request's resource account attached — a shed
+// request reports Shed this way.
+func EncodeErrResponseStats(id uint32, err error, rs *ccam.ReqStats) []byte {
+	return AppendErrBody(AppendResponseHeader(nil, id, CodeOf(err), rs), err)
 }
 
 // DecodeResponse splits a response payload. For a non-OK code the
@@ -568,6 +624,11 @@ func EncodeRecordBody(rec *ccam.Record) []byte {
 	return netfile.EncodeRecord(rec)
 }
 
+// AppendRecordBody is EncodeRecordBody appending to dst.
+func AppendRecordBody(dst []byte, rec *ccam.Record) []byte {
+	return netfile.AppendRecord(dst, rec)
+}
+
 // DecodeRecordBody decodes one record.
 func DecodeRecordBody(b []byte) (*ccam.Record, error) {
 	rec, err := netfile.DecodeRecord(b)
@@ -581,17 +642,22 @@ func DecodeRecordBody(b []byte) (*ccam.Record, error) {
 // OpRangeQuery, OpFindBatch responses): count, then per record a
 // uint32 length + stored image.
 func EncodeRecordsBody(recs []*ccam.Record) []byte {
+	return AppendRecordsBody(nil, recs)
+}
+
+// AppendRecordsBody is EncodeRecordsBody appending to dst; each record
+// is encoded once, in place.
+func AppendRecordsBody(dst []byte, recs []*ccam.Record) []byte {
 	sz := 4
 	for _, r := range recs {
 		sz += 4 + r.EncodedSize()
 	}
-	buf := appendUint32(make([]byte, 0, sz), uint32(len(recs)))
+	dst = appendUint32(slices.Grow(dst, sz), uint32(len(recs)))
 	for _, r := range recs {
-		img := netfile.EncodeRecord(r)
-		buf = appendUint32(buf, uint32(len(img)))
-		buf = append(buf, img...)
+		dst = appendUint32(dst, uint32(r.EncodedSize()))
+		dst = netfile.AppendRecord(dst, r)
 	}
-	return buf
+	return dst
 }
 
 // DecodeRecordsBody decodes a record list.
@@ -624,10 +690,15 @@ func DecodeRecordsBody(b []byte) ([]*ccam.Record, error) {
 
 // EncodeBoolBody encodes a verdict byte (OpHas response).
 func EncodeBoolBody(v bool) []byte {
+	return AppendBoolBody(nil, v)
+}
+
+// AppendBoolBody is EncodeBoolBody appending to dst.
+func AppendBoolBody(dst []byte, v bool) []byte {
 	if v {
-		return []byte{1}
+		return append(dst, 1)
 	}
-	return []byte{0}
+	return append(dst, 0)
 }
 
 // DecodeBoolBody decodes a verdict byte.
@@ -641,7 +712,8 @@ func DecodeBoolBody(b []byte) (bool, error) {
 // aggSize is the encoded size of one route aggregate.
 const aggSize = 4 + 3*8
 
-func appendAgg(buf []byte, a ccam.RouteAggregate) []byte {
+// AppendAggBody is EncodeAggBody appending to buf.
+func AppendAggBody(buf []byte, a ccam.RouteAggregate) []byte {
 	buf = appendUint32(buf, uint32(a.Nodes))
 	buf = appendFloat64(buf, a.TotalCost)
 	buf = appendFloat64(buf, a.MinCost)
@@ -663,7 +735,7 @@ func takeAgg(b []byte) (ccam.RouteAggregate, []byte, error) {
 
 // EncodeAggBody encodes one route aggregate (OpEvaluateRoute response).
 func EncodeAggBody(a ccam.RouteAggregate) []byte {
-	return appendAgg(make([]byte, 0, aggSize), a)
+	return AppendAggBody(make([]byte, 0, aggSize), a)
 }
 
 // DecodeAggBody decodes one route aggregate.
@@ -683,7 +755,7 @@ func DecodeAggBody(b []byte) (ccam.RouteAggregate, error) {
 func EncodeAggsBody(aggs []ccam.RouteAggregate) []byte {
 	buf := appendUint32(make([]byte, 0, 4+aggSize*len(aggs)), uint32(len(aggs)))
 	for _, a := range aggs {
-		buf = appendAgg(buf, a)
+		buf = AppendAggBody(buf, a)
 	}
 	return buf
 }
