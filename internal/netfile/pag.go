@@ -20,9 +20,10 @@ import (
 // notePlacement wherever a record lands on, moves between or leaves a
 // page, UpdateRecord wherever a successor-list is rewritten in place.
 // Who reads it: the CRR/WCRR gauges, the query planner and the
-// background reorganizer, through PAGView under pagMu's read side. It keeps no node→page map of its own: the
-// tallies are taken against the snapshot overlay (the writer at its
-// live end, a planner at its pinned LSN).
+// background reorganizer, through PAGView under pagMu's read side. It
+// keeps no node→page map of its own: the tallies are taken against the
+// snapshot overlay (the writer at its live end, a planner at its pinned
+// LSN).
 //
 // Access weights are not stored in records. Build takes them from the
 // network (SetAccessWeights); every edge added later, or read back from

@@ -244,21 +244,17 @@ func PeekFrame(br *bufio.Reader) (payload []byte, discard int, err error) {
 		}
 		return nil, 0, err
 	}
-	n := binary.LittleEndian.Uint32(pfx)
-	if n > MaxFrame {
-		return nil, 0, fmt.Errorf("%w: frame of %d bytes exceeds %d", ErrBadRequest, n, MaxFrame)
-	}
-	if total := 4 + int(n); total <= br.Size() {
-		buf, err := br.Peek(total)
+	if total := 4 + uint64(binary.LittleEndian.Uint32(pfx)); total <= uint64(br.Size()) {
+		buf, err := br.Peek(int(total))
 		if err != nil {
 			if err == io.EOF {
 				err = io.ErrUnexpectedEOF
 			}
 			return nil, 0, err
 		}
-		return buf[4:], total, nil
+		return buf[4:], int(total), nil
 	}
-	payload, err = ReadFrame(br)
+	payload, err = ReadFrame(br) // refuses a prefix above MaxFrame
 	return payload, 0, err
 }
 
@@ -404,9 +400,9 @@ func DecodeStatsBlock(b []byte) (*ccam.ReqStats, error) {
 	return rs, nil
 }
 
-// respHeaderMax is the largest response prefix: id, status byte and a
-// stats block behind its length.
-const respHeaderMax = 5 + 2 + statsBlockSize
+// respHeaderSizeStats is the response prefix with a stats block: id,
+// status byte and the block behind its length (5 bytes without one).
+const respHeaderSizeStats = 5 + 2 + statsBlockSize
 
 // AppendResponseHeader appends the response prefix [id][code] — with
 // the stats block inserted when rs is non-nil — for the caller to
@@ -438,7 +434,11 @@ func AppendErrBody(dst []byte, err error) []byte {
 // EncodeOKResponseStats builds a success response with the request's
 // resource account attached (rs nil gives the plain form).
 func EncodeOKResponseStats(id uint32, body []byte, rs *ccam.ReqStats) []byte {
-	buf := make([]byte, 0, respHeaderMax+len(body))
+	n := 5
+	if rs != nil {
+		n = respHeaderSizeStats
+	}
+	buf := make([]byte, 0, n+len(body))
 	return append(AppendResponseHeader(buf, id, CodeOK, rs), body...)
 }
 
