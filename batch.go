@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"ccam/internal/metrics"
 	"ccam/internal/netfile"
 	"ccam/internal/storage"
 )
@@ -16,8 +17,10 @@ import (
 // forEachLimit runs fn(0..n-1) on up to `workers` goroutines, stopping
 // at the first error or context cancellation and returning it. Work is
 // handed out through an atomic cursor, so cheap items don't wait on
-// expensive ones.
-func forEachLimit(ctx context.Context, n, workers int, fn func(i int) error) error {
+// expensive ones. The operation's account is fanned out with the work:
+// each worker counts into a share of its own, which fn is handed, and
+// the shares are added to acct once the workers are done.
+func forEachLimit(ctx context.Context, n, workers int, acct *metrics.Account, fn func(w *metrics.Account, i int) error) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
@@ -35,7 +38,7 @@ func forEachLimit(ctx context.Context, n, workers int, fn func(i int) error) err
 			if err := ctx.Err(); err != nil {
 				return err
 			}
-			if err := fn(i); err != nil {
+			if err := fn(acct, i); err != nil {
 				return err
 			}
 		}
@@ -48,6 +51,7 @@ func forEachLimit(ctx context.Context, n, workers int, fn func(i int) error) err
 		wg       sync.WaitGroup
 		errOnce  sync.Once
 		firstErr error
+		shares   = make([]metrics.Account, workers)
 	)
 	fail := func(err error) {
 		errOnce.Do(func() {
@@ -56,7 +60,9 @@ func forEachLimit(ctx context.Context, n, workers int, fn func(i int) error) err
 		})
 	}
 	wg.Add(workers)
-	for w := 0; w < workers; w++ {
+	for w := range shares {
+		share := &shares[w]
+		acct.Fork(share)
 		go func() {
 			defer wg.Done()
 			for {
@@ -68,7 +74,7 @@ func forEachLimit(ctx context.Context, n, workers int, fn func(i int) error) err
 					fail(err)
 					return
 				}
-				if err := fn(i); err != nil {
+				if err := fn(share, i); err != nil {
 					fail(err)
 					return
 				}
@@ -76,6 +82,9 @@ func forEachLimit(ctx context.Context, n, workers int, fn func(i int) error) err
 		}()
 	}
 	wg.Wait()
+	for w := range shares {
+		acct.Join(&shares[w])
+	}
 	return firstErr
 }
 
@@ -92,8 +101,8 @@ func (s *Store) FindBatch(ctx context.Context, ids []NodeID) (out []*Record, err
 	defer v.end(&err)
 	view := v.view
 	out = make([]*Record, len(ids))
-	err = forEachLimit(ctx, len(ids), s.parallelism, func(i int) error {
-		rec, err := view.Find(ids[i])
+	err = forEachLimit(ctx, len(ids), s.parallelism, view.Account(), func(w *metrics.Account, i int) error {
+		rec, err := view.Charging(w).Find(ids[i])
 		out[i] = rec
 		return err
 	})
@@ -116,8 +125,8 @@ func (s *Store) EvaluateRoutes(ctx context.Context, routes []Route) (out []Route
 	defer v.end(&err)
 	view := v.view
 	out = make([]RouteAggregate, len(routes))
-	err = forEachLimit(ctx, len(routes), s.parallelism, func(i int) error {
-		agg, err := view.EvaluateRoute(routes[i])
+	err = forEachLimit(ctx, len(routes), s.parallelism, view.Account(), func(w *metrics.Account, i int) error {
+		agg, err := view.Charging(w).EvaluateRoute(routes[i])
 		out[i] = agg
 		return err
 	})
@@ -226,7 +235,11 @@ type writeTx struct {
 	// begun is set once the transaction has logged its begin record
 	// and opened its version batch: from then on it commits or poisons.
 	begun bool
-	sn    opSnap
+	// acct is the transaction's account. The live file counts into it from
+	// the moment run has the file — validation reads included — and begin
+	// names the operation it is charged to; a transaction that never
+	// begins charges nobody.
+	acct opAccount
 	// lsn is the commit record's LSN (0 without a WAL).
 	lsn uint64
 }
@@ -267,8 +280,8 @@ func (s *Store) write(ctx context.Context, body func(tx *writeTx) error) error {
 		err = w.Commit(tx.lsn)
 		waitNs := time.Since(start).Nanoseconds()
 		s.obs.walCommitWait.Observe(waitNs)
-		if tx.sn.rs != nil {
-			tx.sn.rs.WALWaitNs += waitNs
+		if tx.acct.rs != nil {
+			tx.acct.rs.WALWaitNs += waitNs
 		}
 	}
 	if err != nil {
@@ -277,15 +290,15 @@ func (s *Store) write(ctx context.Context, body func(tx *writeTx) error) error {
 	return err
 }
 
-// begin turns the transaction from reading to writing: it starts the
-// counter snapshot of operation op, logs the begin record and opens
+// begin turns the transaction from reading to writing: it starts
+// charging the account to operation op, logs the begin record and opens
 // the version batch that captures pre-images and placement changes, so
 // queries keep the pre-transaction view until the commit publishes.
 func (tx *writeTx) begin(op opKind) error {
-	tx.sn = tx.s.snap(tx.ctx, op, tx.f, false)
+	tx.s.beginAccount(tx.ctx, op, &tx.acct)
 	if w := tx.f.WAL(); w != nil {
 		if _, err := w.Append(storage.WALRecBegin, nil); err != nil {
-			tx.sn.end(err)
+			tx.s.endAccount(&tx.acct, err)
 			return err
 		}
 	}
@@ -329,6 +342,10 @@ func (tx *writeTx) run(body func(tx *writeTx) error) error {
 		return err
 	}
 	tx.f = s.m.File()
+	if tx.f != nil {
+		tx.f.SetAccount(&tx.acct.Account)
+		defer tx.f.SetAccount(nil)
+	}
 	err := body(tx)
 	if !tx.begun {
 		return err
@@ -358,7 +375,7 @@ func (tx *writeTx) run(body func(tx *writeTx) error) error {
 			failed = "checkpoint"
 		}
 	}
-	tx.sn.end(err)
+	s.endAccount(&tx.acct, err)
 	if err != nil {
 		s.poison(failed, err)
 		return err
@@ -412,7 +429,7 @@ func (s *Store) Apply(ctx context.Context, b *Batch) error {
 			return err
 		}
 		for i := range b.ops {
-			if err := s.applyOp(tx.f, i, &b.ops[i]); err != nil {
+			if err := s.applyOp(tx, i, &b.ops[i]); err != nil {
 				return fmt.Errorf("ccam: apply op %d: %w", i, err)
 			}
 		}
@@ -420,9 +437,12 @@ func (s *Store) Apply(ctx context.Context, b *Batch) error {
 	})
 }
 
-// applyOp logs and applies op i of a validated batch, with
-// per-operation metric attribution.
-func (s *Store) applyOp(f *netfile.File, i int, op *queuedOp) error {
+// applyOp logs and applies op i of a validated batch. Under Metrics the
+// mutation's own series is charged what the transaction's account grew
+// by while it ran — the account is this transaction's alone, so the
+// difference is the mutation's.
+func (s *Store) applyOp(tx *writeTx, i int, op *queuedOp) error {
+	f := tx.f
 	if s.applyFaultHook != nil {
 		if err := s.applyFaultHook(i); err != nil {
 			return err
@@ -434,9 +454,12 @@ func (s *Store) applyOp(f *netfile.File, i int, op *queuedOp) error {
 	if err := f.LogMutation(&op.mut); err != nil {
 		return err
 	}
-	sn := s.snap(context.Background(), mutationOps[op.mut.Kind], f, false)
+	if s.obs == nil {
+		return applyMutation(s.m, &op.mut, op.policy)
+	}
+	before, start := tx.acct.Cost, time.Now()
 	err := applyMutation(s.m, &op.mut, op.policy)
-	sn.end(err)
+	s.obs.ops[mutationOps[op.mut.Kind]].charge(tx.acct.Cost.Sub(before), time.Since(start), err)
 	return err
 }
 

@@ -178,7 +178,7 @@ func TestReadPathAllocs(t *testing.T) {
 	defer s.Close()
 	ctx := context.Background()
 	ids := g.NodeIDs()
-	gate := func(name string, max float64, op func(i int) error) {
+	gate := func(name string, max float64, op func(i int) error) float64 {
 		t.Helper()
 		i := 0
 		got := testing.AllocsPerRun(200, func() {
@@ -190,12 +190,29 @@ func TestReadPathAllocs(t *testing.T) {
 		if got > max {
 			t.Errorf("%s: %.1f allocs/op, want <= %.0f", name, got, max)
 		}
+		return got
 	}
-	gate("Find", 3, func(i int) error {
+	// The instrumented path has the same budget: with Metrics and tracing
+	// on — the daemon's configuration — an operation allocates no more
+	// than with them off. Its account is borrowed, not allocated.
+	inst, err := OpenWith(WithPageSize(2048), WithPoolPages(1024), WithSeed(1), WithMetrics(), WithTracing(256))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer inst.Close()
+	if err := inst.Build(g); err != nil {
+		t.Fatal(err)
+	}
+	both := func(name string, max float64, op func(s *Store, i int) error) {
+		t.Helper()
+		off := gate(name, max, func(i int) error { return op(s, i) })
+		gate(name+"/Metrics+Tracing", off, func(i int) error { return op(inst, i) })
+	}
+	both("Find", 3, func(s *Store, i int) error {
 		_, err := s.Find(ctx, ids[i%len(ids)])
 		return err
 	})
-	gate("GetSuccessors", 16, func(i int) error {
+	both("GetSuccessors", 16, func(s *Store, i int) error {
 		_, err := s.GetSuccessors(ctx, ids[i%len(ids)])
 		return err
 	})
@@ -204,7 +221,7 @@ func TestReadPathAllocs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		gate(fmt.Sprintf("EvaluateRoute/%d-hop", hops), 2, func(i int) error {
+		both(fmt.Sprintf("EvaluateRoute/%d-hop", hops), 2, func(s *Store, i int) error {
 			_, err := s.EvaluateRoute(ctx, routes[i%len(routes)])
 			return err
 		})
@@ -344,16 +361,18 @@ func BenchmarkFindChecked(b *testing.B) {
 }
 
 // BenchmarkFindInstrumented measures the same point lookups on a store
-// with metrics and tracing enabled, pricing the observability layer:
-// the ns/op delta against BenchmarkFind is the full per-operation cost
-// of counters, latency histogram, I/O attribution and the trace ring.
+// opened the way cmd/ccam-serve opens its own — metrics on, a 256-entry
+// trace ring, the pool sharded by AutoPoolShards — pricing the
+// observability layer as it is served: the ns/op delta against
+// BenchmarkFind is the full per-operation cost of the account, the
+// counters, the latency histogram and the trace ring.
 func BenchmarkFindInstrumented(b *testing.B) {
 	g, err := RoadMap(MinneapolisLikeOpts())
 	if err != nil {
 		b.Fatal(err)
 	}
-	s, err := OpenWith(WithPageSize(2048), WithPoolPages(16), WithSeed(1),
-		WithMetrics(), WithTracing(64))
+	s, err := OpenWith(WithPageSize(2048), WithPoolPages(16), WithPoolShards(AutoPoolShards(16)), WithSeed(1),
+		WithMetrics(), WithTracing(256))
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -202,15 +202,19 @@ type Options struct {
 	Parallelism int
 	// Metrics enables the observability registry: per-operation
 	// counters and latency histograms, per-class page-access counters
-	// (node-index lookups vs CCAM data pages), buffer hit/miss latencies and
-	// CRR/WCRR gauges refreshed after every mutation. Disabled by
-	// default; a disabled store pays one nil check per operation and
-	// allocates nothing for instrumentation.
+	// (node-index lookups vs CCAM data pages, pool hits vs misses), storage
+	// read/write latencies and CRR/WCRR gauges refreshed after every
+	// mutation. Disabled by default; a disabled store pays one nil check
+	// per operation and allocates nothing for instrumentation.
 	Metrics bool
 	// TraceCapacity, when positive, enables operation tracing: the
-	// store keeps the most recent TraceCapacity operation traces, each
-	// recording per-span timing of index descent, buffer fetch and
-	// physical read. Independent of Metrics.
+	// store keeps the most recent TraceCapacity facade operations, one
+	// ring entry each — a ShortestPath is one entry, not one per record
+	// it read — holding the operation's name, duration and error, what it
+	// counted (index visits, pool hits, misses, write-backs) and a timed
+	// span for every physical read. Steps that cost less than a clock
+	// read (a pool hit, an index lookup) are counted, not timed.
+	// Independent of Metrics.
 	TraceCapacity int
 	// WAL enables the write-ahead log: every mutation (direct or
 	// batched through Apply) is logged before it touches a data page,
@@ -378,7 +382,7 @@ func newStore(opts Options, fs *storage.FileStore, st storage.Store, open func(s
 		s.tracer = metrics.NewTracer(opts.TraceCapacity)
 	}
 	if opts.Metrics {
-		s.obs = newObservability(metrics.NewRegistry(), s.tracer)
+		s.obs = newObservability(metrics.NewRegistry())
 	}
 	err := open(s, s.fileOptions(opts, st))
 	if err == nil && opts.BackgroundReorg {
@@ -408,7 +412,6 @@ func (s *Store) fileOptions(opts Options, st storage.Store) netfile.Options {
 		Spatial:    opts.Spatial,
 		Store:      st,
 		Metrics:    s.Metrics(),
-		Tracer:     s.tracer,
 	}
 	if st != nil {
 		fo.PageSize = st.PageSize()
@@ -666,17 +669,14 @@ func (s *Store) Build(g *Network) error {
 		// The new contents start a fresh CRR high-water mark.
 		s.reorg.highwater = 0
 	}
-	start := time.Now()
+	// Build's account times it and counts nothing: the file that would
+	// count is the one Build creates.
+	var a opAccount
+	s.beginAccount(context.Background(), opBuild, &a)
 	err := s.buildLocked(g)
-	if s.obs != nil {
-		om := s.obs.ops[opBuild]
-		om.count.Inc()
-		if err != nil {
-			om.errs.Inc()
-		} else {
-			om.latency.ObserveSince(start)
-			s.obs.setGauges(s.m)
-		}
+	s.endAccount(&a, err)
+	if err == nil && s.obs != nil {
+		s.obs.setGauges(s.m)
 	}
 	return err
 }
@@ -810,24 +810,31 @@ func (s *Store) Close() error {
 // --- the read bracket: every query runs on a pinned view ---
 
 // readView is one query's bracket: the lifecycle lock held shared, the
-// newest committed LSN pinned, and — when the operation is measured —
-// one snapshot of the layer counters. It is a plain value over
+// newest committed LSN pinned, and — when the query is charged to
+// anybody — the account its reads count into. It is a plain value over
 // netfile's value-form View, so opening, using and ending it allocates
 // nothing.
 type readView struct {
 	s    *Store
-	f    *netfile.File
 	view netfile.View
-	sn   opSnap
+	// acct is nil while nobody is charged: the view then counts into
+	// nothing. It is borrowed from accountPool, not held by value: the
+	// view carries a pointer to it beside its *File, and the compiler,
+	// which tracks a struct's pointers as one, would move a readView that
+	// held it to the heap on every query.
+	acct *opAccount
 }
 
-// beginRead opens the bracket *v for operation op (opNone:
-// unmeasured). It takes structMu shared — which no writer holds while
-// it works, so the query starts immediately — and pins the newest
+// accountPool recycles the accounts of charged queries.
+var accountPool = sync.Pool{New: func() any { return new(opAccount) }}
+
+// beginRead opens the bracket *v for operation op (opNone: charged to
+// nobody). It takes structMu shared — which no writer holds while it
+// works, so the query starts immediately — and pins the newest
 // committed LSN. On success the caller must call v.end exactly once.
 // A Find is short enough for the bracket's own cost to show: it is
-// filled in place, in the caller's frame, and with Metrics off neither
-// snap nor the snapshot's end is so much as called.
+// filled in place, in the caller's frame, and with Metrics and tracing
+// off it takes no account and reads no clock.
 func (s *Store) beginRead(ctx context.Context, op opKind, v *readView) error {
 	s.structMu.RLock()
 	f, err := s.file()
@@ -835,19 +842,30 @@ func (s *Store) beginRead(ctx context.Context, op opKind, v *readView) error {
 		s.structMu.RUnlock()
 		return err
 	}
-	v.s, v.f, v.view = s, f, f.PinView()
-	if s.obs != nil {
-		v.sn = s.snap(ctx, op, f, false)
+	v.s, v.view = s, f.PinView()
+	if s.charges(op) {
+		v.charge(ctx, op)
 	}
 	return nil
 }
 
-// end closes the bracket: it charges the operation's instruments and
-// the request's ReqStats with what the query cost and how it ended
-// (*err, read when end runs so it can be deferred), unpins and unlocks.
+// charge gives the bracket an account — from here on the view's reads
+// are counted — and charges it to operation op.
+func (v *readView) charge(ctx context.Context, op opKind) {
+	v.acct = accountPool.Get().(*opAccount)
+	*v.acct = opAccount{}
+	v.view = v.view.Charging(&v.acct.Account)
+	v.s.beginAccount(ctx, op, v.acct)
+}
+
+// end closes the bracket: it charges the operation's instruments, the
+// request's ReqStats and the trace ring with what the query cost and
+// how it ended (*err, read when end runs so it can be deferred), unpins
+// and unlocks.
 func (v *readView) end(err *error) {
-	if v.sn.f != nil {
-		v.sn.end(*err)
+	if v.acct != nil {
+		v.s.endAccount(v.acct, *err)
+		accountPool.Put(v.acct)
 	}
 	v.view.Unpin()
 	v.s.structMu.RUnlock()

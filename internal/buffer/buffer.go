@@ -24,7 +24,6 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"ccam/internal/metrics"
 	"ccam/internal/storage"
@@ -182,9 +181,6 @@ type Pool struct {
 	// gate, when set, runs before any dirty page is written to the
 	// store — the WAL-before-data hook (it syncs the log).
 	gate atomic.Pointer[func() error]
-	// inst holds the optional latency instrumentation; an atomic
-	// pointer so enabling it never races with in-flight fetches.
-	inst atomic.Pointer[PoolInstrumentation]
 
 	// MVCC page-version state (see version.go). verMu guards the
 	// version chains and the batch bookkeeping; committed is the LSN of
@@ -199,17 +195,6 @@ type Pool struct {
 	gcFloor     atomic.Uint64 // advanced only under verMu
 	verEntries  atomic.Int64
 	verBytes    atomic.Int64
-}
-
-// PoolInstrumentation carries the optional instrumentation of a pool.
-// Nil histograms are skipped.
-type PoolInstrumentation struct {
-	// HitNanos observes the duration of fetches served from the pool
-	// (including waits on another goroutine's in-flight read).
-	HitNanos *metrics.Histogram
-	// MissNanos observes the duration of fetches that performed a
-	// physical read.
-	MissNanos *metrics.Histogram
 }
 
 // NewPool returns a single-shard pool with capacity frames over store.
@@ -384,11 +369,6 @@ func (p *Pool) Contains(id storage.PageID) bool {
 	return ok && sh.frames[fi].loading == nil
 }
 
-// Instrument attaches latency instrumentation: subsequent fetches
-// observe their durations into the hit or miss histogram. Call it
-// during setup; it is safe against concurrent fetches.
-func (p *Pool) Instrument(in PoolInstrumentation) { p.inst.Store(&in) }
-
 // Fetch pins the page and returns its buffer-resident image. The caller
 // must Unpin exactly once per Fetch. The returned slice aliases the
 // frame and is valid until Unpin.
@@ -396,12 +376,13 @@ func (p *Pool) Fetch(id storage.PageID) ([]byte, error) {
 	return p.FetchTraced(id, nil)
 }
 
-// FetchTraced is Fetch with an optional operation trace: the fetch is
-// recorded as a buffer.fetch span and, on a miss, the physical read as
-// a storage.read span. A nil trace costs nothing beyond Fetch itself
-// unless the pool is instrumented.
-func (p *Pool) FetchTraced(id storage.PageID, at *metrics.ActiveTrace) ([]byte, error) {
-	f, err := p.fetchFrame(id, at)
+// FetchTraced is Fetch with an account: the pool counts its answer —
+// a hit, or a miss and the write-backs its eviction forced — into acct
+// where it gives it, and a miss's physical read is timed as a
+// storage.read span. A hit reads no clock. A nil account costs nothing
+// beyond Fetch itself.
+func (p *Pool) FetchTraced(id storage.PageID, acct *metrics.Account) ([]byte, error) {
+	f, err := p.fetchFrame(id, acct)
 	if err != nil {
 		return nil, err
 	}
@@ -410,46 +391,29 @@ func (p *Pool) FetchTraced(id storage.PageID, at *metrics.ActiveTrace) ([]byte, 
 
 // fetchFrame is FetchTraced returning the pinned frame itself, so a
 // borrower can drop its pin without a second table lookup.
-func (p *Pool) fetchFrame(id storage.PageID, at *metrics.ActiveTrace) (*frame, error) {
-	in := p.inst.Load()
-	if in == nil && at == nil {
-		f, _, err := p.fetch(id, nil)
-		return f, err
-	}
-	tok := at.BeginSpan("buffer.fetch")
-	start := time.Now()
-	f, miss, err := p.fetch(id, at)
-	tok.End()
-	if in != nil {
-		if miss {
-			in.MissNanos.ObserveSince(start)
-		} else {
-			in.HitNanos.ObserveSince(start)
-		}
-	}
-	return f, err
-}
-
-// fetch reports, besides the pinned frame, whether this call paid for
-// the physical read (a miss).
-func (p *Pool) fetch(id storage.PageID, at *metrics.ActiveTrace) (*frame, bool, error) {
+func (p *Pool) fetchFrame(id storage.PageID, acct *metrics.Account) (*frame, error) {
 	sh := p.shardOf(id)
 	sh.mu.RLock()
 	if sh.closed {
 		sh.mu.RUnlock()
-		return nil, false, ErrPoolClosed
+		return nil, ErrPoolClosed
 	}
 	if fi, ok := sh.table[id]; ok {
-		f, err := sh.pinResident(fi, sh.mu.RUnlock)
-		return f, false, err
+		return sh.pinResident(fi, sh.mu.RUnlock, acct)
 	}
 	sh.mu.RUnlock()
-	return sh.fetchMiss(id, at)
+	return sh.fetchMiss(id, acct)
 }
 
 // FetchNew pins a freshly allocated page, returning its ID and a zeroed
 // buffer image without a physical read.
 func (p *Pool) FetchNew() (storage.PageID, []byte, error) {
+	return p.FetchNewTraced(nil)
+}
+
+// FetchNewTraced is FetchNew with an account: the allocation counts as
+// a hit, and the write-backs its eviction forced as writes.
+func (p *Pool) FetchNewTraced(acct *metrics.Account) (storage.PageID, []byte, error) {
 	id, err := p.store.Allocate()
 	if err != nil {
 		return storage.InvalidPageID, nil, err
@@ -460,7 +424,7 @@ func (p *Pool) FetchNew() (storage.PageID, []byte, error) {
 	if sh.closed {
 		return storage.InvalidPageID, nil, ErrPoolClosed
 	}
-	fi, err := sh.frameForNewPage()
+	fi, err := sh.frameForNewPage(acct)
 	if err != nil {
 		return storage.InvalidPageID, nil, err
 	}
@@ -505,6 +469,7 @@ func (p *Pool) FetchNew() (storage.PageID, []byte, error) {
 	sh.table[id] = fi
 	sh.stats.fetches.Add(1)
 	sh.stats.hits.Add(1) // allocation does not cost a read
+	acct.Hit()
 	return id, f.data, nil
 }
 

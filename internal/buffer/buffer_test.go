@@ -413,11 +413,12 @@ func TestHitRateIdleVsZero(t *testing.T) {
 	}
 }
 
-func TestPoolInstrumentationAndTracing(t *testing.T) {
+// TestAccountCountsPoolAnswers: the pool counts each answer into the
+// account it is handed, where it gives the answer. A miss then a hit is {misses 1, hits 1} with one storage.read
+// span (a hit is counted, not timed), and a fetch whose eviction has to
+// write a dirty page back is charged that write.
+func TestAccountCountsPoolAnswers(t *testing.T) {
 	p, ids := newPoolWithPages(t, 2, 4)
-	hits, misses := &metrics.Histogram{}, &metrics.Histogram{}
-	p.Instrument(PoolInstrumentation{HitNanos: hits, MissNanos: misses})
-
 	tr := metrics.NewTracer(8)
 	at := tr.Start("fetch")
 	if _, err := p.FetchTraced(ids[0], at); err != nil { // miss
@@ -430,28 +431,44 @@ func TestPoolInstrumentationAndTracing(t *testing.T) {
 	p.Unpin(ids[0], false)
 	at.Finish(nil)
 
-	if got := misses.Count(); got != 1 {
-		t.Fatalf("miss observations = %d, want 1", got)
-	}
-	if got := hits.Count(); got != 1 {
-		t.Fatalf("hit observations = %d, want 1", got)
-	}
 	traces := tr.Recent(1)
 	if len(traces) != 1 {
 		t.Fatalf("got %d traces, want 1", len(traces))
 	}
-	var fetchSpans, readSpans int
-	for _, s := range traces[0].Spans {
-		switch s.Name {
-		case "buffer.fetch":
-			fetchSpans++
-		case "storage.read":
-			readSpans++
-		}
+	if want := (metrics.Cost{Hits: 1, Misses: 1}); traces[0].Cost != want {
+		t.Fatalf("miss then hit counted %+v, want %+v", traces[0].Cost, want)
 	}
-	if fetchSpans != 2 || readSpans != 1 {
-		t.Fatalf("spans: buffer.fetch=%d storage.read=%d, want 2 and 1",
-			fetchSpans, readSpans)
+	if sp := traces[0].Spans; len(sp) != 1 || sp[0].Name != "storage.read" {
+		t.Fatalf("spans = %+v, want one storage.read", sp)
+	}
+
+	// Dirty the resident page and fill the other frame, so the next miss
+	// must steal the dirty one and write it back first.
+	var other metrics.Account
+	if _, err := p.FetchTraced(ids[0], &other); err != nil {
+		t.Fatal(err)
+	}
+	p.Unpin(ids[0], true)
+	if _, err := p.FetchTraced(ids[1], &other); err != nil {
+		t.Fatal(err)
+	}
+	p.Unpin(ids[1], false)
+	before := p.Store().Stats().Writes
+	var evictor metrics.Account
+	for _, id := range ids[2:] { // two misses: one of them finds the dirty frame
+		if _, err := p.FetchTraced(id, &evictor); err != nil {
+			t.Fatal(err)
+		}
+		p.Unpin(id, false)
+	}
+	if want := (metrics.Cost{Misses: 2, Writes: 1}); evictor.Cost != want {
+		t.Fatalf("evicting fetches counted %+v, want %+v", evictor.Cost, want)
+	}
+	if got := p.Store().Stats().Writes - before; got != 1 {
+		t.Fatalf("store saw %d writes, the account 1", got)
+	}
+	if want := (metrics.Cost{Hits: 1, Misses: 1}); other.Cost != want {
+		t.Fatalf("the fetches before the eviction counted %+v, want %+v", other.Cost, want)
 	}
 }
 

@@ -50,7 +50,7 @@ func newShard(p *Pool, capacity int) *shard {
 // counted only once the image is known good: a waiter whose loader
 // failed got no page and issued no read, so it counts as neither hit
 // nor miss (see Stats).
-func (sh *shard) pinResident(fi int, unlock func()) (*frame, error) {
+func (sh *shard) pinResident(fi int, unlock func(), acct *metrics.Account) (*frame, error) {
 	f := sh.frames[fi]
 	f.pins.Add(1)
 	f.ref.Store(true) // second chance for the sweep
@@ -69,29 +69,31 @@ func (sh *shard) pinResident(fi int, unlock func()) (*frame, error) {
 		}
 	}
 	sh.stats.hits.Add(1)
+	acct.Hit()
 	return f, nil
 }
 
 // fetchMiss claims a frame for the page and performs the physical read
-// with the latch released, so concurrent misses overlap their I/O.
-func (sh *shard) fetchMiss(id storage.PageID, at *metrics.ActiveTrace) (*frame, bool, error) {
+// with the latch released, so concurrent misses overlap their I/O. The
+// account's miss is counted where the read is issued: a miss is a data
+// read.
+func (sh *shard) fetchMiss(id storage.PageID, acct *metrics.Account) (*frame, error) {
 	sh.mu.Lock()
 	if sh.closed {
 		sh.mu.Unlock()
-		return nil, false, ErrPoolClosed
+		return nil, ErrPoolClosed
 	}
 	// Another goroutine may have faulted the page in (or begun to)
 	// while we upgraded the latch.
 	if fi, ok := sh.table[id]; ok {
-		f, err := sh.pinResident(fi, sh.mu.Unlock)
-		return f, false, err
+		return sh.pinResident(fi, sh.mu.Unlock, acct)
 	}
 	sh.stats.fetches.Add(1)
 	sh.stats.misses.Add(1)
-	fi, err := sh.frameForNewPage()
+	fi, err := sh.frameForNewPage(acct)
 	if err != nil {
 		sh.mu.Unlock()
-		return nil, false, err
+		return nil, err
 	}
 	// frameForNewPage may have released the latch to write back a dirty
 	// victim; a concurrent Close can have completed its flush in that
@@ -101,13 +103,12 @@ func (sh *shard) fetchMiss(id storage.PageID, at *metrics.ActiveTrace) (*frame, 
 		sh.stats.fetches.Add(-1)
 		sh.stats.misses.Add(-1)
 		sh.mu.Unlock()
-		return nil, false, ErrPoolClosed
+		return nil, ErrPoolClosed
 	}
 	if fj, ok := sh.table[id]; ok {
 		sh.stats.fetches.Add(-1)
 		sh.stats.misses.Add(-1)
-		f, err := sh.pinResident(fj, sh.mu.Unlock)
-		return f, false, err
+		return sh.pinResident(fj, sh.mu.Unlock, acct)
 	}
 	f := sh.frames[fi]
 	if f.data == nil {
@@ -123,7 +124,8 @@ func (sh *shard) fetchMiss(id storage.PageID, at *metrics.ActiveTrace) (*frame, 
 	sh.table[id] = fi
 	sh.mu.Unlock()
 
-	tok := at.BeginSpan("storage.read")
+	acct.Miss()
+	tok := acct.BeginSpan("storage.read")
 	readErr := sh.pool.store.ReadPage(id, f.data)
 	tok.End()
 
@@ -147,9 +149,9 @@ func (sh *shard) fetchMiss(id storage.PageID, at *metrics.ActiveTrace) (*frame, 
 	close(ch)
 	sh.mu.Unlock()
 	if result != nil {
-		return nil, true, result
+		return nil, result
 	}
-	return f, true, nil
+	return f, nil
 }
 
 // unpublishLoadedLocked retracts frame fi after a failed or doomed
@@ -222,8 +224,9 @@ func (sh *shard) evictLocked(fi int) {
 // flush-gate call — so the WAL fsync and the device write never block
 // concurrent hits on this shard. Caller holds the exclusive latch; it
 // is held again on return, but may have been released in between, so
-// callers must revalidate any table lookups.
-func (sh *shard) frameForNewPage() (int, error) {
+// callers must revalidate any table lookups. The pages written back are
+// counted into acct: the request that needed the frame pays for them.
+func (sh *shard) frameForNewPage(acct *metrics.Account) (int, error) {
 	for {
 		noSteal := sh.pool.noSteal.Load()
 		fi, dirty, found := sh.sweepLocked(noSteal)
@@ -246,6 +249,7 @@ func (sh *shard) frameForNewPage() (int, error) {
 		batch := sh.collectWritebackLocked(fi)
 		sh.mu.Unlock()
 		written, err := sh.pool.writeBack(batch, &sh.stats)
+		acct.Wrote(written)
 		sh.mu.Lock()
 		sh.finishWritebackLocked(batch, written)
 		if err != nil {

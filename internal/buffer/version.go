@@ -303,16 +303,19 @@ func (r *PageRef) Touch() {
 //  1. A chain entry covering lsn wins — no frame pin, no I/O; the
 //     bytes are an immutable committed image. This is also what makes
 //     reading freed-and-recycled pages safe: the free saved the last
-//     committed image, so old snapshots never touch the store.
+//     committed image, so old snapshots never touch the store. The
+//     account counts it as a hit: the pool answered and nothing was
+//     read, so a reader's count does not depend on whether a writer
+//     got to the page first.
 //  2. Otherwise the live frame holds the right image. It is fetched
 //     through the normal pin path (I/O happens without any version
 //     lock held) and borrowed under the chain read-lock: a writer
 //     must insert a pending chain entry — under the write lock —
 //     before its first mutation of a page, so "no chain entry" means
 //     "no in-progress mutation of these bytes".
-func (p *Pool) ReadAt(id storage.PageID, lsn uint64, at *metrics.ActiveTrace) (PageRef, error) {
+func (p *Pool) ReadAt(id storage.PageID, lsn uint64, acct *metrics.Account) (PageRef, error) {
 	if lsn == LiveLSN {
-		f, err := p.fetchFrame(id, at)
+		f, err := p.fetchFrame(id, acct)
 		if err != nil {
 			return PageRef{}, err
 		}
@@ -322,10 +325,11 @@ func (p *Pool) ReadAt(id storage.PageID, lsn uint64, at *metrics.ActiveTrace) (P
 	v := findVersion(p.versions[id], lsn)
 	p.verMu.RUnlock()
 	if v != nil {
+		acct.Hit()
 		return PageRef{Data: v.data}, nil
 	}
 
-	f, err := p.fetchFrame(id, at)
+	f, err := p.fetchFrame(id, acct)
 	// Re-check: the page may have gained a pending entry while the
 	// fetch did I/O, in which case the frame may already hold
 	// uncommitted bytes — or the page was freed under the fetch, which

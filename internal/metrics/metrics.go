@@ -30,9 +30,11 @@ type Counter struct {
 	v atomic.Int64
 }
 
-// Add increments the counter by n. No-op on a nil receiver.
+// Add increments the counter by n. No-op on a nil receiver, and for
+// n = 0 without touching the shared word: most of the page counters an
+// operation charges at its end are zero.
 func (c *Counter) Add(n int64) {
-	if c == nil {
+	if c == nil || n == 0 {
 		return
 	}
 	c.v.Add(n)

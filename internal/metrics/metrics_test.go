@@ -147,7 +147,7 @@ func TestTracedOpAllocatesOnce(t *testing.T) {
 
 	kept := tr.Recent(1)
 	at := tr.Start("route")
-	at.BeginSpan("index.descent").End()
+	at.BeginSpan("storage.read").End()
 	for i := 0; i < tr.Capacity(); i++ {
 		at.Finish(nil)
 	}

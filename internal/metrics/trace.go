@@ -28,15 +28,24 @@ func TraceIDFrom(ctx context.Context) uint64 {
 	return id
 }
 
-// maxSpans bounds the spans recorded per trace; operations that touch
-// more sub-steps (a long route evaluation, a broad range query) keep
-// their first maxSpans spans and count the rest in Trace.Dropped.
-const maxSpans = 64
+// maxSpans bounds the spans recorded per trace. Only steps that cost
+// microseconds are timed (a page read from storage): an operation with
+// more of them (a broad range query on a cold pool) keeps its first
+// maxSpans spans and counts the rest in Trace.Dropped — how many reads
+// there were in all is in its Cost.
+const maxSpans = 8
 
-// inlineSpans is how many spans an ActiveTrace holds in its own
-// allocation: a point read records three, so tracing it costs that one
-// allocation and no more.
-const inlineSpans = 8
+// inlineSpans is how many spans an Account holds in its own memory:
+// all of them, so timing a step never allocates.
+const inlineSpans = maxSpans
+
+// epoch anchors the monotonic clock. An account keeps its instants as
+// durations since it: reading one costs a single clock read, where
+// time.Now pays for the wall clock as well — half as much again, on an
+// operation that takes a few hundred nanoseconds.
+var epoch = time.Now()
+
+func now() time.Duration { return time.Since(epoch) }
 
 // Span is one timed sub-step of a traced operation: the interval
 // [Offset, Offset+Dur) relative to the trace's start.
@@ -46,25 +55,74 @@ type Span struct {
 	Dur    time.Duration
 }
 
+// Cost is what an operation has cost so far in the paper's units, each
+// field incremented by the step that does the work: the cursor's
+// resolve and File.PageOf count index visits, the buffer pool counts
+// its own answers and the write-backs an eviction forces.
+type Cost struct {
+	IndexVisits int64 // node→page lookups in the memory-resident node index
+	Hits        int64 // page requests the pool answered without a read
+	Misses      int64 // page requests that read the page from storage: the data reads
+	Writes      int64 // dirty pages written to storage on the operation's behalf: the data writes
+}
+
+// Add accumulates o into c.
+func (c *Cost) Add(o Cost) {
+	c.IndexVisits += o.IndexVisits
+	c.Hits += o.Hits
+	c.Misses += o.Misses
+	c.Writes += o.Writes
+}
+
+// Sub returns the change from an earlier reading of the same account.
+func (c Cost) Sub(earlier Cost) Cost {
+	return Cost{
+		IndexVisits: c.IndexVisits - earlier.IndexVisits,
+		Hits:        c.Hits - earlier.Hits,
+		Misses:      c.Misses - earlier.Misses,
+		Writes:      c.Writes - earlier.Writes,
+	}
+}
+
+// String renders the cost as it appears in /traces and the slow-query
+// log.
+func (c Cost) String() string {
+	return fmt.Sprintf("idx=%d hit=%d miss=%d writes=%d", c.IndexVisits, c.Hits, c.Misses, c.Writes)
+}
+
 // Trace is one completed operation recorded by a Tracer: the operation
-// name, wall-clock timing, its spans, and the error (if any) it
-// returned.
+// name, wall-clock timing, what it cost, the spans of its timed steps,
+// and the error (if any) it returned.
 type Trace struct {
 	Seq     uint64 // monotonically increasing per tracer
 	Op      string
 	TraceID uint64 // wire trace id when the op ran on behalf of a traced request; 0 otherwise
 	Start   time.Time
 	Dur     time.Duration
+	Cost
 	Spans   []Span
 	Dropped int    // spans beyond maxSpans
 	Err     string // empty on success
 }
 
+// Detail renders the trace's account and then its spans:
+// "idx=1 hit=0 miss=1 writes=0 [storage.read +1µs 9µs]".
+func (tr *Trace) Detail() string {
+	line := tr.Cost.String()
+	if tr.Dropped > 0 {
+		line += fmt.Sprintf(" dropped=%d", tr.Dropped)
+	}
+	for _, sp := range tr.Spans {
+		line += fmt.Sprintf(" [%s +%v %v]", sp.Name, sp.Offset, sp.Dur)
+	}
+	return line
+}
+
 // Tracer records recent operation traces in a fixed-capacity ring
 // buffer: cheap enough to leave on, detailed enough to explain why one
-// Find was slow (index descent vs. buffer fetch vs. physical read). A
-// nil *Tracer disables tracing: Start returns a nil *ActiveTrace whose
-// methods all no-op.
+// Find was slow (what it counted, and how long each physical read
+// took). A nil *Tracer disables tracing: Start returns a nil *Account
+// whose methods all no-op.
 type Tracer struct {
 	mu   sync.Mutex
 	ring []Trace
@@ -81,34 +139,29 @@ func NewTracer(capacity int) *Tracer {
 	return &Tracer{ring: make([]Trace, 0, capacity)}
 }
 
-// Start begins a trace of operation op. Returns nil (a valid,
-// do-nothing handle) on a nil tracer.
-func (t *Tracer) Start(op string) *ActiveTrace {
+// Start begins a heap-allocated account of operation op, recorded by t
+// at its Finish. Returns nil (a valid, do-nothing handle) on a nil
+// tracer. A caller with a frame of its own to keep the account in uses
+// Account.Begin and allocates nothing.
+func (t *Tracer) Start(op string) *Account {
 	if t == nil {
 		return nil
 	}
-	return t.start(op, 0)
-}
-
-func (t *Tracer) start(op string, traceID uint64) *ActiveTrace {
-	a := &ActiveTrace{tracer: t, op: op, traceID: traceID, start: time.Now()}
-	a.spans = a.first[:0]
+	a := new(Account)
+	a.Begin(t, op, 0)
 	return a
 }
 
 // StartCtx is Start tagging the trace with the trace id carried by ctx
-// (see WithTraceID), so /traces can answer "what did request X do". On
-// a nil tracer it returns nil without touching the context, keeping
-// the disabled path free of ctx.Value lookups.
-func (t *Tracer) StartCtx(ctx context.Context, op string) *ActiveTrace {
-	if t == nil {
-		return nil
-	}
-	return t.start(op, TraceIDFrom(ctx))
+// (see WithTraceID), so /traces can answer "what did request X do".
+func (t *Tracer) StartCtx(ctx context.Context, op string) *Account {
+	a := t.Start(op)
+	a.SetTraceID(TraceIDFrom(ctx))
+	return a
 }
 
 // record puts a finished trace in the ring. tr.Spans is the caller's
-// (an ActiveTrace's own array): the spans are copied into the slot's
+// (an Account's own array): the spans are copied into the slot's
 // storage, which is reused from the trace the slot held before.
 func (t *Tracer) record(tr Trace) {
 	t.mu.Lock()
@@ -193,7 +246,8 @@ func (t *Tracer) WriteTo(w io.Writer) (int64, error) {
 
 // WriteTraces renders traces (one line each) in the /traces dump
 // format: sequence number, op, duration, the wire trace id when the op
-// ran on behalf of a traced request, the error if any, and every span.
+// ran on behalf of a traced request, the error if any, the account and
+// every span.
 func WriteTraces(w io.Writer, traces []Trace) (int64, error) {
 	var n int64
 	for _, tr := range traces {
@@ -204,13 +258,7 @@ func WriteTraces(w io.Writer, traces []Trace) (int64, error) {
 		if tr.Err != "" {
 			line += " err=" + tr.Err
 		}
-		if tr.Dropped > 0 {
-			line += fmt.Sprintf(" dropped=%d", tr.Dropped)
-		}
-		for _, sp := range tr.Spans {
-			line += fmt.Sprintf(" [%s +%v %v]", sp.Name, sp.Offset, sp.Dur)
-		}
-		m, err := fmt.Fprintln(w, line)
+		m, err := fmt.Fprintln(w, line, tr.Detail())
 		n += int64(m)
 		if err != nil {
 			return n, err
@@ -219,74 +267,157 @@ func WriteTraces(w io.Writer, traces []Trace) (int64, error) {
 	return n, nil
 }
 
-// ActiveTrace is an in-flight trace. It is owned by one goroutine (the
-// operation being traced); all methods are safe on a nil receiver, so
-// call sites need no enabled-checks.
-type ActiveTrace struct {
-	tracer  *Tracer
+// Account is one operation's account: what it has cost so far (Cost)
+// and, between Begin and Finish, its clock and the spans of its timed
+// steps. It is the one value threaded from the facade's bracket down
+// the read and write paths; every step that does countable work
+// increments it there, so the totals are the operation's own under any
+// concurrency. It is owned by one goroutine (Fork and Join fan it over
+// workers) and lives in its owner's frame. All methods are safe on a
+// nil receiver, so a caller with nothing to charge passes nil and call
+// sites need no enabled-checks.
+//
+// Only steps that cost microseconds get a span. A pool hit or an index
+// lookup takes about as long as reading the clock twice, so a stopwatch
+// around it measures the stopwatch: those steps are counted, and what
+// they cost is the operation's duration less its spans.
+type Account struct {
+	Cost
+	tracer  *Tracer // records the account at Finish; nil: no spans are kept
 	op      string
 	traceID uint64
-	start   time.Time
-	spans   []Span // first[:n] until a ninth span moves them out
-	first   [inlineSpans]Span
+	start   time.Duration // since epoch
+	nspans  int
+	spans   [maxSpans]Span
 	dropped int
 }
 
+// IndexVisit counts one node→page lookup.
+func (a *Account) IndexVisit() {
+	if a != nil {
+		a.IndexVisits++
+	}
+}
+
+// Hit counts one page request the pool answered without a read.
+func (a *Account) Hit() {
+	if a != nil {
+		a.Hits++
+	}
+}
+
+// Miss counts one page request that reads the page from storage.
+func (a *Account) Miss() {
+	if a != nil {
+		a.Misses++
+	}
+}
+
+// Wrote counts n dirty pages written to storage.
+func (a *Account) Wrote(n int) {
+	if a != nil {
+		a.Writes += int64(n)
+	}
+}
+
+// Begin starts the operation's clock — one of the two clock reads an
+// instrumented operation pays, Finish being the other. With a tracer,
+// Finish records the account as one ring entry named op and the timed
+// steps in between keep their spans; with none, only the clock runs.
+// What was counted before Begin stays counted.
+func (a *Account) Begin(t *Tracer, op string, traceID uint64) {
+	a.tracer, a.op, a.traceID = t, op, traceID
+	a.start = now()
+}
+
 // SetTraceID tags the trace with a wire trace id. No-op on a nil
-// trace.
-func (a *ActiveTrace) SetTraceID(id uint64) {
+// account.
+func (a *Account) SetTraceID(id uint64) {
 	if a != nil {
 		a.traceID = id
 	}
 }
 
-// SpanToken marks an open span; close it with End. The zero token
-// (from a nil trace) is valid and inert.
-type SpanToken struct {
-	at    *ActiveTrace
-	idx   int
-	start time.Time
+// Fork makes w a worker's share of a fanned-out operation: it counts
+// on its own and stamps its spans against a's clock. Join adds it back.
+// On a nil account both do nothing, and the share counts for nobody.
+func (a *Account) Fork(w *Account) {
+	if a != nil {
+		*w = Account{tracer: a.tracer, start: a.start}
+	}
 }
 
-// BeginSpan opens a named span. On a nil trace it returns an inert
-// token.
-func (a *ActiveTrace) BeginSpan(name string) SpanToken {
+// Join adds a worker's share to a. The caller serializes Joins.
+func (a *Account) Join(w *Account) {
 	if a == nil {
-		return SpanToken{}
+		return
 	}
-	if len(a.spans) >= maxSpans {
+	a.Cost.Add(w.Cost)
+	a.dropped += w.dropped
+	for _, sp := range w.spans[:w.nspans] {
+		a.addSpan(sp)
+	}
+}
+
+// addSpan keeps sp, or counts it as dropped beyond maxSpans. It returns
+// the span's place in the account, nil when it was dropped.
+func (a *Account) addSpan(sp Span) *Span {
+	if a.nspans == maxSpans {
 		a.dropped++
+		return nil
+	}
+	a.spans[a.nspans] = sp
+	a.nspans++
+	return &a.spans[a.nspans-1]
+}
+
+// SpanToken marks an open span; close it with End. The zero token
+// (from an account that keeps no spans) is valid and inert.
+type SpanToken struct {
+	span  *Span
+	start time.Duration
+}
+
+// BeginSpan opens a named span. On an account no tracer will record it
+// returns an inert token without reading the clock.
+func (a *Account) BeginSpan(name string) SpanToken {
+	if a == nil || a.tracer == nil {
 		return SpanToken{}
 	}
-	now := time.Now()
-	a.spans = append(a.spans, Span{Name: name, Offset: now.Sub(a.start)})
-	return SpanToken{at: a, idx: len(a.spans) - 1, start: now}
+	start := now()
+	return SpanToken{span: a.addSpan(Span{Name: name, Offset: start - a.start}), start: start}
 }
 
 // End closes the span. No-op on an inert token.
 func (s SpanToken) End() {
-	if s.at == nil {
-		return
+	if s.span != nil {
+		s.span.Dur = now() - s.start
 	}
-	s.at.spans[s.idx].Dur = time.Since(s.start)
 }
 
-// Finish completes the trace and records it with the tracer. No-op on
-// a nil trace.
-func (a *ActiveTrace) Finish(err error) {
+// Finish stops the clock and returns the operation's duration; with a
+// tracer it also records the account as one trace. No-op on a nil
+// account.
+func (a *Account) Finish(err error) time.Duration {
 	if a == nil {
-		return
+		return 0
+	}
+	dur := now() - a.start
+	if a.tracer == nil {
+		return dur
 	}
 	tr := Trace{
 		Op:      a.op,
 		TraceID: a.traceID,
-		Start:   a.start,
-		Dur:     time.Since(a.start),
-		Spans:   a.spans,
+		Start:   epoch.Add(a.start),
+		Dur:     dur,
+		Cost:    a.Cost,
+		Spans:   a.spans[:a.nspans],
 		Dropped: a.dropped,
 	}
 	if err != nil {
 		tr.Err = err.Error()
 	}
 	a.tracer.record(tr)
+	return dur
 }

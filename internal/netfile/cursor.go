@@ -10,7 +10,6 @@ import (
 	"ccam/internal/buffer"
 	"ccam/internal/geom"
 	"ccam/internal/graph"
-	"ccam/internal/metrics"
 	"ccam/internal/storage"
 )
 
@@ -22,7 +21,9 @@ import (
 // lies — and while the next node resolves to the page it already
 // holds, it stays: no pool fetch, no latch, no copy. A hop therefore
 // costs a pool fetch with probability 1-α, the paper's route model,
-// instead of always.
+// instead of always. The cursor is also where a read is counted: each
+// resolve is an index visit and each move a pool request, charged to
+// the view's account (metrics.Account) as they happen.
 //
 // Borrow rules (see buffer.PageRef): the cursor holds at most one
 // page, releases it before it fetches another, and never keeps it
@@ -35,7 +36,6 @@ import (
 type cursor struct {
 	v  View
 	st *overlayState // the node index; read as of v.lsn
-	at *metrics.ActiveTrace
 	// ref borrows page pid; sp is its slotted view, validated once per
 	// visit. ref.Data == nil means no page is held.
 	pid storage.PageID
@@ -43,27 +43,18 @@ type cursor struct {
 	sp  storage.SlottedPage
 }
 
-func (v View) cursor(at *metrics.ActiveTrace) cursor {
-	return cursor{v: v, st: v.f.overlay.Load(), at: at}
+func (v View) cursor() cursor {
+	return cursor{v: v, st: v.f.overlay.Load()}
 }
 
 func (c *cursor) release() { c.ref.Release() }
 
 // resolve maps a node to its data page through the node index as of
-// the view's LSN.
-func (c *cursor) resolve(id graph.NodeID) (storage.PageID, error) {
-	tok := c.at.BeginSpan("index.descent")
-	pid, err := c.v.f.pageAt(c.st, id, c.v.lsn)
-	tok.End()
-	return pid, err
-}
-
-// pageAt is the node-index lookup of an operation: node id's page in st
-// as of lsn, charged as one index visit (the paper's index is memory
+// the view's LSN: one index visit (the paper's index is memory
 // resident, and so is this one: the visit costs no data-page I/O).
-func (f *File) pageAt(st *overlayState, id graph.NodeID, lsn uint64) (storage.PageID, error) {
-	f.idxVisits.Add(1)
-	pid, ok := st.lookup(id, lsn)
+func (c *cursor) resolve(id graph.NodeID) (storage.PageID, error) {
+	c.v.acct.IndexVisit()
+	pid, ok := c.st.lookup(id, c.v.lsn)
 	if !ok {
 		return storage.InvalidPageID, fmt.Errorf("%w: %d", ErrNotFound, id)
 	}
@@ -73,7 +64,7 @@ func (f *File) pageAt(st *overlayState, id graph.NodeID, lsn uint64) (storage.Pa
 // move makes pid the held page, releasing the previous one first.
 func (c *cursor) move(pid storage.PageID) error {
 	c.release()
-	ref, err := c.v.f.pool.ReadAt(pid, c.v.lsn, c.at)
+	ref, err := c.v.f.pool.ReadAt(pid, c.v.lsn, c.v.acct)
 	if err != nil {
 		return err
 	}
@@ -148,8 +139,8 @@ func decodePage(sp *storage.SlottedPage, out []*Record) ([]*Record, error) {
 }
 
 // read fetches one record: resolve, borrow, decode, release.
-func (v View) read(id graph.NodeID, at *metrics.ActiveTrace) (*Record, error) {
-	c := v.cursor(at)
+func (v View) read(id graph.NodeID) (*Record, error) {
+	c := v.cursor()
 	defer c.release()
 	rv, err := c.seek(id)
 	if err != nil {
@@ -165,17 +156,10 @@ func (v View) Find(id graph.NodeID) (*Record, error) {
 
 // FindCtx is Find with cooperative cancellation.
 func (v View) FindCtx(ctx context.Context, id graph.NodeID) (*Record, error) {
-	at := v.f.tracer.StartCtx(ctx, "find")
-	rec, err := v.findCtx(ctx, id, at)
-	at.Finish(err)
-	return rec, err
-}
-
-func (v View) findCtx(ctx context.Context, id graph.NodeID, at *metrics.ActiveTrace) (*Record, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	return v.read(id, at)
+	return v.read(id)
 }
 
 // GetASuccessor retrieves the record of succ, a successor of cur
@@ -189,10 +173,7 @@ func (v View) GetASuccessor(cur *Record, succ graph.NodeID) (*Record, error) {
 	if cur != nil && !cur.HasSucc(succ) {
 		return nil, fmt.Errorf("%w: %d of %d", ErrNotSuccessor, succ, cur.ID)
 	}
-	at := v.f.tracer.Start("get-a-successor")
-	rec, err := v.read(succ, at)
-	at.Finish(err)
-	return rec, err
+	return v.read(succ)
 }
 
 // GetSuccessors is GetSuccessorsCtx with context.Background().
@@ -204,17 +185,10 @@ func (v View) GetSuccessors(id graph.NodeID) ([]*Record, error) {
 // as of the view. The context is checked before the node's own fetch
 // and before each successor's.
 func (v View) GetSuccessorsCtx(ctx context.Context, id graph.NodeID) ([]*Record, error) {
-	at := v.f.tracer.StartCtx(ctx, "get-successors")
-	out, err := v.getSuccessors(ctx, id, at)
-	at.Finish(err)
-	return out, err
-}
-
-func (v View) getSuccessors(ctx context.Context, id graph.NodeID, at *metrics.ActiveTrace) ([]*Record, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	c := v.cursor(at)
+	c := v.cursor()
 	defer c.release()
 	rv, err := c.seek(id)
 	if err != nil {
@@ -252,20 +226,13 @@ func (v View) EvaluateRoute(route graph.Route) (RouteAggregate, error) {
 // successor-list of the record the cursor stands on. The context is
 // checked before each hop's fetch.
 func (v View) EvaluateRouteCtx(ctx context.Context, route graph.Route) (RouteAggregate, error) {
-	at := v.f.tracer.StartCtx(ctx, "evaluate-route")
-	agg, err := v.evaluateRoute(ctx, route, at)
-	at.Finish(err)
-	return agg, err
-}
-
-func (v View) evaluateRoute(ctx context.Context, route graph.Route, at *metrics.ActiveTrace) (RouteAggregate, error) {
 	if len(route) == 0 {
 		return RouteAggregate{}, fmt.Errorf("%w: empty route", graph.ErrInvalidRoute)
 	}
 	if err := ctx.Err(); err != nil {
 		return RouteAggregate{}, err
 	}
-	c := v.cursor(at)
+	c := v.cursor()
 	defer c.release()
 	rv, err := c.seek(route[0])
 	if err != nil {
@@ -305,14 +272,7 @@ func (v View) evaluateRoute(ctx context.Context, route graph.Route, at *metrics.
 // which a clustered file keeps on one page: the cursor stays there.
 // The context is checked before each candidate's fetch.
 func (v View) RangeQueryCtx(ctx context.Context, rect geom.Rect) ([]*Record, error) {
-	at := v.f.tracer.StartCtx(ctx, "range-query")
-	out, err := v.rangeQuery(ctx, rect, at)
-	at.Finish(err)
-	return out, err
-}
-
-func (v View) rangeQuery(ctx context.Context, rect geom.Rect, at *metrics.ActiveTrace) ([]*Record, error) {
-	c := v.cursor(at)
+	c := v.cursor()
 	defer c.release()
 	var cand []graph.NodeID
 	v.f.spatMu.RLock()
@@ -383,13 +343,6 @@ func (v View) Nearest(p geom.Point, k int) ([]*Record, error) {
 	if k <= 0 {
 		return nil, nil
 	}
-	at := v.f.tracer.Start("nearest")
-	out, err := v.nearest(p, k, at)
-	at.Finish(err)
-	return out, err
-}
-
-func (v View) nearest(p geom.Point, k int, at *metrics.ActiveTrace) ([]*Record, error) {
 	b := v.f.quant.Bounds()
 	r := (b.Width() + b.Height()) / 128
 	if r <= 0 {
@@ -397,7 +350,7 @@ func (v View) nearest(p geom.Point, k int, at *metrics.ActiveTrace) ([]*Record, 
 	}
 	for {
 		window := geom.NewRect(geom.Point{X: p.X - r, Y: p.Y - r}, geom.Point{X: p.X + r, Y: p.Y + r})
-		recs, err := v.rangeQuery(context.Background(), window, at)
+		recs, err := v.RangeQueryCtx(context.Background(), window)
 		if err != nil {
 			return nil, err
 		}
@@ -437,7 +390,7 @@ func (v View) EvaluateRouteUnit(name string, members [][2]graph.NodeID) (RouteUn
 		if r, ok := recs[id]; ok {
 			return r, nil
 		}
-		r, err := v.read(id, nil)
+		r, err := v.read(id)
 		if err != nil {
 			return nil, err
 		}
@@ -482,7 +435,7 @@ func (v View) EvaluateRouteUnit(name string, members [][2]graph.NodeID) (RouteUn
 // order (one page read per page). fn returning false stops early; it
 // runs with no page held.
 func (v View) Scan(fn func(rec *Record) bool) error {
-	c := v.cursor(nil)
+	c := v.cursor()
 	defer c.release()
 	var recs []*Record
 	for _, pid := range v.pageIDs() {

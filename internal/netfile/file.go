@@ -36,16 +36,12 @@ type Options struct {
 	// Store supplies the data page store; nil selects an in-memory
 	// simulated disk.
 	Store storage.Store
-	// Metrics, when non-nil, instruments the file: physical I/O and
-	// buffer fetch latencies are observed into histograms of this
-	// registry, and node→page lookups count into a registry counter.
-	// Nil keeps every hot path on its zero-cost branch.
+	// Metrics, when non-nil, instruments the page store: physical I/O
+	// latencies are observed into histograms of this registry, checksum
+	// failures and injected faults into its counters. What an operation
+	// costs is not counted here but in the account its caller hands the
+	// view (View.Charging) or the file (File.SetAccount).
 	Metrics *metrics.Registry
-	// Tracer, when non-nil, records per-operation traces of the query
-	// operations (Find, Get-successor(s), route evaluation, range
-	// query) with spans for index descent, buffer fetch and physical
-	// read.
-	Tracer *metrics.Tracer
 }
 
 // File is the shared data file: slotted data pages holding node
@@ -79,13 +75,12 @@ type File struct {
 	// treated as memory resident and consulting it costs no data-page
 	// I/O; every mutation keeps it exact.
 	free map[storage.PageID]int
-	// reg and tracer are nil unless observability is enabled; every hot
-	// path branches on nil before paying anything.
-	reg    *metrics.Registry
-	tracer *metrics.Tracer
-	// idxVisits counts node→page lookups (nil when metrics are disabled;
-	// Counter's methods are nil-safe).
-	idxVisits *metrics.Counter
+	// acct is the account of the write transaction in flight (nil outside
+	// one): the live file's page requests, allocations, frees and index
+	// lookups — the mutation's own and the access method's maintenance
+	// reads — are charged to it. The writer is alone on the live file, so
+	// a plain field will do.
+	acct *metrics.Account
 	// wal and fstore are set by AttachWAL: mutations log logical
 	// records, the pool runs no-steal, and page frees are deferred to
 	// checkpoints (pendingFree, in free order).
@@ -142,23 +137,17 @@ func Create(opts Options) (*File, error) {
 		pag:       newPAGSummary(0, 0),
 	}
 	f.overlay.Store(&overlayState{base: make(map[graph.NodeID]storage.PageID)})
-	f.EnableMetrics(opts.Metrics, opts.Tracer)
+	if opts.Metrics != nil {
+		instrumentStore(st, opts.Metrics)
+	}
 	return f, nil
 }
 
-// EnableMetrics instruments the file against registry reg and attaches
-// tracer tr (either may be nil). Physical data-page I/O and buffer
-// fetches observe latency histograms, and node→page lookups count
-// into ccam_index_page_visits_total. Call before sharing the file
-// across goroutines; a nil registry and tracer leave every hot path on
-// its zero-cost branch.
-func (f *File) EnableMetrics(reg *metrics.Registry, tr *metrics.Tracer) {
-	f.tracer = tr
-	if reg == nil {
-		return
-	}
-	f.reg = reg
-	if in, ok := f.dataStore.(storage.Instrumentable); ok {
+// instrumentStore attaches the page store's instruments: the latency
+// of every physical read and write (a miss's latency is
+// ccam_storage_read_ns; a hit is counted, not timed).
+func instrumentStore(st storage.Store, reg *metrics.Registry) {
+	if in, ok := st.(storage.Instrumentable); ok {
 		in.Instrument(storage.IOInstrumentation{
 			ReadNanos:  reg.Histogram("ccam_storage_read_ns"),
 			WriteNanos: reg.Histogram("ccam_storage_write_ns"),
@@ -167,30 +156,18 @@ func (f *File) EnableMetrics(reg *metrics.Registry, tr *metrics.Tracer) {
 	// Integrity counters: checksum verification failures of a checked
 	// store and injected faults of a fault-wrapped store, so
 	// corruption is observable — not just fatal.
-	if cs, ok := f.dataStore.(storage.ChecksumInstrumentable); ok {
+	if cs, ok := st.(storage.ChecksumInstrumentable); ok {
 		cs.InstrumentChecksums(reg.Counter("ccam_storage_checksum_failures_total"))
 	}
-	if fst, ok := f.dataStore.(storage.FaultInstrumentable); ok {
+	if fst, ok := st.(storage.FaultInstrumentable); ok {
 		fst.InstrumentFaults(reg.Counter("ccam_storage_faults_injected_total"))
 	}
-	f.pool.Instrument(buffer.PoolInstrumentation{
-		HitNanos:  reg.Histogram("ccam_buffer_hit_ns"),
-		MissNanos: reg.Histogram("ccam_buffer_miss_ns"),
-	})
-	f.idxVisits = reg.Counter("ccam_index_page_visits_total")
 }
 
-// Registry returns the metrics registry the file is instrumented
-// against (nil when metrics are disabled).
-func (f *File) Registry() *metrics.Registry { return f.reg }
-
-// Tracer returns the file's operation tracer (nil when disabled).
-func (f *File) Tracer() *metrics.Tracer { return f.tracer }
-
-// IndexVisits returns the cumulative number of node→page lookups made
-// by operations (PageOf and every cursor resolve), or 0 when metrics
-// are disabled.
-func (f *File) IndexVisits() int64 { return f.idxVisits.Value() }
+// SetAccount makes a the account the live file charges until the next
+// SetAccount (nil: nobody). The owner's write transaction sets it for
+// its duration, under the lock that serializes the live file.
+func (f *File) SetAccount(a *metrics.Account) { f.acct = a }
 
 // PageSize returns the data page size.
 func (f *File) PageSize() int { return f.pageSize }
@@ -234,9 +211,14 @@ func (f *File) ResetIO() error {
 func (f *File) DropCaches() error { return f.pool.Reset() }
 
 // PageOf returns the data page holding node id, via the node index at
-// its live end (the lookup costs no data-page I/O).
+// its live end: one index visit (the lookup costs no data-page I/O).
 func (f *File) PageOf(id graph.NodeID) (storage.PageID, error) {
-	return f.pageAt(f.overlay.Load(), id, buffer.LiveLSN)
+	f.acct.IndexVisit()
+	pid, ok := f.overlay.Load().lookup(id, buffer.LiveLSN)
+	if !ok {
+		return storage.InvalidPageID, fmt.Errorf("%w: %d", ErrNotFound, id)
+	}
+	return pid, nil
 }
 
 // Has reports whether node id is stored.
@@ -246,7 +228,7 @@ func (f *File) Has(id graph.NodeID) bool {
 
 // AllocatePage adds a fresh, empty data page and returns its id.
 func (f *File) AllocatePage() (storage.PageID, error) {
-	pid, b, err := f.pool.FetchNew()
+	pid, b, err := f.pool.FetchNewTraced(f.acct)
 	if err != nil {
 		return storage.InvalidPageID, fmt.Errorf("netfile: allocate data page: %w", err)
 	}
@@ -273,7 +255,7 @@ func (f *File) FreePage(pid storage.PageID) error {
 	// frame is discarded: the page id may be recycled (and its bytes
 	// overwritten) while an old reader can still resolve nodes to it.
 	if f.pool.VersionBatchActive() {
-		if b, err := f.pool.Fetch(pid); err == nil {
+		if b, err := f.pool.FetchTraced(pid, f.acct); err == nil {
 			f.pool.SaveVersion(pid, b)
 			f.pool.Unpin(pid, false)
 		}
@@ -320,7 +302,7 @@ func (f *File) withPageWrite(pid storage.PageID, fn func(sp *storage.SlottedPage
 }
 
 func (f *File) pinPage(pid storage.PageID, save bool, fn func(sp *storage.SlottedPage) (dirty bool, err error)) error {
-	b, err := f.pool.Fetch(pid)
+	b, err := f.pool.FetchTraced(pid, f.acct)
 	if err != nil {
 		return err
 	}
@@ -703,7 +685,7 @@ func (f *File) ReplacePageContents(pid storage.PageID, recs []*Record) error {
 	if !f.pages[pid] {
 		return fmt.Errorf("netfile: replace contents of unknown page %d", pid)
 	}
-	b, err := f.pool.Fetch(pid)
+	b, err := f.pool.FetchTraced(pid, f.acct)
 	if err != nil {
 		return err
 	}
@@ -743,7 +725,7 @@ func OpenFromStore(st storage.Store, poolPages int) (*File, error) {
 }
 
 // OpenFromStoreOpts is OpenFromStore with the full option set — pool
-// sharding, spatial kind, metrics and tracing are honored.
+// sharding, spatial kind and metrics are honored.
 // PageSize, Store and Bounds are derived from the store's contents; any
 // values supplied for them are ignored.
 func OpenFromStoreOpts(st storage.Store, opts Options) (*File, error) {

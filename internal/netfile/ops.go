@@ -25,10 +25,10 @@ func (f *File) FindCtx(ctx context.Context, id graph.NodeID) (*Record, error) {
 	return f.live().FindCtx(ctx, id)
 }
 
-// ReadRecord is Find without a context or an operation trace, for the
-// maintenance operations' own reads.
+// ReadRecord is Find without a context, for the maintenance operations'
+// own reads.
 func (f *File) ReadRecord(id graph.NodeID) (*Record, error) {
-	return f.live().read(id, nil)
+	return f.live().read(id)
 }
 
 // GetASuccessor retrieves the record of succ, a successor of cur. cur

@@ -6,6 +6,7 @@ import (
 	"ccam/internal/buffer"
 	"ccam/internal/geom"
 	"ccam/internal/graph"
+	"ccam/internal/metrics"
 	"ccam/internal/storage"
 )
 
@@ -258,19 +259,31 @@ func (f *File) OverlayDepth() int { return len(f.overlay.Load().deltas) }
 type View struct {
 	f   *File
 	lsn uint64
+	// acct is charged with what the view's reads cost (nil: nobody is).
+	acct *metrics.Account
 }
 
 // live is the view File's own search operations run on: placements
 // from the overlay's live end, bytes from the live frames, no pin to
-// release. The owner serializes it against mutations, as File's
-// contract demands.
-func (f *File) live() View { return View{f: f, lsn: buffer.LiveLSN} }
+// release, the current write transaction's account. The owner
+// serializes it against mutations, as File's contract demands.
+func (f *File) live() View { return View{f: f, lsn: buffer.LiveLSN, acct: f.acct} }
 
 // PinView pins the current committed LSN and returns a value view at
 // it. The caller owns the pin and must call Unpin exactly once.
 func (f *File) PinView() View {
 	return View{f: f, lsn: f.pool.AcquireSnapshot()}
 }
+
+// Charging returns the view with its reads charged to a.
+func (s View) Charging(a *metrics.Account) View {
+	s.acct = a
+	return s
+}
+
+// Account returns the account the view's reads are charged to (nil:
+// nobody's).
+func (s View) Account() *metrics.Account { return s.acct }
 
 // Unpin releases the view's pin (not idempotent — the single owner
 // releases it once).

@@ -319,6 +319,9 @@ func (f *File) Checkpoint() error {
 	if err := f.pool.FlushAll(); err != nil {
 		return err
 	}
+	// A checkpoint inside a write transaction is that transaction's cost:
+	// the flush wrote the pages imaged above.
+	f.acct.Wrote(len(images))
 	if err := f.fstore.SetAppliedLSN(endLSN); err != nil {
 		return err
 	}

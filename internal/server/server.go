@@ -320,9 +320,10 @@ func (s *Server) logShed(meta reqMeta, err error) {
 }
 
 // logSlow emits one slow-query log line: op, latency, trace id, the
-// request's resource account, and — when the request was sampled — the
-// span breakdown of its store-side traces, pulled from the tracer ring
-// by trace id. Rate-limited like shed logging.
+// request's resource account, and — when the request was sampled — what
+// each of its store operations counted and how long its physical reads
+// took, pulled from the tracer ring by trace id. Rate-limited like shed
+// logging.
 func (s *Server) logSlow(meta reqMeta, dur time.Duration, err error) {
 	if s.log == nil {
 		return
@@ -358,29 +359,17 @@ func (s *Server) logSlow(meta reqMeta, dur time.Duration, err error) {
 }
 
 // spanBreakdown renders the store-side traces tagged with the trace id
-// as one compact string: "op dur [span +off dur] ...; op dur ...".
+// as one compact string, each operation's account before its spans:
+// "op dur idx=1 hit=0 miss=1 writes=0 [storage.read +off dur]; op ...".
 func (s *Server) spanBreakdown(traceID uint64) string {
-	tr := s.st.Tracer()
-	if tr == nil {
-		return ""
-	}
-	traces := tr.Select(8, metrics.TraceFilter{TraceID: traceID})
-	if len(traces) == 0 {
-		return ""
-	}
+	traces := s.st.Tracer().Select(8, metrics.TraceFilter{TraceID: traceID})
 	var b strings.Builder
 	for i := len(traces) - 1; i >= 0; i-- { // oldest first reads chronologically
 		t := &traces[i]
 		if b.Len() > 0 {
 			b.WriteString("; ")
 		}
-		fmt.Fprintf(&b, "%s %v", t.Op, t.Dur)
-		for _, sp := range t.Spans {
-			fmt.Fprintf(&b, " [%s +%v %v]", sp.Name, sp.Offset, sp.Dur)
-		}
-		if t.Dropped > 0 {
-			fmt.Fprintf(&b, " dropped=%d", t.Dropped)
-		}
+		fmt.Fprintf(&b, "%s %v %s", t.Op, t.Dur, t.Detail())
 	}
 	return b.String()
 }

@@ -141,8 +141,10 @@ func (s *syncBuf) String() string {
 }
 
 // A request over the slow-query threshold must emit one structured log
-// line with op, duration, trace id, resource account and the sampled
-// span breakdown, and count in ccam_server_slow_total.
+// line with op, duration, trace id, resource account and, under spans=,
+// what the request's store operation counted ("find <dur> idx=1 hit=…
+// miss=… writes=0", then a span per physical read), and count in
+// ccam_server_slow_total.
 func TestSlowQueryLog(t *testing.T) {
 	st, ids := tracedStore(t)
 	var buf syncBuf
@@ -173,7 +175,7 @@ func TestSlowQueryLog(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	for _, want := range []string{"slow query", "op=find", "trace=000000000000face", "buffer_", "spans="} {
+	for _, want := range []string{"slow query", "op=find", "trace=000000000000face", "buffer_", `spans="find `, " idx=1 hit=", " writes=0"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("slow-query log missing %q:\n%s", want, out)
 		}

@@ -7,7 +7,6 @@ import (
 	"strconv"
 	"time"
 
-	"ccam/internal/buffer"
 	iccam "ccam/internal/ccam"
 	"ccam/internal/metrics"
 	"ccam/internal/netfile"
@@ -23,7 +22,9 @@ type (
 	Registry = metrics.Registry
 	// Tracer records recent operation traces in a ring buffer.
 	Tracer = metrics.Tracer
-	// Trace is one recorded operation with its spans.
+	// Trace is one recorded operation: its duration, what it cost (index
+	// visits, pool hits, misses, write-backs) and the spans of its
+	// physical reads.
 	Trace = metrics.Trace
 	// TraceSpan is one timed step inside a trace.
 	TraceSpan = metrics.Span
@@ -52,6 +53,21 @@ type opMetrics struct {
 	dataReads, dataWrites *metrics.Counter
 	idxPages              *metrics.Counter
 	hits, misses          *metrics.Counter
+}
+
+// charge books one finished operation: its count, its outcome, its
+// latency and what it cost.
+func (om *opMetrics) charge(cost metrics.Cost, dur time.Duration, err error) {
+	om.count.Inc()
+	if err != nil {
+		om.errs.Inc()
+	}
+	om.latency.Observe(dur.Nanoseconds())
+	om.dataReads.Add(cost.Misses)
+	om.dataWrites.Add(cost.Writes)
+	om.hits.Add(cost.Hits)
+	om.misses.Add(cost.Misses)
+	om.idxPages.Add(cost.IndexVisits)
 }
 
 func newOpMetrics(reg *metrics.Registry, name string) *opMetrics {
@@ -97,7 +113,8 @@ const (
 	numOps
 )
 
-// opNames are the <name> of each operation's ccam_op_<name>_* series.
+// opNames are the <name> of each operation's ccam_op_<name>_* series
+// and of its entry in the trace ring.
 var opNames = [numOps]string{
 	opFind:               "find",
 	opGetASuccessor:      "get_a_successor",
@@ -134,11 +151,11 @@ var mutationOps = [...]opKind{
 
 // observability is the per-store instrumentation state. It exists only
 // when metrics are enabled; the facade branches on the nil pointer
-// where an operation's counter snapshot starts (Store.snap), so a
-// disabled store pays one predictable branch and nothing else.
+// where an operation's account is begun and ended (Store.beginAccount,
+// Store.endAccount), so a disabled store pays one predictable branch
+// and nothing else.
 type observability struct {
-	reg    *metrics.Registry
-	tracer *metrics.Tracer
+	reg *metrics.Registry
 
 	// crr and wcrr publish the running sums of the file's PAG summary
 	// (netfile/pag.go) after every build, open and committed batch.
@@ -167,10 +184,9 @@ type observability struct {
 	ops [numOps]*opMetrics
 }
 
-func newObservability(reg *metrics.Registry, tr *metrics.Tracer) *observability {
+func newObservability(reg *metrics.Registry) *observability {
 	o := &observability{
-		reg:    reg,
-		tracer: tr,
+		reg: reg,
 
 		crr:  reg.Gauge("ccam_crr"),
 		wcrr: reg.Gauge("ccam_wcrr"),
@@ -203,79 +219,62 @@ func (o *observability) walInstrumentation() storage.WALInstrumentation {
 	}
 }
 
-// opSnap is one operation's counter snapshot: snap captures the layer
-// counters at operation start, end charges the operation with the
-// deltas. The zero value is inactive and its end does nothing. The I/O
-// attribution is exact while operations run one at a time (the paper's
-// cost model); under concurrent readers a page fetched by an
-// overlapping operation may be charged to this one, but the global
-// per-class counters and latency histograms stay exact.
-type opSnap struct {
-	f     *netfile.File // nil: inactive (never started, or already charged)
-	om    *opMetrics    // nil: the deltas are only returned
-	rs    *ReqStats
-	start time.Time
-	io    storage.Stats
-	pool  buffer.Stats
-	idx   int64
+// opAccount is the facade's end of one operation's account. The steps
+// that do the work — the cursor, the live file, the buffer pool — count
+// into the embedded metrics.Account as they do it, so the totals are
+// this operation's own whatever runs beside it. The facade adds only
+// who is charged: beginAccount reads the clock once and names the
+// operation, endAccount reads it once more and charges, from this one
+// struct, the ccam_op_<name>_* series, the request's ReqStats and one
+// entry in the trace ring. A query borrows one for its bracket
+// (readView), a write transaction holds one by value (writeTx).
+type opAccount struct {
+	metrics.Account
+	op opKind    // opNone: counted but charged to nobody
+	rs *ReqStats // the request's account when ctx carried one and Metrics is on
 }
 
-// snap starts the counter snapshot of operation op on f. With Metrics
-// on, end charges op's instruments and, when ctx carries a *ReqStats (a
-// request served by ccam-serve), that account too. With Metrics off, or
-// for opNone, nothing is snapshotted and the ctx.Value lookup is not
-// paid — unless the caller needs the deltas themselves (force: Query's
-// Result.Actual).
-func (s *Store) snap(ctx context.Context, op opKind, f *netfile.File, force bool) opSnap {
-	var sn opSnap
-	if s.obs != nil && op != opNone {
-		sn.om = s.obs.ops[op]
-		sn.rs = ReqStatsFrom(ctx)
-	} else if !force {
-		return sn
-	}
-	sn.f = f
-	sn.start = time.Now()
-	sn.io = f.DataIO()
-	sn.pool = f.Pool().Stats()
-	sn.idx = f.IndexVisits()
-	return sn
+// charges reports whether operation op is charged to anybody: never
+// opNone, and nothing with Metrics and tracing both off.
+func (s *Store) charges(op opKind) bool {
+	return op != opNone && (s.obs != nil || s.tracer != nil)
 }
 
-// end charges the operation once — a second call is a no-op — and
-// returns what it cost.
-func (sn *opSnap) end(err error) ReqStats {
-	f := sn.f
-	if f == nil {
-		return ReqStats{}
+// beginAccount starts charging a to operation op. When nobody is
+// charged it does nothing: no clock read, no ctx.Value lookup.
+func (s *Store) beginAccount(ctx context.Context, op opKind, a *opAccount) {
+	if !s.charges(op) {
+		return
 	}
-	sn.f = nil
-	io := f.DataIO().Sub(sn.io)
-	ps := f.Pool().Stats().Sub(sn.pool)
-	cost := ReqStats{
-		DataReads:    io.Reads,
-		DataWrites:   io.Writes,
-		IndexPages:   f.IndexVisits() - sn.idx,
-		BufferHits:   ps.Hits,
-		BufferMisses: ps.Misses,
-		Ops:          1,
+	a.op = op
+	if s.obs != nil {
+		a.rs = ReqStatsFrom(ctx)
 	}
-	if om := sn.om; om != nil {
-		om.count.Inc()
-		if err != nil {
-			om.errs.Inc()
-		}
-		om.latency.ObserveSince(sn.start)
-		om.dataReads.Add(cost.DataReads)
-		om.dataWrites.Add(cost.DataWrites)
-		om.hits.Add(cost.BufferHits)
-		om.misses.Add(cost.BufferMisses)
-		om.idxPages.Add(cost.IndexPages)
+	a.Begin(s.tracer, opNames[op], metrics.TraceIDFrom(ctx))
+}
+
+// endAccount charges the operation once — a second call is a no-op. In
+// the request's units a miss is also a data read: the pool reads a page
+// exactly when it misses.
+func (s *Store) endAccount(a *opAccount, err error) {
+	if a.op == opNone {
+		return
 	}
-	if sn.rs != nil {
-		sn.rs.Add(cost)
+	dur := a.Finish(err)
+	if s.obs != nil {
+		s.obs.ops[a.op].charge(a.Cost, dur, err)
 	}
-	return cost
+	if a.rs != nil {
+		a.rs.Add(ReqStats{
+			DataReads:    a.Misses,
+			DataWrites:   a.Writes,
+			IndexPages:   a.IndexVisits,
+			BufferHits:   a.Hits,
+			BufferMisses: a.Misses,
+			Ops:          1,
+		})
+	}
+	a.op = opNone
 }
 
 // setGauges publishes what a committed change can move: CRR/WCRR from
@@ -319,12 +318,7 @@ func (s *Store) Tracer() *Tracer { return s.tracer }
 
 // Traces returns up to n recent operation traces, newest first; nil
 // when tracing is disabled.
-func (s *Store) Traces(n int) []Trace {
-	if s.tracer == nil {
-		return nil
-	}
-	return s.tracer.Recent(n)
-}
+func (s *Store) Traces(n int) []Trace { return s.tracer.Recent(n) }
 
 // PublishExpvar publishes the store's registry under name in the
 // process-wide expvar namespace (so it appears at /debug/vars). It is a
@@ -356,8 +350,8 @@ func (s *Store) MetricsHandler() http.Handler {
 // /traces a human-readable dump of recent operation traces. /traces
 // accepts ?limit=N (cap the dump), ?trace=<hex id> (only the traces
 // tagged with that wire trace id) and ?op=<name> (only that
-// operation), so a full 128-entry ring is never dumped unconditionally
-// and "what did request 0xABCD do" is one GET.
+// operation, by its ccam_op_<name>_* name), so a full ring is never
+// dumped unconditionally and "what did request 0xABCD do" is one GET.
 func ServeMetrics(mux *http.ServeMux, s *Store) {
 	if mux == nil {
 		mux = http.DefaultServeMux
@@ -373,10 +367,7 @@ func ServeMetrics(mux *http.ServeMux, s *Store) {
 	})
 	mux.HandleFunc("/traces", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		tr := s.Tracer()
-		if tr == nil {
-			return
-		}
+		tr := s.Tracer() // nil without tracing: an empty ring
 		q := r.URL.Query()
 		n := tr.Capacity()
 		if v := q.Get("limit"); v != "" {

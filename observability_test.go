@@ -16,7 +16,10 @@ import (
 	"net/http/httptest"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
+
+	"ccam/internal/metrics"
 )
 
 func obsStore(t *testing.T) (*Store, *Network) {
@@ -101,14 +104,13 @@ func TestTracesRecorded(t *testing.T) {
 	if tr.Op != "find" || tr.Err != "" {
 		t.Fatalf("trace = %q err=%q, want find/ok", tr.Op, tr.Err)
 	}
-	names := map[string]bool{}
-	for _, sp := range tr.Spans {
-		names[sp.Name] = true
+	// A cold Find is one index visit and one miss; the miss's physical
+	// read is the step that is timed.
+	if want := (metrics.Cost{IndexVisits: 1, Misses: 1}); tr.Cost != want {
+		t.Fatalf("cold find counted %+v, want %+v", tr.Cost, want)
 	}
-	for _, want := range []string{"index.descent", "buffer.fetch", "storage.read"} {
-		if !names[want] {
-			t.Fatalf("trace spans %v missing %q", tr.Spans, want)
-		}
+	if len(tr.Spans) != 1 || tr.Spans[0].Name != "storage.read" {
+		t.Fatalf("trace spans = %v, want one storage.read", tr.Spans)
 	}
 }
 
@@ -373,29 +375,10 @@ func TestBuildKeepsOptionsAfterOpenPath(t *testing.T) {
 	}
 }
 
-// TestPerOpPageCountsGolden pins the page counts the registry charges to
-// each operation — the idx/op and data/op columns of the retired
-// `ccam-bench -exp metrics`, which PRs 13–16 each cited as "unchanged
-// where the paper counts". It drives that experiment's fixed workload
-// (paper map, seed 42, pool of 4 pages, one goroutine, so the counts are
-// deterministic) and compares the raw counters with constants read off
-// the output at commit 7181172. find_batch is left out: its data reads
-// wander with worker timing.
-func TestPerOpPageCountsGolden(t *testing.T) {
-	const seed = 42
-	g, err := RoadMap(MinneapolisLikeOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := OpenWith(WithPageSize(2048), WithPoolPages(4), WithSeed(seed), WithMetrics(), WithTracing(128))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	if err := s.Build(g); err != nil {
-		t.Fatal(err)
-	}
-
+// runGoldenWorkload drives the fixed single-goroutine workload of
+// TestPerOpPageCountsGolden against s, built from g.
+func runGoldenWorkload(t *testing.T, s *Store, g *Network, seed int64) {
+	t.Helper()
 	ctx := context.Background()
 	rng := rand.New(rand.NewSource(seed))
 	ids := g.NodeIDs()
@@ -454,6 +437,32 @@ func TestPerOpPageCountsGolden(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+}
+
+// TestPerOpPageCountsGolden pins the page counts the registry charges to
+// each operation — the idx/op and data/op columns of the retired
+// `ccam-bench -exp metrics`, which PRs 13–16 each cited as "unchanged
+// where the paper counts". It drives that experiment's fixed workload
+// (paper map, seed 42, pool of 4 pages, one goroutine, so the counts are
+// deterministic) and compares the raw counters with constants read off
+// the output at commit 7181172. find_batch is left out: its data reads
+// wander with worker timing.
+func TestPerOpPageCountsGolden(t *testing.T) {
+	const seed = 42
+	g, err := RoadMap(MinneapolisLikeOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := OpenWith(WithPageSize(2048), WithPoolPages(4), WithSeed(seed), WithMetrics(), WithTracing(128))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if err := s.Build(g); err != nil {
+		t.Fatal(err)
+	}
+
+	runGoldenWorkload(t, s, g, seed)
 
 	// ccam_op_<op>_{total,data_reads_total,data_writes_total,index_pages_total}
 	type counts struct{ ops, dataReads, dataWrites, indexPages int64 }
@@ -490,4 +499,307 @@ func TestPerOpPageCountsGolden(t *testing.T) {
 	if mismatch {
 		t.Fatalf("per-operation page counts moved:\n%s", table.String())
 	}
+}
+
+// TestOpSeriesSumToGlobalCounters checks the per-operation accounts
+// against the instrument they replaced as the source of the
+// ccam_op_<name>_* series: the store-wide counters (Store.IO, the pool's
+// Stats), which still count every transfer whoever caused it. Over the
+// golden workload run alone, what the operations were charged must add
+// up to exactly what the store and the pool saw. The per-mutation series
+// (insert, delete, …) are left out of the sum: they are parts of the
+// apply that ran them, whose account also holds the batch's validation
+// reads.
+func TestOpSeriesSumToGlobalCounters(t *testing.T) {
+	const seed = 42
+	g, err := RoadMap(MinneapolisLikeOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := OpenWith(WithPageSize(2048), WithPoolPages(4), WithSeed(seed), WithMetrics(), WithTracing(128))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if err := s.Build(g); err != nil {
+		t.Fatal(err)
+	}
+	pool := s.m.File().Pool()
+	io0, pool0 := s.IO(), pool.Stats()
+	runGoldenWorkload(t, s, g, seed)
+	io, ps := s.IO().Sub(io0), pool.Stats().Sub(pool0)
+
+	part := map[opKind]bool{}
+	for _, op := range mutationOps {
+		part[op] = true
+	}
+	reg := s.Metrics()
+	series := func(op opKind, name string) int64 {
+		return reg.Counter("ccam_op_" + opNames[op] + "_" + name + "_total").Value()
+	}
+	var whole, parts struct{ reads, writes, hits, misses int64 }
+	for op := opNone + 1; op < numOps; op++ {
+		sum := &whole
+		if part[op] {
+			sum = &parts
+		}
+		sum.reads += series(op, "data_reads")
+		sum.writes += series(op, "data_writes")
+		sum.hits += series(op, "buffer_hits")
+		sum.misses += series(op, "buffer_misses")
+	}
+	if whole.reads != io.Reads || whole.writes != io.Writes {
+		t.Errorf("operations were charged %d data reads and %d writes, the store did %d and %d",
+			whole.reads, whole.writes, io.Reads, io.Writes)
+	}
+	if whole.hits != ps.Hits || whole.misses != ps.Misses {
+		t.Errorf("operations were charged %d hits and %d misses, the pool counted %d and %d",
+			whole.hits, whole.misses, ps.Hits, ps.Misses)
+	}
+	if io.Reads == 0 || io.Writes == 0 || ps.Hits == 0 {
+		t.Fatalf("the workload did not exercise the counters: io %v, pool %v", io, ps)
+	}
+	apply := struct{ reads, writes, hits, misses int64 }{
+		series(opApply, "data_reads"), series(opApply, "data_writes"),
+		series(opApply, "buffer_hits"), series(opApply, "buffer_misses"),
+	}
+	if parts.reads > apply.reads || parts.writes > apply.writes || parts.hits > apply.hits || parts.misses > apply.misses {
+		t.Errorf("the mutations were charged %+v, more than the applies that ran them: %+v", parts, apply)
+	}
+}
+
+// TestOneTracePerOperation: the trace ring holds one entry per facade
+// operation, named like its ccam_op_<name>_* series and carrying what
+// the whole operation counted — not one entry per record a graph search
+// or a batch happened to read, which used to flush the ring (one
+// ShortestPath left 256 entries named "find" and none of its own).
+func TestOneTracePerOperation(t *testing.T) {
+	g, err := RoadMap(MinneapolisLikeOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := OpenWith(WithPageSize(2048), WithPoolPages(64), WithSeed(1), WithTracing(256))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if err := s.Build(g); err != nil {
+		t.Fatal(err)
+	}
+	if trs := s.Traces(256); len(trs) != 1 || trs[0].Op != "build" {
+		t.Fatalf("ring after Build = %+v, want the one build", trs)
+	}
+
+	ctx := context.Background()
+	ids := g.NodeIDs()
+	routes, err := RandomWalkRoutes(g, 1, 12, rand.New(rand.NewSource(5)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	src, dst := ids[3], ids[len(ids)-7]
+	if _, err := s.Find(ctx, ids[0]); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.EvaluateRoute(ctx, routes[0]); err != nil {
+		t.Fatal(err)
+	}
+	path, err := s.ShortestPath(src, dst)
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch := make([]NodeID, 500)
+	for i := range batch {
+		batch[i] = ids[(i*7)%len(ids)]
+	}
+	if _, err := s.FindBatch(ctx, batch); err != nil {
+		t.Fatal(err)
+	}
+	res, err := s.Query(ctx, fmt.Sprintf("PATH %d TO %d", src, dst))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	trs := s.Traces(256)
+	want := []string{"query", "find_batch", "shortest_path", "evaluate_route", "find", "build"} // newest first
+	if len(trs) != len(want) {
+		t.Fatalf("five operations after Build left %d ring entries, want %d: %+v", len(trs), len(want), trs)
+	}
+	byOp := map[string]Trace{}
+	for i, tr := range trs {
+		if tr.Op != want[i] {
+			t.Fatalf("ring entry %d is %q, want %q", i, tr.Op, want[i])
+		}
+		byOp[tr.Op] = tr
+	}
+	// Each entry carries the whole operation's account.
+	if c := byOp["find"].Cost; c.IndexVisits != 1 || c.Hits+c.Misses != 1 {
+		t.Errorf("find counted %+v, want one index visit and one page", c)
+	}
+	if c := byOp["evaluate_route"].Cost; c.IndexVisits != int64(len(routes[0])) || c.Hits+c.Misses < 1 {
+		t.Errorf("a %d-node route counted %+v", len(routes[0]), c)
+	}
+	if c := byOp["shortest_path"].Cost; c.IndexVisits < int64(len(path.Nodes)) || c.Hits+c.Misses < 1 {
+		t.Errorf("a shortest path of %d nodes counted %+v", len(path.Nodes), c)
+	}
+	if c := byOp["find_batch"].Cost; c.IndexVisits != int64(len(batch)) || c.Hits+c.Misses != int64(len(batch)) {
+		t.Errorf("a %d-id FindBatch counted %+v", len(batch), c)
+	}
+	if c, a := byOp["query"].Cost, res.Actual; a == nil || c.IndexVisits != a.IndexPages || c.Hits != a.BufferHits || c.Misses != a.DataReads {
+		t.Errorf("query's ring entry counted %+v, its Result.Actual says %+v", c, a)
+	}
+
+	mux := http.NewServeMux()
+	ServeMetrics(mux, s)
+	rec := httptest.NewRecorder()
+	mux.ServeHTTP(rec, httptest.NewRequest("GET", "/traces?op=shortest_path", nil))
+	if out := rec.Body.String(); strings.Count(out, "#") != 1 || !strings.Contains(out, " shortest_path ") || !strings.Contains(out, " idx=") {
+		t.Fatalf("/traces?op=shortest_path should hold the one search with its account:\n%s", out)
+	}
+}
+
+// TestAccountsExactUnderConcurrency: what an operation is charged is
+// what it did, whatever runs beside it. Four readers run a fixed list
+// of queries, each with its own ReqStats, while a writer commits
+// SetEdgeCost batches with its own. Cost updates move no record, so a
+// read visits the same pages at every LSN, and the pool holds the whole
+// file: every read must be charged exactly what the same read cost in a
+// solo pass (no misses, the same hits and index visits — a page served
+// from a version chain because the writer got there first is a hit like
+// any other), and every batch exactly what it costs on an identical
+// store with no reader running.
+func TestAccountsExactUnderConcurrency(t *testing.T) {
+	g, err := RoadMap(MinneapolisLikeOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	open := func() *Store {
+		s, err := OpenWith(WithPageSize(2048), WithPoolPages(1024), WithPoolShards(2), WithSeed(7), WithMetrics(), WithTracing(64))
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { s.Close() })
+		if err := s.Build(g); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Scan(func(*Record) bool { return true }); err != nil { // warm the pool
+			t.Fatal(err)
+		}
+		return s
+	}
+	s, quiet := open(), open()
+
+	// The readers' fixed list.
+	rng := rand.New(rand.NewSource(3))
+	ids := g.NodeIDs()
+	routes, err := RandomWalkRoutes(g, 4, 33, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := g.Bounds()
+	type readOp struct {
+		name string
+		run  func(ctx context.Context) (*Result, error)
+	}
+	var ops []readOp
+	for i := 0; i < 4; i++ {
+		id, route := ids[rng.Intn(len(ids))], routes[i]
+		cx, cy := b.Min.X+rng.Float64()*b.Width(), b.Min.Y+rng.Float64()*b.Height()
+		win := NewRect(Point{X: cx - b.Width()/10, Y: cy - b.Height()/10}, Point{X: cx + b.Width()/10, Y: cy + b.Height()/10})
+		stmt := fmt.Sprintf("NEIGHBORS %d DEPTH 2", id)
+		ops = append(ops,
+			readOp{fmt.Sprintf("Find(%d)", id), func(ctx context.Context) (*Result, error) { _, err := s.Find(ctx, id); return nil, err }},
+			readOp{fmt.Sprintf("GetSuccessors(%d)", id), func(ctx context.Context) (*Result, error) { _, err := s.GetSuccessors(ctx, id); return nil, err }},
+			readOp{fmt.Sprintf("EvaluateRoute(#%d)", i), func(ctx context.Context) (*Result, error) { _, err := s.EvaluateRoute(ctx, route); return nil, err }},
+			readOp{fmt.Sprintf("RangeQuery(#%d)", i), func(ctx context.Context) (*Result, error) { _, err := s.RangeQuery(ctx, win); return nil, err }},
+			readOp{"Query(" + stmt + ")", func(ctx context.Context) (*Result, error) { return s.Query(ctx, stmt) }},
+		)
+	}
+	// account runs one read with a ReqStats of its own and returns it; a
+	// Query's Result.Actual must say the same thing.
+	account := func(op readOp) (ReqStats, error) {
+		var rs ReqStats
+		res, err := op.run(WithReqStats(context.Background(), &rs))
+		if err != nil {
+			return rs, err
+		}
+		if res != nil {
+			a := res.Actual
+			if a == nil || a.DataReads != rs.DataReads || a.IndexPages != rs.IndexPages || a.BufferHits != rs.BufferHits || a.BufferMisses != rs.BufferMisses {
+				return rs, fmt.Errorf("Result.Actual %+v disagrees with the request's ReqStats %+v", a, rs)
+			}
+		}
+		return rs, nil
+	}
+	solo := make([]ReqStats, len(ops))
+	for i, op := range ops {
+		if solo[i], err = account(op); err != nil {
+			t.Fatalf("%s: %v", op.name, err)
+		}
+		if solo[i].Ops != 1 || solo[i].DataReads != 0 || solo[i].BufferMisses != 0 || solo[i].BufferHits == 0 || solo[i].IndexPages == 0 {
+			t.Fatalf("solo %s on a warm pool = %+v", op.name, solo[i])
+		}
+	}
+
+	// The writer's batches, and what each costs with nobody else around.
+	const batches, perBatch = 60, 8
+	edges := g.Edges()
+	batchOf := func(n int) *Batch {
+		bt := new(Batch)
+		for k := 0; k < perBatch; k++ {
+			e := edges[(n*perBatch+k)*13%len(edges)]
+			bt.SetEdgeCost(e.From, e.To, float32(e.Cost)+float32(n))
+		}
+		return bt
+	}
+	apply := func(st *Store, n int) ReqStats {
+		var rs ReqStats
+		if err := st.Apply(WithReqStats(context.Background(), &rs), batchOf(n)); err != nil {
+			t.Errorf("batch %d: %v", n, err)
+		}
+		return rs
+	}
+	quietCost := make([]ReqStats, batches)
+	for n := range quietCost {
+		quietCost[n] = apply(quiet, n)
+		if quietCost[n].Ops != 1 || quietCost[n].IndexPages == 0 || quietCost[n].BufferHits == 0 {
+			t.Fatalf("quiet batch %d = %+v", n, quietCost[n])
+		}
+	}
+
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	for r := 0; r < 4; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			for pass := 0; ; pass++ {
+				for i := range ops {
+					j := (i + r*5) % len(ops)
+					got, err := account(ops[j])
+					if err != nil {
+						t.Errorf("reader %d: %s: %v", r, ops[j].name, err)
+						return
+					}
+					if got != solo[j] {
+						t.Errorf("reader %d pass %d: %s was charged %+v, alone it costs %+v", r, pass, ops[j].name, got, solo[j])
+						return
+					}
+				}
+				select {
+				case <-done:
+					return
+				default:
+				}
+			}
+		}(r)
+	}
+	for n := 0; n < batches; n++ {
+		if got := apply(s, n); got != quietCost[n] {
+			// WALWaitNs is 0 on both sides: the stores have no log.
+			t.Errorf("batch %d beside four readers was charged %+v, on a quiet store %+v", n, got, quietCost[n])
+			break
+		}
+	}
+	close(done)
+	wg.Wait()
 }

@@ -57,8 +57,8 @@ var (
 // optionally prefixed with EXPLAIN, which returns the chosen plan —
 // access path and predicted data-page accesses from the paper's §3
 // cost model fed with the file's live statistics — without executing.
-// Executed statements additionally report the measured I/O deltas in
-// Result.Actual, so predictions can be validated request by request.
+// Executed statements additionally report the I/O the execution counted
+// in Result.Actual, so predictions can be validated request by request.
 //
 // The planner reads the file's PAG summary (adjacency, α, |A|, λ, γ),
 // which every mutation keeps current, and resolves placements as of
@@ -89,19 +89,20 @@ func (s *Store) Query(ctx context.Context, src string) (res *Result, err error) 
 	if q.Explain {
 		return exec.Explain(pl), nil
 	}
-	// Only the execution is measured, and measured even without Metrics:
-	// the bracket's counter deltas are the result's measured I/O.
-	v.sn = s.snap(ctx, opQuery, v.f, true)
+	// Only the execution is charged, and it is counted with or without
+	// Metrics: what the account holds afterwards is the result's measured
+	// I/O.
+	v.charge(ctx, opQuery)
 	res, err = exec.Run(ctx, v.view, pl, q)
-	cost := v.sn.end(err)
 	if err != nil {
 		return nil, err
 	}
+	cost := v.acct.Cost
 	res.Actual = &exec.Actuals{
-		DataReads:    cost.DataReads,
-		IndexPages:   cost.IndexPages,
-		BufferHits:   cost.BufferHits,
-		BufferMisses: cost.BufferMisses,
+		DataReads:    cost.Misses,
+		IndexPages:   cost.IndexVisits,
+		BufferHits:   cost.Hits,
+		BufferMisses: cost.Misses,
 	}
 	return res, nil
 }

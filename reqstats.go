@@ -11,12 +11,22 @@ import "context"
 // trailer, so a slow request explains itself without a server-side
 // log dive.
 //
-// A ReqStats is owned by a single request goroutine; the facade's
-// operation instrumentation adds the per-op deltas synchronously, so
+// What is added is each operation's own account — counted by the steps
+// that did the operation's work, not read off counters other requests
+// share — so the figures are exact whatever else the store is doing: a
+// Find is one index page and one buffer hit or miss beside any number
+// of readers and a writer.
+//
+// A ReqStats is owned by a single request goroutine; the facade adds an
+// operation's account to it synchronously when the operation ends, so
 // no locking is needed.
 type ReqStats struct {
 	// DataReads / DataWrites count data-page accesses — the quantity
-	// the paper's evaluation minimizes by connectivity clustering.
+	// the paper's evaluation minimizes by connectivity clustering. A read
+	// is a buffer miss (DataReads == BufferMisses: the pool reads a page
+	// exactly when it misses); a write is a dirty page written back for
+	// this request — by an eviction its page requests forced or, with a
+	// WAL, by a checkpoint taken inside its transaction.
 	DataReads  int64 `json:"data_reads"`
 	DataWrites int64 `json:"data_writes,omitempty"`
 	// IndexPages counts node-index lookups — one per node an operation
@@ -27,7 +37,11 @@ type ReqStats struct {
 	// BufferHits / BufferMisses count the buffer pool's answers to this
 	// request's page fetches; only misses reach the disk. An operation
 	// fetches a page once per visit, not once per record: hops that
-	// stay on the page it holds are neither.
+	// stay on the page it holds are neither. A page image handed out from
+	// a version chain — the request's snapshot predates a writer's change
+	// to the page — is a hit: the pool answered and nothing was read, so
+	// the count does not depend on whether a writer got there first. So
+	// is a freshly allocated page.
 	BufferHits   int64 `json:"buffer_hits"`
 	BufferMisses int64 `json:"buffer_misses"`
 	// WALWaitNs is the time this request spent waiting for its batch's
