@@ -200,8 +200,18 @@ func (b *Batch) Len() int {
 // applyMutation executes one logical mutation through access method m
 // under the given policy. It is the one dispatch behind a live Apply,
 // an Apply before Build — m has no file yet, so the access method's own
-// "before Build" error surfaces — and WAL replay.
+// "before Build" error surfaces — and WAL replay. A mutation that ran
+// leaves every record's lists agreeing again: that is when the file's
+// PAG summary takes it in.
 func applyMutation(m netfile.AccessMethod, mut *netfile.Mutation, policy Policy) error {
+	err := dispatchMutation(m, mut, policy)
+	if f := m.File(); err == nil && f != nil {
+		f.SettlePAG()
+	}
+	return err
+}
+
+func dispatchMutation(m netfile.AccessMethod, mut *netfile.Mutation, policy Policy) error {
 	switch mut.Kind {
 	case netfile.MutInsertNode:
 		return m.Insert(&InsertOp{Rec: mut.Rec, PredCosts: mut.PredCosts}, policy)

@@ -123,16 +123,9 @@ func (m *Method) Build(g *graph.Network) error {
 	}
 	m.f = f
 	if m.cfg.Dynamic {
-		err = m.buildDynamic(g)
-	} else {
-		err = m.buildStatic(g)
+		return m.buildDynamic(g)
 	}
-	if err == nil {
-		// Records carry no access weights; the file's PAG summary takes
-		// them from the network, for WCRR.
-		f.SetAccessWeights(g)
-	}
-	return err
+	return m.buildStatic(g)
 }
 
 // buildStatic is Static-Create: cluster-nodes-into-pages over the whole
@@ -157,7 +150,9 @@ func (m *Method) buildStatic(g *graph.Network) error {
 // buildDynamic is the incremental Create(): a sequence of Add-node
 // operations. Add-node places each record like Insert() but skips the
 // successor/predecessor list updates (records already carry their full
-// lists), applying incremental reclustering per the build policy.
+// lists, naming nodes not stored yet), applying incremental
+// reclustering per the build policy. The PAG summary is filled once,
+// from the network, when every record is in.
 func (m *Method) buildDynamic(g *graph.Network) error {
 	for _, id := range g.NodeIDs() {
 		rec, err := netfile.RecordFromNode(g, id)
@@ -168,6 +163,7 @@ func (m *Method) buildDynamic(g *graph.Network) error {
 			return fmt.Errorf("ccam: incremental create at node %d: %w", id, err)
 		}
 	}
+	m.f.FillPAG(g)
 	return m.f.Flush()
 }
 

@@ -111,6 +111,7 @@ func (m *Method) Build(g *graph.Network) error {
 			return fmt.Errorf("gridfile: build at node %d: %w", id, err)
 		}
 	}
+	m.f.FillPAG(g)
 	return m.f.Flush()
 }
 

@@ -119,21 +119,37 @@ func findOnPage(sp *storage.SlottedPage, pid storage.PageID, id graph.NodeID) (s
 	return 0, nil, fmt.Errorf("netfile: node %d maps to page %d but its record is absent: %w", id, pid, ErrCorruptRecord)
 }
 
-// decodePage appends the decoded records of a data page to out.
-func decodePage(sp *storage.SlottedPage, out []*Record) ([]*Record, error) {
+// eachRecord calls fn with a view of every live record of a data page,
+// in slot order, and stops at the first error — a record that does not
+// parse is one.
+func eachRecord(sp *storage.SlottedPage, fn func(v recordView) error) error {
 	for i, n := 0, sp.NumSlots(); i < n; i++ {
 		raw, live, err := sp.Record(i)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if !live {
 			continue
 		}
-		rec, err := DecodeRecord(raw)
+		v, err := viewRecord(raw)
 		if err != nil {
-			return nil, fmt.Errorf("slot %d: %w", i, err)
+			return fmt.Errorf("slot %d: %w", i, err)
 		}
-		out = append(out, rec)
+		if err := fn(v); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// decodePage appends the decoded records of a data page to out.
+func decodePage(sp *storage.SlottedPage, out []*Record) ([]*Record, error) {
+	err := eachRecord(sp, func(v recordView) error {
+		out = append(out, v.record())
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }

@@ -101,9 +101,11 @@ type File struct {
 
 	// pag is the PAG summary (pag.go). pagMu guards it and the live-page
 	// map against the readers that run beside the serialized writer:
-	// planners and gauges.
+	// planners and gauges. pend is the writer's note of the mutation in
+	// progress, taken into pag when it settles.
 	pag   pagSummary
 	pagMu sync.RWMutex
+	pend  pagPending
 }
 
 // Create opens a fresh, empty data file.
@@ -134,7 +136,8 @@ func Create(opts Options) (*File, error) {
 		quant:     quant,
 		pages:     make(map[storage.PageID]bool),
 		free:      make(map[storage.PageID]int),
-		pag:       newPAGSummary(0, 0),
+		pag:       newPAGSummary(),
+		pend:      pagPending{index: make(map[graph.NodeID]int)},
 	}
 	f.overlay.Store(&overlayState{base: make(map[graph.NodeID]storage.PageID)})
 	if opts.Metrics != nil {
@@ -176,11 +179,10 @@ func (f *File) PageSize() int { return f.pageSize }
 // reset buffering).
 func (f *File) Pool() *buffer.Pool { return f.pool }
 
-// NumNodes returns the number of stored records.
+// NumNodes returns the number of stored records. Like PAG, it settles
+// the mutation in progress first.
 func (f *File) NumNodes() int {
-	f.pagMu.RLock()
-	defer f.pagMu.RUnlock()
-	return f.pag.records
+	return f.PAG().Stats().Nodes
 }
 
 // NumPages returns the number of live data pages. Safe for concurrent
@@ -332,7 +334,7 @@ func (f *File) InsertRecordAt(rec *Record, pid storage.PageID) error {
 	if err := f.storeRecord(rec, pid); err != nil {
 		return err
 	}
-	f.notePlacement(rec, pid)
+	f.notePlacement(rec.ID, pid)
 	return nil
 }
 
@@ -343,11 +345,15 @@ func (f *File) storeRecord(rec *Record, pid storage.PageID) error {
 		return fmt.Errorf("netfile: insert into unknown page %d", pid)
 	}
 	enc := EncodeRecord(rec)
+	// A stored record's node was on no page (MoveRecord has captured it
+	// already, from the page it left).
+	f.pagCapture(rec.ID, storage.InvalidPageID, nil)
 	err := f.withPageWrite(pid, func(sp *storage.SlottedPage) (bool, error) {
 		if _, err := sp.Insert(enc); err != nil {
 			return false, err
 		}
 		f.free[pid] = sp.FreeSpace()
+		f.pagWrote(rec.ID, pid, enc)
 		return true, nil
 	})
 	if err != nil {
@@ -371,28 +377,26 @@ func (f *File) UpdateRecord(rec *Record) error {
 		return err
 	}
 	enc := EncodeRecord(rec)
-	err = f.withPageWrite(pid, func(sp *storage.SlottedPage) (bool, error) {
-		slot, _, err := findOnPage(sp, pid, rec.ID)
+	return f.withPageWrite(pid, func(sp *storage.SlottedPage) (bool, error) {
+		slot, raw, err := findOnPage(sp, pid, rec.ID)
 		if err != nil {
 			return false, err
 		}
+		f.pagCapture(rec.ID, pid, raw)
 		if err := sp.Update(slot, enc); err != nil {
 			return false, err
 		}
 		f.free[pid] = sp.FreeSpace()
+		f.pagWrote(rec.ID, pid, enc)
 		return true, nil
 	})
-	if err == nil {
-		f.pagPlace(rec, pid, pid)
-	}
-	return err
 }
 
 // DeleteRecord removes node id's record, returning its last value.
 func (f *File) DeleteRecord(id graph.NodeID) (*Record, error) {
 	rec, err := f.removeRecord(id)
 	if err == nil {
-		f.notePlacement(rec, storage.InvalidPageID)
+		f.notePlacement(id, storage.InvalidPageID)
 	}
 	return rec, err
 }
@@ -413,10 +417,12 @@ func (f *File) removeRecord(id graph.NodeID) (*Record, error) {
 		if rec, err = DecodeRecord(raw); err != nil {
 			return false, err
 		}
+		f.pagCapture(id, pid, raw)
 		if err := sp.Delete(slot); err != nil {
 			return false, err
 		}
 		f.free[pid] = sp.FreeSpace()
+		f.pagWrote(id, storage.InvalidPageID, nil)
 		return true, nil
 	})
 	if err != nil {
@@ -439,8 +445,7 @@ func (f *File) removeRecord(id graph.NodeID) (*Record, error) {
 
 // MoveRecord relocates a record to page dst. It is the reorganization
 // primitive. The move is noted as one placement change — until then the
-// node index still names the old page — so the record's edges keep
-// their access weights.
+// node index still names the old page.
 func (f *File) MoveRecord(id graph.NodeID, dst storage.PageID) error {
 	rec, err := f.removeRecord(id)
 	if err != nil {
@@ -449,7 +454,7 @@ func (f *File) MoveRecord(id graph.NodeID, dst storage.PageID) error {
 	if err := f.storeRecord(rec, dst); err != nil {
 		return fmt.Errorf("netfile: move %d to page %d: %w", id, dst, err)
 	}
-	f.notePlacement(rec, dst)
+	f.notePlacement(id, dst)
 	return nil
 }
 
@@ -515,14 +520,14 @@ func (f *File) UsedBytesOn(pid storage.PageID) (int, error) {
 // then written out sequentially in group order — page ids are assigned
 // in that deterministic order — and finally installed: the Z-order
 // spatial index is built bottom-up from a sorted run instead of one
-// descent-and-split insert per record, the node index is one map fill.
+// descent-and-split insert per record, the node index is one map fill,
+// and the PAG summary is filled from g (FillPAG).
 func (f *File) BulkLoad(g *graph.Network, groups [][]graph.NodeID) error {
 	if f.NumNodes() != 0 {
 		return fmt.Errorf("netfile: bulk load into non-empty file")
 	}
 	// Stage 1: encode every group into a detached page image.
 	bufs := make([][]byte, len(groups))
-	pages := make([]loadedPage, len(groups))
 	var firstErr error
 	var errOnce sync.Once
 	// failed flips on the first error; workers must keep draining work
@@ -548,7 +553,6 @@ func (f *File) BulkLoad(g *graph.Network, groups [][]graph.NodeID) error {
 					continue
 				}
 				buf := make([]byte, f.pageSize)
-				recs := make([]*Record, 0, len(groups[gi]))
 				sp := storage.NewSlottedPage(buf)
 				ok := true
 				for _, id := range groups[gi] {
@@ -563,13 +567,10 @@ func (f *File) BulkLoad(g *graph.Network, groups [][]graph.NodeID) error {
 						ok = false
 						break
 					}
-					recs = append(recs, rec)
 				}
-				if !ok {
-					continue
+				if ok {
+					bufs[gi] = buf
 				}
-				bufs[gi] = buf
-				pages[gi] = loadedPage{recs: recs, free: sp.FreeSpace()}
 			}
 		}()
 	}
@@ -584,6 +585,7 @@ func (f *File) BulkLoad(g *graph.Network, groups [][]graph.NodeID) error {
 
 	// Stage 2: sequential write-out in group order, so group i always
 	// lands on the i-th allocated page id regardless of worker count.
+	pages := make([]loadedPage, len(bufs))
 	for gi, buf := range bufs {
 		pid, b, err := f.pool.FetchNew()
 		if err != nil {
@@ -593,54 +595,60 @@ func (f *File) BulkLoad(g *graph.Network, groups [][]graph.NodeID) error {
 		if err := f.pool.Unpin(pid, true); err != nil {
 			return err
 		}
-		pages[gi].pid = pid
+		pages[gi] = loadedPage{pid: pid, img: buf}
 	}
 
 	// Stage 3: the memory-resident structures.
 	if err := f.install(pages); err != nil {
 		return fmt.Errorf("netfile: bulk load: %w", err)
 	}
+	f.FillPAG(g)
 	return f.pool.FlushAll()
 }
 
 // loadedPage is one data page as build and open hold it once its bytes
-// are on the store: its id, its decoded records and its free bytes.
+// are on the store: its id and its image.
 type loadedPage struct {
-	pid  storage.PageID
-	recs []*Record
-	free int
+	pid storage.PageID
+	img []byte
 }
 
-// install makes pages the contents of an empty file: it fills every
-// memory-resident structure — live page set, free-space map, spatial
-// index, node index (the overlay's base) and PAG summary — in one pass
-// over records the caller holds already. A node id stored twice fails
-// with ErrDuplicate: each node has one page.
+// install makes pages the contents of an empty file: it fills the live
+// page set, the free-space map, the spatial index and the node index
+// (the overlay's base) in one walk over the page images, reading each
+// record in place. A node id stored twice fails with ErrDuplicate: each
+// node has one page. The caller fills the PAG summary.
 func (f *File) install(pages []loadedPage) error {
-	total := 0
+	sps := make([]storage.SlottedPage, len(pages))
+	slots := 0
 	f.pagMu.Lock()
-	for _, pg := range pages {
+	for i, pg := range pages {
 		f.pages[pg.pid] = true
-		total += len(pg.recs)
+		sps[i], _ = storage.ViewSlottedPage(pg.img) // build and open have checked every image
+		slots += sps[i].NumSlots()
 	}
 	f.pagMu.Unlock()
-	base := make(map[graph.NodeID]storage.PageID, total)
-	spatial := make([]spatialEntry, 0, total)
-	for _, pg := range pages {
-		f.free[pg.pid] = pg.free
-		for _, rec := range pg.recs {
-			if other, dup := base[rec.ID]; dup {
-				return fmt.Errorf("%w: node %d is stored on pages %d and %d", ErrDuplicate, rec.ID, other, pg.pid)
+	base := make(map[graph.NodeID]storage.PageID, slots)
+	spatial := make([]spatialEntry, 0, slots)
+	for i, pg := range pages {
+		f.free[pg.pid] = sps[i].FreeSpace()
+		err := eachRecord(&sps[i], func(v recordView) error {
+			id := v.id()
+			if other, dup := base[id]; dup {
+				return fmt.Errorf("%w: node %d is stored on pages %d and %d", ErrDuplicate, id, other, pg.pid)
 			}
-			base[rec.ID] = pg.pid
-			spatial = append(spatial, spatialEntry{pos: rec.Pos, id: rec.ID})
+			base[id] = pg.pid
+			spatial = append(spatial, spatialEntry{pos: v.pos(), id: id})
+			return nil
+		})
+		if err != nil {
+			return err
 		}
 	}
 	if err := f.spatial.bulkLoad(spatial); err != nil {
 		return fmt.Errorf("spatial index: %w", err)
 	}
 	f.ResetVersions(base)
-	f.pagFill(pages, total)
 	return nil
 }
 
@@ -690,12 +698,23 @@ func (f *File) ReplacePageContents(pid storage.PageID, recs []*Record) error {
 		return err
 	}
 	f.pool.SaveVersion(pid, b)
+	// Capture the records the page loses and those it gains as the
+	// summary counts them: the latter are as stored on their old pages.
+	if old, err := storage.ViewSlottedPage(b); err == nil {
+		eachRecord(&old, func(v recordView) error {
+			f.pagCapture(v.id(), pid, v.buf)
+			return nil
+		})
+	}
 	sp := storage.NewSlottedPage(b)
 	for _, rec := range recs {
-		if _, err := sp.Insert(EncodeRecord(rec)); err != nil {
+		enc := EncodeRecord(rec)
+		f.pagCapture(rec.ID, f.livePage(rec.ID), enc)
+		if _, err := sp.Insert(enc); err != nil {
 			f.pool.Unpin(pid, true)
 			return fmt.Errorf("netfile: replace contents of page %d with %d records: %w", pid, len(recs), err)
 		}
+		f.pagWrote(rec.ID, pid, enc)
 	}
 	f.free[pid] = sp.FreeSpace()
 	if err := f.pool.Unpin(pid, true); err != nil {
@@ -708,7 +727,7 @@ func (f *File) ReplacePageContents(pid storage.PageID, recs []*Record) error {
 		if err != nil {
 			return fmt.Errorf("netfile: spatial reindex %d: %w", rec.ID, err)
 		}
-		f.notePlacement(rec, pid)
+		f.notePlacement(rec.ID, pid)
 	}
 	return nil
 }
@@ -716,7 +735,7 @@ func (f *File) ReplacePageContents(pid storage.PageID, recs []*Record) error {
 // OpenFromStore reconstructs a File over an existing page store (e.g. a
 // reopened storage.FileStore). Data pages are scanned once to rebuild
 // the memory-resident structures — node index, spatial index, free-space
-// map and PAG summary — which matches the paper's assumption that
+// map and PAG summary, each record read in place — which matches the paper's assumption that
 // index structures live in main memory. A store holding one node id on
 // two pages fails with ErrDuplicate. The scan's I/O is excluded from the
 // returned file's counters.
@@ -735,43 +754,33 @@ func OpenFromStoreOpts(st storage.Store, opts Options) (*File, error) {
 	pageSize := st.PageSize()
 	pids := st.PageIDs()
 
-	// Decode all records first: the spatial bounds come from them.
-	buf := make([]byte, pageSize)
-	var pages []loadedPage
+	// Read every page image first: the spatial bounds come from their
+	// records, read in place.
+	imgs := make([]byte, len(pids)*pageSize)
+	pages := make([]loadedPage, len(pids))
 	var bounds geom.Rect
 	first := true
-	for _, pid := range pids {
-		if err := st.ReadPage(pid, buf); err != nil {
+	for i, pid := range pids {
+		img := imgs[i*pageSize : (i+1)*pageSize : (i+1)*pageSize]
+		if err := st.ReadPage(pid, img); err != nil {
 			return nil, fmt.Errorf("netfile: open: read page %d: %w", pid, err)
 		}
-		sp, err := storage.LoadSlottedPage(buf)
+		sp, err := storage.ViewSlottedPage(img)
+		if err == nil {
+			err = eachRecord(&sp, func(v recordView) error {
+				p := v.pos()
+				if first {
+					bounds, first = geom.Rect{Min: p, Max: p}, false
+				}
+				bounds.Min.X, bounds.Min.Y = min(bounds.Min.X, p.X), min(bounds.Min.Y, p.Y)
+				bounds.Max.X, bounds.Max.Y = max(bounds.Max.X, p.X), max(bounds.Max.Y, p.Y)
+				return nil
+			})
+		}
 		if err != nil {
 			return nil, fmt.Errorf("netfile: open: page %d: %w", pid, err)
 		}
-		pg := loadedPage{pid: pid, free: sp.FreeSpace()}
-		if pg.recs, err = decodePage(sp, nil); err != nil {
-			return nil, fmt.Errorf("netfile: open: page %d: %w", pid, err)
-		}
-		for _, rec := range pg.recs {
-			if first {
-				bounds = geom.Rect{Min: rec.Pos, Max: rec.Pos}
-				first = false
-			} else {
-				if rec.Pos.X < bounds.Min.X {
-					bounds.Min.X = rec.Pos.X
-				}
-				if rec.Pos.Y < bounds.Min.Y {
-					bounds.Min.Y = rec.Pos.Y
-				}
-				if rec.Pos.X > bounds.Max.X {
-					bounds.Max.X = rec.Pos.X
-				}
-				if rec.Pos.Y > bounds.Max.Y {
-					bounds.Max.Y = rec.Pos.Y
-				}
-			}
-		}
-		pages = append(pages, pg)
+		pages[i] = loadedPage{pid: pid, img: img}
 	}
 
 	opts.PageSize = pageSize
@@ -784,6 +793,7 @@ func OpenFromStoreOpts(st storage.Store, opts Options) (*File, error) {
 	if err := f.install(pages); err != nil {
 		return nil, fmt.Errorf("netfile: open: %w", err)
 	}
+	f.fillPAGFromPages(pages)
 	st.ResetStats()
 	return f, nil
 }

@@ -10,50 +10,40 @@ import (
 )
 
 // This file is the file's Page Access Graph summary: the one in-memory
-// account of the facts the paper measures over the PAG (§2.4, §3) —
-// which edges exist, what they cost and weigh, and how they fall
-// across data pages. It is always on and always current.
+// account of the facts the paper measures over the PAG (§2.4, §3) — how
+// many edges there are, how they fall across data pages and what they
+// weigh. It is the size of the pages, not of the records: per-page
+// incident/split tallies, per-page-pair crossing counts, the running
+// CRR/WCRR sums, the record count and the access weights that are not 1.
+// It keeps no adjacency — the records are the adjacency — and no
+// node→page map: tallies resolve pages through the snapshot overlay.
 //
-// Who writes it: only this package, under pagMu's write side. Build
-// and open fill it in the pass they make over every record anyway
-// (pagFill); after that the record-write primitives keep it exact —
-// notePlacement wherever a record lands on, moves between or leaves a
-// page, UpdateRecord wherever a successor-list is rewritten in place.
+// When it changes: only at logical-mutation boundaries, where every
+// stored record's lists agree (each edge sits in its tail's
+// successor-list and its head's predecessor-list, both ends stored).
+// Between boundaries the write primitives only note what they touch:
+// the first time a mutation overwrites, removes or stores a node's
+// record, the node's lists and page as the summary counts them
+// (pagCapture); every time, its lists as written (pagWrote). SettlePAG
+// then refunds the touched nodes' old edges and charges their final
+// ones, each edge once, under one pagMu write lock. The owner settles at
+// the end of each mutation; File.PAG and NumNodes settle first too, for
+// code that drives a File directly. Build and open fill the summary in
+// one pass instead (FillPAG, fillPAGFromPages).
+//
 // Who reads it: the CRR/WCRR gauges, the query planner and the
-// background reorganizer, through PAGView under pagMu's read side. It
-// keeps no node→page map of its own: the tallies are taken against the
-// snapshot overlay (the writer at its live end, a planner at its pinned
-// LSN).
+// background reorganizer, through PAGView under pagMu's read side — so a
+// pinned reader sees whole mutations only.
 //
-// Access weights are not stored in records. Build takes them from the
-// network (SetAccessWeights); every edge added later, or read back from
-// disk at open, weighs 1.
-
-// PAGEdge is one directed edge of the summary. Cost is the stored
-// float32, so a planner that mirrors a search over these edges
-// accumulates distances exactly like the executor.
-type PAGEdge struct {
-	To     graph.NodeID
-	Cost   float32
-	Weight float32
-}
+// Access weights are not stored in records. A build takes them from the
+// network; every edge added later, or read back from disk at open,
+// weighs 1.
 
 // PageCount is one PAG neighbor of a page with the number of network
 // edges crossing between the two.
 type PageCount struct {
 	Page  storage.PageID
 	Edges int
-}
-
-// pagNode is a node's adjacency: its successor-list in record order
-// and, derived from the other records' successor-lists, the nodes with
-// an edge to it. stored is false while the node is only the far end of
-// some edge (a delete or move in progress, an incremental build that
-// has not reached it yet).
-type pagNode struct {
-	succs  []PAGEdge
-	preds  []graph.NodeID
-	stored bool
 }
 
 // pagPage tallies the edges with an endpoint on one page: all of them,
@@ -63,99 +53,69 @@ type pagPage struct {
 	nbrs            map[storage.PageID]int
 }
 
+// pagEdge names one directed edge.
+type pagEdge struct{ from, to graph.NodeID }
+
 type pagSummary struct {
-	nodes   map[graph.NodeID]*pagNode
 	pages   map[storage.PageID]*pagPage
 	records int
 	// Running sums behind CRR = unsplit/edges and WCRR = wunsplit/wedges.
 	edges, unsplit   int64
 	wedges, wunsplit float64
+	// weights holds the access weight of every edge that does not weigh 1.
+	weights map[pagEdge]float32
 }
 
-func newPAGSummary(nodes, pages int) pagSummary {
-	return pagSummary{
-		nodes: make(map[graph.NodeID]*pagNode, nodes),
-		pages: make(map[storage.PageID]*pagPage, pages),
+func newPAGSummary() pagSummary {
+	return pagSummary{pages: make(map[storage.PageID]*pagPage), weights: make(map[pagEdge]float32)}
+}
+
+func (s *pagSummary) weight(e pagEdge) float32 {
+	if w, ok := s.weights[e]; ok {
+		return w
 	}
+	return 1
 }
 
-func (s *pagSummary) node(id graph.NodeID) *pagNode {
-	n := s.nodes[id]
-	if n == nil {
-		n = &pagNode{}
-		s.nodes[id] = n
+// charge counts edge e, whose ends are on pages pf and pt, at weight w:
+// how a fill takes each edge in.
+func (s *pagSummary) charge(e pagEdge, pf, pt storage.PageID, w float32) {
+	if w != 1 {
+		s.weights[e] = w
 	}
-	return n
+	s.tally(pf, pt, w, +1)
 }
 
-// tally charges (sign +1) or refunds (sign -1) one edge whose
-// endpoints live on pages pf and pt; InvalidPageID stands for an
-// endpoint that is not stored, which leaves the edge split and paired
-// with no page.
+// tally charges (sign +1) or refunds (sign -1) one edge of weight w whose
+// endpoints live on pages pf and pt.
 func (s *pagSummary) tally(pf, pt storage.PageID, w float32, sign int) {
 	s.edges += int64(sign)
 	s.wedges += float64(sign) * float64(w)
-	same := pf != storage.InvalidPageID && pf == pt
-	if same {
+	if pf == pt {
 		s.unsplit += int64(sign)
 		s.wunsplit += float64(sign) * float64(w)
+		s.tallyPage(pf, pt, sign)
+		return
 	}
-	if pf != storage.InvalidPageID {
-		s.tallyPage(pf, pt, same, sign)
-	}
-	if pt != storage.InvalidPageID && !same {
-		s.tallyPage(pt, pf, false, sign)
-	}
+	s.tallyPage(pf, pt, sign)
+	s.tallyPage(pt, pf, sign)
 }
 
-func (s *pagSummary) tallyPage(pid, other storage.PageID, same bool, sign int) {
+func (s *pagSummary) tallyPage(pid, other storage.PageID, sign int) {
 	p := s.pages[pid]
 	if p == nil {
 		p = &pagPage{nbrs: make(map[storage.PageID]int)}
 		s.pages[pid] = p
 	}
 	p.incident += sign
-	if !same {
+	if other != pid {
 		p.split += sign
-		if other != storage.InvalidPageID {
-			if p.nbrs[other] += sign; p.nbrs[other] == 0 {
-				delete(p.nbrs, other)
-			}
+		if p.nbrs[other] += sign; p.nbrs[other] == 0 {
+			delete(p.nbrs, other)
 		}
 	}
 	if p.incident == 0 {
 		delete(s.pages, pid)
-	}
-}
-
-func (s *pagSummary) weight(from, to graph.NodeID) float32 {
-	if n := s.nodes[from]; n != nil {
-		for _, e := range n.succs {
-			if e.To == to {
-				return e.Weight
-			}
-		}
-	}
-	return 1
-}
-
-func (s *pagSummary) removePred(to, from graph.NodeID) {
-	n := s.nodes[to]
-	if n == nil {
-		return
-	}
-	for i, p := range n.preds {
-		if p == from {
-			n.preds = append(n.preds[:i], n.preds[i+1:]...)
-			break
-		}
-	}
-	s.forgetIfUnused(to, n)
-}
-
-func (s *pagSummary) forgetIfUnused(id graph.NodeID, n *pagNode) {
-	if !n.stored && len(n.succs) == 0 && len(n.preds) == 0 {
-		delete(s.nodes, id)
 	}
 }
 
@@ -168,143 +128,204 @@ func (f *File) livePage(id graph.NodeID) storage.PageID {
 	return storage.InvalidPageID
 }
 
-// pagMoveNode re-tallies every edge incident to node id as the node goes
-// from page from to page to (which the overlay may not say yet, or any
-// more): one resolution of the far end pays for the refund and the
-// charge.
-func (f *File) pagMoveNode(id graph.NodeID, n *pagNode, from, to storage.PageID) {
-	for _, e := range n.succs {
-		a, b := from, to // a self loop moves at both ends
-		if e.To != id {
-			a = f.livePage(e.To)
-			b = a
-		}
-		f.pag.tally(from, a, e.Weight, -1)
-		f.pag.tally(to, b, e.Weight, +1)
+// pagLists locates a record's successor ids and then its predecessor
+// ids in pagPending.ids.
+type pagLists struct{ off, succs, preds int32 }
+
+// pagTouched is one node of the mutation in progress: whether it was
+// stored when the mutation first touched it, on which page and with
+// which lists (as the summary counts it), and whether, where and with
+// which lists it is stored now.
+type pagTouched struct {
+	id          graph.NodeID
+	was, is     bool
+	wasOn, isOn storage.PageID
+	old, now    pagLists
+}
+
+// pagPending is the mutation in progress. Only the serialized writer
+// touches it, so it takes no lock; its storage is reused from one
+// mutation to the next.
+type pagPending struct {
+	nodes []pagTouched
+	index map[graph.NodeID]int // into nodes
+	ids   []graph.NodeID
+}
+
+func (m *pagPending) touched(id graph.NodeID) (*pagTouched, bool) {
+	if i, ok := m.index[id]; ok {
+		return &m.nodes[i], true
 	}
-	for _, p := range n.preds {
-		if p != id { // a self loop was counted among the successors
-			pp, w := f.livePage(p), f.pag.weight(p, id)
-			f.pag.tally(pp, from, w, -1)
-			f.pag.tally(pp, to, w, +1)
+	return nil, false
+}
+
+func (m *pagPending) keep(v recordView) pagLists {
+	l := pagLists{off: int32(len(m.ids)), succs: int32(v.numSuccs()), preds: int32(v.numPreds())}
+	for i := 0; i < int(l.succs); i++ {
+		m.ids = append(m.ids, v.succ(i).To)
+	}
+	for i := 0; i < int(l.preds); i++ {
+		m.ids = append(m.ids, v.pred(i))
+	}
+	return l
+}
+
+func (m *pagPending) succs(l pagLists) []graph.NodeID { return m.ids[l.off : l.off+l.succs] }
+func (m *pagPending) preds(l pagLists) []graph.NodeID {
+	return m.ids[l.off+l.succs : l.off+l.succs+l.preds]
+}
+
+func (m *pagPending) reset() {
+	clear(m.index)
+	m.nodes, m.ids = m.nodes[:0], m.ids[:0]
+}
+
+// pagCapture notes that a write primitive is about to overwrite, remove
+// or store node id's record; old is the record as stored on page pid
+// (nil: the node is on no page). Only a mutation's first touch is kept:
+// that is the node as the summary counts it.
+func (f *File) pagCapture(id graph.NodeID, pid storage.PageID, old []byte) {
+	m := &f.pend
+	if _, seen := m.index[id]; seen {
+		return
+	}
+	t := pagTouched{id: id, wasOn: storage.InvalidPageID}
+	if old != nil {
+		if v, err := viewRecord(old); err == nil {
+			t.was, t.wasOn, t.old = true, pid, m.keep(v)
+		}
+	}
+	t.is, t.isOn, t.now = t.was, t.wasOn, t.old // until a write says otherwise
+	m.index[id] = len(m.nodes)
+	m.nodes = append(m.nodes, t)
+}
+
+// pagWrote notes node id's record as a write primitive has just left it:
+// enc is the image stored on page pid (nil: removed). The node has been
+// captured.
+func (f *File) pagWrote(id graph.NodeID, pid storage.PageID, enc []byte) {
+	m := &f.pend
+	t, _ := m.touched(id)
+	t.is = false
+	if enc != nil {
+		if v, err := viewRecord(enc); err == nil {
+			t.is, t.isOn, t.now = true, pid, m.keep(v)
 		}
 	}
 }
 
-// pagPlace is the summary's one update rule: node rec.ID's record, on
-// page old until now, is on page pid with successor-list rec.Succs
-// (InvalidPageID: not stored, on either side). The edges that came or
-// went with the list are charged or refunded on the page the record is
-// stored on; a placement change moves every incident edge's tally from
-// the old page to the new one. Edges that survive keep their access
-// weight, new ones weigh 1.
-func (f *File) pagPlace(rec *Record, old, pid storage.PageID) {
+// SettlePAG takes the mutation in progress into the summary and returns
+// how many nodes it touched. Call it where the mutation is whole — every
+// stored record's lists agree — and only from the writer: under one
+// write lock it refunds the edges of every touched node as the summary
+// counted them and charges them as they are now, each edge once (an
+// edge between two touched nodes is settled by its tail, one with an
+// untouched end by its touched one). An edge that went away takes its
+// access weight with it.
+func (f *File) SettlePAG() int {
+	m := &f.pend
+	n := len(m.nodes)
+	if n == 0 {
+		return 0
+	}
 	f.pagMu.Lock()
-	defer f.pagMu.Unlock()
 	s := &f.pag
-	id := rec.ID
-	n := s.node(id)
-	if old == storage.InvalidPageID {
-		// An arriving record: seat what is already known of the node (the
-		// edges that point at it), then take its list on its page.
-		f.pagMoveNode(id, n, old, pid)
-		n.stored = true
-		s.records++
-		old = pid
-	}
-	succs := rec.Succs
-	if pid == storage.InvalidPageID {
-		succs = nil
-	}
-	far := func(to graph.NodeID) storage.PageID {
-		if to == id {
-			return old
-		}
-		return f.livePage(to)
-	}
-	if slices.EqualFunc(n.succs, succs, func(e PAGEdge, sc SuccEntry) bool { return e.To == sc.To }) {
-		for i := range succs {
-			n.succs[i].Cost = succs[i].Cost
-		}
-	} else {
-		next := make([]PAGEdge, len(succs))
-		for i, sc := range succs {
-			next[i] = PAGEdge{To: sc.To, Cost: sc.Cost, Weight: 1}
-			kept := false
-			for _, e := range n.succs {
-				if e.To == sc.To {
-					next[i].Weight, kept = e.Weight, true
-					break
+	for _, t := range m.nodes {
+		// A node that stays on its page leaves its edges to untouched
+		// nodes as they are counted, as long as it keeps them.
+		stays := t.was && t.is && t.isOn == t.wasOn
+		if t.was {
+			s.records--
+			f.tallyEdges(t.id, t.wasOn, t.old, t.now, stays, -1)
+			for _, to := range m.succs(t.old) {
+				if !t.is || !slices.Contains(m.succs(t.now), to) {
+					delete(s.weights, pagEdge{t.id, to})
 				}
 			}
-			if !kept {
-				to := s.node(sc.To)
-				to.preds = append(to.preds, id)
-				s.tally(old, far(sc.To), 1, +1)
-			}
 		}
-		for _, e := range n.succs {
-			if !slices.ContainsFunc(succs, func(sc SuccEntry) bool { return sc.To == e.To }) {
-				s.tally(old, far(e.To), e.Weight, -1)
-				s.removePred(e.To, id)
-			}
+		if t.is {
+			s.records++
+			f.tallyEdges(t.id, t.isOn, t.now, t.old, stays, +1)
 		}
-		n.succs = next
 	}
-	if old != pid {
-		f.pagMoveNode(id, n, old, pid)
-		if pid == storage.InvalidPageID {
-			n.stored = false
-			s.records--
-			s.forgetIfUnused(id, n)
+	f.pagMu.Unlock()
+	m.reset()
+	return n
+}
+
+// tallyEdges refunds (sign -1) or charges (+1) touched node id's edges
+// as lists l on page pid gives them: every successor edge, and every
+// predecessor edge whose tail is untouched (a touched tail settles its
+// own). With stays, an edge to an untouched node that the other lists
+// hold too is left alone. Caller holds pagMu.
+func (f *File) tallyEdges(id graph.NodeID, pid storage.PageID, l, other pagLists, stays bool, sign int) {
+	m, s := &f.pend, &f.pag
+	for _, to := range m.succs(l) {
+		w := s.weight(pagEdge{id, to})
+		if u, touched := m.touched(to); touched {
+			far := u.isOn
+			if sign < 0 {
+				far = u.wasOn
+			}
+			s.tally(pid, far, w, sign)
+		} else if !stays || !slices.Contains(m.succs(other), to) {
+			s.tally(pid, f.livePage(to), w, sign)
 		}
+	}
+	for _, from := range m.preds(l) {
+		if _, touched := m.index[from]; touched || stays && slices.Contains(m.preds(other), from) {
+			continue
+		}
+		s.tally(f.livePage(from), pid, s.weight(pagEdge{from, id}), sign)
 	}
 }
 
-// pagFill replaces the summary with one built from the records of
-// every data page (nodes of them in all), resolving placements through
-// the overlay install has just reset. Nothing is read.
-func (f *File) pagFill(pages []loadedPage, nodes int) {
-	s := newPAGSummary(nodes, len(pages))
-	for _, pg := range pages {
-		for _, r := range pg.recs {
-			n := s.node(r.ID)
-			n.stored = true
-			s.records++
-			n.succs = make([]PAGEdge, len(r.Succs))
-			for i, sc := range r.Succs {
-				n.succs[i] = PAGEdge{To: sc.To, Cost: sc.Cost, Weight: 1}
-				to := s.node(sc.To)
-				to.preds = append(to.preds, r.ID)
-				s.tally(pg.pid, f.livePage(sc.To), 1, +1)
-			}
-		}
-	}
+// installPAG makes s the summary and forgets the mutation in progress.
+func (f *File) installPAG(s pagSummary) {
 	f.pagMu.Lock()
 	f.pag = s
 	f.pagMu.Unlock()
+	f.pend.reset()
 }
 
-// SetAccessWeights gives every summarized edge that g has too g's
-// access weight. An access method's Build calls it once its records
-// are in; the caller serializes it against mutations.
-func (f *File) SetAccessWeights(g *graph.Network) {
-	f.pagMu.Lock()
-	defer f.pagMu.Unlock()
-	for id, n := range f.pag.nodes {
+// FillPAG replaces the summary with one taken from g and the placement:
+// every edge of g whose tail is stored, on the pages its ends are on,
+// at g's access weight. Nothing is read. An access method's Build calls
+// it once its records are in (BulkLoad does it itself); whatever the
+// build's writes had noted is dropped, so a build never settles. The
+// caller serializes it against mutations.
+func (f *File) FillPAG(g *graph.Network) {
+	s := newPAGSummary()
+	for _, id := range g.NodeIDs() {
 		pf := f.livePage(id)
-		for i := range n.succs {
-			e := &n.succs[i]
-			ge, err := g.Edge(id, e.To)
-			if err != nil || float32(ge.Weight) == e.Weight {
-				continue
-			}
-			pt := f.livePage(e.To)
-			f.pag.tally(pf, pt, e.Weight, -1)
-			e.Weight = float32(ge.Weight)
-			f.pag.tally(pf, pt, e.Weight, +1)
+		if pf == storage.InvalidPageID {
+			continue
+		}
+		s.records++
+		for _, e := range g.SuccessorEdges(id) {
+			s.charge(pagEdge{id, e.To}, pf, f.livePage(e.To), float32(e.Weight))
 		}
 	}
+	f.installPAG(s)
+}
+
+// fillPAGFromPages replaces the summary with one taken from the page
+// images open has just installed, every record read in place; every
+// edge weighs 1.
+func (f *File) fillPAGFromPages(pages []loadedPage) {
+	s := newPAGSummary()
+	for _, pg := range pages {
+		sp, _ := storage.ViewSlottedPage(pg.img) // install has walked every image
+		eachRecord(&sp, func(v recordView) error {
+			s.records++
+			for i, n := 0, v.numSuccs(); i < n; i++ {
+				to := v.succ(i).To
+				s.charge(pagEdge{v.id(), to}, pg.pid, f.livePage(to), 1)
+			}
+			return nil
+		})
+	}
+	f.installPAG(s)
 }
 
 // rankedNeighbors returns the PAG neighbors of pid, most crossing edges
@@ -327,18 +348,22 @@ func (s *pagSummary) rankedNeighbors(pid storage.PageID) []PageCount {
 	return out
 }
 
-// PAGView is a read-only window on the summary. Adjacency, tallies and
-// sums are the live ones; PageOf answers as of the view's LSN. The view
-// of a File resolves at the live end and, like File's own operations,
-// must be serialized against mutations by the owner; the view of a
-// pinned View may be used beside them.
+// PAGView is a read-only window on the summary. Tallies and sums are
+// the summary's as of the last settle; PageOf answers as of the view's
+// LSN. The view of a File settles the mutation in progress first and,
+// like File's own operations, must be serialized against mutations by
+// the owner; the view of a pinned View may be used beside them.
 type PAGView struct {
 	f   *File
 	lsn uint64
 }
 
-// PAG returns the summary as the live file sees it.
-func (f *File) PAG() PAGView { return PAGView{f: f, lsn: buffer.LiveLSN} }
+// PAG settles the mutation in progress (see SettlePAG) and returns the
+// summary as the live file sees it.
+func (f *File) PAG() PAGView {
+	f.SettlePAG()
+	return PAGView{f: f, lsn: buffer.LiveLSN}
+}
 
 // PAG returns the summary with placements as of the view's LSN.
 func (v View) PAG() PAGView { return PAGView{f: v.f, lsn: v.lsn} }
@@ -346,16 +371,6 @@ func (v View) PAG() PAGView { return PAGView{f: v.f, lsn: v.lsn} }
 // PageOf returns the data page of node id, and whether it is stored.
 func (p PAGView) PageOf(id graph.NodeID) (storage.PageID, bool) {
 	return p.f.overlay.Load().lookup(id, p.lsn)
-}
-
-// Succs appends node id's successor edges, in record order, to buf.
-func (p PAGView) Succs(id graph.NodeID, buf []PAGEdge) []PAGEdge {
-	p.f.pagMu.RLock()
-	defer p.f.pagMu.RUnlock()
-	if n := p.f.pag.nodes[id]; n != nil {
-		buf = append(buf, n.succs...)
-	}
-	return buf
 }
 
 // PAGStats are the summary's running sums and the file's shape: what

@@ -28,10 +28,10 @@ import (
 // Writer protocol (serialized by the owner, e.g. the facade's write
 // lock): BeginVersionBatch opens a pool version batch and installs a
 // pending overlay delta; every placement mutation records itself into
-// the delta (and into the PAG summary, pag.go); PublishVersionBatch
-// stamps the delta and the page versions with the commit LSN — readers
-// pinned below it keep their view, readers arriving after it see the
-// new one, atomically.
+// the delta (the PAG summary reads it when the mutation settles,
+// pag.go); PublishVersionBatch stamps the delta and the page versions
+// with the commit LSN — readers pinned below it keep their view, readers
+// arriving after it see the new one, atomically.
 
 // pendingOverlayLSN tags a delta whose batch has not committed yet; it
 // compares above every real LSN, so readers skip it.
@@ -98,29 +98,28 @@ func (st *overlayState) placements(lsn uint64) map[graph.NodeID]storage.PageID {
 	return out
 }
 
-// notePlacement is the one writer of the node index: the record rec now
-// lives on pid (InvalidPageID = it was deleted). Inside a version batch
-// the overlay takes it in the pending delta; outside one (direct File
-// use, serialized by the owner, with no pinned reader to keep a view
-// for) the base is updated in place, after folding in whatever deltas
-// earlier batches left above it. Either way the PAG summary follows.
-func (f *File) notePlacement(rec *Record, pid storage.PageID) {
-	old := f.livePage(rec.ID)
+// notePlacement is the one writer of the node index: node id now lives
+// on pid (InvalidPageID = it was deleted). Inside a version batch the
+// overlay takes it in the pending delta; outside one (direct File use,
+// serialized by the owner, with no pinned reader to keep a view for) the
+// base is updated in place, after folding in whatever deltas earlier
+// batches left above it. The PAG summary reads the new page when the
+// mutation settles (pag.go).
+func (f *File) notePlacement(id graph.NodeID, pid storage.PageID) {
 	if f.verActive {
-		f.batchDelta().entries[rec.ID] = pid
-	} else {
-		st := f.overlay.Load()
-		if len(st.deltas) > 0 {
-			st = &overlayState{base: st.placements(buffer.LiveLSN)}
-			f.overlay.Store(st)
-		}
-		if pid == storage.InvalidPageID {
-			delete(st.base, rec.ID)
-		} else {
-			st.base[rec.ID] = pid
-		}
+		f.batchDelta().entries[id] = pid
+		return
 	}
-	f.pagPlace(rec, old, pid)
+	st := f.overlay.Load()
+	if len(st.deltas) > 0 {
+		st = &overlayState{base: st.placements(buffer.LiveLSN)}
+		f.overlay.Store(st)
+	}
+	if pid == storage.InvalidPageID {
+		delete(st.base, id)
+	} else {
+		st.base[id] = pid
+	}
 }
 
 // batchDelta returns the open batch's pending overlay delta, creating

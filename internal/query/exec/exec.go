@@ -1,8 +1,7 @@
 // Package exec runs planned CCAM-QL statements against a stored file.
-// The executor follows the plan's chosen access path exactly — the
-// same record-read sequence the planner predicted — so the measured
-// data-page reads of an execution are directly comparable to the
-// plan's predicted pages.
+// The executor follows the plan's chosen access path exactly, so the
+// measured data-page reads of an execution are directly comparable to
+// the plan's predicted pages.
 package exec
 
 import (
@@ -224,8 +223,8 @@ func runNeighbors(ctx context.Context, f Source, pl *plan.Plan, s *lang.Neighbor
 		})
 	} else {
 		// Successor expansion through the buffer pool: every ball
-		// member's record is read exactly once, matching the planner's
-		// distinct-page prediction.
+		// member's record is read exactly once, so a cold pool reads the
+		// ball's distinct pages — what the planner estimates.
 		start, err := f.FindCtx(ctx, s.ID)
 		if err != nil {
 			return err

@@ -5,15 +5,17 @@
 // scan, and successor expansion — and picks the cheapest by predicted
 // data-page accesses.
 //
-// Predictions come in two strengths, both reported by EXPLAIN. The
-// paper's §3 formulas (internal/costmodel), fed with the live CRR/γ/λ
-// statistics, give the model cost of the traversal operators. On top
-// of that, every structure the prediction needs — node index,
-// placement, spatial index, adjacency — is memory resident (the
-// paper's assumption), so the planner also resolves the chosen path's
-// page set exactly: the headline "predicted data pages" is the number
-// of distinct data pages a cold buffer pool would read, which
-// execution then validates against the measured ReqStats deltas.
+// Every plan carries two figures, both reported by EXPLAIN. The paper's
+// §3 formulas (internal/costmodel), fed with the live CRR/γ/|A|/λ
+// statistics, give the model cost of the path. The headline "predicted
+// data pages" is the number of distinct data pages a cold buffer pool
+// would read, which execution validates against the measured ReqStats
+// deltas: exact where the memory-resident structures name the page set
+// (FIND: the node index; WINDOW: the spatial probe and the node index;
+// ROUTE: the route's stored prefix, exact when every hop is an edge),
+// estimated for the traversals, whose page sets only the search itself
+// could name (NEIGHBORS from the §3 statistics, PATH from the page
+// graph). The planner never runs a search to predict it.
 package plan
 
 import (
@@ -59,7 +61,7 @@ var (
 
 // Catalog is the planner's view of a stored file: the cost-model
 // statistics as of its creation plus a read-only window on the file's
-// PAG summary (adjacency, placement) and a probe into the spatial
+// PAG summary (page pairs, placement) and a probe into the spatial
 // index. It mirrors nothing — netfile keeps the summary current under
 // every mutation — so opening one costs a handful of divisions.
 type Catalog struct {

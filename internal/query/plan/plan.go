@@ -1,15 +1,15 @@
 package plan
 
 import (
-	"container/heap"
 	"errors"
 	"fmt"
+	"math"
 	"strings"
 
 	"ccam/internal/costmodel"
 	"ccam/internal/graph"
-	"ccam/internal/netfile"
 	"ccam/internal/query/lang"
+	"ccam/internal/storage"
 )
 
 // ErrUnsupported reports a statement that parses but that the planner
@@ -52,9 +52,11 @@ const scanAdvantage = 2
 type Estimate struct {
 	Path AccessPath `json:"path"`
 	// Pages is the predicted number of data-page reads against a cold
-	// buffer pool — distinct pages, resolved exactly from the
-	// memory-resident structures. Execution validates this figure
-	// against the measured ReqStats delta.
+	// buffer pool — distinct pages. It is resolved from the
+	// memory-resident structures for FIND, WINDOW and ROUTE (for ROUTE
+	// assuming every hop is an edge) and estimated for NEIGHBORS and
+	// PATH, whose page sets only the search could name; see the package
+	// comment. Execution measures the same figure (ReqStats).
 	Pages int `json:"pages"`
 	// ModelPages is the §3 cost-model estimate for the path (the
 	// formula value, fed with the live α/|A|/λ/γ statistics), or the
@@ -204,158 +206,120 @@ func (c *Catalog) planWindow(p *Plan, s *lang.Window) error {
 	return nil
 }
 
+// planNeighbors estimates a depth-k expansion from the §3 statistics.
+// Ring i around a node of a road network holds about |A|·i nodes — the
+// network is planar and grows like a disk (Eppstein & Goodrich) — so the
+// ball holds m = 1 + |A|·k(k+1)/2 nodes: the source's page is read, and
+// each further node lands on a page not read yet with probability 1-α.
+// The expanded (interior) nodes are the depth k-1 ball, which is what
+// the get-successors model is charged for.
 func (c *Catalog) planNeighbors(p *Plan, s *lang.Neighbors, params costmodel.Params) {
-	ball, interior := c.neighborhood(s.ID, s.Depth)
-	model := 1 + float64(interior)*costmodel.GetSuccessors(params)
+	pages, ball, interior := 0, 0.0, 0.0
+	if c.Has(s.ID) {
+		ball, interior = c.ball(s.Depth), c.ball(s.Depth-1)
+		pages = c.pagesFor(1+(ball-1)*(1-c.Stats.Alpha), s.ID)
+	}
+	model := 1 + interior*costmodel.GetSuccessors(params)
 	c.pickOrScan(p, Estimate{
 		Path:       PathSuccExpand,
-		Pages:      c.pagesOf(ball),
+		Pages:      pages,
 		ModelPages: model,
-		Detail: fmt.Sprintf("§3 get-successors over %d expansion(s): 1 + %d·(1-α)·|A| = %.2f",
-			interior, interior, model),
+		Detail: fmt.Sprintf("estimated: ball of m = 1 + |A|·k(k+1)/2 = %.1f node(s) on 1 + (m-1)·(1-α) page(s); "+
+			"§3 get-successors over %.1f expansion(s): 1 + n·(1-α)·|A| = %.2f", ball, interior, model),
 	})
 }
 
-func (c *Catalog) planRoute(p *Plan, s *lang.RouteEval, params costmodel.Params) {
-	// Mirror EvaluateRoute's reads: the first node, then each verified
-	// hop; a missing node or edge stops the evaluation (and the reads).
-	read := make(map[graph.NodeID]bool)
-	if c.Has(s.IDs[0]) {
-		read[s.IDs[0]] = true
-		for i := 1; i < len(s.IDs); i++ {
-			if !c.hasEdge(s.IDs[i-1], s.IDs[i]) {
-				break
-			}
-			read[s.IDs[i]] = true
-		}
-	}
-	model := costmodel.RouteEvaluation(params, len(s.IDs))
-	p.Chosen = Estimate{
-		Path:       PathSuccChain,
-		Pages:      c.pagesOf(read),
-		ModelPages: model,
-		Detail: fmt.Sprintf("§3 route evaluation, L=%d: 1 + (L-1)·(1-α) = %.2f",
-			len(s.IDs), model),
-	}
+// ball is the estimated node count within depth hops of a node, capped
+// by the file's.
+func (c *Catalog) ball(depth int) float64 {
+	return min(1+c.Stats.AvgA*float64(depth*(depth+1))/2, float64(c.Stats.Nodes))
 }
 
+// pagesFor rounds an expected page count to a prediction, capped by the
+// file's pages. The rounding is randomized — up with probability equal
+// to the fraction — and keyed by the statement's node, so EXPLAIN
+// repeats itself while predictions summed over many statements add up
+// to the expectation instead of carrying one rounding error each.
+func (c *Catalog) pagesFor(expected float64, key graph.NodeID) int {
+	whole, frac := math.Modf(expected)
+	if u := float64(uint64(key)*0x9E3779B97F4A7C15>>11) / (1 << 53); u < frac {
+		whole++
+	}
+	return min(int(whole), c.Stats.Pages)
+}
+
+// planRoute predicts the distinct pages of the route's stored prefix —
+// what EvaluateRoute reads when every hop is an edge. The plan cannot see
+// a broken hop (the summary keeps no adjacency), which stops the executor
+// before later pages; the detail says so whenever it could matter.
+func (c *Catalog) planRoute(p *Plan, s *lang.RouteEval, params costmodel.Params) {
+	read := make(map[graph.NodeID]bool)
+	for _, id := range s.IDs {
+		if !c.Has(id) {
+			break
+		}
+		read[id] = true
+	}
+	pages := c.pagesOf(read)
+	model := costmodel.RouteEvaluation(params, len(s.IDs))
+	detail := fmt.Sprintf("§3 route evaluation, L=%d: 1 + (L-1)·(1-α) = %.2f", len(s.IDs), model)
+	if pages > 1 {
+		detail += fmt.Sprintf("; %d pages if every hop is an edge (a hop that is not stops the reads there)", pages)
+	}
+	p.Chosen = Estimate{Path: PathSuccChain, Pages: pages, ModelPages: model, Detail: detail}
+}
+
+// planPath estimates a best-first search as a ball in the page graph:
+// Dijkstra settles every node nearer the source than the destination,
+// so it reads about the pages within as many PAG hops of the source's
+// page as the destination's page lies (every page the source's reaches
+// when the destination's is out of reach). The source is read first; a
+// missing destination stops the search there.
 func (c *Catalog) planPath(p *Plan, s *lang.ShortestPath, params costmodel.Params) {
-	read := c.dijkstraReads(s.Src, s.Dst)
-	model := costmodel.RouteEvaluation(params, len(read))
+	pages, hops := 0, 0
+	src, okSrc := c.pag.PageOf(s.Src)
+	dst, okDst := c.pag.PageOf(s.Dst)
+	switch {
+	case !okSrc:
+	case !okDst || s.Src == s.Dst:
+		pages = 1
+	default:
+		pages, hops = c.pageBall(src, dst)
+	}
+	n := int(math.Round(float64(pages) * c.Stats.Gamma))
+	model := costmodel.RouteEvaluation(params, n)
 	p.Chosen = Estimate{
 		Path:       PathSuccExpand,
-		Pages:      c.pagesOf(read),
+		Pages:      pages,
 		ModelPages: model,
-		Detail: fmt.Sprintf("§3 route-evaluation form over %d expanded node(s): 1 + (n-1)·(1-α) = %.2f",
-			len(read), model),
+		Detail: fmt.Sprintf("estimated: the %d page(s) within %d PAG hop(s) of the source's page; "+
+			"§3 route-evaluation form over their ≈%d node(s): 1 + (n-1)·(1-α) = %.2f", pages, hops, n, model),
 	}
 }
 
-func (c *Catalog) hasEdge(from, to graph.NodeID) bool {
-	for _, e := range c.pag.Succs(from, nil) {
-		if e.To == to {
-			return true
-		}
-	}
-	return false
-}
-
-// neighborhood computes the ball of nodes within depth hops of id
-// (following successor edges, as the executor's BFS does) and the
-// number of expansions — interior nodes whose successor lists are
-// followed. Every ball member's record is read exactly once.
-func (c *Catalog) neighborhood(id graph.NodeID, depth int) (ball map[graph.NodeID]bool, interior int) {
-	ball = make(map[graph.NodeID]bool)
-	if !c.Has(id) {
-		return ball, 0
-	}
-	ball[id] = true
-	frontier := []graph.NodeID{id}
-	var succs []netfile.PAGEdge
-	for d := 0; d < depth && len(frontier) > 0; d++ {
-		var next []graph.NodeID
-		for _, u := range frontier {
-			interior++
-			succs = c.pag.Succs(u, succs[:0])
-			for _, e := range succs {
-				if !ball[e.To] {
-					ball[e.To] = true
-					next = append(next, e.To)
+// pageBall searches the PAG breadth-first from page from and returns the
+// pages within as many hops as page to lies, and that distance; when to
+// is out of reach, every page from reaches and the hops that took.
+func (c *Catalog) pageBall(from, to storage.PageID) (pages, hops int) {
+	seen := map[storage.PageID]bool{from: true}
+	frontier := []storage.PageID{from}
+	for !seen[to] {
+		var next []storage.PageID
+		for _, pid := range frontier {
+			for _, nb := range c.pag.Neighbors(pid) {
+				if !seen[nb.Page] {
+					seen[nb.Page] = true
+					next = append(next, nb.Page)
 				}
 			}
 		}
+		if len(next) == 0 {
+			break
+		}
 		frontier = next
+		hops++
 	}
-	return ball, interior
-}
-
-// --- Dijkstra mirror ---
-
-// pqItem / pqMirror replicate query.Dijkstra's priority queue exactly
-// (same Less, same container/heap), so the mirror settles the same
-// node set in the same order and the predicted page set matches the
-// executor's reads node for node.
-type pqItem struct {
-	id   graph.NodeID
-	dist float64
-}
-
-type pqMirror []pqItem
-
-func (q pqMirror) Len() int            { return len(q) }
-func (q pqMirror) Less(i, j int) bool  { return q[i].dist < q[j].dist }
-func (q pqMirror) Swap(i, j int)       { q[i], q[j] = q[j], q[i] }
-func (q *pqMirror) Push(x interface{}) { *q = append(*q, x.(pqItem)) }
-func (q *pqMirror) Pop() interface{} {
-	old := *q
-	n := len(old)
-	x := old[n-1]
-	*q = old[:n-1]
-	return x
-}
-
-// dijkstraReads mirrors query.Dijkstra over the summary's adjacency
-// and returns the set of node records the executor will read: the
-// source plus every expanded node. The destination's record is not
-// read — Dijkstra returns the moment it settles. Costs accumulate
-// from the stored float32 values exactly as the executor does.
-func (c *Catalog) dijkstraReads(src, dst graph.NodeID) map[graph.NodeID]bool {
-	read := make(map[graph.NodeID]bool)
-	if !c.Has(src) {
-		return read
-	}
-	read[src] = true
-	if !c.Has(dst) {
-		return read
-	}
-	dist := map[graph.NodeID]float64{src: 0}
-	done := map[graph.NodeID]bool{}
-	q := &pqMirror{}
-	heap.Push(q, pqItem{id: src, dist: 0})
-	var succs []netfile.PAGEdge
-	for q.Len() > 0 {
-		cur := heap.Pop(q).(pqItem)
-		if done[cur.id] {
-			continue
-		}
-		done[cur.id] = true
-		if cur.id == dst {
-			return read
-		}
-		read[cur.id] = true
-		succs = c.pag.Succs(cur.id, succs[:0])
-		for _, e := range succs {
-			if done[e.To] {
-				continue
-			}
-			nd := cur.dist + float64(e.Cost)
-			if old, ok := dist[e.To]; !ok || nd < old {
-				dist[e.To] = nd
-				heap.Push(q, pqItem{id: e.To, dist: nd})
-			}
-		}
-	}
-	return read
+	return len(seen), hops
 }
 
 // Describe renders the plan as EXPLAIN's text output.

@@ -2,6 +2,7 @@ package plan
 
 import (
 	"errors"
+	"strings"
 	"testing"
 
 	"ccam/internal/ccam"
@@ -111,13 +112,14 @@ func TestPlanPicksDistinctPaths(t *testing.T) {
 		// Candidates are every node, both pages: the sequential scan
 		// is effectively cheaper.
 		{"WINDOW (0, -1, 9, 1)", PathPAGScan, 2},
-		// Depth-1 ball {1,2,3} stays on page 0.
-		{"NEIGHBORS 1 DEPTH 1", PathSuccExpand, 1},
-		// Depth-4 ball {1..6} spans both pages: scan wins.
+		// At α = 0.5 a depth-1 ball of 1 + |A| = 3 nodes is expected on
+		// 1 + 2·(1-α) = 2 pages, the whole file: the scan is cheaper.
+		{"NEIGHBORS 1 DEPTH 1", PathPAGScan, 2},
+		// Deeper balls are capped at the file's 2 pages: scan wins.
 		{"NEIGHBORS 1 DEPTH 4", PathPAGScan, 2},
 		{"ROUTE 1, 2, 3", PathSuccChain, 1},
 		{"ROUTE 1, 2, 3, 4, 5, 6", PathSuccChain, 2},
-		// Dijkstra settles {1,2,3} before reaching 4; dst is not read.
+		// 1 and 4 share page 0: the page-graph ball is that page.
 		{"PATH 1 TO 4", PathSuccExpand, 1},
 	}
 	for _, tc := range cases {
@@ -129,15 +131,26 @@ func TestPlanPicksDistinctPaths(t *testing.T) {
 			t.Errorf("%q: predicted %d pages, want %d", tc.src, p.Chosen.Pages, tc.wantPages)
 		}
 	}
+	// At α = 0.9 the same ball is expected on 1 + 2·0.1 = 1.2 pages, which
+	// rounds to the source's page: expansion beats the scan.
+	c.Stats.Alpha = 0.9
+	if p := mustPlan(t, c, "NEIGHBORS 1 DEPTH 1"); p.Chosen.Path != PathSuccExpand || p.Chosen.Pages != 1 {
+		t.Errorf("NEIGHBORS 1 DEPTH 1 at α 0.9: chose %s for %d pages, want %s for 1", p.Chosen.Path, p.Chosen.Pages, PathSuccExpand)
+	}
 }
 
 func TestPlanRouteStopsAtBrokenHop(t *testing.T) {
 	c := testCatalog(t)
 	// 1→3 is an edge, 3→2 is not: the executor reads {1, 3} and then
-	// fails, so the prediction covers only page 0.
+	// fails. The summary keeps no adjacency, so the plan cannot see that:
+	// it predicts the stored prefix, both pages, and says what it assumed.
 	p := mustPlan(t, c, "ROUTE 1, 3, 2, 5")
-	if p.Chosen.Pages != 1 {
-		t.Errorf("broken route predicted %d pages, want 1", p.Chosen.Pages)
+	if p.Chosen.Pages != 2 || !strings.Contains(p.Chosen.Detail, "if every hop is an edge") {
+		t.Errorf("broken route predicted %d pages (%q), want 2 with the hop caveat", p.Chosen.Pages, p.Chosen.Detail)
+	}
+	// A node that is not stored ends the prefix: it is never read.
+	if p := mustPlan(t, c, "ROUTE 1, 2, 99, 5"); p.Chosen.Pages != 1 {
+		t.Errorf("route through a missing node predicted %d pages, want 1", p.Chosen.Pages)
 	}
 	// A missing first node is never read.
 	p = mustPlan(t, c, "ROUTE 99, 1")
@@ -146,15 +159,14 @@ func TestPlanRouteStopsAtBrokenHop(t *testing.T) {
 	}
 }
 
-func TestPlanPathMirror(t *testing.T) {
+func TestPlanPathEstimate(t *testing.T) {
 	c := testCatalog(t)
-	// Unreachable destination: Dijkstra settles the whole reachable
-	// component (both pages) before giving up. Make 8 unreachable by
-	// pathing backwards: nothing points at 1 except nothing — use
-	// PATH 8 TO 1 (8 has no successors, so only 8 itself is read).
+	// 8's page is one PAG hop from 1's: the estimate is the ball of one
+	// hop around page 1, both pages — the executor, which finds no edge
+	// out of 8, reads one; the estimate cannot know that.
 	p := mustPlan(t, c, "PATH 8 TO 1")
-	if p.Chosen.Pages != 1 {
-		t.Errorf("PATH 8 TO 1 predicted %d pages, want 1 (only src read)", p.Chosen.Pages)
+	if p.Chosen.Pages != 2 || !strings.Contains(p.Chosen.Detail, "within 1 PAG hop(s)") {
+		t.Errorf("PATH 8 TO 1 predicted %d pages (%q), want the 2 pages within 1 hop", p.Chosen.Pages, p.Chosen.Detail)
 	}
 	// Missing endpoints.
 	if p := mustPlan(t, c, "PATH 99 TO 1"); p.Chosen.Pages != 0 {
@@ -227,11 +239,11 @@ func TestDescribeGolden(t *testing.T) {
 		{
 			"NEIGHBORS 1 DEPTH 1",
 			"plan: NEIGHBORS 1 DEPTH 1\n" +
-				"  access path: successor-expansion\n" +
-				"  predicted data pages: 1\n" +
-				"  model: §3 get-successors over 1 expansion(s): 1 + 1·(1-α)·|A| = 2.00\n" +
+				"  access path: pag-scan\n" +
+				"  predicted data pages: 2\n" +
+				"  model: sequential scan of all 2 data pages in PAG order, counted at 1/2 per page\n" +
 				stats +
-				"  rejected: pag-scan — 2 page(s), model 1.00\n",
+				"  rejected: successor-expansion — 2 page(s), model 2.00\n",
 		},
 		{
 			"NEIGHBORS 1 DEPTH 4",
@@ -240,7 +252,7 @@ func TestDescribeGolden(t *testing.T) {
 				"  predicted data pages: 2\n" +
 				"  model: sequential scan of all 2 data pages in PAG order, counted at 1/2 per page\n" +
 				stats +
-				"  rejected: successor-expansion — 2 page(s), model 6.00\n",
+				"  rejected: successor-expansion — 2 page(s), model 9.00\n",
 		},
 		{
 			"ROUTE 1, 2, 3",
@@ -255,7 +267,7 @@ func TestDescribeGolden(t *testing.T) {
 			"plan: PATH 1 TO 4\n" +
 				"  access path: successor-expansion\n" +
 				"  predicted data pages: 1\n" +
-				"  model: §3 route-evaluation form over 3 expanded node(s): 1 + (n-1)·(1-α) = 2.00\n" +
+				"  model: estimated: the 1 page(s) within 0 PAG hop(s) of the source's page; §3 route-evaluation form over their ≈4 node(s): 1 + (n-1)·(1-α) = 2.50\n" +
 				stats,
 		},
 	}

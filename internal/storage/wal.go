@@ -687,7 +687,7 @@ func OpenWAL(dir string, policy SyncPolicy, segmentBytes int64) (*WAL, error) {
 		if len(recs) > 0 {
 			lastLSN = recs[len(recs)-1].LSN
 		}
-		if validEnd < len(data) || len(recs) == 0 && validEnd == walSegHeaderLen && i < len(segs)-1 {
+		if validEnd < len(data) || len(recs) == 0 && validEnd <= walSegHeaderLen && i < len(segs)-1 {
 			cut = i
 			cutOff = int64(validEnd)
 			break
@@ -784,8 +784,12 @@ func listSegments(dir string) ([]segmentInfo, error) {
 // scanSegment decodes records from a raw segment image. It returns the
 // decoded records, the offset just past the last valid record, and
 // whether the segment ended in a torn/corrupt record (false means it
-// ended exactly at EOF).
+// ended exactly at EOF). An image shorter than the segment header holds
+// nothing valid: validEnd is 0.
 func scanSegment(data []byte, firstLSN uint64) (recs []WALRecord, validEnd int, torn bool) {
+	if len(data) < walSegHeaderLen {
+		return nil, 0, len(data) > 0
+	}
 	off := walSegHeaderLen
 	expect := firstLSN
 	for {
@@ -837,7 +841,7 @@ func ScanWALDir(dir string) (recs []WALRecord, torn bool, err error) {
 		if len(r) > 0 {
 			lastLSN = r[len(r)-1].LSN
 		}
-		if t {
+		if t || len(data) < walSegHeaderLen {
 			return recs, true, nil
 		}
 	}

@@ -52,6 +52,12 @@ type Result struct {
 	Records int
 	// CrashPoints is the number of distinct crash points verified.
 	CrashPoints int
+	// CRRDrift is the min, median and max over the crash points of the
+	// recovered store's CRR minus the CRR the committed state had before
+	// the crash. Replay runs first-order whatever policy committed a
+	// batch, so the two may differ; the drill reports it and asserts
+	// nothing.
+	CRRDrift [3]float64
 }
 
 func (c *Config) logf(format string, args ...any) {
@@ -103,6 +109,25 @@ func fingerprintScan(scan func(func(*ccam.Record) bool) error) (uint64, error) {
 		fmt.Fprint(h, ";")
 	}
 	return h.Sum64(), nil
+}
+
+// network is the model as a Network (nodes at the origin), to measure a
+// placement's CRR against.
+func (m model) network() (*ccam.Network, error) {
+	g := ccam.NewNetwork()
+	for id := range m {
+		if err := g.AddNode(ccam.Node{ID: id}); err != nil {
+			return nil, err
+		}
+	}
+	for from, succs := range m {
+		for to, cost := range succs {
+			if err := g.AddEdge(ccam.Edge{From: from, To: to, Cost: float64(cost), Weight: 1}); err != nil {
+				return nil, err
+			}
+		}
+	}
+	return g, nil
 }
 
 // sortedIDs returns the model's node ids in ascending order, for
@@ -243,12 +268,12 @@ func Run(dir string, cfg Config) (Result, error) {
 	}
 
 	// prints[i] is the expected fingerprint with the first i batches
-	// committed.
+	// committed, nets[i] that state as a network and crrs[i] its CRR.
 	fp, err := fingerprint(s)
 	if err != nil {
 		return res, err
 	}
-	prints := []uint64{fp}
+	prints, nets, crrs := []uint64{fp}, []*ccam.Network{g}, []float64{s.CRR(g)}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	nextID := ccam.NodeID(1_000_000)
 	for res.Ops < cfg.Ops {
@@ -265,7 +290,11 @@ func Run(dir string, cfg Config) (Result, error) {
 		if err != nil {
 			return res, err
 		}
-		prints = append(prints, fp)
+		net, err := m.network()
+		if err != nil {
+			return res, err
+		}
+		prints, nets, crrs = append(prints, fp), append(nets, net), append(crrs, s.CRR(net))
 	}
 	cfg.logf("drill: %d ops in %d batches over a %dx%d map", res.Ops, res.Batches, cfg.Rows, cfg.Cols)
 
@@ -343,6 +372,7 @@ func Run(dir string, cfg Config) (Result, error) {
 		}
 		return ends[k-1]
 	}
+	var drift []float64
 	crash := func(cut int64, survivors int, label string) error {
 		cdir := filepath.Join(dir, "crash")
 		cpath := filepath.Join(cdir, "net.ccam")
@@ -390,6 +420,8 @@ func Run(dir string, cfg Config) (Result, error) {
 			return fmt.Errorf("%s: recovered snapshot diverges from the %d-batch committed prefix",
 				label, commitsAt[survivors])
 		}
+		c := commitsAt[survivors]
+		drift = append(drift, r.CRR(nets[c])-crrs[c])
 		if err := r.Close(); err != nil {
 			return fmt.Errorf("%s: close: %w", label, err)
 		}
@@ -429,5 +461,7 @@ func Run(dir string, cfg Config) (Result, error) {
 		}
 	}
 	cfg.logf("drill: %d crash points recovered to the exact committed prefix", res.CrashPoints)
+	sort.Float64s(drift)
+	res.CRRDrift = [3]float64{drift[0], drift[len(drift)/2], drift[len(drift)-1]}
 	return res, nil
 }

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"testing"
 
@@ -75,4 +76,32 @@ func FuzzDecodeResponseStats(f *testing.F) {
 func isRemote(err error) bool {
 	var re *Error
 	return errors.As(err, &re)
+}
+
+// FuzzApplyRequest: any JSON body that decodes into an ApplyRequest
+// converts without a panic, either to a batch of one op per request op
+// or to a refusal wrapping ErrBadRequest with no batch.
+func FuzzApplyRequest(f *testing.F) {
+	f.Add([]byte(`{"ops":[{"kind":"set-edge-cost","from":1,"to":2,"cost":3.5}]}`))
+	f.Add([]byte(`{"ops":[{"kind":"insert-node","policy":"second-order","node":{"id":9,"x":1,"y":2,"succs":[{"to":1,"cost":2}],"preds":[3]},"pred_costs":[4]}]}`))
+	f.Add([]byte(`{"ops":[{"kind":"delete-node","id":4,"policy":"lazy"},{"kind":"insert-edge","from":1,"to":2},{"kind":"delete-edge","from":2,"to":1}]}`))
+	f.Add([]byte(`{"ops":[{"kind":"insert-node"}]}`))
+	f.Add([]byte(`{"ops":[{"kind":"delete-node","policy":"sideways"}]}`))
+	f.Add([]byte(`{"ops":[{"kind":"rename"}]}`))
+	f.Fuzz(func(t *testing.T, body []byte) {
+		var req ApplyRequest
+		if json.Unmarshal(body, &req) != nil {
+			return
+		}
+		b, err := req.Batch()
+		if err != nil {
+			if b != nil || !errors.Is(err, ErrBadRequest) {
+				t.Fatalf("refusal (%v) returned batch %v or does not wrap ErrBadRequest", err, b)
+			}
+			return
+		}
+		if b.Len() != len(req.Ops) {
+			t.Fatalf("%d ops became a batch of %d", len(req.Ops), b.Len())
+		}
+	})
 }

@@ -2,9 +2,9 @@ package ccam
 
 // Tests of the PAG summary as the store's one account of topology: a
 // reference rebuilt from a scan of the file must agree with everything
-// the summary's readers see — adjacency, tallies, CRR/WCRR, planner
-// statistics — after every step of a randomized
-// schedule, and the gauges must follow one weight rule across restarts.
+// the summary's readers see — tallies, page pairs, CRR/WCRR, planner
+// statistics — after every step of a randomized schedule, and the
+// gauges must follow one weight rule across restarts.
 
 import (
 	"context"
@@ -95,6 +95,11 @@ func checkPinnedIndex(t *testing.T, snap *Snapshot, before, after Placement) {
 func checkPAG(t *testing.T, s *Store, weights map[edgeID]float64, before Placement) Placement {
 	t.Helper()
 	f := s.m.File()
+	// Every step ends on a mutation boundary, where the store has settled
+	// what it touched: the summary is whole before anyone asks for it.
+	if n := f.SettlePAG(); n != 0 {
+		t.Fatalf("%d touched node(s) left unsettled", n)
+	}
 	pag := f.PAG()
 	place := scanPlacement(t, s)
 	checkNodeIndex(t, "live end", nodeIndex{
@@ -120,7 +125,7 @@ func checkPAG(t *testing.T, s *Store, weights map[edgeID]float64, before Placeme
 		t.Fatal(err)
 	}
 
-	// Adjacency, edge for edge, and the per-page and per-pair tallies.
+	// The scan's own edge list, and the per-page and per-pair tallies.
 	type tally struct{ incident, split int }
 	pages := map[storage.PageID]*tally{}
 	pairs := map[storage.PageID]map[storage.PageID]int{}
@@ -131,20 +136,13 @@ func checkPAG(t *testing.T, s *Store, weights map[edgeID]float64, before Placeme
 	lists := 0
 	for _, rec := range recs {
 		lists += len(rec.Succs) + len(rec.Preds)
-		got := pag.Succs(rec.ID, nil)
-		if len(got) != len(rec.Succs) {
-			t.Fatalf("node %d: summary has %d successors, record %d", rec.ID, len(got), len(rec.Succs))
-		}
 		if pid, ok := pag.PageOf(rec.ID); !ok || pid != place[rec.ID] {
 			t.Fatalf("node %d: summary resolves page %d (%v), index %d", rec.ID, pid, ok, place[rec.ID])
 		}
-		for i, sc := range rec.Succs {
+		for _, sc := range rec.Succs {
 			w, ok := weights[edgeID{rec.ID, sc.To}]
 			if !ok {
 				w = 1
-			}
-			if got[i].To != sc.To || got[i].Cost != sc.Cost || float64(got[i].Weight) != w {
-				t.Fatalf("node %d successor %d: summary %+v, record %+v weight %v", rec.ID, i, got[i], sc, w)
 			}
 			if err := ref.AddEdge(Edge{From: rec.ID, To: sc.To, Cost: float64(sc.Cost), Weight: w}); err != nil {
 				t.Fatalf("record %d names an edge the file cannot hold: %v", rec.ID, err)
@@ -360,10 +358,22 @@ func (p *pagSchedule) reopen(pool int) {
 // sizes 1, 8 and 4096 — and checks the summary against a scan of the
 // file after every step, and the node index with it: at the live end,
 // and on a view pinned before the step, which must go on answering like
-// the scan made before it.
+// the scan made before it. Every writer runs: CCAM-S, CCAM-D (whose
+// build stores lists that name nodes not stored yet) and a DFS-AM
+// baseline, whose Insert and Delete run on the same record primitives
+// without a WAL or a reorganizer.
 func TestPAGSummaryMatchesScan(t *testing.T) {
-	for seed := int64(1); seed <= 3; seed++ {
-		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+	for _, sc := range []struct {
+		name     string
+		seed     int64
+		dynamic  bool
+		baseline BaselineKind
+	}{
+		{name: "seed=1", seed: 1}, {name: "seed=2", seed: 2}, {name: "seed=3", seed: 3},
+		{name: "ccam-d", seed: 4, dynamic: true}, {name: "dfs-am", seed: 5, baseline: DFSAM},
+	} {
+		seed := sc.seed
+		t.Run(sc.name, func(t *testing.T) {
 			g := smallTestMap(t)
 			rng := rand.New(rand.NewSource(seed))
 			routes, err := RandomWalkRoutes(g, 64, 8, rng)
@@ -377,7 +387,7 @@ func TestPAGSummaryMatchesScan(t *testing.T) {
 			p := &pagSchedule{
 				t: t, rng: rng, nextID: 1 << 20,
 				opts: Options{
-					PageSize: 512, PoolPages: pools[int(seed)%3], Seed: seed,
+					PageSize: 512, PoolPages: pools[int(seed)%3], Seed: seed, Dynamic: sc.dynamic,
 					Path: filepath.Join(t.TempDir(), "pag.ccam"), WAL: true, SyncPolicy: SyncNone,
 					Metrics: seed%2 == 1, CheckpointBytes: 16 << 10,
 					// Every round comes from Poke; any decay triggers one.
@@ -390,7 +400,15 @@ func TestPAGSummaryMatchesScan(t *testing.T) {
 					p.weights[edgeID{e.From, e.To}] = e.Weight
 				}
 			}
-			if p.s, err = Open(p.opts); err != nil {
+			if sc.baseline != "" {
+				// In memory, unlogged, no reorganizer: the schedule applies
+				// and flushes only.
+				p.opts = Options{PageSize: 512, PoolPages: p.opts.PoolPages, Seed: seed}
+				p.s, err = NewBaseline(sc.baseline, p.opts)
+			} else {
+				p.s, err = Open(p.opts)
+			}
+			if err != nil {
 				t.Fatal(err)
 			}
 			defer func() { p.s.Close() }()
@@ -406,6 +424,9 @@ func TestPAGSummaryMatchesScan(t *testing.T) {
 					t.Fatal(err)
 				}
 				k := rng.Intn(12)
+				if sc.baseline != "" && k >= 8 {
+					k = 10 // a checkpoint is a flush
+				}
 				switch {
 				case k < 8:
 					// Grow for the first half of the schedule, shrink after.

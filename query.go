@@ -60,10 +60,11 @@ var (
 // Executed statements additionally report the I/O the execution counted
 // in Result.Actual, so predictions can be validated request by request.
 //
-// The planner reads the file's PAG summary (adjacency, α, |A|, λ, γ),
-// which every mutation keeps current, and resolves placements as of
-// the statement's pinned LSN: no statement ever scans the file to
-// plan.
+// The planner reads the file's PAG summary (α, |A|, λ, γ and the
+// page-pair counts), which every mutation keeps current, and resolves
+// placements as of the statement's pinned LSN: no statement ever scans
+// the file, or runs its search, to plan. Predicted pages are exact for
+// FIND, WINDOW and ROUTE and estimated for NEIGHBORS and PATH.
 //
 // Like the other queries, an executed statement runs against an
 // LSN-pinned snapshot: a concurrent Apply never blocks it and never

@@ -158,6 +158,8 @@ func (r *reorganizer) round() error {
 		if err != nil {
 			return fmt.Errorf("ccam: background reorganization: %w", err)
 		}
+		// The round is whole: File.PAG settles its rewrites into the
+		// summary before reading it.
 		if after := f.PAG().Stats().CRR(); after <= crr+1e-9 {
 			// Negligible gain: back off as above.
 			r.highwater = after
