@@ -14,6 +14,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"path/filepath"
 	"testing"
@@ -435,6 +436,49 @@ func BenchmarkRangeQuery(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkRangeQueryWindow30 measures window queries of the benchmark
+// harness's netmix size — a square expected to hold 30 nodes, centred on
+// a random node's position — on its 256x256-lattice road map (seed 169),
+// the whole file buffered. Unlike BenchmarkRangeQuery's one large window
+// on the paper-scale map, most of the time here is the spatial probe.
+func BenchmarkRangeQueryWindow30(b *testing.B) {
+	o := MinneapolisLikeOpts()
+	o.Rows, o.Cols = 256, 256
+	g, err := RoadMap(o)
+	if err != nil {
+		b.Fatal(err)
+	}
+	s, err := Open(Options{PageSize: 2048, PoolPages: 8192, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer s.Close()
+	if err := s.Build(g); err != nil {
+		b.Fatal(err)
+	}
+	ids := g.NodeIDs()
+	bb := g.Bounds()
+	half := math.Sqrt(30*bb.Width()*bb.Height()/float64(len(ids))) / 2
+	rng := rand.New(rand.NewSource(1))
+	windows := make([]Rect, 64)
+	for i := range windows {
+		nd, _ := g.Node(ids[rng.Intn(len(ids))])
+		windows[i] = NewRect(Point{X: nd.Pos.X - half, Y: nd.Pos.Y - half}, Point{X: nd.Pos.X + half, Y: nd.Pos.Y + half})
+	}
+	ctx := context.Background()
+	recs := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		out, err := s.RangeQuery(ctx, windows[i%len(windows)])
+		if err != nil {
+			b.Fatal(err)
+		}
+		recs += len(out)
+	}
+	b.ReportMetric(float64(recs)/float64(b.N), "records/op")
 }
 
 // BenchmarkInsertDeleteSecondOrder measures a node delete+insert round

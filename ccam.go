@@ -195,7 +195,8 @@ type Options struct {
 	// store at that location instead of in memory.
 	Path string
 	// Spatial selects the secondary spatial index: SpatialZOrder (the
-	// paper's Z-ordered B+-tree, the default) or SpatialRTree.
+	// paper's Z-ordered index, kept in memory; the default) or
+	// SpatialRTree.
 	Spatial SpatialIndexKind
 	// Parallelism bounds the worker pool of the batch queries
 	// (FindBatch, EvaluateRoutes). Zero means runtime.GOMAXPROCS(0).
@@ -282,7 +283,8 @@ type SpatialIndexKind = netfile.SpatialKind
 
 // Spatial index kinds.
 const (
-	// SpatialZOrder is the paper's Z-ordered B+-tree.
+	// SpatialZOrder is the paper's Z-ordered index: its keys in memory,
+	// sorted, scanned with BIGMIN jumps.
 	SpatialZOrder = netfile.SpatialZOrder
 	// SpatialRTree is Guttman's R-tree.
 	SpatialRTree = netfile.SpatialRTree

@@ -1,13 +1,12 @@
 // Package btree implements a page-based B+-tree mapping uint64 keys to
-// uint64 values. CCAM keeps a secondary index above its data file: the
-// key is the Z-order value of the node's (x, y) coordinates combined
-// with the node id, and the value is the node id (netfile's zorderIndex,
-// the tree's one user in the store).
+// uint64 values, built on the same storage/buffer substrate as data
+// files, so its page I/O can be metered from its pool's counters.
 //
-// The tree is built on the same storage/buffer substrate as data files,
-// so index I/O can be metered separately, from its pool's counters (the
-// paper assumes index pages are memory resident and excludes them from
-// its headline counts; the harness follows suit).
+// No store code uses it. The paper's Z-order secondary index is memory
+// resident, and netfile keeps it as a sorted key run (zorderIndex). The
+// package's one user is the benchmark harness's probe stack
+// (benchmark/probe.go), which prices a descent and a put on a tree of
+// its own; the package goes when that stack does.
 package btree
 
 import (

@@ -3,13 +3,16 @@
 // the secondary index, and Z-region decomposition for range queries.
 //
 // The paper stores x, y coordinates in every node record and orders the
-// secondary B+-tree index by the Z-order of those coordinates (Orenstein
+// secondary index by the Z-order of those coordinates (Orenstein
 // and Merrett's class of data structures for associative searching), so
 // point and range queries on the embedding space remain possible on top
 // of a connectivity-clustered data file.
 package geom
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // Point is a location in the plane. Road-map coordinates are stored in
 // arbitrary map units; only their relative order matters for Z-values.
@@ -185,11 +188,13 @@ func InZRect(z, lo, hi uint64) bool {
 // the Z-region [lo, hi] (the BIGMIN of Tropf and Herzog). A scan over a
 // Z-ordered index visits [lo, hi]; on hitting a value outside the grid
 // rectangle it jumps to BigMin to skip the gap. The second result is
-// false when no such value exists.
+// false when no such value exists. The bit loop starts at the highest
+// bit where z, lo and hi do not all agree: above it every bit is an
+// "all zero" or "all one" case, which changes nothing.
 func BigMin(z, lo, hi uint64) (uint64, bool) {
 	bigmin := uint64(0)
 	haveBigmin := false
-	for bit := 63; bit >= 0; bit-- {
+	for bit := 63 - bits.LeadingZeros64((lo^hi)|(lo^z)); bit >= 0; bit-- {
 		mask := uint64(1) << uint(bit)
 		zb, lb, hb := z&mask != 0, lo&mask != 0, hi&mask != 0
 		switch {

@@ -172,8 +172,92 @@ func TestBigMinSkipsGaps(t *testing.T) {
 	}
 }
 
+// bigMinFullLoop is BigMin as it was before its loop learned to skip
+// the leading bits on which z, lo and hi agree: every one of the 64
+// bits is visited. BigMin must agree with it on every input.
+func bigMinFullLoop(z, lo, hi uint64) (uint64, bool) {
+	bigmin := uint64(0)
+	haveBigmin := false
+	for bit := 63; bit >= 0; bit-- {
+		mask := uint64(1) << uint(bit)
+		zb, lb, hb := z&mask != 0, lo&mask != 0, hi&mask != 0
+		switch {
+		case !zb && !lb && !hb:
+		case !zb && !lb && hb:
+			bigmin = loadBits(lo, bit)
+			haveBigmin = true
+			hi = maxBits(hi, bit)
+		case !zb && lb && hb:
+			return lo, true
+		case zb && !lb && !hb:
+			return bigmin, haveBigmin
+		case zb && !lb && hb:
+			lo = loadBits(lo, bit)
+		case zb && lb && hb:
+		default:
+			return bigmin, haveBigmin
+		}
+	}
+	return bigmin, haveBigmin
+}
+
 func TestBigMinRandomized(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
+	// coord draws a grid coordinate of a small, a 16-bit (the spatial
+	// index's) or a full-width grid.
+	coord := func(scale int) uint32 {
+		switch scale {
+		case 0:
+			return uint32(rng.Intn(64))
+		case 1:
+			return uint32(rng.Intn(1 << 16))
+		default:
+			return rng.Uint32() & maxCoord
+		}
+	}
+	inside, outside := 0, 0
+	for trial := 0; trial < 20000; trial++ {
+		scale := trial % 3
+		lox, hix, loy, hiy := coord(scale), coord(scale), coord(scale), coord(scale)
+		if lox > hix {
+			lox, hix = hix, lox
+		}
+		if loy > hiy {
+			loy, hiy = hiy, loy
+		}
+		lo, hi := Interleave(lox, loy), Interleave(hix, hiy)
+		z := Interleave(coord(scale), coord(scale))
+		if trial%4 == 0 {
+			// A z inside the rectangle, which the scan never jumps
+			// from but which BigMin must still treat as before.
+			z = Interleave(lox+uint32(rng.Int63n(int64(hix-lox)+1)), loy+uint32(rng.Int63n(int64(hiy-loy)+1)))
+		}
+		if InZRect(z, lo, hi) {
+			inside++
+		} else {
+			outside++
+		}
+		got, ok := BigMin(z, lo, hi)
+		want, wantOK := bigMinFullLoop(z, lo, hi)
+		if ok != wantOK || got != want {
+			t.Fatalf("trial %d: BigMin(%#x, %#x, %#x) = (%#x,%v), full loop (%#x,%v)", trial, z, lo, hi, got, ok, want, wantOK)
+		}
+	}
+	if inside < 1000 || outside < 1000 {
+		t.Fatalf("z inside the rectangle %d times, outside %d: both sides need cover", inside, outside)
+	}
+	// Arbitrary 64-bit words, including ones no rectangle produces.
+	for trial := 0; trial < 20000; trial++ {
+		z, lo, hi := rng.Uint64(), rng.Uint64(), rng.Uint64()
+		if trial%2 == 0 {
+			z = lo ^ (z >> rng.Intn(64)) // share a prefix with lo
+		}
+		got, ok := BigMin(z, lo, hi)
+		want, wantOK := bigMinFullLoop(z, lo, hi)
+		if ok != wantOK || got != want {
+			t.Fatalf("word trial %d: BigMin(%#x, %#x, %#x) = (%#x,%v), full loop (%#x,%v)", trial, z, lo, hi, got, ok, want, wantOK)
+		}
+	}
 	for trial := 0; trial < 200; trial++ {
 		lox, hix := uint32(rng.Intn(32)), uint32(rng.Intn(32))
 		loy, hiy := uint32(rng.Intn(32)), uint32(rng.Intn(32))

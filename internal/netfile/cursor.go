@@ -296,28 +296,23 @@ func (v View) RangeQueryCtx(ctx context.Context, rect geom.Rect) ([]*Record, err
 	// delta under the write side of this lock: the index and a delta list
 	// loaded under the read side agree.
 	c.st = v.f.overlay.Load()
-	err := v.f.spatial.search(rect, func(id graph.NodeID) bool {
+	v.f.spatial.search(rect, func(id graph.NodeID) bool {
 		cand = append(cand, id)
 		return true
 	})
 	indexed := len(cand)
-	if err == nil {
-		// No delta is newer than the live end: the live file adds nothing.
-		for _, d := range c.st.deltas {
-			if d.lsn.Load() <= v.lsn {
-				continue
-			}
-			for _, e := range d.removed {
-				if rect.Contains(e.pos) {
-					cand = append(cand, e.id)
-				}
+	// No delta is newer than the live end: the live file adds nothing.
+	for _, d := range c.st.deltas {
+		if d.lsn.Load() <= v.lsn {
+			continue
+		}
+		for _, e := range d.removed {
+			if rect.Contains(e.pos) {
+				cand = append(cand, e.id)
 			}
 		}
 	}
 	v.f.spatMu.RUnlock()
-	if err != nil {
-		return nil, err
-	}
 	// The index yields each id once; only resurrected entries can
 	// repeat one (deleted, re-inserted and deleted again after the LSN).
 	var seen map[graph.NodeID]bool

@@ -47,7 +47,7 @@ type Options struct {
 // File is the shared data file: slotted data pages holding node
 // records, a clock-sweep buffer pool, the node index (node id → data
 // page; the versioned overlay of snapshot.go, read at its live end) and
-// a spatial index (Z-order B+-tree or R-tree, position → node id). Both
+// a spatial index (Z-order key run or R-tree, position → node id). Both
 // indexes are memory resident, as the paper assumes, so data-page I/O —
 // the paper's metric — is metered in isolation.
 //
@@ -360,11 +360,8 @@ func (f *File) storeRecord(rec *Record, pid storage.PageID) error {
 		return err
 	}
 	f.spatMu.Lock()
-	err = f.spatial.put(rec.Pos, rec.ID)
+	f.spatial.put(rec.Pos, rec.ID)
 	f.spatMu.Unlock()
-	if err != nil {
-		return fmt.Errorf("netfile: spatial insert %d: %w", rec.ID, err)
-	}
 	return nil
 }
 
@@ -645,9 +642,7 @@ func (f *File) install(pages []loadedPage) error {
 			return err
 		}
 	}
-	if err := f.spatial.bulkLoad(spatial); err != nil {
-		return fmt.Errorf("spatial index: %w", err)
-	}
+	f.spatial.bulkLoad(spatial)
 	f.ResetVersions(base)
 	return nil
 }
@@ -722,11 +717,8 @@ func (f *File) ReplacePageContents(pid storage.PageID, recs []*Record) error {
 	}
 	for _, rec := range recs {
 		f.spatMu.Lock()
-		err = f.spatial.put(rec.Pos, rec.ID)
+		f.spatial.put(rec.Pos, rec.ID)
 		f.spatMu.Unlock()
-		if err != nil {
-			return fmt.Errorf("netfile: spatial reindex %d: %w", rec.ID, err)
-		}
 		f.notePlacement(rec.ID, pid)
 	}
 	return nil

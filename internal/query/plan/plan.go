@@ -25,8 +25,8 @@ const (
 	// PathBTreePoint is a primary-index point lookup: one B+-tree
 	// descent to the record's data page.
 	PathBTreePoint AccessPath = "btree-point"
-	// PathZRange drives a window query through the Z-order B+-tree
-	// with BIGMIN jumps, fetching each candidate record.
+	// PathZRange drives a window query through the Z-order index with
+	// BIGMIN jumps, fetching each candidate record.
 	PathZRange AccessPath = "zrange"
 	// PathRTreeWindow drives a window query through the R-tree.
 	PathRTreeWindow AccessPath = "rtree-window"

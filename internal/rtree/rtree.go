@@ -3,8 +3,8 @@
 // access methods such as R-tree [11] and Grid File [21], etc. can
 // alternatively be created on top of the data file as secondary
 // indices"). The tree indexes points (degenerate rectangles) carrying a
-// uint64 reference; like the Z-order B+-tree it replaces, it is treated
-// as memory resident.
+// uint64 reference; like the Z-order index it stands in for, it is
+// memory resident.
 package rtree
 
 import (

@@ -105,3 +105,112 @@ func FuzzApplyRequest(f *testing.F) {
 		}
 	})
 }
+
+// bodyCodecs are the body decoders FuzzDecodeBodies drives, each paired
+// with its encoder: again decodes a body and re-encodes what decoded.
+// A decode failure is returned; an encoder refusing a decoded value
+// fails the test.
+var bodyCodecs = []struct {
+	name  string
+	again func(t *testing.T, b []byte) ([]byte, error)
+}{
+	{"rect", func(_ *testing.T, b []byte) ([]byte, error) {
+		r, err := DecodeRectBody(b)
+		if err != nil {
+			return nil, err
+		}
+		return EncodeRectBody(r), nil
+	}},
+	{"records", func(_ *testing.T, b []byte) ([]byte, error) {
+		recs, err := DecodeRecordsBody(b)
+		if err != nil {
+			return nil, err
+		}
+		return EncodeRecordsBody(recs), nil
+	}},
+	{"routes", func(_ *testing.T, b []byte) ([]byte, error) {
+		routes, err := DecodeRoutesBody(b)
+		if err != nil {
+			return nil, err
+		}
+		return EncodeRoutesBody(routes), nil
+	}},
+	{"apply", func(t *testing.T, b []byte) ([]byte, error) {
+		ops, err := DecodeApplyBody(b)
+		if err != nil {
+			return nil, err
+		}
+		out, err := EncodeApplyBody(ops)
+		if err != nil {
+			t.Fatalf("decoded ops %+v do not re-encode: %v", ops, err)
+		}
+		return out, nil
+	}},
+	{"query", func(_ *testing.T, b []byte) ([]byte, error) {
+		src, explain, err := DecodeQueryBody(b)
+		if err != nil {
+			return nil, err
+		}
+		return EncodeQueryBody(src, explain), nil
+	}},
+	{"result", func(t *testing.T, b []byte) ([]byte, error) {
+		res, err := DecodeResultBody(b)
+		if err != nil {
+			return nil, err
+		}
+		out, err := EncodeResultBody(res)
+		if err != nil {
+			t.Fatalf("decoded result %+v does not re-encode: %v", res, err)
+		}
+		return out, nil
+	}},
+}
+
+// FuzzDecodeBodies: the first byte picks one of the request and response
+// body decoders of bodyCodecs, the rest is the body. No decoder panics; a
+// body refused is refused with ErrBadRequest; a body that decodes
+// re-encodes to bytes that decode and re-encode to the same bytes.
+func FuzzDecodeBodies(f *testing.F) {
+	rj := RecordToJSON(testRecord())
+	apply, err := EncodeApplyBody([]ApplyOp{
+		{Kind: OpInsertNode, Policy: "second-order", Node: &rj, PredCosts: []float32{2.5}},
+		{Kind: OpDeleteNode, Policy: "lazy", ID: 4},
+		{Kind: OpSetEdgeCost, From: 1, To: 2, Cost: 0.5, Policy: "first-order"},
+	})
+	if err != nil {
+		f.Fatal(err)
+	}
+	result, err := EncodeResultBody(&ccam.Result{Stmt: "FIND 7", Kind: "find", Count: 1,
+		Nodes: []ccam.NodeResult{{ID: 7, X: 1.5, Y: -2.25}}})
+	if err != nil {
+		f.Fatal(err)
+	}
+	seeds := [][]byte{
+		EncodeRectBody(ccam.NewRect(ccam.Point{X: -1, Y: 2}, ccam.Point{X: 3, Y: 4.5})),
+		EncodeRecordsBody([]*ccam.Record{testRecord(), {ID: 2, Pos: ccam.Point{X: 4, Y: 4}}}),
+		EncodeRoutesBody([]ccam.Route{{1, 2, 3}, {9}}),
+		apply,
+		EncodeQueryBody("WINDOW (0, 0, 10, 10)", true),
+		result,
+	}
+	for sel, body := range seeds {
+		f.Add(append([]byte{byte(sel)}, body...))
+	}
+	f.Fuzz(func(t *testing.T, in []byte) {
+		if len(in) == 0 {
+			return
+		}
+		c := bodyCodecs[int(in[0])%len(bodyCodecs)]
+		once, err := c.again(t, in[1:])
+		if err != nil {
+			if !errors.Is(err, ErrBadRequest) {
+				t.Fatalf("%s: refusal %v does not wrap ErrBadRequest", c.name, err)
+			}
+			return
+		}
+		twice, err := c.again(t, once)
+		if err != nil || !bytes.Equal(twice, once) {
+			t.Fatalf("%s: body %x re-encoded to %x, which re-encodes to %x (%v)", c.name, in[1:], once, twice, err)
+		}
+	})
+}
