@@ -1,6 +1,8 @@
 package partition
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"math/rand"
 	"sync/atomic"
 	"testing"
@@ -61,6 +63,51 @@ func TestClusterDeterministicAcrossWorkers(t *testing.T) {
 				t.Log("seed 42 and 43 coincide (possible but suspicious)")
 			}
 		})
+	}
+}
+
+// pagesHash is an FNV-64a digest of a page list: each page's length,
+// then its ids in order, all as little-endian uint32s.
+func pagesHash(pages [][]graph.NodeID) uint64 {
+	h := fnv.New64a()
+	var buf [4]byte
+	put := func(v uint32) {
+		binary.LittleEndian.PutUint32(buf[:], v)
+		h.Write(buf[:])
+	}
+	for _, pg := range pages {
+		put(uint32(len(pg)))
+		for _, id := range pg {
+			put(uint32(id))
+		}
+	}
+	return h.Sum64()
+}
+
+// TestClusterPlacementGolden pins the placement itself across versions,
+// not just its determinism within one: a change to the move pass, its
+// heap or the child adjacency order that keeps page counts but breaks a
+// tie differently changes these hashes.
+func TestClusterPlacementGolden(t *testing.T) {
+	g, err := graph.RoadMap(graph.MinneapolisLikeOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	size := func(graph.NodeID) int { return 80 }
+	for _, tc := range []struct {
+		part Bipartitioner
+		want uint64
+	}{
+		{&RatioCut{}, 0x3c091d33e4151769},
+		{&Multilevel{}, 0x76d3a4cf08436b7f},
+	} {
+		pages, err := ClusterNodesIntoPagesOpts(g, size, 1024, tc.part, ClusterOptions{Workers: 1, Seed: 42})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := pagesHash(pages); got != tc.want {
+			t.Errorf("%s: placement hash %#x over %d pages, want %#x", tc.part.Name(), got, len(pages), tc.want)
+		}
 	}
 }
 

@@ -1,7 +1,6 @@
 package partition
 
 import (
-	"container/heap"
 	"math/rand"
 
 	"ccam/internal/graph"
@@ -54,7 +53,7 @@ func (f *FM) Bipartition(w *Weighted, minSize int, rng *rand.Rand) ([]graph.Node
 	}
 	side := w.seedPartition(rng)
 	for pass := 0; pass < f.maxPasses(); pass++ {
-		improved := runMovePass(w, side, lim, scoreCut)
+		improved := runMovePass(w, side, lim, scoreCut, false)
 		if !improved {
 			break
 		}
@@ -94,25 +93,71 @@ type moveCand struct {
 	gain float64
 }
 
+// moveHeap is a max-heap of candidates by gain. Its sift steps are
+// container/heap's Init, Push, Pop, up and down, step for step, on the
+// concrete slice: entries of equal gain pop in the same order, so the
+// placement does not change, and no entry is boxed into an interface.
 type moveHeap []moveCand
 
-func (h moveHeap) Len() int            { return len(h) }
-func (h moveHeap) Less(i, j int) bool  { return h[i].gain > h[j].gain }
-func (h moveHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *moveHeap) Push(x interface{}) { *h = append(*h, x.(moveCand)) }
-func (h *moveHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
+func (h moveHeap) init() {
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		h.down(i, len(h))
+	}
+}
+
+func (h *moveHeap) push(c moveCand) {
+	*h = append(*h, c)
+	s := *h
+	for j := len(s) - 1; j > 0; {
+		i := (j - 1) / 2
+		if !(s[j].gain > s[i].gain) {
+			break
+		}
+		s[i], s[j] = s[j], s[i]
+		j = i
+	}
+}
+
+func (h *moveHeap) pop() moveCand {
+	s := *h
+	n := len(s) - 1
+	s[0], s[n] = s[n], s[0]
+	s.down(0, n)
+	*h = s[:n]
+	return s[n]
+}
+
+// down sifts h[i] toward the leaves of the heap h[:n].
+func (h moveHeap) down(i, n int) {
+	for {
+		j1 := 2*i + 1
+		if j1 >= n {
+			return
+		}
+		j := j1
+		if j2 := j1 + 1; j2 < n && h[j2].gain > h[j1].gain {
+			j = j2
+		}
+		if !(h[j].gain > h[i].gain) {
+			return
+		}
+		h[i], h[j] = h[j], h[i]
+		i = j
+	}
 }
 
 // runMovePass executes one FM-style pass over side in place: nodes move
 // at most once, in lazily-maintained best-gain order, subject to the
 // per-side minimum byte size lim; afterwards the state reverts to the
 // prefix minimizing score. Reports whether the score strictly improved.
-func runMovePass(w *Weighted, side []bool, lim int, score scoreFunc) bool {
+//
+// A boundary pass is the uncoarsening refinement of Multilevel, where the
+// projected partition is already good and almost every profitable move
+// touches the cut: the heap is seeded only with nodes on the cut
+// (interior nodes still enter when a neighbor's move drags them to it),
+// and the pass gives up after max(n/8, 64) consecutive non-improving
+// moves instead of churning through the whole graph.
+func runMovePass(w *Weighted, side []bool, lim int, score scoreFunc, boundary bool) bool {
 	n := w.N()
 	gains := w.gains(side)
 	locked := make([]bool, n)
@@ -121,16 +166,23 @@ func runMovePass(w *Weighted, side []bool, lim int, score scoreFunc) bool {
 
 	h := make(moveHeap, 0, n)
 	for u := 0; u < n; u++ {
-		h = append(h, moveCand{node: u, gain: gains[u]})
+		if !boundary || w.onCut(side, u) {
+			h = append(h, moveCand{node: u, gain: gains[u]})
+		}
 	}
-	heap.Init(&h)
+	h.init()
+	// A pass makes at most n moves, so a stall budget of n never binds.
+	stall := n
+	if boundary {
+		stall = max(n/8, 64)
+	}
 
 	bestScore := score(cut, sa, sb)
 	bestPrefix := 0
-	var moves []int
+	moves := make([]int, 0, n)
 
-	for h.Len() > 0 {
-		c := heap.Pop(&h).(moveCand)
+	for len(h) > 0 && len(moves)-bestPrefix <= stall {
+		c := h.pop()
 		u := c.node
 		if locked[u] || c.gain != gains[u] {
 			continue // stale entry
@@ -165,7 +217,7 @@ func runMovePass(w *Weighted, side []bool, lim int, score scoreFunc) bool {
 				gains[v] += 2 * e.W
 			}
 			if !locked[v] {
-				heap.Push(&h, moveCand{node: v, gain: gains[v]})
+				h.push(moveCand{node: v, gain: gains[v]})
 			}
 		}
 		moves = append(moves, u)

@@ -1,7 +1,6 @@
 package partition
 
 import (
-	"container/heap"
 	"math/rand"
 	"sort"
 
@@ -150,7 +149,7 @@ func (m *Multilevel) Bipartition(w *Weighted, minSize int, rng *rand.Rand) ([]gr
 		}
 		side = fineSide
 		for pass := 0; pass < m.refinePasses(); pass++ {
-			if !boundaryMovePass(fine, side, lim, scoreRatio) {
+			if !runMovePass(fine, side, lim, scoreRatio, true) {
 				break
 			}
 		}
@@ -161,92 +160,6 @@ func (m *Multilevel) Bipartition(w *Weighted, minSize int, rng *rand.Rand) ([]gr
 		return peelFallback(w)
 	}
 	return fa, fb, nil
-}
-
-// boundaryMovePass is runMovePass specialized for uncoarsening
-// refinement, where the projected partition is already good and almost
-// every profitable move touches the cut. The heap is seeded only with
-// boundary nodes (interior nodes still enter when a neighbor's move
-// drags them to the cut), and the pass gives up after a stall budget of
-// consecutive non-improving moves instead of churning through the whole
-// graph. Like runMovePass it reverts to the best prefix and reports
-// whether the score strictly improved.
-func boundaryMovePass(w *Weighted, side []bool, lim int, score scoreFunc) bool {
-	n := w.N()
-	gains := w.gains(side)
-	locked := make([]bool, n)
-	sa, sb := w.sideSizes(side)
-	cut := w.CutWeight(side)
-
-	h := make(moveHeap, 0, 64)
-	for u := 0; u < n; u++ {
-		for _, e := range w.Adj[u] {
-			if side[e.To] != side[u] {
-				h = append(h, moveCand{node: u, gain: gains[u]})
-				break
-			}
-		}
-	}
-	heap.Init(&h)
-
-	bestScore := score(cut, sa, sb)
-	bestPrefix := 0
-	var moves []int
-	stall := n / 8
-	if stall < 64 {
-		stall = 64
-	}
-
-	for h.Len() > 0 {
-		if len(moves)-bestPrefix > stall {
-			break
-		}
-		c := heap.Pop(&h).(moveCand)
-		u := c.node
-		if locked[u] || c.gain != gains[u] {
-			continue // stale entry
-		}
-		if side[u] {
-			if sb-w.Size[u] < lim {
-				continue
-			}
-		} else {
-			if sa-w.Size[u] < lim {
-				continue
-			}
-		}
-		locked[u] = true
-		if side[u] {
-			sb -= w.Size[u]
-			sa += w.Size[u]
-		} else {
-			sa -= w.Size[u]
-			sb += w.Size[u]
-		}
-		side[u] = !side[u]
-		cut -= gains[u]
-		gains[u] = -gains[u]
-		for _, e := range w.Adj[u] {
-			v := e.To
-			if side[v] == side[u] {
-				gains[v] -= 2 * e.W
-			} else {
-				gains[v] += 2 * e.W
-			}
-			if !locked[v] {
-				heap.Push(&h, moveCand{node: v, gain: gains[v]})
-			}
-		}
-		moves = append(moves, u)
-		if s := score(cut, sa, sb); s < bestScore-1e-12 {
-			bestScore = s
-			bestPrefix = len(moves)
-		}
-	}
-	for i := len(moves) - 1; i >= bestPrefix; i-- {
-		side[moves[i]] = !side[moves[i]]
-	}
-	return bestPrefix > 0
 }
 
 // coarsenHEM contracts a heavy-edge matching of w: every node pairs

@@ -54,7 +54,7 @@ func (r *RatioCut) Bipartition(w *Weighted, minSize int, rng *rand.Rand) ([]grap
 	for attempt := 0; attempt < r.restarts(); attempt++ {
 		side := w.seedPartition(rng)
 		for pass := 0; pass < r.maxPasses(); pass++ {
-			if !runMovePass(w, side, lim, scoreRatio) {
+			if !runMovePass(w, side, lim, scoreRatio, false) {
 				break
 			}
 		}

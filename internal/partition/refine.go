@@ -17,7 +17,7 @@ package partition
 func Refine(w *Weighted, side []bool, capacity int) bool {
 	lim := w.Total - capacity // a side keeps at least what the other cannot take
 	improved := false
-	for runMovePass(w, side, lim, scoreCut) {
+	for runMovePass(w, side, lim, scoreCut, false) {
 		improved = true
 	}
 	return improved

@@ -8,10 +8,11 @@
 package partition
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"ccam/internal/graph"
 )
@@ -73,9 +74,8 @@ func BuildWeighted(g *graph.Network, sizeOf func(graph.NodeID) int) *Weighted {
 		w.Adj[k[0]] = append(w.Adj[k[0]], WEdge{To: k[1], W: wt})
 		w.Adj[k[1]] = append(w.Adj[k[1]], WEdge{To: k[0], W: wt})
 	}
-	for i := range w.Adj {
-		es := w.Adj[i]
-		sort.Slice(es, func(a, b int) bool { return es[a].To < es[b].To })
+	for _, es := range w.Adj {
+		slices.SortFunc(es, func(a, b WEdge) int { return cmp.Compare(a.To, b.To) })
 	}
 	return w
 }
@@ -171,6 +171,16 @@ func (w *Weighted) gains(side []bool) []float64 {
 	return g
 }
 
+// onCut reports whether node u has a neighbor on the other side.
+func (w *Weighted) onCut(side []bool, u int) bool {
+	for _, e := range w.Adj[u] {
+		if side[e.To] != side[u] {
+			return true
+		}
+	}
+	return false
+}
+
 // split materializes the two sides as node-id slices.
 func (w *Weighted) split(side []bool) (a, b []graph.NodeID) {
 	for i, s := range side {
@@ -187,8 +197,7 @@ func (w *Weighted) split(side []bool) (a, b []graph.NodeID) {
 // sorts them and splitByIDs preserves the order), so a binary search
 // suffices; -1 when absent.
 func (w *Weighted) indexOf(id graph.NodeID) int {
-	i := sort.Search(len(w.IDs), func(i int) bool { return w.IDs[i] >= id })
-	if i < len(w.IDs) && w.IDs[i] == id {
+	if i, ok := slices.BinarySearch(w.IDs, id); ok {
 		return i
 	}
 	return -1
@@ -226,43 +235,45 @@ func (w *Weighted) splitByIDs(a, b []graph.NodeID) (wa, wb *Weighted, err error)
 		Adj:  make([][]WEdge, len(b)),
 	}
 	// remap[i] is node i's dense index within its side; assigning in
-	// ascending parent order keeps both children's IDs ascending.
+	// ascending parent order keeps both children's IDs ascending. ents
+	// counts each side's adjacency entries (its edges, both halves).
 	remap := make([]int32, n)
+	var entA, entB int
 	for i := 0; i < n; i++ {
-		side := wa
+		side, ents := wa, &entA
 		if inB[i] {
-			side = wb
+			side, ents = wb, &entB
 		}
 		remap[i] = int32(len(side.IDs))
 		side.IDs = append(side.IDs, w.IDs[i])
 		side.Size = append(side.Size, w.Size[i])
 		side.Total += w.Size[i]
+		for _, e := range w.Adj[i] {
+			if inB[e.To] == inB[i] {
+				*ents++
+			}
+		}
 	}
 	if len(wa.IDs) != len(a) {
 		return nil, nil, fmt.Errorf("partition: bipartition sides overlap (%d + %d nodes over %d)", len(a), len(b), n)
 	}
+	// Each child list is the node's own parent list minus its cut edges,
+	// carved from one array per side sized by the count above, so no
+	// append ever reallocates. Parent lists are sorted by To and remap is
+	// monotone within a side, so every child list comes out sorted.
+	edgesA, edgesB := make([]WEdge, 0, entA), make([]WEdge, 0, entB)
 	for u := 0; u < n; u++ {
+		side, edges := wa, &edgesA
+		if inB[u] {
+			side, edges = wb, &edgesB
+		}
+		from := len(*edges)
 		for _, e := range w.Adj[u] {
-			if e.To <= u || inB[u] != inB[e.To] {
-				continue // cut edge, or the mirror half handles it
+			if inB[e.To] == inB[u] {
+				*edges = append(*edges, WEdge{To: int(remap[e.To]), W: e.W})
 			}
-			side := wa
-			if inB[u] {
-				side = wb
-			}
-			ru, rv := remap[u], remap[e.To]
-			side.Adj[ru] = append(side.Adj[ru], WEdge{To: int(rv), W: e.W})
-			side.Adj[rv] = append(side.Adj[rv], WEdge{To: int(ru), W: e.W})
 		}
-	}
-	// Parent adjacency is sorted by To, and remap is monotone within a
-	// side, so the forward halves are appended in order — but the mirror
-	// halves are not; restore the sorted-adjacency invariant.
-	for _, side := range []*Weighted{wa, wb} {
-		for i := range side.Adj {
-			es := side.Adj[i]
-			sort.Slice(es, func(a, b int) bool { return es[a].To < es[b].To })
-		}
+		side.Adj[remap[u]] = (*edges)[from:len(*edges):len(*edges)]
 	}
 	return wa, wb, nil
 }
