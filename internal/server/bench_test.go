@@ -1,9 +1,12 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
+	"fmt"
 	"io"
+	"net/http"
 	"testing"
 )
 
@@ -54,4 +57,33 @@ func BenchmarkServePipelinedFind(b *testing.B) {
 	b.StopTimer()
 	rounds := (b.N + depth - 1) / depth
 	b.ReportMetric(float64(srv.writes.Value()-writes)/float64(rounds*depth), "writes/op")
+}
+
+// BenchmarkServeJSONFind drives one keep-alive HTTP client POSTing
+// /v1/find over loopback: what the JSON protocol costs per request.
+// Client and server share the process, so allocs/op counts both halves.
+func BenchmarkServeJSONFind(b *testing.B) {
+	st, g := testStore(b)
+	_, _, base := startServer(b, st, Options{})
+	hc := &http.Client{Transport: &http.Transport{}}
+	defer hc.CloseIdleConnections()
+	url := base + "/v1/find"
+	body := []byte(fmt.Sprintf(`{"id":%d}`, g.NodeIDs()[0]))
+	round := func() {
+		resp, err := hc.Post(url, "application/json", bytes.NewReader(body))
+		if err != nil {
+			b.Fatal(err)
+		}
+		_, err = io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK {
+			b.Fatalf("find: status %d, %v", resp.StatusCode, err)
+		}
+	}
+	round() // connection set up
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		round()
+	}
 }
