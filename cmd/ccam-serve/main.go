@@ -12,8 +12,8 @@
 //	ccam-serve -path city.ccam -create -nodes 262144 # build one first
 //
 // Endpoints: POST /v1/{find,has,successors,route,range,find-batch,
-// routes,apply}, GET /v1/info, plus /metrics, /metrics.json, /traces
-// and /debug/pprof. The binary protocol listens on -tcp.
+// routes,query,apply}, GET /v1/info, plus /metrics, /metrics.json,
+// /traces and /debug/pprof. The binary protocol listens on -tcp.
 package main
 
 import (

@@ -13,11 +13,6 @@ import (
 )
 
 const (
-	// inlineRouteMax is the longest route evaluated on the connection
-	// goroutine. Every inline op is bounded by it: a route touches at
-	// most this many records, the others one record or one node's
-	// successor list.
-	inlineRouteMax = 64
 	// maxQueuedReplies bounds the replies (and the admission slots) a
 	// connection holds back for one write while whole frames keep
 	// arriving.
@@ -118,19 +113,12 @@ func (c *binConn) unpark() {
 }
 
 // inline reports whether a request runs on the connection goroutine:
-// the point and short-chain reads, chosen by op code and body length
-// alone. Everything that can run long — window and batch queries,
-// longer routes, statements, commits — is handed to a goroutine.
-func inline(op wire.Op, body []byte) bool {
-	switch op {
-	case wire.OpPing, wire.OpFind, wire.OpHas, wire.OpGetSuccessors:
-		return true
-	case wire.OpEvaluateRoute:
-		return len(body) <= 4+4*inlineRouteMax
-	case wire.OpRangeQuery, wire.OpFindBatch, wire.OpEvaluateRoutes, wire.OpApply, wire.OpQuery:
-		return false
-	}
-	return true // an unknown op is refused on the spot
+// the point and short-chain reads, chosen by their row's Inline bound on
+// the body length. Everything that can run long — window and batch
+// queries, longer routes, statements, commits — is handed to a
+// goroutine. An op with no row is refused on the spot.
+func inline(row wire.OpRow, body []byte) bool {
+	return row == nil || len(body) <= row.Info().Inline
 }
 
 // serveConn runs one binary connection: requests run where they are
@@ -146,7 +134,7 @@ func inline(op wire.Op, body []byte) bool {
 // The connection context is canceled the moment the read side fails: a
 // client disconnect aborts every request that can run long. An inline
 // request is not interrupted — nothing reads the connection while it
-// runs — but it is bounded by inlineRouteMax records and finishes.
+// runs — but its row bounds it to a few records, and it finishes.
 func (s *Server) serveConn(conn net.Conn) {
 	if !s.track(conn) { // already draining
 		conn.Close()
@@ -182,8 +170,8 @@ func (s *Server) serveConn(conn net.Conn) {
 			break
 		}
 		served++
-		if inline(h.Op, body) {
-			reply = s.handleBinary(ctx, c, h, body, true, reply[:0])
+		if row := h.Op.Row(); inline(row, body) {
+			reply = s.handleBinary(ctx, c, h, row, body, true, reply[:0])
 		} else {
 			if discard > 0 { // frame aliases the read buffer
 				body = append([]byte(nil), body...)
@@ -191,7 +179,7 @@ func (s *Server) serveConn(conn net.Conn) {
 			pending.Add(1)
 			s.handOff(func() {
 				defer pending.Done()
-				s.handleBinary(ctx, c, h, body, false, nil)
+				s.handleBinary(ctx, c, h, row, body, false, nil)
 			})
 		}
 		if _, err := br.Discard(discard); err != nil {
@@ -246,17 +234,17 @@ func errorFrame(buf []byte, id uint32, err error, echo *ccam.ReqStats) []byte {
 	return wire.AppendErrBody(buf, err)
 }
 
-// handleBinary runs one binary request through admission, deadline,
-// dispatch and the instruments, and queues its response — built in
-// buf, which it returns for reuse — with the request's admission slot:
-// a drain that begins during the request cannot close the connection
-// before the reply is out.
+// handleBinary runs one binary request through the lifecycle (serve),
+// its row serving it, and queues its response — built in buf, which it
+// returns for reuse — with the request's admission slot: a drain that
+// begins during the request cannot close the connection before the
+// reply is out.
 //
 // A sampled request (extended header) tags the store-side traces with
 // its trace id; a want-stats request gets its resource account echoed
 // in the response stats block — on errors too, so a shed request
 // reports Shed.
-func (s *Server) handleBinary(connCtx context.Context, c *binConn, h wire.ReqHeader, body []byte, inline bool, buf []byte) []byte {
+func (s *Server) handleBinary(connCtx context.Context, c *binConn, h wire.ReqHeader, row wire.OpRow, body []byte, inline bool, buf []byte) []byte {
 	var rs *ccam.ReqStats
 	ctx := connCtx
 	if h.Sampled || h.WantStats {
@@ -271,153 +259,16 @@ func (s *Server) handleBinary(connCtx context.Context, c *binConn, h wire.ReqHea
 		echo = rs
 	}
 	meta := reqMeta{op: h.Op, traceID: h.TraceID, rs: rs, inline: inline}
-	if err := s.admit(meta); err != nil {
-		buf = errorFrame(buf, h.ID, err, echo)
-		c.send(buf, 0)
-		return buf
-	}
-	if d := s.deadline(h.DeadlineMS); d > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, d)
-		defer cancel()
-	}
-	start := s.begin(ctx, meta)
-	buf, err := s.dispatchBinary(ctx, h, body, echo, buf)
+	slots, err := s.serve(ctx, meta, h.DeadlineMS, func(ctx context.Context) (err error) {
+		if row == nil {
+			return wire.RemoteError(wire.CodeBadRequest, "unknown op "+h.Op.String())
+		}
+		buf, err = row.ServeBinary(ctx, s.st, body, wire.OpenFrame(buf[:0]), h.ID, echo)
+		return err
+	})
 	if err != nil {
 		buf = errorFrame(buf[:0], h.ID, err, echo)
 	}
-	s.end(meta, start, err)
-	c.send(buf, 1)
+	c.send(buf, slots)
 	return buf
-}
-
-// deadline is the time budget of a binary request: the shorter of its
-// own and the server's default (0: unbounded).
-func (s *Server) deadline(ms uint32) time.Duration {
-	d := time.Duration(ms) * time.Millisecond
-	if s.defDeadline > 0 && (d == 0 || s.defDeadline < d) {
-		d = s.defDeadline
-	}
-	return d
-}
-
-// dispatchBinary executes one request and builds the frame of its
-// success response in buf: the header — with the stats echo, filled in
-// by then — and the body.
-func (s *Server) dispatchBinary(ctx context.Context, h wire.ReqHeader, body []byte, echo *ccam.ReqStats, buf []byte) ([]byte, error) {
-	ok := func() []byte {
-		return wire.AppendResponseHeader(wire.OpenFrame(buf), h.ID, wire.CodeOK, echo)
-	}
-	switch h.Op {
-	case wire.OpPing:
-		return ok(), ctx.Err()
-	case wire.OpFind:
-		id, err := wire.DecodeIDBody(body)
-		if err != nil {
-			return buf, err
-		}
-		rec, err := s.st.Find(ctx, id)
-		if err != nil {
-			return buf, err
-		}
-		return wire.AppendRecordBody(ok(), rec), nil
-	case wire.OpHas:
-		id, err := wire.DecodeIDBody(body)
-		if err != nil {
-			return buf, err
-		}
-		has, err := s.st.Has(ctx, id)
-		if err != nil {
-			return buf, err
-		}
-		return wire.AppendBoolBody(ok(), has), nil
-	case wire.OpGetSuccessors:
-		id, err := wire.DecodeIDBody(body)
-		if err != nil {
-			return buf, err
-		}
-		recs, err := s.st.GetSuccessors(ctx, id)
-		if err != nil {
-			return buf, err
-		}
-		return wire.AppendRecordsBody(ok(), recs), nil
-	case wire.OpEvaluateRoute:
-		ids, rest, err := wire.DecodeIDsBody(body)
-		if err != nil {
-			return buf, err
-		}
-		if len(rest) != 0 {
-			return buf, wire.RemoteError(wire.CodeBadRequest, "trailing bytes after route")
-		}
-		agg, err := s.st.EvaluateRoute(ctx, ccam.Route(ids))
-		if err != nil {
-			return buf, err
-		}
-		return wire.AppendAggBody(ok(), agg), nil
-	case wire.OpRangeQuery:
-		rect, err := wire.DecodeRectBody(body)
-		if err != nil {
-			return buf, err
-		}
-		recs, err := s.st.RangeQuery(ctx, rect)
-		if err != nil {
-			return buf, err
-		}
-		return wire.AppendRecordsBody(ok(), recs), nil
-	case wire.OpFindBatch:
-		ids, rest, err := wire.DecodeIDsBody(body)
-		if err != nil {
-			return buf, err
-		}
-		if len(rest) != 0 {
-			return buf, wire.RemoteError(wire.CodeBadRequest, "trailing bytes after ids")
-		}
-		recs, err := s.st.FindBatch(ctx, ids)
-		if err != nil {
-			return buf, err
-		}
-		return wire.AppendRecordsBody(ok(), recs), nil
-	case wire.OpEvaluateRoutes:
-		routes, err := wire.DecodeRoutesBody(body)
-		if err != nil {
-			return buf, err
-		}
-		aggs, err := s.st.EvaluateRoutes(ctx, routes)
-		if err != nil {
-			return buf, err
-		}
-		return append(ok(), wire.EncodeAggsBody(aggs)...), nil
-	case wire.OpApply:
-		ops, err := wire.DecodeApplyBody(body)
-		if err != nil {
-			return buf, err
-		}
-		req := wire.ApplyRequest{Ops: ops}
-		b, err := req.Batch()
-		if err != nil {
-			return buf, err
-		}
-		if err := s.st.Apply(ctx, b); err != nil {
-			return buf, err
-		}
-		return append(ok(), wire.EncodeUint32Body(uint32(b.Len()))...), nil
-	case wire.OpQuery:
-		src, explain, err := wire.DecodeQueryBody(body)
-		if err != nil {
-			return buf, err
-		}
-		if explain {
-			src = ccam.ExplainStatement(src)
-		}
-		res, err := s.st.Query(ctx, src)
-		if err != nil {
-			return buf, err
-		}
-		out, err := wire.EncodeResultBody(res)
-		if err != nil {
-			return buf, err
-		}
-		return append(ok(), out...), nil
-	}
-	return buf, wire.RemoteError(wire.CodeBadRequest, "unknown op "+h.Op.String())
 }

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -8,7 +9,7 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"strconv"
-	"time"
+	"sync"
 
 	"ccam"
 	"ccam/internal/wire"
@@ -39,189 +40,102 @@ func (s *Server) Handler() http.Handler {
 		})
 	})
 
-	handle := func(path string, op wire.Op, fn func(ctx context.Context, body []byte) (any, error)) {
-		mux.HandleFunc(path, func(w http.ResponseWriter, r *http.Request) {
-			if r.Method != http.MethodPost {
-				writeError(w, wire.RemoteError(wire.CodeBadRequest, "POST required"))
-				return
-			}
-			// TraceHeader marks the request sampled and asks for the
-			// stats field; the server echoes the id on the response.
-			var (
-				traceID uint64
-				rs      *ccam.ReqStats
-			)
-			if th := r.Header.Get(wire.TraceHeader); th != "" {
-				n, perr := strconv.ParseUint(th, 16, 64)
-				if perr != nil || n == 0 {
-					writeError(w, wire.RemoteError(wire.CodeBadRequest, "bad "+wire.TraceHeader))
-					return
-				}
-				traceID = n
-				w.Header().Set(wire.TraceHeader, fmt.Sprintf("%016x", traceID))
-			}
-			body, err := io.ReadAll(io.LimitReader(r.Body, wire.MaxFrame+1))
-			if err != nil {
-				writeError(w, err)
-				return
-			}
-			if len(body) > wire.MaxFrame {
-				writeError(w, wire.RemoteError(wire.CodeBadRequest, "request body too large"))
-				return
-			}
-			reqCtx := r.Context()
-			if traceID != 0 {
-				rs = new(ccam.ReqStats)
-				reqCtx = ccam.WithReqStats(ccam.WithTraceID(reqCtx, traceID), rs)
-			}
-			var out any
-			err = s.do(reqCtx, reqMeta{op: op, traceID: traceID, rs: rs}, func(ctx context.Context) error {
-				if ms := r.Header.Get(DeadlineHeader); ms != "" {
-					n, perr := strconv.ParseUint(ms, 10, 32)
-					if perr != nil {
-						return wire.RemoteError(wire.CodeBadRequest, "bad "+DeadlineHeader)
-					}
-					if n > 0 {
-						var cancel context.CancelFunc
-						ctx, cancel = context.WithTimeout(ctx, time.Duration(n)*time.Millisecond)
-						defer cancel()
-					}
-				}
-				var ferr error
-				out, ferr = fn(ctx, body)
-				return ferr
+	// One endpoint per op whose row has a JSON path.
+	for op := range wire.Op(wire.NumOps) {
+		row := op.Row()
+		if info := row.Info(); info.Path != "" {
+			open := []byte(`{"` + info.Field + `":`)
+			mux.HandleFunc(info.Path, func(w http.ResponseWriter, r *http.Request) {
+				s.serveJSON(w, r, op, row, open)
 			})
-			if err != nil {
-				writeError(w, err)
-				return
-			}
-			if rs != nil {
-				if as, ok := out.(interface{ AttachStats(*ccam.ReqStats) }); ok {
-					as.AttachStats(rs)
-				}
-			}
-			writeJSON(w, http.StatusOK, out)
-		})
+		}
 	}
-
-	handle("/v1/find", wire.OpFind, func(ctx context.Context, body []byte) (any, error) {
-		var req wire.FindRequest
-		if err := decodeJSON(body, &req); err != nil {
-			return nil, err
-		}
-		rec, err := s.st.Find(ctx, req.ID)
-		if err != nil {
-			return nil, err
-		}
-		return &wire.FindResponse{Record: wire.RecordToJSON(rec)}, nil
-	})
-	handle("/v1/has", wire.OpHas, func(ctx context.Context, body []byte) (any, error) {
-		var req wire.HasRequest
-		if err := decodeJSON(body, &req); err != nil {
-			return nil, err
-		}
-		ok, err := s.st.Has(ctx, req.ID)
-		if err != nil {
-			return nil, err
-		}
-		return &wire.HasResponse{Has: ok}, nil
-	})
-	handle("/v1/successors", wire.OpGetSuccessors, func(ctx context.Context, body []byte) (any, error) {
-		var req wire.SuccessorsRequest
-		if err := decodeJSON(body, &req); err != nil {
-			return nil, err
-		}
-		recs, err := s.st.GetSuccessors(ctx, req.ID)
-		if err != nil {
-			return nil, err
-		}
-		return &wire.RecordsResponse{Records: wire.RecordsToJSON(recs)}, nil
-	})
-	handle("/v1/route", wire.OpEvaluateRoute, func(ctx context.Context, body []byte) (any, error) {
-		var req wire.RouteRequest
-		if err := decodeJSON(body, &req); err != nil {
-			return nil, err
-		}
-		agg, err := s.st.EvaluateRoute(ctx, ccam.Route(req.Route))
-		if err != nil {
-			return nil, err
-		}
-		return &wire.RouteResponse{Aggregate: wire.AggregateToJSON(agg)}, nil
-	})
-	handle("/v1/range", wire.OpRangeQuery, func(ctx context.Context, body []byte) (any, error) {
-		var req wire.RangeRequest
-		if err := decodeJSON(body, &req); err != nil {
-			return nil, err
-		}
-		recs, err := s.st.RangeQuery(ctx, req.Rect)
-		if err != nil {
-			return nil, err
-		}
-		return &wire.RecordsResponse{Records: wire.RecordsToJSON(recs)}, nil
-	})
-	handle("/v1/find-batch", wire.OpFindBatch, func(ctx context.Context, body []byte) (any, error) {
-		var req wire.FindBatchRequest
-		if err := decodeJSON(body, &req); err != nil {
-			return nil, err
-		}
-		recs, err := s.st.FindBatch(ctx, req.IDs)
-		if err != nil {
-			return nil, err
-		}
-		return &wire.RecordsResponse{Records: wire.RecordsToJSON(recs)}, nil
-	})
-	handle("/v1/routes", wire.OpEvaluateRoutes, func(ctx context.Context, body []byte) (any, error) {
-		var req wire.RoutesRequest
-		if err := decodeJSON(body, &req); err != nil {
-			return nil, err
-		}
-		aggs, err := s.st.EvaluateRoutes(ctx, wire.Routes(req.Routes))
-		if err != nil {
-			return nil, err
-		}
-		out := make([]wire.AggregateJSON, len(aggs))
-		for i, a := range aggs {
-			out[i] = wire.AggregateToJSON(a)
-		}
-		return &wire.RoutesResponse{Aggregates: out}, nil
-	})
-	handle("/v1/query", wire.OpQuery, func(ctx context.Context, body []byte) (any, error) {
-		var req wire.QueryRequest
-		if err := decodeJSON(body, &req); err != nil {
-			return nil, err
-		}
-		src := req.Query
-		if req.Explain {
-			src = ccam.ExplainStatement(src)
-		}
-		res, err := s.st.Query(ctx, src)
-		if err != nil {
-			return nil, err
-		}
-		return &wire.QueryResponse{Result: res}, nil
-	})
-	handle("/v1/apply", wire.OpApply, func(ctx context.Context, body []byte) (any, error) {
-		var req wire.ApplyRequest
-		if err := decodeJSON(body, &req); err != nil {
-			return nil, err
-		}
-		b, err := req.Batch()
-		if err != nil {
-			return nil, err
-		}
-		if err := s.st.Apply(ctx, b); err != nil {
-			return nil, err
-		}
-		return &wire.ApplyResponse{Applied: b.Len()}, nil
-	})
 	return mux
 }
 
-func decodeJSON(body []byte, into any) error {
-	if err := json.Unmarshal(body, into); err != nil {
-		return wire.RemoteError(wire.CodeBadRequest, "invalid JSON: "+err.Error())
+// serveJSON runs one request of the JSON protocol: its row decodes the
+// body and runs the op; the reply is open — `{"<field>":` — then the
+// result. The headers are checked first, so a malformed one is refused
+// before admission, like a malformed binary header, and counts nowhere.
+func (s *Server) serveJSON(w http.ResponseWriter, r *http.Request, op wire.Op, row wire.OpRow, open []byte) {
+	if r.Method != http.MethodPost {
+		writeError(w, wire.RemoteError(wire.CodeBadRequest, "POST required"))
+		return
 	}
-	return nil
+	// TraceHeader marks the request sampled and asks for the stats
+	// field; the server echoes the id on the response.
+	meta := reqMeta{op: op}
+	ctx := r.Context()
+	if th := r.Header.Get(wire.TraceHeader); th != "" {
+		n, err := strconv.ParseUint(th, 16, 64)
+		if err != nil || n == 0 {
+			writeError(w, wire.RemoteError(wire.CodeBadRequest, "bad "+wire.TraceHeader))
+			return
+		}
+		meta.traceID, meta.rs = n, new(ccam.ReqStats)
+		ctx = ccam.WithReqStats(ccam.WithTraceID(ctx, n), meta.rs)
+		w.Header().Set(wire.TraceHeader, fmt.Sprintf("%016x", n))
+	}
+	var ms uint64
+	if dh := r.Header.Get(DeadlineHeader); dh != "" {
+		var err error
+		if ms, err = strconv.ParseUint(dh, 10, 32); err != nil {
+			writeError(w, wire.RemoteError(wire.CodeBadRequest, "bad "+DeadlineHeader))
+			return
+		}
+	}
+	body, err := io.ReadAll(io.LimitReader(r.Body, wire.MaxFrame+1))
+	if err != nil {
+		writeError(w, err)
+		return
+	}
+	if len(body) > wire.MaxFrame {
+		writeError(w, wire.RemoteError(wire.CodeBadRequest, "request body too large"))
+		return
+	}
+	var out any
+	slots, err := s.serve(ctx, meta, uint32(ms), func(ctx context.Context) (err error) {
+		out, err = row.ServeJSON(ctx, s.st, body)
+		return err
+	})
+	s.release(slots)
+	if err != nil {
+		writeError(w, err)
+		return
+	}
+	writeReply(w, open, out, meta.rs)
+}
+
+// replyBufs holds the buffers writeReply builds replies in: encoding
+// into one reused buffer costs no allocation, where json.Marshal
+// copies every reply out.
+var replyBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// writeReply writes a success reply: open, the result v and, when the
+// request carried TraceHeader, its account rs as "stats" — the bytes
+// json.Encoder writes for a struct of those fields, HTML escaping and
+// trailing newline included.
+func writeReply(w http.ResponseWriter, open []byte, v any, rs *ccam.ReqStats) {
+	buf := replyBufs.Get().(*bytes.Buffer)
+	defer replyBufs.Put(buf)
+	buf.Reset()
+	buf.Write(open)
+	enc := json.NewEncoder(buf)
+	err := enc.Encode(v)
+	if err == nil && rs != nil {
+		buf.Truncate(buf.Len() - 1) // Encode's newline
+		buf.WriteString(`,"stats":`)
+		err = enc.Encode(rs)
+	}
+	if err != nil {
+		writeError(w, err)
+		return
+	}
+	buf.Truncate(buf.Len() - 1)
+	buf.WriteString("}\n")
+	w.Header().Set("Content-Type", "application/json; charset=utf-8")
+	w.WriteHeader(http.StatusOK)
+	w.Write(buf.Bytes()) // a failed write means the client is gone
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {

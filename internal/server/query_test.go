@@ -12,12 +12,6 @@ import (
 	"ccam/internal/wire"
 )
 
-// queryRunner is the CCAM-QL surface both protocol clients share.
-type queryRunner interface {
-	Query(ctx context.Context, src string) (*ccam.Result, error)
-	Explain(ctx context.Context, src string) (*ccam.Result, error)
-}
-
 // TestQueryBothProtocols runs the same CCAM-QL statements over the
 // binary and the JSON protocol and compares each result against the
 // statement run directly on the store.
@@ -40,24 +34,14 @@ func TestQueryBothProtocols(t *testing.T) {
 		fmt.Sprintf("PATH %d TO %d", ids[0], id),
 	}
 
-	bc, err := wire.Dial(binAddr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer bc.Close()
-	clients := map[string]queryRunner{
-		"binary": bc,
-		"json":   &wire.HTTPClient{Base: httpBase},
-	}
-
-	for name, c := range clients {
-		t.Run(name, func(t *testing.T) {
+	for _, p := range protocols(t, binAddr, httpBase) {
+		t.Run(p.name, func(t *testing.T) {
 			for _, stmt := range stmts {
 				want, err := st.Query(ctx, stmt)
 				if err != nil {
 					t.Fatalf("direct Query(%s): %v", stmt, err)
 				}
-				got, err := c.Query(ctx, stmt)
+				got, err := call[*ccam.Result](ctx, p, wire.OpQuery, wire.QueryRequest{Query: stmt})
 				if err != nil {
 					t.Fatalf("remote Query(%s): %v", stmt, err)
 				}
@@ -72,7 +56,7 @@ func TestQueryBothProtocols(t *testing.T) {
 				}
 
 				// The explain flag returns the plan without executing.
-				exp, err := c.Explain(ctx, stmt)
+				exp, err := call[*ccam.Result](ctx, p, wire.OpQuery, wire.QueryRequest{Query: stmt, Explain: true})
 				if err != nil {
 					t.Fatalf("remote Explain(%s): %v", stmt, err)
 				}
@@ -86,7 +70,7 @@ func TestQueryBothProtocols(t *testing.T) {
 			}
 			// An EXPLAIN prefix in the statement itself works too, and
 			// the explain flag does not double-prefix it.
-			exp, err := c.Explain(ctx, "EXPLAIN "+stmts[0])
+			exp, err := call[*ccam.Result](ctx, p, wire.OpQuery, wire.QueryRequest{Query: "EXPLAIN " + stmts[0], Explain: true})
 			if err != nil || !exp.Explain {
 				t.Fatalf("prefixed explain = %+v, %v", exp, err)
 			}
@@ -101,15 +85,6 @@ func TestQueryErrorsBothProtocols(t *testing.T) {
 	_, binAddr, httpBase := startServer(t, st, Options{})
 	ctx := context.Background()
 
-	bc, err := wire.Dial(binAddr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer bc.Close()
-	clients := map[string]queryRunner{
-		"binary": bc,
-		"json":   &wire.HTTPClient{Base: httpBase},
-	}
 	cases := []struct {
 		stmt     string
 		sentinel error
@@ -118,10 +93,10 @@ func TestQueryErrorsBothProtocols(t *testing.T) {
 		{"NEIGHBORS 1 DEPTH 1 AGG SUM(nodes)", ccam.ErrQueryUnsupported},
 		{"FIND 4000000000", ccam.ErrNotFound},
 	}
-	for name, c := range clients {
-		t.Run(name, func(t *testing.T) {
+	for _, p := range protocols(t, binAddr, httpBase) {
+		t.Run(p.name, func(t *testing.T) {
 			for _, tc := range cases {
-				if _, err := c.Query(ctx, tc.stmt); !errors.Is(err, tc.sentinel) {
+				if _, err := call[*ccam.Result](ctx, p, wire.OpQuery, wire.QueryRequest{Query: tc.stmt}); !errors.Is(err, tc.sentinel) {
 					t.Errorf("Query(%s) = %v, want %v", tc.stmt, err, tc.sentinel)
 				}
 			}

@@ -1,9 +1,10 @@
 // Package server puts a ccam.Store in front of network traffic. It
-// serves the store's query surface over two protocols sharing one
-// dispatch path — JSON over HTTP (Handler) and the compact binary
-// protocol of internal/wire (ServeBinary) — with per-request contexts
-// and deadlines, admission control that sheds excess load with
-// ccam.ErrOverloaded, and a graceful drain (Shutdown) that stops
+// renders internal/wire's op table as two protocols — JSON over HTTP
+// (Handler: one endpoint per row) and the compact binary protocol
+// (ServeBinary: one row lookup per request) — and takes every request
+// of either through one lifecycle (serve): admission control that sheds
+// excess load with ccam.ErrOverloaded, the request's deadline, the
+// instruments, and the op. Shutdown drains gracefully: it stops
 // accepting work, finishes what is in flight, and checkpoints so a
 // reopen replays nothing.
 package server
@@ -251,8 +252,20 @@ type reqMeta struct {
 	inline  bool
 }
 
-// begin counts an admitted request in and starts its clock.
-func (s *Server) begin(ctx context.Context, meta reqMeta) time.Time {
+// serve takes one request of either protocol through its lifecycle:
+// admit it, bound its context by its deadline (deadlineMS, 0 for none),
+// count it in, run it, record how it ended. It returns the admission
+// slots the request holds — 1, or 0 when it was refused — for the
+// caller to give back once the reply is out.
+func (s *Server) serve(ctx context.Context, meta reqMeta, deadlineMS uint32, run func(context.Context) error) (slots int, err error) {
+	if err := s.admit(meta); err != nil {
+		return 0, err
+	}
+	if d := s.deadline(deadlineMS); d > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, d)
+		defer cancel()
+	}
 	s.requests.Inc()
 	if meta.inline {
 		s.inlined.Inc()
@@ -264,11 +277,24 @@ func (s *Server) begin(ctx context.Context, meta reqMeta) time.Time {
 	if requestHook != nil {
 		requestHook(ctx)
 	}
-	return start
+	err = run(ctx)
+	s.end(meta, start, err)
+	return 1, err
+}
+
+// deadline is the time budget of a request: the shorter of its own
+// (ms, 0 for none) and the server's default (0: unbounded).
+func (s *Server) deadline(ms uint32) time.Duration {
+	d := time.Duration(ms) * time.Millisecond
+	if s.defDeadline > 0 && (d == 0 || s.defDeadline < d) {
+		d = s.defDeadline
+	}
+	return d
 }
 
 // end records how a request begun at start ended: the global and per-op
-// instruments, and the slow-query log.
+// instruments, and the slow-query log. An op with no row has no per-op
+// series.
 func (s *Server) end(meta reqMeta, start time.Time, err error) {
 	dur := time.Since(start)
 	s.latency.Observe(dur.Nanoseconds())
@@ -286,24 +312,6 @@ func (s *Server) end(meta reqMeta, start time.Time, err error) {
 		s.slow.Inc()
 		s.logSlow(meta, dur, err)
 	}
-}
-
-// do runs one request of the JSON protocol: claim a slot, bound the
-// context, execute, record, give the slot back.
-func (s *Server) do(ctx context.Context, meta reqMeta, fn func(ctx context.Context) error) error {
-	if err := s.admit(meta); err != nil {
-		return err
-	}
-	defer s.release(1)
-	if _, hasDeadline := ctx.Deadline(); !hasDeadline && s.defDeadline > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, s.defDeadline)
-		defer cancel()
-	}
-	start := s.begin(ctx, meta)
-	err := fn(ctx)
-	s.end(meta, start, err)
-	return err
 }
 
 // logShed records an admission refusal (rate-limited: overload storms

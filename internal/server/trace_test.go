@@ -99,10 +99,9 @@ func TestSampledJSONRequestStats(t *testing.T) {
 	st, ids := tracedStore(t)
 	_, _, httpBase := startServer(t, st, Options{})
 
-	hc := &wire.HTTPClient{Base: httpBase}
 	var rs ccam.ReqStats
 	ctx := ccam.WithReqStats(ccam.WithTraceID(context.Background(), 0xD00D), &rs)
-	if _, err := hc.Find(ctx, ids[len(ids)/2]); err != nil {
+	if _, err := jsonCall[*ccam.Record](ctx, httpBase, wire.OpFind, wire.IDRequest{ID: ids[len(ids)/2]}); err != nil {
 		t.Fatal(err)
 	}
 	if rs.Ops != 1 || rs.BufferHits+rs.BufferMisses == 0 {

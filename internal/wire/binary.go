@@ -88,33 +88,6 @@ const (
 	NumOps = 10
 )
 
-// String names the op for errors and traces.
-func (o Op) String() string {
-	switch o {
-	case OpPing:
-		return "ping"
-	case OpFind:
-		return "find"
-	case OpGetSuccessors:
-		return "get-successors"
-	case OpEvaluateRoute:
-		return "evaluate-route"
-	case OpRangeQuery:
-		return "range-query"
-	case OpHas:
-		return "has"
-	case OpFindBatch:
-		return "find-batch"
-	case OpEvaluateRoutes:
-		return "evaluate-routes"
-	case OpApply:
-		return "apply"
-	case OpQuery:
-		return "query"
-	}
-	return fmt.Sprintf("op(%d)", uint8(o))
-}
-
 // MaxFrame bounds a frame payload; a peer announcing more is treated
 // as corrupt and the connection is dropped.
 const MaxFrame = 16 << 20
@@ -361,11 +334,7 @@ func clamp32(v int64) uint32 {
 	return uint32(v)
 }
 
-// EncodeStatsBlock packs a per-request resource account.
-func EncodeStatsBlock(rs *ccam.ReqStats) []byte {
-	return appendStatsBlock(make([]byte, 0, statsBlockSize), rs)
-}
-
+// appendStatsBlock packs a per-request resource account.
 func appendStatsBlock(buf []byte, rs *ccam.ReqStats) []byte {
 	buf = appendUint32(buf, clamp32(rs.DataReads))
 	buf = appendUint32(buf, clamp32(rs.DataWrites))
@@ -600,22 +569,29 @@ func EncodeRoutesBody(routes []ccam.Route) []byte {
 
 // DecodeRoutesBody decodes a route list.
 func DecodeRoutesBody(b []byte) ([]ccam.Route, error) {
+	return decodeList(b, "routes", func(b []byte) (ccam.Route, []byte, error) { return DecodeIDsBody(b) })
+}
+
+// decodeList decodes a count and then that many elements, each taken
+// off the front of the body by take; what names the list in the
+// refusal of trailing bytes.
+func decodeList[T any](b []byte, what string, take func([]byte) (T, []byte, error)) ([]T, error) {
 	n, b, err := takeUint32(b)
 	if err != nil {
 		return nil, err
 	}
-	routes := make([]ccam.Route, 0, min(int(n), 1<<16))
+	out := make([]T, 0, min(int(n), 1<<16))
 	for i := uint32(0); i < n; i++ {
-		var ids []ccam.NodeID
-		if ids, b, err = DecodeIDsBody(b); err != nil {
+		var v T
+		if v, b, err = take(b); err != nil {
 			return nil, err
 		}
-		routes = append(routes, ccam.Route(ids))
+		out = append(out, v)
 	}
 	if len(b) != 0 {
-		return nil, fmt.Errorf("%w: %d trailing bytes after routes", ErrBadRequest, len(b))
+		return nil, fmt.Errorf("%w: %d trailing bytes after %s", ErrBadRequest, len(b), what)
 	}
-	return routes, nil
+	return out, nil
 }
 
 // EncodeRecordBody encodes one record (OpFind response) as its stored
@@ -638,15 +614,9 @@ func DecodeRecordBody(b []byte) (*ccam.Record, error) {
 	return rec, nil
 }
 
-// EncodeRecordsBody encodes a record list (OpGetSuccessors,
-// OpRangeQuery, OpFindBatch responses): count, then per record a
-// uint32 length + stored image.
-func EncodeRecordsBody(recs []*ccam.Record) []byte {
-	return AppendRecordsBody(nil, recs)
-}
-
-// AppendRecordsBody is EncodeRecordsBody appending to dst; each record
-// is encoded once, in place.
+// AppendRecordsBody appends a record list (OpGetSuccessors,
+// OpRangeQuery, OpFindBatch responses) to dst: count, then per record a
+// uint32 length + stored image, each record encoded once, in place.
 func AppendRecordsBody(dst []byte, recs []*ccam.Record) []byte {
 	sz := 4
 	for _, r := range recs {
@@ -662,38 +632,23 @@ func AppendRecordsBody(dst []byte, recs []*ccam.Record) []byte {
 
 // DecodeRecordsBody decodes a record list.
 func DecodeRecordsBody(b []byte) ([]*ccam.Record, error) {
-	n, b, err := takeUint32(b)
+	return decodeList(b, "records", takeRecord)
+}
+
+// takeRecord takes one length-prefixed record image off b.
+func takeRecord(b []byte) (*ccam.Record, []byte, error) {
+	sz, b, err := takeUint32(b)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	recs := make([]*ccam.Record, 0, min(int(n), 1<<16))
-	for i := uint32(0); i < n; i++ {
-		var sz uint32
-		if sz, b, err = takeUint32(b); err != nil {
-			return nil, err
-		}
-		if uint64(sz) > uint64(len(b)) {
-			return nil, fmt.Errorf("%w: record of %d bytes in %d-byte body", ErrBadRequest, sz, len(b))
-		}
-		rec, err := DecodeRecordBody(b[:sz])
-		if err != nil {
-			return nil, err
-		}
-		recs = append(recs, rec)
-		b = b[sz:]
+	if uint64(sz) > uint64(len(b)) {
+		return nil, nil, fmt.Errorf("%w: record of %d bytes in %d-byte body", ErrBadRequest, sz, len(b))
 	}
-	if len(b) != 0 {
-		return nil, fmt.Errorf("%w: %d trailing bytes after records", ErrBadRequest, len(b))
-	}
-	return recs, nil
+	rec, err := DecodeRecordBody(b[:sz])
+	return rec, b[sz:], err
 }
 
-// EncodeBoolBody encodes a verdict byte (OpHas response).
-func EncodeBoolBody(v bool) []byte {
-	return AppendBoolBody(nil, v)
-}
-
-// AppendBoolBody is EncodeBoolBody appending to dst.
+// AppendBoolBody appends a verdict byte (OpHas response) to dst.
 func AppendBoolBody(dst []byte, v bool) []byte {
 	if v {
 		return append(dst, 1)
@@ -712,7 +667,8 @@ func DecodeBoolBody(b []byte) (bool, error) {
 // aggSize is the encoded size of one route aggregate.
 const aggSize = 4 + 3*8
 
-// AppendAggBody is EncodeAggBody appending to buf.
+// AppendAggBody appends one route aggregate (OpEvaluateRoute
+// response) to buf.
 func AppendAggBody(buf []byte, a ccam.RouteAggregate) []byte {
 	buf = appendUint32(buf, uint32(a.Nodes))
 	buf = appendFloat64(buf, a.TotalCost)
@@ -731,11 +687,6 @@ func takeAgg(b []byte) (ccam.RouteAggregate, []byte, error) {
 	a.MinCost = math.Float64frombits(binary.LittleEndian.Uint64(b[12:]))
 	a.MaxCost = math.Float64frombits(binary.LittleEndian.Uint64(b[20:]))
 	return a, b[aggSize:], nil
-}
-
-// EncodeAggBody encodes one route aggregate (OpEvaluateRoute response).
-func EncodeAggBody(a ccam.RouteAggregate) []byte {
-	return AppendAggBody(make([]byte, 0, aggSize), a)
 }
 
 // DecodeAggBody decodes one route aggregate.
@@ -762,22 +713,7 @@ func EncodeAggsBody(aggs []ccam.RouteAggregate) []byte {
 
 // DecodeAggsBody decodes positional aggregates.
 func DecodeAggsBody(b []byte) ([]ccam.RouteAggregate, error) {
-	n, b, err := takeUint32(b)
-	if err != nil {
-		return nil, err
-	}
-	aggs := make([]ccam.RouteAggregate, 0, min(int(n), 1<<16))
-	for i := uint32(0); i < n; i++ {
-		var a ccam.RouteAggregate
-		if a, b, err = takeAgg(b); err != nil {
-			return nil, err
-		}
-		aggs = append(aggs, a)
-	}
-	if len(b) != 0 {
-		return nil, fmt.Errorf("%w: %d trailing bytes after aggregates", ErrBadRequest, len(b))
-	}
-	return aggs, nil
+	return decodeList(b, "aggregates", takeAgg)
 }
 
 // queryFlagExplain in the query body's flags byte asks for the plan
@@ -842,34 +778,25 @@ const (
 	binOpSetEdgeCost = 5
 )
 
+// applyKinds names the kind bytes; byte 0 is no kind.
+var applyKinds = [...]string{
+	binOpInsertNode:  OpInsertNode,
+	binOpDeleteNode:  OpDeleteNode,
+	binOpInsertEdge:  OpInsertEdge,
+	binOpDeleteEdge:  OpDeleteEdge,
+	binOpSetEdgeCost: OpSetEdgeCost,
+}
+
 func kindByte(kind string) (byte, error) {
-	switch kind {
-	case OpInsertNode:
-		return binOpInsertNode, nil
-	case OpDeleteNode:
-		return binOpDeleteNode, nil
-	case OpInsertEdge:
-		return binOpInsertEdge, nil
-	case OpDeleteEdge:
-		return binOpDeleteEdge, nil
-	case OpSetEdgeCost:
-		return binOpSetEdgeCost, nil
+	if b := slices.Index(applyKinds[:], kind); b > 0 {
+		return byte(b), nil
 	}
 	return 0, fmt.Errorf("%w: unknown apply kind %q", ErrBadRequest, kind)
 }
 
 func kindName(b byte) (string, error) {
-	switch b {
-	case binOpInsertNode:
-		return OpInsertNode, nil
-	case binOpDeleteNode:
-		return OpDeleteNode, nil
-	case binOpInsertEdge:
-		return OpInsertEdge, nil
-	case binOpDeleteEdge:
-		return OpDeleteEdge, nil
-	case binOpSetEdgeCost:
-		return OpSetEdgeCost, nil
+	if int(b) < len(applyKinds) && applyKinds[b] != "" {
+		return applyKinds[b], nil
 	}
 	return "", fmt.Errorf("%w: unknown apply kind byte %d", ErrBadRequest, b)
 }
@@ -931,79 +858,64 @@ func EncodeApplyBody(ops []ApplyOp) ([]byte, error) {
 
 // DecodeApplyBody decodes a transactional batch.
 func DecodeApplyBody(b []byte) ([]ApplyOp, error) {
-	n, b, err := takeUint32(b)
-	if err != nil {
-		return nil, err
+	return decodeList(b, "apply ops", takeApplyOp)
+}
+
+// takeApplyOp takes one op of a transactional batch off b.
+func takeApplyOp(b []byte) (op ApplyOp, _ []byte, err error) {
+	if len(b) < 2 {
+		return op, nil, fmt.Errorf("%w: truncated apply op", ErrBadRequest)
 	}
-	ops := make([]ApplyOp, 0, min(int(n), 1<<16))
-	for i := uint32(0); i < n; i++ {
-		if len(b) < 2 {
-			return nil, fmt.Errorf("%w: truncated apply op", ErrBadRequest)
-		}
-		kb, pb := b[0], b[1]
-		b = b[2:]
-		var op ApplyOp
-		if op.Kind, err = kindName(kb); err != nil {
-			return nil, err
-		}
-		if op.Policy, err = policyName(pb); err != nil {
-			return nil, err
-		}
-		switch kb {
-		case binOpInsertNode:
-			var sz uint32
-			if sz, b, err = takeUint32(b); err != nil {
-				return nil, err
-			}
-			if uint64(sz) > uint64(len(b)) {
-				return nil, fmt.Errorf("%w: record of %d bytes in %d-byte body", ErrBadRequest, sz, len(b))
-			}
-			rec, err := DecodeRecordBody(b[:sz])
-			if err != nil {
-				return nil, err
-			}
-			b = b[sz:]
-			rj := RecordToJSON(rec)
-			op.Node = &rj
-			var nc uint32
-			if nc, b, err = takeUint32(b); err != nil {
-				return nil, err
-			}
-			if uint64(nc)*4 > uint64(len(b)) {
-				return nil, fmt.Errorf("%w: %d pred costs in %d bytes", ErrBadRequest, nc, len(b))
-			}
-			op.PredCosts = make([]float32, nc)
-			for j := range op.PredCosts {
-				op.PredCosts[j] = math.Float32frombits(binary.LittleEndian.Uint32(b[4*j:]))
-			}
-			b = b[4*nc:]
-		case binOpDeleteNode:
-			var v uint32
-			if v, b, err = takeUint32(b); err != nil {
-				return nil, err
-			}
-			op.ID = ccam.NodeID(v)
-		case binOpInsertEdge, binOpSetEdgeCost, binOpDeleteEdge:
-			var from, to uint32
-			if from, b, err = takeUint32(b); err != nil {
-				return nil, err
-			}
-			if to, b, err = takeUint32(b); err != nil {
-				return nil, err
-			}
-			op.From, op.To = ccam.NodeID(from), ccam.NodeID(to)
-			if kb != binOpDeleteEdge {
-				var c uint32
-				if c, b, err = takeUint32(b); err != nil {
-					return nil, err
-				}
-				op.Cost = math.Float32frombits(c)
-			}
-		}
-		ops = append(ops, op)
+	kb, pb := b[0], b[1]
+	b = b[2:]
+	if op.Kind, err = kindName(kb); err != nil {
+		return op, nil, err
 	}
-	if len(b) != 0 {
-		return nil, fmt.Errorf("%w: %d trailing bytes after apply ops", ErrBadRequest, len(b))
+	if op.Policy, err = policyName(pb); err != nil {
+		return op, nil, err
 	}
-	return ops, nil
+	switch kb {
+	case binOpInsertNode:
+		var rec *ccam.Record
+		if rec, b, err = takeRecord(b); err != nil {
+			return op, nil, err
+		}
+		rj := RecordToJSON(rec)
+		op.Node = &rj
+		var nc uint32
+		if nc, b, err = takeUint32(b); err != nil {
+			return op, nil, err
+		}
+		if uint64(nc)*4 > uint64(len(b)) {
+			return op, nil, fmt.Errorf("%w: %d pred costs in %d bytes", ErrBadRequest, nc, len(b))
+		}
+		op.PredCosts = make([]float32, nc)
+		for j := range op.PredCosts {
+			op.PredCosts[j] = math.Float32frombits(binary.LittleEndian.Uint32(b[4*j:]))
+		}
+		b = b[4*nc:]
+	case binOpDeleteNode:
+		var v uint32
+		if v, b, err = takeUint32(b); err != nil {
+			return op, nil, err
+		}
+		op.ID = ccam.NodeID(v)
+	case binOpInsertEdge, binOpSetEdgeCost, binOpDeleteEdge:
+		var from, to uint32
+		if from, b, err = takeUint32(b); err != nil {
+			return op, nil, err
+		}
+		if to, b, err = takeUint32(b); err != nil {
+			return op, nil, err
+		}
+		op.From, op.To = ccam.NodeID(from), ccam.NodeID(to)
+		if kb != binOpDeleteEdge {
+			var c uint32
+			if c, b, err = takeUint32(b); err != nil {
+				return op, nil, err
+			}
+			op.Cost = math.Float32frombits(c)
+		}
+	}
+	return op, b, nil
 }

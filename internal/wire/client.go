@@ -2,13 +2,9 @@ package wire
 
 import (
 	"bufio"
-	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
-	"io"
 	"net"
-	"net/http"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -37,16 +33,6 @@ type Client struct {
 // Dial connects a binary-protocol client to addr.
 func Dial(addr string) (*Client, error) {
 	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		return nil, err
-	}
-	return NewClient(conn), nil
-}
-
-// DialContext is Dial bounded by ctx.
-func DialContext(ctx context.Context, addr string) (*Client, error) {
-	var d net.Dialer
-	conn, err := d.DialContext(ctx, "tcp", addr)
 	if err != nil {
 		return nil, err
 	}
@@ -105,342 +91,101 @@ func (c *Client) call(ctx context.Context, op Op, body []byte) ([]byte, error) {
 		return nil, ccam.ErrClosed
 	}
 	c.nextID++
-	id := c.nextID
-
+	h := ReqHeader{
+		ID: c.nextID, Op: op, DeadlineMS: deadlineMS(ctx),
+		TraceID: traceID, Sampled: traceID != 0, WantStats: statsSink != nil,
+	}
 	// While the exchange is in flight, a context cancellation must
 	// unblock the read: closing the connection is the only portable
 	// interrupt, and it doubles as disconnect-propagation to the
 	// server.
-	watchDone := make(chan struct{})
-	var watcher sync.WaitGroup
-	watcher.Add(1)
-	go func() {
-		defer watcher.Done()
-		select {
-		case <-ctx.Done():
-			c.closed.Store(true)
-			c.conn.Close()
-		case <-watchDone:
-		}
-	}()
-	finish := func(b []byte, err error) ([]byte, error) {
-		close(watchDone)
-		watcher.Wait()
-		if err != nil && ctx.Err() != nil {
-			return nil, ctx.Err()
-		}
-		return b, err
+	stop := context.AfterFunc(ctx, func() { c.Close() })
+	respBody, err := c.exchange(h, body, statsSink)
+	if !stop() {
+		// The cancellation closed the connection or is closing it: the
+		// next call must find the client closed either way.
+		c.closed.Store(true)
 	}
+	if err != nil && ctx.Err() != nil {
+		return nil, ctx.Err()
+	}
+	return respBody, err
+}
 
-	h := ReqHeader{
-		ID: id, Op: op, DeadlineMS: deadlineMS(ctx),
-		TraceID: traceID, Sampled: traceID != 0, WantStats: statsSink != nil,
-	}
+// exchange writes one request and reads its reply.
+func (c *Client) exchange(h ReqHeader, body []byte, statsSink *ccam.ReqStats) ([]byte, error) {
 	if err := WriteFrame(c.bw, EncodeRequestHeader(h, body)); err != nil {
-		return finish(nil, err)
+		return nil, err
 	}
 	if err := c.bw.Flush(); err != nil {
-		return finish(nil, err)
+		return nil, err
 	}
 	payload, err := ReadFrame(c.br)
 	if err != nil {
-		return finish(nil, err)
+		return nil, err
 	}
-	gotID, respBody, stats, err := DecodeResponseStats(payload)
+	id, respBody, stats, err := DecodeResponseStats(payload)
 	if stats != nil && statsSink != nil {
 		*statsSink = *stats
 	}
-	if err == nil && gotID != id {
-		return finish(nil, fmt.Errorf("%w: response id %d for request %d", ErrBadRequest, gotID, id))
+	if err == nil && id != h.ID {
+		return nil, fmt.Errorf("%w: response id %d for request %d", ErrBadRequest, id, h.ID)
 	}
-	return finish(respBody, err)
+	return respBody, err
 }
 
 // Ping round-trips an empty frame.
 func (c *Client) Ping(ctx context.Context) error {
-	_, err := c.call(ctx, OpPing, nil)
+	_, err := Call[struct{}](ctx, c, OpPing, struct{}{})
 	return err
 }
 
 // Find fetches one record.
 func (c *Client) Find(ctx context.Context, id ccam.NodeID) (*ccam.Record, error) {
-	body, err := c.call(ctx, OpFind, EncodeIDBody(id))
-	if err != nil {
-		return nil, err
-	}
-	return DecodeRecordBody(body)
+	return Call[*ccam.Record](ctx, c, OpFind, IDRequest{ID: id})
 }
 
 // Has reports whether a node is stored.
 func (c *Client) Has(ctx context.Context, id ccam.NodeID) (bool, error) {
-	body, err := c.call(ctx, OpHas, EncodeIDBody(id))
-	if err != nil {
-		return false, err
-	}
-	return DecodeBoolBody(body)
+	return Call[bool](ctx, c, OpHas, IDRequest{ID: id})
 }
 
 // GetSuccessors fetches all successor records of a node.
 func (c *Client) GetSuccessors(ctx context.Context, id ccam.NodeID) ([]*ccam.Record, error) {
-	body, err := c.call(ctx, OpGetSuccessors, EncodeIDBody(id))
-	if err != nil {
-		return nil, err
-	}
-	return DecodeRecordsBody(body)
+	return Call[[]*ccam.Record](ctx, c, OpGetSuccessors, IDRequest{ID: id})
 }
 
 // EvaluateRoute aggregates edge costs along a route.
 func (c *Client) EvaluateRoute(ctx context.Context, route ccam.Route) (ccam.RouteAggregate, error) {
-	body, err := c.call(ctx, OpEvaluateRoute, EncodeIDsBody(route))
-	if err != nil {
-		return ccam.RouteAggregate{}, err
-	}
-	return DecodeAggBody(body)
+	return Call[ccam.RouteAggregate](ctx, c, OpEvaluateRoute, RouteRequest{Route: route})
 }
 
 // RangeQuery fetches all records positioned inside the window.
 func (c *Client) RangeQuery(ctx context.Context, rect ccam.Rect) ([]*ccam.Record, error) {
-	body, err := c.call(ctx, OpRangeQuery, EncodeRectBody(rect))
-	if err != nil {
-		return nil, err
-	}
-	return DecodeRecordsBody(body)
+	return Call[[]*ccam.Record](ctx, c, OpRangeQuery, RangeRequest{Rect: rect})
 }
 
 // FindBatch fetches many records.
 func (c *Client) FindBatch(ctx context.Context, ids []ccam.NodeID) ([]*ccam.Record, error) {
-	body, err := c.call(ctx, OpFindBatch, EncodeIDsBody(ids))
-	if err != nil {
-		return nil, err
-	}
-	return DecodeRecordsBody(body)
+	return Call[[]*ccam.Record](ctx, c, OpFindBatch, FindBatchRequest{IDs: ids})
 }
 
 // EvaluateRoutes aggregates many routes (positional results).
 func (c *Client) EvaluateRoutes(ctx context.Context, routes []ccam.Route) ([]ccam.RouteAggregate, error) {
-	body, err := c.call(ctx, OpEvaluateRoutes, EncodeRoutesBody(routes))
-	if err != nil {
-		return nil, err
-	}
-	return DecodeAggsBody(body)
+	return Call[[]ccam.RouteAggregate](ctx, c, OpEvaluateRoutes, RoutesRequest{Routes: routes})
 }
 
 // Query runs one CCAM-QL statement on the server.
 func (c *Client) Query(ctx context.Context, src string) (*ccam.Result, error) {
-	body, err := c.call(ctx, OpQuery, EncodeQueryBody(src, false))
-	if err != nil {
-		return nil, err
-	}
-	return DecodeResultBody(body)
+	return Call[*ccam.Result](ctx, c, OpQuery, QueryRequest{Query: src})
 }
 
 // Explain plans one CCAM-QL statement without executing it.
 func (c *Client) Explain(ctx context.Context, src string) (*ccam.Result, error) {
-	body, err := c.call(ctx, OpQuery, EncodeQueryBody(src, true))
-	if err != nil {
-		return nil, err
-	}
-	return DecodeResultBody(body)
+	return Call[*ccam.Result](ctx, c, OpQuery, QueryRequest{Query: src, Explain: true})
 }
 
 // Apply commits one transactional batch and returns the op count.
 func (c *Client) Apply(ctx context.Context, ops []ApplyOp) (int, error) {
-	reqBody, err := EncodeApplyBody(ops)
-	if err != nil {
-		return 0, err
-	}
-	body, err := c.call(ctx, OpApply, reqBody)
-	if err != nil {
-		return 0, err
-	}
-	n, err := DecodeUint32Body(body)
-	return int(n), err
-}
-
-// HTTPClient speaks the JSON protocol. Unlike Client it is safe for
-// concurrent use (http.Client pools connections underneath).
-type HTTPClient struct {
-	// Base is the server root, e.g. "http://127.0.0.1:7070".
-	Base string
-	// HTTP is the transport; nil means http.DefaultClient.
-	HTTP *http.Client
-}
-
-func (c *HTTPClient) do(ctx context.Context, path string, in, out any) error {
-	var body io.Reader
-	method := http.MethodGet
-	if in != nil {
-		buf, err := json.Marshal(in)
-		if err != nil {
-			return err
-		}
-		body = bytes.NewReader(buf)
-		method = http.MethodPost
-	}
-	req, err := http.NewRequestWithContext(ctx, method, c.Base+path, body)
-	if err != nil {
-		return err
-	}
-	if in != nil {
-		req.Header.Set("Content-Type", "application/json")
-	}
-	// Mirror the binary header's deadline budget so the server bounds
-	// the query itself, not just the transport.
-	if ms := deadlineMS(ctx); ms > 0 {
-		req.Header.Set("X-Ccam-Deadline-Ms", fmt.Sprint(ms))
-	}
-	// Mirror the binary extended header: a ctx trace id travels as
-	// X-Ccam-Trace (16 hex digits) and marks the request sampled; its
-	// presence also asks for the stats field in the response.
-	if tid := ccam.TraceIDFrom(ctx); tid != 0 {
-		req.Header.Set(TraceHeader, fmt.Sprintf("%016x", tid))
-	}
-	hc := c.HTTP
-	if hc == nil {
-		hc = http.DefaultClient
-	}
-	resp, err := hc.Do(req)
-	if err != nil {
-		if ctx.Err() != nil {
-			return ctx.Err()
-		}
-		return err
-	}
-	defer resp.Body.Close()
-	raw, err := io.ReadAll(io.LimitReader(resp.Body, MaxFrame))
-	if err != nil {
-		return err
-	}
-	if resp.StatusCode/100 != 2 {
-		return DecodeErrorResponse(raw, resp.StatusCode)
-	}
-	if out == nil {
-		return nil
-	}
-	if err := json.Unmarshal(raw, out); err != nil {
-		return err
-	}
-	// A response struct embedding StatsField may carry the server's
-	// per-request account; copy it into the ctx sink, if any.
-	if sink := ccam.ReqStatsFrom(ctx); sink != nil {
-		if sp, ok := out.(interface{ WireStats() *ccam.ReqStats }); ok {
-			if st := sp.WireStats(); st != nil {
-				*sink = *st
-			}
-		}
-	}
-	return nil
-}
-
-// Find fetches one record.
-func (c *HTTPClient) Find(ctx context.Context, id ccam.NodeID) (*ccam.Record, error) {
-	var out FindResponse
-	if err := c.do(ctx, "/v1/find", FindRequest{ID: id}, &out); err != nil {
-		return nil, err
-	}
-	return out.Record.Record(), nil
-}
-
-// Has reports whether a node is stored.
-func (c *HTTPClient) Has(ctx context.Context, id ccam.NodeID) (bool, error) {
-	var out HasResponse
-	if err := c.do(ctx, "/v1/has", HasRequest{ID: id}, &out); err != nil {
-		return false, err
-	}
-	return out.Has, nil
-}
-
-// GetSuccessors fetches all successor records of a node.
-func (c *HTTPClient) GetSuccessors(ctx context.Context, id ccam.NodeID) ([]*ccam.Record, error) {
-	var out RecordsResponse
-	if err := c.do(ctx, "/v1/successors", SuccessorsRequest{ID: id}, &out); err != nil {
-		return nil, err
-	}
-	return jsonRecords(out.Records), nil
-}
-
-// EvaluateRoute aggregates edge costs along a route.
-func (c *HTTPClient) EvaluateRoute(ctx context.Context, route ccam.Route) (ccam.RouteAggregate, error) {
-	var out RouteResponse
-	if err := c.do(ctx, "/v1/route", RouteRequest{Route: route}, &out); err != nil {
-		return ccam.RouteAggregate{}, err
-	}
-	return out.Aggregate.Aggregate(), nil
-}
-
-// RangeQuery fetches all records positioned inside the window.
-func (c *HTTPClient) RangeQuery(ctx context.Context, rect ccam.Rect) ([]*ccam.Record, error) {
-	var out RecordsResponse
-	if err := c.do(ctx, "/v1/range", RangeRequest{Rect: rect}, &out); err != nil {
-		return nil, err
-	}
-	return jsonRecords(out.Records), nil
-}
-
-// FindBatch fetches many records.
-func (c *HTTPClient) FindBatch(ctx context.Context, ids []ccam.NodeID) ([]*ccam.Record, error) {
-	var out RecordsResponse
-	if err := c.do(ctx, "/v1/find-batch", FindBatchRequest{IDs: ids}, &out); err != nil {
-		return nil, err
-	}
-	return jsonRecords(out.Records), nil
-}
-
-// EvaluateRoutes aggregates many routes (positional results).
-func (c *HTTPClient) EvaluateRoutes(ctx context.Context, routes []ccam.Route) ([]ccam.RouteAggregate, error) {
-	rr := make([][]ccam.NodeID, len(routes))
-	for i, r := range routes {
-		rr[i] = r
-	}
-	var out RoutesResponse
-	if err := c.do(ctx, "/v1/routes", RoutesRequest{Routes: rr}, &out); err != nil {
-		return nil, err
-	}
-	aggs := make([]ccam.RouteAggregate, len(out.Aggregates))
-	for i, a := range out.Aggregates {
-		aggs[i] = a.Aggregate()
-	}
-	return aggs, nil
-}
-
-// Query runs one CCAM-QL statement on the server.
-func (c *HTTPClient) Query(ctx context.Context, src string) (*ccam.Result, error) {
-	var out QueryResponse
-	if err := c.do(ctx, "/v1/query", QueryRequest{Query: src}, &out); err != nil {
-		return nil, err
-	}
-	return out.Result, nil
-}
-
-// Explain plans one CCAM-QL statement without executing it.
-func (c *HTTPClient) Explain(ctx context.Context, src string) (*ccam.Result, error) {
-	var out QueryResponse
-	if err := c.do(ctx, "/v1/query", QueryRequest{Query: src, Explain: true}, &out); err != nil {
-		return nil, err
-	}
-	return out.Result, nil
-}
-
-// Apply commits one transactional batch and returns the op count.
-func (c *HTTPClient) Apply(ctx context.Context, ops []ApplyOp) (int, error) {
-	var out ApplyResponse
-	if err := c.do(ctx, "/v1/apply", ApplyRequest{Ops: ops}, &out); err != nil {
-		return 0, err
-	}
-	return out.Applied, nil
-}
-
-// Info describes the served store.
-func (c *HTTPClient) Info(ctx context.Context) (InfoResponse, error) {
-	var out InfoResponse
-	err := c.do(ctx, "/v1/info", nil, &out)
-	return out, err
-}
-
-func jsonRecords(rs []RecordJSON) []*ccam.Record {
-	out := make([]*ccam.Record, len(rs))
-	for i, r := range rs {
-		out[i] = r.Record()
-	}
-	return out
+	return Call[int](ctx, c, OpApply, ApplyRequest{Ops: ops})
 }

@@ -1,9 +1,10 @@
 // Package wire is the shared wire codec of the ccam-serve query
-// service: the stable error-code table, the JSON request/response
-// bodies of the HTTP protocol, and the length-prefixed binary framing
-// — one codec, used by the server (cmd/ccam-serve via internal/server)
-// and by clients (wire.Client, wire.HTTPClient, cmd/ccam-bench -exp
-// serve).
+// service: the op table (every operation written once: its name,
+// endpoint, request and reply types, binary codecs and store call), the
+// stable error-code table, the JSON request bodies of the HTTP protocol
+// and the length-prefixed binary framing — one codec, used by the
+// server (cmd/ccam-serve via internal/server) and by the binary client
+// (wire.Client, which the end-to-end harness in benchmark/ drives).
 //
 // Error contract: every exported ccam sentinel maps to exactly one
 // stable Code (and each Code to one HTTP status) in the table below.

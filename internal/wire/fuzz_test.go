@@ -42,7 +42,7 @@ func FuzzDecodeRequestHeader(f *testing.F) {
 // code and message of an error.
 func FuzzDecodeResponseStats(f *testing.F) {
 	rs := &ccam.ReqStats{DataReads: 2, IndexPages: 1, BufferHits: 1, BufferMisses: 2, Ops: 1}
-	f.Add(EncodeOKResponse(7, EncodeBoolBody(true)))
+	f.Add(EncodeOKResponse(7, AppendBoolBody(nil, true)))
 	f.Add(EncodeOKResponseStats(7, EncodeUint32Body(3), rs))
 	f.Add(EncodeErrResponse(7, ccam.ErrNotFound))
 	f.Add(EncodeErrResponseStats(7, ccam.ErrOverloaded, &ccam.ReqStats{Shed: true}))
@@ -126,7 +126,7 @@ var bodyCodecs = []struct {
 		if err != nil {
 			return nil, err
 		}
-		return EncodeRecordsBody(recs), nil
+		return AppendRecordsBody(nil, recs), nil
 	}},
 	{"routes", func(_ *testing.T, b []byte) ([]byte, error) {
 		routes, err := DecodeRoutesBody(b)
@@ -187,7 +187,7 @@ func FuzzDecodeBodies(f *testing.F) {
 	}
 	seeds := [][]byte{
 		EncodeRectBody(ccam.NewRect(ccam.Point{X: -1, Y: 2}, ccam.Point{X: 3, Y: 4.5})),
-		EncodeRecordsBody([]*ccam.Record{testRecord(), {ID: 2, Pos: ccam.Point{X: 4, Y: 4}}}),
+		AppendRecordsBody(nil, []*ccam.Record{testRecord(), {ID: 2, Pos: ccam.Point{X: 4, Y: 4}}}),
 		EncodeRoutesBody([]ccam.Route{{1, 2, 3}, {9}}),
 		apply,
 		EncodeQueryBody("WINDOW (0, 0, 10, 10)", true),

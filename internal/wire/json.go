@@ -7,22 +7,25 @@ import (
 	"ccam"
 )
 
-// The JSON protocol. One endpoint per query/mutation, all POST with a
-// JSON body (GET /v1/info is the read-only exception):
+// The JSON protocol. One endpoint per op of the op table, all POST
+// with a JSON body (GET /v1/info is the read-only exception). A reply
+// is an object holding the op's result under one field:
 //
-//	POST /v1/find        FindRequest        -> FindResponse
-//	POST /v1/has         HasRequest         -> HasResponse
-//	POST /v1/successors  SuccessorsRequest  -> RecordsResponse
-//	POST /v1/route       RouteRequest       -> RouteResponse
-//	POST /v1/range       RangeRequest       -> RecordsResponse
-//	POST /v1/find-batch  FindBatchRequest   -> RecordsResponse
-//	POST /v1/routes      RoutesRequest      -> RoutesResponse
-//	POST /v1/apply       ApplyRequest       -> ApplyResponse
-//	POST /v1/query       QueryRequest       -> QueryResponse
-//	GET  /v1/info                           -> InfoResponse
+//	POST /v1/find        IDRequest         -> {"record": RecordJSON}
+//	POST /v1/has         IDRequest         -> {"has": bool}
+//	POST /v1/successors  IDRequest         -> {"records": [RecordJSON]}
+//	POST /v1/route       RouteRequest      -> {"aggregate": AggregateJSON}
+//	POST /v1/range       RangeRequest      -> {"records": [RecordJSON]}
+//	POST /v1/find-batch  FindBatchRequest  -> {"records": [RecordJSON]}
+//	POST /v1/routes      RoutesRequest     -> {"aggregates": [AggregateJSON]}
+//	POST /v1/apply       ApplyRequest      -> {"applied": int}
+//	POST /v1/query       QueryRequest      -> {"result": ccam.Result}
+//	GET  /v1/info                          -> InfoResponse
 //
-// A non-2xx response carries ErrorResponse; its "code" field is the
-// stable Code name and is the only part clients should branch on.
+// A request that carries TraceHeader gets its ccam.ReqStats beside the
+// result, as "stats". A non-2xx response carries ErrorResponse; its
+// "code" field is the stable Code name and is the only part clients
+// should branch on.
 
 // RecordJSON is the JSON form of a stored node record.
 type RecordJSON struct {
@@ -71,15 +74,6 @@ func (r RecordJSON) Record() *ccam.Record {
 	return rec
 }
 
-// RecordsToJSON converts a record slice.
-func RecordsToJSON(recs []*ccam.Record) []RecordJSON {
-	out := make([]RecordJSON, len(recs))
-	for i, r := range recs {
-		out[i] = RecordToJSON(r)
-	}
-	return out
-}
-
 // AggregateJSON is the JSON form of a route aggregate.
 type AggregateJSON struct {
 	Nodes     int     `json:"nodes"`
@@ -88,31 +82,18 @@ type AggregateJSON struct {
 	MaxCost   float64 `json:"max_cost"`
 }
 
-// AggregateToJSON converts a route aggregate to its wire form.
-func AggregateToJSON(a ccam.RouteAggregate) AggregateJSON {
-	return AggregateJSON{Nodes: a.Nodes, TotalCost: a.TotalCost, MinCost: a.MinCost, MaxCost: a.MaxCost}
-}
-
-// Aggregate converts the wire form back.
-func (a AggregateJSON) Aggregate() ccam.RouteAggregate {
-	return ccam.RouteAggregate{Nodes: a.Nodes, TotalCost: a.TotalCost, MinCost: a.MinCost, MaxCost: a.MaxCost}
-}
+// AggregateToJSON converts a route aggregate to its wire form; the
+// two types differ only in their field tags.
+func AggregateToJSON(a ccam.RouteAggregate) AggregateJSON { return AggregateJSON(a) }
 
 // Request bodies. Query windows travel as ccam.Rect directly — the
 // type marshals itself as {"min_x":…,"min_y":…,"max_x":…,"max_y":…}
 // and normalizes corner order on decode, so the wire, the CCAM-QL
 // WINDOW clause and RangeQuery all share one window encoding.
 type (
-	// FindRequest asks for one node's record.
-	FindRequest struct {
-		ID ccam.NodeID `json:"id"`
-	}
-	// HasRequest asks whether a node is stored.
-	HasRequest struct {
-		ID ccam.NodeID `json:"id"`
-	}
-	// SuccessorsRequest asks for all successor records of a node.
-	SuccessorsRequest struct {
+	// IDRequest names one node: the record to find or test for, or
+	// the node whose successor records to fetch.
+	IDRequest struct {
 		ID ccam.NodeID `json:"id"`
 	}
 	// RouteRequest asks for the aggregate of one route.
@@ -129,7 +110,7 @@ type (
 	}
 	// RoutesRequest asks for many route aggregates (positional).
 	RoutesRequest struct {
-		Routes [][]ccam.NodeID `json:"routes"`
+		Routes []ccam.Route `json:"routes"`
 	}
 	// ApplyRequest carries one transactional batch; all ops commit or
 	// none do.
@@ -226,59 +207,8 @@ func (r *ApplyRequest) Batch() (*ccam.Batch, error) {
 // response. The server echoes it on the response.
 const TraceHeader = "X-Ccam-Trace"
 
-// StatsField is embedded by the JSON response bodies to carry the
-// optional per-request resource account (the JSON protocol's form of
-// the binary stats extension block). It is populated only when the
-// request carried TraceHeader.
-type StatsField struct {
-	Stats *ccam.ReqStats `json:"stats,omitempty"`
-}
-
-// AttachStats sets the account echoed to the client.
-func (s *StatsField) AttachStats(rs *ccam.ReqStats) { s.Stats = rs }
-
-// WireStats returns the attached account (nil when absent).
-func (s *StatsField) WireStats() *ccam.ReqStats { return s.Stats }
-
-// Response bodies.
+// Response bodies beside the op replies.
 type (
-	// FindResponse carries one record.
-	FindResponse struct {
-		Record RecordJSON `json:"record"`
-		StatsField
-	}
-	// HasResponse carries a stored/absent verdict.
-	HasResponse struct {
-		Has bool `json:"has"`
-		StatsField
-	}
-	// RecordsResponse carries a record list (successors, range and
-	// batch results).
-	RecordsResponse struct {
-		Records []RecordJSON `json:"records"`
-		StatsField
-	}
-	// RouteResponse carries one aggregate.
-	RouteResponse struct {
-		Aggregate AggregateJSON `json:"aggregate"`
-		StatsField
-	}
-	// RoutesResponse carries positional aggregates.
-	RoutesResponse struct {
-		Aggregates []AggregateJSON `json:"aggregates"`
-		StatsField
-	}
-	// ApplyResponse acknowledges a committed batch.
-	ApplyResponse struct {
-		Applied int `json:"applied"`
-		StatsField
-	}
-	// QueryResponse carries a CCAM-QL result: the chosen plan, the
-	// rows/aggregate, and (for executed statements) the measured I/O.
-	QueryResponse struct {
-		Result *ccam.Result `json:"result"`
-		StatsField
-	}
 	// InfoResponse describes the served store.
 	InfoResponse struct {
 		Name        string `json:"name"`
@@ -306,13 +236,4 @@ func DecodeErrorResponse(body []byte, httpStatus int) error {
 		return RemoteError(CodeInternal, fmt.Sprintf("http %d: %s", httpStatus, body))
 	}
 	return RemoteError(CodeFromName(er.Error.Code), er.Error.Message)
-}
-
-// Routes converts a JSON route list to ccam routes.
-func Routes(rr [][]ccam.NodeID) []ccam.Route {
-	routes := make([]ccam.Route, len(rr))
-	for i, r := range rr {
-		routes[i] = ccam.Route(r)
-	}
-	return routes
 }

@@ -74,7 +74,7 @@ func TestStatsBlockRoundTrip(t *testing.T) {
 	}
 
 	// OK response: stats ride ahead of the body.
-	payload := EncodeOKResponseStats(0x0B, EncodeBoolBody(true), rs)
+	payload := EncodeOKResponseStats(0x0B, AppendBoolBody(nil, true), rs)
 	id, body, got, err := DecodeResponseStats(payload)
 	if err != nil || id != 0x0B {
 		t.Fatalf("DecodeResponseStats = (%d, _, _, %v)", id, err)
@@ -108,7 +108,7 @@ func TestStatsBlockRoundTrip(t *testing.T) {
 	}
 
 	// A longer (future) block decodes its known prefix.
-	longer := append(EncodeStatsBlock(rs), 0xFF, 0xFF)
+	longer := append(appendStatsBlock(nil, rs), 0xFF, 0xFF)
 	got2, err := DecodeStatsBlock(longer)
 	if err != nil || *got2 != *rs {
 		t.Fatalf("extended stats block: %+v err=%v", got2, err)

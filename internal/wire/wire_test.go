@@ -159,7 +159,7 @@ func TestGoldenRequestFrame(t *testing.T) {
 }
 
 func TestGoldenResponseFrames(t *testing.T) {
-	ok := EncodeOKResponse(0x0B, EncodeBoolBody(true))
+	ok := EncodeOKResponse(0x0B, AppendBoolBody(nil, true))
 	if got, want := hex.EncodeToString(ok), "0b000000"+"00"+"01"; got != want {
 		t.Fatalf("ok response: got %s want %s", got, want)
 	}
@@ -199,7 +199,7 @@ func TestRecordBodyRoundTrip(t *testing.T) {
 		t.Fatalf("record round trip: got %+v want %+v", got, rec)
 	}
 	recs := []*ccam.Record{rec, {ID: 2, Pos: ccam.Point{X: 4, Y: 4}}}
-	got2, err := DecodeRecordsBody(EncodeRecordsBody(recs))
+	got2, err := DecodeRecordsBody(AppendRecordsBody(nil, recs))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +225,7 @@ func TestScalarBodiesRoundTrip(t *testing.T) {
 		t.Fatalf("routes: %v err=%v", gotRoutes, err)
 	}
 	agg := ccam.RouteAggregate{Nodes: 3, TotalCost: 6.5, MinCost: 1, MaxCost: 4}
-	gotAgg, err := DecodeAggBody(EncodeAggBody(agg))
+	gotAgg, err := DecodeAggBody(AppendAggBody(nil, agg))
 	if err != nil || gotAgg != agg {
 		t.Fatalf("agg: %v err=%v", gotAgg, err)
 	}
@@ -234,7 +234,7 @@ func TestScalarBodiesRoundTrip(t *testing.T) {
 	if err != nil || !reflect.DeepEqual(gotAggs, aggs) {
 		t.Fatalf("aggs: %v err=%v", gotAggs, err)
 	}
-	v, err := DecodeBoolBody(EncodeBoolBody(false))
+	v, err := DecodeBoolBody(AppendBoolBody(nil, false))
 	if err != nil || v {
 		t.Fatalf("bool: %v err=%v", v, err)
 	}
