@@ -14,25 +14,20 @@ import (
 	"ccam/internal/storage"
 )
 
-// forEachLimit runs fn(0..n-1) on up to `workers` goroutines, stopping
-// at the first error or context cancellation and returning it. Work is
-// handed out through an atomic cursor, so cheap items don't wait on
-// expensive ones. The operation's account is fanned out with the work:
-// each worker counts into a share of its own, which fn is handed, and
-// the shares are added to acct once the workers are done.
-func forEachLimit(ctx context.Context, n, workers int, acct *metrics.Account, fn func(w *metrics.Account, i int) error) error {
+// forEach runs fn(0..n-1) on up to runtime.GOMAXPROCS(0) goroutines,
+// stopping at the first error or context cancellation and returning
+// it. Work is handed out through an atomic cursor, so cheap items don't
+// wait on expensive ones. The operation's account is fanned out with
+// the work: each worker counts into a share of its own, which fn is
+// handed, and the shares are added to acct once the workers are done.
+func forEach(ctx context.Context, n int, acct *metrics.Account, fn func(w *metrics.Account, i int) error) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
 	if n == 0 {
 		return nil
 	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
+	workers := min(runtime.GOMAXPROCS(0), n)
 	if workers == 1 {
 		for i := 0; i < n; i++ {
 			if err := ctx.Err(); err != nil {
@@ -89,10 +84,10 @@ func forEachLimit(ctx context.Context, n, workers int, acct *metrics.Account, fn
 }
 
 // FindBatch retrieves the records of every id, fanning the lookups
-// across a worker pool bounded by Options.Parallelism (default
-// runtime.GOMAXPROCS(0)). Results are positional: out[i] is the record
-// of ids[i]. The first lookup error, or a context cancellation, stops
-// the remaining work and is returned; partial results are discarded.
+// across runtime.GOMAXPROCS(0) workers. Results are positional: out[i]
+// is the record of ids[i]. The first lookup error, or a context
+// cancellation, stops the remaining work and is returned; partial
+// results are discarded.
 func (s *Store) FindBatch(ctx context.Context, ids []NodeID) (out []*Record, err error) {
 	var v readView
 	if err = s.beginRead(ctx, opFindBatch, &v); err != nil {
@@ -101,7 +96,7 @@ func (s *Store) FindBatch(ctx context.Context, ids []NodeID) (out []*Record, err
 	defer v.end(&err)
 	view := v.view
 	out = make([]*Record, len(ids))
-	err = forEachLimit(ctx, len(ids), s.parallelism, view.Account(), func(w *metrics.Account, i int) error {
+	err = forEach(ctx, len(ids), view.Account(), func(w *metrics.Account, i int) error {
 		rec, err := view.Charging(w).Find(ids[i])
 		out[i] = rec
 		return err
@@ -113,8 +108,7 @@ func (s *Store) FindBatch(ctx context.Context, ids []NodeID) (out []*Record, err
 }
 
 // EvaluateRoutes evaluates every route, fanning the evaluations across
-// a worker pool bounded by Options.Parallelism (default
-// runtime.GOMAXPROCS(0)). Results are positional: out[i] is the
+// runtime.GOMAXPROCS(0) workers. Results are positional: out[i] is the
 // aggregate of routes[i]. The first evaluation error, or a context
 // cancellation, stops the remaining work and is returned.
 func (s *Store) EvaluateRoutes(ctx context.Context, routes []Route) (out []RouteAggregate, err error) {
@@ -125,7 +119,7 @@ func (s *Store) EvaluateRoutes(ctx context.Context, routes []Route) (out []Route
 	defer v.end(&err)
 	view := v.view
 	out = make([]RouteAggregate, len(routes))
-	err = forEachLimit(ctx, len(routes), s.parallelism, view.Account(), func(w *metrics.Account, i int) error {
+	err = forEach(ctx, len(routes), view.Account(), func(w *metrics.Account, i int) error {
 		agg, err := view.Charging(w).EvaluateRoute(routes[i])
 		out[i] = agg
 		return err
@@ -228,8 +222,9 @@ func dispatchMutation(m netfile.AccessMethod, mut *netfile.Mutation, policy Poli
 		}
 		return f.SetEdgeCost(mut.From, mut.To, mut.Cost)
 	case netfile.MutSplitPage, netfile.MutMergePages:
-		// Logged for the record only: re-executing the logical mutations
-		// around them re-triggers the reorganization policies.
+		// Logged for the record only. Replay runs every mutation
+		// FirstOrder, so the reorganizations these records mark are lost
+		// until the next checkpoint (see replayWAL).
 		return nil
 	default:
 		return fmt.Errorf("ccam: unknown mutation kind %d", mut.Kind)

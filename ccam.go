@@ -43,7 +43,6 @@ import (
 	"os"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"ccam/internal/buffer"
 	iccam "ccam/internal/ccam"
@@ -198,9 +197,6 @@ type Options struct {
 	// paper's Z-ordered index, kept in memory; the default) or
 	// SpatialRTree.
 	Spatial SpatialIndexKind
-	// Parallelism bounds the worker pool of the batch queries
-	// (FindBatch, EvaluateRoutes). Zero means runtime.GOMAXPROCS(0).
-	Parallelism int
 	// Metrics enables the observability registry: per-operation
 	// counters and latency histograms, per-class page-access counters
 	// (node-index lookups vs CCAM data pages, pool hits vs misses), storage
@@ -234,21 +230,6 @@ type Options struct {
 	// before acknowledging. Zero selects the 4 MiB default; the log
 	// always retains at least its last complete checkpoint.
 	CheckpointBytes int64
-	// BackgroundReorg starts the incremental reorganizer: a goroutine
-	// that watches the file's CRR decay under updates and re-clusters
-	// the worst PAG neighborhoods a few pages at a time, through the
-	// WAL and the version layer, so readers keep their snapshots and
-	// never observe a stop-the-world rebuild. Only the CCAM access
-	// methods support it.
-	BackgroundReorg bool
-	// ReorgInterval is the reorganizer's polling period (default 2s).
-	ReorgInterval time.Duration
-	// ReorgMaxPages bounds the pages one reorganization round may
-	// re-cluster (default 16); small rounds keep the writer mutex short.
-	ReorgMaxPages int
-	// ReorgTriggerDrop is the CRR decay (from its high-water mark)
-	// that triggers a round (default 0.02).
-	ReorgTriggerDrop float64
 	// applyFaultHook, when non-nil, is called before each batch op is
 	// applied (with the op's index) and aborts the batch when it
 	// returns an error. Test-only: it simulates a mid-batch failure.
@@ -310,11 +291,10 @@ type Store struct {
 	// of the live end: write transactions (Apply, reorganizer rounds),
 	// Flush and the live accessors. No query takes mu. Lock order:
 	// structMu before mu.
-	structMu    sync.RWMutex
-	mu          sync.Mutex
-	m           netfile.AccessMethod
-	fs          *storage.FileStore
-	parallelism int
+	structMu sync.RWMutex
+	mu       sync.Mutex
+	m        netfile.AccessMethod
+	fs       *storage.FileStore
 	// obs is non-nil only when Options.Metrics was set.
 	obs    *observability
 	tracer *metrics.Tracer
@@ -342,8 +322,8 @@ type Store struct {
 	replayedBatches   int
 	replayedMutations int
 	applyFaultHook    func(int) error
-	// reorg is the background incremental reorganizer (nil without
-	// Options.BackgroundReorg). Close halts it before locking.
+	// reorg is the state of the reorganization rounds Poke runs (nil
+	// unless the access method is CCAM).
 	reorg *reorganizer
 }
 
@@ -369,14 +349,12 @@ func (s *Store) Name() string { return s.m.Name() }
 
 // newStore assembles a Store: it creates the tracer and the registry,
 // has open supply the access method over the file options they yield
-// (open may also adopt a WAL), and starts the reorganizer. fs and st
-// are the page file of a file-backed store; newStore owns them from
-// here on and closes them — and an adopted WAL — when assembly fails.
+// (open may also adopt a WAL), and gives a CCAM store its
+// reorganizer. fs and st are the page file of a file-backed store;
+// newStore owns them from here on and closes them — and an adopted WAL
+// — when assembly fails.
 func newStore(opts Options, fs *storage.FileStore, st storage.Store, open func(s *Store, fo netfile.Options) error) (*Store, error) {
-	s := &Store{
-		fs: fs, parallelism: opts.Parallelism,
-		checkpointBytes: opts.CheckpointBytes, applyFaultHook: opts.applyFaultHook,
-	}
+	s := &Store{fs: fs, checkpointBytes: opts.CheckpointBytes, applyFaultHook: opts.applyFaultHook}
 	if s.checkpointBytes == 0 {
 		s.checkpointBytes = defaultCheckpointBytes
 	}
@@ -386,11 +364,7 @@ func newStore(opts Options, fs *storage.FileStore, st storage.Store, open func(s
 	if opts.Metrics {
 		s.obs = newObservability(metrics.NewRegistry())
 	}
-	err := open(s, s.fileOptions(opts, st))
-	if err == nil && opts.BackgroundReorg {
-		err = s.startReorganizer(opts)
-	}
-	if err != nil {
+	if err := open(s, s.fileOptions(opts, st)); err != nil {
 		if s.wal != nil {
 			s.wal.Close()
 		}
@@ -399,6 +373,7 @@ func newStore(opts Options, fs *storage.FileStore, st storage.Store, open func(s
 		}
 		return nil, err
 	}
+	s.reorg = newReorganizer(s)
 	return s, nil
 }
 
@@ -606,16 +581,14 @@ const (
 // behind the same Store facade as CCAM itself, so baselines and CCAM
 // share one API surface — queries, batch queries, transactional Apply,
 // IO() — and benchmark code needs no per-method branching. Baselines
-// do not support a WAL, background reorganization or instrumentation.
+// do not support a WAL, reorganization rounds (Poke) or
+// instrumentation.
 func NewBaseline(kind BaselineKind, opts Options) (*Store, error) {
 	if opts.PageSize == 0 {
 		opts.PageSize = 2048
 	}
 	if opts.WAL {
 		return nil, fmt.Errorf("ccam: baseline %q does not support a WAL", kind)
-	}
-	if opts.BackgroundReorg {
-		return nil, fmt.Errorf("ccam: baseline %q does not support background reorganization", kind)
 	}
 	// The baselines' files take no registry or tracer.
 	opts.Metrics, opts.TraceCapacity = false, 0
@@ -778,11 +751,6 @@ func (s *Store) Checkpoint() error { return s.Flush() }
 // state is not trustworthy, and the next OpenPath recovers the last
 // committed state from the log.
 func (s *Store) Close() error {
-	// Halt the background reorganizer before locking: its rounds take
-	// mu, so halting under the lock would deadlock.
-	if s.reorg != nil {
-		s.reorg.halt()
-	}
 	s.lockExclusive()
 	defer s.unlockExclusive()
 	if s.closed {
@@ -875,7 +843,7 @@ func (v *readView) end(err *error) {
 
 // Snapshot pins the newest committed mutation batch and returns a
 // read-only view of the store as of that batch: a reader holding it
-// sees neither later Apply commits nor background reorganization, no
+// sees neither later Apply commits nor reorganization rounds, no
 // matter how long it lives, and never waits on them. Close must be
 // called exactly once to release the pinned page versions. The
 // snapshot must be closed before Build, ResetIO or Close; it fails

@@ -5,10 +5,10 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
-	"time"
 )
 
 // builtStore opens a store over the small test map and loads it.
@@ -126,11 +126,8 @@ func TestConcurrentReaders(t *testing.T) {
 // reorganizer. Readers avoid the churned node, so every read must
 // succeed even while pages reorganize underneath them.
 func TestReadersWithWriter(t *testing.T) {
-	s, g := builtStore(t, Options{
-		PageSize: 1024, Seed: 6,
-		// Rounds come from the writer's Poke, never from the timer.
-		BackgroundReorg: true, ReorgInterval: time.Hour, ReorgTriggerDrop: 1e-9,
-	})
+	s, g := builtStore(t, Options{PageSize: 1024, Seed: 6})
+	s.reorg.drop = 1e-9 // any decay triggers the writer's next Poke
 	ids := g.NodeIDs()
 	churn := ids[len(ids)/2]
 	stable := make([]NodeID, 0, len(ids)-1)
@@ -203,7 +200,10 @@ func TestReadersWithWriter(t *testing.T) {
 				errCh <- err
 				return
 			}
-			s.Poke()
+			if err := s.Poke(); err != nil {
+				errCh <- err
+				return
+			}
 		}
 	}()
 	for w := 0; w < 8; w++ {
@@ -295,7 +295,7 @@ func TestReadersWithWriter(t *testing.T) {
 }
 
 func TestFindBatch(t *testing.T) {
-	s, g := builtStore(t, Options{PageSize: 1024, Seed: 3, Parallelism: 4})
+	s, g := builtStore(t, Options{PageSize: 1024, Seed: 3})
 	ids := g.NodeIDs()
 	recs, err := s.FindBatch(context.Background(), ids)
 	if err != nil {
@@ -336,7 +336,7 @@ func TestFindBatchCancellation(t *testing.T) {
 }
 
 func TestEvaluateRoutesMatchesSerial(t *testing.T) {
-	s, g := builtStore(t, Options{PageSize: 1024, Seed: 4, Parallelism: 8})
+	s, g := builtStore(t, Options{PageSize: 1024, Seed: 4})
 	routes, err := RandomWalkRoutes(g, 24, 10, rand.New(rand.NewSource(11)))
 	if err != nil {
 		t.Fatal(err)
@@ -388,7 +388,7 @@ func TestOpenWithMatchesOpen(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer a.Close()
-	b, err := OpenWith(WithPageSize(1024), WithPoolPages(8), WithSeed(21), WithParallelism(2))
+	b, err := OpenWith(WithPageSize(1024), WithPoolPages(8), WithSeed(21))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -409,6 +409,47 @@ func TestOpenWithMatchesOpen(t *testing.T) {
 	for id, pid := range pa {
 		if pb[id] != pid {
 			t.Fatalf("node %d placed on page %d vs %d", id, pid, pb[id])
+		}
+	}
+
+	// Each With* sets exactly the field it names, and together they
+	// reach every field but the ignored Prefetch.
+	reached := map[string]bool{}
+	for _, tc := range []struct {
+		name string
+		opt  Option
+		want Options
+	}{
+		{"WithPageSize", WithPageSize(1024), Options{PageSize: 1024}},
+		{"WithPoolPages", WithPoolPages(8), Options{PoolPages: 8}},
+		{"WithPoolShards", WithPoolShards(4), Options{PoolShards: 4}},
+		{"WithDynamic", WithDynamic(), Options{Dynamic: true}},
+		{"WithSeed", WithSeed(21), Options{Seed: 21}},
+		{"WithPath", WithPath("x.ccam"), Options{Path: "x.ccam"}},
+		{"WithSpatial", WithSpatial(SpatialRTree), Options{Spatial: SpatialRTree}},
+		{"WithMetrics", WithMetrics(), Options{Metrics: true}},
+		{"WithTracing", WithTracing(16), Options{TraceCapacity: 16}},
+		{"WithTracing(0)", WithTracing(0), Options{TraceCapacity: 128}},
+		{"WithWAL", WithWAL(), Options{WAL: true}},
+		{"WithSyncPolicy", WithSyncPolicy(SyncEveryCommit), Options{SyncPolicy: SyncEveryCommit}},
+		{"WithCheckpointBytes", WithCheckpointBytes(1 << 20), Options{CheckpointBytes: 1 << 20}},
+	} {
+		var got Options
+		tc.opt(&got)
+		if !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("%s: got %+v, want %+v", tc.name, got, tc.want)
+		}
+		v := reflect.ValueOf(tc.want)
+		for i := 0; i < v.NumField(); i++ {
+			if !v.Field(i).IsZero() {
+				reached[v.Type().Field(i).Name] = true
+			}
+		}
+	}
+	ot := reflect.TypeOf(Options{})
+	for i := 0; i < ot.NumField(); i++ {
+		if f := ot.Field(i); f.IsExported() && f.Name != "Prefetch" && !reached[f.Name] {
+			t.Errorf("Options.%s has no With* option", f.Name)
 		}
 	}
 }

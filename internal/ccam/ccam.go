@@ -44,16 +44,6 @@ type Config struct {
 	// operations with incremental reclustering instead of one static
 	// clustering pass.
 	Dynamic bool
-	// BuildPolicy is the reorganization policy Add-node applies during
-	// a CCAM-D build (default SecondOrder, as in the paper's
-	// experiments).
-	BuildPolicy netfile.Policy
-	// Coalesce enables a post-clustering pass that merges pairs of
-	// PAG-adjacent pages whose combined contents fit in one page,
-	// raising the blocking factor (and usually the CRR) above what
-	// plain top-down splitting achieves. Off by default, matching the
-	// paper's Figure 2 exactly.
-	Coalesce bool
 	// LazyEvery is the update count after which the Lazy policy
 	// reorganizes a touched page and its PAG neighbors (default 8).
 	LazyEvery int
@@ -86,9 +76,6 @@ var _ netfile.AccessMethod = (*Method)(nil)
 func New(cfg Config) (*Method, error) {
 	if cfg.Partitioner == nil {
 		cfg.Partitioner = &partition.RatioCut{}
-	}
-	if cfg.BuildPolicy == 0 && cfg.Dynamic {
-		cfg.BuildPolicy = netfile.SecondOrder
 	}
 	if cfg.LazyEvery <= 0 {
 		cfg.LazyEvery = 8
@@ -141,9 +128,6 @@ func (m *Method) buildStatic(g *graph.Network) error {
 	if err != nil {
 		return fmt.Errorf("ccam: static create: %w", err)
 	}
-	if m.cfg.Coalesce {
-		groups, _ = partition.CoalescePages(g, groups, sizeOf, budget, 10)
-	}
 	return m.f.BulkLoad(g, groups)
 }
 
@@ -151,15 +135,16 @@ func (m *Method) buildStatic(g *graph.Network) error {
 // operations. Add-node places each record like Insert() but skips the
 // successor/predecessor list updates (records already carry their full
 // lists, naming nodes not stored yet), applying incremental
-// reclustering per the build policy. The PAG summary is filled once,
-// from the network, when every record is in.
+// reclustering under the second-order policy, as in the paper's
+// experiments. The PAG summary is filled once, from the network, when
+// every record is in.
 func (m *Method) buildDynamic(g *graph.Network) error {
 	for _, id := range g.NodeIDs() {
 		rec, err := netfile.RecordFromNode(g, id)
 		if err != nil {
 			return err
 		}
-		if err := m.addNode(rec, m.cfg.BuildPolicy); err != nil {
+		if err := m.addNode(rec); err != nil {
 			return fmt.Errorf("ccam: incremental create at node %d: %w", id, err)
 		}
 	}
@@ -192,16 +177,14 @@ func (m *Method) placeRecord(rec *netfile.Record) (storage.PageID, error) {
 	return pid, nil
 }
 
-// addNode is the Add-node() of the incremental create.
-func (m *Method) addNode(rec *netfile.Record, policy netfile.Policy) error {
+// addNode is the Add-node() of the incremental create: it places rec
+// and reorganizes second-order around it.
+func (m *Method) addNode(rec *netfile.Record) error {
 	pid, err := m.placeRecord(rec)
 	if err != nil {
 		return err
 	}
-	if policy == netfile.FirstOrder {
-		return nil
-	}
-	return m.ReorganizeAround(rec.ID, pid, rec.Neighbors(), policy)
+	return m.ReorganizeAround(rec.ID, pid, rec.Neighbors(), netfile.SecondOrder)
 }
 
 // Insert implements netfile.AccessMethod: the paper's Figure 3.
@@ -443,8 +426,8 @@ func (m *Method) NbrPages(pid storage.PageID) ([]storage.PageID, error) {
 // PlanRecluster decides the reorganization of the given pages as one
 // set, reading them and writing nothing; a nil plan means the placement
 // stays as it is. With ReclusterPages it is the entry point of the
-// facade's background incremental reorganizer — one bounded
-// neighborhood per call, never the whole file — which opens its write
+// facade's incremental reorganization rounds — one bounded
+// neighborhood per call, never the whole file — which open their write
 // transaction only for a plan that will rewrite a page.
 func (m *Method) PlanRecluster(pids []storage.PageID) (*ReorgPlan, error) {
 	return m.planReorg(pids, false)
@@ -452,8 +435,9 @@ func (m *Method) PlanRecluster(pids []storage.PageID) (*ReorgPlan, error) {
 
 // ReclusterPages carries out a plan of PlanRecluster and returns how
 // many pages it rewrote. The reorganization is logged to the WAL as a
-// merge record first (replay skips it — reorganization is a clustering
-// optimization, not a content change).
+// merge record first. Replay skips that record and re-runs no round,
+// so a crash loses the new placement, though never a record, back to
+// the last checkpoint.
 func (m *Method) ReclusterPages(plan *ReorgPlan) (rewritten int, err error) {
 	if err := m.f.LogReorg(netfile.MutMergePages, plan.pids); err != nil {
 		return 0, err

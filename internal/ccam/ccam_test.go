@@ -590,20 +590,6 @@ func TestAttachValidations(t *testing.T) {
 	}
 }
 
-func TestCoalesceConfigImprovesBlockingFactor(t *testing.T) {
-	g := roadMap(t)
-	plain := build(t, g, Config{Seed: 44})
-	coalesced := build(t, g, Config{Seed: 44, Coalesce: true})
-	if coalesced.File().NumPages() > plain.File().NumPages() {
-		t.Fatalf("coalescing grew the file: %d -> %d pages",
-			plain.File().NumPages(), coalesced.File().NumPages())
-	}
-	if coalesced.CRR(g) < plain.CRR(g)-1e-9 {
-		t.Fatalf("coalescing reduced CRR: %.4f -> %.4f", plain.CRR(g), coalesced.CRR(g))
-	}
-	checkConsistency(t, coalesced, g)
-}
-
 func TestNbrPagesOfFreedPage(t *testing.T) {
 	g := roadMap(t)
 	m := build(t, g, Config{Seed: 45})

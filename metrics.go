@@ -166,11 +166,12 @@ type observability struct {
 	// the live snapshot count; overlayDepth is the number of batch deltas
 	// a node-index lookup walks before the base, the writer's lookups
 	// included (a pinned snapshot keeps them from folding).
-	// reorgRounds/reorgPages count background reorganizer activity.
+	// reorgRounds/reorgPages count the reorganization rounds Poke ran
+	// that committed a re-clustering, and the pages those rewrote.
 	snapLag, snapsActive, overlayDepth *metrics.Gauge
 	reorgRounds, reorgPages            *metrics.Counter
 	// reorgMoved/reorgKept follow the access method's own counts of what
-	// every reorganization — write-path policy or background round —
+	// every reorganization — write-path policy or Poke round —
 	// did: records that changed page, and reorganizations that moved
 	// none.
 	reorgMoved, reorgKept *metrics.Counter

@@ -183,25 +183,21 @@ func TestReorganizerRecoversCRR(t *testing.T) {
 
 func testReorganizerRecoversCRR(t *testing.T, withMetrics bool) {
 	g := testMap(t)
-	s, err := Open(Options{
-		PageSize: 1024, Seed: 7, Metrics: withMetrics,
-		BackgroundReorg: true,
-		// The timer must not fire mid-test; every round comes from Poke.
-		ReorgInterval:    time.Hour,
-		ReorgMaxPages:    64,
-		ReorgTriggerDrop: 0.005,
-	})
+	s, err := Open(Options{PageSize: 1024, Seed: 7, Metrics: withMetrics})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
+	s.reorg.maxPages, s.reorg.drop = 64, 0.005
 	if err := s.Build(g); err != nil {
 		t.Fatal(err)
 	}
 	crr0 := s.CRR(g)
 	// The first poke records the post-Build CRR as the high-water mark
 	// (and is otherwise a no-op: nothing has decayed yet).
-	s.Poke()
+	if err := s.Poke(); err != nil {
+		t.Fatal(err)
+	}
 	if crr := s.CRR(g); crr != crr0 {
 		t.Fatalf("reorganizer moved an undamaged placement: CRR %.4f -> %.4f", crr0, crr)
 	}
@@ -288,7 +284,9 @@ func testReorganizerRecoversCRR(t *testing.T, withMetrics bool) {
 
 	target := crr1 + 0.5*(crr0-crr1)
 	for i := 0; i < 80 && s.CRR(g) < target; i++ {
-		s.Poke()
+		if err := s.Poke(); err != nil {
+			t.Fatal(err)
+		}
 	}
 	stop.Store(true)
 	wg.Wait()
@@ -318,11 +316,8 @@ func testReorganizerRecoversCRR(t *testing.T, withMetrics bool) {
 // with luck, the runtime's own "concurrent map read and map write"
 // check) this fails unless both sides go through the summary's lock.
 func TestQueryConcurrentWithApply(t *testing.T) {
-	s, g := builtStore(t, Options{
-		PageSize: 1024, Seed: 9,
-		// Every round comes from Poke; any decay at all triggers one.
-		BackgroundReorg: true, ReorgInterval: time.Hour, ReorgTriggerDrop: 1e-9,
-	})
+	s, g := builtStore(t, Options{PageSize: 1024, Seed: 9})
+	s.reorg.drop = 1e-9 // any decay at all triggers a round
 	ids := g.NodeIDs()
 	ctx := context.Background()
 	if _, err := s.Query(ctx, fmt.Sprintf("FIND %d", ids[0])); err != nil {
@@ -348,7 +343,10 @@ func TestQueryConcurrentWithApply(t *testing.T) {
 				t.Errorf("apply %d: %v", i, err)
 				return
 			}
-			s.Poke()
+			if err := s.Poke(); err != nil {
+				t.Errorf("poke %d: %v", i, err)
+				return
+			}
 		}
 	}()
 	// EXPLAIN plans without executing: the loop is all summary reads.
@@ -422,17 +420,19 @@ func TestSnapshotAnswersUnderConcurrentWrites(t *testing.T) {
 			s, err := Open(Options{
 				PageSize: 1024, PoolPages: pool, Seed: 7,
 				Path: filepath.Join(t.TempDir(), "net.ccam"), WAL: true, SyncPolicy: SyncNone,
-				Metrics: true, BackgroundReorg: true,
-				ReorgInterval: time.Hour, ReorgMaxPages: 64, ReorgTriggerDrop: 0.001,
+				Metrics: true,
 			})
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer s.Close()
+			s.reorg.maxPages, s.reorg.drop = 64, 0.001
 			if err := s.Build(g); err != nil {
 				t.Fatal(err)
 			}
-			s.Poke() // records the high-water CRR
+			if err := s.Poke(); err != nil { // records the high-water CRR
+				t.Fatal(err)
+			}
 			snap, err := s.Snapshot()
 			if err != nil {
 				t.Fatal(err)
@@ -480,7 +480,10 @@ func TestSnapshotAnswersUnderConcurrentWrites(t *testing.T) {
 						t.Errorf("apply: %v", err)
 						return
 					}
-					s.Poke()
+					if err := s.Poke(); err != nil {
+						t.Errorf("poke: %v", err)
+						return
+					}
 				}
 			}()
 
@@ -856,7 +859,6 @@ func TestReorganizerRoundIsAWriteTransaction(t *testing.T) {
 	s, err := Open(Options{
 		PageSize: 1024, Seed: 3, Metrics: true,
 		Path: filepath.Join(t.TempDir(), "net.ccam"), WAL: true,
-		BackgroundReorg: true, ReorgInterval: time.Hour, // rounds run only when called
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -868,7 +870,7 @@ func TestReorganizerRoundIsAWriteTransaction(t *testing.T) {
 	// A high-water mark of 1 makes any placement look decayed.
 	s.reorg.highwater = 1
 	before := s.WALStats()
-	if err := s.reorg.round(); err != nil {
+	if err := s.Poke(); err != nil {
 		t.Fatal(err)
 	}
 	after := s.WALStats()
@@ -909,7 +911,7 @@ func TestReorganizerRoundIsAWriteTransaction(t *testing.T) {
 	}
 	s.wal.Close() // every append fails from here on
 	s.reorg.highwater = 1
-	roundErr := s.reorg.round()
+	roundErr := s.Poke()
 	if roundErr == nil {
 		t.Fatal("a round that could not log its begin record returned no error")
 	}
@@ -920,5 +922,40 @@ func TestReorganizerRoundIsAWriteTransaction(t *testing.T) {
 	// Nothing was modified, so nothing is poisoned: queries go on.
 	if _, err := s.Find(context.Background(), e.From); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestPokeOutsideCCAM: a round needs a CCAM file. A baseline store
+// refuses Poke, a closed store reports ErrClosed, and an unbuilt one
+// has nothing to reorganize: Poke returns nil and logs nothing.
+func TestPokeOutsideCCAM(t *testing.T) {
+	b, err := NewBaseline(DFSAM, Options{PageSize: 1024})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	if err := b.Build(smallTestMap(t)); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Poke(); err == nil {
+		t.Fatal("Poke on a baseline store returned nil")
+	}
+
+	s, err := Open(Options{PageSize: 1024, Path: filepath.Join(t.TempDir(), "net.ccam"), WAL: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := s.WALStats()
+	if err := s.Poke(); err != nil {
+		t.Fatalf("Poke on an unbuilt store: %v", err)
+	}
+	if after := s.WALStats(); after.AppendedLSN != before.AppendedLSN {
+		t.Fatalf("Poke on an unbuilt store logged LSNs %d..%d", before.AppendedLSN, after.AppendedLSN)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Poke(); !errors.Is(err, ErrClosed) {
+		t.Fatalf("Poke on a closed store = %v, want ErrClosed", err)
 	}
 }

@@ -1,7 +1,5 @@
 package ccam
 
-import "time"
-
 // Option is a functional configuration knob for OpenWith. Each With*
 // function edits one field of an Options value, so new knobs can be
 // added without growing call sites. Open(Options) remains the stable,
@@ -34,10 +32,6 @@ func WithPath(path string) Option { return func(o *Options) { o.Path = path } }
 func WithSpatial(kind SpatialIndexKind) Option {
 	return func(o *Options) { o.Spatial = kind }
 }
-
-// WithParallelism bounds the worker pool of the batch queries
-// (FindBatch, EvaluateRoutes). Zero means runtime.GOMAXPROCS(0).
-func WithParallelism(n int) Option { return func(o *Options) { o.Parallelism = n } }
 
 // WithMetrics enables the observability registry: per-operation
 // counters and latency histograms, per-class page-access counters and
@@ -73,29 +67,6 @@ func WithSyncPolicy(p SyncPolicy) Option {
 // (default 4 MiB). Ignored without WithWAL.
 func WithCheckpointBytes(n int64) Option {
 	return func(o *Options) { o.CheckpointBytes = n }
-}
-
-// WithBackgroundReorg starts the background incremental reorganizer:
-// when the file's CRR decays from its high-water mark, the worst PAG
-// neighborhoods are re-clustered a bounded number of pages per round,
-// through the WAL and the version layer, without blocking snapshot
-// readers. interval 0 selects the 2s default.
-func WithBackgroundReorg(interval time.Duration) Option {
-	return func(o *Options) {
-		o.BackgroundReorg = true
-		o.ReorgInterval = interval
-	}
-}
-
-// WithReorgMaxPages bounds the pages one reorganization round may
-// re-cluster (default 16). Ignored without WithBackgroundReorg.
-func WithReorgMaxPages(n int) Option { return func(o *Options) { o.ReorgMaxPages = n } }
-
-// WithReorgTriggerDrop sets the CRR decay from its high-water mark
-// that triggers a reorganization round (default 0.02). Ignored without
-// WithBackgroundReorg.
-func WithReorgTriggerDrop(d float64) Option {
-	return func(o *Options) { o.ReorgTriggerDrop = d }
 }
 
 // OpenWith creates a new, empty CCAM store from functional options,

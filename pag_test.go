@@ -15,7 +15,6 @@ import (
 	"reflect"
 	"sort"
 	"testing"
-	"time"
 
 	"ccam/internal/graph"
 	"ccam/internal/storage"
@@ -348,8 +347,17 @@ func (p *pagSchedule) reopen(pool int) {
 		p.t.Fatal(err)
 	}
 	p.s = s
+	p.tuneReorg()
 	// Records carry no access weights: after a reopen every edge weighs 1.
 	p.weights = map[edgeID]float64{}
+}
+
+// tuneReorg makes any decay trigger a round of at most 8 pages.
+// Baselines have no reorganizer.
+func (p *pagSchedule) tuneReorg() {
+	if r := p.s.reorg; r != nil {
+		r.drop, r.maxPages = 1e-9, 8
+	}
 }
 
 // TestPAGSummaryMatchesScan runs seeded schedules — Apply batches of all
@@ -390,8 +398,6 @@ func TestPAGSummaryMatchesScan(t *testing.T) {
 					PageSize: 512, PoolPages: pools[int(seed)%3], Seed: seed, Dynamic: sc.dynamic,
 					Path: filepath.Join(t.TempDir(), "pag.ccam"), WAL: true, SyncPolicy: SyncNone,
 					Metrics: seed%2 == 1, CheckpointBytes: 16 << 10,
-					// Every round comes from Poke; any decay triggers one.
-					BackgroundReorg: true, ReorgInterval: time.Hour, ReorgTriggerDrop: 1e-9, ReorgMaxPages: 8,
 				},
 				model: modelFromNetwork(g), weights: map[edgeID]float64{},
 			}
@@ -411,6 +417,7 @@ func TestPAGSummaryMatchesScan(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			p.tuneReorg()
 			defer func() { p.s.Close() }()
 			if err := p.s.Build(g); err != nil {
 				t.Fatal(err)
@@ -434,7 +441,9 @@ func TestPAGSummaryMatchesScan(t *testing.T) {
 						t.Fatalf("step %d: apply: %v", step, err)
 					}
 				case k < 10:
-					p.s.Poke()
+					if err := p.s.Poke(); err != nil {
+						t.Fatalf("step %d: poke: %v", step, err)
+					}
 				case k < 11:
 					if err := p.s.Checkpoint(); err != nil {
 						t.Fatalf("step %d: checkpoint: %v", step, err)

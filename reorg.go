@@ -4,123 +4,81 @@ import (
 	"context"
 	"fmt"
 	"sort"
-	"sync"
-	"time"
 
 	iccam "ccam/internal/ccam"
 	"ccam/internal/netfile"
 	"ccam/internal/storage"
 )
 
-// This file is the background incremental reorganizer
-// (Options.BackgroundReorg): the store's answer to clustering decay.
-// The paper's maintenance policies (§2.4) reorganize around each
-// update; under sustained churn the placement still drifts, and the
-// classical fix — rebuild the file — stops the world. The reorganizer
-// instead watches the CRR of the file's PAG summary and, when it has
-// decayed from its high-water mark, re-clusters the worst PAG
-// neighborhoods a bounded number of pages at a time. Each round is a
-// small write transaction through Store.write, the function behind
-// Apply: it runs under the writer mutex, brackets itself in the WAL and
-// publishes through the version layer — so queries keep their pinned
-// views and are never torn, exactly as with any mutation batch.
+// This file is the incremental reorganizer, run one round per Poke:
+// the store's answer to clustering decay. The paper's maintenance
+// policies (§2.4) reorganize around each update; under sustained churn
+// the placement still drifts, and the classical fix — rebuild the file
+// — stops the world. A round instead reads the CRR of the file's PAG
+// summary and, when it has decayed from its high-water mark,
+// re-clusters the worst PAG neighborhoods a bounded number of pages at
+// a time. Each round is a small write transaction through Store.write,
+// the function behind Apply: it runs under the writer mutex, brackets
+// itself in the WAL and publishes through the version layer — so
+// queries keep their pinned views and are never torn, exactly as with
+// any mutation batch.
 
-// Reorganizer defaults (Options.ReorgInterval and friends override).
 const (
-	defaultReorgInterval    = 2 * time.Second
-	defaultReorgMaxPages    = 16
-	defaultReorgTriggerDrop = 0.02
+	// reorgTriggerDrop is the CRR decay from its high-water mark that
+	// triggers a round.
+	reorgTriggerDrop = 0.02
+	// reorgMaxPages bounds the pages one round may re-cluster; small
+	// rounds keep the writer mutex short.
+	reorgMaxPages = 16
 	// reorgSeeds is how many worst pages seed a round before PAG
 	// expansion fills it up to the page budget.
 	reorgSeeds = 4
 )
 
-// reorganizer runs reorganization rounds on a timer until halted.
+// reorganizer is the state rounds keep between Pokes. Every field is
+// guarded by s.mu: rounds and Build both hold it.
 type reorganizer struct {
 	s        *Store
 	cm       *iccam.Method
-	interval time.Duration
 	maxPages int
 	drop     float64
 
-	stop chan struct{}
-	wg   sync.WaitGroup
-	once sync.Once
-
 	// highwater is the best CRR seen since the last Build, which zeroes
-	// it (guarded by s.mu: rounds and Build both hold it).
+	// it.
 	highwater float64
 }
 
-// startReorganizer validates the configuration and launches the
-// reorganizer goroutine. Called from Open/OpenPath before the store is
-// shared.
-func (s *Store) startReorganizer(opts Options) error {
+// newReorganizer returns the reorganizer of a CCAM store, nil for any
+// other access method.
+func newReorganizer(s *Store) *reorganizer {
 	cm, ok := s.m.(*iccam.Method)
 	if !ok {
-		return fmt.Errorf("ccam: access method %q does not support background reorganization", s.m.Name())
+		return nil
 	}
-	r := &reorganizer{
-		s:        s,
-		cm:       cm,
-		interval: opts.ReorgInterval,
-		maxPages: opts.ReorgMaxPages,
-		drop:     opts.ReorgTriggerDrop,
-		stop:     make(chan struct{}),
-	}
-	if r.interval <= 0 {
-		r.interval = defaultReorgInterval
-	}
-	if r.maxPages <= 0 {
-		r.maxPages = defaultReorgMaxPages
-	}
-	if r.drop <= 0 {
-		r.drop = defaultReorgTriggerDrop
-	}
-	s.reorg = r
-	r.wg.Add(1)
-	go r.loop()
-	return nil
+	return &reorganizer{s: s, cm: cm, maxPages: reorgMaxPages, drop: reorgTriggerDrop}
 }
 
-// halt stops the reorganizer and waits for an in-flight round;
-// idempotent. Must be called without holding the store's locks.
-func (r *reorganizer) halt() {
-	r.once.Do(func() { close(r.stop) })
-	r.wg.Wait()
-}
-
-func (r *reorganizer) loop() {
-	defer r.wg.Done()
-	t := time.NewTicker(r.interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-r.stop:
-			return
-		case <-t.C:
-		}
-		r.round() // its error is dropped: see round
+// Poke runs one reorganization round: when the file's CRR has decayed
+// from its high-water mark, the worst PAG neighborhoods are re-clustered,
+// at most 16 pages, as one write transaction. It is a no-op returning
+// nil when the trigger condition does not hold or the store is not built
+// yet. A round that fails past its begin poisons the store like a
+// failed Apply; one that fails before it has changed nothing and leaves
+// the failure (a closed store, a broken log) for the next writer to
+// meet too. Callers wanting periodic rounds call it from a ticker of
+// their own. Only the CCAM access methods can reorganize: on a baseline
+// store Poke returns an error.
+func (s *Store) Poke() error {
+	if s.reorg == nil {
+		return fmt.Errorf("ccam: access method %q does not support reorganization rounds", s.m.Name())
 	}
-}
-
-// Poke runs one reorganization round immediately (tests and the bench
-// harness use it to avoid timing dependence). It is a no-op when the
-// trigger condition does not hold.
-func (s *Store) Poke() {
-	if s.reorg != nil {
-		s.reorg.round() // its error is dropped: see round
-	}
+	return s.reorg.round()
 }
 
 // round checks the trigger and, if the clustering has decayed, runs
 // one bounded re-clustering as a write transaction (Store.write), like
 // an Apply: queries are unaffected, only writers queue behind it — for
-// at most maxPages of reorganization work. The timer loop and Poke
-// drop its error, as they may: a round that fails past its begin has
-// poisoned the store, and one that fails before it has changed nothing
-// and leaves the failure (a closed store, a broken log) for the next
-// writer to meet.
+// at most maxPages of reorganization work.
 func (r *reorganizer) round() error {
 	return r.s.write(context.Background(), func(tx *writeTx) error {
 		f := tx.f
@@ -156,7 +114,7 @@ func (r *reorganizer) round() error {
 		// A failed re-clustering may have moved records already.
 		rewritten, err := r.cm.ReclusterPages(plan)
 		if err != nil {
-			return fmt.Errorf("ccam: background reorganization: %w", err)
+			return fmt.Errorf("ccam: reorganization round: %w", err)
 		}
 		// The round is whole: File.PAG settles its rewrites into the
 		// summary before reading it.

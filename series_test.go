@@ -8,7 +8,6 @@ import (
 	"sort"
 	"strings"
 	"testing"
-	"time"
 
 	"ccam"
 	"ccam/internal/server"
@@ -48,7 +47,7 @@ func TestEverySeriesIsDocumented(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "net.ccam")
 	opts := []ccam.Option{
 		ccam.WithPageSize(2048), ccam.WithPoolPages(4), ccam.WithSeed(42), ccam.WithPath(path), ccam.WithWAL(),
-		ccam.WithSyncPolicy(ccam.SyncNone), ccam.WithMetrics(), ccam.WithTracing(16), ccam.WithBackgroundReorg(time.Hour),
+		ccam.WithSyncPolicy(ccam.SyncNone), ccam.WithMetrics(), ccam.WithTracing(16),
 	}
 	s, err := ccam.OpenWith(opts...)
 	if err != nil {
@@ -69,6 +68,9 @@ func TestEverySeriesIsDocumented(t *testing.T) {
 	}
 	defer s.Close()
 	ccam.RunGoldenWorkload(t, s, g, 42)
+	if err := s.Poke(); err != nil { // a reorganization round
+		t.Fatal(err)
+	}
 	server.New(server.Options{Store: s}) // registers its series in the store's registry
 
 	var series map[string]any
