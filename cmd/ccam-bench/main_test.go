@@ -2,6 +2,9 @@ package main
 
 import (
 	"bytes"
+	"math"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -124,5 +127,49 @@ func TestRunQueryExperiment(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Fatalf("output missing %q:\n%s", want, out)
 		}
+	}
+}
+
+// TestPaperArtifactRoundTrip: -json writes the cells of the experiments
+// run, -check against that file passes, and a single value nudged in
+// the file fails the check with the cell named.
+func TestPaperArtifactRoundTrip(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "paper.json")
+	cfg := config{setup: tinySetup(), jsonPath: path}
+	var buf bytes.Buffer
+	if err := run(&buf, "fig5", cfg); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(buf.String(), "cells to "+path) {
+		t.Fatalf("no artifact written:\n%s", buf.String())
+	}
+	check := config{setup: tinySetup(), check: true, artifact: path}
+	buf.Reset()
+	if err := run(&buf, "fig5", check); err != nil {
+		t.Fatalf("check against the run's own artifact: %v\n%s", err, buf.String())
+	}
+
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	art, err := bench.ReadPaperArtifact(bytes.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	art.Rows[0].Value = math.Nextafter(art.Rows[0].Value, 2)
+	var out bytes.Buffer
+	if err := art.WriteJSON(&out); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, out.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	buf.Reset()
+	if err := run(&buf, "fig5", check); err == nil {
+		t.Fatal("check passed against a nudged artifact")
+	}
+	if want := "fig5/ccam-s/block=512/crr"; !strings.Contains(buf.String(), want) {
+		t.Fatalf("the difference does not name %s:\n%s", want, buf.String())
 	}
 }

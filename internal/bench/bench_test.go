@@ -359,9 +359,11 @@ func TestMixedWorkload(t *testing.T) {
 	}
 }
 
-// TestGoldenDeterminism pins the paper-scale headline numbers: the
-// experiments are seeded, so these values must reproduce exactly across
-// runs (a drift means an unintended behaviour change).
+// TestGoldenDeterminism pins the paper-scale headline number exactly:
+// the experiments are seeded, so CCAM-S's CRR at 1 KiB must reproduce
+// bit for bit across runs and versions (a drift means an unintended
+// behaviour change). It is BENCH_paper.json's fig5/ccam-s/block=1024
+// cell; `ccam-bench -exp all -check BENCH_paper.json` pins the rest.
 func TestGoldenDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("paper-scale build")
@@ -378,9 +380,9 @@ func TestGoldenDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	crr := StatsOf(m, g).CRR
-	if crr < 0.70 || crr > 0.78 {
-		t.Fatalf("paper-scale CCAM-S CRR drifted to %.4f (expected ~0.739)", crr)
+	const want = 0.7300492610837438
+	if crr := StatsOf(m, g).CRR; crr != want {
+		t.Fatalf("paper-scale CCAM-S CRR drifted to %v, want %v", crr, want)
 	}
 }
 
