@@ -215,6 +215,29 @@ func (g *Network) Predecessors(id NodeID) []NodeID {
 	return append([]NodeID(nil), g.pred[id]...)
 }
 
+// Degree returns the lengths of id's successor- and predecessor-lists.
+func (g *Network) Degree(id NodeID) (succs, preds int) {
+	return len(g.succ[id]), len(g.pred[id])
+}
+
+// VisitIncident calls fn once per edge incident to id, with the node at
+// its other end and its access weight: first each outgoing edge in
+// successor-list order, then each incoming edge in predecessor-list
+// order. Nothing is copied, so fn must not mutate the network.
+func (g *Network) VisitIncident(id NodeID, fn func(other NodeID, weight float64)) {
+	for _, he := range g.succ[id] {
+		fn(he.to, he.weight)
+	}
+	for _, from := range g.pred[id] {
+		for _, he := range g.succ[from] {
+			if he.to == id {
+				fn(from, he.weight)
+				break
+			}
+		}
+	}
+}
+
 // Neighbors returns the neighbor-list of id: every node appearing in
 // its successor- or predecessor-list, deduplicated, order unspecified.
 func (g *Network) Neighbors(id NodeID) []NodeID {

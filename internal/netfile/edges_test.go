@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"ccam/internal/geom"
 	"ccam/internal/graph"
 	"ccam/internal/storage"
 )
@@ -279,6 +280,41 @@ func TestPageBudgetAndStoredSizer(t *testing.T) {
 	}
 	if n < 5 {
 		t.Fatalf("only %d records fit", n)
+	}
+}
+
+// TestStoredSizeMatchesRecord: StoredSizer computes sizes from the
+// node's attribute and list lengths instead of building its record, and
+// must agree with the record it stands for on every node of three
+// network families, a node whose lists an edit shortened included.
+func TestStoredSizeMatchesRecord(t *testing.T) {
+	road, err := graph.RoadMap(graph.MinneapolisLikeOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	edited := road.Clone()
+	if e := edited.Edges()[0]; edited.RemoveEdge(e.From, e.To) != nil {
+		t.Fatal("edge removal failed")
+	}
+	radial, err := graph.RadialCity(graph.RadialCityOpts{
+		Rings: 12, Spokes: 40, Radius: 4000, Center: geom.Point{X: 4000, Y: 4000},
+		Jitter: 0.2, DeleteFrac: 0.12, AttrBytes: 24, Seed: 5,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	geo := graph.RandomGeometric(800, 320, geom.NewRect(geom.Point{}, geom.Point{X: 8000, Y: 8000}), 9)
+	for name, g := range map[string]*graph.Network{"road": road, "edited": edited, "radial": radial, "geometric": geo} {
+		sizer := StoredSizer(g)
+		for _, id := range g.NodeIDs() {
+			rec, err := RecordFromNode(g, id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, want := sizer(id), rec.EncodedSize()+storage.PerRecordOverhead; got != want {
+				t.Fatalf("%s node %d: StoredSizer %d, record %d", name, id, got, want)
+			}
+		}
 	}
 }
 

@@ -62,7 +62,13 @@ const recordHeaderSize = 26
 
 // EncodedSize returns the number of bytes EncodeRecord will produce.
 func (r *Record) EncodedSize() int {
-	return recordHeaderSize + len(r.Attrs) + 8*len(r.Succs) + 4*len(r.Preds)
+	return encodedSize(len(r.Attrs), len(r.Succs), len(r.Preds))
+}
+
+// encodedSize is the image size of a record with attrs attribute bytes,
+// succs successors and preds predecessors.
+func encodedSize(attrs, succs, preds int) int {
+	return recordHeaderSize + attrs + 8*succs + 4*preds
 }
 
 // EncodeRecord serializes r.
@@ -240,14 +246,16 @@ func RecordFromNode(g *graph.Network, id graph.NodeID) (*Record, error) {
 }
 
 // RecordSizer returns a sizeOf function for partitioning: the encoded
-// record size of each node in g.
+// size of each node's RecordFromNode record, computed from the node's
+// attribute and list lengths without building the record.
 func RecordSizer(g *graph.Network) func(graph.NodeID) int {
 	return func(id graph.NodeID) int {
-		r, err := RecordFromNode(g, id)
+		n, err := g.Node(id)
 		if err != nil {
 			return recordHeaderSize
 		}
-		return r.EncodedSize()
+		succs, preds := g.Degree(id)
+		return encodedSize(len(n.Attrs), succs, preds)
 	}
 }
 

@@ -8,7 +8,6 @@
 package partition
 
 import (
-	"cmp"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -45,37 +44,50 @@ type WEdge struct {
 // BuildWeighted projects a network onto the working representation.
 // sizeOf returns the record byte size of each node; uniform weights use
 // the network's edge weights as-is (weight 0 edges still connect nodes
-// but contribute no gain).
+// but contribute no gain). sizeOf is called once per node, in ascending
+// id order.
 func BuildWeighted(g *graph.Network, sizeOf func(graph.NodeID) int) *Weighted {
 	ids := g.NodeIDs()
-	index := make(map[graph.NodeID]int, len(ids))
+	n := len(ids)
+	index := make(map[graph.NodeID]int32, n)
 	for i, id := range ids {
-		index[id] = i
+		index[id] = int32(i)
 	}
 	w := &Weighted{
 		IDs:  ids,
-		Size: make([]int, len(ids)),
-		Adj:  make([][]WEdge, len(ids)),
+		Size: make([]int, n),
+		Adj:  make([][]WEdge, n),
 	}
 	for i, id := range ids {
 		w.Size[i] = sizeOf(id)
 		w.Total += w.Size[i]
 	}
-	// Collapse directed edges into undirected accumulated weights.
-	acc := make(map[[2]int]float64)
-	for _, e := range g.Edges() {
-		a, b := index[e.From], index[e.To]
-		if a > b {
-			a, b = b, a
+	// Each node's row sums the weights of its outgoing and incoming edges
+	// per neighbor in a scratch array, as coarsenHEM does, so a pair
+	// linked both ways gets one entry weighing both. Every directed edge
+	// is one entry at each end at most, so the rows are carved from one
+	// array that never grows.
+	acc := make([]float64, n)
+	seen := make([]bool, n)
+	var touched []int
+	edges := make([]WEdge, 0, 2*g.NumEdges())
+	for u, id := range ids {
+		g.VisitIncident(id, func(other graph.NodeID, weight float64) {
+			v := int(index[other])
+			if !seen[v] {
+				seen[v] = true
+				touched = append(touched, v)
+			}
+			acc[v] += weight
+		})
+		slices.Sort(touched)
+		from := len(edges)
+		for _, v := range touched {
+			edges = append(edges, WEdge{To: v, W: acc[v]})
+			acc[v], seen[v] = 0, false
 		}
-		acc[[2]int{a, b}] += e.Weight
-	}
-	for k, wt := range acc {
-		w.Adj[k[0]] = append(w.Adj[k[0]], WEdge{To: k[1], W: wt})
-		w.Adj[k[1]] = append(w.Adj[k[1]], WEdge{To: k[0], W: wt})
-	}
-	for _, es := range w.Adj {
-		slices.SortFunc(es, func(a, b WEdge) int { return cmp.Compare(a.To, b.To) })
+		w.Adj[u] = edges[from:len(edges):len(edges)]
+		touched = touched[:0]
 	}
 	return w
 }
