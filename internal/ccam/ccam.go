@@ -1,11 +1,13 @@
 // Package ccam implements the paper's contribution: the
 // Connectivity-Clustered Access Method. Nodes are assigned to data
-// pages by graph partitioning (Cheng–Wei ratio cut by default) to
-// maximize the connectivity residue ratio; Insert() and Delete()
-// maintain the clustering with the reorganization policies of the
-// paper's Table 1 (first-order, second-order, higher-order), defined
-// over the page access graph, which is never materialized — neighbor
-// pages are discovered through the secondary index on demand.
+// pages by graph partitioning to maximize the connectivity residue
+// ratio; Insert() and Delete() maintain the clustering with the
+// reorganization policies of the paper's Table 1 (first-order,
+// second-order, higher-order), defined over the page access graph,
+// which is never materialized — neighbor pages are discovered through
+// the secondary index on demand. Static-Create clusters with the
+// configured partitioner (Cheng–Wei ratio cut, the paper's, by default);
+// every reorganization reclusters with ratio cut.
 //
 // Two create operations are provided, as in the paper: CCAM-S
 // (Static-Create: cluster the whole network at once) and CCAM-D
@@ -35,8 +37,10 @@ type Config struct {
 	// Build fills in Bounds from the network; a file adopted through
 	// Attach should have been opened with the same value.
 	File netfile.Options
-	// Partitioner is the two-way partitioning heuristic used for
-	// clustering and reclustering (default Cheng–Wei ratio cut).
+	// Partitioner is the two-way partitioning heuristic Static-Create
+	// clusters the whole network with (default Cheng–Wei ratio cut). It
+	// is used by Create only: page splits, the policies' reclustering and
+	// CCAM-D's Add-node always use ratio cut.
 	Partitioner partition.Bipartitioner
 	// Seed drives the partitioner's randomized restarts.
 	Seed int64
@@ -58,10 +62,15 @@ type Config struct {
 // must serialize among themselves (the root ccam.Store holds its writer
 // mutex around them; its queries read pinned views beside them).
 type Method struct {
-	cfg  Config
-	f    *netfile.File
-	part partition.Bipartitioner
-	rng  *rand.Rand
+	cfg Config
+	f   *netfile.File
+	// recluster partitions the working sets of reorganizations — a page
+	// split, the 2–16 pages a policy or a round reclusters — with ratio
+	// cut, whatever Create clustered with: on a few hundred records
+	// coarsening has little to contract, and the full restart search is
+	// cheap there.
+	recluster partition.Bipartitioner
+	rng       *rand.Rand
 	// updates counts maintenance operations that touched each page,
 	// driving the Lazy policy; counters reset when a page is
 	// reorganized.
@@ -81,10 +90,10 @@ func New(cfg Config) (*Method, error) {
 		cfg.LazyEvery = 8
 	}
 	m := &Method{
-		cfg:     cfg,
-		part:    cfg.Partitioner,
-		rng:     rand.New(rand.NewSource(cfg.Seed)),
-		updates: make(map[storage.PageID]int),
+		cfg:       cfg,
+		recluster: &partition.RatioCut{},
+		rng:       rand.New(rand.NewSource(cfg.Seed)),
+		updates:   make(map[storage.PageID]int),
 	}
 	return m, nil
 }
@@ -123,7 +132,7 @@ func (m *Method) Build(g *graph.Network) error {
 func (m *Method) buildStatic(g *graph.Network) error {
 	sizeOf := netfile.StoredSizer(g)
 	budget := netfile.PageBudget(m.cfg.File.PageSize)
-	groups, err := partition.ClusterNodesIntoPagesOpts(g, sizeOf, budget, m.part,
+	groups, err := partition.ClusterNodesIntoPagesOpts(g, sizeOf, budget, m.cfg.Partitioner,
 		partition.ClusterOptions{Seed: m.rng.Int63()})
 	if err != nil {
 		return fmt.Errorf("ccam: static create: %w", err)
@@ -347,8 +356,8 @@ func (m *Method) mergeIfUnderflow(pid storage.PageID, neighbors []graph.NodeID) 
 }
 
 // SplitPage splits an overflowing (or full) page into two by
-// re-clustering its records with the configured partitioner; it is
-// CCAM's overflow handler.
+// re-clustering its records with ratio cut; it is CCAM's overflow
+// handler.
 func (m *Method) SplitPage(pid storage.PageID) error {
 	if err := m.f.LogReorg(netfile.MutSplitPage, []storage.PageID{pid}); err != nil {
 		return err
@@ -648,16 +657,16 @@ func workingSet(recs []*netfile.Record) *partition.Weighted {
 
 // cluster runs cluster-nodes-into-pages (paper Figure 2) over the
 // working set from scratch, or one bipartition when a split is forced,
-// and returns each node's group.
+// both with ratio cut, and returns each node's group.
 func (m *Method) cluster(w *partition.Weighted, budget int, forceSplit bool) ([][]graph.NodeID, error) {
 	if forceSplit && w.N() >= 2 {
-		a, b, err := m.part.Bipartition(w, budget/2, m.rng)
+		a, b, err := m.recluster.Bipartition(w, budget/2, m.rng)
 		if err != nil {
 			return nil, fmt.Errorf("ccam: split: %w", err)
 		}
 		return [][]graph.NodeID{a, b}, nil
 	}
-	groups, err := partition.ClusterWeightedIntoPages(w, budget, m.part,
+	groups, err := partition.ClusterWeightedIntoPages(w, budget, m.recluster,
 		partition.ClusterOptions{Workers: 1, Seed: m.rng.Int63()})
 	if err != nil {
 		return nil, fmt.Errorf("ccam: recluster: %w", err)

@@ -1,6 +1,7 @@
 package ccam
 
 import (
+	"maps"
 	"math/rand"
 	"testing"
 
@@ -597,5 +598,26 @@ func TestNbrPagesOfFreedPage(t *testing.T) {
 	got, err := m.NbrPages(storage.PageID(999999))
 	if err != nil || got != nil {
 		t.Fatalf("NbrPages(unknown) = %v, %v", got, err)
+	}
+}
+
+// TestReclusterIgnoresCreatePartitioner: Config.Partitioner is Create's
+// only. A CCAM-D build, which clusters nothing at once and reclusters
+// around every Add-node, must place every record on the same page
+// whichever partitioner is configured; a CCAM-S build must not (the
+// configuration reaches Create).
+func TestReclusterIgnoresCreatePartitioner(t *testing.T) {
+	g := roadMap(t)
+	parts := []partition.Bipartitioner{nil, &partition.Multilevel{}, &partition.FM{}}
+	base := build(t, g, Config{Seed: 9, Dynamic: true}).File().Placement()
+	for _, p := range parts[1:] {
+		got := build(t, g, Config{Seed: 9, Dynamic: true, Partitioner: p}).File().Placement()
+		if !maps.Equal(got, base) {
+			t.Errorf("CCAM-D with %s places records differently from the default", p.Name())
+		}
+	}
+	static := build(t, g, Config{Seed: 9}).File().Placement()
+	if multi := build(t, g, Config{Seed: 9, Partitioner: &partition.Multilevel{}}).File().Placement(); maps.Equal(multi, static) {
+		t.Error("CCAM-S placement does not depend on the partitioner")
 	}
 }

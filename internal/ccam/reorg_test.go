@@ -154,7 +154,7 @@ func TestSamePartitionInAnotherOrderRewritesNothing(t *testing.T) {
 		t.Fatal("no three pages more than half full")
 	}
 	placement := f.Placement()
-	m.part = oldPartitionReversed{page: placement}
+	m.recluster = oldPartitionReversed{page: placement}
 	before := m.ReorgStats()
 	writes := writesOf(t, f, func() {
 		if err := m.reorganizePages(pids, false); err != nil {
