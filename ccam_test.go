@@ -1,14 +1,18 @@
 package ccam
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"testing"
 
+	"ccam/internal/netfile"
+	"ccam/internal/partition"
 	"ccam/internal/query"
 	"ccam/internal/storage"
 )
@@ -509,7 +513,8 @@ func TestApplyBeforeBuild(t *testing.T) {
 // change what the paper counts: after ResetIO each reads exactly the
 // data pages the same operation reads on the live file — and, on the
 // paper-scale map behind a 16-page pool, the counts measured before
-// the move.
+// the move (re-recorded since for the placement Create's multilevel
+// partitioner makes).
 func TestMovedQueriesReadTheSamePages(t *testing.T) {
 	s, g := paperStore(t, 16)
 	defer s.Close()
@@ -547,10 +552,10 @@ func TestMovedQueriesReadTheSamePages(t *testing.T) {
 	}
 	for _, tc := range []struct {
 		name       string
-		want       int64 // reads measured at the parent of this change
+		want       int64 // reads measured before the move, re-recorded for Create's multilevel placement
 		view, live func() error
 	}{
-		{"ShortestPath", 1578,
+		{"ShortestPath", 1652,
 			func() (err error) {
 				for _, p := range pairs {
 					if _, e := s.ShortestPath(p[0], p[1]); noPath(e) != nil {
@@ -567,7 +572,7 @@ func TestMovedQueriesReadTheSamePages(t *testing.T) {
 				}
 				return
 			}},
-		{"ShortestPathAStar", 1331,
+		{"ShortestPathAStar", 1432,
 			func() (err error) {
 				for _, p := range pairs {
 					if _, e := s.ShortestPathAStar(p[0], p[1], 0.8); noPath(e) != nil {
@@ -587,10 +592,10 @@ func TestMovedQueriesReadTheSamePages(t *testing.T) {
 		{"EvaluateTour", 1,
 			func() error { _, err := s.EvaluateTour(tour); return err },
 			func() error { _, err := query.EvaluateTour(f, tour); return err }},
-		{"LocationAllocation", 335,
+		{"LocationAllocation", 338,
 			func() error { _, _, _, err := s.LocationAllocation(facilities); return err },
 			func() error { _, _, _, err := query.LocationAllocation(f, facilities); return err }},
-		{"EvaluateRouteUnit", 24,
+		{"EvaluateRouteUnit", 23,
 			func() (err error) {
 				for _, u := range units {
 					if _, e := s.EvaluateRouteUnit("u", u); e != nil {
@@ -607,10 +612,10 @@ func TestMovedQueriesReadTheSamePages(t *testing.T) {
 				}
 				return
 			}},
-		{"Scan", 68,
+		{"Scan", 71,
 			func() error { return s.Scan(func(*Record) bool { return true }) },
 			func() error { return f.Scan(func(*Record) bool { return true }) }},
-		{"Nearest", 150,
+		{"Nearest", 158,
 			func() (err error) {
 				for _, p := range pts {
 					if _, e := s.Nearest(p, 5); e != nil {
@@ -644,4 +649,64 @@ func TestMovedQueriesReadTheSamePages(t *testing.T) {
 				tc.name, view, live, tc.want)
 		}
 	}
+}
+
+// TestStoreCreatesWithMultilevel: a store's static create clusters with
+// the multilevel partitioner. On a 64×64 map its pages are exactly the
+// groups partition.ClusterNodesIntoPagesOpts makes under Multilevel with
+// the seed the store derives from Options.Seed, and not the ratio-cut
+// groups.
+func TestStoreCreatesWithMultilevel(t *testing.T) {
+	opts := MinneapolisLikeOpts()
+	opts.Rows, opts.Cols = 64, 64
+	g, err := RoadMap(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const seed = 5
+	s, err := Open(Options{PageSize: 2048, Seed: seed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if err := s.Build(g); err != nil {
+		t.Fatal(err)
+	}
+	byPage := map[storage.PageID][]NodeID{}
+	for id, pid := range s.Placement() {
+		byPage[pid] = append(byPage[pid], id)
+	}
+	got := make([][]NodeID, 0, len(byPage))
+	for _, ids := range byPage {
+		got = append(got, ids)
+	}
+	groups := func(part partition.Bipartitioner) [][]NodeID {
+		pages, err := partition.ClusterNodesIntoPagesOpts(g, netfile.StoredSizer(g), netfile.PageBudget(2048), part,
+			partition.ClusterOptions{Seed: rand.New(rand.NewSource(seed)).Int63()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return pages
+	}
+	if !samePartition(got, groups(&partition.Multilevel{})) {
+		t.Fatal("the store's pages are not the multilevel partitioner's groups")
+	}
+	if samePartition(got, groups(&partition.RatioCut{})) {
+		t.Fatal("the store's pages are also the ratio-cut groups: the check has no teeth")
+	}
+}
+
+// samePartition reports whether a and b group the same nodes together,
+// whatever the order of the groups and of the nodes within them.
+func samePartition(a, b [][]NodeID) bool {
+	canon := func(groups [][]NodeID) [][]NodeID {
+		out := make([][]NodeID, len(groups))
+		for i, ids := range groups {
+			out[i] = slices.Clone(ids)
+			slices.Sort(out[i])
+		}
+		slices.SortFunc(out, func(x, y []NodeID) int { return cmp.Compare(x[0], y[0]) })
+		return out
+	}
+	return slices.EqualFunc(canon(a), canon(b), slices.Equal)
 }
