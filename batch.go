@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	iccam "ccam/internal/ccam"
 	"ccam/internal/metrics"
 	"ccam/internal/netfile"
 	"ccam/internal/storage"
@@ -191,13 +192,13 @@ func (b *Batch) Len() int {
 	return len(b.ops)
 }
 
-// applyMutation executes one logical mutation through access method m
-// under the given policy. It is the one dispatch behind a live Apply,
-// an Apply before Build — m has no file yet, so the access method's own
+// applyMutation executes one logical mutation through the CCAM method
+// m under the given policy. It is the one dispatch behind a live Apply,
+// an Apply before Build — m has no file yet, so the method's own
 // "before Build" error surfaces — and WAL replay. A mutation that ran
 // leaves every record's lists agreeing again: that is when the file's
 // PAG summary takes it in.
-func applyMutation(m netfile.AccessMethod, mut *netfile.Mutation, policy Policy) error {
+func applyMutation(m *iccam.Method, mut *netfile.Mutation, policy Policy) error {
 	err := dispatchMutation(m, mut, policy)
 	if f := m.File(); err == nil && f != nil {
 		f.SettlePAG()
@@ -205,7 +206,7 @@ func applyMutation(m netfile.AccessMethod, mut *netfile.Mutation, policy Policy)
 	return err
 }
 
-func dispatchMutation(m netfile.AccessMethod, mut *netfile.Mutation, policy Policy) error {
+func dispatchMutation(m *iccam.Method, mut *netfile.Mutation, policy Policy) error {
 	switch mut.Kind {
 	case netfile.MutInsertNode:
 		return m.Insert(&InsertOp{Rec: mut.Rec, PredCosts: mut.PredCosts}, policy)
@@ -418,7 +419,7 @@ func (s *Store) Apply(ctx context.Context, b *Batch) error {
 	return s.write(ctx, func(tx *writeTx) error {
 		if tx.f == nil {
 			// Before Build there is no file to validate against and no WAL:
-			// dispatch directly, so the first op fails with the access
+			// dispatch directly, so the first op fails with the CCAM
 			// method's own "before Build" error.
 			for i := range b.ops {
 				if err := applyMutation(s.m, &b.ops[i].mut, b.ops[i].policy); err != nil {

@@ -336,14 +336,7 @@ func BenchmarkFindChecked(b *testing.B) {
 		b.Fatal(err)
 	}
 	opts := Options{PoolPages: 16, Seed: 1}
-	s, err := newStore(opts, nil, cs, func(s *Store, fo netfile.Options) error {
-		m, err := newMethod(opts, fo)
-		if err != nil {
-			return err
-		}
-		s.m = m
-		return nil
-	})
+	s, err := newStore(opts, nil, cs, nil)
 	if err != nil {
 		b.Fatal(err)
 	}

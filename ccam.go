@@ -28,10 +28,10 @@
 // Queries are context-first; callers without a context can use the
 // ctx-less view: store.Plain().Find(1).
 //
-// Baseline access methods from the paper's evaluation (DFS-AM, BFS-AM,
-// WDFS-AM and the Grid File) are available through NewBaseline for
-// comparison studies; the experiment harness behind cmd/ccam-bench
-// regenerates every table and figure of the paper.
+// A Store is always a CCAM file. The paper's comparison access methods
+// (DFS-AM, BFS-AM, WDFS-AM and the Grid File) live in the experiment
+// harness: cmd/ccam-bench, over internal/bench, regenerates every table
+// and figure of the paper.
 package ccam
 
 import (
@@ -48,13 +48,11 @@ import (
 	iccam "ccam/internal/ccam"
 	"ccam/internal/geom"
 	"ccam/internal/graph"
-	"ccam/internal/gridfile"
 	"ccam/internal/metrics"
 	"ccam/internal/netfile"
 	"ccam/internal/partition"
 	"ccam/internal/query"
 	"ccam/internal/storage"
-	"ccam/internal/topo"
 )
 
 // Core re-exported types. The network model lives in internal/graph,
@@ -293,7 +291,7 @@ type Store struct {
 	// structMu before mu.
 	structMu sync.RWMutex
 	mu       sync.Mutex
-	m        netfile.AccessMethod
+	m        *iccam.Method
 	fs       *storage.FileStore
 	// obs is non-nil only when Options.Metrics was set.
 	obs    *observability
@@ -322,8 +320,7 @@ type Store struct {
 	replayedBatches   int
 	replayedMutations int
 	applyFaultHook    func(int) error
-	// reorg is the state of the reorganization rounds Poke runs (nil
-	// unless the access method is CCAM).
+	// reorg is the state of the reorganization rounds Poke runs.
 	reorg *reorganizer
 }
 
@@ -341,18 +338,18 @@ func (s *Store) poison(what string, cause error) {
 	s.failed.CompareAndSwap(nil, &err)
 }
 
-// Name identifies the underlying access method ("ccam-s", "ccam-d",
-// "dfs-am", "bfs-am", "wdfs-am", "grid-file").
+// Name identifies the store's method: "ccam-s" (the static create) or
+// "ccam-d" (the dynamic create, Options.Dynamic).
 func (s *Store) Name() string { return s.m.Name() }
 
 // --- assembly: one way to build a Store ---
 
 // newStore assembles a Store: it creates the tracer and the registry,
-// has open supply the access method over the file options they yield
-// (open may also adopt a WAL), and gives a CCAM store its
-// reorganizer. fs and st are the page file of a file-backed store;
-// newStore owns them from here on and closes them — and an adopted WAL
-// — when assembly fails.
+// the unbuilt CCAM method over the file options they yield and the
+// reorganizer, then has open, when non-nil, finish what differs between
+// creating a store and reopening one (open may adopt a WAL). fs and st
+// are the page file of a file-backed store; newStore owns them from
+// here on and closes them — and an adopted WAL — when assembly fails.
 func newStore(opts Options, fs *storage.FileStore, st storage.Store, open func(s *Store, fo netfile.Options) error) (*Store, error) {
 	s := &Store{fs: fs, checkpointBytes: opts.CheckpointBytes, applyFaultHook: opts.applyFaultHook}
 	if s.checkpointBytes == 0 {
@@ -364,7 +361,13 @@ func newStore(opts Options, fs *storage.FileStore, st storage.Store, open func(s
 	if opts.Metrics {
 		s.obs = newObservability(metrics.NewRegistry())
 	}
-	if err := open(s, s.fileOptions(opts, st)); err != nil {
+	s.reorg = &reorganizer{s: s, maxPages: reorgMaxPages, drop: reorgTriggerDrop}
+	fo := s.fileOptions(opts, st)
+	var err error
+	if s.m, err = newMethod(opts, fo); err == nil && open != nil {
+		err = open(s, fo)
+	}
+	if err != nil {
 		if s.wal != nil {
 			s.wal.Close()
 		}
@@ -373,7 +376,6 @@ func newStore(opts Options, fs *storage.FileStore, st storage.Store, open func(s
 		}
 		return nil, err
 	}
-	s.reorg = newReorganizer(s)
 	return s, nil
 }
 
@@ -446,19 +448,15 @@ func Open(opts Options) (*Store, error) {
 		}
 		fs, st = inner, cs
 	}
-	return newStore(opts, fs, st, func(s *Store, fo netfile.Options) error {
-		m, err := newMethod(opts, fo)
+	return newStore(opts, fs, st, func(s *Store, _ netfile.Options) error {
+		if !opts.WAL {
+			return nil
+		}
+		wal, err := storage.CreateWAL(storage.WALDir(opts.Path), opts.SyncPolicy, 0)
 		if err != nil {
 			return err
 		}
-		s.m = m
-		if opts.WAL {
-			wal, err := storage.CreateWAL(storage.WALDir(opts.Path), opts.SyncPolicy, 0)
-			if err != nil {
-				return err
-			}
-			s.adoptWAL(wal)
-		}
+		s.adoptWAL(wal)
 		return nil
 	})
 }
@@ -516,14 +514,9 @@ func OpenPath(path string, opts Options) (*Store, error) {
 		if err != nil {
 			return err
 		}
-		m, err := newMethod(opts, fo)
-		if err != nil {
+		if err := s.m.Attach(f); err != nil {
 			return err
 		}
-		if err := m.Attach(f); err != nil {
-			return err
-		}
-		s.m = m
 		if wantWAL {
 			// Replay the committed tail before the WAL is attached, so the
 			// re-executed mutations are not logged again.
@@ -531,7 +524,7 @@ func OpenPath(path string, opts Options) (*Store, error) {
 			if ck != nil {
 				after = ck.EndLSN
 			}
-			s.replayedBatches, s.replayedMutations, err = replayWAL(m, walRecs, after)
+			s.replayedBatches, s.replayedMutations, err = replayWAL(s.m, walRecs, after)
 			if err != nil {
 				return fmt.Errorf("ccam: wal replay: %w", err)
 			}
@@ -566,54 +559,6 @@ func OpenPath(path string, opts Options) (*Store, error) {
 	})
 }
 
-// BaselineKind names a comparison access method from the paper's
-// evaluation.
-type BaselineKind string
-
-// Baseline access methods.
-const (
-	// DFSAM orders nodes by depth-first traversal.
-	DFSAM BaselineKind = "dfs-am"
-	// BFSAM orders nodes by breadth-first traversal.
-	BFSAM BaselineKind = "bfs-am"
-	// WDFSAM orders nodes by weight-guided depth-first traversal.
-	WDFSAM BaselineKind = "wdfs-am"
-	// GridFile clusters nodes by spatial proximity.
-	GridFile BaselineKind = "grid-file"
-)
-
-// NewBaseline constructs one of the paper's comparison access methods
-// behind the same Store facade as CCAM itself, so baselines and CCAM
-// share one API surface — queries, batch queries, transactional Apply,
-// IO() — and benchmark code needs no per-method branching. Baselines
-// do not support a WAL, reorganization rounds (Poke) or
-// instrumentation.
-func NewBaseline(kind BaselineKind, opts Options) (*Store, error) {
-	if opts.PageSize == 0 {
-		opts.PageSize = 2048
-	}
-	if opts.WAL {
-		return nil, fmt.Errorf("ccam: baseline %q does not support a WAL", kind)
-	}
-	// The baselines' files take no registry or tracer.
-	opts.Metrics, opts.TraceCapacity = false, 0
-	return newStore(opts, nil, nil, func(s *Store, fo netfile.Options) (err error) {
-		switch kind {
-		case DFSAM:
-			s.m, err = topo.New(topo.Config{Kind: topo.DFS, PageSize: fo.PageSize, PoolPages: fo.PoolPages, Seed: opts.Seed})
-		case BFSAM:
-			s.m, err = topo.New(topo.Config{Kind: topo.BFS, PageSize: fo.PageSize, PoolPages: fo.PoolPages, Seed: opts.Seed})
-		case WDFSAM:
-			s.m, err = topo.New(topo.Config{Kind: topo.WDFS, PageSize: fo.PageSize, PoolPages: fo.PoolPages, Seed: opts.Seed})
-		case GridFile:
-			s.m, err = gridfile.New(gridfile.Config{PageSize: fo.PageSize, PoolPages: fo.PoolPages})
-		default:
-			err = fmt.Errorf("ccam: unknown baseline %q", kind)
-		}
-		return err
-	})
-}
-
 // --- lifecycle: Build, ResetIO, Flush, Close ---
 
 // lockExclusive takes the lifecycle lock and then the writer mutex: the
@@ -645,10 +590,8 @@ func (s *Store) Build(g *Network) error {
 	if err := s.failedErr(); err != nil {
 		return err
 	}
-	if s.reorg != nil {
-		// The new contents start a fresh CRR high-water mark.
-		s.reorg.highwater = 0
-	}
+	// The new contents start a fresh CRR high-water mark.
+	s.reorg.highwater = 0
 	// Build's account times it and counts nothing: the file that would
 	// count is the one Build creates.
 	var a opAccount
@@ -1175,9 +1118,3 @@ func RandomWalkRoutes(g *Network, count, length int, rng *rand.Rand) ([]Route, e
 func ApplyRouteWeights(g *Network, routes []Route) (int, error) {
 	return graph.ApplyRouteWeights(g, routes)
 }
-
-// compile-time interface checks for the facade's building blocks
-var (
-	_ partition.Bipartitioner = (*partition.Multilevel)(nil)
-	_ netfile.AccessMethod    = (*iccam.Method)(nil)
-)

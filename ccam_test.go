@@ -180,34 +180,6 @@ func TestStoreFileBacked(t *testing.T) {
 	}
 }
 
-func TestBaselines(t *testing.T) {
-	g := testMap(t)
-	for _, kind := range []BaselineKind{DFSAM, BFSAM, WDFSAM, GridFile} {
-		m, err := NewBaseline(kind, Options{PageSize: 1024, Seed: 5})
-		if err != nil {
-			t.Fatalf("NewBaseline(%s): %v", kind, err)
-		}
-		if err := m.Build(g); err != nil {
-			t.Fatalf("build %s: %v", kind, err)
-		}
-		id := g.NodeIDs()[0]
-		rec, err := m.Find(context.Background(), id)
-		if err != nil || rec.ID != id {
-			t.Fatalf("%s Find = %v, %v", kind, rec, err)
-		}
-		if io := m.IO(); io.Reads+io.Writes == 0 {
-			t.Fatalf("%s IO() reports no traffic after Build", kind)
-		}
-		var am AccessMethod = m
-		if am.Name() == "" {
-			t.Fatalf("%s has no name", kind)
-		}
-	}
-	if _, err := NewBaseline("nope", Options{}); err == nil {
-		t.Fatal("unknown baseline accepted")
-	}
-}
-
 func TestDynamicStore(t *testing.T) {
 	g := testMap(t)
 	s, err := Open(Options{PageSize: 1024, Seed: 6, Dynamic: true})
@@ -453,10 +425,10 @@ func TestOpenPathDetectsCorruption(t *testing.T) {
 	}
 }
 
-// TestApplyBeforeBuild applies all five mutation kinds to unbuilt
-// stores of every access method, each kind first in turn: the batch
-// goes through the same dispatch as a live Apply and WAL replay, and
-// the first op must fail with the access method's own pre-Build error.
+// TestApplyBeforeBuild applies all five mutation kinds to an unbuilt
+// store, each kind first in turn: the batch goes through the same
+// dispatch as a live Apply and WAL replay, and the first op must fail
+// with the CCAM method's own pre-Build error.
 func TestApplyBeforeBuild(t *testing.T) {
 	ins := &InsertOp{Rec: &Record{ID: 1, Succs: []SuccEntry{{To: 2, Cost: 1}}}}
 	kinds := []struct {
@@ -476,34 +448,26 @@ func TestApplyBeforeBuild(t *testing.T) {
 		{"set-edge-cost", func(b *Batch) *Batch { return b.SetEdgeCost(1, 2, 3) },
 			func(*Store) error { return errEmpty }},
 	}
-	open := map[string]func() (*Store, error){
-		"ccam": func() (*Store, error) { return Open(Options{PageSize: 1024}) },
+	s, err := Open(Options{PageSize: 1024})
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, kind := range []BaselineKind{DFSAM, BFSAM, WDFSAM, GridFile} {
-		open[string(kind)] = func() (*Store, error) { return NewBaseline(kind, Options{PageSize: 1024}) }
+	defer s.Close()
+	for first := range kinds {
+		b := new(Batch)
+		for i := range kinds {
+			b = kinds[(first+i)%len(kinds)].queue(b)
+		}
+		want := kinds[first].direct(s)
+		if want == nil {
+			t.Fatalf("the store accepts %s before Build", kinds[first].name)
+		}
+		if err := s.Apply(context.Background(), b); err == nil || err.Error() != want.Error() {
+			t.Errorf("Apply before Build, %s first: %v, want the method's own %q", kinds[first].name, err, want)
+		}
 	}
-	for name, open := range open {
-		s, err := open()
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		defer s.Close()
-		for first := range kinds {
-			b := new(Batch)
-			for i := range kinds {
-				b = kinds[(first+i)%len(kinds)].queue(b)
-			}
-			want := kinds[first].direct(s)
-			if want == nil {
-				t.Fatalf("%s accepts %s before Build", name, kinds[first].name)
-			}
-			if err := s.Apply(context.Background(), b); err == nil || err.Error() != want.Error() {
-				t.Errorf("%s: Apply before Build, %s first: %v, want the method's own %q", name, kinds[first].name, err, want)
-			}
-		}
-		if s.Len() != 0 || s.failedErr() != nil {
-			t.Errorf("%s: a rejected pre-Build batch left state behind", name)
-		}
+	if s.Len() != 0 || s.failedErr() != nil {
+		t.Error("a rejected pre-Build batch left state behind")
 	}
 }
 

@@ -121,9 +121,6 @@ func runMutationCell(dir string, g *graph.Network, edges []graph.Edge, writers i
 	}
 	setupFsyncs := s.WALStats().Fsyncs
 
-	// The writer loop sees only the shared access-method contract; the
-	// same harness would drive a baseline file organization unchanged.
-	var m ccam.AccessMethod = s
 	ctx := context.Background()
 	errc := make(chan error, writers)
 	start := time.Now()
@@ -133,7 +130,7 @@ func runMutationCell(dir string, g *graph.Network, edges []graph.Edge, writers i
 			for i := 0; i < cfg.OpsPerWriter; i++ {
 				e := edges[rng.Intn(len(edges))]
 				b := new(ccam.Batch).SetEdgeCost(e.From, e.To, 1+99*rng.Float32())
-				if err := m.Apply(ctx, b); err != nil {
+				if err := s.Apply(ctx, b); err != nil {
 					errc <- fmt.Errorf("writer %d: %w", id, err)
 					return
 				}

@@ -16,7 +16,15 @@ func smallSetup() Setup {
 	return Setup{MapOpts: opts, Seed: 7}
 }
 
+// TestNewMethodNames: every method of the comparison answers to its
+// name, builds a small map, finds a node in it and counts the page
+// traffic it made.
 func TestNewMethodNames(t *testing.T) {
+	g, err := smallSetup().Network()
+	if err != nil {
+		t.Fatal(err)
+	}
+	id := g.NodeIDs()[0]
 	for _, name := range MethodNamesWithWDFS {
 		m, err := NewMethod(name, 1024, 8, 1)
 		if err != nil {
@@ -24,6 +32,16 @@ func TestNewMethodNames(t *testing.T) {
 		}
 		if m.Name() != name {
 			t.Errorf("Name = %q, want %q", m.Name(), name)
+		}
+		if err := m.Build(g); err != nil {
+			t.Fatalf("build %s: %v", name, err)
+		}
+		rec, err := m.File().Find(id)
+		if err != nil || rec.ID != id {
+			t.Fatalf("%s: Find(%d) = %v, %v", name, id, rec, err)
+		}
+		if io := m.File().DataIO(); io.Reads+io.Writes == 0 {
+			t.Errorf("%s: no page traffic counted after Build and Find", name)
 		}
 	}
 	if _, err := NewMethod("nope", 1024, 8, 1); err == nil {

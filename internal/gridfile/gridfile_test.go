@@ -2,6 +2,7 @@ package gridfile
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 
 	"ccam/internal/geom"
@@ -165,6 +166,27 @@ func TestDeleteManyMergesEmptyBuckets(t *testing.T) {
 	after := m.NumBuckets()
 	if after >= before {
 		t.Fatalf("buckets did not shrink: %d -> %d", before, after)
+	}
+}
+
+func TestMutationsBeforeBuild(t *testing.T) {
+	m, err := New(Config{PageSize: 1024})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ins := &netfile.InsertOp{Rec: &netfile.Record{ID: 1, Succs: []netfile.SuccEntry{{To: 2, Cost: 1}}}}
+	for name, op := range map[string]func() error{
+		"insert":      func() error { return m.Insert(ins, netfile.FirstOrder) },
+		"delete":      func() error { return m.Delete(1, netfile.FirstOrder) },
+		"insert edge": func() error { return m.InsertEdge(1, 2, 3, netfile.FirstOrder) },
+		"delete edge": func() error { return m.DeleteEdge(1, 2, netfile.FirstOrder) },
+	} {
+		if err := op(); err == nil || !strings.Contains(err.Error(), "before Build") {
+			t.Errorf("%s before Build: %v, want the \"before Build\" error", name, err)
+		}
+	}
+	if m.File() != nil {
+		t.Fatal("a rejected mutation created a file")
 	}
 }
 

@@ -285,13 +285,11 @@ func (s *Store) endAccount(a *opAccount, err error) {
 // deep the node index's delta list has grown — and brings the
 // reorganization counters up to the access method's own. All O(1).
 // Caller holds the writer mutex.
-func (o *observability) setGauges(m netfile.AccessMethod) {
+func (o *observability) setGauges(m *iccam.Method) {
 	f := m.File()
-	if cm, ok := m.(*iccam.Method); ok {
-		rs := cm.ReorgStats()
-		o.reorgMoved.Add(rs.RecordsMoved - o.reorgMoved.Value())
-		o.reorgKept.Add(rs.Kept - o.reorgKept.Value())
-	}
+	rs := m.ReorgStats()
+	o.reorgMoved.Add(rs.RecordsMoved - o.reorgMoved.Value())
+	o.reorgKept.Add(rs.Kept - o.reorgKept.Value())
 	st := f.PAG().Stats()
 	o.crr.Set(st.CRR())
 	o.wcrr.Set(st.WCRR())

@@ -925,22 +925,10 @@ func TestReorganizerRoundIsAWriteTransaction(t *testing.T) {
 	}
 }
 
-// TestPokeOutsideCCAM: a round needs a CCAM file. A baseline store
-// refuses Poke, a closed store reports ErrClosed, and an unbuilt one
-// has nothing to reorganize: Poke returns nil and logs nothing.
-func TestPokeOutsideCCAM(t *testing.T) {
-	b, err := NewBaseline(DFSAM, Options{PageSize: 1024})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer b.Close()
-	if err := b.Build(smallTestMap(t)); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.Poke(); err == nil {
-		t.Fatal("Poke on a baseline store returned nil")
-	}
-
+// TestPokeUnbuiltOrClosed: an unbuilt store has nothing to reorganize,
+// so Poke returns nil and logs nothing; a closed store reports
+// ErrClosed.
+func TestPokeUnbuiltOrClosed(t *testing.T) {
 	s, err := Open(Options{PageSize: 1024, Path: filepath.Join(t.TempDir(), "net.ccam"), WAL: true})
 	if err != nil {
 		t.Fatal(err)

@@ -353,11 +353,8 @@ func (p *pagSchedule) reopen(pool int) {
 }
 
 // tuneReorg makes any decay trigger a round of at most 8 pages.
-// Baselines have no reorganizer.
 func (p *pagSchedule) tuneReorg() {
-	if r := p.s.reorg; r != nil {
-		r.drop, r.maxPages = 1e-9, 8
-	}
+	p.s.reorg.drop, p.s.reorg.maxPages = 1e-9, 8
 }
 
 // TestPAGSummaryMatchesScan runs seeded schedules — Apply batches of all
@@ -366,19 +363,17 @@ func (p *pagSchedule) tuneReorg() {
 // sizes 1, 8 and 4096 — and checks the summary against a scan of the
 // file after every step, and the node index with it: at the live end,
 // and on a view pinned before the step, which must go on answering like
-// the scan made before it. Every writer runs: CCAM-S, CCAM-D (whose
-// build stores lists that name nodes not stored yet) and a DFS-AM
-// baseline, whose Insert and Delete run on the same record primitives
-// without a WAL or a reorganizer.
+// the scan made before it. Both creates run: CCAM-S and CCAM-D (whose
+// build stores lists that name nodes not stored yet). The baselines'
+// writers have their own schedule in internal/topo.
 func TestPAGSummaryMatchesScan(t *testing.T) {
 	for _, sc := range []struct {
-		name     string
-		seed     int64
-		dynamic  bool
-		baseline BaselineKind
+		name    string
+		seed    int64
+		dynamic bool
 	}{
 		{name: "seed=1", seed: 1}, {name: "seed=2", seed: 2}, {name: "seed=3", seed: 3},
-		{name: "ccam-d", seed: 4, dynamic: true}, {name: "dfs-am", seed: 5, baseline: DFSAM},
+		{name: "ccam-d", seed: 4, dynamic: true},
 	} {
 		seed := sc.seed
 		t.Run(sc.name, func(t *testing.T) {
@@ -406,14 +401,7 @@ func TestPAGSummaryMatchesScan(t *testing.T) {
 					p.weights[edgeID{e.From, e.To}] = e.Weight
 				}
 			}
-			if sc.baseline != "" {
-				// In memory, unlogged, no reorganizer: the schedule applies
-				// and flushes only.
-				p.opts = Options{PageSize: 512, PoolPages: p.opts.PoolPages, Seed: seed}
-				p.s, err = NewBaseline(sc.baseline, p.opts)
-			} else {
-				p.s, err = Open(p.opts)
-			}
+			p.s, err = Open(p.opts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -431,9 +419,6 @@ func TestPAGSummaryMatchesScan(t *testing.T) {
 					t.Fatal(err)
 				}
 				k := rng.Intn(12)
-				if sc.baseline != "" && k >= 8 {
-					k = 10 // a checkpoint is a flush
-				}
 				switch {
 				case k < 8:
 					// Grow for the first half of the schedule, shrink after.

@@ -2,7 +2,7 @@ package ccam
 
 import "context"
 
-// Plain is the ctx-less convenience view over a Querier: every wrapper
+// Plain is the ctx-less convenience view over a Store: every wrapper
 // delegates to the canonical context-first query with
 // context.Background(). It exists for callers without a context in
 // hand — quick scripts, tests, REPL-style exploration — so the
@@ -12,43 +12,40 @@ import "context"
 //	rec, err := store.Plain().Find(1)
 //
 // Plain is a value; it is safe to copy and to use concurrently
-// whenever the underlying Querier is.
+// like the Store it wraps.
 type Plain struct {
-	q Querier
+	s *Store
 }
 
-// PlainOf wraps any Querier in the ctx-less convenience view.
-func PlainOf(q Querier) Plain { return Plain{q: q} }
-
 // Plain returns the store's ctx-less convenience view.
-func (s *Store) Plain() Plain { return PlainOf(s) }
+func (s *Store) Plain() Plain { return Plain{s: s} }
 
 // Find retrieves the record of a node.
 func (p Plain) Find(id NodeID) (*Record, error) {
-	return p.q.Find(context.Background(), id)
+	return p.s.Find(context.Background(), id)
 }
 
 // GetASuccessor retrieves the record of succ, a successor of cur.
 func (p Plain) GetASuccessor(cur *Record, succ NodeID) (*Record, error) {
-	return p.q.GetASuccessor(context.Background(), cur, succ)
+	return p.s.GetASuccessor(context.Background(), cur, succ)
 }
 
 // GetSuccessors retrieves the records of all successors of a node.
 func (p Plain) GetSuccessors(id NodeID) ([]*Record, error) {
-	return p.q.GetSuccessors(context.Background(), id)
+	return p.s.GetSuccessors(context.Background(), id)
 }
 
 // EvaluateRoute computes the aggregate property of a route.
 func (p Plain) EvaluateRoute(route Route) (RouteAggregate, error) {
-	return p.q.EvaluateRoute(context.Background(), route)
+	return p.s.EvaluateRoute(context.Background(), route)
 }
 
 // RangeQuery returns all records whose positions lie inside rect.
 func (p Plain) RangeQuery(rect Rect) ([]*Record, error) {
-	return p.q.RangeQuery(context.Background(), rect)
+	return p.s.RangeQuery(context.Background(), rect)
 }
 
 // Has reports whether a node is stored.
 func (p Plain) Has(id NodeID) (bool, error) {
-	return p.q.Has(context.Background(), id)
+	return p.s.Has(context.Background(), id)
 }

@@ -110,7 +110,7 @@ func (s *Store) Query(ctx context.Context, src string) (res *Result, err error) 
 
 // Query is the ctx-less convenience form of Store.Query.
 func (p Plain) Query(src string) (*Result, error) {
-	return p.q.Query(context.Background(), src)
+	return p.s.Query(context.Background(), src)
 }
 
 // IsQueryError reports whether err belongs to the query-language error

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sort"
 
-	iccam "ccam/internal/ccam"
 	"ccam/internal/netfile"
 	"ccam/internal/storage"
 )
@@ -39,23 +38,12 @@ const (
 // guarded by s.mu: rounds and Build both hold it.
 type reorganizer struct {
 	s        *Store
-	cm       *iccam.Method
 	maxPages int
 	drop     float64
 
 	// highwater is the best CRR seen since the last Build, which zeroes
 	// it.
 	highwater float64
-}
-
-// newReorganizer returns the reorganizer of a CCAM store, nil for any
-// other access method.
-func newReorganizer(s *Store) *reorganizer {
-	cm, ok := s.m.(*iccam.Method)
-	if !ok {
-		return nil
-	}
-	return &reorganizer{s: s, cm: cm, maxPages: reorgMaxPages, drop: reorgTriggerDrop}
 }
 
 // Poke runs one reorganization round: when the file's CRR has decayed
@@ -66,14 +54,8 @@ func newReorganizer(s *Store) *reorganizer {
 // failed Apply; one that fails before it has changed nothing and leaves
 // the failure (a closed store, a broken log) for the next writer to
 // meet too. Callers wanting periodic rounds call it from a ticker of
-// their own. Only the CCAM access methods can reorganize: on a baseline
-// store Poke returns an error.
-func (s *Store) Poke() error {
-	if s.reorg == nil {
-		return fmt.Errorf("ccam: access method %q does not support reorganization rounds", s.m.Name())
-	}
-	return s.reorg.round()
-}
+// their own.
+func (s *Store) Poke() error { return s.reorg.round() }
 
 // round checks the trigger and, if the clustering has decayed, runs
 // one bounded re-clustering as a write transaction (Store.write), like
@@ -96,7 +78,7 @@ func (r *reorganizer) round() error {
 		if len(pids) < 2 {
 			return nil
 		}
-		plan, err := r.cm.PlanRecluster(pids)
+		plan, err := r.s.m.PlanRecluster(pids)
 		if err != nil {
 			return err
 		}
@@ -112,7 +94,7 @@ func (r *reorganizer) round() error {
 			return err
 		}
 		// A failed re-clustering may have moved records already.
-		rewritten, err := r.cm.ReclusterPages(plan)
+		rewritten, err := r.s.m.ReclusterPages(plan)
 		if err != nil {
 			return fmt.Errorf("ccam: reorganization round: %w", err)
 		}

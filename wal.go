@@ -3,6 +3,7 @@ package ccam
 import (
 	"fmt"
 
+	iccam "ccam/internal/ccam"
 	"ccam/internal/netfile"
 	"ccam/internal/storage"
 )
@@ -58,7 +59,7 @@ func (s *Store) WALStats() WALStats {
 
 // replayWAL re-executes every committed batch whose commit record has
 // an LSN past `after` (the end of the checkpoint the data file was
-// restored to). Batches are re-applied in log order through the access
+// restored to). Batches are re-applied in log order through the CCAM
 // method, so the logical state — nodes, successor lists, edge costs —
 // converges to exactly the committed prefix. Placement does not:
 // every mutation replays FirstOrder and split/merge records are
@@ -68,7 +69,7 @@ func (s *Store) WALStats() WALStats {
 // 0.006 to 0.050 (worst 0.074) below the committed one over second-order
 // streams. Unterminated batches (a torn tail) and aborted batches are
 // discarded.
-func replayWAL(m netfile.AccessMethod, recs []storage.WALRecord, after uint64) (batches, mutations int, err error) {
+func replayWAL(m *iccam.Method, recs []storage.WALRecord, after uint64) (batches, mutations int, err error) {
 	var pending []*netfile.Mutation
 	inBatch := false
 	for _, r := range recs {
