@@ -219,8 +219,8 @@ type Options struct {
 	WAL bool
 	// SyncPolicy selects when WAL commits are forced to stable
 	// storage: SyncGroupCommit (the default) coalesces concurrent
-	// committers into one fsync, SyncEveryCommit fsyncs per commit,
-	// SyncNone leaves durability to the OS. Ignored without WAL.
+	// committers into one fsync, and a lone writer fsyncs once per
+	// commit; SyncNone leaves durability to the OS. Ignored without WAL.
 	SyncPolicy SyncPolicy
 	// CheckpointBytes bounds the WAL between checkpoints: after a
 	// commit that leaves more than this many bytes in the log, the
@@ -250,8 +250,6 @@ const (
 	// SyncGroupCommit (the default) coalesces concurrent committers
 	// into one fsync.
 	SyncGroupCommit = storage.SyncGroupCommit
-	// SyncEveryCommit issues one fsync per commit, serialized.
-	SyncEveryCommit = storage.SyncEveryCommit
 	// SyncNone never fsyncs on commit; a crash can lose acknowledged
 	// commits (but never corrupts the store).
 	SyncNone = storage.SyncNone

@@ -234,9 +234,9 @@ func runDrill(out, errw io.Writer, seed int64, ops int, quiet bool) int {
 		fmt.Fprintln(errw, "ccam-fsck: drill FAILED:", err)
 		return 1
 	}
-	fmt.Fprintf(out, "drill PASS: %d ops in %d batches, %d log records, %d crash points recovered exactly\n",
-		res.Ops, res.Batches, res.Records, res.CrashPoints)
-	fmt.Fprintf(out, "drill CRR after recovery - committed CRR: min %+.4f median %+.4f max %+.4f (replay is first-order; reported, not checked)\n",
+	fmt.Fprintf(out, "drill PASS: %d ops in %d batches (%d moved records they did not insert) and %d rounds, %d log records, %d crash points recovered exactly\n",
+		res.Ops, res.Batches, res.Reorganized, res.Rounds, res.Records, res.CrashPoints)
+	fmt.Fprintf(out, "drill CRR after recovery - committed CRR: min %+.4f median %+.4f max %+.4f (replay is first-order and reorganizations log nothing; reported, not checked)\n",
 		res.CRRDrift[0], res.CRRDrift[1], res.CRRDrift[2])
 	return 0
 }

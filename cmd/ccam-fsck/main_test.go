@@ -175,11 +175,11 @@ func TestRunWALDirWithoutFlag(t *testing.T) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		t.Fatal(err)
 	}
-	w, err := storage.CreateWAL(dir, storage.SyncEveryCommit, 0)
+	w, err := storage.CreateWAL(dir, storage.SyncGroupCommit, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := w.Append(storage.WALRecBegin, nil); err != nil {
+	if _, err := w.Append(storage.WALRecCommit, nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Close(); err != nil {

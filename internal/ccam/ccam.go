@@ -314,9 +314,6 @@ func (m *Method) mergeIfUnderflow(pid storage.PageID, neighbors []graph.NodeID) 
 		return err
 	}
 	if used == 0 {
-		if err := m.f.LogReorg(netfile.MutMergePages, []storage.PageID{pid}); err != nil {
-			return err
-		}
 		return m.f.FreePage(pid)
 	}
 	if used >= m.cfg.File.PageSize/2 {
@@ -342,9 +339,6 @@ func (m *Method) mergeIfUnderflow(pid storage.PageID, neighbors []graph.NodeID) 
 		if free < needed {
 			continue
 		}
-		if err := m.f.LogReorg(netfile.MutMergePages, []storage.PageID{pid, q}); err != nil {
-			return err
-		}
 		for _, nid := range ids {
 			if err := m.f.MoveRecord(nid, q); err != nil {
 				return fmt.Errorf("ccam: merge page %d into %d: %w", pid, q, err)
@@ -359,9 +353,6 @@ func (m *Method) mergeIfUnderflow(pid storage.PageID, neighbors []graph.NodeID) 
 // re-clustering its records with ratio cut; it is CCAM's overflow
 // handler.
 func (m *Method) SplitPage(pid storage.PageID) error {
-	if err := m.f.LogReorg(netfile.MutSplitPage, []storage.PageID{pid}); err != nil {
-		return err
-	}
 	return m.reorganizePages([]storage.PageID{pid}, true)
 }
 
@@ -443,14 +434,10 @@ func (m *Method) PlanRecluster(pids []storage.PageID) (*ReorgPlan, error) {
 }
 
 // ReclusterPages carries out a plan of PlanRecluster and returns how
-// many pages it rewrote. The reorganization is logged to the WAL as a
-// merge record first. Replay skips that record and re-runs no round,
-// so a crash loses the new placement, though never a record, back to
-// the last checkpoint.
+// many pages it rewrote. Like every reorganization it writes no log
+// record, and replay re-runs no round, so a crash loses the new
+// placement, though never a record, back to the last checkpoint.
 func (m *Method) ReclusterPages(plan *ReorgPlan) (rewritten int, err error) {
-	if err := m.f.LogReorg(netfile.MutMergePages, plan.pids); err != nil {
-		return 0, err
-	}
 	before := m.stats.PagesRewritten
 	err = m.applyReorg(plan)
 	return int(m.stats.PagesRewritten - before), err

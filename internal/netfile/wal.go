@@ -14,7 +14,9 @@ import (
 // frees, and the checkpoint that makes the no-steal/redo-only recovery
 // protocol work (see internal/storage/wal.go for the protocol).
 
-// MutKind tags a logical mutation record.
+// MutKind tags a logical mutation record. The five kinds are the
+// logical operations replay re-executes; the reorganizations they
+// trigger write no record, because replay re-runs the operations.
 type MutKind uint8
 
 const (
@@ -29,13 +31,6 @@ const (
 	MutDeleteEdge
 	// MutSetEdgeCost updates the cost of edge from→to.
 	MutSetEdgeCost
-	// MutSplitPage records a reorganization split of one page. Replay
-	// skips it: re-executing the surrounding logical mutations
-	// re-triggers the reorganization policies.
-	MutSplitPage
-	// MutMergePages records a reorganization merge. Replay skips it,
-	// like MutSplitPage.
-	MutMergePages
 )
 
 func (k MutKind) String() string {
@@ -50,10 +45,6 @@ func (k MutKind) String() string {
 		return "delete-edge"
 	case MutSetEdgeCost:
 		return "set-edge-cost"
-	case MutSplitPage:
-		return "split-page"
-	case MutMergePages:
-		return "merge-pages"
 	default:
 		return fmt.Sprintf("MutKind(%d)", int(k))
 	}
@@ -73,10 +64,6 @@ type Mutation struct {
 	// From, To, Cost describe the edge mutations.
 	From, To graph.NodeID
 	Cost     float32
-	// Page is the page of MutSplitPage.
-	Page storage.PageID
-	// Pages are the pages of MutMergePages.
-	Pages []storage.PageID
 }
 
 // EncodeMutation serializes a mutation for a WAL record payload.
@@ -115,19 +102,6 @@ func EncodeMutation(m *Mutation) ([]byte, error) {
 		binary.LittleEndian.PutUint32(buf[1:5], uint32(m.From))
 		binary.LittleEndian.PutUint32(buf[5:9], uint32(m.To))
 		return buf[:], nil
-	case MutSplitPage:
-		var buf [5]byte
-		buf[0] = byte(m.Kind)
-		binary.LittleEndian.PutUint32(buf[1:5], uint32(m.Page))
-		return buf[:], nil
-	case MutMergePages:
-		buf := make([]byte, 5+4*len(m.Pages))
-		buf[0] = byte(m.Kind)
-		binary.LittleEndian.PutUint32(buf[1:5], uint32(len(m.Pages)))
-		for i, pid := range m.Pages {
-			binary.LittleEndian.PutUint32(buf[5+4*i:], uint32(pid))
-		}
-		return buf, nil
 	default:
 		return nil, fmt.Errorf("netfile: unknown mutation kind %d", m.Kind)
 	}
@@ -184,25 +158,6 @@ func DecodeMutation(b []byte) (*Mutation, error) {
 		m.From = graph.NodeID(binary.LittleEndian.Uint32(body[0:4]))
 		m.To = graph.NodeID(binary.LittleEndian.Uint32(body[4:8]))
 		return m, nil
-	case MutSplitPage:
-		if len(body) != 4 {
-			return nil, fmt.Errorf("%w: split-page record length", storage.ErrWALCorrupt)
-		}
-		m.Page = storage.PageID(binary.LittleEndian.Uint32(body))
-		return m, nil
-	case MutMergePages:
-		if len(body) < 4 {
-			return nil, fmt.Errorf("%w: merge-pages record too short", storage.ErrWALCorrupt)
-		}
-		n := int(binary.LittleEndian.Uint32(body[0:4]))
-		if len(body) != 4+4*n {
-			return nil, fmt.Errorf("%w: merge-pages record length", storage.ErrWALCorrupt)
-		}
-		m.Pages = make([]storage.PageID, n)
-		for i := range m.Pages {
-			m.Pages[i] = storage.PageID(binary.LittleEndian.Uint32(body[4+4*i:]))
-		}
-		return m, nil
 	default:
 		return nil, fmt.Errorf("%w: unknown mutation kind %d", storage.ErrWALCorrupt, b[0])
 	}
@@ -226,8 +181,8 @@ func (f *File) AttachWAL(w *storage.WAL, fs *storage.FileStore) {
 func (f *File) WAL() *storage.WAL { return f.wal }
 
 // LogMutation appends one logical mutation record to the WAL (a no-op
-// without one). The caller brackets mutations with begin/commit
-// records; see the root package's Apply.
+// without one). The caller seals the batch with a commit record; see
+// the root package's Apply.
 func (f *File) LogMutation(m *Mutation) error {
 	if f.wal == nil {
 		return nil
@@ -240,21 +195,6 @@ func (f *File) LogMutation(m *Mutation) error {
 		return err
 	}
 	return nil
-}
-
-// LogReorg records a reorganization (page split or merge) in the
-// current batch. The reorganization policies call it mid-mutation;
-// replay skips these records because re-executed mutations re-trigger
-// the policies.
-func (f *File) LogReorg(kind MutKind, pages []storage.PageID) error {
-	if f.wal == nil {
-		return nil
-	}
-	m := &Mutation{Kind: kind, Pages: pages}
-	if kind == MutSplitPage && len(pages) == 1 {
-		m = &Mutation{Kind: MutSplitPage, Page: pages[0]}
-	}
-	return f.LogMutation(m)
 }
 
 // PendingFrees returns the number of page frees deferred to the next

@@ -10,39 +10,27 @@ import (
 // single-node moves in best-gain order with each node moved at most
 // once per pass, then reversion to the best prefix. Moves respect two
 // size constraints: every side keeps at least minSize bytes and at
-// least BalanceFrac of the total (FM without a balance constraint
+// least fmBalanceFrac of the total (FM without a balance constraint
 // degenerates — moving everything to one side zeroes the cut).
-type FM struct {
-	// MaxPasses bounds the number of improvement passes (default 12).
-	MaxPasses int
-	// BalanceFrac is the minimum fraction of total size each side must
-	// keep (default 0.45, i.e. near-bisection).
-	BalanceFrac float64
-}
+type FM struct{}
+
+const (
+	// fmPasses bounds FM's improvement passes.
+	fmPasses = 12
+	// fmBalanceFrac is the minimum fraction of the total size each side
+	// keeps: near-bisection.
+	fmBalanceFrac = 0.45
+)
 
 // Name implements Bipartitioner.
 func (f *FM) Name() string { return "fm" }
-
-func (f *FM) maxPasses() int {
-	if f.MaxPasses > 0 {
-		return f.MaxPasses
-	}
-	return 12
-}
-
-func (f *FM) balanceFrac() float64 {
-	if f.BalanceFrac > 0 {
-		return f.BalanceFrac
-	}
-	return 0.45
-}
 
 // Bipartition implements Bipartitioner.
 func (f *FM) Bipartition(w *Weighted, minSize int, rng *rand.Rand) ([]graph.NodeID, []graph.NodeID, error) {
 	if err := checkFeasible(w, minSize); err != nil {
 		return nil, nil, err
 	}
-	lim := int(f.balanceFrac() * float64(w.Total))
+	lim := int(fmBalanceFrac * float64(w.Total))
 	if minSize > lim {
 		lim = minSize
 	}
@@ -52,7 +40,7 @@ func (f *FM) Bipartition(w *Weighted, minSize int, rng *rand.Rand) ([]graph.Node
 		lim = minSize
 	}
 	side := w.seedPartition(rng)
-	for pass := 0; pass < f.maxPasses(); pass++ {
+	for pass := 0; pass < fmPasses; pass++ {
 		improved := runMovePass(w, side, lim, scoreCut, false)
 		if !improved {
 			break

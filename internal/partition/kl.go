@@ -12,20 +12,13 @@ import (
 // Because swaps exchange nodes, KL preserves the seed partition's size
 // balance up to per-node size differences; it serves as the ablation
 // baseline the paper cites ([15]).
-type KL struct {
-	// MaxPasses bounds improvement passes (default 8).
-	MaxPasses int
-}
+type KL struct{}
+
+// klPasses bounds KL's improvement passes.
+const klPasses = 8
 
 // Name implements Bipartitioner.
 func (k *KL) Name() string { return "kernighan-lin" }
-
-func (k *KL) maxPasses() int {
-	if k.MaxPasses > 0 {
-		return k.MaxPasses
-	}
-	return 8
-}
 
 // Bipartition implements Bipartitioner.
 func (k *KL) Bipartition(w *Weighted, minSize int, rng *rand.Rand) ([]graph.NodeID, []graph.NodeID, error) {
@@ -33,7 +26,7 @@ func (k *KL) Bipartition(w *Weighted, minSize int, rng *rand.Rand) ([]graph.Node
 		return nil, nil, err
 	}
 	side := w.seedPartition(rng)
-	for pass := 0; pass < k.maxPasses(); pass++ {
+	for pass := 0; pass < klPasses; pass++ {
 		if !k.pass(w, side, minSize) {
 			break
 		}

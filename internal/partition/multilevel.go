@@ -16,57 +16,28 @@ import (
 // multi-restart search only ever sees a few dozen super-nodes, and
 // refinement on each finer level starts from an already-good cut, so
 // it converges in very few moves.
-type Multilevel struct {
-	// CoarsenTo stops coarsening once the graph has at most this many
-	// super-nodes (default 64).
-	CoarsenTo int
-	// RefinePasses bounds the FM refinement passes per uncoarsening
-	// level (default 2).
-	RefinePasses int
-	// Base partitions the coarsest graph and graphs too small to
-	// coarsen. When unset, graphs too small to coarsen get the full
-	// multi-restart ratio-cut (nothing refines them afterwards) while
-	// the coarsest graph inside the multilevel flow gets a two-restart
-	// one: boundary refinement cleans up each level, so further
-	// restarts there buy almost nothing.
-	Base Bipartitioner
-}
+//
+// Graphs too small to coarsen get the full multi-restart ratio cut
+// (nothing refines them afterwards), while the coarsest graph inside
+// the multilevel flow gets a two-restart one: boundary refinement
+// cleans up each level, so further restarts there buy almost nothing.
+type Multilevel struct{}
 
 // Name implements Bipartitioner.
 func (m *Multilevel) Name() string { return "multilevel" }
 
-// minCoarsenable is the graph size below which Bipartition hands the
-// whole problem to the base heuristic: a matching on so few nodes
-// barely contracts anything, and the base search is cheap there anyway.
-const minCoarsenable = 32
-
-func (m *Multilevel) coarsenTo() int {
-	if m.CoarsenTo > 0 {
-		return m.CoarsenTo
-	}
-	return 64
-}
-
-func (m *Multilevel) refinePasses() int {
-	if m.RefinePasses > 0 {
-		return m.RefinePasses
-	}
-	return 2
-}
-
-func (m *Multilevel) base() Bipartitioner {
-	if m.Base != nil {
-		return m.Base
-	}
-	return &RatioCut{}
-}
-
-func (m *Multilevel) coarsestBase() Bipartitioner {
-	if m.Base != nil {
-		return m.Base
-	}
-	return &RatioCut{Restarts: 2}
-}
+const (
+	// minCoarsenable is the graph size below which Bipartition hands
+	// the whole problem to ratio cut: a matching on so few nodes barely
+	// contracts anything, and the base search is cheap there anyway.
+	minCoarsenable = 32
+	// coarsenTo stops coarsening once the graph has at most this many
+	// super-nodes.
+	coarsenTo = 64
+	// refinePasses bounds the FM refinement passes per uncoarsening
+	// level.
+	refinePasses = 2
+)
 
 // level is one step of the coarsening hierarchy: the graph it produced
 // and the mapping from the previous (finer) graph's indexes onto it.
@@ -82,14 +53,14 @@ func (m *Multilevel) Bipartition(w *Weighted, minSize int, rng *rand.Rand) ([]gr
 	}
 	if w.N() <= minCoarsenable {
 		// Too small for coarsening to pay for itself.
-		return m.base().Bipartition(w, minSize, rng)
+		return (&RatioCut{}).Bipartition(w, minSize, rng)
 	}
-	// On graphs smaller than twice the configured target, still coarsen
+	// On graphs smaller than twice coarsenTo, still coarsen
 	// — just to a proportionally smaller graph. The Fig. 2 recursion
 	// spends most of its splits on sub-page-sized fragments, and running
 	// the multi-restart base heuristic on each of them would dominate
 	// the whole build.
-	ct := m.coarsenTo()
+	ct := coarsenTo
 	if w.N() <= 2*ct {
 		ct = w.N() / 4
 		if ct < minCoarsenable/2 {
@@ -122,7 +93,7 @@ func (m *Multilevel) Bipartition(w *Weighted, minSize int, rng *rand.Rand) ([]gr
 	if len(levels) > 0 {
 		coarsest = levels[len(levels)-1].w
 	}
-	a, _, err := m.coarsestBase().Bipartition(coarsest, lim, rng)
+	a, _, err := (&RatioCut{Restarts: 2}).Bipartition(coarsest, lim, rng)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -148,7 +119,7 @@ func (m *Multilevel) Bipartition(w *Weighted, minSize int, rng *rand.Rand) ([]gr
 			fineSide[i] = side[levels[li].toCoarse[i]]
 		}
 		side = fineSide
-		for pass := 0; pass < m.refinePasses(); pass++ {
+		for pass := 0; pass < refinePasses; pass++ {
 			if !runMovePass(fine, side, lim, scoreRatio, true) {
 				break
 			}

@@ -100,9 +100,9 @@ func TestCoarsenHEMInvariants(t *testing.T) {
 }
 
 func TestMultilevelSeparatesCommunities(t *testing.T) {
-	// Two 10x10 grid communities joined by one bridge edge. With
-	// CoarsenTo 16 the multilevel path genuinely coarsens (200 nodes >
-	// 2*16), and the only sensible ratio cut is the bridge.
+	// Two 10x10 grid communities joined by one bridge edge. The
+	// multilevel path genuinely coarsens (200 nodes > 2*coarsenTo), and
+	// the only sensible ratio cut is the bridge.
 	g := graph.NewNetwork()
 	community := func(base graph.NodeID) {
 		grid := graph.Grid(10, 10)
@@ -119,7 +119,7 @@ func TestMultilevelSeparatesCommunities(t *testing.T) {
 	g.AddEdge(graph.Edge{From: 1000, To: 99, Weight: 1})
 
 	w := BuildWeighted(g, unitSize)
-	ml := &Multilevel{CoarsenTo: 16}
+	ml := &Multilevel{}
 	a, b, err := ml.Bipartition(w, 10, rand.New(rand.NewSource(5)))
 	if err != nil {
 		t.Fatal(err)

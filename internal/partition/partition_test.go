@@ -400,25 +400,14 @@ func TestFMBalanceConfig(t *testing.T) {
 		t.Fatal(err)
 	}
 	w := BuildWeighted(g, unitSize)
-	// A strict balance keeps sides within a tight band of half.
-	strict := &FM{BalanceFrac: 0.49}
-	a, b, err := strict.Bipartition(w, 10, rand.New(rand.NewSource(2)))
+	// The balance constraint keeps each side at fmBalanceFrac of the
+	// total size or more; every node here has the same size.
+	a, b, err := (&FM{}).Bipartition(w, 10, rand.New(rand.NewSource(2)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	lo, hi := len(a), len(b)
-	if lo > hi {
-		lo, hi = hi, lo
-	}
-	if float64(lo) < 0.47*float64(w.N()) {
-		t.Fatalf("strict balance violated: %d/%d", len(a), len(b))
-	}
-	// Pass cap is respected (smoke: a single pass still returns a
-	// valid bipartition).
-	quick := &FM{MaxPasses: 1}
-	a, b, err = quick.Bipartition(w, 10, rand.New(rand.NewSource(2)))
-	if err != nil || len(a) == 0 || len(b) == 0 {
-		t.Fatalf("single-pass FM: %d/%d, %v", len(a), len(b), err)
+	if lo := min(len(a), len(b)); lo < int(fmBalanceFrac*float64(w.N())) {
+		t.Fatalf("balance violated: %d/%d", len(a), len(b))
 	}
 }
 
@@ -428,7 +417,7 @@ func TestRatioCutRestartsConfig(t *testing.T) {
 		t.Fatal(err)
 	}
 	w := BuildWeighted(g, unitSize)
-	one := &RatioCut{Restarts: 1, MaxPasses: 2}
+	one := &RatioCut{Restarts: 1}
 	many := &RatioCut{Restarts: 6}
 	cut := func(p Bipartitioner, seed int64) float64 {
 		a, _, err := p.Bipartition(w, 10, rand.New(rand.NewSource(seed)))

@@ -14,22 +14,16 @@ import (
 // constrains side sizes. The search runs FM-style single-node move
 // passes with best-prefix reversion, scored by the ratio objective.
 type RatioCut struct {
-	// MaxPasses bounds improvement passes (default 16).
-	MaxPasses int
 	// Restarts runs the whole search from multiple BFS seeds and keeps
 	// the best result (default 3).
 	Restarts int
 }
 
+// ratioCutPasses bounds the improvement passes of each restart.
+const ratioCutPasses = 16
+
 // Name implements Bipartitioner.
 func (r *RatioCut) Name() string { return "ratio-cut" }
-
-func (r *RatioCut) maxPasses() int {
-	if r.MaxPasses > 0 {
-		return r.MaxPasses
-	}
-	return 16
-}
 
 func (r *RatioCut) restarts() int {
 	if r.Restarts > 0 {
@@ -53,7 +47,7 @@ func (r *RatioCut) Bipartition(w *Weighted, minSize int, rng *rand.Rand) ([]grap
 	bestScore := 1e300
 	for attempt := 0; attempt < r.restarts(); attempt++ {
 		side := w.seedPartition(rng)
-		for pass := 0; pass < r.maxPasses(); pass++ {
+		for pass := 0; pass < ratioCutPasses; pass++ {
 			if !runMovePass(w, side, lim, scoreRatio, false) {
 				break
 			}

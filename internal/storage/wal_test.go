@@ -13,7 +13,7 @@ func walPayload(i int) []byte { return []byte(fmt.Sprintf("record-%04d", i)) }
 
 func TestWALAppendCommitReopen(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "log.wal")
-	w, err := CreateWAL(dir, SyncEveryCommit, 0)
+	w, err := CreateWAL(dir, SyncGroupCommit, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +54,7 @@ func TestWALAppendCommitReopen(t *testing.T) {
 		}
 	}
 
-	w2, err := OpenWAL(dir, SyncEveryCommit, 0)
+	w2, err := OpenWAL(dir, SyncGroupCommit, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +70,7 @@ func TestWALAppendCommitReopen(t *testing.T) {
 
 func TestWALTornTailTruncatedOnOpen(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "log.wal")
-	w, err := CreateWAL(dir, SyncEveryCommit, 0)
+	w, err := CreateWAL(dir, SyncGroupCommit, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +101,7 @@ func TestWALTornTailTruncatedOnOpen(t *testing.T) {
 		t.Fatalf("after tear: %d records, torn=%v; want 4, true", len(recs), torn)
 	}
 
-	w2, err := OpenWAL(dir, SyncEveryCommit, 0)
+	w2, err := OpenWAL(dir, SyncGroupCommit, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +124,7 @@ func TestWALTornTailTruncatedOnOpen(t *testing.T) {
 
 func TestWALCorruptTailTruncatedOnOpen(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "log.wal")
-	w, err := CreateWAL(dir, SyncEveryCommit, 0)
+	w, err := CreateWAL(dir, SyncGroupCommit, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +151,7 @@ func TestWALCorruptTailTruncatedOnOpen(t *testing.T) {
 	if err := os.WriteFile(seg, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	w2, err := OpenWAL(dir, SyncEveryCommit, 0)
+	w2, err := OpenWAL(dir, SyncGroupCommit, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +171,7 @@ func TestWALCorruptTailTruncatedOnOpen(t *testing.T) {
 func TestWALRotationAndPrune(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "log.wal")
 	// Tiny segments force a rotation every couple of records.
-	w, err := CreateWAL(dir, SyncEveryCommit, 64)
+	w, err := CreateWAL(dir, SyncGroupCommit, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -300,14 +300,11 @@ func TestWALGroupCommitConcurrent(t *testing.T) {
 
 func TestCheckWALDirReportsCommits(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "log.wal")
-	w, err := CreateWAL(dir, SyncEveryCommit, 0)
+	w, err := CreateWAL(dir, SyncGroupCommit, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		if _, err := w.Append(WALRecBegin, nil); err != nil {
-			t.Fatal(err)
-		}
 		if _, err := w.Append(WALRecMutation, walPayload(i)); err != nil {
 			t.Fatal(err)
 		}
@@ -322,11 +319,11 @@ func TestCheckWALDirReportsCommits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Segments != 1 || rep.Records != 9 || rep.Committed != 3 || rep.Torn {
+	if rep.Segments != 1 || rep.Records != 6 || rep.Committed != 3 || rep.Torn {
 		t.Fatalf("report = %+v", rep)
 	}
-	if rep.LastLSN != 9 {
-		t.Fatalf("last lsn = %d, want 9", rep.LastLSN)
+	if rep.LastLSN != 6 {
+		t.Fatalf("last lsn = %d, want 6", rep.LastLSN)
 	}
 }
 

@@ -1,15 +1,16 @@
 // Package waldrill runs the write-ahead-log crash drill end to end:
 // it builds a file-backed WAL store, applies a seeded stream of
-// transactional batches, then simulates a crash at every WAL record
-// boundary (and, optionally, torn mid-record) by truncating a copy of
-// the log there, reopens each copy, and asserts the recovered store
-// holds exactly the committed prefix of the stream — no lost committed
-// mutations, no phantom ones — and that the recovered file and log
-// pass the offline checks behind ccam-fsck.
+// transactional batches under all four reorganization policies, with a
+// Poke round offered after every fifth batch, then simulates a crash at
+// every WAL record boundary (and, optionally, torn mid-record) by
+// truncating a copy of the log there, reopens each copy, and asserts
+// the recovered store holds exactly the committed prefix of the stream
+// — no lost committed mutations, no phantom ones — and that the
+// recovered file and log pass the offline checks behind ccam-fsck.
 //
 // The drill is the repository's standing recovery proof: wal_test.go
 // runs a model-diffing variant in-process, and cmd/ccam-fsck -drill
-// (the CI smoke step) runs this package with a fixed seed.
+// (the CI smoke step) runs this package with fixed seeds.
 package waldrill
 
 import (
@@ -48,14 +49,22 @@ type Config struct {
 type Result struct {
 	// Ops and Batches measure the committed mutation stream.
 	Ops, Batches int
+	// Reorganized counts the committed batches that moved a record they
+	// did not insert.
+	Reorganized int
+	// Rounds counts the Poke rounds that committed: one commit record
+	// each, sealing no mutation.
+	Rounds int
 	// Records is the number of WAL records the stream left in the log.
 	Records int
 	// CrashPoints is the number of distinct crash points verified.
 	CrashPoints int
 	// CRRDrift is the min, median and max over the crash points of the
 	// recovered store's CRR minus the CRR the committed state had before
-	// the crash. Replay runs first-order whatever policy committed a
-	// batch, so the two may differ; the drill reports it and asserts
+	// the crash. Replay re-executes the logged mutations first-order and
+	// no reorganization is logged, so the placement the stream's
+	// second-order, higher-order and lazy batches and its rounds chose
+	// is not reproduced; the drill reports the drift and asserts
 	// nothing.
 	CRRDrift [3]float64
 }
@@ -151,6 +160,24 @@ func (m model) pickSucc(from ccam.NodeID, pick int) ccam.NodeID {
 	return tos[pick]
 }
 
+// policies are the reorganization policies the stream draws each op's
+// from, so crash points fall after splits, merges and reclusterings,
+// not only after first-order edits.
+var policies = []ccam.Policy{ccam.FirstOrder, ccam.SecondOrder, ccam.HigherOrder, ccam.Lazy}
+
+func pickPolicy(rng *rand.Rand) ccam.Policy { return policies[rng.Intn(len(policies))] }
+
+// movedOld reports whether a record placed before a batch sits on
+// another page after it.
+func movedOld(before, after ccam.Placement) bool {
+	for id, pid := range before {
+		if q, ok := after[id]; ok && q != pid {
+			return true
+		}
+	}
+	return false
+}
+
 // genBatch builds one valid batch of 1..3 ops against the model and
 // applies its effects to the model.
 func genBatch(rng *rand.Rand, m model, nextID *ccam.NodeID) (*ccam.Batch, int) {
@@ -182,7 +209,7 @@ func genBatch(rng *rand.Rand, m model, nextID *ccam.NodeID) (*ccam.Batch, int) {
 				continue
 			}
 			cost := float32(1 + rng.Intn(100))
-			b.InsertEdge(from, to, cost, ccam.FirstOrder)
+			b.InsertEdge(from, to, cost, pickPolicy(rng))
 			m[from][to] = cost
 		case k < 8: // delete-edge
 			from := ids[rng.Intn(len(ids))]
@@ -190,7 +217,7 @@ func genBatch(rng *rand.Rand, m model, nextID *ccam.NodeID) (*ccam.Batch, int) {
 				continue
 			}
 			to := m.pickSucc(from, rng.Intn(len(m[from])))
-			b.DeleteEdge(from, to, ccam.FirstOrder)
+			b.DeleteEdge(from, to, pickPolicy(rng))
 			delete(m[from], to)
 		case k < 9: // insert-node with one successor and one predecessor
 			succ := ids[rng.Intn(len(ids))]
@@ -204,12 +231,12 @@ func genBatch(rng *rand.Rand, m model, nextID *ccam.NodeID) (*ccam.Batch, int) {
 				Preds: []ccam.NodeID{pred},
 			}
 			predCost := float32(1 + rng.Intn(50))
-			b.Insert(&ccam.InsertOp{Rec: rec, PredCosts: []float32{predCost}}, ccam.FirstOrder)
+			b.Insert(&ccam.InsertOp{Rec: rec, PredCosts: []float32{predCost}}, pickPolicy(rng))
 			m[id] = map[ccam.NodeID]float32{succ: rec.Succs[0].Cost}
 			m[pred][id] = predCost
 		default: // delete-node
 			id := ids[rng.Intn(len(ids))]
-			b.Delete(id, ccam.FirstOrder)
+			b.Delete(id, pickPolicy(rng))
 			delete(m, id)
 			for _, succs := range m {
 				delete(succs, id)
@@ -246,10 +273,11 @@ func Run(dir string, cfg Config) (Result, error) {
 	path := filepath.Join(dir, "net.ccam")
 	s, err := ccam.Open(ccam.Options{
 		PageSize: 1024, Path: path, WAL: true, Seed: cfg.Seed,
-		// One fsync per commit keeps the drill deterministic, and a
-		// huge checkpoint bound pins the data file at its post-Build
-		// image so every crash point shares one data snapshot.
-		SyncPolicy: ccam.SyncEveryCommit, CheckpointBytes: 1 << 40,
+		// Group commit with one writer is one fsync per commit, which
+		// keeps the drill deterministic, and a huge checkpoint bound
+		// pins the data file at its post-Build image so every crash
+		// point shares one data snapshot.
+		SyncPolicy: ccam.SyncGroupCommit, CheckpointBytes: 1 << 40,
 	})
 	if err != nil {
 		return res, err
@@ -274,6 +302,19 @@ func Run(dir string, cfg Config) (Result, error) {
 		return res, err
 	}
 	prints, nets, crrs := []uint64{fp}, []*ccam.Network{g}, []float64{s.CRR(g)}
+	// committed records the state after one more commit record.
+	committed := func() error {
+		fp, err := fingerprint(s)
+		if err != nil {
+			return err
+		}
+		net, err := m.network()
+		if err != nil {
+			return err
+		}
+		prints, nets, crrs = append(prints, fp), append(nets, net), append(crrs, s.CRR(net))
+		return nil
+	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	nextID := ccam.NodeID(1_000_000)
 	for res.Ops < cfg.Ops {
@@ -281,22 +322,37 @@ func Run(dir string, cfg Config) (Result, error) {
 		if ops == 0 {
 			continue
 		}
+		before := s.Placement()
 		if err := s.Apply(context.Background(), b); err != nil {
 			return res, fmt.Errorf("apply batch %d: %w", res.Batches, err)
 		}
 		res.Batches++
 		res.Ops += ops
-		fp, err := fingerprint(s)
-		if err != nil {
+		if movedOld(before, s.Placement()) {
+			res.Reorganized++
+		}
+		if err := committed(); err != nil {
 			return res, err
 		}
-		net, err := m.network()
-		if err != nil {
-			return res, err
+		if res.Batches%5 != 0 {
+			continue
 		}
-		prints, nets, crrs = append(prints, fp), append(nets, net), append(crrs, s.CRR(net))
+		lsn := s.WALStats().AppendedLSN
+		if err := s.Poke(); err != nil {
+			return res, fmt.Errorf("poke after batch %d: %w", res.Batches, err)
+		}
+		if s.WALStats().AppendedLSN != lsn {
+			res.Rounds++
+			if err := committed(); err != nil {
+				return res, err
+			}
+		}
 	}
-	cfg.logf("drill: %d ops in %d batches over a %dx%d map", res.Ops, res.Batches, cfg.Rows, cfg.Cols)
+	if res.Reorganized == 0 {
+		return res, fmt.Errorf("no committed batch moved a record it did not insert: the stream never reorganized")
+	}
+	cfg.logf("drill: %d ops in %d batches (%d moved records they did not insert) and %d rounds over a %dx%d map",
+		res.Ops, res.Batches, res.Reorganized, res.Rounds, cfg.Rows, cfg.Cols)
 
 	// Snapshot the crash image while the store is open: under no-steal
 	// with no intervening checkpoint the data file still holds the
@@ -335,7 +391,8 @@ func Run(dir string, cfg Config) (Result, error) {
 		return res, err
 	}
 
-	// commitsAt[k] = committed batches among the first k records.
+	// commitsAt[k] = commits (batches and rounds) among the first k
+	// records.
 	commitsAt := make([]int, len(recs)+1)
 	for i, r := range recs {
 		commitsAt[i+1] = commitsAt[i]
@@ -343,10 +400,6 @@ func Run(dir string, cfg Config) (Result, error) {
 			commitsAt[i+1]++
 		}
 	}
-	if commitsAt[len(recs)] != res.Batches {
-		return res, fmt.Errorf("log holds %d commits, stream had %d batches", commitsAt[len(recs)], res.Batches)
-	}
-
 	// Crash points below the Build checkpoint are unreachable: the
 	// checkpoint-end record was fsynced before the first batch touched
 	// the file, so no later crash can lose it — and the data image may
@@ -362,6 +415,22 @@ func Run(dir string, cfg Config) (Result, error) {
 	}
 	if first < 0 {
 		return res, fmt.Errorf("log holds no Build checkpoint")
+	}
+	// Past it the log holds exactly what replay reads: one mutation
+	// record per op and one commit per batch or round.
+	muts := 0
+	for _, r := range recs[first:] {
+		switch r.Type {
+		case storage.WALRecMutation:
+			muts++
+		case storage.WALRecCommit:
+		default:
+			return res, fmt.Errorf("log holds a %s record past the Build checkpoint", r.Type)
+		}
+	}
+	if commits := commitsAt[len(recs)]; muts != res.Ops || commits != res.Batches+res.Rounds {
+		return res, fmt.Errorf("log holds %d mutations and %d commits past the Build checkpoint; the stream had %d ops, %d batches and %d rounds",
+			muts, commits, res.Ops, res.Batches, res.Rounds)
 	}
 
 	// boundary k = the log truncated after its first k records

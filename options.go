@@ -57,7 +57,7 @@ func WithTracing(capacity int) Option {
 func WithWAL() Option { return func(o *Options) { o.WAL = true } }
 
 // WithSyncPolicy selects when WAL commits are forced to stable
-// storage (SyncGroupCommit, SyncEveryCommit or SyncNone). Ignored
+// storage (SyncGroupCommit or SyncNone). Ignored
 // without WithWAL.
 func WithSyncPolicy(p SyncPolicy) Option {
 	return func(o *Options) { o.SyncPolicy = p }

@@ -17,10 +17,11 @@ import (
 // summary and, when it has decayed from its high-water mark,
 // re-clusters the worst PAG neighborhoods a bounded number of pages at
 // a time. Each round is a small write transaction through Store.write,
-// the function behind Apply: it runs under the writer mutex, brackets
-// itself in the WAL and publishes through the version layer — so
-// queries keep their pinned views and are never torn, exactly as with
-// any mutation batch.
+// the function behind Apply: it runs under the writer mutex, commits in
+// the WAL as one commit record that seals no mutation (replay re-runs
+// no round), and publishes through the version layer — so queries keep
+// their pinned views and are never torn, exactly as with any mutation
+// batch.
 
 const (
 	// reorgTriggerDrop is the CRR decay from its high-water mark that
@@ -50,10 +51,9 @@ type reorganizer struct {
 // from its high-water mark, the worst PAG neighborhoods are re-clustered,
 // at most 16 pages, as one write transaction. It is a no-op returning
 // nil when the trigger condition does not hold or the store is not built
-// yet. A round that fails past its begin poisons the store like a
-// failed Apply; one that fails before it has changed nothing and leaves
-// the failure (a closed store, a broken log) for the next writer to
-// meet too. Callers wanting periodic rounds call it from a ticker of
+// yet. A round that fails once it has begun re-clustering poisons the
+// store like a failed Apply; one that fails before that (on a closed or
+// poisoned store) has changed nothing. Callers wanting periodic rounds call it from a ticker of
 // their own.
 func (s *Store) Poke() error { return s.reorg.round() }
 
@@ -90,9 +90,7 @@ func (r *reorganizer) round() error {
 			r.highwater = crr
 			return nil
 		}
-		if err := tx.begin(opNone); err != nil {
-			return err
-		}
+		tx.begin(opNone)
 		// A failed re-clustering may have moved records already.
 		rewritten, err := r.s.m.ReclusterPages(plan)
 		if err != nil {

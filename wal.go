@@ -30,8 +30,10 @@ type WALStats struct {
 	// metrics registry is disabled.
 	Fsyncs         int64
 	GroupedCommits int64
-	// ReplayedBatches and ReplayedMutations count what OpenPath
-	// recovered from the log tail when this store was opened.
+	// ReplayedBatches counts the commits OpenPath replayed from the log
+	// tail when this store was opened, a reorganizer round's commit
+	// (which seals no mutation) among them, and ReplayedMutations the
+	// logical mutations those commits sealed.
 	ReplayedBatches   int
 	ReplayedMutations int
 }
@@ -58,44 +60,34 @@ func (s *Store) WALStats() WALStats {
 }
 
 // replayWAL re-executes every committed batch whose commit record has
-// an LSN past `after` (the end of the checkpoint the data file was
-// restored to). Batches are re-applied in log order through the CCAM
-// method, so the logical state — nodes, successor lists, edge costs —
-// converges to exactly the committed prefix. Placement does not:
-// every mutation replays FirstOrder and split/merge records are
-// skipped, so the second-order, higher-order and lazy reorganizations
-// and the reorganizer rounds committed since the last checkpoint are
-// not reproduced: ROADMAP item 6 measured the recovered CRR a median
-// 0.006 to 0.050 (worst 0.074) below the committed one over second-order
-// streams. Unterminated batches (a torn tail) and aborted batches are
-// discarded.
+// an LSN past `after`, the end of the checkpoint the data file was
+// restored to. A commit seals every mutation record logged since the
+// previous commit or checkpoint end, so the batches are re-applied in
+// log order through the CCAM method and the logical state — nodes,
+// successor lists, edge costs — converges to exactly the committed
+// prefix. Mutation records no commit follows (a torn tail, or the batch
+// whose failure poisoned the store) are discarded, and checkpoint
+// records past `after` belong to a checkpoint whose end never made it.
+// Placement does not converge: every mutation replays FirstOrder and
+// reorganizations write no record, so the second-order, higher-order
+// and lazy reorganizations and the reorganizer rounds committed since
+// the last checkpoint are not reproduced: ROADMAP item 6 measured the
+// recovered CRR a median 0.006 to 0.050 (worst 0.074) below the
+// committed one over second-order streams.
 func replayWAL(m *iccam.Method, recs []storage.WALRecord, after uint64) (batches, mutations int, err error) {
 	var pending []*netfile.Mutation
-	inBatch := false
 	for _, r := range recs {
 		if r.LSN <= after {
 			continue
 		}
 		switch r.Type {
-		case storage.WALRecBegin:
-			pending = pending[:0]
-			inBatch = true
 		case storage.WALRecMutation:
-			if !inBatch {
-				continue
-			}
 			mut, derr := netfile.DecodeMutation(r.Payload)
 			if derr != nil {
 				return batches, mutations, fmt.Errorf("lsn %d: %w", r.LSN, derr)
 			}
 			pending = append(pending, mut)
-		case storage.WALRecAbort:
-			pending = pending[:0]
-			inBatch = false
 		case storage.WALRecCommit:
-			if !inBatch {
-				continue
-			}
 			for _, mut := range pending {
 				// Replay runs first-order: the policy affects placement
 				// quality, never logical contents, and the cheapest one
@@ -103,14 +95,10 @@ func replayWAL(m *iccam.Method, recs []storage.WALRecord, after uint64) (batches
 				if aerr := applyMutation(m, mut, FirstOrder); aerr != nil {
 					return batches, mutations, fmt.Errorf("commit lsn %d, %s: %w", r.LSN, mut.Kind, aerr)
 				}
-				mutations++
 			}
 			batches++
+			mutations += len(pending)
 			pending = pending[:0]
-			inBatch = false
-		default:
-			// Checkpoint records (page images, alloc state, end marker)
-			// only occur at or before `after`; tolerate strays.
 		}
 	}
 	return batches, mutations, nil
