@@ -159,7 +159,11 @@ type frame struct {
 // snapshotted under the latch but written back with the latch released
 // (batched with other dirty unpinned frames of the shard, one flush
 // gate call per batch), so a slow device write or WAL fsync never
-// blocks concurrent hits.
+// blocks concurrent hits. Under no-steal (SetNoSteal) a dirty frame
+// cannot be a victim at all: the sweep parks it outside the clock ring
+// until a flush cleans it, so the ring holds only evictable frames and
+// victim selection stays O(1) amortized whatever share of the pool is
+// dirty.
 //
 // Frame images are protected by the pin protocol: a pinned, loading or
 // flushing frame is never recycled, and writers are excluded from
@@ -273,11 +277,14 @@ func (p *Pool) Capacity() int { return p.capacity }
 func (p *Pool) Shards() int { return len(p.shards) }
 
 // SetNoSteal switches the eviction policy: when on, dirty frames are
-// never evicted — the pool grows overflow frames instead — so the only
-// writes reaching the store are explicit flushes. The WAL recovery
-// protocol depends on this: every store write between checkpoints is
-// then allocator noise recovery can discard. Call during setup, before
-// concurrent use.
+// never evicted, so the only writes reaching the store are explicit
+// flushes. The WAL recovery protocol depends on this: every store write
+// between checkpoints is then allocator noise recovery can discard.
+// The sweep parks each dirty frame it meets outside its shard's clock
+// ring, where it stays resident until Flush, FlushAll, Reset or Close
+// cleans it; a miss that finds the ring holding nothing evictable grows
+// an overflow frame, and the next FlushAll shrinks the pool back to
+// capacity. Call during setup, before concurrent use.
 func (p *Pool) SetNoSteal(on bool) { p.noSteal.Store(on) }
 
 // SetFlushGate installs a hook that runs before any dirty page is
@@ -294,30 +301,47 @@ func (p *Pool) flushGate() func() error {
 	return nil
 }
 
-// DirtyPage is a checkpoint copy of one dirty buffered page.
-type DirtyPage struct {
-	ID   storage.PageID
-	Data []byte
+// EachDirty calls fn with the id and image of every dirty frame, shard
+// by shard, and stops at fn's first error. The image aliases the frame
+// and must not be kept after fn returns. Each shard's dirty frames are
+// gathered under its latch and handed to fn after it is released: the
+// pool must be no-steal and the caller must exclude every mutator (the
+// access-method writer lock does this during checkpoints), so a dirty
+// frame can be neither evicted nor rewritten meanwhile, while
+// concurrent readers keep hitting and missing on the shard.
+func (p *Pool) EachDirty(fn func(id storage.PageID, img []byte) error) error {
+	var dirty []*frame
+	var ids []storage.PageID
+	for _, sh := range p.shards {
+		dirty, ids = dirty[:0], ids[:0]
+		sh.mu.RLock()
+		for _, f := range sh.frames {
+			if f.id != storage.InvalidPageID && f.dirty.Load() {
+				dirty = append(dirty, f)
+				ids = append(ids, f.id)
+			}
+		}
+		sh.mu.RUnlock()
+		for i, f := range dirty {
+			if err := fn(ids[i], f.data); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
 }
 
-// DirtySnapshot copies every dirty frame's image. The caller must
-// ensure no mutator is concurrently writing frames (the access-method
-// exclusive lock above the pool does this during checkpoints).
-func (p *Pool) DirtySnapshot() []DirtyPage {
-	var out []DirtyPage
+// OverflowFrames returns how many frames the pool holds above its
+// configured capacity: the frames no-steal has grown since the last
+// FlushAll. O(shards).
+func (p *Pool) OverflowFrames() int {
+	n := 0
 	for _, sh := range p.shards {
-		sh.mu.Lock()
-		for _, f := range sh.frames {
-			if f.id == storage.InvalidPageID || !f.dirty.Load() {
-				continue
-			}
-			data := make([]byte, len(f.data))
-			copy(data, f.data)
-			out = append(out, DirtyPage{ID: f.id, Data: data})
-		}
-		sh.mu.Unlock()
+		sh.mu.RLock()
+		n += len(sh.frames) - sh.capacity
+		sh.mu.RUnlock()
 	}
-	return out
+	return n
 }
 
 // DirtyCount returns the number of dirty buffered pages.
@@ -447,7 +471,8 @@ func (p *Pool) FetchNewTraced(acct *metrics.Account) (storage.PageID, []byte, er
 			old.doomed = true
 			delete(sh.table, id)
 		case old.pins.Load() == 0 && !old.flushing:
-			sh.evictLocked(fj)
+			// Unparking moves only parked frames; fi is in the ring.
+			sh.evictLocked(sh.unparkLocked(fj))
 		default:
 			// A pinned or mid-writeback frame for a page storage just
 			// allocated means the page was freed while still in use.
@@ -518,6 +543,7 @@ func (p *Pool) Discard(id storage.PageID) {
 		f.doomed = true
 		return
 	}
+	sh.unparkLocked(fi)
 	f.id = storage.InvalidPageID
 	f.dirty.Store(false)
 	f.ref.Store(false)
@@ -547,7 +573,10 @@ func (p *Pool) Flush(id storage.PageID) error {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	if fi, ok := sh.table[id]; ok {
-		return sh.flushFrameLocked(fi)
+		if err := sh.flushFrameLocked(fi); err != nil {
+			return err
+		}
+		sh.unparkLocked(fi)
 	}
 	return nil
 }

@@ -1,0 +1,415 @@
+package buffer
+
+import (
+	"bytes"
+	"fmt"
+	"math/rand"
+	"sync"
+	"testing"
+
+	"ccam/internal/storage"
+)
+
+// poolModel drives a Pool through Fetch, FetchNew, Unpin, Discard,
+// Flush, FlushAll and Reset and checks it, after every step, against a
+// map holding what each live page must read as. It is the one harness
+// behind TestPoolModel, TestPoolModelConcurrentHits and FuzzPoolNoSteal.
+//
+// Pages are writable (the model dirties, frees and allocates them) or
+// stable (written once before the pool opens and only ever read), so
+// concurrent hit goroutines can read the stable ones without racing
+// the model's writes — the exclusion the access-method lock gives the
+// real pool's readers and writer.
+type poolModel struct {
+	p        *Pool
+	st       *storage.MemStore
+	ref      map[storage.PageID][]byte // every live page's bytes
+	writable []storage.PageID
+	stable   []storage.PageID
+	held     []storage.PageID // pages the model holds one pin on
+	hitters  bool             // concurrent goroutines pin stable pages
+	// parked and grown record whether check ever saw a parked frame or
+	// a shard above capacity, so a test can tell it reached both.
+	parked, grown bool
+}
+
+const (
+	modelPageSize = 64
+	modelMaxHeld  = 3
+)
+
+func newPoolModel(capacity, shards, writable, stable int, noSteal bool) *poolModel {
+	m := &poolModel{st: storage.NewMemStore(modelPageSize), ref: make(map[storage.PageID][]byte)}
+	for i := 0; i < writable+stable; i++ {
+		id, err := m.st.Allocate()
+		if err != nil {
+			panic(err)
+		}
+		img := bytes.Repeat([]byte{byte(i + 1)}, modelPageSize)
+		if err := m.st.WritePage(id, img); err != nil {
+			panic(err)
+		}
+		m.ref[id] = img
+		if i < writable {
+			m.writable = append(m.writable, id)
+		} else {
+			m.stable = append(m.stable, id)
+		}
+	}
+	m.p = NewPoolShards(m.st, capacity, shards)
+	m.p.SetNoSteal(noSteal)
+	return m
+}
+
+func (m *poolModel) isHeld(id storage.PageID) bool {
+	for _, h := range m.held {
+		if h == id {
+			return true
+		}
+	}
+	return false
+}
+
+func (m *poolModel) isStable(id storage.PageID) bool {
+	for _, s := range m.stable {
+		if s == id {
+			return true
+		}
+	}
+	return false
+}
+
+// unpin releases held page i; a dirty unpin of a writable page first
+// changes one byte of it, frame and reference alike.
+func (m *poolModel) unpin(i int, dirty bool, arg byte) error {
+	id := m.held[i]
+	m.held = append(m.held[:i], m.held[i+1:]...)
+	if dirty && !m.isStable(id) {
+		buf, err := m.frameBytes(id)
+		if err != nil {
+			return err
+		}
+		buf[int(arg)%modelPageSize] ^= arg | 1
+		copy(m.ref[id], buf)
+	} else {
+		dirty = false
+	}
+	return m.p.Unpin(id, dirty)
+}
+
+// frameBytes returns the buffer of a page the model holds pinned.
+func (m *poolModel) frameBytes(id storage.PageID) ([]byte, error) {
+	sh := m.p.shardOf(id)
+	sh.mu.RLock()
+	defer sh.mu.RUnlock()
+	fi, ok := sh.table[id]
+	if !ok {
+		return nil, fmt.Errorf("held page %d not in the table", id)
+	}
+	return sh.frames[fi].data, nil
+}
+
+func (m *poolModel) unpinAll() error {
+	for len(m.held) > 0 {
+		if err := m.unpin(0, false, 0); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// step applies operation op with argument arg, then checks the pool.
+func (m *poolModel) step(op, arg byte) error {
+	all := append(m.writable[:len(m.writable):len(m.writable)], m.stable...)
+	switch op % 8 {
+	case 0: // Fetch
+		id := all[int(arg)%len(all)]
+		if m.isHeld(id) {
+			break
+		}
+		buf, err := m.p.Fetch(id)
+		if err != nil {
+			return fmt.Errorf("fetch %d: %w", id, err)
+		}
+		if !bytes.Equal(buf, m.ref[id]) {
+			return fmt.Errorf("fetch %d read %x, want %x", id, buf[:8], m.ref[id][:8])
+		}
+		if len(m.held) < modelMaxHeld {
+			m.held = append(m.held, id)
+		} else if err := m.p.Unpin(id, false); err != nil {
+			return err
+		}
+	case 1, 2: // Unpin, dirty or clean
+		if len(m.held) == 0 {
+			break
+		}
+		if err := m.unpin(int(arg)%len(m.held), op%8 == 1, arg); err != nil {
+			return err
+		}
+	case 3: // FetchNew
+		if len(m.held) >= modelMaxHeld || len(m.writable) >= 64 {
+			break
+		}
+		id, buf, err := m.p.FetchNew()
+		if err != nil {
+			return fmt.Errorf("fetch new: %w", err)
+		}
+		if !bytes.Equal(buf, make([]byte, modelPageSize)) {
+			return fmt.Errorf("new page %d is not zeroed", id)
+		}
+		m.ref[id] = make([]byte, modelPageSize)
+		m.writable = append(m.writable, id)
+		m.held = append(m.held, id)
+	case 4: // Discard, then free: the page is dropped unwritten
+		if len(m.writable) <= 4 {
+			break
+		}
+		i := int(arg) % len(m.writable)
+		id := m.writable[i]
+		if m.isHeld(id) {
+			break
+		}
+		m.p.Discard(id)
+		if err := m.st.Free(id); err != nil {
+			return err
+		}
+		delete(m.ref, id)
+		m.writable = append(m.writable[:i], m.writable[i+1:]...)
+	case 5: // Flush
+		id := all[int(arg)%len(all)]
+		if err := m.p.Flush(id); err != nil {
+			return err
+		}
+		if err := m.storeHolds(id); err != nil {
+			return fmt.Errorf("after Flush: %w", err)
+		}
+	case 6: // FlushAll
+		if err := m.p.FlushAll(); err != nil {
+			return err
+		}
+		for id := range m.ref {
+			if err := m.storeHolds(id); err != nil {
+				return fmt.Errorf("after FlushAll: %w", err)
+			}
+		}
+		if len(m.held) == 0 && !m.hitters {
+			for si, sh := range m.p.shards {
+				sh.mu.RLock()
+				n := len(sh.frames)
+				sh.mu.RUnlock()
+				if n != sh.capacity {
+					return fmt.Errorf("after FlushAll shard %d holds %d frames, capacity %d", si, n, sh.capacity)
+				}
+			}
+		}
+	case 7: // Reset needs an unpinned pool
+		if m.hitters {
+			break
+		}
+		if err := m.unpinAll(); err != nil {
+			return err
+		}
+		if err := m.p.Reset(); err != nil {
+			return err
+		}
+	}
+	return m.check()
+}
+
+// storeHolds reports whether the store's image of id is its reference.
+func (m *poolModel) storeHolds(id storage.PageID) error {
+	buf := make([]byte, modelPageSize)
+	if err := m.st.ReadPage(id, buf); err != nil {
+		return err
+	}
+	if !bytes.Equal(buf, m.ref[id]) {
+		return fmt.Errorf("store page %d holds %x, want %x", id, buf[:8], m.ref[id][:8])
+	}
+	return nil
+}
+
+// check holds the pool to the model: every table entry points at a
+// frame holding that id, the ring boundary is in range, every parked
+// frame is dirty, OverflowFrames counts the frames above capacity, and
+// every live page reads as its reference — from its frame if resident,
+// else from the store.
+func (m *poolModel) check() error {
+	resident := make(map[storage.PageID]bool)
+	overflow := 0
+	for si, sh := range m.p.shards {
+		sh.mu.Lock()
+		overflow += len(sh.frames) - sh.capacity
+		err := func() error {
+			if sh.live < 0 || sh.live > len(sh.frames) {
+				return fmt.Errorf("shard %d: live %d outside [0, %d]", si, sh.live, len(sh.frames))
+			}
+			for id, fi := range sh.table {
+				if fi < 0 || fi >= len(sh.frames) || sh.frames[fi].id != id {
+					return fmt.Errorf("shard %d: table maps page %d to frame %d, which holds another page", si, id, fi)
+				}
+				f := sh.frames[fi]
+				if f.loading != nil {
+					continue
+				}
+				want, ok := m.ref[id]
+				if !ok {
+					return fmt.Errorf("shard %d: freed page %d still published", si, id)
+				}
+				if !bytes.Equal(f.data, want) {
+					return fmt.Errorf("shard %d: frame of page %d holds %x, want %x", si, id, f.data[:8], want[:8])
+				}
+				resident[id] = true
+			}
+			m.parked = m.parked || sh.live < len(sh.frames)
+			m.grown = m.grown || len(sh.frames) > sh.capacity
+			for fi := sh.live; fi < len(sh.frames); fi++ {
+				if f := sh.frames[fi]; f.id == storage.InvalidPageID || !f.dirty.Load() {
+					return fmt.Errorf("shard %d: parked frame %d (page %d) is not dirty", si, fi, f.id)
+				}
+			}
+			return nil
+		}()
+		sh.mu.Unlock()
+		if err != nil {
+			return err
+		}
+	}
+	if got := m.p.OverflowFrames(); !m.hitters && got != overflow {
+		return fmt.Errorf("OverflowFrames() = %d, shards hold %d above capacity", got, overflow)
+	}
+	for id := range m.ref {
+		if resident[id] {
+			continue
+		}
+		if err := m.storeHolds(id); err != nil {
+			return fmt.Errorf("non-resident %w", err)
+		}
+	}
+	return nil
+}
+
+// run drives the model with a byte program: each pair is (op, arg).
+func (m *poolModel) run(prog []byte) error {
+	for i := 0; i+1 < len(prog); i += 2 {
+		if err := m.step(prog[i], prog[i+1]); err != nil {
+			return fmt.Errorf("step %d (op %d arg %d): %w", i/2, prog[i]%8, prog[i+1], err)
+		}
+	}
+	if err := m.unpinAll(); err != nil {
+		return err
+	}
+	return m.step(6, 0) // a final FlushAll: the store holds the reference
+}
+
+// modelProgram is a seeded random op sequence. Flushes come rarely, so
+// dirty frames pile up, get parked and force overflow frames between
+// them.
+func modelProgram(seed int64, steps int) []byte {
+	rng := rand.New(rand.NewSource(seed))
+	weights := []int{0, 0, 0, 0, 0, 0, 1, 1, 1, 2, 2, 3, 3, 4, 5, 6, 7}
+	prog := make([]byte, 2*steps)
+	for i := 0; i < steps; i++ {
+		prog[2*i] = byte(weights[rng.Intn(len(weights))])
+		prog[2*i+1] = byte(rng.Intn(256))
+	}
+	return prog
+}
+
+// TestPoolModel runs seeded random programs under no-steal (where the
+// sweep parks dirty frames and the pool grows) and under steal (where
+// the sweep writes dirty victims back and nothing is parked).
+func TestPoolModel(t *testing.T) {
+	for _, noSteal := range []bool{true, false} {
+		for _, shards := range []int{1, 2} {
+			t.Run(fmt.Sprintf("noSteal=%v/shards=%d", noSteal, shards), func(t *testing.T) {
+				parked, grown := false, false
+				for seed := int64(1); seed <= 20; seed++ {
+					m := newPoolModel(8*shards, shards, 20, 4, noSteal)
+					if err := m.run(modelProgram(seed, 600)); err != nil {
+						t.Fatalf("seed %d: %v", seed, err)
+					}
+					parked, grown = parked || m.parked, grown || m.grown
+				}
+				if parked != noSteal || grown != noSteal {
+					t.Fatalf("parked %v, grown %v: want both %v", parked, grown, noSteal)
+				}
+			})
+		}
+	}
+}
+
+// TestPoolModelConcurrentHits runs the model beside goroutines that
+// fetch and release the stable pages, so their hits, misses and
+// evictions interleave with parking, unparking and growth. Run it under
+// -race.
+func TestPoolModelConcurrentHits(t *testing.T) {
+	for _, noSteal := range []bool{true, false} {
+		t.Run(fmt.Sprintf("noSteal=%v", noSteal), func(t *testing.T) {
+			m := newPoolModel(16, 2, 24, 8, noSteal)
+			m.hitters = true
+			// The model inserts into m.ref; the hitters read a copy.
+			want := make(map[storage.PageID]byte, len(m.stable))
+			for _, id := range m.stable {
+				want[id] = m.ref[id][0]
+			}
+			stop := make(chan struct{})
+			errs := make(chan error, 2)
+			var wg sync.WaitGroup
+			for g := 0; g < 2; g++ {
+				wg.Add(1)
+				go func(g int) {
+					defer wg.Done()
+					rng := rand.New(rand.NewSource(int64(g)))
+					for {
+						select {
+						case <-stop:
+							return
+						default:
+						}
+						id := m.stable[rng.Intn(len(m.stable))]
+						buf, err := m.p.Fetch(id)
+						if err == nil && buf[0] != want[id] {
+							err = fmt.Errorf("hitter read page %d as %d, want %d", id, buf[0], want[id])
+						}
+						if err == nil {
+							err = m.p.Unpin(id, false)
+						}
+						if err != nil {
+							errs <- err
+							return
+						}
+					}
+				}(g)
+			}
+			err := m.run(modelProgram(7, 3000))
+			close(stop)
+			wg.Wait()
+			close(errs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for err := range errs {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
+// FuzzPoolNoSteal runs the model on fuzzed programs over a no-steal
+// pool. The first two bytes pick the capacity and shard count.
+func FuzzPoolNoSteal(f *testing.F) {
+	f.Add([]byte{4, 1, 0, 1, 1, 7, 0, 2, 1, 9, 0, 3, 1, 11, 6, 0})
+	f.Add(append([]byte{8, 2}, modelProgram(1, 200)...))
+	f.Add(append([]byte{2, 1}, modelProgram(2, 200)...))
+	f.Fuzz(func(t *testing.T, prog []byte) {
+		if len(prog) < 2 {
+			return
+		}
+		shards := 1 + int(prog[1])%3
+		capacity := shards + int(prog[0])%12
+		m := newPoolModel(capacity, shards, 12, 4, true)
+		if err := m.run(prog[2:]); err != nil {
+			t.Fatal(err)
+		}
+	})
+}

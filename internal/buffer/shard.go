@@ -17,16 +17,27 @@ const writebackBatch = 8
 // shard is one independently latched slice of the pool: its own frame
 // table, clock hand and counters. Pages are assigned to shards by
 // Pool.shardOf and never move.
+//
+// frames[:live] is the clock ring; frames[live:] are parked. Under
+// no-steal the sweep parks every unpinned dirty frame it meets — such a
+// frame cannot be evicted before the next checkpoint cleans it — so the
+// ring holds only frames a miss may take and victim selection stays
+// O(1) amortized however much of the shard is dirty. A parked frame
+// stays resident and hits on it as before; flushShardLocked (FlushAll,
+// Reset, Close) returns every frame to the ring, and Flush or Discard
+// of a parked frame returns that one. Without no-steal nothing is
+// parked and live == len(frames).
 type shard struct {
 	pool *Pool
 	mu   sync.RWMutex
-	// frames holds pointers so overflow frames can be appended under
-	// no-steal without invalidating frame references held across latch
-	// releases.
+	// frames holds pointers: parking, unparking and growth move a frame
+	// to another index (the table follows it), but a frame reference
+	// held across a latch release stays valid.
 	frames   []*frame
+	live     int // frames[:live] is the clock ring
 	capacity int // configured frame count; len(frames) may exceed it under no-steal
 	table    map[storage.PageID]int
-	hand     int // clock-sweep position
+	hand     int // clock-sweep position in the ring
 	closed   bool
 	stats    poolCounters
 }
@@ -35,6 +46,7 @@ func newShard(p *Pool, capacity int) *shard {
 	sh := &shard{
 		pool:     p,
 		capacity: capacity,
+		live:     capacity,
 		frames:   make([]*frame, capacity),
 		table:    make(map[storage.PageID]int, capacity),
 	}
@@ -141,7 +153,7 @@ func (sh *shard) fetchMiss(id storage.PageID, acct *metrics.Account) (*frame, er
 	}
 	if result != nil {
 		f.loadErr = result
-		sh.unpublishLoadedLocked(fi, id)
+		sh.unpublishLoadedLocked(f, id)
 		f.pins.Add(-1) // waiters drop their own pins on wake-up
 	}
 	f.doomed = false
@@ -154,52 +166,95 @@ func (sh *shard) fetchMiss(id storage.PageID, acct *metrics.Account) (*frame, er
 	return f, nil
 }
 
-// unpublishLoadedLocked retracts frame fi after a failed or doomed
+// unpublishLoadedLocked retracts frame f after a failed or doomed
 // load. The table entry is removed only if it still points at this
 // frame: a doomed page's ID may have been re-allocated and published
 // to another frame meanwhile (FetchNew), and that live mapping must
-// survive. Caller holds the exclusive latch.
-func (sh *shard) unpublishLoadedLocked(fi int, id storage.PageID) {
-	if fj, ok := sh.table[id]; ok && fj == fi {
+// survive. The frame is compared by pointer, because parking can have
+// moved it to another index while the read was in flight. Caller holds
+// the exclusive latch.
+func (sh *shard) unpublishLoadedLocked(f *frame, id storage.PageID) {
+	if fj, ok := sh.table[id]; ok && sh.frames[fj] == f {
 		delete(sh.table, id)
 	}
-	f := sh.frames[fi]
 	f.id = storage.InvalidPageID
 	f.dirty.Store(false)
 }
 
-// sweepLocked runs the clock hand to the next eviction candidate:
-// unpinned, not loading, not mid-writeback, and out of second chances.
-// It reports the frame index and whether the candidate is dirty; a free
-// frame is returned immediately. noSteal skips dirty frames entirely.
-// Caller holds the exclusive latch. Two full revolutions suffice: the
-// first clears reference bits, the second must find a candidate if one
-// exists.
+// swapLocked exchanges frames i and j and moves the table entries that
+// pointed at them. An entry is moved only if it pointed at the frame: a
+// doomed loading frame keeps its id, but its page's entry is gone or
+// belongs to another frame. Caller holds the exclusive latch.
+func (sh *shard) swapLocked(i, j int) {
+	if i == j {
+		return
+	}
+	a, b := sh.frames[i], sh.frames[j]
+	ai, aOK := sh.table[a.id]
+	bj, bOK := sh.table[b.id]
+	sh.frames[i], sh.frames[j] = b, a
+	if aOK && ai == i {
+		sh.table[a.id] = j
+	}
+	if bOK && bj == j {
+		sh.table[b.id] = i
+	}
+}
+
+// parkLocked moves ring frame fi past the live boundary. The ring's
+// last frame takes its index, so the hand, left where it is, examines
+// that frame next. Caller holds the exclusive latch.
+func (sh *shard) parkLocked(fi int) {
+	sh.live--
+	sh.swapLocked(fi, sh.live)
+}
+
+// unparkLocked returns frame fi to the ring if it is parked, and
+// reports its index afterwards. Caller holds the exclusive latch.
+func (sh *shard) unparkLocked(fi int) int {
+	if fi < sh.live {
+		return fi
+	}
+	sh.swapLocked(fi, sh.live)
+	sh.live++
+	return sh.live - 1
+}
+
+// sweepLocked runs the clock hand over the ring to the next eviction
+// candidate: unpinned, not loading, not mid-writeback, and out of
+// second chances. It reports the frame index and whether the candidate
+// is dirty; a free frame is returned immediately. Under noSteal a dirty
+// frame is parked instead (see shard), so it costs one visit per
+// checkpoint rather than one per sweep. Caller holds the exclusive
+// latch. Two revolutions of the ring as it stood at the start suffice:
+// the first clears reference bits, the second must find a candidate if
+// one exists; parking only shrinks the ring.
 func (sh *shard) sweepLocked(noSteal bool) (fi int, dirty, found bool) {
-	n := len(sh.frames)
-	for scanned := 0; scanned < 2*n; scanned++ {
-		i := sh.hand
-		sh.hand++
-		if sh.hand >= n {
+	limit := 2 * sh.live
+	for scanned := 0; scanned < limit && sh.live > 0; {
+		if sh.hand >= sh.live {
 			sh.hand = 0
 		}
+		i := sh.hand
 		f := sh.frames[i]
-		if f.pins.Load() != 0 || f.loading != nil || f.flushing {
-			continue
-		}
-		if f.id == storage.InvalidPageID {
-			return i, false, true
-		}
-		if f.ref.Swap(false) {
-			continue // second chance consumed
-		}
-		if f.dirty.Load() {
-			if noSteal {
+		if f.pins.Load() == 0 && f.loading == nil && !f.flushing {
+			if f.id == storage.InvalidPageID {
+				sh.hand++
+				return i, false, true
+			}
+			d := f.dirty.Load()
+			if d && noSteal {
+				sh.parkLocked(i)
 				continue
 			}
-			return i, true, true
+			if !f.ref.Load() {
+				sh.hand++
+				return i, d, true
+			}
+			f.ref.Store(false) // second chance consumed
 		}
-		return i, false, true
+		sh.hand++
+		scanned++
 	}
 	return 0, false, false
 }
@@ -232,12 +287,12 @@ func (sh *shard) frameForNewPage(acct *metrics.Account) (int, error) {
 		fi, dirty, found := sh.sweepLocked(noSteal)
 		if !found {
 			if noSteal {
-				// Every unpinned frame is dirty and dirty frames must
-				// not be stolen: grow an overflow frame. The next
-				// FlushAll (checkpoint) shrinks the pool back to
-				// capacity.
+				// The ring holds nothing evictable: every unpinned
+				// frame is dirty and parked. Grow an overflow frame at
+				// the end of the ring; the next FlushAll (checkpoint)
+				// shrinks the pool back to capacity.
 				sh.frames = append(sh.frames, &frame{id: storage.InvalidPageID})
-				return len(sh.frames) - 1, nil
+				return sh.unparkLocked(len(sh.frames) - 1), nil
 			}
 			return -1, ErrAllPinned
 		}
@@ -255,8 +310,11 @@ func (sh *shard) frameForNewPage(acct *metrics.Account) (int, error) {
 		if err != nil {
 			return -1, err
 		}
-		if f.pins.Load() == 0 && f.loading == nil && !f.dirty.Load() &&
-			f.id != storage.InvalidPageID {
+		// Indices may have moved while the latch was released; the
+		// frame pointer did not, so re-resolve the victim through the
+		// table.
+		if fi, ok := sh.table[f.id]; ok && sh.frames[fi] == f && fi < sh.live &&
+			f.pins.Load() == 0 && f.loading == nil && !f.dirty.Load() {
 			sh.evictLocked(fi)
 			return fi, nil
 		}
@@ -362,9 +420,11 @@ func (sh *shard) flushFrameLocked(fi int) error {
 }
 
 // flushShardLocked writes every dirty frame of the shard (pinned ones
-// too) behind a single flush-gate call. Caller holds the exclusive
-// latch.
+// too) behind a single flush-gate call, and returns every parked frame
+// to the ring — a frame still dirty after a failed write is simply
+// parked again by the next sweep. Caller holds the exclusive latch.
 func (sh *shard) flushShardLocked() error {
+	sh.live = len(sh.frames)
 	gated := false
 	for _, f := range sh.frames {
 		if f.id == storage.InvalidPageID || !f.dirty.Load() {
@@ -404,7 +464,8 @@ func (sh *shard) shrinkLocked() {
 		}
 		sh.frames = sh.frames[:len(sh.frames)-1]
 	}
-	if sh.hand >= len(sh.frames) {
+	sh.live = min(sh.live, len(sh.frames))
+	if sh.hand >= sh.live {
 		sh.hand = 0
 	}
 }

@@ -211,16 +211,26 @@ func (f *File) Checkpoint() error {
 	if f.wal == nil || f.fstore == nil {
 		return fmt.Errorf("netfile: checkpoint without an attached WAL")
 	}
-	images := f.pool.DirtySnapshot()
+	// The images stream from the frames into the log: under no-steal
+	// and the owner's exclusive lock no dirty frame can be evicted or
+	// rewritten while it is appended.
 	startLSN := uint64(0)
-	for _, img := range images {
-		lsn, err := f.wal.Append(storage.WALRecPageImage, storage.EncodeWALPageImage(img.ID, img.Data))
+	images := 0
+	var payload []byte
+	err := f.pool.EachDirty(func(id storage.PageID, img []byte) error {
+		payload = storage.AppendWALPageImage(payload[:0], id, img)
+		lsn, err := f.wal.Append(storage.WALRecPageImage, payload)
 		if err != nil {
 			return err
 		}
 		if startLSN == 0 {
 			startLSN = lsn
 		}
+		images++
+		return nil
+	})
+	if err != nil {
+		return err
 	}
 	// The allocator snapshot records the free chain as it will look
 	// after the deferred frees execute: freeing pendingFree[0..k] in
@@ -261,7 +271,7 @@ func (f *File) Checkpoint() error {
 	}
 	// A checkpoint inside a write transaction is that transaction's cost:
 	// the flush wrote the pages imaged above.
-	f.acct.Wrote(len(images))
+	f.acct.Wrote(images)
 	if err := f.fstore.SetAppliedLSN(endLSN); err != nil {
 		return err
 	}

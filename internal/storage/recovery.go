@@ -38,10 +38,14 @@ type WALCheckpoint struct {
 
 // EncodeWALPageImage builds a WALRecPageImage payload.
 func EncodeWALPageImage(id PageID, payload []byte) []byte {
-	buf := make([]byte, 4+len(payload))
-	binary.LittleEndian.PutUint32(buf[0:4], uint32(id))
-	copy(buf[4:], payload)
-	return buf
+	return AppendWALPageImage(make([]byte, 0, 4+len(payload)), id, payload)
+}
+
+// AppendWALPageImage appends a WALRecPageImage payload to dst, so a
+// checkpoint can encode every image into one reused buffer.
+func AppendWALPageImage(dst []byte, id PageID, payload []byte) []byte {
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(id))
+	return append(dst, payload...)
 }
 
 // DecodeWALPageImage parses a WALRecPageImage payload.

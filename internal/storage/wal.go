@@ -194,6 +194,7 @@ type WAL struct {
 
 	mu       sync.Mutex
 	f        *os.File // active segment
+	rec      []byte   // Append's record buffer, reused
 	off      int64
 	nextLSN  uint64
 	segments []walSegment
@@ -348,7 +349,10 @@ func (w *WAL) Append(t WALRecordType, payload []byte) (uint64, error) {
 		}
 	}
 	lsn := w.nextLSN
-	buf := make([]byte, recLen)
+	if int64(cap(w.rec)) < recLen {
+		w.rec = make([]byte, recLen)
+	}
+	buf := w.rec[:recLen]
 	binary.LittleEndian.PutUint32(buf[0:4], uint32(len(payload)))
 	binary.LittleEndian.PutUint64(buf[4:12], lsn)
 	buf[12] = byte(t)

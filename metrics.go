@@ -166,9 +166,12 @@ type observability struct {
 	// the live snapshot count; overlayDepth is the number of batch deltas
 	// a node-index lookup walks before the base, the writer's lookups
 	// included (a pinned snapshot keeps them from folding).
+	// overflowFrames counts the buffer frames no-steal holds above the
+	// pool's capacity until the next checkpoint.
 	// reorgRounds/reorgPages count the reorganization rounds Poke ran
 	// that committed a re-clustering, and the pages those rewrote.
 	snapLag, snapsActive, overlayDepth *metrics.Gauge
+	overflowFrames                     *metrics.Gauge
 	reorgRounds, reorgPages            *metrics.Counter
 	// reorgMoved/reorgKept follow the access method's own counts of what
 	// every reorganization — write-path policy or Poke round —
@@ -192,13 +195,14 @@ func newObservability(reg *metrics.Registry) *observability {
 		crr:  reg.Gauge("ccam_crr"),
 		wcrr: reg.Gauge("ccam_wcrr"),
 
-		snapLag:      reg.Gauge("ccam_snapshot_lag"),
-		snapsActive:  reg.Gauge("ccam_snapshots_active"),
-		overlayDepth: reg.Gauge("ccam_overlay_depth"),
-		reorgRounds:  reg.Counter("ccam_reorg_rounds_total"),
-		reorgPages:   reg.Counter("ccam_reorg_pages_total"),
-		reorgMoved:   reg.Counter("ccam_reorg_records_moved_total"),
-		reorgKept:    reg.Counter("ccam_reorg_kept_total"),
+		snapLag:        reg.Gauge("ccam_snapshot_lag"),
+		snapsActive:    reg.Gauge("ccam_snapshots_active"),
+		overlayDepth:   reg.Gauge("ccam_overlay_depth"),
+		overflowFrames: reg.Gauge("ccam_buffer_overflow_frames"),
+		reorgRounds:    reg.Counter("ccam_reorg_rounds_total"),
+		reorgPages:     reg.Counter("ccam_reorg_pages_total"),
+		reorgMoved:     reg.Counter("ccam_reorg_records_moved_total"),
+		reorgKept:      reg.Counter("ccam_reorg_kept_total"),
 
 		walCommitWait: reg.Histogram("ccam_wal_commit_wait_ns"),
 	}
@@ -279,12 +283,13 @@ func (s *Store) endAccount(a *opAccount, err error) {
 }
 
 // setGauges publishes what a committed change can move: CRR/WCRR from
-// the PAG summary's running sums, and the version layer's health — how
-// far the oldest pinned snapshot lags the newest commit (the
-// page-version retention window), how many snapshots are pinned and how
-// deep the node index's delta list has grown — and brings the
-// reorganization counters up to the access method's own. All O(1).
-// Caller holds the writer mutex.
+// the PAG summary's running sums; the version layer's health — how far
+// the oldest pinned snapshot lags the newest commit (the page-version
+// retention window), how many snapshots are pinned and how deep the
+// node index's delta list has grown; and the buffer frames no-steal
+// holds above the pool's capacity. It also brings the reorganization
+// counters up to the access method's own. O(1) but for the frame
+// count, which is O(shards). Caller holds the writer mutex.
 func (o *observability) setGauges(m *iccam.Method) {
 	f := m.File()
 	rs := m.ReorgStats()
@@ -297,6 +302,7 @@ func (o *observability) setGauges(m *iccam.Method) {
 	o.snapLag.Set(float64(p.CommittedLSN() - p.VersionFloor()))
 	o.snapsActive.Set(float64(p.ActiveSnapshots()))
 	o.overlayDepth.Set(float64(f.OverlayDepth()))
+	o.overflowFrames.Set(float64(p.OverflowFrames()))
 }
 
 // --- public accessors ---
