@@ -139,7 +139,7 @@ func Create(opts Options) (*File, error) {
 		pag:       newPAGSummary(),
 		pend:      pagPending{index: make(map[graph.NodeID]int)},
 	}
-	f.overlay.Store(&overlayState{base: make(map[graph.NodeID]storage.PageID)})
+	f.overlay.Store(&overlayState{table: newNodeTable(0)})
 	if opts.Metrics != nil {
 		instrumentStore(st, opts.Metrics)
 	}
@@ -323,11 +323,18 @@ func (f *File) pinPage(pid storage.PageID, save bool, fn func(sp *storage.Slotte
 	return err
 }
 
+// errReservedID refuses graph.InvalidNodeID, the "no node" sentinel,
+// which the node index cannot hold (see nodeTable.put).
+var errReservedID = fmt.Errorf("netfile: node id %d is reserved", graph.InvalidNodeID)
+
 // InsertRecordAt stores rec on page pid and indexes it. It fails with
-// ErrDuplicate when the node is already stored and with
-// storage.ErrPageFull when the record does not fit, leaving the file
-// unchanged.
+// ErrDuplicate when the node is already stored, with storage.ErrPageFull
+// when the record does not fit, and on the reserved id
+// graph.InvalidNodeID, leaving the file unchanged.
 func (f *File) InsertRecordAt(rec *Record, pid storage.PageID) error {
+	if rec.ID == graph.InvalidNodeID {
+		return errReservedID
+	}
 	if f.Has(rec.ID) {
 		return fmt.Errorf("%w: %d", ErrDuplicate, rec.ID)
 	}
@@ -612,9 +619,10 @@ type loadedPage struct {
 
 // install makes pages the contents of an empty file: it fills the live
 // page set, the free-space map, the spatial index and the node index
-// (the overlay's base) in one walk over the page images, reading each
-// record in place. A node id stored twice fails with ErrDuplicate: each
-// node has one page. The caller fills the PAG summary.
+// (the overlay's table, sized for every record up front) in one walk
+// over the page images, reading each record in place. A node id stored
+// twice fails with ErrDuplicate: each node has one page. The caller
+// fills the PAG summary.
 func (f *File) install(pages []loadedPage) error {
 	sps := make([]storage.SlottedPage, len(pages))
 	slots := 0
@@ -625,16 +633,19 @@ func (f *File) install(pages []loadedPage) error {
 		slots += sps[i].NumSlots()
 	}
 	f.pagMu.Unlock()
-	base := make(map[graph.NodeID]storage.PageID, slots)
+	table := newNodeTable(slots)
 	spatial := make([]spatialEntry, 0, slots)
 	for i, pg := range pages {
 		f.free[pg.pid] = sps[i].FreeSpace()
 		err := eachRecord(&sps[i], func(v recordView) error {
 			id := v.id()
-			if other, dup := base[id]; dup {
+			if id == graph.InvalidNodeID {
+				return errReservedID
+			}
+			if other, dup := table.get(id); dup {
 				return fmt.Errorf("%w: node %d is stored on pages %d and %d", ErrDuplicate, id, other, pg.pid)
 			}
-			base[id] = pg.pid
+			table.put(id, pg.pid)
 			spatial = append(spatial, spatialEntry{pos: v.pos(), id: id})
 			return nil
 		})
@@ -643,7 +654,7 @@ func (f *File) install(pages []loadedPage) error {
 		}
 	}
 	f.spatial.bulkLoad(spatial)
-	f.ResetVersions(base)
+	f.resetVersions(table)
 	return nil
 }
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/rand"
 	"testing"
 
 	"ccam/internal/geom"
@@ -219,24 +220,46 @@ func replaceInBatch(t testing.TB, f *File, id graph.NodeID) {
 	})
 }
 
-// TestOverlayCompaction folds committed deltas into the base once the
-// list passes the threshold, so reader lookups stay bounded.
-func TestOverlayCompaction(t *testing.T) {
+// TestOverlayFoldsAtEveryCommit: with nothing pinned, every commit
+// folds its placement delta into the node index, so the delta list is
+// empty after each; a held snapshot keeps the deltas above it, one per
+// placement batch, and once it closes the next commit folds them all.
+// Every node resolves throughout, the snapshot's view included.
+func TestOverlayFoldsAtEveryCommit(t *testing.T) {
 	g := testNetwork(t)
 	f := buildFile(t, g, 1024, 16)
 	ids := g.NodeIDs()
-	for i := 0; i < overlayCompactThreshold+8; i++ {
-		replaceInBatch(t, f, ids[i%16])
-	}
-	if d := f.OverlayDepth(); d >= overlayCompactThreshold {
-		t.Fatalf("overlay depth %d never compacted (threshold %d)", d, overlayCompactThreshold)
-	}
-	// The folded base must still resolve every node.
-	for _, id := range ids[:16] {
-		if _, err := f.Find(id); err != nil {
-			t.Fatalf("Find(%d) after compaction: %v", id, err)
+	resolvesAll := func(what string, v View) {
+		t.Helper()
+		for _, id := range ids {
+			if rec, err := v.Find(id); err != nil || rec.ID != id {
+				t.Fatalf("%s: Find(%d) = %v, %v", what, id, rec, err)
+			}
 		}
 	}
+	for i := 0; i < 8; i++ {
+		replaceInBatch(t, f, ids[i])
+		if d := f.OverlayDepth(); d != 0 {
+			t.Fatalf("overlay depth %d after commit %d with nothing pinned, want 0", d, i+1)
+		}
+	}
+	resolvesAll("live", f.live())
+	snap := f.Snapshot()
+	defer snap.Close()
+	for i := 1; i <= 12; i++ {
+		replaceInBatch(t, f, ids[i%16])
+		if d := f.OverlayDepth(); d != i {
+			t.Fatalf("overlay depth %d after %d placement batches under a held snapshot, want %d", d, i, i)
+		}
+	}
+	resolvesAll("live", f.live())
+	resolvesAll("held snapshot", snap.View)
+	snap.Close()
+	replaceInBatch(t, f, ids[20])
+	if d := f.OverlayDepth(); d != 0 {
+		t.Fatalf("overlay depth %d after the snapshot closed and a batch committed, want 0", d)
+	}
+	resolvesAll("live", f.live())
 }
 
 // TestUnbatchedChangeAfterBatches: a placement change made outside a
@@ -269,17 +292,21 @@ func TestUnbatchedChangeAfterBatches(t *testing.T) {
 }
 
 // BenchmarkLiveLookup prices a node-index lookup at the live end — what
-// every writer-side PageOf pays — under a delta list of the given
-// depth: 63 is the deepest overlayCompactThreshold lets it grow without
-// a pinned reader. It keeps the threshold a measured constant.
+// every writer-side PageOf pays, and a reader's resolve at depth 0 —
+// over the 65,231 ids of the 256x256-lattice road map in shuffled
+// order, so successive lookups share no cache lines: with no delta
+// listed, and with 8 placement batches pinned above the version floor
+// by a held snapshot.
 func BenchmarkLiveLookup(b *testing.B) {
-	for _, depth := range []int{0, 32, overlayCompactThreshold - 1} {
-		b.Run(fmt.Sprintf("depth=%d", depth), func(b *testing.B) {
-			g := testNetwork(b)
-			f := buildFile(b, g, 1024, 16)
-			ids := g.NodeIDs()
+	g, f := latticeFile(b)
+	ids := g.NodeIDs()
+	rand.New(rand.NewSource(1)).Shuffle(len(ids), func(i, j int) { ids[i], ids[j] = ids[j], ids[i] })
+	for _, depth := range []int{0, 8} {
+		b.Run(fmt.Sprintf("pinned=%d", depth), func(b *testing.B) {
+			snap := f.Snapshot()
+			defer snap.Close()
 			for i := 0; i < depth; i++ {
-				replaceInBatch(b, f, ids[i%16])
+				replaceInBatch(b, f, ids[i])
 			}
 			if d := f.OverlayDepth(); d != depth {
 				b.Fatalf("overlay depth %d, want %d", d, depth)

@@ -414,12 +414,10 @@ func windows30(g *graph.Network, n int, rng *rand.Rand) []geom.Rect {
 	return out
 }
 
-// BenchmarkSpatialCandidates prices the window probe alone — the
-// Z-order index's candidates for netmix-sized windows on the
-// 256x256-lattice road map (seed 169), no record fetched. The records
-// are packed onto pages in id order: the probe never reads a page, so
-// the placement does not matter.
-func BenchmarkSpatialCandidates(b *testing.B) {
+// latticeFile loads the 256x256-lattice road map (seed 169) onto
+// 2 KiB pages in id order: a 65,231-node file for benchmarks whose cost
+// does not depend on the placement.
+func latticeFile(b *testing.B) (*graph.Network, *File) {
 	o := graph.MinneapolisLikeOpts()
 	o.Rows, o.Cols = 256, 256
 	g, err := graph.RoadMap(o)
@@ -443,6 +441,16 @@ func BenchmarkSpatialCandidates(b *testing.B) {
 	if err := f.BulkLoad(g, pages); err != nil {
 		b.Fatal(err)
 	}
+	return g, f
+}
+
+// BenchmarkSpatialCandidates prices the window probe alone — the
+// Z-order index's candidates for netmix-sized windows on the
+// 256x256-lattice road map (seed 169), no record fetched. The records
+// are packed onto pages in id order: the probe never reads a page, so
+// the placement does not matter.
+func BenchmarkSpatialCandidates(b *testing.B) {
+	g, f := latticeFile(b)
 	windows := windows30(g, 64, rand.New(rand.NewSource(1)))
 	cands := 0
 	count := func(graph.NodeID) bool { cands++; return true }

@@ -163,9 +163,11 @@ type observability struct {
 
 	// snapLag is the distance between the newest committed LSN and the
 	// oldest pinned snapshot (0 with no readers pinned); snapsActive is
-	// the live snapshot count; overlayDepth is the number of batch deltas
-	// a node-index lookup walks before the base, the writer's lookups
-	// included (a pinned snapshot keeps them from folding).
+	// the live snapshot count; overlayDepth is the number of committed
+	// batch deltas that pinned snapshots hold above the version floor —
+	// each one a map a node-index lookup probes before the table, the
+	// writer's lookups included. Every commit folds the rest in place, so
+	// it is 0 after a commit made with nothing pinned.
 	// overflowFrames counts the buffer frames no-steal holds above the
 	// pool's capacity until the next checkpoint.
 	// reorgRounds/reorgPages count the reorganization rounds Poke ran
