@@ -111,10 +111,14 @@ type InsertOp struct {
 	PredCosts []float32
 }
 
-// Validate checks internal consistency of the operation.
+// Validate checks internal consistency of the operation. It refuses
+// the reserved id graph.InvalidNodeID, which no file can store.
 func (op *InsertOp) Validate() error {
 	if op.Rec == nil {
 		return fmt.Errorf("netfile: nil record in insert")
+	}
+	if op.Rec.ID == graph.InvalidNodeID {
+		return errReservedID
 	}
 	if len(op.PredCosts) != len(op.Rec.Preds) {
 		return fmt.Errorf("netfile: %d pred costs for %d preds", len(op.PredCosts), len(op.Rec.Preds))

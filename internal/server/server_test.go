@@ -338,6 +338,34 @@ func TestErrorMappingBothProtocols(t *testing.T) {
 	}
 }
 
+// TestApplyReservedIDIsBadRequest: an insert of graph.InvalidNodeID,
+// which no store can hold, is a client error on both protocols, and
+// the daemon keeps serving reads and writes after it.
+func TestApplyReservedIDIsBadRequest(t *testing.T) {
+	st, g := testStore(t)
+	_, binAddr, httpBase := startServer(t, st, Options{})
+	ctx := context.Background()
+	bc, err := wire.Dial(binAddr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer bc.Close()
+	e := g.Edges()[0]
+	ops := []wire.ApplyOp{{Kind: wire.OpInsertNode, Node: &wire.RecordJSON{ID: graph.InvalidNodeID, Preds: []ccam.NodeID{e.From}}, PredCosts: []float32{1}}}
+	if _, err := bc.Apply(ctx, ops); !errors.Is(err, wire.ErrBadRequest) {
+		t.Fatalf("binary Apply of the reserved id = %v, want bad_request", err)
+	}
+	if _, err := jsonCall[int](ctx, httpBase, wire.OpApply, wire.ApplyRequest{Ops: ops}); !errors.Is(err, wire.ErrBadRequest) {
+		t.Fatalf("json Apply of the reserved id = %v, want bad_request", err)
+	}
+	if n, err := bc.Apply(ctx, []wire.ApplyOp{{Kind: wire.OpSetEdgeCost, From: e.From, To: e.To, Cost: 5}}); err != nil || n != 1 {
+		t.Fatalf("Apply after the refused one = %d, %v", n, err)
+	}
+	if rec, err := bc.Find(ctx, e.From); err != nil || rec.ID != e.From {
+		t.Fatalf("Find after the refused Apply = %v, %v", rec, err)
+	}
+}
+
 func reqBody(s string) *strings.Reader { return strings.NewReader(s) }
 
 // TestCancellationPropagation verifies a client disconnect cancels

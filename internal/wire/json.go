@@ -171,7 +171,9 @@ func ParsePolicy(name string) (ccam.Policy, error) {
 	return 0, fmt.Errorf("%w: unknown policy %q", ErrBadRequest, name)
 }
 
-// Batch converts the request into the store's batch form.
+// Batch converts the request into the store's batch form. A malformed
+// insert — its pred costs not matching its preds, or the reserved id
+// graph.InvalidNodeID — is a bad request.
 func (r *ApplyRequest) Batch() (*ccam.Batch, error) {
 	b := new(ccam.Batch)
 	for i, op := range r.Ops {
@@ -184,7 +186,11 @@ func (r *ApplyRequest) Batch() (*ccam.Batch, error) {
 			if op.Node == nil {
 				return nil, fmt.Errorf("%w: op %d: insert-node without node", ErrBadRequest, i)
 			}
-			b.Insert(&ccam.InsertOp{Rec: op.Node.Record(), PredCosts: op.PredCosts}, pol)
+			ins := &ccam.InsertOp{Rec: op.Node.Record(), PredCosts: op.PredCosts}
+			if err := ins.Validate(); err != nil {
+				return nil, fmt.Errorf("%w: op %d: %v", ErrBadRequest, i, err)
+			}
+			b.Insert(ins, pol)
 		case OpDeleteNode:
 			b.Delete(op.ID, pol)
 		case OpInsertEdge:

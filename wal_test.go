@@ -17,6 +17,7 @@ import (
 	"sync"
 	"testing"
 
+	"ccam/internal/graph"
 	"ccam/internal/netfile"
 	"ccam/internal/storage"
 )
@@ -784,6 +785,79 @@ func TestApplyValidationLeavesStateUntouched(t *testing.T) {
 		SetEdgeCost(e0.From, free, 7)
 	if err := s.Apply(context.Background(), bad); !errors.Is(err, ErrEdgeMissing) {
 		t.Fatalf("set-cost after in-batch delete error = %v", err)
+	}
+}
+
+// TestApplyRefusesReservedNodeID: an insert of graph.InvalidNodeID,
+// the "no node" sentinel the node index cannot hold, is refused by
+// validation — before anything is logged — so the store stays healthy:
+// later Applies and queries succeed, and a reopen replays none of the
+// refused batch.
+func TestApplyRefusesReservedNodeID(t *testing.T) {
+	g := smallTestMap(t)
+	path := filepath.Join(t.TempDir(), "net.ccam")
+	s, err := Open(Options{PageSize: 1024, Path: path, WAL: true, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Build(g); err != nil {
+		t.Fatal(err)
+	}
+	want := storeModel(t, s)
+	ctx := context.Background()
+	e0 := g.Edges()[0]
+	appended := s.WALStats().AppendedLSN
+	reserved := graph.InvalidNodeID
+	bad := new(Batch).
+		SetEdgeCost(e0.From, e0.To, 777).
+		Insert(&InsertOp{Rec: &Record{ID: reserved, Succs: []SuccEntry{{To: e0.From, Cost: 1}}}}, FirstOrder)
+	if err := s.Apply(ctx, bad); err == nil {
+		t.Fatal("Apply stored graph.InvalidNodeID")
+	}
+	if got := s.WALStats().AppendedLSN; got != appended {
+		t.Fatalf("refused batch logged: appended LSN %d -> %d", appended, got)
+	}
+	if err := diffModels(want, storeModel(t, s)); err != nil {
+		t.Fatalf("refused batch modified state: %v", err)
+	}
+	if ok, err := s.Has(ctx, reserved); err != nil || ok {
+		t.Fatalf("Has(reserved) = %v, %v", ok, err)
+	}
+	// The store is not poisoned: a valid batch commits and reads back.
+	fresh := NodeID(1 << 30)
+	if err := s.Insert(&InsertOp{Rec: &Record{ID: fresh, Succs: []SuccEntry{{To: e0.From, Cost: 2}}}}, FirstOrder); err != nil {
+		t.Fatalf("Apply after the refused batch: %v", err)
+	}
+	if rec, err := s.Find(ctx, fresh); err != nil || rec.ID != fresh {
+		t.Fatalf("Find(%d) after the refused batch = %v, %v", fresh, rec, err)
+	}
+	want = storeModel(t, s)
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	r, err := OpenPath(path, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	if err := diffModels(want, storeModel(t, r)); err != nil {
+		t.Fatal(err)
+	}
+
+	// Build refuses a network that holds the reserved id.
+	if err := g.AddNode(Node{ID: reserved}); err != nil {
+		t.Fatal(err)
+	}
+	if err := g.AddEdge(Edge{From: reserved, To: e0.From, Cost: 1}); err != nil {
+		t.Fatal(err)
+	}
+	m, err := Open(Options{PageSize: 1024, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	if err := m.Build(g); err == nil {
+		t.Fatal("Build stored graph.InvalidNodeID")
 	}
 }
 
