@@ -1,14 +1,9 @@
 package ccam
 
-// This file holds one testing.B benchmark per table and figure of the
-// paper's evaluation (Section 4) plus the repository's ablations and a
-// set of micro-benchmarks of the individual operations. The experiment
-// benchmarks drive the harness in internal/bench at paper scale and
-// report the headline numbers via b.ReportMetric, so
-//
-//	go test -bench=. -benchmem
-//
-// regenerates every result. cmd/ccam-bench prints the full tables.
+// This file holds micro-benchmarks of the public API's operations. The
+// paper's tables and figures and the repository's ablations have one
+// home, cmd/ccam-bench (`go run ./cmd/ccam-bench -exp all`), whose page
+// counts the committed BENCH_paper.json pins.
 
 import (
 	"context"
@@ -19,129 +14,8 @@ import (
 	"path/filepath"
 	"testing"
 
-	"ccam/internal/bench"
-	"ccam/internal/netfile"
 	"ccam/internal/storage"
 )
-
-func paperSetup() bench.Setup { return bench.DefaultSetup() }
-
-// BenchmarkFig5CRRByBlockSize regenerates Figure 5: CRR per access
-// method per disk block size. The reported metric is CCAM-S's CRR at
-// the 1k block.
-func BenchmarkFig5CRRByBlockSize(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := bench.RunFig5(bench.Fig5Config{Setup: paperSetup()})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(res.CRR["ccam-s"][1024], "ccam-s-crr@1k")
-		b.ReportMetric(res.CRR["bfs-am"][1024], "bfs-am-crr@1k")
-	}
-}
-
-// BenchmarkTable5NetworkOps regenerates Table 5: the I/O cost of the
-// network operations. Reported metrics are CCAM's actual page accesses
-// per operation.
-func BenchmarkTable5NetworkOps(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := bench.RunTable5(bench.Table5Config{Setup: paperSetup()})
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, row := range res.Rows {
-			if row.Method == "ccam-s" {
-				b.ReportMetric(row.GetSuccsActual, "get-succs-pages")
-				b.ReportMetric(row.GetASuccActual, "get-a-succ-pages")
-				b.ReportMetric(row.DeleteActual, "delete-pages")
-				b.ReportMetric(row.InsertActual, "insert-pages")
-			}
-		}
-	}
-}
-
-// BenchmarkFig6RouteEvaluation regenerates Figure 6: route evaluation
-// I/O versus route length. The reported metric is CCAM-S's average
-// pages per route at L = 40.
-func BenchmarkFig6RouteEvaluation(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := bench.RunFig6(bench.Fig6Config{Setup: paperSetup()})
-		if err != nil {
-			b.Fatal(err)
-		}
-		last := len(res.RouteLengths) - 1
-		b.ReportMetric(res.PagesPerRoute["ccam-s"][last], "ccam-s-pages@L40")
-		b.ReportMetric(res.PagesPerRoute["bfs-am"][last], "bfs-am-pages@L40")
-	}
-}
-
-// BenchmarkFig7ReorgPolicies regenerates Figure 7: per-insert I/O and
-// CRR under the three reorganization policies. Reported metrics are
-// the final average I/O per insert of the second- and higher-order
-// policies.
-func BenchmarkFig7ReorgPolicies(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := bench.RunFig7(bench.Fig7Config{Setup: paperSetup()})
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, s := range res.Series {
-			last := len(s.AvgIO) - 1
-			switch s.Policy {
-			case netfile.SecondOrder:
-				b.ReportMetric(s.AvgIO[last], "second-order-io")
-				b.ReportMetric(s.CRR[last], "second-order-crr")
-			case netfile.HigherOrder:
-				b.ReportMetric(s.AvgIO[last], "higher-order-io")
-			}
-		}
-	}
-}
-
-// BenchmarkAblationPartitioners compares the partitioning heuristics
-// (ablation A1).
-func BenchmarkAblationPartitioners(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := bench.RunAblationPartitioners(paperSetup(), 1024)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, row := range res.Rows {
-			if row.Name == "ratio-cut" {
-				b.ReportMetric(row.CRR, "ratio-cut-crr")
-			}
-		}
-	}
-}
-
-// BenchmarkAblationBufferSweep sweeps the route-evaluation buffer pool
-// (ablation A2).
-func BenchmarkAblationBufferSweep(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := bench.RunAblationBufferSweep(paperSetup())
-		if err != nil {
-			b.Fatal(err)
-		}
-		s := res.PagesPerRoute["ccam-s"]
-		b.ReportMetric(s[0], "pool1-pages")
-		b.ReportMetric(s[len(s)-1], "pool16-pages")
-	}
-}
-
-// BenchmarkAblationScale sweeps the network size (ablation A3). Kept
-// to 4k nodes so the benchmark suite stays fast; cmd/ccam-bench runs
-// the 16k point.
-func BenchmarkAblationScale(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := bench.RunAblationScale(paperSetup(), []int{256, 1024, 4096})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(res.CRR["ccam-s"][len(res.Sizes)-1], "ccam-s-crr@4k-nodes")
-	}
-}
-
-// --- micro-benchmarks of the public API ---
 
 func benchStore(b *testing.B) (*Store, *Network) {
 	return paperStore(b, 16)
@@ -562,81 +436,6 @@ func BenchmarkNearest(b *testing.B) {
 		if _, err := s.Nearest(p, 5); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// BenchmarkAblationSearchPaths runs the graph-search comparison
-// (ablation A4).
-func BenchmarkAblationSearchPaths(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := bench.RunSearchPaths(bench.SearchPathsConfig{Setup: paperSetup(), Pairs: 25})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(res.DijkstraReads["ccam-s"], "ccam-dijkstra-reads")
-		b.ReportMetric(res.AStarReads["ccam-s"], "ccam-astar-reads")
-	}
-}
-
-// BenchmarkAblationLazyPolicy runs the delayed-reorganization
-// comparison (ablation A5).
-func BenchmarkAblationLazyPolicy(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := bench.RunFig7(bench.Fig7Config{
-			Setup:     paperSetup(),
-			Policies:  []netfile.Policy{netfile.FirstOrder, netfile.Lazy},
-			LazyEvery: 4,
-			Points:    4,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, s := range res.Series {
-			if s.Policy == netfile.Lazy {
-				b.ReportMetric(s.AvgIO[len(s.AvgIO)-1], "lazy-io")
-				b.ReportMetric(s.CRR[len(s.CRR)-1], "lazy-crr")
-			}
-		}
-	}
-}
-
-// BenchmarkAblationTopology runs the network-family comparison
-// (ablation A6).
-func BenchmarkAblationTopology(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := bench.RunAblationTopology(paperSetup())
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(res.CRR["radial-city"]["ccam-s"], "radial-ccam-crr")
-		b.ReportMetric(res.CRR["random-geometric"]["ccam-s"], "geo-ccam-crr")
-	}
-}
-
-// BenchmarkAblationMixedWorkload runs the query/update mix (ablation
-// A7), shortened to 200 operations per fraction.
-func BenchmarkAblationMixedWorkload(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := bench.RunMixedWorkload(bench.MixedConfig{
-			Setup: paperSetup(), Ops: 200, UpdateFracs: []float64{0, 0.3},
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(res.PagesPerOp["ccam-s"][1], "ccam-pages-per-op@30pct")
-	}
-}
-
-// BenchmarkAblationSpatialOrder runs the proximity-ordering comparison
-// (ablation A8).
-func BenchmarkAblationSpatialOrder(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := bench.RunAblationSpatialOrder(paperSetup())
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(res.CRR["hilbert-am"][1024], "hilbert-crr@1k")
-		b.ReportMetric(res.CRR["zcurve-am"][1024], "zcurve-crr@1k")
 	}
 }
 

@@ -78,40 +78,101 @@ func (c *cursor) move(pid storage.PageID) error {
 }
 
 // seek positions the cursor on node id's record. The view aliases the
-// held page: it is valid until the next seek, move or release.
-func (c *cursor) seek(id graph.NodeID) (recordView, error) {
+// held page: it is valid until the next seek, move or release. m, if
+// not nil, is the operation's slot memo of the held page: seek resets
+// it whenever it moves.
+func (c *cursor) seek(id graph.NodeID, m *slotMemo) (recordView, error) {
 	pid, err := c.resolve(id)
 	if err != nil {
 		return recordView{}, err
 	}
 	if c.ref.Data != nil && pid == c.pid {
 		c.ref.Touch()
-	} else if err := c.move(pid); err != nil {
-		return recordView{}, err
+	} else {
+		if m != nil {
+			m.n, m.live = 0, 0
+		}
+		if err := c.move(pid); err != nil {
+			return recordView{}, err
+		}
 	}
-	_, raw, err := findOnPage(&c.sp, pid, id)
+	_, raw, err := findOnPage(&c.sp, pid, id, m)
 	if err != nil {
 		return recordView{}, err
 	}
 	return viewRecord(raw)
 }
 
+// memoSlots is how many leading slots of a page a slotMemo holds; a
+// benchmark page holds ~15 records. Slots past it are walked every time.
+const memoSlots = 64
+
+// slotMemo is the ids of the held page's leading slots, in slot order,
+// each read from the page at most once per visit: an operation that
+// seeks more than once keeps one on its stack, so a hop that stays on
+// the page compares against this array instead of walking the record
+// headers again. Slot i < n is live iff bit i of live is set, and then
+// holds node ids[i]. A slot whose Record or RecordID fails is never
+// noted, so n stops before it and every later walk reaches it again.
+//
+// A memo describes one borrow, and seek resets it on every move —
+// returning to a page left earlier included. Within one borrow the
+// bytes cannot change: under a pinned LSN the reader holds either an
+// immutable committed image or a live frame that no writer may change
+// while the borrow holds the version read-lock (DESIGN.md, "Borrow
+// rules"); the live view belongs to the serialized owner, and no
+// cursor operation mutates between its own seeks.
+type slotMemo struct {
+	n    int
+	live uint64
+	ids  [memoSlots]graph.NodeID
+}
+
+// note records that slot i, the next one after the memo's, holds rid
+// (live) or a tombstone. Slots at or past memoSlots are not kept.
+func (m *slotMemo) note(i int, rid graph.NodeID, live bool) {
+	if m == nil || i >= memoSlots {
+		return
+	}
+	m.ids[i] = rid
+	if live {
+		m.live |= 1 << uint(i)
+	}
+	m.n = i + 1
+}
+
 // findOnPage walks the slot directory of data page pid for node id's
 // record; the indexes sent the caller here, so its absence is
-// corruption.
-func findOnPage(sp *storage.SlottedPage, pid storage.PageID, id graph.NodeID) (slot int, raw []byte, err error) {
-	for i, n := 0, sp.NumSlots(); i < n; i++ {
+// corruption. With a memo m it first looks among the slots m has
+// already read, then walks on from the first unread one, noting each
+// slot it reads; with m == nil it walks from slot 0. Either way the
+// first live slot holding id wins and a bad slot fails at the same
+// point of the walk.
+func findOnPage(sp *storage.SlottedPage, pid storage.PageID, id graph.NodeID, m *slotMemo) (slot int, raw []byte, err error) {
+	i := 0
+	if m != nil {
+		for j, rid := range m.ids[:m.n] {
+			if rid == id && m.live&(1<<uint(j)) != 0 {
+				rec, _, err := sp.Record(j)
+				return j, rec, err
+			}
+		}
+		i = m.n
+	}
+	for n := sp.NumSlots(); i < n; i++ {
 		rec, live, err := sp.Record(i)
 		if err != nil {
 			return 0, nil, err
 		}
 		if !live {
+			m.note(i, 0, false)
 			continue
 		}
 		rid, err := RecordID(rec)
 		if err != nil {
 			return 0, nil, err
 		}
+		m.note(i, rid, true)
 		if rid == id {
 			return i, rec, nil
 		}
@@ -158,7 +219,7 @@ func decodePage(sp *storage.SlottedPage, out []*Record) ([]*Record, error) {
 func (v View) read(id graph.NodeID) (*Record, error) {
 	c := v.cursor()
 	defer c.release()
-	rv, err := c.seek(id)
+	rv, err := c.seek(id, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -206,7 +267,8 @@ func (v View) GetSuccessorsCtx(ctx context.Context, id graph.NodeID) ([]*Record,
 	}
 	c := v.cursor()
 	defer c.release()
-	rv, err := c.seek(id)
+	var memo slotMemo
+	rv, err := c.seek(id, &memo)
 	if err != nil {
 		return nil, err
 	}
@@ -222,7 +284,7 @@ func (v View) GetSuccessorsCtx(ctx context.Context, id graph.NodeID) ([]*Record,
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		sv, err := c.seek(to)
+		sv, err := c.seek(to, &memo)
 		if err != nil {
 			return nil, fmt.Errorf("netfile: get-successors of %d: %w", id, err)
 		}
@@ -250,7 +312,8 @@ func (v View) EvaluateRouteCtx(ctx context.Context, route graph.Route) (RouteAgg
 	}
 	c := v.cursor()
 	defer c.release()
-	rv, err := c.seek(route[0])
+	var memo slotMemo
+	rv, err := c.seek(route[0], &memo)
 	if err != nil {
 		return RouteAggregate{}, err
 	}
@@ -263,7 +326,7 @@ func (v View) EvaluateRouteCtx(ctx context.Context, route graph.Route) (RouteAgg
 		if err := ctx.Err(); err != nil {
 			return RouteAggregate{}, err
 		}
-		if rv, err = c.seek(next); err != nil {
+		if rv, err = c.seek(next, &memo); err != nil {
 			return RouteAggregate{}, err
 		}
 		cost := float64(c32)
@@ -320,6 +383,7 @@ func (v View) RangeQueryCtx(ctx context.Context, rect geom.Rect) ([]*Record, err
 		seen = make(map[graph.NodeID]bool, len(cand))
 	}
 	var out []*Record
+	var memo slotMemo
 	for _, id := range cand {
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -330,7 +394,7 @@ func (v View) RangeQueryCtx(ctx context.Context, rect geom.Rect) ([]*Record, err
 			}
 			seen[id] = true
 		}
-		rv, err := c.seek(id)
+		rv, err := c.seek(id, &memo)
 		if v.lsn != buffer.LiveLSN && errors.Is(err, ErrNotFound) {
 			continue // inserted after the view's LSN
 		}

@@ -382,7 +382,7 @@ func (f *File) UpdateRecord(rec *Record) error {
 	}
 	enc := EncodeRecord(rec)
 	return f.withPageWrite(pid, func(sp *storage.SlottedPage) (bool, error) {
-		slot, raw, err := findOnPage(sp, pid, rec.ID)
+		slot, raw, err := findOnPage(sp, pid, rec.ID, nil)
 		if err != nil {
 			return false, err
 		}
@@ -414,7 +414,7 @@ func (f *File) removeRecord(id graph.NodeID) (*Record, error) {
 	}
 	var rec *Record
 	err = f.withPageWrite(pid, func(sp *storage.SlottedPage) (bool, error) {
-		slot, raw, err := findOnPage(sp, pid, id)
+		slot, raw, err := findOnPage(sp, pid, id, nil)
 		if err != nil {
 			return false, err
 		}
