@@ -193,15 +193,14 @@ func (b *Batch) Len() int {
 }
 
 // applyMutation executes one logical mutation through the CCAM method
-// m under the given policy. It is the one dispatch behind a live Apply,
-// an Apply before Build — m has no file yet, so the method's own
-// "before Build" error surfaces — and WAL replay. A mutation that ran
-// leaves every record's lists agreeing again: that is when the file's
-// PAG summary takes it in.
+// m, which holds a file, under the given policy. It is the one dispatch
+// behind a live Apply and WAL replay. A mutation that ran leaves every
+// record's lists agreeing again: that is when the file's PAG summary
+// takes it in.
 func applyMutation(m *iccam.Method, mut *netfile.Mutation, policy Policy) error {
 	err := dispatchMutation(m, mut, policy)
-	if f := m.File(); err == nil && f != nil {
-		f.SettlePAG()
+	if err == nil {
+		m.File().SettlePAG()
 	}
 	return err
 }
@@ -217,11 +216,7 @@ func dispatchMutation(m *iccam.Method, mut *netfile.Mutation, policy Policy) err
 	case netfile.MutDeleteEdge:
 		return m.DeleteEdge(mut.From, mut.To, policy)
 	case netfile.MutSetEdgeCost:
-		f := m.File()
-		if f == nil {
-			return errEmpty
-		}
-		return f.SetEdgeCost(mut.From, mut.To, mut.Cost)
+		return m.File().SetEdgeCost(mut.From, mut.To, mut.Cost)
 	default:
 		return fmt.Errorf("ccam: unknown mutation kind %d", mut.Kind)
 	}
@@ -402,7 +397,9 @@ func (tx *writeTx) run(body func(tx *writeTx) error) error {
 // A post-validation failure mid-batch (an I/O error, or a fault
 // injected by tests) leaves the batch unsealed in the log and poisons
 // the store: every later call fails until the store is reopened, and
-// recovery restores exactly the previously committed state.
+// recovery restores exactly the previously committed state. Before
+// Build, Apply refuses every batch with the store-empty error that every
+// other operation returns.
 //
 // Apply is a write transaction (see Store.write): it takes only the
 // writer mutex, which no query shares. A query that pinned its view
@@ -416,15 +413,7 @@ func (s *Store) Apply(ctx context.Context, b *Batch) error {
 	}
 	return s.write(ctx, func(tx *writeTx) error {
 		if tx.f == nil {
-			// Before Build there is no file to validate against and no WAL:
-			// dispatch directly, so the first op fails with the CCAM
-			// method's own "before Build" error.
-			for i := range b.ops {
-				if err := applyMutation(s.m, &b.ops[i].mut, b.ops[i].policy); err != nil {
-					return err
-				}
-			}
-			return nil
+			return errEmpty
 		}
 		if err := validateBatch(tx.f, b); err != nil {
 			return err

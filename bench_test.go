@@ -70,7 +70,7 @@ func TestReadPathAllocs(t *testing.T) {
 	// The instrumented path has the same budget: with Metrics and tracing
 	// on — the daemon's configuration — an operation allocates no more
 	// than with them off. Its account is borrowed, not allocated.
-	inst, err := OpenWith(WithPageSize(2048), WithPoolPages(1024), WithSeed(1), WithMetrics(), WithTracing(256))
+	inst, err := Open(Options{PageSize: 2048, PoolPages: 1024, Seed: 1, Metrics: true, TraceCapacity: 256})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,8 +239,8 @@ func BenchmarkFindInstrumented(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	s, err := OpenWith(WithPageSize(2048), WithPoolPages(16), WithPoolShards(AutoPoolShards(16)), WithSeed(1),
-		WithMetrics(), WithTracing(256))
+	s, err := Open(Options{PageSize: 2048, PoolPages: 16, PoolShards: AutoPoolShards(16), Seed: 1,
+		Metrics: true, TraceCapacity: 256})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -25,8 +25,8 @@
 //	rec, err := store.Find(ctx, 1)
 //	agg, err := store.EvaluateRoute(ctx, ccam.Route{1, 2})
 //
-// Queries are context-first; callers without a context can use the
-// ctx-less view: store.Plain().Find(1).
+// The paper's operations take a context first; callers without one pass
+// context.Background().
 //
 // A Store is always a CCAM file. The paper's comparison access methods
 // (DFS-AM, BFS-AM, WDFS-AM and the Grid File) live in the experiment
@@ -285,7 +285,7 @@ type Store struct {
 	// to unpin; Build, ResetIO and Close, which replace or drop the file
 	// and its page versions, hold it exclusively. mu is the writer mutex
 	// of the live end: write transactions (Apply, reorganizer rounds),
-	// Flush and the live accessors. No query takes mu. Lock order:
+	// Checkpoint and the live accessors. No query takes mu. Lock order:
 	// structMu before mu.
 	structMu sync.RWMutex
 	mu       sync.Mutex
@@ -557,7 +557,7 @@ func OpenPath(path string, opts Options) (*Store, error) {
 	})
 }
 
-// --- lifecycle: Build, ResetIO, Flush, Close ---
+// --- lifecycle: Build, ResetIO, Checkpoint, Close ---
 
 // lockExclusive takes the lifecycle lock and then the writer mutex: the
 // caller excludes every query and every writer.
@@ -579,6 +579,11 @@ func (s *Store) unlockExclusive() {
 // durable and every later Apply is. Build replaces the file wholesale
 // and resets the version layer: any Store.Snapshot the caller still
 // holds must be closed first.
+//
+// A network holding the reserved id graph.InvalidNodeID is refused
+// before anything is touched, and the old contents keep serving. A
+// failure once the load has begun poisons the store like a failed
+// Apply: later calls fail, and Close persists nothing.
 func (s *Store) Build(g *Network) error {
 	s.lockExclusive()
 	defer s.unlockExclusive()
@@ -603,25 +608,30 @@ func (s *Store) Build(g *Network) error {
 }
 
 func (s *Store) buildLocked(g *Network) error {
+	if g.HasNode(graph.InvalidNodeID) {
+		return fmt.Errorf("ccam: build: node id %d is reserved", graph.InvalidNodeID)
+	}
 	if s.wal != nil {
 		// Build replaces the file wholesale; stale log records must not
 		// be replayed over the new contents, so the log restarts empty
 		// (at a monotonically advanced LSN) before any page is written.
+		// A failed reset touched no page, and the log keeps its error.
 		if err := s.wal.Reset(); err != nil {
 			return err
 		}
 	}
-	if err := s.m.Build(g); err != nil {
-		return err
-	}
-	if s.wal != nil {
+	// The load replaces the file: from here on the old contents are
+	// gone, and a failure leaves a half-built file with no log attached.
+	err := s.m.Build(g)
+	if err == nil && s.wal != nil {
 		f := s.m.File()
 		f.AttachWAL(s.wal, s.fs)
-		if err := f.Checkpoint(); err != nil {
-			return err
-		}
+		err = f.Checkpoint()
 	}
-	return nil
+	if err != nil {
+		s.poison("build", err)
+	}
+	return err
 }
 
 var errEmpty = errors.New("ccam: store is empty; call Build first")
@@ -672,11 +682,13 @@ func (s *Store) persist(f *netfile.File) error {
 	return nil
 }
 
-// Flush writes all buffered dirty pages to the underlying store, and
-// syncs the page file when the store is file-backed. With a WAL this
-// is a checkpoint: dirty pages are imaged into the log, flushed, and
-// the log is pruned to its last complete checkpoint.
-func (s *Store) Flush() error {
+// Checkpoint makes the buffered state durable. With a WAL it forces a
+// checkpoint: dirty pages are imaged into the log, flushed to the data
+// file, deferred page frees are executed and the log is pruned to its
+// last complete checkpoint. Without one it writes every dirty page to
+// the underlying store and syncs the page file when the store is
+// file-backed.
+func (s *Store) Checkpoint() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	f, err := s.file()
@@ -685,11 +697,6 @@ func (s *Store) Flush() error {
 	}
 	return s.persist(f)
 }
-
-// Checkpoint forces a WAL checkpoint: dirty pages are imaged into the
-// log, flushed to the data file, deferred page frees are executed and
-// the log is pruned. On a store without a WAL it is Flush.
-func (s *Store) Checkpoint() error { return s.Flush() }
 
 // Close flushes (checkpoints, with a WAL) and releases the store. The
 // I/O counters are snapshotted first, so IO() keeps answering
@@ -891,10 +898,9 @@ func (s *Store) Nearest(p Point, k int) (recs []*Record, err error) {
 	return v.view.Nearest(p, k)
 }
 
-// Has reports whether a node is stored. Unlike Contains, it surfaces
-// real failures: an unbuilt store or an index error comes back as a
-// non-nil error instead of being conflated with "absent". The context
-// is checked before the index probe.
+// Has reports whether a node is stored. Failures are not conflated with
+// "absent": an unbuilt store or an index error comes back as a non-nil
+// error. The context is checked before the index probe.
 func (s *Store) Has(ctx context.Context, id NodeID) (ok bool, err error) {
 	if err := ctx.Err(); err != nil {
 		return false, err
@@ -905,13 +911,6 @@ func (s *Store) Has(ctx context.Context, id NodeID) (ok bool, err error) {
 	}
 	defer v.end(&err)
 	return v.view.Has(id), nil
-}
-
-// Contains reports whether a node is stored. It is a convenience
-// wrapper around Has that treats every failure as "not stored".
-func (s *Store) Contains(id NodeID) bool {
-	ok, err := s.Has(context.Background(), id)
-	return err == nil && ok
 }
 
 // Query results re-exported from the query layer.

@@ -208,11 +208,11 @@ func TestQueryErrorsAndSentinels(t *testing.T) {
 	}
 }
 
-func TestQueryPlainView(t *testing.T) {
+func TestQueryFindReturnsOneRow(t *testing.T) {
 	s, g := qlStore(t)
-	res, err := s.Plain().Query(fmt.Sprintf("FIND %d", g.NodeIDs()[0]))
+	res, err := s.Query(context.Background(), fmt.Sprintf("FIND %d", g.NodeIDs()[0]))
 	if err != nil || res.Count != 1 {
-		t.Fatalf("Plain().Query = %+v, %v", res, err)
+		t.Fatalf("Query(FIND) = %+v, %v", res, err)
 	}
 }
 

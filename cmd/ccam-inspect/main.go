@@ -17,6 +17,7 @@ package main
 
 import (
 	"bufio"
+	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -126,7 +127,7 @@ func run(w io.Writer, block int, seed int64, dynamic, showPAG, showPages bool, q
 
 // runQuery executes one CCAM-QL statement and renders the result.
 func runQuery(w io.Writer, store *ccam.Store, stmt string) error {
-	res, err := store.Plain().Query(stmt)
+	res, err := store.Query(context.Background(), stmt)
 	if err != nil {
 		return err
 	}

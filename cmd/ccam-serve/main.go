@@ -231,7 +231,7 @@ func openStore(cfg runConfig) (*ccam.Store, error) {
 		st.Close()
 		return nil, err
 	}
-	if err := st.Flush(); err != nil {
+	if err := st.Checkpoint(); err != nil {
 		st.Close()
 		return nil, err
 	}

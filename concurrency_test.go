@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -378,94 +377,15 @@ func TestRangeQueryCtx(t *testing.T) {
 	}
 }
 
-// TestOpenWithMatchesOpen verifies the functional options produce a
-// store identical to the equivalent Options struct: same placement,
-// page count and record count.
-func TestOpenWithMatchesOpen(t *testing.T) {
-	g := testMap(t)
-	a, err := Open(Options{PageSize: 1024, PoolPages: 8, Seed: 21})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer a.Close()
-	b, err := OpenWith(WithPageSize(1024), WithPoolPages(8), WithSeed(21))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer b.Close()
-	if err := a.Build(g); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.Build(g); err != nil {
-		t.Fatal(err)
-	}
-	if a.Len() != b.Len() || a.NumPages() != b.NumPages() {
-		t.Fatalf("stores differ: %d/%d nodes, %d/%d pages", a.Len(), b.Len(), a.NumPages(), b.NumPages())
-	}
-	pa, pb := a.Placement(), b.Placement()
-	if len(pa) != len(pb) {
-		t.Fatalf("placements differ in size: %d vs %d", len(pa), len(pb))
-	}
-	for id, pid := range pa {
-		if pb[id] != pid {
-			t.Fatalf("node %d placed on page %d vs %d", id, pid, pb[id])
-		}
-	}
-
-	// Each With* sets exactly the field it names, and together they
-	// reach every field but the ignored Prefetch.
-	reached := map[string]bool{}
-	for _, tc := range []struct {
-		name string
-		opt  Option
-		want Options
-	}{
-		{"WithPageSize", WithPageSize(1024), Options{PageSize: 1024}},
-		{"WithPoolPages", WithPoolPages(8), Options{PoolPages: 8}},
-		{"WithPoolShards", WithPoolShards(4), Options{PoolShards: 4}},
-		{"WithDynamic", WithDynamic(), Options{Dynamic: true}},
-		{"WithSeed", WithSeed(21), Options{Seed: 21}},
-		{"WithPath", WithPath("x.ccam"), Options{Path: "x.ccam"}},
-		{"WithSpatial", WithSpatial(SpatialRTree), Options{Spatial: SpatialRTree}},
-		{"WithMetrics", WithMetrics(), Options{Metrics: true}},
-		{"WithTracing", WithTracing(16), Options{TraceCapacity: 16}},
-		{"WithTracing(0)", WithTracing(0), Options{TraceCapacity: 128}},
-		{"WithWAL", WithWAL(), Options{WAL: true}},
-		{"WithSyncPolicy", WithSyncPolicy(SyncNone), Options{SyncPolicy: SyncNone}},
-		{"WithCheckpointBytes", WithCheckpointBytes(1 << 20), Options{CheckpointBytes: 1 << 20}},
-	} {
-		var got Options
-		tc.opt(&got)
-		if !reflect.DeepEqual(got, tc.want) {
-			t.Errorf("%s: got %+v, want %+v", tc.name, got, tc.want)
-		}
-		v := reflect.ValueOf(tc.want)
-		for i := 0; i < v.NumField(); i++ {
-			if !v.Field(i).IsZero() {
-				reached[v.Type().Field(i).Name] = true
-			}
-		}
-	}
-	ot := reflect.TypeOf(Options{})
-	for i := 0; i < ot.NumField(); i++ {
-		if f := ot.Field(i); f.IsExported() && f.Name != "Prefetch" && !reached[f.Name] {
-			t.Errorf("Options.%s has no With* option", f.Name)
-		}
-	}
-}
-
 func TestHasSurfacesErrors(t *testing.T) {
 	s, err := Open(Options{PageSize: 1024})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	// Unbuilt store: Has errors, Contains stays a quiet false.
+	// Unbuilt store: Has errors.
 	if _, err := s.Has(context.Background(), 1); err == nil {
 		t.Fatal("Has on unbuilt store returned nil error")
-	}
-	if s.Contains(1) {
-		t.Fatal("Contains on unbuilt store returned true")
 	}
 	g := testMap(t)
 	if err := s.Build(g); err != nil {

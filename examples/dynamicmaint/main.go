@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -93,7 +94,11 @@ func run(policy ccam.Policy) {
 	// A couple of streets are later closed again (roadworks).
 	closed := 0
 	for id := ccam.NodeID(1 << 20); closed < 5; id++ {
-		if !store.Contains(id) {
+		stored, err := store.Has(context.Background(), id)
+		if err != nil {
+			log.Fatal(err)
+		}
+		if !stored {
 			continue
 		}
 		if err := store.ResetIO(); err != nil {

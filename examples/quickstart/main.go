@@ -84,7 +84,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	aggB, err := store.Plain().EvaluateRoute(routeB) // ctx-less convenience view
+	aggB, err := store.EvaluateRoute(ctx, routeB)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -112,7 +112,7 @@ func main() {
 	// Mirror the change in the in-memory network so CRR sees it too.
 	must(net.AddNode(ccam.Node{ID: newID, Pos: ccam.Point{X: 250, Y: 250}}))
 	addStreet(newID, id(2, 2), 20)
-	must(store.Flush())
+	must(store.Checkpoint())
 	fmt.Printf("\nafter construction: %d nodes, CRR = %.2f\n", store.Len(), store.CRR(net))
 }
 

@@ -420,7 +420,8 @@ func TestHitRateIdleVsZero(t *testing.T) {
 func TestAccountCountsPoolAnswers(t *testing.T) {
 	p, ids := newPoolWithPages(t, 2, 4)
 	tr := metrics.NewTracer(8)
-	at := tr.Start("fetch")
+	at := new(metrics.Account)
+	at.Begin(tr, "fetch", 0)
 	if _, err := p.FetchTraced(ids[0], at); err != nil { // miss
 		t.Fatal(err)
 	}

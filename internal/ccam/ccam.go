@@ -810,7 +810,7 @@ func (m *Method) DeleteEdge(from, to graph.NodeID, policy netfile.Policy) error 
 			if err != nil {
 				return err
 			}
-			rec, err := m.f.ReadRecord(x)
+			rec, err := m.f.Find(x)
 			if err != nil {
 				return err
 			}

@@ -254,7 +254,7 @@ func reorganizeInvariants(t *testing.T, full *graph.Network, policy netfile.Poli
 		}
 		pids := []storage.PageID{px}
 		if policy != netfile.Lazy {
-			rec, err := f.ReadRecord(x)
+			rec, err := f.Find(x)
 			if err != nil {
 				t.Fatal(err)
 			}

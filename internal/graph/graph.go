@@ -179,17 +179,6 @@ func (g *Network) Edge(from, to NodeID) (Edge, error) {
 	return Edge{}, fmt.Errorf("%w: %d->%d", ErrEdgeMissing, from, to)
 }
 
-// SetEdgeWeight updates the access weight of edge from->to.
-func (g *Network) SetEdgeWeight(from, to NodeID, w float64) error {
-	for i, he := range g.succ[from] {
-		if he.to == to {
-			g.succ[from][i].weight = w
-			return nil
-		}
-	}
-	return fmt.Errorf("%w: %d->%d", ErrEdgeMissing, from, to)
-}
-
 // Successors returns the successor node ids of id (the adjacency list).
 func (g *Network) Successors(id NodeID) []NodeID {
 	hes := g.succ[id]

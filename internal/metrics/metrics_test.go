@@ -76,7 +76,8 @@ func TestRegistryConcurrentGetOrCreate(t *testing.T) {
 func TestTracerRingAndSpans(t *testing.T) {
 	tr := NewTracer(4)
 	for i := 0; i < 6; i++ {
-		at := tr.Start("op")
+		at := new(Account)
+		at.Begin(tr, "op", 0)
 		tok := at.BeginSpan("step")
 		tok.End()
 		at.Finish(nil)
@@ -102,10 +103,15 @@ func TestTracerRingAndSpans(t *testing.T) {
 
 func TestNilTracerIsInert(t *testing.T) {
 	var tr *Tracer
-	at := tr.Start("op")
+	at := new(Account)
+	at.Begin(tr, "op", 0)
 	tok := at.BeginSpan("s")
 	tok.End()
 	at.Finish(nil)
+	// An operation charged to nobody counts into a nil account.
+	var none *Account
+	none.BeginSpan("s").End()
+	none.Finish(nil)
 	if got := tr.Recent(5); got != nil {
 		t.Fatalf("nil tracer Recent = %v", got)
 	}
@@ -113,7 +119,8 @@ func TestNilTracerIsInert(t *testing.T) {
 
 func TestTracerSpanCap(t *testing.T) {
 	tr := NewTracer(1)
-	at := tr.Start("wide")
+	at := new(Account)
+	at.Begin(tr, "wide", 0)
 	for i := 0; i < maxSpans+5; i++ {
 		at.BeginSpan("s").End()
 	}
@@ -125,14 +132,15 @@ func TestTracerSpanCap(t *testing.T) {
 }
 
 // Tracing has a budget: an operation with at most inlineSpans spans
-// costs one allocation, the ActiveTrace itself — its spans live in the
+// costs one allocation, the Account itself — its spans live in the
 // trace's own array and are copied into storage the ring slot already
 // owns. A slot recycled later must not disturb a trace handed out
 // before.
 func TestTracedOpAllocatesOnce(t *testing.T) {
 	tr := NewTracer(4)
 	op := func() {
-		at := tr.Start("find")
+		at := new(Account)
+		at.Begin(tr, "find", 0)
 		for i := 0; i < inlineSpans; i++ {
 			at.BeginSpan("buffer.fetch").End()
 		}
@@ -146,7 +154,8 @@ func TestTracedOpAllocatesOnce(t *testing.T) {
 	}
 
 	kept := tr.Recent(1)
-	at := tr.Start("route")
+	at := new(Account)
+	at.Begin(tr, "route", 0)
 	at.BeginSpan("storage.read").End()
 	for i := 0; i < tr.Capacity(); i++ {
 		at.Finish(nil)

@@ -121,8 +121,8 @@ func (tr *Trace) Detail() string {
 // Tracer records recent operation traces in a fixed-capacity ring
 // buffer: cheap enough to leave on, detailed enough to explain why one
 // Find was slow (what it counted, and how long each physical read
-// took). A nil *Tracer disables tracing: Start returns a nil *Account
-// whose methods all no-op.
+// took). A nil *Tracer disables tracing: an Account begun on it keeps
+// its clock and counts but records nothing.
 type Tracer struct {
 	mu   sync.Mutex
 	ring []Trace
@@ -137,27 +137,6 @@ func NewTracer(capacity int) *Tracer {
 		capacity = 128
 	}
 	return &Tracer{ring: make([]Trace, 0, capacity)}
-}
-
-// Start begins a heap-allocated account of operation op, recorded by t
-// at its Finish. Returns nil (a valid, do-nothing handle) on a nil
-// tracer. A caller with a frame of its own to keep the account in uses
-// Account.Begin and allocates nothing.
-func (t *Tracer) Start(op string) *Account {
-	if t == nil {
-		return nil
-	}
-	a := new(Account)
-	a.Begin(t, op, 0)
-	return a
-}
-
-// StartCtx is Start tagging the trace with the trace id carried by ctx
-// (see WithTraceID), so /traces can answer "what did request X do".
-func (t *Tracer) StartCtx(ctx context.Context, op string) *Account {
-	a := t.Start(op)
-	a.SetTraceID(TraceIDFrom(ctx))
-	return a
 }
 
 // record puts a finished trace in the ring. tr.Spans is the caller's
@@ -328,14 +307,6 @@ func (a *Account) Wrote(n int) {
 func (a *Account) Begin(t *Tracer, op string, traceID uint64) {
 	a.tracer, a.op, a.traceID = t, op, traceID
 	a.start = now()
-}
-
-// SetTraceID tags the trace with a wire trace id. No-op on a nil
-// account.
-func (a *Account) SetTraceID(id uint64) {
-	if a != nil {
-		a.traceID = id
-	}
 }
 
 // Fork makes w a worker's share of a fanned-out operation: it counts

@@ -13,7 +13,7 @@ import (
 // Recent returns traces newest-first with strictly consecutive
 // sequence numbers (ring order == record order), and every trace
 // carries its own spans with the correct Dropped count. Run under
-// -race this also pins the locking of Start/BeginSpan/Finish/Recent.
+// -race this also pins the locking of Begin/BeginSpan/Finish/Recent.
 func TestTracerConcurrentWraparound(t *testing.T) {
 	const (
 		capacity   = 16
@@ -29,7 +29,8 @@ func TestTracerConcurrentWraparound(t *testing.T) {
 			defer wg.Done()
 			op := fmt.Sprintf("op%d", g)
 			for i := 0; i < perG; i++ {
-				at := tr.Start(op)
+				at := new(Account)
+				at.Begin(tr, op, 0)
 				for s := 0; s < spansPer; s++ {
 					sp := at.BeginSpan("step")
 					sp.End()
@@ -81,14 +82,16 @@ func TestTracerSelectFiltering(t *testing.T) {
 		t.Fatalf("TraceIDFrom(background) = %#x, want 0", got)
 	}
 
-	for i := 0; i < 5; i++ {
-		at := tr.StartCtx(context.Background(), "find")
+	record := func(ctx context.Context, op string) {
+		var at Account
+		at.Begin(tr, op, TraceIDFrom(ctx))
 		at.Finish(nil)
 	}
-	at := tr.StartCtx(ctx, "find")
-	at.Finish(nil)
-	at = tr.StartCtx(ctx, "apply")
-	at.Finish(nil)
+	for i := 0; i < 5; i++ {
+		record(context.Background(), "find")
+	}
+	record(ctx, "find")
+	record(ctx, "apply")
 
 	byID := tr.Select(100, TraceFilter{TraceID: 0xABCD})
 	if len(byID) != 2 {
@@ -110,5 +113,7 @@ func TestTracerSelectFiltering(t *testing.T) {
 	if nilT.Select(5, TraceFilter{}) != nil || nilT.Capacity() != 0 {
 		t.Fatal("nil tracer Select/Capacity not inert")
 	}
-	nilT.StartCtx(ctx, "x").SetTraceID(1) // must not panic
+	var at Account
+	at.Begin(nilT, "x", TraceIDFrom(ctx))
+	at.Finish(nil) // must not panic
 }

@@ -174,7 +174,7 @@ func TestOpenFromStoreRebuildsEverything(t *testing.T) {
 	}
 
 	// Reconstruct from the same store.
-	f2, err := OpenFromStore(st, 32)
+	f2, err := OpenFromStoreOpts(st, Options{PoolPages: 32})
 	if err != nil {
 		t.Fatal(err)
 	}

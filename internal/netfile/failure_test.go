@@ -75,7 +75,7 @@ func TestOperationsSurviveDeviceFailure(t *testing.T) {
 			if err := f.BulkLoad(g, groups); err != nil {
 				t.Fatal(err)
 			}
-			if err := f.DropCaches(); err != nil {
+			if err := f.Pool().Reset(); err != nil {
 				t.Fatal(err)
 			}
 			// Arm the failure.
@@ -142,8 +142,8 @@ func TestOpenFromStoreFailsCleanly(t *testing.T) {
 	st.mu.Lock()
 	st.remaining = 3
 	st.mu.Unlock()
-	if _, err := OpenFromStore(st, 8); !errors.Is(err, errInjected) {
-		t.Fatalf("OpenFromStore on dying device = %v", err)
+	if _, err := OpenFromStoreOpts(st, Options{PoolPages: 8}); !errors.Is(err, errInjected) {
+		t.Fatalf("OpenFromStoreOpts on dying device = %v", err)
 	}
 }
 
@@ -168,8 +168,8 @@ func TestOpenFromStoreRejectsDuplicateNode(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, err := OpenFromStore(st, 4); !errors.Is(err, ErrDuplicate) {
-		t.Fatalf("OpenFromStore over a node stored twice = %v, want wrapped ErrDuplicate", err)
+	if _, err := OpenFromStoreOpts(st, Options{PoolPages: 4}); !errors.Is(err, ErrDuplicate) {
+		t.Fatalf("OpenFromStoreOpts over a node stored twice = %v, want wrapped ErrDuplicate", err)
 	}
 }
 
@@ -218,7 +218,7 @@ func TestChecksumFailureSurfacesThroughFile(t *testing.T) {
 	if err := f.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if err := f.DropCaches(); err != nil {
+	if err := f.Pool().Reset(); err != nil {
 		t.Fatal(err)
 	}
 
@@ -273,7 +273,7 @@ func TestFaultStoreSurfacesThroughFile(t *testing.T) {
 			if err := f.BulkLoad(g, packGroups(t, g)); err != nil {
 				t.Fatal(err)
 			}
-			if err := f.DropCaches(); err != nil {
+			if err := f.Pool().Reset(); err != nil {
 				t.Fatal(err)
 			}
 			fst.FailAfter(storage.FaultRead, okOps)
@@ -347,7 +347,7 @@ func TestTornWriteDetectedAfterReload(t *testing.T) {
 	// page, so it must NOT get a chance to re-flush) and reopen cold
 	// from the store. The open scan reads every page and must trip the
 	// checksum on the torn one, never serve plausible garbage.
-	if _, err := OpenFromStore(cs, 4); !errors.Is(err, storage.ErrChecksum) {
-		t.Fatalf("OpenFromStore over torn page = %v, want wrapped storage.ErrChecksum", err)
+	if _, err := OpenFromStoreOpts(cs, Options{PoolPages: 4}); !errors.Is(err, storage.ErrChecksum) {
+		t.Fatalf("OpenFromStoreOpts over torn page = %v, want wrapped storage.ErrChecksum", err)
 	}
 }

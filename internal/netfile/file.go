@@ -209,9 +209,6 @@ func (f *File) ResetIO() error {
 	return nil
 }
 
-// DropCaches empties the data buffer pool without touching counters.
-func (f *File) DropCaches() error { return f.pool.Reset() }
-
 // PageOf returns the data page holding node id, via the node index at
 // its live end: one index visit (the lookup costs no data-page I/O).
 func (f *File) PageOf(id graph.NodeID) (storage.PageID, error) {
@@ -735,21 +732,16 @@ func (f *File) ReplacePageContents(pid storage.PageID, recs []*Record) error {
 	return nil
 }
 
-// OpenFromStore reconstructs a File over an existing page store (e.g. a
-// reopened storage.FileStore). Data pages are scanned once to rebuild
-// the memory-resident structures — node index, spatial index, free-space
-// map and PAG summary, each record read in place — which matches the paper's assumption that
-// index structures live in main memory. A store holding one node id on
-// two pages fails with ErrDuplicate. The scan's I/O is excluded from the
-// returned file's counters.
-func OpenFromStore(st storage.Store, poolPages int) (*File, error) {
-	return OpenFromStoreOpts(st, Options{PoolPages: poolPages})
-}
-
-// OpenFromStoreOpts is OpenFromStore with the full option set — pool
-// sharding, spatial kind and metrics are honored.
-// PageSize, Store and Bounds are derived from the store's contents; any
-// values supplied for them are ignored.
+// OpenFromStoreOpts reconstructs a File over an existing page store
+// (e.g. a reopened storage.FileStore). Data pages are scanned once to
+// rebuild the memory-resident structures — node index, spatial index,
+// free-space map and PAG summary, each record read in place — which
+// matches the paper's assumption that index structures live in main
+// memory. A store holding one node id on two pages fails with
+// ErrDuplicate. The scan's I/O is excluded from the returned file's
+// counters. Pool size and sharding, spatial kind and metrics are taken
+// from opts; PageSize, Store and Bounds are derived from the store's
+// contents, and any values supplied for them are ignored.
 func OpenFromStoreOpts(st storage.Store, opts Options) (*File, error) {
 	if opts.PoolPages <= 0 {
 		opts.PoolPages = 32

@@ -25,12 +25,6 @@ func (f *File) FindCtx(ctx context.Context, id graph.NodeID) (*Record, error) {
 	return f.live().FindCtx(ctx, id)
 }
 
-// ReadRecord is Find without a context, for the maintenance operations'
-// own reads.
-func (f *File) ReadRecord(id graph.NodeID) (*Record, error) {
-	return f.live().read(id)
-}
-
 // GetASuccessor retrieves the record of succ, a successor of cur. cur
 // may be nil, in which case the successor constraint is not checked.
 // The index lookup is free (memory resident) and the page fetch costs
@@ -199,7 +193,7 @@ func (f *File) RemoveNeighborLinks(rec *Record) error {
 // once after onOverflow splits the page.
 func (f *File) mutateRecord(id graph.NodeID, onOverflow OverflowHandler, mutate func(*Record)) error {
 	for attempt := 0; ; attempt++ {
-		rec, err := f.ReadRecord(id)
+		rec, err := f.Find(id)
 		if err != nil {
 			return err
 		}

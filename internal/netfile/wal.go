@@ -197,10 +197,6 @@ func (f *File) LogMutation(m *Mutation) error {
 	return nil
 }
 
-// PendingFrees returns the number of page frees deferred to the next
-// checkpoint.
-func (f *File) PendingFrees() int { return len(f.pendingFree) }
-
 // Checkpoint makes the data file self-contained again: it writes every
 // dirty page image and the allocator state into the WAL, seals the
 // checkpoint, executes the deferred page frees, flushes the pool, and

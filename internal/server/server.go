@@ -477,7 +477,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		}
 	}
 
-	if err := s.st.Flush(); err != nil && drainErr == nil {
+	if err := s.st.Checkpoint(); err != nil && drainErr == nil {
 		drainErr = err
 	}
 	return drainErr

@@ -60,16 +60,11 @@ func NewCheckedStore(inner Store) (*CheckedStore, error) {
 	return c, nil
 }
 
-// CreateCheckedFile creates (truncating) a checksummed page file at
-// path. The on-disk page size is pageSize; the logical payload per
+// CreateCheckedFileFlags creates (truncating) a checksummed page file
+// at path. The on-disk page size is pageSize; the logical payload per
 // page is pageSize-ChecksumTrailerLen. The header records
-// FlagCheckedPages so OpenPageFile re-wraps the store on open.
-func CreateCheckedFile(path string, pageSize int) (*CheckedStore, *FileStore, error) {
-	return CreateCheckedFileFlags(path, pageSize, 0)
-}
-
-// CreateCheckedFileFlags is CreateCheckedFile with extra header flags
-// ORed in (e.g. FlagWAL for a write-ahead-logged file).
+// FlagCheckedPages, ORed with extraFlags (e.g. FlagWAL for a
+// write-ahead-logged file), so OpenPageFile re-wraps the store on open.
 func CreateCheckedFileFlags(path string, pageSize int, extraFlags uint32) (*CheckedStore, *FileStore, error) {
 	fs, err := createFileStore(path, pageSize, FlagCheckedPages|extraFlags)
 	if err != nil {
@@ -84,7 +79,7 @@ func CreateCheckedFileFlags(path string, pageSize int, extraFlags uint32) (*Chec
 }
 
 // OpenPageFile opens a page file created by CreateFileStore or
-// CreateCheckedFile, consulting the header flags: a checked file comes
+// CreateCheckedFileFlags, consulting the header flags: a checked file comes
 // back wrapped in a CheckedStore, a plain file as the bare FileStore.
 // The returned Store is what callers should read and write through;
 // the *FileStore gives access to Sync and Close (closing either closes

@@ -128,7 +128,7 @@ func TestCheckedMemStoreConformance(t *testing.T) {
 
 func TestCheckedFileStoreConformance(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "pages.db")
-	cs, _, err := CreateCheckedFile(path, 512)
+	cs, _, err := CreateCheckedFileFlags(path, 512, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +141,7 @@ func TestCheckedFileStoreConformance(t *testing.T) {
 // the same logical page size, and its payloads verify.
 func TestCheckedFileStoreReopen(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "pages.db")
-	cs, _, err := CreateCheckedFile(path, 512)
+	cs, _, err := CreateCheckedFileFlags(path, 512, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -368,7 +368,7 @@ func TestCheckedStoreDetectsTornWrite(t *testing.T) {
 func TestCheckedStoreDetectsMisdirectedWrite(t *testing.T) {
 	const pageSize = 256
 	path := filepath.Join(t.TempDir(), "p.db")
-	cs, _, err := CreateCheckedFile(path, pageSize)
+	cs, _, err := CreateCheckedFileFlags(path, pageSize, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -794,7 +794,7 @@ func TestSlottedPageCorruptImages(t *testing.T) {
 // passes the full (non-SkipSlotted) verification.
 func TestFsckCleanFile(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "clean.db")
-	cs, _, err := CreateCheckedFile(path, 256)
+	cs, _, err := CreateCheckedFileFlags(path, 256, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -323,10 +323,6 @@ func (s *Store) Metrics() *Registry {
 // disabled.
 func (s *Store) Tracer() *Tracer { return s.tracer }
 
-// Traces returns up to n recent operation traces, newest first; nil
-// when tracing is disabled.
-func (s *Store) Traces(n int) []Trace { return s.tracer.Recent(n) }
-
 // PublishExpvar publishes the store's registry under name in the
 // process-wide expvar namespace (so it appears at /debug/vars). It is a
 // no-op when metrics are disabled. expvar panics on duplicate names, so

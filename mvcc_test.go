@@ -205,39 +205,7 @@ func testReorganizerRecoversCRR(t *testing.T, withMetrics bool) {
 
 	ids := g.NodeIDs()
 	rng := rand.New(rand.NewSource(13))
-	// Each churn wave inserts foreign nodes wired to random existing
-	// nodes — the growth overflows pages, and every split scatters
-	// original records — then deletes them again. The map's own edges
-	// are untouched, so CRR(g) measures pure placement decay. (Plain
-	// delete/reinsert churn would not work: CCAM's connectivity-based
-	// insert placement is itself an incremental re-clustering.)
-	foreign := NodeID(1 << 20)
-	churn := func(k int) {
-		start := foreign
-		for i := 0; i < k; i++ {
-			id := foreign
-			foreign++
-			anchor := ids[rng.Intn(len(ids))]
-			node, err := g.Node(anchor)
-			if err != nil {
-				t.Fatal(err)
-			}
-			rec := &Record{
-				ID:    id,
-				Pos:   node.Pos,
-				Succs: []SuccEntry{{To: anchor, Cost: 1}},
-				Preds: []NodeID{ids[rng.Intn(len(ids))]},
-			}
-			if err := s.Insert(&InsertOp{Rec: rec, PredCosts: []float32{1}}, FirstOrder); err != nil {
-				t.Fatal(err)
-			}
-		}
-		for id := start; id < foreign; id++ {
-			if err := s.Delete(id, FirstOrder); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
+	churn := newForeignChurn(t, s, g, rng)
 	churn(len(ids))
 	for tries := 0; s.CRR(g) > crr0-0.05 && tries < 6; tries++ {
 		churn(len(ids) / 2)
@@ -307,6 +275,107 @@ func testReorganizerRecoversCRR(t *testing.T, withMetrics bool) {
 	// and re-clustering.
 	if s.Len() != g.NumNodes() {
 		t.Fatalf("store has %d nodes after reorganization, want %d", s.Len(), g.NumNodes())
+	}
+}
+
+// newForeignChurn returns a churn wave over s, which holds g: it inserts
+// k foreign nodes wired to random nodes of g — the growth overflows
+// pages, and every split scatters original records — then deletes them
+// again. The map's own edges are untouched, so CRR(g) and the pages a
+// route of g reads measure pure placement decay. (Plain
+// delete/reinsert churn would not work: CCAM's connectivity-based
+// insert placement is itself an incremental re-clustering.)
+func newForeignChurn(t *testing.T, s *Store, g *Network, rng *rand.Rand) func(k int) {
+	ids := g.NodeIDs()
+	foreign := NodeID(1 << 20)
+	return func(k int) {
+		t.Helper()
+		start := foreign
+		for i := 0; i < k; i++ {
+			id := foreign
+			foreign++
+			anchor := ids[rng.Intn(len(ids))]
+			node, err := g.Node(anchor)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rec := &Record{
+				ID:    id,
+				Pos:   node.Pos,
+				Succs: []SuccEntry{{To: anchor, Cost: 1}},
+				Preds: []NodeID{ids[rng.Intn(len(ids))]},
+			}
+			if err := s.Insert(&InsertOp{Rec: rec, PredCosts: []float32{1}}, FirstOrder); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for id := start; id < foreign; id++ {
+			if err := s.Delete(id, FirstOrder); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+}
+
+// TestReorganizerRecoversPagesPerRoute measures what the rounds are
+// for — the pages a route reads — at the shipped trigger drop and round
+// size (reorgTriggerDrop, reorgMaxPages). With a one-page pool every
+// page change along a route is one read, so reads per route are pages
+// per route. Three readings: after Build, after foreign-node churn, and
+// after Poke rounds; the rounds must win back at least half of what the
+// churn lost.
+func TestReorganizerRecoversPagesPerRoute(t *testing.T) {
+	for _, seed := range []int64{7, 8, 9} {
+		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
+			g := testMap(t)
+			s, err := Open(Options{PageSize: 1024, PoolPages: 1, Seed: seed})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			if err := s.Build(g); err != nil {
+				t.Fatal(err)
+			}
+			rng := rand.New(rand.NewSource(seed))
+			routes, err := RandomWalkRoutes(g, 2000, 16, rng)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pagesPerRoute := func() float64 {
+				t.Helper()
+				if err := s.ResetIO(); err != nil {
+					t.Fatal(err)
+				}
+				for _, r := range routes {
+					if _, err := s.EvaluateRoute(context.Background(), r); err != nil {
+						t.Fatal(err)
+					}
+				}
+				return float64(s.IO().Reads) / float64(len(routes))
+			}
+			built := pagesPerRoute()
+			// The first round records the built CRR as the high-water mark.
+			if err := s.Poke(); err != nil {
+				t.Fatal(err)
+			}
+			newForeignChurn(t, s, g, rng)(g.NumNodes())
+			churned := pagesPerRoute()
+			if churned <= built {
+				t.Fatalf("churn did not raise pages per route: %.3f -> %.3f", built, churned)
+			}
+			for i := 0; i < 200; i++ {
+				if err := s.Poke(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			poked := pagesPerRoute()
+			recovered := (churned - poked) / (churned - built)
+			t.Logf("pages per route: built %.3f, churned %.3f, after rounds %.3f (%.0f%% of the loss recovered)",
+				built, churned, poked, 100*recovered)
+			if recovered < 0.5 {
+				t.Fatalf("rounds recovered %.0f%% of the pages-per-route loss, want >= 50%%", 100*recovered)
+			}
+		})
 	}
 }
 

@@ -28,13 +28,13 @@ func obsStore(t *testing.T) (*Store, *Network) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := OpenWith(
-		WithPageSize(2048),
-		WithPoolPages(8),
-		WithSeed(1),
-		WithMetrics(),
-		WithTracing(64),
-	)
+	s, err := Open(Options{
+		PageSize:      2048,
+		PoolPages:     8,
+		Seed:          1,
+		Metrics:       true,
+		TraceCapacity: 64,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +96,7 @@ func TestTracesRecorded(t *testing.T) {
 	if _, err := s.Find(context.Background(), ids[0]); err != nil {
 		t.Fatal(err)
 	}
-	trs := s.Traces(1)
+	trs := s.Tracer().Recent(1)
 	if len(trs) != 1 {
 		t.Fatalf("got %d traces, want 1", len(trs))
 	}
@@ -368,7 +368,7 @@ func TestBuildKeepsOptionsAfterOpenPath(t *testing.T) {
 			if idx.Value() == before {
 				t.Error("a Find after Build visited no index page: the rebuilt file lost its registry")
 			}
-			if trs := s.Traces(1); len(trs) != 1 || trs[0].Op != "find" {
+			if trs := s.Tracer().Recent(1); len(trs) != 1 || trs[0].Op != "find" {
 				t.Errorf("traces after one Find = %v, want one find trace", trs)
 			}
 		})
@@ -454,7 +454,7 @@ func TestPerOpPageCountsGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := OpenWith(WithPageSize(2048), WithPoolPages(4), WithSeed(seed), WithMetrics(), WithTracing(128))
+	s, err := Open(Options{PageSize: 2048, PoolPages: 4, Seed: seed, Metrics: true, TraceCapacity: 128})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -517,7 +517,7 @@ func TestOpSeriesSumToGlobalCounters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := OpenWith(WithPageSize(2048), WithPoolPages(4), WithSeed(seed), WithMetrics(), WithTracing(128))
+	s, err := Open(Options{PageSize: 2048, PoolPages: 4, Seed: seed, Metrics: true, TraceCapacity: 128})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -579,7 +579,7 @@ func TestOneTracePerOperation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := OpenWith(WithPageSize(2048), WithPoolPages(64), WithSeed(1), WithTracing(256))
+	s, err := Open(Options{PageSize: 2048, PoolPages: 64, Seed: 1, TraceCapacity: 256})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -587,7 +587,7 @@ func TestOneTracePerOperation(t *testing.T) {
 	if err := s.Build(g); err != nil {
 		t.Fatal(err)
 	}
-	if trs := s.Traces(256); len(trs) != 1 || trs[0].Op != "build" {
+	if trs := s.Tracer().Recent(256); len(trs) != 1 || trs[0].Op != "build" {
 		t.Fatalf("ring after Build = %+v, want the one build", trs)
 	}
 
@@ -620,7 +620,7 @@ func TestOneTracePerOperation(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	trs := s.Traces(256)
+	trs := s.Tracer().Recent(256)
 	want := []string{"query", "find_batch", "shortest_path", "evaluate_route", "find", "build"} // newest first
 	if len(trs) != len(want) {
 		t.Fatalf("five operations after Build left %d ring entries, want %d: %+v", len(trs), len(want), trs)
@@ -674,7 +674,7 @@ func TestAccountsExactUnderConcurrency(t *testing.T) {
 		t.Fatal(err)
 	}
 	open := func() *Store {
-		s, err := OpenWith(WithPageSize(2048), WithPoolPages(1024), WithPoolShards(2), WithSeed(7), WithMetrics(), WithTracing(64))
+		s, err := Open(Options{PageSize: 2048, PoolPages: 1024, PoolShards: 2, Seed: 7, Metrics: true, TraceCapacity: 64})
 		if err != nil {
 			t.Fatal(err)
 		}

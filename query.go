@@ -108,11 +108,6 @@ func (s *Store) Query(ctx context.Context, src string) (res *Result, err error) 
 	return res, nil
 }
 
-// Query is the ctx-less convenience form of Store.Query.
-func (p Plain) Query(src string) (*Result, error) {
-	return p.s.Query(context.Background(), src)
-}
-
 // IsQueryError reports whether err belongs to the query-language error
 // family (parse failure, unsupported statement, no path, invalid
 // tour/route) as opposed to a storage-layer failure. The serving layer

@@ -45,11 +45,11 @@ func TestEverySeriesIsDocumented(t *testing.T) {
 		t.Fatal(err)
 	}
 	path := filepath.Join(t.TempDir(), "net.ccam")
-	opts := []ccam.Option{
-		ccam.WithPageSize(2048), ccam.WithPoolPages(4), ccam.WithSeed(42), ccam.WithPath(path), ccam.WithWAL(),
-		ccam.WithSyncPolicy(ccam.SyncNone), ccam.WithMetrics(), ccam.WithTracing(16),
+	opts := ccam.Options{
+		PageSize: 2048, PoolPages: 4, Seed: 42, Path: path, WAL: true,
+		SyncPolicy: ccam.SyncNone, Metrics: true, TraceCapacity: 16,
 	}
-	s, err := ccam.OpenWith(opts...)
+	s, err := ccam.Open(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,11 +59,7 @@ func TestEverySeriesIsDocumented(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	var o ccam.Options
-	for _, opt := range opts {
-		opt(&o)
-	}
-	if s, err = ccam.OpenPath(path, o); err != nil {
+	if s, err = ccam.OpenPath(path, opts); err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()

@@ -974,3 +974,88 @@ func TestErrClosedAndCtxCancel(t *testing.T) {
 		t.Fatalf("Build after Close = %v", err)
 	}
 }
+
+// TestFailedBuildLogsEveryLaterWrite: a Build that fails must not leave
+// a store that acknowledges writes it never logs. A network holding the
+// reserved id is refused before the log is reset, so the old contents
+// keep serving and later writes are logged and survive a reopen. A
+// Build that fails once its load has begun poisons the store: later
+// writes are refused, and Close persists nothing.
+func TestFailedBuildLogsEveryLaterWrite(t *testing.T) {
+	g := smallTestMap(t)
+	e0 := g.Edges()[0]
+	open := func(path string) *Store {
+		s, err := Open(Options{PageSize: 1024, Path: path, WAL: true, Seed: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Build(g); err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	fresh := NodeID(1 << 30)
+	insert := func(s *Store) error {
+		return s.Insert(&InsertOp{Rec: &Record{ID: fresh, Succs: []SuccEntry{{To: e0.From, Cost: 2}}}}, FirstOrder)
+	}
+
+	t.Run("reserved-id", func(t *testing.T) {
+		path := filepath.Join(t.TempDir(), "net.ccam")
+		s := open(path)
+		bad := g.Clone()
+		if err := bad.AddNode(Node{ID: graph.InvalidNodeID}); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Build(bad); err == nil {
+			t.Fatal("Build stored graph.InvalidNodeID")
+		}
+		if s.Len() != g.NumNodes() {
+			t.Fatalf("after the refused Build the store holds %d nodes, want the old %d", s.Len(), g.NumNodes())
+		}
+		appended := s.WALStats().AppendedLSN
+		if err := insert(s); err != nil {
+			t.Fatalf("Insert after the refused Build: %v", err)
+		}
+		if got := s.WALStats().AppendedLSN; got == appended {
+			t.Fatal("Insert after the refused Build was acknowledged but not logged")
+		}
+		want := storeModel(t, s)
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		r, err := OpenPath(path, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer r.Close()
+		if err := diffModels(want, storeModel(t, r)); err != nil {
+			t.Fatal(err)
+		}
+	})
+
+	t.Run("load-fails", func(t *testing.T) {
+		s := open(filepath.Join(t.TempDir(), "net.ccam"))
+		// A record larger than a 1 KiB page fails the load after the log
+		// has been reset.
+		bad := g.Clone()
+		big := Node{ID: 1 << 29, Attrs: make([]byte, 2048)}
+		if err := bad.AddNode(big); err != nil {
+			t.Fatal(err)
+		}
+		if err := bad.AddEdge(Edge{From: big.ID, To: e0.From, Cost: 1, Weight: 1}); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Build(bad); err == nil {
+			t.Fatal("Build stored a record larger than a page")
+		}
+		if err := insert(s); !errors.Is(err, ErrClosed) {
+			t.Fatalf("Insert after a failed load = %v, want the poison's ErrClosed", err)
+		}
+		if err := s.Build(g); !errors.Is(err, ErrClosed) {
+			t.Fatalf("Build after a failed load = %v, want the poison's ErrClosed", err)
+		}
+		if err := s.Close(); err != nil {
+			t.Fatalf("Close of the poisoned store: %v", err)
+		}
+	})
+}
