@@ -4,129 +4,57 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	iccam "ccam/internal/ccam"
-	"ccam/internal/metrics"
 	"ccam/internal/netfile"
 	"ccam/internal/storage"
 )
 
-// forEach runs fn(0..n-1) on up to runtime.GOMAXPROCS(0) goroutines,
-// stopping at the first error or context cancellation and returning
-// it. Work is handed out through an atomic cursor, so cheap items don't
-// wait on expensive ones. The operation's account is fanned out with
-// the work: each worker counts into a share of its own, which fn is
-// handed, and the shares are added to acct once the workers are done.
-func forEach(ctx context.Context, n int, acct *metrics.Account, fn func(w *metrics.Account, i int) error) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	if n == 0 {
-		return nil
-	}
-	workers := min(runtime.GOMAXPROCS(0), n)
-	if workers == 1 {
-		for i := 0; i < n; i++ {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			if err := fn(acct, i); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	var (
-		cursor   atomic.Int64
-		wg       sync.WaitGroup
-		errOnce  sync.Once
-		firstErr error
-		shares   = make([]metrics.Account, workers)
-	)
-	fail := func(err error) {
-		errOnce.Do(func() {
-			firstErr = err
-			cancel()
-		})
-	}
-	wg.Add(workers)
-	for w := range shares {
-		share := &shares[w]
-		acct.Fork(share)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(cursor.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				if err := ctx.Err(); err != nil {
-					fail(err)
-					return
-				}
-				if err := fn(share, i); err != nil {
-					fail(err)
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	for w := range shares {
-		acct.Join(&shares[w])
-	}
-	return firstErr
-}
-
-// FindBatch retrieves the records of every id, fanning the lookups
-// across runtime.GOMAXPROCS(0) workers. Results are positional: out[i]
-// is the record of ids[i]. The first lookup error, or a context
-// cancellation, stops the remaining work and is returned; partial
-// results are discarded.
+// FindBatch retrieves the records of every id, in order, on the view
+// its bracket pinned. Results are positional: out[i] is the record of
+// ids[i]. The first lookup error (the one at the lowest index), or a
+// context cancellation, stops the remaining work and is returned;
+// partial results are discarded.
 func (s *Store) FindBatch(ctx context.Context, ids []NodeID) (out []*Record, err error) {
 	var v readView
 	if err = s.beginRead(ctx, opFindBatch, &v); err != nil {
 		return nil, err
 	}
 	defer v.end(&err)
-	view := v.view
-	out = make([]*Record, len(ids))
-	err = forEach(ctx, len(ids), view.Account(), func(w *metrics.Account, i int) error {
-		rec, err := view.Charging(w).Find(ids[i])
-		out[i] = rec
-		return err
-	})
-	if err != nil {
+	// Each Find checks ctx too; this check fails a canceled empty batch.
+	if err = ctx.Err(); err != nil {
 		return nil, err
+	}
+	out = make([]*Record, len(ids))
+	for i, id := range ids {
+		if out[i], err = v.view.FindCtx(ctx, id); err != nil {
+			return nil, err
+		}
 	}
 	return out, nil
 }
 
-// EvaluateRoutes evaluates every route, fanning the evaluations across
-// runtime.GOMAXPROCS(0) workers. Results are positional: out[i] is the
-// aggregate of routes[i]. The first evaluation error, or a context
-// cancellation, stops the remaining work and is returned.
+// EvaluateRoutes evaluates every route, in order, on the view its
+// bracket pinned. Results are positional: out[i] is the aggregate of
+// routes[i]. The first evaluation error (the one at the lowest index),
+// or a context cancellation, stops the remaining work and is returned.
 func (s *Store) EvaluateRoutes(ctx context.Context, routes []Route) (out []RouteAggregate, err error) {
 	var v readView
 	if err = s.beginRead(ctx, opEvaluateRoutes, &v); err != nil {
 		return nil, err
 	}
 	defer v.end(&err)
-	view := v.view
-	out = make([]RouteAggregate, len(routes))
-	err = forEach(ctx, len(routes), view.Account(), func(w *metrics.Account, i int) error {
-		agg, err := view.Charging(w).EvaluateRoute(routes[i])
-		out[i] = agg
-		return err
-	})
-	if err != nil {
+	// Each evaluation checks ctx too; this check fails a canceled empty
+	// batch.
+	if err = ctx.Err(); err != nil {
 		return nil, err
+	}
+	out = make([]RouteAggregate, len(routes))
+	for i, route := range routes {
+		if out[i], err = v.view.EvaluateRouteCtx(ctx, route); err != nil {
+			return nil, err
+		}
 	}
 	return out, nil
 }

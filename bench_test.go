@@ -288,6 +288,42 @@ func BenchmarkEvaluateRoute(b *testing.B) {
 	}
 }
 
+// BenchmarkFindBatch measures one 256-id FindBatch, ids in shuffled
+// order, with the pool holding the whole file: a batch is a loop of
+// Finds on one pinned view, so ns/op over 256 is the per-id price.
+func BenchmarkFindBatch(b *testing.B) {
+	s, g := paperStore(b, 1024)
+	defer s.Close()
+	ids := g.NodeIDs()
+	rand.New(rand.NewSource(8)).Shuffle(len(ids), func(i, j int) { ids[i], ids[j] = ids[j], ids[i] })
+	batch := ids[:256]
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := s.FindBatch(context.Background(), batch); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkEvaluateRoutes measures one EvaluateRoutes call over 64
+// random-walk routes of 20 nodes, with the pool holding the whole file.
+func BenchmarkEvaluateRoutes(b *testing.B) {
+	s, g := paperStore(b, 1024)
+	defer s.Close()
+	routes, err := RandomWalkRoutes(g, 64, 20, rand.New(rand.NewSource(8)))
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := s.EvaluateRoutes(context.Background(), routes); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkRangeQuery measures a 10%-of-map window query.
 func BenchmarkRangeQuery(b *testing.B) {
 	s, g := benchStore(b)

@@ -110,11 +110,8 @@ const (
 var (
 	// ErrNotFound reports a missing node.
 	ErrNotFound = netfile.ErrNotFound
-	// ErrDuplicate reports an insert of an existing node.
-	ErrDuplicate = netfile.ErrDuplicate
-	// ErrNodeExists is ErrDuplicate under its API-redesign name: an
-	// insert (direct or batched) of a node that is already stored.
-	// errors.Is matches either spelling.
+	// ErrNodeExists reports an insert (direct or batched) of a node
+	// that is already stored.
 	ErrNodeExists = netfile.ErrDuplicate
 	// ErrClosed reports an operation on a store after Close, or on a
 	// store poisoned by a mid-batch apply failure (reopen it with
@@ -738,7 +735,9 @@ func (s *Store) Close() error {
 // netfile's value-form View, so opening, using and ending it allocates
 // nothing.
 type readView struct {
-	s    *Store
+	s *Store
+	// f is the file the view is pinned on, which releases the pin.
+	f    *netfile.File
 	view netfile.View
 	// acct is nil while nobody is charged: the view then counts into
 	// nothing. It is borrowed from accountPool, not held by value: the
@@ -765,7 +764,7 @@ func (s *Store) beginRead(ctx context.Context, op opKind, v *readView) error {
 		s.structMu.RUnlock()
 		return err
 	}
-	v.s, v.view = s, f.PinView()
+	v.s, v.f, v.view = s, f, f.PinView()
 	if s.charges(op) {
 		v.charge(ctx, op)
 	}
@@ -790,7 +789,7 @@ func (v *readView) end(err *error) {
 		v.s.endAccount(v.acct, *err)
 		accountPool.Put(v.acct)
 	}
-	v.view.Unpin()
+	v.f.Unpin(v.view)
 	v.s.structMu.RUnlock()
 }
 

@@ -66,14 +66,6 @@ type Cost struct {
 	Writes      int64 // dirty pages written to storage on the operation's behalf: the data writes
 }
 
-// Add accumulates o into c.
-func (c *Cost) Add(o Cost) {
-	c.IndexVisits += o.IndexVisits
-	c.Hits += o.Hits
-	c.Misses += o.Misses
-	c.Writes += o.Writes
-}
-
 // Sub returns the change from an earlier reading of the same account.
 func (c Cost) Sub(earlier Cost) Cost {
 	return Cost{
@@ -251,10 +243,9 @@ func WriteTraces(w io.Writer, traces []Trace) (int64, error) {
 // steps. It is the one value threaded from the facade's bracket down
 // the read and write paths; every step that does countable work
 // increments it there, so the totals are the operation's own under any
-// concurrency. It is owned by one goroutine (Fork and Join fan it over
-// workers) and lives in its owner's frame. All methods are safe on a
-// nil receiver, so a caller with nothing to charge passes nil and call
-// sites need no enabled-checks.
+// concurrency. It is owned by one goroutine and lives in its owner's
+// frame. All methods are safe on a nil receiver, so a caller with
+// nothing to charge passes nil and call sites need no enabled-checks.
 //
 // Only steps that cost microseconds get a span. A pool hit or an index
 // lookup takes about as long as reading the clock twice, so a stopwatch
@@ -309,39 +300,6 @@ func (a *Account) Begin(t *Tracer, op string, traceID uint64) {
 	a.start = now()
 }
 
-// Fork makes w a worker's share of a fanned-out operation: it counts
-// on its own and stamps its spans against a's clock. Join adds it back.
-// On a nil account both do nothing, and the share counts for nobody.
-func (a *Account) Fork(w *Account) {
-	if a != nil {
-		*w = Account{tracer: a.tracer, start: a.start}
-	}
-}
-
-// Join adds a worker's share to a. The caller serializes Joins.
-func (a *Account) Join(w *Account) {
-	if a == nil {
-		return
-	}
-	a.Cost.Add(w.Cost)
-	a.dropped += w.dropped
-	for _, sp := range w.spans[:w.nspans] {
-		a.addSpan(sp)
-	}
-}
-
-// addSpan keeps sp, or counts it as dropped beyond maxSpans. It returns
-// the span's place in the account, nil when it was dropped.
-func (a *Account) addSpan(sp Span) *Span {
-	if a.nspans == maxSpans {
-		a.dropped++
-		return nil
-	}
-	a.spans[a.nspans] = sp
-	a.nspans++
-	return &a.spans[a.nspans-1]
-}
-
 // SpanToken marks an open span; close it with End. The zero token
 // (from an account that keeps no spans) is valid and inert.
 type SpanToken struct {
@@ -350,13 +308,21 @@ type SpanToken struct {
 }
 
 // BeginSpan opens a named span. On an account no tracer will record it
-// returns an inert token without reading the clock.
+// returns an inert token without reading the clock; beyond maxSpans it
+// counts the span as dropped and returns one.
 func (a *Account) BeginSpan(name string) SpanToken {
 	if a == nil || a.tracer == nil {
 		return SpanToken{}
 	}
+	if a.nspans == maxSpans {
+		a.dropped++
+		return SpanToken{}
+	}
 	start := now()
-	return SpanToken{span: a.addSpan(Span{Name: name, Offset: start - a.start}), start: start}
+	sp := &a.spans[a.nspans]
+	*sp = Span{Name: name, Offset: start - a.start}
+	a.nspans++
+	return SpanToken{span: sp, start: start}
 }
 
 // End closes the span. No-op on an inert token.

@@ -152,7 +152,7 @@ func runNodeIndexModel(t testing.TB, intn func(int) int, steps int) *File {
 	}
 	defer func() {
 		for _, v := range views {
-			v.Unpin()
+			f.Unpin(v)
 		}
 	}()
 	for step := 0; step < steps; step++ {
@@ -189,7 +189,7 @@ func runNodeIndexModel(t testing.TB, intn func(int) int, steps int) *File {
 			views = append(views, f.PinView())
 		default:
 			i := intn(len(views))
-			views[i].Unpin()
+			f.Unpin(views[i])
 			views = append(views[:i], views[i+1:]...)
 		}
 		// Drop the references no view can read any more.
@@ -275,7 +275,7 @@ func TestNodeIndexChurnNearHalfFull(t *testing.T) {
 			views = append(views, f.PinView())
 		}
 		if len(views) > 0 && rng.Intn(3) == 0 {
-			views[0].Unpin()
+			f.Unpin(views[0])
 			views = views[1:]
 		}
 		all := make([]graph.NodeID, next)
@@ -288,7 +288,7 @@ func TestNodeIndexChurnNearHalfFull(t *testing.T) {
 		}
 	}
 	for _, v := range views {
-		v.Unpin()
+		f.Unpin(v)
 	}
 	if max := 1 + batches/(live/2); rebuilds > max {
 		t.Fatalf("%d rebuilds over %d new ids at %d live, want ≤ %d", rebuilds, batches, live, max)
@@ -345,7 +345,7 @@ func TestNodeIndexConcurrentReaders(t *testing.T) {
 				ref, ok := refs.Load(v.LSN())
 				if !ok {
 					t.Errorf("reader %d: no reference for pinned LSN %d", r, v.LSN())
-					v.Unpin()
+					f.Unpin(v)
 					return
 				}
 				want := ref.(placements)
@@ -353,7 +353,7 @@ func TestNodeIndexConcurrentReaders(t *testing.T) {
 					got, ok := v.PAG().PageOf(id)
 					if w, wok := want[id]; ok != wok || (ok && got != w) {
 						t.Errorf("reader %d at LSN %d: node %d on page %d (%v), want %d (%v)", r, v.LSN(), id, got, ok, w, wok)
-						v.Unpin()
+						f.Unpin(v)
 						return
 					}
 				}
@@ -363,7 +363,7 @@ func TestNodeIndexConcurrentReaders(t *testing.T) {
 						t.Errorf("reader %d at LSN %d: Find(%d) = %v, %v", r, v.LSN(), id, rec, err)
 					}
 				}
-				v.Unpin()
+				f.Unpin(v)
 				reads.Add(1)
 			}
 		}(r)

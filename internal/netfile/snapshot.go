@@ -377,7 +377,7 @@ func (f *File) OverlayDepth() int { return len(f.overlay.Load().deltas) }
 // without taking any file-wide lock — concurrent mutation batches,
 // checkpoints and reorganization never block it and never leak into
 // its view. A View is a borrow: the creator must pair PinView with
-// exactly one Unpin, and the value form exists so a per-query
+// exactly one File.Unpin, and the value form exists so a per-query
 // pin/read/unpin cycle allocates nothing (the facade's read path).
 // Long-lived, independently closeable views are Snapshot. The search
 // operations are in cursor.go.
@@ -395,7 +395,8 @@ type View struct {
 func (f *File) live() View { return View{f: f, lsn: buffer.LiveLSN, acct: f.acct} }
 
 // PinView pins the current committed LSN and returns a value view at
-// it. The caller owns the pin and must call Unpin exactly once.
+// it. The caller owns the pin and must release it with Unpin exactly
+// once.
 func (f *File) PinView() View {
 	return View{f: f, lsn: f.pool.AcquireSnapshot()}
 }
@@ -406,13 +407,11 @@ func (s View) Charging(a *metrics.Account) View {
 	return s
 }
 
-// Account returns the account the view's reads are charged to (nil:
-// nobody's).
-func (s View) Account() *metrics.Account { return s.acct }
-
-// Unpin releases the view's pin (not idempotent — the single owner
-// releases it once).
-func (s View) Unpin() { s.f.pool.ReleaseSnapshot(s.lsn) }
+// Unpin releases the pin of a view from PinView (not idempotent — the
+// single owner releases it once). It is a File method, not a View one,
+// so a Snapshot, which embeds its View, cannot release its pin except
+// through Close.
+func (f *File) Unpin(v View) { f.pool.ReleaseSnapshot(v.lsn) }
 
 // LSN returns the pinned commit LSN.
 func (s View) LSN() uint64 { return s.lsn }
@@ -435,7 +434,7 @@ func (f *File) Snapshot() *Snapshot {
 // Close unpins the snapshot; idempotent.
 func (s *Snapshot) Close() {
 	if s.released.CompareAndSwap(false, true) {
-		s.f.pool.ReleaseSnapshot(s.lsn)
+		s.f.Unpin(s.View)
 	}
 }
 

@@ -51,8 +51,7 @@ type opMetrics struct {
 	count, errs           *metrics.Counter
 	latency               *metrics.Histogram
 	dataReads, dataWrites *metrics.Counter
-	idxPages              *metrics.Counter
-	hits, misses          *metrics.Counter
+	idxPages, hits        *metrics.Counter
 }
 
 // charge books one finished operation: its count, its outcome, its
@@ -66,7 +65,6 @@ func (om *opMetrics) charge(cost metrics.Cost, dur time.Duration, err error) {
 	om.dataReads.Add(cost.Misses)
 	om.dataWrites.Add(cost.Writes)
 	om.hits.Add(cost.Hits)
-	om.misses.Add(cost.Misses)
 	om.idxPages.Add(cost.IndexVisits)
 }
 
@@ -80,7 +78,6 @@ func newOpMetrics(reg *metrics.Registry, name string) *opMetrics {
 		dataWrites: reg.Counter(p + "data_writes_total"),
 		idxPages:   reg.Counter(p + "index_pages_total"),
 		hits:       reg.Counter(p + "buffer_hits_total"),
-		misses:     reg.Counter(p + "buffer_misses_total"),
 	}
 }
 

@@ -1038,3 +1038,63 @@ func TestPokeUnbuiltOrClosed(t *testing.T) {
 		t.Fatalf("Poke on a closed store = %v, want ErrClosed", err)
 	}
 }
+
+// TestSnapshotCloseReleasesOnlyItsOwnPin: the pool keeps one pin count
+// per LSN, so a Snapshot that could release its pin twice would take
+// the pin of another snapshot at the same LSN, and a later commit would
+// leak into that one. Close is the only release a Snapshot holder can
+// reach: neither *Snapshot nor the View its Charging returns has an
+// Unpin, and a second Close does nothing.
+func TestSnapshotCloseReleasesOnlyItsOwnPin(t *testing.T) {
+	g, err := RoadMap(MinneapolisLikeOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := Open(Options{PageSize: 1024, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if err := s.Build(g); err != nil {
+		t.Fatal(err)
+	}
+	a, err := s.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := s.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	for _, typ := range []reflect.Type{reflect.TypeOf(a), reflect.TypeOf(a.Charging(nil))} {
+		if _, ok := typ.MethodByName("Unpin"); ok {
+			t.Errorf("%v has an Unpin method: a snapshot holder can release a pin Close also releases", typ)
+		}
+	}
+	pool := s.m.File().Pool()
+	if n := pool.ActiveSnapshots(); n != 2 {
+		t.Fatalf("ActiveSnapshots = %d with two snapshots open, want 2", n)
+	}
+	e := g.Edges()[0]
+	before := snapCosts(t, b, []Edge{e})[edgeKey{e.From, e.To}]
+	a.Close()
+	a.Close()
+	if n := pool.ActiveSnapshots(); n != 1 {
+		t.Fatalf("ActiveSnapshots = %d after closing one of two snapshots twice, want 1", n)
+	}
+	if err := s.Apply(context.Background(), new(Batch).SetEdgeCost(e.From, e.To, before+100)); err != nil {
+		t.Fatal(err)
+	}
+	if got := snapCosts(t, b, []Edge{e})[edgeKey{e.From, e.To}]; got != before {
+		t.Fatalf("open snapshot reads edge %d->%d at cost %v after a later commit, want its pinned %v", e.From, e.To, got, before)
+	}
+	c, err := s.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if got := snapCosts(t, c, []Edge{e})[edgeKey{e.From, e.To}]; got != before+100 {
+		t.Fatalf("a fresh snapshot reads edge %d->%d at cost %v, want the committed %v", e.From, e.To, got, before+100)
+	}
+}

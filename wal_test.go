@@ -731,7 +731,7 @@ func TestApplyValidationLeavesStateUntouched(t *testing.T) {
 		SetEdgeCost(e0.From, e0.To, 777).
 		Insert(&InsertOp{Rec: &Record{ID: dup, Pos: Point{}}}, FirstOrder)
 	err = s.Apply(context.Background(), b)
-	if !errors.Is(err, ErrNodeExists) || !errors.Is(err, ErrDuplicate) {
+	if !errors.Is(err, ErrNodeExists) {
 		t.Fatalf("duplicate insert error = %v", err)
 	}
 	if err := diffModels(want, storeModel(t, s)); err != nil {
