@@ -44,7 +44,9 @@ func paperStore(tb testing.TB, poolPages int) (*Store, *Network) {
 // used to be most of the read path. A Find allocates the record it
 // returns; GetSuccessors the result slice and one record per
 // successor; a route evaluation reads every hop in place and allocates
-// nothing, whatever its length.
+// nothing, whatever its length; a window query allocates its result
+// slice and one block for all its records, whatever their count (and
+// three slices more for a record too large for the block).
 func TestReadPathAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates")
@@ -101,12 +103,27 @@ func TestReadPathAllocs(t *testing.T) {
 			return err
 		})
 	}
+	// Windows of about 30 nodes, the benchmark harness's size.
+	bb := g.Bounds()
+	half := math.Sqrt(30*bb.Width()*bb.Height()/float64(len(ids))) / 2
+	wrng := rand.New(rand.NewSource(30))
+	var windows [32]Rect
+	for i := range windows {
+		nd, err := g.Node(ids[wrng.Intn(len(ids))])
+		if err != nil {
+			t.Fatal(err)
+		}
+		windows[i] = NewRect(Point{X: nd.Pos.X - half, Y: nd.Pos.Y - half}, Point{X: nd.Pos.X + half, Y: nd.Pos.Y + half})
+	}
+	both("RangeQuery/30-node", 3, func(s *Store, i int) error {
+		_, err := s.RangeQuery(ctx, windows[i%len(windows)])
+		return err
+	})
 	// The operations that moved onto the pinned view keep the allocation
 	// counts they had on the live file (measured there, on these inputs:
 	// 1304, 65, 22): the read bracket adds nothing. A* pays one more, the
 	// 16-byte box that carries the view value into query.Reader.
 	rng := rand.New(rand.NewSource(13))
-	bb := g.Bounds()
 	var pairs [32][2]NodeID
 	var points [32]Point
 	for i := range pairs {

@@ -872,9 +872,11 @@ func (s *Store) EvaluateRoute(ctx context.Context, route Route) (agg RouteAggreg
 }
 
 // RangeQuery returns all records whose positions lie inside rect, via
-// the secondary spatial index. The context is checked before each
-// candidate record fetch, so canceling it stops the index scan without
-// paying for the remaining page reads.
+// the secondary spatial index. The candidates are read as one set, each
+// data page fetched once, and the records returned share one
+// allocation. The context is checked before each page's fetch, so
+// canceling it stops the query without paying for the remaining page
+// reads.
 func (s *Store) RangeQuery(ctx context.Context, rect Rect) (recs []*Record, err error) {
 	var v readView
 	if err = s.beginRead(ctx, opRangeQuery, &v); err != nil {

@@ -13,6 +13,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/rand"
 	"strings"
 	"testing"
 )
@@ -118,6 +119,47 @@ func TestQueryHugeWindowFallsBackToScan(t *testing.T) {
 	}
 	if res.Count != s.Len() {
 		t.Errorf("huge window matched %d nodes, want %d", res.Count, s.Len())
+	}
+}
+
+// TestWindowReadsEachCandidatePageOnce: a window query borrows each of
+// its candidates' pages once, in page order, so even behind a pool of
+// four frames — fewer than most windows' pages — a cold window reads
+// exactly the pages EXPLAIN counts, and asks the pool for each once.
+func TestWindowReadsEachCandidatePageOnce(t *testing.T) {
+	g := testMap(t)
+	s, err := Open(Options{PageSize: 1024, PoolPages: 4, Seed: 3, Metrics: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if err := s.Build(g); err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(5))
+	b := g.Bounds()
+	wide := 0
+	for i := 0; i < 24; i++ {
+		cx, cy := b.Min.X+rng.Float64()*b.Width(), b.Min.Y+rng.Float64()*b.Height()
+		h := (0.03 + 0.12*rng.Float64()) * b.Width()
+		stmt := fmt.Sprintf("WINDOW (%g, %g, %g, %g)", cx-h, cy-h, cx+h, cy+h)
+		exp, res, rs := runCold(t, s, stmt)
+		if exp.Plan.Chosen.Path != "zrange" {
+			continue
+		}
+		pages := int64(exp.Plan.Chosen.Pages)
+		if pages > 4 {
+			wide++
+		}
+		if res.Actual.DataReads != pages {
+			t.Errorf("%s: read %d data pages, EXPLAIN counts %d", stmt, res.Actual.DataReads, pages)
+		}
+		if req := rs.BufferHits + rs.BufferMisses; req != pages {
+			t.Errorf("%s: %d pool requests for %d candidate pages", stmt, req, pages)
+		}
+	}
+	if wide < 4 {
+		t.Fatalf("only %d windows span more pages than the pool holds: the test proves little", wide)
 	}
 }
 

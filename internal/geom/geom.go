@@ -177,29 +177,34 @@ func minf(a, b float64) float64 {
 
 // InZRect reports whether the point encoded by z lies inside the grid
 // rectangle [lo, hi] interpreted dimension-wise (the Z-region test).
+// A dimension's bits masked out in place order as the coordinate they
+// spread, so nothing is de-interleaved.
 func InZRect(z, lo, hi uint64) bool {
-	zx, zy := Deinterleave(z)
-	lox, loy := Deinterleave(lo)
-	hix, hiy := Deinterleave(hi)
-	return zx >= lox && zx <= hix && zy >= loy && zy <= hiy
+	const xs, ys = 0x5555555555555555, 0xaaaaaaaaaaaaaaaa
+	zx, zy := z&xs, z&ys
+	return zx >= lo&xs && zx <= hi&xs && zy >= lo&ys && zy <= hi&ys
 }
 
 // BigMin returns the smallest Z-value greater than z that lies inside
 // the Z-region [lo, hi] (the BIGMIN of Tropf and Herzog). A scan over a
 // Z-ordered index visits [lo, hi]; on hitting a value outside the grid
 // rectangle it jumps to BigMin to skip the gap. The second result is
-// false when no such value exists. The bit loop starts at the highest
-// bit where z, lo and hi do not all agree: above it every bit is an
-// "all zero" or "all one" case, which changes nothing.
+// false when no such value exists. The bit loop visits only the bits
+// where z, lo and hi do not all agree: an "all zero" or "all one" bit
+// changes nothing.
 func BigMin(z, lo, hi uint64) (uint64, bool) {
 	bigmin := uint64(0)
 	haveBigmin := false
-	for bit := 63 - bits.LeadingZeros64((lo^hi)|(lo^z)); bit >= 0; bit-- {
+	for below := ^uint64(0); ; {
+		d := ((lo ^ hi) | (lo ^ z)) & below
+		if d == 0 {
+			break
+		}
+		bit := 63 - bits.LeadingZeros64(d)
 		mask := uint64(1) << uint(bit)
+		below = mask - 1
 		zb, lb, hb := z&mask != 0, lo&mask != 0, hi&mask != 0
 		switch {
-		case !zb && !lb && !hb:
-			// all zero: continue
 		case !zb && !lb && hb:
 			// Candidate: region splits; remember the min of the upper
 			// half, continue searching the lower half.
@@ -215,8 +220,6 @@ func BigMin(z, lo, hi uint64) (uint64, bool) {
 			return 0, false
 		case zb && !lb && hb:
 			lo = loadBits(lo, bit)
-		case zb && lb && hb:
-			// all one: continue
 		default:
 			// lb && !hb cannot occur for a valid region on this bit
 			// pattern; treat as exhausted.

@@ -130,6 +130,50 @@ func TestInZRect(t *testing.T) {
 	}
 }
 
+// inZRectDeinterleaved is the Z-region test on the coordinates
+// themselves, the form InZRect's masked compare replaced.
+func inZRectDeinterleaved(z, lo, hi uint64) bool {
+	zx, zy := Deinterleave(z)
+	lox, loy := Deinterleave(lo)
+	hix, hiy := Deinterleave(hi)
+	return zx >= lox && zx <= hix && zy >= loy && zy <= hiy
+}
+
+// TestInZRectMatchesDeinterleaved holds the masked compare against the
+// de-interleaving one on random values (small grids too, where the
+// point is often inside) and on the edges: 0, all ones, lo = hi, and
+// a window whose lo lies above its hi in one dimension.
+func TestInZRectMatchesDeinterleaved(t *testing.T) {
+	const ones = ^uint64(0)
+	edges := []uint64{0, 1, 2, 3, ones, ones >> 1, ones &^ 1, 0x5555555555555555, 0xaaaaaaaaaaaaaaaa,
+		Interleave(7, 9), Interleave(maxCoord, 0), Interleave(0, maxCoord)}
+	check := func(z, lo, hi uint64) {
+		t.Helper()
+		if got, want := InZRect(z, lo, hi), inZRectDeinterleaved(z, lo, hi); got != want {
+			t.Fatalf("InZRect(%#x, %#x, %#x) = %v, the de-interleaved test says %v", z, lo, hi, got, want)
+		}
+	}
+	for _, z := range edges {
+		for _, lo := range edges {
+			check(z, lo, lo)
+			for _, hi := range edges {
+				check(z, lo, hi)
+			}
+		}
+	}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 200000; i++ {
+		bits := uint(1 + rng.Intn(32)) // coordinates of 1..32 bits
+		coord := func() uint32 { return uint32(rng.Uint64() >> (64 - bits)) }
+		z := Interleave(coord(), coord())
+		lo, hi := Interleave(coord(), coord()), Interleave(coord(), coord())
+		check(z, lo, hi)
+		check(z, lo, lo)
+		check(lo, lo, hi)
+		check(rng.Uint64(), rng.Uint64(), rng.Uint64())
+	}
+}
+
 func TestBigMinSkipsGaps(t *testing.T) {
 	// Query rectangle [2,10]x[3,12]. For any z outside the rectangle,
 	// BigMin must return the smallest in-rectangle Z above z.

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"ccam/internal/buffer"
@@ -342,27 +343,108 @@ func (v View) EvaluateRouteCtx(ctx context.Context, route graph.Route) (RouteAgg
 	return agg, nil
 }
 
+// readSet reads the records of ids as one set and returns those keep
+// accepts (nil keeps all), in the order of ids; an id listed twice is
+// read twice. Every id is resolved once, up front, and the reads then
+// go in page order: each distinct page is borrowed once, under one
+// slot memo, however the ids alternate between pages. With skipMissing
+// an id the view does not hold is left out instead of failing the
+// read. The context is checked before each page's fetch. keep runs
+// with the page held and must look at nothing but the view. The
+// records returned share one allocation.
+func (c *cursor) readSet(ctx context.Context, ids []graph.NodeID, skipMissing bool, keep func(recordView) bool) ([]*Record, error) {
+	// A key is the page in the high half and the position in ids in the
+	// low: sorted, the keys group by page and keep input order inside it.
+	var buf [64]uint64
+	keys := buf[:0]
+	for i, id := range ids {
+		pid, err := c.resolve(id)
+		if skipMissing && errors.Is(err, ErrNotFound) {
+			continue
+		}
+		if err != nil {
+			return nil, err
+		}
+		keys = append(keys, uint64(pid)<<32|uint64(i))
+	}
+	if len(keys) == 0 {
+		return nil, nil
+	}
+	slices.Sort(keys)
+	slab := make([]inlineRecord, len(keys))
+	out := make([]*Record, len(ids))
+	var memo slotMemo
+	for k := 0; k < len(keys); {
+		pid := storage.PageID(keys[k] >> 32)
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		memo.n, memo.live = 0, 0
+		if err := c.move(pid); err != nil {
+			return nil, err
+		}
+		for ; k < len(keys) && storage.PageID(keys[k]>>32) == pid; k++ {
+			i := uint32(keys[k])
+			_, raw, err := findOnPage(&c.sp, pid, ids[i], &memo)
+			if err != nil {
+				return nil, err
+			}
+			rv, err := viewRecord(raw)
+			if err != nil {
+				return nil, err
+			}
+			if keep == nil || keep(rv) {
+				out[i] = rv.recordIn(&slab[k])
+			}
+		}
+	}
+	n := 0
+	for _, r := range out {
+		if r != nil {
+			out[n] = r
+			n++
+		}
+	}
+	if n == 0 {
+		return nil, nil
+	}
+	return out[:n], nil
+}
+
+// FindSetCtx retrieves the records of ids as of the view, in the order
+// of ids, as one set read: each distinct page is fetched once. An id
+// the view does not hold fails the read with ErrNotFound. The context
+// is checked before each page's fetch. The records returned share one
+// allocation.
+func (v View) FindSetCtx(ctx context.Context, ids []graph.NodeID) ([]*Record, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	c := v.cursor()
+	defer c.release()
+	return c.readSet(ctx, ids, false, nil)
+}
+
 // RangeQueryCtx returns the records of every node whose position lies
-// in rect as of the view. Candidates come from the live spatial index
-// unioned with the spatial entries removed by batches committed after
-// the view's LSN; each candidate is then resolved at that LSN, so
-// nodes inserted after it drop out and nodes deleted after it
-// reappear. The spatial index hands out neighbors in space together,
-// which a clustered file keeps on one page: the cursor stays there.
-// The context is checked before each candidate's fetch.
+// in rect as of the view, in the order the spatial index yields them.
+// Candidates come from the live spatial index unioned with the spatial
+// entries removed by batches committed after the view's LSN; each
+// candidate is then resolved at that LSN, so nodes inserted after it
+// drop out and nodes deleted after it reappear. The candidates are read
+// as one set: the spatial index hands out neighbors in space together,
+// which a clustered file keeps on few pages, and each of those pages is
+// fetched once. The context is checked before each page's fetch. The
+// records returned share one allocation.
 func (v View) RangeQueryCtx(ctx context.Context, rect geom.Rect) ([]*Record, error) {
 	c := v.cursor()
 	defer c.release()
-	var cand []graph.NodeID
+	var buf [64]graph.NodeID
 	v.f.spatMu.RLock()
 	// A delete drops its spatial entry and installs its batch's overlay
 	// delta under the write side of this lock: the index and a delta list
 	// loaded under the read side agree.
 	c.st = v.f.overlay.Load()
-	v.f.spatial.search(rect, func(id graph.NodeID) bool {
-		cand = append(cand, id)
-		return true
-	})
+	cand := appendCandidates(v.f.spatial, rect, buf[:0])
 	indexed := len(cand)
 	// No delta is newer than the live end: the live file adds nothing.
 	for _, d := range c.st.deltas {
@@ -378,34 +460,22 @@ func (v View) RangeQueryCtx(ctx context.Context, rect geom.Rect) ([]*Record, err
 	v.f.spatMu.RUnlock()
 	// The index yields each id once; only resurrected entries can
 	// repeat one (deleted, re-inserted and deleted again after the LSN).
-	var seen map[graph.NodeID]bool
 	if len(cand) > indexed {
-		seen = make(map[graph.NodeID]bool, len(cand))
-	}
-	var out []*Record
-	var memo slotMemo
-	for _, id := range cand {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		if seen != nil {
-			if seen[id] {
-				continue
+		seen := make(map[graph.NodeID]bool, len(cand))
+		n := 0
+		for _, id := range cand {
+			if !seen[id] {
+				seen[id] = true
+				cand[n] = id
+				n++
 			}
-			seen[id] = true
 		}
-		rv, err := c.seek(id, &memo)
-		if v.lsn != buffer.LiveLSN && errors.Is(err, ErrNotFound) {
-			continue // inserted after the view's LSN
-		}
-		if err != nil {
-			return nil, err
-		}
-		if rect.Contains(rv.pos()) {
-			out = append(out, rv.record())
-		}
+		cand = cand[:n]
 	}
-	return out, nil
+	// A pinned view skips the nodes inserted after its LSN.
+	return c.readSet(ctx, cand, v.lsn != buffer.LiveLSN, func(rv recordView) bool {
+		return rect.Contains(rv.pos())
+	})
 }
 
 // Nearest returns the k records closest to p by Euclidean distance as

@@ -25,6 +25,12 @@ func (f *File) FindCtx(ctx context.Context, id graph.NodeID) (*Record, error) {
 	return f.live().FindCtx(ctx, id)
 }
 
+// FindSetCtx retrieves the records of ids in the order of ids, each
+// distinct data page fetched once (see View.FindSetCtx).
+func (f *File) FindSetCtx(ctx context.Context, ids []graph.NodeID) ([]*Record, error) {
+	return f.live().FindSetCtx(ctx, ids)
+}
+
 // GetASuccessor retrieves the record of succ, a successor of cur. cur
 // may be nil, in which case the successor constraint is not checked.
 // The index lookup is free (memory resident) and the page fetch costs

@@ -186,17 +186,19 @@ type inlineRecord struct {
 }
 
 // record materializes the view as a Record that owns its memory.
-func (v recordView) record() *Record {
+func (v recordView) record() *Record { return v.recordIn(new(inlineRecord)) }
+
+// recordIn materializes the view into in, whose arrays hold the lists
+// when they fit; a part that does not fit gets its own allocation.
+func (v recordView) recordIn(in *inlineRecord) *Record {
 	a, s, p := v.succs-recordHeaderSize, v.numSuccs(), v.numPreds()
-	var r *Record
+	r := &in.rec
 	if a <= inlineAttrs && s <= inlineSuccs && p <= inlinePreds {
 		// Full slice expressions: an append to one part of the result
 		// must reallocate, never grow into the neighboring array.
-		in := new(inlineRecord)
-		r = &in.rec
 		r.Attrs, r.Succs, r.Preds = in.attrs[:a:a], in.succs[:s:s], in.preds[:p:p]
 	} else {
-		r = &Record{Attrs: make([]byte, a), Succs: make([]SuccEntry, s), Preds: make([]graph.NodeID, p)}
+		r.Attrs, r.Succs, r.Preds = make([]byte, a), make([]SuccEntry, s), make([]graph.NodeID, p)
 	}
 	// An absent part is nil, as a hand-built record's would be.
 	if a == 0 {

@@ -101,6 +101,25 @@ func (f *File) SpatialCandidates(rect geom.Rect, fn func(id graph.NodeID) bool) 
 	return nil
 }
 
+// appendCandidates appends to dst the ids the spatial index yields as
+// candidates for rect, in the index's order. It calls search on the
+// index's concrete type: a visitor passed through the interface escapes,
+// and would take dst's backing array — a caller's stack buffer — to the
+// heap with it. newSpatialIndex makes no other kind.
+func appendCandidates(ix spatialIndex, rect geom.Rect, dst []graph.NodeID) []graph.NodeID {
+	add := func(id graph.NodeID) bool {
+		dst = append(dst, id)
+		return true
+	}
+	switch ix := ix.(type) {
+	case *zorderIndex:
+		ix.search(rect, add)
+	case *rtreeIndex:
+		ix.search(rect, add)
+	}
+	return dst
+}
+
 // --- Z-order implementation (the paper's secondary index) ---
 
 // zBlockCap is the most keys a zorderIndex block holds. A put that

@@ -26,6 +26,7 @@ import (
 type Source interface {
 	query.Reader
 	FindCtx(ctx context.Context, id graph.NodeID) (*netfile.Record, error)
+	FindSetCtx(ctx context.Context, ids []graph.NodeID) ([]*netfile.Record, error)
 	Scan(fn func(rec *netfile.Record) bool) error
 	RangeQueryCtx(ctx context.Context, rect geom.Rect) ([]*netfile.Record, error)
 	EvaluateRouteCtx(ctx context.Context, route graph.Route) (netfile.RouteAggregate, error)
@@ -192,8 +193,7 @@ func runWindow(ctx context.Context, f Source, pl *plan.Plan, s *lang.Window, res
 }
 
 func runNeighbors(ctx context.Context, f Source, pl *plan.Plan, s *lang.Neighbors, res *Result) error {
-	var ball []*netfile.Record
-	var interior []*netfile.Record
+	var fetch func(ids []graph.NodeID) ([]*netfile.Record, error)
 	if pl.Chosen.Path == plan.PathPAGScan {
 		// Load the whole file once, sequentially, then walk in memory.
 		recs := make(map[graph.NodeID]*netfile.Record)
@@ -211,35 +211,29 @@ func runNeighbors(ctx context.Context, f Source, pl *plan.Plan, s *lang.Neighbor
 		if scanErr != nil {
 			return scanErr
 		}
-		start, ok := recs[s.ID]
-		if !ok {
-			return fmt.Errorf("%w: %d", netfile.ErrNotFound, s.ID)
-		}
-		ball, interior = bfs(start, s.Depth, func(id graph.NodeID) (*netfile.Record, error) {
-			if r, ok := recs[id]; ok {
-				return r, nil
+		fetch = func(ids []graph.NodeID) ([]*netfile.Record, error) {
+			out := make([]*netfile.Record, len(ids))
+			for i, id := range ids {
+				r, ok := recs[id]
+				if !ok {
+					return nil, fmt.Errorf("%w: %d", netfile.ErrNotFound, id)
+				}
+				out[i] = r
 			}
-			return nil, fmt.Errorf("%w: %d", netfile.ErrNotFound, id)
-		})
+			return out, nil
+		}
 	} else {
-		// Successor expansion through the buffer pool: every ball
-		// member's record is read exactly once, so a cold pool reads the
-		// ball's distinct pages — what the planner estimates.
-		start, err := f.FindCtx(ctx, s.ID)
-		if err != nil {
-			return err
+		// Successor expansion through the buffer pool, one set read per
+		// level: every ball member's record is read exactly once, and
+		// each level's pages are fetched once each, so a cold pool reads
+		// the ball's distinct pages — what the planner estimates.
+		fetch = func(ids []graph.NodeID) ([]*netfile.Record, error) {
+			return f.FindSetCtx(ctx, ids)
 		}
-		var walkErr error
-		ball, interior = bfs(start, s.Depth, func(id graph.NodeID) (*netfile.Record, error) {
-			r, err := f.FindCtx(ctx, id)
-			if err != nil {
-				walkErr = err
-			}
-			return r, err
-		})
-		if walkErr != nil {
-			return walkErr
-		}
+	}
+	ball, interior, err := bfs(s.ID, s.Depth, fetch)
+	if err != nil {
+		return err
 	}
 	rows := make([]NodeResult, len(ball))
 	for i, rec := range ball {
@@ -252,35 +246,37 @@ func runNeighbors(ctx context.Context, f Source, pl *plan.Plan, s *lang.Neighbor
 	return nil
 }
 
-// bfs walks successor edges breadth-first from start for depth hops,
-// fetching each newly discovered node once. It returns the ball (all
-// reached nodes, start included) and the interior (the expanded
-// nodes). A fetch error aborts the walk; the caller detects it
-// through its own closure state.
-func bfs(start *netfile.Record, depth int, fetch func(graph.NodeID) (*netfile.Record, error)) (ball, interior []*netfile.Record) {
-	seen := map[graph.NodeID]bool{start.ID: true}
-	ball = []*netfile.Record{start}
-	frontier := []*netfile.Record{start}
+// bfs walks successor edges breadth-first from start for depth hops and
+// fetches each level's newly discovered nodes as one set, each node
+// once. It returns the ball (all reached nodes, start included, in
+// discovery order) and the interior (the expanded nodes).
+func bfs(start graph.NodeID, depth int, fetch func([]graph.NodeID) ([]*netfile.Record, error)) (ball, interior []*netfile.Record, err error) {
+	seen := map[graph.NodeID]bool{start: true}
+	frontier, err := fetch([]graph.NodeID{start})
+	if err != nil {
+		return nil, nil, err
+	}
+	ball = frontier
 	for d := 0; d < depth && len(frontier) > 0; d++ {
-		var next []*netfile.Record
+		var level []graph.NodeID
 		for _, u := range frontier {
 			interior = append(interior, u)
 			for _, s := range u.Succs {
-				if seen[s.To] {
-					continue
+				if !seen[s.To] {
+					seen[s.To] = true
+					level = append(level, s.To)
 				}
-				seen[s.To] = true
-				r, err := fetch(s.To)
-				if err != nil {
-					return nil, nil
-				}
-				ball = append(ball, r)
-				next = append(next, r)
 			}
 		}
-		frontier = next
+		if len(level) == 0 {
+			break
+		}
+		if frontier, err = fetch(level); err != nil {
+			return nil, nil, err
+		}
+		ball = append(ball, frontier...)
 	}
-	return ball, interior
+	return ball, interior, nil
 }
 
 // neighborsAgg computes the AGG clause over the neighborhood:

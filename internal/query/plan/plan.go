@@ -26,7 +26,8 @@ const (
 	// descent to the record's data page.
 	PathBTreePoint AccessPath = "btree-point"
 	// PathZRange drives a window query through the Z-order index with
-	// BIGMIN jumps, fetching each candidate record.
+	// BIGMIN jumps, reading the candidates as one set: each of their
+	// data pages is fetched once.
 	PathZRange AccessPath = "zrange"
 	// PathRTreeWindow drives a window query through the R-tree.
 	PathRTreeWindow AccessPath = "rtree-window"
