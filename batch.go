@@ -12,27 +12,19 @@ import (
 )
 
 // FindBatch retrieves the records of every id, in order, on the view
-// its bracket pinned. Results are positional: out[i] is the record of
-// ids[i]. The first lookup error (the one at the lowest index), or a
-// context cancellation, stops the remaining work and is returned;
-// partial results are discarded.
+// its bracket pinned, as one set read: every id resolves first, then
+// each distinct page is fetched once. Results are positional: out[i] is
+// the record of ids[i], and the records share one allocation. An id the
+// view does not hold fails the batch with ErrNotFound — the one at the
+// lowest index — before any page is read; a context cancellation stops
+// the remaining work. Partial results are discarded.
 func (s *Store) FindBatch(ctx context.Context, ids []NodeID) (out []*Record, err error) {
 	var v readView
 	if err = s.beginRead(ctx, opFindBatch, &v); err != nil {
 		return nil, err
 	}
 	defer v.end(&err)
-	// Each Find checks ctx too; this check fails a canceled empty batch.
-	if err = ctx.Err(); err != nil {
-		return nil, err
-	}
-	out = make([]*Record, len(ids))
-	for i, id := range ids {
-		if out[i], err = v.view.FindCtx(ctx, id); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
+	return v.view.FindSetCtx(ctx, ids)
 }
 
 // EvaluateRoutes evaluates every route, in order, on the view its

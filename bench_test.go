@@ -306,8 +306,8 @@ func BenchmarkEvaluateRoute(b *testing.B) {
 }
 
 // BenchmarkFindBatch measures one 256-id FindBatch, ids in shuffled
-// order, with the pool holding the whole file: a batch is a loop of
-// Finds on one pinned view, so ns/op over 256 is the per-id price.
+// order, with the pool holding the whole file: a batch is one set read
+// on one pinned view, so ns/op over 256 is the per-id price.
 func BenchmarkFindBatch(b *testing.B) {
 	s, g := paperStore(b, 1024)
 	defer s.Close()

@@ -1037,6 +1037,20 @@ func (s *Store) Placement() Placement {
 	return p
 }
 
+// CheckIndex checks the node index against the data pages: every
+// indexed node's record id names a live slot that holds the node, and
+// every stored record is indexed at its own record id (crash drills run
+// it after each recovery).
+func (s *Store) CheckIndex() error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	f, err := s.file()
+	if err != nil {
+		return err
+	}
+	return f.CheckIndex()
+}
+
 // CRR measures the store's Connectivity Residue Ratio against network
 // g.
 func (s *Store) CRR(g *Network) float64 { return CRR(g, s.Placement()) }

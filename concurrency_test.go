@@ -308,11 +308,16 @@ func TestFindBatch(t *testing.T) {
 			t.Fatalf("recs[%d] is not the record of node %d", i, ids[i])
 		}
 	}
-	// An unknown id stops the batch with ErrNotFound.
+	// An unknown id stops the batch with ErrNotFound, and the error
+	// names the unknown id at the lowest index, whatever the pages or
+	// the ids' order.
 	bad := append([]NodeID{}, ids[:4]...)
-	bad = append(bad, 1<<30)
-	if _, err := s.FindBatch(context.Background(), bad); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("batch with unknown id: got %v, want ErrNotFound", err)
+	bad = append(bad, 1<<30+9)
+	bad = append(bad, ids[4:8]...)
+	bad = append(bad, 1<<30+1, ids[0])
+	_, err = s.FindBatch(context.Background(), bad)
+	if !errors.Is(err, ErrNotFound) || !strings.HasSuffix(err.Error(), fmt.Sprint(NodeID(1<<30+9))) {
+		t.Fatalf("batch with unknown ids: got %v, want ErrNotFound for %d", err, NodeID(1<<30+9))
 	}
 	// The empty batch is a no-op.
 	empty, err := s.FindBatch(context.Background(), nil)

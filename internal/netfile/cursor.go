@@ -17,9 +17,9 @@ import (
 // This file is the read path: every search operation of File and of
 // View runs on one page cursor. The paper's Get-A-successor "searches
 // the buffered page containing the current node first"; the cursor
-// makes that literal. It resolves a node to its data page, borrows the
-// page from the pool (buffer.PageRef) and reads the record where it
-// lies — and while the next node resolves to the page it already
+// makes that literal. It resolves a node to its record id, borrows the
+// record's page from the pool (buffer.PageRef) and reads the one slot
+// the id names — and while the next node resolves to the page it already
 // holds, it stays: no pool fetch, no latch, no copy. A hop therefore
 // costs a pool fetch with probability 1-α, the paper's route model,
 // instead of always. The cursor is also where a read is counted: each
@@ -50,16 +50,16 @@ func (v View) cursor() cursor {
 
 func (c *cursor) release() { c.ref.Release() }
 
-// resolve maps a node to its data page through the node index as of
+// resolve maps a node to its record id through the node index as of
 // the view's LSN: one index visit (the paper's index is memory
 // resident, and so is this one: the visit costs no data-page I/O).
-func (c *cursor) resolve(id graph.NodeID) (storage.PageID, error) {
+func (c *cursor) resolve(id graph.NodeID) (rid, error) {
 	c.v.acct.IndexVisit()
-	pid, ok := c.st.lookup(id, c.v.lsn)
+	r, ok := c.st.lookup(id, c.v.lsn)
 	if !ok {
-		return storage.InvalidPageID, fmt.Errorf("%w: %d", ErrNotFound, id)
+		return noRID, fmt.Errorf("%w: %d", ErrNotFound, id)
 	}
-	return pid, nil
+	return r, nil
 }
 
 // move makes pid the held page, releasing the previous one first.
@@ -79,112 +79,44 @@ func (c *cursor) move(pid storage.PageID) error {
 }
 
 // seek positions the cursor on node id's record. The view aliases the
-// held page: it is valid until the next seek, move or release. m, if
-// not nil, is the operation's slot memo of the held page: seek resets
-// it whenever it moves.
-func (c *cursor) seek(id graph.NodeID, m *slotMemo) (recordView, error) {
-	pid, err := c.resolve(id)
+// held page: it is valid until the next seek, move or release.
+func (c *cursor) seek(id graph.NodeID) (recordView, error) {
+	r, err := c.resolve(id)
 	if err != nil {
 		return recordView{}, err
 	}
-	if c.ref.Data != nil && pid == c.pid {
+	if pid := c.v.f.ridPage(r); c.ref.Data != nil && pid == c.pid {
 		c.ref.Touch()
-	} else {
-		if m != nil {
-			m.n, m.live = 0, 0
-		}
-		if err := c.move(pid); err != nil {
+	} else if err := c.move(pid); err != nil {
+		return recordView{}, err
+	}
+	return c.v.f.recordAt(&c.sp, r, id)
+}
+
+// recordAt reads node id's record from the slot of sp, a data page, that
+// record id r names. The index sent the caller there, so a slot that
+// does not hold the node live is corruption.
+func (f *File) recordAt(sp *storage.SlottedPage, r rid, id graph.NodeID) (recordView, error) {
+	if slot := f.ridSlot(r); slot < sp.NumSlots() {
+		raw, live, err := sp.Record(slot)
+		if err != nil {
 			return recordView{}, err
 		}
-	}
-	_, raw, err := findOnPage(&c.sp, pid, id, m)
-	if err != nil {
-		return recordView{}, err
-	}
-	return viewRecord(raw)
-}
-
-// memoSlots is how many leading slots of a page a slotMemo holds; a
-// benchmark page holds ~15 records. Slots past it are walked every time.
-const memoSlots = 64
-
-// slotMemo is the ids of the held page's leading slots, in slot order,
-// each read from the page at most once per visit: an operation that
-// seeks more than once keeps one on its stack, so a hop that stays on
-// the page compares against this array instead of walking the record
-// headers again. Slot i < n is live iff bit i of live is set, and then
-// holds node ids[i]. A slot whose Record or RecordID fails is never
-// noted, so n stops before it and every later walk reaches it again.
-//
-// A memo describes one borrow, and seek resets it on every move —
-// returning to a page left earlier included. Within one borrow the
-// bytes cannot change: under a pinned LSN the reader holds either an
-// immutable committed image or a live frame that no writer may change
-// while the borrow holds the version read-lock (DESIGN.md, "Borrow
-// rules"); the live view belongs to the serialized owner, and no
-// cursor operation mutates between its own seeks.
-type slotMemo struct {
-	n    int
-	live uint64
-	ids  [memoSlots]graph.NodeID
-}
-
-// note records that slot i, the next one after the memo's, holds rid
-// (live) or a tombstone. Slots at or past memoSlots are not kept.
-func (m *slotMemo) note(i int, rid graph.NodeID, live bool) {
-	if m == nil || i >= memoSlots {
-		return
-	}
-	m.ids[i] = rid
-	if live {
-		m.live |= 1 << uint(i)
-	}
-	m.n = i + 1
-}
-
-// findOnPage walks the slot directory of data page pid for node id's
-// record; the indexes sent the caller here, so its absence is
-// corruption. With a memo m it first looks among the slots m has
-// already read, then walks on from the first unread one, noting each
-// slot it reads; with m == nil it walks from slot 0. Either way the
-// first live slot holding id wins and a bad slot fails at the same
-// point of the walk.
-func findOnPage(sp *storage.SlottedPage, pid storage.PageID, id graph.NodeID, m *slotMemo) (slot int, raw []byte, err error) {
-	i := 0
-	if m != nil {
-		for j, rid := range m.ids[:m.n] {
-			if rid == id && m.live&(1<<uint(j)) != 0 {
-				rec, _, err := sp.Record(j)
-				return j, rec, err
+		if live {
+			v, err := viewRecord(raw)
+			if err != nil || v.id() == id {
+				return v, err
 			}
 		}
-		i = m.n
 	}
-	for n := sp.NumSlots(); i < n; i++ {
-		rec, live, err := sp.Record(i)
-		if err != nil {
-			return 0, nil, err
-		}
-		if !live {
-			m.note(i, 0, false)
-			continue
-		}
-		rid, err := RecordID(rec)
-		if err != nil {
-			return 0, nil, err
-		}
-		m.note(i, rid, true)
-		if rid == id {
-			return i, rec, nil
-		}
-	}
-	return 0, nil, fmt.Errorf("netfile: node %d maps to page %d but its record is absent: %w", id, pid, ErrCorruptRecord)
+	return recordView{}, fmt.Errorf("netfile: node %d maps to page %d slot %d, which does not hold it: %w",
+		id, f.ridPage(r), f.ridSlot(r), ErrCorruptRecord)
 }
 
-// eachRecord calls fn with a view of every live record of a data page,
-// in slot order, and stops at the first error — a record that does not
-// parse is one.
-func eachRecord(sp *storage.SlottedPage, fn func(v recordView) error) error {
+// eachRecord calls fn with the slot and a view of every live record of
+// a data page, in slot order, and stops at the first error — a record
+// that does not parse is one.
+func eachRecord(sp *storage.SlottedPage, fn func(slot int, v recordView) error) error {
 	for i, n := 0, sp.NumSlots(); i < n; i++ {
 		raw, live, err := sp.Record(i)
 		if err != nil {
@@ -197,7 +129,7 @@ func eachRecord(sp *storage.SlottedPage, fn func(v recordView) error) error {
 		if err != nil {
 			return fmt.Errorf("slot %d: %w", i, err)
 		}
-		if err := fn(v); err != nil {
+		if err := fn(i, v); err != nil {
 			return err
 		}
 	}
@@ -206,7 +138,7 @@ func eachRecord(sp *storage.SlottedPage, fn func(v recordView) error) error {
 
 // decodePage appends the decoded records of a data page to out.
 func decodePage(sp *storage.SlottedPage, out []*Record) ([]*Record, error) {
-	err := eachRecord(sp, func(v recordView) error {
+	err := eachRecord(sp, func(_ int, v recordView) error {
 		out = append(out, v.record())
 		return nil
 	})
@@ -220,7 +152,7 @@ func decodePage(sp *storage.SlottedPage, out []*Record) ([]*Record, error) {
 func (v View) read(id graph.NodeID) (*Record, error) {
 	c := v.cursor()
 	defer c.release()
-	rv, err := c.seek(id, nil)
+	rv, err := c.seek(id)
 	if err != nil {
 		return nil, err
 	}
@@ -268,8 +200,7 @@ func (v View) GetSuccessorsCtx(ctx context.Context, id graph.NodeID) ([]*Record,
 	}
 	c := v.cursor()
 	defer c.release()
-	var memo slotMemo
-	rv, err := c.seek(id, &memo)
+	rv, err := c.seek(id)
 	if err != nil {
 		return nil, err
 	}
@@ -285,7 +216,7 @@ func (v View) GetSuccessorsCtx(ctx context.Context, id graph.NodeID) ([]*Record,
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		sv, err := c.seek(to, &memo)
+		sv, err := c.seek(to)
 		if err != nil {
 			return nil, fmt.Errorf("netfile: get-successors of %d: %w", id, err)
 		}
@@ -313,8 +244,7 @@ func (v View) EvaluateRouteCtx(ctx context.Context, route graph.Route) (RouteAgg
 	}
 	c := v.cursor()
 	defer c.release()
-	var memo slotMemo
-	rv, err := c.seek(route[0], &memo)
+	rv, err := c.seek(route[0])
 	if err != nil {
 		return RouteAggregate{}, err
 	}
@@ -327,7 +257,7 @@ func (v View) EvaluateRouteCtx(ctx context.Context, route graph.Route) (RouteAgg
 		if err := ctx.Err(); err != nil {
 			return RouteAggregate{}, err
 		}
-		if rv, err = c.seek(next, &memo); err != nil {
+		if rv, err = c.seek(next); err != nil {
 			return RouteAggregate{}, err
 		}
 		cost := float64(c32)
@@ -346,26 +276,27 @@ func (v View) EvaluateRouteCtx(ctx context.Context, route graph.Route) (RouteAgg
 // readSet reads the records of ids as one set and returns those keep
 // accepts (nil keeps all), in the order of ids; an id listed twice is
 // read twice. Every id is resolved once, up front, and the reads then
-// go in page order: each distinct page is borrowed once, under one
-// slot memo, however the ids alternate between pages. With skipMissing
+// go in record-id order: each distinct page is borrowed once, however
+// the ids alternate between pages. With skipMissing
 // an id the view does not hold is left out instead of failing the
 // read. The context is checked before each page's fetch. keep runs
 // with the page held and must look at nothing but the view. The
 // records returned share one allocation.
 func (c *cursor) readSet(ctx context.Context, ids []graph.NodeID, skipMissing bool, keep func(recordView) bool) ([]*Record, error) {
-	// A key is the page in the high half and the position in ids in the
-	// low: sorted, the keys group by page and keep input order inside it.
+	// A key is the record id in the high half and the position in ids in
+	// the low: sorted, the keys group by page, since the page is a record
+	// id's high bits.
 	var buf [64]uint64
 	keys := buf[:0]
 	for i, id := range ids {
-		pid, err := c.resolve(id)
+		r, err := c.resolve(id)
 		if skipMissing && errors.Is(err, ErrNotFound) {
 			continue
 		}
 		if err != nil {
 			return nil, err
 		}
-		keys = append(keys, uint64(pid)<<32|uint64(i))
+		keys = append(keys, uint64(r)<<32|uint64(i))
 	}
 	if len(keys) == 0 {
 		return nil, nil
@@ -373,23 +304,18 @@ func (c *cursor) readSet(ctx context.Context, ids []graph.NodeID, skipMissing bo
 	slices.Sort(keys)
 	slab := make([]inlineRecord, len(keys))
 	out := make([]*Record, len(ids))
-	var memo slotMemo
+	f := c.v.f
 	for k := 0; k < len(keys); {
-		pid := storage.PageID(keys[k] >> 32)
+		pid := f.ridPage(rid(keys[k] >> 32))
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		memo.n, memo.live = 0, 0
 		if err := c.move(pid); err != nil {
 			return nil, err
 		}
-		for ; k < len(keys) && storage.PageID(keys[k]>>32) == pid; k++ {
+		for ; k < len(keys) && f.ridPage(rid(keys[k]>>32)) == pid; k++ {
 			i := uint32(keys[k])
-			_, raw, err := findOnPage(&c.sp, pid, ids[i], &memo)
-			if err != nil {
-				return nil, err
-			}
-			rv, err := viewRecord(raw)
+			rv, err := f.recordAt(&c.sp, rid(keys[k]>>32), ids[i])
 			if err != nil {
 				return nil, err
 			}
@@ -413,7 +339,8 @@ func (c *cursor) readSet(ctx context.Context, ids []graph.NodeID, skipMissing bo
 
 // FindSetCtx retrieves the records of ids as of the view, in the order
 // of ids, as one set read: each distinct page is fetched once. An id
-// the view does not hold fails the read with ErrNotFound. The context
+// the view does not hold fails the read with ErrNotFound: the first such
+// id in ids, since every id resolves before any page is read. The context
 // is checked before each page's fetch. The records returned share one
 // allocation.
 func (v View) FindSetCtx(ctx context.Context, ids []graph.NodeID) ([]*Record, error) {
@@ -610,7 +537,7 @@ func (v View) pageIDs() []storage.PageID {
 		return v.f.Pages()
 	}
 	pageSet := make(map[storage.PageID]bool)
-	for _, pid := range v.f.overlay.Load().placements(v.lsn) {
+	for _, pid := range v.f.placements(v.lsn) {
 		pageSet[pid] = true
 	}
 	pids := make([]storage.PageID, 0, len(pageSet))

@@ -2,7 +2,6 @@ package netfile
 
 import (
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
@@ -446,258 +445,6 @@ func FuzzRecordView(f *testing.F) {
 				t.Fatalf("succCost(%d) = %v, %v; successor-list has %v", e.To, cost, ok, first)
 			}
 		}
-	})
-}
-
-// memoPage builds a slotted page of size bytes holding ids in slot
-// order as bare 4-byte records (RecordID is all findOnPage reads), then
-// tombstones the slots in dead and corrupts the slots in bad: an even
-// bad slot points below the record heap, so Record fails on it; an odd
-// one holds a 2-byte record, so RecordID does.
-func memoPage(t testing.TB, size int, ids []graph.NodeID, dead, bad []int) []byte {
-	t.Helper()
-	buf := make([]byte, size)
-	sp := storage.NewSlottedPage(buf)
-	isBad := make(map[int]bool)
-	for _, i := range bad {
-		isBad[i] = true
-	}
-	for i, id := range ids {
-		rec := binary.LittleEndian.AppendUint32(nil, uint32(id))
-		if isBad[i] && i%2 == 1 {
-			rec = rec[:2]
-		}
-		if slot, err := sp.Insert(rec); err != nil || slot != i {
-			t.Fatalf("insert of record %d landed in slot %d: %v", i, slot, err)
-		}
-	}
-	for _, i := range dead {
-		if err := sp.Delete(i); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, i := range bad {
-		if i%2 == 0 {
-			binary.LittleEndian.PutUint16(buf[size-(i+1)*4:], 0)
-		}
-	}
-	return buf
-}
-
-// pageSeek is one step of a seek sequence: the page the cursor stands
-// on and the id it seeks there.
-type pageSeek struct {
-	page int
-	id   graph.NodeID
-}
-
-// checkMemoSeeks runs seq through findOnPage twice over — once with a
-// memo that, as in cursor.seek, starts afresh whenever the page
-// changes, and once with nil — and fails at the first step where the
-// slot, the record bytes or the error differ. It returns how many
-// seeks the memo answered from slots it had already read.
-func checkMemoSeeks(t testing.TB, pages []storage.SlottedPage, seq []pageSeek) (hits int) {
-	t.Helper()
-	var memo slotMemo
-	held := -1
-	for k, s := range seq {
-		if s.page != held {
-			memo, held = slotMemo{}, s.page
-		}
-		sp, pid := &pages[s.page], storage.PageID(s.page)
-		read := memo.n
-		ms, mraw, merr := findOnPage(sp, pid, s.id, &memo)
-		ns, nraw, nerr := findOnPage(sp, pid, s.id, nil)
-		if fmt.Sprint(merr) != fmt.Sprint(nerr) {
-			t.Fatalf("seek %d (page %d, id %d): memo error %v, scan error %v", k, s.page, s.id, merr, nerr)
-		}
-		for _, sentinel := range []error{ErrCorruptRecord, storage.ErrCorruptedPage, storage.ErrSlotNotFound} {
-			if errors.Is(merr, sentinel) != errors.Is(nerr, sentinel) {
-				t.Fatalf("seek %d: errors.Is(%v) is %v with the memo, %v without", k, sentinel, errors.Is(merr, sentinel), errors.Is(nerr, sentinel))
-			}
-		}
-		if merr != nil {
-			continue
-		}
-		if ms != ns || string(mraw) != string(nraw) {
-			t.Fatalf("seek %d (page %d, id %d): memo slot %d %x, scan slot %d %x", k, s.page, s.id, ms, mraw, ns, nraw)
-		}
-		if ms < read {
-			hits++
-		}
-	}
-	return hits
-}
-
-// TestSlotMemoMatchesScan holds findOnPage with a slot memo against the
-// plain walk on pages with tombstones, duplicate ids, more slots than
-// the memo keeps, and one corrupt slot before or after the target,
-// over seek sequences that repeat ids, ask for absent ones and return
-// to pages left earlier; then drives cursor.seek itself across the
-// pages of a built file.
-func TestSlotMemoMatchesScan(t *testing.T) {
-	seq := func(ids ...graph.NodeID) []pageSeek {
-		out := make([]pageSeek, len(ids))
-		for i, id := range ids {
-			out[i] = pageSeek{id: id}
-		}
-		return out
-	}
-	run := func(n, base int) []graph.NodeID {
-		ids := make([]graph.NodeID, n)
-		for i := range ids {
-			ids[i] = graph.NodeID(base + i)
-		}
-		return ids
-	}
-	for _, tc := range []struct {
-		name      string
-		ids       []graph.NodeID
-		dead, bad []int
-		seq       []pageSeek
-	}{
-		{"tombstones", run(20, 100), []int{0, 3, 7, 12}, nil,
-			seq(105, 101, 119, 100, 103, 105, 118, 107, 999, 110, 101, 119)},
-		{"tombstone before id 0", run(10, 0), []int{0}, nil,
-			seq(5, 0, 3, 0, 9)},
-		{"duplicates", []graph.NodeID{5, 6, 5, 7, 6, 5}, []int{0}, nil,
-			seq(7, 5, 6, 5, 7, 8, 6)},
-		{"past the memo", run(120, 1000), []int{9, 18, 27, 70, 99}, nil,
-			seq(1100, 1010, 1070, 1063, 1064, 1065, 1119, 1005, 9999, 1100, 1064, 1018)},
-		{"corrupt record before", run(30, 200), nil, []int{8},
-			seq(220, 203, 220, 207, 208, 229, 200)},
-		{"corrupt id before", run(30, 200), nil, []int{9},
-			seq(220, 203, 220, 208, 209, 229, 201)},
-		{"corrupt record after", run(30, 200), []int{4}, []int{22},
-			seq(210, 225, 215, 999, 203, 221, 210)},
-		{"corrupt id after", run(30, 200), []int{4}, []int{21},
-			seq(210, 225, 215, 999, 203, 220, 210)},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			sp, err := storage.ViewSlottedPage(memoPage(t, 1024, tc.ids, tc.dead, tc.bad))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if hits := checkMemoSeeks(t, []storage.SlottedPage{sp}, tc.seq); hits == 0 {
-				t.Fatal("no seek was answered from the memo")
-			}
-		})
-	}
-
-	t.Run("returns to a page", func(t *testing.T) {
-		// The same ids in different slots on each page: a memo carried
-		// from one page to the other would name the wrong slot.
-		var pages []storage.SlottedPage
-		for _, ids := range [][]graph.NodeID{run(40, 1), {9, 8, 7, 6, 5, 4, 3, 2, 1, 77}} {
-			sp, err := storage.ViewSlottedPage(memoPage(t, 1024, ids, []int{1}, nil))
-			if err != nil {
-				t.Fatal(err)
-			}
-			pages = append(pages, sp)
-		}
-		steps := []pageSeek{{0, 5}, {0, 9}, {1, 5}, {1, 9}, {1, 1}, {0, 1}, {0, 40}, {1, 40}, {0, 77}, {1, 77}, {0, 5}, {1, 8}, {0, 2}, {1, 2}}
-		if hits := checkMemoSeeks(t, pages, steps); hits == 0 {
-			t.Fatal("no seek was answered from the memo")
-		}
-	})
-
-	t.Run("cursor", func(t *testing.T) {
-		g := testNetwork(t)
-		f := buildFile(t, g, 1024, 16)
-		pids := f.Pages()[:4]
-		var onPage [][]graph.NodeID
-		for _, pid := range pids {
-			ids, err := f.NodesOnPage(pid)
-			if err != nil {
-				t.Fatal(err)
-			}
-			onPage = append(onPage, ids)
-		}
-		// Tombstones in the leading slots of the first two pages.
-		runBatch(t, f, func() {
-			for _, p := range []int{0, 1} {
-				if _, err := f.DeleteRecord(onPage[p][0]); err != nil {
-					t.Fatal(err)
-				}
-				onPage[p] = onPage[p][1:]
-			}
-		})
-		want := pageCopyReference(t, f)
-		// Each page's ids back to front, then front to back, moving to the
-		// next page after every few: every page is left and returned to.
-		var ids []graph.NodeID
-		for round := 0; round < 3; round++ {
-			for p, on := range onPage {
-				for k := 0; k < 3; k++ {
-					i := (round*3 + k) % len(on)
-					if (round+p)%2 == 0 {
-						i = len(on) - 1 - i
-					}
-					ids = append(ids, on[i])
-				}
-			}
-		}
-		var memo slotMemo
-		c := f.live().cursor()
-		defer c.release()
-		for _, id := range ids {
-			rv, err := c.seek(id, &memo)
-			if err != nil {
-				t.Fatalf("seek %d: %v", id, err)
-			}
-			if got := rv.record(); !reflect.DeepEqual(got, want[id]) {
-				t.Fatalf("seek %d read %+v, the page holds %+v", id, got, want[id])
-			}
-		}
-		if _, err := c.seek(graph.NodeID(1<<30), &memo); !errors.Is(err, ErrNotFound) {
-			t.Fatalf("seek of an absent id: %v, want ErrNotFound", err)
-		}
-	})
-}
-
-// FuzzPageSeek holds findOnPage with a slot memo against the plain walk
-// on a fuzzed page image: the program's byte pairs pick the page (the
-// image or a fixed page with tombstones and a corrupt slot, so a
-// sequence can leave a page and come back) and the id to seek (that of
-// a chosen slot, or one the page may not hold). Slot, bytes and error
-// must agree at every step, and nothing may panic.
-func FuzzPageSeek(f *testing.F) {
-	ids := make([]graph.NodeID, 90)
-	for i := range ids {
-		ids[i] = graph.NodeID(i * 3)
-	}
-	f.Add(memoPage(f, 1024, ids, []int{2, 40, 70}, nil), []byte{0, 5, 0, 1, 0, 80, 1, 3, 0, 5, 2, 9, 0, 70, 0, 2})
-	f.Add(memoPage(f, 512, ids[:30], []int{1}, []int{12}), []byte{0, 20, 0, 3, 0, 12, 1, 0, 0, 29, 2, 0})
-	f.Add(memoPage(f, 512, ids[:30], nil, []int{15}), []byte{0, 10, 0, 20, 0, 15, 0, 10})
-	f.Add(memoPage(f, 64, nil, nil, nil), []byte{1, 5, 1, 0, 0, 1})
-	fixed, err := storage.ViewSlottedPage(memoPage(f, 512, ids[:40], []int{0, 17}, []int{30}))
-	if err != nil {
-		f.Fatal(err)
-	}
-
-	f.Fuzz(func(t *testing.T, img, prog []byte) {
-		// An exact-capacity copy: a read past len is a read past cap.
-		img = append(make([]byte, 0, len(img)), img...)
-		sp, err := storage.ViewSlottedPage(img)
-		if err != nil {
-			return
-		}
-		pages := []storage.SlottedPage{sp, fixed}
-		var steps []pageSeek
-		for k := 0; k+1 < len(prog) && len(steps) < 256; k += 2 {
-			s := pageSeek{page: int(prog[k] & 1), id: graph.NodeID(prog[k+1])}
-			if p := &pages[s.page]; prog[k]&2 != 0 {
-				s.id = ^graph.NodeID(prog[k+1])
-			} else if n := p.NumSlots(); n > 0 {
-				if rec, live, err := p.Record(int(prog[k+1]) % n); err == nil && live {
-					if id, err := RecordID(rec); err == nil {
-						s.id = id
-					}
-				}
-			}
-			steps = append(steps, s)
-		}
-		checkMemoSeeks(t, pages, steps)
 	})
 }
 

@@ -45,8 +45,9 @@ type Options struct {
 }
 
 // File is the shared data file: slotted data pages holding node
-// records, a clock-sweep buffer pool, the node index (node id → data
-// page; the versioned overlay of snapshot.go, read at its live end) and
+// records, a clock-sweep buffer pool, the node index (node id → record
+// id, page and slot; the versioned overlay of snapshot.go, read at its
+// live end) and
 // a spatial index (Z-order key run or R-tree, position → node id). Both
 // indexes are memory resident, as the paper assumes, so data-page I/O —
 // the paper's metric — is metered in isolation.
@@ -89,7 +90,7 @@ type File struct {
 	pendingFree []storage.PageID
 
 	// overlay is the node index (see snapshot.go): the versioned
-	// node→page map every reader resolves placements through — a pinned
+	// node→record-id map every reader resolves placements through — a pinned
 	// view at its LSN, the live file at the live end; curDelta/verActive
 	// are writer-side batch bookkeeping. spatMu lets lock-free snapshot
 	// range queries share the live spatial index with the serialized
@@ -98,6 +99,9 @@ type File struct {
 	curDelta  *overlayDelta
 	verActive bool
 	spatMu    sync.RWMutex
+	// slotBits is how many low bits of a record id hold the slot
+	// (snapshot.go); the page size fixes it.
+	slotBits uint
 
 	// pag is the PAG summary (pag.go). pagMu guards it and the live-page
 	// map against the readers that run beside the serialized writer:
@@ -138,6 +142,7 @@ func Create(opts Options) (*File, error) {
 		free:      make(map[storage.PageID]int),
 		pag:       newPAGSummary(),
 		pend:      pagPending{index: make(map[graph.NodeID]int)},
+		slotBits:  slotBits(opts.PageSize),
 	}
 	f.overlay.Store(&overlayState{table: newNodeTable(0)})
 	if opts.Metrics != nil {
@@ -212,12 +217,21 @@ func (f *File) ResetIO() error {
 // PageOf returns the data page holding node id, via the node index at
 // its live end: one index visit (the lookup costs no data-page I/O).
 func (f *File) PageOf(id graph.NodeID) (storage.PageID, error) {
-	f.acct.IndexVisit()
-	pid, ok := f.overlay.Load().lookup(id, buffer.LiveLSN)
-	if !ok {
-		return storage.InvalidPageID, fmt.Errorf("%w: %d", ErrNotFound, id)
+	r, err := f.ridOf(id)
+	if err != nil {
+		return storage.InvalidPageID, err
 	}
-	return pid, nil
+	return f.ridPage(r), nil
+}
+
+// ridOf returns node id's record id at the live end: one index visit.
+func (f *File) ridOf(id graph.NodeID) (rid, error) {
+	f.acct.IndexVisit()
+	r, ok := f.overlay.Load().lookup(id, buffer.LiveLSN)
+	if !ok {
+		return noRID, fmt.Errorf("%w: %d", ErrNotFound, id)
+	}
+	return r, nil
 }
 
 // Has reports whether node id is stored.
@@ -225,10 +239,20 @@ func (f *File) Has(id graph.NodeID) bool {
 	return f.live().Has(id)
 }
 
-// AllocatePage adds a fresh, empty data page and returns its id.
+// AllocatePage adds a fresh, empty data page and returns its id. A page
+// id past what a record id can name fails with ErrPageLimit before
+// anything is written to the page: it goes back to the store.
 func (f *File) AllocatePage() (storage.PageID, error) {
 	pid, b, err := f.pool.FetchNewTraced(f.acct)
 	if err != nil {
+		return storage.InvalidPageID, fmt.Errorf("netfile: allocate data page: %w", err)
+	}
+	if err := f.checkPageID(pid); err != nil {
+		f.pool.Unpin(pid, false)
+		f.pool.Discard(pid)
+		if ferr := f.dataStore.Free(pid); ferr != nil {
+			err = fmt.Errorf("%w (and its free failed: %v)", err, ferr)
+		}
 		return storage.InvalidPageID, fmt.Errorf("netfile: allocate data page: %w", err)
 	}
 	sp := storage.NewSlottedPage(b)
@@ -335,56 +359,62 @@ func (f *File) InsertRecordAt(rec *Record, pid storage.PageID) error {
 	if f.Has(rec.ID) {
 		return fmt.Errorf("%w: %d", ErrDuplicate, rec.ID)
 	}
-	if err := f.storeRecord(rec, pid); err != nil {
+	r, err := f.storeRecord(rec, pid)
+	if err != nil {
 		return err
 	}
-	f.notePlacement(rec.ID, pid)
+	f.notePlacement(rec.ID, r)
 	return nil
 }
 
 // storeRecord writes rec to page pid and enters it in the spatial
-// index; the caller notes the placement, which is what indexes the node.
-func (f *File) storeRecord(rec *Record, pid storage.PageID) error {
+// index, and returns the record id it got; the caller notes the
+// placement, which is what indexes the node.
+func (f *File) storeRecord(rec *Record, pid storage.PageID) (rid, error) {
 	if !f.pages[pid] {
-		return fmt.Errorf("netfile: insert into unknown page %d", pid)
+		return noRID, fmt.Errorf("netfile: insert into unknown page %d", pid)
 	}
 	enc := EncodeRecord(rec)
 	// A stored record's node was on no page (MoveRecord has captured it
 	// already, from the page it left).
 	f.pagCapture(rec.ID, storage.InvalidPageID, nil)
+	r := noRID
 	err := f.withPageWrite(pid, func(sp *storage.SlottedPage) (bool, error) {
-		if _, err := sp.Insert(enc); err != nil {
+		slot, err := sp.Insert(enc)
+		if err != nil {
 			return false, err
 		}
+		r = f.rid(pid, slot)
 		f.free[pid] = sp.FreeSpace()
 		f.pagWrote(rec.ID, pid, enc)
 		return true, nil
 	})
 	if err != nil {
-		return err
+		return noRID, err
 	}
 	f.spatMu.Lock()
 	f.spatial.put(rec.Pos, rec.ID)
 	f.spatMu.Unlock()
-	return nil
+	return r, nil
 }
 
 // UpdateRecord rewrites node rec.ID's record in place on its current
-// page. Grows that overflow the page return storage.ErrPageFull with
-// the file unchanged.
+// page; it keeps its slot, and so its record id. Grows that overflow the
+// page return storage.ErrPageFull with the file unchanged.
 func (f *File) UpdateRecord(rec *Record) error {
-	pid, err := f.PageOf(rec.ID)
+	r, err := f.ridOf(rec.ID)
 	if err != nil {
 		return err
 	}
+	pid := f.ridPage(r)
 	enc := EncodeRecord(rec)
 	return f.withPageWrite(pid, func(sp *storage.SlottedPage) (bool, error) {
-		slot, raw, err := findOnPage(sp, pid, rec.ID, nil)
+		v, err := f.recordAt(sp, r, rec.ID)
 		if err != nil {
 			return false, err
 		}
-		f.pagCapture(rec.ID, pid, raw)
-		if err := sp.Update(slot, enc); err != nil {
+		f.pagCapture(rec.ID, pid, v.buf)
+		if err := sp.Update(f.ridSlot(r), enc); err != nil {
 			return false, err
 		}
 		f.free[pid] = sp.FreeSpace()
@@ -397,7 +427,7 @@ func (f *File) UpdateRecord(rec *Record) error {
 func (f *File) DeleteRecord(id graph.NodeID) (*Record, error) {
 	rec, err := f.removeRecord(id)
 	if err == nil {
-		f.notePlacement(id, storage.InvalidPageID)
+		f.notePlacement(id, noRID)
 	}
 	return rec, err
 }
@@ -405,21 +435,20 @@ func (f *File) DeleteRecord(id graph.NodeID) (*Record, error) {
 // removeRecord takes node id's record off its page and out of the
 // spatial index; the caller notes the placement.
 func (f *File) removeRecord(id graph.NodeID) (*Record, error) {
-	pid, err := f.PageOf(id)
+	r, err := f.ridOf(id)
 	if err != nil {
 		return nil, err
 	}
+	pid := f.ridPage(r)
 	var rec *Record
 	err = f.withPageWrite(pid, func(sp *storage.SlottedPage) (bool, error) {
-		slot, raw, err := findOnPage(sp, pid, id, nil)
+		v, err := f.recordAt(sp, r, id)
 		if err != nil {
 			return false, err
 		}
-		if rec, err = DecodeRecord(raw); err != nil {
-			return false, err
-		}
-		f.pagCapture(id, pid, raw)
-		if err := sp.Delete(slot); err != nil {
+		rec = v.record()
+		f.pagCapture(id, pid, v.buf)
+		if err := sp.Delete(f.ridSlot(r)); err != nil {
 			return false, err
 		}
 		f.free[pid] = sp.FreeSpace()
@@ -452,10 +481,11 @@ func (f *File) MoveRecord(id graph.NodeID, dst storage.PageID) error {
 	if err != nil {
 		return err
 	}
-	if err := f.storeRecord(rec, dst); err != nil {
+	r, err := f.storeRecord(rec, dst)
+	if err != nil {
 		return fmt.Errorf("netfile: move %d to page %d: %w", id, dst, err)
 	}
-	f.notePlacement(id, dst)
+	f.notePlacement(id, r)
 	return nil
 }
 
@@ -589,6 +619,9 @@ func (f *File) BulkLoad(g *graph.Network, groups [][]graph.NodeID) error {
 	pages := make([]loadedPage, len(bufs))
 	for gi, buf := range bufs {
 		pid, b, err := f.pool.FetchNew()
+		if err == nil {
+			err = f.checkPageID(pid)
+		}
 		if err != nil {
 			return fmt.Errorf("netfile: bulk load allocate page: %w", err)
 		}
@@ -616,11 +649,17 @@ type loadedPage struct {
 
 // install makes pages the contents of an empty file: it fills the live
 // page set, the free-space map, the spatial index and the node index
-// (the overlay's table, sized for every record up front) in one walk
-// over the page images, reading each record in place. A node id stored
-// twice fails with ErrDuplicate: each node has one page. The caller
-// fills the PAG summary.
+// (the overlay's table, sized for every record up front, each record
+// at its slot's record id) in one walk over the page images, reading
+// each record in place. A node id stored twice fails with ErrDuplicate:
+// each node has one page. A page id past maxPageID fails with
+// ErrPageLimit. The caller fills the PAG summary.
 func (f *File) install(pages []loadedPage) error {
+	for _, pg := range pages {
+		if err := f.checkPageID(pg.pid); err != nil {
+			return err
+		}
+	}
 	sps := make([]storage.SlottedPage, len(pages))
 	slots := 0
 	f.pagMu.Lock()
@@ -634,15 +673,15 @@ func (f *File) install(pages []loadedPage) error {
 	spatial := make([]spatialEntry, 0, slots)
 	for i, pg := range pages {
 		f.free[pg.pid] = sps[i].FreeSpace()
-		err := eachRecord(&sps[i], func(v recordView) error {
+		err := eachRecord(&sps[i], func(slot int, v recordView) error {
 			id := v.id()
 			if id == graph.InvalidNodeID {
 				return errReservedID
 			}
 			if other, dup := table.get(id); dup {
-				return fmt.Errorf("%w: node %d is stored on pages %d and %d", ErrDuplicate, id, other, pg.pid)
+				return fmt.Errorf("%w: node %d is stored on pages %d and %d", ErrDuplicate, id, f.ridPage(other), pg.pid)
 			}
-			table.put(id, pg.pid)
+			table.put(id, f.rid(pg.pid, slot))
 			spatial = append(spatial, spatialEntry{pos: v.pos(), id: id})
 			return nil
 		})
@@ -658,7 +697,49 @@ func (f *File) install(pages []loadedPage) error {
 // Placement extracts node -> data page from the index, the input to
 // CRR/WCRR.
 func (f *File) Placement() graph.Placement {
-	return f.overlay.Load().placements(buffer.LiveLSN)
+	return f.placements(buffer.LiveLSN)
+}
+
+// CheckIndex checks the node index against the data pages at the live
+// end: every indexed node's record id names a live slot that holds that
+// node, and every live record on every live page is indexed at its own
+// record id. A disagreement fails with ErrIndexMismatch. It reads every
+// live page through the pool; the owner serializes it against
+// mutations, as every File call that reads the live end.
+func (f *File) CheckIndex() error {
+	indexed := f.overlay.Load().rids(buffer.LiveLSN)
+	for _, pid := range f.Pages() {
+		err := f.withPage(pid, func(sp *storage.SlottedPage) (bool, error) {
+			return false, eachRecord(sp, func(slot int, v recordView) error {
+				id := v.id()
+				r, ok := indexed[id]
+				if !ok {
+					return fmt.Errorf("%w: node %d at slot %d is not indexed, or is stored twice", ErrIndexMismatch, id, slot)
+				}
+				if r != f.rid(pid, slot) {
+					return fmt.Errorf("%w: node %d is at slot %d but indexed at page %d slot %d",
+						ErrIndexMismatch, id, slot, f.ridPage(r), f.ridSlot(r))
+				}
+				delete(indexed, id)
+				return nil
+			})
+		})
+		if err != nil {
+			return fmt.Errorf("netfile: check index: page %d: %w", pid, err)
+		}
+	}
+	// Each record found took its own entry out: an entry left names a
+	// slot that does not hold its node.
+	if len(indexed) > 0 {
+		id := graph.InvalidNodeID
+		for n := range indexed {
+			id = min(id, n)
+		}
+		r := indexed[id]
+		return fmt.Errorf("netfile: check index: %w: node %d is indexed at page %d slot %d, which does not hold it",
+			ErrIndexMismatch, id, f.ridPage(r), f.ridSlot(r))
+	}
+	return nil
 }
 
 // Flush writes all buffered dirty pages to the store.
@@ -704,30 +785,33 @@ func (f *File) ReplacePageContents(pid storage.PageID, recs []*Record) error {
 	// Capture the records the page loses and those it gains as the
 	// summary counts them: the latter are as stored on their old pages.
 	if old, err := storage.ViewSlottedPage(b); err == nil {
-		eachRecord(&old, func(v recordView) error {
+		eachRecord(&old, func(_ int, v recordView) error {
 			f.pagCapture(v.id(), pid, v.buf)
 			return nil
 		})
 	}
 	sp := storage.NewSlottedPage(b)
-	for _, rec := range recs {
+	rids := make([]rid, len(recs))
+	for i, rec := range recs {
 		enc := EncodeRecord(rec)
 		f.pagCapture(rec.ID, f.livePage(rec.ID), enc)
-		if _, err := sp.Insert(enc); err != nil {
+		slot, err := sp.Insert(enc)
+		if err != nil {
 			f.pool.Unpin(pid, true)
 			return fmt.Errorf("netfile: replace contents of page %d with %d records: %w", pid, len(recs), err)
 		}
+		rids[i] = f.rid(pid, slot)
 		f.pagWrote(rec.ID, pid, enc)
 	}
 	f.free[pid] = sp.FreeSpace()
 	if err := f.pool.Unpin(pid, true); err != nil {
 		return err
 	}
-	for _, rec := range recs {
+	for i, rec := range recs {
 		f.spatMu.Lock()
 		f.spatial.put(rec.Pos, rec.ID)
 		f.spatMu.Unlock()
-		f.notePlacement(rec.ID, pid)
+		f.notePlacement(rec.ID, rids[i])
 	}
 	return nil
 }
@@ -762,7 +846,7 @@ func OpenFromStoreOpts(st storage.Store, opts Options) (*File, error) {
 		}
 		sp, err := storage.ViewSlottedPage(img)
 		if err == nil {
-			err = eachRecord(&sp, func(v recordView) error {
+			err = eachRecord(&sp, func(_ int, v recordView) error {
 				p := v.pos()
 				if first {
 					bounds, first = geom.Rect{Min: p, Max: p}, false

@@ -1,9 +1,12 @@
 package netfile
 
 import (
+	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -15,10 +18,13 @@ import (
 )
 
 // The node index's model: a File driven through a schedule of
-// placement changes and pins, with a reference placement map for every
-// committed LSN a view may still read. After every step each pinned
-// view, and the live end, must resolve every id the schedule has used
-// exactly as its reference does.
+// placement changes and pins, with a reference record-id map for every
+// committed LSN a view may still read. The reference assigns slots
+// itself, the way a slotted page does, so it predicts every record id
+// rather than reading one back. After every step each pinned view, and
+// the live end, must index every id the schedule has used exactly as
+// its reference does and read each one, and the live end's index must
+// agree with its pages (File.CheckIndex).
 
 // modelIDs is the schedule's id universe: a dense run, so ids share
 // home blocks and their tombstones, and ids spread over the whole
@@ -34,14 +40,58 @@ var modelIDs = func() []graph.NodeID {
 	return ids
 }()
 
-type placements = map[graph.NodeID]storage.PageID
+// ridRef is a record id as the reference writes it: page and slot.
+type ridRef struct {
+	pid  storage.PageID
+	slot int
+}
+
+// placements maps every placed node to its record id.
+type placements = map[graph.NodeID]ridRef
 
 func clonePlacements(m placements) placements {
 	out := make(placements, len(m))
-	for id, pid := range m {
-		out[id] = pid
+	for id, r := range m {
+		out[id] = r
 	}
 	return out
+}
+
+// indexModel is the reference at the live end: each placed node's
+// record id, and each page's slot directory (graph.InvalidNodeID for a
+// tombstone), which assigns slots as storage.SlottedPage does — a
+// record takes the first tombstone, else a new slot at the end, and a
+// delete tombstones its slot and trims the tombstones at the end.
+type indexModel struct {
+	at    placements
+	pages map[storage.PageID][]graph.NodeID
+}
+
+func newIndexModel() *indexModel {
+	return &indexModel{at: placements{}, pages: map[storage.PageID][]graph.NodeID{}}
+}
+
+func (m *indexModel) store(id graph.NodeID, pid storage.PageID) {
+	dir := m.pages[pid]
+	slot := slices.Index(dir, graph.InvalidNodeID)
+	if slot < 0 {
+		slot = len(dir)
+		dir = append(dir, id)
+	}
+	dir[slot] = id
+	m.pages[pid] = dir
+	m.at[id] = ridRef{pid, slot}
+}
+
+func (m *indexModel) remove(id graph.NodeID) {
+	r := m.at[id]
+	dir := m.pages[r.pid]
+	dir[r.slot] = graph.InvalidNodeID
+	for len(dir) > 0 && dir[len(dir)-1] == graph.InvalidNodeID {
+		dir = dir[:len(dir)-1]
+	}
+	m.pages[r.pid] = dir
+	delete(m.at, id)
 }
 
 // modelFile is an empty file of small pages, so placements spread over
@@ -79,29 +129,30 @@ func pageFor(t testing.TB, f *File, intn func(int) int, rec *Record, avoid stora
 
 // placementStep changes id's placement on the live file the way a
 // mutation does: an absent id is inserted, a present one deleted or
-// moved. cur follows it.
-func placementStep(t testing.TB, f *File, intn func(int) int, cur placements, id graph.NodeID) {
+// moved. m follows it.
+func placementStep(t testing.TB, f *File, intn func(int) int, m *indexModel, id graph.NodeID) {
 	t.Helper()
 	rec := modelRecord(id)
-	from, present := cur[id]
+	from, present := m.at[id]
 	switch {
 	case !present:
 		pid := pageFor(t, f, intn, rec, storage.InvalidPageID)
 		if err := f.InsertRecordAt(rec, pid); err != nil {
 			t.Fatalf("insert %d on page %d: %v", id, pid, err)
 		}
-		cur[id] = pid
+		m.store(id, pid)
 	case intn(3) == 0:
 		if _, err := f.DeleteRecord(id); err != nil {
 			t.Fatalf("delete %d: %v", id, err)
 		}
-		delete(cur, id)
+		m.remove(id)
 	default:
-		pid := pageFor(t, f, intn, rec, from)
+		pid := pageFor(t, f, intn, rec, from.pid)
 		if err := f.MoveRecord(id, pid); err != nil {
 			t.Fatalf("move %d to page %d: %v", id, pid, err)
 		}
-		cur[id] = pid
+		m.remove(id)
+		m.store(id, pid)
 	}
 }
 
@@ -118,15 +169,35 @@ func presentID(intn func(int) int, cur placements) (graph.NodeID, bool) {
 	return ids[intn(len(ids))], true
 }
 
-// checkResolves compares a view's (or the live end's) resolution of
-// every id in ids with want.
-func checkResolves(t testing.TB, what string, p PAGView, ids []graph.NodeID, want placements) {
+// resolveErr compares v's index entry for node id, the page the PAG
+// view names and v's read of the node with want; it describes the first
+// difference, or returns nil.
+func resolveErr(v View, id graph.NodeID, want placements) error {
+	w, wok := want[id]
+	r, ok := v.f.overlay.Load().lookup(id, v.lsn)
+	if got := (ridRef{v.f.ridPage(r), v.f.ridSlot(r)}); ok != wok || (ok && got != w) {
+		return fmt.Errorf("node %d indexed at %+v (%v), want %+v (%v)", id, got, ok, w, wok)
+	}
+	if pid, ok := v.PAG().PageOf(id); ok != wok || (ok && pid != w.pid) {
+		return fmt.Errorf("node %d: PAG view names page %d (%v), want %d (%v)", id, pid, ok, w.pid, wok)
+	}
+	rec, err := v.Find(id)
+	if wok && (err != nil || rec.ID != id || rec.Pos != modelRecord(id).Pos) {
+		return fmt.Errorf("Find(%d) = %+v, %v", id, rec, err)
+	}
+	if !wok && !errors.Is(err, ErrNotFound) {
+		return fmt.Errorf("Find(%d) of an absent node = %+v, %v; want ErrNotFound", id, rec, err)
+	}
+	return nil
+}
+
+// checkResolves holds a view's (or the live end's) index entry and
+// read of every id in ids against want.
+func checkResolves(t testing.TB, what string, v View, ids []graph.NodeID, want placements) {
 	t.Helper()
 	for _, id := range ids {
-		got, ok := p.PageOf(id)
-		w, wok := want[id]
-		if ok != wok || (ok && got != w) {
-			t.Fatalf("%s: node %d resolves to page %d (%v), want %d (%v)", what, id, got, ok, w, wok)
+		if err := resolveErr(v, id, want); err != nil {
+			t.Fatalf("%s: %v", what, err)
 		}
 	}
 }
@@ -135,7 +206,7 @@ func checkResolves(t testing.TB, what string, p PAGView, ids []graph.NodeID, wan
 // returns the file it drove.
 func runNodeIndexModel(t testing.TB, intn func(int) int, steps int) *File {
 	f := modelFile(t)
-	cur := placements{}
+	cur := newIndexModel()
 	refs := map[uint64]placements{f.Pool().CommittedLSN(): {}}
 	var views []View
 	// folded: the last commit ran with nothing pinned, so it left no
@@ -164,26 +235,27 @@ func runNodeIndexModel(t testing.TB, intn func(int) int, steps int) *File {
 					placementStep(t, f, intn, cur, use(modelIDs[intn(len(modelIDs))]))
 				}
 			})
-			refs[f.Pool().CommittedLSN()] = clonePlacements(cur)
+			refs[f.Pool().CommittedLSN()] = clonePlacements(cur.at)
 			folded = len(views) == 0
 		case op < 7 && len(views) == 0: // unbatched: nothing may be pinned
-			id, ok := presentID(intn, cur)
+			id, ok := presentID(intn, cur.at)
 			if !ok {
 				continue
 			}
 			if op == 5 {
-				pid := pageFor(t, f, intn, modelRecord(id), cur[id])
+				pid := pageFor(t, f, intn, modelRecord(id), cur.at[id].pid)
 				if err := f.MoveRecord(id, pid); err != nil {
 					t.Fatalf("unbatched move %d: %v", id, err)
 				}
-				cur[id] = pid
+				cur.remove(id)
+				cur.store(id, pid)
 			} else {
 				if _, err := f.DeleteRecord(id); err != nil {
 					t.Fatalf("unbatched delete %d: %v", id, err)
 				}
-				delete(cur, id)
+				cur.remove(id)
 			}
-			refs[f.Pool().CommittedLSN()] = clonePlacements(cur)
+			refs[f.Pool().CommittedLSN()] = clonePlacements(cur.at)
 			folded = true
 		case op < 8 && len(views) < 4 || len(views) == 0:
 			views = append(views, f.PinView())
@@ -202,9 +274,12 @@ func runNodeIndexModel(t testing.TB, intn func(int) int, steps int) *File {
 				delete(refs, lsn)
 			}
 		}
-		checkResolves(t, "live end", f.PAG(), used, cur)
+		checkResolves(t, "live end", f.live(), used, cur.at)
+		if err := f.CheckIndex(); err != nil {
+			t.Fatalf("step %d: %v", step, err)
+		}
 		for _, v := range views {
-			checkResolves(t, "pinned view", v.PAG(), used, refs[v.LSN()])
+			checkResolves(t, "pinned view", v, used, refs[v.LSN()])
 			for _, id := range used {
 				if _, want := refs[v.LSN()][id]; v.Has(id) != want {
 					t.Fatalf("pinned view at LSN %d: Has(%d) = %v, want %v", v.LSN(), id, !want, want)
@@ -242,7 +317,7 @@ func TestNodeIndexChurnNearHalfFull(t *testing.T) {
 	const live, batches = minTableSlots/2 - 1, 200
 	f := modelFile(t)
 	rng := rand.New(rand.NewSource(11))
-	cur := placements{}
+	cur := newIndexModel()
 	var ids []graph.NodeID
 	insert := func(id graph.NodeID) {
 		placementStep(t, f, rng.Intn, cur, id)
@@ -254,7 +329,7 @@ func TestNodeIndexChurnNearHalfFull(t *testing.T) {
 		}
 	})
 	var views []View
-	refs := map[uint64]placements{f.Pool().CommittedLSN(): clonePlacements(cur)}
+	refs := map[uint64]placements{f.Pool().CommittedLSN(): clonePlacements(cur.at)}
 	rebuilds, next := 0, graph.NodeID(live)
 	for b := 0; b < batches; b++ {
 		table := f.overlay.Load().table
@@ -262,7 +337,7 @@ func TestNodeIndexChurnNearHalfFull(t *testing.T) {
 			if _, err := f.DeleteRecord(ids[0]); err != nil {
 				t.Fatal(err)
 			}
-			delete(cur, ids[0])
+			cur.remove(ids[0])
 			ids = ids[1:]
 			insert(next)
 			next++
@@ -270,7 +345,7 @@ func TestNodeIndexChurnNearHalfFull(t *testing.T) {
 		if f.overlay.Load().table != table {
 			rebuilds++
 		}
-		refs[f.Pool().CommittedLSN()] = clonePlacements(cur)
+		refs[f.Pool().CommittedLSN()] = clonePlacements(cur.at)
 		if rng.Intn(4) == 0 {
 			views = append(views, f.PinView())
 		}
@@ -282,9 +357,9 @@ func TestNodeIndexChurnNearHalfFull(t *testing.T) {
 		for i := range all {
 			all[i] = graph.NodeID(i)
 		}
-		checkResolves(t, "live end", f.PAG(), all, cur)
+		checkResolves(t, "live end", f.live(), all, cur.at)
 		for _, v := range views {
-			checkResolves(t, "pinned view", v.PAG(), all, refs[v.LSN()])
+			checkResolves(t, "pinned view", v, all, refs[v.LSN()])
 		}
 	}
 	for _, v := range views {
@@ -317,14 +392,14 @@ func FuzzNodeIndex(f *testing.F) {
 }
 
 // TestNodeIndexConcurrentReaders runs two readers that pin a view,
-// resolve every id of the universe against the reference of the view's
-// LSN and unpin, beside a writer whose batches grow the table, fold and
+// resolve and read every id of the universe against the reference of
+// the view's LSN and unpin, beside a writer whose batches grow the table, fold and
 // tombstone. Each batch's reference is stored before the batch
 // publishes, so a reader finds the one for whatever LSN it pins.
 func TestNodeIndexConcurrentReaders(t *testing.T) {
 	f := modelFile(t)
 	rng := rand.New(rand.NewSource(7))
-	cur := placements{}
+	cur := newIndexModel()
 	var refs sync.Map // LSN -> placements
 	refs.Store(f.Pool().CommittedLSN(), placements{})
 	done := make(chan struct{})
@@ -334,7 +409,6 @@ func TestNodeIndexConcurrentReaders(t *testing.T) {
 		wg.Add(1)
 		go func(r int) {
 			defer wg.Done()
-			rrng := rand.New(rand.NewSource(int64(100 + r)))
 			for {
 				select {
 				case <-done:
@@ -348,19 +422,11 @@ func TestNodeIndexConcurrentReaders(t *testing.T) {
 					f.Unpin(v)
 					return
 				}
-				want := ref.(placements)
 				for _, id := range modelIDs {
-					got, ok := v.PAG().PageOf(id)
-					if w, wok := want[id]; ok != wok || (ok && got != w) {
-						t.Errorf("reader %d at LSN %d: node %d on page %d (%v), want %d (%v)", r, v.LSN(), id, got, ok, w, wok)
+					if err := resolveErr(v, id, ref.(placements)); err != nil {
+						t.Errorf("reader %d at LSN %d: %v", r, v.LSN(), err)
 						f.Unpin(v)
 						return
-					}
-				}
-				id := modelIDs[rrng.Intn(len(modelIDs))]
-				if _, present := want[id]; present {
-					if rec, err := v.Find(id); err != nil || rec.ID != id {
-						t.Errorf("reader %d at LSN %d: Find(%d) = %v, %v", r, v.LSN(), id, rec, err)
 					}
 				}
 				f.Unpin(v)
@@ -373,7 +439,7 @@ func TestNodeIndexConcurrentReaders(t *testing.T) {
 		for i, n := 0, 1+rng.Intn(4); i < n; i++ {
 			placementStep(t, f, rng.Intn, cur, modelIDs[rng.Intn(len(modelIDs))])
 		}
-		refs.Store(f.Pool().CommittedLSN()+1, clonePlacements(cur))
+		refs.Store(f.Pool().CommittedLSN()+1, clonePlacements(cur.at))
 		f.PublishVersionBatch(0)
 		runtime.Gosched()
 	}
@@ -567,5 +633,139 @@ func TestReservedNodeID(t *testing.T) {
 	}
 	if f.Has(graph.InvalidNodeID) {
 		t.Fatal("graph.InvalidNodeID indexed")
+	}
+}
+
+// offsetStore is a MemStore whose page ids start at base: it lets a
+// test allocate the largest page ids a record id can name.
+type offsetStore struct {
+	*storage.MemStore
+	base storage.PageID
+}
+
+func (s *offsetStore) Allocate() (storage.PageID, error) {
+	pid, err := s.MemStore.Allocate()
+	return pid + s.base, err
+}
+
+func (s *offsetStore) ReadPage(pid storage.PageID, buf []byte) error {
+	return s.MemStore.ReadPage(pid-s.base, buf)
+}
+
+func (s *offsetStore) WritePage(pid storage.PageID, buf []byte) error {
+	return s.MemStore.WritePage(pid-s.base, buf)
+}
+
+func (s *offsetStore) Free(pid storage.PageID) error { return s.MemStore.Free(pid - s.base) }
+
+func (s *offsetStore) PageIDs() []storage.PageID {
+	pids := s.MemStore.PageIDs()
+	for i := range pids {
+		pids[i] += s.base
+	}
+	return pids
+}
+
+// TestRecordIDPacking: at the smallest, the paper's and the largest
+// page sizes the slot bits hold every slot number a page of node
+// records can reach and no more; the largest page and slot pack and
+// unpack, never to noRID, and name at least 64 GiB of data pages. The
+// largest page id is allocated and holds a record; the first one past
+// it is refused with ErrPageLimit, and goes back to the store.
+func TestRecordIDPacking(t *testing.T) {
+	for _, tc := range []struct {
+		pageSize int
+		slotBits uint
+	}{{256, 3}, {2048, 7}, {65536, 12}} {
+		t.Run(fmt.Sprint(tc.pageSize), func(t *testing.T) {
+			st := &offsetStore{MemStore: storage.NewMemStore(tc.pageSize)}
+			f, err := Create(Options{PageSize: tc.pageSize, PoolPages: 4, Store: st})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if f.slotBits != tc.slotBits {
+				t.Fatalf("%d slot bits, want %d", f.slotBits, tc.slotBits)
+			}
+			if n := storage.MaxSlots(tc.pageSize, recordHeaderSize); n > 1<<f.slotBits || n <= 1<<(f.slotBits-1) {
+				t.Fatalf("%d slot bits for slot numbers below %d", f.slotBits, n)
+			}
+			maxPage, maxSlot := f.maxPageID(), 1<<f.slotBits-1
+			if bytes := float64(maxPage+1) * float64(tc.pageSize); bytes < 64*(1<<30)-float64(tc.pageSize) {
+				t.Fatalf("record ids name %.1f GiB of data pages, want ≥ 64", bytes/(1<<30))
+			}
+			for _, at := range []ridRef{{0, 0}, {0, maxSlot}, {maxPage, 0}, {maxPage, maxSlot}} {
+				r := f.rid(at.pid, at.slot)
+				if got := (ridRef{f.ridPage(r), f.ridSlot(r)}); r == noRID || got != at {
+					t.Fatalf("%+v packs to %#x, which unpacks to %+v", at, uint32(r), got)
+				}
+			}
+
+			st.base = maxPage
+			pid, err := f.AllocatePage()
+			if err != nil || pid != maxPage {
+				t.Fatalf("AllocatePage = %d, %v; want page %d", pid, err, maxPage)
+			}
+			if err := f.InsertRecordAt(modelRecord(7), pid); err != nil {
+				t.Fatal(err)
+			}
+			if rec, err := f.Find(7); err != nil || rec.ID != 7 {
+				t.Fatalf("Find(7) on page %d = %+v, %v", pid, rec, err)
+			}
+			if err := f.CheckIndex(); err != nil {
+				t.Fatal(err)
+			}
+			if pid, err := f.AllocatePage(); !errors.Is(err, ErrPageLimit) {
+				t.Fatalf("AllocatePage past the limit = %d, %v; want ErrPageLimit", pid, err)
+			}
+			if f.NumPages() != 1 || st.NumPages() != 1 {
+				t.Fatalf("after the refused allocation the file has %d pages and the store %d, want 1 each", f.NumPages(), st.NumPages())
+			}
+		})
+	}
+}
+
+// TestCheckIndexFindsDisagreement breaks a built file's index three
+// ways — two nodes of one page swap record ids, a node names a slot past
+// its page's directory, a node leaves the index — and each time
+// CheckIndex reports ErrIndexMismatch and a read through the bad entry
+// fails with ErrCorruptRecord instead of returning another node.
+func TestCheckIndexFindsDisagreement(t *testing.T) {
+	g := testNetwork(t)
+	for _, tc := range []struct {
+		name    string
+		corrupt func(f *File, a, b graph.NodeID, ra, rb rid)
+		read    bool // a read of a fails with ErrCorruptRecord
+	}{
+		{"swapped", func(f *File, a, b graph.NodeID, ra, rb rid) {
+			f.notePlacement(a, rb)
+			f.notePlacement(b, ra)
+		}, true},
+		{"past the directory", func(f *File, a, _ graph.NodeID, ra, _ rid) {
+			f.notePlacement(a, f.rid(f.ridPage(ra), 1<<f.slotBits-1))
+		}, true},
+		{"unindexed", func(f *File, a, _ graph.NodeID, _, _ rid) {
+			f.notePlacement(a, noRID)
+		}, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			f := buildFile(t, g, 1024, 16)
+			if err := f.CheckIndex(); err != nil {
+				t.Fatal(err)
+			}
+			ids, err := f.NodesOnPage(f.Pages()[0])
+			if err != nil || len(ids) < 2 {
+				t.Fatalf("page %d holds %v, %v", f.Pages()[0], ids, err)
+			}
+			a, b := ids[0], ids[1]
+			ra, _ := f.ridOf(a)
+			rb, _ := f.ridOf(b)
+			tc.corrupt(f, a, b, ra, rb)
+			if err := f.CheckIndex(); !errors.Is(err, ErrIndexMismatch) {
+				t.Fatalf("CheckIndex = %v, want ErrIndexMismatch", err)
+			}
+			if _, err := f.Find(a); tc.read && !errors.Is(err, ErrCorruptRecord) {
+				t.Fatalf("Find(%d) through a bad record id = %v, want ErrCorruptRecord", a, err)
+			}
+		})
 	}
 }

@@ -122,8 +122,8 @@ func (s *pagSummary) tallyPage(pid, other storage.PageID, sign int) {
 // livePage resolves a node at the overlay's live end — pending batch
 // included — for the writer's tallies.
 func (f *File) livePage(id graph.NodeID) storage.PageID {
-	if pid, ok := f.overlay.Load().lookup(id, buffer.LiveLSN); ok {
-		return pid
+	if r, ok := f.overlay.Load().lookup(id, buffer.LiveLSN); ok {
+		return f.ridPage(r)
 	}
 	return storage.InvalidPageID
 }
@@ -316,7 +316,7 @@ func (f *File) fillPAGFromPages(pages []loadedPage) {
 	s := newPAGSummary()
 	for _, pg := range pages {
 		sp, _ := storage.ViewSlottedPage(pg.img) // install has walked every image
-		eachRecord(&sp, func(v recordView) error {
+		eachRecord(&sp, func(_ int, v recordView) error {
 			s.records++
 			for i, n := 0, v.numSuccs(); i < n; i++ {
 				to := v.succ(i).To
@@ -370,7 +370,11 @@ func (v View) PAG() PAGView { return PAGView{f: v.f, lsn: v.lsn} }
 
 // PageOf returns the data page of node id, and whether it is stored.
 func (p PAGView) PageOf(id graph.NodeID) (storage.PageID, bool) {
-	return p.f.overlay.Load().lookup(id, p.lsn)
+	r, ok := p.f.overlay.Load().lookup(id, p.lsn)
+	if !ok {
+		return storage.InvalidPageID, false
+	}
+	return p.f.ridPage(r), true
 }
 
 // PAGStats are the summary's running sums and the file's shape: what

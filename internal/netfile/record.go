@@ -26,6 +26,12 @@ var (
 	ErrNotFound      = errors.New("netfile: node not found")
 	ErrDuplicate     = errors.New("netfile: node already exists")
 	ErrNotSuccessor  = errors.New("netfile: node is not a successor")
+	// ErrPageLimit refuses a data page whose id a record id cannot name
+	// (about 64 GiB of data pages at any page size).
+	ErrPageLimit = errors.New("netfile: page id past the node index's record-id range")
+	// ErrIndexMismatch is File.CheckIndex's finding: the node index and
+	// the data pages disagree.
+	ErrIndexMismatch = errors.New("netfile: node index disagrees with the data pages")
 )
 
 // SuccEntry is one successor-list element: the edge's end node and its

@@ -49,7 +49,7 @@ func checkSetRead(t testing.TB, v View, ids []graph.NodeID) {
 	t.Helper()
 	pages := make(map[storage.PageID]bool)
 	for _, id := range ids {
-		if pid, ok := v.f.overlay.Load().lookup(id, v.lsn); ok {
+		if pid, ok := v.PAG().PageOf(id); ok {
 			pages[pid] = true
 		}
 	}
@@ -213,17 +213,18 @@ func TestSetReadMatchesSeeks(t *testing.T) {
 	}
 
 	// The deletes left tombstones on the first page, and the set read
-	// walked past them.
+	// read the slots past them.
 	c := live.cursor()
-	pid, err := c.resolve(x.a[1])
+	r, err := c.resolve(x.a[1])
 	if err != nil {
 		t.Fatal(err)
 	}
+	pid := x.f.ridPage(r)
 	if err := c.move(pid); err != nil {
 		t.Fatal(err)
 	}
 	liveSlots := 0
-	if err := eachRecord(&c.sp, func(recordView) error { liveSlots++; return nil }); err != nil {
+	if err := eachRecord(&c.sp, func(int, recordView) error { liveSlots++; return nil }); err != nil {
 		t.Fatal(err)
 	}
 	if slots := c.sp.NumSlots(); slots == liveSlots {

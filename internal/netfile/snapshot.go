@@ -1,6 +1,7 @@
 package netfile
 
 import (
+	"fmt"
 	"math/bits"
 	"sync/atomic"
 
@@ -13,19 +14,30 @@ import (
 
 // This file is the node index and the netfile half of snapshot reads.
 // The buffer pool keeps LSN-tagged version chains of page bytes
-// (buffer/version.go); what the pool cannot know is *which page a node
-// lives on* at a given LSN — placements move under inserts, deletes and
-// reorganization. The overlay below is the file's one node→page index,
+// (buffer/version.go); what the pool cannot know is *where a node's
+// record lies* at a given LSN — placements move under inserts, deletes
+// and reorganization. The overlay below is the file's one node index,
 // versioned: an open-addressing table (nodeTable) holding every folded
 // placement, plus one delta per mutation batch that a pinned reader may
-// still need, each stamped with its commit LSN. A snapshot reader
-// resolves a node through the overlay at its pinned LSN, then reads the
-// page image at that LSN through the pool — never touching the live
-// frame latches of in-progress writes or any file-wide lock. The
-// serialized writer, and every direct use of File, resolves at the live
-// end (buffer.LiveLSN), where the open batch's pending delta counts too.
-// The index has no bytes on disk: build and open fill its table from
-// the data pages (File.install).
+// still need, each stamped with its commit LSN. A placement is a record
+// id (rid): the data page and the slot on it, so a seek reads one slot
+// instead of walking the page. A snapshot reader resolves a node
+// through the overlay at its pinned LSN, then reads the page image at
+// that LSN through the pool — never touching the live frame latches of
+// in-progress writes or any file-wide lock. The serialized writer, and
+// every direct use of File, resolves at the live end (buffer.LiveLSN),
+// where the open batch's pending delta counts too. The index has no
+// bytes on disk: build and open fill its table from the data pages
+// (File.install).
+//
+// A record id is exact at every LSN because the same batch versions
+// both halves of it: every slot assignment (install, a record stored by
+// an insert or a move, a page rewritten by reorganization) notes the
+// new rid in the batch's delta, and the batch's page writes save the
+// page's committed image in the pool's version chain. A reader pinned
+// below the batch gets the old rid and the old image, a reader at or
+// above it the new rid and the new image. Updates and compaction keep
+// slot numbers, so nothing else moves a record off its rid.
 //
 // Writer protocol (serialized by the owner, e.g. the facade's write
 // lock): BeginVersionBatch opens a pool version batch and installs a
@@ -56,6 +68,46 @@ import (
 // the old state keep the old table, frozen with every fold up to the
 // growth, and the same argument covers the deltas their state lists.
 
+// rid is a record id: the data page a node's record is on and its slot
+// there, packed page<<slotBits | slot with the file's slotBits
+// (File.rid). noRID, all ones, is no record: a deleted node.
+type rid uint32
+
+const noRID = rid(^uint32(0))
+
+// slotBits returns how many low bits of a rid hold the slot on a
+// pageSize-byte page: enough for every slot number of a page of node
+// records (each at least a record header), 7 bits at 2 KiB and 12 at
+// 64 KiB. The page id takes the rest.
+func slotBits(pageSize int) uint {
+	return uint(bits.Len(uint(storage.MaxSlots(pageSize, recordHeaderSize) - 1)))
+}
+
+// maxPageID is the largest page id a rid can name: the one above it
+// would pack, with an all-ones slot, to noRID.
+func (f *File) maxPageID() storage.PageID {
+	return storage.PageID(1)<<(32-f.slotBits) - 2
+}
+
+// checkPageID refuses a page id past maxPageID, so the node index can
+// name every record the file stores.
+func (f *File) checkPageID(pid storage.PageID) error {
+	if pid > f.maxPageID() {
+		return fmt.Errorf("%w: page %d, limit %d at %d-byte pages", ErrPageLimit, pid, f.maxPageID(), f.pageSize)
+	}
+	return nil
+}
+
+// rid packs page pid and slot into a record id; ridPage and ridSlot
+// unpack one.
+func (f *File) rid(pid storage.PageID, slot int) rid {
+	return rid(uint32(pid)<<f.slotBits | uint32(slot))
+}
+
+func (f *File) ridPage(r rid) storage.PageID { return storage.PageID(uint32(r) >> f.slotBits) }
+
+func (f *File) ridSlot(r rid) int { return int(uint32(r) & (1<<f.slotBits - 1)) }
+
 // pendingOverlayLSN tags a delta whose batch has not committed yet; it
 // compares above every real LSN, so readers skip it.
 const pendingOverlayLSN = ^uint64(0)
@@ -68,7 +120,7 @@ const pendingOverlayLSN = ^uint64(0)
 // by the file's spatMu while pending.
 type overlayDelta struct {
 	lsn     atomic.Uint64
-	entries map[graph.NodeID]storage.PageID // InvalidPageID = deleted
+	entries map[graph.NodeID]rid // noRID = deleted
 	removed []spatialEntry
 }
 
@@ -84,50 +136,56 @@ type overlayState struct {
 
 // lookup resolves node id at snapshot lsn: the newest delta at or
 // below lsn that mentions the node wins, else the table.
-func (st *overlayState) lookup(id graph.NodeID, lsn uint64) (storage.PageID, bool) {
+func (st *overlayState) lookup(id graph.NodeID, lsn uint64) (rid, bool) {
 	for _, d := range st.deltas {
 		if d.lsn.Load() > lsn {
 			continue
 		}
-		if pid, ok := d.entries[id]; ok {
-			if pid == storage.InvalidPageID {
-				return storage.InvalidPageID, false
-			}
-			return pid, true
+		if r, ok := d.entries[id]; ok {
+			return r, r != noRID
 		}
 	}
 	return st.table.get(id)
 }
 
-// placements materializes the full node→page map as of lsn (snapshot
-// scans list their pages from it).
-func (st *overlayState) placements(lsn uint64) map[graph.NodeID]storage.PageID {
-	out := make(map[graph.NodeID]storage.PageID)
-	st.table.each(func(id graph.NodeID, pid storage.PageID) { out[id] = pid })
+// rids materializes the full node→rid map as of lsn.
+func (st *overlayState) rids(lsn uint64) map[graph.NodeID]rid {
+	out := make(map[graph.NodeID]rid)
+	st.table.each(func(id graph.NodeID, r rid) { out[id] = r })
 	for i := len(st.deltas) - 1; i >= 0; i-- { // oldest first
 		d := st.deltas[i]
 		if d.lsn.Load() > lsn {
 			continue
 		}
-		for id, pid := range d.entries {
-			if pid == storage.InvalidPageID {
+		for id, r := range d.entries {
+			if r == noRID {
 				delete(out, id)
 			} else {
-				out[id] = pid
+				out[id] = r
 			}
 		}
 	}
 	return out
 }
 
+// placements materializes the full node→page map as of lsn (snapshot
+// scans list their pages from it).
+func (f *File) placements(lsn uint64) graph.Placement {
+	out := make(graph.Placement)
+	for id, r := range f.overlay.Load().rids(lsn) {
+		out[id] = f.ridPage(r)
+	}
+	return out
+}
+
 // nodeTable is the folded node index: a linear-probing table of packed
-// id<<32 | page words, written only by the serialized writer (atomic
+// id<<32 | rid words, written only by the serialized writer (atomic
 // stores) and read by any number of readers (atomic loads). A word is
-// emptySlot, a live placement, or a tombstone — the id with
-// InvalidPageID — that a delete leaves. A claimed slot keeps its id for
-// the table's life, so no probe chain breaks under a reader: a delete
-// or a re-insert rewrites the id's own word. Before a new id would fill
-// the table past half, tombstones counted, it grows into a new table.
+// emptySlot, a live placement, or a tombstone — the id with noRID —
+// that a delete leaves. A claimed slot keeps its id for the table's
+// life, so no probe chain breaks under a reader: a delete or a
+// re-insert rewrites the id's own word. Before a new id would fill the
+// table past half, tombstones counted, it grows into a new table.
 //
 // The home slot keeps each run of 16 consecutive ids in one block of 16
 // slots — the block is a Fibonacci hash of id>>4, the offset id&15 — so
@@ -167,25 +225,25 @@ func (t *nodeTable) home(id graph.NodeID) uint64 {
 	return (uint64(id>>runBits)*fibonacci)>>t.shift<<runBits | uint64(id&(1<<runBits-1))
 }
 
-// get returns node id's page, if the table holds it live.
-func (t *nodeTable) get(id graph.NodeID) (storage.PageID, bool) {
+// get returns node id's record id, if the table holds it live.
+func (t *nodeTable) get(id graph.NodeID) (rid, bool) {
 	for i := t.home(id); ; i = (i + 1) & t.mask {
 		w := t.slots[i].Load()
 		if w == emptySlot {
-			return storage.InvalidPageID, false
+			return noRID, false
 		}
 		if graph.NodeID(w>>32) == id {
-			pid := storage.PageID(w)
-			return pid, pid != storage.InvalidPageID
+			r := rid(w)
+			return r, r != noRID
 		}
 	}
 }
 
-// put records that node id lives on pid (InvalidPageID: it was deleted)
+// put records that node id's record is at r (noRID: it was deleted)
 // and returns the table to use from now on: t itself, or a larger copy
 // when a new id would fill t past half. id must not be
 // graph.InvalidNodeID, whose tombstone would read as an empty slot.
-func (t *nodeTable) put(id graph.NodeID, pid storage.PageID) *nodeTable {
+func (t *nodeTable) put(id graph.NodeID, r rid) *nodeTable {
 	i := t.home(id)
 	for ; ; i = (i + 1) & t.mask {
 		w := t.slots[i].Load()
@@ -193,26 +251,26 @@ func (t *nodeTable) put(id graph.NodeID, pid storage.PageID) *nodeTable {
 			break
 		}
 		if graph.NodeID(w>>32) == id {
-			t.slots[i].Store(uint64(id)<<32 | uint64(pid))
+			t.slots[i].Store(uint64(id)<<32 | uint64(r))
 			return t
 		}
 	}
-	if pid == storage.InvalidPageID {
+	if r == noRID {
 		return t // the table never held id
 	}
 	if 2*(t.used+1) > len(t.slots) {
-		return t.grown().put(id, pid)
+		return t.grown().put(id, r)
 	}
-	t.slots[i].Store(uint64(id)<<32 | uint64(pid))
+	t.slots[i].Store(uint64(id)<<32 | uint64(r))
 	t.used++
 	return t
 }
 
 // each calls fn for every live placement.
-func (t *nodeTable) each(fn func(graph.NodeID, storage.PageID)) {
+func (t *nodeTable) each(fn func(graph.NodeID, rid)) {
 	for i := range t.slots {
-		if w := t.slots[i].Load(); w != emptySlot && storage.PageID(w) != storage.InvalidPageID {
-			fn(graph.NodeID(w>>32), storage.PageID(w))
+		if w := t.slots[i].Load(); w != emptySlot && rid(w) != noRID {
+			fn(graph.NodeID(w>>32), rid(w))
 		}
 	}
 }
@@ -222,29 +280,29 @@ func (t *nodeTable) each(fn func(graph.NodeID, storage.PageID)) {
 // any churn of deletes and new ids a rebuild costs O(1) per new id.
 func (t *nodeTable) grown() *nodeTable {
 	live := 0
-	t.each(func(graph.NodeID, storage.PageID) { live++ })
+	t.each(func(graph.NodeID, rid) { live++ })
 	g := newNodeTable(live + live/2 + 1)
-	t.each(func(id graph.NodeID, pid storage.PageID) { g.put(id, pid) })
+	t.each(func(id graph.NodeID, r rid) { g.put(id, r) })
 	return g
 }
 
-// notePlacement is the one writer of the node index: node id now lives
-// on pid (InvalidPageID = it was deleted). Inside a version batch the
+// notePlacement is the one writer of the node index: node id's record
+// now lies at r (noRID = it was deleted). Inside a version batch the
 // overlay takes it in the pending delta; outside one (direct File use,
 // serialized by the owner, with no pinned reader to keep a view for) the
 // table is updated in place, after folding in whatever deltas earlier
 // batches left above it. The PAG summary reads the new page when the
 // mutation settles (pag.go).
-func (f *File) notePlacement(id graph.NodeID, pid storage.PageID) {
+func (f *File) notePlacement(id graph.NodeID, r rid) {
 	if f.verActive {
-		f.batchDelta().entries[id] = pid
+		f.batchDelta().entries[id] = r
 		return
 	}
 	st := f.overlay.Load()
 	if len(st.deltas) > 0 {
 		st = f.fold(st, 0)
 	}
-	if t := st.table.put(id, pid); t != st.table {
+	if t := st.table.put(id, r); t != st.table {
 		f.overlay.Store(&overlayState{table: t})
 	}
 }
@@ -259,7 +317,7 @@ func (f *File) batchDelta() *overlayDelta {
 	if f.curDelta != nil {
 		return f.curDelta
 	}
-	d := &overlayDelta{entries: make(map[graph.NodeID]storage.PageID)}
+	d := &overlayDelta{entries: make(map[graph.NodeID]rid)}
 	d.lsn.Store(pendingOverlayLSN)
 	old := f.overlay.Load()
 	deltas := make([]*overlayDelta, 0, len(old.deltas)+1)
@@ -355,8 +413,8 @@ func (f *File) foldCommitted() {
 func (f *File) fold(st *overlayState, keep int) *overlayState {
 	t := st.table
 	for i := len(st.deltas) - 1; i >= keep; i-- {
-		for id, pid := range st.deltas[i].entries {
-			t = t.put(id, pid)
+		for id, r := range st.deltas[i].entries {
+			t = t.put(id, r)
 		}
 	}
 	st = &overlayState{table: t, deltas: st.deltas[:keep:keep]}

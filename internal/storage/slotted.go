@@ -201,6 +201,16 @@ func (p *SlottedPage) liveBytes() int {
 	return total
 }
 
+// MaxSlots bounds the slot numbers of a pageSize-byte page whose
+// records are each at least minRecord bytes: every slot number is
+// below it. Insert appends a slot only when every slot is live (it
+// takes the first tombstone otherwise) and Delete trims trailing
+// tombstones, so the directory is never longer than the most records
+// the page can hold at once.
+func MaxSlots(pageSize, minRecord int) int {
+	return (pageSize - slottedHeaderSize) / (minRecord + slotSize)
+}
+
 // Capacity returns the maximum record payload a single empty page can
 // hold (one record, one slot).
 func (p *SlottedPage) Capacity() int {

@@ -2,10 +2,12 @@ package storage
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -440,6 +442,117 @@ func FuzzViewSlottedPage(f *testing.F) {
 			t.Fatalf("Validate passes a page whose slot walk fails: %v", walkErr)
 		case err != nil && !errors.Is(err, ErrCorruptedPage):
 			t.Fatalf("Validate error %v does not wrap ErrCorruptedPage", err)
+		}
+	})
+}
+
+// FuzzSlotStability drives a slotted page through a fuzzed program of
+// inserts, growing and shrinking updates, deletes and compactions,
+// against a model of its slot directory. A live record keeps its slot
+// until it is deleted — the node index stores slot numbers — Insert
+// takes the first tombstone, and no slot number reaches MaxSlots for
+// the program's smallest record, the bound a record id's slot bits
+// encode. After every step each live record reads back its own bytes
+// and the page validates.
+func FuzzSlotStability(f *testing.F) {
+	f.Add(byte(1), byte(22), []byte{0, 10, 0, 40, 0, 3, 2, 1, 1, 200, 0, 90, 3, 0, 0, 0, 0, 12, 2, 2, 1, 5, 0, 0, 3, 1})
+	f.Add(byte(0), byte(0), []byte{0, 0, 0, 0, 0, 0, 0, 0, 2, 0, 2, 1, 0, 0, 1, 255, 3, 0, 0, 0})
+	f.Add(byte(3), byte(22), []byte{0, 47, 0, 47, 0, 47, 1, 0, 1, 252, 2, 1, 0, 5, 3, 0, 1, 1})
+	f.Fuzz(func(t *testing.T, size, minRec byte, prog []byte) {
+		pageSize := []int{128, 256, 512, 2048}[size%4]
+		least := 4 + int(minRec)%60
+		bound := MaxSlots(pageSize, least)
+		p := NewSlottedPage(make([]byte, pageSize))
+		var dir []int // slot → record tag, -1 for a tombstone
+		recs := map[int][]byte{}
+		record := func(tag, extra int) []byte {
+			b := bytes.Repeat([]byte{byte(tag)}, least+extra)
+			binary.LittleEndian.PutUint32(b, uint32(tag))
+			return b
+		}
+		liveSlot := func(arg byte) (int, bool) {
+			var live []int
+			for slot, tag := range dir {
+				if tag >= 0 {
+					live = append(live, slot)
+				}
+			}
+			if len(live) == 0 {
+				return 0, false
+			}
+			return live[int(arg)%len(live)], true
+		}
+		next := 0
+		for i := 0; i+1 < len(prog) && i < 1024; i += 2 {
+			arg := prog[i+1]
+			switch prog[i] % 4 {
+			case 0:
+				b := record(next, int(arg)%48)
+				want := slices.Index(dir, -1)
+				if want < 0 {
+					want = len(dir)
+				}
+				slot, err := p.Insert(b)
+				if errors.Is(err, ErrPageFull) {
+					continue
+				}
+				if err != nil {
+					t.Fatalf("step %d: insert: %v", i/2, err)
+				}
+				if slot != want {
+					t.Fatalf("step %d: insert took slot %d, want %d (directory %v)", i/2, slot, want, dir)
+				}
+				if slot >= bound {
+					t.Fatalf("step %d: slot %d of a %d-byte page with records of at least %d bytes; MaxSlots is %d",
+						i/2, slot, pageSize, least, bound)
+				}
+				if slot == len(dir) {
+					dir = append(dir, next)
+				} else {
+					dir[slot] = next
+				}
+				recs[next] = b
+				next++
+			case 1:
+				slot, ok := liveSlot(arg)
+				if !ok {
+					continue
+				}
+				b := record(dir[slot], int(arg>>2)%48)
+				if err := p.Update(slot, b); errors.Is(err, ErrPageFull) {
+					continue
+				} else if err != nil {
+					t.Fatalf("step %d: update slot %d: %v", i/2, slot, err)
+				}
+				recs[dir[slot]] = b
+			case 2:
+				slot, ok := liveSlot(arg)
+				if !ok {
+					continue
+				}
+				if err := p.Delete(slot); err != nil {
+					t.Fatalf("step %d: delete slot %d: %v", i/2, slot, err)
+				}
+				delete(recs, dir[slot])
+				dir[slot] = -1
+				for len(dir) > 0 && dir[len(dir)-1] < 0 {
+					dir = dir[:len(dir)-1]
+				}
+			case 3:
+				p.compact()
+			}
+			if p.NumSlots() != len(dir) {
+				t.Fatalf("step %d: %d slots, want %d", i/2, p.NumSlots(), len(dir))
+			}
+			for slot, tag := range dir {
+				got, live, err := p.Record(slot)
+				if err != nil || live != (tag >= 0) || (live && !bytes.Equal(got, recs[tag])) {
+					t.Fatalf("step %d: slot %d reads %x (live %v, %v), want record %d", i/2, slot, got, live, err, tag)
+				}
+			}
+			if err := p.Validate(); err != nil {
+				t.Fatalf("step %d: %v", i/2, err)
+			}
 		}
 	})
 }

@@ -5,8 +5,10 @@
 // every WAL record boundary (and, optionally, torn mid-record) by
 // truncating a copy of the log there, reopens each copy, and asserts
 // the recovered store holds exactly the committed prefix of the stream
-// — no lost committed mutations, no phantom ones — and that the
-// recovered file and log pass the offline checks behind ccam-fsck.
+// — no lost committed mutations, no phantom ones — that its node index
+// names every record at the slot that holds it (Store.CheckIndex), and
+// that the recovered file and log pass the offline checks behind
+// ccam-fsck.
 //
 // The drill is the repository's standing recovery proof: wal_test.go
 // runs a model-diffing variant in-process, and cmd/ccam-fsck -drill
@@ -458,6 +460,12 @@ func Run(dir string, cfg Config) (Result, error) {
 		r, err := ccam.OpenPath(cpath, ccam.Options{})
 		if err != nil {
 			return fmt.Errorf("%s: reopen: %w", label, err)
+		}
+		// Replay reproduces every record id: the index it rebuilt agrees
+		// with the pages, slot for slot.
+		if err := r.CheckIndex(); err != nil {
+			r.Close()
+			return fmt.Errorf("%s: %w", label, err)
 		}
 		got, err := fingerprint(r)
 		if err != nil {

@@ -20,6 +20,7 @@ import (
 	"testing"
 
 	"ccam/internal/metrics"
+	"ccam/internal/storage"
 )
 
 func obsStore(t *testing.T) (*Store, *Network) {
@@ -458,8 +459,9 @@ func runGoldenWorkload(t *testing.T, s *Store, g *Network, seed int64) {
 // (paper map, seed 42, pool of 4 pages, one goroutine, so the counts are
 // deterministic) and compares the raw counters with constants read off
 // the output at commit 7181172, re-recorded when Create moved to the
-// multilevel partitioner (a new placement) and when a window query began
-// to borrow each of its pages once.
+// multilevel partitioner (a new placement), when a window query began
+// to borrow each of its pages once and when FindBatch became one set
+// read.
 func TestPerOpPageCountsGolden(t *testing.T) {
 	const seed = 42
 	g, err := RoadMap(MinneapolisLikeOpts())
@@ -490,7 +492,7 @@ func TestPerOpPageCountsGolden(t *testing.T) {
 		{"insert", counts{16, 0, 0, 300}},
 		{"delete", counts{16, 7, 8, 281}},
 		{"set_edge_cost", counts{32, 0, 0, 64}},
-		{"find_batch", counts{16, 375, 1, 400}},
+		{"find_batch", counts{16, 333, 1, 400}},
 	}
 	reg := s.Metrics()
 	var table strings.Builder
@@ -653,8 +655,15 @@ func TestOneTracePerOperation(t *testing.T) {
 	if c := byOp["shortest_path"].Cost; c.IndexVisits < int64(len(path.Nodes)) || c.Hits+c.Misses < 1 {
 		t.Errorf("a shortest path of %d nodes counted %+v", len(path.Nodes), c)
 	}
-	if c := byOp["find_batch"].Cost; c.IndexVisits != int64(len(batch)) || c.Hits+c.Misses != int64(len(batch)) {
-		t.Errorf("a %d-id FindBatch counted %+v", len(batch), c)
+	// A batch is one set read: an index visit per id, a pool request per
+	// distinct page.
+	batchPages := map[storage.PageID]bool{}
+	placement := s.Placement()
+	for _, id := range batch {
+		batchPages[placement[id]] = true
+	}
+	if c := byOp["find_batch"].Cost; c.IndexVisits != int64(len(batch)) || c.Hits+c.Misses != int64(len(batchPages)) {
+		t.Errorf("a %d-id FindBatch on %d pages counted %+v", len(batch), len(batchPages), c)
 	}
 	if c, a := byOp["query"].Cost, res.Actual; a == nil || c.IndexVisits != a.IndexPages || c.Hits != a.BufferHits || c.Misses != a.DataReads {
 		t.Errorf("query's ring entry counted %+v, its Result.Actual says %+v", c, a)
