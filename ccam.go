@@ -188,10 +188,6 @@ type Options struct {
 	// Path, when non-empty, stores data pages in an os.File-backed page
 	// store at that location instead of in memory.
 	Path string
-	// Spatial selects the secondary spatial index: SpatialZOrder (the
-	// paper's Z-ordered index, kept in memory; the default) or
-	// SpatialRTree.
-	Spatial SpatialIndexKind
 	// Metrics enables the observability registry: per-operation
 	// counters and latency histograms, per-class page-access counters
 	// (node-index lookups vs CCAM data pages, pool hits vs misses), storage
@@ -250,18 +246,6 @@ const (
 	// SyncNone never fsyncs on commit; a crash can lose acknowledged
 	// commits (but never corrupts the store).
 	SyncNone = storage.SyncNone
-)
-
-// SpatialIndexKind selects the secondary spatial index structure.
-type SpatialIndexKind = netfile.SpatialKind
-
-// Spatial index kinds.
-const (
-	// SpatialZOrder is the paper's Z-ordered index: its keys in memory,
-	// sorted, scanned with BIGMIN jumps.
-	SpatialZOrder = netfile.SpatialZOrder
-	// SpatialRTree is Guttman's R-tree.
-	SpatialRTree = netfile.SpatialRTree
 )
 
 // Store is a CCAM file: the paper's access method behind a convenience
@@ -383,7 +367,6 @@ func (s *Store) fileOptions(opts Options, st storage.Store) netfile.Options {
 		PageSize:   opts.PageSize,
 		PoolPages:  opts.PoolPages,
 		PoolShards: opts.PoolShards,
-		Spatial:    opts.Spatial,
 		Store:      st,
 		Metrics:    s.Metrics(),
 	}
@@ -888,8 +871,8 @@ func (s *Store) RangeQuery(ctx context.Context, rect Rect) (recs []*Record, err 
 
 // Nearest returns the k stored records closest to p by Euclidean
 // distance, nearest first: expanding-window searches through the
-// spatial index (Z-order or R-tree alike), the result radius verified
-// so the answer is exact.
+// Z-order spatial index, the result radius verified so the answer is
+// exact.
 func (s *Store) Nearest(p Point, k int) (recs []*Record, err error) {
 	var v readView
 	if err = s.beginRead(context.Background(), opNearest, &v); err != nil {

@@ -342,43 +342,6 @@ func TestStoreConcurrentUse(t *testing.T) {
 	}
 }
 
-func TestStoreWithRTreeIndex(t *testing.T) {
-	g := testMap(t)
-	s, err := Open(Options{PageSize: 1024, Seed: 19, Spatial: SpatialRTree})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	if err := s.Build(g); err != nil {
-		t.Fatal(err)
-	}
-	all, err := s.RangeQuery(context.Background(), g.Bounds())
-	if err != nil || len(all) != g.NumNodes() {
-		t.Fatalf("r-tree range query = %d, %v", len(all), err)
-	}
-	// Nearest through the facade.
-	n, _ := g.Node(g.NodeIDs()[0])
-	nn, err := s.Nearest(n.Pos, 3)
-	if err != nil || len(nn) != 3 || nn[0].ID != g.NodeIDs()[0] {
-		t.Fatalf("Nearest = %v, %v", nn, err)
-	}
-	// Updates keep the r-tree consistent.
-	op, err := InsertOpFromNode(g, nn[0].ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Delete(nn[0].ID, SecondOrder); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Insert(op, SecondOrder); err != nil {
-		t.Fatal(err)
-	}
-	nn2, err := s.Nearest(n.Pos, 1)
-	if err != nil || len(nn2) != 1 || nn2[0].ID != nn[0].ID {
-		t.Fatalf("Nearest after update = %v, %v", nn2, err)
-	}
-}
-
 // TestOpenPathDetectsCorruption pins the durability contract of the
 // public facade: on-disk corruption surfaces as the re-exported
 // ErrChecksum sentinel, and after an fsck repair the file opens again

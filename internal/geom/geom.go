@@ -46,12 +46,6 @@ func (r Rect) Contains(p Point) bool {
 	return p.X >= r.Min.X && p.X <= r.Max.X && p.Y >= r.Min.Y && p.Y <= r.Max.Y
 }
 
-// Intersects reports whether the two rectangles share any point.
-func (r Rect) Intersects(o Rect) bool {
-	return r.Min.X <= o.Max.X && o.Min.X <= r.Max.X &&
-		r.Min.Y <= o.Max.Y && o.Min.Y <= r.Max.Y
-}
-
 // Width returns the horizontal extent of r.
 func (r Rect) Width() float64 { return r.Max.X - r.Min.X }
 
@@ -144,35 +138,6 @@ func compact(z uint64) uint32 {
 	x = (x | x>>8) & 0x0000ffff0000ffff
 	x = (x | x>>16) & 0x00000000ffffffff
 	return uint32(x)
-}
-
-// ZRange is an inclusive interval of Z-values.
-type ZRange struct {
-	Lo, Hi uint64
-}
-
-// ZRangeOf returns the smallest single Z interval covering the query
-// rectangle under q. The interval may include Z-values whose points lie
-// outside the rectangle; callers filter with Rect.Contains, or use
-// BigMin to skip gaps during a scan.
-func (q Quantizer) ZRangeOf(r Rect) ZRange {
-	lox, loy := q.Grid(Point{X: maxf(r.Min.X, q.bounds.Min.X), Y: maxf(r.Min.Y, q.bounds.Min.Y)})
-	hix, hiy := q.Grid(Point{X: minf(r.Max.X, q.bounds.Max.X), Y: minf(r.Max.Y, q.bounds.Max.Y)})
-	return ZRange{Lo: Interleave(lox, loy), Hi: Interleave(hix, hiy)}
-}
-
-func maxf(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func minf(a, b float64) float64 {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // InZRect reports whether the point encoded by z lies inside the grid

@@ -76,7 +76,7 @@ func TestQuantizerDegenerateBounds(t *testing.T) {
 	}
 }
 
-func TestRectContainsIntersects(t *testing.T) {
+func TestRectContains(t *testing.T) {
 	r := NewRect(Point{10, 20}, Point{0, 0}) // corners given out of order
 	if r.Min.X != 0 || r.Min.Y != 0 || r.Max.X != 10 || r.Max.Y != 20 {
 		t.Fatalf("NewRect normalization failed: %+v", r)
@@ -86,16 +86,6 @@ func TestRectContainsIntersects(t *testing.T) {
 	}
 	if r.Contains(Point{10.01, 5}) {
 		t.Error("Contains accepts exterior point")
-	}
-	if !r.Intersects(NewRect(Point{9, 19}, Point{30, 30})) {
-		t.Error("overlapping rects do not intersect")
-	}
-	if r.Intersects(NewRect(Point{11, 0}, Point{20, 20})) {
-		t.Error("disjoint rects intersect")
-	}
-	// Touching edges intersect (boundary inclusive).
-	if !r.Intersects(NewRect(Point{10, 0}, Point{20, 20})) {
-		t.Error("touching rects should intersect")
 	}
 }
 
@@ -331,20 +321,6 @@ func TestBigMinRandomized(t *testing.T) {
 		if ok != wantOK || (ok && got != want) {
 			t.Fatalf("trial %d: BigMin = (%d,%v), want (%d,%v)", trial, got, ok, want, wantOK)
 		}
-	}
-}
-
-func TestZRangeOfClampsToBounds(t *testing.T) {
-	q := NewQuantizer(NewRect(Point{0, 0}, Point{100, 100}))
-	zr := q.ZRangeOf(NewRect(Point{-50, -50}, Point{200, 200}))
-	if zr.Lo != 0 {
-		t.Errorf("Lo = %d, want 0", zr.Lo)
-	}
-	if zr.Hi != Interleave(maxCoord, maxCoord) {
-		t.Errorf("Hi = %d, want full", zr.Hi)
-	}
-	if zr.Lo > zr.Hi {
-		t.Error("Lo > Hi")
 	}
 }
 

@@ -12,9 +12,9 @@ import (
 
 // insertBuiltFile loads the same page groups via per-record
 // InsertRecordAt (the old, descent-per-key path) as a reference.
-func insertBuiltFile(t *testing.T, g *graph.Network, groups [][]graph.NodeID, kind SpatialKind) *File {
+func insertBuiltFile(t *testing.T, g *graph.Network, groups [][]graph.NodeID) *File {
 	t.Helper()
-	f, err := Create(Options{PageSize: 1024, PoolPages: 32, Bounds: g.Bounds(), Spatial: kind})
+	f, err := Create(Options{PageSize: 1024, PoolPages: 32, Bounds: g.Bounds()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,66 +52,67 @@ func clusterGroups(t *testing.T, g *graph.Network, pageSize int) [][]graph.NodeI
 // file level: the staged bulk load (parallel encode, sequential write,
 // bottom-up indexes) must be observationally identical to the
 // insert-at-a-time build — same placement, same point lookups, same
-// range-scan results — for both spatial index kinds.
+// range-scan results. The subtest is named for the spatial index both
+// builds carry.
 func TestFileBulkLoadEqualsInsertBuilt(t *testing.T) {
+	t.Run("zorder", testBulkLoadEqualsInsertBuilt)
+}
+
+func testBulkLoadEqualsInsertBuilt(t *testing.T) {
 	g := testNetwork(t)
 	groups := clusterGroups(t, g, 1024)
-	for _, kind := range []SpatialKind{SpatialZOrder, SpatialRTree} {
-		t.Run(kind.String(), func(t *testing.T) {
-			bulk := buildFileSpatial(t, g, kind)
-			ref := insertBuiltFile(t, g, groups, kind)
+	bulk := buildFile(t, g, 1024, 32)
+	ref := insertBuiltFile(t, g, groups)
 
-			bp, rp := bulk.Placement(), ref.Placement()
-			if len(bp) != len(rp) {
-				t.Fatalf("placement sizes %d vs %d", len(bp), len(rp))
+	bp, rp := bulk.Placement(), ref.Placement()
+	if len(bp) != len(rp) {
+		t.Fatalf("placement sizes %d vs %d", len(bp), len(rp))
+	}
+	for id, pid := range rp {
+		if bp[id] != pid {
+			t.Fatalf("node %d placed on page %d, reference %d", id, bp[id], pid)
+		}
+	}
+	for _, id := range g.NodeIDs() {
+		br, err := bulk.Find(id)
+		if err != nil {
+			t.Fatalf("Find(%d): %v", id, err)
+		}
+		rr, err := ref.Find(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if br.ID != rr.ID || len(br.Succs) != len(rr.Succs) || br.Pos != rr.Pos {
+			t.Fatalf("record %d differs between builds", id)
+		}
+	}
+	b := g.Bounds()
+	rng := rand.New(rand.NewSource(3))
+	for trial := 0; trial < 10; trial++ {
+		x := b.Min.X + rng.Float64()*b.Width()
+		y := b.Min.Y + rng.Float64()*b.Height()
+		rect := geom.NewRect(geom.Point{X: x, Y: y},
+			geom.Point{X: x + rng.Float64()*b.Width()/3, Y: y + rng.Float64()*b.Height()/3})
+		got, err := bulk.RangeQuery(rect)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := ref.RangeQuery(rect)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("range query %d vs %d results", len(got), len(want))
+		}
+		seen := map[graph.NodeID]bool{}
+		for _, r := range got {
+			seen[r.ID] = true
+		}
+		for _, r := range want {
+			if !seen[r.ID] {
+				t.Fatalf("range query missing %d", r.ID)
 			}
-			for id, pid := range rp {
-				if bp[id] != pid {
-					t.Fatalf("node %d placed on page %d, reference %d", id, bp[id], pid)
-				}
-			}
-			for _, id := range g.NodeIDs() {
-				br, err := bulk.Find(id)
-				if err != nil {
-					t.Fatalf("Find(%d): %v", id, err)
-				}
-				rr, err := ref.Find(id)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if br.ID != rr.ID || len(br.Succs) != len(rr.Succs) || br.Pos != rr.Pos {
-					t.Fatalf("record %d differs between builds", id)
-				}
-			}
-			b := g.Bounds()
-			rng := rand.New(rand.NewSource(3))
-			for trial := 0; trial < 10; trial++ {
-				x := b.Min.X + rng.Float64()*b.Width()
-				y := b.Min.Y + rng.Float64()*b.Height()
-				rect := geom.NewRect(geom.Point{X: x, Y: y},
-					geom.Point{X: x + rng.Float64()*b.Width()/3, Y: y + rng.Float64()*b.Height()/3})
-				got, err := bulk.RangeQuery(rect)
-				if err != nil {
-					t.Fatal(err)
-				}
-				want, err := ref.RangeQuery(rect)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if len(got) != len(want) {
-					t.Fatalf("range query %d vs %d results", len(got), len(want))
-				}
-				seen := map[graph.NodeID]bool{}
-				for _, r := range got {
-					seen[r.ID] = true
-				}
-				for _, r := range want {
-					if !seen[r.ID] {
-						t.Fatalf("range query missing %d", r.ID)
-					}
-				}
-			}
-		})
+		}
 	}
 }
 

@@ -371,7 +371,11 @@ func (v View) RangeQueryCtx(ctx context.Context, rect geom.Rect) ([]*Record, err
 	// delta under the write side of this lock: the index and a delta list
 	// loaded under the read side agree.
 	c.st = v.f.overlay.Load()
-	cand := appendCandidates(v.f.spatial, rect, buf[:0])
+	cand := buf[:0]
+	v.f.spatial.search(rect, func(id graph.NodeID) bool {
+		cand = append(cand, id)
+		return true
+	})
 	indexed := len(cand)
 	// No delta is newer than the live end: the live file adds nothing.
 	for _, d := range c.st.deltas {
@@ -407,10 +411,10 @@ func (v View) RangeQueryCtx(ctx context.Context, rect geom.Rect) ([]*Record, err
 
 // Nearest returns the k records closest to p by Euclidean distance as
 // of the view, nearest first. It runs expanding-window range queries —
-// exact at the view's LSN for either spatial index — and verifies the
-// result radius: a window of half-side r holds every point within r of
-// p, so k hits whose farthest lies within r are the answer, and
-// otherwise one more query at that farthest distance is.
+// exact at the view's LSN — and verifies the result radius: a window of
+// half-side r holds every point within r of p, so k hits whose farthest
+// lies within r are the answer, and otherwise one more query at that
+// farthest distance is.
 func (v View) Nearest(p geom.Point, k int) ([]*Record, error) {
 	if k <= 0 {
 		return nil, nil

@@ -30,9 +30,6 @@ type Options struct {
 	// spatial index. Zero value disables spatial keys (they quantize to
 	// a single cell).
 	Bounds geom.Rect
-	// Spatial selects the secondary spatial index structure (default
-	// SpatialZOrder, the paper's choice).
-	Spatial SpatialKind
 	// Store supplies the data page store; nil selects an in-memory
 	// simulated disk.
 	Store storage.Store
@@ -47,9 +44,8 @@ type Options struct {
 // File is the shared data file: slotted data pages holding node
 // records, a clock-sweep buffer pool, the node index (node id → record
 // id, page and slot; the versioned overlay of snapshot.go, read at its
-// live end) and
-// a spatial index (Z-order key run or R-tree, position → node id). Both
-// indexes are memory resident, as the paper assumes, so data-page I/O —
+// live end) and the spatial index (the Z-order key run, position → node
+// id). Both indexes are memory resident, as the paper assumes, so data-page I/O —
 // the paper's metric — is metered in isolation.
 //
 // Concurrency: the query operations (Find, GetASuccessor,
@@ -68,7 +64,7 @@ type File struct {
 	pageSize  int
 	dataStore storage.Store
 	pool      *buffer.Pool
-	spatial   spatialIndex
+	spatial   *zorderIndex
 	quant     geom.Quantizer
 	pages     map[storage.PageID]bool
 	// free is the memory-resident free-space map (bytes available per
@@ -128,15 +124,11 @@ func Create(opts Options) (*File, error) {
 		return nil, fmt.Errorf("netfile: store page size %d != %d", st.PageSize(), opts.PageSize)
 	}
 	quant := geom.NewQuantizer(opts.Bounds)
-	spatial, err := newSpatialIndex(opts.Spatial, quant)
-	if err != nil {
-		return nil, err
-	}
 	f := &File{
 		pageSize:  opts.PageSize,
 		dataStore: st,
 		pool:      buffer.NewPoolShards(st, opts.PoolPages, opts.PoolShards),
-		spatial:   spatial,
+		spatial:   &zorderIndex{quant: quant},
 		quant:     quant,
 		pages:     make(map[storage.PageID]bool),
 		free:      make(map[storage.PageID]int),
@@ -823,9 +815,9 @@ func (f *File) ReplacePageContents(pid storage.PageID, recs []*Record) error {
 // matches the paper's assumption that index structures live in main
 // memory. A store holding one node id on two pages fails with
 // ErrDuplicate. The scan's I/O is excluded from the returned file's
-// counters. Pool size and sharding, spatial kind and metrics are taken
-// from opts; PageSize, Store and Bounds are derived from the store's
-// contents, and any values supplied for them are ignored.
+// counters. Pool size, sharding and metrics are taken from opts;
+// PageSize, Store and Bounds are derived from the store's contents, and
+// any values supplied for them are ignored.
 func OpenFromStoreOpts(st storage.Store, opts Options) (*File, error) {
 	if opts.PoolPages <= 0 {
 		opts.PoolPages = 32

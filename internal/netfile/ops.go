@@ -80,7 +80,7 @@ func (f *File) EvaluateRouteCtx(ctx context.Context, route graph.Route) (RouteAg
 
 // RangeQuery returns the records of every node whose position lies in
 // rect, through the secondary spatial index (a Z-order scan with BIGMIN
-// jumps by default, or an R-tree search; paper §2.1).
+// jumps; paper §2.1).
 func (f *File) RangeQuery(rect geom.Rect) ([]*Record, error) {
 	return f.live().RangeQueryCtx(context.Background(), rect)
 }

@@ -502,9 +502,6 @@ func (s View) Has(id graph.NodeID) bool {
 	return ok
 }
 
-// SpatialIndexKind reports the file's spatial index structure.
-func (s View) SpatialIndexKind() SpatialKind { return s.f.SpatialIndexKind() }
-
 // SpatialCandidates probes the live spatial index for rect's candidate
 // ids (planner page-set resolution; approximate against the pinned LSN
 // exactly as the planner's statistics are).

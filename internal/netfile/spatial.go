@@ -8,80 +8,13 @@ import (
 
 	"ccam/internal/geom"
 	"ccam/internal/graph"
-	"ccam/internal/rtree"
 )
 
-// SpatialKind selects the secondary spatial index structure. The paper
-// uses a B+-tree over the Z-order of each node's coordinates, assumed
-// memory resident, and notes that "other access methods such as R-tree
-// and Grid File etc. can alternatively be created on top of the data
-// file as secondary indices".
-type SpatialKind int
-
-// Spatial index kinds.
-const (
-	// SpatialZOrder is a memory-resident sorted run of keys ordered by
-	// the Z-order (Morton code) of the node position, scanned with
-	// BIGMIN jumps — the paper's default.
-	SpatialZOrder SpatialKind = iota
-	// SpatialRTree is Guttman's R-tree with quadratic splits.
-	SpatialRTree
-)
-
-// String implements fmt.Stringer.
-func (k SpatialKind) String() string {
-	switch k {
-	case SpatialZOrder:
-		return "zorder"
-	case SpatialRTree:
-		return "rtree"
-	default:
-		return fmt.Sprintf("spatial(%d)", int(k))
-	}
-}
-
-// spatialIndex abstracts the memory-resident secondary spatial index:
-// point entries (node position → node id) with range and k-nearest
-// search. The data page of a result is resolved through the node
-// index.
-type spatialIndex interface {
-	// put adds an entry; putting a present entry is a no-op.
-	put(p geom.Point, id graph.NodeID)
-	// remove drops an entry, or fails with ErrNotFound.
-	remove(p geom.Point, id graph.NodeID) error
-	// search visits ids of entries inside rect; fn returning false
-	// stops early.
-	search(rect geom.Rect, fn func(id graph.NodeID) bool)
-	// bulkLoad populates an empty index with all entries at once;
-	// structures without a bulk path fall back to per-entry put.
-	bulkLoad(entries []spatialEntry)
-}
-
-// spatialEntry is one point record for bulkLoad.
+// spatialEntry is one point record of the secondary spatial index:
+// a node position and its id.
 type spatialEntry struct {
 	pos geom.Point
 	id  graph.NodeID
-}
-
-func newSpatialIndex(kind SpatialKind, quant geom.Quantizer) (spatialIndex, error) {
-	switch kind {
-	case SpatialZOrder:
-		return &zorderIndex{quant: quant}, nil
-	case SpatialRTree:
-		return &rtreeIndex{tree: rtree.New(16)}, nil
-	default:
-		return nil, fmt.Errorf("netfile: unknown spatial index kind %d", kind)
-	}
-}
-
-// SpatialIndexKind reports which secondary spatial index structure the
-// file carries (SpatialZOrder or SpatialRTree). The query planner uses
-// it to name the window access path it is costing.
-func (f *File) SpatialIndexKind() SpatialKind {
-	if _, ok := f.spatial.(*rtreeIndex); ok {
-		return SpatialRTree
-	}
-	return SpatialZOrder
 }
 
 // SpatialCandidates visits the node ids the spatial index yields as
@@ -101,36 +34,19 @@ func (f *File) SpatialCandidates(rect geom.Rect, fn func(id graph.NodeID) bool) 
 	return nil
 }
 
-// appendCandidates appends to dst the ids the spatial index yields as
-// candidates for rect, in the index's order. It calls search on the
-// index's concrete type: a visitor passed through the interface escapes,
-// and would take dst's backing array — a caller's stack buffer — to the
-// heap with it. newSpatialIndex makes no other kind.
-func appendCandidates(ix spatialIndex, rect geom.Rect, dst []graph.NodeID) []graph.NodeID {
-	add := func(id graph.NodeID) bool {
-		dst = append(dst, id)
-		return true
-	}
-	switch ix := ix.(type) {
-	case *zorderIndex:
-		ix.search(rect, add)
-	case *rtreeIndex:
-		ix.search(rect, add)
-	}
-	return dst
-}
-
-// --- Z-order implementation (the paper's secondary index) ---
-
 // zBlockCap is the most keys a zorderIndex block holds. A put that
 // overfills a block splits it in half.
 const zBlockCap = 256
 
-// zorderIndex is the paper's Z-ordered secondary index, kept memory
-// resident as the paper assumes: the sorted run of keys, cut into
+// zorderIndex is the paper's secondary spatial index (§2.1): the Z-order
+// of each node's position, ordered for range scans and kept memory
+// resident as the paper assumes. It is the sorted run of keys, cut into
 // blocks of at most zBlockCap so that a put or remove moves at most one
 // block's keys. Every block is non-empty, and the blocks concatenated
-// are sorted. A position in the run is (block, index).
+// are sorted. A position in the run is (block, index). The paper admits
+// an R-tree or a Grid File in its place; the Grid File is a baseline in
+// internal/bench, and an R-tree read within one page per 256 windows of
+// it and no faster (EXPERIMENTS.md, "One spatial index").
 type zorderIndex struct {
 	blocks [][]uint64
 	quant  geom.Quantizer
@@ -158,6 +74,7 @@ func (z *zorderIndex) locate(k uint64) (b, i int) {
 	return b, i
 }
 
+// put adds the entry for (p, id); putting a present entry is a no-op.
 func (z *zorderIndex) put(p geom.Point, id graph.NodeID) {
 	k := z.key(p, id)
 	b, i := z.locate(k)
@@ -180,6 +97,7 @@ func (z *zorderIndex) put(p geom.Point, id graph.NodeID) {
 	z.blocks[b] = blk
 }
 
+// remove drops the entry for (p, id), or fails with ErrNotFound.
 func (z *zorderIndex) remove(p geom.Point, id graph.NodeID) error {
 	k := z.key(p, id)
 	b, i := z.locate(k)
@@ -212,11 +130,13 @@ func (z *zorderIndex) bulkLoad(entries []spatialEntry) {
 	}
 }
 
-// search scans the keys from the window's lowest Z value to its highest.
-// A key whose cell lies outside the window is a gap: the scan jumps to
-// the key at BIGMIN, the next Z value inside it. A jump searches forward
-// in the current block when its last key is at or past the target and
-// calls locate only otherwise. On netmix-sized windows of the 65k-node
+// search visits the ids of the entries whose cell lies inside rect's
+// cells, in key order; fn returning false stops it. It scans the keys
+// from the window's lowest Z value to its highest. A key whose cell
+// lies outside the window is a gap: the scan jumps to the key at
+// BIGMIN, the next Z value inside it. A jump searches forward in the
+// current block when its last key is at or past the target and calls
+// locate only otherwise. On netmix-sized windows of the 65k-node
 // map, 96 % of the ~23 jumps per window stay in the block, and the
 // shortcut takes the probe from 4.4 to 2.9 µs (BenchmarkSpatialCandidates,
 // 2-CPU Intel Xeon).
@@ -256,40 +176,6 @@ func (z *zorderIndex) search(rect geom.Rect, fn func(graph.NodeID) bool) {
 		}
 		i++
 	}
-}
-
-// --- R-tree implementation ---
-
-type rtreeIndex struct {
-	tree *rtree.Tree
-}
-
-func (r *rtreeIndex) put(p geom.Point, id graph.NodeID) {
-	// Upsert semantics: drop a stale entry for the same (point, id) so
-	// reorganization's re-puts stay idempotent.
-	_ = r.tree.Delete(p, uint64(id))
-	r.tree.Insert(p, uint64(id))
-}
-
-func (r *rtreeIndex) remove(p geom.Point, id graph.NodeID) error {
-	if err := r.tree.Delete(p, uint64(id)); err != nil {
-		return fmt.Errorf("%w: spatial entry for %d", ErrNotFound, id)
-	}
-	return nil
-}
-
-// bulkLoad has no bottom-up path for the R-tree; it falls back to
-// per-entry inserts.
-func (r *rtreeIndex) bulkLoad(entries []spatialEntry) {
-	for _, e := range entries {
-		r.put(e.pos, e.id)
-	}
-}
-
-func (r *rtreeIndex) search(rect geom.Rect, fn func(graph.NodeID) bool) {
-	r.tree.Search(rect, func(_ geom.Point, ref uint64) bool {
-		return fn(graph.NodeID(ref))
-	})
 }
 
 // sortByDistance orders records by true Euclidean distance from p.

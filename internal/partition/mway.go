@@ -11,9 +11,10 @@ import (
 // may be used to further improve the result of partitioning". Each
 // round scans boundary nodes (nodes with a neighbor on another page)
 // and applies the single-node page move with the largest positive
-// weighted-gain that fits in the destination page; rounds repeat until
-// no improving move exists or maxRounds is reached. Returns the refined
-// pages and the number of moves applied.
+// weighted-gain that fits in the destination page, the lower page index
+// among equal gains; rounds repeat until no improving move exists or
+// maxRounds is reached. Returns the refined pages and the number of
+// moves applied.
 func MWayRefine(g *graph.Network, pages [][]graph.NodeID, sizeOf func(graph.NodeID) int, pageSize, maxRounds int) ([][]graph.NodeID, int) {
 	// page index per node and used bytes per page.
 	pageOf := make(map[graph.NodeID]int)
@@ -46,6 +47,7 @@ func MWayRefine(g *graph.Network, pages [][]graph.NodeID, sizeOf func(graph.Node
 	}
 
 	moves := 0
+	var cands []int
 	for round := 0; round < maxRounds; round++ {
 		movedThisRound := 0
 		for _, x := range g.NodeIDs() {
@@ -54,12 +56,19 @@ func MWayRefine(g *graph.Network, pages [][]graph.NodeID, sizeOf func(graph.Node
 				continue
 			}
 			conn := connWeight(x)
+			// Visit the candidate pages in index order: a tie goes to the
+			// lower page, whatever order the map yields them in.
+			cands = cands[:0]
+			for pg := range conn {
+				cands = append(cands, pg)
+			}
+			sort.Ints(cands)
 			bestPage, bestGain := -1, 0.0
-			for pg, w := range conn {
+			for _, pg := range cands {
 				if pg == home {
 					continue
 				}
-				gain := w - conn[home]
+				gain := conn[pg] - conn[home]
 				if gain > bestGain+1e-12 && used[pg]+sizeOf(x) <= pageSize {
 					// Do not empty the home page entirely.
 					if len(out[home]) <= 1 {

@@ -3,6 +3,7 @@ package partition
 import (
 	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"ccam/internal/graph"
@@ -257,6 +258,31 @@ func TestMWayRefineImprovesCRR(t *testing.T) {
 	}
 	if total != g.NumNodes() {
 		t.Fatalf("node count changed: %d != %d", total, g.NumNodes())
+	}
+}
+
+// TestMWayRefineDeterministic: equal gains go to the lower page index,
+// so refining the same placement twice moves the same nodes to the same
+// pages. The shuffled start of TestMWayRefineImprovesCRR leaves many
+// boundary nodes tied between two pages.
+func TestMWayRefineDeterministic(t *testing.T) {
+	g, err := graph.RoadMap(graph.MinneapolisLikeOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	size := func(graph.NodeID) int { return 80 }
+	order := g.NodeIDs()
+	rand.New(rand.NewSource(13)).Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
+	pages, err := PackSequential(order, size, 1024*3/4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, moves := MWayRefine(g, pages, size, 1024, 10)
+	for run := 1; run < 12; run++ {
+		got, n := MWayRefine(g, pages, size, 1024, 10)
+		if n != moves || !slices.EqualFunc(got, first, slices.Equal) {
+			t.Fatalf("run %d: %d moves to other pages than run 0's %d", run, n, moves)
+		}
 	}
 }
 

@@ -1,9 +1,9 @@
 // Package plan turns a parsed CCAM-QL statement (internal/query/lang)
 // into an executable access plan. The planner enumerates the access
 // paths the file supports — B+-tree point lookup, spatial-index window
-// (Z-range with BIGMIN jumps or R-tree), PAG-ordered sequential page
-// scan, and successor expansion — and picks the cheapest by predicted
-// data-page accesses.
+// (Z-range with BIGMIN jumps), PAG-ordered sequential page scan, and
+// successor expansion — and picks the cheapest by predicted data-page
+// accesses.
 //
 // Every plan carries two figures, both reported by EXPLAIN. The paper's
 // §3 formulas (internal/costmodel), fed with the live CRR/γ/|A|/λ
@@ -39,8 +39,6 @@ type Stats struct {
 	// Nodes and Pages are the file's record and data-page counts.
 	Nodes int `json:"nodes"`
 	Pages int `json:"pages"`
-	// Spatial names the secondary spatial index ("zorder", "rtree").
-	Spatial string `json:"spatial"`
 }
 
 // Source is what a catalog is opened on: the file's PAG summary —
@@ -50,7 +48,6 @@ type Stats struct {
 // index.
 type Source interface {
 	PAG() netfile.PAGView
-	SpatialIndexKind() netfile.SpatialKind
 	SpatialCandidates(rect geom.Rect, fn func(id graph.NodeID) bool) error
 }
 
@@ -81,10 +78,9 @@ func NewCatalog(src Source) (*Catalog, error) {
 	c := &Catalog{pag: src.PAG(), probe: src.SpatialCandidates}
 	st := c.pag.Stats()
 	c.Stats = Stats{
-		Alpha:   st.CRR(),
-		Nodes:   st.Nodes,
-		Pages:   st.Pages,
-		Spatial: src.SpatialIndexKind().String(),
+		Alpha: st.CRR(),
+		Nodes: st.Nodes,
+		Pages: st.Pages,
 	}
 	if st.Nodes > 0 {
 		c.Stats.AvgA = float64(st.Edges) / float64(st.Nodes)

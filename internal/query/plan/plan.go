@@ -29,8 +29,6 @@ const (
 	// BIGMIN jumps, reading the candidates as one set: each of their
 	// data pages is fetched once.
 	PathZRange AccessPath = "zrange"
-	// PathRTreeWindow drives a window query through the R-tree.
-	PathRTreeWindow AccessPath = "rtree-window"
 	// PathPAGScan reads every data page once, sequentially in PAG
 	// order, filtering records in memory.
 	PathPAGScan AccessPath = "pag-scan"
@@ -188,17 +186,13 @@ func (c *Catalog) planWindow(p *Plan, s *lang.Window) error {
 	}); err != nil {
 		return fmt.Errorf("plan: window probe: %w", err)
 	}
-	path := PathZRange
-	if c.Stats.Spatial == "rtree" {
-		path = PathRTreeWindow
-	}
 	pages := c.pagesOf(cand)
 	model := float64(pages)
 	if c.Stats.Gamma > 0 {
 		model = float64(len(cand)) / c.Stats.Gamma
 	}
 	c.pickOrScan(p, Estimate{
-		Path:       path,
+		Path:       PathZRange,
 		Pages:      pages,
 		ModelPages: model,
 		Detail: fmt.Sprintf("%d index candidate(s) on %d distinct page(s); γ-packed lower bound %.2f pages",
@@ -332,9 +326,9 @@ func (p *Plan) Describe() string {
 	if p.Chosen.Detail != "" {
 		fmt.Fprintf(&b, "  model: %s\n", p.Chosen.Detail)
 	}
-	fmt.Fprintf(&b, "  stats: alpha=%.3f |A|=%.2f lambda=%.2f gamma=%.2f nodes=%d pages=%d spatial=%s\n",
+	fmt.Fprintf(&b, "  stats: alpha=%.3f |A|=%.2f lambda=%.2f gamma=%.2f nodes=%d pages=%d\n",
 		p.Stats.Alpha, p.Stats.AvgA, p.Stats.Lambda, p.Stats.Gamma,
-		p.Stats.Nodes, p.Stats.Pages, p.Stats.Spatial)
+		p.Stats.Nodes, p.Stats.Pages)
 	for _, alt := range p.Alternatives {
 		fmt.Fprintf(&b, "  rejected: %s — %d page(s), model %.2f\n", alt.Path, alt.Pages, alt.ModelPages)
 	}

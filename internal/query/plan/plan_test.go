@@ -70,7 +70,7 @@ func testCatalog(t *testing.T) *Catalog {
 	}
 	c.Stats = Stats{
 		Alpha: 0.5, AvgA: 2, Lambda: 4, Gamma: 4,
-		Nodes: 8, Pages: 2, Spatial: "zorder",
+		Nodes: 8, Pages: 2,
 	}
 	c.probe = func(rect geom.Rect, fn func(graph.NodeID) bool) error {
 		for i := graph.NodeID(1); i <= 8; i++ {
@@ -213,7 +213,7 @@ func TestPlanAggValidation(t *testing.T) {
 // choice.
 func TestDescribeGolden(t *testing.T) {
 	c := testCatalog(t)
-	stats := "  stats: alpha=0.500 |A|=2.00 lambda=4.00 gamma=4.00 nodes=8 pages=2 spatial=zorder\n"
+	stats := "  stats: alpha=0.500 |A|=2.00 lambda=4.00 gamma=4.00 nodes=8 pages=2\n"
 	cases := []struct {
 		src  string
 		want string
@@ -341,7 +341,7 @@ func TestNewCatalogFromFile(t *testing.T) {
 	n := float64(f.NumNodes())
 	want := Stats{
 		Alpha: float64(same) / float64(edges), AvgA: float64(edges) / n, Lambda: float64(lists) / n,
-		Gamma: n / float64(f.NumPages()), Nodes: f.NumNodes(), Pages: f.NumPages(), Spatial: "zorder",
+		Gamma: n / float64(f.NumPages()), Nodes: f.NumNodes(), Pages: f.NumPages(),
 	}
 	if c.Stats != want {
 		t.Errorf("catalog stats %+v, a scan gives %+v", c.Stats, want)

@@ -327,7 +327,7 @@ func TestDisabledMetricsAddNoAllocs(t *testing.T) {
 // configuration serves both.
 func TestBuildKeepsOptionsAfterOpenPath(t *testing.T) {
 	g := smallTestMap(t)
-	opts := Options{PageSize: 1024, Seed: 2, Metrics: true, TraceCapacity: 16, Spatial: SpatialRTree}
+	opts := Options{PageSize: 1024, PoolPages: 48, PoolShards: 4, Seed: 2, Metrics: true, TraceCapacity: 16}
 	for _, tc := range []struct {
 		name string
 		open func(t *testing.T, path string) (*Store, error)
@@ -360,8 +360,9 @@ func TestBuildKeepsOptionsAfterOpenPath(t *testing.T) {
 			if err := s.Build(g); err != nil {
 				t.Fatal(err)
 			}
-			if kind := s.m.File().SpatialIndexKind(); kind != SpatialRTree {
-				t.Errorf("spatial index after Build is %v, want %v", kind, SpatialRTree)
+			if pool := s.m.File().Pool(); pool.Capacity() != opts.PoolPages || pool.Shards() != opts.PoolShards {
+				t.Errorf("pool after Build holds %d pages in %d shards, want %d in %d",
+					pool.Capacity(), pool.Shards(), opts.PoolPages, opts.PoolShards)
 			}
 			idx := s.Metrics().Counter("ccam_op_find_index_pages_total")
 			before := idx.Value()
