@@ -139,10 +139,12 @@ type frame struct {
 }
 
 // Pool is a sharded clock-sweep buffer pool, safe for concurrent use.
-// Pages hash to shards; each shard's reader-writer latch guards its
-// frame table: hits take it shared (pin count and the reference bit are
-// atomics), so parallel readers stream through buffered pages without
-// serializing, and misses on different shards do not contend at all. A
+// Pages hash to shards; one dense table indexed by page id maps each
+// resident page to its frame, and each shard's reader-writer latch
+// guards its frames and its pages' table entries. Hits take it shared
+// (pin count and the reference bit are atomics), so parallel readers
+// stream through buffered pages without serializing, and misses on
+// different shards do not contend at all. A
 // miss takes its shard latch exclusively only long enough to claim a
 // victim frame and publish it as loading-in-progress, then releases it
 // for the physical read — so concurrent misses overlap their I/O.
@@ -177,6 +179,17 @@ type Pool struct {
 	store    storage.Store
 	shards   []*shard
 	capacity int // configured total frame count across shards
+	// table maps a page to its frame: entry id&(tableChunk-1) of chunk
+	// id>>tableChunkBits is the index of page id's frame within the
+	// page's shard plus one; 0 means the page is not resident. An entry
+	// is written only under its page's shard latch held exclusively and
+	// read under it held shared. The chunk list grows by doubling, and a
+	// chunk is added, only with every shard latch held (cover), so any
+	// one shard latch makes reading them safe. Memory is 4 B per page id
+	// in each chunk the pool has fetched from, plus 8 B per chunk below
+	// the highest: O(file pages) for a file's dense ids, and bounded for
+	// a file whose few pages sit at high ids.
+	table []*[tableChunk]int32
 	// noSteal forbids evicting dirty frames: a dirty page may only
 	// reach the store through an explicit flush (checkpoint), never as
 	// a side effect of eviction. Overflow frames absorb the pressure
@@ -189,6 +202,9 @@ type Pool struct {
 	// MVCC page-version state (see version.go). verMu guards the
 	// version chains and the batch bookkeeping; committed is the LSN of
 	// the newest published batch; snapMu guards the snapshot refcounts.
+	// Lock order: verMu before any shard latch. A snapshot hit in ReadAt
+	// takes a shard latch with verMu read-locked; nothing in the pool
+	// takes verMu while it holds a shard latch.
 	verMu       sync.RWMutex
 	versions    map[storage.PageID]*pageVersion
 	pendingVers []storage.PageID
@@ -267,6 +283,41 @@ func (p *Pool) shardOf(id storage.PageID) *shard {
 	}
 	h := uint64(id) * 0x9E3779B97F4A7C15
 	return p.shards[(h>>32)%uint64(len(p.shards))]
+}
+
+// The table's chunks hold 1<<tableChunkBits entries (16 KiB).
+const (
+	tableChunkBits = 12
+	tableChunk     = 1 << tableChunkBits
+)
+
+// covers reports whether the table holds page id's entry. Caller holds
+// a shard latch.
+func (p *Pool) covers(id storage.PageID) bool {
+	c := int(id >> tableChunkBits)
+	return c < len(p.table) && p.table[c] != nil
+}
+
+// cover adds page id's chunk to the table, doubling the chunk list if
+// it is too short. The table only grows, so once covered an id stays
+// covered. Callers hold no shard latch: cover takes them all, in index
+// order, as Reset does.
+func (p *Pool) cover(id storage.PageID) {
+	for _, sh := range p.shards {
+		sh.mu.Lock()
+	}
+	c := int(id >> tableChunkBits)
+	if c >= len(p.table) {
+		t := make([]*[tableChunk]int32, max(2*len(p.table), c+1))
+		copy(t, p.table)
+		p.table = t
+	}
+	if p.table[c] == nil {
+		p.table[c] = new([tableChunk]int32)
+	}
+	for _, sh := range p.shards {
+		sh.mu.Unlock()
+	}
 }
 
 // Capacity returns the configured total number of frames. Under
@@ -389,7 +440,7 @@ func (p *Pool) Contains(id storage.PageID) bool {
 	sh := p.shardOf(id)
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
-	fi, ok := sh.table[id]
+	fi, ok := sh.lookup(id)
 	return ok && sh.frames[fi].loading == nil
 }
 
@@ -422,11 +473,30 @@ func (p *Pool) fetchFrame(id storage.PageID, acct *metrics.Account) (*frame, err
 		sh.mu.RUnlock()
 		return nil, ErrPoolClosed
 	}
-	if fi, ok := sh.table[id]; ok {
+	if fi, ok := sh.lookup(id); ok {
 		return sh.pinResident(fi, sh.mu.RUnlock, acct)
 	}
+	covered := p.covers(id)
 	sh.mu.RUnlock()
+	if !covered {
+		p.cover(id)
+	}
 	return sh.fetchMiss(id, acct)
+}
+
+// pinHit pins page id's frame and counts the hit if the page is
+// resident and loaded; otherwise it returns nil and the caller takes
+// the fetch path, which may wait for a read in flight.
+func (p *Pool) pinHit(id storage.PageID, acct *metrics.Account) *frame {
+	sh := p.shardOf(id)
+	sh.mu.RLock()
+	if fi, ok := sh.lookup(id); ok && !sh.closed && sh.frames[fi].loading == nil {
+		// Loaded: pinResident neither waits nor fails.
+		f, _ := sh.pinResident(fi, sh.mu.RUnlock, acct)
+		return f
+	}
+	sh.mu.RUnlock()
+	return nil
 }
 
 // FetchNew pins a freshly allocated page, returning its ID and a zeroed
@@ -444,6 +514,11 @@ func (p *Pool) FetchNewTraced(acct *metrics.Account) (storage.PageID, []byte, er
 	}
 	sh := p.shardOf(id)
 	sh.mu.Lock()
+	if !p.covers(id) {
+		sh.mu.Unlock()
+		p.cover(id)
+		sh.mu.Lock()
+	}
 	defer sh.mu.Unlock()
 	if sh.closed {
 		return storage.InvalidPageID, nil, ErrPoolClosed
@@ -464,12 +539,12 @@ func (p *Pool) FetchNewTraced(acct *metrics.Account) (storage.PageID, []byte, er
 	// reader's miss that read it after the free. Leaving it would
 	// orphan one of the two frames, and the orphan's eviction would
 	// unpublish the live page.
-	if fj, ok := sh.table[id]; ok && fj != fi {
+	if fj, ok := sh.lookup(id); ok && fj != fi {
 		old := sh.frames[fj]
 		switch {
 		case old.loading != nil:
 			old.doomed = true
-			delete(sh.table, id)
+			sh.unpublish(id)
 		case old.pins.Load() == 0 && !old.flushing:
 			// Unparking moves only parked frames; fi is in the ring.
 			sh.evictLocked(sh.unparkLocked(fj))
@@ -491,7 +566,7 @@ func (p *Pool) FetchNewTraced(acct *metrics.Account) (storage.PageID, []byte, er
 	f.dirty.Store(true) // must be written out even if untouched
 	f.pins.Store(1)
 	f.ref.Store(false)
-	sh.table[id] = fi
+	sh.publish(id, fi)
 	sh.stats.fetches.Add(1)
 	sh.stats.hits.Add(1) // allocation does not cost a read
 	acct.Hit()
@@ -504,7 +579,7 @@ func (p *Pool) Unpin(id storage.PageID, dirty bool) error {
 	sh := p.shardOf(id)
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
-	fi, ok := sh.table[id]
+	fi, ok := sh.lookup(id)
 	if !ok {
 		return fmt.Errorf("%w: page %d", ErrNotPinned, id)
 	}
@@ -533,12 +608,12 @@ func (p *Pool) Discard(id storage.PageID) {
 	sh := p.shardOf(id)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	fi, ok := sh.table[id]
+	fi, ok := sh.lookup(id)
 	if !ok {
 		return
 	}
 	f := sh.frames[fi]
-	delete(sh.table, id)
+	sh.unpublish(id)
 	if f.loading != nil {
 		f.doomed = true
 		return
@@ -551,7 +626,8 @@ func (p *Pool) Discard(id storage.PageID) {
 
 // FlushAll writes every dirty frame back to the store. Pinned frames
 // are flushed too (they stay resident and pinned). Each shard's dirty
-// frames are written as one batch behind a single flush-gate call.
+// frames are written as one batch behind a single flush-gate call,
+// after the shard's eviction write-backs in flight have landed.
 func (p *Pool) FlushAll() error {
 	for _, sh := range p.shards {
 		sh.mu.Lock()
@@ -567,12 +643,15 @@ func (p *Pool) FlushAll() error {
 	return nil
 }
 
-// Flush writes the page back if buffered and dirty.
+// Flush writes the page back if buffered and dirty, after the shard's
+// eviction write-backs in flight (the page's own among them) have
+// landed.
 func (p *Pool) Flush(id storage.PageID) error {
 	sh := p.shardOf(id)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	if fi, ok := sh.table[id]; ok {
+	sh.awaitWritebacksLocked()
+	if fi, ok := sh.lookup(id); ok {
 		if err := sh.flushFrameLocked(fi); err != nil {
 			return err
 		}
@@ -587,7 +666,9 @@ func (p *Pool) Flush(id storage.PageID) error {
 // any frame is still pinned.
 func (p *Pool) Reset() error {
 	// Lock every shard (in order) so the pin check covers the whole
-	// pool before any shard is cleared.
+	// pool before any shard is cleared. A wait for a shard's write-backs
+	// releases only that shard's latch, and a drained shard stays
+	// latched, so after the loop none is in flight anywhere.
 	for _, sh := range p.shards {
 		sh.mu.Lock()
 	}
@@ -596,6 +677,9 @@ func (p *Pool) Reset() error {
 			sh.mu.Unlock()
 		}
 	}()
+	for _, sh := range p.shards {
+		sh.awaitWritebacksLocked()
+	}
 	for _, sh := range p.shards {
 		for _, f := range sh.frames {
 			if f.pins.Load() > 0 {
@@ -610,7 +694,7 @@ func (p *Pool) Reset() error {
 		sh.shrinkLocked()
 		for _, f := range sh.frames {
 			if f.id != storage.InvalidPageID {
-				delete(sh.table, f.id)
+				sh.unpublish(f.id)
 				f.id = storage.InvalidPageID
 				f.dirty.Store(false)
 				f.ref.Store(false)
@@ -620,7 +704,10 @@ func (p *Pool) Reset() error {
 	return nil
 }
 
-// Close flushes all dirty pages and invalidates the pool.
+// Close flushes all dirty pages and invalidates the pool. A shard is
+// marked closed before its eviction write-backs in flight are awaited,
+// so the misses that started them fail with ErrPoolClosed instead of
+// publishing a frame after the flush; a failed flush reopens it.
 func (p *Pool) Close() error {
 	for _, sh := range p.shards {
 		sh.mu.Lock()
@@ -628,9 +715,10 @@ func (p *Pool) Close() error {
 			sh.mu.Unlock()
 			continue
 		}
+		sh.closed = true
 		err := sh.flushShardLocked()
-		if err == nil {
-			sh.closed = true
+		if err != nil {
+			sh.closed = false
 		}
 		sh.mu.Unlock()
 		if err != nil {

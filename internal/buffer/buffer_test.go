@@ -233,9 +233,10 @@ func TestFetchNewDisplacesStaleResidentPage(t *testing.T) {
 }
 
 // closeDuringWriteback drives op while its dirty-victim write-back is
-// blocked inside the store, completes Close in that window, then
-// releases the write and returns op's error — which must be
-// ErrPoolClosed, not a silently published frame in a closed pool.
+// blocked inside the store, starts Close in that window — it marks the
+// shard closed and then waits for the write-back — then releases the
+// write and returns op's error, which must be ErrPoolClosed, not a
+// silently published frame in a closed pool.
 func closeDuringWriteback(t *testing.T, op func(p *Pool, ids []storage.PageID) error) error {
 	t.Helper()
 	st := storage.NewMemStore(128)
@@ -252,15 +253,22 @@ func closeDuringWriteback(t *testing.T, op func(p *Pool, ids []storage.PageID) e
 	errCh := make(chan error, 1)
 	go func() { errCh <- op(p, ids) }()
 	<-bs.entered // op is blocked inside the victim write-back, latch released
-	if err := p.Close(); err != nil {
-		t.Fatal(err)
+	closeErr := make(chan error, 1)
+	go func() { closeErr <- p.Close() }()
+	for sh := p.shards[0]; ; time.Sleep(time.Millisecond) {
+		sh.mu.RLock()
+		closed := sh.closed
+		sh.mu.RUnlock()
+		if closed {
+			break
+		}
 	}
 	bs.blockWrites.Store(false)
 	close(bs.release)
-	if err := <-errCh; err != nil {
-		return err
+	if err := <-closeErr; err != nil {
+		t.Fatal(err)
 	}
-	return nil
+	return <-errCh
 }
 
 // TestFetchNewFailsAfterCloseDuringWriteback: FetchNew releases the

@@ -22,8 +22,9 @@ import (
 // real pool's readers and writer.
 type poolModel struct {
 	p        *Pool
-	st       *storage.MemStore
+	st       storage.Store
 	ref      map[storage.PageID][]byte // every live page's bytes
+	ids      []storage.PageID          // every page ever allocated, freed ones too
 	writable []storage.PageID
 	stable   []storage.PageID
 	held     []storage.PageID // pages the model holds one pin on
@@ -38,13 +39,33 @@ const (
 	modelMaxHeld  = 3
 )
 
+// spreadStore hands out page ids spread apart, two to a chunk of the
+// pool's table, so the model's pages span many chunks and its
+// allocations add chunks and grow the chunk list.
+type spreadStore struct{ *storage.MemStore }
+
+const spread = tableChunk / 2
+
+func (s spreadStore) Allocate() (storage.PageID, error) {
+	id, err := s.MemStore.Allocate()
+	return id * spread, err
+}
+func (s spreadStore) ReadPage(id storage.PageID, buf []byte) error {
+	return s.MemStore.ReadPage(id/spread, buf)
+}
+func (s spreadStore) WritePage(id storage.PageID, buf []byte) error {
+	return s.MemStore.WritePage(id/spread, buf)
+}
+func (s spreadStore) Free(id storage.PageID) error { return s.MemStore.Free(id / spread) }
+
 func newPoolModel(capacity, shards, writable, stable int, noSteal bool) *poolModel {
-	m := &poolModel{st: storage.NewMemStore(modelPageSize), ref: make(map[storage.PageID][]byte)}
+	m := &poolModel{st: spreadStore{storage.NewMemStore(modelPageSize)}, ref: make(map[storage.PageID][]byte)}
 	for i := 0; i < writable+stable; i++ {
 		id, err := m.st.Allocate()
 		if err != nil {
 			panic(err)
 		}
+		m.ids = append(m.ids, id)
 		img := bytes.Repeat([]byte{byte(i + 1)}, modelPageSize)
 		if err := m.st.WritePage(id, img); err != nil {
 			panic(err)
@@ -102,7 +123,7 @@ func (m *poolModel) frameBytes(id storage.PageID) ([]byte, error) {
 	sh := m.p.shardOf(id)
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
-	fi, ok := sh.table[id]
+	fi, ok := sh.lookup(id)
 	if !ok {
 		return nil, fmt.Errorf("held page %d not in the table", id)
 	}
@@ -158,6 +179,7 @@ func (m *poolModel) step(op, arg byte) error {
 			return fmt.Errorf("new page %d is not zeroed", id)
 		}
 		m.ref[id] = make([]byte, modelPageSize)
+		m.ids = append(m.ids, id)
 		m.writable = append(m.writable, id)
 		m.held = append(m.held, id)
 	case 4: // Discard, then free: the page is dropped unwritten
@@ -229,10 +251,11 @@ func (m *poolModel) storeHolds(id storage.PageID) error {
 }
 
 // check holds the pool to the model: every table entry points at a
-// frame holding that id, the ring boundary is in range, every parked
-// frame is dirty, OverflowFrames counts the frames above capacity, and
-// every live page reads as its reference — from its frame if resident,
-// else from the store.
+// frame of the page's shard holding that id, every frame holding a
+// loaded page is that page's entry (no frame is orphaned), the ring
+// boundary is in range, every parked frame is dirty, OverflowFrames
+// counts the frames above capacity, and every live page reads as its
+// reference — from its frame if resident, else from the store.
 func (m *poolModel) check() error {
 	resident := make(map[storage.PageID]bool)
 	overflow := 0
@@ -243,8 +266,27 @@ func (m *poolModel) check() error {
 			if sh.live < 0 || sh.live > len(sh.frames) {
 				return fmt.Errorf("shard %d: live %d outside [0, %d]", si, sh.live, len(sh.frames))
 			}
-			for id, fi := range sh.table {
-				if fi < 0 || fi >= len(sh.frames) || sh.frames[fi].id != id {
+			for fi, f := range sh.frames {
+				if f.id == storage.InvalidPageID || f.loading != nil {
+					continue
+				}
+				if m.p.shardOf(f.id) != sh {
+					return fmt.Errorf("shard %d: frame %d holds page %d of another shard", si, fi, f.id)
+				}
+				if fj, ok := sh.lookup(f.id); !ok || fj != fi {
+					return fmt.Errorf("shard %d: frame %d holds page %d, whose table entry is (%d, %v)", si, fi, f.id, fj, ok)
+				}
+			}
+			// Only this shard's entries: the others may change meanwhile.
+			for _, id := range m.ids {
+				if m.p.shardOf(id) != sh {
+					continue
+				}
+				fi, ok := sh.lookup(id)
+				if !ok {
+					continue
+				}
+				if fi >= len(sh.frames) || sh.frames[fi].id != id {
 					return fmt.Errorf("shard %d: table maps page %d to frame %d, which holds another page", si, id, fi)
 				}
 				f := sh.frames[fi]
@@ -339,9 +381,11 @@ func TestPoolModel(t *testing.T) {
 }
 
 // TestPoolModelConcurrentHits runs the model beside goroutines that
-// fetch and release the stable pages, so their hits, misses and
-// evictions interleave with parking, unparking and growth. Run it under
-// -race.
+// borrow and release the stable pages — one by Fetch, one by ReadAt at
+// a snapshot — so their hits, misses and evictions interleave with
+// parking, unparking, frame growth and table growth: the model's
+// FetchNew allocates page ids past the chunks the warm-up covered. Run
+// it under -race.
 func TestPoolModelConcurrentHits(t *testing.T) {
 	for _, noSteal := range []bool{true, false} {
 		t.Run(fmt.Sprintf("noSteal=%v", noSteal), func(t *testing.T) {
@@ -352,6 +396,19 @@ func TestPoolModelConcurrentHits(t *testing.T) {
 			for _, id := range m.stable {
 				want[id] = m.ref[id][0]
 			}
+			// Warm the stable pages: the table then covers the ids the
+			// store opened with, and only the model's allocations grow it.
+			for _, id := range m.stable {
+				if _, err := m.p.Fetch(id); err != nil {
+					t.Fatal(err)
+				}
+				if err := m.p.Unpin(id, false); err != nil {
+					t.Fatal(err)
+				}
+			}
+			initial := len(m.p.table)
+			lsn := m.p.AcquireSnapshot()
+			defer m.p.ReleaseSnapshot(lsn)
 			stop := make(chan struct{})
 			errs := make(chan error, 2)
 			var wg sync.WaitGroup
@@ -367,12 +424,23 @@ func TestPoolModelConcurrentHits(t *testing.T) {
 						default:
 						}
 						id := m.stable[rng.Intn(len(m.stable))]
-						buf, err := m.p.Fetch(id)
-						if err == nil && buf[0] != want[id] {
-							err = fmt.Errorf("hitter read page %d as %d, want %d", id, buf[0], want[id])
+						var got byte
+						var err error
+						if g == 0 {
+							var buf []byte
+							if buf, err = m.p.Fetch(id); err == nil {
+								got = buf[0]
+								err = m.p.Unpin(id, false)
+							}
+						} else {
+							var ref PageRef
+							if ref, err = m.p.ReadAt(id, lsn, nil); err == nil {
+								got = ref.Data[0]
+								ref.Release()
+							}
 						}
-						if err == nil {
-							err = m.p.Unpin(id, false)
+						if err == nil && got != want[id] {
+							err = fmt.Errorf("hitter %d read page %d as %d, want %d", g, id, got, want[id])
 						}
 						if err != nil {
 							errs <- err
@@ -390,6 +458,9 @@ func TestPoolModelConcurrentHits(t *testing.T) {
 			}
 			for err := range errs {
 				t.Fatal(err)
+			}
+			if len(m.p.table) <= initial {
+				t.Fatalf("table still %d chunks: the run never outgrew the initial table", len(m.p.table))
 			}
 		})
 	}

@@ -14,9 +14,10 @@ import (
 // victims for the next few evictions.
 const writebackBatch = 8
 
-// shard is one independently latched slice of the pool: its own frame
-// table, clock hand and counters. Pages are assigned to shards by
-// Pool.shardOf and never move.
+// shard is one independently latched slice of the pool: its own
+// frames, clock hand and counters. Pages are assigned to shards by
+// Pool.shardOf and never move; the pool's table maps a page to its
+// frame's index here, and the shard latch guards the page's entry.
 //
 // frames[:live] is the clock ring; frames[live:] are parked. Under
 // no-steal the sweep parks every unpinned dirty frame it meets — such a
@@ -36,10 +37,15 @@ type shard struct {
 	frames   []*frame
 	live     int // frames[:live] is the clock ring
 	capacity int // configured frame count; len(frames) may exceed it under no-steal
-	table    map[storage.PageID]int
 	hand     int // clock-sweep position in the ring
 	closed   bool
-	stats    poolCounters
+	// writebacks counts the eviction write-back batches in flight with
+	// the latch released; wbDone (on mu) is broadcast when it drops to
+	// zero. A flush waits for them first: their frames are no longer
+	// dirty, yet their images have not reached the store.
+	writebacks int
+	wbDone     sync.Cond
+	stats      poolCounters
 }
 
 func newShard(p *Pool, capacity int) *shard {
@@ -48,12 +54,35 @@ func newShard(p *Pool, capacity int) *shard {
 		capacity: capacity,
 		live:     capacity,
 		frames:   make([]*frame, capacity),
-		table:    make(map[storage.PageID]int, capacity),
 	}
+	sh.wbDone.L = &sh.mu
 	for i := range sh.frames {
 		sh.frames[i] = &frame{id: storage.InvalidPageID}
 	}
 	return sh
+}
+
+// lookup returns the index of page id's frame. Caller holds the latch,
+// shared or exclusive.
+func (sh *shard) lookup(id storage.PageID) (int, bool) {
+	if t, c := sh.pool.table, int(id>>tableChunkBits); c < len(t) && t[c] != nil {
+		if e := t[c][id&(tableChunk-1)]; e != 0 {
+			return int(e - 1), true
+		}
+	}
+	return 0, false
+}
+
+// publish makes frame fi page id's frame. Caller holds the exclusive
+// latch, and the table covers id (Pool.cover).
+func (sh *shard) publish(id storage.PageID, fi int) {
+	sh.pool.table[id>>tableChunkBits][id&(tableChunk-1)] = int32(fi + 1)
+}
+
+// unpublish removes page id's table entry. Caller holds the exclusive
+// latch, and the entry is set.
+func (sh *shard) unpublish(id storage.PageID) {
+	sh.pool.table[id>>tableChunkBits][id&(tableChunk-1)] = 0
 }
 
 // pinResident pins the table-resident frame fi and returns it, waiting
@@ -97,7 +126,7 @@ func (sh *shard) fetchMiss(id storage.PageID, acct *metrics.Account) (*frame, er
 	}
 	// Another goroutine may have faulted the page in (or begun to)
 	// while we upgraded the latch.
-	if fi, ok := sh.table[id]; ok {
+	if fi, ok := sh.lookup(id); ok {
 		return sh.pinResident(fi, sh.mu.Unlock, acct)
 	}
 	sh.stats.fetches.Add(1)
@@ -117,7 +146,7 @@ func (sh *shard) fetchMiss(id storage.PageID, acct *metrics.Account) (*frame, er
 		sh.mu.Unlock()
 		return nil, ErrPoolClosed
 	}
-	if fj, ok := sh.table[id]; ok {
+	if fj, ok := sh.lookup(id); ok {
 		sh.stats.fetches.Add(-1)
 		sh.stats.misses.Add(-1)
 		return sh.pinResident(fj, sh.mu.Unlock, acct)
@@ -133,7 +162,7 @@ func (sh *shard) fetchMiss(id storage.PageID, acct *metrics.Account) (*frame, er
 	ch := make(chan struct{})
 	f.loading = ch
 	f.loadErr = nil
-	sh.table[id] = fi
+	sh.publish(id, fi)
 	sh.mu.Unlock()
 
 	acct.Miss()
@@ -174,8 +203,8 @@ func (sh *shard) fetchMiss(id storage.PageID, acct *metrics.Account) (*frame, er
 // moved it to another index while the read was in flight. Caller holds
 // the exclusive latch.
 func (sh *shard) unpublishLoadedLocked(f *frame, id storage.PageID) {
-	if fj, ok := sh.table[id]; ok && sh.frames[fj] == f {
-		delete(sh.table, id)
+	if fj, ok := sh.lookup(id); ok && sh.frames[fj] == f {
+		sh.unpublish(id)
 	}
 	f.id = storage.InvalidPageID
 	f.dirty.Store(false)
@@ -190,14 +219,14 @@ func (sh *shard) swapLocked(i, j int) {
 		return
 	}
 	a, b := sh.frames[i], sh.frames[j]
-	ai, aOK := sh.table[a.id]
-	bj, bOK := sh.table[b.id]
+	ai, aOK := sh.lookup(a.id)
+	bj, bOK := sh.lookup(b.id)
 	sh.frames[i], sh.frames[j] = b, a
 	if aOK && ai == i {
-		sh.table[a.id] = j
+		sh.publish(a.id, j)
 	}
 	if bOK && bj == j {
-		sh.table[b.id] = i
+		sh.publish(b.id, i)
 	}
 }
 
@@ -265,7 +294,7 @@ func (sh *shard) sweepLocked(noSteal bool) (fi int, dirty, found bool) {
 func (sh *shard) evictLocked(fi int) {
 	f := sh.frames[fi]
 	if f.id != storage.InvalidPageID {
-		delete(sh.table, f.id)
+		sh.unpublish(f.id)
 		f.id = storage.InvalidPageID
 		sh.stats.evictions.Add(1)
 	}
@@ -313,7 +342,7 @@ func (sh *shard) frameForNewPage(acct *metrics.Account) (int, error) {
 		// Indices may have moved while the latch was released; the
 		// frame pointer did not, so re-resolve the victim through the
 		// table.
-		if fi, ok := sh.table[f.id]; ok && sh.frames[fi] == f && fi < sh.live &&
+		if fi, ok := sh.lookup(f.id); ok && sh.frames[fi] == f && fi < sh.live &&
 			f.pins.Load() == 0 && f.loading == nil && !f.dirty.Load() {
 			sh.evictLocked(fi)
 			return fi, nil
@@ -337,9 +366,10 @@ type wbEntry struct {
 // writebackBatch-1 more dirty, unpinned, settled frames of the shard
 // for an out-of-latch writeback. Each collected frame has its dirty bit
 // cleared and its flushing flag set, so the sweep skips it and a
-// re-dirty during the write is preserved. Caller holds the exclusive
-// latch.
+// re-dirty during the write is preserved. The batch counts as in
+// flight until finishWritebackLocked. Caller holds the exclusive latch.
 func (sh *shard) collectWritebackLocked(first int) []wbEntry {
+	sh.writebacks++
 	batch := make([]wbEntry, 0, writebackBatch)
 	add := func(f *frame) {
 		img := make([]byte, len(f.data))
@@ -385,15 +415,28 @@ func (p *Pool) writeBack(batch []wbEntry, c *poolCounters) (int, error) {
 	return len(batch), nil
 }
 
-// finishWritebackLocked clears the flushing flags of a completed batch
-// and restores the dirty bit on every page that did not reach the
-// store. Caller holds the exclusive latch.
+// finishWritebackLocked clears the flushing flags of a completed batch,
+// restores the dirty bit on every page that did not reach the store,
+// and wakes the flushes waiting for the shard's write-backs. Caller
+// holds the exclusive latch.
 func (sh *shard) finishWritebackLocked(batch []wbEntry, written int) {
 	for i, e := range batch {
 		e.f.flushing = false
 		if i >= written {
 			e.f.dirty.Store(true)
 		}
+	}
+	if sh.writebacks--; sh.writebacks == 0 {
+		sh.wbDone.Broadcast()
+	}
+}
+
+// awaitWritebacksLocked returns once no eviction write-back of the
+// shard is in flight. Caller holds the exclusive latch; it is released
+// while waiting, so callers must revalidate any table lookups.
+func (sh *shard) awaitWritebacksLocked() {
+	for sh.writebacks > 0 {
+		sh.wbDone.Wait()
 	}
 }
 
@@ -422,8 +465,12 @@ func (sh *shard) flushFrameLocked(fi int) error {
 // flushShardLocked writes every dirty frame of the shard (pinned ones
 // too) behind a single flush-gate call, and returns every parked frame
 // to the ring — a frame still dirty after a failed write is simply
-// parked again by the next sweep. Caller holds the exclusive latch.
+// parked again by the next sweep. It first waits for the shard's
+// eviction write-backs in flight, so that on return every image
+// dirtied before the call has reached the store, oldest first. Caller
+// holds the exclusive latch.
 func (sh *shard) flushShardLocked() error {
+	sh.awaitWritebacksLocked()
 	sh.live = len(sh.frames)
 	gated := false
 	for _, f := range sh.frames {
@@ -459,7 +506,7 @@ func (sh *shard) shrinkLocked() {
 			break
 		}
 		if f.id != storage.InvalidPageID {
-			delete(sh.table, f.id)
+			sh.unpublish(f.id)
 			sh.stats.evictions.Add(1)
 		}
 		sh.frames = sh.frames[:len(sh.frames)-1]

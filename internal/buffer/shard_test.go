@@ -1,6 +1,7 @@
 package buffer
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -185,6 +186,71 @@ func TestEvictionWritebackBatchesBehindOneGate(t *testing.T) {
 	}
 	if w := st.Stats().Writes; w != 6 {
 		t.Fatalf("store writes = %d, want 6", w)
+	}
+}
+
+// TestFlushWaitsForEvictionWriteback: an eviction write-back clears its
+// victim's dirty bit and then writes with the shard latch released, so
+// a flush that ran meanwhile found nothing to write and returned before
+// the victim's image reached the store — and a re-dirtied page could be
+// flushed ahead of its older image. FlushAll, Flush and Close must wait
+// for the shard's write-backs in flight.
+func TestFlushWaitsForEvictionWriteback(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		flush func(p *Pool, id storage.PageID) error
+	}{
+		{"FlushAll", func(p *Pool, _ storage.PageID) error { return p.FlushAll() }},
+		{"Flush", func(p *Pool, id storage.PageID) error { return p.Flush(id) }},
+		{"Close", func(p *Pool, _ storage.PageID) error { return p.Close() }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			inner := storage.NewMemStore(128)
+			ids := seedPages(t, inner, 2)
+			bs := newBlockingStore(inner)
+			p := NewPool(bs, 1)
+			b, err := p.Fetch(ids[0])
+			if err != nil {
+				t.Fatal(err)
+			}
+			b[7] = 0x5A
+			if err := p.Unpin(ids[0], true); err != nil {
+				t.Fatal(err)
+			}
+			bs.blockWrites.Store(true)
+			missDone := make(chan error, 1)
+			go func() {
+				// The miss evicts ids[0]; its write-back blocks in the store.
+				_, err := p.Fetch(ids[1])
+				if err == nil {
+					err = p.Unpin(ids[1], false)
+				}
+				missDone <- err
+			}()
+			<-bs.entered
+			flushDone := make(chan error, 1)
+			go func() { flushDone <- tc.flush(p, ids[0]) }()
+			select {
+			case err := <-flushDone:
+				t.Fatalf("%s returned (err %v) while page %d's eviction write-back was in flight", tc.name, err, ids[0])
+			case <-time.After(50 * time.Millisecond):
+			}
+			bs.blockWrites.Store(false)
+			close(bs.release)
+			if err := <-flushDone; err != nil {
+				t.Fatal(err)
+			}
+			if err := <-missDone; err != nil && !errors.Is(err, ErrPoolClosed) {
+				t.Fatal(err)
+			}
+			raw := make([]byte, 128)
+			if err := inner.ReadPage(ids[0], raw); err != nil {
+				t.Fatal(err)
+			}
+			if raw[7] != 0x5A {
+				t.Fatalf("store page %d byte 7 = %#x after %s, want 0x5a", ids[0], raw[7], tc.name)
+			}
+		})
 	}
 }
 

@@ -307,12 +307,17 @@ func (r *PageRef) Touch() {
 //     account counts it as a hit: the pool answered and nothing was
 //     read, so a reader's count does not depend on whether a writer
 //     got to the page first.
-//  2. Otherwise the live frame holds the right image. It is fetched
-//     through the normal pin path (I/O happens without any version
-//     lock held) and borrowed under the chain read-lock: a writer
-//     must insert a pending chain entry — under the write lock —
-//     before its first mutation of a page, so "no chain entry" means
-//     "no in-progress mutation of these bytes".
+//  2. Otherwise the live frame holds the right image: a writer must
+//     insert a pending chain entry — under the write lock — before its
+//     first mutation of a page, so "no chain entry" means "no
+//     in-progress mutation of these bytes". A resident, loaded frame is
+//     pinned under its shard latch while the chain read-lock taken for
+//     step 1 is still held, and the borrow keeps that lock: a snapshot
+//     hit takes the version lock once.
+//  3. A miss, or a frame whose read is still in flight, drops the lock
+//     and fetches through the normal pin path (I/O and waits happen
+//     without any version lock held), then re-checks the chain under
+//     the lock the borrow keeps.
 func (p *Pool) ReadAt(id storage.PageID, lsn uint64, acct *metrics.Account) (PageRef, error) {
 	if lsn == LiveLSN {
 		f, err := p.fetchFrame(id, acct)
@@ -322,12 +327,15 @@ func (p *Pool) ReadAt(id storage.PageID, lsn uint64, acct *metrics.Account) (Pag
 		return PageRef{Data: f.data, f: f}, nil
 	}
 	p.verMu.RLock()
-	v := findVersion(p.versions[id], lsn)
-	p.verMu.RUnlock()
-	if v != nil {
+	if v := findVersion(p.versions[id], lsn); v != nil {
+		p.verMu.RUnlock()
 		acct.Hit()
 		return PageRef{Data: v.data}, nil
 	}
+	if f := p.pinHit(id, acct); f != nil {
+		return PageRef{Data: f.data, f: f, latch: &p.verMu}, nil
+	}
+	p.verMu.RUnlock()
 
 	f, err := p.fetchFrame(id, acct)
 	// Re-check: the page may have gained a pending entry while the

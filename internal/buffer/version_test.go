@@ -330,3 +330,45 @@ func TestDiscardUnderSnapshotReaderPin(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkPoolReadAtHit times a snapshot borrow of a resident page:
+// ReadAt at a pinned LSN with no chain entry for the page, then
+// Release — the borrow every hop of a route evaluation costs when the
+// whole file is buffered.
+func BenchmarkPoolReadAtHit(b *testing.B) {
+	const pages = 1024
+	st := storage.NewMemStore(4096)
+	ids := make([]storage.PageID, pages)
+	for i := range ids {
+		id, err := st.Allocate()
+		if err != nil {
+			b.Fatal(err)
+		}
+		ids[i] = id
+	}
+	p := NewPoolShards(st, pages, 2)
+	for _, id := range ids {
+		if _, err := p.Fetch(id); err != nil {
+			b.Fatal(err)
+		}
+		if err := p.Unpin(id, false); err != nil {
+			b.Fatal(err)
+		}
+	}
+	lsn := p.AcquireSnapshot()
+	defer p.ReleaseSnapshot(lsn)
+	p.ResetStats()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ref, err := p.ReadAt(ids[i%pages], lsn, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		ref.Release()
+	}
+	b.StopTimer()
+	if s := p.Stats(); s.Hits != int64(b.N) || s.Misses != 0 {
+		b.Fatalf("stats %v: the benchmark times hits", s)
+	}
+}

@@ -192,8 +192,9 @@ func (v View) GetSuccessors(id graph.NodeID) ([]*Record, error) {
 }
 
 // GetSuccessorsCtx retrieves the records of all successors of node id
-// as of the view. The context is checked before the node's own fetch
-// and before each successor's.
+// as of the view, in successor-list order, seeking each in that order.
+// The context is checked before the node's own fetch and before each
+// successor's. The records returned share one allocation.
 func (v View) GetSuccessorsCtx(ctx context.Context, id graph.NodeID) ([]*Record, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -211,8 +212,9 @@ func (v View) GetSuccessorsCtx(ctx context.Context, id graph.NodeID) ([]*Record,
 	for i, n := 0, rv.numSuccs(); i < n; i++ {
 		succs = append(succs, rv.succ(i).To)
 	}
-	out := make([]*Record, 0, len(succs))
-	for _, to := range succs {
+	slab := make([]inlineRecord, len(succs))
+	out := make([]*Record, len(succs))
+	for i, to := range succs {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
@@ -220,7 +222,7 @@ func (v View) GetSuccessorsCtx(ctx context.Context, id graph.NodeID) ([]*Record,
 		if err != nil {
 			return nil, fmt.Errorf("netfile: get-successors of %d: %w", id, err)
 		}
-		out = append(out, sv.record())
+		out[i] = sv.recordIn(&slab[i])
 	}
 	return out, nil
 }

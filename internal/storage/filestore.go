@@ -42,10 +42,11 @@ type FileStore struct {
 	next     PageID
 	freeHead PageID
 	// freeNext caches the on-disk free chain (freed page -> next free
-	// page) so Allocate never reads the device to pop the list.
+	// page) so Allocate never reads the device to pop the list. Its keys
+	// are the free pages: a page is live when it is below next and not
+	// among them (see isLive).
 	freeNext map[PageID]PageID
 	nfree    int
-	live     map[PageID]bool
 	flags    uint32
 	gen      uint64
 	// appliedLSN records the WAL checkpoint the data file reflects
@@ -116,7 +117,6 @@ func createFileStore(path string, pageSize int, flags uint32) (*FileStore, error
 		pageSize: pageSize,
 		freeHead: InvalidPageID,
 		freeNext: make(map[PageID]PageID),
-		live:     make(map[PageID]bool),
 		flags:    flags,
 	}
 	// Zero-fill the whole metadata page once, then lay the header in.
@@ -166,7 +166,6 @@ func loadFileStore(f *os.File, path string) (*FileStore, error) {
 		next:     ph.next,
 		freeHead: ph.freeHead,
 		freeNext: make(map[PageID]PageID, ph.nfree),
-		live:     make(map[PageID]bool),
 		flags:    ph.flags,
 		gen:      ph.gen,
 		nfree:    ph.nfree,
@@ -175,10 +174,10 @@ func loadFileStore(f *os.File, path string) (*FileStore, error) {
 	}
 	// Walk the free chain: exactly nfree entries, each inside the
 	// allocated range, no cycles, terminated by InvalidPageID.
-	freed := make(map[PageID]bool, ph.nfree)
 	cur := fs.freeHead
 	for i := 0; i < ph.nfree; i++ {
-		if cur == InvalidPageID || cur >= fs.next || freed[cur] {
+		_, seen := fs.freeNext[cur]
+		if cur == InvalidPageID || cur >= fs.next || seen {
 			return nil, fmt.Errorf("storage: %s: free list broken at entry %d (page %d): %w",
 				path, i, cur, ErrCorruptedPage)
 		}
@@ -191,18 +190,12 @@ func loadFileStore(f *os.File, path string) (*FileStore, error) {
 			return nil, fmt.Errorf("storage: %s: page %d on free list lacks freed marker (%#x): %w",
 				path, cur, marker, ErrCorruptedPage)
 		}
-		freed[cur] = true
 		fs.freeNext[cur] = next
 		cur = next
 	}
 	if cur != InvalidPageID {
 		return nil, fmt.Errorf("storage: %s: free list longer than header count %d: %w",
 			path, ph.nfree, ErrCorruptedPage)
-	}
-	for id := PageID(0); id < fs.next; id++ {
-		if !freed[id] {
-			fs.live[id] = true
-		}
 	}
 	return fs, nil
 }
@@ -399,9 +392,34 @@ func (fs *FileStore) Allocate() (PageID, error) {
 	if _, err := fs.f.WriteAt(zero, fs.offset(id)); err != nil {
 		return InvalidPageID, fmt.Errorf("storage: allocate page %d: %w", id, err)
 	}
-	fs.live[id] = true
 	fs.stats.allocs.Add(1)
 	return id, nil
+}
+
+// isLive reports whether page id is allocated and not freed: below the
+// high-water mark and off the free list. With no page free it probes
+// no map. Caller holds the latch.
+func (fs *FileStore) isLive(id PageID) bool {
+	if id >= fs.next {
+		return false
+	}
+	if fs.nfree == 0 {
+		return true
+	}
+	_, freed := fs.freeNext[id]
+	return !freed
+}
+
+// liveIDs returns the live page ids in ascending order. Caller holds
+// the latch.
+func (fs *FileStore) liveIDs() []PageID {
+	out := make([]PageID, 0, int(fs.next)-fs.nfree)
+	for id := PageID(0); id < fs.next; id++ {
+		if fs.isLive(id) {
+			out = append(out, id)
+		}
+	}
+	return out
 }
 
 // Instrument implements Instrumentable: subsequent physical reads and
@@ -429,7 +447,7 @@ func (fs *FileStore) readPage(id PageID, buf []byte) error {
 	if len(buf) != fs.pageSize {
 		return ErrSizeMismatch
 	}
-	if !fs.live[id] {
+	if !fs.isLive(id) {
 		return fmt.Errorf("%w: page %d", ErrPageNotFound, id)
 	}
 	if _, err := fs.f.ReadAt(buf, fs.offset(id)); err != nil {
@@ -459,7 +477,7 @@ func (fs *FileStore) writePage(id PageID, buf []byte) error {
 	if len(buf) != fs.pageSize {
 		return ErrSizeMismatch
 	}
-	if !fs.live[id] {
+	if !fs.isLive(id) {
 		return fmt.Errorf("%w: page %d", ErrPageNotFound, id)
 	}
 	if _, err := fs.f.WriteAt(buf, fs.offset(id)); err != nil {
@@ -480,7 +498,7 @@ func (fs *FileStore) Free(id PageID) error {
 	if fs.closed {
 		return ErrStoreClosed
 	}
-	if !fs.live[id] {
+	if !fs.isLive(id) {
 		return fmt.Errorf("%w: page %d", ErrPageNotFound, id)
 	}
 	var entry [8]byte
@@ -492,7 +510,6 @@ func (fs *FileStore) Free(id PageID) error {
 	fs.freeNext[id] = fs.freeHead
 	fs.freeHead = id
 	fs.nfree++
-	delete(fs.live, id)
 	if err := fs.writeHeader(); err != nil {
 		return err
 	}
@@ -508,7 +525,7 @@ func (fs *FileStore) NumPages() int {
 	if fs.closed {
 		return len(fs.closedIDs)
 	}
-	return len(fs.live)
+	return int(fs.next) - fs.nfree
 }
 
 // PageIDs implements Store. After Close it returns the snapshot taken
@@ -521,12 +538,7 @@ func (fs *FileStore) PageIDs() []PageID {
 		copy(out, fs.closedIDs)
 		return out
 	}
-	out := make([]PageID, 0, len(fs.live))
-	for id := range fs.live {
-		out = append(out, id)
-	}
-	sortIDs(out)
-	return out
+	return fs.liveIDs()
 }
 
 // Stats implements Store. Every counter is loaded atomically, so the
@@ -561,11 +573,7 @@ func (fs *FileStore) Close() error {
 	if fs.closed {
 		return nil
 	}
-	fs.closedIDs = fs.closedIDs[:0]
-	for id := range fs.live {
-		fs.closedIDs = append(fs.closedIDs, id)
-	}
-	sortIDs(fs.closedIDs)
+	fs.closedIDs = fs.liveIDs()
 	fs.closed = true
 	if err := fs.writeHeader(); err != nil {
 		fs.f.Close()

@@ -170,6 +170,75 @@ func TestFileStoreReopen(t *testing.T) {
 	_ = id1
 }
 
+// TestFileStoreLiveness: a page is live when it is below the high-water
+// mark and off the free list. ReadPage, WritePage and Free of a freed
+// id and of an id past the mark fail with ErrPageNotFound, a recycled id
+// is live again, and NumPages and PageIDs answer the same across a
+// reopen.
+func TestFileStoreLiveness(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "pages.db")
+	s, err := CreateFileStore(path, 128)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 6; i++ {
+		if _, err := s.Allocate(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, id := range []PageID{1, 4, 3} {
+		if err := s.Free(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	recycled, err := s.Allocate() // LIFO: the last page freed
+	if err != nil {
+		t.Fatal(err)
+	}
+	if recycled != 3 {
+		t.Fatalf("recycled id = %d, want 3", recycled)
+	}
+	buf := make([]byte, 128)
+	check := func(s *FileStore, stage string) {
+		t.Helper()
+		for _, id := range []PageID{1, 4, 6, 99, InvalidPageID} {
+			if err := s.ReadPage(id, buf); !errors.Is(err, ErrPageNotFound) {
+				t.Fatalf("%s: ReadPage(%d) = %v, want ErrPageNotFound", stage, id, err)
+			}
+			if err := s.WritePage(id, buf); !errors.Is(err, ErrPageNotFound) {
+				t.Fatalf("%s: WritePage(%d) = %v, want ErrPageNotFound", stage, id, err)
+			}
+			if err := s.Free(id); !errors.Is(err, ErrPageNotFound) {
+				t.Fatalf("%s: Free(%d) = %v, want ErrPageNotFound", stage, id, err)
+			}
+		}
+		for _, id := range []PageID{0, 2, 3, 5} {
+			if err := s.ReadPage(id, buf); err != nil {
+				t.Fatalf("%s: ReadPage(%d) = %v", stage, id, err)
+			}
+			if err := s.WritePage(id, buf); err != nil {
+				t.Fatalf("%s: WritePage(%d) = %v", stage, id, err)
+			}
+		}
+		if n, ids := s.NumPages(), s.PageIDs(); n != 4 || !slices.Equal(ids, []PageID{0, 2, 3, 5}) {
+			t.Fatalf("%s: NumPages %d, PageIDs %v; want 4, [0 2 3 5]", stage, n, ids)
+		}
+	}
+	check(s, "before reopen")
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if n, ids := s.NumPages(), s.PageIDs(); n != 4 || !slices.Equal(ids, []PageID{0, 2, 3, 5}) {
+		t.Fatalf("after close: NumPages %d, PageIDs %v; want 4, [0 2 3 5]", n, ids)
+	}
+	s2, err := OpenFileStore(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	check(s2, "after reopen")
+}
+
 func TestOpenFileStoreRejectsGarbage(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "garbage.db")
 	if err := os.WriteFile(path, make([]byte, 64), 0o644); err != nil {
