@@ -12,6 +12,7 @@ import (
 	"math"
 	"math/rand"
 	"path/filepath"
+	"sync/atomic"
 	"testing"
 
 	"ccam/internal/storage"
@@ -210,6 +211,68 @@ func BenchmarkFind(b *testing.B) {
 		if _, err := s.Find(context.Background(), ids[i%len(ids)]); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkFindParallel measures point lookups from b.RunParallel's
+// goroutines over shuffled ids with the whole file buffered: many
+// readers pinning snapshots and borrowing pages at once. The /writer
+// variant runs one goroutine beside them for the whole measurement,
+// applying the benchmark harness's 32-op write batches, so readers pin
+// while commits advance the LSN and borrow pages whose first touch by a
+// batch waits for them; it reports the batches applied per read.
+func BenchmarkFindParallel(b *testing.B) {
+	for _, writer := range []bool{false, true} {
+		name := "readers"
+		if writer {
+			name = "writer"
+		}
+		b.Run(name, func(b *testing.B) {
+			s, g := paperStore(b, 512)
+			defer s.Close()
+			ctx := context.Background()
+			ids := g.NodeIDs()
+			rand.New(rand.NewSource(1)).Shuffle(len(ids), func(i, j int) { ids[i], ids[j] = ids[j], ids[i] })
+			stop, done := make(chan struct{}), make(chan struct{})
+			batches := 0
+			go func() {
+				defer close(done)
+				if !writer {
+					return
+				}
+				w := newMixedBatcher(g, 1)
+				for {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+					if err := s.Apply(ctx, w.batch(32)); err != nil {
+						b.Error(err)
+						return
+					}
+					batches++
+				}
+			}()
+			var starts atomic.Int64
+			b.ReportAllocs()
+			b.ResetTimer()
+			b.RunParallel(func(pb *testing.PB) {
+				i := int(starts.Add(1)) * 7919
+				for ; pb.Next(); i++ {
+					if _, err := s.Find(ctx, ids[i%len(ids)]); err != nil {
+						b.Error(err)
+						return
+					}
+				}
+			})
+			b.StopTimer()
+			close(stop)
+			<-done
+			if writer {
+				b.ReportMetric(float64(batches)/float64(b.N), "batches/op")
+			}
+		})
 	}
 }
 

@@ -36,10 +36,11 @@ var (
 	ErrPoolClosed = errors.New("buffer: pool is closed")
 )
 
-// Stats describes buffer pool traffic. Under read failures Fetches can
-// exceed Hits+Misses: a request that waited on another goroutine's
-// failed read counts as a fetch but neither as a hit (it got no page)
-// nor as a miss (it issued no physical read).
+// Stats describes buffer pool traffic. Fetches is Hits + Misses + the
+// waits that got no page: a request that waited on another goroutine's
+// read counts as a fetch from the moment it starts waiting, and if that
+// read fails, as neither a hit (it got no page) nor a miss (it issued
+// no physical read).
 type Stats struct {
 	Fetches   int64 // logical page requests
 	Hits      int64 // requests satisfied from the pool
@@ -92,42 +93,52 @@ func (s Stats) add(o Stats) Stats {
 }
 
 // poolCounters is the mutable form of Stats: atomics, so Stats() can
-// snapshot without tearing while parallel readers drive the pool.
+// snapshot without tearing while parallel readers drive the pool. A hit
+// adds to hits alone; waits counts the requests waiting on another
+// goroutine's read, or left without a page when it failed — a rare
+// path, so the hot one bumps a single shared counter.
 type poolCounters struct {
-	fetches, hits, misses, evictions, flushes atomic.Int64
+	hits, misses, waits, evictions, flushes atomic.Int64
 }
 
 func (c *poolCounters) snapshot() Stats {
+	hits, misses := c.hits.Load(), c.misses.Load()
 	return Stats{
-		Fetches:   c.fetches.Load(),
-		Hits:      c.hits.Load(),
-		Misses:    c.misses.Load(),
+		Fetches:   hits + misses + c.waits.Load(),
+		Hits:      hits,
+		Misses:    misses,
 		Evictions: c.evictions.Load(),
 		Flushes:   c.flushes.Load(),
 	}
 }
 
 func (c *poolCounters) reset() {
-	c.fetches.Store(0)
 	c.hits.Store(0)
 	c.misses.Store(0)
+	c.waits.Store(0)
 	c.evictions.Store(0)
 	c.flushes.Store(0)
 }
 
 // frame is one buffered page. pins, ref and dirty are atomics so that
 // hits — the hot path — can pin and touch a frame while holding only
-// the shared shard latch. loading is non-nil while the frame's physical
-// read is still in flight; it is closed (under the exclusive latch)
-// when the read completes, and loadErr is valid from then on. flushing
-// is guarded by the shard latch: it marks a frame whose dirty image is
-// being written back with the latch released, so the sweep must not
-// recycle it meanwhile.
+// the shared shard latch. borrows counts the snapshot readers reading
+// the frame in place (ReadAt); it is separate from pins, which writers
+// and write-backs take too, because a writer's SaveVersion waits for it
+// to drain: drainer holds the waiting writer's wake-up channel, on
+// which the last borrow's release sends. loading is non-nil while the
+// frame's physical read is still in flight; it is closed (under the
+// exclusive latch) when the read completes, and loadErr is valid from
+// then on. flushing is guarded by the shard latch: it marks a frame
+// whose dirty image is being written back with the latch released, so
+// the sweep must not recycle it meanwhile.
 type frame struct {
 	id       storage.PageID
 	data     []byte
 	dirty    atomic.Bool
 	pins     atomic.Int64
+	borrows  atomic.Int64
+	drainer  atomic.Pointer[chan struct{}]
 	ref      atomic.Bool // clock-sweep second-chance bit: set on hit, cleared by the sweep
 	flushing bool        // write-back in flight with the latch released
 	// doomed (shard latch) marks a loading frame whose page was freed
@@ -201,20 +212,28 @@ type Pool struct {
 
 	// MVCC page-version state (see version.go). verMu guards the
 	// version chains and the batch bookkeeping; committed is the LSN of
-	// the newest published batch; snapMu guards the snapshot refcounts.
-	// Lock order: verMu before any shard latch. A snapshot hit in ReadAt
-	// takes a shard latch with verMu read-locked; nothing in the pool
-	// takes verMu while it holds a shard latch.
+	// the newest published batch. Snapshot pins live in readers, the
+	// reader slots, of which slotsUsed is one past the highest ever
+	// claimed; pins that find every slot taken go to snapRefs under
+	// snapMu, and overflow counts them. No path holds verMu and a shard
+	// latch at once: a snapshot borrow pins its frame under the shard
+	// latch, drops it, and only then probes the chains, and a writer
+	// waits for a frame's borrows holding neither, woken on drained
+	// (capacity 1: batches, and so waits, are one at a time).
 	verMu       sync.RWMutex
 	versions    map[storage.PageID]*pageVersion
 	pendingVers []storage.PageID
-	verBatch    bool
+	verBatch    atomic.Bool // written under verMu
 	committed   atomic.Uint64
-	snapMu      sync.Mutex
-	snapRefs    map[uint64]int
 	gcFloor     atomic.Uint64 // advanced only under verMu
 	verEntries  atomic.Int64
 	verBytes    atomic.Int64
+	readers     [snapshotSlots]readerSlot
+	slotsUsed   atomic.Int32
+	snapMu      sync.Mutex
+	snapRefs    map[uint64]int
+	overflow    atomic.Int64
+	drained     chan struct{}
 }
 
 // NewPool returns a single-shard pool with capacity frames over store.
@@ -245,6 +264,7 @@ func NewPoolShards(store storage.Store, capacity, shards int) *Pool {
 		shards:   make([]*shard, shards),
 		versions: make(map[storage.PageID]*pageVersion),
 		snapRefs: make(map[uint64]int),
+		drained:  make(chan struct{}, 1),
 	}
 	base, extra := capacity/shards, capacity%shards
 	for i := range p.shards {
@@ -567,7 +587,6 @@ func (p *Pool) FetchNewTraced(acct *metrics.Account) (storage.PageID, []byte, er
 	f.pins.Store(1)
 	f.ref.Store(false)
 	sh.publish(id, fi)
-	sh.stats.fetches.Add(1)
 	sh.stats.hits.Add(1) // allocation does not cost a read
 	acct.Hit()
 	return id, f.data, nil
@@ -600,10 +619,10 @@ func (p *Pool) Unpin(id storage.PageID, dirty bool) error {
 // lock are tolerated. A frame whose physical read is still in flight (a
 // snapshot reader's miss) is unpublished and doomed — the loader
 // discards the freed bytes when the read settles. A loaded frame still
-// pinned is a snapshot reader inside ReadAt, between its fetch and the
-// version read-lock under which it finds the image this free saved and
-// lets go of the frame: the frame is unpublished here, the reader drops
-// its pin through the frame, and the sweep recycles it after that.
+// pinned is a snapshot reader inside ReadAt, between its pin and the
+// chain probe in which it finds the image this free saved and lets go
+// of the frame: the frame is unpublished here, the reader drops its pin
+// through the frame, and the sweep recycles it after that.
 func (p *Pool) Discard(id storage.PageID) {
 	sh := p.shardOf(id)
 	sh.mu.Lock()

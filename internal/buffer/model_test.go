@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
+	"time"
 
 	"ccam/internal/storage"
 )
@@ -20,6 +22,12 @@ import (
 // concurrent hit goroutines can read the stable ones without racing
 // the model's writes — the exclusion the access-method lock gives the
 // real pool's readers and writer.
+//
+// Every write and every free is a version batch of its own, as the
+// access method's are, and snapshot readers pinned across steps
+// (readers) each keep the images the model held when they pinned:
+// every ReadAt at a reader's LSN must return its image, whatever the
+// steps since have written, freed, evicted or reset.
 type poolModel struct {
 	p        *Pool
 	st       storage.Store
@@ -29,14 +37,25 @@ type poolModel struct {
 	stable   []storage.PageID
 	held     []storage.PageID // pages the model holds one pin on
 	hitters  bool             // concurrent goroutines pin stable pages
+	readers  []modelReader
 	// parked and grown record whether check ever saw a parked frame or
-	// a shard above capacity, so a test can tell it reached both.
-	parked, grown bool
+	// a shard above capacity, so a test can tell it reached both;
+	// waited, whether a writer ever waited for a reader's borrow.
+	parked, grown, waited bool
+}
+
+// modelReader is a snapshot pinned across steps, with the image of
+// every page live when it pinned.
+type modelReader struct {
+	pin    SnapshotPin
+	images map[storage.PageID][]byte
 }
 
 const (
-	modelPageSize = 64
-	modelMaxHeld  = 3
+	modelPageSize   = 64
+	modelMaxHeld    = 3
+	modelMaxReaders = 3
+	modelOps        = 11
 )
 
 // spreadStore hands out page ids spread apart, two to a chunk of the
@@ -101,7 +120,8 @@ func (m *poolModel) isStable(id storage.PageID) bool {
 }
 
 // unpin releases held page i; a dirty unpin of a writable page first
-// changes one byte of it, frame and reference alike.
+// changes one byte of it, frame and reference alike, in a version
+// batch.
 func (m *poolModel) unpin(i int, dirty bool, arg byte) error {
 	id := m.held[i]
 	m.held = append(m.held[:i], m.held[i+1:]...)
@@ -110,12 +130,124 @@ func (m *poolModel) unpin(i int, dirty bool, arg byte) error {
 		if err != nil {
 			return err
 		}
+		m.p.BeginVersionBatch()
+		m.p.SaveVersion(id, buf)
 		buf[int(arg)%modelPageSize] ^= arg | 1
 		copy(m.ref[id], buf)
+		defer m.p.PublishVersions(0)
 	} else {
 		dirty = false
 	}
 	return m.p.Unpin(id, dirty)
+}
+
+// pin pins a snapshot reader with a copy of every live page's image.
+func (m *poolModel) pin() {
+	r := modelReader{pin: m.p.AcquireSnapshot(), images: make(map[storage.PageID][]byte, len(m.ref))}
+	for id, img := range m.ref {
+		r.images[id] = bytes.Clone(img)
+	}
+	m.readers = append(m.readers, r)
+}
+
+// readAt reads page id at reader r's LSN and compares it with r's image.
+func (m *poolModel) readAt(r modelReader, id storage.PageID) error {
+	ref, err := m.p.ReadAt(id, r.pin.LSN, nil)
+	if err != nil {
+		return fmt.Errorf("reader@%d: read %d: %w", r.pin.LSN, id, err)
+	}
+	defer ref.Release()
+	if !bytes.Equal(ref.Data, r.images[id]) {
+		return fmt.Errorf("reader@%d: page %d reads %x, want %x", r.pin.LSN, id, ref.Data[:8], r.images[id][:8])
+	}
+	return nil
+}
+
+// pageOf picks one of reader r's pages by arg, in id order.
+func (r modelReader) pageOf(arg byte) storage.PageID {
+	ids := make([]storage.PageID, 0, len(r.images))
+	for id := range r.images {
+		ids = append(ids, id)
+	}
+	slices.Sort(ids)
+	return ids[int(arg)%len(ids)]
+}
+
+// writeUnderBorrow has reader r borrow writable page id while another
+// goroutine runs a version batch that changes a byte of it. A borrow of
+// the live frame must hold the writer inside SaveVersion, and its bytes
+// must not change, until it is released; a borrow of a chain entry
+// holds nothing.
+func (m *poolModel) writeUnderBorrow(r modelReader, id storage.PageID, arg byte) error {
+	ref, err := m.p.ReadAt(id, r.pin.LSN, nil)
+	if err != nil {
+		return fmt.Errorf("reader@%d: read %d: %w", r.pin.LSN, id, err)
+	}
+	framed := ref.f != nil
+	saved := make(chan struct{})
+	done := make(chan error, 1)
+	k := int(arg) % modelPageSize
+	go func() {
+		m.p.BeginVersionBatch()
+		buf, err := m.p.Fetch(id)
+		if err != nil {
+			m.p.AbortVersionBatch()
+			done <- err
+			close(saved)
+			return
+		}
+		m.p.SaveVersion(id, buf)
+		close(saved)
+		buf[k] ^= arg | 1
+		err = m.p.Unpin(id, true)
+		m.p.PublishVersions(0)
+		done <- err
+	}()
+	held := func() error {
+		defer ref.Release()
+		if !framed {
+			return nil
+		}
+		// Once the pending entry is in, the writer is waiting for the
+		// borrow; give it 50 µs to run past it. The polls spin: a timer
+		// wait would round up to a millisecond or more.
+		left := fmt.Errorf("writer left SaveVersion of page %d while reader@%d borrowed its frame", id, r.pin.LSN)
+		for !m.pendingVersion(id) {
+			select {
+			case <-saved:
+				return left
+			default:
+			}
+		}
+		for deadline := time.Now().Add(50 * time.Microsecond); time.Now().Before(deadline); {
+			select {
+			case <-saved:
+				return left
+			default:
+			}
+		}
+		if !bytes.Equal(ref.Data, r.images[id]) {
+			return fmt.Errorf("reader@%d: borrowed page %d changed to %x under the borrow", r.pin.LSN, id, ref.Data[:8])
+		}
+		m.waited = true
+		return nil
+	}()
+	if err := <-done; err != nil {
+		return fmt.Errorf("writer of page %d: %w", id, err)
+	}
+	if held != nil {
+		return held
+	}
+	m.ref[id][k] ^= arg | 1
+	return nil
+}
+
+// pendingVersion reports whether page id's chain has a pending entry.
+func (m *poolModel) pendingVersion(id storage.PageID) bool {
+	m.p.verMu.RLock()
+	defer m.p.verMu.RUnlock()
+	v := m.p.versions[id]
+	return v != nil && v.supersededAt == pendingVersionLSN
 }
 
 // frameBytes returns the buffer of a page the model holds pinned.
@@ -142,7 +274,7 @@ func (m *poolModel) unpinAll() error {
 // step applies operation op with argument arg, then checks the pool.
 func (m *poolModel) step(op, arg byte) error {
 	all := append(m.writable[:len(m.writable):len(m.writable)], m.stable...)
-	switch op % 8 {
+	switch op % modelOps {
 	case 0: // Fetch
 		id := all[int(arg)%len(all)]
 		if m.isHeld(id) {
@@ -164,7 +296,7 @@ func (m *poolModel) step(op, arg byte) error {
 		if len(m.held) == 0 {
 			break
 		}
-		if err := m.unpin(int(arg)%len(m.held), op%8 == 1, arg); err != nil {
+		if err := m.unpin(int(arg)%len(m.held), op%modelOps == 1, arg); err != nil {
 			return err
 		}
 	case 3: // FetchNew
@@ -182,7 +314,8 @@ func (m *poolModel) step(op, arg byte) error {
 		m.ids = append(m.ids, id)
 		m.writable = append(m.writable, id)
 		m.held = append(m.held, id)
-	case 4: // Discard, then free: the page is dropped unwritten
+	case 4: // Discard, then free: the page is dropped unwritten, its
+		// committed image saved for the readers pinned before the free
 		if len(m.writable) <= 4 {
 			break
 		}
@@ -191,10 +324,21 @@ func (m *poolModel) step(op, arg byte) error {
 		if m.isHeld(id) {
 			break
 		}
+		m.p.BeginVersionBatch()
+		buf, err := m.p.Fetch(id)
+		if err != nil {
+			m.p.AbortVersionBatch()
+			return fmt.Errorf("fetch %d to free it: %w", id, err)
+		}
+		m.p.SaveVersion(id, buf)
+		if err := m.p.Unpin(id, false); err != nil {
+			return err
+		}
 		m.p.Discard(id)
 		if err := m.st.Free(id); err != nil {
 			return err
 		}
+		m.p.PublishVersions(0)
 		delete(m.ref, id)
 		m.writable = append(m.writable[:i], m.writable[i+1:]...)
 	case 5: // Flush
@@ -232,6 +376,42 @@ func (m *poolModel) step(op, arg byte) error {
 			return err
 		}
 		if err := m.p.Reset(); err != nil {
+			return err
+		}
+	case 8: // Pin a snapshot reader, or check every page of one and unpin it
+		if len(m.readers) < modelMaxReaders && (arg%2 == 0 || len(m.readers) == 0) {
+			m.pin()
+			break
+		}
+		i := int(arg/2) % len(m.readers)
+		r := m.readers[i]
+		for id := range r.images {
+			if err := m.readAt(r, id); err != nil {
+				return err
+			}
+		}
+		m.p.ReleaseSnapshot(r.pin)
+		m.readers = append(m.readers[:i], m.readers[i+1:]...)
+	case 9: // A pinned reader reads one of its pages
+		if len(m.readers) == 0 {
+			break
+		}
+		r := m.readers[int(arg)%len(m.readers)]
+		if err := m.readAt(r, r.pageOf(arg/4)); err != nil {
+			return err
+		}
+	case 10: // A pinned reader borrows a page a writer changes meanwhile
+		// (not beside the hitters, which keep every CPU busy: the writer
+		// goroutine would wait for one longer than the check does)
+		if len(m.readers) == 0 || m.hitters {
+			break
+		}
+		r := m.readers[int(arg)%len(m.readers)]
+		id := r.pageOf(arg / 4)
+		if _, live := m.ref[id]; !live || m.isStable(id) {
+			break
+		}
+		if err := m.writeUnderBorrow(r, id, arg); err != nil {
 			return err
 		}
 	}
@@ -319,6 +499,14 @@ func (m *poolModel) check() error {
 	if got := m.p.OverflowFrames(); !m.hitters && got != overflow {
 		return fmt.Errorf("OverflowFrames() = %d, shards hold %d above capacity", got, overflow)
 	}
+	if !m.hitters {
+		if got := m.p.ActiveSnapshots(); got != len(m.readers) {
+			return fmt.Errorf("ActiveSnapshots() = %d, the model pins %d", got, len(m.readers))
+		}
+		if entries, _ := m.p.VersionStats(); len(m.readers) == 0 && entries != 0 {
+			return fmt.Errorf("%d version entries retained with no reader pinned", entries)
+		}
+	}
 	for id := range m.ref {
 		if resident[id] {
 			continue
@@ -331,10 +519,16 @@ func (m *poolModel) check() error {
 }
 
 // run drives the model with a byte program: each pair is (op, arg).
+// At the end every reader checks its pages and unpins.
 func (m *poolModel) run(prog []byte) error {
 	for i := 0; i+1 < len(prog); i += 2 {
 		if err := m.step(prog[i], prog[i+1]); err != nil {
-			return fmt.Errorf("step %d (op %d arg %d): %w", i/2, prog[i]%8, prog[i+1], err)
+			return fmt.Errorf("step %d (op %d arg %d): %w", i/2, prog[i]%modelOps, prog[i+1], err)
+		}
+	}
+	for len(m.readers) > 0 {
+		if err := m.step(8, 1); err != nil {
+			return fmt.Errorf("final unpin: %w", err)
 		}
 	}
 	if err := m.unpinAll(); err != nil {
@@ -348,7 +542,7 @@ func (m *poolModel) run(prog []byte) error {
 // them.
 func modelProgram(seed int64, steps int) []byte {
 	rng := rand.New(rand.NewSource(seed))
-	weights := []int{0, 0, 0, 0, 0, 0, 1, 1, 1, 2, 2, 3, 3, 4, 5, 6, 7}
+	weights := []int{0, 0, 0, 0, 0, 0, 1, 1, 1, 2, 2, 3, 3, 4, 5, 6, 7, 8, 8, 9, 9, 9, 10}
 	prog := make([]byte, 2*steps)
 	for i := 0; i < steps; i++ {
 		prog[2*i] = byte(weights[rng.Intn(len(weights))])
@@ -364,16 +558,20 @@ func TestPoolModel(t *testing.T) {
 	for _, noSteal := range []bool{true, false} {
 		for _, shards := range []int{1, 2} {
 			t.Run(fmt.Sprintf("noSteal=%v/shards=%d", noSteal, shards), func(t *testing.T) {
-				parked, grown := false, false
+				parked, grown, waited := false, false, false
 				for seed := int64(1); seed <= 20; seed++ {
 					m := newPoolModel(8*shards, shards, 20, 4, noSteal)
 					if err := m.run(modelProgram(seed, 600)); err != nil {
 						t.Fatalf("seed %d: %v", seed, err)
 					}
 					parked, grown = parked || m.parked, grown || m.grown
+					waited = waited || m.waited
 				}
 				if parked != noSteal || grown != noSteal {
 					t.Fatalf("parked %v, grown %v: want both %v", parked, grown, noSteal)
+				}
+				if !waited {
+					t.Fatal("no writer ever waited for a reader's borrow")
 				}
 			})
 		}
@@ -407,8 +605,8 @@ func TestPoolModelConcurrentHits(t *testing.T) {
 				}
 			}
 			initial := len(m.p.table)
-			lsn := m.p.AcquireSnapshot()
-			defer m.p.ReleaseSnapshot(lsn)
+			pin := m.p.AcquireSnapshot()
+			defer m.p.ReleaseSnapshot(pin)
 			stop := make(chan struct{})
 			errs := make(chan error, 2)
 			var wg sync.WaitGroup
@@ -434,7 +632,7 @@ func TestPoolModelConcurrentHits(t *testing.T) {
 							}
 						} else {
 							var ref PageRef
-							if ref, err = m.p.ReadAt(id, lsn, nil); err == nil {
+							if ref, err = m.p.ReadAt(id, pin.LSN, nil); err == nil {
 								got = ref.Data[0]
 								ref.Release()
 							}

@@ -87,18 +87,22 @@ func (sh *shard) unpublish(id storage.PageID) {
 
 // pinResident pins the table-resident frame fi and returns it, waiting
 // out an in-flight read if there is one. Called with the shard
-// latch held (shared or exclusive); releases it via unlock. The hit is
-// counted only once the image is known good: a waiter whose loader
-// failed got no page and issued no read, so it counts as neither hit
-// nor miss (see Stats).
+// latch held (shared or exclusive); releases it via unlock. The
+// reference bit is written only when clear, as PageRef.Touch does. A
+// loaded frame's hit is counted once;
+// a waiter counts as waiting until the read settles, and then as a hit
+// — or, if the loader failed, it stays counted as a wait that got no
+// page and issued no read (see Stats).
 func (sh *shard) pinResident(fi int, unlock func(), acct *metrics.Account) (*frame, error) {
 	f := sh.frames[fi]
 	f.pins.Add(1)
-	f.ref.Store(true) // second chance for the sweep
+	if !f.ref.Load() {
+		f.ref.Store(true) // second chance for the sweep
+	}
 	ch := f.loading
 	unlock()
-	sh.stats.fetches.Add(1)
 	if ch != nil {
+		sh.stats.waits.Add(1)
 		<-ch
 		// loadErr was written before the channel close and the frame
 		// cannot be recycled while our pin is held, so this read is
@@ -108,6 +112,7 @@ func (sh *shard) pinResident(fi int, unlock func(), acct *metrics.Account) (*fra
 			f.pins.Add(-1)
 			return nil, err
 		}
+		sh.stats.waits.Add(-1)
 	}
 	sh.stats.hits.Add(1)
 	acct.Hit()
@@ -129,7 +134,6 @@ func (sh *shard) fetchMiss(id storage.PageID, acct *metrics.Account) (*frame, er
 	if fi, ok := sh.lookup(id); ok {
 		return sh.pinResident(fi, sh.mu.Unlock, acct)
 	}
-	sh.stats.fetches.Add(1)
 	sh.stats.misses.Add(1)
 	fi, err := sh.frameForNewPage(acct)
 	if err != nil {
@@ -141,13 +145,11 @@ func (sh *shard) fetchMiss(id storage.PageID, acct *metrics.Account) (*frame, er
 	// window, and the page can have been faulted in meanwhile (the
 	// claimed frame then just stays free).
 	if sh.closed {
-		sh.stats.fetches.Add(-1)
 		sh.stats.misses.Add(-1)
 		sh.mu.Unlock()
 		return nil, ErrPoolClosed
 	}
 	if fj, ok := sh.lookup(id); ok {
-		sh.stats.fetches.Add(-1)
 		sh.stats.misses.Add(-1)
 		return sh.pinResident(fj, sh.mu.Unlock, acct)
 	}

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"ccam/internal/metrics"
 	"ccam/internal/storage"
 )
 
@@ -47,7 +48,8 @@ func TestVersionSnapshotSeesPreBatchImage(t *testing.T) {
 	defer p.Close()
 	id := ids[0]
 
-	lsn0 := p.AcquireSnapshot()
+	pin0 := p.AcquireSnapshot()
+	lsn0 := pin0.LSN
 	if lsn0 != 0 {
 		t.Fatalf("initial committed LSN = %d, want 0", lsn0)
 	}
@@ -70,7 +72,7 @@ func TestVersionSnapshotSeesPreBatchImage(t *testing.T) {
 	}
 
 	// Releasing the pin advances the floor and collects the chain.
-	p.ReleaseSnapshot(lsn0)
+	p.ReleaseSnapshot(pin0)
 	if entries, b := p.VersionStats(); entries != 0 || b != 0 {
 		t.Fatalf("after release: entries=%d bytes=%d, want 0,0", entries, b)
 	}
@@ -92,11 +94,11 @@ func TestVersionChainMiddleReader(t *testing.T) {
 	pin1 := p.AcquireSnapshot() // 1: first batch's image
 	lsn2 := mutatePage(t, p, id, 0x22, 0)
 
-	if got := readAt(t, p, id, pin0); got[0] != 1 {
-		t.Fatalf("reader@%d sees %#x, want base image", pin0, got[0])
+	if got := readAt(t, p, id, pin0.LSN); got[0] != 1 {
+		t.Fatalf("reader@%d sees %#x, want base image", pin0.LSN, got[0])
 	}
-	if got := readAt(t, p, id, pin1); got[0] != 0x11 {
-		t.Fatalf("reader@%d sees %#x, want batch-1 image", pin1, got[0])
+	if got := readAt(t, p, id, pin1.LSN); got[0] != 0x11 {
+		t.Fatalf("reader@%d sees %#x, want batch-1 image", pin1.LSN, got[0])
 	}
 	if got := readAt(t, p, id, lsn2); got[0] != 0x22 {
 		t.Fatalf("reader@%d sees %#x, want live image", lsn2, got[0])
@@ -108,8 +110,8 @@ func TestVersionChainMiddleReader(t *testing.T) {
 	// Release out of order: dropping the old pin first lets GC cut the
 	// base entry but must keep the batch-1 entry for pin1.
 	p.ReleaseSnapshot(pin0)
-	if got := readAt(t, p, id, pin1); got[0] != 0x11 {
-		t.Fatalf("after partial GC reader@%d sees %#x, want batch-1 image", pin1, got[0])
+	if got := readAt(t, p, id, pin1.LSN); got[0] != 0x11 {
+		t.Fatalf("after partial GC reader@%d sees %#x, want batch-1 image", pin1.LSN, got[0])
 	}
 	p.ReleaseSnapshot(pin1)
 	if entries, _ := p.VersionStats(); entries != 0 {
@@ -139,11 +141,11 @@ func TestVersionAbortKeepsCommittedImages(t *testing.T) {
 	p.Unpin(id, true)
 	p.AbortVersionBatch()
 
-	if got := readAt(t, p, id, pin); got[0] != 1 {
+	if got := readAt(t, p, id, pin.LSN); got[0] != 1 {
 		t.Fatalf("pinned reader sees %#x after abort, want committed image", got[0])
 	}
 	fresh := p.AcquireSnapshot()
-	if got := readAt(t, p, id, fresh); got[0] != 1 {
+	if got := readAt(t, p, id, fresh.LSN); got[0] != 1 {
 		t.Fatalf("fresh reader sees %#x after abort, want committed image", got[0])
 	}
 	p.ReleaseSnapshot(pin)
@@ -182,11 +184,12 @@ func TestVersionReadersNeverSeeTornPages(t *testing.T) {
 					return
 				default:
 				}
-				lsn := p.AcquireSnapshot()
+				pin := p.AcquireSnapshot()
+				lsn := pin.LSN
 				ref, err := p.ReadAt(id, lsn, nil)
 				if err != nil {
 					t.Error(err)
-					p.ReleaseSnapshot(lsn)
+					p.ReleaseSnapshot(pin)
 					return
 				}
 				want := byte(lsn % 251)
@@ -198,7 +201,7 @@ func TestVersionReadersNeverSeeTornPages(t *testing.T) {
 					}
 				}
 				ref.Release()
-				p.ReleaseSnapshot(lsn)
+				p.ReleaseSnapshot(pin)
 				if !ok {
 					t.Errorf("reader@%d saw torn or wrong image (want fill %#x)", lsn, want)
 					return
@@ -244,7 +247,7 @@ func TestVersionSaveIsIdempotentPerBatch(t *testing.T) {
 	if entries, _ := p.VersionStats(); entries != 1 {
 		t.Fatalf("retained entries = %d, want 1", entries)
 	}
-	got := readAt(t, p, id, pin)
+	got := readAt(t, p, id, pin.LSN)
 	want := bytes.Repeat([]byte{1}, 1)
 	if got[0] != want[0] {
 		t.Fatalf("pinned reader sees %#x, want first committed image", got[0])
@@ -253,7 +256,7 @@ func TestVersionSaveIsIdempotentPerBatch(t *testing.T) {
 }
 
 // TestSnapshotReleaseTakesNoWriteLock holds the version read-lock — as
-// a reader borrowing a live frame does — while other readers pin and
+// a reader probing a page's chain does — while other readers pin and
 // unpin snapshots with no writer around. The floor never moves, so no
 // release may ask for the write lock: one that did would wait on this
 // test's read-lock forever.
@@ -289,7 +292,7 @@ func TestSnapshotReleaseTakesNoWriteLock(t *testing.T) {
 
 // TestDiscardUnderSnapshotReaderPin frees a page inside the window a
 // snapshot reader's ReadAt leaves open: the reader has fetched (pinned)
-// the live frame and not yet taken the version read-lock. The writer
+// the live frame and not yet raised its borrow and probed the chain. The writer
 // saves the committed image and discards the frame; that used to panic
 // ("discard of pinned page"). The frame must be unpublished instead,
 // the reader must still get the pre-free image, and the frame must be
@@ -298,10 +301,10 @@ func TestDiscardUnderSnapshotReaderPin(t *testing.T) {
 	p, ids := newPoolWithPages(t, 2, 3)
 	defer p.Close()
 	id := ids[0]
-	lsn0 := p.AcquireSnapshot()
-	defer p.ReleaseSnapshot(lsn0)
+	pin := p.AcquireSnapshot()
+	defer p.ReleaseSnapshot(pin)
 
-	f, err := p.fetchFrame(id, nil) // the reader's pin, taken before its read-lock
+	f, err := p.fetchFrame(id, nil) // the reader's pin, taken before its chain probe
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -317,7 +320,7 @@ func TestDiscardUnderSnapshotReaderPin(t *testing.T) {
 		t.Fatal("discarded page still resident")
 	}
 	// The reader's re-check finds the saved image and drops the frame.
-	if got := readAt(t, p, id, lsn0); got[0] != 1 {
+	if got := readAt(t, p, id, pin.LSN); got[0] != 1 {
 		t.Fatalf("snapshot reader sees %#x after the free, want the saved image", got[0])
 	}
 	f.pins.Add(-1)
@@ -328,6 +331,41 @@ func TestDiscardUnderSnapshotReaderPin(t *testing.T) {
 		if _, err := p.Fetch(other); err != nil {
 			t.Fatalf("fetch after the reader unpinned: %v", err)
 		}
+	}
+}
+
+// TestReadAtChainAfterPinCountsOneHit borrows a resident page whose
+// chain holds the image a pinned snapshot must read. The borrow pins
+// the frame before it finds the entry, and must count exactly one hit,
+// in the account and in the pool's stats, and leave the frame with no
+// pin and no borrow.
+func TestReadAtChainAfterPinCountsOneHit(t *testing.T) {
+	p, ids := newPoolWithPages(t, 4, 1)
+	defer p.Close()
+	id := ids[0]
+	pin := p.AcquireSnapshot()
+	defer p.ReleaseSnapshot(pin)
+	mutatePage(t, p, id, 0xAA, 0) // leaves the page resident, its old image chained
+	p.ResetStats()
+	var acct metrics.Account
+	ref, err := p.ReadAt(id, pin.LSN, &acct)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ref.f != nil || ref.Data[0] != 1 {
+		t.Fatalf("borrow of frame %v reads %#x, want the chained image 0x1", ref.f != nil, ref.Data[0])
+	}
+	ref.Release()
+	if want := (metrics.Cost{Hits: 1}); acct.Cost != want {
+		t.Fatalf("account counted %+v, want %+v", acct.Cost, want)
+	}
+	if s := p.Stats(); s.Fetches != 1 || s.Hits != 1 || s.Misses != 0 {
+		t.Fatalf("pool stats %v, want one fetch, one hit", s)
+	}
+	sh := p.shardOf(id)
+	fi, _ := sh.lookup(id)
+	if f := sh.frames[fi]; f.pins.Load() != 0 || f.borrows.Load() != 0 {
+		t.Fatalf("frame left with %d pins, %d borrows", f.pins.Load(), f.borrows.Load())
 	}
 }
 
@@ -355,13 +393,13 @@ func BenchmarkPoolReadAtHit(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	lsn := p.AcquireSnapshot()
-	defer p.ReleaseSnapshot(lsn)
+	pin := p.AcquireSnapshot()
+	defer p.ReleaseSnapshot(pin)
 	p.ResetStats()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ref, err := p.ReadAt(ids[i%pages], lsn, nil)
+		ref, err := p.ReadAt(ids[i%pages], pin.LSN, nil)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -36,7 +36,7 @@ import (
 // operation's stack and must be released on every path out.
 type cursor struct {
 	v  View
-	st *overlayState // the node index; read as of v.lsn
+	st *overlayState // the node index; read as of v.pin.LSN
 	// ref borrows page pid; sp is its slotted view, validated once per
 	// visit. ref.Data == nil means no page is held.
 	pid storage.PageID
@@ -55,7 +55,7 @@ func (c *cursor) release() { c.ref.Release() }
 // resident, and so is this one: the visit costs no data-page I/O).
 func (c *cursor) resolve(id graph.NodeID) (rid, error) {
 	c.v.acct.IndexVisit()
-	r, ok := c.st.lookup(id, c.v.lsn)
+	r, ok := c.st.lookup(id, c.v.pin.LSN)
 	if !ok {
 		return noRID, fmt.Errorf("%w: %d", ErrNotFound, id)
 	}
@@ -65,7 +65,7 @@ func (c *cursor) resolve(id graph.NodeID) (rid, error) {
 // move makes pid the held page, releasing the previous one first.
 func (c *cursor) move(pid storage.PageID) error {
 	c.release()
-	ref, err := c.v.f.pool.ReadAt(pid, c.v.lsn, c.v.acct)
+	ref, err := c.v.f.pool.ReadAt(pid, c.v.pin.LSN, c.v.acct)
 	if err != nil {
 		return err
 	}
@@ -381,7 +381,7 @@ func (v View) RangeQueryCtx(ctx context.Context, rect geom.Rect) ([]*Record, err
 	indexed := len(cand)
 	// No delta is newer than the live end: the live file adds nothing.
 	for _, d := range c.st.deltas {
-		if d.lsn.Load() <= v.lsn {
+		if d.lsn.Load() <= v.pin.LSN {
 			continue
 		}
 		for _, e := range d.removed {
@@ -406,7 +406,7 @@ func (v View) RangeQueryCtx(ctx context.Context, rect geom.Rect) ([]*Record, err
 		cand = cand[:n]
 	}
 	// A pinned view skips the nodes inserted after its LSN.
-	return c.readSet(ctx, cand, v.lsn != buffer.LiveLSN, func(rv recordView) bool {
+	return c.readSet(ctx, cand, v.pin.LSN != buffer.LiveLSN, func(rv recordView) bool {
 		return rect.Contains(rv.pos())
 	})
 }
@@ -539,11 +539,11 @@ func (v View) Scan(fn func(rec *Record) bool) error {
 // live page set, or the pages the overlay places a node on as of the
 // pinned LSN.
 func (v View) pageIDs() []storage.PageID {
-	if v.lsn == buffer.LiveLSN {
+	if v.pin.LSN == buffer.LiveLSN {
 		return v.f.Pages()
 	}
 	pageSet := make(map[storage.PageID]bool)
-	for _, pid := range v.f.placements(v.lsn) {
+	for _, pid := range v.f.placements(v.pin.LSN) {
 		pageSet[pid] = true
 	}
 	pids := make([]storage.PageID, 0, len(pageSet))

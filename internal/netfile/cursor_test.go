@@ -319,13 +319,11 @@ func TestCursorStaysOnPage(t *testing.T) {
 }
 
 // TestSnapshotReadersDoNotDeadlockWriter runs snapshot route
-// evaluations — which hold the pool's version read-lock while they
-// stay on a page — beside a writer that takes the write side of that
-// lock for every page it touches. Go's RWMutex queues new readers
-// behind a waiting writer, so a reader that asked for the read-lock a
-// second time while holding it would deadlock against SaveVersion;
-// the cursor releases before it fetches, and this test hangs if it
-// ever stops doing so.
+// evaluations — which hold a page borrow while they stay on a page —
+// beside a writer whose first touch of every page waits for that
+// page's borrows to drain (SaveVersion). The test hangs if a borrow is
+// ever left counted after its release, or if a reader ever waits on
+// the writer while it holds a borrow the writer waits for.
 func TestSnapshotReadersDoNotDeadlockWriter(t *testing.T) {
 	g := testNetwork(t)
 	f := buildFile(t, g, 1024, 1<<12)

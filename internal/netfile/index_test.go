@@ -174,7 +174,7 @@ func presentID(intn func(int) int, cur placements) (graph.NodeID, bool) {
 // difference, or returns nil.
 func resolveErr(v View, id graph.NodeID, want placements) error {
 	w, wok := want[id]
-	r, ok := v.f.overlay.Load().lookup(id, v.lsn)
+	r, ok := v.f.overlay.Load().lookup(id, v.pin.LSN)
 	if got := (ridRef{v.f.ridPage(r), v.f.ridSlot(r)}); ok != wok || (ok && got != w) {
 		return fmt.Errorf("node %d indexed at %+v (%v), want %+v (%v)", id, got, ok, w, wok)
 	}

@@ -366,7 +366,7 @@ func (f *File) PAG() PAGView {
 }
 
 // PAG returns the summary with placements as of the view's LSN.
-func (v View) PAG() PAGView { return PAGView{f: v.f, lsn: v.lsn} }
+func (v View) PAG() PAGView { return PAGView{f: v.f, lsn: v.pin.LSN} }
 
 // PageOf returns the data page of node id, and whether it is stored.
 func (p PAGView) PageOf(id graph.NodeID) (storage.PageID, bool) {

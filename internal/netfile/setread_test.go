@@ -66,11 +66,11 @@ func checkSetRead(t testing.TB, v View, ids []graph.NodeID) {
 			want, wantErr := setReadReference(v.Charging(&seeks), ids, skipMissing, keep)
 			if (err == nil) != (wantErr == nil) || err != nil && err.Error() != wantErr.Error() {
 				t.Fatalf("lsn %d, skipMissing %v, ids %v: set read failed with %v, one read per id with %v",
-					v.lsn, skipMissing, ids, err, wantErr)
+					v.pin.LSN, skipMissing, ids, err, wantErr)
 			}
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("lsn %d, skipMissing %v, ids %v: set read = %v, one read per id = %v",
-					v.lsn, skipMissing, ids, recordIDs(got), recordIDs(want))
+					v.pin.LSN, skipMissing, ids, recordIDs(got), recordIDs(want))
 			}
 			if acct.IndexVisits != seeks.IndexVisits {
 				t.Fatalf("ids %v: %d index visits, one read per id made %d", ids, acct.IndexVisits, seeks.IndexVisits)
@@ -314,7 +314,7 @@ func rangeQueryBySeeks(t testing.TB, v View, rect geom.Rect) []*Record {
 	st := v.f.overlay.Load()
 	v.f.spatial.search(rect, func(id graph.NodeID) bool { cand = append(cand, id); return true })
 	for _, d := range st.deltas {
-		if d.lsn.Load() > v.lsn {
+		if d.lsn.Load() > v.pin.LSN {
 			for _, e := range d.removed {
 				if rect.Contains(e.pos) {
 					cand = append(cand, e.id)
@@ -331,7 +331,7 @@ func rangeQueryBySeeks(t testing.TB, v View, rect geom.Rect) []*Record {
 		}
 		seen[id] = true
 		r, err := v.read(id)
-		if v.lsn != buffer.LiveLSN && errors.Is(err, ErrNotFound) {
+		if v.pin.LSN != buffer.LiveLSN && errors.Is(err, ErrNotFound) {
 			continue
 		}
 		if err != nil {
@@ -362,7 +362,7 @@ func TestRangeQueryKeepsCandidateOrder(t *testing.T) {
 				t.Fatal(err)
 			}
 			if want := rangeQueryBySeeks(t, v, rect); !reflect.DeepEqual(got, want) {
-				t.Fatalf("lsn %d, window %v: %v, one read per candidate %v", v.lsn, rect, recordIDs(got), recordIDs(want))
+				t.Fatalf("lsn %d, window %v: %v, one read per candidate %v", v.pin.LSN, rect, recordIDs(got), recordIDs(want))
 			}
 			if v == x.pinned {
 				for _, r := range got {

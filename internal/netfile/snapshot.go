@@ -52,8 +52,16 @@ import (
 //
 // Why the in-place fold is safe. A reader pins its LSN P before it
 // loads the overlay state, and a delta d with commit LSN L is folded
-// only when L ≤ the version floor ≤ every pinned P. Take a reader and a
-// table word the fold of d rewrites:
+// only when L ≤ the version floor ≤ every pinned P. A pin is one of the
+// pool's reader slots (buffer/version.go): the reader reads the
+// committed LSN P, claims a free slot with P, and re-reads the
+// committed LSN — the pin stands only if it is still P; otherwise the
+// reader clears its own claim and retries. The floor scan reads the
+// committed LSN C before the slots, so a standing pin it misses was
+// claimed after that read and re-read at least C: P ≥ C ≥ floor. A
+// claim being retried only lowers a floor, and a pin in the overflow
+// list is counted before its LSN is read, to the same effect. Take a
+// reader and a table word the fold of d rewrites:
 //   - if the reader's state lists d, its lookup finds the entry in d
 //     (L ≤ P) before it reads the table, so the rewrite is invisible;
 //   - if the state does not list d, either d was installed after the
@@ -440,8 +448,11 @@ func (f *File) OverlayDepth() int { return len(f.overlay.Load().deltas) }
 // Long-lived, independently closeable views are Snapshot. The search
 // operations are in cursor.go.
 type View struct {
-	f   *File
-	lsn uint64
+	f *File
+	// pin is the snapshot the view reads at: its LSN, and the pool's
+	// reader slot that holds it, which Unpin clears. File's own live view
+	// carries LiveLSN, holds no slot and is never unpinned.
+	pin buffer.SnapshotPin
 	// acct is charged with what the view's reads cost (nil: nobody is).
 	acct *metrics.Account
 }
@@ -450,13 +461,15 @@ type View struct {
 // from the overlay's live end, bytes from the live frames, no pin to
 // release, the current write transaction's account. The owner
 // serializes it against mutations, as File's contract demands.
-func (f *File) live() View { return View{f: f, lsn: buffer.LiveLSN, acct: f.acct} }
+func (f *File) live() View {
+	return View{f: f, pin: buffer.SnapshotPin{LSN: buffer.LiveLSN}, acct: f.acct}
+}
 
-// PinView pins the current committed LSN and returns a value view at
-// it. The caller owns the pin and must release it with Unpin exactly
-// once.
+// PinView pins the current committed LSN in a pool reader slot and
+// returns a value view at it, carrying the pin. The caller owns the pin
+// and must release it with Unpin exactly once.
 func (f *File) PinView() View {
-	return View{f: f, lsn: f.pool.AcquireSnapshot()}
+	return View{f: f, pin: f.pool.AcquireSnapshot()}
 }
 
 // Charging returns the view with its reads charged to a.
@@ -465,14 +478,15 @@ func (s View) Charging(a *metrics.Account) View {
 	return s
 }
 
-// Unpin releases the pin of a view from PinView (not idempotent — the
+// Unpin releases the pin of a view from PinView — the slot the view
+// carries, not whichever slot holds the same LSN (not idempotent — the
 // single owner releases it once). It is a File method, not a View one,
 // so a Snapshot, which embeds its View, cannot release its pin except
 // through Close.
-func (f *File) Unpin(v View) { f.pool.ReleaseSnapshot(v.lsn) }
+func (f *File) Unpin(v View) { f.pool.ReleaseSnapshot(v.pin) }
 
 // LSN returns the pinned commit LSN.
-func (s View) LSN() uint64 { return s.lsn }
+func (s View) LSN() uint64 { return s.pin.LSN }
 
 // Snapshot is the long-lived form of View for callers outside the
 // store's own query path: a heap handle whose Close is idempotent, so
@@ -498,7 +512,7 @@ func (s *Snapshot) Close() {
 
 // Has reports whether node id exists as of the snapshot.
 func (s View) Has(id graph.NodeID) bool {
-	_, ok := s.f.overlay.Load().lookup(id, s.lsn)
+	_, ok := s.f.overlay.Load().lookup(id, s.pin.LSN)
 	return ok
 }
 

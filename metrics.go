@@ -160,7 +160,8 @@ type observability struct {
 
 	// snapLag is the distance between the newest committed LSN and the
 	// oldest pinned snapshot (0 with no readers pinned); snapsActive is
-	// the live snapshot count; overlayDepth is the number of committed
+	// the live snapshot count, both read from the pool's reader slots and
+	// overflow list without stopping a reader; overlayDepth is the number of committed
 	// batch deltas that pinned snapshots hold above the version floor —
 	// each one a map a node-index lookup probes before the table, the
 	// writer's lookups included. Every commit folds the rest in place, so
@@ -288,7 +289,9 @@ func (s *Store) endAccount(a *opAccount, err error) {
 // node index's delta list has grown; and the buffer frames no-steal
 // holds above the pool's capacity. It also brings the reorganization
 // counters up to the access method's own. O(1) but for the frame
-// count, which is O(shards). Caller holds the writer mutex.
+// count, which is O(shards), and the two pin gauges, which scan the
+// reader slots ever claimed. Caller holds the writer mutex, so no
+// commit moves the LSN between the lag's two reads.
 func (o *observability) setGauges(m *iccam.Method) {
 	f := m.File()
 	rs := m.ReorgStats()
