@@ -51,8 +51,8 @@ func (s *Store) EvaluateRoutes(ctx context.Context, routes []Route) (out []Route
 	return out, nil
 }
 
-// defaultCheckpointBytes bounds the WAL between automatic checkpoints
-// (Options.CheckpointBytes overrides it).
+// defaultCheckpointBytes bounds the log written between automatic
+// checkpoints (Options.CheckpointBytes overrides it).
 const defaultCheckpointBytes = 4 << 20
 
 // Batch accumulates mutations for one atomic Apply. The builder
@@ -167,14 +167,16 @@ type writeTx struct {
 // something it calls tx.begin and makes its changes. A body that
 // returns without begin has logged and modified nothing, and its error
 // is simply returned. After begin the transaction either commits —
-// commit record, publication, checkpoint when the log has outgrown its
-// bound, gauges — or, when body, the commit append or the checkpoint
-// fails, poisons the store: every later call fails until a reopen
-// recovers the previously committed state. The commit fsync is awaited
-// after the mutex is released, so concurrent committers coalesce into
-// one fsync (group commit); queries may observe a committed-in-memory
-// batch shortly before its commit record is durable (read uncommitted
-// durability, the standard group-commit trade).
+// commit record, publication, checkpoint when the log written since the
+// last one has outgrown its bound, gauges — or, when body, the commit
+// append or the checkpoint fails, poisons the store: every later call
+// fails until a reopen recovers the previously committed state. The
+// transaction's records are buffered in the log; their one write and
+// the commit fsync are awaited after the mutex is released, so
+// concurrent committers coalesce into one fsync (group commit); queries
+// may observe a committed-in-memory batch shortly before its commit
+// record is durable (read uncommitted durability, the standard
+// group-commit trade).
 func (s *Store) write(ctx context.Context, body func(tx *writeTx) error) error {
 	tx := writeTx{s: s, ctx: ctx}
 	err := tx.runLocked(body)
@@ -288,7 +290,7 @@ func (tx *writeTx) run(body func(tx *writeTx) error) error {
 		// page frees, which must find the freed pages' committed images
 		// already stamped in the version chains.
 		f.PublishVersionBatch(tx.lsn)
-		if w != nil && s.checkpointBytes > 0 && w.Size() > s.checkpointBytes {
+		if w != nil && s.checkpointBytes > 0 && w.BytesSinceCheckpoint() > s.checkpointBytes {
 			err = f.Checkpoint()
 			failed = "checkpoint"
 		}

@@ -685,7 +685,8 @@ func (w *mixedBatcher) batch(n int) *Batch {
 // road map, the whole file buffered, a checkpoint every 256 KiB of log
 // so that dirtied pages reach the store), and reports what the batch's
 // reorganizations did: records that changed page and data pages
-// written, per batch. Generating the batch is about 1% of the time.
+// written, per batch, and how many batches a checkpoint served.
+// Generating the batch is about 1% of the time.
 func BenchmarkApplyMixedBatch(b *testing.B) {
 	o := MinneapolisLikeOpts()
 	o.Rows, o.Cols = 64, 64
@@ -707,7 +708,7 @@ func BenchmarkApplyMixedBatch(b *testing.B) {
 	w := newMixedBatcher(g, 1)
 	ctx := context.Background()
 	moved := s.Metrics().Counter("ccam_reorg_records_moved_total")
-	moved0, writes0 := moved.Value(), s.IO().Writes
+	moved0, writes0, ckpts0 := moved.Value(), s.IO().Writes, s.WALStats().Checkpoints
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := s.Apply(ctx, w.batch(32)); err != nil {
@@ -717,4 +718,5 @@ func BenchmarkApplyMixedBatch(b *testing.B) {
 	b.StopTimer()
 	b.ReportMetric(float64(moved.Value()-moved0)/float64(b.N), "records-moved/batch")
 	b.ReportMetric(float64(s.IO().Writes-writes0)/float64(b.N), "pages-written/batch")
+	b.ReportMetric(float64(s.WALStats().Checkpoints-ckpts0)/float64(b.N), "checkpoints/batch")
 }

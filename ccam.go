@@ -215,16 +215,22 @@ type Options struct {
 	// committers into one fsync, and a lone writer fsyncs once per
 	// commit; SyncNone leaves durability to the OS. Ignored without WAL.
 	SyncPolicy SyncPolicy
-	// CheckpointBytes bounds the WAL between checkpoints: after a
-	// commit that leaves more than this many bytes in the log, the
-	// store checkpoints (flushes dirty pages and prunes the log)
-	// before acknowledging. Zero selects the 4 MiB default; the log
-	// always retains at least its last complete checkpoint.
+	// CheckpointBytes bounds the log written since the last checkpoint,
+	// which is what a recovery replays: after a commit that takes it
+	// past this many bytes, the store checkpoints (images the dirty
+	// pages into the log, flushes them and prunes the log) before
+	// acknowledging. A checkpoint's own images do not count, so the log
+	// on disk holds the last checkpoint plus at most about this much.
+	// Zero selects the 4 MiB default.
 	CheckpointBytes int64
 	// applyFaultHook, when non-nil, is called before each batch op is
 	// applied (with the op's index) and aborts the batch when it
 	// returns an error. Test-only: it simulates a mid-batch failure.
 	applyFaultHook func(opIndex int) error
+	// wrapPages, when non-nil, wraps the page file Open creates, below
+	// the checksum layer. Test-only: it puts a fault injector under a
+	// file-backed store.
+	wrapPages func(storage.Store) storage.Store
 }
 
 // AutoPoolShards returns a buffer-pool shard count sized to the
@@ -395,7 +401,7 @@ func newMethod(opts Options, fo netfile.Options) (*iccam.Method, error) {
 func (s *Store) adoptWAL(wal *storage.WAL) {
 	s.wal = wal
 	if s.obs != nil {
-		wal.Instrument(s.obs.walInstrumentation())
+		s.obs.instrumentWAL(wal)
 	}
 }
 
@@ -425,6 +431,12 @@ func Open(opts Options) (*Store, error) {
 			return nil, err
 		}
 		fs, st = inner, cs
+		if opts.wrapPages != nil {
+			if st, err = storage.NewCheckedStore(opts.wrapPages(inner)); err != nil {
+				inner.Close()
+				return nil, err
+			}
+		}
 	}
 	return newStore(opts, fs, st, func(s *Store, _ netfile.Options) error {
 		if !opts.WAL {

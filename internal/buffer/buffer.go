@@ -22,6 +22,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -644,22 +645,48 @@ func (p *Pool) Discard(id storage.PageID) {
 }
 
 // FlushAll writes every dirty frame back to the store. Pinned frames
-// are flushed too (they stay resident and pinned). Each shard's dirty
-// frames are written as one batch behind a single flush-gate call,
-// after the shard's eviction write-backs in flight have landed.
+// are flushed too (they stay resident and pinned). The pages go out in
+// page-id order, behind a single flush-gate call, one store write per
+// run of contiguous ids (see writeRuns), after each shard's eviction
+// write-backs in flight have landed.
+//
+// The writes run with no latch held, so hits and misses on every shard
+// go on meanwhile. The caller must exclude every mutator, as a
+// checkpoint's writer lock does: the run images alias the frames.
+// Each shard counts the flush as one write-back in flight, and the
+// flushed frames are marked flushing, so no sweep recycles them and
+// any other flush waits for this one.
 func (p *Pool) FlushAll() error {
-	for _, sh := range p.shards {
+	var batch []wbEntry
+	ends := make([]int, len(p.shards)) // shard k's entries end at ends[k]
+	for k, sh := range p.shards {
 		sh.mu.Lock()
-		err := sh.flushShardLocked()
-		if err == nil {
-			sh.shrinkLocked()
+		n := len(batch)
+		batch = sh.collectDirtyLocked(batch)
+		for _, e := range batch[n:] {
+			e.f.dirty.Store(false)
+			e.f.flushing = true
+		}
+		if len(batch) > n {
+			sh.writebacks++
 		}
 		sh.mu.Unlock()
-		if err != nil {
-			return err
-		}
+		ends[k] = len(batch)
 	}
-	return nil
+	// writeRuns sorts what it writes; batch stays in shard order.
+	cut, werr := p.writeRuns(slices.Clone(batch))
+	start := 0
+	for k, sh := range p.shards {
+		part := batch[start:ends[k]]
+		start = ends[k]
+		sh.mu.Lock()
+		if len(part) > 0 {
+			sh.finishWritebackLocked(part, cut)
+		}
+		sh.shrinkLocked()
+		sh.mu.Unlock()
+	}
+	return werr
 }
 
 // Flush writes the page back if buffered and dirty, after the shard's

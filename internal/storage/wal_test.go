@@ -113,6 +113,10 @@ func TestWALTornTailTruncatedOnOpen(t *testing.T) {
 	if lsn != 5 {
 		t.Fatalf("lsn after torn-tail open = %d, want 5 (torn record discarded)", lsn)
 	}
+	// The append is buffered until a commit or sync writes it out.
+	if err := w2.Sync(); err != nil {
+		t.Fatal(err)
+	}
 	recs, torn, err = ScanWALDir(dir)
 	if err != nil {
 		t.Fatal(err)

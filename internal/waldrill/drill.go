@@ -2,8 +2,10 @@
 // it builds a file-backed WAL store, applies a seeded stream of
 // transactional batches under all four reorganization policies, with a
 // Poke round offered after every fifth batch, then simulates a crash at
-// every WAL record boundary (and, optionally, torn mid-record) by
-// truncating a copy of the log there, reopens each copy, and asserts
+// every WAL record boundary (and, optionally, torn mid-record) and
+// inside every commit's write (a commit's records reach the log in one
+// write) by truncating a copy of the log there, reopens each copy, and
+// asserts
 // the recovered store holds exactly the committed prefix of the stream
 // — no lost committed mutations, no phantom ones — that its node index
 // names every record at the slot that holds it (Store.CheckIndex), and
@@ -249,6 +251,22 @@ func genBatch(rng *rand.Rand, m model, nextID *ccam.NodeID) (*ccam.Batch, int) {
 	return b, ops
 }
 
+// segmentSize returns the size of the one segment in the log at dir.
+func segmentSize(dir string) (int64, error) {
+	segs, err := os.ReadDir(dir)
+	if err != nil {
+		return 0, err
+	}
+	if len(segs) != 1 {
+		return 0, fmt.Errorf("drill expects the stream to fit one WAL segment, got %d (lower Config.Ops)", len(segs))
+	}
+	info, err := segs[0].Info()
+	if err != nil {
+		return 0, err
+	}
+	return info.Size(), nil
+}
+
 // Run executes the drill in dir (which must exist and be writable) and
 // returns once every crash point has been verified. Any divergence —
 // a lost committed mutation, a phantom one, or an offline check
@@ -317,6 +335,15 @@ func Run(dir string, cfg Config) (Result, error) {
 		prints, nets, crrs = append(prints, fp), append(nets, net), append(crrs, s.CRR(net))
 		return nil
 	}
+	// writeEnds[c] is the log's size once commit c is acknowledged: the
+	// end of the one write that carried the commit's records.
+	walDir := storage.WALDir(path)
+	var writeEnds []int64
+	wrote := func() error {
+		size, err := segmentSize(walDir)
+		writeEnds = append(writeEnds, size)
+		return err
+	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	nextID := ccam.NodeID(1_000_000)
 	for res.Ops < cfg.Ops {
@@ -336,6 +363,9 @@ func Run(dir string, cfg Config) (Result, error) {
 		if err := committed(); err != nil {
 			return res, err
 		}
+		if err := wrote(); err != nil {
+			return res, err
+		}
 		if res.Batches%5 != 0 {
 			continue
 		}
@@ -346,6 +376,9 @@ func Run(dir string, cfg Config) (Result, error) {
 		if s.WALStats().AppendedLSN != lsn {
 			res.Rounds++
 			if err := committed(); err != nil {
+				return res, err
+			}
+			if err := wrote(); err != nil {
 				return res, err
 			}
 		}
@@ -360,7 +393,6 @@ func Run(dir string, cfg Config) (Result, error) {
 	// with no intervening checkpoint the data file still holds the
 	// post-Build image at every crash point, and the log holds every
 	// appended record (Close would checkpoint and prune).
-	walDir := storage.WALDir(path)
 	segs, err := os.ReadDir(walDir)
 	if err != nil {
 		return res, err
@@ -536,6 +568,25 @@ func Run(dir string, cfg Config) (Result, error) {
 				}
 			}
 		}
+	}
+	// A crash inside a commit's write leaves a prefix of it: the cut
+	// falls mid-record in the middle of the write, and recovery keeps
+	// the commits before it.
+	prev := boundary(first)
+	for c, end := range writeEnds {
+		k := sort.Search(len(ends), func(i int) bool { return ends[i] >= end })
+		if k == len(ends) || ends[k] != end || recs[k].Type != storage.WALRecCommit {
+			return res, fmt.Errorf("commit %d: the log's write ends at byte %d, not at a commit record", c+1, end)
+		}
+		cut := prev + (end-prev)/2
+		if i := sort.Search(len(ends), func(i int) bool { return ends[i] >= cut }); ends[i] == cut {
+			cut++ // inside the next record, not at its boundary
+		}
+		survivors := sort.Search(len(ends), func(i int) bool { return ends[i] > cut })
+		if err := crash(cut, survivors, fmt.Sprintf("inside write %d/%d", c+1, len(writeEnds))); err != nil {
+			return res, err
+		}
+		prev = end
 	}
 	cfg.logf("drill: %d crash points recovered to the exact committed prefix", res.CrashPoints)
 	sort.Float64s(drift)

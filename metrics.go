@@ -212,16 +212,21 @@ func newObservability(reg *metrics.Registry) *observability {
 	return o
 }
 
-// walInstrumentation builds the metric hooks wired into the store's
-// write-ahead log: fsync count, commits acknowledged per fsync (the
-// group-commit coalescing factor), appended records and bytes.
-func (o *observability) walInstrumentation() storage.WALInstrumentation {
-	return storage.WALInstrumentation{
-		Fsyncs:    o.reg.Counter("ccam_wal_fsyncs_total"),
-		GroupSize: o.reg.Histogram("ccam_wal_group_size"),
-		Appends:   o.reg.Counter("ccam_wal_appends_total"),
-		Bytes:     o.reg.Counter("ccam_wal_bytes_total"),
-	}
+// instrumentWAL wires the metric hooks into the store's write-ahead
+// log: fsync count, commits acknowledged per fsync (the group-commit
+// coalescing factor), appended records and bytes, checkpoints, and the
+// bytes logged since the last checkpoint.
+func (o *observability) instrumentWAL(w *storage.WAL) {
+	w.Instrument(storage.WALInstrumentation{
+		Fsyncs:      o.reg.Counter("ccam_wal_fsyncs_total"),
+		GroupSize:   o.reg.Histogram("ccam_wal_group_size"),
+		Appends:     o.reg.Counter("ccam_wal_appends_total"),
+		Bytes:       o.reg.Counter("ccam_wal_bytes_total"),
+		Checkpoints: o.reg.Counter("ccam_wal_checkpoints_total"),
+	})
+	o.reg.GaugeFunc("ccam_wal_bytes_since_checkpoint", func() float64 {
+		return float64(w.BytesSinceCheckpoint())
+	})
 }
 
 // opAccount is the facade's end of one operation's account. The steps

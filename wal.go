@@ -18,7 +18,10 @@ import (
 type WALStats struct {
 	// Enabled reports whether the store logs its mutations.
 	Enabled bool
-	// AppendedLSN is the highest LSN written to the OS.
+	// AppendedLSN is the highest LSN appended to the log. A
+	// transaction's records are buffered until its commit writes them
+	// to the OS in one write, so between calls every appended LSN has
+	// been written.
 	AppendedLSN uint64
 	// DurableLSN is the highest LSN known fsynced.
 	DurableLSN uint64
@@ -30,6 +33,13 @@ type WALStats struct {
 	// metrics registry is disabled.
 	Fsyncs         int64
 	GroupedCommits int64
+	// Checkpoints counts the checkpoints taken since the store was
+	// opened (Build's and OpenPath's own among them), and
+	// BytesSinceCheckpoint the bytes logged since the last one — the
+	// tail a recovery would replay, which Options.CheckpointBytes
+	// bounds.
+	Checkpoints          int64
+	BytesSinceCheckpoint int64
 	// ReplayedBatches counts the commits OpenPath replayed from the log
 	// tail when this store was opened, a reorganizer round's commit
 	// (which seals no mutation) among them, and ReplayedMutations the
@@ -55,6 +65,8 @@ func (s *Store) WALStats() WALStats {
 		st.DurableLSN = s.wal.DurableLSN()
 		st.SizeBytes = s.wal.Size()
 		st.Fsyncs, st.GroupedCommits = s.wal.FsyncStats()
+		st.Checkpoints = s.wal.Checkpoints()
+		st.BytesSinceCheckpoint = s.wal.BytesSinceCheckpoint()
 	})
 	return st
 }

@@ -287,6 +287,24 @@ func crashCopy(t *testing.T, path, dst string) {
 	}
 }
 
+// walSegmentSize returns the size of the one segment in the log of the
+// store at path.
+func walSegmentSize(t *testing.T, path string) int64 {
+	t.Helper()
+	segs, err := os.ReadDir(storage.WALDir(path))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(segs) != 1 {
+		t.Fatalf("log holds %d segments, want 1", len(segs))
+	}
+	info, err := segs[0].Info()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return info.Size()
+}
+
 func smallTestMap(t *testing.T) *Network {
 	t.Helper()
 	opts := MinneapolisLikeOpts()
@@ -416,6 +434,17 @@ func TestWALCrashDrill(t *testing.T) {
 	var batches [][]modelOp
 	// crrAt[c] is the CRR of the committed state after c batches.
 	crrAt := []float64{s.CRR(g)}
+	// writeEnds[c] is the log segment's size once batch c is
+	// acknowledged. Each batch reaches the log in one write: while its
+	// ops run, the segment holds nothing past the previous batch.
+	var writeEnds []int64
+	lastEnd := walSegmentSize(t, path)
+	s.applyFaultHook = func(op int) error {
+		if got := walSegmentSize(t, path); got != lastEnd {
+			t.Errorf("batch %d op %d: the segment grew from %d to %d bytes before the commit", len(batches)+1, op, lastEnd, got)
+		}
+		return nil
+	}
 	for len(batches) < nops {
 		b, ops := genBatch(rng, model, &nextID, FirstOrder)
 		if b.Len() == 0 {
@@ -426,7 +455,10 @@ func TestWALCrashDrill(t *testing.T) {
 		}
 		batches = append(batches, ops)
 		crrAt = append(crrAt, s.CRR(model.network(t)))
+		lastEnd = walSegmentSize(t, path)
+		writeEnds = append(writeEnds, lastEnd)
 	}
+	s.applyFaultHook = nil
 
 	// Snapshot the crash image once: under no-steal with no
 	// intervening checkpoint, the data file is byte-identical at every
@@ -547,6 +579,23 @@ func TestWALCrashDrill(t *testing.T) {
 				crashAt(lo+(hi-lo)/2, k, fmt.Sprintf("torn %d", k+1))
 			}
 		}
+	}
+	// A batch's records reach the log in one write that ends with its
+	// commit record; a crash inside that write leaves any prefix of it,
+	// and recovery keeps the batches before it.
+	prev := boundary(first)
+	for c, end := range writeEnds {
+		k := sort.Search(len(ends), func(i int) bool { return ends[i] >= end })
+		if k == len(ends) || ends[k] != end || recs[k].Type != storage.WALRecCommit || commitsAt(k+1) != c+1 {
+			t.Fatalf("batch %d: the log's write ends at byte %d, not at its commit record", c+1, end)
+		}
+		cut := prev + (end-prev)/2
+		if i := sort.Search(len(ends), func(i int) bool { return ends[i] >= cut }); ends[i] == cut {
+			cut++ // inside the next record, not at its boundary
+		}
+		survivors := sort.Search(len(ends), func(i int) bool { return ends[i] > cut })
+		crashAt(cut, survivors, fmt.Sprintf("inside batch %d's write", c+1))
+		prev = end
 	}
 	sort.Float64s(drift)
 	t.Logf("recovered CRR - committed CRR over %d crash points: min %+.4f median %+.4f max %+.4f",
@@ -1058,4 +1107,168 @@ func TestFailedBuildLogsEveryLaterWrite(t *testing.T) {
 			t.Fatalf("Close of the poisoned store: %v", err)
 		}
 	})
+}
+
+// TestCheckpointTriggerCountsNewLog holds the automatic checkpoint to
+// its bound: it fires on the commit that takes the log written since
+// the last checkpoint past CheckpointBytes, and not before. A batch that
+// dirties most pages is checkpointed by hand first, leaving its page
+// images — more than the bound — in the log, so a trigger that
+// compared the whole retained log with the bound would checkpoint
+// again on the very next commit.
+func TestCheckpointTriggerCountsNewLog(t *testing.T) {
+	const bound = 4 << 10
+	g := smallTestMap(t)
+	s, err := Open(Options{
+		PageSize: 1024, Path: filepath.Join(t.TempDir(), "net.ccam"), WAL: true, Seed: 3,
+		SyncPolicy: SyncNone, CheckpointBytes: bound,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if err := s.Build(g); err != nil {
+		t.Fatal(err)
+	}
+	e := g.Edges()
+	ctx := context.Background()
+	wide := new(Batch)
+	for i := 0; i < len(e); i += 4 {
+		wide.SetEdgeCost(e[i].From, e[i].To, 99)
+	}
+	if err := s.Apply(ctx, wide); err != nil {
+		t.Fatal(err)
+	}
+	if st := s.WALStats(); st.Checkpoints != 1 {
+		t.Fatalf("the wide batch (%d ops) left %d checkpoints, want Build's alone", wide.Len(), st.Checkpoints)
+	}
+	if err := s.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	st := s.WALStats()
+	if st.SizeBytes <= bound || st.Checkpoints != 2 || st.BytesSinceCheckpoint != 0 {
+		t.Fatalf("after the checkpoint: %d log bytes, %d checkpoints, %d bytes since the last; want more than %d, 2, 0",
+			st.SizeBytes, st.Checkpoints, st.BytesSinceCheckpoint, bound)
+	}
+	fired := 0
+	for i := 0; fired < 3; i++ {
+		if i > 1000 {
+			t.Fatal("1000 commits and fewer than 3 checkpoints")
+		}
+		before := s.WALStats()
+		if err := s.Apply(ctx, new(Batch).SetEdgeCost(e[i%len(e)].From, e[i%len(e)].To, float32(i+1))); err != nil {
+			t.Fatal(err)
+		}
+		after := s.WALStats()
+		// One mutation record of a 13-byte payload and one empty commit
+		// record: 47 bytes.
+		logged := before.BytesSinceCheckpoint + 47
+		switch {
+		case logged > bound:
+			if after.Checkpoints != before.Checkpoints+1 || after.BytesSinceCheckpoint != 0 {
+				t.Fatalf("commit %d took the new log to %d bytes, past the %d bound, and left %d checkpoints (was %d), %d bytes since",
+					i, logged, bound, after.Checkpoints, before.Checkpoints, after.BytesSinceCheckpoint)
+			}
+			fired++
+		case after.Checkpoints != before.Checkpoints:
+			t.Fatalf("commit %d checkpointed with %d bytes of new log, within the %d bound (%d log bytes on disk)",
+				i, logged, bound, before.SizeBytes)
+		case after.BytesSinceCheckpoint != logged:
+			t.Fatalf("commit %d: %d bytes since the checkpoint, want %d", i, after.BytesSinceCheckpoint, logged)
+		}
+	}
+}
+
+// TestCheckpointFlushTornRunRecovers tears the data-file write of a
+// checkpoint: the flush writes contiguous dirty pages as one run, and
+// the fault cuts a run at a page inside it — once at the page's start,
+// so the run's earlier pages land and the rest do not, and once inside
+// the page. The checkpoint's images are durable in the log before the
+// flush starts, so a reopen of what the crash left restores the
+// committed state.
+func TestCheckpointFlushTornRunRecovers(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		mode storage.FaultMode
+	}{{"page-boundary", storage.FaultError}, {"mid-page", storage.FaultTornWrite}} {
+		t.Run(tc.name, func(t *testing.T) {
+			g := smallTestMap(t)
+			dir := t.TempDir()
+			path := filepath.Join(dir, "net.ccam")
+			var fst *storage.FaultStore
+			s, err := Open(Options{
+				PageSize: 1024, Path: path, WAL: true, Seed: 3,
+				SyncPolicy: SyncGroupCommit, CheckpointBytes: 1 << 40,
+				wrapPages: func(st storage.Store) storage.Store {
+					fst = storage.NewFaultStore(st, 5)
+					return fst
+				},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			if err := s.Build(g); err != nil {
+				t.Fatal(err)
+			}
+			model := modelFromNetwork(g)
+			rng := rand.New(rand.NewSource(17))
+			nextID := NodeID(100000)
+			for n := 0; n < 12; {
+				b, ops := genBatch(rng, model, &nextID, SecondOrder)
+				if b.Len() == 0 {
+					continue
+				}
+				if err := s.Apply(context.Background(), b); err != nil {
+					t.Fatal(err)
+				}
+				_ = ops
+				n++
+			}
+			// The victim is a dirty page whose predecessor is dirty too:
+			// it sits inside a run, not at its head.
+			var dirty []storage.PageID
+			if err := s.m.File().Pool().EachDirty(func(id storage.PageID, _ []byte) error {
+				dirty = append(dirty, id)
+				return nil
+			}); err != nil {
+				t.Fatal(err)
+			}
+			sort.Slice(dirty, func(i, j int) bool { return dirty[i] < dirty[j] })
+			victim := storage.InvalidPageID
+			for i := 1; i < len(dirty); i++ {
+				if dirty[i] == dirty[i-1]+1 {
+					victim = dirty[i]
+					break
+				}
+			}
+			if victim == storage.InvalidPageID {
+				t.Fatalf("no two dirty pages are contiguous among %v", dirty)
+			}
+			written := fst.Stats().Writes
+			fst.Inject(storage.Fault{Op: storage.FaultWrite, Page: victim, Count: 1, Mode: tc.mode})
+			if err := s.Checkpoint(); err == nil {
+				t.Fatal("the checkpoint's torn flush reported success")
+			}
+			if fst.Injected() != 1 {
+				t.Fatalf("%d faults fired, want 1", fst.Injected())
+			}
+			if fst.Stats().Writes == written {
+				t.Fatal("no page of the torn run reached the file")
+			}
+			crash := filepath.Join(dir, "crash", "net.ccam")
+			crashCopy(t, path, crash)
+			r, err := OpenPath(crash, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer r.Close()
+			if err := diffModels(model, storeModel(t, r)); err != nil {
+				t.Fatalf("recovered state: %v", err)
+			}
+			if err := r.CheckIndex(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
 }
