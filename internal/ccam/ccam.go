@@ -595,7 +595,7 @@ func workingSet(recs []*netfile.Record) *partition.Weighted {
 	w := &partition.Weighted{
 		IDs:  make([]graph.NodeID, n),
 		Size: make([]int, n),
-		Adj:  make([][]partition.WEdge, n),
+		Off:  make([]int32, n+1),
 	}
 	links := 0
 	for i, r := range recs {
@@ -604,41 +604,48 @@ func workingSet(recs []*netfile.Record) *partition.Weighted {
 		w.Total += w.Size[i]
 		links += len(r.Succs)
 	}
-	// Every in-set link u->v is one entry at u and one at v; the lists
-	// are carved from one array, each with room for all of them, by
-	// counting first.
+	// Every in-set link u->v is one entry in u's row and one in v's;
+	// counting them first places every row in one array.
 	ends := make([]int32, 0, 2*links)
-	deg := make([]int, n)
 	for u, r := range recs {
 		for _, s := range r.Succs {
 			if v, ok := slices.BinarySearch(w.IDs, s.To); ok && v != u {
 				ends = append(ends, int32(u), int32(v))
-				deg[u]++
-				deg[v]++
+				w.Off[u+1]++
+				w.Off[v+1]++
 			}
 		}
 	}
-	edges := make([]partition.WEdge, len(ends))
-	for u, d := range deg {
-		w.Adj[u], edges = edges[:0:d], edges[d:]
+	for u := 0; u < n; u++ {
+		w.Off[u+1] += w.Off[u]
 	}
+	w.Edges = make([]partition.WEdge, len(ends))
+	fill := slices.Clone(w.Off[:n])
 	for i := 0; i < len(ends); i += 2 {
-		u, v := int(ends[i]), int(ends[i+1])
-		w.Adj[u] = append(w.Adj[u], partition.WEdge{To: v, W: 1})
-		w.Adj[v] = append(w.Adj[v], partition.WEdge{To: u, W: 1})
+		u, v := ends[i], ends[i+1]
+		w.Edges[fill[u]] = partition.WEdge{To: v, W: 1}
+		w.Edges[fill[v]] = partition.WEdge{To: u, W: 1}
+		fill[u]++
+		fill[v]++
 	}
-	for u, es := range w.Adj {
+	// Sort each row and merge a pair linked both ways into one entry,
+	// packing the rows forward as they shrink.
+	out := int32(0)
+	for u := 0; u < n; u++ {
+		es := w.Edges[w.Off[u]:w.Off[u+1]]
 		slices.SortFunc(es, func(a, b partition.WEdge) int { return cmp.Compare(a.To, b.To) })
-		out := es[:0]
+		w.Off[u] = out
 		for _, e := range es {
-			if k := len(out) - 1; k >= 0 && out[k].To == e.To {
-				out[k].W += e.W
+			if out > w.Off[u] && w.Edges[out-1].To == e.To {
+				w.Edges[out-1].W += e.W
 			} else {
-				out = append(out, e)
+				w.Edges[out] = e
+				out++
 			}
 		}
-		w.Adj[u] = out
 	}
+	w.Off[n] = out
+	w.Edges = w.Edges[:out]
 	return w
 }
 

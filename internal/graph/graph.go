@@ -9,9 +9,10 @@
 package graph
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	"ccam/internal/geom"
 )
@@ -253,7 +254,7 @@ func (g *Network) NodeIDs() []NodeID {
 	for id := range g.nodes {
 		out = append(out, id)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 
@@ -266,7 +267,7 @@ func (g *Network) Edges() []Edge {
 		for i, he := range hes {
 			es[i] = Edge{From: id, To: he.to, Cost: he.cost, Weight: he.weight}
 		}
-		sort.Slice(es, func(i, j int) bool { return es[i].To < es[j].To })
+		slices.SortFunc(es, func(a, b Edge) int { return cmp.Compare(a.To, b.To) })
 		out = append(out, es...)
 	}
 	return out

@@ -212,10 +212,9 @@ func (f *File) Checkpoint() error {
 	// rewritten while it is appended.
 	startLSN := uint64(0)
 	images := 0
-	var payload []byte
 	err := f.pool.EachDirty(func(id storage.PageID, img []byte) error {
-		payload = storage.AppendWALPageImage(payload[:0], id, img)
-		lsn, err := f.wal.Append(storage.WALRecPageImage, payload)
+		lsn, err := f.wal.AppendWith(storage.WALRecPageImage, storage.WALPageImageLen(img),
+			func(payload []byte) { storage.PutWALPageImage(payload, id, img) })
 		if err != nil {
 			return err
 		}

@@ -9,15 +9,27 @@ import (
 
 // roadMap256 is the end-to-end benchmark's fixture shape:
 // MinneapolisLikeOpts stretched to a 256×256 lattice (~65k nodes).
-func roadMap256(b *testing.B) *graph.Network {
+func roadMap256(tb testing.TB) *graph.Network {
 	o := graph.MinneapolisLikeOpts()
 	o.Rows, o.Cols = 256, 256
 	o.Seed = 169 // the fixture's map seed
 	g, err := graph.RoadMap(o)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	return g
+}
+
+// fixtureMap is roadMap256 with its stored record sizes, computed once
+// into a map so that sizeOf costs a lookup.
+func fixtureMap(tb testing.TB) (*graph.Network, func(graph.NodeID) int) {
+	g := roadMap256(tb)
+	stored := netfile.StoredSizer(g)
+	sizes := make(map[graph.NodeID]int, g.NumNodes())
+	for _, id := range g.NodeIDs() {
+		sizes[id] = stored(id)
+	}
+	return g, func(id graph.NodeID) int { return sizes[id] }
 }
 
 // BenchmarkClusterRoadMap256 times the Figure 2 recursion alone on the
@@ -26,13 +38,7 @@ func roadMap256(b *testing.B) *graph.Network {
 // store's Create). Record sizes are computed once, outside the timer,
 // so each op is BuildWeighted plus the recursion.
 func BenchmarkClusterRoadMap256(b *testing.B) {
-	g := roadMap256(b)
-	stored := netfile.StoredSizer(g)
-	sizes := make(map[graph.NodeID]int, g.NumNodes())
-	for _, id := range g.NodeIDs() {
-		sizes[id] = stored(id)
-	}
-	sizeOf := func(id graph.NodeID) int { return sizes[id] }
+	g, sizeOf := fixtureMap(b)
 	budget := netfile.PageBudget(2048)
 	for _, part := range []Bipartitioner{&RatioCut{}, &Multilevel{}} {
 		b.Run(part.Name(), func(b *testing.B) {

@@ -60,7 +60,10 @@ func ClusterNodesIntoPagesOpts(g *graph.Network, sizeOf func(graph.NodeID) int, 
 }
 
 // ClusterWeightedIntoPages runs the Figure 2 recursion directly over a
-// prepared Weighted working set (see ClusterNodesIntoPagesOpts).
+// prepared Weighted working set (see ClusterNodesIntoPagesOpts). w is
+// only read. Each worker draws its arrays from its own scratch, which
+// lives for this call alone; the page lists returned are carved from
+// one array of their own.
 func ClusterWeightedIntoPages(w *Weighted, pageSize int, part Bipartitioner, opts ClusterOptions) ([][]graph.NodeID, error) {
 	if w.N() == 0 {
 		return nil, ErrEmptyGraph
@@ -74,72 +77,131 @@ func ClusterWeightedIntoPages(w *Weighted, pageSize int, part Bipartitioner, opt
 		pageSize: pageSize,
 		minPg:    (pageSize + 1) / 2,
 		part:     part,
-		sem:      make(chan struct{}, opts.workers()-1),
+		out:      make([]graph.NodeID, w.N()),
+		pageLen:  make([]int32, w.N()),
 	}
-	return run.solve(w, splitmix64(uint64(opts.Seed)))
+	if workers := opts.workers(); workers > 1 {
+		run.sem = make(chan struct{}, workers-1)
+		run.idle = make(chan *scratch, workers)
+	}
+	if err := run.solve(w, splitmix64(uint64(opts.Seed)), 0, run.scratch()); err != nil {
+		return nil, err
+	}
+	n := 0
+	for _, l := range run.pageLen {
+		if l > 0 {
+			n++
+		}
+	}
+	pages := make([][]graph.NodeID, 0, n)
+	for at := 0; at < len(run.out); {
+		end := at + int(run.pageLen[at])
+		pages = append(pages, run.out[at:end:end])
+		at = end
+	}
+	return pages, nil
 }
 
 // clusterRun holds the recursion's shared state. sem bounds the number
 // of subsets partitioned concurrently beyond the calling goroutine: a
 // recursion step that acquires a slot hands its first half to a fresh
-// goroutine and keeps the second; otherwise both run inline.
+// goroutine and keeps the second; otherwise both run inline. Every
+// running goroutine holds one scratch; idle keeps those of finished
+// goroutines for the next, and holds as many as run at once, so that
+// handing one back never blocks. On one worker both channels are nil,
+// so no slot is ever free. The pages lie in out in page order, which
+// is the order of the recursion's leaves: a subset's first half comes
+// before its second. pageLen[at] is the length of the page starting at
+// out[at].
 type clusterRun struct {
 	pageSize int
 	minPg    int
 	part     Bipartitioner
 	sem      chan struct{}
+	idle     chan *scratch
+	out      []graph.NodeID
+	pageLen  []int32
 }
 
-// solve clusters one subset. Subset byte size is w.Total, carried from
-// the parent split — no per-pop re-scan. Pages merge first-half before
-// second-half, so the page order depends only on the recursion tree.
-func (c *clusterRun) solve(w *Weighted, seed uint64) ([][]graph.NodeID, error) {
+// scratch returns an idle worker's scratch, or a new one.
+func (c *clusterRun) scratch() *scratch {
+	select {
+	case sc := <-c.idle:
+		return sc
+	default:
+		return &scratch{rng: rand.New(rand.NewSource(0))}
+	}
+}
+
+// solve clusters one subset into pages laid at out[at:], on sc. Subset
+// byte size is w.Total, carried from the parent split — no per-pop
+// re-scan.
+func (c *clusterRun) solve(w *Weighted, seed uint64, at int, sc *scratch) error {
 	if w.Total <= c.pageSize {
-		return [][]graph.NodeID{w.IDs}, nil
+		copy(c.out[at:], w.IDs)
+		c.pageLen[at] = int32(w.N())
+		return nil
 	}
-	rng := rand.New(rand.NewSource(int64(splitmix64(seed))))
-	a, b, err := c.part.Bipartition(w, c.minPg, rng)
-	if err != nil {
-		return nil, fmt.Errorf("partition: clustering subset of %d nodes: %w", w.N(), err)
+	sc.rng.Seed(int64(splitmix64(seed)))
+	sc.side = resize(sc.side, w.N())
+	if err := c.bisect(w, sc, sc.side); err != nil {
+		return err
 	}
-	if len(a) == 0 || len(b) == 0 {
-		return nil, fmt.Errorf("partition: %s returned an empty side", c.part.Name())
-	}
-	wa, wb, err := w.splitByIDs(a, b)
-	if err != nil {
-		return nil, fmt.Errorf("partition: %s: %w", c.part.Name(), err)
-	}
+	sc.remap = resize(sc.remap, w.N())
+	wa, wb := sc.child(), sc.child()
+	w.splitInto(sc.side, sc.remap, wa, wb)
 	seedA := splitmix64(seed ^ 0x517cc1b727220a95)
 	seedB := splitmix64(seed ^ 0x2545f4914f6cdd1d)
 
-	var (
-		pa, pb     [][]graph.NodeID
-		errA, errB error
-	)
+	var errA, errB error
 	select {
 	case c.sem <- struct{}{}:
+		var forked error // declared here, so only a fork puts it on the heap
 		var wg sync.WaitGroup
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			pa, errA = c.solve(wa, seedA)
+			own := c.scratch()
+			forked = c.solve(wa, seedA, at, own)
+			c.idle <- own
 			<-c.sem
 		}()
-		pb, errB = c.solve(wb, seedB)
+		errB = c.solve(wb, seedB, at+wa.N(), sc)
 		wg.Wait()
+		errA = forked
 	default:
-		pa, errA = c.solve(wa, seedA)
+		errA = c.solve(wa, seedA, at, sc)
 		if errA == nil {
-			pb, errB = c.solve(wb, seedB)
+			errB = c.solve(wb, seedB, at+wa.N(), sc)
 		}
 	}
+	sc.free = append(sc.free, wb, wa)
 	if errA != nil {
-		return nil, errA
+		return errA
 	}
-	if errB != nil {
-		return nil, errB
+	return errB
+}
+
+// bisect splits w into side with the run's Bipartitioner: on sc when it
+// is one of this package's, else through Bipartition and its id lists.
+func (c *clusterRun) bisect(w *Weighted, sc *scratch, side []bool) error {
+	if b, ok := c.part.(bisecter); ok {
+		if err := b.bisect(w, c.minPg, sc.rng, sc, side); err != nil {
+			return fmt.Errorf("partition: clustering subset of %d nodes: %w", w.N(), err)
+		}
+		return nil
 	}
-	return append(pa, pb...), nil
+	a, b, err := c.part.Bipartition(w, c.minPg, sc.rng)
+	if err != nil {
+		return fmt.Errorf("partition: clustering subset of %d nodes: %w", w.N(), err)
+	}
+	if len(a) == 0 || len(b) == 0 {
+		return fmt.Errorf("partition: %s returned an empty side", c.part.Name())
+	}
+	if err := w.sideOf(a, b, side); err != nil {
+		return fmt.Errorf("partition: %s: %w", c.part.Name(), err)
+	}
+	return nil
 }
 
 // splitmix64 is the SplitMix64 finalizer: a single deterministic,

@@ -4,10 +4,12 @@ import (
 	"encoding/binary"
 	"hash/fnv"
 	"math/rand"
+	"slices"
 	"sync/atomic"
 	"testing"
 
 	"ccam/internal/graph"
+	"ccam/internal/netfile"
 )
 
 func pagesEqual(a, b [][]graph.NodeID) bool {
@@ -109,6 +111,19 @@ func TestClusterPlacementGolden(t *testing.T) {
 			t.Errorf("%s: placement hash %#x over %d pages, want %#x", tc.part.Name(), got, len(pages), tc.want)
 		}
 	}
+	// The store's Create at the benchmark fixture's size: multilevel on
+	// the 256×256 map with stored record sizes and a 2 KiB page's
+	// budget, serial and at GOMAXPROCS workers.
+	g, sizeOf := fixtureMap(t)
+	for _, workers := range []int{1, 0} {
+		pages, err := ClusterNodesIntoPagesOpts(g, sizeOf, netfile.PageBudget(2048), &Multilevel{}, ClusterOptions{Workers: workers, Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := pagesHash(pages), uint64(0xff1bb07a503e3946); got != want {
+			t.Errorf("fixture map, %d workers: placement hash %#x over %d pages, want %#x", workers, got, len(pages), want)
+		}
+	}
 }
 
 // TestClusterWrapperMatchesOpts pins the compatibility contract: the
@@ -177,7 +192,8 @@ func TestClusterSizeBookkeeping(t *testing.T) {
 }
 
 // TestSplitByIDs checks the index-remapped sub-Weighted splitter
-// against a from-scratch BuildWeighted of each side.
+// against a from-scratch BuildWeighted of each side, and sideOf, which
+// reads a bipartition back from id lists, on its error paths.
 func TestSplitByIDs(t *testing.T) {
 	g, err := graph.RoadMap(graph.MinneapolisLikeOpts())
 	if err != nil {
@@ -185,12 +201,18 @@ func TestSplitByIDs(t *testing.T) {
 	}
 	w := BuildWeighted(g, unitSize)
 	rng := rand.New(rand.NewSource(21))
-	side := w.seedPartition(rng)
-	a, b := w.split(side)
-	wa, wb, err := w.splitByIDs(a, b)
-	if err != nil {
+	seeded := make([]bool, w.N())
+	w.seedPartition(rng, new(scratch), seeded)
+	a, b := w.split(seeded)
+	side := make([]bool, w.N())
+	if err := w.sideOf(a, b, side); err != nil {
 		t.Fatal(err)
 	}
+	if !slices.Equal(side, seeded) {
+		t.Fatal("sideOf did not read back the split it was given")
+	}
+	wa, wb := new(Weighted), new(Weighted)
+	w.splitInto(side, make([]int32, w.N()), wa, wb)
 	if wa.N() != len(a) || wb.N() != len(b) {
 		t.Fatalf("sizes %d/%d want %d/%d", wa.N(), wb.N(), len(a), len(b))
 	}
@@ -211,30 +233,83 @@ func TestSplitByIDs(t *testing.T) {
 		if tc.got.N() != want.N() || tc.got.Total != want.Total {
 			t.Fatalf("side %s shape mismatch", tc.name)
 		}
-		for i := range want.IDs {
-			if tc.got.IDs[i] != want.IDs[i] || tc.got.Size[i] != want.Size[i] {
-				t.Fatalf("side %s node %d mismatch", tc.name, i)
-			}
-			if len(tc.got.Adj[i]) != len(want.Adj[i]) {
-				t.Fatalf("side %s adjacency %d: %d edges want %d", tc.name, i, len(tc.got.Adj[i]), len(want.Adj[i]))
-			}
-			for j, e := range want.Adj[i] {
-				ge := tc.got.Adj[i][j]
-				if ge.To != e.To || ge.W != e.W {
-					t.Fatalf("side %s edge %d/%d mismatch: %+v want %+v", tc.name, i, j, ge, e)
-				}
-			}
+		if !slices.Equal(tc.got.IDs, want.IDs) || !slices.Equal(tc.got.Size, want.Size) {
+			t.Fatalf("side %s nodes mismatch", tc.name)
+		}
+		if !slices.Equal(tc.got.Off, want.Off) {
+			t.Fatalf("side %s row offsets mismatch", tc.name)
+		}
+		if !slices.Equal(tc.got.Edges, want.Edges) {
+			t.Fatalf("side %s rows mismatch", tc.name)
 		}
 	}
 	// Error paths.
-	if _, _, err := w.splitByIDs(a[:len(a)-1], b); err == nil {
+	if err := w.sideOf(a[:len(a)-1], b, side); err == nil {
 		t.Fatal("missing node not rejected")
 	}
-	if _, _, err := w.splitByIDs(append(append([]graph.NodeID{}, a...), b[0]), b); err == nil {
+	if err := w.sideOf(a[1:], append(append([]graph.NodeID{}, b...), b[0]), side); err == nil {
 		t.Fatal("overlapping sides not rejected")
 	}
 	foreign := append(append([]graph.NodeID{}, b[:len(b)-1]...), graph.NodeID(1<<30))
-	if _, _, err := w.splitByIDs(a, foreign); err == nil {
+	if err := w.sideOf(a, foreign, side); err == nil {
 		t.Fatal("foreign node not rejected")
+	}
+}
+
+// TestClusterPagesOutliveTheCall: the page lists one clustering returns
+// share no memory with its workers' scratch or with a later call, so a
+// second clustering in the same process leaves the first's pages as
+// they were.
+func TestClusterPagesOutliveTheCall(t *testing.T) {
+	g, err := graph.RoadMap(graph.MinneapolisLikeOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	size := func(graph.NodeID) int { return 80 }
+	first, err := ClusterNodesIntoPagesOpts(g, size, 1024, &Multilevel{}, ClusterOptions{Workers: 2, Seed: 42})
+	if err != nil {
+		t.Fatal(err)
+	}
+	kept := make([][]graph.NodeID, len(first))
+	for i, pg := range first {
+		kept[i] = slices.Clone(pg)
+	}
+	if _, err := ClusterNodesIntoPagesOpts(g, size, 1024, &Multilevel{}, ClusterOptions{Workers: 2, Seed: 43}); err != nil {
+		t.Fatal(err)
+	}
+	if !pagesEqual(first, kept) {
+		t.Fatal("a second clustering changed the first one's pages")
+	}
+}
+
+// TestClusterAllocsPerPage bounds the allocations of a whole clustering,
+// the projection onto the working set included, per page it returns:
+// the recursion draws its arrays from per-worker scratch, so the count
+// grows with the depth of the recursion and the number of workers, not
+// with the number of nodes or subsets.
+func TestClusterAllocsPerPage(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts differ under the race detector")
+	}
+	o := graph.MinneapolisLikeOpts()
+	o.Rows, o.Cols = 64, 64
+	g, err := graph.RoadMap(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	size := func(graph.NodeID) int { return 80 }
+	var pages int
+	allocs := testing.AllocsPerRun(3, func() {
+		got, err := ClusterNodesIntoPagesOpts(g, size, 1024, &Multilevel{}, ClusterOptions{Workers: 1, Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		pages = len(got)
+	})
+	t.Logf("%.0f allocations for %d pages of %d nodes", allocs, pages, g.NumNodes())
+	// About 1.1 today; one more allocation per split adds 1, one per
+	// node 8 or more.
+	if perPage := allocs / float64(pages); perPage > 1.5 {
+		t.Fatalf("%.0f allocations for %d pages: %.2f a page, want at most 1.5", allocs, pages, perPage)
 	}
 }

@@ -2,6 +2,7 @@ package partition
 
 import (
 	"math/rand"
+	"slices"
 
 	"ccam/internal/graph"
 )
@@ -27,8 +28,12 @@ func (f *FM) Name() string { return "fm" }
 
 // Bipartition implements Bipartitioner.
 func (f *FM) Bipartition(w *Weighted, minSize int, rng *rand.Rand) ([]graph.NodeID, []graph.NodeID, error) {
+	return bipartition(f, w, minSize, rng)
+}
+
+func (f *FM) bisect(w *Weighted, minSize int, rng *rand.Rand, sc *scratch, side []bool) error {
 	if err := checkFeasible(w, minSize); err != nil {
-		return nil, nil, err
+		return err
 	}
 	lim := int(fmBalanceFrac * float64(w.Total))
 	if minSize > lim {
@@ -39,32 +44,32 @@ func (f *FM) Bipartition(w *Weighted, minSize int, rng *rand.Rand) ([]graph.Node
 	if 2*lim > w.Total {
 		lim = minSize
 	}
-	side := w.seedPartition(rng)
+	w.seedPartition(rng, sc, side)
 	for pass := 0; pass < fmPasses; pass++ {
-		improved := runMovePass(w, side, lim, scoreCut, false)
-		if !improved {
+		if !runMovePass(w, side, lim, minCut, false, sc) {
 			break
 		}
 	}
-	a, b := w.split(side)
-	if len(a) == 0 || len(b) == 0 {
-		// Degenerate fallback: peel one node off.
-		return peelFallback(w)
+	settle(side) // a degenerate search peels one node off
+	return nil
+}
+
+// objective is what a move pass minimizes.
+type objective uint8
+
+const (
+	minCut   objective = iota // the cut weight
+	minRatio                  // the Cheng–Wei ratio cut/(|A|·|B|), sizes in bytes
+)
+
+// score evaluates a partition state; lower is better. A switch rather
+// than a function value, so that the move pass's per-move call inlines.
+func (o objective) score(cut float64, sa, sb int) float64 {
+	if o == minCut {
+		return cut
 	}
-	return a, b, nil
+	return scoreRatio(cut, sa, sb)
 }
-
-// peelFallback produces a trivial non-empty split when local search
-// degenerated (tiny graphs).
-func peelFallback(w *Weighted) ([]graph.NodeID, []graph.NodeID, error) {
-	return []graph.NodeID{w.IDs[0]}, append([]graph.NodeID(nil), w.IDs[1:]...), nil
-}
-
-// scoreFunc evaluates a partition state; lower is better.
-type scoreFunc func(cut float64, sa, sb int) float64
-
-// scoreCut is plain min-cut.
-func scoreCut(cut float64, sa, sb int) float64 { return cut }
 
 // scoreRatio is the Cheng–Wei ratio-cut objective cut/(|A|·|B|), with
 // sizes in bytes. Degenerate sides score +inf-ish.
@@ -137,7 +142,9 @@ func (h moveHeap) down(i, n int) {
 // runMovePass executes one FM-style pass over side in place: nodes move
 // at most once, in lazily-maintained best-gain order, subject to the
 // per-side minimum byte size lim; afterwards the state reverts to the
-// prefix minimizing score. Reports whether the score strictly improved.
+// prefix minimizing obj. Reports whether the score strictly improved.
+// Its arrays come from sc; one sweep over the edges gives the gains,
+// the cut, both side sizes and the heap's seeds.
 //
 // A boundary pass is the uncoarsening refinement of Multilevel, where the
 // projected partition is already good and almost every profitable move
@@ -145,19 +152,13 @@ func (h moveHeap) down(i, n int) {
 // (interior nodes still enter when a neighbor's move drags them to it),
 // and the pass gives up after max(n/8, 64) consecutive non-improving
 // moves instead of churning through the whole graph.
-func runMovePass(w *Weighted, side []bool, lim int, score scoreFunc, boundary bool) bool {
+func runMovePass(w *Weighted, side []bool, lim int, obj objective, boundary bool, sc *scratch) bool {
 	n := w.N()
-	gains := w.gains(side)
-	locked := make([]bool, n)
-	sa, sb := w.sideSizes(side)
-	cut := w.CutWeight(side)
-
-	h := make(moveHeap, 0, n)
-	for u := 0; u < n; u++ {
-		if !boundary || w.onCut(side, u) {
-			h = append(h, moveCand{node: u, gain: gains[u]})
-		}
-	}
+	gains := resize(sc.gains, n)
+	locked := resize(sc.locked, n)
+	clear(locked)
+	h := slices.Grow(sc.heap[:0], n)
+	cut, sa, sb := w.sweep(side, gains, &h, boundary)
 	h.init()
 	// A pass makes at most n moves, so a stall budget of n never binds.
 	stall := n
@@ -165,9 +166,9 @@ func runMovePass(w *Weighted, side []bool, lim int, score scoreFunc, boundary bo
 		stall = max(n/8, 64)
 	}
 
-	bestScore := score(cut, sa, sb)
+	bestScore := obj.score(cut, sa, sb)
 	bestPrefix := 0
-	moves := make([]int, 0, n)
+	moves := slices.Grow(sc.moves[:0], n) // a node moves at most once
 
 	for len(h) > 0 && len(moves)-bestPrefix <= stall {
 		c := h.pop()
@@ -197,7 +198,7 @@ func runMovePass(w *Weighted, side []bool, lim int, score scoreFunc, boundary bo
 		side[u] = !side[u]
 		cut -= gains[u]
 		gains[u] = -gains[u]
-		for _, e := range w.Adj[u] {
+		for _, e := range w.Row(u) {
 			v := e.To
 			if side[v] == side[u] {
 				gains[v] -= 2 * e.W
@@ -205,11 +206,11 @@ func runMovePass(w *Weighted, side []bool, lim int, score scoreFunc, boundary bo
 				gains[v] += 2 * e.W
 			}
 			if !locked[v] {
-				h.push(moveCand{node: v, gain: gains[v]})
+				h.push(moveCand{node: int(v), gain: gains[v]})
 			}
 		}
-		moves = append(moves, u)
-		if s := score(cut, sa, sb); s < bestScore-1e-12 {
+		moves = append(moves, int32(u))
+		if s := obj.score(cut, sa, sb); s < bestScore-1e-12 {
 			bestScore = s
 			bestPrefix = len(moves)
 		}
@@ -219,5 +220,6 @@ func runMovePass(w *Weighted, side []bool, lim int, score scoreFunc, boundary bo
 		u := moves[i]
 		side[u] = !side[u]
 	}
+	sc.gains, sc.locked, sc.heap, sc.moves = gains, locked, h, moves
 	return bestPrefix > 0
 }

@@ -22,26 +22,27 @@ func (k *KL) Name() string { return "kernighan-lin" }
 
 // Bipartition implements Bipartitioner.
 func (k *KL) Bipartition(w *Weighted, minSize int, rng *rand.Rand) ([]graph.NodeID, []graph.NodeID, error) {
+	return bipartition(k, w, minSize, rng)
+}
+
+func (k *KL) bisect(w *Weighted, minSize int, rng *rand.Rand, sc *scratch, side []bool) error {
 	if err := checkFeasible(w, minSize); err != nil {
-		return nil, nil, err
+		return err
 	}
-	side := w.seedPartition(rng)
+	w.seedPartition(rng, sc, side)
 	for pass := 0; pass < klPasses; pass++ {
 		if !k.pass(w, side, minSize) {
 			break
 		}
 	}
-	a, b := w.split(side)
-	if len(a) == 0 || len(b) == 0 {
-		return peelFallback(w)
-	}
-	return a, b, nil
+	settle(side)
+	return nil
 }
 
 // edgeWeight returns w(u,v) or 0.
 func edgeWeight(w *Weighted, u, v int) float64 {
-	for _, e := range w.Adj[u] {
-		if e.To == v {
+	for _, e := range w.Row(u) {
+		if int(e.To) == v {
 			return e.W
 		}
 	}
@@ -50,9 +51,9 @@ func edgeWeight(w *Weighted, u, v int) float64 {
 
 func (k *KL) pass(w *Weighted, side []bool, minSize int) bool {
 	n := w.N()
-	gains := w.gains(side)
+	gains := make([]float64, n)
+	_, sa, sb := w.sweep(side, gains, nil, false)
 	locked := make([]bool, n)
-	sa, sb := w.sideSizes(side)
 
 	type swap struct{ u, v int }
 	var swaps []swap
@@ -110,7 +111,7 @@ func (k *KL) pass(w *Weighted, side []bool, minSize int) bool {
 func applyMove(w *Weighted, side []bool, gains []float64, u int) {
 	side[u] = !side[u]
 	gains[u] = -gains[u]
-	for _, e := range w.Adj[u] {
+	for _, e := range w.Row(u) {
 		if side[e.To] == side[u] {
 			gains[e.To] -= 2 * e.W
 		} else {

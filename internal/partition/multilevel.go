@@ -2,7 +2,7 @@ package partition
 
 import (
 	"math/rand"
-	"sort"
+	"slices"
 
 	"ccam/internal/graph"
 )
@@ -39,21 +39,28 @@ const (
 	refinePasses = 2
 )
 
-// level is one step of the coarsening hierarchy: the graph it produced
-// and the mapping from the previous (finer) graph's indexes onto it.
+// level is one step of the coarsening hierarchy: the graph it produced,
+// the mapping from the previous (finer) graph's indexes onto it, and
+// the side assignment on it. A worker's scratch keeps its levels, and
+// their arrays, from one bipartition to the next.
 type level struct {
-	w        *Weighted
+	w        Weighted
 	toCoarse []int32 // finer index -> coarse index
+	side     []bool
 }
 
 // Bipartition implements Bipartitioner.
 func (m *Multilevel) Bipartition(w *Weighted, minSize int, rng *rand.Rand) ([]graph.NodeID, []graph.NodeID, error) {
+	return bipartition(m, w, minSize, rng)
+}
+
+func (m *Multilevel) bisect(w *Weighted, minSize int, rng *rand.Rand, sc *scratch, side []bool) error {
 	if err := checkFeasible(w, minSize); err != nil {
-		return nil, nil, err
+		return err
 	}
 	if w.N() <= minCoarsenable {
 		// Too small for coarsening to pay for itself.
-		return (&RatioCut{}).Bipartition(w, minSize, rng)
+		return (&RatioCut{}).bisect(w, minSize, rng, sc, side)
 	}
 	// On graphs smaller than twice coarsenTo, still coarsen
 	// — just to a proportionally smaller graph. The Fig. 2 recursion
@@ -70,16 +77,21 @@ func (m *Multilevel) Bipartition(w *Weighted, minSize int, rng *rand.Rand) ([]gr
 
 	// Coarsening phase: contract heavy-edge matchings until the graph is
 	// small enough or contraction stalls (matching fails on star-like
-	// graphs where everything wants the same partner).
-	var levels []level
+	// graphs where everything wants the same partner). levels[:nl] is
+	// the hierarchy, finest first.
+	nl := 0
 	cur := w
 	for cur.N() > ct {
-		coarse, fineToCoarse := coarsenHEM(cur, rng)
-		if coarse.N() > (cur.N()*97)/100 {
+		if nl == len(sc.levels) {
+			sc.levels = append(sc.levels, new(level))
+		}
+		lv := sc.levels[nl]
+		coarsenHEM(cur, rng, sc, lv)
+		if lv.w.N() > (cur.N()*97)/100 {
 			break // stalled; refine from here
 		}
-		levels = append(levels, level{w: coarse, toCoarse: fineToCoarse})
-		cur = coarse
+		nl++
+		cur = &lv.w
 	}
 
 	lim := minSize
@@ -87,77 +99,70 @@ func (m *Multilevel) Bipartition(w *Weighted, minSize int, rng *rand.Rand) ([]gr
 		lim = 0
 	}
 
-	// Base partition on the coarsest graph. Coarse IDs are the dense
-	// indexes themselves, so the returned id lists map straight back.
-	coarsest := w
-	if len(levels) > 0 {
-		coarsest = levels[len(levels)-1].w
+	// Base partition on the coarsest graph.
+	cs := side
+	if nl > 0 {
+		cs = sc.levels[nl-1].side
 	}
-	a, _, err := (&RatioCut{Restarts: 2}).Bipartition(coarsest, lim, rng)
-	if err != nil {
-		return nil, nil, err
-	}
-	side := make([]bool, coarsest.N())
-	for i := range side {
-		side[i] = true
-	}
-	for _, id := range a {
-		side[int(id)] = false
+	if err := (&RatioCut{Restarts: 2}).bisect(cur, lim, rng, sc, cs); err != nil {
+		return err
 	}
 
 	// Uncoarsening phase: project the side assignment through each
 	// level's mapping and refine on the finer graph.
-	for li := len(levels) - 1; li >= 0; li-- {
-		var fine *Weighted
-		if li == 0 {
-			fine = w
-		} else {
-			fine = levels[li-1].w
+	for li := nl - 1; li >= 0; li-- {
+		fine, fineSide := w, side
+		if li > 0 {
+			up := sc.levels[li-1]
+			fine, fineSide = &up.w, up.side
 		}
-		fineSide := make([]bool, fine.N())
+		lv := sc.levels[li]
 		for i := range fineSide {
-			fineSide[i] = side[levels[li].toCoarse[i]]
+			fineSide[i] = lv.side[lv.toCoarse[i]]
 		}
-		side = fineSide
 		for pass := 0; pass < refinePasses; pass++ {
-			if !runMovePass(fine, side, lim, scoreRatio, true) {
+			if !runMovePass(fine, fineSide, lim, minRatio, true, sc) {
 				break
 			}
 		}
 	}
-
-	fa, fb := w.split(side)
-	if len(fa) == 0 || len(fb) == 0 {
-		return peelFallback(w)
-	}
-	return fa, fb, nil
+	settle(side)
+	return nil
 }
 
-// coarsenHEM contracts a heavy-edge matching of w: every node pairs
-// with its heaviest still-unmatched neighbor (ties broken by lowest
-// index; visit order is randomized so repeated calls explore different
-// matchings), except when the merged super-node would exceed a quarter
-// of the total — oversized super-nodes trap the base partitioner.
-// Unmatched nodes carry over alone. The coarse graph's IDs are its own
-// dense indexes (0..nc-1): Multilevel never surfaces them, it only
-// needs split()'s id lists to index back into `side`. Sizes add up and
-// parallel fine edges accumulate, so w.Total and total edge weight
-// (minus contracted edges) are preserved.
-func coarsenHEM(w *Weighted, rng *rand.Rand) (*Weighted, []int32) {
+// coarsenHEM contracts a heavy-edge matching of w into lv: every node
+// pairs with its heaviest still-unmatched neighbor (ties broken by
+// lowest index; visit order is randomized so repeated calls explore
+// different matchings), except when the merged super-node would exceed
+// a quarter of the total — oversized super-nodes trap the base
+// partitioner. Unmatched nodes carry over alone. The coarse graph has
+// no IDs: Multilevel only ever works on its dense indexes. Sizes add up
+// and parallel fine edges accumulate, so w.Total and total edge weight
+// (minus contracted edges) are preserved. lv.side is sized for the
+// coarse graph; its contents are left to the caller.
+func coarsenHEM(w *Weighted, rng *rand.Rand, sc *scratch, lv *level) {
 	n := w.N()
-	match := make([]int32, n)
+	match := resize(sc.match, n)
 	for i := range match {
 		match[i] = -1
 	}
-	order := rng.Perm(n)
+	// The visit order is rand.Perm's shuffle, drawn from rng the same
+	// way, written into scratch.
+	order := resize(sc.order, n)
+	for i := 0; i < n; i++ {
+		j := rng.Intn(i + 1)
+		order[i] = order[j]
+		order[j] = int32(i)
+	}
+	sc.match, sc.order = match, order
 	maxSuper := w.Total / 4
 	for _, u := range order {
 		if match[u] >= 0 {
 			continue
 		}
-		best := -1
+		best := int32(-1)
 		bestW := -1.0
-		for _, e := range w.Adj[u] {
+		for _, e := range w.Row(int(u)) {
 			if match[e.To] >= 0 || e.To == u {
 				continue
 			}
@@ -170,71 +175,65 @@ func coarsenHEM(w *Weighted, rng *rand.Rand) (*Weighted, []int32) {
 			}
 		}
 		if best >= 0 {
-			match[u] = int32(best)
-			match[best] = int32(u)
+			match[u] = best
+			match[best] = u
 		} else {
-			match[u] = int32(u) // matched with itself
+			match[u] = u // matched with itself
 		}
 	}
 
 	// Assign coarse indexes in ascending fine order (deterministic given
-	// the matching): each pair gets the index at its smaller member.
-	fineToCoarse := make([]int32, n)
-	for i := range fineToCoarse {
-		fineToCoarse[i] = -1
+	// the matching): each pair gets the index at its smaller member,
+	// which is its first member m1; the other is m2 (-1 for a single).
+	toCoarse := resize(lv.toCoarse, n)
+	for i := range toCoarse {
+		toCoarse[i] = -1
 	}
-	nc := 0
-	for u := 0; u < n; u++ {
-		if fineToCoarse[u] >= 0 {
+	m1, m2 := resize(sc.m1, n), resize(sc.m2, n)
+	nc := int32(0)
+	for u := int32(0); u < int32(n); u++ {
+		if toCoarse[u] >= 0 {
 			continue
 		}
-		fineToCoarse[u] = int32(nc)
-		if v := int(match[u]); v != u && match[u] >= 0 {
-			fineToCoarse[v] = int32(nc)
+		toCoarse[u] = nc
+		m1[nc], m2[nc] = u, -1
+		if v := match[u]; v != u {
+			toCoarse[v] = nc
+			m2[nc] = v
 		}
 		nc++
 	}
+	lv.toCoarse, sc.m1, sc.m2 = toCoarse, m1, m2
 
-	coarse := &Weighted{
-		IDs:  make([]graph.NodeID, nc),
-		Size: make([]int, nc),
-		Adj:  make([][]WEdge, nc),
-	}
-	for i := 0; i < nc; i++ {
-		coarse.IDs[i] = graph.NodeID(i)
-	}
-	for u := 0; u < n; u++ {
-		coarse.Size[fineToCoarse[u]] += w.Size[u]
-	}
+	coarse := &lv.w
+	coarse.IDs = nil
+	coarse.Size = resize(coarse.Size, int(nc))
+	coarse.Off = resize(coarse.Off, int(nc)+1)
+	coarse.Edges = resize(coarse.Edges, int(w.Off[n]))[:0] // contraction only drops entries
 	coarse.Total = w.Total
+	lv.side = resize(lv.side, int(nc))
 
-	// Accumulate each coarse node's adjacency row with a scratch array
-	// instead of a shared pair-keyed map: the fine adjacency is
-	// symmetric, so visiting every member's full edge list builds both
-	// directions of each coarse edge with the same accumulated weight.
-	m1 := make([]int32, nc)
-	m2 := make([]int32, nc)
-	for i := range m1 {
-		m1[i], m2[i] = -1, -1
-	}
-	for u := 0; u < n; u++ {
-		c := fineToCoarse[u]
-		if m1[c] < 0 {
-			m1[c] = int32(u)
-		} else {
-			m2[c] = int32(u)
+	// Accumulate each coarse node's row with a scratch array instead of
+	// a shared pair-keyed map: the fine adjacency is symmetric, so
+	// visiting every member's full row builds both directions of each
+	// coarse edge with the same accumulated weight.
+	acc := resize(sc.acc, int(nc))
+	seen := resize(sc.seen, int(nc))
+	clear(acc)
+	clear(seen)
+	touched := sc.touched[:0]
+	coarse.Off[0] = 0
+	for c := int32(0); c < nc; c++ {
+		coarse.Size[c] = w.Size[m1[c]]
+		if m2[c] >= 0 {
+			coarse.Size[c] += w.Size[m2[c]]
 		}
-	}
-	acc := make([]float64, nc)
-	seen := make([]bool, nc)
-	var touched []int
-	for c := 0; c < nc; c++ {
 		for _, fu := range [2]int32{m1[c], m2[c]} {
 			if fu < 0 {
 				continue
 			}
-			for _, e := range w.Adj[fu] {
-				cv := int(fineToCoarse[e.To])
+			for _, e := range w.Row(int(fu)) {
+				cv := toCoarse[e.To]
 				if cv == c {
 					continue // contracted away
 				}
@@ -245,18 +244,14 @@ func coarsenHEM(w *Weighted, rng *rand.Rand) (*Weighted, []int32) {
 				acc[cv] += e.W
 			}
 		}
-		if len(touched) == 0 {
-			continue
-		}
-		sort.Ints(touched)
-		es := make([]WEdge, len(touched))
-		for i, cv := range touched {
-			es[i] = WEdge{To: cv, W: acc[cv]}
+		slices.Sort(touched)
+		for _, cv := range touched {
+			coarse.Edges = append(coarse.Edges, WEdge{To: cv, W: acc[cv]})
 			acc[cv] = 0
 			seen[cv] = false
 		}
-		coarse.Adj[c] = es
+		coarse.Off[c+1] = int32(len(coarse.Edges))
 		touched = touched[:0]
 	}
-	return coarse, fineToCoarse
+	sc.acc, sc.seen, sc.touched = acc, seen, touched
 }

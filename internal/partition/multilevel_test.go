@@ -10,9 +10,9 @@ import (
 // undirectedWeight sums each undirected edge's weight once.
 func undirectedWeight(w *Weighted) float64 {
 	var total float64
-	for u := range w.Adj {
-		for _, e := range w.Adj[u] {
-			if e.To > u {
+	for u := 0; u < w.N(); u++ {
+		for _, e := range w.Row(u) {
+			if int(e.To) > u {
 				total += e.W
 			}
 		}
@@ -21,8 +21,8 @@ func undirectedWeight(w *Weighted) float64 {
 }
 
 func edgeWeightAt(w *Weighted, u, v int) float64 {
-	for _, e := range w.Adj[u] {
-		if e.To == v {
+	for _, e := range w.Row(u) {
+		if int(e.To) == v {
 			return e.W
 		}
 	}
@@ -36,7 +36,9 @@ func TestCoarsenHEMInvariants(t *testing.T) {
 	}
 	w := BuildWeighted(g, unitSize)
 	rng := rand.New(rand.NewSource(11))
-	coarse, toCoarse := coarsenHEM(w, rng)
+	var lv level
+	coarsenHEM(w, rng, new(scratch), &lv)
+	coarse, toCoarse := &lv.w, lv.toCoarse
 
 	if coarse.N() >= w.N() {
 		t.Fatalf("coarsening did not shrink: %d -> %d", w.N(), coarse.N())
@@ -56,9 +58,9 @@ func TestCoarsenHEMInvariants(t *testing.T) {
 	}
 	// Edge weight is preserved minus the contracted (intra-pair) edges.
 	var contracted float64
-	for u := range w.Adj {
-		for _, e := range w.Adj[u] {
-			if e.To > u && toCoarse[u] == toCoarse[e.To] {
+	for u := 0; u < w.N(); u++ {
+		for _, e := range w.Row(u) {
+			if int(e.To) > u && toCoarse[u] == toCoarse[e.To] {
 				contracted += e.W
 			}
 		}
@@ -69,10 +71,10 @@ func TestCoarsenHEMInvariants(t *testing.T) {
 	}
 	// Parallel fine edges must accumulate onto one coarse edge.
 	acc := make(map[[2]int]float64)
-	for u := range w.Adj {
-		for _, e := range w.Adj[u] {
+	for u := 0; u < w.N(); u++ {
+		for _, e := range w.Row(u) {
 			cu, cv := int(toCoarse[u]), int(toCoarse[e.To])
-			if e.To <= u || cu == cv {
+			if int(e.To) <= u || cu == cv {
 				continue
 			}
 			if cu > cv {
@@ -87,12 +89,13 @@ func TestCoarsenHEMInvariants(t *testing.T) {
 		}
 	}
 	// Adjacency stays sorted and symmetric.
-	for u := range coarse.Adj {
-		for i, e := range coarse.Adj[u] {
-			if i > 0 && coarse.Adj[u][i-1].To >= e.To {
+	for u := 0; u < coarse.N(); u++ {
+		row := coarse.Row(u)
+		for i, e := range row {
+			if i > 0 && row[i-1].To >= e.To {
 				t.Fatalf("coarse adjacency of %d unsorted", u)
 			}
-			if back := edgeWeightAt(coarse, e.To, u); back != e.W {
+			if back := edgeWeightAt(coarse, int(e.To), u); back != e.W {
 				t.Fatalf("coarse edge %d-%d asymmetric: %f vs %f", u, e.To, e.W, back)
 			}
 		}

@@ -44,8 +44,10 @@ func TestGainsConsistentWithCutDelta(t *testing.T) {
 	}
 	w := BuildWeighted(g, unitSize)
 	rng := rand.New(rand.NewSource(1))
-	side := w.seedPartition(rng)
-	gains := w.gains(side)
+	side := make([]bool, w.N())
+	w.seedPartition(rng, new(scratch), side)
+	gains := make([]float64, w.N())
+	w.sweep(side, gains, nil, false)
 	cut := w.CutWeight(side)
 	for trial := 0; trial < 50; trial++ {
 		u := rng.Intn(w.N())
@@ -56,6 +58,18 @@ func TestGainsConsistentWithCutDelta(t *testing.T) {
 			t.Fatalf("gain[%d] = %f, actual delta %f", u, gains[u], diff)
 		}
 	}
+}
+
+// sideSizes returns the total byte size of each side.
+func (w *Weighted) sideSizes(side []bool) (sa, sb int) {
+	for i, s := range side {
+		if s {
+			sb += w.Size[i]
+		} else {
+			sa += w.Size[i]
+		}
+	}
+	return sa, sb
 }
 
 func abs(x float64) float64 {

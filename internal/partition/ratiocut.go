@@ -34,8 +34,12 @@ func (r *RatioCut) restarts() int {
 
 // Bipartition implements Bipartitioner.
 func (r *RatioCut) Bipartition(w *Weighted, minSize int, rng *rand.Rand) ([]graph.NodeID, []graph.NodeID, error) {
+	return bipartition(r, w, minSize, rng)
+}
+
+func (r *RatioCut) bisect(w *Weighted, minSize int, rng *rand.Rand, sc *scratch, side []bool) error {
 	if err := checkFeasible(w, minSize); err != nil {
-		return nil, nil, err
+		return err
 	}
 	lim := minSize
 	if 2*lim > w.Total {
@@ -43,25 +47,30 @@ func (r *RatioCut) Bipartition(w *Weighted, minSize int, rng *rand.Rand) ([]grap
 		// feasible floor so a split still makes progress.
 		lim = 0
 	}
-	var bestSide []bool
+	// side holds the best restart so far; a restart scoring no better
+	// than a degenerate split never lands there.
+	work := resize(sc.work, w.N())
+	sc.work = work
+	found := false
 	bestScore := 1e300
 	for attempt := 0; attempt < r.restarts(); attempt++ {
-		side := w.seedPartition(rng)
+		w.seedPartition(rng, sc, work)
 		for pass := 0; pass < ratioCutPasses; pass++ {
-			if !runMovePass(w, side, lim, scoreRatio, false) {
+			if !runMovePass(w, work, lim, minRatio, false, sc) {
 				break
 			}
 		}
-		sa, sb := w.sideSizes(side)
-		s := scoreRatio(w.CutWeight(side), sa, sb)
-		if s < bestScore {
+		sc.gains = resize(sc.gains, w.N())
+		cut, sa, sb := w.sweep(work, sc.gains, nil, false)
+		if s := scoreRatio(cut, sa, sb); s < bestScore {
 			bestScore = s
-			bestSide = append(bestSide[:0], side...)
+			copy(side, work)
+			found = true
 		}
 	}
-	a, b := w.split(bestSide)
-	if len(a) == 0 || len(b) == 0 {
-		return peelFallback(w)
+	if !found {
+		clear(side) // every restart degenerate: settle peels node 0 off
 	}
-	return a, b, nil
+	settle(side)
+	return nil
 }

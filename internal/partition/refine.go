@@ -17,7 +17,8 @@ package partition
 func Refine(w *Weighted, side []bool, capacity int) bool {
 	lim := w.Total - capacity // a side keeps at least what the other cannot take
 	improved := false
-	for runMovePass(w, side, lim, scoreCut, false) {
+	sc := new(scratch)
+	for runMovePass(w, side, lim, minCut, false, sc) {
 		improved = true
 	}
 	return improved

@@ -38,14 +38,21 @@ type WALCheckpoint struct {
 
 // EncodeWALPageImage builds a WALRecPageImage payload.
 func EncodeWALPageImage(id PageID, payload []byte) []byte {
-	return AppendWALPageImage(make([]byte, 0, 4+len(payload)), id, payload)
+	dst := make([]byte, WALPageImageLen(payload))
+	PutWALPageImage(dst, id, payload)
+	return dst
 }
 
-// AppendWALPageImage appends a WALRecPageImage payload to dst, so a
-// checkpoint can encode every image into one reused buffer.
-func AppendWALPageImage(dst []byte, id PageID, payload []byte) []byte {
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(id))
-	return append(dst, payload...)
+// WALPageImageLen is the length of the WALRecPageImage payload holding
+// the page image payload.
+func WALPageImageLen(payload []byte) int { return 4 + len(payload) }
+
+// PutWALPageImage encodes a WALRecPageImage payload into dst, which is
+// WALPageImageLen(payload) long: a checkpoint encodes each image
+// straight into the log's buffer with WAL.AppendWith.
+func PutWALPageImage(dst []byte, id PageID, payload []byte) {
+	binary.LittleEndian.PutUint32(dst[0:4], uint32(id))
+	copy(dst[4:], payload)
 }
 
 // DecodeWALPageImage parses a WALRecPageImage payload.

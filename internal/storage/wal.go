@@ -368,8 +368,16 @@ func (w *WAL) FsyncStats() (fsyncs, commits int64) {
 // buffered: it reaches the OS at the next Commit or Sync that covers
 // it, or earlier when the buffer fills or the segment rotates.
 func (w *WAL) Append(t WALRecordType, payload []byte) (uint64, error) {
-	if len(payload) > walMaxPayload {
-		return 0, fmt.Errorf("storage: wal record payload %d bytes exceeds limit", len(payload))
+	return w.AppendWith(t, len(payload), func(p []byte) { copy(p, payload) })
+}
+
+// AppendWith is Append for a payload of n bytes that encode writes
+// straight into the log's buffer, so a record built from parts (a
+// checkpoint's page image behind its page id) is copied once. encode
+// runs under the log's lock and must not call the log.
+func (w *WAL) AppendWith(t WALRecordType, n int, encode func(payload []byte)) (uint64, error) {
+	if n > walMaxPayload {
+		return 0, fmt.Errorf("storage: wal record payload %d bytes exceeds limit", n)
 	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -379,7 +387,7 @@ func (w *WAL) Append(t WALRecordType, payload []byte) (uint64, error) {
 	if err := w.Err(); err != nil {
 		return 0, err
 	}
-	recLen := int64(walRecOverhead + len(payload))
+	recLen := int64(walRecOverhead + n)
 	if w.off+recLen > w.segmentBytes && w.off > walSegHeaderLen {
 		if err := w.rotateLocked(); err != nil {
 			return 0, w.fail(err)
@@ -391,15 +399,15 @@ func (w *WAL) Append(t WALRecordType, payload []byte) (uint64, error) {
 		}
 	}
 	lsn := w.nextLSN
-	n := len(w.buf)
+	at := len(w.buf)
 	w.buf = append(w.buf, make([]byte, recLen)...)
-	rec := w.buf[n:]
-	binary.LittleEndian.PutUint32(rec[0:4], uint32(len(payload)))
+	rec := w.buf[at:]
+	binary.LittleEndian.PutUint32(rec[0:4], uint32(n))
 	binary.LittleEndian.PutUint64(rec[4:12], lsn)
 	rec[12] = byte(t)
-	copy(rec[walRecHeaderLen:], payload)
-	crc := crc32.Checksum(rec[:walRecHeaderLen+len(payload)], fsCRCTable)
-	binary.LittleEndian.PutUint32(rec[walRecHeaderLen+len(payload):], crc)
+	encode(rec[walRecHeaderLen : walRecHeaderLen+n])
+	crc := crc32.Checksum(rec[:walRecHeaderLen+n], fsCRCTable)
+	binary.LittleEndian.PutUint32(rec[walRecHeaderLen+n:], crc)
 	w.off += recLen
 	w.nextLSN++
 	w.appended.Store(lsn)
