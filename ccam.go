@@ -1032,18 +1032,32 @@ func (s *Store) Placement() Placement {
 	return p
 }
 
-// CheckIndex checks the node index against the data pages: every
-// indexed node's record id names a live slot that holds the node, and
-// every stored record is indexed at its own record id (crash drills run
-// it after each recovery).
-func (s *Store) CheckIndex() error {
+// Verify checks the store's invariants: the data file's own
+// (netfile.File.Check: page images, free-space map, node and Z-order
+// indexes, successor- and predecessor-lists, PAG summary) and the
+// facade's — every write left its mutation settled, and the ccam_crr
+// and ccam_wcrr gauges read the summary's ratios. A closed, poisoned or
+// unbuilt store fails with the error its queries get. Verify holds the
+// writer mutex while it reads every page once; crash drills run it
+// after each recovery.
+func (s *Store) Verify() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	f, err := s.file()
 	if err != nil {
 		return err
 	}
-	return f.CheckIndex()
+	if n := f.SettlePAG(); n != 0 {
+		return fmt.Errorf("ccam: verify: %w: %d touched node(s) left unsettled", netfile.ErrInconsistent, n)
+	}
+	if err := f.Check(); err != nil {
+		return err
+	}
+	if st := f.PAG().Stats(); s.obs != nil && (s.obs.crr.Value() != st.CRR() || s.obs.wcrr.Value() != st.WCRR()) {
+		return fmt.Errorf("ccam: verify: %w: the ccam_crr/ccam_wcrr gauges read %v/%v, the PAG summary %v/%v",
+			netfile.ErrInconsistent, s.obs.crr.Value(), s.obs.wcrr.Value(), st.CRR(), st.WCRR())
+	}
+	return nil
 }
 
 // CRR measures the store's Connectivity Residue Ratio against network

@@ -372,7 +372,7 @@ func TestOpenPathDetectsCorruption(t *testing.T) {
 	}
 
 	// Repair quarantines the page; the survivors open and serve.
-	rep, err := storage.RepairFile(path, storage.FsckOptions{})
+	rep, err := storage.RepairFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}

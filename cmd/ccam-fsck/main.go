@@ -3,11 +3,14 @@
 // It checks, offline, every durable invariant of a file created with
 // ccam.Open(Options{Path: ...}): the checksummed header (magic, page
 // size, generation, CRC), the durable free-page chain, per-page CRC32
-// trailers, slotted-page structure, and the agreement between records
-// and the (rebuilt) node index — each node id stored exactly once.
-// Damage is reported per page; with -repair, damaged pages are
-// quarantined onto the free list so ccam.OpenPath opens the surviving
-// records instead of failing the whole file.
+// trailers and slotted-page structure; then, on a physically clean
+// file, what a reopen would serve: a scratch copy of the file and its
+// log is opened and passes Store.Verify — each node stored once,
+// successor- and predecessor-lists that agree, indexes and PAG summary
+// that match the pages. Damage is reported per page; with -repair,
+// damaged pages are quarantined onto the free list, and the list
+// entries that name their records are dropped, so ccam.OpenPath opens
+// the surviving records instead of failing the whole file.
 //
 // WAL-backed files (Options.WAL) are checked end to end: the sibling
 // <file>.wal directory's segments are scanned for structural damage,
@@ -37,6 +40,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 
 	"ccam"
 	"ccam/internal/netfile"
@@ -101,9 +105,25 @@ func run(args []string, out, errw io.Writer) int {
 	var rep *storage.FsckReport
 	var err error
 	if *repair {
-		rep, err = storage.RepairFile(path, storage.FsckOptions{})
+		rep, err = storage.RepairFile(path)
 	} else {
-		rep, err = storage.CheckFile(path, storage.FsckOptions{})
+		rep, err = storage.CheckFile(path)
+	}
+	if err == nil && *repair && rep.OK() && len(rep.Repaired) > 0 {
+		// The records of quarantined pages are gone: drop the list
+		// entries that name them, so the survivors' lists agree, and
+		// report the file as that leaves it.
+		actions := rep.Repaired
+		var n int
+		if n, err = unlinkLost(path); err == nil {
+			rep, err = storage.CheckFile(path)
+		}
+		if err == nil && n > 0 {
+			actions = append(actions, fmt.Sprintf("unlinked %d list entries naming nodes no page stores", n))
+		}
+		if err == nil {
+			rep.Repaired = actions
+		}
 	}
 	if err != nil {
 		fmt.Fprintln(errw, "ccam-fsck:", err)
@@ -121,18 +141,20 @@ func run(args []string, out, errw io.Writer) int {
 		return 2
 	}
 
-	// Logical pass: records must decode and each node id must be
-	// stored exactly once (the invariant the rebuilt node index
-	// enforces: open fails with netfile.ErrDuplicate otherwise). Only
-	// meaningful once the physical layer is clean.
+	// Logical pass, once the physical layer is clean: what a reopen
+	// would serve must pass Store.Verify.
 	clean := rep.OK() && walProblems == 0
 	if clean {
-		dups, derr := checkRecordAgreement(path, out, *quiet)
-		if derr != nil {
-			fmt.Fprintln(errw, "ccam-fsck:", derr)
+		nodes, finding, verr := verifyReopened(path)
+		if verr != nil {
+			fmt.Fprintln(errw, "ccam-fsck:", verr)
 			return 2
 		}
-		clean = dups == 0
+		if clean = finding == nil; clean && !*quiet {
+			fmt.Fprintf(out, "records: %d nodes, each stored once\n", nodes)
+		} else if !clean {
+			fmt.Fprintf(out, "damaged: %v\n", finding)
+		}
 	}
 	if clean {
 		fmt.Fprintf(out, "%s: clean (generation %d, %d live pages, %d free)\n",
@@ -241,51 +263,73 @@ func runDrill(out, errw io.Writer, seed int64, ops int, quiet bool) int {
 	return 0
 }
 
-// checkRecordAgreement scans every record of a physically clean file
-// and reports node ids stored more than once (index↔record
-// disagreement) or records that fail to decode.
-func checkRecordAgreement(path string, out io.Writer, quiet bool) (problems int, err error) {
-	st, fileStore, err := storage.OpenPageFile(path)
+// verifyReopened is the logical pass: it opens a scratch copy of the
+// file and its WAL directory with ccam.OpenPath, replaying the log, and
+// runs Store.Verify, so it checks what a reopen would serve and never
+// writes the file under check. It returns the node count, or the
+// finding (a failed open or Verify), and err for environmental failures.
+func verifyReopened(path string) (nodes int, finding, err error) {
+	dir, err := os.MkdirTemp("", "ccam-fsck-verify")
 	if err != nil {
-		return 0, fmt.Errorf("open for record check: %w", err)
+		return 0, nil, err
 	}
-	defer fileStore.Close()
+	defer os.RemoveAll(dir)
+	cpath := filepath.Join(dir, filepath.Base(path))
+	if err := storage.CopyStore(cpath, path); err != nil {
+		return 0, nil, err
+	}
+	s, err := ccam.OpenPath(cpath, ccam.Options{})
+	if err != nil {
+		return 0, err, nil
+	}
+	if finding = s.Verify(); finding == nil {
+		nodes = s.Len()
+	}
+	if err := s.Close(); err != nil && finding == nil {
+		return 0, nil, fmt.Errorf("close the scratch copy: %w", err)
+	}
+	return nodes, finding, nil
+}
 
-	seen := make(map[ccam.NodeID]storage.PageID)
-	buf := make([]byte, st.PageSize())
-	for _, pid := range st.PageIDs() {
-		if err := st.ReadPage(pid, buf); err != nil {
-			return 0, fmt.Errorf("page %d: %w", pid, err)
+// unlinkLost drops from every record of the file at path the successor
+// and predecessor entries that name a node no page stores, and returns
+// how many it dropped. A file that does not open is left to the
+// logical pass, which reports why.
+func unlinkLost(path string) (dropped int, err error) {
+	st, fs, err := storage.OpenPageFile(path)
+	if err != nil {
+		return 0, err
+	}
+	defer func() {
+		if cerr := fs.Close(); err == nil {
+			err = cerr
 		}
-		sp, err := storage.LoadSlottedPage(buf)
+	}()
+	f, err := netfile.OpenFromStoreOpts(st, netfile.Options{})
+	if err != nil {
+		return 0, nil
+	}
+	lost := func(id ccam.NodeID) bool { return !f.Has(id) }
+	for _, pid := range f.Pages() {
+		recs, err := f.RecordsOnPage(pid)
 		if err != nil {
-			return 0, fmt.Errorf("page %d: %w", pid, err)
+			return 0, err
 		}
-		for _, slot := range sp.Slots() {
-			raw, err := sp.Get(slot)
-			if err != nil {
-				problems++
-				fmt.Fprintf(out, "damaged: page %d slot %d: %v\n", pid, slot, err)
-				continue
+		for _, rec := range recs {
+			n := len(rec.Succs) + len(rec.Preds)
+			rec.Succs = slices.DeleteFunc(rec.Succs, func(e netfile.SuccEntry) bool { return lost(e.To) })
+			if rec.Preds = slices.DeleteFunc(rec.Preds, lost); len(rec.Succs)+len(rec.Preds) < n {
+				dropped += n - len(rec.Succs) - len(rec.Preds)
+				if err := f.UpdateRecord(rec); err != nil {
+					return 0, err
+				}
 			}
-			rec, err := netfile.DecodeRecord(raw)
-			if err != nil {
-				problems++
-				fmt.Fprintf(out, "damaged: page %d slot %d: undecodable record: %v\n", pid, slot, err)
-				continue
-			}
-			if prev, dup := seen[rec.ID]; dup {
-				problems++
-				fmt.Fprintf(out, "damaged: node %d stored on both page %d and page %d\n", rec.ID, prev, pid)
-				continue
-			}
-			seen[rec.ID] = pid
 		}
 	}
-	if !quiet {
-		fmt.Fprintf(out, "records: %d nodes, each stored once\n", len(seen))
+	if err := f.Pool().Close(); err != nil {
+		return 0, err
 	}
-	return problems, nil
+	return dropped, fs.Sync()
 }
 
 // runSelftest exercises the whole durability story end to end in a
@@ -322,7 +366,7 @@ func runSelftest(out io.Writer) error {
 	fmt.Fprintf(out, "selftest: built %s (%d nodes on %d pages)\n", path, total, pages)
 
 	// A pristine file must verify clean.
-	rep, err := storage.CheckFile(path, storage.FsckOptions{})
+	rep, err := storage.CheckFile(path)
 	if err != nil {
 		return err
 	}
@@ -337,7 +381,7 @@ func runSelftest(out io.Writer) error {
 	if err := storage.CorruptPage(path, victim, 1024*4+3); err != nil {
 		return err
 	}
-	rep, err = storage.CheckFile(path, storage.FsckOptions{})
+	rep, err = storage.CheckFile(path)
 	if err != nil {
 		return err
 	}
@@ -355,7 +399,7 @@ func runSelftest(out io.Writer) error {
 	}
 
 	// ...and open again after repair, minus the quarantined page.
-	rep, err = storage.RepairFile(path, storage.FsckOptions{})
+	rep, err = storage.RepairFile(path)
 	if err != nil {
 		return err
 	}

@@ -2,12 +2,15 @@ package main
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"ccam"
+	"ccam/internal/netfile"
 	"ccam/internal/storage"
 )
 
@@ -142,11 +145,33 @@ func buildWALTestFile(t *testing.T) string {
 	return path
 }
 
+// TestRunWALAware: a clean WAL-backed file checks clean, its log is
+// reported, and the check — whose logical pass reopens a copy, replaying
+// the log and checkpointing on close — leaves the file and its WAL
+// directory byte for byte as they were. Without its log the file is
+// damaged.
 func TestRunWALAware(t *testing.T) {
 	path := buildWALTestFile(t)
+	hash := func() [32]byte {
+		h := sha256.New()
+		names, _ := filepath.Glob(filepath.Join(storage.WALDir(path), "*"))
+		for _, name := range append(names, path) {
+			b, err := os.ReadFile(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fmt.Fprintf(h, "%s %d\n", name, len(b))
+			h.Write(b)
+		}
+		return [32]byte(h.Sum(nil))
+	}
+	before := hash()
 	code, out := fsck(t, path)
 	if code != 0 {
 		t.Fatalf("clean WAL-backed file: exit %d\n%s", code, out)
+	}
+	if hash() != before {
+		t.Fatal("the check changed the file or its WAL directory")
 	}
 	for _, want := range []string{"wal:", "segments", "checkpoint", "clean"} {
 		if !strings.Contains(out, want) {
@@ -211,5 +236,67 @@ func TestRunSelftest(t *testing.T) {
 	}
 	if !strings.Contains(out, "selftest PASS") {
 		t.Fatalf("selftest output:\n%s", out)
+	}
+}
+
+// TestRunLogicalDamage: a file whose pages are each physically sound —
+// checksums and slotted structure intact — but whose last page holds a
+// copy of a node of the first page, or a predecessor entry naming it
+// that its successor-list does not match, is DAMAGED (exit 1) with the
+// last page named, and prints no "records:" line.
+func TestRunLogicalDamage(t *testing.T) {
+	for name, edit := range map[string]func(sp *storage.SlottedPage, first []byte) error{
+		"stored twice": func(sp *storage.SlottedPage, first []byte) error {
+			_, err := sp.Insert(first)
+			return err
+		},
+		"one-sided predecessor": func(sp *storage.SlottedPage, first []byte) error {
+			raw, _ := sp.Get(0)
+			rec, err := netfile.DecodeRecord(raw)
+			if err == nil {
+				stranger, _ := netfile.RecordID(first)
+				rec.AddPred(stranger)
+				err = sp.Update(0, netfile.EncodeRecord(rec))
+			}
+			return err
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			path := buildTestFile(t)
+			st, fs, err := storage.OpenPageFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pids := st.PageIDs()
+			page := func(pid storage.PageID) *storage.SlottedPage {
+				buf := make([]byte, st.PageSize())
+				if err := st.ReadPage(pid, buf); err != nil {
+					t.Fatal(err)
+				}
+				sp, err := storage.LoadSlottedPage(buf)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return sp
+			}
+			raw, err := page(pids[0]).Get(0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			last := page(pids[len(pids)-1])
+			if err := edit(last, raw); err != nil {
+				t.Fatal(err)
+			}
+			if err := st.WritePage(pids[len(pids)-1], last.Bytes()); err != nil {
+				t.Fatal(err)
+			}
+			if err := fs.Close(); err != nil {
+				t.Fatal(err)
+			}
+			code, out := fsck(t, path)
+			if want := fmt.Sprintf("page %d", pids[len(pids)-1]); code != 1 || !strings.Contains(out, "DAMAGED") || !strings.Contains(out, want) || strings.Contains(out, "records:") {
+				t.Fatalf("exit %d, want 1, DAMAGED, %s named and no records line:\n%s", code, want, out)
+			}
+		})
 	}
 }

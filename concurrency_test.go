@@ -417,3 +417,50 @@ func TestIOStatsString(t *testing.T) {
 		}
 	}
 }
+
+// TestVerifyBesideSnapshotReaders runs Store.Verify after every write
+// of a node churn — each node deleted and stored again under all four
+// policies, and a reorganization round — while two readers scan pinned
+// snapshots: under -race (CI repeats it), Verify shares the pool, the
+// Z-order index and the PAG summary with them.
+func TestVerifyBesideSnapshotReaders(t *testing.T) {
+	s, g := builtStore(t, Options{PageSize: 1024, PoolPages: 16, Seed: 5, Metrics: true})
+	s.reorg.drop = 1e-9
+	ids := g.NodeIDs()
+	ctx, cancel := context.WithCancel(context.Background())
+	var wg sync.WaitGroup
+	for r := 0; r < 2; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for ctx.Err() == nil {
+				snap, err := s.Snapshot()
+				if err == nil {
+					_, err = snap.RangeQueryCtx(ctx, g.Bounds())
+					snap.Close()
+				}
+				if err != nil && ctx.Err() == nil {
+					t.Error(err)
+				}
+			}
+		}()
+	}
+	for i := 0; i < 24; i++ {
+		id, policy := ids[i*len(ids)/24], Policy(i%4)
+		op, err := InsertOpFromNode(g, id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, step := range []func() error{
+			func() error { return s.Delete(id, policy) }, s.Verify,
+			func() error { return s.Insert(op, policy) }, s.Verify,
+			s.Poke, s.Verify,
+		} {
+			if err := step(); err != nil {
+				t.Fatalf("node %d: %v", id, err)
+			}
+		}
+	}
+	cancel()
+	wg.Wait()
+}

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 
 	"ccam/internal/graph"
@@ -18,13 +19,16 @@ func smallSetup() Setup {
 
 // TestNewMethodNames: every method of the comparison answers to its
 // name, builds a small map, finds a node in it and counts the page
-// traffic it made.
+// traffic it made; and its file passes File.Check after the build and
+// after each op of a short stream — a node deleted and stored again, an
+// edge deleted and added again, under all four policies.
 func TestNewMethodNames(t *testing.T) {
 	g, err := smallSetup().Network()
 	if err != nil {
 		t.Fatal(err)
 	}
-	id := g.NodeIDs()[0]
+	ids := g.NodeIDs()
+	id := ids[0]
 	for _, name := range MethodNamesWithWDFS {
 		m, err := NewMethod(name, 1024, 8, 1)
 		if err != nil {
@@ -42,6 +46,29 @@ func TestNewMethodNames(t *testing.T) {
 		}
 		if io := m.File().DataIO(); io.Reads+io.Writes == 0 {
 			t.Errorf("%s: no page traffic counted after Build and Find", name)
+		}
+		err = m.File().Check()
+		for i := 0; i < 12 && err == nil; i++ {
+			id, policy := ids[i*len(ids)/12], netfile.Policy(i%4)
+			op, _ := netfile.InsertOpFromNode(g, id)
+			to := op.Rec.Succs[0]
+			for _, step := range []func() error{
+				func() error { return m.Delete(id, policy) },
+				func() error { return m.Insert(op, policy) },
+				func() error { return m.DeleteEdge(id, to.To, policy) },
+				func() error { return m.InsertEdge(id, to.To, to.Cost, policy) },
+			} {
+				if err = step(); err == nil {
+					err = m.File().Check()
+				}
+				if err != nil {
+					err = fmt.Errorf("node %d, %v: %w", id, policy, err)
+					break
+				}
+			}
+		}
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
 		}
 	}
 	if _, err := NewMethod("nope", 1024, 8, 1); err == nil {

@@ -39,13 +39,12 @@ func build(t *testing.T, g *graph.Network, cfg Config) *Method {
 	return m
 }
 
-// checkConsistency verifies the file matches the network exactly.
+// checkConsistency checks the file (File.Check) and that it holds the
+// network exactly: each of its nodes with its successors, and no other
+// node. Check's agreeing lists make the predecessors follow.
 func checkConsistency(t *testing.T, m *Method, g *graph.Network) {
 	t.Helper()
 	f := m.File()
-	if f.NumNodes() != g.NumNodes() {
-		t.Fatalf("file has %d nodes, network %d", f.NumNodes(), g.NumNodes())
-	}
 	for _, id := range g.NodeIDs() {
 		rec, err := f.Find(id)
 		if err != nil {
@@ -64,24 +63,9 @@ func checkConsistency(t *testing.T, m *Method, g *graph.Network) {
 				t.Fatalf("node %d: succ %d missing from record", id, s)
 			}
 		}
-		wantPred := g.Predecessors(id)
-		if len(rec.Preds) != len(wantPred) {
-			t.Fatalf("node %d: file has %d preds, network %d", id, len(rec.Preds), len(wantPred))
-		}
 	}
-	// Free-space map agrees with physical pages.
-	for _, pid := range f.Pages() {
-		fsm, err := f.FreeSpace(pid)
-		if err != nil {
-			t.Fatal(err)
-		}
-		phys, err := f.FreeSpaceOn(pid)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if fsm != phys {
-			t.Fatalf("page %d: FSM says %d free, page says %d", pid, fsm, phys)
-		}
+	if err := f.Check(); err != nil {
+		t.Fatal(err)
 	}
 	if err := graph.ValidatePlacement(g, f.Placement()); err != nil {
 		t.Fatal(err)

@@ -180,8 +180,8 @@ func TestSamePartitionInAnotherOrderRewritesNothing(t *testing.T) {
 // set of the policy's shape around a random node and checks what a
 // reorganization must hold: the number of split edges has not risen
 // (outside the set nothing moves, so that is the in-set cut), every
-// page of the set is within the page budget and structurally valid, and
-// the node index agrees with a scan of the slot directories.
+// page of the set is within the page budget, and the file passes
+// File.Check.
 func TestReorganizePagesInvariants(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
 		for _, policy := range []netfile.Policy{netfile.SecondOrder, netfile.HigherOrder, netfile.Lazy} {
@@ -299,31 +299,9 @@ func reorganizeInvariants(t *testing.T, full *graph.Network, policy netfile.Poli
 			if n := storedBytes(t, f, p); n > budget {
 				t.Fatalf("step %d: page %d holds %d bytes after its reorganization, the budget is %d", step, p, n, budget)
 			}
-			b, err := f.Pool().Fetch(p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sp, err := storage.LoadSlottedPage(b)
-			if err == nil {
-				err = sp.Validate()
-			}
-			f.Pool().Unpin(p, false)
-			if err != nil {
-				t.Fatalf("step %d: page %d after its reorganization: %v", step, p, err)
-			}
 		}
-		scan := graph.Placement{}
-		for _, p := range live {
-			on, err := f.NodesOnPage(p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, id := range on {
-				scan[id] = p
-			}
-		}
-		if !reflect.DeepEqual(f.Placement(), scan) {
-			t.Fatalf("step %d: Placement() disagrees with the slot directories after reorganizing %v", step, pids)
+		if err := f.Check(); err != nil {
+			t.Fatalf("step %d: after reorganizing %v: %v", step, pids, err)
 		}
 		checked++
 	}

@@ -94,11 +94,6 @@ func BuildPAG(g *Network, p Placement) *PageAccessGraph {
 	return pag
 }
 
-// IsNeighborPage reports whether pages a and b are adjacent in the PAG.
-func (pag *PageAccessGraph) IsNeighborPage(a, b storage.PageID) bool {
-	return pag.adj[a][b]
-}
-
 // NbrPages returns the pages adjacent to p in the PAG.
 func (pag *PageAccessGraph) NbrPages(p storage.PageID) []storage.PageID {
 	var out []storage.PageID

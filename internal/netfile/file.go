@@ -515,16 +515,6 @@ func (f *File) RecordsOnPage(pid storage.PageID) ([]*Record, error) {
 	return out, err
 }
 
-// FreeSpaceOn returns the free bytes on page pid (assuming compaction).
-func (f *File) FreeSpaceOn(pid storage.PageID) (int, error) {
-	var free int
-	err := f.withPage(pid, func(sp *storage.SlottedPage) (bool, error) {
-		free = sp.FreeSpace()
-		return false, nil
-	})
-	return free, err
-}
-
 // UsedBytesOn returns the live record bytes on page pid.
 func (f *File) UsedBytesOn(pid storage.PageID) (int, error) {
 	var used int
@@ -671,7 +661,7 @@ func (f *File) install(pages []loadedPage) error {
 				return errReservedID
 			}
 			if other, dup := table.get(id); dup {
-				return fmt.Errorf("%w: node %d is stored on pages %d and %d", ErrDuplicate, id, f.ridPage(other), pg.pid)
+				return fmt.Errorf("%w: node %d is stored on page %d and on page %d", ErrDuplicate, id, f.ridPage(other), pg.pid)
 			}
 			table.put(id, f.rid(pg.pid, slot))
 			spatial = append(spatial, spatialEntry{pos: v.pos(), id: id})
@@ -690,48 +680,6 @@ func (f *File) install(pages []loadedPage) error {
 // CRR/WCRR.
 func (f *File) Placement() graph.Placement {
 	return f.placements(buffer.LiveLSN)
-}
-
-// CheckIndex checks the node index against the data pages at the live
-// end: every indexed node's record id names a live slot that holds that
-// node, and every live record on every live page is indexed at its own
-// record id. A disagreement fails with ErrIndexMismatch. It reads every
-// live page through the pool; the owner serializes it against
-// mutations, as every File call that reads the live end.
-func (f *File) CheckIndex() error {
-	indexed := f.overlay.Load().rids(buffer.LiveLSN)
-	for _, pid := range f.Pages() {
-		err := f.withPage(pid, func(sp *storage.SlottedPage) (bool, error) {
-			return false, eachRecord(sp, func(slot int, v recordView) error {
-				id := v.id()
-				r, ok := indexed[id]
-				if !ok {
-					return fmt.Errorf("%w: node %d at slot %d is not indexed, or is stored twice", ErrIndexMismatch, id, slot)
-				}
-				if r != f.rid(pid, slot) {
-					return fmt.Errorf("%w: node %d is at slot %d but indexed at page %d slot %d",
-						ErrIndexMismatch, id, slot, f.ridPage(r), f.ridSlot(r))
-				}
-				delete(indexed, id)
-				return nil
-			})
-		})
-		if err != nil {
-			return fmt.Errorf("netfile: check index: page %d: %w", pid, err)
-		}
-	}
-	// Each record found took its own entry out: an entry left names a
-	// slot that does not hold its node.
-	if len(indexed) > 0 {
-		id := graph.InvalidNodeID
-		for n := range indexed {
-			id = min(id, n)
-		}
-		r := indexed[id]
-		return fmt.Errorf("netfile: check index: %w: node %d is indexed at page %d slot %d, which does not hold it",
-			ErrIndexMismatch, id, f.ridPage(r), f.ridSlot(r))
-	}
-	return nil
 }
 
 // Flush writes all buffered dirty pages to the store.

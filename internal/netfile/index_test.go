@@ -23,8 +23,8 @@ import (
 // itself, the way a slotted page does, so it predicts every record id
 // rather than reading one back. After every step each pinned view, and
 // the live end, must index every id the schedule has used exactly as
-// its reference does and read each one, and the live end's index must
-// agree with its pages (File.CheckIndex).
+// its reference does and read each one, and the live end must pass
+// File.Check.
 
 // modelIDs is the schedule's id universe: a dense run, so ids share
 // home blocks and their tombstones, and ids spread over the whole
@@ -275,7 +275,7 @@ func runNodeIndexModel(t testing.TB, intn func(int) int, steps int) *File {
 			}
 		}
 		checkResolves(t, "live end", f.live(), used, cur.at)
-		if err := f.CheckIndex(); err != nil {
+		if err := f.Check(); err != nil {
 			t.Fatalf("step %d: %v", step, err)
 		}
 		for _, v := range views {
@@ -715,7 +715,7 @@ func TestRecordIDPacking(t *testing.T) {
 			if rec, err := f.Find(7); err != nil || rec.ID != 7 {
 				t.Fatalf("Find(7) on page %d = %+v, %v", pid, rec, err)
 			}
-			if err := f.CheckIndex(); err != nil {
+			if err := f.Check(); err != nil {
 				t.Fatal(err)
 			}
 			if pid, err := f.AllocatePage(); !errors.Is(err, ErrPageLimit) {
@@ -730,9 +730,9 @@ func TestRecordIDPacking(t *testing.T) {
 
 // TestCheckIndexFindsDisagreement breaks a built file's index three
 // ways — two nodes of one page swap record ids, a node names a slot past
-// its page's directory, a node leaves the index — and each time
-// CheckIndex reports ErrIndexMismatch and a read through the bad entry
-// fails with ErrCorruptRecord instead of returning another node.
+// its page's directory, a node leaves the index — and each time Check
+// reports ErrIndexMismatch and a read through the bad entry fails with
+// ErrCorruptRecord instead of returning another node.
 func TestCheckIndexFindsDisagreement(t *testing.T) {
 	g := testNetwork(t)
 	for _, tc := range []struct {
@@ -753,7 +753,7 @@ func TestCheckIndexFindsDisagreement(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			f := buildFile(t, g, 1024, 16)
-			if err := f.CheckIndex(); err != nil {
+			if err := f.Check(); err != nil {
 				t.Fatal(err)
 			}
 			ids, err := f.NodesOnPage(f.Pages()[0])
@@ -764,8 +764,8 @@ func TestCheckIndexFindsDisagreement(t *testing.T) {
 			ra, _ := f.ridOf(a)
 			rb, _ := f.ridOf(b)
 			tc.corrupt(f, a, b, ra, rb)
-			if err := f.CheckIndex(); !errors.Is(err, ErrIndexMismatch) {
-				t.Fatalf("CheckIndex = %v, want ErrIndexMismatch", err)
+			if err := f.Check(); !errors.Is(err, ErrIndexMismatch) {
+				t.Fatalf("Check = %v, want ErrIndexMismatch", err)
 			}
 			if _, err := f.Find(a); tc.read && !errors.Is(err, ErrCorruptRecord) {
 				t.Fatalf("Find(%d) through a bad record id = %v, want ErrCorruptRecord", a, err)

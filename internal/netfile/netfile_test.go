@@ -164,17 +164,9 @@ func TestPlacementMatchesPages(t *testing.T) {
 	if err := graph.ValidatePlacement(g, p); err != nil {
 		t.Fatal(err)
 	}
-	// Cross-check with NodesOnPage.
-	for _, pid := range f.Pages() {
-		ids, err := f.NodesOnPage(pid)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, id := range ids {
-			if p[id] != pid {
-				t.Fatalf("placement says %d on %d, page scan says %d", id, p[id], pid)
-			}
-		}
+	// The index the placement comes from agrees with the pages.
+	if err := f.Check(); err != nil {
+		t.Fatal(err)
 	}
 	crr := graph.CRR(g, p)
 	if crr < 0.5 {
@@ -295,16 +287,9 @@ func TestInsertDeleteRecordAndNeighborLinks(t *testing.T) {
 	if err := f.RemoveNeighborLinks(rec); err != nil {
 		t.Fatal(err)
 	}
-	for _, s := range rec.Succs {
-		sr, err := f.Find(s.To)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, p := range sr.Preds {
-			if p == victim {
-				t.Fatalf("succ %d still lists %d as pred", s.To, victim)
-			}
-		}
+	// No list names the victim any more (Check: every entry is stored).
+	if err := f.Check(); err != nil {
+		t.Fatal(err)
 	}
 
 	// Re-insert on the page with most neighbors.
@@ -326,20 +311,9 @@ func TestInsertDeleteRecordAndNeighborLinks(t *testing.T) {
 	if len(got.Succs) != len(rec.Succs) {
 		t.Fatal("succ list lost in round trip")
 	}
-	for _, s := range rec.Succs {
-		sr, err := f.Find(s.To)
-		if err != nil {
-			t.Fatal(err)
-		}
-		found := false
-		for _, p := range sr.Preds {
-			if p == victim {
-				found = true
-			}
-		}
-		if !found {
-			t.Fatalf("succ %d does not list re-inserted %d", s.To, victim)
-		}
+	// Its successors list it back (Check: the lists agree).
+	if err := f.Check(); err != nil {
+		t.Fatal(err)
 	}
 	// Duplicate insert rejected.
 	if err := f.InsertRecordAt(rec, pid); !errors.Is(err, ErrDuplicate) {

@@ -29,9 +29,13 @@ var (
 	// ErrPageLimit refuses a data page whose id a record id cannot name
 	// (about 64 GiB of data pages at any page size).
 	ErrPageLimit = errors.New("netfile: page id past the node index's record-id range")
-	// ErrIndexMismatch is File.CheckIndex's finding: the node index and
+	// ErrIndexMismatch is File.Check's finding that the node index and
 	// the data pages disagree.
 	ErrIndexMismatch = errors.New("netfile: node index disagrees with the data pages")
+	// ErrInconsistent is File.Check's finding that the free-space map,
+	// the Z-order index, the successor- and predecessor-lists or the PAG
+	// summary disagree with the data pages.
+	ErrInconsistent = errors.New("netfile: file state disagrees with the data pages")
 )
 
 // SuccEntry is one successor-list element: the edge's end node and its

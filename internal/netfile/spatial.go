@@ -130,6 +130,24 @@ func (z *zorderIndex) bulkLoad(entries []spatialEntry) {
 	}
 }
 
+// checkShape fails unless every block holds 1..zBlockCap keys and the
+// run ascends strictly; it returns how many keys it holds.
+func (z *zorderIndex) checkShape() (n int, err error) {
+	var prev uint64
+	for b, blk := range z.blocks {
+		if len(blk) == 0 || len(blk) > zBlockCap {
+			return n, fmt.Errorf("%w: Z-order block %d holds %d keys", ErrInconsistent, b, len(blk))
+		}
+		for _, k := range blk {
+			if n > 0 && k <= prev {
+				return n, fmt.Errorf("%w: Z-order block %d: key %#x after %#x", ErrInconsistent, b, k, prev)
+			}
+			prev, n = k, n+1
+		}
+	}
+	return n, nil
+}
+
 // search visits the ids of the entries whose cell lies inside rect's
 // cells, in key order; fn returning false stops it. It scans the keys
 // from the window's lowest Z value to its highest. A key whose cell

@@ -179,29 +179,6 @@ func (m zorderModel) window(q geom.Quantizer, rect geom.Rect) []graph.NodeID {
 	return ids
 }
 
-// checkZOrderShape asserts the index's block invariants and that it holds
-// exactly n keys.
-func checkZOrderShape(t *testing.T, z *zorderIndex, n int) {
-	t.Helper()
-	total := 0
-	var prev uint64
-	for b, blk := range z.blocks {
-		if len(blk) == 0 || len(blk) > zBlockCap {
-			t.Fatalf("block %d holds %d keys, want 1..%d", b, len(blk), zBlockCap)
-		}
-		for i, k := range blk {
-			if total > 0 && k <= prev {
-				t.Fatalf("block %d key %d: %#x after %#x", b, i, k, prev)
-			}
-			prev = k
-			total++
-		}
-	}
-	if total != n {
-		t.Fatalf("index holds %d keys, model %d", total, n)
-	}
-}
-
 // TestZOrderIndexMatchesBruteForce runs seeded schedules of bulk loads,
 // puts (fresh, co-located and repeated) and removes (present and absent)
 // against the Z-order index, long enough to split blocks and to empty
@@ -264,7 +241,9 @@ func TestZOrderIndexMatchesBruteForce(t *testing.T) {
 		}
 		check := func(step int, what string) {
 			t.Helper()
-			checkZOrderShape(t, z, len(model))
+			if n, err := z.checkShape(); err != nil || n != len(model) {
+				t.Fatalf("step %d (%s): %d keys, model %d: %v", step, what, n, len(model), err)
+			}
 			for w := 0; w < 4; w++ {
 				rect := window()
 				want := model.window(q, rect)

@@ -185,8 +185,8 @@ func (c *killClient) run(addr string, acked func()) error {
 // plus a seeded delay, and reopens the store it left. Each client's
 // batches must have survived as a prefix of its stream that holds
 // every acknowledged batch and at most the one in flight, the reopened
-// store's node index must agree with its pages, and a checkpoint must
-// have completed during the run.
+// store must pass Store.Verify, and a checkpoint must have completed
+// during the run.
 func TestKillDrill(t *testing.T) {
 	if os.Getenv(killDrillEnv) != "" {
 		t.Skip("inside the daemon")
@@ -335,7 +335,7 @@ func killDrill(t *testing.T, seed int64) {
 		t.Fatalf("%s: reopen: %v", where, err)
 	}
 	defer st.Close()
-	if err := st.CheckIndex(); err != nil {
+	if err := st.Verify(); err != nil {
 		t.Fatalf("%s: %v", where, err)
 	}
 	got := [2]map[[2]ccam.NodeID]float32{{}, {}}

@@ -463,7 +463,7 @@ func TestOpenFileStoreDetectsTornHeader(t *testing.T) {
 	if _, err := OpenFileStore(path); !errors.Is(err, ErrChecksum) {
 		t.Fatalf("open with torn header = %v, want ErrChecksum", err)
 	}
-	rep, err := CheckFile(path, FsckOptions{})
+	rep, err := CheckFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -471,7 +471,7 @@ func TestOpenFileStoreDetectsTornHeader(t *testing.T) {
 		t.Fatalf("fsck HeaderErr = %v, want ErrChecksum", rep.HeaderErr)
 	}
 
-	rep, err = RepairFile(path, FsckOptions{})
+	rep, err = RepairFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -591,9 +591,16 @@ func TestCrashSimulation(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// Each page is a valid slotted page holding one record that fills
+	// it, so fsck's full page verification passes every intact page.
 	payload := func(id PageID, fill byte) []byte {
-		b := bytes.Repeat([]byte{fill}, cs.PageSize())
-		binary.LittleEndian.PutUint32(b, uint32(id))
+		b := make([]byte, cs.PageSize())
+		sp := NewSlottedPage(b)
+		rec := bytes.Repeat([]byte{fill}, sp.Capacity())
+		binary.LittleEndian.PutUint32(rec, uint32(id))
+		if _, err := sp.Insert(rec); err != nil {
+			t.Fatal(err)
+		}
 		return b
 	}
 	var ids []PageID
@@ -620,7 +627,7 @@ func TestCrashSimulation(t *testing.T) {
 	}
 
 	// Cold restart: fsck must locate exactly the torn page.
-	rep, err := CheckFile(path, FsckOptions{SkipSlotted: true})
+	rep, err := CheckFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -648,7 +655,7 @@ func TestCrashSimulation(t *testing.T) {
 	// Repair quarantines the page; afterwards the file is clean, the
 	// victim is gone, the survivors are intact, and the quarantined
 	// page is recycled by the next allocation.
-	rep, err = RepairFile(path, FsckOptions{SkipSlotted: true})
+	rep, err = RepairFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -791,7 +798,7 @@ func TestSlottedPageCorruptImages(t *testing.T) {
 }
 
 // TestFsckCleanFile: a pristine checked file full of real slotted pages
-// passes the full (non-SkipSlotted) verification.
+// passes verification.
 func TestFsckCleanFile(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "clean.db")
 	cs, _, err := CreateCheckedFileFlags(path, 256, 0)
@@ -817,7 +824,7 @@ func TestFsckCleanFile(t *testing.T) {
 	if err := cs.Close(); err != nil {
 		t.Fatal(err)
 	}
-	rep, err := CheckFile(path, FsckOptions{})
+	rep, err := CheckFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -833,7 +840,7 @@ func TestFsckCleanFile(t *testing.T) {
 	if err := CorruptPage(path, 2, 100*8); err != nil {
 		t.Fatal(err)
 	}
-	rep, err = CheckFile(path, FsckOptions{})
+	rep, err = CheckFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -60,28 +60,21 @@ func (r *FsckReport) OK() bool {
 	return r.HeaderErr == nil && r.FreeListErr == nil && len(r.Damaged) == 0
 }
 
-// FsckOptions tunes verification.
-type FsckOptions struct {
-	// SkipSlotted disables the slotted-page invariant checks, for
-	// page files whose pages are not slotted data pages.
-	SkipSlotted bool
-}
-
 // CheckFile verifies a page file: header magic and checksum, free-page
 // chain, per-page checksums (when the file is checked) and
 // slotted-page invariants. It never modifies the file. The returned
 // error is non-nil only for environmental failures (file unreadable);
 // verification findings live in the report.
-func CheckFile(path string, opts FsckOptions) (*FsckReport, error) {
+func CheckFile(path string) (*FsckReport, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, fmt.Errorf("storage: fsck open: %w", err)
 	}
 	defer f.Close()
-	return checkFile(f, path, opts)
+	return checkFile(f, path)
 }
 
-func checkFile(f *os.File, path string, opts FsckOptions) (*FsckReport, error) {
+func checkFile(f *os.File, path string) (*FsckReport, error) {
 	rep := &FsckReport{Path: path}
 	st, err := f.Stat()
 	if err != nil {
@@ -162,7 +155,7 @@ func checkFile(f *os.File, path string, opts FsckOptions) (*FsckReport, error) {
 		if free[id] {
 			continue
 		}
-		if err := verifyPage(f, raw, id, offset(id), rep.Checked, opts); err != nil {
+		if err := verifyPage(f, raw, id, offset(id), rep.Checked); err != nil {
 			rep.Damaged = append(rep.Damaged, PageDamage{ID: id, Err: err})
 			continue
 		}
@@ -173,7 +166,7 @@ func checkFile(f *os.File, path string, opts FsckOptions) (*FsckReport, error) {
 
 // verifyPage checks one live page image: checksum trailer (when the
 // file is checked) and slotted-page invariants.
-func verifyPage(f *os.File, raw []byte, id PageID, off int64, checked bool, opts FsckOptions) error {
+func verifyPage(f *os.File, raw []byte, id PageID, off int64, checked bool) error {
 	if _, err := f.ReadAt(raw, off); err != nil {
 		return fmt.Errorf("unreadable: %w", err)
 	}
@@ -195,14 +188,7 @@ func verifyPage(f *os.File, raw []byte, id PageID, off int64, checked bool, opts
 	} else if allZero(raw) {
 		return nil // never-written page
 	}
-	if opts.SkipSlotted {
-		return nil
-	}
-	sp, err := LoadSlottedPage(payload)
-	if err != nil {
-		return err
-	}
-	return sp.Validate()
+	return (&SlottedPage{buf: payload}).Validate()
 }
 
 func allZero(b []byte) bool {
@@ -229,14 +215,14 @@ func allZero(b []byte) bool {
 //
 // The returned report reflects a re-verification after repair; its
 // Repaired field lists the actions taken.
-func RepairFile(path string, opts FsckOptions) (*FsckReport, error) {
+func RepairFile(path string) (*FsckReport, error) {
 	f, err := os.OpenFile(path, os.O_RDWR, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("storage: fsck open for repair: %w", err)
 	}
 	defer f.Close()
 
-	rep, err := checkFile(f, path, opts)
+	rep, err := checkFile(f, path)
 	if err != nil {
 		return nil, err
 	}
@@ -345,7 +331,7 @@ func RepairFile(path string, opts FsckOptions) (*FsckReport, error) {
 	}
 
 	// Re-verify and report the result of the repair.
-	rep2, err := checkFile(f, path, opts)
+	rep2, err := checkFile(f, path)
 	if err != nil {
 		return rep, err
 	}

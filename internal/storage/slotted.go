@@ -91,15 +91,10 @@ func ViewSlottedPage(buf []byte) (SlottedPage, error) {
 // count in the header must match the directory. ccam-fsck runs it on
 // every data page.
 func (p *SlottedPage) Validate() error {
-	n := int(p.slotCount())
-	dirStart := len(p.buf) - n*slotSize
-	if n*slotSize > len(p.buf)-slottedHeaderSize {
-		return fmt.Errorf("%w: slot count %d does not fit a %d-byte page", ErrCorruptedPage, n, len(p.buf))
+	if _, err := ViewSlottedPage(p.buf); err != nil {
+		return err
 	}
-	heapEnd := int(p.heapEnd())
-	if heapEnd < slottedHeaderSize || heapEnd > dirStart {
-		return fmt.Errorf("%w: heap end %d outside [%d:%d]", ErrCorruptedPage, heapEnd, slottedHeaderSize, dirStart)
-	}
+	n, heapEnd := int(p.slotCount()), int(p.heapEnd())
 	type span struct{ slot, off, end int }
 	var live []span
 	for i := 0; i < n; i++ {

@@ -4,14 +4,12 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"reflect"
 	"sort"
 	"testing"
 
 	"ccam/internal/geom"
 	"ccam/internal/graph"
 	"ccam/internal/netfile"
-	"ccam/internal/storage"
 )
 
 // Tests of the PAG summary on a DFS-AM file: its writers run on the same
@@ -144,31 +142,14 @@ func (p *pagSchedule) op(grow bool) (bool, error) {
 	return true, nil
 }
 
-// checkPAG rebuilds the PAG's facts from a scan of f — the placement off
-// the slot directories, the edges off the records — and fails unless
-// the summary reports the same: its counts and CRR/WCRR, every page's
-// tallies and every page's ranked neighbors, which must also agree with
-// graph.BuildPAG. It checks the records against model too.
+// checkPAG checks f (File.Check compares the summary, both indexes and
+// the lists with a scan of the pages), the records against model, and
+// the summary's WCRR against graph.WCRR on the records at the test's
+// access weights (weights holds every edge that does not weigh 1).
 func checkPAG(t *testing.T, f *netfile.File, model map[graph.NodeID]map[graph.NodeID]float32, weights map[edgeKey]float64) {
 	t.Helper()
-	if n := f.SettlePAG(); n != 0 {
-		t.Fatalf("%d touched node(s) left unsettled", n)
-	}
-	place := graph.Placement{}
-	for _, pid := range f.Pages() {
-		ids, err := f.NodesOnPage(pid)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, id := range ids {
-			if other, dup := place[id]; dup {
-				t.Fatalf("node %d is stored on pages %d and %d", id, other, pid)
-			}
-			place[id] = pid
-		}
-	}
-	if got := f.Placement(); !reflect.DeepEqual(got, place) {
-		t.Fatalf("Placement() has %d nodes and differs from the pages' %d", len(got), len(place))
+	if err := f.Check(); err != nil {
+		t.Fatal(err)
 	}
 	ref := graph.NewNetwork()
 	var recs []*netfile.Record
@@ -184,14 +165,6 @@ func checkPAG(t *testing.T, f *netfile.File, model map[graph.NodeID]map[graph.No
 	if err := diffModel(model, recs); err != nil {
 		t.Fatal(err)
 	}
-
-	type tally struct{ incident, split int }
-	pages := map[storage.PageID]*tally{}
-	pairs := map[storage.PageID]map[storage.PageID]int{}
-	for _, pid := range f.Pages() {
-		pages[pid] = &tally{}
-		pairs[pid] = map[storage.PageID]int{}
-	}
 	for _, rec := range recs {
 		for _, sc := range rec.Succs {
 			w, ok := weights[edgeKey{rec.ID, sc.To}]
@@ -199,49 +172,12 @@ func checkPAG(t *testing.T, f *netfile.File, model map[graph.NodeID]map[graph.No
 				w = 1
 			}
 			if err := ref.AddEdge(graph.Edge{From: rec.ID, To: sc.To, Cost: float64(sc.Cost), Weight: w}); err != nil {
-				t.Fatalf("record %d names an edge the file cannot hold: %v", rec.ID, err)
-			}
-			pf, pt := place[rec.ID], place[sc.To]
-			pages[pf].incident++
-			if pf != pt {
-				pages[pf].split++
-				pages[pt].incident++
-				pages[pt].split++
-				pairs[pf][pt]++
-				pairs[pt][pf]++
+				t.Fatal(err)
 			}
 		}
 	}
-
-	pag := f.PAG()
-	st := pag.Stats()
-	if st.Nodes != len(recs) || st.Edges != int64(ref.NumEdges()) || st.Pages != len(pages) {
-		t.Fatalf("summary counts %d nodes / %d edges / %d pages, scan %d / %d / %d",
-			st.Nodes, st.Edges, st.Pages, len(recs), ref.NumEdges(), len(pages))
-	}
-	if got, want := st.CRR(), graph.CRR(ref, place); math.Abs(got-want) > 1e-12 {
-		t.Fatalf("summary CRR %v, graph.CRR %v", got, want)
-	}
-	if got, want := st.WCRR(), graph.WCRR(ref, place); math.Abs(got-want) > 1e-9 {
+	if got, want := f.PAG().Stats().WCRR(), graph.WCRR(ref, f.Placement()); math.Abs(got-want) > 1e-9 {
 		t.Fatalf("summary WCRR %v, graph.WCRR %v", got, want)
-	}
-	refPAG := graph.BuildPAG(ref, place)
-	for pid, want := range pages {
-		if inc, split := pag.PageTally(pid); inc != want.incident || split != want.split {
-			t.Fatalf("page %d: summary tallies %d incident / %d split, scan %d / %d", pid, inc, split, want.incident, want.split)
-		}
-		nbrs := pag.Neighbors(pid)
-		if len(nbrs) != len(pairs[pid]) || len(nbrs) != len(refPAG.NbrPages(pid)) {
-			t.Fatalf("page %d: summary has %d PAG neighbors, scan %d, BuildPAG %d", pid, len(nbrs), len(pairs[pid]), len(refPAG.NbrPages(pid)))
-		}
-		for i, nb := range nbrs {
-			if nb.Edges != pairs[pid][nb.Page] || !refPAG.IsNeighborPage(pid, nb.Page) {
-				t.Fatalf("pages %d-%d: summary counts %d crossing edges, scan %d", pid, nb.Page, nb.Edges, pairs[pid][nb.Page])
-			}
-			if i > 0 && (nbrs[i-1].Edges < nb.Edges || nbrs[i-1].Edges == nb.Edges && nbrs[i-1].Page > nb.Page) {
-				t.Fatalf("page %d: neighbors not ranked: %v", pid, nbrs)
-			}
-		}
 	}
 }
 

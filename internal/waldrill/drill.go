@@ -7,10 +7,9 @@
 // write) by truncating a copy of the log there, reopens each copy, and
 // asserts
 // the recovered store holds exactly the committed prefix of the stream
-// — no lost committed mutations, no phantom ones — that its node index
-// names every record at the slot that holds it (Store.CheckIndex), and
-// that the recovered file and log pass the offline checks behind
-// ccam-fsck.
+// — no lost committed mutations, no phantom ones — that it passes
+// Store.Verify (pages, indexes, lists and PAG summary agree), and that
+// the recovered file and log pass the offline checks behind ccam-fsck.
 //
 // The drill is the repository's standing recovery proof: wal_test.go
 // runs a model-diffing variant in-process, and cmd/ccam-fsck -drill
@@ -493,9 +492,9 @@ func Run(dir string, cfg Config) (Result, error) {
 		if err != nil {
 			return fmt.Errorf("%s: reopen: %w", label, err)
 		}
-		// Replay reproduces every record id: the index it rebuilt agrees
-		// with the pages, slot for slot.
-		if err := r.CheckIndex(); err != nil {
+		// Replay reproduces a file whose pages, indexes, lists and PAG
+		// summary agree.
+		if err := r.Verify(); err != nil {
 			r.Close()
 			return fmt.Errorf("%s: %w", label, err)
 		}
@@ -534,7 +533,7 @@ func Run(dir string, cfg Config) (Result, error) {
 		if err := r.Close(); err != nil {
 			return fmt.Errorf("%s: close: %w", label, err)
 		}
-		rep, err := storage.CheckFile(cpath, storage.FsckOptions{})
+		rep, err := storage.CheckFile(cpath)
 		if err != nil {
 			return fmt.Errorf("%s: fsck: %w", label, err)
 		}

@@ -12,201 +12,87 @@ import (
 	"math"
 	"math/rand"
 	"path/filepath"
-	"reflect"
 	"sort"
 	"testing"
 
 	"ccam/internal/graph"
-	"ccam/internal/storage"
 )
 
 type edgeID [2]NodeID
 
-// scanPlacement reads node → page off the slot directories of the data
-// pages, asking no index.
-func scanPlacement(t *testing.T, s *Store) Placement {
-	t.Helper()
-	f := s.m.File()
-	place := Placement{}
-	for _, pid := range f.Pages() {
-		ids, err := f.NodesOnPage(pid)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, id := range ids {
-			if other, dup := place[id]; dup {
-				t.Fatalf("node %d is stored on pages %d and %d", id, other, pid)
-			}
-			place[id] = pid
-		}
-	}
-	return place
-}
-
-// nodeIndex is what the node index answers, at the live end or as of a
-// pinned view.
-type nodeIndex struct {
-	pageOf func(NodeID) (storage.PageID, bool)
-	has    func(NodeID) bool
-	len    int
-}
-
-// checkNodeIndex fails unless ix answers exactly like want, a scan of
-// the data pages: every stored node on its page, and none of the nodes
-// only the other side of a step stores.
-func checkNodeIndex(t *testing.T, when string, ix nodeIndex, want, other Placement) {
-	t.Helper()
-	if ix.len != len(want) {
-		t.Fatalf("%s: index counts %d nodes, the pages hold %d", when, ix.len, len(want))
-	}
-	for id, pid := range want {
-		if got, ok := ix.pageOf(id); !ok || got != pid || !ix.has(id) {
-			t.Fatalf("%s: node %d: index resolves page %d (%v, has %v), the pages say %d", when, id, got, ok, ix.has(id), pid)
-		}
-	}
-	for id := range other {
-		if _, stored := want[id]; stored {
-			continue
-		}
-		if pid, ok := ix.pageOf(id); ok || ix.has(id) {
-			t.Fatalf("%s: node %d is on no page, index resolves page %d (%v, has %v)", when, id, pid, ok, ix.has(id))
-		}
-	}
-}
-
 // checkPinnedIndex fails unless snap, pinned when the pages held
-// before, still answers like before now that they hold after.
+// before, still answers like before now that they hold after: each node
+// of before on its page, and none that only after stores.
 func checkPinnedIndex(t *testing.T, snap *Snapshot, before, after Placement) {
 	t.Helper()
 	n := 0
 	if err := snap.Scan(func(*Record) bool { n++; return true }); err != nil {
 		t.Fatal(err)
 	}
-	checkNodeIndex(t, "pinned view", nodeIndex{pageOf: snap.PAG().PageOf, has: snap.Has, len: n}, before, after)
+	if n != len(before) {
+		t.Fatalf("pinned view scans %d nodes, the pages held %d", n, len(before))
+	}
+	for id, pid := range before {
+		if got, ok := snap.PAG().PageOf(id); !ok || got != pid || !snap.Has(id) {
+			t.Fatalf("pinned view: node %d: index resolves page %d (%v, has %v), the pages said %d", id, got, ok, snap.Has(id), pid)
+		}
+	}
+	for id := range after {
+		if _, stored := before[id]; !stored {
+			if pid, ok := snap.PAG().PageOf(id); ok || snap.Has(id) {
+				t.Fatalf("pinned view: node %d was on no page, index resolves page %d (%v, has %v)", id, pid, ok, snap.Has(id))
+			}
+		}
+	}
 }
 
-// checkPAG rebuilds the PAG's facts from a scan of s's file and fails
-// unless the summary — and each of its four readers — reports the same,
-// and the node index answers like the scan, which it returns; before is
-// the scan of the previous step (nil at the first). weights holds the
-// access weight of every edge that does not weigh 1. The caller must
+// checkPAG runs Store.Verify — the summary, both indexes and the lists
+// against a scan of the pages, and the gauges against the summary — and
+// then checks what Verify has no reference for: WCRR against graph.WCRR
+// at the test's access weights (weights holds every edge that does not
+// weigh 1), and the planner's statistics against a scan. It returns the
+// placement, which Verify has found to be the pages'. The caller must
 // have the store to itself.
-func checkPAG(t *testing.T, s *Store, weights map[edgeID]float64, before Placement) Placement {
+func checkPAG(t *testing.T, s *Store, weights map[edgeID]float64) Placement {
 	t.Helper()
-	f := s.m.File()
-	// Every step ends on a mutation boundary, where the store has settled
-	// what it touched: the summary is whole before anyone asks for it.
-	if n := f.SettlePAG(); n != 0 {
-		t.Fatalf("%d touched node(s) left unsettled", n)
-	}
-	pag := f.PAG()
-	place := scanPlacement(t, s)
-	checkNodeIndex(t, "live end", nodeIndex{
-		pageOf: func(id NodeID) (storage.PageID, bool) {
-			pid, err := f.PageOf(id)
-			return pid, err == nil
-		},
-		has: f.Has,
-		len: s.Len(),
-	}, place, before)
-	if got := f.Placement(); !reflect.DeepEqual(got, place) {
-		t.Fatalf("Placement() has %d nodes and differs from the pages' %d", len(got), len(place))
-	}
-	ref := NewNetwork()
-	var recs []*Record
-	if err := f.Scan(func(rec *Record) bool {
-		recs = append(recs, rec)
-		if err := ref.AddNode(Node{ID: rec.ID, Pos: rec.Pos}); err != nil {
-			t.Fatal(err)
-		}
-		return true
-	}); err != nil {
+	if err := s.Verify(); err != nil {
 		t.Fatal(err)
 	}
-
-	// The scan's own edge list, and the per-page and per-pair tallies.
-	type tally struct{ incident, split int }
-	pages := map[storage.PageID]*tally{}
-	pairs := map[storage.PageID]map[storage.PageID]int{}
-	for _, pid := range f.Pages() {
-		pages[pid] = &tally{}
-		pairs[pid] = map[storage.PageID]int{}
-	}
-	lists := 0
-	for _, rec := range recs {
-		lists += len(rec.Succs) + len(rec.Preds)
-		if pid, ok := pag.PageOf(rec.ID); !ok || pid != place[rec.ID] {
-			t.Fatalf("node %d: summary resolves page %d (%v), index %d", rec.ID, pid, ok, place[rec.ID])
+	f := s.m.File()
+	place := f.Placement()
+	ref, lists, some := NewNetwork(), 0, NodeID(0)
+	for id := range place {
+		if err := ref.AddNode(Node{ID: id}); err != nil {
+			t.Fatal(err)
 		}
+		some = id
+	}
+	if err := f.Scan(func(rec *Record) bool {
+		lists += len(rec.Succs) + len(rec.Preds)
 		for _, sc := range rec.Succs {
 			w, ok := weights[edgeID{rec.ID, sc.To}]
 			if !ok {
 				w = 1
 			}
-			if err := ref.AddEdge(Edge{From: rec.ID, To: sc.To, Cost: float64(sc.Cost), Weight: w}); err != nil {
-				t.Fatalf("record %d names an edge the file cannot hold: %v", rec.ID, err)
-			}
-			pf, pt := place[rec.ID], place[sc.To]
-			pages[pf].incident++
-			if pf != pt {
-				pages[pf].split++
-				pages[pt].incident++
-				pages[pt].split++
-				pairs[pf][pt]++
-				pairs[pt][pf]++
+			if err := ref.AddEdge(Edge{From: rec.ID, To: sc.To, Weight: w}); err != nil {
+				t.Fatal(err)
 			}
 		}
+		return true
+	}); err != nil {
+		t.Fatal(err)
 	}
-	st := pag.Stats()
-	if st.Nodes != len(recs) || st.Edges != int64(ref.NumEdges()) || st.Pages != len(pages) {
-		t.Fatalf("summary counts %d nodes / %d edges / %d pages, scan %d / %d / %d",
-			st.Nodes, st.Edges, st.Pages, len(recs), ref.NumEdges(), len(pages))
-	}
-	refPAG := graph.BuildPAG(ref, place)
-	for pid, want := range pages {
-		if inc, split := pag.PageTally(pid); inc != want.incident || split != want.split {
-			t.Fatalf("page %d: summary tallies %d incident / %d split, scan %d / %d", pid, inc, split, want.incident, want.split)
-		}
-		nbrs := pag.Neighbors(pid)
-		if len(nbrs) != len(pairs[pid]) || len(nbrs) != len(refPAG.NbrPages(pid)) {
-			t.Fatalf("page %d: summary has %d PAG neighbors, scan %d, BuildPAG %d", pid, len(nbrs), len(pairs[pid]), len(refPAG.NbrPages(pid)))
-		}
-		for i, nb := range nbrs {
-			if nb.Edges != pairs[pid][nb.Page] || !refPAG.IsNeighborPage(pid, nb.Page) {
-				t.Fatalf("pages %d-%d: summary counts %d crossing edges, scan %d", pid, nb.Page, nb.Edges, pairs[pid][nb.Page])
-			}
-			if i > 0 && (nbrs[i-1].Edges < nb.Edges || nbrs[i-1].Edges == nb.Edges && nbrs[i-1].Page > nb.Page) {
-				t.Fatalf("page %d: neighbors not ranked: %v", pid, nbrs)
-			}
-		}
-	}
-
-	// The gauges' and the reorganizer's figures.
-	if got, want := st.CRR(), graph.CRR(ref, place); math.Abs(got-want) > 1e-12 {
-		t.Fatalf("summary CRR %v, graph.CRR %v", got, want)
-	}
-	if got, want := st.WCRR(), graph.WCRR(ref, place); math.Abs(got-want) > 1e-9 {
+	if got, want := f.PAG().Stats().WCRR(), graph.WCRR(ref, place); math.Abs(got-want) > 1e-9 {
 		t.Fatalf("summary WCRR %v, graph.WCRR %v", got, want)
 	}
-	if reg := s.Metrics(); reg != nil {
-		if got := reg.Gauge("ccam_crr").Value(); got != st.CRR() {
-			t.Fatalf("ccam_crr gauge %v, summary %v", got, st.CRR())
-		}
-		if got := reg.Gauge("ccam_wcrr").Value(); got != st.WCRR() {
-			t.Fatalf("ccam_wcrr gauge %v, summary %v", got, st.WCRR())
-		}
-	}
-
-	// The planner's statistics.
-	if len(recs) == 0 {
+	if len(place) == 0 {
 		return place
 	}
-	res, err := s.Query(context.Background(), fmt.Sprintf("EXPLAIN FIND %d", recs[0].ID))
+	res, err := s.Query(context.Background(), fmt.Sprintf("EXPLAIN FIND %d", some))
 	if err != nil {
 		t.Fatal(err)
 	}
-	n := float64(len(recs))
-	ps := res.Plan.Stats
+	n, ps := float64(len(place)), res.Plan.Stats
 	for _, c := range []struct {
 		name      string
 		got, want float64
@@ -214,9 +100,9 @@ func checkPAG(t *testing.T, s *Store, weights map[edgeID]float64, before Placeme
 		{"alpha", ps.Alpha, graph.CRR(ref, place)},
 		{"avg_a", ps.AvgA, float64(ref.NumEdges()) / n},
 		{"lambda", ps.Lambda, float64(lists) / n},
-		{"gamma", ps.Gamma, n / float64(len(pages))},
+		{"gamma", ps.Gamma, n / float64(f.NumPages())},
 		{"nodes", float64(ps.Nodes), n},
-		{"pages", float64(ps.Pages), float64(len(pages))},
+		{"pages", float64(ps.Pages), float64(f.NumPages())},
 	} {
 		if math.Abs(c.got-c.want) > 1e-12 {
 			t.Fatalf("planner %s = %v, scan gives %v", c.name, c.got, c.want)
@@ -410,7 +296,7 @@ func TestPAGSummaryMatchesScan(t *testing.T) {
 			if err := p.s.Build(g); err != nil {
 				t.Fatal(err)
 			}
-			place := checkPAG(t, p.s, p.weights, nil)
+			place := checkPAG(t, p.s, p.weights)
 
 			minPages, maxPages := p.s.NumPages(), p.s.NumPages()
 			for step := 0; step < 60; step++ {
@@ -438,7 +324,7 @@ func TestPAGSummaryMatchesScan(t *testing.T) {
 					p.reopen(pools[rng.Intn(len(pools))])
 				}
 				before := place
-				place = checkPAG(t, p.s, p.weights, before)
+				place = checkPAG(t, p.s, p.weights)
 				if k < 11 {
 					checkPinnedIndex(t, snap, before, place)
 					snap.Close()
@@ -547,5 +433,5 @@ func TestPrefetchHintsSurviveSplit(t *testing.T) {
 	if len(f.PAG().Neighbors(pid)) == 0 {
 		t.Fatalf("page %d split and lost its PAG neighbors", pid)
 	}
-	checkPAG(t, s, nil, nil)
+	checkPAG(t, s, nil)
 }

@@ -258,32 +258,13 @@ func genBatch(rng *rand.Rand, m walModel, nextID *NodeID, policy Policy) (*Batch
 	return b, ops
 }
 
-func copyFile(t *testing.T, dst, src string) {
-	t.Helper()
-	data, err := os.ReadFile(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(dst, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // crashCopy copies the data file at path and its WAL segments to dst,
 // as a crash would leave them. Call it while the store is open: Close
 // checkpoints and prunes the log.
 func crashCopy(t *testing.T, path, dst string) {
 	t.Helper()
-	if err := os.MkdirAll(storage.WALDir(dst), 0o755); err != nil {
+	if err := storage.CopyStore(dst, path); err != nil {
 		t.Fatal(err)
-	}
-	copyFile(t, dst, path)
-	segs, err := os.ReadDir(storage.WALDir(path))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range segs {
-		copyFile(t, filepath.Join(storage.WALDir(dst), e.Name()), filepath.Join(storage.WALDir(path), e.Name()))
 	}
 }
 
@@ -557,12 +538,12 @@ func TestWALCrashDrill(t *testing.T) {
 			r.Close()
 			t.Fatalf("%s (of %d): %v", label, len(ends), err)
 		}
-		checkPAG(t, r, nil, nil)
+		checkPAG(t, r, nil)
 		drift = append(drift, r.CRR(want.network(t))-crrAt[commitsAt(k)])
 		if err := r.Close(); err != nil {
 			t.Fatalf("%s: close: %v", label, err)
 		}
-		rep, err := storage.CheckFile(cpath, storage.FsckOptions{})
+		rep, err := storage.CheckFile(cpath)
 		if err != nil {
 			t.Fatalf("%s: fsck: %v", label, err)
 		}
@@ -1266,7 +1247,7 @@ func TestCheckpointFlushTornRunRecovers(t *testing.T) {
 			if err := diffModels(model, storeModel(t, r)); err != nil {
 				t.Fatalf("recovered state: %v", err)
 			}
-			if err := r.CheckIndex(); err != nil {
+			if err := r.Verify(); err != nil {
 				t.Fatal(err)
 			}
 		})
