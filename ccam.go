@@ -884,14 +884,14 @@ func (s *Store) RangeQuery(ctx context.Context, rect Rect) (recs []*Record, err 
 // Nearest returns the k stored records closest to p by Euclidean
 // distance, nearest first: expanding-window searches through the
 // Z-order spatial index, the result radius verified so the answer is
-// exact.
-func (s *Store) Nearest(p Point, k int) (recs []*Record, err error) {
+// exact. The context is checked before each page's fetch.
+func (s *Store) Nearest(ctx context.Context, p Point, k int) (recs []*Record, err error) {
 	var v readView
-	if err = s.beginRead(context.Background(), opNearest, &v); err != nil {
+	if err = s.beginRead(ctx, opNearest, &v); err != nil {
 		return nil, err
 	}
 	defer v.end(&err)
-	return v.view.Nearest(p, k)
+	return v.view.Nearest(ctx, p, k)
 }
 
 // Has reports whether a node is stored. Failures are not conflated with
@@ -919,46 +919,42 @@ type (
 	Allocation = query.Allocation
 )
 
-// ShortestPath computes a cheapest path between two stored nodes with
-// Dijkstra's algorithm over the file (Get-successors expansions).
-func (s *Store) ShortestPath(src, dst NodeID) (Path, error) {
-	return s.ShortestPathAStar(src, dst, 0)
-}
-
-// ShortestPathAStar computes a cheapest path with A*, using a
-// straight-line-distance heuristic scaled by minCostPerUnit (a lower
-// bound on edge cost per unit of Euclidean distance; 0 falls back to
-// Dijkstra).
-func (s *Store) ShortestPathAStar(src, dst NodeID, minCostPerUnit float64) (p Path, err error) {
+// ShortestPath computes a cheapest path between two stored nodes over
+// the file (Get-successors expansions). With minCostPerUnit > 0 it runs
+// A* under a straight-line-distance heuristic scaled by minCostPerUnit,
+// a lower bound on edge cost per unit of Euclidean distance; 0 runs
+// Dijkstra. The context is checked before each record fetch.
+func (s *Store) ShortestPath(ctx context.Context, src, dst NodeID, minCostPerUnit float64) (p Path, err error) {
 	var v readView
-	if err = s.beginRead(context.Background(), opShortestPath, &v); err != nil {
+	if err = s.beginRead(ctx, opShortestPath, &v); err != nil {
 		return Path{}, err
 	}
 	defer v.end(&err)
-	return query.AStar(v.view, src, dst, minCostPerUnit)
+	return query.ShortestPath(ctx, v.view, src, dst, minCostPerUnit)
 }
 
 // EvaluateTour evaluates a closed tour (the route plus the edge back to
-// its start).
-func (s *Store) EvaluateTour(tour Route) (agg TourAggregate, err error) {
+// its start). The context is checked before each hop's fetch.
+func (s *Store) EvaluateTour(ctx context.Context, tour Route) (agg TourAggregate, err error) {
 	var v readView
-	if err = s.beginRead(context.Background(), opEvaluateTour, &v); err != nil {
+	if err = s.beginRead(ctx, opEvaluateTour, &v); err != nil {
 		return TourAggregate{}, err
 	}
 	defer v.end(&err)
-	return query.EvaluateTour(v.view, tour)
+	return query.EvaluateTour(ctx, v.view, tour)
 }
 
 // LocationAllocation allocates every reachable node to its cheapest
 // facility by network distance, returning the allocations plus the
-// total and maximum assignment costs.
-func (s *Store) LocationAllocation(facilities []NodeID) (allocs []Allocation, total, max float64, err error) {
+// total and maximum assignment costs. The context is checked before
+// each record fetch.
+func (s *Store) LocationAllocation(ctx context.Context, facilities []NodeID) (allocs []Allocation, total, max float64, err error) {
 	var v readView
-	if err = s.beginRead(context.Background(), opLocationAllocation, &v); err != nil {
+	if err = s.beginRead(ctx, opLocationAllocation, &v); err != nil {
 		return nil, 0, 0, err
 	}
 	defer v.end(&err)
-	return query.LocationAllocation(v.view, facilities)
+	return query.LocationAllocation(ctx, v.view, facilities)
 }
 
 // RouteUnitAggregate is the result of an aggregate query over a
@@ -968,14 +964,14 @@ type RouteUnitAggregate = netfile.RouteUnitAggregate
 // EvaluateRouteUnit retrieves all nodes and edges of a route-unit and
 // aggregates the member edges' costs — the paper's motivating
 // decision-support query (comparing ridership or flow across named
-// routes).
-func (s *Store) EvaluateRouteUnit(name string, members [][2]NodeID) (agg RouteUnitAggregate, err error) {
+// routes). The context is checked before each record's fetch.
+func (s *Store) EvaluateRouteUnit(ctx context.Context, name string, members [][2]NodeID) (agg RouteUnitAggregate, err error) {
 	var v readView
-	if err = s.beginRead(context.Background(), opEvaluateRouteUnit, &v); err != nil {
+	if err = s.beginRead(ctx, opEvaluateRouteUnit, &v); err != nil {
 		return RouteUnitAggregate{}, err
 	}
 	defer v.end(&err)
-	return v.view.EvaluateRouteUnit(name, members)
+	return v.view.EvaluateRouteUnit(ctx, name, members)
 }
 
 // Scan visits every stored record, page by page (a sequential scan). fn
@@ -1081,36 +1077,6 @@ func (s *Store) IO() (st IOStats) {
 		}
 	})
 	return st
-}
-
-// SetEdgeCost updates the stored cost (e.g. current travel time) of a
-// directed edge in place (a one-op batch).
-func (s *Store) SetEdgeCost(from, to NodeID, cost float32) error {
-	return s.Apply(context.Background(), new(Batch).SetEdgeCost(from, to, cost))
-}
-
-// Insert adds a new node with its edges under the given policy. It is
-// a one-op batch: with a WAL the insert is logged and group-committed
-// like any Apply.
-func (s *Store) Insert(op *InsertOp, policy Policy) error {
-	return s.Apply(context.Background(), new(Batch).Insert(op, policy))
-}
-
-// Delete removes a node and its incident edges under the given policy
-// (a one-op batch).
-func (s *Store) Delete(id NodeID, policy Policy) error {
-	return s.Apply(context.Background(), new(Batch).Delete(id, policy))
-}
-
-// InsertEdge adds a directed edge between stored nodes (a one-op
-// batch).
-func (s *Store) InsertEdge(from, to NodeID, cost float32, policy Policy) error {
-	return s.Apply(context.Background(), new(Batch).InsertEdge(from, to, cost, policy))
-}
-
-// DeleteEdge removes a directed edge (a one-op batch).
-func (s *Store) DeleteEdge(from, to NodeID, policy Policy) error {
-	return s.Apply(context.Background(), new(Batch).DeleteEdge(from, to, policy))
 }
 
 // RoadMapOpts configures the synthetic road-network generator.

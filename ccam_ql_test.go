@@ -272,7 +272,7 @@ func TestQueryCatalogInvalidation(t *testing.T) {
 	// Delete a leaf-ish node; the next plan must be costed against the
 	// mutated file.
 	victim := g.NodeIDs()[len(g.NodeIDs())-1]
-	if err := s.Delete(victim, FirstOrder); err != nil {
+	if err := s.Apply(context.Background(), new(Batch).Delete(victim, FirstOrder)); err != nil {
 		t.Fatal(err)
 	}
 	exp, err = s.Query(ctx, "EXPLAIN FIND 1")

@@ -136,23 +136,23 @@ func TestStoreOperations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Delete(victim, SecondOrder); err != nil {
+	if err := s.Apply(context.Background(), new(Batch).Delete(victim, SecondOrder)); err != nil {
 		t.Fatal(err)
 	}
 	if has(t, s, victim) {
 		t.Fatal("deleted node still present")
 	}
-	if err := s.Insert(op, SecondOrder); err != nil {
+	if err := s.Apply(context.Background(), new(Batch).Insert(op, SecondOrder)); err != nil {
 		t.Fatal(err)
 	}
 	if !has(t, s, victim) {
 		t.Fatal("re-inserted node missing")
 	}
 	e := g.Edges()[0]
-	if err := s.DeleteEdge(e.From, e.To, FirstOrder); err != nil {
+	if err := s.Apply(context.Background(), new(Batch).DeleteEdge(e.From, e.To, FirstOrder)); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.InsertEdge(e.From, e.To, float32(e.Cost), FirstOrder); err != nil {
+	if err := s.Apply(context.Background(), new(Batch).InsertEdge(e.From, e.To, float32(e.Cost), FirstOrder)); err != nil {
 		t.Fatal(err)
 	}
 
@@ -226,10 +226,10 @@ func TestStoreReopen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Delete(victim, SecondOrder); err != nil {
+	if err := s.Apply(context.Background(), new(Batch).Delete(victim, SecondOrder)); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Insert(op, SecondOrder); err != nil {
+	if err := s.Apply(context.Background(), new(Batch).Insert(op, SecondOrder)); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Close(); err != nil {
@@ -267,10 +267,10 @@ func TestStoreReopen(t *testing.T) {
 	if err != nil || len(all) != g.NumNodes() {
 		t.Fatalf("reopened range query: %d records, %v", len(all), err)
 	}
-	if err := r.Delete(victim, FirstOrder); err != nil {
+	if err := r.Apply(context.Background(), new(Batch).Delete(victim, FirstOrder)); err != nil {
 		t.Fatalf("reopened delete: %v", err)
 	}
-	if err := r.Insert(op, FirstOrder); err != nil {
+	if err := r.Apply(context.Background(), new(Batch).Insert(op, FirstOrder)); err != nil {
 		t.Fatalf("reopened insert: %v", err)
 	}
 }
@@ -327,7 +327,7 @@ func TestStoreConcurrentUse(t *testing.T) {
 					s.Len()
 				case 3:
 					e := g.Edges()[rng.Intn(g.NumEdges())]
-					if err := s.SetEdgeCost(e.From, e.To, float32(e.Cost)); err != nil {
+					if err := s.Apply(context.Background(), new(Batch).SetEdgeCost(e.From, e.To, float32(e.Cost))); err != nil {
 						errCh <- err
 						return
 					}
@@ -487,10 +487,10 @@ func TestMovedQueriesReadTheSamePages(t *testing.T) {
 		want       int64 // reads measured before the move, re-recorded for Create's multilevel placement and for windows read in page order
 		view, live func() error
 	}{
-		{"ShortestPath", 1652,
+		{"ShortestPath (Dijkstra)", 1652,
 			func() (err error) {
 				for _, p := range pairs {
-					if _, e := s.ShortestPath(p[0], p[1]); noPath(e) != nil {
+					if _, e := s.ShortestPath(context.Background(), p[0], p[1], 0); noPath(e) != nil {
 						err = e
 					}
 				}
@@ -498,16 +498,16 @@ func TestMovedQueriesReadTheSamePages(t *testing.T) {
 			},
 			func() (err error) {
 				for _, p := range pairs {
-					if _, e := query.Dijkstra(f, p[0], p[1]); noPath(e) != nil {
+					if _, e := query.ShortestPath(context.Background(), f, p[0], p[1], 0); noPath(e) != nil {
 						err = e
 					}
 				}
 				return
 			}},
-		{"ShortestPathAStar", 1432,
+		{"ShortestPath (A*)", 1432,
 			func() (err error) {
 				for _, p := range pairs {
-					if _, e := s.ShortestPathAStar(p[0], p[1], 0.8); noPath(e) != nil {
+					if _, e := s.ShortestPath(context.Background(), p[0], p[1], 0.8); noPath(e) != nil {
 						err = e
 					}
 				}
@@ -515,22 +515,25 @@ func TestMovedQueriesReadTheSamePages(t *testing.T) {
 			},
 			func() (err error) {
 				for _, p := range pairs {
-					if _, e := query.AStar(f, p[0], p[1], 0.8); noPath(e) != nil {
+					if _, e := query.ShortestPath(context.Background(), f, p[0], p[1], 0.8); noPath(e) != nil {
 						err = e
 					}
 				}
 				return
 			}},
 		{"EvaluateTour", 1,
-			func() error { _, err := s.EvaluateTour(tour); return err },
-			func() error { _, err := query.EvaluateTour(f, tour); return err }},
+			func() error { _, err := s.EvaluateTour(context.Background(), tour); return err },
+			func() error { _, err := query.EvaluateTour(context.Background(), f, tour); return err }},
 		{"LocationAllocation", 338,
-			func() error { _, _, _, err := s.LocationAllocation(facilities); return err },
-			func() error { _, _, _, err := query.LocationAllocation(f, facilities); return err }},
+			func() error { _, _, _, err := s.LocationAllocation(context.Background(), facilities); return err },
+			func() error {
+				_, _, _, err := query.LocationAllocation(context.Background(), f, facilities)
+				return err
+			}},
 		{"EvaluateRouteUnit", 23,
 			func() (err error) {
 				for _, u := range units {
-					if _, e := s.EvaluateRouteUnit("u", u); e != nil {
+					if _, e := s.EvaluateRouteUnit(context.Background(), "u", u); e != nil {
 						err = e
 					}
 				}
@@ -538,7 +541,7 @@ func TestMovedQueriesReadTheSamePages(t *testing.T) {
 			},
 			func() (err error) {
 				for _, u := range units {
-					if _, e := f.EvaluateRouteUnit("u", u); e != nil {
+					if _, e := f.EvaluateRouteUnit(context.Background(), "u", u); e != nil {
 						err = e
 					}
 				}
@@ -550,7 +553,7 @@ func TestMovedQueriesReadTheSamePages(t *testing.T) {
 		{"Nearest", 154,
 			func() (err error) {
 				for _, p := range pts {
-					if _, e := s.Nearest(p, 5); e != nil {
+					if _, e := s.Nearest(context.Background(), p, 5); e != nil {
 						err = e
 					}
 				}
@@ -558,7 +561,7 @@ func TestMovedQueriesReadTheSamePages(t *testing.T) {
 			},
 			func() (err error) {
 				for _, p := range pts {
-					if _, e := f.Nearest(p, 5); e != nil {
+					if _, e := f.Nearest(context.Background(), p, 5); e != nil {
 						err = e
 					}
 				}

@@ -16,9 +16,12 @@
 // <file>.wal directory's segments are scanned for structural damage,
 // the last complete checkpoint is located, and the committed batches a
 // reopen would replay are counted. A torn log tail is reported as the
-// (benign) crash signature it is, not as damage; a header that flags a
-// WAL whose directory is missing is damage — the committed tail is
-// gone.
+// (benign) crash signature it is, not as damage, and so is a page that
+// fails its checksum but holds an image in the log's last complete
+// checkpoint (a checkpoint flush torn mid-page): a reopen restores it,
+// so it is reported as restored from the log and -repair leaves it in
+// place. A header that flags a WAL whose directory is missing is
+// damage — the committed tail is gone.
 //
 // Usage:
 //
@@ -183,6 +186,9 @@ func printReport(out io.Writer, rep *storage.FsckReport, quiet bool) {
 	}
 	if rep.FreeListErr != nil {
 		fmt.Fprintf(out, "free list: %v\n", rep.FreeListErr)
+	}
+	for _, d := range rep.Restored {
+		fmt.Fprintf(out, "restored from log: %s\n", d)
 	}
 	for _, d := range rep.Damaged {
 		fmt.Fprintf(out, "damaged: %s\n", d)

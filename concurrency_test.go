@@ -187,15 +187,15 @@ func TestReadersWithWriter(t *testing.T) {
 				errCh <- err
 				return
 			}
-			if err := s.Delete(churn, SecondOrder); err != nil {
+			if err := s.Apply(context.Background(), new(Batch).Delete(churn, SecondOrder)); err != nil {
 				errCh <- err
 				return
 			}
-			if err := s.Insert(op, SecondOrder); err != nil {
+			if err := s.Apply(context.Background(), new(Batch).Insert(op, SecondOrder)); err != nil {
 				errCh <- err
 				return
 			}
-			if err := s.SetEdgeCost(safeEdge.From, safeEdge.To, float32(safeEdge.Cost)); err != nil {
+			if err := s.Apply(context.Background(), new(Batch).SetEdgeCost(safeEdge.From, safeEdge.To, float32(safeEdge.Cost))); err != nil {
 				errCh <- err
 				return
 			}
@@ -235,34 +235,34 @@ func TestReadersWithWriter(t *testing.T) {
 						return
 					}
 				case 3:
-					if _, err := s.Nearest(bb.Min, 3); err != nil {
+					if _, err := s.Nearest(context.Background(), bb.Min, 3); err != nil {
 						errCh <- err
 						return
 					}
 				case 4:
 					src, dst := stable[rng.Intn(len(stable))], stable[rng.Intn(len(stable))]
-					if _, err := s.ShortestPath(src, dst); err != nil && !errors.Is(err, ErrNoPath) {
+					if _, err := s.ShortestPath(context.Background(), src, dst, 0); err != nil && !errors.Is(err, ErrNoPath) {
 						errCh <- err
 						return
 					}
 				case 5:
 					src, dst := stable[rng.Intn(len(stable))], stable[rng.Intn(len(stable))]
-					if _, err := s.ShortestPathAStar(src, dst, 0.5); err != nil && !errors.Is(err, ErrNoPath) {
+					if _, err := s.ShortestPath(context.Background(), src, dst, 0.5); err != nil && !errors.Is(err, ErrNoPath) {
 						errCh <- err
 						return
 					}
 				case 6:
-					if _, err := s.EvaluateTour(tour); err != nil {
+					if _, err := s.EvaluateTour(context.Background(), tour); err != nil {
 						errCh <- err
 						return
 					}
 				case 7:
-					if _, _, _, err := s.LocationAllocation(stable[:2]); err != nil {
+					if _, _, _, err := s.LocationAllocation(context.Background(), stable[:2]); err != nil {
 						errCh <- err
 						return
 					}
 				case 8:
-					if _, err := s.EvaluateRouteUnit("u", unit); err != nil {
+					if _, err := s.EvaluateRouteUnit(context.Background(), "u", unit); err != nil {
 						errCh <- err
 						return
 					}
@@ -452,8 +452,8 @@ func TestVerifyBesideSnapshotReaders(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, step := range []func() error{
-			func() error { return s.Delete(id, policy) }, s.Verify,
-			func() error { return s.Insert(op, policy) }, s.Verify,
+			func() error { return s.Apply(context.Background(), new(Batch).Delete(id, policy)) }, s.Verify,
+			func() error { return s.Apply(context.Background(), new(Batch).Insert(op, policy)) }, s.Verify,
 			s.Poke, s.Verify,
 		} {
 			if err := step(); err != nil {

@@ -86,7 +86,7 @@ func ExampleStore_EvaluateRouteUnit() {
 		log.Fatal(err)
 	}
 
-	agg, err := store.EvaluateRouteUnit("bus-9", [][2]ccam.NodeID{{1, 2}, {2, 3}, {3, 4}})
+	agg, err := store.EvaluateRouteUnit(context.Background(), "bus-9", [][2]ccam.NodeID{{1, 2}, {2, 3}, {3, 4}})
 	if err != nil {
 		log.Fatal(err)
 	}

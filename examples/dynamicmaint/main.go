@@ -69,7 +69,7 @@ func run(policy ccam.Policy) {
 		if err := store.ResetIO(); err != nil {
 			log.Fatal(err)
 		}
-		if err := store.Insert(op, policy); err != nil {
+		if err := store.Apply(context.Background(), new(ccam.Batch).Insert(op, policy)); err != nil {
 			log.Fatal(err)
 		}
 		io := store.IO()
@@ -104,7 +104,7 @@ func run(policy ccam.Policy) {
 		if err := store.ResetIO(); err != nil {
 			log.Fatal(err)
 		}
-		if err := store.Delete(id, policy); err != nil {
+		if err := store.Apply(context.Background(), new(ccam.Batch).Delete(id, policy)); err != nil {
 			log.Fatal(err)
 		}
 		io := store.IO()

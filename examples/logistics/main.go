@@ -12,6 +12,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -37,6 +38,7 @@ func main() {
 		store.Len(), store.NumPages(), store.CRR(g))
 
 	// --- Location-allocation: compare two depot configurations.
+	ctx := context.Background()
 	ids := g.NodeIDs()
 	rng := rand.New(rand.NewSource(99))
 	configs := map[string][]ccam.NodeID{
@@ -54,7 +56,7 @@ func main() {
 		if err := store.ResetIO(); err != nil {
 			log.Fatal(err)
 		}
-		allocs, total, worst, err := store.LocationAllocation(configs[name])
+		allocs, total, worst, err := store.LocationAllocation(ctx, configs[name])
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -72,7 +74,7 @@ func main() {
 		if err := store.ResetIO(); err != nil {
 			log.Fatal(err)
 		}
-		p1, err := store.ShortestPath(depots[0], dst)
+		p1, err := store.ShortestPath(ctx, depots[0], dst, 0)
 		if err != nil {
 			fmt.Printf("  depot -> %4d: unreachable\n", dst)
 			continue
@@ -83,7 +85,7 @@ func main() {
 		}
 		// Edge costs are >= 0.8x straight-line distance by
 		// construction, making the heuristic admissible.
-		p2, err := store.ShortestPathAStar(depots[0], dst, 0.8)
+		p2, err := store.ShortestPath(ctx, depots[0], dst, 0.8)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -103,7 +105,7 @@ func main() {
 	ok := true
 	for i := 0; i < len(stops); i++ {
 		next := stops[(i+1)%len(stops)]
-		leg, err := store.ShortestPath(stops[i], next)
+		leg, err := store.ShortestPath(ctx, stops[i], next, 0)
 		if err != nil {
 			ok = false
 			break
@@ -123,7 +125,7 @@ func main() {
 	if err := store.ResetIO(); err != nil {
 		log.Fatal(err)
 	}
-	agg, err := store.EvaluateTour(tour)
+	agg, err := store.EvaluateTour(ctx, tour)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -108,7 +108,7 @@ func main() {
 		},
 		PredCosts: []float32{20},
 	}
-	must(store.Insert(op, ccam.SecondOrder))
+	must(store.Apply(ctx, new(ccam.Batch).Insert(op, ccam.SecondOrder)))
 	// Mirror the change in the in-memory network so CRR sees it too.
 	must(net.AddNode(ccam.Node{ID: newID, Pos: ccam.Point{X: 250, Y: 250}}))
 	addStreet(newID, id(2, 2), 20)

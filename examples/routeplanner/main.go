@@ -85,7 +85,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		if err := store.SetEdgeCost(e.From, e.To, float32(e.Cost*3)); err != nil {
+		if err := store.Apply(context.Background(), new(ccam.Batch).SetEdgeCost(e.From, e.To, float32(e.Cost*3))); err != nil {
 			log.Fatal(err)
 		}
 	}
@@ -98,7 +98,7 @@ func main() {
 		}
 		to := succs[rng.Intn(len(succs))]
 		e, _ := g.Edge(from, to)
-		if err := store.SetEdgeCost(from, to, float32(e.Cost*(1+rng.Float64()))); err != nil {
+		if err := store.Apply(context.Background(), new(ccam.Batch).SetEdgeCost(from, to, float32(e.Cost*(1+rng.Float64())))); err != nil {
 			log.Fatal(err)
 		}
 	}

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"math/rand"
@@ -135,7 +136,7 @@ func RunAblationBufferSweep(setup Setup) (*AblationBufferResult, error) {
 				if err := f.ResetIO(); err != nil {
 					return nil, err
 				}
-				if _, err := f.EvaluateRoute(r); err != nil {
+				if _, err := f.EvaluateRouteCtx(context.Background(), r); err != nil {
 					return nil, err
 				}
 				reads += f.DataIO().Reads

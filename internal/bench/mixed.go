@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"math/rand"
@@ -102,7 +103,7 @@ func runMixed(name string, updateFrac float64, cfg MixedConfig) (float64, float6
 		}
 		switch {
 		case rng.Float64() >= updateFrac:
-			if _, err := f.EvaluateRoute(routes[rng.Intn(len(routes))]); err != nil {
+			if _, err := f.EvaluateRouteCtx(context.Background(), routes[rng.Intn(len(routes))]); err != nil {
 				return 0, 0, err
 			}
 		case rng.Intn(2) == 0:

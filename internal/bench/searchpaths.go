@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -85,7 +86,7 @@ func RunSearchPaths(cfg SearchPathsConfig) (*SearchPathsResult, error) {
 			if err := f.ResetIO(); err != nil {
 				return nil, err
 			}
-			dp, err := query.Dijkstra(f, p.src, p.dst)
+			dp, err := query.ShortestPath(context.Background(), f, p.src, p.dst, 0)
 			if err != nil && !errors.Is(err, query.ErrNoPath) {
 				return nil, fmt.Errorf("bench: search %s dijkstra: %w", name, err)
 			}
@@ -95,7 +96,7 @@ func RunSearchPaths(cfg SearchPathsConfig) (*SearchPathsResult, error) {
 			if err := f.ResetIO(); err != nil {
 				return nil, err
 			}
-			ap, err := query.AStar(f, p.src, p.dst, 0.8)
+			ap, err := query.ShortestPath(context.Background(), f, p.src, p.dst, 0.8)
 			if err != nil && !errors.Is(err, query.ErrNoPath) {
 				return nil, fmt.Errorf("bench: search %s astar: %w", name, err)
 			}

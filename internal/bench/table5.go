@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"math/rand"
@@ -95,7 +96,7 @@ func runTable5Method(name string, g *graph.Network, cfg Table5Config) (*Table5Ro
 			return nil, err
 		}
 		base := f.DataIO().Reads
-		if _, err := f.GetSuccessors(x); err != nil {
+		if _, err := f.GetSuccessorsCtx(context.Background(), x); err != nil {
 			return nil, err
 		}
 		acc += f.DataIO().Reads - base

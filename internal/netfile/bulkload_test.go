@@ -1,6 +1,7 @@
 package netfile
 
 import (
+	"context"
 	"errors"
 	"math/rand"
 	"testing"
@@ -93,11 +94,11 @@ func testBulkLoadEqualsInsertBuilt(t *testing.T) {
 		y := b.Min.Y + rng.Float64()*b.Height()
 		rect := geom.NewRect(geom.Point{X: x, Y: y},
 			geom.Point{X: x + rng.Float64()*b.Width()/3, Y: y + rng.Float64()*b.Height()/3})
-		got, err := bulk.RangeQuery(rect)
+		got, err := bulk.RangeQueryCtx(context.Background(), rect)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := ref.RangeQuery(rect)
+		want, err := ref.RangeQueryCtx(context.Background(), rect)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -141,7 +142,7 @@ func TestFileBulkLoadDuplicateZValues(t *testing.T) {
 	}
 	// Every co-located node must be individually findable and appear in
 	// a range query covering its cell.
-	recs, err := f.RangeQuery(geom.NewRect(geom.Point{X: -0.5, Y: -0.5}, geom.Point{X: 0.5, Y: 0.5}))
+	recs, err := f.RangeQueryCtx(context.Background(), geom.NewRect(geom.Point{X: -0.5, Y: -0.5}, geom.Point{X: 0.5, Y: 0.5}))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -159,12 +159,8 @@ func (v View) read(id graph.NodeID) (*Record, error) {
 	return rv.record(), nil
 }
 
-// Find retrieves the record of node id as of the view.
-func (v View) Find(id graph.NodeID) (*Record, error) {
-	return v.FindCtx(context.Background(), id)
-}
-
-// FindCtx is Find with cooperative cancellation.
+// FindCtx retrieves the record of node id as of the view. The context
+// is checked before the fetch.
 func (v View) FindCtx(ctx context.Context, id graph.NodeID) (*Record, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -184,11 +180,6 @@ func (v View) GetASuccessor(cur *Record, succ graph.NodeID) (*Record, error) {
 		return nil, fmt.Errorf("%w: %d of %d", ErrNotSuccessor, succ, cur.ID)
 	}
 	return v.read(succ)
-}
-
-// GetSuccessors is GetSuccessorsCtx with context.Background().
-func (v View) GetSuccessors(id graph.NodeID) ([]*Record, error) {
-	return v.GetSuccessorsCtx(context.Background(), id)
 }
 
 // GetSuccessorsCtx retrieves the records of all successors of node id
@@ -225,11 +216,6 @@ func (v View) GetSuccessorsCtx(ctx context.Context, id graph.NodeID) ([]*Record,
 		out[i] = sv.recordIn(&slab[i])
 	}
 	return out, nil
-}
-
-// EvaluateRoute is EvaluateRouteCtx with context.Background().
-func (v View) EvaluateRoute(route graph.Route) (RouteAggregate, error) {
-	return v.EvaluateRouteCtx(context.Background(), route)
 }
 
 // EvaluateRouteCtx computes the aggregate property of a route as of
@@ -416,8 +402,9 @@ func (v View) RangeQueryCtx(ctx context.Context, rect geom.Rect) ([]*Record, err
 // exact at the view's LSN — and verifies the result radius: a window of
 // half-side r holds every point within r of p, so k hits whose farthest
 // lies within r are the answer, and otherwise one more query at that
-// farthest distance is.
-func (v View) Nearest(p geom.Point, k int) ([]*Record, error) {
+// farthest distance is. The context is checked before each page's
+// fetch.
+func (v View) Nearest(ctx context.Context, p geom.Point, k int) ([]*Record, error) {
 	if k <= 0 {
 		return nil, nil
 	}
@@ -428,7 +415,7 @@ func (v View) Nearest(p geom.Point, k int) ([]*Record, error) {
 	}
 	for {
 		window := geom.NewRect(geom.Point{X: p.X - r, Y: p.Y - r}, geom.Point{X: p.X + r, Y: p.Y + r})
-		recs, err := v.RangeQueryCtx(context.Background(), window)
+		recs, err := v.RangeQueryCtx(ctx, window)
 		if err != nil {
 			return nil, err
 		}
@@ -458,7 +445,8 @@ func (v View) Nearest(p geom.Point, k int) ([]*Record, error) {
 // of the view and aggregates its member edges' costs. Members are
 // directed edges (from, to); each must exist. Connectivity clustering
 // makes this cheap because a route-unit's nodes form connected chains.
-func (v View) EvaluateRouteUnit(name string, members [][2]graph.NodeID) (RouteUnitAggregate, error) {
+// The context is checked before each record's fetch.
+func (v View) EvaluateRouteUnit(ctx context.Context, name string, members [][2]graph.NodeID) (RouteUnitAggregate, error) {
 	if len(members) == 0 {
 		return RouteUnitAggregate{}, fmt.Errorf("%w: route-unit %q has no members", graph.ErrInvalidRoute, name)
 	}
@@ -467,6 +455,9 @@ func (v View) EvaluateRouteUnit(name string, members [][2]graph.NodeID) (RouteUn
 	fetch := func(id graph.NodeID) (*Record, error) {
 		if r, ok := recs[id]; ok {
 			return r, nil
+		}
+		if err := ctx.Err(); err != nil {
+			return nil, err
 		}
 		r, err := v.read(id)
 		if err != nil {

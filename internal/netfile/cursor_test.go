@@ -54,9 +54,9 @@ func pageCopyReference(t *testing.T, f *File) map[graph.NodeID]*Record {
 
 // searcher is the search surface File and Snapshot share.
 type searcher interface {
-	Find(id graph.NodeID) (*Record, error)
-	GetSuccessors(id graph.NodeID) ([]*Record, error)
-	EvaluateRoute(route graph.Route) (RouteAggregate, error)
+	FindCtx(ctx context.Context, id graph.NodeID) (*Record, error)
+	GetSuccessorsCtx(ctx context.Context, id graph.NodeID) ([]*Record, error)
+	EvaluateRouteCtx(ctx context.Context, route graph.Route) (RouteAggregate, error)
 	RangeQueryCtx(ctx context.Context, rect geom.Rect) ([]*Record, error)
 	Scan(fn func(rec *Record) bool) error
 }
@@ -78,12 +78,12 @@ func checkSearcher(t *testing.T, name string, s searcher, want map[graph.NodeID]
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 
 	for _, id := range ids {
-		got, err := s.Find(id)
+		got, err := s.FindCtx(context.Background(), id)
 		if err != nil || !reflect.DeepEqual(got, want[id]) {
 			t.Errorf("%s: Find(%d) = %+v, %v; want %+v", name, id, got, err, want[id])
 			return
 		}
-		succs, err := s.GetSuccessors(id)
+		succs, err := s.GetSuccessorsCtx(context.Background(), id)
 		if err != nil || len(succs) != len(want[id].Succs) {
 			t.Errorf("%s: GetSuccessors(%d) = %d records, %v; want %d", name, id, len(succs), err, len(want[id].Succs))
 			return
@@ -95,7 +95,7 @@ func checkSearcher(t *testing.T, name string, s searcher, want map[graph.NodeID]
 			}
 		}
 	}
-	if _, err := s.Find(1 << 30); !errors.Is(err, ErrNotFound) {
+	if _, err := s.FindCtx(context.Background(), 1<<30); !errors.Is(err, ErrNotFound) {
 		t.Errorf("%s: Find of a missing node = %v, want ErrNotFound", name, err)
 	}
 
@@ -118,7 +118,7 @@ func checkSearcher(t *testing.T, name string, s searcher, want map[graph.NodeID]
 			cur = e.To
 			route = append(route, cur)
 		}
-		got, err := s.EvaluateRoute(route)
+		got, err := s.EvaluateRouteCtx(context.Background(), route)
 		if err != nil || got != agg {
 			t.Errorf("%s: EvaluateRoute(%v) = %+v, %v; want %+v", name, route, got, err, agg)
 			return
@@ -126,7 +126,7 @@ func checkSearcher(t *testing.T, name string, s searcher, want map[graph.NodeID]
 		// A hop to a node that is no successor must be refused.
 		stray := ids[rng.Intn(len(ids))]
 		if !want[cur].HasSucc(stray) {
-			if _, err := s.EvaluateRoute(append(route, stray)); !errors.Is(err, graph.ErrInvalidRoute) {
+			if _, err := s.EvaluateRouteCtx(context.Background(), append(route, stray)); !errors.Is(err, graph.ErrInvalidRoute) {
 				t.Errorf("%s: route with non-edge %d->%d = %v, want ErrInvalidRoute", name, cur, stray, err)
 			}
 		}
@@ -308,7 +308,7 @@ func TestCursorStaysOnPage(t *testing.T) {
 			want  int64
 		}{{same, 1}, {cross, int64(len(cross))}} {
 			before := f.Pool().Stats().Fetches
-			if _, err := r.s.EvaluateRoute(c.route); err != nil {
+			if _, err := r.s.EvaluateRouteCtx(context.Background(), c.route); err != nil {
 				t.Fatal(err)
 			}
 			if got := f.Pool().Stats().Fetches - before; got != c.want {
@@ -345,12 +345,12 @@ func TestSnapshotReadersDoNotDeadlockWriter(t *testing.T) {
 				default:
 				}
 				snap := f.Snapshot()
-				if _, err := snap.EvaluateRoute(routes[i%len(routes)]); err != nil {
+				if _, err := snap.EvaluateRouteCtx(context.Background(), routes[i%len(routes)]); err != nil {
 					t.Errorf("reader %d: %v", r, err)
 					snap.Close()
 					return
 				}
-				if _, err := snap.GetSuccessors(routes[i%len(routes)][0]); err != nil {
+				if _, err := snap.GetSuccessorsCtx(context.Background(), routes[i%len(routes)][0]); err != nil {
 					t.Errorf("reader %d: %v", r, err)
 					snap.Close()
 					return

@@ -1,6 +1,7 @@
 package netfile
 
 import (
+	"context"
 	"errors"
 	"math/rand"
 	"testing"
@@ -63,6 +64,10 @@ func TestAddRemoveEdgeRecords(t *testing.T) {
 	// Missing endpoint fails.
 	if err := f.AddEdgeRecords(u, 999999, 1, nil); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("missing endpoint = %v", err)
+	}
+	// ...and leaves no successor entry pointing at the missing node.
+	if err := f.Check(); err != nil {
+		t.Fatalf("after a failed add to a missing node: %v", err)
 	}
 
 	// Remove restores the original state.
@@ -184,7 +189,7 @@ func TestOpenFromStoreRebuildsEverything(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Spatial index works.
-	all, err := f2.RangeQuery(g.Bounds())
+	all, err := f2.RangeQueryCtx(context.Background(), g.Bounds())
 	if err != nil || len(all) != g.NumNodes() {
 		t.Fatalf("reopened range query: %d, %v", len(all), err)
 	}
@@ -322,7 +327,7 @@ func TestEvaluateRouteUnit(t *testing.T) {
 		}
 		want += e.Cost
 	}
-	agg, err := f.EvaluateRouteUnit("bus-7", members)
+	agg, err := f.EvaluateRouteUnit(context.Background(), "bus-7", members)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -340,13 +345,13 @@ func TestEvaluateRouteUnit(t *testing.T) {
 	}
 
 	// Errors: empty unit, non-edge member, missing node.
-	if _, err := f.EvaluateRouteUnit("empty", nil); err == nil {
+	if _, err := f.EvaluateRouteUnit(context.Background(), "empty", nil); err == nil {
 		t.Fatal("empty unit accepted")
 	}
-	if _, err := f.EvaluateRouteUnit("bad", [][2]graph.NodeID{{route[0], route[0]}}); err == nil {
+	if _, err := f.EvaluateRouteUnit(context.Background(), "bad", [][2]graph.NodeID{{route[0], route[0]}}); err == nil {
 		t.Fatal("self-loop member accepted")
 	}
-	if _, err := f.EvaluateRouteUnit("bad", [][2]graph.NodeID{{999999, route[0]}}); !errors.Is(err, ErrNotFound) {
+	if _, err := f.EvaluateRouteUnit(context.Background(), "bad", [][2]graph.NodeID{{999999, route[0]}}); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("missing node = %v", err)
 	}
 
@@ -355,7 +360,7 @@ func TestEvaluateRouteUnit(t *testing.T) {
 	if err := f.ResetIO(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.EvaluateRouteUnit("bus-7", members); err != nil {
+	if _, err := f.EvaluateRouteUnit(context.Background(), "bus-7", members); err != nil {
 		t.Fatal(err)
 	}
 	if reads := f.DataIO().Reads; reads > int64(len(route)) {

@@ -1,6 +1,7 @@
 package netfile
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -181,7 +182,7 @@ func resolveErr(v View, id graph.NodeID, want placements) error {
 	if pid, ok := v.PAG().PageOf(id); ok != wok || (ok && pid != w.pid) {
 		return fmt.Errorf("node %d: PAG view names page %d (%v), want %d (%v)", id, pid, ok, w.pid, wok)
 	}
-	rec, err := v.Find(id)
+	rec, err := v.FindCtx(context.Background(), id)
 	if wok && (err != nil || rec.ID != id || rec.Pos != modelRecord(id).Pos) {
 		return fmt.Errorf("Find(%d) = %+v, %v", id, rec, err)
 	}
@@ -490,7 +491,7 @@ func checkAgainstNetwork(t *testing.T, f *File, g *graph.Network) {
 			t.Fatalf("Find(%d) = %v, %v", id, rec, err)
 		}
 		want := g.Successors(id)
-		succs, err := f.GetSuccessors(id)
+		succs, err := f.GetSuccessorsCtx(context.Background(), id)
 		if err != nil || len(succs) != len(want) {
 			t.Fatalf("GetSuccessors(%d) = %d records, %v; want %d", id, len(succs), err, len(want))
 		}
@@ -511,7 +512,7 @@ func checkAgainstNetwork(t *testing.T, f *File, g *graph.Network) {
 		t.Fatal(err)
 	}
 	for _, r := range routes {
-		agg, err := f.EvaluateRoute(r)
+		agg, err := f.EvaluateRouteCtx(context.Background(), r)
 		if err != nil {
 			t.Fatalf("EvaluateRoute(%v): %v", r, err)
 		}
@@ -530,7 +531,7 @@ func checkAgainstNetwork(t *testing.T, f *File, g *graph.Network) {
 	b := g.Bounds()
 	for _, frac := range []float64{0.1, 0.35, 1} {
 		rect := geom.NewRect(b.Min, geom.Point{X: b.Min.X + b.Width()*frac, Y: b.Min.Y + b.Height()*frac})
-		recs, err := f.RangeQuery(rect)
+		recs, err := f.RangeQueryCtx(context.Background(), rect)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package netfile
 
 import (
+	"context"
 	"errors"
 	"math/rand"
 	"reflect"
@@ -194,7 +195,7 @@ func TestGetSuccessorsIOMatchesCRRModel(t *testing.T) {
 			t.Fatal(err)
 		}
 		base := f.DataIO().Reads
-		succs, err := f.GetSuccessors(id)
+		succs, err := f.GetSuccessorsCtx(context.Background(), id)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -223,7 +224,7 @@ func TestEvaluateRoute(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, r := range routes {
-		agg, err := f.EvaluateRoute(r)
+		agg, err := f.EvaluateRouteCtx(context.Background(), r)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -235,11 +236,11 @@ func TestEvaluateRoute(t *testing.T) {
 		}
 	}
 	// Invalid routes are rejected.
-	if _, err := f.EvaluateRoute(graph.Route{}); err == nil {
+	if _, err := f.EvaluateRouteCtx(context.Background(), graph.Route{}); err == nil {
 		t.Fatal("empty route accepted")
 	}
 	bad := graph.Route{routes[0][0], routes[0][0]} // self hop
-	if _, err := f.EvaluateRoute(bad); err == nil {
+	if _, err := f.EvaluateRouteCtx(context.Background(), bad); err == nil {
 		t.Fatal("non-edge hop accepted")
 	}
 }
@@ -258,7 +259,7 @@ func TestRouteIOWithOnePageBuffer(t *testing.T) {
 		if err := f.ResetIO(); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := f.EvaluateRoute(r); err != nil {
+		if _, err := f.EvaluateRouteCtx(context.Background(), r); err != nil {
 			t.Fatal(err)
 		}
 		reads += f.DataIO().Reads
@@ -357,7 +358,7 @@ func TestRangeQuery(t *testing.T) {
 		geom.Point{X: bounds.Min.X + bounds.Width()*0.2, Y: bounds.Min.Y + bounds.Height()*0.2},
 		geom.Point{X: bounds.Min.X + bounds.Width()*0.5, Y: bounds.Min.Y + bounds.Height()*0.5},
 	)
-	got, err := f.RangeQuery(rect)
+	got, err := f.RangeQueryCtx(context.Background(), rect)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -377,7 +378,7 @@ func TestRangeQuery(t *testing.T) {
 		}
 	}
 	// Whole-map query returns everything.
-	all, err := f.RangeQuery(bounds)
+	all, err := f.RangeQueryCtx(context.Background(), bounds)
 	if err != nil {
 		t.Fatal(err)
 	}

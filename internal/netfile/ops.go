@@ -17,7 +17,7 @@ import (
 // locates the data page, which is fetched through the buffer pool.
 // (Paper §2.3.)
 func (f *File) Find(id graph.NodeID) (*Record, error) {
-	return f.live().Find(id)
+	return f.live().FindCtx(context.Background(), id)
 }
 
 // FindCtx is Find with cooperative cancellation.
@@ -44,15 +44,10 @@ func (f *File) GetASuccessor(cur *Record, succ graph.NodeID) (*Record, error) {
 	return f.live().GetASuccessor(cur, succ)
 }
 
-// GetSuccessors retrieves the records of all successors of node id.
+// GetSuccessorsCtx retrieves the records of all successors of node id.
 // Successors stored on the page of id itself, or on the page of the
 // successor before them, are read in place without another fetch.
-// (Paper §2.3.)
-func (f *File) GetSuccessors(id graph.NodeID) ([]*Record, error) {
-	return f.live().GetSuccessors(id)
-}
-
-// GetSuccessorsCtx is GetSuccessors with cooperative cancellation.
+// (Paper §2.3.) The context is checked before each fetch.
 func (f *File) GetSuccessorsCtx(ctx context.Context, id graph.NodeID) ([]*Record, error) {
 	return f.live().GetSuccessorsCtx(ctx, id)
 }
@@ -65,27 +60,18 @@ type RouteAggregate struct {
 	MaxCost   float64 // most expensive hop
 }
 
-// EvaluateRoute computes the aggregate property of a route as a Find on
-// the first node followed by a sequence of Get-A-successor operations
-// (paper §2.3, "Route Evaluation"). The route must follow directed
-// edges.
-func (f *File) EvaluateRoute(route graph.Route) (RouteAggregate, error) {
-	return f.live().EvaluateRoute(route)
-}
-
-// EvaluateRouteCtx is EvaluateRoute with cooperative cancellation.
+// EvaluateRouteCtx computes the aggregate property of a route as a
+// Find on the first node followed by a sequence of Get-A-successor
+// operations (paper §2.3, "Route Evaluation"). The route must follow
+// directed edges. The context is checked before each hop's fetch.
 func (f *File) EvaluateRouteCtx(ctx context.Context, route graph.Route) (RouteAggregate, error) {
 	return f.live().EvaluateRouteCtx(ctx, route)
 }
 
-// RangeQuery returns the records of every node whose position lies in
-// rect, through the secondary spatial index (a Z-order scan with BIGMIN
-// jumps; paper §2.1).
-func (f *File) RangeQuery(rect geom.Rect) ([]*Record, error) {
-	return f.live().RangeQueryCtx(context.Background(), rect)
-}
-
-// RangeQueryCtx is RangeQuery with cooperative cancellation.
+// RangeQueryCtx returns the records of every node whose position lies
+// in rect, through the secondary spatial index (a Z-order scan with
+// BIGMIN jumps; paper §2.1). The context is checked before each page's
+// fetch.
 func (f *File) RangeQueryCtx(ctx context.Context, rect geom.Rect) ([]*Record, error) {
 	return f.live().RangeQueryCtx(ctx, rect)
 }
@@ -99,8 +85,8 @@ func (f *File) Scan(fn func(rec *Record) bool) error {
 
 // Nearest returns the k stored records closest to p by Euclidean
 // distance, nearest first (see View.Nearest).
-func (f *File) Nearest(p geom.Point, k int) ([]*Record, error) {
-	return f.live().Nearest(p, k)
+func (f *File) Nearest(ctx context.Context, p geom.Point, k int) ([]*Record, error) {
+	return f.live().Nearest(ctx, p, k)
 }
 
 // InsertOp describes a node insertion: the new record (whose Preds
@@ -296,6 +282,11 @@ func (f *File) AddEdgeRecords(u, v graph.NodeID, cost float32, onOverflow Overfl
 	if u == v {
 		return fmt.Errorf("%w: %d", graph.ErrSelfLoop, u)
 	}
+	// The head is looked up before the tail gains its entry: a failure
+	// then leaves no successor pointing at a node that is not stored.
+	if !f.Has(v) {
+		return fmt.Errorf("netfile: add edge %d->%d: %w: %d", u, v, ErrNotFound, v)
+	}
 	dup := false
 	if err := f.mutateRecord(u, onOverflow, func(r *Record) {
 		if r.HasSucc(v) {
@@ -376,6 +367,6 @@ type RouteUnitAggregate struct {
 
 // EvaluateRouteUnit retrieves every node record of the route-unit and
 // aggregates its member edges' costs (see View.EvaluateRouteUnit).
-func (f *File) EvaluateRouteUnit(name string, members [][2]graph.NodeID) (RouteUnitAggregate, error) {
-	return f.live().EvaluateRouteUnit(name, members)
+func (f *File) EvaluateRouteUnit(ctx context.Context, name string, members [][2]graph.NodeID) (RouteUnitAggregate, error) {
+	return f.live().EvaluateRouteUnit(ctx, name, members)
 }

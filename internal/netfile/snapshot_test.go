@@ -44,7 +44,7 @@ func TestSnapshotPinsEdgeCost(t *testing.T) {
 
 	snap := f.Snapshot()
 	defer snap.Close()
-	old, err := snap.Find(e.From)
+	old, err := snap.FindCtx(context.Background(), e.From)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +56,7 @@ func TestSnapshotPinsEdgeCost(t *testing.T) {
 		}
 	})
 
-	pinned, err := snap.Find(e.From)
+	pinned, err := snap.FindCtx(context.Background(), e.From)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +72,7 @@ func TestSnapshotPinsEdgeCost(t *testing.T) {
 	}
 	fresh := f.Snapshot()
 	defer fresh.Close()
-	rec, err := fresh.Find(e.From)
+	rec, err := fresh.FindCtx(context.Background(), e.From)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +114,7 @@ func TestSnapshotSurvivesDelete(t *testing.T) {
 	if !snap.Has(id) {
 		t.Fatal("pinned snapshot lost the deleted node")
 	}
-	rec, err := snap.Find(id)
+	rec, err := snap.FindCtx(context.Background(), id)
 	if err != nil {
 		t.Fatalf("pinned Find after delete: %v", err)
 	}
@@ -181,7 +181,7 @@ func TestSnapshotAbortedBatchInvisible(t *testing.T) {
 	}
 	f.AbortVersionBatch()
 
-	pinned, err := snap.Find(e.From)
+	pinned, err := snap.FindCtx(context.Background(), e.From)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +190,7 @@ func TestSnapshotAbortedBatchInvisible(t *testing.T) {
 	}
 	fresh := f.Snapshot()
 	defer fresh.Close()
-	rec, err := fresh.Find(e.From)
+	rec, err := fresh.FindCtx(context.Background(), e.From)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +232,7 @@ func TestOverlayFoldsAtEveryCommit(t *testing.T) {
 	resolvesAll := func(what string, v View) {
 		t.Helper()
 		for _, id := range ids {
-			if rec, err := v.Find(id); err != nil || rec.ID != id {
+			if rec, err := v.FindCtx(context.Background(), id); err != nil || rec.ID != id {
 				t.Fatalf("%s: Find(%d) = %v, %v", what, id, rec, err)
 			}
 		}

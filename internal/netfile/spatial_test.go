@@ -1,6 +1,7 @@
 package netfile
 
 import (
+	"context"
 	"errors"
 	"math"
 	"math/rand"
@@ -31,7 +32,7 @@ func TestRangeQueryMatchesBruteForce(t *testing.T) {
 				want[id] = true
 			}
 		}
-		got, err := f.RangeQuery(rect)
+		got, err := f.RangeQueryCtx(context.Background(), rect)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -71,7 +72,7 @@ func TestNearestMatchesBruteForce(t *testing.T) {
 		}
 		k := 1 + rng.Intn(8)
 		want := bruteforce(p, k)
-		got, err := f.Nearest(p, k)
+		got, err := f.Nearest(context.Background(), p, k)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -87,7 +88,7 @@ func TestNearestMatchesBruteForce(t *testing.T) {
 	}
 	// A point far off the map: the window grows until it holds the map.
 	far := geom.Point{X: b.Max.X + 10*b.Width(), Y: b.Max.Y + 10*b.Height()}
-	got, err := f.Nearest(far, 2)
+	got, err := f.Nearest(context.Background(), far, 2)
 	if err != nil || len(got) != 2 {
 		t.Fatalf("far point: %d results, %v", len(got), err)
 	}
@@ -97,10 +98,10 @@ func TestNearestMatchesBruteForce(t *testing.T) {
 		}
 	}
 	// Degenerate cases.
-	if out, err := f.Nearest(geom.Point{}, 0); err != nil || out != nil {
+	if out, err := f.Nearest(context.Background(), geom.Point{}, 0); err != nil || out != nil {
 		t.Fatalf("k=0: %v %v", out, err)
 	}
-	all, err := f.Nearest(geom.Point{}, g.NumNodes()+100)
+	all, err := f.Nearest(context.Background(), geom.Point{}, g.NumNodes()+100)
 	if err != nil || len(all) != g.NumNodes() {
 		t.Fatalf("k>n: %d, %v", len(all), err)
 	}
@@ -134,7 +135,7 @@ func testSpatialIndexMaintainedUnderUpdates(t *testing.T) {
 		}
 		gone[id] = true
 	}
-	all, err := f.RangeQuery(g.Bounds())
+	all, err := f.RangeQueryCtx(context.Background(), g.Bounds())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,18 +18,16 @@ import (
 )
 
 // Source is the read surface a plan executes against: the traversal
-// Reader plus the context-aware point, scan, window and route reads
-// the access paths use. Both the live *netfile.File and an LSN-pinned
-// *netfile.Snapshot implement it — the facade executes statements
-// against a snapshot, so a running query never blocks a mutation
-// batch and never sees a half-applied one.
+// Reader plus the set, scan and window reads the access paths use.
+// Both the live *netfile.File and an LSN-pinned *netfile.Snapshot
+// implement it — the facade executes statements against a snapshot, so
+// a running query never blocks a mutation batch and never sees a
+// half-applied one.
 type Source interface {
 	query.Reader
-	FindCtx(ctx context.Context, id graph.NodeID) (*netfile.Record, error)
 	FindSetCtx(ctx context.Context, ids []graph.NodeID) ([]*netfile.Record, error)
 	Scan(fn func(rec *netfile.Record) bool) error
 	RangeQueryCtx(ctx context.Context, rect geom.Rect) ([]*netfile.Record, error)
-	EvaluateRouteCtx(ctx context.Context, route graph.Route) (netfile.RouteAggregate, error)
 }
 
 var (
@@ -339,10 +337,7 @@ func runRoute(ctx context.Context, f Source, s *lang.RouteEval, res *Result) err
 }
 
 func runPath(ctx context.Context, f Source, s *lang.ShortestPath, res *Result) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	p, err := query.Dijkstra(f, s.Src, s.Dst)
+	p, err := query.ShortestPath(ctx, f, s.Src, s.Dst, 0)
 	if err != nil {
 		return err
 	}

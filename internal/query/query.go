@@ -1,14 +1,15 @@
 // Package query implements the aggregate network computations the
-// paper motivates on top of the stored file: shortest paths (Dijkstra
-// and A*, both built on Get-successors as the paper describes), tour
-// evaluation, and location-allocation evaluation (both named in the
-// paper's future work). Every computation reads node records through a
+// paper motivates on top of the stored file: shortest paths (Dijkstra,
+// or A* with a distance heuristic, built on Get-successors as the paper
+// describes), tour evaluation, and location-allocation evaluation (both
+// named in the paper's future work). Every computation reads node records through a
 // netfile.File, so its data-page I/O reflects the access method's
 // clustering quality.
 package query
 
 import (
 	"container/heap"
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -32,10 +33,10 @@ var (
 // exclusively latched or against a consistent snapshot while mutation
 // batches commit concurrently.
 type Reader interface {
-	Find(id graph.NodeID) (*netfile.Record, error)
+	FindCtx(ctx context.Context, id graph.NodeID) (*netfile.Record, error)
 	Has(id graph.NodeID) bool
 	GetASuccessor(cur *netfile.Record, succ graph.NodeID) (*netfile.Record, error)
-	EvaluateRoute(route graph.Route) (netfile.RouteAggregate, error)
+	EvaluateRouteCtx(ctx context.Context, route graph.Route) (netfile.RouteAggregate, error)
 }
 
 var (
@@ -72,32 +73,24 @@ func (q *pq) Pop() interface{} {
 	return x
 }
 
-// Dijkstra computes a cheapest path from src to dst over the stored
-// network, expanding nodes with Get-successors.
-func Dijkstra(f Reader, src, dst graph.NodeID) (Path, error) {
-	return shortestPath(f, src, dst, nil)
-}
-
-// AStar computes a cheapest path from src to dst using a consistent
-// Euclidean-distance heuristic scaled by minCostPerUnit: a lower bound
-// on the edge cost per unit of straight-line distance. Pass 0 to fall
-// back to Dijkstra.
-func AStar(f Reader, src, dst graph.NodeID, minCostPerUnit float64) (Path, error) {
-	if minCostPerUnit <= 0 {
-		return shortestPath(f, src, dst, nil)
+// ShortestPath computes a cheapest path from src to dst over the
+// stored network, expanding nodes with Get-successors. With
+// minCostPerUnit > 0 it runs A* under a consistent Euclidean-distance
+// heuristic scaled by minCostPerUnit, a lower bound on the edge cost
+// per unit of straight-line distance; 0 runs Dijkstra. The context is
+// checked before each record fetch.
+func ShortestPath(ctx context.Context, f Reader, src, dst graph.NodeID, minCostPerUnit float64) (Path, error) {
+	var h func(geom.Point) float64
+	if minCostPerUnit > 0 {
+		dstRec, err := f.FindCtx(ctx, dst)
+		if err != nil {
+			return Path{}, err
+		}
+		h = func(p geom.Point) float64 {
+			return math.Hypot(p.X-dstRec.Pos.X, p.Y-dstRec.Pos.Y) * minCostPerUnit
+		}
 	}
-	dstRec, err := f.Find(dst)
-	if err != nil {
-		return Path{}, err
-	}
-	h := func(p geom.Point) float64 {
-		return math.Hypot(p.X-dstRec.Pos.X, p.Y-dstRec.Pos.Y) * minCostPerUnit
-	}
-	return shortestPath(f, src, dst, h)
-}
-
-func shortestPath(f Reader, src, dst graph.NodeID, h func(geom.Point) float64) (Path, error) {
-	srcRec, err := f.Find(src)
+	srcRec, err := f.FindCtx(ctx, src)
 	if err != nil {
 		return Path{}, err
 	}
@@ -126,7 +119,7 @@ func shortestPath(f Reader, src, dst graph.NodeID, h func(geom.Point) float64) (
 		}
 		// Expand via Get-successors: the dominant I/O of graph search,
 		// as the paper observes.
-		rec, err := f.Find(cur.id)
+		rec, err := f.FindCtx(ctx, cur.id)
 		if err != nil {
 			return Path{}, err
 		}
@@ -141,6 +134,9 @@ func shortestPath(f Reader, src, dst graph.NodeID, h func(geom.Point) float64) (
 				prev[s.To] = cur.id
 				r := nd
 				if h != nil {
+					if err := ctx.Err(); err != nil {
+						return Path{}, err
+					}
 					sr, err := f.GetASuccessor(rec, s.To)
 					if err != nil {
 						return Path{}, err
@@ -179,8 +175,9 @@ type TourAggregate struct {
 
 // EvaluateTour evaluates a closed tour n1, n2, ..., nk, n1 (tour
 // evaluation, named in the paper's future work). The input lists each
-// node once; the closing edge nk -> n1 must exist.
-func EvaluateTour(f Reader, tour graph.Route) (TourAggregate, error) {
+// node once; the closing edge nk -> n1 must exist. The context is
+// checked before each hop's fetch.
+func EvaluateTour(ctx context.Context, f Reader, tour graph.Route) (TourAggregate, error) {
 	if len(tour) < 3 {
 		return TourAggregate{}, fmt.Errorf("%w: need at least 3 nodes, got %d", ErrInvalidTour, len(tour))
 	}
@@ -188,7 +185,7 @@ func EvaluateTour(f Reader, tour graph.Route) (TourAggregate, error) {
 		return TourAggregate{}, fmt.Errorf("%w: do not repeat the starting node", ErrInvalidTour)
 	}
 	closed := append(append(graph.Route{}, tour...), tour[0])
-	agg, err := f.EvaluateRoute(closed)
+	agg, err := f.EvaluateRouteCtx(ctx, closed)
 	if err != nil {
 		return TourAggregate{}, err
 	}
@@ -207,8 +204,9 @@ type Allocation struct {
 // reachable node of the network is allocated to its cheapest facility
 // by network distance (a multi-source Dijkstra over the stored file).
 // It returns the allocations in unspecified order together with the
-// total and maximum assignment costs.
-func LocationAllocation(f Reader, facilities []graph.NodeID) ([]Allocation, float64, float64, error) {
+// total and maximum assignment costs. The context is checked before
+// each record fetch.
+func LocationAllocation(ctx context.Context, f Reader, facilities []graph.NodeID) ([]Allocation, float64, float64, error) {
 	if len(facilities) == 0 {
 		return nil, 0, 0, ErrNoFacilities
 	}
@@ -230,7 +228,7 @@ func LocationAllocation(f Reader, facilities []graph.NodeID) ([]Allocation, floa
 			continue
 		}
 		done[cur.id] = true
-		rec, err := f.Find(cur.id)
+		rec, err := f.FindCtx(ctx, cur.id)
 		if err != nil {
 			return nil, 0, 0, err
 		}

@@ -2,6 +2,7 @@ package query
 
 import (
 	"container/heap"
+	"context"
 	"errors"
 	"math"
 	"math/rand"
@@ -70,7 +71,7 @@ func TestDijkstraMatchesReference(t *testing.T) {
 		src := ids[rng.Intn(len(ids))]
 		dst := ids[rng.Intn(len(ids))]
 		want, reachable := refDijkstra(g, src, dst)
-		got, err := Dijkstra(f, src, dst)
+		got, err := ShortestPath(context.Background(), f, src, dst, 0)
 		if !reachable {
 			if !errors.Is(err, ErrNoPath) {
 				t.Fatalf("unreachable pair %d->%d: err = %v", src, dst, err)
@@ -115,8 +116,8 @@ func TestAStarMatchesDijkstraAndExpandsLess(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
 		src := ids[rng.Intn(len(ids))]
 		dst := ids[rng.Intn(len(ids))]
-		d, errD := Dijkstra(f, src, dst)
-		a, errA := AStar(f, src, dst, minCostPerUnit)
+		d, errD := ShortestPath(context.Background(), f, src, dst, 0)
+		a, errA := ShortestPath(context.Background(), f, src, dst, minCostPerUnit)
 		if (errD == nil) != (errA == nil) {
 			t.Fatalf("reachability disagreement: %v vs %v", errD, errA)
 		}
@@ -139,27 +140,34 @@ func TestAStarZeroHeuristicFallsBack(t *testing.T) {
 	g := roadMap(t)
 	f := buildFile(t, g)
 	ids := g.NodeIDs()
-	d, err1 := Dijkstra(f, ids[0], ids[len(ids)-1])
-	a, err2 := AStar(f, ids[0], ids[len(ids)-1], 0)
-	if (err1 == nil) != (err2 == nil) {
-		t.Fatal("fallback disagreement")
+	src, dst := ids[0], ids[len(ids)-1]
+	want, reachable := refDijkstra(g, src, dst)
+	// Without a positive lower bound there is no heuristic: 0 and a
+	// negative bound both run Dijkstra, expansion for expansion.
+	d, err1 := ShortestPath(context.Background(), f, src, dst, 0)
+	a, err2 := ShortestPath(context.Background(), f, src, dst, -1)
+	if (err1 == nil) != reachable || (err2 == nil) != reachable {
+		t.Fatalf("fallback disagreement: %v, %v; reachable %v", err1, err2, reachable)
 	}
-	if err1 == nil && d.Cost != a.Cost {
-		t.Fatalf("fallback cost %f != %f", a.Cost, d.Cost)
+	if !reachable {
+		return
+	}
+	if math.Abs(d.Cost-want) > 1e-4*(1+want) || a.Cost != d.Cost || a.Expanded != d.Expanded {
+		t.Fatalf("fallback = (%f, %d expanded), 0 = (%f, %d), reference %f", a.Cost, a.Expanded, d.Cost, d.Expanded, want)
 	}
 }
 
 func TestShortestPathErrors(t *testing.T) {
 	g := roadMap(t)
 	f := buildFile(t, g)
-	if _, err := Dijkstra(f, 999999, g.NodeIDs()[0]); !errors.Is(err, netfile.ErrNotFound) {
+	if _, err := ShortestPath(context.Background(), f, 999999, g.NodeIDs()[0], 0); !errors.Is(err, netfile.ErrNotFound) {
 		t.Fatalf("missing src = %v", err)
 	}
-	if _, err := Dijkstra(f, g.NodeIDs()[0], 999999); !errors.Is(err, netfile.ErrNotFound) {
+	if _, err := ShortestPath(context.Background(), f, g.NodeIDs()[0], 999999, 0); !errors.Is(err, netfile.ErrNotFound) {
 		t.Fatalf("missing dst = %v", err)
 	}
 	// Trivial path.
-	p, err := Dijkstra(f, g.NodeIDs()[0], g.NodeIDs()[0])
+	p, err := ShortestPath(context.Background(), f, g.NodeIDs()[0], g.NodeIDs()[0], 0)
 	if err != nil || p.Cost != 0 || len(p.Nodes) != 1 {
 		t.Fatalf("self path = %+v, %v", p, err)
 	}
@@ -169,7 +177,7 @@ func TestEvaluateTour(t *testing.T) {
 	g := graph.Grid(3, 3)
 	f := buildFile(t, g)
 	// A square tour around the grid: 0 -> 1 -> 4 -> 3 -> (0).
-	agg, err := EvaluateTour(f, graph.Route{0, 1, 4, 3})
+	agg, err := EvaluateTour(context.Background(), f, graph.Route{0, 1, 4, 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,15 +185,15 @@ func TestEvaluateTour(t *testing.T) {
 		t.Fatalf("tour aggregate = %+v", agg)
 	}
 	// Too short.
-	if _, err := EvaluateTour(f, graph.Route{0, 1}); !errors.Is(err, ErrInvalidTour) {
+	if _, err := EvaluateTour(context.Background(), f, graph.Route{0, 1}); !errors.Is(err, ErrInvalidTour) {
 		t.Fatalf("short tour = %v", err)
 	}
 	// Repeating the start is rejected.
-	if _, err := EvaluateTour(f, graph.Route{0, 1, 4, 3, 0}); !errors.Is(err, ErrInvalidTour) {
+	if _, err := EvaluateTour(context.Background(), f, graph.Route{0, 1, 4, 3, 0}); !errors.Is(err, ErrInvalidTour) {
 		t.Fatalf("repeated start = %v", err)
 	}
 	// Tour whose closing edge is missing.
-	if _, err := EvaluateTour(f, graph.Route{0, 1, 2}); err == nil {
+	if _, err := EvaluateTour(context.Background(), f, graph.Route{0, 1, 2}); err == nil {
 		t.Fatal("unclosable tour accepted")
 	}
 }
@@ -195,7 +203,7 @@ func TestLocationAllocation(t *testing.T) {
 	f := buildFile(t, g)
 	ids := g.NodeIDs()
 	facilities := []graph.NodeID{ids[0], ids[len(ids)/2], ids[len(ids)-1]}
-	allocs, total, worst, err := LocationAllocation(f, facilities)
+	allocs, total, worst, err := LocationAllocation(context.Background(), f, facilities)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,10 +243,10 @@ func TestLocationAllocation(t *testing.T) {
 		t.Fatalf("facilities self-allocated: %d of %d", bySelf, len(facilities))
 	}
 	// No facilities is an error.
-	if _, _, _, err := LocationAllocation(f, nil); !errors.Is(err, ErrNoFacilities) {
+	if _, _, _, err := LocationAllocation(context.Background(), f, nil); !errors.Is(err, ErrNoFacilities) {
 		t.Fatalf("empty facilities = %v", err)
 	}
-	if _, _, _, err := LocationAllocation(f, []graph.NodeID{999999}); !errors.Is(err, netfile.ErrNotFound) {
+	if _, _, _, err := LocationAllocation(context.Background(), f, []graph.NodeID{999999}); !errors.Is(err, netfile.ErrNotFound) {
 		t.Fatalf("missing facility = %v", err)
 	}
 }
@@ -260,7 +268,7 @@ func TestSearchIOBenefitsFromClustering(t *testing.T) {
 			if err := f.ResetIO(); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := Dijkstra(f, src, dst); err != nil && !errors.Is(err, ErrNoPath) {
+			if _, err := ShortestPath(context.Background(), f, src, dst, 0); err != nil && !errors.Is(err, ErrNoPath) {
 				t.Fatal(err)
 			}
 			reads += f.DataIO().Reads

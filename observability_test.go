@@ -174,13 +174,13 @@ func TestGaugesTrackBuildAndMutations(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := s.Delete(id, SecondOrder); err != nil {
+		if err := s.Apply(context.Background(), new(Batch).Delete(id, SecondOrder)); err != nil {
 			t.Fatal(err)
 		}
 		if v := reg.Gauge("ccam_crr").Value(); v < 0 || v > 1 {
 			t.Fatalf("crr gauge out of range after delete: %v", v)
 		}
-		if err := s.Insert(op, SecondOrder); err != nil {
+		if err := s.Apply(context.Background(), new(Batch).Insert(op, SecondOrder)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -213,10 +213,10 @@ func TestOverlayDepthGauge(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := s.Delete(id, FirstOrder); err != nil {
+		if err := s.Apply(context.Background(), new(Batch).Delete(id, FirstOrder)); err != nil {
 			t.Fatal(err)
 		}
-		if err := s.Insert(op, FirstOrder); err != nil {
+		if err := s.Apply(context.Background(), new(Batch).Insert(op, FirstOrder)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -306,7 +306,7 @@ func TestDisabledMetricsAddNoAllocs(t *testing.T) {
 	f := s.m.File()
 	base := testing.AllocsPerRun(200, func() {
 		snap := f.Snapshot()
-		if _, err := snap.Find(id); err != nil {
+		if _, err := snap.FindCtx(context.Background(), id); err != nil {
 			t.Fatal(err)
 		}
 		snap.Close()
@@ -424,10 +424,10 @@ func runGoldenWorkload(t *testing.T, s *Store, g *Network, seed int64) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := s.Delete(id, SecondOrder); err != nil {
+		if err := s.Apply(context.Background(), new(Batch).Delete(id, SecondOrder)); err != nil {
 			t.Fatal(err)
 		}
-		if err := s.Insert(op, SecondOrder); err != nil {
+		if err := s.Apply(context.Background(), new(Batch).Insert(op, SecondOrder)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -437,7 +437,7 @@ func runGoldenWorkload(t *testing.T, s *Store, g *Network, seed int64) {
 			continue
 		}
 		e := es[rng.Intn(len(es))]
-		if err := s.SetEdgeCost(e.From, e.To, float32(e.Cost)*1.1); err != nil {
+		if err := s.Apply(context.Background(), new(Batch).SetEdgeCost(e.From, e.To, float32(e.Cost)*1.1)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -618,7 +618,7 @@ func TestOneTracePerOperation(t *testing.T) {
 	if _, err := s.EvaluateRoute(ctx, routes[0]); err != nil {
 		t.Fatal(err)
 	}
-	path, err := s.ShortestPath(src, dst)
+	path, err := s.ShortestPath(context.Background(), src, dst, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

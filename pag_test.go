@@ -381,7 +381,7 @@ func TestWCRRGaugeFollowsOneWeightRule(t *testing.T) {
 		t.Fatal(err)
 	}
 	rec := &Record{ID: x, Pos: Point{X: 1, Y: 1}, Succs: []SuccEntry{{To: ids[0], Cost: 40}}, Preds: []NodeID{ids[1]}}
-	if err := s.Insert(&InsertOp{Rec: rec, PredCosts: []float32{70}}, SecondOrder); err != nil {
+	if err := s.Apply(context.Background(), new(Batch).Insert(&InsertOp{Rec: rec, PredCosts: []float32{70}}, SecondOrder)); err != nil {
 		t.Fatal(err)
 	}
 	g.AddEdge(Edge{From: x, To: ids[0], Cost: 40, Weight: 1})
@@ -389,7 +389,7 @@ func TestWCRRGaugeFollowsOneWeightRule(t *testing.T) {
 	check("after Insert")
 
 	from, to := ids[2], ids[len(ids)-1]
-	if err := s.InsertEdge(from, to, 9, SecondOrder); err != nil {
+	if err := s.Apply(context.Background(), new(Batch).InsertEdge(from, to, 9, SecondOrder)); err != nil {
 		t.Fatal(err)
 	}
 	g.AddEdge(Edge{From: from, To: to, Cost: 9, Weight: 1})

@@ -13,6 +13,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -327,7 +328,7 @@ func TestWALStoreBuildCloseReopen(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Mutations still work and log after the reopen.
-	if err := r.SetEdgeCost(g.Edges()[0].From, g.Edges()[0].To, 123); err != nil {
+	if err := r.Apply(context.Background(), new(Batch).SetEdgeCost(g.Edges()[0].From, g.Edges()[0].To, 123)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -723,7 +724,7 @@ func TestApplyAtomicUnderMidBatchFault(t *testing.T) {
 	if _, err := s.Find(context.Background(), e0.From); !errors.Is(err, ErrClosed) {
 		t.Fatalf("poisoned store Find error = %v", err)
 	}
-	if err := s.SetEdgeCost(e0.From, e0.To, 1); !errors.Is(err, ErrClosed) {
+	if err := s.Apply(context.Background(), new(Batch).SetEdgeCost(e0.From, e0.To, 1)); !errors.Is(err, ErrClosed) {
 		t.Fatalf("poisoned store mutation error = %v", err)
 	}
 	if err := s.Close(); err != nil {
@@ -855,7 +856,7 @@ func TestApplyRefusesReservedNodeID(t *testing.T) {
 	}
 	// The store is not poisoned: a valid batch commits and reads back.
 	fresh := NodeID(1 << 30)
-	if err := s.Insert(&InsertOp{Rec: &Record{ID: fresh, Succs: []SuccEntry{{To: e0.From, Cost: 2}}}}, FirstOrder); err != nil {
+	if err := s.Apply(context.Background(), new(Batch).Insert(&InsertOp{Rec: &Record{ID: fresh, Succs: []SuccEntry{{To: e0.From, Cost: 2}}}}, FirstOrder)); err != nil {
 		t.Fatalf("Apply after the refused batch: %v", err)
 	}
 	if rec, err := s.Find(ctx, fresh); err != nil || rec.ID != fresh {
@@ -924,7 +925,7 @@ func TestWALGroupCommitCoalesces(t *testing.T) {
 			go func(w, i int) {
 				defer wave.Done()
 				e := edges[(w*perWorker+i)%len(edges)]
-				if err := s.SetEdgeCost(e.From, e.To, float32(i+1)); err != nil {
+				if err := s.Apply(context.Background(), new(Batch).SetEdgeCost(e.From, e.To, float32(i+1))); err != nil {
 					select {
 					case errc <- err:
 					default:
@@ -997,7 +998,7 @@ func TestErrClosedAndCtxCancel(t *testing.T) {
 	if _, err := s.Find(context.Background(), g.NodeIDs()[0]); !errors.Is(err, ErrClosed) {
 		t.Fatalf("Find after Close = %v", err)
 	}
-	if err := s.Insert(&InsertOp{Rec: &Record{ID: 1}}, FirstOrder); !errors.Is(err, ErrClosed) {
+	if err := s.Apply(context.Background(), new(Batch).Insert(&InsertOp{Rec: &Record{ID: 1}}, FirstOrder)); !errors.Is(err, ErrClosed) {
 		t.Fatalf("Insert after Close = %v", err)
 	}
 	if err := s.Build(g); !errors.Is(err, ErrClosed) {
@@ -1026,7 +1027,7 @@ func TestFailedBuildLogsEveryLaterWrite(t *testing.T) {
 	}
 	fresh := NodeID(1 << 30)
 	insert := func(s *Store) error {
-		return s.Insert(&InsertOp{Rec: &Record{ID: fresh, Succs: []SuccEntry{{To: e0.From, Cost: 2}}}}, FirstOrder)
+		return s.Apply(context.Background(), new(Batch).Insert(&InsertOp{Rec: &Record{ID: fresh, Succs: []SuccEntry{{To: e0.From, Cost: 2}}}}, FirstOrder))
 	}
 
 	t.Run("reserved-id", func(t *testing.T) {
@@ -1239,16 +1240,41 @@ func TestCheckpointFlushTornRunRecovers(t *testing.T) {
 			}
 			crash := filepath.Join(dir, "crash", "net.ccam")
 			crashCopy(t, path, crash)
-			r, err := OpenPath(crash, Options{})
+			// What the crash left is not damage: a page the flush tore
+			// mid-page holds an image in the log's last complete
+			// checkpoint, which a reopen writes back.
+			rep, err := storage.CheckFile(crash)
 			if err != nil {
 				t.Fatal(err)
 			}
-			defer r.Close()
-			if err := diffModels(model, storeModel(t, r)); err != nil {
-				t.Fatalf("recovered state: %v", err)
+			if !rep.OK() {
+				t.Fatalf("the crash copy checks as damaged: %v", rep.Damaged)
 			}
-			if err := r.Verify(); err != nil {
+			restored := slices.ContainsFunc(rep.Restored, func(d storage.PageDamage) bool { return d.ID == victim })
+			if restored != (tc.mode == storage.FaultTornWrite) || len(rep.Restored) > 1 {
+				t.Fatalf("pages restored from the log: %v; the torn page is %d", rep.Restored, victim)
+			}
+			// ...so repair leaves the page in place.
+			repaired := filepath.Join(dir, "repaired", "net.ccam")
+			crashCopy(t, crash, repaired)
+			if rep, err = storage.RepairFile(repaired); err != nil {
 				t.Fatal(err)
+			}
+			if len(rep.Repaired) != 0 || slices.Contains(rep.FreePages, victim) {
+				t.Fatalf("repair acted on a restorable page: %v, free pages %v", rep.Repaired, rep.FreePages)
+			}
+			for _, p := range []string{crash, repaired} {
+				r, err := OpenPath(p, Options{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer r.Close()
+				if err := diffModels(model, storeModel(t, r)); err != nil {
+					t.Fatalf("%s: recovered state: %v", p, err)
+				}
+				if err := r.Verify(); err != nil {
+					t.Fatalf("%s: %v", p, err)
+				}
 			}
 		})
 	}
