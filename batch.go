@@ -298,12 +298,8 @@ func (tx *writeTx) run(body func(tx *writeTx) error) error {
 	s.endAccount(&tx.acct, err)
 	if err != nil {
 		s.poison(failed, err)
-		return err
 	}
-	if s.obs != nil {
-		s.obs.setGauges(s.m)
-	}
-	return nil
+	return err
 }
 
 // Apply commits every operation of the batch atomically: either all of

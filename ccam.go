@@ -191,9 +191,10 @@ type Options struct {
 	// Metrics enables the observability registry: per-operation
 	// counters and latency histograms, per-class page-access counters
 	// (node-index lookups vs CCAM data pages, pool hits vs misses), storage
-	// read/write latencies and CRR/WCRR gauges refreshed after every
-	// mutation. Disabled by default; a disabled store pays one nil check
-	// per operation and allocates nothing for instrumentation.
+	// read/write latencies, and gauges of the file's state (CRR/WCRR,
+	// pinned snapshots, overflow frames) that read it when scraped.
+	// Disabled by default; a disabled store pays one nil check per
+	// operation and allocates nothing for instrumentation.
 	Metrics bool
 	// TraceCapacity, when positive, enables operation tracing: the
 	// store keeps the most recent TraceCapacity facade operations, one
@@ -281,9 +282,6 @@ type Store struct {
 	// obs is non-nil only when Options.Metrics was set.
 	obs    *observability
 	tracer *metrics.Tracer
-	// lastIO preserves the final I/O snapshot across Close, so IO()
-	// keeps answering on a closed store.
-	lastIO IOStats
 	// closed is written under both structMu and mu, so holding either
 	// is enough to observe it.
 	closed bool
@@ -344,7 +342,7 @@ func newStore(opts Options, fs *storage.FileStore, st storage.Store, open func(s
 		s.tracer = metrics.NewTracer(opts.TraceCapacity)
 	}
 	if opts.Metrics {
-		s.obs = newObservability(metrics.NewRegistry())
+		s.obs = newObservability(s)
 	}
 	s.reorg = &reorganizer{s: s, maxPages: reorgMaxPages, drop: reorgTriggerDrop}
 	fo := s.fileOptions(opts, st)
@@ -535,14 +533,9 @@ func OpenPath(path string, opts Options) (*Store, error) {
 				return err
 			}
 		}
-		if s.obs != nil {
-			if s.wal != nil {
-				s.obs.reg.Counter("ccam_wal_replayed_batches_total").Add(int64(s.replayedBatches))
-				s.obs.reg.Counter("ccam_wal_replayed_mutations_total").Add(int64(s.replayedMutations))
-			}
-			// Access weights are not persisted: every edge weighs 1 after a
-			// reopen, so WCRR == CRR until the store is rebuilt.
-			s.obs.setGauges(s.m)
+		if s.obs != nil && s.wal != nil {
+			s.obs.reg.CounterFunc("ccam_wal_replayed_batches_total", func() int64 { return int64(s.replayedBatches) })
+			s.obs.reg.CounterFunc("ccam_wal_replayed_mutations_total", func() int64 { return int64(s.replayedMutations) })
 		}
 		// Discard recovery's and replay's I/O so counters start clean.
 		return f.ResetIO()
@@ -593,9 +586,6 @@ func (s *Store) Build(g *Network) error {
 	s.beginAccount(context.Background(), opBuild, &a)
 	err := s.buildLocked(g)
 	s.endAccount(&a, err)
-	if err == nil && s.obs != nil {
-		s.obs.setGauges(s.m)
-	}
 	return err
 }
 
@@ -690,24 +680,20 @@ func (s *Store) Checkpoint() error {
 	return s.persist(f)
 }
 
-// Close flushes (checkpoints, with a WAL) and releases the store. The
-// I/O counters are snapshotted first, so IO() keeps answering
-// afterwards. A poisoned store closes without flushing: its memory
-// state is not trustworthy, and the next OpenPath recovers the last
-// committed state from the log.
+// Close flushes (checkpoints, with a WAL) and releases the store. IO()
+// keeps answering afterwards. A poisoned store closes without
+// flushing: its memory state is not trustworthy, and the next OpenPath
+// recovers the last committed state from the log.
 func (s *Store) Close() error {
 	s.lockExclusive()
 	defer s.unlockExclusive()
 	if s.closed {
 		return nil
 	}
-	if f := s.m.File(); f != nil {
-		if s.failedErr() == nil {
-			if err := s.persist(f); err != nil {
-				return err
-			}
+	if f := s.m.File(); f != nil && s.failedErr() == nil {
+		if err := s.persist(f); err != nil {
+			return err
 		}
-		s.lastIO = f.DataIO()
 	}
 	s.closed = true
 	var firstErr error
@@ -1031,8 +1017,7 @@ func (s *Store) Placement() Placement {
 // Verify checks the store's invariants: the data file's own
 // (netfile.File.Check: page images, free-space map, node and Z-order
 // indexes, successor- and predecessor-lists, PAG summary) and the
-// facade's — every write left its mutation settled, and the ccam_crr
-// and ccam_wcrr gauges read the summary's ratios. A closed, poisoned or
+// facade's — every write left its mutation settled. A closed, poisoned or
 // unbuilt store fails with the error its queries get. Verify holds the
 // writer mutex while it reads every page once; crash drills run it
 // after each recovery.
@@ -1046,14 +1031,7 @@ func (s *Store) Verify() error {
 	if n := f.SettlePAG(); n != 0 {
 		return fmt.Errorf("ccam: verify: %w: %d touched node(s) left unsettled", netfile.ErrInconsistent, n)
 	}
-	if err := f.Check(); err != nil {
-		return err
-	}
-	if st := f.PAG().Stats(); s.obs != nil && (s.obs.crr.Value() != st.CRR() || s.obs.wcrr.Value() != st.WCRR()) {
-		return fmt.Errorf("ccam: verify: %w: the ccam_crr/ccam_wcrr gauges read %v/%v, the PAG summary %v/%v",
-			netfile.ErrInconsistent, s.obs.crr.Value(), s.obs.wcrr.Value(), st.CRR(), st.WCRR())
-	}
-	return nil
+	return f.Check()
 }
 
 // CRR measures the store's Connectivity Residue Ratio against network
@@ -1066,16 +1044,15 @@ func (s *Store) WCRR(g *Network) float64 { return WCRR(g, s.Placement()) }
 
 // IO returns the physical data-page I/O counters. The snapshot is
 // consistent under concurrent readers: every counter is an atomic
-// load, so no field is ever torn mid-increment. On a closed store it
-// returns the last snapshot, taken at Close().
+// load, so no field is ever torn mid-increment. The counters are the
+// file's own, so a poisoned store reports them too, a closed one what
+// its file did up to Close, and an unbuilt one zero.
 func (s *Store) IO() (st IOStats) {
-	s.live(func(f *netfile.File) {
-		if f != nil {
-			st = f.DataIO()
-		} else {
-			st = s.lastIO // zero until Close
-		}
-	})
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if f := s.m.File(); f != nil {
+		st = f.DataIO()
+	}
 	return st
 }
 

@@ -75,8 +75,8 @@ func run(w io.Writer, block int, seed int64, dynamic, showPAG, showPages bool, q
 	fmt.Fprintf(w, "network: %d nodes, %d directed edges\n", g.NumNodes(), g.NumEdges())
 	fmt.Fprintf(w, "file: %d records on %d pages (blocking factor %.2f)\n",
 		store.Len(), store.NumPages(), float64(store.Len())/float64(store.NumPages()))
-	// The registry keeps these gauges current across Build and every
-	// mutation, so there is nothing to recompute here.
+	// The gauges read the file's PAG summary, so there is nothing to
+	// recompute here.
 	reg := store.Metrics()
 	fmt.Fprintf(w, "CRR: %.4f   WCRR: %.4f\n",
 		reg.Gauge("ccam_crr").Value(), reg.Gauge("ccam_wcrr").Value())

@@ -31,25 +31,18 @@ func (r *Registry) WriteTo(w io.Writer) (int64, error) {
 	if r == nil {
 		return 0, nil
 	}
-	r.mu.RLock()
-	defer r.mu.RUnlock()
 	cw := &countingWriter{w: w}
-
-	for _, name := range sortedNames(r.counters) {
-		n := sanitizeName(name)
-		fmt.Fprintf(cw, "# TYPE %s counter\n%s %d\n", n, n, r.counters[name].Value())
+	for _, c := range sorted(r, r.counters) {
+		n := sanitizeName(c.name)
+		fmt.Fprintf(cw, "# TYPE %s counter\n%s %d\n", n, n, c.v.Value())
 	}
-	for _, name := range sortedNames(r.gauges) {
-		n := sanitizeName(name)
-		fmt.Fprintf(cw, "# TYPE %s gauge\n%s %g\n", n, n, r.gauges[name].Value())
+	for _, g := range sorted(r, r.gauges) {
+		n := sanitizeName(g.name)
+		fmt.Fprintf(cw, "# TYPE %s gauge\n%s %g\n", n, n, g.v.Value())
 	}
-	for _, name := range sortedNames(r.funcs) {
-		n := sanitizeName(name)
-		fmt.Fprintf(cw, "# TYPE %s gauge\n%s %g\n", n, n, r.funcs[name]())
-	}
-	for _, name := range sortedNames(r.hists) {
-		n := sanitizeName(name)
-		s := r.hists[name].Snapshot()
+	for _, h := range sorted(r, r.hists) {
+		n := sanitizeName(h.name)
+		s := h.v.Snapshot()
 		fmt.Fprintf(cw, "# TYPE %s histogram\n", n)
 		var cum int64
 		for i, c := range s.Buckets {
@@ -115,20 +108,15 @@ func (r *Registry) exportMap() map[string]any {
 	if r == nil {
 		return m
 	}
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	for name, c := range r.counters {
-		m[name] = c.Value()
+	for _, c := range sorted(r, r.counters) {
+		m[c.name] = c.v.Value()
 	}
-	for name, g := range r.gauges {
-		m[name] = g.Value()
+	for _, g := range sorted(r, r.gauges) {
+		m[g.name] = g.v.Value()
 	}
-	for name, fn := range r.funcs {
-		m[name] = fn()
-	}
-	for name, h := range r.hists {
-		s := h.Snapshot()
-		m[name] = histJSON{
+	for _, h := range sorted(r, r.hists) {
+		s := h.v.Snapshot()
+		m[h.name] = histJSON{
 			Count: s.Count, Sum: s.Sum, Mean: s.Mean(),
 			P50: s.P50(), P95: s.P95(), P99: s.P99(),
 		}

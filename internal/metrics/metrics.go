@@ -25,9 +25,12 @@ import (
 )
 
 // Counter is a monotonically increasing value. The zero value is ready
-// to use; a nil *Counter ignores all updates.
+// to use; a nil *Counter ignores all updates. A func-backed counter
+// (Registry.CounterFunc) reads a count kept elsewhere: Value calls its
+// function, and an Add to it is lost.
 type Counter struct {
-	v atomic.Int64
+	v  atomic.Int64
+	fn func() int64
 }
 
 // Add increments the counter by n. No-op on a nil receiver, and for
@@ -48,13 +51,19 @@ func (c *Counter) Value() int64 {
 	if c == nil {
 		return 0
 	}
+	if c.fn != nil {
+		return c.fn()
+	}
 	return c.v.Load()
 }
 
 // Gauge is an instantaneous float64 value. The zero value is ready to
-// use; a nil *Gauge ignores all updates.
+// use; a nil *Gauge ignores all updates. A func-backed gauge
+// (Registry.GaugeFunc) reads state kept elsewhere: Value calls its
+// function, and a Set on it is lost.
 type Gauge struct {
 	bits atomic.Uint64
+	fn   func() float64
 }
 
 // Set replaces the gauge value. No-op on a nil receiver.
@@ -70,6 +79,9 @@ func (g *Gauge) Value() float64 {
 	if g == nil {
 		return 0
 	}
+	if g.fn != nil {
+		return g.fn()
+	}
 	return math.Float64frombits(g.bits.Load())
 }
 
@@ -84,7 +96,6 @@ type Registry struct {
 	counters map[string]*Counter
 	gauges   map[string]*Gauge
 	hists    map[string]*Histogram
-	funcs    map[string]func() float64
 }
 
 // NewRegistry returns an empty registry.
@@ -93,7 +104,6 @@ func NewRegistry() *Registry {
 		counters: make(map[string]*Counter),
 		gauges:   make(map[string]*Gauge),
 		hists:    make(map[string]*Histogram),
-		funcs:    make(map[string]func() float64),
 	}
 }
 
@@ -103,20 +113,7 @@ func (r *Registry) Counter(name string) *Counter {
 	if r == nil {
 		return nil
 	}
-	r.mu.RLock()
-	c, ok := r.counters[name]
-	r.mu.RUnlock()
-	if ok {
-		return c
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if c, ok = r.counters[name]; ok {
-		return c
-	}
-	c = &Counter{}
-	r.counters[name] = c
-	return c
+	return getOrCreate(r, r.counters, name)
 }
 
 // Gauge returns the gauge registered under name, creating it if
@@ -125,20 +122,7 @@ func (r *Registry) Gauge(name string) *Gauge {
 	if r == nil {
 		return nil
 	}
-	r.mu.RLock()
-	g, ok := r.gauges[name]
-	r.mu.RUnlock()
-	if ok {
-		return g
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if g, ok = r.gauges[name]; ok {
-		return g
-	}
-	g = &Gauge{}
-	r.gauges[name] = g
-	return g
+	return getOrCreate(r, r.gauges, name)
 }
 
 // Histogram returns the histogram registered under name, creating it
@@ -147,41 +131,73 @@ func (r *Registry) Histogram(name string) *Histogram {
 	if r == nil {
 		return nil
 	}
+	return getOrCreate(r, r.hists, name)
+}
+
+// CounterFunc registers under name a counter that reads fn: a count
+// kept elsewhere is exported without a second copy that its hot path
+// must also bump. Value and the exporters call fn, the exporters after
+// releasing the registry's lock, so fn may take locks of its own.
+// Re-registering a name replaces the instrument; one looked up before
+// keeps its old source. No-op on a nil registry or a nil fn.
+func (r *Registry) CounterFunc(name string, fn func() int64) {
+	if r != nil && fn != nil {
+		register(r, r.counters, name, &Counter{fn: fn})
+	}
+}
+
+// GaugeFunc registers under name a gauge that reads fn, the state it
+// reports, whenever it is read — as CounterFunc does for counts. No-op
+// on a nil registry or a nil fn.
+func (r *Registry) GaugeFunc(name string, fn func() float64) {
+	if r != nil && fn != nil {
+		register(r, r.gauges, name, &Gauge{fn: fn})
+	}
+}
+
+// getOrCreate returns the instrument of m registered under name,
+// creating a zero one if needed.
+func getOrCreate[T any](r *Registry, m map[string]*T, name string) *T {
 	r.mu.RLock()
-	h, ok := r.hists[name]
+	v, ok := m[name]
 	r.mu.RUnlock()
 	if ok {
-		return h
+		return v
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if h, ok = r.hists[name]; ok {
-		return h
+	if v, ok = m[name]; ok {
+		return v
 	}
-	h = &Histogram{}
-	r.hists[name] = h
-	return h
+	v = new(T)
+	m[name] = v
+	return v
 }
 
-// GaugeFunc registers fn as a derived gauge: exporters call it at
-// collection time, so an existing atomic counter elsewhere can be
-// exported without double-counting in its hot path. Re-registering a
-// name replaces the function. No-op on a nil registry.
-func (r *Registry) GaugeFunc(name string, fn func() float64) {
-	if r == nil || fn == nil {
-		return
-	}
+// register sets the instrument of m registered under name to v.
+func register[T any](r *Registry, m map[string]*T, name string, v *T) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.funcs[name] = fn
+	m[name] = v
 }
 
-// names returns the sorted names of one instrument map.
-func sortedNames[T any](m map[string]T) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
+// named is one registered instrument and its name.
+type named[T any] struct {
+	name string
+	v    *T
+}
+
+// sorted copies the instruments of m, sorted by name, under the
+// registry's read lock. The caller reads them after the lock is
+// released: a func-backed instrument's source may take locks of its
+// own, and no lock order may link the registry to them.
+func sorted[T any](r *Registry, m map[string]*T) []named[T] {
+	r.mu.RLock()
+	out := make([]named[T], 0, len(m))
+	for k, v := range m {
+		out = append(out, named[T]{k, v})
 	}
-	sort.Strings(out)
+	r.mu.RUnlock()
+	sort.Slice(out, func(i, j int) bool { return out[i].name < out[j].name })
 	return out
 }

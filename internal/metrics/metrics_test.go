@@ -22,6 +22,7 @@ func TestNilRegistryAndInstrumentsAreInert(t *testing.T) {
 	h.Observe(7)
 	h.ObserveSince(time.Now())
 	r.GaugeFunc("f", func() float64 { return 1 })
+	r.CounterFunc("fc", func() int64 { return 1 })
 	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 {
 		t.Fatal("nil instruments reported non-zero values")
 	}
@@ -52,6 +53,69 @@ func TestRegistryReturnsSameInstrument(t *testing.T) {
 	r.Gauge("g").Set(0.25)
 	if got := r.Gauge("g").Value(); got != 0.25 {
 		t.Fatalf("gauge = %g, want 0.25", got)
+	}
+}
+
+// A func-backed counter or gauge is an ordinary instrument of its kind:
+// a lookup by name returns it, its Value reads the source, an update
+// to it is lost, and the exporters render it under its own type.
+func TestFuncBackedInstruments(t *testing.T) {
+	r := NewRegistry()
+	var count int64 = 5
+	level := 0.5
+	r.CounterFunc("src_total", func() int64 { return count })
+	r.GaugeFunc("src_level", func() float64 { return level })
+	c, g := r.Counter("src_total"), r.Gauge("src_level")
+	if c.Value() != 5 || g.Value() != 0.5 {
+		t.Fatalf("func-backed counter/gauge read %d/%g, want 5/0.5", c.Value(), g.Value())
+	}
+	count, level = 7, 0.25
+	c.Add(100)
+	g.Set(9)
+	if c.Value() != 7 || g.Value() != 0.25 || r.Counter("src_total") != c || r.Gauge("src_level") != g {
+		t.Fatalf("after the sources moved: %d/%g, want 7/0.25 from the same instruments", c.Value(), g.Value())
+	}
+	var sb strings.Builder
+	if _, err := r.WriteTo(&sb); err != nil {
+		t.Fatal(err)
+	}
+	const want = "# TYPE src_total counter\nsrc_total 7\n# TYPE src_level gauge\nsrc_level 0.25\n"
+	if sb.String() != want {
+		t.Fatalf("exposition:\n%s\nwant:\n%s", sb.String(), want)
+	}
+	// Re-registering replaces the instrument under the name.
+	r.CounterFunc("src_total", func() int64 { return 1 })
+	if got := r.Counter("src_total").Value(); got != 1 {
+		t.Fatalf("re-registered counter reads %d, want 1", got)
+	}
+}
+
+// The exporters call an instrument's function after releasing the
+// registry's lock, so the function may use the registry itself (or
+// take a lock that is held while instruments are registered).
+func TestFuncsRunOutsideTheRegistryLock(t *testing.T) {
+	r := NewRegistry()
+	r.GaugeFunc("g", func() float64 {
+		r.Counter("made_while_scraping").Inc()
+		return 1
+	})
+	r.CounterFunc("c_total", func() int64 {
+		r.GaugeFunc("also_made_while_scraping", func() float64 { return 2 })
+		return 1
+	})
+	done := make(chan string)
+	go func() {
+		var sb strings.Builder
+		r.WriteTo(&sb)
+		done <- r.String()
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("a scrape whose funcs register instruments did not finish: the registry lock is held across the funcs")
+	}
+	if r.Counter("made_while_scraping").Value() != 2 {
+		t.Fatalf("the gauge's function ran %d times over two scrapes, want 2", r.Counter("made_while_scraping").Value())
 	}
 }
 

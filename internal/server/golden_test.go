@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
 	"ccam/internal/wire"
@@ -137,5 +138,84 @@ func TestRequestsCountedPerOp(t *testing.T) {
 	}
 	if after := perOp(); after != before {
 		t.Fatalf("an unknown op moved the per-op series (%d -> %d)", before, after)
+	}
+}
+
+// ccam_server_requests_total and ccam_server_errors_total are sums: of
+// every op's ccam_server_op_<name>_total (_errors_total) and of the
+// requests whose op code has no row, and Stats reads the same sums.
+// Clients on several connections run beside a scraper rendering the
+// registry (run it under -race).
+func TestServerTotalsAreSums(t *testing.T) {
+	st, g := testStore(t)
+	srv, binAddr, _ := startServer(t, st, Options{})
+	ids := g.NodeIDs()
+	stop := make(chan struct{})
+	var scraper sync.WaitGroup
+	scraper.Add(1)
+	go func() {
+		defer scraper.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				srv.reg.WriteTo(io.Discard)
+				srv.Stats()
+			}
+		}
+	}()
+	const clients, finds = 3, 40
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			bc, err := wire.Dial(binAddr)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			defer bc.Close()
+			for i := 0; i < finds; i++ {
+				if _, err := bc.Find(context.Background(), ids[i%len(ids)]); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+			if _, err := bc.Find(context.Background(), 1<<30); err == nil {
+				t.Error("a find of a missing node succeeded")
+			}
+		}()
+	}
+	wg.Wait()
+	conn := dialRaw(t, binAddr)
+	for i := uint32(1); i <= 2; i++ {
+		if _, err := conn.Write(frame(wire.EncodeRequest(i, wire.Op(0x7f), 0, nil))); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := wire.ReadFrame(conn); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(stop)
+	scraper.Wait()
+
+	var opReqs, opErrs int64
+	for i := range srv.ops {
+		opReqs += srv.ops[i].reqs.Value()
+		opErrs += srv.ops[i].errs.Value()
+	}
+	reqs := srv.reg.Counter("ccam_server_requests_total").Value()
+	errs := srv.reg.Counter("ccam_server_errors_total").Value()
+	const wantReqs, wantErrs = clients*(finds+1) + 2, clients + 2
+	if reqs != wantReqs || errs != wantErrs {
+		t.Fatalf("ccam_server_requests_total = %d, _errors_total = %d, want %d and %d", reqs, errs, wantReqs, wantErrs)
+	}
+	if opReqs != reqs-2 || opErrs != errs-2 {
+		t.Fatalf("per-op series sum to %d requests, %d errors; the totals less the 2 unknown ops are %d, %d", opReqs, opErrs, reqs-2, errs-2)
+	}
+	if s := srv.Stats(); s.Requests != reqs || s.Errors != errs {
+		t.Fatalf("Stats reads %d requests, %d errors; the registry %d, %d", s.Requests, s.Errors, reqs, errs)
 	}
 }

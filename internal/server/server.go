@@ -86,12 +86,10 @@ type Server struct {
 	listenMu  sync.Mutex
 	listeners []net.Listener
 
-	reg      *metrics.Registry
-	requests *metrics.Counter
-	errs     *metrics.Counter
-	sheds    *metrics.Counter
-	slow     *metrics.Counter
-	latency  *metrics.Histogram
+	reg     *metrics.Registry
+	sheds   *metrics.Counter
+	slow    *metrics.Counter
+	latency *metrics.Histogram
 	// inlined counts the binary requests run on their connection's
 	// goroutine, writes the write calls on binary connections: with
 	// requests they say how many replies one write carries.
@@ -99,8 +97,12 @@ type Server struct {
 	writes  *metrics.Counter
 
 	// ops holds the per-operation RED instruments, indexed by wire op
-	// (the JSON endpoints map onto the binary ops one-to-one).
-	ops [wire.NumOps]opInstruments
+	// (the JSON endpoints map onto the binary ops one-to-one); noRow,
+	// registered under no name, counts the requests whose op code has
+	// no row. ccam_server_requests_total and _errors_total are their
+	// sums.
+	ops   [wire.NumOps]opInstruments
+	noRow opInstruments
 
 	// slowLim rate-limits slow-query and shed log lines so an overload
 	// storm cannot flood the log.
@@ -174,8 +176,6 @@ func New(opts Options) *Server {
 	if s.reg == nil {
 		s.reg = metrics.NewRegistry()
 	}
-	s.requests = s.reg.Counter("ccam_server_requests_total")
-	s.errs = s.reg.Counter("ccam_server_errors_total")
 	s.sheds = s.reg.Counter("ccam_server_shed_total")
 	s.slow = s.reg.Counter("ccam_server_slow_total")
 	s.latency = s.reg.Histogram("ccam_server_request_ns")
@@ -189,6 +189,15 @@ func New(opts Options) *Server {
 			latency: s.reg.Histogram(p + "ns"),
 		}
 	}
+	s.noRow = opInstruments{reqs: new(metrics.Counter), errs: new(metrics.Counter)}
+	s.reg.CounterFunc("ccam_server_requests_total", func() int64 {
+		reqs, _ := s.totals()
+		return reqs
+	})
+	s.reg.CounterFunc("ccam_server_errors_total", func() int64 {
+		_, errs := s.totals()
+		return errs
+	})
 	s.reg.GaugeFunc("ccam_server_inflight", func() float64 {
 		return float64(s.inflight.Load())
 	})
@@ -266,13 +275,10 @@ func (s *Server) serve(ctx context.Context, meta reqMeta, deadlineMS uint32, run
 		ctx, cancel = context.WithTimeout(ctx, d)
 		defer cancel()
 	}
-	s.requests.Inc()
 	if meta.inline {
 		s.inlined.Inc()
 	}
-	if int(meta.op) < len(s.ops) {
-		s.ops[meta.op].reqs.Inc()
-	}
+	s.opRow(meta.op).reqs.Inc()
 	start := time.Now()
 	if requestHook != nil {
 		requestHook(ctx)
@@ -292,21 +298,23 @@ func (s *Server) deadline(ms uint32) time.Duration {
 	return d
 }
 
-// end records how a request begun at start ended: the global and per-op
-// instruments, and the slow-query log. An op with no row has no per-op
-// series.
+// opRow returns the instruments of op: its row's, or noRow.
+func (s *Server) opRow(op wire.Op) *opInstruments {
+	if int(op) < len(s.ops) {
+		return &s.ops[op]
+	}
+	return &s.noRow
+}
+
+// end records how a request begun at start ended: the global latency,
+// the op's instruments, and the slow-query log.
 func (s *Server) end(meta reqMeta, start time.Time, err error) {
 	dur := time.Since(start)
 	s.latency.Observe(dur.Nanoseconds())
+	oi := s.opRow(meta.op)
+	oi.latency.Observe(dur.Nanoseconds())
 	if err != nil {
-		s.errs.Inc()
-	}
-	if int(meta.op) < len(s.ops) {
-		oi := &s.ops[meta.op]
-		oi.latency.Observe(dur.Nanoseconds())
-		if err != nil {
-			oi.errs.Inc()
-		}
+		oi.errs.Inc()
 	}
 	if s.slowQuery > 0 && dur >= s.slowQuery {
 		s.slow.Inc()
@@ -392,12 +400,23 @@ type Stats struct {
 
 // Stats snapshots the server instruments.
 func (s *Server) Stats() Stats {
+	reqs, errs := s.totals()
 	return Stats{
-		Requests: s.requests.Value(),
-		Errors:   s.errs.Value(),
+		Requests: reqs,
+		Errors:   errs,
 		Sheds:    s.sheds.Value(),
 		Latency:  s.latency.Snapshot(),
 	}
+}
+
+// totals sums the requests and errors of every op, with a row or none.
+func (s *Server) totals() (reqs, errs int64) {
+	reqs, errs = s.noRow.reqs.Value(), s.noRow.errs.Value()
+	for i := range s.ops {
+		reqs += s.ops[i].reqs.Value()
+		errs += s.ops[i].errs.Value()
+	}
+	return reqs, errs
 }
 
 // track registers a live binary connection; untrack removes it.

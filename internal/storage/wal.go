@@ -203,13 +203,11 @@ type WALRecord struct {
 }
 
 // WALInstrumentation carries the metric hooks the facade wires in. Any
-// field may be nil.
+// field may be nil. The log's counts (FsyncStats, Appends,
+// BytesAppended, Checkpoints) are kept whether or not it is
+// instrumented; a registry reads them from there.
 type WALInstrumentation struct {
-	Fsyncs      *metrics.Counter   // fsyncs issued on the log
-	GroupSize   *metrics.Histogram // commits acknowledged per fsync
-	Appends     *metrics.Counter   // records appended
-	Bytes       *metrics.Counter   // bytes appended
-	Checkpoints *metrics.Counter   // checkpoint-end records appended
+	GroupSize *metrics.Histogram // commits acknowledged per fsync
 }
 
 type walSegment struct {
@@ -255,9 +253,12 @@ type WAL struct {
 	// sinceCheckpoint counts the bytes appended since the last
 	// checkpoint-end record (the checkpoint's own records excluded):
 	// the log recovery replays. checkpoints counts the checkpoint-end
-	// records appended since the log was opened.
+	// records appended since the log was opened, appends and bytes every
+	// record and its bytes; Reset zeroes none of the three.
 	sinceCheckpoint atomic.Int64
 	checkpoints     atomic.Int64
+	appends         atomic.Int64
+	bytes           atomic.Int64
 
 	syncNanos atomic.Int64 // EWMA of fsync duration, for group formation
 	prevGroup atomic.Int64 // size of the last acknowledged commit group
@@ -385,6 +386,13 @@ func (w *WAL) BytesSinceCheckpoint() int64 { return w.sinceCheckpoint.Load() }
 // records) appended since the log was created or opened.
 func (w *WAL) Checkpoints() int64 { return w.checkpoints.Load() }
 
+// Appends returns the number of records appended since the log was
+// created or opened.
+func (w *WAL) Appends() int64 { return w.appends.Load() }
+
+// BytesAppended returns the bytes of those records, framing included.
+func (w *WAL) BytesAppended() int64 { return w.bytes.Load() }
+
 // FsyncStats returns the number of fsyncs the log has issued and the
 // number of commits those fsyncs acknowledged (their ratio is the mean
 // group-commit size). Always counted, independent of any attached
@@ -440,24 +448,14 @@ func (w *WAL) AppendWith(t WALRecordType, n int, encode func(payload []byte)) (u
 	w.off += recLen
 	w.nextLSN++
 	w.appended.Store(lsn)
-	in := w.inst.Load()
 	if t == WALRecCheckpointEnd {
 		w.sinceCheckpoint.Store(0)
 		w.checkpoints.Add(1)
-		if in != nil && in.Checkpoints != nil {
-			in.Checkpoints.Inc()
-		}
 	} else {
 		w.sinceCheckpoint.Add(recLen)
 	}
-	if in != nil {
-		if in.Appends != nil {
-			in.Appends.Inc()
-		}
-		if in.Bytes != nil {
-			in.Bytes.Add(recLen)
-		}
-	}
+	w.appends.Add(1)
+	w.bytes.Add(recLen)
 	return lsn, nil
 }
 
@@ -646,13 +644,8 @@ func (w *WAL) leaderSync(group int64) error {
 		w.grouped.Add(group)
 		w.prevGroup.Store(group)
 	}
-	if in := w.inst.Load(); in != nil {
-		if in.Fsyncs != nil {
-			in.Fsyncs.Inc()
-		}
-		if in.GroupSize != nil && group > 0 {
-			in.GroupSize.Observe(group)
-		}
+	if in := w.inst.Load(); in != nil && group > 0 {
+		in.GroupSize.Observe(group)
 	}
 	return nil
 }

@@ -46,18 +46,18 @@ func TraceIDFrom(ctx context.Context) uint64 {
 }
 
 // opMetrics holds the pre-created instruments of one facade operation,
-// so the instrumented path performs no name lookups.
+// so the instrumented path performs no name lookups. The operation's
+// count, ccam_op_<name>_total, is the latency histogram's.
 type opMetrics struct {
-	count, errs           *metrics.Counter
+	errs                  *metrics.Counter
 	latency               *metrics.Histogram
 	dataReads, dataWrites *metrics.Counter
 	idxPages, hits        *metrics.Counter
 }
 
-// charge books one finished operation: its count, its outcome, its
-// latency and what it cost.
+// charge books one finished operation: its outcome, its latency and
+// what it cost.
 func (om *opMetrics) charge(cost metrics.Cost, dur time.Duration, err error) {
-	om.count.Inc()
 	if err != nil {
 		om.errs.Inc()
 	}
@@ -70,8 +70,7 @@ func (om *opMetrics) charge(cost metrics.Cost, dur time.Duration, err error) {
 
 func newOpMetrics(reg *metrics.Registry, name string) *opMetrics {
 	p := "ccam_op_" + name + "_"
-	return &opMetrics{
-		count:      reg.Counter(p + "total"),
+	om := &opMetrics{
 		errs:       reg.Counter(p + "errors_total"),
 		latency:    reg.Histogram(p + "ns"),
 		dataReads:  reg.Counter(p + "data_reads_total"),
@@ -79,6 +78,8 @@ func newOpMetrics(reg *metrics.Registry, name string) *opMetrics {
 		idxPages:   reg.Counter(p + "index_pages_total"),
 		hits:       reg.Counter(p + "buffer_hits_total"),
 	}
+	reg.CounterFunc(p+"total", om.latency.Count)
+	return om
 }
 
 // opKind names a facade operation that has its own instruments.
@@ -150,34 +151,15 @@ var mutationOps = [...]opKind{
 // when metrics are enabled; the facade branches on the nil pointer
 // where an operation's account is begun and ended (Store.beginAccount,
 // Store.endAccount), so a disabled store pays one predictable branch
-// and nothing else.
+// and nothing else. It holds only the instruments that are the one
+// home of their value; every series that restates state kept elsewhere
+// reads it when scraped (newObservability, instrumentWAL).
 type observability struct {
 	reg *metrics.Registry
 
-	// crr and wcrr publish the running sums of the file's PAG summary
-	// (netfile/pag.go) after every build, open and committed batch.
-	crr, wcrr *metrics.Gauge
-
-	// snapLag is the distance between the newest committed LSN and the
-	// oldest pinned snapshot (0 with no readers pinned); snapsActive is
-	// the live snapshot count, both read from the pool's reader slots and
-	// overflow list without stopping a reader; overlayDepth is the number of committed
-	// batch deltas that pinned snapshots hold above the version floor —
-	// each one a map a node-index lookup probes before the table, the
-	// writer's lookups included. Every commit folds the rest in place, so
-	// it is 0 after a commit made with nothing pinned.
-	// overflowFrames counts the buffer frames no-steal holds above the
-	// pool's capacity until the next checkpoint.
 	// reorgRounds/reorgPages count the reorganization rounds Poke ran
 	// that committed a re-clustering, and the pages those rewrote.
-	snapLag, snapsActive, overlayDepth *metrics.Gauge
-	overflowFrames                     *metrics.Gauge
-	reorgRounds, reorgPages            *metrics.Counter
-	// reorgMoved/reorgKept follow the access method's own counts of what
-	// every reorganization — write-path policy or Poke round —
-	// did: records that changed page, and reorganizations that moved
-	// none.
-	reorgMoved, reorgKept *metrics.Counter
+	reorgRounds, reorgPages *metrics.Counter
 
 	// walCommitWait observes, per committed batch, the time the
 	// committing request waited for its WAL commit record to become
@@ -188,42 +170,81 @@ type observability struct {
 	ops [numOps]*opMetrics
 }
 
-func newObservability(reg *metrics.Registry) *observability {
+// newObservability creates s's registry and instruments. The gauges of
+// the file's state read it through Store.live when scraped, so a
+// closed, poisoned or unbuilt store reports 0, as Len does:
+//   - ccam_crr and ccam_wcrr, the PAG summary's ratios (after a reopen
+//     every edge weighs 1, so WCRR == CRR until the store is rebuilt);
+//   - ccam_snapshot_lag, the distance between the newest committed LSN
+//     and the oldest pinned snapshot (the page-version retention window,
+//     0 with no reader pinned), and ccam_snapshots_active, the pinned
+//     snapshots, both read from the pool's reader slots;
+//   - ccam_overlay_depth, the committed batch deltas pinned snapshots
+//     hold above the version floor, each one a map a node-index lookup
+//     probes before the table (0 after a commit made with nothing
+//     pinned);
+//   - ccam_buffer_overflow_frames, the frames no-steal holds above the
+//     pool's capacity until the next checkpoint.
+//
+// The reorganization counters read the access method's own counts of
+// what every reorganization — write-path policy or Poke round — did,
+// under the writer mutex whatever the store's health, so they never go
+// back: records that changed page, and reorganizations that moved none.
+func newObservability(s *Store) *observability {
+	reg := metrics.NewRegistry()
 	o := &observability{
-		reg: reg,
-
-		crr:  reg.Gauge("ccam_crr"),
-		wcrr: reg.Gauge("ccam_wcrr"),
-
-		snapLag:        reg.Gauge("ccam_snapshot_lag"),
-		snapsActive:    reg.Gauge("ccam_snapshots_active"),
-		overlayDepth:   reg.Gauge("ccam_overlay_depth"),
-		overflowFrames: reg.Gauge("ccam_buffer_overflow_frames"),
-		reorgRounds:    reg.Counter("ccam_reorg_rounds_total"),
-		reorgPages:     reg.Counter("ccam_reorg_pages_total"),
-		reorgMoved:     reg.Counter("ccam_reorg_records_moved_total"),
-		reorgKept:      reg.Counter("ccam_reorg_kept_total"),
-
+		reg:           reg,
+		reorgRounds:   reg.Counter("ccam_reorg_rounds_total"),
+		reorgPages:    reg.Counter("ccam_reorg_pages_total"),
 		walCommitWait: reg.Histogram("ccam_wal_commit_wait_ns"),
 	}
 	for op := opNone + 1; op < numOps; op++ {
 		o.ops[op] = newOpMetrics(reg, opNames[op])
 	}
+	fileGauge := func(name string, read func(f *netfile.File) float64) {
+		reg.GaugeFunc(name, func() (v float64) {
+			s.live(func(f *netfile.File) {
+				if f != nil {
+					v = read(f)
+				}
+			})
+			return v
+		})
+	}
+	fileGauge("ccam_crr", func(f *netfile.File) float64 { return f.PAG().Stats().CRR() })
+	fileGauge("ccam_wcrr", func(f *netfile.File) float64 { return f.PAG().Stats().WCRR() })
+	fileGauge("ccam_snapshot_lag", func(f *netfile.File) float64 {
+		p := f.Pool()
+		return float64(p.CommittedLSN() - p.VersionFloor())
+	})
+	fileGauge("ccam_snapshots_active", func(f *netfile.File) float64 { return float64(f.Pool().ActiveSnapshots()) })
+	fileGauge("ccam_overlay_depth", func(f *netfile.File) float64 { return float64(f.OverlayDepth()) })
+	fileGauge("ccam_buffer_overflow_frames", func(f *netfile.File) float64 { return float64(f.Pool().OverflowFrames()) })
+	reorgCounter := func(name string, read func(iccam.ReorgStats) int64) {
+		reg.CounterFunc(name, func() int64 {
+			s.mu.Lock()
+			defer s.mu.Unlock()
+			return read(s.m.ReorgStats())
+		})
+	}
+	reorgCounter("ccam_reorg_records_moved_total", func(rs iccam.ReorgStats) int64 { return rs.RecordsMoved })
+	reorgCounter("ccam_reorg_kept_total", func(rs iccam.ReorgStats) int64 { return rs.Kept })
 	return o
 }
 
-// instrumentWAL wires the metric hooks into the store's write-ahead
-// log: fsync count, commits acknowledged per fsync (the group-commit
-// coalescing factor), appended records and bytes, checkpoints, and the
-// bytes logged since the last checkpoint.
+// instrumentWAL exports the store's write-ahead log: fsyncs, appended
+// records and bytes, checkpoints and the bytes logged since the last
+// one read the log's own counts, and the log observes the commits
+// acknowledged per fsync (the group-commit coalescing factor).
 func (o *observability) instrumentWAL(w *storage.WAL) {
-	w.Instrument(storage.WALInstrumentation{
-		Fsyncs:      o.reg.Counter("ccam_wal_fsyncs_total"),
-		GroupSize:   o.reg.Histogram("ccam_wal_group_size"),
-		Appends:     o.reg.Counter("ccam_wal_appends_total"),
-		Bytes:       o.reg.Counter("ccam_wal_bytes_total"),
-		Checkpoints: o.reg.Counter("ccam_wal_checkpoints_total"),
+	w.Instrument(storage.WALInstrumentation{GroupSize: o.reg.Histogram("ccam_wal_group_size")})
+	o.reg.CounterFunc("ccam_wal_fsyncs_total", func() int64 {
+		n, _ := w.FsyncStats()
+		return n
 	})
+	o.reg.CounterFunc("ccam_wal_appends_total", w.Appends)
+	o.reg.CounterFunc("ccam_wal_bytes_total", w.BytesAppended)
+	o.reg.CounterFunc("ccam_wal_checkpoints_total", w.Checkpoints)
 	o.reg.GaugeFunc("ccam_wal_bytes_since_checkpoint", func() float64 {
 		return float64(w.BytesSinceCheckpoint())
 	})
@@ -285,31 +306,6 @@ func (s *Store) endAccount(a *opAccount, err error) {
 		})
 	}
 	a.op = opNone
-}
-
-// setGauges publishes what a committed change can move: CRR/WCRR from
-// the PAG summary's running sums; the version layer's health — how far
-// the oldest pinned snapshot lags the newest commit (the page-version
-// retention window), how many snapshots are pinned and how deep the
-// node index's delta list has grown; and the buffer frames no-steal
-// holds above the pool's capacity. It also brings the reorganization
-// counters up to the access method's own. O(1) but for the frame
-// count, which is O(shards), and the two pin gauges, which scan the
-// reader slots ever claimed. Caller holds the writer mutex, so no
-// commit moves the LSN between the lag's two reads.
-func (o *observability) setGauges(m *iccam.Method) {
-	f := m.File()
-	rs := m.ReorgStats()
-	o.reorgMoved.Add(rs.RecordsMoved - o.reorgMoved.Value())
-	o.reorgKept.Add(rs.Kept - o.reorgKept.Value())
-	st := f.PAG().Stats()
-	o.crr.Set(st.CRR())
-	o.wcrr.Set(st.WCRR())
-	p := f.Pool()
-	o.snapLag.Set(float64(p.CommittedLSN() - p.VersionFloor()))
-	o.snapsActive.Set(float64(p.ActiveSnapshots()))
-	o.overlayDepth.Set(float64(f.OverlayDepth()))
-	o.overflowFrames.Set(float64(p.OverflowFrames()))
 }
 
 // --- public accessors ---
