@@ -1042,11 +1042,15 @@ func (s *Store) CRR(g *Network) float64 { return CRR(g, s.Placement()) }
 // against network g.
 func (s *Store) WCRR(g *Network) float64 { return WCRR(g, s.Placement()) }
 
-// IO returns the physical data-page I/O counters. The snapshot is
-// consistent under concurrent readers: every counter is an atomic
+// IO returns the physical data-page I/O counters: the page reads,
+// writes, allocations and frees the file's buffer pool made against the
+// page store, each counted once by the pool — a read when issued,
+// failed ones included, so Reads equals the pool's misses. The snapshot
+// is consistent under concurrent readers: every counter is an atomic
 // load, so no field is ever torn mid-increment. The counters are the
 // file's own, so a poisoned store reports them too, a closed one what
-// its file did up to Close, and an unbuilt one zero.
+// its file did up to Close, and an unbuilt one zero; a Build starts a
+// new file, and ResetIO zeroes them.
 func (s *Store) IO() (st IOStats) {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -407,8 +407,7 @@ func (t *Tree) Delete(k uint64) error {
 		old := t.root
 		t.root = intChild(b, -1)
 		t.pool.Unpin(old, false)
-		t.pool.Discard(old)
-		if err := t.pool.Store().Free(old); err != nil {
+		if err := t.pool.Free(old); err != nil {
 			return fmt.Errorf("btree: free old root: %w", err)
 		}
 		t.height--
@@ -505,8 +504,7 @@ func (t *Tree) rebalanceChild(b []byte, ci, level int) error {
 			setNext(lb, next(rb))
 			t.pool.Unpin(leftID, true)
 			t.pool.Unpin(rightID, false)
-			t.pool.Discard(rightID)
-			if err := t.pool.Store().Free(rightID); err != nil {
+			if err := t.pool.Free(rightID); err != nil {
 				return fmt.Errorf("btree: free merged leaf: %w", err)
 			}
 			removeIntEntry(b, sepIdx)
@@ -536,8 +534,7 @@ func (t *Tree) rebalanceChild(b []byte, ci, level int) error {
 			setCount(lb, ln+1+rn)
 			t.pool.Unpin(leftID, true)
 			t.pool.Unpin(rightID, false)
-			t.pool.Discard(rightID)
-			if err := t.pool.Store().Free(rightID); err != nil {
+			if err := t.pool.Free(rightID); err != nil {
 				return fmt.Errorf("btree: free merged internal: %w", err)
 			}
 			removeIntEntry(b, sepIdx)

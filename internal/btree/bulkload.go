@@ -113,8 +113,7 @@ func (t *Tree) BulkLoad(entries []Entry) error {
 
 	// Retire the empty seed root and install the built tree.
 	old := t.root
-	t.pool.Discard(old)
-	if err := t.pool.Store().Free(old); err != nil {
+	if err := t.pool.Free(old); err != nil {
 		return fmt.Errorf("btree: free seed root: %w", err)
 	}
 	t.root = children[0]

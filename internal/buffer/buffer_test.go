@@ -29,8 +29,7 @@ func newPoolWithPages(t *testing.T, capacity, pages int) (*Pool, []storage.PageI
 		}
 		ids[i] = id
 	}
-	st.ResetStats()
-	return NewPool(st, capacity), ids
+	return NewPool(&countingStore{Store: st}, capacity), ids
 }
 
 func TestFetchHitMiss(t *testing.T) {
@@ -52,8 +51,8 @@ func TestFetchHitMiss(t *testing.T) {
 	if st.Fetches != 2 || st.Hits != 1 || st.Misses != 1 {
 		t.Fatalf("stats = %+v", st)
 	}
-	if p.Store().Stats().Reads != 1 {
-		t.Fatalf("physical reads = %d, want 1", p.Store().Stats().Reads)
+	if r, io := p.Store().(*countingStore).reads.Load(), p.IO(); r != 1 || io.Reads != 1 {
+		t.Fatalf("physical reads = %d, pool counted %d, want 1", r, io.Reads)
 	}
 }
 
@@ -162,8 +161,8 @@ func TestFetchNewAndDiscard(t *testing.T) {
 		t.Fatal("discarded page still buffered")
 	}
 	// FetchNew costs no physical read.
-	if p.Store().Stats().Reads != 1 { // only our verification read
-		t.Fatalf("reads = %d", p.Store().Stats().Reads)
+	if r := p.IO().Reads; r != 0 {
+		t.Fatalf("reads = %d", r)
 	}
 }
 
@@ -218,7 +217,7 @@ func TestFetchNewDisplacesStaleResidentPage(t *testing.T) {
 	if !p.Contains(x) {
 		t.Fatal("live page unpublished by the stale frame's eviction")
 	}
-	reads := st.Stats().Reads
+	reads := p.IO().Reads
 	b, err = p.Fetch(x)
 	if err != nil {
 		t.Fatal(err)
@@ -227,7 +226,7 @@ func TestFetchNewDisplacesStaleResidentPage(t *testing.T) {
 	if b[0] != 0xEE {
 		t.Fatalf("page %d content = %#x, want 0xEE (stale frame shadowed the live one)", x, b[0])
 	}
-	if st.Stats().Reads != reads {
+	if p.IO().Reads != reads {
 		t.Fatal("fetch of the live page cost a physical read")
 	}
 }
@@ -462,7 +461,8 @@ func TestAccountCountsPoolAnswers(t *testing.T) {
 		t.Fatal(err)
 	}
 	p.Unpin(ids[1], false)
-	before := p.Store().Stats().Writes
+	st := p.Store().(*countingStore)
+	before := st.writes.Load()
 	var evictor metrics.Account
 	for _, id := range ids[2:] { // two misses: one of them finds the dirty frame
 		if _, err := p.FetchTraced(id, &evictor); err != nil {
@@ -473,7 +473,7 @@ func TestAccountCountsPoolAnswers(t *testing.T) {
 	if want := (metrics.Cost{Misses: 2, Writes: 1}); evictor.Cost != want {
 		t.Fatalf("evicting fetches counted %+v, want %+v", evictor.Cost, want)
 	}
-	if got := p.Store().Stats().Writes - before; got != 1 {
+	if got := st.writes.Load() - before; got != 1 {
 		t.Fatalf("store saw %d writes, the account 1", got)
 	}
 	if want := (metrics.Cost{Hits: 1, Misses: 1}); other.Cost != want {
@@ -534,8 +534,7 @@ func TestResetRefusesPinnedPages(t *testing.T) {
 // latency so misses genuinely overlap. Every fetch must observe the
 // correct page image. Run with -race.
 func TestConcurrentFetch(t *testing.T) {
-	st := storage.NewMemStore(128)
-	st.SetReadLatency(50 * time.Microsecond)
+	st := &countingStore{Store: storage.NewMemStore(128), readLatency: 50 * time.Microsecond}
 	var ids []storage.PageID
 	for i := 0; i < 40; i++ {
 		id, err := st.Allocate()
@@ -591,18 +590,17 @@ func TestConcurrentFetch(t *testing.T) {
 // same cold page coalesce onto one physical read: the waiters block on
 // the in-flight read instead of issuing their own.
 func TestConcurrentFetchSingleFlight(t *testing.T) {
-	st := storage.NewMemStore(128)
-	st.SetReadLatency(2 * time.Millisecond)
-	id, err := st.Allocate()
+	inner := storage.NewMemStore(128)
+	id, err := inner.Allocate()
 	if err != nil {
 		t.Fatal(err)
 	}
 	buf := make([]byte, 128)
 	buf[0] = 0xCD
-	if err := st.WritePage(id, buf); err != nil {
+	if err := inner.WritePage(id, buf); err != nil {
 		t.Fatal(err)
 	}
-	st.ResetStats()
+	st := &countingStore{Store: inner, readLatency: 2 * time.Millisecond}
 	p := NewPool(st, 4)
 	var wg sync.WaitGroup
 	errCh := make(chan error, 8)
@@ -626,7 +624,7 @@ func TestConcurrentFetchSingleFlight(t *testing.T) {
 	for err := range errCh {
 		t.Fatal(err)
 	}
-	if r := st.Stats().Reads; r != 1 {
+	if r := st.reads.Load(); r != 1 {
 		t.Fatalf("physical reads = %d, want 1 (single-flight)", r)
 	}
 	if s := p.Stats(); s.Misses != 1 || s.Hits != 7 {

@@ -142,7 +142,7 @@ func TestTracerRingAndSpans(t *testing.T) {
 	for i := 0; i < 6; i++ {
 		at := new(Account)
 		at.Begin(tr, "op", 0)
-		tok := at.BeginSpan("step")
+		tok := at.BeginSpan("step", nil)
 		tok.End()
 		at.Finish(nil)
 	}
@@ -169,15 +169,43 @@ func TestNilTracerIsInert(t *testing.T) {
 	var tr *Tracer
 	at := new(Account)
 	at.Begin(tr, "op", 0)
-	tok := at.BeginSpan("s")
+	tok := at.BeginSpan("s", nil)
 	tok.End()
 	at.Finish(nil)
 	// An operation charged to nobody counts into a nil account.
 	var none *Account
-	none.BeginSpan("s").End()
+	none.BeginSpan("s", nil).End()
 	none.Finish(nil)
 	if got := tr.Recent(5); got != nil {
 		t.Fatalf("nil tracer Recent = %v", got)
+	}
+}
+
+// A span handed a histogram observes into it the interval the span
+// records, from the same clock reads — on an account no tracer records
+// too, and past the span cap.
+func TestSpanObservesHistogram(t *testing.T) {
+	h := new(Histogram)
+	tr := NewTracer(1)
+	at := new(Account)
+	at.Begin(tr, "op", 0)
+	tok := at.BeginSpan("storage.read", h)
+	time.Sleep(time.Millisecond)
+	tok.End()
+	at.Finish(nil)
+	sp := tr.Recent(1)[0].Spans
+	if snap := h.Snapshot(); len(sp) != 1 || snap.Count != 1 || snap.Sum != int64(sp[0].Dur) || sp[0].Dur < time.Millisecond {
+		t.Fatalf("span %+v, histogram count=%d sum=%d: want one observation of the span's duration", sp, snap.Count, snap.Sum)
+	}
+	var none *Account
+	none.BeginSpan("storage.read", h).End()
+	wide := new(Account)
+	wide.Begin(tr, "wide", 0)
+	for i := 0; i < maxSpans+1; i++ {
+		wide.BeginSpan("s", h).End()
+	}
+	if n := h.Count(); n != 1+1+maxSpans+1 {
+		t.Fatalf("histogram count = %d, want %d", n, 1+1+maxSpans+1)
 	}
 }
 
@@ -186,7 +214,7 @@ func TestTracerSpanCap(t *testing.T) {
 	at := new(Account)
 	at.Begin(tr, "wide", 0)
 	for i := 0; i < maxSpans+5; i++ {
-		at.BeginSpan("s").End()
+		at.BeginSpan("s", nil).End()
 	}
 	at.Finish(nil)
 	got := tr.Recent(1)[0]
@@ -206,7 +234,7 @@ func TestTracedOpAllocatesOnce(t *testing.T) {
 		at := new(Account)
 		at.Begin(tr, "find", 0)
 		for i := 0; i < inlineSpans; i++ {
-			at.BeginSpan("buffer.fetch").End()
+			at.BeginSpan("buffer.fetch", nil).End()
 		}
 		at.Finish(nil)
 	}
@@ -220,7 +248,7 @@ func TestTracedOpAllocatesOnce(t *testing.T) {
 	kept := tr.Recent(1)
 	at := new(Account)
 	at.Begin(tr, "route", 0)
-	at.BeginSpan("storage.read").End()
+	at.BeginSpan("storage.read", nil).End()
 	for i := 0; i < tr.Capacity(); i++ {
 		at.Finish(nil)
 	}

@@ -301,35 +301,49 @@ func (a *Account) Begin(t *Tracer, op string, traceID uint64) {
 }
 
 // SpanToken marks an open span; close it with End. The zero token
-// (from an account that keeps no spans) is valid and inert.
+// (from an account that keeps no spans, with no histogram) is valid
+// and inert.
 type SpanToken struct {
 	span  *Span
+	hist  *Histogram
 	start time.Duration
 }
 
-// BeginSpan opens a named span. On an account no tracer will record it
-// returns an inert token without reading the clock; beyond maxSpans it
-// counts the span as dropped and returns one.
-func (a *Account) BeginSpan(name string) SpanToken {
-	if a == nil || a.tracer == nil {
+// BeginSpan opens a named span whose duration End also observes into
+// h (nil: none), so the span and the histogram time the same interval
+// from the same two clock reads. With neither a tracer to record the
+// span nor a histogram it returns an inert token without reading the
+// clock; beyond maxSpans it counts the span as dropped and times it
+// for h alone.
+func (a *Account) BeginSpan(name string, h *Histogram) SpanToken {
+	traced := a != nil && a.tracer != nil
+	if !traced && h == nil {
 		return SpanToken{}
+	}
+	tok := SpanToken{hist: h, start: now()}
+	if !traced {
+		return tok
 	}
 	if a.nspans == maxSpans {
 		a.dropped++
-		return SpanToken{}
+		return tok
 	}
-	start := now()
-	sp := &a.spans[a.nspans]
-	*sp = Span{Name: name, Offset: start - a.start}
+	tok.span = &a.spans[a.nspans]
+	*tok.span = Span{Name: name, Offset: tok.start - a.start}
 	a.nspans++
-	return SpanToken{span: sp, start: start}
+	return tok
 }
 
 // End closes the span. No-op on an inert token.
 func (s SpanToken) End() {
-	if s.span != nil {
-		s.span.Dur = now() - s.start
+	if s.span == nil && s.hist == nil {
+		return
 	}
+	d := now() - s.start
+	if s.span != nil {
+		s.span.Dur = d
+	}
+	s.hist.Observe(int64(d))
 }
 
 // Finish stops the clock and returns the operation's duration; with a

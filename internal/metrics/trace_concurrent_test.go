@@ -32,7 +32,7 @@ func TestTracerConcurrentWraparound(t *testing.T) {
 				at := new(Account)
 				at.Begin(tr, op, 0)
 				for s := 0; s < spansPer; s++ {
-					sp := at.BeginSpan("step")
+					sp := at.BeginSpan("step", nil)
 					sp.End()
 				}
 				// Readers race the writers on purpose.

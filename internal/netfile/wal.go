@@ -256,7 +256,7 @@ func (f *File) Checkpoint() error {
 	// point only has to complete before the NEXT checkpoint prunes
 	// this one — recovery can always restore from the log alone.
 	for _, pid := range f.pendingFree {
-		if err := f.dataStore.Free(pid); err != nil {
+		if err := f.pool.Free(pid); err != nil {
 			return fmt.Errorf("netfile: checkpoint free page %d: %w", pid, err)
 		}
 	}

@@ -5,9 +5,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"sync"
-	"sync/atomic"
-
-	"ccam/internal/metrics"
 )
 
 // Checksum trailer layout, in the last ChecksumTrailerLen bytes of
@@ -46,7 +43,6 @@ type CheckedStore struct {
 	pageSize int
 	scratch  sync.Pool // one physical page
 	runs     sync.Pool // *[]byte: WritePages' physical run
-	failures atomic.Pointer[metrics.Counter]
 }
 
 // NewCheckedStore wraps inner, whose page size must exceed the
@@ -107,21 +103,6 @@ func (c *CheckedStore) Inner() Store { return c.inner }
 // PageSize implements Store: the logical payload size per page.
 func (c *CheckedStore) PageSize() int { return c.pageSize }
 
-// InstrumentChecksums implements ChecksumInstrumentable: subsequent
-// verification failures increment counter (typically
-// ccam_storage_checksum_failures_total).
-func (c *CheckedStore) InstrumentChecksums(counter *metrics.Counter) {
-	c.failures.Store(counter)
-}
-
-// Instrument implements Instrumentable by delegating to the inner
-// store when it supports latency instrumentation.
-func (c *CheckedStore) Instrument(in IOInstrumentation) {
-	if i, ok := c.inner.(Instrumentable); ok {
-		i.Instrument(in)
-	}
-}
-
 // pageCRC computes the trailer checksum of a payload destined for page
 // id.
 func pageCRC(payload []byte, id PageID) uint32 {
@@ -136,7 +117,7 @@ func (c *CheckedStore) Allocate() (PageID, error) { return c.inner.Allocate() }
 
 // ReadPage implements Store: a physical read followed by checksum
 // verification. Mismatches return ErrChecksum wrapped with the page
-// id and increment the failure counter.
+// id.
 func (c *CheckedStore) ReadPage(id PageID, buf []byte) error {
 	if len(buf) != c.pageSize {
 		return ErrSizeMismatch
@@ -152,7 +133,6 @@ func (c *CheckedStore) ReadPage(id PageID, buf []byte) error {
 		// the stores hand out zeroed.
 		for _, b := range raw {
 			if b != 0 {
-				c.failures.Load().Inc()
 				return fmt.Errorf("%w: page %d has no checksum trailer", ErrChecksum, id)
 			}
 		}
@@ -161,7 +141,6 @@ func (c *CheckedStore) ReadPage(id PageID, buf []byte) error {
 	}
 	want := binary.LittleEndian.Uint32(trailer[0:4])
 	if got := pageCRC(raw[:c.pageSize], id); got != want {
-		c.failures.Load().Inc()
 		return fmt.Errorf("%w: page %d (stored %#x, computed %#x)", ErrChecksum, id, want, got)
 	}
 	copy(buf, raw[:c.pageSize])
@@ -222,18 +201,7 @@ func (c *CheckedStore) NumPages() int { return c.inner.NumPages() }
 // PageIDs implements Store.
 func (c *CheckedStore) PageIDs() []PageID { return c.inner.PageIDs() }
 
-// Stats implements Store: physical transfers are counted by the inner
-// store.
-func (c *CheckedStore) Stats() Stats { return c.inner.Stats() }
-
-// ResetStats implements Store.
-func (c *CheckedStore) ResetStats() { c.inner.ResetStats() }
-
 // Close implements Store.
 func (c *CheckedStore) Close() error { return c.inner.Close() }
 
-var (
-	_ Store                  = (*CheckedStore)(nil)
-	_ ChecksumInstrumentable = (*CheckedStore)(nil)
-	_ Instrumentable         = (*CheckedStore)(nil)
-)
+var _ Store = (*CheckedStore)(nil)

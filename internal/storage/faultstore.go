@@ -5,8 +5,6 @@ import (
 	"math/rand"
 	"sync"
 	"sync/atomic"
-
-	"ccam/internal/metrics"
 )
 
 // FaultOp selects which store operation a fault rule applies to.
@@ -99,10 +97,8 @@ type FaultStore struct {
 	mu    sync.Mutex
 	rng   *rand.Rand
 	rules []*Fault
-	// injected counts triggered faults; the optional metrics counter
-	// mirrors it when instrumented.
+	// injected counts triggered faults.
 	injected atomic.Int64
-	counter  atomic.Pointer[metrics.Counter]
 }
 
 // NewFaultStore wraps inner with a fault injector seeded with seed.
@@ -136,13 +132,6 @@ func (f *FaultStore) Clear() {
 // Injected returns the number of faults triggered so far.
 func (f *FaultStore) Injected() int64 { return f.injected.Load() }
 
-// InstrumentFaults implements FaultInstrumentable: subsequent
-// triggered faults increment counter (typically
-// ccam_storage_faults_injected_total).
-func (f *FaultStore) InstrumentFaults(counter *metrics.Counter) {
-	f.counter.Store(counter)
-}
-
 // Inner returns the wrapped store.
 func (f *FaultStore) Inner() Store { return f.inner }
 
@@ -168,7 +157,6 @@ func (f *FaultStore) trigger(op FaultOp, id PageID) *Fault {
 		}
 		r.fired++
 		f.injected.Add(1)
-		f.counter.Load().Inc()
 		return r
 	}
 	return nil
@@ -308,16 +296,7 @@ func (f *FaultStore) NumPages() int { return f.inner.NumPages() }
 // PageIDs implements Store.
 func (f *FaultStore) PageIDs() []PageID { return f.inner.PageIDs() }
 
-// Stats implements Store.
-func (f *FaultStore) Stats() Stats { return f.inner.Stats() }
-
-// ResetStats implements Store.
-func (f *FaultStore) ResetStats() { f.inner.ResetStats() }
-
 // Close implements Store.
 func (f *FaultStore) Close() error { return f.inner.Close() }
 
-var (
-	_ Store               = (*FaultStore)(nil)
-	_ FaultInstrumentable = (*FaultStore)(nil)
-)
+var _ Store = (*FaultStore)(nil)

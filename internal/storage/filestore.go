@@ -6,8 +6,6 @@ import (
 	"hash/crc32"
 	"os"
 	"sync"
-	"sync/atomic"
-	"time"
 )
 
 // FileStore is an os.File-backed Store. Page 0 of the file is a
@@ -32,8 +30,7 @@ import (
 //
 // Concurrency: ReadPage takes only the read latch (os.File.ReadAt is
 // safe for parallel callers); Allocate, WritePage, WritePages and Free
-// are exclusive. The I/O counters are atomics so shared-latch readers
-// account without racing.
+// are exclusive.
 type FileStore struct {
 	mu       sync.RWMutex
 	f        *os.File
@@ -52,13 +49,11 @@ type FileStore struct {
 	// appliedLSN records the WAL checkpoint the data file reflects
 	// (zero for non-WAL files); advisory for fsck and diagnostics.
 	appliedLSN uint64
-	stats      ioCounters
 	closed     bool
 	// closedIDs snapshots the live page ids at Close, so NumPages and
 	// PageIDs keep answering afterwards (the same snapshot semantics
 	// the Store interface documents).
 	closedIDs []PageID
-	inst      atomic.Pointer[IOInstrumentation]
 }
 
 // fileHeader layout within the metadata page (fsHeaderLen bytes):
@@ -392,7 +387,6 @@ func (fs *FileStore) Allocate() (PageID, error) {
 	if _, err := fs.f.WriteAt(zero, fs.offset(id)); err != nil {
 		return InvalidPageID, fmt.Errorf("storage: allocate page %d: %w", id, err)
 	}
-	fs.stats.allocs.Add(1)
 	return id, nil
 }
 
@@ -422,23 +416,9 @@ func (fs *FileStore) liveIDs() []PageID {
 	return out
 }
 
-// Instrument implements Instrumentable: subsequent physical reads and
-// writes observe their durations into the given histograms.
-func (fs *FileStore) Instrument(in IOInstrumentation) { fs.inst.Store(&in) }
-
 // ReadPage implements Store. It takes only the read latch: ReadAt is a
 // positioned read, safe under concurrent callers.
 func (fs *FileStore) ReadPage(id PageID, buf []byte) error {
-	if in := fs.inst.Load(); in != nil && in.ReadNanos != nil {
-		start := time.Now()
-		err := fs.readPage(id, buf)
-		in.ReadNanos.ObserveSince(start)
-		return err
-	}
-	return fs.readPage(id, buf)
-}
-
-func (fs *FileStore) readPage(id PageID, buf []byte) error {
 	fs.mu.RLock()
 	defer fs.mu.RUnlock()
 	if fs.closed {
@@ -453,22 +433,11 @@ func (fs *FileStore) readPage(id PageID, buf []byte) error {
 	if _, err := fs.f.ReadAt(buf, fs.offset(id)); err != nil {
 		return fmt.Errorf("storage: read page %d: %w", id, err)
 	}
-	fs.stats.reads.Add(1)
 	return nil
 }
 
 // WritePage implements Store.
 func (fs *FileStore) WritePage(id PageID, buf []byte) error {
-	if in := fs.inst.Load(); in != nil && in.WriteNanos != nil {
-		start := time.Now()
-		err := fs.writePage(id, buf)
-		in.WriteNanos.ObserveSince(start)
-		return err
-	}
-	return fs.writePage(id, buf)
-}
-
-func (fs *FileStore) writePage(id PageID, buf []byte) error {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
 	if fs.closed {
@@ -483,23 +452,11 @@ func (fs *FileStore) writePage(id PageID, buf []byte) error {
 	if _, err := fs.f.WriteAt(buf, fs.offset(id)); err != nil {
 		return fmt.Errorf("storage: write page %d: %w", id, err)
 	}
-	fs.stats.writes.Add(1)
 	return nil
 }
 
-// WritePages implements Store: the run is one positioned write. The
-// latency histogram observes the run once.
+// WritePages implements Store: the run is one positioned write.
 func (fs *FileStore) WritePages(first PageID, run []byte) error {
-	if in := fs.inst.Load(); in != nil && in.WriteNanos != nil {
-		start := time.Now()
-		err := fs.writePages(first, run)
-		in.WriteNanos.ObserveSince(start)
-		return err
-	}
-	return fs.writePages(first, run)
-}
-
-func (fs *FileStore) writePages(first PageID, run []byte) error {
 	n, err := runPages(run, fs.pageSize)
 	if err != nil {
 		return err
@@ -517,7 +474,6 @@ func (fs *FileStore) writePages(first PageID, run []byte) error {
 	if _, err := fs.f.WriteAt(run, fs.offset(first)); err != nil {
 		return fmt.Errorf("storage: write pages %d..%d: %w", first, first+PageID(n-1), err)
 	}
-	fs.stats.writes.Add(int64(n))
 	return nil
 }
 
@@ -544,11 +500,7 @@ func (fs *FileStore) Free(id PageID) error {
 	fs.freeNext[id] = fs.freeHead
 	fs.freeHead = id
 	fs.nfree++
-	if err := fs.writeHeader(); err != nil {
-		return err
-	}
-	fs.stats.frees.Add(1)
-	return nil
+	return fs.writeHeader()
 }
 
 // NumPages implements Store. After Close it returns the snapshot taken
@@ -574,13 +526,6 @@ func (fs *FileStore) PageIDs() []PageID {
 	}
 	return fs.liveIDs()
 }
-
-// Stats implements Store. Every counter is loaded atomically, so the
-// snapshot never contains a torn value even while readers are running.
-func (fs *FileStore) Stats() Stats { return fs.stats.snapshot() }
-
-// ResetStats implements Store.
-func (fs *FileStore) ResetStats() { fs.stats.reset() }
 
 // Sync flushes the header and file contents to stable storage.
 func (fs *FileStore) Sync() error {

@@ -90,15 +90,6 @@ func storeConformance(t *testing.T, s Store) {
 			t.Fatal("recycled page not zeroed")
 		}
 	}
-
-	st := s.Stats()
-	if st.Reads == 0 || st.Writes == 0 || st.Allocs != 3 || st.Frees != 1 {
-		t.Fatalf("stats = %+v", st)
-	}
-	s.ResetStats()
-	if st := s.Stats(); st.Total() != 0 {
-		t.Fatalf("stats after reset = %+v", st)
-	}
 }
 
 func TestMemStoreConformance(t *testing.T) {
@@ -777,13 +768,9 @@ func TestWritePagesRun(t *testing.T) {
 					st.Allocate()
 				}
 			}
-			before := st.Stats().Writes
 			pages := fill(st.PageSize(), 1)
 			if err := st.WritePages(0, bytes.Join(pages, nil)); err != nil {
 				t.Fatal(err)
-			}
-			if got := st.Stats().Writes - before; got != n {
-				t.Fatalf("a %d-page run counted %d writes", n, got)
 			}
 			for i := range pages {
 				if !bytes.Equal(read(t, st, PageID(i)), pages[i]) {

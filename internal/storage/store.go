@@ -1,8 +1,10 @@
 // Package storage implements the paged storage substrate under every
 // access method in this repository: fixed-size pages, a slotted-page
 // layout for variable-length records, and two page stores — an
-// in-memory simulated disk that counts physical I/O (the metric the
-// paper reports) and an os.File-backed store for durable files.
+// in-memory simulated disk and an os.File-backed store for durable
+// files. A store only moves bytes: the buffer pool above it is the one
+// caller of its page operations once a file is open, and it counts and
+// times every physical transfer (buffer.Pool.IO).
 package storage
 
 import (
@@ -10,10 +12,6 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"sync/atomic"
-	"time"
-
-	"ccam/internal/metrics"
 )
 
 // PageID identifies a page within a store. Valid IDs start at 0.
@@ -45,9 +43,9 @@ var (
 )
 
 // Stats counts physical page transfers. The paper's experiments report
-// "number of data pages accessed"; Reads+Writes through a Store is that
-// number before buffering, and the buffer pool reports the post-cache
-// counts.
+// "number of data pages accessed": Reads+Writes between a buffer pool
+// and its Store is that number. The pool counts them (buffer.Pool.IO);
+// a store keeps no counts of its own.
 type Stats struct {
 	Reads  int64 // pages read from the store
 	Writes int64 // pages written to the store
@@ -64,32 +62,6 @@ func (s Stats) String() string {
 		s.Reads, s.Writes, s.Allocs, s.Frees, s.Total())
 }
 
-// ioCounters is the mutable form of Stats: each counter is a separate
-// atomic so readers holding only a read latch (ReadPage) can account
-// I/O without racing, and Stats() can load every field without
-// tearing. Counters are monotonic between resets.
-type ioCounters struct {
-	reads, writes, allocs, frees atomic.Int64
-}
-
-// snapshot atomically loads every counter into a Stats value.
-func (c *ioCounters) snapshot() Stats {
-	return Stats{
-		Reads:  c.reads.Load(),
-		Writes: c.writes.Load(),
-		Allocs: c.allocs.Load(),
-		Frees:  c.frees.Load(),
-	}
-}
-
-// reset zeroes every counter.
-func (c *ioCounters) reset() {
-	c.reads.Store(0)
-	c.writes.Store(0)
-	c.allocs.Store(0)
-	c.frees.Store(0)
-}
-
 // Sub returns the change from an earlier snapshot.
 func (s Stats) Sub(earlier Stats) Stats {
 	return Stats{
@@ -98,38 +70,6 @@ func (s Stats) Sub(earlier Stats) Stats {
 		Allocs: s.Allocs - earlier.Allocs,
 		Frees:  s.Frees - earlier.Frees,
 	}
-}
-
-// IOInstrumentation carries the optional latency histograms of a page
-// store. Nil histograms are skipped, so partial instrumentation is
-// fine.
-type IOInstrumentation struct {
-	// ReadNanos observes the wall-clock duration of each physical
-	// page read (including any simulated device latency).
-	ReadNanos *metrics.Histogram
-	// WriteNanos observes the duration of each physical write: one
-	// page (WritePage) or one run of pages (WritePages).
-	WriteNanos *metrics.Histogram
-}
-
-// Instrumentable is the optional interface of stores that accept
-// latency instrumentation. Both MemStore and FileStore implement it;
-// callers type-assert so the Store interface stays minimal.
-type Instrumentable interface {
-	Instrument(in IOInstrumentation)
-}
-
-// ChecksumInstrumentable is the optional interface of stores that
-// count checksum verification failures (CheckedStore). The counter is
-// nil-safe, so wiring it unconditionally is fine.
-type ChecksumInstrumentable interface {
-	InstrumentChecksums(c *metrics.Counter)
-}
-
-// FaultInstrumentable is the optional interface of stores that count
-// injected faults (FaultStore).
-type FaultInstrumentable interface {
-	InstrumentFaults(c *metrics.Counter)
 }
 
 // Store is a page-granular storage device. Implementations must be safe
@@ -148,57 +88,42 @@ type Store interface {
 	// WritePages persists a run of contiguous pages: run holds one or
 	// more pages of exactly PageSize bytes each, and its i-th page
 	// becomes the contents of page first+i. A file store writes the run
-	// with one system call. It counts one page write per page, as
-	// WritePage would; on failure any prefix of the run may have
+	// with one system call. On failure any prefix of the run may have
 	// reached the device.
 	WritePages(first PageID, run []byte) error
 	// Free releases a page. Freed IDs may be recycled by Allocate.
 	Free(id PageID) error
 	// NumPages returns the number of live (allocated, unfreed) pages.
-	// After Close it returns the count snapshotted at Close — the same
-	// last-snapshot semantics IO()-after-Close follows at the facade —
-	// never the torn-down post-Close state.
+	// After Close it returns the count snapshotted at Close, never the
+	// torn-down post-Close state.
 	NumPages() int
 	// PageIDs returns the ids of all live pages in ascending order.
 	// After Close it returns the snapshot taken at Close.
 	PageIDs() []PageID
-	// Stats returns a snapshot of the I/O counters. Counters survive
-	// Close, so Stats keeps answering on a closed store.
-	Stats() Stats
-	// ResetStats zeroes the I/O counters.
-	ResetStats()
 	// Close releases resources. Further page operations fail with
-	// ErrStoreClosed; NumPages, PageIDs and Stats keep answering from
-	// the Close-time snapshot.
+	// ErrStoreClosed; NumPages and PageIDs keep answering from the
+	// Close-time snapshot.
 	Close() error
 }
 
-// MemStore is an in-memory Store that simulates a disk while counting
-// page transfers. It is the substrate for all experiments: the paper
-// reports page-access counts, not wall-clock I/O, so an exact counter
-// reproduces the metric.
+// MemStore is an in-memory Store that simulates a disk. It is the
+// substrate for all experiments: the paper reports page-access counts,
+// not wall-clock I/O, and the buffer pool over it counts every page
+// transfer exactly.
 //
 // Concurrency: a reader-writer latch lets any number of ReadPage (and
 // other non-mutating) calls run in parallel; Allocate, WritePage and
-// Free are exclusive. The I/O counters are atomics so shared-latch
-// readers account without racing.
+// Free are exclusive.
 type MemStore struct {
 	mu       sync.RWMutex
 	pageSize int
 	pages    map[PageID][]byte
 	free     []PageID
 	next     PageID
-	stats    ioCounters
 	closed   bool
 	// closedIDs snapshots the live page ids at Close, so NumPages and
 	// PageIDs keep answering afterwards (see the Store interface).
 	closedIDs []PageID
-	// readLatency is the simulated seek+transfer time charged per
-	// physical page read, in nanoseconds (atomic; 0 = instantaneous).
-	readLatency atomic.Int64
-	// inst holds the optional latency instrumentation; an atomic
-	// pointer so enabling it never races with in-flight readers.
-	inst atomic.Pointer[IOInstrumentation]
 }
 
 // NewMemStore returns a MemStore with the given page size.
@@ -214,16 +139,6 @@ func NewMemStore(pageSize int) *MemStore {
 
 // PageSize implements Store.
 func (m *MemStore) PageSize() int { return m.pageSize }
-
-// SetReadLatency makes every subsequent physical page read cost d of
-// wall-clock time. Page-access counts do not change; buffer-pool tests
-// use it to hold a read in flight, so they can observe what the pool
-// does while one is.
-func (m *MemStore) SetReadLatency(d time.Duration) { m.readLatency.Store(int64(d)) }
-
-// Instrument implements Instrumentable: subsequent physical reads and
-// writes observe their durations into the given histograms.
-func (m *MemStore) Instrument(in IOInstrumentation) { m.inst.Store(&in) }
 
 // Allocate implements Store.
 func (m *MemStore) Allocate() (PageID, error) {
@@ -241,7 +156,6 @@ func (m *MemStore) Allocate() (PageID, error) {
 		m.next++
 	}
 	m.pages[id] = make([]byte, m.pageSize)
-	m.stats.allocs.Add(1)
 	return id, nil
 }
 
@@ -249,19 +163,6 @@ func (m *MemStore) Allocate() (PageID, error) {
 // number of readers proceed in parallel; WritePage and Free exclude
 // them.
 func (m *MemStore) ReadPage(id PageID, buf []byte) error {
-	if in := m.inst.Load(); in != nil && in.ReadNanos != nil {
-		start := time.Now()
-		err := m.readPage(id, buf)
-		in.ReadNanos.ObserveSince(start)
-		return err
-	}
-	return m.readPage(id, buf)
-}
-
-func (m *MemStore) readPage(id PageID, buf []byte) error {
-	if d := m.readLatency.Load(); d > 0 {
-		time.Sleep(time.Duration(d))
-	}
 	m.mu.RLock()
 	defer m.mu.RUnlock()
 	if m.closed {
@@ -275,22 +176,11 @@ func (m *MemStore) readPage(id PageID, buf []byte) error {
 		return fmt.Errorf("%w: page %d", ErrPageNotFound, id)
 	}
 	copy(buf, p)
-	m.stats.reads.Add(1)
 	return nil
 }
 
 // WritePage implements Store.
 func (m *MemStore) WritePage(id PageID, buf []byte) error {
-	if in := m.inst.Load(); in != nil && in.WriteNanos != nil {
-		start := time.Now()
-		err := m.writePage(id, buf)
-		in.WriteNanos.ObserveSince(start)
-		return err
-	}
-	return m.writePage(id, buf)
-}
-
-func (m *MemStore) writePage(id PageID, buf []byte) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.closed {
@@ -304,7 +194,6 @@ func (m *MemStore) writePage(id PageID, buf []byte) error {
 		return fmt.Errorf("%w: page %d", ErrPageNotFound, id)
 	}
 	copy(p, buf)
-	m.stats.writes.Add(1)
 	return nil
 }
 
@@ -352,7 +241,6 @@ func (m *MemStore) Free(id PageID) error {
 	}
 	delete(m.pages, id)
 	m.free = append(m.free, id)
-	m.stats.frees.Add(1)
 	return nil
 }
 
@@ -388,13 +276,6 @@ func (m *MemStore) PageIDs() []PageID {
 func sortIDs(s []PageID) {
 	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
 }
-
-// Stats implements Store. Every counter is loaded atomically, so the
-// snapshot never contains a torn value even while readers are running.
-func (m *MemStore) Stats() Stats { return m.stats.snapshot() }
-
-// ResetStats implements Store.
-func (m *MemStore) ResetStats() { m.stats.reset() }
 
 // Close implements Store. The live-page set is snapshotted first, so
 // NumPages and PageIDs keep answering afterwards.

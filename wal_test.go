@@ -1,9 +1,9 @@
 package ccam
 
 // Tests of the durable write path: WAL-backed stores, transactional
-// Apply, group commit, and the crash drill that truncates the log at
-// every record boundary and asserts recovery lands on exactly the
-// committed prefix.
+// Apply, group commit and recovery from crash copies. The crash drill
+// that cuts the log at every record boundary, inside every record and
+// inside every commit's write is internal/waldrill (TestDrillSmall).
 
 import (
 	"context"
@@ -16,6 +16,7 @@ import (
 	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"ccam/internal/graph"
@@ -93,26 +94,6 @@ func storeModel(t *testing.T, s *Store) walModel {
 		t.Fatalf("scan: %v", err)
 	}
 	return m
-}
-
-// network is the model as a Network (nodes at the origin), to measure a
-// placement's CRR against.
-func (m walModel) network(t *testing.T) *Network {
-	t.Helper()
-	g := NewNetwork()
-	for id := range m {
-		if err := g.AddNode(Node{ID: id}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for from, succs := range m {
-		for to, cost := range succs {
-			if err := g.AddEdge(Edge{From: from, To: to, Cost: float64(cost), Weight: 1}); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	return g
 }
 
 func diffModels(want, got walModel) error {
@@ -381,217 +362,15 @@ func TestWALReplayAfterSimulatedCrash(t *testing.T) {
 	}
 }
 
-// TestWALCrashDrill truncates the log at every record boundary of an
-// op stream — and torn mid-record between boundaries — and asserts
-// each crash point recovers to exactly the committed prefix — no lost
-// and no phantom mutations — with a PAG summary that agrees with a scan
-// of the recovered file, and that ccam-fsck finds the file clean.
-// (internal/waldrill runs the same drill over a 500-op stream; this
-// variant diffs full models rather than fingerprints.) Replay runs
-// first-order, so the recovered placement is not the committed one: the
-// test reports how far the recovered CRR lands from the CRR the
-// committed state had before the crash, and asserts nothing about it.
-func TestWALCrashDrill(t *testing.T) {
-	nops := 30
-	if testing.Short() {
-		nops = 8
-	}
-	g := smallTestMap(t)
-	dir := t.TempDir()
-	path := filepath.Join(dir, "net.ccam")
-	s, err := Open(Options{
-		PageSize: 1024, Path: path, WAL: true, Seed: 3,
-		SyncPolicy: SyncGroupCommit, CheckpointBytes: 1 << 40,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Build(g); err != nil {
-		t.Fatal(err)
-	}
-	base := modelFromNetwork(g)
-	model := base.clone()
-	rng := rand.New(rand.NewSource(11))
-	nextID := NodeID(100000)
-	var batches [][]modelOp
-	// crrAt[c] is the CRR of the committed state after c batches.
-	crrAt := []float64{s.CRR(g)}
-	// writeEnds[c] is the log segment's size once batch c is
-	// acknowledged. Each batch reaches the log in one write: while its
-	// ops run, the segment holds nothing past the previous batch.
-	var writeEnds []int64
-	lastEnd := walSegmentSize(t, path)
-	s.applyFaultHook = func(op int) error {
-		if got := walSegmentSize(t, path); got != lastEnd {
-			t.Errorf("batch %d op %d: the segment grew from %d to %d bytes before the commit", len(batches)+1, op, lastEnd, got)
-		}
-		return nil
-	}
-	for len(batches) < nops {
-		b, ops := genBatch(rng, model, &nextID, FirstOrder)
-		if b.Len() == 0 {
-			continue
-		}
-		if err := s.Apply(context.Background(), b); err != nil {
-			t.Fatalf("apply: %v", err)
-		}
-		batches = append(batches, ops)
-		crrAt = append(crrAt, s.CRR(model.network(t)))
-		lastEnd = walSegmentSize(t, path)
-		writeEnds = append(writeEnds, lastEnd)
-	}
-	s.applyFaultHook = nil
-
-	// Snapshot the crash image once: under no-steal with no
-	// intervening checkpoint, the data file is byte-identical at every
-	// crash point of the stream.
-	walDir := storage.WALDir(path)
-	segs, err := os.ReadDir(walDir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(segs) != 1 {
-		t.Fatalf("drill expects a single WAL segment, got %d", len(segs))
-	}
-	segName := segs[0].Name()
-	segData, err := os.ReadFile(filepath.Join(walDir, segName))
-	if err != nil {
-		t.Fatal(err)
-	}
-	dataImage, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	recs, _, err := storage.ScanWALDir(walDir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ends := storage.WALRecordEnds(segData)
-	if len(ends) != len(recs) {
-		t.Fatalf("%d record ends vs %d records", len(ends), len(recs))
-	}
-	s.Close()
-
-	// modelAt(k) = expected logical state with the first k records of
-	// the log surviving: the base state plus every batch whose commit
-	// record is among those k.
-	commitsAt := func(k int) int {
-		commits := 0
-		for _, r := range recs[:k] {
-			if r.Type == storage.WALRecCommit {
-				commits++
-			}
-		}
-		return commits
-	}
-	modelAt := func(k int) walModel {
-		m := base.clone()
-		for _, ops := range batches[:commitsAt(k)] {
-			m.applyBatch(ops)
-		}
-		return m
-	}
-
-	// Crash points below the Build checkpoint are unreachable (its end
-	// record was fsynced before the first batch ran, and the data image
-	// may hold allocator noise only checkpoint recovery erases), so the
-	// cuts start at the checkpoint-end record.
-	first := -1
-	for i, r := range recs {
-		if r.Type == storage.WALRecCheckpointEnd {
-			first = i + 1
-			break
-		}
-	}
-	if first < 0 {
-		t.Fatal("log holds no Build checkpoint")
-	}
-
-	boundary := func(k int) int64 {
-		if k == 0 {
-			return storage.WALSegmentHeaderLen
-		}
-		return ends[k-1]
-	}
-	// crashAt cuts the log copy at cut bytes, expecting the state after
-	// the first k whole records; drift collects recovered minus committed
-	// CRR per crash point.
-	var drift []float64
-	crashAt := func(cut int64, k int, label string) {
-		cdir := filepath.Join(dir, "cut")
-		cpath := filepath.Join(cdir, "net.ccam")
-		if err := os.MkdirAll(storage.WALDir(cpath), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		defer os.RemoveAll(cdir)
-		if err := os.WriteFile(cpath, dataImage, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(filepath.Join(storage.WALDir(cpath), segName), segData[:cut], 0o644); err != nil {
-			t.Fatal(err)
-		}
-		r, err := OpenPath(cpath, Options{})
-		if err != nil {
-			t.Fatalf("%s: open: %v", label, err)
-		}
-		want := modelAt(k)
-		if err := diffModels(want, storeModel(t, r)); err != nil {
-			r.Close()
-			t.Fatalf("%s (of %d): %v", label, len(ends), err)
-		}
-		checkPAG(t, r, nil)
-		drift = append(drift, r.CRR(want.network(t))-crrAt[commitsAt(k)])
-		if err := r.Close(); err != nil {
-			t.Fatalf("%s: close: %v", label, err)
-		}
-		rep, err := storage.CheckFile(cpath)
-		if err != nil {
-			t.Fatalf("%s: fsck: %v", label, err)
-		}
-		if rep.HeaderErr != nil || rep.FreeListErr != nil || len(rep.Damaged) != 0 {
-			t.Fatalf("%s: fsck not clean: %+v", label, rep)
-		}
-	}
-	for k := first; k <= len(ends); k++ {
-		crashAt(boundary(k), k, fmt.Sprintf("boundary %d", k))
-		if k < len(ends) {
-			if lo, hi := boundary(k), boundary(k+1); hi-lo > 1 {
-				// Torn write: a cut inside record k+1 must truncate to
-				// the same committed prefix as boundary k.
-				crashAt(lo+(hi-lo)/2, k, fmt.Sprintf("torn %d", k+1))
-			}
-		}
-	}
-	// A batch's records reach the log in one write that ends with its
-	// commit record; a crash inside that write leaves any prefix of it,
-	// and recovery keeps the batches before it.
-	prev := boundary(first)
-	for c, end := range writeEnds {
-		k := sort.Search(len(ends), func(i int) bool { return ends[i] >= end })
-		if k == len(ends) || ends[k] != end || recs[k].Type != storage.WALRecCommit || commitsAt(k+1) != c+1 {
-			t.Fatalf("batch %d: the log's write ends at byte %d, not at its commit record", c+1, end)
-		}
-		cut := prev + (end-prev)/2
-		if i := sort.Search(len(ends), func(i int) bool { return ends[i] >= cut }); ends[i] == cut {
-			cut++ // inside the next record, not at its boundary
-		}
-		survivors := sort.Search(len(ends), func(i int) bool { return ends[i] > cut })
-		crashAt(cut, survivors, fmt.Sprintf("inside batch %d's write", c+1))
-		prev = end
-	}
-	sort.Float64s(drift)
-	t.Logf("recovered CRR - committed CRR over %d crash points: min %+.4f median %+.4f max %+.4f",
-		len(drift), drift[0], drift[len(drift)/2], drift[len(drift)-1])
-}
-
 // TestWALHoldsOnlyWhatReplayReads commits batches under the
 // reorganizing policies, with a reorganizer round offered after each,
-// and reads the log back. Past the last checkpoint it must hold what
-// replay reads and nothing else: one mutation record of a logical kind
-// per op and one commit per batch and per round, with no batch brackets
-// and no record of the splits, merges and reclusterings that ran. A
-// crash copy reopens to the model, and replay counts exactly the
-// logical ops.
+// and reads the log back. Each batch reaches the log in one write:
+// while its ops run, the segment holds nothing past the previous
+// commit. Past the last checkpoint the log must hold what replay reads
+// and nothing else: one mutation record of a logical kind per op and
+// one commit per batch and per round, with no batch brackets and no
+// record of the splits, merges and reclusterings that ran. A crash copy
+// reopens to the model, and replay counts exactly the logical ops.
 func TestWALHoldsOnlyWhatReplayReads(t *testing.T) {
 	g := smallTestMap(t)
 	dir := t.TempDir()
@@ -614,6 +393,13 @@ func TestWALHoldsOnlyWhatReplayReads(t *testing.T) {
 	policies := []Policy{SecondOrder, HigherOrder, Lazy}
 	var batches, ops, rounds int
 	var moved int64 // records the batches moved
+	lastEnd := walSegmentSize(t, path)
+	s.applyFaultHook = func(op int) error {
+		if got := walSegmentSize(t, path); got != lastEnd {
+			t.Errorf("batch %d op %d: the segment grew from %d to %d bytes before the commit", batches+1, op, lastEnd, got)
+		}
+		return nil
+	}
 	for batches < 45 {
 		b, bops := genBatch(rng, model, &nextID, policies[batches%len(policies)])
 		if b.Len() == 0 {
@@ -633,7 +419,9 @@ func TestWALHoldsOnlyWhatReplayReads(t *testing.T) {
 		if s.WALStats().AppendedLSN != lsn {
 			rounds++
 		}
+		lastEnd = walSegmentSize(t, path)
 	}
+	s.applyFaultHook = nil
 	if moved == 0 || rounds == 0 {
 		t.Fatalf("the batches moved %d records and %d rounds committed: nothing for the log to leave out", moved, rounds)
 	}
@@ -1161,6 +949,24 @@ func TestCheckpointTriggerCountsNewLog(t *testing.T) {
 	}
 }
 
+// landedWrites wraps a page store and counts the pages written to it.
+type landedWrites struct {
+	storage.Store
+	pages atomic.Int64
+}
+
+func (l *landedWrites) WritePage(id storage.PageID, buf []byte) error {
+	return l.WritePages(id, buf)
+}
+
+func (l *landedWrites) WritePages(first storage.PageID, run []byte) error {
+	if err := l.Store.WritePages(first, run); err != nil {
+		return err
+	}
+	l.pages.Add(int64(len(run) / l.PageSize()))
+	return nil
+}
+
 // TestCheckpointFlushTornRunRecovers tears the data-file write of a
 // checkpoint: the flush writes contiguous dirty pages as one run, and
 // the fault cuts a run at a page inside it — once at the page's start,
@@ -1178,11 +984,13 @@ func TestCheckpointFlushTornRunRecovers(t *testing.T) {
 			dir := t.TempDir()
 			path := filepath.Join(dir, "net.ccam")
 			var fst *storage.FaultStore
+			landed := new(landedWrites)
 			s, err := Open(Options{
 				PageSize: 1024, Path: path, WAL: true, Seed: 3,
 				SyncPolicy: SyncGroupCommit, CheckpointBytes: 1 << 40,
 				wrapPages: func(st storage.Store) storage.Store {
-					fst = storage.NewFaultStore(st, 5)
+					landed.Store = st
+					fst = storage.NewFaultStore(landed, 5)
 					return fst
 				},
 			})
@@ -1227,7 +1035,7 @@ func TestCheckpointFlushTornRunRecovers(t *testing.T) {
 			if victim == storage.InvalidPageID {
 				t.Fatalf("no two dirty pages are contiguous among %v", dirty)
 			}
-			written := fst.Stats().Writes
+			written := landed.pages.Load()
 			fst.Inject(storage.Fault{Op: storage.FaultWrite, Page: victim, Count: 1, Mode: tc.mode})
 			if err := s.Checkpoint(); err == nil {
 				t.Fatal("the checkpoint's torn flush reported success")
@@ -1235,7 +1043,7 @@ func TestCheckpointFlushTornRunRecovers(t *testing.T) {
 			if fst.Injected() != 1 {
 				t.Fatalf("%d faults fired, want 1", fst.Injected())
 			}
-			if fst.Stats().Writes == written {
+			if landed.pages.Load() == written {
 				t.Fatal("no page of the torn run reached the file")
 			}
 			crash := filepath.Join(dir, "crash", "net.ccam")
