@@ -11,9 +11,9 @@
 // Store.Verify (pages, indexes, lists and PAG summary agree), and that
 // the recovered file and log pass the offline checks behind ccam-fsck.
 //
-// The drill is the repository's standing recovery proof: wal_test.go
-// runs a model-diffing variant in-process, and cmd/ccam-fsck -drill
-// (the CI smoke step) runs this package with fixed seeds.
+// The drill is the repository's standing recovery proof: TestDrillSmall
+// runs it in go test, and cmd/ccam-fsck -drill (the CI smoke step) runs
+// this package with fixed seeds.
 package waldrill
 
 import (
