@@ -267,7 +267,7 @@ func TestRunWALDirWithoutFlag(t *testing.T) {
 }
 
 func TestRunDrill(t *testing.T) {
-	code, out := fsck(t, "-drill", "-seed", "5", "-ops", "8", "-q")
+	code, out := fsck(t, "-drill", "-seed", "5", "-ops", "60", "-q")
 	if code != 0 {
 		t.Fatalf("drill: exit %d\n%s", code, out)
 	}

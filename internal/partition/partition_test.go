@@ -45,7 +45,7 @@ func TestGainsConsistentWithCutDelta(t *testing.T) {
 	w := BuildWeighted(g, unitSize)
 	rng := rand.New(rand.NewSource(1))
 	side := make([]bool, w.N())
-	w.seedPartition(rng, new(scratch), side)
+	w.seedPartition(rng, new(scratch), side, w.Total/2)
 	gains := make([]float64, w.N())
 	w.sweep(side, gains, nil, false)
 	cut := w.CutWeight(side)

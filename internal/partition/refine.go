@@ -18,7 +18,7 @@ func Refine(w *Weighted, side []bool, capacity int) bool {
 	lim := w.Total - capacity // a side keeps at least what the other cannot take
 	improved := false
 	sc := new(scratch)
-	for runMovePass(w, side, lim, minCut, false, sc) {
+	for runMovePass(w, side, lim, lim, minCut, false, sc) {
 		improved = true
 	}
 	return improved

@@ -3,11 +3,11 @@ package waldrill
 import "testing"
 
 func TestDrillSmall(t *testing.T) {
-	res, err := Run(t.TempDir(), Config{Seed: 11, Ops: 12, Torn: true, Logf: t.Logf})
+	res, err := Run(t.TempDir(), Config{Seed: 11, Ops: 30, Torn: true, Logf: t.Logf})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Ops < 12 || res.Batches == 0 {
+	if res.Ops < 30 || res.Batches == 0 {
 		t.Fatalf("stream too short: %+v", res)
 	}
 	// Every record boundary plus the empty log, plus torn cuts.
@@ -34,11 +34,11 @@ func TestDrill500OpStream(t *testing.T) {
 }
 
 func TestDrillDeterministic(t *testing.T) {
-	a, err := Run(t.TempDir(), Config{Seed: 5, Ops: 6})
+	a, err := Run(t.TempDir(), Config{Seed: 5, Ops: 60})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(t.TempDir(), Config{Seed: 5, Ops: 6})
+	b, err := Run(t.TempDir(), Config{Seed: 5, Ops: 60})
 	if err != nil {
 		t.Fatal(err)
 	}

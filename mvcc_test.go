@@ -936,6 +936,36 @@ func TestReorganizerRoundIsAWriteTransaction(t *testing.T) {
 	if err := s.Build(g); err != nil {
 		t.Fatal(err)
 	}
+	// A round that finds its neighborhood a local optimum logs nothing
+	// and opens no transaction, and Create's full pages on this small map
+	// are one. So misplace a record of each page by hand before each
+	// round below, so that it has something to move and must log its
+	// commit: the first goes to the first other page with room.
+	f := s.m.File()
+	misplace := func() {
+		t.Helper()
+		misplaced := 0
+		for _, src := range f.Pages() {
+			recs, err := f.RecordsOnPage(src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, dst := range f.Pages() {
+				free, _ := f.FreeSpace(dst)
+				if dst != src && free >= recs[0].EncodedSize() {
+					if err := f.MoveRecord(recs[0].ID, dst); err != nil {
+						t.Fatal(err)
+					}
+					misplaced++
+					break
+				}
+			}
+		}
+		if misplaced == 0 {
+			t.Fatal("no page had room for a misplaced record")
+		}
+	}
+	misplace()
 	// A high-water mark of 1 makes any placement look decayed.
 	s.reorg.highwater = 1
 	before := s.WALStats()
@@ -953,31 +983,7 @@ func TestReorganizerRoundIsAWriteTransaction(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// A round that finds its neighborhood a local optimum logs nothing
-	// and opens no transaction. Misplace a few records by hand, so that
-	// the next one has something to move and must log its commit.
-	f := s.m.File()
-	misplaced := 0
-	for _, src := range f.Pages() {
-		recs, err := f.RecordsOnPage(src)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Its first record goes to the first other page with room.
-		for _, dst := range f.Pages() {
-			free, _ := f.FreeSpace(dst)
-			if dst != src && free >= recs[0].EncodedSize() {
-				if err := f.MoveRecord(recs[0].ID, dst); err != nil {
-					t.Fatal(err)
-				}
-				misplaced++
-				break
-			}
-		}
-	}
-	if misplaced == 0 {
-		t.Fatal("no page had room for a misplaced record")
-	}
+	misplace()
 	// Fail the log for good: a directory squats on the name of the next
 	// segment, so the log restart of a rebuild cannot open it, and the
 	// log keeps that error. The failed Build changed nothing.
