@@ -3,6 +3,8 @@ package bench
 import (
 	"bytes"
 	"fmt"
+	"slices"
+	"strings"
 	"testing"
 
 	"ccam/internal/graph"
@@ -21,7 +23,9 @@ func smallSetup() Setup {
 // name, builds a small map, finds a node in it and counts the page
 // traffic it made; and its file passes File.Check after the build and
 // after each op of a short stream — a node deleted and stored again, an
-// edge deleted and added again, under all four policies.
+// edge deleted and added again, under all four policies. CCAM-S runs it
+// twice: on the paper's ratio cut and on the store's multilevel create,
+// whose pages are full.
 func TestNewMethodNames(t *testing.T) {
 	g, err := smallSetup().Network()
 	if err != nil {
@@ -29,8 +33,14 @@ func TestNewMethodNames(t *testing.T) {
 	}
 	ids := g.NodeIDs()
 	id := ids[0]
-	for _, name := range MethodNamesWithWDFS {
-		m, err := NewMethod(name, 1024, 8, 1)
+	for _, name := range append(slices.Clone(MethodNamesWithWDFS), "ccam-s/multilevel") {
+		var m netfile.AccessMethod
+		if base, ok := strings.CutSuffix(name, "/multilevel"); ok {
+			m, err = newCCAMWithMultilevel(1024, 1)
+			name = base
+		} else {
+			m, err = NewMethod(name, 1024, 8, 1)
+		}
 		if err != nil {
 			t.Fatalf("NewMethod(%s): %v", name, err)
 		}
