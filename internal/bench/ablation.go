@@ -30,8 +30,9 @@ type AblationPartitionerRow struct {
 }
 
 // RunAblationPartitioners clusters the benchmark map with each
-// heuristic (KL, FM, ratio-cut) and with ratio-cut + M-way refinement,
-// at the given block size (default 1024).
+// heuristic (KL, FM, ratio-cut, multilevel) and with ratio cut followed
+// by partition.MergePages, partition.MWayRefine or both, all on one
+// working set, at the given block size (default 1024).
 func RunAblationPartitioners(setup Setup, blockSize int) (*AblationPartitionerResult, error) {
 	if blockSize == 0 {
 		blockSize = 1024
@@ -58,19 +59,22 @@ func RunAblationPartitioners(setup Setup, blockSize int) (*AblationPartitionerRe
 		{"ratio-cut+coalesce", &partition.RatioCut{}, false, true},
 		{"ratio-cut+both", &partition.RatioCut{}, true, true},
 	}
+	// Every row clusters, merges and refines the one working set; a
+	// row's build time is its recursion and post-passes.
+	w := partition.BuildWeighted(g, sizeOf)
 	res := &AblationPartitionerResult{}
 	for _, c := range cands {
-		rng := rand.New(rand.NewSource(setup.Seed))
+		seed := rand.New(rand.NewSource(setup.Seed)).Int63()
 		start := time.Now()
-		pages, err := partition.ClusterNodesIntoPages(g, sizeOf, budget, c.part, rng)
+		pages, err := partition.ClusterWeightedIntoPages(w, budget, c.part, partition.ClusterOptions{Workers: 1, Seed: seed})
 		if err != nil {
 			return nil, fmt.Errorf("bench: ablation %s: %w", c.name, err)
 		}
 		if c.coalesce {
-			pages, _ = partition.CoalescePages(g, pages, sizeOf, budget, 10)
+			pages = partition.MergePages(w, pages, budget)
 		}
 		if c.mway {
-			pages, _ = partition.MWayRefine(g, pages, sizeOf, budget, 10)
+			pages, _ = partition.MWayRefine(w, pages, budget, 10)
 		}
 		elapsed := time.Since(start)
 		q := partition.EvaluatePages(g, pages, sizeOf, budget)

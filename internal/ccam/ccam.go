@@ -17,7 +17,6 @@
 package ccam
 
 import (
-	"cmp"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -161,35 +160,10 @@ func (m *Method) buildDynamic(g *graph.Network) error {
 	return m.f.Flush()
 }
 
-// placeRecord selects a data page for rec per the paper's insertion
-// rule — the page holding the most neighbors of rec that has space —
-// and stores the record there. With no eligible neighbor page it falls
-// back to any page with space, then to a fresh page.
-func (m *Method) placeRecord(rec *netfile.Record) (storage.PageID, error) {
-	need := rec.EncodedSize() + storage.PerRecordOverhead
-	pid, ok, err := m.f.SelectPageWithMostNeighbors(rec.Neighbors(), need)
-	if err != nil {
-		return storage.InvalidPageID, err
-	}
-	if !ok {
-		pid, ok = m.f.FindPageWithSpace(need)
-		if !ok {
-			pid, err = m.f.AllocatePage()
-			if err != nil {
-				return storage.InvalidPageID, err
-			}
-		}
-	}
-	if err := m.f.InsertRecordAt(rec, pid); err != nil {
-		return storage.InvalidPageID, err
-	}
-	return pid, nil
-}
-
 // addNode is the Add-node() of the incremental create: it places rec
 // and reorganizes second-order around it.
 func (m *Method) addNode(rec *netfile.Record) error {
-	pid, err := m.placeRecord(rec)
+	pid, err := m.f.PlaceRecord(rec)
 	if err != nil {
 		return err
 	}
@@ -205,7 +179,7 @@ func (m *Method) Insert(op *netfile.InsertOp, policy netfile.Policy) error {
 		return errors.New("ccam: insert before Build")
 	}
 	rec := op.Rec
-	pid, err := m.placeRecord(rec)
+	pid, err := m.f.PlaceRecord(rec)
 	if err != nil {
 		return err
 	}
@@ -274,7 +248,7 @@ func (m *Method) lazyTick(pagex storage.PageID, neighbors []graph.NodeID) error 
 			due = append(due, q)
 		}
 	}
-	sortPIDs(due)
+	slices.Sort(due)
 	for _, p := range due {
 		if _, err := m.f.FreeSpace(p); err != nil {
 			delete(m.updates, p)
@@ -292,7 +266,7 @@ func (m *Method) lazyTick(pagex storage.PageID, neighbors []graph.NodeID) error 
 		for q := range set {
 			pids = append(pids, q)
 		}
-		sortPIDs(pids)
+		slices.Sort(pids)
 		if len(pids) >= 2 {
 			if err := m.reorganizePages(pids, false); err != nil {
 				return err
@@ -390,7 +364,7 @@ func (m *Method) ReorganizeAround(x graph.NodeID, pagex storage.PageID, neighbor
 	for q := range set {
 		pids = append(pids, q)
 	}
-	sortPIDs(pids)
+	slices.Sort(pids)
 	return m.reorganizePages(pids, false)
 }
 
@@ -419,7 +393,7 @@ func (m *Method) NbrPages(pid storage.PageID) ([]storage.PageID, error) {
 			}
 		}
 	}
-	sortPIDs(out)
+	slices.Sort(out)
 	return out, nil
 }
 
@@ -494,7 +468,7 @@ type ReorgPlan struct {
 // strictly lower in-set cut, or with fewer pages at no higher a cut.
 // Whichever way, a page of the set that holds no record is freed.
 func (m *Method) planReorg(pids []storage.PageID, forceSplit bool) (*ReorgPlan, error) {
-	plan := &ReorgPlan{pids: pids}
+	onPage := make([][]*netfile.Record, len(pids))
 	var occupied []int // indexes into pids of the pages holding records
 	for i, pid := range pids {
 		rs, err := m.f.RecordsOnPage(pid)
@@ -504,8 +478,12 @@ func (m *Method) planReorg(pids []storage.PageID, forceSplit bool) (*ReorgPlan, 
 		if len(rs) > 0 {
 			occupied = append(occupied, i)
 		}
-		for _, r := range rs {
-			plan.recs = append(plan.recs, r)
+		onPage[i] = rs
+	}
+	plan := &ReorgPlan{pids: pids, recs: slices.Concat(onPage...)}
+	plan.cur = make([]int, 0, len(plan.recs))
+	for i, rs := range onPage {
+		for range rs {
 			plan.cur = append(plan.cur, i)
 		}
 	}
@@ -589,64 +567,55 @@ func (p byRecordID) Swap(i, j int) {
 // working representation: the subnetwork they induce, read straight off
 // their successor-lists — an entry naming a node outside the set is not
 // an edge of it. Edge weights are uniform, so a pair linked both ways
-// weighs 2; sizes are stored sizes, record plus slot.
+// weighs 2; sizes are stored sizes, record plus slot. A node's row
+// reads its own successor-list and, for its in-set predecessors, the
+// other ends' successor-lists, not its own predecessor-list: while an
+// insert is linked to its neighbors (netfile.File.UpdateNeighborLinks),
+// a page split can read records whose lists do not agree yet.
 func workingSet(recs []*netfile.Record) *partition.Weighted {
 	n := len(recs)
-	w := &partition.Weighted{
-		IDs:  make([]graph.NodeID, n),
-		Size: make([]int, n),
-		Off:  make([]int32, n+1),
-	}
+	ids := make([]graph.NodeID, n)
+	sizes := make([]int, n)
 	links := 0
 	for i, r := range recs {
-		w.IDs[i] = r.ID
-		w.Size[i] = r.EncodedSize() + storage.PerRecordOverhead
-		w.Total += w.Size[i]
+		ids[i] = r.ID
+		sizes[i] = r.EncodedSize() + storage.PerRecordOverhead
 		links += len(r.Succs)
 	}
-	// Every in-set link u->v is one entry in u's row and one in v's;
-	// counting them first places every row in one array.
-	ends := make([]int32, 0, 2*links)
+	// succ[out[u]:out[u+1]] are the in-set successors of u, and
+	// pred[in[v]:in[v+1]] the in-set nodes whose lists name v: in counts
+	// each v's links at in[v], sums them into range ends and, stepping
+	// back one per link placed, ends at the range starts.
+	out := make([]int32, n+1)
+	in := make([]int32, n+1)
+	succ := make([]int32, 0, links)
 	for u, r := range recs {
 		for _, s := range r.Succs {
-			if v, ok := slices.BinarySearch(w.IDs, s.To); ok && v != u {
-				ends = append(ends, int32(u), int32(v))
-				w.Off[u+1]++
-				w.Off[v+1]++
+			if v, ok := slices.BinarySearch(ids, s.To); ok {
+				succ = append(succ, int32(v))
+				in[v]++
 			}
 		}
+		out[u+1] = int32(len(succ))
 	}
+	for v := 1; v <= n; v++ {
+		in[v] += in[v-1]
+	}
+	pred := make([]int32, len(succ))
 	for u := 0; u < n; u++ {
-		w.Off[u+1] += w.Off[u]
-	}
-	w.Edges = make([]partition.WEdge, len(ends))
-	fill := slices.Clone(w.Off[:n])
-	for i := 0; i < len(ends); i += 2 {
-		u, v := ends[i], ends[i+1]
-		w.Edges[fill[u]] = partition.WEdge{To: v, W: 1}
-		w.Edges[fill[v]] = partition.WEdge{To: u, W: 1}
-		fill[u]++
-		fill[v]++
-	}
-	// Sort each row and merge a pair linked both ways into one entry,
-	// packing the rows forward as they shrink.
-	out := int32(0)
-	for u := 0; u < n; u++ {
-		es := w.Edges[w.Off[u]:w.Off[u+1]]
-		slices.SortFunc(es, func(a, b partition.WEdge) int { return cmp.Compare(a.To, b.To) })
-		w.Off[u] = out
-		for _, e := range es {
-			if out > w.Off[u] && w.Edges[out-1].To == e.To {
-				w.Edges[out-1].W += e.W
-			} else {
-				w.Edges[out] = e
-				out++
-			}
+		for _, v := range succ[out[u]:out[u+1]] {
+			in[v]--
+			pred[in[v]] = int32(u)
 		}
 	}
-	w.Off[n] = out
-	w.Edges = w.Edges[:out]
-	return w
+	return partition.NewWeighted(ids, sizes, func(u int, add func(int32, float64)) {
+		for _, v := range succ[out[u]:out[u+1]] {
+			add(v, 1)
+		}
+		for _, v := range pred[in[u]:in[u+1]] {
+			add(v, 1)
+		}
+	})
 }
 
 // cluster runs cluster-nodes-into-pages (paper Figure 2) over the
@@ -764,14 +733,6 @@ func (m *Method) applyReorg(plan *ReorgPlan) error {
 	return nil
 }
 
-func sortPIDs(s []storage.PageID) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
-}
-
 // CRR returns the file's current connectivity residue ratio measured
 // against network g.
 func (m *Method) CRR(g *graph.Network) float64 {
@@ -861,7 +822,7 @@ func (m *Method) reorganizeEdgePages(u, v graph.NodeID, policy netfile.Policy) e
 	for q := range set {
 		pids = append(pids, q)
 	}
-	sortPIDs(pids)
+	slices.Sort(pids)
 	return m.reorganizePages(pids, false)
 }
 

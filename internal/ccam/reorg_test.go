@@ -351,3 +351,61 @@ func BenchmarkReorganizeTwoPages(b *testing.B) {
 		}
 	}
 }
+
+// TestWorkingSet pins the reorganizer's projection of records onto the
+// partitioner's working set: links are read off successor-lists, a pair
+// linked both ways is one entry weighing 2, rows are sorted, an entry
+// naming a node outside the set is no edge and no node links to itself,
+// and a predecessor-list that lags the other end's successor-list, as
+// while an insert is being linked, neither adds nor drops an edge.
+func TestWorkingSet(t *testing.T) {
+	rec := func(id graph.NodeID, succs []graph.NodeID, preds ...graph.NodeID) *netfile.Record {
+		r := &netfile.Record{ID: id, Preds: preds}
+		for _, s := range succs {
+			r.AddSucc(s, 1)
+		}
+		return r
+	}
+	type row = []partition.WEdge
+	for _, tc := range []struct {
+		name string
+		recs []*netfile.Record
+		want []row
+	}{
+		{"pair linked both ways",
+			[]*netfile.Record{rec(1, []graph.NodeID{2}, 2), rec(2, []graph.NodeID{1}, 1)},
+			[]row{{{To: 1, W: 2}}, {{To: 0, W: 2}}}},
+		{"rows sorted",
+			[]*netfile.Record{rec(1, []graph.NodeID{4, 2}, 3), rec(2, nil, 1), rec(3, []graph.NodeID{1}), rec(4, nil, 1)},
+			[]row{{{To: 1, W: 1}, {To: 2, W: 1}, {To: 3, W: 1}}, {{To: 0, W: 1}}, {{To: 0, W: 1}}, {{To: 0, W: 1}}}},
+		{"outside the set",
+			[]*netfile.Record{rec(1, []graph.NodeID{9}, 8), rec(2, nil)},
+			[]row{{}, {}}},
+		{"no self link",
+			[]*netfile.Record{rec(1, []graph.NodeID{1, 2}, 1), rec(2, nil, 1)},
+			[]row{{{To: 1, W: 1}}, {{To: 0, W: 1}}}},
+		{"lagging predecessor-lists",
+			[]*netfile.Record{rec(1, []graph.NodeID{2}, 3), rec(2, nil), rec(3, nil)},
+			[]row{{{To: 1, W: 1}}, {{To: 0, W: 1}}, {}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			w := workingSet(tc.recs)
+			total := 0
+			for i, r := range tc.recs {
+				size := r.EncodedSize() + storage.PerRecordOverhead
+				if w.IDs[i] != r.ID || w.Size[i] != size {
+					t.Fatalf("node %d is %d of %d bytes, want %d of %d", i, w.IDs[i], w.Size[i], r.ID, size)
+				}
+				total += size
+			}
+			if w.N() != len(tc.recs) || w.Total != total {
+				t.Fatalf("%d nodes of %d bytes, want %d of %d", w.N(), w.Total, len(tc.recs), total)
+			}
+			for u, want := range tc.want {
+				if got := w.Row(u); !slices.Equal(got, want) {
+					t.Errorf("row %d = %v, want %v", u, got, want)
+				}
+			}
+		})
+	}
+}

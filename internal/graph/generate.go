@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 
 	"ccam/internal/geom"
 )
@@ -337,32 +336,6 @@ func UniformWeights(g *Network) {
 			g.succ[from][i].weight = 1
 		}
 	}
-}
-
-// DegreeHistogram returns out-degree -> node count, for reporting.
-func DegreeHistogram(g *Network) map[int]int {
-	h := map[int]int{}
-	for id := range g.nodes {
-		h[len(g.succ[id])]++
-	}
-	return h
-}
-
-// SortedRouteNodes returns the distinct nodes appearing in routes, in
-// ascending order; used by experiments that touch only route nodes.
-func SortedRouteNodes(routes []Route) []NodeID {
-	seen := map[NodeID]bool{}
-	for _, r := range routes {
-		for _, id := range r {
-			seen[id] = true
-		}
-	}
-	out := make([]NodeID, 0, len(seen))
-	for id := range seen {
-		out = append(out, id)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }
 
 // RadialCityOpts configures the ring-and-spoke generator.

@@ -416,10 +416,6 @@ func TestAvgStats(t *testing.T) {
 	if got := g.AvgNeighbors(); math.Abs(got-24.0/9.0) > 1e-12 {
 		t.Fatalf("AvgNeighbors = %f", got)
 	}
-	h := DegreeHistogram(g)
-	if h[2] != 4 || h[3] != 4 || h[4] != 1 {
-		t.Fatalf("degree histogram = %v", h)
-	}
 }
 
 func TestBounds(t *testing.T) {
@@ -429,14 +425,6 @@ func TestBounds(t *testing.T) {
 	b := g.Bounds()
 	if b.Min.X != -5 || b.Min.Y != -2 || b.Max.X != 7 || b.Max.Y != 3 {
 		t.Fatalf("Bounds = %+v", b)
-	}
-}
-
-func TestSortedRouteNodes(t *testing.T) {
-	routes := []Route{{3, 1}, {1, 2}}
-	got := SortedRouteNodes(routes)
-	if len(got) != 3 || got[0] != 1 || got[1] != 2 || got[2] != 3 {
-		t.Fatalf("SortedRouteNodes = %v", got)
 	}
 }
 

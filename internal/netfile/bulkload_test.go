@@ -42,7 +42,7 @@ func insertBuiltFile(t *testing.T, g *graph.Network, groups [][]graph.NodeID) *F
 
 func clusterGroups(t *testing.T, g *graph.Network, pageSize int) [][]graph.NodeID {
 	t.Helper()
-	groups, err := partition.ClusterNodesIntoPages(g, StoredSizer(g), PageBudget(pageSize), &partition.RatioCut{}, rand.New(rand.NewSource(1)))
+	groups, err := partition.ClusterNodesIntoPagesOpts(g, StoredSizer(g), PageBudget(pageSize), &partition.RatioCut{}, partition.ClusterOptions{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

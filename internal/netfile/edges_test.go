@@ -229,6 +229,45 @@ func TestFindPageWithSpace(t *testing.T) {
 	}
 }
 
+// TestPlaceRecord follows the paper's insertion rule: the page holding
+// the most neighbors that has space, else any page with space, else a
+// fresh page.
+func TestPlaceRecord(t *testing.T) {
+	f, err := Create(Options{PageSize: 256, PoolPages: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	place := func(id graph.NodeID, attrs int, succs ...graph.NodeID) storage.PageID {
+		t.Helper()
+		rec := &Record{ID: id, Attrs: make([]byte, attrs)}
+		for _, s := range succs {
+			rec.AddSucc(s, 1)
+		}
+		pid, err := f.PlaceRecord(rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, err := f.PageOf(id); err != nil || got != pid {
+			t.Fatalf("node %d on page %d (%v), PlaceRecord said %d", id, got, err, pid)
+		}
+		return pid
+	}
+	a := place(1, 100) // an empty file: a fresh page
+	b, err := f.AllocatePage()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := place(2, 0, 1); got != a {
+		t.Fatalf("record linked to node 1 went to page %d, want its page %d", got, a)
+	}
+	if got := place(3, 150, 1); got != b {
+		t.Fatalf("record too big for its neighbor's page went to page %d, want the page with space %d", got, b)
+	}
+	if got := place(4, 150); got == a || got == b {
+		t.Fatalf("record that fits no page went to page %d, want a fresh one", got)
+	}
+}
+
 func TestPageBudgetAndStoredSizer(t *testing.T) {
 	g := testNetwork(t)
 	sizer := StoredSizer(g)

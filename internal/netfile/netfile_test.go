@@ -121,7 +121,7 @@ func buildFile(t testing.TB, g *graph.Network, pageSize, poolPages int) *File {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pages, err := partition.ClusterNodesIntoPages(g, StoredSizer(g), PageBudget(pageSize), &partition.RatioCut{}, rand.New(rand.NewSource(1)))
+	pages, err := partition.ClusterNodesIntoPagesOpts(g, StoredSizer(g), PageBudget(pageSize), &partition.RatioCut{}, partition.ClusterOptions{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

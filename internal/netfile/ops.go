@@ -207,6 +207,31 @@ func (f *File) mutateRecord(id graph.NodeID, onOverflow OverflowHandler, mutate 
 	}
 }
 
+// PlaceRecord stores rec by the paper's insertion rule and returns its
+// page: the page holding the most neighbors of rec that has space
+// (SelectPageWithMostNeighbors), else any page with space
+// (FindPageWithSpace), else a fresh page.
+func (f *File) PlaceRecord(rec *Record) (storage.PageID, error) {
+	need := rec.EncodedSize() + storage.PerRecordOverhead
+	pid, ok, err := f.SelectPageWithMostNeighbors(rec.Neighbors(), need)
+	if err != nil {
+		return storage.InvalidPageID, err
+	}
+	if !ok {
+		pid, ok = f.FindPageWithSpace(need)
+		if !ok {
+			pid, err = f.AllocatePage()
+			if err != nil {
+				return storage.InvalidPageID, err
+			}
+		}
+	}
+	if err := f.InsertRecordAt(rec, pid); err != nil {
+		return storage.InvalidPageID, err
+	}
+	return pid, nil
+}
+
 // SelectPageWithMostNeighbors ranks the candidate pages by how many of
 // x's neighbors they hold and returns the best page that can still
 // accommodate need bytes (the paper's insert page selection). ok is

@@ -31,34 +31,26 @@ func (o ClusterOptions) workers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// ClusterNodesIntoPages is the paper's Figure 2: top-down connectivity
-// clustering. The node set starts as one subset; subsets exceeding
-// pageSize bytes are repeatedly bipartitioned (with MinPgSize =
-// ⌈pageSize/2⌉ as the side floor) until every subset fits in a page.
+// ClusterNodesIntoPagesOpts is the paper's Figure 2: top-down
+// connectivity clustering. The node set starts as one subset; subsets
+// exceeding pageSize bytes are repeatedly bipartitioned (with MinPgSize
+// = ⌈pageSize/2⌉ as the side floor) until every subset fits in a page.
 // sizeOf gives the record byte size of each node. The result is one
 // node-id slice per data page.
 //
 // Under Multilevel, the store's Create, a split is by page count
 // instead: each side is planned as a whole number of pages and may not
-// outgrow them (see pageBounds), and once every subset fits, pages
-// that share crossing edges merge while the union fits (see pack). A
-// part then ends near a full page rather than anywhere from half a page
-// up.
+// outgrow them (see pageBounds), and once every subset fits, the pages
+// go through MergePages. A part then ends near a full page rather than
+// anywhere from half a page up.
 //
-// This wrapper runs serially, drawing its seed from rng; use
-// ClusterNodesIntoPagesOpts to run the recursion on a worker pool.
-func ClusterNodesIntoPages(g *graph.Network, sizeOf func(graph.NodeID) int, pageSize int, part Bipartitioner, rng *rand.Rand) ([][]graph.NodeID, error) {
-	return ClusterNodesIntoPagesOpts(g, sizeOf, pageSize, part, ClusterOptions{Workers: 1, Seed: rng.Int63()})
-}
-
-// ClusterNodesIntoPagesOpts is ClusterNodesIntoPages with the frontier
-// subsets — independent subproblems — partitioned concurrently on a
-// bounded worker pool. sizeOf is consulted exactly once per node (the
-// projection onto the Weighted working set); subset byte sizes are
-// threaded down the recursion, and each bipartition splits the parent
-// Weighted directly into index-remapped sub-Weighteds instead of
-// re-materializing subnetworks. Output is deterministic: a fixed
-// opts.Seed yields an identical page list at any worker count.
+// The frontier subsets — independent subproblems — are partitioned
+// concurrently on a bounded worker pool. sizeOf is consulted exactly
+// once per node (the projection onto the Weighted working set); subset
+// byte sizes are threaded down the recursion, and each bipartition
+// splits the parent Weighted directly into index-remapped sub-Weighteds
+// instead of re-materializing subnetworks. Output is deterministic: a
+// fixed opts.Seed yields an identical page list at any worker count.
 func ClusterNodesIntoPagesOpts(g *graph.Network, sizeOf func(graph.NodeID) int, pageSize int, part Bipartitioner, opts ClusterOptions) ([][]graph.NodeID, error) {
 	if g.NumNodes() == 0 {
 		return nil, ErrEmptyGraph
@@ -70,8 +62,8 @@ func ClusterNodesIntoPagesOpts(g *graph.Network, sizeOf func(graph.NodeID) int, 
 // ClusterWeightedIntoPages runs the Figure 2 recursion directly over a
 // prepared Weighted working set (see ClusterNodesIntoPagesOpts). w is
 // only read. part picks the page plan as well as the heuristic: a
-// *Multilevel splits by page count and packs the finished pages (see
-// ClusterNodesIntoPages); every other Bipartitioner splits with the
+// *Multilevel splits by page count and merges the finished pages (see
+// ClusterNodesIntoPagesOpts); every other Bipartitioner splits with the
 // MinPgSize floor. Each worker draws its arrays from its own scratch,
 // which lives for this call alone; the page lists returned are carved
 // from one array of their own.
@@ -100,21 +92,27 @@ func ClusterWeightedIntoPages(w *Weighted, pageSize int, part Bipartitioner, opt
 		return nil, err
 	}
 	if run.packs {
-		run.pack(w)
+		mergePages(w, run.out, run.pageLen, pageSize)
 	}
+	return carve(run.out, run.pageLen), nil
+}
+
+// carve cuts the page lists out of out, where pageLen[at] is the length
+// of the page starting at out[at].
+func carve(out []graph.NodeID, pageLen []int32) [][]graph.NodeID {
 	n := 0
-	for _, l := range run.pageLen {
+	for _, l := range pageLen {
 		if l > 0 {
 			n++
 		}
 	}
 	pages := make([][]graph.NodeID, 0, n)
-	for at := 0; at < len(run.out); {
-		end := at + int(run.pageLen[at])
-		pages = append(pages, run.out[at:end:end])
+	for at := 0; at < len(out); {
+		end := at + int(pageLen[at])
+		pages = append(pages, out[at:end:end])
 		at = end
 	}
-	return pages, nil
+	return pages
 }
 
 // clusterRun holds the recursion's shared state. sem bounds the number
@@ -132,7 +130,7 @@ type clusterRun struct {
 	pageSize int
 	minPg    int
 	part     Bipartitioner
-	packs    bool // split by page count and pack: part is a *Multilevel
+	packs    bool // split by page count and merge pages: part is a *Multilevel
 	sem      chan struct{}
 	idle     chan *scratch
 	out      []graph.NodeID
@@ -249,24 +247,41 @@ func (c *clusterRun) pageBounds(total int) bounds {
 	}
 }
 
-// pack merges pages of the finished recursion, on the working set w it
-// started from. Round by round, pairs of pages that share crossing
-// edges and fit in one page together merge, the pairs that share the
-// most edge weight first and each page in at most one merge a round,
-// until a round merges nothing. A merge turns crossing edges
+// MergePages merges pages that share crossing edges, on the working set
+// w they place; pages place every node of w once, and pageSize bounds
+// a merged page's bytes. Round by round, pairs of pages that share
+// crossing edges and fit in one page together merge, the pairs that
+// share the most edge weight first and each page in at most one merge
+// a round, until a round merges nothing. A merge turns crossing edges
 // into internal ones and splits none, so CRR can only rise. A merged
-// page takes the place of its first part; its records keep their
-// order. c.out and c.pageLen are rewritten in place.
-func (c *clusterRun) pack(w *Weighted) {
+// page takes the place of its first part, and its records keep their
+// order in pages. The merged pages are carved from one new array.
+func MergePages(w *Weighted, pages [][]graph.NodeID, pageSize int) [][]graph.NodeID {
+	out := make([]graph.NodeID, 0, w.N())
+	pageLen := make([]int32, w.N())
+	for _, pg := range pages {
+		if len(pg) > 0 {
+			pageLen[len(out)] = int32(len(pg))
+			out = append(out, pg...)
+		}
+	}
+	mergePages(w, out, pageLen, pageSize)
+	return carve(out, pageLen)
+}
+
+// mergePages is MergePages on the pages laid end to end in out, where
+// pageLen[at] is the length of the page starting at out[at]; both are
+// rewritten in place.
+func mergePages(w *Weighted, out []graph.NodeID, pageLen []int32, pageSize int) {
 	n := w.N()
 	// page[i] is the page of dense index i. Pages are numbered in out
 	// order, and a merge keeps the lower number.
 	page := make([]int32, n)
 	var used []int
-	for at := 0; at < n; at += int(c.pageLen[at]) {
+	for at := 0; at < n; at += int(pageLen[at]) {
 		p := int32(len(used))
 		bytes := 0
-		for _, id := range c.out[at : at+int(c.pageLen[at])] {
+		for _, id := range out[at : at+int(pageLen[at])] {
 			i := w.indexOf(id)
 			page[i] = p
 			bytes += w.Size[i]
@@ -318,7 +333,7 @@ func (c *clusterRun) pack(w *Weighted) {
 				}
 			}
 			for _, q := range touched {
-				if used[p]+used[q] <= c.pageSize {
+				if used[p]+used[q] <= pageSize {
 					pairs = append(pairs, pair{p, q, acc[q]})
 				}
 				acc[q], seen[q] = 0, false
@@ -358,15 +373,15 @@ func (c *clusterRun) pack(w *Weighted) {
 	// Lay the pages out again in page order, each one's records in their
 	// order in out.
 	list()
-	old := slices.Clone(c.out)
-	clear(c.pageLen)
+	old := slices.Clone(out)
+	clear(pageLen)
 	copy(next, start)
 	for _, id := range old {
 		p := page[w.indexOf(id)]
 		if next[p] == start[p] {
-			c.pageLen[start[p]] = start[p+1] - start[p]
+			pageLen[start[p]] = start[p+1] - start[p]
 		}
-		c.out[next[p]] = id
+		out[next[p]] = id
 		next[p]++
 	}
 }

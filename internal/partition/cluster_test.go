@@ -126,29 +126,6 @@ func TestClusterPlacementGolden(t *testing.T) {
 	}
 }
 
-// TestClusterWrapperMatchesOpts pins the compatibility contract: the
-// rng-based wrapper is exactly the Workers:1 path seeded by one Int63
-// draw.
-func TestClusterWrapperMatchesOpts(t *testing.T) {
-	g, err := graph.RoadMap(graph.MinneapolisLikeOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	size := func(graph.NodeID) int { return 80 }
-	viaWrapper, err := ClusterNodesIntoPages(g, size, 1024, &RatioCut{}, rand.New(rand.NewSource(7)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	viaOpts, err := ClusterNodesIntoPagesOpts(g, size, 1024, &RatioCut{},
-		ClusterOptions{Workers: 1, Seed: rand.New(rand.NewSource(7)).Int63()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !pagesEqual(viaWrapper, viaOpts) {
-		t.Fatal("wrapper and Opts paths diverged for the same derived seed")
-	}
-}
-
 // TestClusterSizeBookkeeping is the size-bookkeeping satellite: sizeOf
 // must be consulted exactly once per node — the recursion carries
 // subset byte sizes instead of re-scanning them on every frontier pop.

@@ -22,10 +22,10 @@ import (
 // the multilevel flow gets a two-restart one: boundary refinement
 // cleans up each level, so further restarts there buy almost nothing.
 //
-// Choosing Multilevel for the Figure 2 recursion (ClusterNodesIntoPages)
-// also changes the page plan, not only the heuristic: subsets split by
-// page count rather than with the MinPgSize floor, and the finished
-// pages merge while they fit. Its Bipartition alone keeps the floor.
+// Choosing Multilevel for the Figure 2 recursion
+// (ClusterNodesIntoPagesOpts) also changes the page plan, not only the
+// heuristic: subsets split by page count rather than with the MinPgSize
+// floor, and the finished pages go through MergePages. Its Bipartition alone keeps the floor.
 type Multilevel struct{}
 
 // Name implements Bipartitioner.

@@ -160,7 +160,7 @@ func TestMultilevelQualityParity(t *testing.T) {
 	size := func(graph.NodeID) int { return 80 }
 	pageSize := 1024
 	crr := func(p Bipartitioner) float64 {
-		pages, err := ClusterNodesIntoPages(g, size, pageSize, p, rand.New(rand.NewSource(9)))
+		pages, err := ClusterNodesIntoPagesOpts(g, size, pageSize, p, ClusterOptions{Workers: 1, Seed: 9})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,113 +1,83 @@
 package partition
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"ccam/internal/graph"
 )
 
 // MWayRefine greedily improves a multi-page assignment after top-down
 // clustering, implementing the paper's remark that "M-way partitioning
-// may be used to further improve the result of partitioning". Each
-// round scans boundary nodes (nodes with a neighbor on another page)
-// and applies the single-node page move with the largest positive
-// weighted-gain that fits in the destination page, the lower page index
-// among equal gains; rounds repeat until no improving move exists or
-// maxRounds is reached. Returns the refined pages and the number of
-// moves applied.
-func MWayRefine(g *graph.Network, pages [][]graph.NodeID, sizeOf func(graph.NodeID) int, pageSize, maxRounds int) ([][]graph.NodeID, int) {
-	// page index per node and used bytes per page.
-	pageOf := make(map[graph.NodeID]int)
+// may be used to further improve the result of partitioning". pages
+// place every node of w once. Each round visits the nodes in dense
+// index order and moves each to the page it shares the most edge
+// weight with beyond its own page's, when that gain is positive, the
+// node fits there and its page keeps a record, the lower page index
+// among equal gains; rounds repeat until one moves nothing or maxRounds
+// (10 when not positive) have run. Returns the refined pages, emptied
+// ones dropped, and the number of moves applied.
+func MWayRefine(w *Weighted, pages [][]graph.NodeID, pageSize, maxRounds int) ([][]graph.NodeID, int) {
+	// pageOf[i] is the page of dense index i; used counts each page's bytes.
+	pageOf := make([]int32, w.N())
 	used := make([]int, len(pages))
 	out := make([][]graph.NodeID, len(pages))
-	for i, pg := range pages {
-		out[i] = append([]graph.NodeID(nil), pg...)
+	for p, pg := range pages {
+		out[p] = slices.Clone(pg)
 		for _, id := range pg {
-			pageOf[id] = i
-			used[i] += sizeOf(id)
+			i := w.indexOf(id)
+			pageOf[i] = int32(p)
+			used[p] += w.Size[i]
 		}
 	}
 	if maxRounds <= 0 {
 		maxRounds = 10
 	}
-
-	// connWeight returns, per candidate page, the total weight of edges
-	// between x and nodes on that page.
-	connWeight := func(x graph.NodeID) map[int]float64 {
-		conn := map[int]float64{}
-		for _, e := range g.SuccessorEdges(x) {
-			conn[pageOf[e.To]] += e.Weight
-		}
-		for _, p := range g.Predecessors(x) {
-			if e, err := g.Edge(p, x); err == nil {
-				conn[pageOf[p]] += e.Weight
-			}
-		}
-		return conn
-	}
-
+	// conn[p] is the node's edge weight to page p, for the pages in
+	// touched, which are visited in index order.
+	conn := make([]float64, len(pages))
+	var touched []int32
 	moves := 0
-	var cands []int
 	for round := 0; round < maxRounds; round++ {
-		movedThisRound := 0
-		for _, x := range g.NodeIDs() {
-			home, ok := pageOf[x]
-			if !ok {
-				continue
-			}
-			conn := connWeight(x)
-			// Visit the candidate pages in index order: a tie goes to the
-			// lower page, whatever order the map yields them in.
-			cands = cands[:0]
-			for pg := range conn {
-				cands = append(cands, pg)
-			}
-			sort.Ints(cands)
-			bestPage, bestGain := -1, 0.0
-			for _, pg := range cands {
-				if pg == home {
-					continue
+		moved := 0
+		for x := 0; x < w.N(); x++ {
+			for _, e := range w.Row(x) {
+				q := pageOf[e.To]
+				if !slices.Contains(touched, q) {
+					touched = append(touched, q)
 				}
-				gain := conn[pg] - conn[home]
-				if gain > bestGain+1e-12 && used[pg]+sizeOf(x) <= pageSize {
-					// Do not empty the home page entirely.
-					if len(out[home]) <= 1 {
-						continue
-					}
-					bestPage, bestGain = pg, gain
+				conn[q] += e.W
+			}
+			slices.Sort(touched)
+			home, size := pageOf[x], w.Size[x]
+			best, bestGain := int32(-1), 0.0
+			for _, q := range touched {
+				gain := conn[q] - conn[home]
+				if q != home && len(out[home]) > 1 && gain > bestGain+1e-12 && used[q]+size <= pageSize {
+					best, bestGain = q, gain
 				}
 			}
-			if bestPage >= 0 {
-				out[home] = removeNodeID(out[home], x)
-				out[bestPage] = append(out[bestPage], x)
-				used[home] -= sizeOf(x)
-				used[bestPage] += sizeOf(x)
-				pageOf[x] = bestPage
-				movedThisRound++
+			for _, q := range touched {
+				conn[q] = 0
+			}
+			touched = touched[:0]
+			if best >= 0 {
+				id := w.IDs[x]
+				k := slices.Index(out[home], id)
+				out[home] = slices.Delete(out[home], k, k+1)
+				out[best] = append(out[best], id)
+				used[home] -= size
+				used[best] += size
+				pageOf[x] = best
+				moved++
 			}
 		}
-		moves += movedThisRound
-		if movedThisRound == 0 {
+		moves += moved
+		if moved == 0 {
 			break
 		}
 	}
-	// Drop pages that somehow became empty.
-	final := out[:0]
-	for _, pg := range out {
-		if len(pg) > 0 {
-			final = append(final, pg)
-		}
-	}
-	return final, moves
-}
-
-func removeNodeID(s []graph.NodeID, id graph.NodeID) []graph.NodeID {
-	for i, v := range s {
-		if v == id {
-			return append(s[:i], s[i+1:]...)
-		}
-	}
-	return s
+	return slices.DeleteFunc(out, func(pg []graph.NodeID) bool { return len(pg) == 0 }), moves
 }
 
 // DFSOrder returns the nodes of g in depth-first order from the given
@@ -126,7 +96,8 @@ func DFSOrder(g *graph.Network, start graph.NodeID, weighted bool) []graph.NodeI
 		order = append(order, id)
 		next := g.SuccessorEdges(id)
 		if weighted {
-			sortEdgesByWeightDesc(next)
+			// Stable: equal weights keep their successor-list order.
+			slices.SortStableFunc(next, func(a, b graph.Edge) int { return cmp.Compare(b.Weight, a.Weight) })
 		}
 		for _, e := range next {
 			visit(e.To)
@@ -180,104 +151,4 @@ func BFSOrder(g *graph.Network, start graph.NodeID) []graph.NodeID {
 		}
 	}
 	return order
-}
-
-func sortEdgesByWeightDesc(es []graph.Edge) {
-	for i := 1; i < len(es); i++ {
-		for j := i; j > 0 && es[j].Weight > es[j-1].Weight; j-- {
-			es[j], es[j-1] = es[j-1], es[j]
-		}
-	}
-}
-
-// CoalescePages greedily merges pairs of pages whose combined contents
-// fit in one page, preferring pairs that are adjacent in the page
-// access graph (merging connected pages can only help CRR; merging
-// unrelated pages never hurts it). Top-down clustering guarantees pages
-// at least half full, so coalescing mainly lifts the blocking factor;
-// it returns the new page list and the number of merges performed.
-func CoalescePages(g *graph.Network, pages [][]graph.NodeID, sizeOf func(graph.NodeID) int, pageSize, maxRounds int) ([][]graph.NodeID, int) {
-	out := make([][]graph.NodeID, len(pages))
-	used := make([]int, len(pages))
-	pageOf := map[graph.NodeID]int{}
-	for i, pg := range pages {
-		out[i] = append([]graph.NodeID(nil), pg...)
-		for _, id := range pg {
-			used[i] += sizeOf(id)
-			pageOf[id] = i
-		}
-	}
-	if maxRounds <= 0 {
-		maxRounds = 10
-	}
-	merges := 0
-	for round := 0; round < maxRounds; round++ {
-		// Weight of edges between each pair of pages.
-		conn := map[[2]int]float64{}
-		for _, e := range g.Edges() {
-			a, aok := pageOf[e.From]
-			b, bok := pageOf[e.To]
-			if !aok || !bok || a == b {
-				continue
-			}
-			if a > b {
-				a, b = b, a
-			}
-			conn[[2]int{a, b}] += e.Weight
-		}
-		// Candidate merges, most-connected first; pages merge at most
-		// once per round.
-		type cand struct {
-			a, b int
-			w    float64
-		}
-		var cands []cand
-		for k, w := range conn {
-			if len(out[k[0]]) == 0 || len(out[k[1]]) == 0 {
-				continue
-			}
-			if used[k[0]]+used[k[1]] <= pageSize {
-				cands = append(cands, cand{k[0], k[1], w})
-			}
-		}
-		sort.Slice(cands, func(i, j int) bool {
-			if cands[i].w != cands[j].w {
-				return cands[i].w > cands[j].w
-			}
-			if cands[i].a != cands[j].a {
-				return cands[i].a < cands[j].a
-			}
-			return cands[i].b < cands[j].b
-		})
-		mergedThisRound := 0
-		taken := map[int]bool{}
-		for _, c := range cands {
-			if taken[c.a] || taken[c.b] {
-				continue
-			}
-			if used[c.a]+used[c.b] > pageSize {
-				continue
-			}
-			for _, id := range out[c.b] {
-				pageOf[id] = c.a
-			}
-			out[c.a] = append(out[c.a], out[c.b]...)
-			used[c.a] += used[c.b]
-			out[c.b] = nil
-			used[c.b] = 0
-			taken[c.a], taken[c.b] = true, true
-			mergedThisRound++
-		}
-		merges += mergedThisRound
-		if mergedThisRound == 0 {
-			break
-		}
-	}
-	final := make([][]graph.NodeID, 0, len(out))
-	for _, pg := range out {
-		if len(pg) > 0 {
-			final = append(final, pg)
-		}
-	}
-	return final, merges
 }

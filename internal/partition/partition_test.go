@@ -7,12 +7,64 @@ import (
 	"testing"
 
 	"ccam/internal/graph"
+	"ccam/internal/netfile"
 )
 
 func unitSize(graph.NodeID) int { return 10 }
 
 func allPartitioners() []Bipartitioner {
 	return []Bipartitioner{&FM{}, &RatioCut{}, &KL{}, &Multilevel{}}
+}
+
+// TestNewWeighted pins the rows NewWeighted builds from what visit
+// reports: one entry a neighbor, its weight the sum of the reports, the
+// row sorted by To and a report of the node itself dropped.
+func TestNewWeighted(t *testing.T) {
+	type report struct {
+		v int32
+		w float64
+	}
+	for _, tc := range []struct {
+		name    string
+		reports [][]report // reports[u] is what visit reports at u
+		want    [][]WEdge  // want[u] is row u
+	}{
+		{"empty", [][]report{}, [][]WEdge{}},
+		{"pair linked both ways",
+			[][]report{{{1, 2}, {1, 3}}, {{0, 3}, {0, 2}}},
+			[][]WEdge{{{1, 5}}, {{0, 5}}}},
+		{"rows sorted",
+			[][]report{{{3, 1}, {1, 1}, {2, 1}}, {{0, 1}}, {{0, 1}}, {{0, 1}}},
+			[][]WEdge{{{1, 1}, {2, 1}, {3, 1}}, {{0, 1}}, {{0, 1}}, {{0, 1}}}},
+		{"self dropped",
+			[][]report{{{0, 4}, {1, 1}}, {{1, 4}, {0, 1}, {1, 4}}},
+			[][]WEdge{{{1, 1}}, {{0, 1}}}},
+		{"isolated node",
+			[][]report{{}, {{2, 1}}, {{1, 1}}},
+			[][]WEdge{{}, {{2, 1}}, {{1, 1}}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			n := len(tc.reports)
+			ids := make([]graph.NodeID, n)
+			sizes := make([]int, n)
+			for i := range ids {
+				ids[i], sizes[i] = graph.NodeID(10*i), i+1
+			}
+			w := NewWeighted(ids, sizes, func(u int, add func(int32, float64)) {
+				for _, r := range tc.reports[u] {
+					add(r.v, r.w)
+				}
+			})
+			if w.N() != n || w.Total != n*(n+1)/2 || len(w.Off) != n+1 {
+				t.Fatalf("N %d, Total %d, %d offsets for %d nodes", w.N(), w.Total, len(w.Off), n)
+			}
+			for u := 0; u < n; u++ {
+				if got := w.Row(u); !slices.Equal(got, tc.want[u]) {
+					t.Errorf("row %d = %v, want %v", u, got, tc.want[u])
+				}
+			}
+		})
+	}
 }
 
 func TestBuildWeightedCollapsesDirectedPairs(t *testing.T) {
@@ -171,8 +223,7 @@ func TestClusterNodesIntoPages(t *testing.T) {
 			if p.Name() == "kernighan-lin" && testing.Short() {
 				t.Skip("KL is O(n^2) per pass")
 			}
-			rng := rand.New(rand.NewSource(9))
-			pages, err := ClusterNodesIntoPages(g, size, pageSize, p, rng)
+			pages, err := ClusterNodesIntoPagesOpts(g, size, pageSize, p, ClusterOptions{Workers: 1, Seed: 9})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -207,7 +258,7 @@ func TestClusterNodesIntoPages(t *testing.T) {
 
 func TestClusterRejectsOversizedNode(t *testing.T) {
 	g := graph.Grid(2, 2)
-	_, err := ClusterNodesIntoPages(g, func(graph.NodeID) int { return 2000 }, 1024, &FM{}, rand.New(rand.NewSource(1)))
+	_, err := ClusterNodesIntoPagesOpts(g, func(graph.NodeID) int { return 2000 }, 1024, &FM{}, ClusterOptions{Seed: 1})
 	if !errors.Is(err, ErrNodeTooLarge) {
 		t.Fatalf("err = %v", err)
 	}
@@ -215,7 +266,7 @@ func TestClusterRejectsOversizedNode(t *testing.T) {
 
 func TestClusterSmallGraphSinglePage(t *testing.T) {
 	g := graph.Grid(2, 2)
-	pages, err := ClusterNodesIntoPages(g, unitSize, 1024, &RatioCut{}, rand.New(rand.NewSource(1)))
+	pages, err := ClusterNodesIntoPagesOpts(g, unitSize, 1024, &RatioCut{}, ClusterOptions{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,7 +305,7 @@ func TestMWayRefineImprovesCRR(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := EvaluatePages(g, pages, size, pageSize)
-	refined, moves := MWayRefine(g, pages, size, pageSize, 10)
+	refined, moves := MWayRefine(BuildWeighted(g, size), pages, pageSize, 10)
 	after := EvaluatePages(g, refined, size, pageSize)
 	if moves == 0 {
 		t.Fatal("refinement made no moves on a poor placement")
@@ -291,9 +342,10 @@ func TestMWayRefineDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	first, moves := MWayRefine(g, pages, size, 1024, 10)
+	w := BuildWeighted(g, size)
+	first, moves := MWayRefine(w, pages, 1024, 10)
 	for run := 1; run < 12; run++ {
-		got, n := MWayRefine(g, pages, size, 1024, 10)
+		got, n := MWayRefine(w, pages, 1024, 10)
 		if n != moves || !slices.EqualFunc(got, first, slices.Equal) {
 			t.Fatalf("run %d: %d moves to other pages than run 0's %d", run, n, moves)
 		}
@@ -388,23 +440,25 @@ func TestRatioCutPrefersNaturalClusters(t *testing.T) {
 	}
 }
 
-func TestCoalescePagesImprovesFill(t *testing.T) {
+// TestMergePagesImprovesFill merges ratio cut's pages of the paper-scale
+// map at stored record sizes and a 1 KiB page, which leaves pages that
+// fit together: fewer, fuller pages at no lower a CRR, none over the
+// budget, every node kept once.
+func TestMergePagesImprovesFill(t *testing.T) {
 	g, err := graph.RoadMap(graph.MinneapolisLikeOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
-	size := func(graph.NodeID) int { return 80 }
-	pageSize := 1024
-	pages, err := ClusterNodesIntoPages(g, size, pageSize, &RatioCut{}, rand.New(rand.NewSource(9)))
+	size := netfile.StoredSizer(g)
+	pageSize := netfile.PageBudget(1024)
+	w := BuildWeighted(g, size)
+	pages, err := ClusterWeightedIntoPages(w, pageSize, &RatioCut{}, ClusterOptions{Workers: 1, Seed: 42})
 	if err != nil {
 		t.Fatal(err)
 	}
 	before := EvaluatePages(g, pages, size, pageSize)
-	merged, n := CoalescePages(g, pages, size, pageSize, 10)
+	merged := MergePages(w, pages, pageSize)
 	after := EvaluatePages(g, merged, size, pageSize)
-	if n == 0 {
-		t.Skip("no coalescing opportunity on this clustering")
-	}
 	if after.Pages >= before.Pages {
 		t.Fatalf("pages did not shrink: %d -> %d", before.Pages, after.Pages)
 	}
@@ -412,10 +466,10 @@ func TestCoalescePagesImprovesFill(t *testing.T) {
 		t.Fatalf("fill did not improve: %.3f -> %.3f", before.AvgFill, after.AvgFill)
 	}
 	if after.CRR < before.CRR-1e-9 {
-		t.Fatalf("coalescing reduced CRR: %.4f -> %.4f", before.CRR, after.CRR)
+		t.Fatalf("merging reduced CRR: %.4f -> %.4f", before.CRR, after.CRR)
 	}
 	if after.MaxOverflow > 0 {
-		t.Fatalf("coalescing overflowed a page by %d bytes", after.MaxOverflow)
+		t.Fatalf("merging overflowed a page by %d bytes", after.MaxOverflow)
 	}
 	// No node lost or duplicated.
 	seen := map[graph.NodeID]bool{}

@@ -2,12 +2,14 @@
 // clusters with: Kernighan–Lin two-way swaps, Fiduccia–Mattheyses
 // single-node moves with best-prefix reversion, and the Cheng–Wei
 // two-way ratio-cut adaptation the paper uses, plus the
-// size-constrained top-down ClusterNodesIntoPages procedure of the
-// paper's Figure 2 and a greedy M-way refinement pass (the paper's
-// optional extension).
+// size-constrained top-down ClusterNodesIntoPagesOpts procedure of the
+// paper's Figure 2, one page merge (MergePages) and a greedy M-way
+// refinement pass (MWayRefine, the paper's optional extension), all on
+// the one working set NewWeighted builds.
 package partition
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -47,75 +49,107 @@ type WEdge struct {
 	W  float64
 }
 
+// NewWeighted builds the working set of len(ids) nodes, dense index i
+// being node ids[i] of sizes[i] bytes; it takes both slices over.
+// visit(u, add) reports every edge at node u by calling add with the
+// dense index of the other end and the edge's weight. Row u is what
+// visit reports at u, sorted by To: a neighbor reported twice, as a
+// pair linked both ways is, gets one entry whose weight sums the
+// reports in the order made, and a report of u itself is dropped. So
+// visit must report each edge at both ends for the rows to agree. The
+// rows are built on up to GOMAXPROCS workers, each over a contiguous
+// range of at least 4,096 nodes (a smaller set stays on the calling
+// goroutine); each worker makes one add, and the result does not depend
+// on their number.
+func NewWeighted(ids []graph.NodeID, sizes []int, visit func(u int, add func(v int32, weight float64))) *Weighted {
+	n := len(ids)
+	w := &Weighted{IDs: ids, Size: sizes, Off: make([]int32, n+1)}
+	for _, s := range sizes {
+		w.Total += s
+	}
+	workers := max(1, min(runtime.GOMAXPROCS(0), n/4096))
+	if workers == 1 {
+		w.Edges = w.rows(0, n, visit)
+	} else {
+		// Each worker lays its range's rows end to end in its own array;
+		// the arrays are then copied into place behind one another.
+		parts := make([][]WEdge, workers)
+		var wg sync.WaitGroup
+		for k := range parts {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				parts[k] = w.rows(k*n/workers, (k+1)*n/workers, visit)
+			}()
+		}
+		wg.Wait()
+		w.Edges = slices.Concat(parts...)
+	}
+	for u := 0; u < n; u++ {
+		w.Off[u+1] += w.Off[u]
+	}
+	return w
+}
+
+// rows builds the rows of nodes lo..hi-1 end to end, with room for four
+// neighbors a node (a road map has about three), and sets Off[u+1] to
+// row u's length.
+func (w *Weighted) rows(lo, hi int, visit func(int, func(int32, float64))) []WEdge {
+	r := &rowBuilder{edges: make([]WEdge, 0, 4*(hi-lo))}
+	add := r.add // one method value, not one a node: visit keeps it
+	for r.u = lo; r.u < hi; r.u++ {
+		start := len(r.edges)
+		visit(r.u, add)
+		row := r.edges[start:]
+		slices.SortStableFunc(row, func(a, b WEdge) int { return cmp.Compare(a.To, b.To) })
+		end := start
+		for _, e := range row {
+			if end > start && r.edges[end-1].To == e.To {
+				r.edges[end-1].W += e.W
+			} else {
+				r.edges[end] = e
+				end++
+			}
+		}
+		r.edges = r.edges[:end]
+		w.Off[r.u+1] = int32(end - start) // the row's length for now
+	}
+	return r.edges
+}
+
+// rowBuilder collects the reports of the row of node u.
+type rowBuilder struct {
+	edges []WEdge
+	u     int
+}
+
+func (r *rowBuilder) add(v int32, weight float64) {
+	if int(v) != r.u {
+		r.edges = append(r.edges, WEdge{To: v, W: weight})
+	}
+}
+
 // BuildWeighted projects a network onto the working representation.
 // sizeOf returns the record byte size of each node; uniform weights use
 // the network's edge weights as-is (weight 0 edges still connect nodes
 // but contribute no gain). sizeOf is called once per node, in ascending
-// id order. The rows are built on up to GOMAXPROCS workers, each over
-// a contiguous range of at least 4,096 nodes (a smaller graph stays on
-// one); the result does not depend on their number.
+// id order. Each node's row sums the weights of its outgoing and
+// incoming edges per neighbor (see NewWeighted).
 func BuildWeighted(g *graph.Network, sizeOf func(graph.NodeID) int) *Weighted {
 	ids := g.NodeIDs()
-	n := len(ids)
-	index := make(map[graph.NodeID]int32, n)
+	index := make(map[graph.NodeID]int32, len(ids))
+	sizes := make([]int, len(ids))
 	for i, id := range ids {
 		index[id] = int32(i)
 	}
-	w := &Weighted{
-		IDs:  ids,
-		Size: make([]int, n),
-		Off:  make([]int32, n+1),
-	}
 	for i, id := range ids {
-		w.Size[i] = sizeOf(id)
-		w.Total += w.Size[i]
+		sizes[i] = sizeOf(id)
 	}
-	// Each node's row sums the weights of its outgoing and incoming
-	// edges per neighbor in a scratch array, as coarsenHEM does, so a
-	// pair linked both ways gets one entry weighing both. A worker lays
-	// its range's rows end to end in its own array; the arrays are then
-	// copied into place behind one another.
-	workers := max(1, min(runtime.GOMAXPROCS(0), n/4096))
-	parts := make([][]WEdge, workers)
-	var wg sync.WaitGroup
-	for k := range parts {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			lo, hi := k*n/workers, (k+1)*n/workers
-			acc := make([]float64, n)
-			seen := make([]bool, n)
-			var touched []int32
-			edges := make([]WEdge, 0, 2*g.NumEdges()*(hi-lo)/max(n, 1))
-			for u := lo; u < hi; u++ {
-				g.VisitIncident(ids[u], func(other graph.NodeID, weight float64) {
-					v := index[other]
-					if !seen[v] {
-						seen[v] = true
-						touched = append(touched, v)
-					}
-					acc[v] += weight
-				})
-				slices.Sort(touched)
-				for _, v := range touched {
-					edges = append(edges, WEdge{To: v, W: acc[v]})
-					acc[v], seen[v] = 0, false
-				}
-				w.Off[u+1] = int32(len(touched)) // the row's length for now
-				touched = touched[:0]
-			}
-			parts[k] = edges
-		}()
-	}
-	wg.Wait()
-	for u := 0; u < n; u++ {
-		w.Off[u+1] += w.Off[u]
-	}
-	w.Edges = make([]WEdge, 0, w.Off[n])
-	for _, p := range parts {
-		w.Edges = append(w.Edges, p...)
-	}
-	return w
+	return NewWeighted(ids, sizes, func(u int, add func(int32, float64)) {
+		g.VisitIncident(ids[u], func(other graph.NodeID, weight float64) {
+			add(index[other], weight)
+		})
+	})
 }
 
 // N returns the number of nodes.

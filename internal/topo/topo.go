@@ -143,22 +143,7 @@ func (m *Method) Insert(op *netfile.InsertOp, _ netfile.Policy) error {
 	if m.f == nil {
 		return errors.New("topo: insert before Build")
 	}
-	rec := op.Rec
-	need := rec.EncodedSize() + storage.PerRecordOverhead
-	pid, ok, err := m.f.SelectPageWithMostNeighbors(rec.Neighbors(), need)
-	if err != nil {
-		return err
-	}
-	if !ok {
-		pid, ok = m.f.FindPageWithSpace(need)
-		if !ok {
-			pid, err = m.f.AllocatePage()
-			if err != nil {
-				return err
-			}
-		}
-	}
-	if err := m.f.InsertRecordAt(rec, pid); err != nil {
+	if _, err := m.f.PlaceRecord(op.Rec); err != nil {
 		return err
 	}
 	return m.f.UpdateNeighborLinks(op, m.splitPage)
