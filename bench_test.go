@@ -466,7 +466,14 @@ func BenchmarkRangeQueryWindow30(b *testing.B) {
 
 // BenchmarkInsertDeleteSecondOrder measures a node delete+insert round
 // trip under the second-order policy.
-func BenchmarkInsertDeleteSecondOrder(b *testing.B) {
+func BenchmarkInsertDeleteSecondOrder(b *testing.B) { benchInsertDelete(b, SecondOrder) }
+
+// BenchmarkInsertDeleteHigherOrder is the same round trip under the
+// higher-order policy, whose page sets add the PAG neighbors of the
+// node's page, read off the PAG summary.
+func BenchmarkInsertDeleteHigherOrder(b *testing.B) { benchInsertDelete(b, HigherOrder) }
+
+func benchInsertDelete(b *testing.B, policy Policy) {
 	s, g := benchStore(b)
 	defer s.Close()
 	ids := g.NodeIDs()
@@ -477,10 +484,10 @@ func BenchmarkInsertDeleteSecondOrder(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if err := s.Apply(context.Background(), new(Batch).Delete(id, SecondOrder)); err != nil {
+		if err := s.Apply(context.Background(), new(Batch).Delete(id, policy)); err != nil {
 			b.Fatal(err)
 		}
-		if err := s.Apply(context.Background(), new(Batch).Insert(op, SecondOrder)); err != nil {
+		if err := s.Apply(context.Background(), new(Batch).Insert(op, policy)); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -3,9 +3,9 @@
 // pages by graph partitioning to maximize the connectivity residue
 // ratio; Insert() and Delete() maintain the clustering with the
 // reorganization policies of the paper's Table 1 (first-order,
-// second-order, higher-order), defined over the page access graph,
-// which is never materialized — neighbor pages are discovered through
-// the secondary index on demand. Static-Create clusters with the
+// second-order, higher-order), defined over the page access graph:
+// PagesOfNbrs comes from the node index, NbrPages from the file's PAG
+// summary (netfile.PAGView.Neighbors). Static-Create clusters with the
 // configured partitioner (Cheng–Wei ratio cut, the paper's, by default);
 // every reorganization reclusters with ratio cut.
 //
@@ -167,7 +167,7 @@ func (m *Method) addNode(rec *netfile.Record) error {
 	if err != nil {
 		return err
 	}
-	return m.ReorganizeAround(rec.ID, pid, rec.Neighbors(), netfile.SecondOrder)
+	return m.reorganizeAround(netfile.SecondOrder, rec.Neighbors(), pid)
 }
 
 // Insert implements netfile.AccessMethod: the paper's Figure 3.
@@ -194,7 +194,7 @@ func (m *Method) Insert(op *netfile.InsertOp, policy netfile.Policy) error {
 	case netfile.Lazy:
 		return m.lazyTick(pid, rec.Neighbors())
 	}
-	return m.ReorganizeAround(rec.ID, pid, rec.Neighbors(), policy)
+	return m.reorganizeAround(policy, rec.Neighbors(), pid)
 }
 
 // Delete implements netfile.AccessMethod: the paper's Figure 4.
@@ -222,7 +222,7 @@ func (m *Method) Delete(id graph.NodeID, policy netfile.Policy) error {
 		}
 		return m.lazyTick(pid, rec.Neighbors())
 	}
-	return m.ReorganizeAround(id, pid, rec.Neighbors(), policy)
+	return m.reorganizeAround(policy, rec.Neighbors(), pid)
 }
 
 // lazyTick implements the delayed reorganization policy of paper §2.4:
@@ -230,48 +230,28 @@ func (m *Method) Delete(id graph.NodeID, policy netfile.Policy) error {
 // counter reaches LazyEvery is reorganized together with its PAG
 // neighbors, and the counters of all reorganized pages reset.
 func (m *Method) lazyTick(pagex storage.PageID, neighbors []graph.NodeID) error {
-	touched := map[storage.PageID]bool{}
-	if _, err := m.f.FreeSpace(pagex); err == nil {
-		touched[pagex] = true
-	}
-	nbrPages, err := m.f.PagesOfNeighbors(neighbors)
+	var buf pageBuf
+	touched, err := m.pageSet(buf[:0], netfile.SecondOrder, neighbors, pagex)
 	if err != nil {
 		return err
 	}
-	for _, q := range nbrPages {
-		touched[q] = true
-	}
 	var due []storage.PageID
-	for q := range touched {
-		m.updates[q]++
-		if m.updates[q] >= m.cfg.LazyEvery {
-			due = append(due, q)
+	for _, p := range touched {
+		if m.updates[p]++; m.updates[p] >= m.cfg.LazyEvery {
+			due = append(due, p)
 		}
 	}
-	slices.Sort(due)
 	for _, p := range due {
-		if _, err := m.f.FreeSpace(p); err != nil {
-			delete(m.updates, p)
-			continue // freed by an earlier reorganization this tick
-		}
-		set := map[storage.PageID]bool{p: true}
-		nbrs, err := m.NbrPages(p)
+		pids, err := m.pageSet(nil, netfile.HigherOrder, nil, p)
 		if err != nil {
 			return err
 		}
-		for _, q := range nbrs {
-			set[q] = true
-		}
-		pids := make([]storage.PageID, 0, len(set))
-		for q := range set {
-			pids = append(pids, q)
-		}
-		slices.Sort(pids)
 		if len(pids) >= 2 {
 			if err := m.reorganizePages(pids, false); err != nil {
 				return err
 			}
 		}
+		delete(m.updates, p) // not in pids when an earlier due page's reorganization freed it
 		for _, q := range pids {
 			delete(m.updates, q)
 		}
@@ -293,7 +273,8 @@ func (m *Method) mergeIfUnderflow(pid storage.PageID, neighbors []graph.NodeID) 
 	if used >= m.cfg.File.PageSize/2 {
 		return nil
 	}
-	cands, err := m.f.PagesOfNeighbors(neighbors)
+	var buf pageBuf
+	cands, err := m.f.AppendPagesOfNeighbors(buf[:0], neighbors)
 	if err != nil {
 		return err
 	}
@@ -330,71 +311,50 @@ func (m *Method) SplitPage(pid storage.PageID) error {
 	return m.reorganizePages([]storage.PageID{pid}, true)
 }
 
-// ReorganizeAround applies a second- or higher-order reorganization
-// centred on node x, which lives on (or was just placed on / deleted
-// from) page pagex and has the given neighbor-list (paper Table 1):
-//
-//	second order: {Page(x)} ∪ PagesOfNbrs(x)
-//	higher order: {Page(x)} ∪ PagesOfNbrs(x) ∪ NbrPages(Page(x))
-func (m *Method) ReorganizeAround(x graph.NodeID, pagex storage.PageID, neighbors []graph.NodeID, policy netfile.Policy) error {
-	set := map[storage.PageID]bool{}
-	if _, err := m.f.FreeSpace(pagex); err == nil {
-		set[pagex] = true
-	}
-	nbrPages, err := m.f.PagesOfNeighbors(neighbors)
-	if err != nil {
+// reorganizeAround reorganizes the page set of a second- or
+// higher-order policy (pageSet) when it holds two pages or more.
+func (m *Method) reorganizeAround(policy netfile.Policy, neighbors []graph.NodeID, anchors ...storage.PageID) error {
+	var buf pageBuf
+	pids, err := m.pageSet(buf[:0], policy, neighbors, anchors...)
+	if err != nil || len(pids) < 2 {
 		return err
 	}
-	for _, q := range nbrPages {
-		set[q] = true
-	}
-	if policy == netfile.HigherOrder {
-		pagPages, err := m.NbrPages(pagex)
-		if err != nil {
-			return err
-		}
-		for _, q := range pagPages {
-			set[q] = true
-		}
-	}
-	if len(set) < 2 {
-		return nil
-	}
-	pids := make([]storage.PageID, 0, len(set))
-	for q := range set {
-		pids = append(pids, q)
-	}
-	slices.Sort(pids)
-	return m.reorganizePages(pids, false)
+	return m.reorganizePages(slices.Clone(pids), false)
 }
 
-// NbrPages returns the PAG neighbors of page pid: every page holding a
-// neighbor of some record stored on pid. The PAG is not materialized
-// (paper §2.4); discovery reads the page and probes the index.
-func (m *Method) NbrPages(pid storage.PageID) ([]storage.PageID, error) {
-	if _, err := m.f.FreeSpace(pid); err != nil {
-		return nil, nil // page was freed (e.g. by a merge); no neighbors
-	}
-	recs, err := m.f.RecordsOnPage(pid)
-	if err != nil {
-		return nil, err
-	}
-	seen := map[storage.PageID]bool{}
-	var out []storage.PageID
-	for _, rec := range recs {
-		pages, err := m.f.PagesOfNeighbors(rec.Neighbors())
-		if err != nil {
-			return nil, err
+// pageBuf holds a typical page set without a heap allocation: most
+// sets are a page or two (an edge or a node whose neighbors share its
+// page) and are never reorganized.
+type pageBuf [16]storage.PageID
+
+// pageSet appends a page set of the paper's Table 1 to out and returns
+// out in ascending order, each page once: the anchors still live,
+// PagesOfNbrs(neighbors) and, under the higher-order policy, NbrPages
+// of each anchor:
+//
+//	node x, second order:     {Page(x)} ∪ PagesOfNbrs(x)
+//	node x, higher order:     {Page(x)} ∪ PagesOfNbrs(x) ∪ NbrPages(Page(x))
+//	edge (u,v), second order: {Page(u), Page(v)}
+//	edge (u,v), higher order: {Page(u), Page(v)} ∪ NbrPages(Page(u)) ∪ NbrPages(Page(v))
+//
+// The lazy policy counts updates on a node's second-order set and
+// reorganizes a due page P as the higher-order set of P alone.
+// NbrPages is read off the PAG summary, which settles the mutation in
+// progress, so only a higher-order set reads it: CCAM-D's Add-node runs
+// second order while records name nodes that are not stored yet.
+func (m *Method) pageSet(out []storage.PageID, policy netfile.Policy, neighbors []graph.NodeID, anchors ...storage.PageID) ([]storage.PageID, error) {
+	for _, p := range anchors {
+		if _, err := m.f.FreeSpace(p); err != nil {
+			continue // freed, e.g. by a merge
 		}
-		for _, q := range pages {
-			if q != pid && !seen[q] {
-				seen[q] = true
-				out = append(out, q)
+		out = append(out, p)
+		if policy == netfile.HigherOrder {
+			for _, q := range m.f.PAG().Neighbors(p) {
+				out = append(out, q.Page)
 			}
 		}
 	}
-	slices.Sort(out)
-	return out, nil
+	return m.f.AppendPagesOfNeighbors(out, neighbors)
 }
 
 // PlanRecluster decides the reorganization of the given pages as one
@@ -733,18 +693,6 @@ func (m *Method) applyReorg(plan *ReorgPlan) error {
 	return nil
 }
 
-// CRR returns the file's current connectivity residue ratio measured
-// against network g.
-func (m *Method) CRR(g *graph.Network) float64 {
-	return graph.CRR(g, m.f.Placement())
-}
-
-// WCRR returns the file's current weighted connectivity residue ratio
-// measured against network g.
-func (m *Method) WCRR(g *graph.Network) float64 {
-	return graph.WCRR(g, m.f.Placement())
-}
-
 // InsertEdge implements netfile.AccessMethod: the paper's Insert() with
 // an edge argument. Under the second-order policy the reorganized set
 // is {Page(u), Page(v)}; the higher-order policy additionally
@@ -792,8 +740,7 @@ func (m *Method) DeleteEdge(from, to graph.NodeID, policy netfile.Policy) error 
 }
 
 // reorganizeEdgePages applies the edge-argument rows of the paper's
-// Table 1: second order reorganizes {Page(u), Page(v)}; higher order
-// adds NbrPages(Page(u)) ∪ NbrPages(Page(v)).
+// Table 1 around Page(u) and Page(v).
 func (m *Method) reorganizeEdgePages(u, v graph.NodeID, policy netfile.Policy) error {
 	pu, err := m.f.PageOf(u)
 	if err != nil {
@@ -803,27 +750,7 @@ func (m *Method) reorganizeEdgePages(u, v graph.NodeID, policy netfile.Policy) e
 	if err != nil {
 		return err
 	}
-	set := map[storage.PageID]bool{pu: true, pv: true}
-	if policy == netfile.HigherOrder {
-		for _, p := range []storage.PageID{pu, pv} {
-			nbrs, err := m.NbrPages(p)
-			if err != nil {
-				return err
-			}
-			for _, q := range nbrs {
-				set[q] = true
-			}
-		}
-	}
-	if len(set) < 2 {
-		return nil
-	}
-	pids := make([]storage.PageID, 0, len(set))
-	for q := range set {
-		pids = append(pids, q)
-	}
-	slices.Sort(pids)
-	return m.reorganizePages(pids, false)
+	return m.reorganizeAround(policy, nil, pu, pv)
 }
 
 // Attach adopts an existing data file (e.g. one reconstructed from a

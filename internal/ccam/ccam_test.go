@@ -1,8 +1,10 @@
 package ccam
 
 import (
+	"fmt"
 	"maps"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"ccam/internal/geom"
@@ -76,7 +78,7 @@ func TestStaticBuildCRR(t *testing.T) {
 	g := roadMap(t)
 	m := build(t, g, Config{Seed: 1})
 	checkConsistency(t, m, g)
-	crr := m.CRR(g)
+	crr := graph.CRR(g, m.File().Placement())
 	if crr < 0.6 {
 		t.Fatalf("CCAM-S CRR = %f, expected > 0.6 at 1k pages", crr)
 	}
@@ -90,7 +92,7 @@ func TestDynamicBuildCRR(t *testing.T) {
 	g := roadMap(t)
 	m := build(t, g, Config{Seed: 1, Dynamic: true})
 	checkConsistency(t, m, g)
-	crr := m.CRR(g)
+	crr := graph.CRR(g, m.File().Placement())
 	if crr < 0.45 {
 		t.Fatalf("CCAM-D CRR = %f, expected > 0.45 at 1k pages", crr)
 	}
@@ -104,8 +106,9 @@ func TestStaticBeatsDynamic(t *testing.T) {
 	g := roadMap(t)
 	s := build(t, g, Config{Seed: 1})
 	d := build(t, g, Config{Seed: 1, Dynamic: true})
-	if s.CRR(g) <= d.CRR(g)*0.95 {
-		t.Fatalf("CCAM-S (%.4f) should not lose clearly to CCAM-D (%.4f)", s.CRR(g), d.CRR(g))
+	sc, dc := graph.CRR(g, s.File().Placement()), graph.CRR(g, d.File().Placement())
+	if sc <= dc*0.95 {
+		t.Fatalf("CCAM-S (%.4f) should not lose clearly to CCAM-D (%.4f)", sc, dc)
 	}
 }
 
@@ -249,7 +252,7 @@ func TestHigherOrderImprovesCRROverFirstOrder(t *testing.T) {
 			}
 			mirrorInsert(t, cur, op)
 		}
-		crrByPolicy[policy] = m.CRR(cur)
+		crrByPolicy[policy] = graph.CRR(cur, m.File().Placement())
 		checkConsistency(t, m, cur)
 	}
 	t.Logf("CRR first=%.4f second=%.4f higher=%.4f",
@@ -352,38 +355,86 @@ func TestSplitPageDirectly(t *testing.T) {
 	checkConsistency(t, m, g)
 }
 
-func TestCCAMWithKLPartitioner(t *testing.T) {
+func TestCCAMWithFMPartitioner(t *testing.T) {
 	g := roadMap(t)
 	m := build(t, g, Config{Seed: 3, Partitioner: &partition.FM{}})
 	checkConsistency(t, m, g)
-	if crr := m.CRR(g); crr < 0.55 {
+	if crr := graph.CRR(g, m.File().Placement()); crr < 0.55 {
 		t.Fatalf("CCAM with FM partitioner CRR = %f", crr)
 	}
 }
 
+// TestNbrPages: the PAG neighbors the higher-order and lazy policies
+// read off the file's summary are the paper's (graph.BuildPAG over the
+// placement), on every page: after Build, and after each step of a
+// churn of node and edge updates under those two policies, whose page
+// sets settle the summary in the middle of their mutation.
 func TestNbrPages(t *testing.T) {
-	g := roadMap(t)
-	m := build(t, g, Config{Seed: 4})
-	pag := graph.BuildPAG(g, m.File().Placement())
-	for _, pid := range m.File().Pages()[:5] {
-		got, err := m.NbrPages(pid)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := pag.NbrPages(pid)
-		if len(got) != len(want) {
-			t.Fatalf("page %d: NbrPages = %d pages, PAG says %d", pid, len(got), len(want))
-		}
-		wantSet := map[storage.PageID]bool{}
-		for _, q := range want {
-			wantSet[q] = true
-		}
-		for _, q := range got {
-			if !wantSet[q] {
-				t.Fatalf("page %d: unexpected PAG neighbor %d", pid, q)
+	full := roadMap(t)
+	ids := full.NodeIDs()
+	rng := rand.New(rand.NewSource(4))
+	rng.Shuffle(len(ids), func(i, j int) { ids[i], ids[j] = ids[j], ids[i] })
+	late := ids[:60]
+	cur := full.Clone()
+	for _, id := range late {
+		cur.RemoveNode(id)
+	}
+	m := build(t, cur, Config{Seed: 4, LazyEvery: 3})
+	f := m.File()
+	check := func(step string) {
+		t.Helper()
+		pag := graph.BuildPAG(cur, f.Placement())
+		for _, pid := range f.Pages() {
+			var got []storage.PageID
+			for _, q := range f.PAG().Neighbors(pid) {
+				got = append(got, q.Page)
+			}
+			slices.Sort(got)
+			want := pag.NbrPages(pid)
+			slices.Sort(want)
+			if !slices.Equal(got, want) {
+				t.Fatalf("%s: page %d: summary's PAG neighbors %v, the placement's %v", step, pid, got, want)
 			}
 		}
 	}
+	check("build")
+	var added [][2]graph.NodeID
+	for i, id := range late {
+		policy := []netfile.Policy{netfile.HigherOrder, netfile.Lazy}[i%2]
+		op := insertOpRestricted(t, full, cur, id)
+		if err := m.Insert(op, policy); err != nil {
+			t.Fatalf("%s insert %d: %v", policy, id, err)
+		}
+		mirrorInsert(t, cur, op)
+		check(fmt.Sprintf("%s insert %d", policy, id))
+
+		now := cur.NodeIDs()
+		x, y := now[rng.Intn(len(now))], now[rng.Intn(len(now))]
+		if x != y && cur.AddEdge(graph.Edge{From: x, To: y, Cost: 1, Weight: 1}) == nil {
+			if err := m.InsertEdge(x, y, 1, policy); err != nil {
+				t.Fatalf("%s insert edge %d->%d: %v", policy, x, y, err)
+			}
+			added = append(added, [2]graph.NodeID{x, y})
+			check(fmt.Sprintf("%s insert edge %d->%d", policy, x, y))
+		}
+		if i%3 == 2 {
+			e := added[0]
+			added = added[1:]
+			if err := m.DeleteEdge(e[0], e[1], policy); err != nil {
+				t.Fatalf("%s delete edge %d->%d: %v", policy, e[0], e[1], err)
+			}
+			cur.RemoveEdge(e[0], e[1])
+			check(fmt.Sprintf("%s delete edge %d->%d", policy, e[0], e[1]))
+
+			victim := now[rng.Intn(len(now))]
+			if err := m.Delete(victim, policy); err != nil {
+				t.Fatalf("%s delete %d: %v", policy, victim, err)
+			}
+			cur.RemoveNode(victim)
+			check(fmt.Sprintf("%s delete %d", policy, victim))
+		}
+	}
+	checkConsistency(t, m, cur)
 }
 
 func TestEdgeInsertDelete(t *testing.T) {
@@ -465,7 +516,7 @@ func TestLazyPolicy(t *testing.T) {
 			mirrorInsert(t, cur, op)
 		}
 		checkConsistency(t, m, cur)
-		return float64(io) / float64(len(late)), m.CRR(cur)
+		return float64(io) / float64(len(late)), graph.CRR(cur, m.File().Placement())
 	}
 
 	firstIO, firstCRR := run(netfile.FirstOrder)
@@ -542,7 +593,7 @@ func TestFigureOneStyleClustering(t *testing.T) {
 		}
 	}
 	// CRR: only the 4 directed bridge edges are split: 1 - 4/40.
-	if crr := m.CRR(g); crr < 0.89 || crr > 0.91 {
+	if crr := graph.CRR(g, m.File().Placement()); crr < 0.89 || crr > 0.91 {
 		t.Fatalf("CRR = %.4f, want 0.90", crr)
 	}
 }
@@ -575,13 +626,21 @@ func TestAttachValidations(t *testing.T) {
 	}
 }
 
+// TestNbrPagesOfFreedPage: a page that is not live — freed by a merge,
+// or never allocated — adds nothing to a Table 1 set, not even itself.
 func TestNbrPagesOfFreedPage(t *testing.T) {
-	g := roadMap(t)
-	m := build(t, g, Config{Seed: 45})
-	// A page id that was never allocated.
-	got, err := m.NbrPages(storage.PageID(999999))
-	if err != nil || got != nil {
-		t.Fatalf("NbrPages(unknown) = %v, %v", got, err)
+	m := build(t, roadMap(t), Config{Seed: 45})
+	gone := storage.PageID(999999)
+	if got, err := m.pageSet(nil, netfile.HigherOrder, nil, gone); err != nil || len(got) != 0 {
+		t.Fatalf("pageSet(higher, page %d) = %v, %v; want none", gone, got, err)
+	}
+	live := m.File().Pages()[0]
+	want, err := m.pageSet(nil, netfile.HigherOrder, nil, live)
+	if err != nil || len(want) < 2 {
+		t.Fatalf("pageSet(higher, page %d) = %v, %v", live, want, err)
+	}
+	if got, err := m.pageSet(nil, netfile.HigherOrder, nil, live, gone); err != nil || !slices.Equal(got, want) {
+		t.Fatalf("pageSet(higher, pages %d and %d) = %v, %v; want %v", live, gone, got, err, want)
 	}
 }
 

@@ -32,15 +32,17 @@ func storedBytes(t testing.TB, f *netfile.File, pid storage.PageID) int {
 func adjacentPairs(t testing.TB, m *Method) [][]storage.PageID {
 	t.Helper()
 	var pairs [][]storage.PageID
+	pag := m.File().PAG()
 	for _, p := range m.File().Pages() {
-		nbrs, err := m.NbrPages(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, q := range nbrs {
-			if p < q {
-				pairs = append(pairs, []storage.PageID{p, q})
+		var nbrs []storage.PageID
+		for _, q := range pag.Neighbors(p) {
+			if p < q.Page {
+				nbrs = append(nbrs, q.Page)
 			}
+		}
+		slices.Sort(nbrs)
+		for _, q := range nbrs {
+			pairs = append(pairs, []storage.PageID{p, q})
 		}
 	}
 	return pairs
@@ -252,27 +254,19 @@ func reorganizeInvariants(t *testing.T, full *graph.Network, policy netfile.Poli
 		if err != nil {
 			t.Fatal(err)
 		}
-		pids := []storage.PageID{px}
-		if policy != netfile.Lazy {
-			rec, err := f.Find(x)
-			if err != nil {
-				t.Fatal(err)
+		var pids []storage.PageID
+		if policy == netfile.Lazy {
+			pids, err = m.pageSet(nil, netfile.HigherOrder, nil, px)
+		} else {
+			rec, ferr := f.Find(x)
+			if ferr != nil {
+				t.Fatal(ferr)
 			}
-			more, err := f.PagesOfNeighbors(rec.Neighbors())
-			if err != nil {
-				t.Fatal(err)
-			}
-			pids = append(pids, more...)
+			pids, err = m.pageSet(nil, policy, rec.Neighbors(), px)
 		}
-		if policy != netfile.SecondOrder {
-			more, err := m.NbrPages(px)
-			if err != nil {
-				t.Fatal(err)
-			}
-			pids = append(pids, more...)
+		if err != nil {
+			t.Fatal(err)
 		}
-		slices.Sort(pids)
-		pids = slices.Compact(pids)
 		if len(pids) < 2 {
 			continue
 		}

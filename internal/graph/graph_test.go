@@ -216,21 +216,6 @@ func TestPAG(t *testing.T) {
 	}
 }
 
-func TestPagesOfNbrs(t *testing.T) {
-	g := NewNetwork()
-	for i := NodeID(1); i <= 4; i++ {
-		g.AddNode(Node{ID: i})
-	}
-	g.AddEdge(Edge{From: 1, To: 2})
-	g.AddEdge(Edge{From: 3, To: 1})
-	g.AddEdge(Edge{From: 1, To: 4})
-	p := Placement{1: 0, 2: 5, 3: 5, 4: 6}
-	pages := PagesOfNbrs(g, p, 1)
-	if len(pages) != 2 {
-		t.Fatalf("PagesOfNbrs = %v, want two distinct pages", pages)
-	}
-}
-
 func TestValidatePlacement(t *testing.T) {
 	g := Grid(2, 2)
 	p := Placement{0: 0, 1: 0, 2: 1, 3: 1}

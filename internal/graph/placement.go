@@ -106,20 +106,6 @@ func (pag *PageAccessGraph) NbrPages(p storage.PageID) []storage.PageID {
 // NumPages returns the number of PAG vertices.
 func (pag *PageAccessGraph) NumPages() int { return len(pag.adj) }
 
-// PagesOfNbrs returns Page(u) for every u in the neighbor-list of x
-// (Definition 2 of the paper), deduplicated.
-func PagesOfNbrs(g *Network, p Placement, x NodeID) []storage.PageID {
-	seen := map[storage.PageID]bool{}
-	var out []storage.PageID
-	for _, nb := range g.Neighbors(x) {
-		if pid, ok := p[nb]; ok && !seen[pid] {
-			seen[pid] = true
-			out = append(out, pid)
-		}
-	}
-	return out
-}
-
 // ValidatePlacement verifies that p covers exactly the nodes of g.
 func ValidatePlacement(g *Network, p Placement) error {
 	for id := range g.nodes {

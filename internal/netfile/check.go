@@ -34,11 +34,6 @@ type checkedRecord struct {
 // The owner serializes Check against mutations.
 func (f *File) Check() error {
 	f.SettlePAG()
-	for pid := range f.free {
-		if !f.pages[pid] {
-			return checkFinding(pid, ErrInconsistent, "the free-space map lists a page that is not live")
-		}
-	}
 	indexed := f.overlay.Load().rids(buffer.LiveLSN)
 	recs := make([]checkedRecord, 0, len(indexed))
 	at := make(map[graph.NodeID]int, len(indexed))
@@ -49,8 +44,8 @@ func (f *File) Check() error {
 			if err := sp.Validate(); err != nil {
 				return false, err
 			}
-			if free, ok := f.free[pid]; !ok || free != sp.FreeSpace() {
-				return false, fmt.Errorf("%w: the free-space map says %d bytes free (listed %v), the page has %d", ErrInconsistent, free, ok, sp.FreeSpace())
+			if free, _ := f.pages.free(pid); free != sp.FreeSpace() {
+				return false, fmt.Errorf("%w: the free-space map says %d bytes free, the page has %d", ErrInconsistent, free, sp.FreeSpace())
 			}
 			return false, eachRecord(sp, func(slot int, v recordView) error {
 				id := v.id()

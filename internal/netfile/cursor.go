@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 
 	"ccam/internal/buffer"
 	"ccam/internal/geom"
@@ -533,14 +532,11 @@ func (v View) pageIDs() []storage.PageID {
 	if v.pin.LSN == buffer.LiveLSN {
 		return v.f.Pages()
 	}
-	pageSet := make(map[storage.PageID]bool)
-	for _, pid := range v.f.placements(v.pin.LSN) {
-		pageSet[pid] = true
-	}
-	pids := make([]storage.PageID, 0, len(pageSet))
-	for pid := range pageSet {
+	placed := v.f.placements(v.pin.LSN)
+	pids := make([]storage.PageID, 0, len(placed))
+	for _, pid := range placed {
 		pids = append(pids, pid)
 	}
-	sort.Slice(pids, func(i, j int) bool { return pids[i] < pids[j] })
-	return pids
+	slices.Sort(pids)
+	return slices.Compact(pids)
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"ccam/internal/geom"
@@ -226,6 +227,59 @@ func TestFindPageWithSpace(t *testing.T) {
 	}
 	if _, ok := f.FindPageWithSpace(10000); ok {
 		t.Fatal("oversized request satisfied")
+	}
+}
+
+// TestPageTable: the page table answers each id's free bytes and
+// whether it is a data page, lists its pages in ascending order across
+// chunks — the first, the next and one far above with none between —
+// and counts the live pages through adds, free-space updates and
+// frees. FindPageWithSpace takes the lowest page that fits.
+func TestPageTable(t *testing.T) {
+	var pt pageTable
+	high := storage.PageID(1 << 28)
+	for i, pid := range []storage.PageID{high, 5, pageChunk + 1, 3} {
+		pt.set(pid, 100+i)
+	}
+	pt.set(3, 50) // an update, not a new page
+	list := func() []storage.PageID {
+		var out []storage.PageID
+		pt.each(func(pid storage.PageID, _ int) bool {
+			out = append(out, pid)
+			return true
+		})
+		return out
+	}
+	if got, want := list(), []storage.PageID{3, 5, pageChunk + 1, high}; !slices.Equal(got, want) || pt.live.Load() != 4 {
+		t.Fatalf("pages %v, %d live; want %v, 4", got, pt.live.Load(), want)
+	}
+	if n := slices.IndexFunc(pt.chunks[1:], func(c *[pageChunk]int32) bool { return c != nil }); len(pt.chunks) != int(high>>pageChunkBits)+1 || n != 0 {
+		t.Fatalf("%d chunk slots, the first allocated past chunk 0 at %d", len(pt.chunks), n+1)
+	}
+	for pid, want := range map[storage.PageID]int{3: 50, 5: 101, high: 100} {
+		if free, ok := pt.free(pid); !ok || free != want {
+			t.Fatalf("free(%d) = %d, %v; want %d", pid, free, ok, want)
+		}
+	}
+	for _, pid := range []storage.PageID{4, pageChunk, high + 1, 3 * high} {
+		if _, ok := pt.free(pid); ok {
+			t.Fatalf("page %d is listed", pid)
+		}
+	}
+	pt.set(5, -1)
+	if got := list(); !slices.Equal(got, []storage.PageID{3, pageChunk + 1, high}) || pt.live.Load() != 3 {
+		t.Fatalf("after freeing page 5: pages %v, %d live", got, pt.live.Load())
+	}
+
+	f, err := Create(Options{PageSize: 256, PoolPages: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.pages.set(9, 40)
+	f.pages.set(2, 10)
+	f.pages.set(7, 40)
+	if got, ok := f.FindPageWithSpace(30); !ok || got != 7 {
+		t.Fatalf("FindPageWithSpace(30) = %d, %v; want page 7", got, ok)
 	}
 }
 

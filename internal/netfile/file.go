@@ -3,7 +3,6 @@ package netfile
 import (
 	"fmt"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -56,7 +55,7 @@ type Options struct {
 // so any number of them may run in parallel; the buffer pool and page
 // stores carry their own latches. Mutating operations (record
 // insert/update/delete, page allocation, reorganization, ResetIO,
-// Flush) touch the pages/free maps and the indexes without
+// Flush) touch the page table and the indexes without
 // internal locking and must be serialized against all other calls on
 // the live file by the owner. The root ccam.Store serializes them on
 // its writer mutex and runs every query on a pinned View instead, which
@@ -66,12 +65,8 @@ type File struct {
 	pool     *buffer.Pool
 	spatial  *zorderIndex
 	quant    geom.Quantizer
-	pages    map[storage.PageID]bool
-	// free is the memory-resident free-space map (bytes available per
-	// data page, assuming compaction). Like the secondary index, it is
-	// treated as memory resident and consulting it costs no data-page
-	// I/O; every mutation keeps it exact.
-	free map[storage.PageID]int
+	// pages is the live page set and the free-space map in one.
+	pages pageTable
 	// acct is the account of the write transaction in flight (nil outside
 	// one): the live file's page requests, allocations, frees and index
 	// lookups — the mutation's own and the access method's maintenance
@@ -99,13 +94,78 @@ type File struct {
 	// (snapshot.go); the page size fixes it.
 	slotBits uint
 
-	// pag is the PAG summary (pag.go). pagMu guards it and the live-page
-	// map against the readers that run beside the serialized writer:
-	// planners and gauges. pend is the writer's note of the mutation in
-	// progress, taken into pag when it settles.
+	// pag is the PAG summary (pag.go). pagMu guards it against the
+	// readers that run beside the serialized writer: planners and gauges.
+	// pend is the writer's note of the mutation in progress, taken into
+	// pag when it settles.
 	pag   pagSummary
 	pagMu sync.RWMutex
 	pend  pagPending
+}
+
+// pageTable holds the free bytes of every live data page, assuming
+// compaction, at entry pid; a negative entry is an id that is no data
+// page. Like the node index it is memory resident: consulting it costs
+// no data-page I/O, and every mutation keeps it exact. The entries sit
+// in chunks of 1<<pageChunkBits ids, each allocated with the first page
+// in its range, so a store whose few pages sit at high ids costs a
+// chunk, not an entry per id below them. The entries take no lock: only
+// the serialized writer, and readers the owner serializes with it, use
+// them. The live page count is what readers beside the writer read.
+type pageTable struct {
+	chunks []*[pageChunk]int32
+	live   atomic.Int64
+}
+
+const (
+	pageChunkBits = 10
+	pageChunk     = 1 << pageChunkBits
+)
+
+// free returns page pid's free bytes, and whether pid is a data page.
+func (t *pageTable) free(pid storage.PageID) (int, bool) {
+	if c := int(pid >> pageChunkBits); c < len(t.chunks) && t.chunks[c] != nil {
+		if n := t.chunks[c][pid&(pageChunk-1)]; n >= 0 {
+			return int(n), true
+		}
+	}
+	return 0, false
+}
+
+// set records free bytes for page pid (-1: pid is no data page).
+func (t *pageTable) set(pid storage.PageID, free int) {
+	c := int(pid >> pageChunkBits)
+	if c >= len(t.chunks) {
+		t.chunks = append(t.chunks, make([]*[pageChunk]int32, c+1-len(t.chunks))...)
+	}
+	if t.chunks[c] == nil {
+		t.chunks[c] = new([pageChunk]int32)
+		for i := range t.chunks[c] {
+			t.chunks[c][i] = -1
+		}
+	}
+	e := &t.chunks[c][pid&(pageChunk-1)]
+	if was, is := *e >= 0, free >= 0; is && !was {
+		t.live.Add(1)
+	} else if was && !is {
+		t.live.Add(-1)
+	}
+	*e = int32(free)
+}
+
+// each calls fn with every data page and its free bytes in ascending
+// page order until fn returns false.
+func (t *pageTable) each(fn func(pid storage.PageID, free int) bool) {
+	for c, chunk := range t.chunks {
+		if chunk == nil {
+			continue
+		}
+		for i, n := range chunk {
+			if n >= 0 && !fn(storage.PageID(c<<pageChunkBits|i), int(n)) {
+				return
+			}
+		}
+	}
 }
 
 // Create opens a fresh, empty data file.
@@ -129,8 +189,6 @@ func Create(opts Options) (*File, error) {
 		pool:     buffer.NewPoolShards(st, opts.PoolPages, opts.PoolShards),
 		spatial:  &zorderIndex{quant: quant},
 		quant:    quant,
-		pages:    make(map[storage.PageID]bool),
-		free:     make(map[storage.PageID]int),
 		pag:      newPAGSummary(),
 		pend:     pagPending{index: make(map[graph.NodeID]int)},
 		slotBits: slotBits(opts.PageSize),
@@ -169,11 +227,7 @@ func (f *File) NumNodes() int {
 
 // NumPages returns the number of live data pages. Safe for concurrent
 // use beside mutations that allocate and free pages.
-func (f *File) NumPages() int {
-	f.pagMu.RLock()
-	defer f.pagMu.RUnlock()
-	return len(f.pages)
-}
+func (f *File) NumPages() int { return int(f.pages.live.Load()) }
 
 // Quantizer returns the Z-order quantizer of the spatial index.
 func (f *File) Quantizer() geom.Quantizer { return f.quant }
@@ -233,13 +287,10 @@ func (f *File) AllocatePage() (storage.PageID, error) {
 		return storage.InvalidPageID, fmt.Errorf("netfile: allocate data page: %w", err)
 	}
 	sp := storage.NewSlottedPage(b)
-	f.free[pid] = sp.FreeSpace()
+	f.pages.set(pid, sp.FreeSpace())
 	if err := f.pool.Unpin(pid, true); err != nil {
 		return storage.InvalidPageID, err
 	}
-	f.pagMu.Lock()
-	f.pages[pid] = true
-	f.pagMu.Unlock()
 	return pid, nil
 }
 
@@ -248,7 +299,7 @@ func (f *File) AllocatePage() (storage.PageID, error) {
 // page as live, so it cannot be recycled (and its old bytes
 // overwritten) before the checkpoint that records the free is durable.
 func (f *File) FreePage(pid storage.PageID) error {
-	if !f.pages[pid] {
+	if _, ok := f.pages.free(pid); !ok {
 		return fmt.Errorf("netfile: free of unknown page %d", pid)
 	}
 	// Preserve the committed image for pinned snapshots before the
@@ -260,10 +311,7 @@ func (f *File) FreePage(pid storage.PageID) error {
 			f.pool.Unpin(pid, false)
 		}
 	}
-	f.pagMu.Lock()
-	delete(f.pages, pid)
-	f.pagMu.Unlock()
-	delete(f.free, pid)
+	f.pages.set(pid, -1)
 	if f.wal != nil {
 		f.pool.Discard(pid)
 		f.pendingFree = append(f.pendingFree, pid)
@@ -277,13 +325,11 @@ func (f *File) FreePage(pid storage.PageID) error {
 
 // Pages returns the live data page ids in ascending order.
 func (f *File) Pages() []storage.PageID {
-	f.pagMu.RLock()
-	out := make([]storage.PageID, 0, len(f.pages))
-	for pid := range f.pages {
+	out := make([]storage.PageID, 0, f.NumPages())
+	f.pages.each(func(pid storage.PageID, _ int) bool {
 		out = append(out, pid)
-	}
-	f.pagMu.RUnlock()
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+		return true
+	})
 	return out
 }
 
@@ -348,7 +394,7 @@ func (f *File) InsertRecordAt(rec *Record, pid storage.PageID) error {
 // index, and returns the record id it got; the caller notes the
 // placement, which is what indexes the node.
 func (f *File) storeRecord(rec *Record, pid storage.PageID) (rid, error) {
-	if !f.pages[pid] {
+	if _, ok := f.pages.free(pid); !ok {
 		return noRID, fmt.Errorf("netfile: insert into unknown page %d", pid)
 	}
 	enc := EncodeRecord(rec)
@@ -362,7 +408,7 @@ func (f *File) storeRecord(rec *Record, pid storage.PageID) (rid, error) {
 			return false, err
 		}
 		r = f.rid(pid, slot)
-		f.free[pid] = sp.FreeSpace()
+		f.pages.set(pid, sp.FreeSpace())
 		f.pagWrote(rec.ID, pid, enc)
 		return true, nil
 	})
@@ -394,7 +440,7 @@ func (f *File) UpdateRecord(rec *Record) error {
 		if err := sp.Update(f.ridSlot(r), enc); err != nil {
 			return false, err
 		}
-		f.free[pid] = sp.FreeSpace()
+		f.pages.set(pid, sp.FreeSpace())
 		f.pagWrote(rec.ID, pid, enc)
 		return true, nil
 	})
@@ -428,7 +474,7 @@ func (f *File) removeRecord(id graph.NodeID) (*Record, error) {
 		if err := sp.Delete(f.ridSlot(r)); err != nil {
 			return false, err
 		}
-		f.free[pid] = sp.FreeSpace()
+		f.pages.set(pid, sp.FreeSpace())
 		f.pagWrote(id, storage.InvalidPageID, nil)
 		return true, nil
 	})
@@ -629,17 +675,14 @@ func (f *File) install(pages []loadedPage) error {
 	}
 	sps := make([]storage.SlottedPage, len(pages))
 	slots := 0
-	f.pagMu.Lock()
 	for i, pg := range pages {
-		f.pages[pg.pid] = true
 		sps[i], _ = storage.ViewSlottedPage(pg.img) // build and open have checked every image
+		f.pages.set(pg.pid, sps[i].FreeSpace())
 		slots += sps[i].NumSlots()
 	}
-	f.pagMu.Unlock()
 	table := newNodeTable(slots)
 	spatial := make([]spatialEntry, 0, slots)
 	for i, pg := range pages {
-		f.free[pg.pid] = sps[i].FreeSpace()
 		err := eachRecord(&sps[i], func(slot int, v recordView) error {
 			id := v.id()
 			if id == graph.InvalidNodeID {
@@ -673,7 +716,7 @@ func (f *File) Flush() error { return f.pool.FlushAll() }
 // FreeSpace returns the free bytes on page pid from the memory-resident
 // free-space map (no data-page I/O).
 func (f *File) FreeSpace(pid storage.PageID) (int, error) {
-	free, ok := f.free[pid]
+	free, ok := f.pages.free(pid)
 	if !ok {
 		return 0, fmt.Errorf("netfile: unknown page %d", pid)
 	}
@@ -684,11 +727,12 @@ func (f *File) FreeSpace(pid storage.PageID) (int, error) {
 // need free bytes, consulting only the free-space map.
 func (f *File) FindPageWithSpace(need int) (storage.PageID, bool) {
 	best := storage.InvalidPageID
-	for pid, free := range f.free {
-		if free >= need && pid < best {
+	f.pages.each(func(pid storage.PageID, free int) bool {
+		if free >= need {
 			best = pid
 		}
-	}
+		return best == storage.InvalidPageID
+	})
 	return best, best != storage.InvalidPageID
 }
 
@@ -699,7 +743,7 @@ func (f *File) FindPageWithSpace(need int) (storage.PageID, bool) {
 // are assumed to have been removed (or about to be overwritten) from
 // their previous pages by companion ReplacePageContents calls.
 func (f *File) ReplacePageContents(pid storage.PageID, recs []*Record) error {
-	if !f.pages[pid] {
+	if _, ok := f.pages.free(pid); !ok {
 		return fmt.Errorf("netfile: replace contents of unknown page %d", pid)
 	}
 	b, err := f.pool.FetchTraced(pid, f.acct)
@@ -728,7 +772,7 @@ func (f *File) ReplacePageContents(pid storage.PageID, recs []*Record) error {
 		rids[i] = f.rid(pid, slot)
 		f.pagWrote(rec.ID, pid, enc)
 	}
-	f.free[pid] = sp.FreeSpace()
+	f.pages.set(pid, sp.FreeSpace())
 	if err := f.pool.Unpin(pid, true); err != nil {
 		return err
 	}

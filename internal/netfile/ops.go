@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 
 	"ccam/internal/geom"
 	"ccam/internal/graph"
@@ -234,70 +235,50 @@ func (f *File) PlaceRecord(rec *Record) (storage.PageID, error) {
 
 // SelectPageWithMostNeighbors ranks the candidate pages by how many of
 // x's neighbors they hold and returns the best page that can still
-// accommodate need bytes (the paper's insert page selection). ok is
-// false when no candidate fits.
+// accommodate need bytes, the lowest page id among equals (the paper's
+// insert page selection). ok is false when no candidate fits.
 func (f *File) SelectPageWithMostNeighbors(neighbors []graph.NodeID, need int) (storage.PageID, bool, error) {
-	counts := map[storage.PageID]int{}
-	for _, nb := range neighbors {
-		pid, err := f.PageOf(nb)
-		if err != nil {
-			if errors.Is(err, ErrNotFound) {
-				continue
-			}
-			return storage.InvalidPageID, false, err
-		}
-		counts[pid]++
+	var buf [16]storage.PageID // a node's neighbors, without a heap allocation
+	pids, err := f.neighborPages(buf[:0], neighbors)
+	if err != nil {
+		return storage.InvalidPageID, false, err
 	}
-	// Deterministic order: best count, then lowest page id.
-	best := storage.InvalidPageID
-	bestCount := -1
-	for pid, c := range counts {
-		if c > bestCount || (c == bestCount && pid < best) {
-			// Space check via the memory-resident free-space map.
-			free, err := f.FreeSpace(pid)
-			if err != nil {
-				return storage.InvalidPageID, false, err
-			}
-			if free >= need {
-				best, bestCount = pid, c
-			}
+	best, most := storage.InvalidPageID, 0
+	for i, j := 0, 0; i < len(pids); i = j {
+		for j = i; j < len(pids) && pids[j] == pids[i]; j++ {
+		}
+		// Space check via the memory-resident free-space map.
+		if free, _ := f.pages.free(pids[i]); j-i > most && free >= need {
+			best, most = pids[i], j-i
 		}
 	}
-	if bestCount < 0 {
-		return storage.InvalidPageID, false, nil
-	}
-	return best, true, nil
+	return best, most > 0, nil
 }
 
-// PagesOfNeighbors returns the distinct pages of the given nodes, in
-// ascending order (PagesOfNbrs(x) of paper Definition 2, computed from
-// the index).
-func (f *File) PagesOfNeighbors(neighbors []graph.NodeID) ([]storage.PageID, error) {
-	seen := map[storage.PageID]bool{}
-	var out []storage.PageID
+// AppendPagesOfNeighbors appends the pages of the given nodes
+// (PagesOfNbrs(x) of paper Definition 2, computed from the index) to out
+// and returns out in ascending order, each page once.
+func (f *File) AppendPagesOfNeighbors(out []storage.PageID, neighbors []graph.NodeID) ([]storage.PageID, error) {
+	out, err := f.neighborPages(out, neighbors)
+	return slices.Compact(out), err
+}
+
+// neighborPages appends to out the page of each stored node of
+// neighbors and returns out in ascending order: a page holding k of
+// them is listed k times.
+func (f *File) neighborPages(out []storage.PageID, neighbors []graph.NodeID) ([]storage.PageID, error) {
 	for _, nb := range neighbors {
 		pid, err := f.PageOf(nb)
+		if errors.Is(err, ErrNotFound) {
+			continue
+		}
 		if err != nil {
-			if errors.Is(err, ErrNotFound) {
-				continue
-			}
 			return nil, err
 		}
-		if !seen[pid] {
-			seen[pid] = true
-			out = append(out, pid)
-		}
+		out = append(out, pid)
 	}
-	sortPageIDs(out)
+	slices.Sort(out)
 	return out, nil
-}
-
-func sortPageIDs(s []storage.PageID) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
 }
 
 // AddEdgeRecords applies a new edge (u, v, cost) to the stored records:

@@ -1,8 +1,8 @@
 package netfile
 
 import (
+	"cmp"
 	"slices"
-	"sort"
 
 	"ccam/internal/buffer"
 	"ccam/internal/graph"
@@ -337,15 +337,18 @@ func (s *pagSummary) rankedNeighbors(pid storage.PageID) []PageCount {
 	}
 	out := make([]PageCount, 0, len(p.nbrs))
 	for q, c := range p.nbrs {
-		i := len(out)
-		out = append(out, PageCount{})
-		for i > 0 && (out[i-1].Edges < c || out[i-1].Edges == c && out[i-1].Page > q) {
-			out[i] = out[i-1]
-			i--
-		}
-		out[i] = PageCount{Page: q, Edges: c}
+		out = append(out, PageCount{Page: q, Edges: c})
 	}
+	slices.SortFunc(out, byEdgesThenPage)
 	return out
+}
+
+// byEdgesThenPage orders most crossing edges first, then lower page id.
+func byEdgesThenPage(a, b PageCount) int {
+	if a.Edges != b.Edges {
+		return cmp.Compare(b.Edges, a.Edges)
+	}
+	return cmp.Compare(a.Page, b.Page)
 }
 
 // PAGView is a read-only window on the summary. Tallies and sums are
@@ -407,21 +410,10 @@ func (p PAGView) Stats() PAGStats {
 	defer p.f.pagMu.RUnlock()
 	s := &p.f.pag
 	return PAGStats{
-		Nodes: s.records, Pages: len(p.f.pages),
+		Nodes: s.records, Pages: p.f.NumPages(),
 		Edges: s.edges, Unsplit: s.unsplit,
 		WEdges: s.wedges, WUnsplit: s.wunsplit,
 	}
-}
-
-// PageTally returns how many edges have an endpoint on pid and how many
-// of those leave the page.
-func (p PAGView) PageTally(pid storage.PageID) (incident, split int) {
-	p.f.pagMu.RLock()
-	defer p.f.pagMu.RUnlock()
-	if pg := p.f.pag.pages[pid]; pg != nil {
-		return pg.incident, pg.split
-	}
-	return 0, 0
 }
 
 // Neighbors returns the PAG neighbors of pid (paper Definition 1) with
@@ -443,12 +435,7 @@ func (p PAGView) WorstPages(n int) []storage.PageID {
 		}
 	}
 	p.f.pagMu.RUnlock()
-	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].Edges != cands[j].Edges {
-			return cands[i].Edges > cands[j].Edges
-		}
-		return cands[i].Page < cands[j].Page
-	})
+	slices.SortFunc(cands, byEdgesThenPage)
 	if len(cands) > n {
 		cands = cands[:n]
 	}

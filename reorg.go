@@ -3,7 +3,7 @@ package ccam
 import (
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 
 	"ccam/internal/netfile"
 	"ccam/internal/storage"
@@ -114,23 +114,21 @@ func (r *reorganizer) round() error {
 // page: the pages with the most split edges, each expanded with its
 // PAG neighbors (most connected first), bounded by maxPages.
 func (r *reorganizer) targets(pag netfile.PAGView) []storage.PageID {
-	set := make(map[storage.PageID]bool, r.maxPages)
+	pids := make([]storage.PageID, 0, r.maxPages)
+	add := func(pid storage.PageID) {
+		if len(pids) < r.maxPages && !slices.Contains(pids, pid) {
+			pids = append(pids, pid)
+		}
+	}
 	for _, pid := range pag.WorstPages(reorgSeeds) {
-		if len(set) >= r.maxPages {
+		if len(pids) >= r.maxPages {
 			break
 		}
-		set[pid] = true
+		add(pid)
 		for _, nb := range pag.Neighbors(pid) {
-			if len(set) >= r.maxPages {
-				break
-			}
-			set[nb.Page] = true
+			add(nb.Page)
 		}
 	}
-	pids := make([]storage.PageID, 0, len(set))
-	for pid := range set {
-		pids = append(pids, pid)
-	}
-	sort.Slice(pids, func(i, j int) bool { return pids[i] < pids[j] })
+	slices.Sort(pids)
 	return pids
 }
